@@ -22,6 +22,12 @@
 //! beat cold execution by at least 1.3x, pinning the prepared-statement
 //! speedup the committed `BENCH_pipeline.json` reports.
 //!
+//! Last, a scaling gate holds the rank join to linear work per sorted access:
+//! the broad three-term `TOPK` over a googlebase corpus (every document its
+//! own component) at 4× the documents may take at most 8× the time.  The
+//! component-partitioned join reads ≈ 4×; a join that scans every seen
+//! posting per sorted access reads ≈ 16×.
+//!
 //! Usage: `cargo run --release -p seda-bench --bin perf_smoke [-- <baseline.json>]`
 //! (default baseline path `BENCH_pipeline.json`).  Exits non-zero on
 //! regression or when the baseline row cannot be found.
@@ -29,7 +35,25 @@
 use std::process::ExitCode;
 
 use seda_bench::{best_of_three, measure_pipeline, topk_workloads};
-use seda_core::{Budget, RequestContext, SedaRequest};
+use seda_core::{Budget, EngineConfig, RequestContext, SedaEngine, SedaRequest};
+use seda_datagen::{googlebase, GoogleBaseConfig};
+use seda_olap::Registry;
+
+/// Best-of-three wall time (ms) of the broad three-term googlebase `TOPK`
+/// over a datagen corpus of `items` one-document components.
+fn broad_googlebase_topk_ms(items: usize) -> Result<f64, String> {
+    let config = GoogleBaseConfig { items, ..GoogleBaseConfig::small() };
+    let collection = googlebase::generate(&config).map_err(|e| e.to_string())?;
+    let engine =
+        SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
+            .map_err(|e| e.to_string())?;
+    let request =
+        SedaRequest::parse("TOPK 10 FOR (title, model) AND (price, *) AND (condition, new)")
+            .map_err(|e| e.to_string())?;
+    let mut reader = engine.reader();
+    let (_, ms) = best_of_three(|| reader.execute(&request).expect("broad TOPK executes"));
+    Ok(ms)
+}
 
 /// Extracts the `wall_ms` value of the `mondial` `TOPK` row from the report's
 /// line-per-object JSON.
@@ -215,6 +239,34 @@ fn main() -> ExitCode {
         eprintln!(
             "perf_smoke: PREPARED SPEEDUP — prepared re-execution is only {speedup:.2}x \
              faster than cold execution (required: 1.3x)"
+        );
+        return ExitCode::FAILURE;
+    }
+
+    // The rank join must do linear work per sorted access: quadrupling the
+    // one-document components may cost at most 8x (linear reads ~4x, a scan
+    // of every seen posting per sorted access ~16x).
+    const BASE_ITEMS: usize = 1_500;
+    let scaled = broad_googlebase_topk_ms(BASE_ITEMS)
+        .and_then(|base| Ok((base, broad_googlebase_topk_ms(4 * BASE_ITEMS)?)));
+    let (base_ms, scaled_ms) = match scaled {
+        Ok(pair) => pair,
+        Err(err) => {
+            eprintln!("perf_smoke: join scaling workload failed: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!(
+        "perf_smoke: broad googlebase TOPK {base_ms:.3}ms at {BASE_ITEMS} documents, \
+         {scaled_ms:.3}ms at {} ({:.1}x, allowed 8x)",
+        4 * BASE_ITEMS,
+        scaled_ms / base_ms
+    );
+    if scaled_ms > 8.0 * base_ms {
+        eprintln!(
+            "perf_smoke: JOIN SCALING — 4x the documents cost {:.1}x the time (allowed 8x): \
+             the join is scanning seen postings instead of looking up its component group",
+            scaled_ms / base_ms
         );
         return ExitCode::FAILURE;
     }

@@ -238,36 +238,6 @@ impl RewritePass for SingleKeyword {
     }
 }
 
-/// Component-pruning shortcut: on a graph with a single document component
-/// the same-component filter inside the join loop always passes, so the pass
-/// elides it (identical results and counters, fewer per-pair lookups).  On
-/// multi-component graphs it stays on and the pass records how many
-/// components the filter prunes across.
-struct ComponentPrune;
-
-impl RewritePass for ComponentPrune {
-    fn name(&self) -> &'static str {
-        "component-prune"
-    }
-
-    fn apply(&self, plan: &mut QueryPlan, engine: &SedaEngine) -> Option<String> {
-        if plan.term_inputs.len() < 2 {
-            // Only the join loop consults components; nothing to prune.
-            return None;
-        }
-        let components = engine.graph().doc_component_count();
-        if components <= 1 {
-            plan.topk.prune_components = false;
-            Some("single connected component: elided the same-component filter".to_string())
-        } else {
-            Some(format!(
-                "{components} document components: cross-component candidates are skipped \
-                 before the connectivity BFS"
-            ))
-        }
-    }
-}
-
 /// Cost-based access ordering: chooses, per search term, between
 /// context-index-first access (resolve the allowed paths through the
 /// keyword→path index, then walk the restricted postings) and postings-first
@@ -353,8 +323,8 @@ fn estimate_term_postings(plan: &QueryPlan, engine: &SedaEngine) -> Vec<(usize, 
 /// Rule 7 of the repo lint checks that every `impl RewritePass for` type in
 /// this file appears here — an unregistered pass is dead weight that silently
 /// never runs.
-pub(crate) fn registered_passes() -> [&'static dyn RewritePass; 5] {
-    [&Normalize, &Pushdown, &SingleKeyword, &ComponentPrune, &AccessOrder]
+pub(crate) fn registered_passes() -> [&'static dyn RewritePass; 4] {
+    [&Normalize, &Pushdown, &SingleKeyword, &AccessOrder]
 }
 
 /// Runs every registered pass over the plan, returning the pass-by-pass
@@ -448,19 +418,6 @@ mod tests {
             plan.program().ops()[0],
             PlanOp::Search { k: 5, strategy: SearchStrategy::Join }
         );
-    }
-
-    #[test]
-    fn component_prune_elides_the_filter_on_one_component() {
-        let e = engine();
-        assert_eq!(e.graph().doc_component_count(), 1);
-        let req = SedaRequest::parse("TOPK 5 FOR (name, *) AND (percentage, *)").unwrap();
-        let plan = e.prepare(&req).unwrap();
-        assert!(!plan.search_config().prune_components);
-        // Single-term plans never consult components; the pass skips them.
-        let req = SedaRequest::parse("TOPK 5 FOR (name, *)").unwrap();
-        let plan = e.prepare(&req).unwrap();
-        assert!(plan.search_config().prune_components);
     }
 
     #[test]

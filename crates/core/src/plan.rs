@@ -158,8 +158,7 @@ pub struct QueryPlan {
     pub(crate) pattern: Option<TwigPattern>,
     pub(crate) cube_options: BuildOptions,
     pub(crate) steps: Vec<PlanStep>,
-    /// Per-plan search configuration; rewrite passes tune it (k is folded in
-    /// at lowering, the component-prune pass may clear `prune_components`).
+    /// Per-plan search configuration (k is folded in at lowering).
     pub(crate) topk: TopKConfig,
     /// Search strategy the single-keyword pass may rewrite.
     pub(crate) strategy: SearchStrategy,

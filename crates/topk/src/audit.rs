@@ -24,7 +24,7 @@ impl SearchScratch {
     /// discipline plus the descending order of the buffered k-best scores.
     pub fn verify(&self) -> AuditResult {
         let mut violations = self.traversal.verify().err().unwrap_or_default();
-        for (i, pair) in self.kth_scores.windows(2).enumerate() {
+        for (i, pair) in self.join.kth_scores.windows(2).enumerate() {
             // NaNs are reported by the dedicated check below, so a plain
             // ascending comparison suffices here.
             if pair[0] < pair[1] {
@@ -35,7 +35,7 @@ impl SearchScratch {
                 ));
             }
         }
-        if self.kth_scores.iter().any(|s| s.is_nan()) {
+        if self.join.kth_scores.iter().any(|s| s.is_nan()) {
             violations.push(InvariantViolation::new(
                 SUBSTRATE,
                 "kth-order",
@@ -49,7 +49,7 @@ impl SearchScratch {
     /// breaking the descending order (`kth-order`) once two entries exist.
     #[doc(hidden)]
     pub fn corrupt_push_kth_score(&mut self, score: f64) {
-        self.kth_scores.push(score);
+        self.join.kth_scores.push(score);
     }
 }
 

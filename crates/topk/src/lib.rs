@@ -26,6 +26,7 @@
 //! ```
 
 pub mod audit;
+mod partition;
 pub mod searcher;
 pub mod types;
 

@@ -20,15 +20,30 @@
 //!   threshold — the early-termination property the paper relies on for
 //!   interactive response times.
 //!
+//! # Component-partitioned join
+//!
+//! A tuple spanning two document components of the data graph can never be
+//! connected, so such combinations are never formed: before the loop starts,
+//! every list's positions are grouped by [`DataGraph::doc_component`] (one
+//! counting sort per list into a CSR arena, see `partition.rs`), and a newly
+//! seen node is joined only with the seen entries of its own component's
+//! group in each other list — one lookup per list instead of a scan of the
+//! whole consumed prefix with a component compare per pair.  Groups keep
+//! sorted-access order, so the combinations come out in the order a filtered
+//! prefix scan would produce them; on a single-component graph the one group
+//! *is* the prefix.  The partition costs one `u32` per posting plus
+//! `terms · (components + 2)` offsets, held in the [`SearchScratch`] (or,
+//! for prepared statements, computed once in [`MaterializedTerms`]).
+//!
 //! # Allocation discipline
 //!
-//! The join loop performs no per-candidate allocation: candidate tuples live
-//! in two flat ping-pong arenas (`m`-strided `NodeId` runs plus a parallel
-//! score array), connectivity/compactness checks are label intersections
+//! The join loop performs no per-candidate and no per-group allocation:
+//! candidate tuples live in two flat ping-pong arenas (`m`-strided `NodeId`
+//! runs plus a parallel score array), the component partition is two flat
+//! arrays, and connectivity/compactness checks are label intersections
 //! against the graph's precomputed connectivity oracle (probes counted
-//! through a reusable [`TraversalScratch`]), and document-component pruning
-//! reads the components cached on the [`DataGraph`] at build time.  Callers that issue many queries should hold a
-//! [`SearchScratch`] and use [`TopKSearcher::search_with`] /
+//! through a reusable [`TraversalScratch`]).  Callers that issue many queries
+//! should hold a [`SearchScratch`] and use [`TopKSearcher::search_with`] /
 //! [`TopKSearcher::search_naive_with`] so even the posting-list buffers are
 //! reused across queries.
 
@@ -38,14 +53,15 @@ use seda_datagraph::{compactness_with, DataGraph, TraversalScratch};
 use seda_textindex::{NodeIndex, ScoredNode};
 use seda_xmlstore::{Collection, NodeId};
 
+use crate::partition::ComponentPartition;
 use crate::types::{
     LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, SearchStrategy,
     TermInput, TopKConfig, TopKResult, TupleScoreCache,
 };
 
-/// Reusable buffers of the top-k search: posting lists, the flat candidate
-/// arenas of the join loop and the traversal scratch of the connectivity
-/// checks.
+/// Reusable buffers of the top-k search: posting lists and their component
+/// partition, the flat candidate arenas of the join loop and the traversal
+/// scratch of the connectivity checks.
 ///
 /// A scratch serves any number of searches over any engine; reuse it across
 /// queries to keep the read path allocation-free once the buffers have grown
@@ -55,8 +71,16 @@ pub struct SearchScratch {
     pub(crate) traversal: TraversalScratch,
     /// Per-term sorted-access lists (reused; only the first `m` are live).
     lists: Vec<Vec<ScoredNode>>,
+    /// Component partition of `lists[..m]`, rebuilt per cold search.
+    partition: ComponentPartition,
     /// Candidate buffer handed to [`NodeIndex::evaluate_into`].
     eval_candidates: Vec<NodeId>,
+    pub(crate) join: JoinBuffers,
+}
+
+/// The join loop's working buffers (everything but its input lists).
+#[derive(Debug, Default)]
+pub(crate) struct JoinBuffers {
     /// Current combo arena: `stride`-sized `NodeId` runs.
     combo_nodes: Vec<NodeId>,
     /// Content score per combo (parallel to `combo_nodes` runs).
@@ -70,6 +94,15 @@ pub struct SearchScratch {
     pub(crate) kth_scores: Vec<f64>,
     positions: Vec<usize>,
     best_scores: Vec<f64>,
+}
+
+/// What the join loop reads: the per-term sorted-access lists and their
+/// component partition, borrowed from a [`SearchScratch`] (cold search) or
+/// from [`MaterializedTerms`] (prepared statement) — never copied.
+#[derive(Clone, Copy)]
+struct JoinInput<'a> {
+    lists: &'a [Vec<ScoredNode>],
+    partition: &'a ComponentPartition,
 }
 
 impl SearchScratch {
@@ -226,20 +259,23 @@ impl<'a> TopKSearcher<'a> {
             return (TopKResult { tuples: Vec::new(), stats: SearchStats::default() }, None);
         }
         self.fill_term_lists(terms, scratch);
+        let SearchScratch { traversal, lists, partition, join, .. } = scratch;
+        let lists = &lists[..terms.len()];
         if strategy == SearchStrategy::SingleTermScan
             && terms.len() == 1
             && config.candidate_limit >= config.k
         {
-            return self.scan_single_term(config, limits, scratch);
+            return self.scan_single_term(&lists[0], config, limits);
         }
-        self.search_filled(terms.len(), config, limits, scratch, cache)
+        partition.rebuild(self.graph, lists);
+        self.search_filled(JoinInput { lists, partition }, config, limits, traversal, join, cache)
     }
 
     /// Materialises the per-term sorted-access lists once, for reuse across
     /// executions of a prepared statement.
     ///
-    /// The returned lists are exactly what [`TopKSearcher::search_governed`]
-    /// would fill into its scratch, so
+    /// The returned lists — and their component partition — are exactly what
+    /// [`TopKSearcher::search_governed`] would fill into its scratch, so
     /// [`TopKSearcher::search_materialized_governed`] over them is equivalent
     /// to a fresh search over the same terms.
     pub fn materialize_terms(&self, terms: &[TermInput]) -> MaterializedTerms {
@@ -255,15 +291,17 @@ impl<'a> TopKSearcher<'a> {
             );
             lists.push(list);
         }
-        MaterializedTerms::from_lists(lists)
+        let mut partition = ComponentPartition::default();
+        partition.rebuild(self.graph, &lists);
+        MaterializedTerms::new(lists, partition)
     }
 
     /// Runs the governed search over pre-materialised term lists, optionally
     /// memoising compactness scores in `cache` and short-circuiting through
     /// `strategy`.
     ///
-    /// The lists are copied into the scratch buffers (reusing their capacity)
-    /// and the identical join loop runs over them, so results are equal to
+    /// The join loop reads the lists and their partition in place (nothing is
+    /// copied into the scratch), so results are equal to
     /// [`TopKSearcher::search_governed`] over the terms the lists were
     /// materialised from.  With [`SearchStrategy::SingleTermScan`] and exactly
     /// one list, the degenerate single-term case is answered by a direct scan
@@ -278,23 +316,18 @@ impl<'a> TopKSearcher<'a> {
         cache: Option<&mut TupleScoreCache>,
         strategy: SearchStrategy,
     ) -> (TopKResult, Option<LimitBreach>) {
-        let m = materialized.lists.len();
-        if m == 0 || config.k == 0 {
+        let MaterializedTerms { lists, partition } = materialized;
+        if lists.is_empty() || config.k == 0 {
             return (TopKResult { tuples: Vec::new(), stats: SearchStats::default() }, None);
         }
-        while scratch.lists.len() < m {
-            scratch.lists.push(Vec::new());
-        }
-        for (src, dst) in materialized.lists.iter().zip(scratch.lists.iter_mut()) {
-            dst.clone_from(src);
-        }
         if strategy == SearchStrategy::SingleTermScan
-            && m == 1
+            && lists.len() == 1
             && config.candidate_limit >= config.k
         {
-            return self.scan_single_term(config, limits, scratch);
+            return self.scan_single_term(&lists[0], config, limits);
         }
-        self.search_filled(m, config, limits, scratch, cache)
+        let SearchScratch { traversal, join, .. } = scratch;
+        self.search_filled(JoinInput { lists, partition }, config, limits, traversal, join, cache)
     }
 
     /// Degenerate single-term search: with one list the Threshold Algorithm
@@ -305,12 +338,11 @@ impl<'a> TopKSearcher<'a> {
     /// semantics — without the join machinery.
     fn scan_single_term(
         &self,
+        list: &[ScoredNode],
         config: &TopKConfig,
         limits: &SearchLimits,
-        scratch: &mut SearchScratch,
     ) -> (TopKResult, Option<LimitBreach>) {
         let mut stats = SearchStats::default();
-        let list = &scratch.lists[0];
         if list.is_empty() {
             return (TopKResult { tuples: Vec::new(), stats }, None);
         }
@@ -378,22 +410,23 @@ impl<'a> TopKSearcher<'a> {
         (TopKResult { tuples, stats }, breach)
     }
 
-    /// The Threshold-Algorithm join loop over `scratch.lists[..m]`, already
-    /// filled by the caller.  `cache`, when given, memoises compactness
+    /// The Threshold-Algorithm join loop over the borrowed, component-
+    /// partitioned term lists.  `cache`, when given, memoises compactness
     /// scores across executions (the connecting-tree size of a node tuple
     /// depends only on the immutable graph and `max_depth`).
     fn search_filled(
         &self,
-        m: usize,
+        input: JoinInput<'_>,
         config: &TopKConfig,
         limits: &SearchLimits,
-        scratch: &mut SearchScratch,
+        traversal: &mut TraversalScratch,
+        join: &mut JoinBuffers,
         mut cache: Option<&mut TupleScoreCache>,
     ) -> (TopKResult, Option<LimitBreach>) {
         let mut stats = SearchStats::default();
-        let SearchScratch {
-            traversal,
-            lists,
+        let JoinInput { lists, partition } = input;
+        let m = lists.len();
+        let JoinBuffers {
             combo_nodes,
             combo_scores,
             next_nodes,
@@ -401,8 +434,7 @@ impl<'a> TopKSearcher<'a> {
             kth_scores,
             positions,
             best_scores,
-            ..
-        } = scratch;
+        } = join;
         let label_probes_before = traversal.label_probes;
         // Arm the BFS probe ceiling so even oracle fallbacks inside
         // compactness checks respect the label-probe budget; disarmed before
@@ -411,7 +443,6 @@ impl<'a> TopKSearcher<'a> {
             traversal.probe_ceiling =
                 Some((label_probes_before + traversal.bfs_visits).saturating_add(max));
         }
-        let lists = &lists[..m];
         if lists.iter().any(Vec::is_empty) {
             // Some term has no match at all: the result is empty (Definition 4
             // requires every term to be satisfied).
@@ -462,9 +493,11 @@ impl<'a> TopKSearcher<'a> {
                 let new_node = lists[i][pos];
 
                 // Join the new node with every combination of already-seen
-                // nodes from the other lists (their consumed prefixes).  The
-                // combos live in two flat ping-pong arenas: at stage j each
-                // combo is a j-sized NodeId run plus a running content score.
+                // nodes of its own document component from the other lists
+                // (a tuple spanning two components can never be connected,
+                // so those combinations are never formed).  The combos live
+                // in two flat ping-pong arenas: at stage j each combo is a
+                // j-sized NodeId run plus a running content score.
                 combo_nodes.clear();
                 combo_scores.clear();
                 combo_scores.push(0.0);
@@ -480,20 +513,13 @@ impl<'a> TopKSearcher<'a> {
                             next_scores.push(content + new_node.score);
                         }
                     } else {
-                        let seen_j = &lists[j][..positions[j]];
+                        // The new node's component group of list j, cut at
+                        // the list's cursor: its partners, in sorted-access
+                        // order, found without touching any other entry.
+                        let seen_j = partition.seen(self.graph, j, &new_node, positions[j]);
                         for (c, &content) in combo_scores.iter().enumerate() {
-                            for candidate in seen_j {
-                                // Component pruning: a tuple spanning two
-                                // disconnected document components can never
-                                // be connected, so skip it before the BFS.
-                                // The optimizer clears the flag on
-                                // single-component graphs, where the check
-                                // always passes.
-                                if config.prune_components
-                                    && !self.graph.same_component(candidate.node, new_node.node)
-                                {
-                                    continue;
-                                }
+                            for &pos in seen_j {
+                                let candidate = lists[j][pos as usize];
                                 stats.random_accesses += 1;
                                 next_nodes
                                     .extend_from_slice(&combo_nodes[c * stride..(c + 1) * stride]);
@@ -597,12 +623,14 @@ impl<'a> TopKSearcher<'a> {
                 // in content, plus the maximal structural bonus.
                 let mut threshold_content = f64::NEG_INFINITY;
                 for j in 0..m {
+                    // An exhausted list keeps contributing its last score;
+                    // dropping it from the max would tighten the threshold
+                    // but changes `sorted_accesses` / `early_terminated`, so
+                    // it is left to the ROADMAP item 2 follow-up.
                     let front = if positions[j] == 0 {
                         best_scores[j]
-                    } else if positions[j] <= lists[j].len() {
-                        lists[j][positions[j] - 1].score
                     } else {
-                        0.0
+                        lists[j][positions[j] - 1].score
                     };
                     let mut bound = front;
                     for (l, best) in best_scores.iter().enumerate() {
@@ -663,15 +691,8 @@ impl<'a> TopKSearcher<'a> {
             return TopKResult { tuples: Vec::new(), stats };
         }
         self.fill_term_lists(terms, scratch);
-        let SearchScratch {
-            traversal,
-            lists,
-            combo_nodes,
-            combo_scores,
-            next_nodes,
-            next_scores,
-            ..
-        } = scratch;
+        let SearchScratch { traversal, lists, join, .. } = scratch;
+        let JoinBuffers { combo_nodes, combo_scores, next_nodes, next_scores, .. } = join;
         let label_probes_before = traversal.label_probes;
         let lists = &lists[..terms.len()];
         if lists.iter().any(Vec::is_empty) {
@@ -690,11 +711,11 @@ impl<'a> TopKSearcher<'a> {
             'combos: for (c, &content) in combo_scores.iter().enumerate() {
                 let run = &combo_nodes[c * stride..(c + 1) * stride];
                 for (ci, candidate) in list.iter().enumerate() {
-                    if config.prune_components {
-                        if let Some(&first) = run.first() {
-                            if !self.graph.same_component(first, candidate.node) {
-                                continue;
-                            }
+                    // A tuple spanning two document components can never
+                    // be connected: skip it before the connectivity check.
+                    if let Some(&first) = run.first() {
+                        if !self.graph.same_component(first, candidate.node) {
+                            continue;
                         }
                     }
                     next_nodes.extend_from_slice(run);
@@ -1157,26 +1178,6 @@ mod tests {
             assert!(breach.is_none());
             assert_eq!(join.tuples, scan.tuples, "k={k}");
             assert_eq!(join.stats, scan.stats, "k={k}");
-        }
-    }
-
-    #[test]
-    fn disabling_component_pruning_on_one_component_changes_nothing() {
-        let c = factbook_fragment();
-        let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
-        let terms = query1_terms(&c);
-        let pruned = searcher.search(&terms, &TopKConfig::with_k(5));
-        let mut unpruned_config = TopKConfig::with_k(5);
-        unpruned_config.prune_components = false;
-        let unpruned = searcher.search(&terms, &unpruned_config);
-        if graph.doc_component_count() == 1 {
-            assert_eq!(pruned, unpruned);
-        } else {
-            // Cross-component tuples are scored but stay disconnected: same
-            // tuples, more work.
-            assert_eq!(pruned.tuples, unpruned.tuples);
-            assert!(unpruned.stats.tuples_scored >= pruned.stats.tuples_scored);
         }
     }
 

@@ -7,6 +7,8 @@ use serde::{Deserialize, Serialize};
 use seda_textindex::{FullTextQuery, ScoredNode};
 use seda_xmlstore::{NodeId, PathId};
 
+use crate::partition::ComponentPartition;
+
 /// One search input per query term: the full-text expression plus an optional
 /// context restriction (the set of allowed root-to-leaf paths the user picked
 /// in the context summary).
@@ -51,13 +53,6 @@ pub struct TopKConfig {
     /// point; the number of dropped combinations is reported in
     /// [`SearchStats::candidates_truncated`] rather than lost silently.
     pub candidate_limit: usize,
-    /// When true (the default), candidate pairs spanning two disconnected
-    /// document components are skipped before the connectivity BFS.  The
-    /// optimizer clears this on graphs with a single component, where the
-    /// check always passes: results and stats are identical either way (the
-    /// random-access counter is bumped after the check), the per-pair
-    /// component lookups just disappear.
-    pub prune_components: bool,
 }
 
 impl Default for TopKConfig {
@@ -68,7 +63,6 @@ impl Default for TopKConfig {
             content_weight: 1.0,
             structure_weight: 1.0,
             candidate_limit: 200_000,
-            prune_components: true,
         }
     }
 }
@@ -217,9 +211,12 @@ pub enum SearchStrategy {
 ///
 /// The lists are exactly what a fresh search would compute for the same
 /// [`TermInput`]s: searching over them is equivalent to searching the terms.
+/// Their component partition (the join's partner lookup) is computed once
+/// alongside, so re-executions read both in place.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MaterializedTerms {
     pub(crate) lists: Vec<Vec<ScoredNode>>,
+    pub(crate) partition: ComponentPartition,
 }
 
 impl MaterializedTerms {
@@ -233,8 +230,8 @@ impl MaterializedTerms {
         self.lists.get(i).map(Vec::len).unwrap_or(0)
     }
 
-    pub(crate) fn from_lists(lists: Vec<Vec<ScoredNode>>) -> Self {
-        MaterializedTerms { lists }
+    pub(crate) fn new(lists: Vec<Vec<ScoredNode>>, partition: ComponentPartition) -> Self {
+        MaterializedTerms { lists, partition }
     }
 }
 
@@ -324,7 +321,6 @@ mod tests {
         assert_eq!(c.k, 10);
         assert!(c.max_depth > 0);
         assert!(c.content_weight > 0.0 && c.structure_weight > 0.0);
-        assert!(c.prune_components, "component pruning is on unless the optimizer clears it");
         assert_eq!(TopKConfig::with_k(3).k, 3);
     }
 
@@ -345,7 +341,7 @@ mod tests {
 
     #[test]
     fn materialized_terms_report_list_shapes() {
-        let m = MaterializedTerms::from_lists(vec![vec![], vec![]]);
+        let m = MaterializedTerms::new(vec![vec![], vec![]], ComponentPartition::default());
         assert_eq!(m.term_count(), 2);
         assert_eq!(m.list_len(0), 0);
         assert_eq!(m.list_len(7), 0, "out-of-range terms read as empty");

@@ -5,8 +5,8 @@
 //! statement type.  Prepared statements must reproduce fresh executions too.
 //!
 //! Every rewrite pass is result-preserving by construction — normalization,
-//! pushdown annotation, the single-keyword scan, component-prune elision and
-//! access ordering all leave payloads *and* work counters unchanged — so the
+//! pushdown annotation, the single-keyword scan and access ordering all
+//! leave payloads *and* work counters unchanged — so the
 //! comparison here is full structural equality of the `Result`, with one
 //! carve-out: warm-cache prepared re-executions legitimately skip
 //! connectivity label probes, so that single counter is masked in the
@@ -148,7 +148,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Mondial-like corpora: IDREF-linked multi-document graphs, so the
-    /// component-prune pass sees both single- and multi-component shapes.
+    /// component-partitioned join sees both single- and multi-component
+    /// shapes.
     #[test]
     fn program_matches_oracle_on_mondial(
         countries in 2usize..7,

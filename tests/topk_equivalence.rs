@@ -8,11 +8,11 @@
 
 use proptest::prelude::*;
 
-use seda_core::seda_topk::{SearchScratch, TermInput, TopKConfig, TopKSearcher};
+use seda_core::seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
 use seda_core::{ContextSelections, EngineConfig, SedaEngine, SedaQuery};
 use seda_datagen::{googlebase, mondial, GoogleBaseConfig, MondialConfig};
 use seda_olap::Registry;
-use seda_xmlstore::Collection;
+use seda_xmlstore::{parse_collection, Collection};
 
 fn engine(collection: Collection) -> SedaEngine {
     SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
@@ -71,8 +71,77 @@ fn assert_equivalent(
     Ok(())
 }
 
+/// TA == naive when many tuples tie.  Scores must agree rank by rank; the
+/// node tuples too, unless TA stopped early — then unseen combinations may
+/// tie the k-th score, and TA's tuples need only be genuine answers (present
+/// in the exhaustive ranking with the same score).
+fn assert_equivalent_under_ties(
+    engine: &SedaEngine,
+    terms: &[TermInput],
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
+    let mut scratch = SearchScratch::new();
+    let ta = searcher.search_with(terms, &TopKConfig::with_k(k), &mut scratch);
+    let all = searcher.search_naive_with(terms, &TopKConfig::with_k(usize::MAX), &mut scratch);
+    prop_assert_eq!(all.stats.candidates_truncated, 0);
+    prop_assert_eq!(ta.tuples.len(), all.tuples.len().min(k), "result sizes differ");
+    for (i, (a, b)) in ta.tuples.iter().zip(all.tuples.iter()).enumerate() {
+        prop_assert!(
+            (a.score - b.score).abs() < 1e-9,
+            "scores diverge at rank {}: TA {} vs naive {}",
+            i,
+            a.score,
+            b.score
+        );
+        if ta.stats.early_terminated {
+            let same = all.tuples.iter().find(|t| t.nodes == a.nodes);
+            prop_assert!(
+                same.is_some_and(|t| (t.score - a.score).abs() < 1e-9),
+                "TA tuple at rank {} is not an answer: {:?}",
+                i,
+                &a.nodes
+            );
+        } else {
+            prop_assert_eq!(&a.nodes, &b.nodes, "tuples diverge at rank {}", i);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Many one-document components over a two-word vocabulary: most content
+    /// scores tie, every list holds entries of every component, and the
+    /// partitioned join must still enumerate exactly the same-component
+    /// combinations — in an order that breaks ties like the oracle.
+    #[test]
+    fn ta_matches_naive_on_many_tied_components(
+        words in proptest::collection::vec(0u8..2, 30..180),
+        k in 1usize..12,
+    ) {
+        let vocab = ["alpha", "beta"];
+        let docs: Vec<(String, String)> = words
+            .chunks(3)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let leaves: String = chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &w)| format!("<f{j}>{}</f{j}>", vocab[w as usize]))
+                    .collect();
+                (format!("d{i}.xml"), format!("<doc>{leaves}</doc>"))
+            })
+            .collect();
+        let borrowed = docs.iter().map(|(name, xml)| (name.as_str(), xml.as_str()));
+        let engine = engine(parse_collection(borrowed).expect("corpus parses"));
+        prop_assert_eq!(engine.graph().doc_component_count(), engine.collection().len());
+        for text in ["(*, alpha) AND (*, *)", "(*, alpha) AND (*, *) AND (*, beta)"] {
+            let terms = term_inputs(&engine, text);
+            assert_equivalent_under_ties(&engine, &terms, k)?;
+        }
+    }
 
     /// Mondial-like corpora: cross-document IDREF edges make the document
     /// components non-trivial, so this exercises component pruning and the
@@ -141,4 +210,41 @@ fn ta_matches_naive_on_fixed_small_workloads() {
         10,
     );
     assert_eq!(via_engine.tuples, ta.tuples);
+}
+
+/// One `SearchScratch` carried across engines, term counts and a breached
+/// search must answer exactly like a fresh scratch every time: the component
+/// partition, the list buffers and the join arenas are rebuilt per search, so
+/// nothing of an earlier (or aborted) search may leak into the next.
+#[test]
+fn one_scratch_across_engines_term_counts_and_a_breach_matches_fresh_scratches() {
+    let flat = engine(googlebase::generate(&GoogleBaseConfig::small()).expect("googlebase"));
+    let linked = engine(mondial::generate(&MondialConfig::small()).expect("mondial"));
+    let unlimited = SearchLimits::unlimited();
+    let tight = SearchLimits { max_random_accesses: Some(20), ..SearchLimits::unlimited() };
+    let rounds: [(&SedaEngine, &str, &SearchLimits); 7] = [
+        (&flat, "(title, model) AND (price, *) AND (condition, new)", &unlimited),
+        (&linked, "(name, *) AND (population, *)", &unlimited),
+        (&flat, "(title, model) AND (price, *) AND (condition, new)", &tight),
+        (&flat, "(title, model) AND (price, *)", &unlimited),
+        (&linked, "(name, *) AND (population, *)", &tight),
+        (&flat, "(price, *)", &unlimited),
+        (&linked, "(/country/name, *) AND (population, *) AND (/sea/name, *)", &unlimited),
+    ];
+    let mut shared = SearchScratch::new();
+    let mut breaches = 0;
+    for (round, (engine, text, limits)) in rounds.into_iter().enumerate() {
+        let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
+        let terms = term_inputs(engine, text);
+        let config = TopKConfig::with_k(10);
+        let reused = searcher.search_governed(&terms, &config, limits, &mut shared);
+        let fresh = searcher.search_governed(&terms, &config, limits, &mut SearchScratch::new());
+        assert_eq!(reused, fresh, "round {round}: {text}");
+        assert!(!reused.0.tuples.is_empty(), "round {round} must find answers: {text}");
+        breaches += usize::from(reused.1.is_some());
+        let reused_naive = searcher.search_naive_with(&terms, &config, &mut shared);
+        assert_eq!(reused_naive, searcher.search_naive(&terms, &config), "round {round} (naive)");
+        shared.verify().expect("scratch stays structurally sound");
+    }
+    assert_eq!(breaches, 2, "both tight rounds must stop on their budget");
 }
