@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use seda_bench::scaled_collection;
-use seda_core::{ContextSelections, EngineConfig, SedaEngine};
+use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine};
 use seda_datagen::Dataset;
 use seda_dataguide::{discover_connections, false_positive_connections, guide_links, DataGuideSet};
 use seda_olap::Registry;
@@ -50,7 +50,10 @@ fn false_positive_sweep() {
     )
     .unwrap();
     let query = seda_bench::query1();
-    let topk = engine.top_k(&query, &ContextSelections::none(), 20);
+    let (topk, _) = engine
+        .reader()
+        .top_k_governed(&query, &ContextSelections::none(), 20, &RequestContext::unlimited())
+        .expect("ungoverned top-k");
     let instantiated = discover_connections(&collection, engine.graph(), &topk.node_tuples(), 12);
     // Candidate pairs: every pair of contexts of the query's context buckets.
     let summary = engine.context_summary(&query);

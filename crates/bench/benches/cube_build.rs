@@ -30,7 +30,8 @@ fn bench_cube(c: &mut Criterion) {
                 selections.select(term, vec![p]);
             }
         }
-        let result = engine.complete_results(&query, &selections, &[]).expect("complete results");
+        let result =
+            engine.reader().complete_results(&query, &selections, &[]).expect("complete results");
         group.bench_with_input(
             BenchmarkId::new("star_schema_build", result.len()),
             &result,

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use seda_bench::{factbook_engine, query1, render_query1_fact_table, run_query1_cube};
-use seda_core::{ContextSelections, Session};
+use seda_core::{ContextSelections, RequestContext, Session};
 
 fn bench_query1(c: &mut Criterion) {
     let engine = factbook_engine(60, 6);
@@ -35,7 +35,14 @@ fn bench_query1(c: &mut Criterion) {
         b.iter(|| run_query1_cube(&engine).schema.fact_tables.len())
     });
     group.bench_function("topk_only", |b| {
-        b.iter(|| engine.top_k(&query1(), &ContextSelections::none(), 10).tuples.len())
+        let mut reader = engine.reader();
+        let ctx = RequestContext::unlimited();
+        b.iter(|| {
+            let (result, _) = reader
+                .top_k_governed(&query1(), &ContextSelections::none(), 10, &ctx)
+                .expect("ungoverned top-k");
+            result.tuples.len()
+        })
     });
     group.finish();
 }

@@ -10,8 +10,19 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use seda_bench::{factbook_engine, query1, topk_workloads};
-use seda_core::ContextSelections;
-use seda_topk::{SearchScratch, TopKConfig, TopKSearcher};
+use seda_core::{ContextSelections, RequestContext};
+use seda_topk::{SearchLimits, SearchScratch, SearchStrategy, TermInput, TopKConfig, TopKSearcher};
+
+/// Result size of the ungoverned join search through a reused scratch.
+fn ta_len(
+    searcher: &TopKSearcher<'_>,
+    terms: &[TermInput],
+    config: &TopKConfig,
+    scratch: &mut SearchScratch,
+) -> usize {
+    let limits = SearchLimits::unlimited();
+    searcher.search(terms, config, &limits, scratch, None, SearchStrategy::Join).0.tuples.len()
+}
 
 /// The three standard workloads, searched through a reused scratch (the
 /// steady-state serving configuration).
@@ -31,30 +42,20 @@ fn bench_workloads(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("ta_{}", workload.name), k),
                 &k,
-                |b, &k| {
-                    b.iter(|| {
-                        searcher
-                            .search_with(&terms, &TopKConfig::with_k(k), &mut scratch)
-                            .tuples
-                            .len()
-                    })
-                },
+                |b, &k| b.iter(|| ta_len(&searcher, &terms, &TopKConfig::with_k(k), &mut scratch)),
             );
         }
         group.bench_function(format!("naive_{}/10", workload.name), |b| {
             b.iter(|| {
-                searcher
-                    .search_naive_with(&terms, &TopKConfig::with_k(10), &mut scratch)
-                    .tuples
-                    .len()
+                searcher.search_naive(&terms, &TopKConfig::with_k(10), &mut scratch).tuples.len()
             })
         });
     }
     group.finish();
 }
 
-/// Factbook scaling series with the engine-level entry point (cached scratch
-/// inside the engine) and a scoring ablation.
+/// Factbook scaling series through a reader's typed step (one reused
+/// per-reader scratch) and a scoring ablation.
 fn bench_factbook_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("topk_search_factbook_scaling");
     group.sample_size(10);
@@ -63,31 +64,37 @@ fn bench_factbook_scaling(c: &mut Criterion) {
         let engine = factbook_engine(countries, 3);
         let query = query1();
         let selections = ContextSelections::none();
+        let ctx = RequestContext::unlimited();
+        let mut reader = engine.reader();
         for &k in &[1usize, 10, 100] {
             group.bench_with_input(
                 BenchmarkId::new(format!("ta_{countries}countries"), k),
                 &k,
-                |b, &k| b.iter(|| engine.top_k(&query, &selections, k).tuples.len()),
+                |b, &k| {
+                    b.iter(|| {
+                        let (result, _) = reader
+                            .top_k_governed(&query, &selections, k, &ctx)
+                            .expect("ungoverned top-k");
+                        result.tuples.len()
+                    })
+                },
             );
         }
         // Naive baseline at k = 10 for comparison (who wins and by how much).
         let collection = engine.collection();
         let searcher = TopKSearcher::new(collection, engine.node_index(), engine.graph());
-        let terms: Vec<seda_topk::TermInput> = query
+        let terms: Vec<TermInput> = query
             .terms
             .iter()
             .map(|t| match t.context.allowed_paths(collection) {
-                Some(paths) => seda_topk::TermInput::with_paths(t.search.clone(), paths),
-                None => seda_topk::TermInput::new(t.search.clone()),
+                Some(paths) => TermInput::with_paths(t.search.clone(), paths),
+                None => TermInput::new(t.search.clone()),
             })
             .collect();
         let mut scratch = SearchScratch::new();
         group.bench_function(format!("naive_{countries}countries/10"), |b| {
             b.iter(|| {
-                searcher
-                    .search_naive_with(&terms, &TopKConfig::with_k(10), &mut scratch)
-                    .tuples
-                    .len()
+                searcher.search_naive(&terms, &TopKConfig::with_k(10), &mut scratch).tuples.len()
             })
         });
 
@@ -95,7 +102,7 @@ fn bench_factbook_scaling(c: &mut Criterion) {
         let mut content_only = TopKConfig::with_k(10);
         content_only.structure_weight = 0.0;
         group.bench_function(format!("ta_content_only_{countries}countries/10"), |b| {
-            b.iter(|| searcher.search_with(&terms, &content_only, &mut scratch).tuples.len())
+            b.iter(|| ta_len(&searcher, &terms, &content_only, &mut scratch))
         });
     }
     group.finish();

@@ -34,7 +34,9 @@ fn main() -> ExitCode {
     };
 
     let mut failures = 0usize;
-    println!("seda audit @ scale {scale}: xmlstore, textindex, datagraph, dataguide, topk, core");
+    println!(
+        "seda audit @ scale {scale}: xmlstore, textindex, datagraph, dataguide, metrics, core"
+    );
     for dataset in Dataset::ALL {
         let collection = scaled_collection(dataset, scale);
         let documents = collection.len();

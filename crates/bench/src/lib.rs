@@ -9,7 +9,8 @@
 //! tests.
 
 use seda_core::{
-    BuildProfile, EngineConfig, Histogram, SedaEngine, SedaQuery, SedaRequest, SedaResponse,
+    BuildProfile, EngineConfig, Histogram, RequestContext, SedaEngine, SedaQuery, SedaRequest,
+    SedaResponse,
 };
 use seda_datagen::{
     factbook, googlebase, mondial, recipeml, Dataset, FactbookConfig, GoogleBaseConfig,
@@ -295,8 +296,10 @@ impl TopKWorkload {
             let request = SedaRequest::parse(&format!("TOPK {k} FOR {}", self.query_text))
                 .expect("workload request parses");
             let plan = self.engine.prepare(&request).expect("workload request plans");
-            let (response, stats) =
-                measure_reps(|| reader.execute_plan(&plan).expect("workload executes"));
+            let ctx = RequestContext::unlimited();
+            let (response, stats) = measure_reps(|| {
+                reader.execute_plan_governed(&plan, &ctx).expect("workload executes")
+            });
             let result = response.top_k().expect("TOPK response carries a result").clone();
             out.push(self.measurement("ta", k, stats, &result));
         }
@@ -310,8 +313,7 @@ impl TopKWorkload {
         let terms = self.term_inputs();
         let mut scratch = seda_topk::SearchScratch::new();
         let config = seda_topk::TopKConfig::with_k(10);
-        let (result, stats) =
-            measure_reps(|| searcher.search_naive_with(&terms, &config, &mut scratch));
+        let (result, stats) = measure_reps(|| searcher.search_naive(&terms, &config, &mut scratch));
         out.push(self.measurement("naive", 10, stats, &result));
         out
     }

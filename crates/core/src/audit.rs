@@ -2,10 +2,10 @@
 //! per-substrate `seda-audit` layers.
 //!
 //! [`SedaEngine::verify`] chains the substrate checkers (collection, node
-//! index, context index, data graph, dataguides, plus the shared query
-//! scratch) and returns every violation found, so one call audits the whole
-//! engine.  Each substrate documents its own invariant catalog in its
-//! `audit` module; this module adds the engine-local classes:
+//! index, context index, data graph, dataguides, metrics) and returns every
+//! violation found, so one call audits the whole engine.  Each substrate
+//! documents its own invariant catalog in its `audit` module; this module
+//! adds the engine-local classes:
 //!
 //! # Invariant catalog (substrate `core`)
 //!
@@ -50,12 +50,6 @@ impl SedaEngine {
         take(self.graph().verify());
         take(self.guides().verify());
         take(self.metrics().verify());
-        // The shared scratch is part of the engine's mutable state; skip it
-        // only if another query holds it right now (it is re-audited after
-        // every governed search anyway).
-        if let Ok(scratch) = self.query_scratch_for_audit().try_lock() {
-            take(scratch.verify());
-        }
         finish(violations)
     }
 

@@ -13,8 +13,6 @@
 //! per-substrate shard and merge wall times.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, TryLockError};
 
 use serde::{Deserialize, Serialize};
 
@@ -205,37 +203,6 @@ impl BuildProfile {
     }
 }
 
-/// Work counters and wall time of one top-k query, the read-path counterpart
-/// of [`BuildProfile`]: it shows where a query spent its effort (sorted /
-/// random accesses of the Threshold Algorithm, label probes of the
-/// connectivity-oracle checks) and whether the result is exact or clipped.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct QueryProfile {
-    /// The search's work counters (sorted/random accesses, tuples scored and
-    /// rejected, label probes, truncation, early termination).
-    pub stats: seda_topk::SearchStats,
-    /// End-to-end query wall time.
-    pub wall_secs: f64,
-}
-
-impl QueryProfile {
-    /// Renders the profile as a small human-readable line.
-    pub fn render(&self) -> String {
-        format!(
-            "query profile: {:.3}ms wall, {} sorted / {} random accesses, \
-             {} tuples scored ({} disconnected, {} truncated), {} label probes{}",
-            self.wall_secs * 1e3,
-            self.stats.sorted_accesses,
-            self.stats.random_accesses,
-            self.stats.tuples_scored,
-            self.stats.tuples_disconnected,
-            self.stats.candidates_truncated,
-            self.stats.label_probes,
-            if self.stats.early_terminated { ", early-terminated" } else { "" }
-        )
-    }
-}
-
 /// The SEDA engine: owns the collection, every index, the dataguide summary
 /// and the fact/dimension registry.
 pub struct SedaEngine {
@@ -248,28 +215,9 @@ pub struct SedaEngine {
     registry: Registry,
     config: EngineConfig,
     profile: BuildProfile,
-    /// Prepared-query substrate: the posting-list buffers, candidate arenas
-    /// and traversal scratch every top-k query reuses.  Guarded by a mutex so the
-    /// engine stays `Sync`; concurrent queries fall back to a fresh scratch
-    /// instead of blocking (see [`SedaEngine::top_k`]).
-    ///
-    /// This mutex backs only the legacy convenience methods.  Queries issued
-    /// through a [`crate::SedaReader`] own their scratch and never touch it —
-    /// the contention-free path [`SedaEngine::reader`] hands out.
-    query_scratch: Mutex<SearchScratch>,
-    /// How many queries ran through the shared `query_scratch` (legacy
-    /// convenience path).  Reader-handle queries never increment this; the
-    /// concurrency tests pin that invariant.
-    shared_scratch_queries: AtomicUsize,
     /// Engine-wide metrics: counters, gauges and latency histograms every
     /// governed request records into (see [`crate::metrics`]).
     metrics: MetricsRegistry,
-    /// How many shared-scratch queries could not take the cached scratch
-    /// (lock contention) and fell back to a fresh allocation.  A *poisoned*
-    /// lock does not count: poison is cleared and the cached scratch is
-    /// reset in place, so the steady state stays allocation-free even after
-    /// a contained panic.
-    fresh_scratch_fallbacks: AtomicUsize,
 }
 
 impl SedaEngine {
@@ -362,10 +310,7 @@ impl SedaEngine {
             registry,
             config,
             profile,
-            query_scratch: Mutex::new(SearchScratch::new()),
-            shared_scratch_queries: AtomicUsize::new(0),
             metrics: MetricsRegistry::new(),
-            fresh_scratch_fallbacks: AtomicUsize::new(0),
         };
         engine.metrics.gauge(names::ENGINE_DOCUMENTS).set(engine.collection.len() as u64);
         engine.metrics.gauge(names::ORACLE_LABEL_BYTES).set(engine.profile.label_bytes as u64);
@@ -533,12 +478,6 @@ impl SedaEngine {
         &mut self.metrics
     }
 
-    /// The shared-scratch mutex, for the engine-level audit
-    /// ([`SedaEngine::verify`]) to include the cached scratch when idle.
-    pub(crate) fn query_scratch_for_audit(&self) -> &Mutex<SearchScratch> {
-        &self.query_scratch
-    }
-
     /// Mutable references to every frozen substrate — the corruption-test
     /// access behind the `#[doc(hidden)]` [`SedaEngine::substrates_mut`].
     pub(crate) fn substrate_fields_mut(
@@ -605,50 +544,6 @@ impl SedaEngine {
         self.guides.stats(self.collection.len())
     }
 
-    /// Queries that ran through the engine's shared cached scratch (the
-    /// legacy convenience path).  Queries issued through [`SedaEngine::reader`]
-    /// handles own their scratch and leave this counter untouched.
-    pub fn shared_scratch_queries(&self) -> usize {
-        self.shared_scratch_queries.load(Ordering::Relaxed)
-    }
-
-    /// How many shared-scratch queries lost the `try_lock` race and ran on a
-    /// freshly allocated scratch.  Poisoned locks are *recovered* (poison
-    /// cleared, scratch reset in place) rather than abandoned, so a contained
-    /// panic does not inflate this counter forever after.
-    pub fn fresh_scratch_fallbacks(&self) -> usize {
-        self.fresh_scratch_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Takes the engine's shared scratch and runs `f` over it, recovering a
-    /// poisoned mutex (a worker panicked while holding it) by clearing the
-    /// poison and resetting the scratch in place.  Only lock *contention*
-    /// falls back to a fresh allocation.
-    fn with_shared_scratch<R>(&self, f: impl FnOnce(&mut SearchScratch) -> R) -> R {
-        self.shared_scratch_queries.fetch_add(1, Ordering::Relaxed);
-        match self.query_scratch.try_lock() {
-            Ok(mut scratch) => {
-                faults::fire_unchecked("scratch-lock");
-                f(&mut scratch)
-            }
-            Err(TryLockError::Poisoned(poisoned)) => {
-                // A panic was contained while the scratch was held; its
-                // buffers may be mid-update, so reset them and clear the
-                // poison — the cached scratch stays warm for later queries.
-                let mut scratch = poisoned.into_inner();
-                *scratch = SearchScratch::new();
-                self.query_scratch.clear_poison();
-                faults::fire_unchecked("scratch-lock");
-                f(&mut scratch)
-            }
-            Err(TryLockError::WouldBlock) => {
-                self.fresh_scratch_fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.metrics.counter(names::FRESH_SCRATCH_FALLBACKS_TOTAL, "").inc();
-                f(&mut SearchScratch::new())
-            }
-        }
-    }
-
     /// Resolves the allowed paths of every term, combining the term's own
     /// context spec with any user selection from the context summary.
     pub(crate) fn term_inputs(
@@ -673,85 +568,17 @@ impl SedaEngine {
             .collect()
     }
 
-    /// Runs the top-k search unit for a query, honouring context selections.
-    ///
-    /// The query runs through the engine's cached [`SearchScratch`] (posting
-    /// lists, candidate arenas, traversal scratch), so steady-state queries do not
-    /// allocate; when another query holds the scratch, a fresh one is used
-    /// rather than blocking.
-    pub fn top_k(&self, query: &SedaQuery, selections: &ContextSelections, k: usize) -> TopKResult {
-        self.top_k_profiled(query, selections, k).0
-    }
-
-    /// Like [`SedaEngine::top_k`], additionally returning the
-    /// [`QueryProfile`] of the run (work counters plus wall time).
-    pub fn top_k_profiled(
-        &self,
-        query: &SedaQuery,
-        selections: &ContextSelections,
-        k: usize,
-    ) -> (TopKResult, QueryProfile) {
-        self.with_shared_scratch(|scratch| self.top_k_scratch(query, selections, k, scratch))
-    }
-
-    /// The scratch-parameterised top-k search every entry point (legacy
-    /// convenience methods, reader handles, the facade executor) funnels
-    /// through.
-    pub(crate) fn top_k_scratch(
-        &self,
-        query: &SedaQuery,
-        selections: &ContextSelections,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> (TopKResult, QueryProfile) {
-        let (result, profile, _) =
-            self.top_k_scratch_governed(query, selections, k, &SearchLimits::unlimited(), scratch);
-        (result, profile)
-    }
-
-    /// [`SedaEngine::top_k_scratch`] under per-request [`SearchLimits`]: the
-    /// third element reports the first exhausted resource, if any, and the
-    /// returned tuples are the certifiably correct prefix computed before it
-    /// ran out.
-    pub(crate) fn top_k_scratch_governed(
-        &self,
-        query: &SedaQuery,
-        selections: &ContextSelections,
-        k: usize,
-        limits: &SearchLimits,
-        scratch: &mut SearchScratch,
-    ) -> (TopKResult, QueryProfile, Option<LimitBreach>) {
-        let terms = self.term_inputs(query, selections);
-        self.search_terms_governed(&terms, k, limits, scratch)
-    }
-
-    /// Runs the Threshold-Algorithm searcher over pre-resolved term inputs
-    /// under per-request [`SearchLimits`] ([`SearchLimits::unlimited`] for
-    /// ungoverned callers).  `k == 0` is honoured literally and yields an
-    /// empty result.
-    pub(crate) fn search_terms_governed(
-        &self,
-        terms: &[TermInput],
-        k: usize,
-        limits: &SearchLimits,
-        scratch: &mut SearchScratch,
-    ) -> (TopKResult, QueryProfile, Option<LimitBreach>) {
-        let start = Stopwatch::start();
-        faults::fire_unchecked("mid-search");
-        let searcher = TopKSearcher::new(&self.collection, &self.node_index, &self.graph);
-        let mut config = self.config.topk.clone();
-        config.k = k;
-        let (result, breach) = searcher.search_governed(terms, &config, limits, scratch);
-        let profile = QueryProfile { stats: result.stats.clone(), wall_secs: start.elapsed_secs() };
-        (result, profile, breach)
-    }
-
-    /// Runs a compiled [`crate::PlanOp::Search`] op: the searcher under the
-    /// plan's tuned [`TopKConfig`] and access [`SearchStrategy`], over either
-    /// fresh posting lists or a prepared statement's materialized term lists,
-    /// with an optional compactness memo shared across executions.
+    /// The engine's one search: runs the Threshold-Algorithm searcher under
+    /// `config` (its `k` honoured literally — `0` yields an empty result),
+    /// per-request [`SearchLimits`] ([`SearchLimits::unlimited`] for
+    /// ungoverned callers) and the plan's access [`SearchStrategy`], over
+    /// either fresh posting lists or a prepared statement's materialized term
+    /// lists, with an optional compactness memo shared across executions.
+    /// The second element reports the first exhausted resource, if any; the
+    /// returned tuples are then the certifiably correct prefix computed
+    /// before it ran out.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn search_compiled(
+    pub(crate) fn search(
         &self,
         terms: &[TermInput],
         config: &TopKConfig,
@@ -760,17 +587,15 @@ impl SedaEngine {
         materialized: Option<&MaterializedTerms>,
         cache: Option<&mut TupleScoreCache>,
         strategy: SearchStrategy,
-    ) -> (TopKResult, QueryProfile, Option<LimitBreach>) {
-        let start = Stopwatch::start();
+    ) -> (TopKResult, Option<LimitBreach>) {
         faults::fire_unchecked("mid-search");
         let searcher = TopKSearcher::new(&self.collection, &self.node_index, &self.graph);
-        let (result, breach) = match materialized {
-            Some(lists) => searcher
-                .search_materialized_governed(lists, config, limits, scratch, cache, strategy),
-            None => searcher.search_governed_with(terms, config, limits, scratch, cache, strategy),
-        };
-        let profile = QueryProfile { stats: result.stats.clone(), wall_secs: start.elapsed_secs() };
-        (result, profile, breach)
+        match materialized {
+            Some(lists) => {
+                searcher.search_materialized(lists, config, limits, scratch, cache, strategy)
+            }
+            None => searcher.search(terms, config, limits, scratch, cache, strategy),
+        }
     }
 
     /// Resolves term inputs into reusable sorted posting lists for a
@@ -892,47 +717,20 @@ impl SedaEngine {
 
     /// Computes the complete (non-top-k) result set R(q) for a refined query
     /// (Sec. 7): every term restricted to its selected contexts, tuples
-    /// restricted to the selected connections.
+    /// restricted to the selected connections, every graph traversal reusing
+    /// the caller's scratch.
     ///
     /// Fails with [`SedaError::Limit`] instead of silently clipping when the
     /// context combinations or materialised rows would exceed
     /// [`EngineConfig::complete_result_limit`].
-    pub fn complete_results(
-        &self,
-        query: &SedaQuery,
-        selections: &ContextSelections,
-        connections: &[Connection],
-    ) -> Result<QueryResultTable, SedaError> {
-        self.with_shared_scratch(|scratch| {
-            self.complete_results_scratch(query, selections, connections, scratch)
-        })
-    }
-
-    /// [`SedaEngine::complete_results`] reusing a caller-owned scratch for
-    /// every graph traversal (the reader-handle path).
-    pub(crate) fn complete_results_scratch(
-        &self,
-        query: &SedaQuery,
-        selections: &ContextSelections,
-        connections: &[Connection],
-        scratch: &mut SearchScratch,
-    ) -> Result<QueryResultTable, SedaError> {
-        let (table, _) = self.complete_results_governed(
-            query,
-            selections,
-            connections,
-            scratch,
-            &RequestContext::unlimited(),
-        )?;
-        Ok(table)
-    }
-
-    /// [`SedaEngine::complete_results_scratch`] under a per-request
-    /// [`RequestContext`]: cancellation, the wall-clock deadline and the
-    /// result-row budget are checked between context combinations.  A budget
-    /// breach returns the deduplicated rows enumerated so far (clipped to the
-    /// row ceiling) together with the breach, leaving the degrade-or-error
-    /// decision to the caller; cancellation always errors.
+    ///
+    /// Under the per-request [`RequestContext`]
+    /// ([`RequestContext::unlimited`] for ungoverned callers) cancellation,
+    /// the wall-clock deadline and the result-row budget are checked between
+    /// context combinations.  A budget breach returns the deduplicated rows
+    /// enumerated so far (clipped to the row ceiling) together with the
+    /// breach, leaving the degrade-or-error decision to the caller;
+    /// cancellation always errors.
     pub(crate) fn complete_results_governed(
         &self,
         query: &SedaQuery,
@@ -1304,6 +1102,16 @@ mod tests {
             .unwrap()
     }
 
+    /// Ungoverned top-k through a fresh reader.
+    fn top_k(
+        e: &SedaEngine,
+        q: &SedaQuery,
+        selections: &ContextSelections,
+        k: usize,
+    ) -> TopKResult {
+        e.reader().top_k_governed(q, selections, k, &RequestContext::unlimited()).unwrap().0
+    }
+
     fn query1() -> SedaQuery {
         SedaQuery::parse(r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#)
             .unwrap()
@@ -1332,7 +1140,7 @@ mod tests {
     fn top_k_and_connection_summary() {
         let e = engine();
         let q = query1();
-        let topk = e.top_k(&q, &ContextSelections::none(), 10);
+        let topk = top_k(&e, &q, &ContextSelections::none(), 10);
         assert!(!topk.tuples.is_empty());
         let connections = e.connection_summary(&topk);
         assert!(!connections.is_empty());
@@ -1358,7 +1166,7 @@ mod tests {
         let name = c.paths().get_str(c.symbols(), "/country/name").unwrap();
         let mut selections = ContextSelections::none();
         selections.select(0, vec![name]);
-        let topk = e.top_k(&q, &selections, 20);
+        let topk = top_k(&e, &q, &selections, 20);
         for t in &topk.tuples {
             assert_eq!(c.context_string(t.nodes[0]).unwrap(), "/country/name");
         }
@@ -1382,7 +1190,7 @@ mod tests {
         selections.select(0, vec![name]);
         selections.select(1, vec![tc]);
         selections.select(2, vec![pct]);
-        let result = e.complete_results(&q, &selections, &[]).unwrap();
+        let result = e.reader().complete_results(&q, &selections, &[]).unwrap();
         // US 2006 has two import items, US 2005 has two: four rows in total
         // (Mexico's document has no import partners and its name is not
         // "United States").
@@ -1413,7 +1221,7 @@ mod tests {
         selections.select(2, vec![pct]);
         // Discover connections from the top-k and keep only the same-item one
         // (length 2).
-        let topk = e.top_k(&q, &selections, 10);
+        let topk = top_k(&e, &q, &selections, 10);
         let summary = e.connection_summary(&topk);
         let same_item: Vec<Connection> = summary
             .connections
@@ -1422,7 +1230,7 @@ mod tests {
             .cloned()
             .collect();
         assert!(!same_item.is_empty());
-        let result = e.complete_results(&q, &selections, &same_item).unwrap();
+        let result = e.reader().complete_results(&q, &selections, &same_item).unwrap();
         assert_eq!(result.len(), 4);
         for row in &result.rows {
             let tc_node = row[1].0;
@@ -1451,7 +1259,7 @@ mod tests {
         selections.select(0, vec![name]);
         selections.select(1, vec![tc]);
         selections.select(2, vec![pct]);
-        let result = e.complete_results(&q, &selections, &[]).unwrap();
+        let result = e.reader().complete_results(&q, &selections, &[]).unwrap();
         let build = e.build_star_schema(&result, &BuildOptions::default());
         let fact = build.schema.fact("import-trade-percentage").expect("fact table");
         assert_eq!(fact.dimension_columns, vec!["country", "year", "import-country"]);
@@ -1509,8 +1317,10 @@ mod tests {
 
         // Same query, same answers.
         let q = SedaQuery::parse(r#"(/country/name, *) AND (/sea/name, *)"#).unwrap();
-        let seq_result = sequential.complete_results(&q, &ContextSelections::none(), &[]).unwrap();
-        let par_result = parallel.complete_results(&q, &ContextSelections::none(), &[]).unwrap();
+        let seq_result =
+            sequential.reader().complete_results(&q, &ContextSelections::none(), &[]).unwrap();
+        let par_result =
+            parallel.reader().complete_results(&q, &ContextSelections::none(), &[]).unwrap();
         assert_eq!(seq_result.rows, par_result.rows);
     }
 
@@ -1569,7 +1379,7 @@ mod tests {
         .unwrap();
         let e = SedaEngine::build(collection, Registry::new(), EngineConfig::default()).unwrap();
         let q = SedaQuery::parse(r#"(/country/name, *) AND (/sea/name, *)"#).unwrap();
-        let result = e.complete_results(&q, &ContextSelections::none(), &[]).unwrap();
+        let result = e.reader().complete_results(&q, &ContextSelections::none(), &[]).unwrap();
         assert_eq!(result.len(), 1, "country and sea are connected via the IDREF edge");
         let contents: Vec<String> =
             result.rows[0].iter().map(|(n, _)| e.collection().content(*n).unwrap()).collect();

@@ -17,20 +17,17 @@
 //!   substrate shards are merged;
 //! * `"oracle-build"` — before the data graph (and its connectivity oracle)
 //!   is built or merged;
-//! * `"scratch-lock"` — while the engine's shared query scratch mutex is
-//!   held (a panic here poisons the mutex, exercising poison recovery);
-//! * `"mid-search"` — inside the engine's term search, before the
+//! * `"mid-search"` — inside the engine's one search function, before the
 //!   Threshold-Algorithm loop runs.
 //!
 //! Sites on `Result` paths surface `FaultAction::Error` as
-//! [`crate::SedaError::Internal`] directly; sites on infallible paths
-//! (`"scratch-lock"`, `"mid-search"`) surface both `Error` and `Panic` as a
-//! panic, which the facade's `catch_unwind` boundary converts to the same
-//! typed `Internal` error — proving the isolation layer, not bypassing it.
+//! [`crate::SedaError::Internal`] directly; the site on an infallible path
+//! (`"mid-search"`) surfaces both `Error` and `Panic` as a panic, which the
+//! reader's `catch_unwind` boundary converts to the same typed `Internal`
+//! error — proving the isolation layer, not bypassing it.
 
 /// The catalog of named fault sites, in pipeline order.
-pub const FAULT_SITES: &[&str] =
-    &["parse", "shard-merge", "oracle-build", "scratch-lock", "mid-search"];
+pub const FAULT_SITES: &[&str] = &["parse", "shard-merge", "oracle-build", "mid-search"];
 
 #[cfg(feature = "failpoints")]
 mod armed {

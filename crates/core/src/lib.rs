@@ -77,7 +77,7 @@ pub mod summaries;
 pub mod trace;
 
 pub use audit::verify_exec_profile;
-pub use engine::{BuildProfile, EngineConfig, PhaseProfile, QueryProfile, SedaEngine};
+pub use engine::{BuildProfile, EngineConfig, PhaseProfile, SedaEngine};
 pub use error::SedaError;
 pub use govern::{Budget, CancelToken, RequestContext, Stopwatch};
 pub use metrics::{Histogram, MetricsRegistry};

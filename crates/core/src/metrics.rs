@@ -50,9 +50,6 @@ pub mod names {
     pub const CANCELLATIONS_TOTAL: &str = "seda_cancellations_total";
     /// Panics contained into [`crate::SedaError::Internal`].
     pub const PANICS_CONTAINED_TOTAL: &str = "seda_panics_contained_total";
-    /// Shared-scratch queries that lost the lock race and ran on a fresh
-    /// allocation (mirrors [`crate::SedaEngine::fresh_scratch_fallbacks`]).
-    pub const FRESH_SCRATCH_FALLBACKS_TOTAL: &str = "seda_fresh_scratch_fallbacks_total";
     /// Result rows returned, per statement type.
     pub const ROWS_RETURNED_TOTAL: &str = "seda_rows_returned_total";
     /// End-to-end request latency histogram, per statement type.
@@ -352,7 +349,6 @@ impl MetricsRegistry {
             names::DEGRADED_RESPONSES_TOTAL,
             names::CANCELLATIONS_TOTAL,
             names::PANICS_CONTAINED_TOTAL,
-            names::FRESH_SCRATCH_FALLBACKS_TOTAL,
         ] {
             register(global, "");
         }

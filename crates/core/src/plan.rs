@@ -239,10 +239,8 @@ impl SedaEngine {
     /// passes of [`crate::optimize`], and compilation into the
     /// [`PlanProgram`] the reader interprets.
     ///
-    /// This is the one canonical compile path; [`SedaEngine::plan`] and
-    /// [`crate::SedaReader::plan`] are thin deprecated shims over it, and
-    /// [`crate::SedaReader::prepare`] wraps its output into a reusable
-    /// [`crate::PreparedStatement`].
+    /// This is the one compile path; [`crate::SedaReader::prepare`] wraps its
+    /// output into a reusable [`crate::PreparedStatement`].
     ///
     /// Preparing is read-only and touches no scratch state, so it is safe
     /// from any thread.  Errors cover the whole [`SedaError`] taxonomy:
@@ -254,13 +252,6 @@ impl SedaEngine {
         plan.trail = optimize::run_passes(&mut plan, self);
         plan.program = optimize::compile(&plan);
         Ok(plan)
-    }
-
-    /// Deprecated alias of [`SedaEngine::prepare`], the canonical compile
-    /// path.
-    #[deprecated(since = "0.1.0", note = "use SedaEngine::prepare")]
-    pub fn plan(&self, request: &SedaRequest) -> Result<QueryPlan, SedaError> {
-        self.prepare(request)
     }
 
     /// The lowering stage: validates the request and produces the typed

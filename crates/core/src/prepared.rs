@@ -110,10 +110,12 @@ impl PreparedStatement {
     /// Executes this statement through a reader of the same engine
     /// (ungoverned; see [`PreparedStatement::execute_governed`]).
     pub fn execute(&mut self, reader: &mut SedaReader<'_>) -> Result<SedaResponse, SedaError> {
-        reader.execute_prepared(self)
+        self.execute_governed(reader, &RequestContext::unlimited())
     }
 
-    /// Executes this statement under a per-request [`RequestContext`].
+    /// Executes this statement under a per-request [`RequestContext`], as
+    /// one request: governed, panic-contained and recorded in the engine's
+    /// metrics exactly like [`SedaReader::execute_plan_governed`].
     pub fn execute_governed(
         &mut self,
         reader: &mut SedaReader<'_>,

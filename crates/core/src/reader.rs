@@ -4,9 +4,12 @@
 //! A [`SedaReader`] is a cheap handle over a shared [`SedaEngine`] that owns
 //! its own [`SearchScratch`] (posting-list buffers, candidate arenas,
 //! traversal scratch).  Every query a reader executes reuses that scratch, so N
-//! threads holding N readers serve queries fully in parallel without ever
-//! touching the engine's shared mutex — the reader-handle discipline that
-//! keeps per-reader state small and reusable.
+//! threads holding N readers serve queries fully in parallel — the engine
+//! itself holds no query-time mutable state besides its atomic metrics.
+//!
+//! Every execution entry point runs inside the reader's one containment
+//! boundary: a panic below becomes [`SedaError::Internal`], the scratch is
+//! rebuilt and the tracer reset, so the same reader keeps serving.
 //!
 //! ```
 //! use seda_core::{EngineConfig, SedaEngine, SedaRequest};
@@ -22,7 +25,10 @@
 //! ```
 
 use seda_olap::{aggregate, CubeQuery, CubeResult, QueryResultTable, StarSchemaBuild};
-use seda_topk::{LimitBreach, MaterializedTerms, SearchScratch, TopKResult, TupleScoreCache};
+use seda_topk::{
+    LimitBreach, MaterializedTerms, SearchLimits, SearchScratch, SearchStrategy, TermInput,
+    TopKConfig, TopKResult, TupleScoreCache,
+};
 
 use crate::engine::{catch_internal, SedaEngine};
 use crate::error::SedaError;
@@ -86,14 +92,6 @@ fn truncate_payload(payload: &mut ResponsePayload, keep: usize) {
     }
 }
 
-/// Cross-execution state a [`PreparedStatement`] lends to the interpreter
-/// for one execution: the materialized term lists (skipping sorted-access
-/// resolution) and the compactness memo (skipping repeated label probes).
-struct PreparedState<'p> {
-    materialized: Option<&'p MaterializedTerms>,
-    cache: &'p mut TupleScoreCache,
-}
-
 /// A compiled program referenced a register no prior instruction filled —
 /// a compiler bug, surfaced as a contained internal error.
 fn empty_register(op: &'static str, register: &'static str) -> SedaError {
@@ -115,7 +113,7 @@ impl SedaEngine {
     ///
     /// Readers are cheap (buffers grow lazily to their working size) and
     /// never contend: each owns its scratch, so one reader per thread serves
-    /// concurrent queries without blocking on the engine's shared state.
+    /// concurrent queries without blocking.
     pub fn reader(&self) -> SedaReader<'_> {
         SedaReader { engine: self, scratch: SearchScratch::new(), tracer: Tracer::disabled() }
     }
@@ -151,14 +149,6 @@ impl<'e> SedaReader<'e> {
     /// The engine this reader serves.
     pub fn engine(&self) -> &'e SedaEngine {
         self.engine
-    }
-
-    /// Deprecated alias of [`SedaEngine::prepare`]; use
-    /// [`SedaReader::prepare`] for a reusable statement or
-    /// [`SedaEngine::prepare`] for the bare plan.
-    #[deprecated(since = "0.1.0", note = "use SedaReader::prepare or SedaEngine::prepare")]
-    pub fn plan(&self, request: &SedaRequest) -> Result<QueryPlan, SedaError> {
-        self.engine.prepare(request)
     }
 
     /// Compiles a request into a reusable [`PreparedStatement`]: the fully
@@ -238,7 +228,6 @@ impl<'e> SedaReader<'e> {
         if force_tracing {
             self.tracer.set_enabled(false);
         }
-        self.record_request_metrics(request, &outcome);
         outcome
     }
 
@@ -255,7 +244,9 @@ impl<'e> SedaReader<'e> {
             Err(err) => {
                 self.tracer.exit(plan_span);
                 self.tracer.reset();
-                return Err(err);
+                // A plan-time failure never reaches the execution boundary;
+                // it is this request's one metrics record.
+                return self.recorded(request.statement.name(), Err(err));
             }
         };
         let plan_secs = plan_start.elapsed_secs();
@@ -265,10 +256,10 @@ impl<'e> SedaReader<'e> {
             profile.spans = self.tracer.take_spans();
             let payload = ResponsePayload::Explain(plan.explain());
             profile.rows = payload.rows();
-            return Ok(SedaResponse { payload, profile });
+            // Plain EXPLAIN stops before the boundary too.
+            return self.recorded(request.statement.name(), Ok(SedaResponse { payload, profile }));
         }
-        let mut response = self.execute_plan_governed(&plan, ctx)?;
-        response.profile.plan_secs = plan_secs;
+        let mut response = self.run_plan(&plan, ctx, plan_secs, None, None)?;
         if request.analyze {
             // EXPLAIN ANALYZE: the payload becomes the annotated transcript
             // (plan + budget accounting + executed span tree); the profile
@@ -279,18 +270,18 @@ impl<'e> SedaReader<'e> {
         Ok(response)
     }
 
-    /// Records the request's outcome into the engine-wide metrics registry
-    /// (see [`crate::metrics`]).  Only this facade entry point records, so a
-    /// request is counted exactly once however deep the pipeline recursed.
-    fn record_request_metrics(
+    /// Records a request's outcome into the engine-wide metrics registry
+    /// (see [`crate::metrics`]) and hands it back.  A request is recorded
+    /// exactly once: by [`SedaReader::run_plan`] when it executes, or by the
+    /// facade when it stops at planning (plan-time errors, plain `EXPLAIN`).
+    fn recorded(
         &self,
-        request: &SedaRequest,
-        outcome: &Result<SedaResponse, SedaError>,
-    ) {
+        label: &'static str,
+        outcome: Result<SedaResponse, SedaError>,
+    ) -> Result<SedaResponse, SedaError> {
         let metrics = self.engine.metrics();
-        let label = request.statement.name();
         metrics.counter(names::REQUESTS_TOTAL, label).inc();
-        match outcome {
+        match &outcome {
             Ok(response) => {
                 metrics
                     .counter(names::ROWS_RETURNED_TOTAL, label)
@@ -318,21 +309,18 @@ impl<'e> SedaReader<'e> {
                 }
             }
         }
+        outcome
     }
 
-    /// Executes an already-planned request.
-    pub fn execute_plan(&mut self, plan: &QueryPlan) -> Result<SedaResponse, SedaError> {
-        self.execute_plan_governed(plan, &RequestContext::unlimited())
-    }
-
-    /// [`SedaReader::execute_plan`] under a per-request [`RequestContext`];
-    /// the panic-containment boundary of the execution path.
-    pub fn execute_plan_governed(
+    /// The reader's one panic-containment boundary: every execution entry
+    /// point — plans, prepared statements, the typed steps, the oracle —
+    /// runs its body here, so a panic anywhere below becomes
+    /// [`SedaError::Internal`] and the reader heals before returning.
+    fn contained<T>(
         &mut self,
-        plan: &QueryPlan,
-        ctx: &RequestContext,
-    ) -> Result<SedaResponse, SedaError> {
-        let outcome = catch_internal(|| self.execute_plan_inner(plan, ctx));
+        body: impl FnOnce(&mut Self) -> Result<T, SedaError>,
+    ) -> Result<T, SedaError> {
+        let outcome = catch_internal(|| body(self));
         if matches!(outcome, Err(SedaError::Internal(_))) {
             // A contained panic may have left this reader's scratch buffers
             // mid-update; rebuild them so the next query starts clean.
@@ -346,42 +334,51 @@ impl<'e> SedaReader<'e> {
         outcome
     }
 
-    fn execute_plan_inner(
+    /// Executes a compiled plan as one request: the interpreter runs inside
+    /// the containment boundary and the outcome is recorded in the metrics
+    /// registry — the single path behind the facade, direct plan execution
+    /// and prepared statements (which lend their `materialized` term lists
+    /// and compactness `cache`).
+    fn run_plan(
+        &mut self,
+        plan: &QueryPlan,
+        ctx: &RequestContext,
+        plan_secs: f64,
+        materialized: Option<&MaterializedTerms>,
+        cache: Option<&mut TupleScoreCache>,
+    ) -> Result<SedaResponse, SedaError> {
+        let outcome = self.contained(|reader| {
+            let mut response = reader.execute_program(plan, ctx, materialized, cache)?;
+            response.profile.plan_secs = plan_secs;
+            Ok(response)
+        });
+        self.recorded(plan.statement.name(), outcome)
+    }
+
+    /// Executes an already-planned request under a per-request
+    /// [`RequestContext`] ([`RequestContext::unlimited`] for ungoverned
+    /// callers), with the governance and panic-containment semantics of
+    /// [`SedaReader::execute_governed`].
+    pub fn execute_plan_governed(
         &mut self,
         plan: &QueryPlan,
         ctx: &RequestContext,
     ) -> Result<SedaResponse, SedaError> {
-        self.execute_program(plan, ctx, None)
+        self.run_plan(plan, ctx, 0.0, None, None)
     }
 
-    /// Executes a [`PreparedStatement`] through this reader's scratch
-    /// (ungoverned; see [`SedaReader::execute_prepared_governed`]).
-    pub fn execute_prepared(
-        &mut self,
-        statement: &mut PreparedStatement,
-    ) -> Result<SedaResponse, SedaError> {
-        self.execute_prepared_governed(statement, &RequestContext::unlimited())
-    }
-
-    /// [`SedaReader::execute_prepared`] under a per-request
-    /// [`RequestContext`]: the interpreter runs over the statement's
-    /// materialized term lists and compactness memo instead of rebuilding
-    /// them, with the same panic-containment and governance semantics as
+    /// What [`PreparedStatement::execute_governed`] reaches: the interpreter
+    /// runs over the statement's materialized term lists and compactness
+    /// memo instead of rebuilding them, as one request like
     /// [`SedaReader::execute_plan_governed`].
-    pub fn execute_prepared_governed(
+    pub(crate) fn execute_prepared_governed(
         &mut self,
         statement: &mut PreparedStatement,
         ctx: &RequestContext,
     ) -> Result<SedaResponse, SedaError> {
         let PreparedStatement { plan, materialized, cache, executions } = statement;
-        let state = PreparedState { materialized: materialized.as_ref(), cache };
-        let outcome = catch_internal(|| self.execute_program(plan, ctx, Some(state)));
-        if matches!(outcome, Err(SedaError::Internal(_))) {
-            self.scratch = SearchScratch::new();
-        }
-        if outcome.is_err() {
-            self.tracer.reset();
-        } else {
+        let outcome = self.run_plan(plan, ctx, 0.0, materialized.as_ref(), Some(cache));
+        if outcome.is_ok() {
             *executions += 1;
         }
         outcome
@@ -397,7 +394,8 @@ impl<'e> SedaReader<'e> {
         &mut self,
         plan: &QueryPlan,
         ctx: &RequestContext,
-        mut prepared: Option<PreparedState<'_>>,
+        materialized: Option<&MaterializedTerms>,
+        mut cache: Option<&mut TupleScoreCache>,
     ) -> Result<SedaResponse, SedaError> {
         self.tracer.begin_if_idle();
         let exec_span = self.tracer.enter(span::EXECUTE);
@@ -419,26 +417,15 @@ impl<'e> SedaReader<'e> {
                     let before = profile.clone();
                     let mut config = plan.search_config().clone();
                     config.k = *k;
-                    let (result, _, breach) = match prepared.as_mut() {
-                        Some(state) => self.engine.search_compiled(
-                            &plan.term_inputs,
-                            &config,
-                            &limits,
-                            &mut self.scratch,
-                            state.materialized,
-                            Some(state.cache),
-                            *strategy,
-                        ),
-                        None => self.engine.search_compiled(
-                            &plan.term_inputs,
-                            &config,
-                            &limits,
-                            &mut self.scratch,
-                            None,
-                            None,
-                            *strategy,
-                        ),
-                    };
+                    let (result, breach) = self.engine.search(
+                        &plan.term_inputs,
+                        &config,
+                        &limits,
+                        &mut self.scratch,
+                        materialized,
+                        cache.as_deref_mut(),
+                        *strategy,
+                    );
                     profile.absorb(&result.stats);
                     let mut counters = SpanCounters::delta(&before, &profile);
                     counters.rows = result.tuples.len();
@@ -598,14 +585,21 @@ impl<'e> SedaReader<'e> {
         plan: &QueryPlan,
         ctx: &RequestContext,
     ) -> Result<SedaResponse, SedaError> {
-        let outcome = catch_internal(|| self.execute_fixed_inner(plan, ctx));
-        if matches!(outcome, Err(SedaError::Internal(_))) {
-            self.scratch = SearchScratch::new();
-        }
-        if outcome.is_err() {
-            self.tracer.reset();
-        }
-        outcome
+        self.contained(|reader| reader.execute_fixed_inner(plan, ctx))
+    }
+
+    /// The unoptimized search of the oracle and the typed steps: the
+    /// engine-default [`TopKConfig`] at `k`, the plain join, no prepared
+    /// state.
+    fn search_unoptimized(
+        &mut self,
+        terms: &[TermInput],
+        k: usize,
+        limits: &SearchLimits,
+    ) -> (TopKResult, Option<LimitBreach>) {
+        let config = TopKConfig { k, ..self.engine.config().topk.clone() };
+        let scratch = &mut self.scratch;
+        self.engine.search(terms, &config, limits, scratch, None, None, SearchStrategy::Join)
     }
 
     fn execute_fixed_inner(
@@ -623,12 +617,7 @@ impl<'e> SedaReader<'e> {
             Statement::TopK { k } => {
                 let s = self.tracer.enter(span::SEARCH);
                 let before = profile.clone();
-                let (result, _, breach) = self.engine.search_terms_governed(
-                    &plan.term_inputs,
-                    *k,
-                    &limits,
-                    &mut self.scratch,
-                );
+                let (result, breach) = self.search_unoptimized(&plan.term_inputs, *k, &limits);
                 profile.absorb(&result.stats);
                 let mut counters = SpanCounters::delta(&before, &profile);
                 counters.rows = result.tuples.len();
@@ -652,12 +641,7 @@ impl<'e> SedaReader<'e> {
             Statement::ConnectionSummary { k } => {
                 let s = self.tracer.enter(span::SEARCH);
                 let before = profile.clone();
-                let (top_k, _, breach) = self.engine.search_terms_governed(
-                    &plan.term_inputs,
-                    *k,
-                    &limits,
-                    &mut self.scratch,
-                );
+                let (top_k, breach) = self.search_unoptimized(&plan.term_inputs, *k, &limits);
                 profile.absorb(&top_k.stats);
                 let mut counters = SpanCounters::delta(&before, &profile);
                 counters.rows = top_k.tuples.len();
@@ -763,24 +747,9 @@ impl<'e> SedaReader<'e> {
 
     // ----- typed helpers (the surface `SedaSession` composes) -----
 
-    /// Top-k search through this reader's scratch; never contends.
-    pub fn top_k(
-        &mut self,
-        query: &SedaQuery,
-        selections: &ContextSelections,
-        k: usize,
-    ) -> (TopKResult, ExecProfile) {
-        let (result, query_profile) =
-            self.engine.top_k_scratch(query, selections, k, &mut self.scratch);
-        let mut profile =
-            ExecProfile { exec_secs: query_profile.wall_secs, ..ExecProfile::default() };
-        profile.absorb(&result.stats);
-        profile.rows = result.tuples.len();
-        (result, profile)
-    }
-
-    /// [`SedaReader::top_k`] under a per-request [`RequestContext`]: a
-    /// budget breach yields the certifiably correct prefix with
+    /// Top-k search through this reader's scratch under a per-request
+    /// [`RequestContext`] ([`RequestContext::unlimited`] for ungoverned
+    /// callers): a budget breach yields the certifiably correct prefix with
     /// [`ExecProfile::degraded`] set when the context allows degraded
     /// responses, and [`SedaError::Limit`] otherwise.
     pub fn top_k_governed(
@@ -790,17 +759,19 @@ impl<'e> SedaReader<'e> {
         k: usize,
         ctx: &RequestContext,
     ) -> Result<(TopKResult, ExecProfile), SedaError> {
-        ctx.check_cancelled()?;
-        let limits = ctx.search_limits();
-        let (result, query_profile, breach) =
-            self.engine.top_k_scratch_governed(query, selections, k, &limits, &mut self.scratch);
-        let mut profile =
-            ExecProfile { exec_secs: query_profile.wall_secs, ..ExecProfile::default() };
-        profile.absorb(&result.stats);
-        resolve_breach(breach, ctx, &mut profile)?;
-        profile.rows = result.tuples.len();
-        profile.settle_budget_spent();
-        Ok((result, profile))
+        self.contained(|reader| {
+            ctx.check_cancelled()?;
+            let terms = reader.engine.term_inputs(query, selections);
+            let start = Stopwatch::start();
+            let (result, breach) = reader.search_unoptimized(&terms, k, &ctx.search_limits());
+            let mut profile =
+                ExecProfile { exec_secs: start.elapsed_secs(), ..ExecProfile::default() };
+            profile.absorb(&result.stats);
+            resolve_breach(breach, ctx, &mut profile)?;
+            profile.rows = result.tuples.len();
+            profile.settle_budget_spent();
+            Ok((result, profile))
+        })
     }
 
     /// Context summary of a query (read-only, no scratch needed).
@@ -820,7 +791,12 @@ impl<'e> SedaReader<'e> {
         selections: &ContextSelections,
         connections: &[seda_dataguide::Connection],
     ) -> Result<seda_olap::QueryResultTable, SedaError> {
-        self.engine.complete_results_scratch(query, selections, connections, &mut self.scratch)
+        let ctx = RequestContext::unlimited();
+        self.contained(|SedaReader { engine, scratch, .. }| {
+            let (table, _) =
+                engine.complete_results_governed(query, selections, connections, scratch, &ctx)?;
+            Ok(table)
+        })
     }
 }
 
@@ -902,7 +878,9 @@ mod tests {
         let response = reader.execute_text("TOPK 0 FOR (trade_country, *)").unwrap();
         assert!(response.top_k().unwrap().tuples.is_empty(), "k=0 must yield no tuples");
         let q = SedaQuery::parse("(trade_country, *)").unwrap();
-        assert!(e.top_k(&q, &ContextSelections::none(), 0).tuples.is_empty());
+        let ctx = RequestContext::unlimited();
+        let (typed, _) = reader.top_k_governed(&q, &ContextSelections::none(), 0, &ctx).unwrap();
+        assert!(typed.tuples.is_empty());
     }
 
     #[test]
@@ -955,26 +933,6 @@ mod tests {
         let response = reader.execute_text("EXPLAIN TOPK 5 FOR (name, *) AND (year, *)").unwrap();
         let transcript = response.explain_transcript().unwrap();
         assert!(transcript.contains("threshold-algorithm rank join"), "{transcript}");
-    }
-
-    #[test]
-    fn readers_never_touch_the_shared_engine_scratch() {
-        let e = engine();
-        let before = e.shared_scratch_queries();
-        let mut reader = e.reader();
-        for _ in 0..5 {
-            reader.execute_text("TOPK 5 FOR (trade_country, *)").unwrap();
-            reader.execute_text("RESULTS FOR (trade_country, *) AND (percentage, *)").unwrap();
-        }
-        assert_eq!(
-            e.shared_scratch_queries(),
-            before,
-            "reader-handle queries must bypass the engine's shared scratch mutex"
-        );
-        // The legacy convenience path does count.
-        let q = SedaQuery::parse("(trade_country, *)").unwrap();
-        let _ = e.top_k(&q, &ContextSelections::none(), 3);
-        assert_eq!(e.shared_scratch_queries(), before + 1);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::response::ExecProfile;
 pub mod span {
     /// Textual request parsing ([`crate::SedaRequest::parse`]).
     pub const PARSE: &str = "parse";
-    /// Planning ([`crate::SedaEngine::plan`]).
+    /// Planning ([`crate::SedaEngine::prepare`]).
     pub const PLAN: &str = "plan";
     /// Whole plan execution (parent of the per-step spans).
     pub const EXECUTE: &str = "execute";

@@ -74,7 +74,7 @@ pub fn verify_search_stats(stats: &SearchStats) -> AuditResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TermInput, TopKConfig, TopKSearcher};
+    use crate::{SearchLimits, SearchStrategy, TermInput, TopKConfig, TopKSearcher};
     use seda_datagraph::{DataGraph, GraphConfig};
     use seda_textindex::{FullTextQuery, NodeIndex};
     use seda_xmlstore::parse_collection;
@@ -95,7 +95,14 @@ mod tests {
             TermInput::new(FullTextQuery::keywords("alpha")),
             TermInput::new(FullTextQuery::keywords("beta")),
         ];
-        let result = searcher.search_with(&terms, &TopKConfig::with_k(3), &mut scratch);
+        let (result, _) = searcher.search(
+            &terms,
+            &TopKConfig::with_k(3),
+            &SearchLimits::unlimited(),
+            &mut scratch,
+            None,
+            SearchStrategy::Join,
+        );
         assert!(!result.tuples.is_empty());
         scratch.verify().unwrap();
         verify_search_stats(&result.stats).unwrap();

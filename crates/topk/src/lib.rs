@@ -9,7 +9,9 @@
 //! ```
 //! use seda_datagraph::{DataGraph, GraphConfig};
 //! use seda_textindex::{FullTextQuery, NodeIndex};
-//! use seda_topk::{TermInput, TopKConfig, TopKSearcher};
+//! use seda_topk::{
+//!     SearchLimits, SearchScratch, SearchStrategy, TermInput, TopKConfig, TopKSearcher,
+//! };
 //! use seda_xmlstore::parse_collection;
 //!
 //! let collection = parse_collection(vec![
@@ -18,10 +20,17 @@
 //! let index = NodeIndex::build(&collection);
 //! let graph = DataGraph::build(&collection, &GraphConfig::default());
 //! let searcher = TopKSearcher::new(&collection, &index, &graph);
-//! let result = searcher.search(
+//! // The one search entry point: ungoverned is unlimited limits, a one-off
+//! // search is a fresh scratch, no optimizer state is `None` + `Join`.
+//! let (result, breach) = searcher.search(
 //!     &[TermInput::new(FullTextQuery::phrase("United States"))],
 //!     &TopKConfig::with_k(3),
+//!     &SearchLimits::unlimited(),
+//!     &mut SearchScratch::new(),
+//!     None,
+//!     SearchStrategy::Join,
 //! );
+//! assert!(breach.is_none());
 //! assert_eq!(result.tuples.len(), 1);
 //! ```
 
@@ -40,10 +49,19 @@ pub use types::{
 mod proptests {
     use proptest::prelude::*;
 
-    use crate::{TermInput, TopKConfig, TopKSearcher};
+    use crate::{
+        SearchLimits, SearchScratch, SearchStrategy, TermInput, TopKConfig, TopKResult,
+        TopKSearcher,
+    };
     use seda_datagraph::{DataGraph, GraphConfig};
     use seda_textindex::{FullTextQuery, NodeIndex};
     use seda_xmlstore::Collection;
+
+    fn search(searcher: &TopKSearcher<'_>, terms: &[TermInput], config: &TopKConfig) -> TopKResult {
+        let mut scratch = SearchScratch::new();
+        let limits = SearchLimits::unlimited();
+        searcher.search(terms, config, &limits, &mut scratch, None, SearchStrategy::Join).0
+    }
 
     /// A small random two-level collection of `docs` documents, each with a
     /// few leaves drawn from a tiny vocabulary.
@@ -80,8 +98,8 @@ mod proptests {
                 TermInput::new(FullTextQuery::Any),
             ];
             let config = TopKConfig::with_k(k);
-            let ta = searcher.search(&terms, &config);
-            let naive = searcher.search_naive(&terms, &config);
+            let ta = search(&searcher, &terms, &config);
+            let naive = searcher.search_naive(&terms, &config, &mut SearchScratch::new());
             prop_assert_eq!(ta.tuples.len(), naive.tuples.len());
             for (a, b) in ta.tuples.iter().zip(naive.tuples.iter()) {
                 prop_assert!((a.score - b.score).abs() < 1e-9);
@@ -100,7 +118,7 @@ mod proptests {
                 TermInput::new(FullTextQuery::keywords("beta")),
                 TermInput::new(FullTextQuery::Any),
             ];
-            let result = searcher.search(&terms, &TopKConfig::with_k(k));
+            let result = search(&searcher, &terms, &TopKConfig::with_k(k));
             prop_assert!(result.tuples.len() <= k);
             for w in result.tuples.windows(2) {
                 prop_assert!(w[0].score >= w[1].score);

@@ -42,10 +42,9 @@
 //! runs plus a parallel score array), the component partition is two flat
 //! arrays, and connectivity/compactness checks are label intersections
 //! against the graph's precomputed connectivity oracle (probes counted
-//! through a reusable [`TraversalScratch`]).  Callers that issue many queries
-//! should hold a [`SearchScratch`] and use [`TopKSearcher::search_with`] /
-//! [`TopKSearcher::search_naive_with`] so even the posting-list buffers are
-//! reused across queries.
+//! through a reusable [`TraversalScratch`]).  Every search takes the caller's
+//! [`SearchScratch`]: hold one across queries and even the posting-list
+//! buffers are reused; pass `&mut SearchScratch::new()` for a one-off.
 
 use std::collections::BinaryHeap;
 
@@ -96,13 +95,12 @@ pub(crate) struct JoinBuffers {
     best_scores: Vec<f64>,
 }
 
-/// What the join loop reads: the per-term sorted-access lists and their
-/// component partition, borrowed from a [`SearchScratch`] (cold search) or
-/// from [`MaterializedTerms`] (prepared statement) — never copied.
-#[derive(Clone, Copy)]
-struct JoinInput<'a> {
-    lists: &'a [Vec<ScoredNode>],
-    partition: &'a ComponentPartition,
+/// Where the join finds the component partition of its term lists: ready in
+/// [`MaterializedTerms`], or in the scratch, still to be rebuilt for the
+/// lists just filled (skipped when the search never reaches the join).
+enum PartitionSource<'a> {
+    Ready(&'a ComponentPartition),
+    Stale(&'a mut ComponentPartition),
 }
 
 impl SearchScratch {
@@ -183,46 +181,32 @@ impl<'a> TopKSearcher<'a> {
         self.collection
     }
 
-    /// Fills `scratch.lists[..terms.len()]` with the per-term sorted-access
-    /// lists, reusing the list buffers.
-    fn fill_term_lists(&self, terms: &[TermInput], scratch: &mut SearchScratch) {
-        while scratch.lists.len() < terms.len() {
-            scratch.lists.push(Vec::new());
+    /// Evaluates each term into `lists[..terms.len()]` — the per-term
+    /// sorted-access lists — reusing the list buffers.  `lists` only ever
+    /// grows, so spare lists stay allocated across searches with fewer terms.
+    fn fill_lists(
+        &self,
+        terms: &[TermInput],
+        lists: &mut Vec<Vec<ScoredNode>>,
+        candidates: &mut Vec<NodeId>,
+    ) {
+        if lists.len() < terms.len() {
+            lists.resize_with(terms.len(), Vec::new);
         }
-        for (term, list) in terms.iter().zip(scratch.lists.iter_mut()) {
-            self.index.evaluate_into(
-                &term.query,
-                term.allowed_paths.as_deref(),
-                &mut scratch.eval_candidates,
-                list,
-            );
+        for (term, list) in terms.iter().zip(lists.iter_mut()) {
+            self.index.evaluate_into(&term.query, term.allowed_paths.as_deref(), candidates, list);
         }
     }
 
-    /// Runs the Threshold-Algorithm search with a fresh scratch.
-    ///
-    /// Convenience wrapper over [`TopKSearcher::search_with`]; callers that
-    /// search repeatedly should reuse a [`SearchScratch`].
-    pub fn search(&self, terms: &[TermInput], config: &TopKConfig) -> TopKResult {
-        self.search_with(terms, config, &mut SearchScratch::new())
-    }
-
-    /// Runs the Threshold-Algorithm search, reusing `scratch` for every
-    /// buffer the join loop needs.
+    /// Runs the Threshold-Algorithm search under per-request resource
+    /// ceilings, reusing `scratch` for every buffer the join loop needs.
+    /// Ungoverned callers pass [`SearchLimits::unlimited`], one-off callers
+    /// `&mut SearchScratch::new()`, and callers without optimizer state
+    /// `None` and [`SearchStrategy::Join`].
     ///
     /// At most [`TopKConfig::candidate_limit`] candidate tuples are scored;
     /// when the limit clips the candidate set, the number of dropped
     /// combinations is recorded in [`SearchStats::candidates_truncated`].
-    pub fn search_with(
-        &self,
-        terms: &[TermInput],
-        config: &TopKConfig,
-        scratch: &mut SearchScratch,
-    ) -> TopKResult {
-        self.search_governed(terms, config, &SearchLimits::unlimited(), scratch).0
-    }
-
-    /// [`TopKSearcher::search_with`] under per-request resource ceilings.
     ///
     /// The [`SearchLimits`] ceilings are checked at the loop's existing
     /// counter sites (sorted access, random access, tuple scoring, label
@@ -231,22 +215,13 @@ impl<'a> TopKSearcher<'a> {
     /// exact over the combinations enumerated up to the stop, thanks to TA's
     /// monotone threshold — together with the tripped [`LimitBreach`];
     /// `None` means the search ran to its normal termination.
-    pub fn search_governed(
-        &self,
-        terms: &[TermInput],
-        config: &TopKConfig,
-        limits: &SearchLimits,
-        scratch: &mut SearchScratch,
-    ) -> (TopKResult, Option<LimitBreach>) {
-        self.search_governed_with(terms, config, limits, scratch, None, SearchStrategy::Join)
-    }
-
-    /// [`TopKSearcher::search_governed`] with the optimizer's knobs: an
-    /// optional compactness memo and the compiled [`SearchStrategy`].  The
-    /// strategy only short-circuits when it reproduces the join loop exactly
-    /// (one term, candidate limit ≥ k), so results and stats always match
-    /// the plain governed search.
-    pub fn search_governed_with(
+    ///
+    /// `cache`, when given, memoises compactness scores across searches.
+    /// `strategy` only short-circuits when it reproduces the join loop
+    /// exactly (one term, candidate limit ≥ k: a direct scan of the sorted
+    /// prefix — same tuples, same stats, no join machinery), so results never
+    /// depend on it.
+    pub fn search(
         &self,
         terms: &[TermInput],
         config: &TopKConfig,
@@ -255,59 +230,32 @@ impl<'a> TopKSearcher<'a> {
         cache: Option<&mut TupleScoreCache>,
         strategy: SearchStrategy,
     ) -> (TopKResult, Option<LimitBreach>) {
-        if terms.is_empty() || config.k == 0 {
-            return (TopKResult { tuples: Vec::new(), stats: SearchStats::default() }, None);
-        }
-        self.fill_term_lists(terms, scratch);
-        let SearchScratch { traversal, lists, partition, join, .. } = scratch;
+        let SearchScratch { traversal, lists, partition, eval_candidates, join } = scratch;
+        self.fill_lists(terms, lists, eval_candidates);
         let lists = &lists[..terms.len()];
-        if strategy == SearchStrategy::SingleTermScan
-            && terms.len() == 1
-            && config.candidate_limit >= config.k
-        {
-            return self.scan_single_term(&lists[0], config, limits);
-        }
-        partition.rebuild(self.graph, lists);
-        self.search_filled(JoinInput { lists, partition }, config, limits, traversal, join, cache)
+        let partition = PartitionSource::Stale(partition);
+        self.join(lists, partition, config, limits, traversal, join, cache, strategy)
     }
 
     /// Materialises the per-term sorted-access lists once, for reuse across
     /// executions of a prepared statement.
     ///
     /// The returned lists — and their component partition — are exactly what
-    /// [`TopKSearcher::search_governed`] would fill into its scratch, so
-    /// [`TopKSearcher::search_materialized_governed`] over them is equivalent
-    /// to a fresh search over the same terms.
+    /// [`TopKSearcher::search`] would fill into its scratch, so
+    /// [`TopKSearcher::search_materialized`] over them is equivalent to a
+    /// fresh search over the same terms.
     pub fn materialize_terms(&self, terms: &[TermInput]) -> MaterializedTerms {
-        let mut candidates = Vec::new();
-        let mut lists = Vec::with_capacity(terms.len());
-        for term in terms {
-            let mut list = Vec::new();
-            self.index.evaluate_into(
-                &term.query,
-                term.allowed_paths.as_deref(),
-                &mut candidates,
-                &mut list,
-            );
-            lists.push(list);
-        }
-        let mut partition = ComponentPartition::default();
-        partition.rebuild(self.graph, &lists);
-        MaterializedTerms::new(lists, partition)
+        let mut materialized = MaterializedTerms::default();
+        self.fill_lists(terms, &mut materialized.lists, &mut Vec::new());
+        materialized.partition.rebuild(self.graph, &materialized.lists);
+        materialized
     }
 
-    /// Runs the governed search over pre-materialised term lists, optionally
-    /// memoising compactness scores in `cache` and short-circuiting through
-    /// `strategy`.
-    ///
-    /// The join loop reads the lists and their partition in place (nothing is
-    /// copied into the scratch), so results are equal to
-    /// [`TopKSearcher::search_governed`] over the terms the lists were
-    /// materialised from.  With [`SearchStrategy::SingleTermScan`] and exactly
-    /// one list, the degenerate single-term case is answered by a direct scan
-    /// of the sorted prefix (same tuples, same termination behaviour, no join
-    /// machinery).
-    pub fn search_materialized_governed(
+    /// [`TopKSearcher::search`] over pre-materialised term lists: the join
+    /// loop reads the lists and their partition in place (nothing is copied
+    /// into the scratch), so results equal a cold search over the terms the
+    /// lists were materialised from.
+    pub fn search_materialized(
         &self,
         materialized: &MaterializedTerms,
         config: &TopKConfig,
@@ -317,17 +265,9 @@ impl<'a> TopKSearcher<'a> {
         strategy: SearchStrategy,
     ) -> (TopKResult, Option<LimitBreach>) {
         let MaterializedTerms { lists, partition } = materialized;
-        if lists.is_empty() || config.k == 0 {
-            return (TopKResult { tuples: Vec::new(), stats: SearchStats::default() }, None);
-        }
-        if strategy == SearchStrategy::SingleTermScan
-            && lists.len() == 1
-            && config.candidate_limit >= config.k
-        {
-            return self.scan_single_term(&lists[0], config, limits);
-        }
         let SearchScratch { traversal, join, .. } = scratch;
-        self.search_filled(JoinInput { lists, partition }, config, limits, traversal, join, cache)
+        let partition = PartitionSource::Ready(partition);
+        self.join(lists, partition, config, limits, traversal, join, cache, strategy)
     }
 
     /// Degenerate single-term search: with one list the Threshold Algorithm
@@ -410,21 +350,39 @@ impl<'a> TopKSearcher<'a> {
         (TopKResult { tuples, stats }, breach)
     }
 
-    /// The Threshold-Algorithm join loop over the borrowed, component-
-    /// partitioned term lists.  `cache`, when given, memoises compactness
-    /// scores across executions (the connecting-tree size of a node tuple
-    /// depends only on the immutable graph and `max_depth`).
-    fn search_filled(
+    /// The one search body behind [`TopKSearcher::search`] and
+    /// [`TopKSearcher::search_materialized`]: the empty/`k == 0` guard, the
+    /// strategy dispatch and the Threshold-Algorithm join loop over the
+    /// borrowed term lists and their component partition.
+    #[allow(clippy::too_many_arguments)]
+    fn join(
         &self,
-        input: JoinInput<'_>,
+        lists: &[Vec<ScoredNode>],
+        partition: PartitionSource<'_>,
         config: &TopKConfig,
         limits: &SearchLimits,
         traversal: &mut TraversalScratch,
         join: &mut JoinBuffers,
         mut cache: Option<&mut TupleScoreCache>,
+        strategy: SearchStrategy,
     ) -> (TopKResult, Option<LimitBreach>) {
         let mut stats = SearchStats::default();
-        let JoinInput { lists, partition } = input;
+        if lists.is_empty() || config.k == 0 {
+            return (TopKResult { tuples: Vec::new(), stats }, None);
+        }
+        if strategy == SearchStrategy::SingleTermScan
+            && lists.len() == 1
+            && config.candidate_limit >= config.k
+        {
+            return self.scan_single_term(&lists[0], config, limits);
+        }
+        let partition: &ComponentPartition = match partition {
+            PartitionSource::Ready(partition) => partition,
+            PartitionSource::Stale(partition) => {
+                partition.rebuild(self.graph, lists);
+                partition
+            }
+        };
         let m = lists.len();
         let JoinBuffers {
             combo_nodes,
@@ -667,20 +625,14 @@ impl<'a> TopKSearcher<'a> {
         (TopKResult { tuples, stats }, breach)
     }
 
-    /// Exhaustive baseline with a fresh scratch: enumerates every combination
-    /// of matching nodes, scores them all and returns the best `k`.  Used to
-    /// validate the TA implementation and as the comparison point in the
-    /// benchmark harness.
-    pub fn search_naive(&self, terms: &[TermInput], config: &TopKConfig) -> TopKResult {
-        self.search_naive_with(terms, config, &mut SearchScratch::new())
-    }
-
-    /// [`TopKSearcher::search_naive`] reusing a caller-owned scratch.
+    /// Exhaustive baseline: enumerates every combination of matching nodes,
+    /// scores them all and returns the best `k`.  Used to validate the TA
+    /// implementation and as the comparison point in the benchmark harness.
     ///
     /// Like the TA search, at most [`TopKConfig::candidate_limit`] candidate
     /// tuples are materialised; clipped combinations are counted in
     /// [`SearchStats::candidates_truncated`].
-    pub fn search_naive_with(
+    pub fn search_naive(
         &self,
         terms: &[TermInput],
         config: &TopKConfig,
@@ -690,8 +642,8 @@ impl<'a> TopKSearcher<'a> {
         if terms.is_empty() || config.k == 0 {
             return TopKResult { tuples: Vec::new(), stats };
         }
-        self.fill_term_lists(terms, scratch);
-        let SearchScratch { traversal, lists, join, .. } = scratch;
+        let SearchScratch { traversal, lists, eval_candidates, join, .. } = scratch;
+        self.fill_lists(terms, lists, eval_candidates);
         let JoinBuffers { combo_nodes, combo_scores, next_nodes, next_scores, .. } = join;
         let label_probes_before = traversal.label_probes;
         let lists = &lists[..terms.len()];
@@ -811,6 +763,22 @@ mod tests {
         .unwrap()
     }
 
+    /// The governed join search without optimizer state.
+    fn governed(
+        searcher: &TopKSearcher<'_>,
+        terms: &[TermInput],
+        config: &TopKConfig,
+        limits: &SearchLimits,
+        scratch: &mut SearchScratch,
+    ) -> (TopKResult, Option<LimitBreach>) {
+        searcher.search(terms, config, limits, scratch, None, SearchStrategy::Join)
+    }
+
+    /// The plain search: unlimited, fresh scratch.
+    fn search(searcher: &TopKSearcher<'_>, terms: &[TermInput], config: &TopKConfig) -> TopKResult {
+        governed(searcher, terms, config, &SearchLimits::unlimited(), &mut SearchScratch::new()).0
+    }
+
     fn searcher_parts(c: &Collection) -> (NodeIndex, DataGraph) {
         (NodeIndex::build(c), DataGraph::build(c, &GraphConfig::default()))
     }
@@ -845,7 +813,7 @@ mod tests {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&c, &index, &graph);
-        let result = searcher.search(&query1_terms(&c), &TopKConfig::with_k(5));
+        let result = search(&searcher, &query1_terms(&c), &TopKConfig::with_k(5));
         assert!(!result.tuples.is_empty());
         for tuple in &result.tuples {
             assert_eq!(tuple.nodes.len(), 3);
@@ -862,7 +830,7 @@ mod tests {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&c, &index, &graph);
-        let result = searcher.search(&query1_terms(&c), &TopKConfig::with_k(10));
+        let result = search(&searcher, &query1_terms(&c), &TopKConfig::with_k(10));
         // The best US tuple must pair China with 15 or Canada with 16.9 (the
         // same-item pairing), not a cross-item combination.
         let best = &result.tuples[0];
@@ -885,8 +853,8 @@ mod tests {
         let searcher = TopKSearcher::new(&c, &index, &graph);
         let config = TopKConfig::with_k(4);
         let terms = query1_terms(&c);
-        let ta = searcher.search(&terms, &config);
-        let naive = searcher.search_naive(&terms, &config);
+        let ta = search(&searcher, &terms, &config);
+        let naive = searcher.search_naive(&terms, &config, &mut SearchScratch::new());
         assert_eq!(ta.tuples.len(), naive.tuples.len());
         for (a, b) in ta.tuples.iter().zip(naive.tuples.iter()) {
             assert!(
@@ -907,11 +875,12 @@ mod tests {
         let mut scratch = SearchScratch::new();
         for k in [1usize, 3, 10] {
             let config = TopKConfig::with_k(k);
-            let reused = searcher.search_with(&terms, &config, &mut scratch);
-            let fresh = searcher.search(&terms, &config);
+            let reused =
+                governed(&searcher, &terms, &config, &SearchLimits::unlimited(), &mut scratch).0;
+            let fresh = search(&searcher, &terms, &config);
             assert_eq!(reused.tuples, fresh.tuples, "scratch reuse changed results at k={k}");
-            let reused_naive = searcher.search_naive_with(&terms, &config, &mut scratch);
-            let fresh_naive = searcher.search_naive(&terms, &config);
+            let reused_naive = searcher.search_naive(&terms, &config, &mut scratch);
+            let fresh_naive = searcher.search_naive(&terms, &config, &mut SearchScratch::new());
             assert_eq!(reused_naive.tuples, fresh_naive.tuples);
         }
     }
@@ -922,9 +891,9 @@ mod tests {
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&c, &index, &graph);
         let terms = query1_terms(&c);
-        let one = searcher.search(&terms, &TopKConfig::with_k(1));
+        let one = search(&searcher, &terms, &TopKConfig::with_k(1));
         assert_eq!(one.tuples.len(), 1);
-        let many = searcher.search(&terms, &TopKConfig::with_k(50));
+        let many = search(&searcher, &terms, &TopKConfig::with_k(50));
         assert!(many.tuples.len() >= one.tuples.len());
         // Results are sorted best-first.
         for w in many.tuples.windows(2) {
@@ -937,12 +906,12 @@ mod tests {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&c, &index, &graph);
-        assert!(searcher.search(&[], &TopKConfig::default()).tuples.is_empty());
+        assert!(search(&searcher, &[], &TopKConfig::default()).tuples.is_empty());
         let impossible = vec![
             TermInput::new(FullTextQuery::keywords("zzzunknownzzz")),
             TermInput::new(FullTextQuery::Any),
         ];
-        assert!(searcher.search(&impossible, &TopKConfig::default()).tuples.is_empty());
+        assert!(search(&searcher, &impossible, &TopKConfig::default()).tuples.is_empty());
     }
 
     #[test]
@@ -951,7 +920,7 @@ mod tests {
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&c, &index, &graph);
         let terms = vec![TermInput::new(FullTextQuery::phrase("United States"))];
-        let result = searcher.search(&terms, &TopKConfig::with_k(10));
+        let result = search(&searcher, &terms, &TopKConfig::with_k(10));
         assert_eq!(result.tuples.len(), 2, "US appears as a country name and as a trade partner");
         for t in &result.tuples {
             assert_eq!(t.compactness, 1.0, "singleton tuples are maximally compact");
@@ -966,7 +935,7 @@ mod tests {
         let name_path = c.paths().get_str(c.symbols(), "/country/name").unwrap();
         let terms =
             vec![TermInput::with_paths(FullTextQuery::phrase("United States"), vec![name_path])];
-        let result = searcher.search(&terms, &TopKConfig::default());
+        let result = search(&searcher, &terms, &TopKConfig::default());
         assert_eq!(result.tuples.len(), 1);
         assert_eq!(c.context_string(result.tuples[0].nodes[0]).unwrap(), "/country/name");
     }
@@ -977,31 +946,13 @@ mod tests {
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&c, &index, &graph);
         let terms = query1_terms(&c);
-        let small_k = searcher.search(&terms, &TopKConfig::with_k(1));
-        let naive = searcher.search_naive(&terms, &TopKConfig::with_k(1));
+        let small_k = search(&searcher, &terms, &TopKConfig::with_k(1));
+        let naive =
+            searcher.search_naive(&terms, &TopKConfig::with_k(1), &mut SearchScratch::new());
         assert!(small_k.stats.sorted_accesses > 0);
         assert!(small_k.stats.tuples_scored <= naive.stats.tuples_scored);
         assert!(small_k.stats.label_probes > 0, "connectivity checks are accounted");
         assert!(naive.stats.label_probes > 0);
-    }
-
-    #[test]
-    fn unlimited_governed_search_matches_ungoverned() {
-        let c = factbook_fragment();
-        let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
-        let terms = query1_terms(&c);
-        let config = TopKConfig::with_k(5);
-        let plain = searcher.search(&terms, &config);
-        let (governed, breach) = searcher.search_governed(
-            &terms,
-            &config,
-            &SearchLimits::unlimited(),
-            &mut SearchScratch::new(),
-        );
-        assert!(breach.is_none());
-        assert_eq!(plain.tuples, governed.tuples);
-        assert_eq!(plain.stats, governed.stats);
     }
 
     #[test]
@@ -1038,7 +989,7 @@ mod tests {
             ),
         ];
         for (resource, limits) in cases {
-            let (result, breach) = searcher.search_governed(&terms, &config, &limits, &mut scratch);
+            let (result, breach) = governed(&searcher, &terms, &config, &limits, &mut scratch);
             let breach = breach.unwrap_or_else(|| panic!("{resource} limit must trip"));
             assert_eq!(breach.resource, resource);
             // The prefix is well-formed even when empty.
@@ -1057,7 +1008,8 @@ mod tests {
         let searcher = TopKSearcher::new(&c, &index, &graph);
         let flag = Arc::new(AtomicBool::new(true));
         let limits = SearchLimits { cancel: Some(flag), ..SearchLimits::unlimited() };
-        let (result, breach) = searcher.search_governed(
+        let (result, breach) = governed(
+            &searcher,
             &query1_terms(&c),
             &TopKConfig::with_k(5),
             &limits,
@@ -1084,9 +1036,9 @@ mod tests {
         };
         assert!(!limits.is_unlimited());
         let (governed, breach) =
-            searcher.search_governed(&terms, &config, &limits, &mut SearchScratch::new());
+            governed(&searcher, &terms, &config, &limits, &mut SearchScratch::new());
         assert!(breach.is_none());
-        assert_eq!(governed.tuples, searcher.search(&terms, &config).tuples);
+        assert_eq!(governed.tuples, search(&searcher, &terms, &config).tuples);
     }
 
     #[test]
@@ -1100,8 +1052,8 @@ mod tests {
         let materialized = searcher.materialize_terms(&terms);
         assert_eq!(materialized.term_count(), terms.len());
         let mut scratch = SearchScratch::new();
-        let (fresh, _) = searcher.search_governed(&terms, &config, &limits, &mut scratch);
-        let (replayed, breach) = searcher.search_materialized_governed(
+        let (fresh, _) = governed(&searcher, &terms, &config, &limits, &mut scratch);
+        let (replayed, breach) = searcher.search_materialized(
             &materialized,
             &config,
             &limits,
@@ -1125,7 +1077,7 @@ mod tests {
         let materialized = searcher.materialize_terms(&terms);
         let mut scratch = SearchScratch::new();
         let mut cache = TupleScoreCache::new();
-        let (cold, _) = searcher.search_materialized_governed(
+        let (cold, _) = searcher.search_materialized(
             &materialized,
             &config,
             &limits,
@@ -1135,7 +1087,7 @@ mod tests {
         );
         assert!(cold.stats.label_probes > 0);
         assert!(cache.misses() > 0 && cache.hits() == 0);
-        let (warm, _) = searcher.search_materialized_governed(
+        let (warm, _) = searcher.search_materialized(
             &materialized,
             &config,
             &limits,
@@ -1166,8 +1118,8 @@ mod tests {
         let mut scratch = SearchScratch::new();
         for k in [1usize, 2, 10] {
             let config = TopKConfig::with_k(k);
-            let (join, _) = searcher.search_governed(&terms, &config, &limits, &mut scratch);
-            let (scan, breach) = searcher.search_materialized_governed(
+            let (join, _) = governed(&searcher, &terms, &config, &limits, &mut scratch);
+            let (scan, breach) = searcher.search_materialized(
                 &materialized,
                 &config,
                 &limits,
@@ -1189,20 +1141,20 @@ mod tests {
         let terms = query1_terms(&c);
 
         // A generous limit loses nothing and reports nothing.
-        let unclipped = searcher.search(&terms, &TopKConfig::with_k(10));
+        let unclipped = search(&searcher, &terms, &TopKConfig::with_k(10));
         assert_eq!(unclipped.stats.candidates_truncated, 0);
 
         // A tiny limit clips the candidate set and must say so.
         let mut tight = TopKConfig::with_k(10);
         tight.candidate_limit = 3;
-        let clipped = searcher.search(&terms, &tight);
+        let clipped = search(&searcher, &terms, &tight);
         assert!(clipped.stats.tuples_scored <= 3);
         assert!(
             clipped.stats.candidates_truncated > 0,
             "clipped combos must be counted: {:?}",
             clipped.stats
         );
-        let clipped_naive = searcher.search_naive(&terms, &tight);
+        let clipped_naive = searcher.search_naive(&terms, &tight, &mut SearchScratch::new());
         assert!(
             clipped_naive.stats.candidates_truncated > 0,
             "naive clipping must be counted: {:?}",

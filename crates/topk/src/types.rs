@@ -75,7 +75,7 @@ impl TopKConfig {
 }
 
 /// Resource ceilings enforced inside the Threshold-Algorithm loop by
-/// [`crate::TopKSearcher::search_governed`].
+/// [`crate::TopKSearcher::search`].
 ///
 /// Every field defaults to "unlimited"; the searcher only pays for the checks
 /// whose ceilings are set.  Breaches stop the loop at the next check point and
@@ -102,8 +102,8 @@ pub struct SearchLimits {
 }
 
 impl SearchLimits {
-    /// Limits that never trip — [`crate::TopKSearcher::search_with`] runs
-    /// under these.
+    /// Limits that never trip — how ungoverned callers spell
+    /// [`crate::TopKSearcher::search`].
     pub fn unlimited() -> Self {
         SearchLimits::default()
     }
@@ -229,10 +229,6 @@ impl MaterializedTerms {
     pub fn list_len(&self, i: usize) -> usize {
         self.lists.get(i).map(Vec::len).unwrap_or(0)
     }
-
-    pub(crate) fn new(lists: Vec<Vec<ScoredNode>>, partition: ComponentPartition) -> Self {
-        MaterializedTerms { lists, partition }
-    }
 }
 
 /// Memoised compactness scores of candidate node tuples.
@@ -341,7 +337,7 @@ mod tests {
 
     #[test]
     fn materialized_terms_report_list_shapes() {
-        let m = MaterializedTerms::new(vec![vec![], vec![]], ComponentPartition::default());
+        let m = MaterializedTerms { lists: vec![vec![], vec![]], ..MaterializedTerms::default() };
         assert_eq!(m.term_count(), 2);
         assert_eq!(m.list_len(0), 0);
         assert_eq!(m.list_len(7), 0, "out-of-range terms read as empty");

@@ -14,7 +14,7 @@ pub use seda_core::{
 };
 pub use seda_core::{
     BuildProfile, ConnectionSummary, ContextBucket, ContextSelections, ContextSpec, ContextSummary,
-    EngineConfig, ExecProfile, PhaseProfile, PlanStep, QueryError, QueryPlan, QueryProfile,
-    QueryTerm, RequestBuilder, ResponsePayload, SedaEngine, SedaError, SedaQuery, SedaReader,
-    SedaRequest, SedaResponse, SedaSession, Session, SessionStage, Statement,
+    EngineConfig, ExecProfile, PhaseProfile, PlanStep, QueryError, QueryPlan, QueryTerm,
+    RequestBuilder, ResponsePayload, SedaEngine, SedaError, SedaQuery, SedaReader, SedaRequest,
+    SedaResponse, SedaSession, Session, SessionStage, Statement,
 };

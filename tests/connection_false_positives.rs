@@ -3,7 +3,7 @@
 //! keyword restrictions and (b) overlap merging; "the higher the overlap
 //! threshold, the fewer the false positive connections".
 
-use seda_core::{ContextSelections, EngineConfig, SedaEngine, SedaQuery};
+use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
 use seda_datagen::{factbook, FactbookConfig};
 use seda_dataguide::{
     discover_connections, false_positive_connections, guide_connection, guide_links, DataGuideSet,
@@ -19,7 +19,11 @@ fn setup() -> (SedaEngine, Vec<(PathId, PathId)>, Vec<seda_dataguide::Connection
     let query =
         SedaQuery::parse(r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#)
             .unwrap();
-    let topk = engine.top_k(&query, &ContextSelections::none(), 15);
+    let topk = engine
+        .reader()
+        .top_k_governed(&query, &ContextSelections::none(), 15, &RequestContext::unlimited())
+        .unwrap()
+        .0;
     let instantiated =
         discover_connections(engine.collection(), engine.graph(), &topk.node_tuples(), 12);
 

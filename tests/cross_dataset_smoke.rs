@@ -3,7 +3,7 @@
 //! corpus, not just the Factbook running example — SEDA's whole point is
 //! handling heterogeneous repositories it has never seen.
 
-use seda_core::{ContextSelections, EngineConfig, SedaEngine, SedaQuery, Session};
+use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery, Session};
 use seda_datagen::Dataset;
 use seda_olap::{BuildOptions, Registry, RelativeKey, SchemaDef};
 
@@ -17,7 +17,7 @@ fn mondial_queries_cross_documents_via_idref_edges() {
     let engine = engine_for(Dataset::Mondial);
     assert!(engine.graph().cross_edge_count() > 0, "Mondial is densely linked by IDREFs");
     let query = SedaQuery::parse(r#"(/sea/name, *) AND (/country/name, *)"#).unwrap();
-    let result = engine.complete_results(&query, &ContextSelections::none(), &[]).unwrap();
+    let result = engine.reader().complete_results(&query, &ContextSelections::none(), &[]).unwrap();
     assert!(!result.is_empty(), "seas and their bordering countries are connected");
     for row in &result.rows {
         assert_ne!(row[0].0.doc, row[1].0.doc, "sea and country live in different documents");
@@ -41,7 +41,7 @@ fn googlebase_supports_user_defined_facts_and_cubes() {
     ));
     let engine = SedaEngine::build(collection, registry, EngineConfig::default()).unwrap();
     let query = SedaQuery::parse(r#"(category, *) AND (price, *)"#).unwrap();
-    let result = engine.complete_results(&query, &ContextSelections::none(), &[]).unwrap();
+    let result = engine.reader().complete_results(&query, &ContextSelections::none(), &[]).unwrap();
     assert!(!result.is_empty());
     let build = engine.build_star_schema(&result, &BuildOptions::default());
     let fact = build.schema.fact("price").expect("price fact table");
@@ -89,7 +89,11 @@ fn keyword_search_works_on_every_dataset() {
             "{}: the match-all bucket lists text-bearing contexts",
             dataset.name()
         );
-        let topk = engine.top_k(&query, &ContextSelections::none(), 5);
+        let topk = engine
+            .reader()
+            .top_k_governed(&query, &ContextSelections::none(), 5, &RequestContext::unlimited())
+            .unwrap()
+            .0;
         assert!(!topk.tuples.is_empty(), "{}: top-k over match-all", dataset.name());
     }
 }

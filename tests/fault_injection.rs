@@ -7,15 +7,15 @@
 
 #![cfg(feature = "failpoints")]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use seda_core::faults::{arm, disarm_all, FaultAction, FAULT_SITES};
 use seda_core::metrics::names;
+use seda_core::seda_topk::TopKResult;
 use seda_core::{
     Budget, ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaError, SedaQuery,
-    SedaRequest,
+    SedaRequest, Session,
 };
 use seda_datagen::{factbook, FactbookConfig};
 use seda_olap::Registry;
@@ -35,6 +35,12 @@ fn engine_with_parallelism(parallelism: usize) -> Result<SedaEngine, SedaError> 
         Registry::factbook_defaults(),
         EngineConfig { parallelism, ..EngineConfig::default() },
     )
+}
+
+/// Ungoverned top-5 through a fresh reader's typed step.
+fn top_k(engine: &SedaEngine, query: &SedaQuery) -> TopKResult {
+    let ctx = RequestContext::unlimited();
+    engine.reader().top_k_governed(query, &ContextSelections::none(), 5, &ctx).expect("top-k").0
 }
 
 fn topk_request() -> SedaRequest {
@@ -97,34 +103,6 @@ fn build_site_faults_fail_sequential_and_sharded_builds_cleanly() {
 }
 
 #[test]
-fn scratch_lock_panic_poisons_and_the_engine_recovers_in_place() {
-    let _guard = serialise();
-    let engine = engine_with_parallelism(1).expect("engine build");
-    let query = SedaQuery::parse(r#"(*, "United States") AND (trade_country, *)"#).unwrap();
-    let baseline = engine.top_k(&query, &ContextSelections::none(), 5);
-    assert!(!baseline.tuples.is_empty(), "workload must produce matches");
-
-    // The site fires while the shared scratch mutex is held, so the panic
-    // poisons it.  `engine.top_k` is an infallible signature: the panic
-    // propagates to the caller here (readers route through catch_unwind).
-    arm("scratch-lock", FaultAction::Panic);
-    let panicked =
-        catch_unwind(AssertUnwindSafe(|| engine.top_k(&query, &ContextSelections::none(), 5)));
-    assert!(panicked.is_err(), "armed scratch-lock must panic through top_k");
-    disarm_all();
-
-    // The next query recovers the poisoned mutex in place (clear + reuse) —
-    // it must NOT fall back to a throwaway fresh scratch.
-    let recovered = engine.top_k(&query, &ContextSelections::none(), 5);
-    assert_eq!(recovered.tuples, baseline.tuples, "recovery must not change answers");
-    assert_eq!(
-        engine.fresh_scratch_fallbacks(),
-        0,
-        "poison recovery must reuse the shared scratch, not abandon it"
-    );
-}
-
-#[test]
 fn mid_search_panic_becomes_internal_and_the_reader_keeps_serving() {
     let _guard = serialise();
     let engine = engine_with_parallelism(1).expect("engine build");
@@ -140,6 +118,43 @@ fn mid_search_panic_becomes_internal_and_the_reader_keeps_serving() {
     // scratch reset, so the next execution answers normally.
     let response = reader.execute(&request).expect("reader recovered");
     assert!(!response.top_k().expect("top-k payload").tuples.is_empty());
+}
+
+#[test]
+fn mid_search_panic_below_a_typed_step_is_contained_and_the_reader_recovers() {
+    let _guard = serialise();
+    let engine = engine_with_parallelism(1).expect("engine build");
+    let query = SedaQuery::parse(r#"(*, "United States") AND (trade_country, *)"#).unwrap();
+    let selections = ContextSelections::none();
+    let ctx = RequestContext::unlimited();
+    let mut reader = engine.reader();
+    let (baseline, _) = reader.top_k_governed(&query, &selections, 5, &ctx).expect("baseline");
+    assert!(!baseline.tuples.is_empty(), "workload must produce matches");
+
+    // The typed steps run inside the reader's containment boundary: the
+    // panic surfaces as a typed error instead of unwinding into the caller.
+    arm("mid-search", FaultAction::Panic);
+    let err = reader
+        .top_k_governed(&query, &selections, 5, &ctx)
+        .expect_err("armed mid-search must fail the typed step");
+    assert!(matches!(err, SedaError::Internal(_)), "{err:?}");
+    disarm_all();
+
+    // Same reader, same query: the scratch was rebuilt, the answer is the
+    // unarmed baseline's, counters included.
+    let (recovered, _) = reader.top_k_governed(&query, &selections, 5, &ctx).expect("recovered");
+    assert_eq!(recovered, baseline, "recovery must not change the answer");
+
+    // The session composes the same typed step, so it surfaces the typed
+    // error too and keeps serving afterwards.
+    let mut session = Session::new(&engine);
+    session.set_k(5);
+    arm("mid-search", FaultAction::Panic);
+    let err = session.submit(query.clone()).expect_err("armed mid-search must fail the submit");
+    assert!(matches!(err, SedaError::Internal(_)), "{err:?}");
+    disarm_all();
+    let resubmitted = session.submit(query).expect("session recovered");
+    assert_eq!(resubmitted.tuples, baseline.tuples);
 }
 
 #[test]
@@ -164,7 +179,7 @@ fn armed_faults_never_yield_a_verified_engine_that_answers_wrong() {
     let baseline_engine = engine_with_parallelism(2).expect("baseline engine build");
     assert!(baseline_engine.verify().is_ok(), "baseline engine must pass its audit");
     let query = SedaQuery::parse(r#"(*, "United States") AND (trade_country, *)"#).unwrap();
-    let baseline = baseline_engine.top_k(&query, &ContextSelections::none(), 5);
+    let baseline = top_k(&baseline_engine, &query);
 
     // For every catalogued site and every failure mode: either the build
     // surfaces a typed error, or — if the armed site was never reached — the
@@ -185,7 +200,7 @@ fn armed_faults_never_yield_a_verified_engine_that_answers_wrong() {
                         engine.verify().is_ok(),
                         "site {site} ({action:?}) yielded an engine that fails verify()"
                     );
-                    let answer = engine.top_k(&query, &ContextSelections::none(), 5);
+                    let answer = top_k(&engine, &query);
                     assert_eq!(
                         answer.tuples, baseline.tuples,
                         "site {site} ({action:?}) passed verify() but answers differ"
@@ -205,7 +220,7 @@ fn armed_faults_never_yield_a_verified_engine_that_answers_wrong() {
     assert!(reader.execute(&topk_request()).is_err(), "armed mid-search must fail the request");
     disarm_all();
     assert!(baseline_engine.verify().is_ok(), "engine must pass its audit after a contained fault");
-    let recovered = baseline_engine.top_k(&query, &ContextSelections::none(), 5);
+    let recovered = top_k(&baseline_engine, &query);
     assert_eq!(recovered.tuples, baseline.tuples, "post-fault answers must match the baseline");
 }
 

@@ -50,7 +50,7 @@ fn assert_program_matches_oracle(engine: &SedaEngine, text: &str) -> Result<(), 
     let request = SedaRequest::parse(text).expect("request parses");
     let plan = engine.prepare(&request).expect("request prepares");
     let mut reader = engine.reader();
-    let optimized = reader.execute_plan(&plan);
+    let optimized = reader.execute_plan_governed(&plan, &RequestContext::unlimited());
     let mut oracle_reader = engine.reader();
     let oracle = oracle_reader.execute_plan_unoptimized(&plan, &RequestContext::unlimited());
     match (&optimized, &oracle) {

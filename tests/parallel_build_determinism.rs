@@ -3,7 +3,7 @@
 //! yield identical substrates, identical guide links, identical dataguide
 //! statistics and identical query answers, regardless of worker scheduling.
 
-use seda_core::{ContextSelections, EngineConfig, SedaEngine, SedaQuery};
+use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
 use seda_datagen::{factbook, FactbookConfig};
 use seda_olap::Registry;
 
@@ -53,8 +53,16 @@ fn parallel_query_answers_match_sequential_byte_for_byte() {
         assert_eq!(a.entries, b.entries);
     }
 
-    let seq_topk = sequential.top_k(&query, &ContextSelections::none(), 10);
-    let par_topk = parallel.top_k(&query, &ContextSelections::none(), 10);
+    let seq_topk = sequential
+        .reader()
+        .top_k_governed(&query, &ContextSelections::none(), 10, &RequestContext::unlimited())
+        .unwrap()
+        .0;
+    let par_topk = parallel
+        .reader()
+        .top_k_governed(&query, &ContextSelections::none(), 10, &RequestContext::unlimited())
+        .unwrap()
+        .0;
     assert_eq!(seq_topk.tuples.len(), par_topk.tuples.len());
     for (a, b) in seq_topk.tuples.iter().zip(par_topk.tuples.iter()) {
         assert_eq!(a.nodes, b.nodes);
@@ -62,8 +70,9 @@ fn parallel_query_answers_match_sequential_byte_for_byte() {
     }
 
     let seq_complete =
-        sequential.complete_results(&query, &ContextSelections::none(), &[]).unwrap();
-    let par_complete = parallel.complete_results(&query, &ContextSelections::none(), &[]).unwrap();
+        sequential.reader().complete_results(&query, &ContextSelections::none(), &[]).unwrap();
+    let par_complete =
+        parallel.reader().complete_results(&query, &ContextSelections::none(), &[]).unwrap();
     assert_eq!(seq_complete.rows, par_complete.rows);
 }
 

@@ -3,7 +3,7 @@
 //! dimension tables, including the automatically added `year` key column and
 //! the fixed trade facts of the paper (China 15% / Canada 16.9% in 2006, …).
 
-use seda_core::{ContextSelections, EngineConfig, SedaEngine, SedaQuery, Session};
+use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery, Session};
 use seda_datagen::{factbook, FactbookConfig};
 use seda_olap::{BuildOptions, CubeQuery, Registry};
 
@@ -40,7 +40,7 @@ fn query1_fact_table_contains_the_papers_fixed_rows() {
         SedaQuery::parse(r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#)
             .unwrap();
     let selections = import_selection(&engine);
-    let result = engine.complete_results(&query, &selections, &[]).unwrap();
+    let result = engine.reader().complete_results(&query, &selections, &[]).unwrap();
     assert!(!result.is_empty());
     let build = engine.build_star_schema(&result, &BuildOptions::default());
 
@@ -141,7 +141,11 @@ fn topk_results_for_query1_are_connected_and_ranked() {
     let query =
         SedaQuery::parse(r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#)
             .unwrap();
-    let topk = engine.top_k(&query, &ContextSelections::none(), 10);
+    let topk = engine
+        .reader()
+        .top_k_governed(&query, &ContextSelections::none(), 10, &RequestContext::unlimited())
+        .unwrap()
+        .0;
     assert!(!topk.tuples.is_empty());
     for window in topk.tuples.windows(2) {
         assert!(window[0].score >= window[1].score);

@@ -1,13 +1,11 @@
-//! Read-path regression tests: document components are a build-time artifact
-//! (built exactly once per engine, never per search), the engine's cached
-//! search scratch does not change answers, and `QueryProfile` reports the
-//! work a query performed.
+//! Read-path regression test: document components are a build-time artifact
+//! (built exactly once per engine, never per search).
 
-use seda_core::{ContextSelections, EngineConfig, SedaEngine, SedaQuery};
+use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
 use seda_datagen::{mondial, MondialConfig};
 use seda_datagraph::doc_component_builds_on_this_thread;
 use seda_olap::Registry;
-use seda_topk::{TopKConfig, TopKSearcher};
+use seda_topk::{SearchLimits, SearchScratch, SearchStrategy, TopKConfig, TopKSearcher};
 
 fn small_engine() -> SedaEngine {
     let config = MondialConfig {
@@ -51,44 +49,23 @@ fn doc_components_built_once_per_engine_never_per_search() {
             None => seda_topk::TermInput::new(t.search.clone()),
         })
         .collect();
+    let mut reader = engine.reader();
+    let mut scratch = SearchScratch::new();
     for k in 1..=10 {
-        let _ = engine.top_k(&query, &selections, k);
-        let _ = searcher.search(&terms, &TopKConfig::with_k(k));
-        let _ = searcher.search_naive(&terms, &TopKConfig::with_k(k));
+        let _ = reader.top_k_governed(&query, &selections, k, &RequestContext::unlimited());
+        let _ = searcher.search(
+            &terms,
+            &TopKConfig::with_k(k),
+            &SearchLimits::unlimited(),
+            &mut scratch,
+            None,
+            SearchStrategy::Join,
+        );
+        let _ = searcher.search_naive(&terms, &TopKConfig::with_k(k), &mut scratch);
     }
     assert_eq!(
         doc_component_builds_on_this_thread(),
         before + 1,
         "searches (TA and naive) must reuse the graph's cached components"
     );
-}
-
-#[test]
-fn cached_scratch_queries_match_across_repeats() {
-    let engine = small_engine();
-    let query = SedaQuery::parse("(name, *) AND (population, *)").unwrap();
-    let selections = ContextSelections::none();
-    // Repeated engine-level queries run through the shared cached scratch;
-    // answers must be identical every time.
-    let first = engine.top_k(&query, &selections, 10);
-    assert!(!first.tuples.is_empty());
-    for _ in 0..5 {
-        assert_eq!(engine.top_k(&query, &selections, 10).tuples, first.tuples);
-    }
-}
-
-#[test]
-fn query_profile_reports_the_work() {
-    let engine = small_engine();
-    let query = SedaQuery::parse("(name, *) AND (population, *)").unwrap();
-    let (result, profile) = engine.top_k_profiled(&query, &ContextSelections::none(), 5);
-    assert!(!result.tuples.is_empty());
-    assert_eq!(profile.stats, result.stats, "profile carries the search's own counters");
-    assert!(profile.stats.sorted_accesses > 0);
-    assert!(profile.stats.tuples_scored > 0);
-    assert!(profile.stats.label_probes > 0, "connectivity checks must be accounted");
-    assert_eq!(profile.stats.candidates_truncated, 0);
-    assert!(profile.wall_secs > 0.0);
-    let rendered = profile.render();
-    assert!(rendered.contains("sorted"), "render mentions the counters: {rendered}");
 }

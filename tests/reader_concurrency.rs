@@ -1,7 +1,7 @@
 //! Reader-handle concurrency: N threads holding N `SedaReader`s over one
-//! shared engine must (a) never touch the engine's shared scratch mutex and
-//! (b) produce byte-identical results to sequential execution through a
-//! single reader.
+//! shared engine must produce byte-identical results to sequential execution
+//! through a single reader (the engine holds no query-time mutable state
+//! besides its atomic metrics, so there is nothing to contend on).
 
 use seda_core::{EngineConfig, SedaEngine, SedaRequest, SedaResponse};
 use seda_datagen::{factbook, FactbookConfig};
@@ -72,7 +72,6 @@ fn concurrent_readers_match_sequential_byte_for_byte() {
         .map(|r| fingerprint(&reader.execute(r).expect("sequential execution")))
         .collect();
 
-    let before = engine.shared_scratch_queries();
     // N threads, each with its own reader, each running the full workload.
     let n_threads = 4;
     let per_thread: Vec<Vec<String>> = std::thread::scope(|scope| {
@@ -96,11 +95,6 @@ fn concurrent_readers_match_sequential_byte_for_byte() {
             "thread {t} must produce byte-identical results to sequential execution"
         );
     }
-    assert_eq!(
-        engine.shared_scratch_queries(),
-        before,
-        "reader handles must never run through the engine's shared scratch mutex"
-    );
 }
 
 #[test]
@@ -113,14 +107,12 @@ fn execute_batch_fans_out_without_touching_the_engine_mutex() {
         .map(|r| fingerprint(&reader.execute(r).expect("sequential execution")))
         .collect();
 
-    let before = engine.shared_scratch_queries();
     for parallelism in [1, 4] {
         let batched = engine.execute_batch(&requests, parallelism);
         let fingerprints: Vec<String> =
             batched.iter().map(|r| fingerprint(r.as_ref().expect("batch response"))).collect();
         assert_eq!(fingerprints, baseline, "parallelism={parallelism}");
     }
-    assert_eq!(engine.shared_scratch_queries(), before);
 }
 
 #[test]

@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use seda_core::metrics::names;
 use seda_core::{
     Budget, CancelToken, EngineConfig, RequestContext, SedaEngine, SedaError, SedaRequest,
 };
@@ -168,6 +169,44 @@ fn cancellation_surfaces_as_cancelled() {
     assert_eq!(err, SedaError::Cancelled);
     // The same reader still serves uncancelled requests.
     assert!(reader.execute(&topk_request()).is_ok());
+}
+
+/// Every executed request is recorded in the engine's metrics exactly once,
+/// whichever door it came through: a prepared statement, a direct plan
+/// execution, or the facade (which must not double-count).
+#[test]
+fn prepared_and_planned_executions_are_recorded_exactly_once() {
+    let engine = engine();
+    let mut reader = engine.reader();
+    let metrics = engine.metrics();
+    let requests = || metrics.counter(names::REQUESTS_TOTAL, "TOPK").get();
+    let latencies = || metrics.histogram(names::REQUEST_LATENCY_SECONDS, "TOPK").count();
+    let breaches = || metrics.counter(names::BUDGET_BREACHES_TOTAL, "").get();
+
+    let mut prepared = reader.prepare(&topk_request()).expect("request prepares");
+    let (requests_before, latencies_before, breaches_before) =
+        (requests(), latencies(), breaches());
+    let n = 4;
+    for _ in 0..n {
+        prepared.execute(&mut reader).expect("prepared execution");
+    }
+    assert_eq!(requests(), requests_before + n, "each prepared execution is one request");
+    assert_eq!(latencies(), latencies_before + n, "each one observes its latency");
+    assert_eq!(breaches(), breaches_before);
+
+    let tight = RequestContext::new(Budget::unlimited().with_max_sorted_accesses(0));
+    let err = prepared.execute_governed(&mut reader, &tight).expect_err("budget must breach");
+    assert!(matches!(err, SedaError::Limit { .. }), "{err:?}");
+    assert_eq!(breaches(), breaches_before + 1, "a breached prepared execution is counted");
+    assert_eq!(requests(), requests_before + n + 1);
+    assert_eq!(latencies(), latencies_before + n, "failed requests observe no latency");
+
+    let plan = engine.prepare(&topk_request()).expect("request plans");
+    reader.execute_plan_governed(&plan, &RequestContext::unlimited()).expect("plan executes");
+    assert_eq!(requests(), requests_before + n + 2, "direct plan execution is one request");
+    reader.execute(&topk_request()).expect("facade executes");
+    assert_eq!(requests(), requests_before + n + 3, "the facade path must not double-count");
+    assert_eq!(latencies(), latencies_before + n + 2);
 }
 
 mod proptests {

@@ -8,8 +8,11 @@
 
 use proptest::prelude::*;
 
-use seda_core::seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
-use seda_core::{ContextSelections, EngineConfig, SedaEngine, SedaQuery};
+use seda_core::seda_topk::{
+    LimitBreach, SearchLimits, SearchScratch, SearchStrategy, TermInput, TopKConfig, TopKResult,
+    TopKSearcher,
+};
+use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
 use seda_datagen::{googlebase, mondial, GoogleBaseConfig, MondialConfig};
 use seda_olap::Registry;
 use seda_xmlstore::{parse_collection, Collection};
@@ -33,6 +36,17 @@ fn term_inputs(engine: &SedaEngine, query_text: &str) -> Vec<TermInput> {
         .collect()
 }
 
+/// The TA search without optimizer state: no compactness memo, the plain join.
+fn search(
+    searcher: &TopKSearcher<'_>,
+    terms: &[TermInput],
+    config: &TopKConfig,
+    limits: &SearchLimits,
+    scratch: &mut SearchScratch,
+) -> (TopKResult, Option<LimitBreach>) {
+    searcher.search(terms, config, limits, scratch, None, SearchStrategy::Join)
+}
+
 /// Asserts TA == naive: same tuple count, same scores within 1e-9, and the
 /// same node tuples (both searchers break score ties by ascending node
 /// tuples, so the sequences must agree exactly).
@@ -44,8 +58,8 @@ fn assert_equivalent(
     let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
     let config = TopKConfig::with_k(k);
     let mut scratch = SearchScratch::new();
-    let ta = searcher.search_with(terms, &config, &mut scratch);
-    let naive = searcher.search_naive_with(terms, &config, &mut scratch);
+    let ta = search(&searcher, terms, &config, &SearchLimits::unlimited(), &mut scratch).0;
+    let naive = searcher.search_naive(terms, &config, &mut scratch);
     prop_assert_eq!(ta.tuples.len(), naive.tuples.len(), "result sizes differ");
     for (i, (a, b)) in ta.tuples.iter().zip(naive.tuples.iter()).enumerate() {
         prop_assert!(
@@ -82,8 +96,9 @@ fn assert_equivalent_under_ties(
 ) -> Result<(), TestCaseError> {
     let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
     let mut scratch = SearchScratch::new();
-    let ta = searcher.search_with(terms, &TopKConfig::with_k(k), &mut scratch);
-    let all = searcher.search_naive_with(terms, &TopKConfig::with_k(usize::MAX), &mut scratch);
+    let unlimited = SearchLimits::unlimited();
+    let ta = search(&searcher, terms, &TopKConfig::with_k(k), &unlimited, &mut scratch).0;
+    let all = searcher.search_naive(terms, &TopKConfig::with_k(usize::MAX), &mut scratch);
     prop_assert_eq!(all.stats.candidates_truncated, 0);
     prop_assert_eq!(ta.tuples.len(), all.tuples.len().min(k), "result sizes differ");
     for (i, (a, b)) in ta.tuples.iter().zip(all.tuples.iter()).enumerate() {
@@ -196,19 +211,23 @@ fn ta_matches_naive_on_fixed_small_workloads() {
     let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
     let mut scratch = SearchScratch::new();
     let config = TopKConfig::with_k(10);
-    let ta = searcher.search_with(&terms, &config, &mut scratch);
-    let naive = searcher.search_naive_with(&terms, &config, &mut scratch);
+    let ta = search(&searcher, &terms, &config, &SearchLimits::unlimited(), &mut scratch).0;
+    let naive = searcher.search_naive(&terms, &config, &mut scratch);
     assert_eq!(ta.tuples.len(), naive.tuples.len());
     for (a, b) in ta.tuples.iter().zip(naive.tuples.iter()) {
         assert!((a.score - b.score).abs() < 1e-9);
         assert_eq!(a.nodes, b.nodes);
     }
     // The engine-level entry point agrees with the direct searcher.
-    let via_engine = engine.top_k(
-        &SedaQuery::parse("(name, *) AND (population, *)").unwrap(),
-        &ContextSelections::none(),
-        10,
-    );
+    let (via_engine, _) = engine
+        .reader()
+        .top_k_governed(
+            &SedaQuery::parse("(name, *) AND (population, *)").unwrap(),
+            &ContextSelections::none(),
+            10,
+            &RequestContext::unlimited(),
+        )
+        .unwrap();
     assert_eq!(via_engine.tuples, ta.tuples);
 }
 
@@ -237,13 +256,14 @@ fn one_scratch_across_engines_term_counts_and_a_breach_matches_fresh_scratches()
         let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
         let terms = term_inputs(engine, text);
         let config = TopKConfig::with_k(10);
-        let reused = searcher.search_governed(&terms, &config, limits, &mut shared);
-        let fresh = searcher.search_governed(&terms, &config, limits, &mut SearchScratch::new());
+        let reused = search(&searcher, &terms, &config, limits, &mut shared);
+        let fresh = search(&searcher, &terms, &config, limits, &mut SearchScratch::new());
         assert_eq!(reused, fresh, "round {round}: {text}");
         assert!(!reused.0.tuples.is_empty(), "round {round} must find answers: {text}");
         breaches += usize::from(reused.1.is_some());
-        let reused_naive = searcher.search_naive_with(&terms, &config, &mut shared);
-        assert_eq!(reused_naive, searcher.search_naive(&terms, &config), "round {round} (naive)");
+        let reused_naive = searcher.search_naive(&terms, &config, &mut shared);
+        let fresh_naive = searcher.search_naive(&terms, &config, &mut SearchScratch::new());
+        assert_eq!(reused_naive, fresh_naive, "round {round} (naive)");
         shared.verify().expect("scratch stays structurally sound");
     }
     assert_eq!(breaches, 2, "both tight rounds must stop on their budget");

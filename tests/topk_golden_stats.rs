@@ -156,9 +156,15 @@ fn render_all() -> String {
                 if let Some(limit) = candidate_limit {
                     config.candidate_limit = limit;
                 }
-                let (cold, breach) =
-                    searcher.search_governed(&terms, &config, &unlimited, &mut scratch);
-                let (replayed, replayed_breach) = searcher.search_materialized_governed(
+                let (cold, breach) = searcher.search(
+                    &terms,
+                    &config,
+                    &unlimited,
+                    &mut scratch,
+                    None,
+                    SearchStrategy::Join,
+                );
+                let (replayed, replayed_breach) = searcher.search_materialized(
                     &materialized,
                     &config,
                     &unlimited,
@@ -182,8 +188,14 @@ fn render_all() -> String {
             ("probes<=200", SearchLimits { max_label_probes: Some(200), ..unlimited.clone() }),
         ];
         for (name, limits) in budgets {
-            let (result, breach) =
-                searcher.search_governed(&terms, &TopKConfig::with_k(10), &limits, &mut scratch);
+            let (result, breach) = searcher.search(
+                &terms,
+                &TopKConfig::with_k(10),
+                &limits,
+                &mut scratch,
+                None,
+                SearchStrategy::Join,
+            );
             render_case(&mut out, &format!("three-term k=10 budget {name}"), &result, &breach);
         }
     }
