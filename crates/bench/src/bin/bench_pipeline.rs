@@ -9,7 +9,7 @@
 //! and execution — what a serving deployment would observe — with p50/p95/p99
 //! columns over the reps.  Each statement appears twice: a `"cold"` row
 //! (full request → response per rep) and a `"prepared"` row (planned once
-//! via `SedaReader::prepare`, warm re-executions of the compiled program),
+//! via `SedaReader::prepare`, warm re-executions of the prepared plan),
 //! so the prepared-statement speedup is part of the committed trajectory.  The committed `BENCH_pipeline.json` at the repo
 //! root keeps one entry per PR so the bench trajectory is reviewable; CI
 //! compiles this binary and validates the committed report's schema with

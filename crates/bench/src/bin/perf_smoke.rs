@@ -15,10 +15,10 @@
 //! `SedaReader::set_tracing` — so neither observability layer can quietly
 //! tax the hot path.
 //!
-//! Two optimizer checks complete the gate: the cold (plan + execute) path
+//! Two planner checks complete the gate: the cold (plan + execute) path
 //! must stay within 5% of the committed baseline (plus the same noise
-//! floor) — the rewrite passes and program compilation may not tax one-shot
-//! requests — and prepared re-execution of a mixed statement workload must
+//! floor) — planning may not tax one-shot requests — and prepared
+//! re-execution of a mixed statement workload must
 //! beat cold execution by at least 1.3x, pinning the prepared-statement
 //! speedup the committed `BENCH_pipeline.json` reports.
 //!
@@ -107,7 +107,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // The optimizer must not tax the cold path: a freshly planned run stays
+    // Planning must not tax the cold path: a freshly planned run stays
     // within 5% of the committed baseline (plus the usual floor absorbing
     // timer noise on millisecond workloads).
     let optimized_budget_ms = (committed_ms * 1.05).max(committed_ms + 5.0);
@@ -196,7 +196,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Prepared statements are the optimizer's headline win: on a mixed
+    // Prepared statements are the planner's headline win: on a mixed
     // statement workload, re-executing prepared statements (plan once, warm
     // materialized term lists, warm compactness memo) must beat cold
     // request → response execution by at least 1.3x.  The check runs on the

@@ -493,7 +493,7 @@ pub struct PipelineMeasurement {
     pub statement: String,
     /// `"cold"` (parse + plan + execute per rep) or `"prepared"` (planned
     /// once via `SedaReader::prepare`; every timed rep is a warm
-    /// re-execution of the compiled program).
+    /// re-execution of the prepared plan).
     pub mode: &'static str,
     /// Canonical textual form of the request.
     pub request: String,
@@ -560,7 +560,7 @@ impl PipelineMeasurement {
 /// Each statement is measured in two modes.  The `"cold"` rows parse, plan
 /// and execute per rep — what a one-shot request observes.  The `"prepared"`
 /// rows plan once through [`seda_core::SedaReader::prepare`] and re-execute
-/// the compiled program per rep with warm materialized term lists and a warm
+/// the prepared plan per rep with warm materialized term lists and a warm
 /// compactness memo — the steady state of a repeated statement.  Cold rows
 /// are emitted first, so first-match consumers of the report (`perf_smoke`)
 /// keep reading the cold baseline.
@@ -570,7 +570,7 @@ impl PipelineMeasurement {
 /// re-running the search: the row reports the *incremental* cost of
 /// connection discovery (planning plus the pairwise oracle walk).  Its search
 /// counters are zero by construction — that work is already accounted to the
-/// `TOPK` row.  The prepared `CONNECTIONS` row runs the full compiled program
+/// `TOPK` row.  The prepared `CONNECTIONS` row runs the full prepared plan
 /// (search included), so the two are not directly comparable.
 pub fn measure_pipeline(workload: &TopKWorkload) -> Vec<PipelineMeasurement> {
     let engine = &workload.engine;

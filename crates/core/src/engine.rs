@@ -690,8 +690,7 @@ impl SedaEngine {
     }
 
     /// Number of concrete per-term context combinations the complete-result
-    /// generator would enumerate over already-resolved per-term path sets
-    /// (callers hold the paths, so they are never resolved twice);
+    /// generator would enumerate over already-resolved per-term path sets;
     /// [`SedaError::Limit`] when it exceeds
     /// [`EngineConfig::complete_result_limit`].
     pub(crate) fn context_combinations_of(
@@ -716,9 +715,11 @@ impl SedaEngine {
     }
 
     /// Computes the complete (non-top-k) result set R(q) for a refined query
-    /// (Sec. 7): every term restricted to its selected contexts, tuples
-    /// restricted to the selected connections, every graph traversal reusing
-    /// the caller's scratch.
+    /// (Sec. 7): every term restricted to its resolved candidate contexts
+    /// (`term_paths`, from [`SedaEngine::term_paths`] — a plan resolves them
+    /// once and every execution reuses them), tuples restricted to the
+    /// selected connections, every graph traversal reusing the caller's
+    /// scratch.
     ///
     /// Fails with [`SedaError::Limit`] instead of silently clipping when the
     /// context combinations or materialised rows would exceed
@@ -734,7 +735,7 @@ impl SedaEngine {
     pub(crate) fn complete_results_governed(
         &self,
         query: &SedaQuery,
-        selections: &ContextSelections,
+        term_paths: &[Vec<PathId>],
         connections: &[Connection],
         scratch: &mut SearchScratch,
         ctx: &RequestContext,
@@ -742,8 +743,7 @@ impl SedaEngine {
         let column_names = query.terms.iter().map(|t| t.label()).collect();
         let mut table = QueryResultTable::new(column_names);
 
-        let term_paths = self.term_paths(query, selections);
-        if self.context_combinations_of(&term_paths)? == 0 {
+        if self.context_combinations_of(term_paths)? == 0 {
             return Ok((table, None));
         }
 

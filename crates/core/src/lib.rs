@@ -64,7 +64,6 @@ pub mod error;
 pub mod faults;
 pub mod govern;
 pub mod metrics;
-pub mod optimize;
 pub mod parallel;
 pub mod plan;
 pub mod prepared;
@@ -81,7 +80,6 @@ pub use engine::{BuildProfile, EngineConfig, PhaseProfile, SedaEngine};
 pub use error::SedaError;
 pub use govern::{Budget, CancelToken, RequestContext, Stopwatch};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use optimize::{EmitShape, PlanOp, PlanProgram};
 pub use parallel::WorkerPanic;
 pub use plan::{PlanStep, QueryPlan};
 pub use prepared::PreparedStatement;

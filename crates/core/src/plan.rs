@@ -1,14 +1,13 @@
 //! Query planning: [`SedaRequest`] → [`QueryPlan`].
 //!
-//! Planning is a three-stage compile.  The **lowering** stage validates a
+//! Planning is one stage, **lowering**: [`SedaEngine::prepare`] validates a
 //! request against an engine (term indices exist, path strings resolve, twig
 //! paths compile, limits hold), resolves every context selection down to
-//! [`PathId`]s and [`TermInput`]s, and records the execution steps — the
-//! typed logical plan.  [`SedaEngine::prepare`] then runs the registered
-//! **rewrite passes** of [`crate::optimize`] over it and **compiles** the
-//! optimized plan into the [`PlanProgram`] instruction stream the reader's
-//! interpreter executes.  [`QueryPlan::explain`] renders the transcript —
-//! steps, pass-by-pass rewrite trail and program listing.
+//! [`PathId`]s and [`TermInput`]s, and records the execution steps.  It makes
+//! one decision — whether the search step is a single-term sorted-prefix scan
+//! or the Threshold-Algorithm rank join — derived from the term count and the
+//! candidate bound.  [`QueryPlan::explain`] renders the transcript (header
+//! plus numbered steps), a pure function of the engine and the request.
 
 use seda_dataguide::Connection;
 use seda_olap::BuildOptions;
@@ -18,10 +17,22 @@ use seda_xmlstore::PathId;
 
 use crate::engine::SedaEngine;
 use crate::error::SedaError;
-use crate::optimize::{self, PlanProgram};
 use crate::query::SedaQuery;
 use crate::request::{SedaRequest, Statement};
 use crate::summaries::ContextSelections;
+
+/// Drops repeated paths, keeping first occurrences in order: a repeated path
+/// in a selection names the same context once, and the surviving order is the
+/// enumeration order of the complete-result combinations.
+fn dedup_in_order(paths: impl IntoIterator<Item = PathId>) -> Vec<PathId> {
+    let mut unique = Vec::new();
+    for path in paths {
+        if !unique.contains(&path) {
+            unique.push(path);
+        }
+    }
+    unique
+}
 
 /// One step of a [`QueryPlan`], in execution order.
 #[non_exhaustive]
@@ -44,8 +55,8 @@ pub enum PlanStep {
         /// Candidate-tuple bound of the join loop.
         candidate_limit: usize,
     },
-    /// Degenerate one-term search rewritten by the optimizer's
-    /// single-keyword pass: a direct scan of the sorted posting prefix.
+    /// Degenerate one-term search (chosen when the candidate bound covers
+    /// `k`): a direct scan of the sorted posting prefix.
     SingleTermScan {
         /// Number of result tuples requested.
         k: usize,
@@ -138,21 +149,20 @@ impl std::fmt::Display for PlanStep {
     }
 }
 
-/// A validated, fully resolved and optimized execution plan for one
-/// [`SedaRequest`]: the typed logical plan the lowering produced (statement,
-/// resolved term inputs, step list, search configuration), the rewrite trail
-/// the optimizer's passes left behind, and the compiled [`PlanProgram`] the
-/// reader interprets.
+/// A validated, fully resolved execution plan for one [`SedaRequest`]: the
+/// statement, its resolved term inputs and context paths, the step list and
+/// the search configuration.
 #[non_exhaustive]
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
     pub(crate) statement: Statement,
     pub(crate) query: Option<SedaQuery>,
-    /// All selections (programmatic ids plus resolved path strings), merged.
-    pub(crate) selections: ContextSelections,
     /// Resolved per-term search inputs (empty for statements without a
     /// search phase).
     pub(crate) term_inputs: Vec<TermInput>,
+    /// Resolved per-term candidate context paths of the complete-result
+    /// statements (empty for every other statement).
+    pub(crate) term_paths: Vec<Vec<PathId>>,
     pub(crate) connections: Vec<Connection>,
     /// Compiled twig pattern of a [`Statement::Twig`] request.
     pub(crate) pattern: Option<TwigPattern>,
@@ -160,15 +170,6 @@ pub struct QueryPlan {
     pub(crate) steps: Vec<PlanStep>,
     /// Per-plan search configuration (k is folded in at lowering).
     pub(crate) topk: TopKConfig,
-    /// Search strategy the single-keyword pass may rewrite.
-    pub(crate) strategy: SearchStrategy,
-    /// Per-term `(restricted, total)` postings estimates the pushdown pass
-    /// computes and the cost model consumes.
-    pub(crate) term_estimates: Vec<(usize, usize)>,
-    /// Pass-by-pass rewrite trail, one line per registered pass.
-    pub(crate) trail: Vec<String>,
-    /// The compiled instruction stream.
-    pub(crate) program: PlanProgram,
 }
 
 impl QueryPlan {
@@ -182,26 +183,36 @@ impl QueryPlan {
         &self.steps
     }
 
-    /// The compiled instruction stream the reader's interpreter executes.
-    pub fn program(&self) -> &PlanProgram {
-        &self.program
-    }
-
-    /// The pass-by-pass rewrite trail: one `"<pass>: <what changed>"` line
-    /// per registered optimizer pass (`"<pass>: unchanged"` when a pass did
-    /// not apply).
-    pub fn rewrite_trail(&self) -> &[String] {
-        &self.trail
-    }
-
-    /// The search configuration this plan executes with, after optimization.
+    /// The search configuration this plan executes with: the engine's
+    /// [`TopKConfig`] at the statement's `k`.
     pub fn search_config(&self) -> &TopKConfig {
         &self.topk
     }
 
-    /// Renders the plan transcript: the statement header, the numbered
-    /// execution steps, the optimizer's rewrite trail and the compiled
-    /// program listing.
+    /// The access strategy of the search step — the planner's one decision.
+    /// One term degenerates to ranked retrieval, and the sorted-prefix scan
+    /// reproduces the join's tuples, counters and termination exactly while
+    /// the candidate bound covers `k`.
+    pub(crate) fn strategy(&self) -> SearchStrategy {
+        if self.term_inputs.len() == 1 && self.topk.candidate_limit >= self.topk.k {
+            SearchStrategy::SingleTermScan
+        } else {
+            SearchStrategy::Join
+        }
+    }
+
+    /// The search step [`QueryPlan::strategy`] selects at the plan's `k`.
+    pub(crate) fn search_step(&self) -> PlanStep {
+        let TopKConfig { k, candidate_limit, .. } = self.topk;
+        if self.strategy() == SearchStrategy::Join {
+            PlanStep::ThresholdJoin { k, candidate_limit }
+        } else {
+            PlanStep::SingleTermScan { k }
+        }
+    }
+
+    /// Renders the plan transcript: the statement header and the numbered
+    /// execution steps.
     pub fn explain(&self) -> String {
         let mut out = format!("plan: {}", self.statement.name());
         match &self.query {
@@ -210,16 +221,6 @@ impl QueryPlan {
         }
         for (i, step) in self.steps.iter().enumerate() {
             out.push_str(&format!("  {}. {step}\n", i + 1));
-        }
-        if !self.trail.is_empty() {
-            out.push_str("  rewrites:\n");
-            for line in &self.trail {
-                out.push_str(&format!("    - {line}\n"));
-            }
-        }
-        if !self.program.is_empty() {
-            out.push_str("  program:\n");
-            out.push_str(&self.program.render());
         }
         out
     }
@@ -234,10 +235,10 @@ impl SedaEngine {
             .ok_or_else(|| SedaError::UnknownPath(path.to_string()))
     }
 
-    /// Compiles, validates and optimizes a request into a [`QueryPlan`]:
-    /// lowering (validation + context resolution), the registered rewrite
-    /// passes of [`crate::optimize`], and compilation into the
-    /// [`PlanProgram`] the reader interprets.
+    /// Lowers a request into a [`QueryPlan`]: validates it, resolves every
+    /// context selection and records the execution steps, choosing the
+    /// search step ([`PlanStep::SingleTermScan`] or
+    /// [`PlanStep::ThresholdJoin`]) from the term count and candidate bound.
     ///
     /// This is the one compile path; [`crate::SedaReader::prepare`] wraps its
     /// output into a reusable [`crate::PreparedStatement`].
@@ -248,21 +249,22 @@ impl SedaEngine {
     /// paths, uncompilable twig expressions, and combination counts beyond
     /// the configured limits.
     pub fn prepare(&self, request: &SedaRequest) -> Result<QueryPlan, SedaError> {
-        let mut plan = self.lower(request)?;
-        plan.trail = optimize::run_passes(&mut plan, self);
-        plan.program = optimize::compile(&plan);
-        Ok(plan)
-    }
-
-    /// The lowering stage: validates the request and produces the typed
-    /// logical plan (resolved inputs + step list) that the rewrite passes
-    /// transform.
-    fn lower(&self, request: &SedaRequest) -> Result<QueryPlan, SedaError> {
-        let mut steps = Vec::new();
-        let statement = request.statement.clone();
+        let config = self.config();
+        let statement = &request.statement;
+        let mut plan = QueryPlan {
+            statement: statement.clone(),
+            query: None,
+            term_inputs: Vec::new(),
+            term_paths: Vec::new(),
+            connections: request.connections.clone(),
+            pattern: None,
+            cube_options: request.cube_options.clone(),
+            steps: Vec::new(),
+            topk: config.topk.clone(),
+        };
 
         // Twig statements stand alone: no query terms, no selections.
-        if let Statement::Twig { path } = &statement {
+        if let Statement::Twig { path } = statement {
             let pattern = TwigPattern::parse(path)?;
             // Every step label must exist in the collection's symbol table —
             // a label no document uses cannot match, so a typo anywhere in
@@ -278,32 +280,19 @@ impl SedaEngine {
                     }
                 }
             }
-            steps.push(PlanStep::TwigEvaluate {
+            plan.steps.push(PlanStep::TwigEvaluate {
                 pattern_nodes: pattern.len(),
                 outputs: pattern.output_nodes().len(),
             });
-            return Ok(QueryPlan {
-                statement,
-                query: None,
-                selections: ContextSelections::none(),
-                term_inputs: Vec::new(),
-                connections: Vec::new(),
-                pattern: Some(pattern),
-                cube_options: request.cube_options.clone(),
-                steps,
-                topk: self.config().topk.clone(),
-                strategy: SearchStrategy::default(),
-                term_estimates: Vec::new(),
-                trail: Vec::new(),
-                program: PlanProgram::default(),
-            });
+            plan.pattern = Some(pattern);
+            return Ok(plan);
         }
 
-        let query =
-            request.query.clone().ok_or(SedaError::MissingQuery { statement: statement.name() })?;
-        if query.is_empty() {
-            return Err(SedaError::MissingQuery { statement: statement.name() });
-        }
+        let query = request
+            .query
+            .as_ref()
+            .filter(|query| !query.is_empty())
+            .ok_or(SedaError::MissingQuery { statement: statement.name() })?;
 
         // Merge programmatic selections with resolved path-string selections
         // (strings win for a term both specify, matching builder order).
@@ -312,7 +301,7 @@ impl SedaEngine {
             if term >= query.len() {
                 return Err(SedaError::UnknownTerm { term, terms: query.len() });
             }
-            selections.select(term, paths.to_vec());
+            selections.select(term, dedup_in_order(paths.iter().copied()));
         }
         for (term, paths) in &request.path_selections {
             if *term >= query.len() {
@@ -320,68 +309,53 @@ impl SedaEngine {
             }
             let resolved: Vec<PathId> =
                 paths.iter().map(|p| self.resolve_path(p)).collect::<Result<_, _>>()?;
-            selections.select(*term, resolved);
+            selections.select(*term, dedup_in_order(resolved));
         }
-
-        let config = self.config();
-        let needs_search =
-            matches!(statement, Statement::TopK { .. } | Statement::ConnectionSummary { .. });
 
         // Per-term contexts are resolved exactly once per plan: as search
         // inputs for the top-k statements, as candidate path sets for the
         // complete-result statements, and not at all for CONTEXTS (the
         // bucket computation does its own index probes).
-        let term_inputs = if needs_search {
-            let inputs = self.term_inputs(&query, &selections);
-            for (i, (term, input)) in query.terms.iter().zip(inputs.iter()).enumerate() {
-                steps.push(PlanStep::ResolveContexts {
-                    term: i,
-                    label: term.label(),
-                    paths: input.allowed_paths.as_ref().map(Vec::len),
-                });
-            }
-            inputs
-        } else {
-            Vec::new()
-        };
-
-        match &statement {
-            Statement::TopK { k } => {
-                steps.push(PlanStep::ThresholdJoin {
-                    k: *k,
-                    candidate_limit: config.topk.candidate_limit,
-                });
+        match statement {
+            Statement::TopK { k } | Statement::ConnectionSummary { k } => {
+                plan.topk.k = *k;
+                plan.term_inputs = self.term_inputs(query, &selections);
+                for (i, (term, input)) in query.terms.iter().zip(&plan.term_inputs).enumerate() {
+                    plan.steps.push(PlanStep::ResolveContexts {
+                        term: i,
+                        label: term.label(),
+                        paths: input.allowed_paths.as_ref().map(Vec::len),
+                    });
+                }
+                plan.steps.push(plan.search_step());
+                if matches!(statement, Statement::ConnectionSummary { .. }) {
+                    plan.steps.push(PlanStep::DiscoverConnections {
+                        max_depth: config.connection_max_depth,
+                    });
+                }
             }
             Statement::ContextSummary => {
-                steps.push(PlanStep::ContextBuckets { terms: query.len() });
-            }
-            Statement::ConnectionSummary { k } => {
-                steps.push(PlanStep::ThresholdJoin {
-                    k: *k,
-                    candidate_limit: config.topk.candidate_limit,
-                });
-                steps
-                    .push(PlanStep::DiscoverConnections { max_depth: config.connection_max_depth });
+                plan.steps.push(PlanStep::ContextBuckets { terms: query.len() });
             }
             Statement::CompleteResults | Statement::Cube { .. } => {
-                let term_paths = self.term_paths(&query, &selections);
-                for (i, (term, paths)) in query.terms.iter().zip(term_paths.iter()).enumerate() {
-                    steps.push(PlanStep::ResolveContexts {
+                plan.term_paths = self.term_paths(query, &selections);
+                for (i, (term, paths)) in query.terms.iter().zip(&plan.term_paths).enumerate() {
+                    plan.steps.push(PlanStep::ResolveContexts {
                         term: i,
                         label: term.label(),
                         paths: Some(paths.len()),
                     });
                 }
-                let combinations = self.context_combinations_of(&term_paths)?;
-                steps.push(PlanStep::EnumerateCombinations { combinations });
-                steps.push(PlanStep::TwigEvaluate { pattern_nodes: 0, outputs: 0 });
-                steps.push(PlanStep::GraphJoin {
+                let combinations = self.context_combinations_of(&plan.term_paths)?;
+                plan.steps.push(PlanStep::EnumerateCombinations { combinations });
+                plan.steps.push(PlanStep::TwigEvaluate { pattern_nodes: 0, outputs: 0 });
+                plan.steps.push(PlanStep::GraphJoin {
                     max_depth: config.connection_max_depth,
                     limit: config.complete_result_limit,
                 });
-                if let Statement::Cube { fact, group_by, agg, measure } = &statement {
-                    steps.push(PlanStep::DeriveStarSchema);
-                    steps.push(PlanStep::Aggregate {
+                if let Statement::Cube { fact, group_by, agg, measure } = statement {
+                    plan.steps.push(PlanStep::DeriveStarSchema);
+                    plan.steps.push(PlanStep::Aggregate {
                         fact: fact.clone(),
                         group_by: group_by.clone(),
                         agg: crate::request::agg_name(*agg).to_string(),
@@ -393,26 +367,8 @@ impl SedaEngine {
                 return Err(SedaError::Internal("twig statements are planned above".to_string()))
             }
         }
-
-        let mut topk = config.topk.clone();
-        if let Statement::TopK { k } | Statement::ConnectionSummary { k } = &statement {
-            topk.k = *k;
-        }
-        Ok(QueryPlan {
-            statement,
-            query: Some(query),
-            selections,
-            term_inputs,
-            connections: request.connections.clone(),
-            pattern: None,
-            cube_options: request.cube_options.clone(),
-            steps,
-            topk,
-            strategy: SearchStrategy::default(),
-            term_estimates: Vec::new(),
-            trail: Vec::new(),
-            program: PlanProgram::default(),
-        })
+        plan.query = Some(query.clone());
+        Ok(plan)
     }
 }
 
@@ -449,6 +405,48 @@ mod tests {
         assert!(transcript.contains("plan: TOPK"), "{transcript}");
         assert!(transcript.contains("1. resolve contexts of term 0"), "{transcript}");
         assert!(transcript.contains("threshold-algorithm rank join: k=5"), "{transcript}");
+    }
+
+    #[test]
+    fn one_term_plans_a_scan_and_several_terms_the_join() {
+        let e = engine();
+        let req = SedaRequest::parse("TOPK 5 FOR (name, *)").unwrap();
+        let plan = e.prepare(&req).unwrap();
+        assert_eq!(plan.steps().last(), Some(&PlanStep::SingleTermScan { k: 5 }));
+        assert!(plan.explain().contains("single-term sorted-prefix scan: k=5"));
+        // Two terms keep the join.
+        let req = SedaRequest::parse("TOPK 5 FOR (name, *) AND (percentage, *)").unwrap();
+        let plan = e.prepare(&req).unwrap();
+        let candidate_limit = e.config().topk.candidate_limit;
+        assert_eq!(plan.steps().last(), Some(&PlanStep::ThresholdJoin { k: 5, candidate_limit }));
+        assert!(plan.explain().contains("threshold-algorithm rank join: k=5"));
+    }
+
+    #[test]
+    fn a_repeated_selection_path_is_resolved_once() {
+        let e = engine();
+        let q = "(name, *) AND (percentage, *)";
+        for shape in
+            ["TOPK 5", "CONNECTIONS 5", "RESULTS", "CUBE import-trade-percentage BY import-country"]
+        {
+            let once = SedaRequest::parse(&format!("{shape} FOR {q} WITH 0 IN /country/name"));
+            let twice = SedaRequest::parse(&format!(
+                "{shape} FOR {q} WITH 0 IN /country/name|/country/name"
+            ));
+            let once = e.prepare(&once.unwrap()).unwrap().explain();
+            assert!(once.contains("resolve contexts of term 0 (name, *): 1 path(s)"), "{once}");
+            assert_eq!(e.prepare(&twice.unwrap()).unwrap().explain(), once, "{shape}");
+        }
+        // Programmatic selections merge through the same place, and the
+        // first occurrence keeps its position.
+        let name = e.resolve_path("/country/name").unwrap();
+        let year = e.resolve_path("/country/year").unwrap();
+        let req = SedaRequest::builder()
+            .query(SedaQuery::parse("(*, 2006)").unwrap())
+            .select(0, vec![year, name, year])
+            .complete_results()
+            .build();
+        assert_eq!(e.prepare(&req).unwrap().term_paths, vec![vec![year, name]]);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Prepared statements: plan once, execute many.
 //!
 //! [`SedaReader::prepare`](crate::SedaReader::prepare) compiles a
-//! [`SedaRequest`](crate::SedaRequest) through the full optimizer pipeline
-//! and wraps the result in a [`PreparedStatement`] that additionally owns
+//! [`SedaRequest`](crate::SedaRequest) into its [`QueryPlan`] and wraps the
+//! result in a [`PreparedStatement`] that additionally owns
 //! the per-statement reusable state a single execution would rebuild from
 //! scratch: the materialized sorted posting lists of the search terms and a
 //! compactness memo shared across executions.  Re-executing a prepared
-//! statement skips parsing, validation, the rewrite passes, sorted access
+//! statement skips parsing, validation, context resolution, sorted access
 //! resolution and — after the first run — most connectivity label probes,
 //! while returning byte-identical payloads to a fresh
 //! [`execute`](crate::SedaReader::execute).
@@ -29,17 +29,16 @@
 //! assert_eq!(prepared.executions(), 3);
 //! ```
 
-use seda_topk::{MaterializedTerms, SearchStrategy, TupleScoreCache};
+use seda_topk::{MaterializedTerms, TupleScoreCache};
 
 use crate::error::SedaError;
 use crate::govern::RequestContext;
-use crate::optimize;
 use crate::plan::{PlanStep, QueryPlan};
 use crate::reader::SedaReader;
 use crate::request::Statement;
 use crate::response::SedaResponse;
 
-/// A compiled, reusable statement: the optimized [`QueryPlan`] plus the
+/// A compiled, reusable statement: the [`QueryPlan`] plus the
 /// cross-execution scratch (materialized term lists, compactness memo) that
 /// makes repeated execution cheap.
 ///
@@ -56,12 +55,12 @@ pub struct PreparedStatement {
 }
 
 impl PreparedStatement {
-    /// The optimized plan this statement executes.
+    /// The plan this statement executes.
     pub fn plan(&self) -> &QueryPlan {
         &self.plan
     }
 
-    /// The plan transcript (steps, rewrite trail, compiled program).
+    /// The plan transcript (header and numbered steps).
     pub fn explain(&self) -> String {
         self.plan.explain()
     }
@@ -77,33 +76,22 @@ impl PreparedStatement {
     }
 
     /// Re-parameterizes `k` without replanning, for the statement shapes
-    /// that carry one (`TOPK k`, `CONNECTIONS k`).  The plan shape is
-    /// unaffected — only the result bound changes — so the materialized
-    /// term lists and the compactness memo stay valid.  Returns `false`
-    /// (and changes nothing) for statements without a `k` parameter.
+    /// that carry one (`TOPK k`, `CONNECTIONS k`).  Only the result bound
+    /// and the scan-or-join choice derived from it change, so the
+    /// materialized term lists and the compactness memo stay valid.  Returns
+    /// `false` (and changes nothing) for statements without a `k` parameter.
     pub fn set_k(&mut self, k: usize) -> bool {
         match &mut self.plan.statement {
             Statement::TopK { k: slot } | Statement::ConnectionSummary { k: slot } => *slot = k,
             _ => return false,
         }
         self.plan.topk.k = k;
-        // The single-keyword rewrite is k-sensitive (the sorted-prefix scan
-        // is exact only while the candidate bound covers k); re-derive it.
-        let scan = self.plan.term_inputs.len() == 1 && self.plan.topk.candidate_limit >= k;
-        self.plan.strategy =
-            if scan { SearchStrategy::SingleTermScan } else { SearchStrategy::Join };
-        let candidate_limit = self.plan.topk.candidate_limit;
+        let search_step = self.plan.search_step();
         for step in &mut self.plan.steps {
             if matches!(step, PlanStep::ThresholdJoin { .. } | PlanStep::SingleTermScan { .. }) {
-                *step = if scan {
-                    PlanStep::SingleTermScan { k }
-                } else {
-                    PlanStep::ThresholdJoin { k, candidate_limit }
-                };
+                *step = search_step.clone();
             }
         }
-        self.plan.trail.push(format!("set-k: re-parameterized to k={k}"));
-        self.plan.program = optimize::compile(&self.plan);
         true
     }
 
@@ -208,7 +196,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(normalized(widened.payload), normalized(fresh.payload));
-        assert!(prepared.explain().contains("set-k: re-parameterized to k=3"));
+        assert!(prepared.explain().contains("threshold-algorithm rank join: k=3"));
         // Statements without a k parameter refuse the re-parameterization.
         let mut twig = reader.prepare(&SedaRequest::parse("TWIG /country/name").unwrap()).unwrap();
         assert!(!twig.set_k(3));
@@ -233,7 +221,13 @@ mod tests {
         assert!(prepared.set_k(5));
         // k=5 exceeds the candidate bound of 2: the scan is no longer exact.
         assert!(prepared.explain().contains("threshold-algorithm rank join: k=5"));
-        let fresh = reader.execute(&SedaRequest::parse("TOPK 5 FOR (name, *)").unwrap()).unwrap();
+        let request = SedaRequest::parse("TOPK 5 FOR (name, *)").unwrap();
+        assert_eq!(prepared.explain(), reader.explain(&request).unwrap());
+        // Back under the bound the scan returns, at the new k.
+        assert!(prepared.set_k(2));
+        assert!(prepared.explain().contains("single-term sorted-prefix scan: k=2"));
+        assert!(prepared.set_k(5));
+        let fresh = reader.execute(&request).unwrap();
         assert_eq!(prepared.execute(&mut reader).unwrap().payload, fresh.payload);
     }
 

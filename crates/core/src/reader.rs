@@ -24,17 +24,16 @@
 //! assert_eq!(response.top_k().unwrap().tuples.len(), 1);
 //! ```
 
-use seda_olap::{aggregate, CubeQuery, CubeResult, QueryResultTable, StarSchemaBuild};
+use seda_olap::{aggregate, CubeQuery, QueryResultTable};
 use seda_topk::{
-    LimitBreach, MaterializedTerms, SearchLimits, SearchScratch, SearchStrategy, TermInput,
-    TopKConfig, TopKResult, TupleScoreCache,
+    LimitBreach, MaterializedTerms, SearchScratch, SearchStrategy, TopKConfig, TopKResult,
+    TupleScoreCache,
 };
 
 use crate::engine::{catch_internal, SedaEngine};
 use crate::error::SedaError;
 use crate::govern::{RequestContext, Stopwatch};
 use crate::metrics::names;
-use crate::optimize::{EmitShape, PlanOp};
 use crate::parallel::{effective_parallelism, parallel_map_with};
 use crate::plan::QueryPlan;
 use crate::prepared::PreparedStatement;
@@ -92,12 +91,6 @@ fn truncate_payload(payload: &mut ResponsePayload, keep: usize) {
     }
 }
 
-/// A compiled program referenced a register no prior instruction filled —
-/// a compiler bug, surfaced as a contained internal error.
-fn empty_register(op: &'static str, register: &'static str) -> SedaError {
-    SedaError::Internal(format!("program invariant: {op} needs the {register} register"))
-}
-
 /// A per-thread query handle owning its own scratch buffers.
 pub struct SedaReader<'e> {
     engine: &'e SedaEngine,
@@ -151,8 +144,8 @@ impl<'e> SedaReader<'e> {
         self.engine
     }
 
-    /// Compiles a request into a reusable [`PreparedStatement`]: the fully
-    /// optimized plan plus the cross-execution state (materialized sorted
+    /// Compiles a request into a reusable [`PreparedStatement`]: the plan
+    /// plus the cross-execution state (materialized sorted
     /// posting lists, compactness memo) that makes repeated execution cheap.
     ///
     /// Preparing touches no reader scratch, and the returned statement may
@@ -334,11 +327,11 @@ impl<'e> SedaReader<'e> {
         outcome
     }
 
-    /// Executes a compiled plan as one request: the interpreter runs inside
-    /// the containment boundary and the outcome is recorded in the metrics
-    /// registry — the single path behind the facade, direct plan execution
-    /// and prepared statements (which lend their `materialized` term lists
-    /// and compactness `cache`).
+    /// Executes a plan as one request: the statement executor runs inside
+    /// the containment boundary with the plan's derived access strategy, and
+    /// the outcome is recorded in the metrics registry — the single path
+    /// behind the facade, direct plan execution and prepared statements
+    /// (which lend their `materialized` term lists and compactness `cache`).
     fn run_plan(
         &mut self,
         plan: &QueryPlan,
@@ -348,7 +341,8 @@ impl<'e> SedaReader<'e> {
         cache: Option<&mut TupleScoreCache>,
     ) -> Result<SedaResponse, SedaError> {
         let outcome = self.contained(|reader| {
-            let mut response = reader.execute_program(plan, ctx, materialized, cache)?;
+            let mut response =
+                reader.execute_statement(plan, ctx, materialized, cache, plan.strategy())?;
             response.profile.plan_secs = plan_secs;
             Ok(response)
         });
@@ -367,7 +361,7 @@ impl<'e> SedaReader<'e> {
         self.run_plan(plan, ctx, 0.0, None, None)
     }
 
-    /// What [`PreparedStatement::execute_governed`] reaches: the interpreter
+    /// What [`PreparedStatement::execute_governed`] reaches: the executor
     /// runs over the statement's materialized term lists and compactness
     /// memo instead of rebuilding them, as one request like
     /// [`SedaReader::execute_plan_governed`].
@@ -384,247 +378,106 @@ impl<'e> SedaReader<'e> {
         outcome
     }
 
-    /// The [`crate::PlanProgram`] interpreter: runs the compiled instruction
-    /// stream over a small register file (top-k, contexts, connections,
-    /// table, schema build, cube), with the same span names, governance
-    /// sites and truncation semantics as the fixed-sequence executor it
-    /// replaced ([`SedaReader::execute_plan_unoptimized`], kept as the
-    /// equivalence oracle).
-    fn execute_program(
-        &mut self,
-        plan: &QueryPlan,
-        ctx: &RequestContext,
-        materialized: Option<&MaterializedTerms>,
-        mut cache: Option<&mut TupleScoreCache>,
-    ) -> Result<SedaResponse, SedaError> {
-        self.tracer.begin_if_idle();
-        let exec_span = self.tracer.enter(span::EXECUTE);
-        let exec_start = Stopwatch::start();
-        let mut profile = ExecProfile::default();
-        ctx.check_cancelled()?;
-        let limits = ctx.search_limits();
-        let mut top_k: Option<TopKResult> = None;
-        let mut contexts: Option<ContextSummary> = None;
-        let mut connections: Option<ConnectionSummary> = None;
-        let mut table: Option<QueryResultTable> = None;
-        let mut build: Option<StarSchemaBuild> = None;
-        let mut cube: Option<CubeResult> = None;
-        let mut payload: Option<ResponsePayload> = None;
-        for op in plan.program().ops() {
-            match op {
-                PlanOp::Search { k, strategy } => {
-                    let s = self.tracer.enter(span::SEARCH);
-                    let before = profile.clone();
-                    let mut config = plan.search_config().clone();
-                    config.k = *k;
-                    let (result, breach) = self.engine.search(
-                        &plan.term_inputs,
-                        &config,
-                        &limits,
-                        &mut self.scratch,
-                        materialized,
-                        cache.as_deref_mut(),
-                        *strategy,
-                    );
-                    profile.absorb(&result.stats);
-                    let mut counters = SpanCounters::delta(&before, &profile);
-                    counters.rows = result.tuples.len();
-                    self.tracer.exit_with(s, counters);
-                    resolve_breach(breach, ctx, &mut profile)?;
-                    top_k = Some(result);
-                }
-                PlanOp::ContextBuckets => {
-                    let query = plan
-                        .query
-                        .as_ref()
-                        .expect("invariant: the planner attaches a query to this statement shape");
-                    let s = self.tracer.enter(span::CONTEXT_SUMMARY);
-                    let summary = self.engine.context_summary(query);
-                    let counters =
-                        SpanCounters { rows: summary.total_contexts(), ..SpanCounters::default() };
-                    self.tracer.exit_with(s, counters);
-                    resolve_breach(ctx.deadline_breach(), ctx, &mut profile)?;
-                    contexts = Some(summary);
-                }
-                PlanOp::DiscoverConnections => {
-                    ctx.check_cancelled()?;
-                    let top = top_k
-                        .as_ref()
-                        .ok_or_else(|| empty_register("discover-connections", "top-k"))?;
-                    let s = self.tracer.enter(span::DISCOVER_CONNECTIONS);
-                    let summary = self.engine.connection_summary(top);
-                    let counters = SpanCounters { rows: summary.len(), ..SpanCounters::default() };
-                    self.tracer.exit_with(s, counters);
-                    resolve_breach(ctx.deadline_breach(), ctx, &mut profile)?;
-                    connections = Some(summary);
-                }
-                PlanOp::CompleteResults => {
-                    let query = plan
-                        .query
-                        .as_ref()
-                        .expect("invariant: the planner attaches a query to this statement shape");
-                    let s = self.tracer.enter(span::COMPLETE_RESULTS);
-                    let (rows, breach) = self.engine.complete_results_governed(
-                        query,
-                        &plan.selections,
-                        &plan.connections,
-                        &mut self.scratch,
-                        ctx,
-                    )?;
-                    let counters = SpanCounters { rows: rows.len(), ..SpanCounters::default() };
-                    self.tracer.exit_with(s, counters);
-                    resolve_breach(breach, ctx, &mut profile)?;
-                    table = Some(rows);
-                }
-                PlanOp::TwigEvaluate => {
-                    let pattern = plan
-                        .pattern
-                        .as_ref()
-                        .expect("invariant: the planner compiles twig statements to a pattern");
-                    let s = self.tracer.enter(span::TWIG_EVALUATE);
-                    let (mut rows, nodes_visited) = self.engine.twig_table(pattern);
-                    let counters =
-                        SpanCounters { nodes_visited, rows: rows.len(), ..SpanCounters::default() };
-                    self.tracer.exit_with(s, counters);
-                    if let Some(breach) = ctx.twig_breach(rows.len()) {
-                        let keep = breach.budget as usize;
-                        resolve_breach(Some(breach), ctx, &mut profile)?;
-                        rows.rows.truncate(keep);
-                    }
-                    resolve_breach(ctx.deadline_breach(), ctx, &mut profile)?;
-                    table = Some(rows);
-                }
-                PlanOp::DeriveStarSchema => {
-                    ctx.check_cancelled()?;
-                    let rows = table
-                        .as_ref()
-                        .ok_or_else(|| empty_register("derive-star-schema", "table"))?;
-                    let s = self.tracer.enter(span::DERIVE_STAR_SCHEMA);
-                    let derived = self.engine.build_star_schema(rows, &plan.cube_options);
-                    self.tracer.exit(s);
-                    build = Some(derived);
-                }
-                PlanOp::Aggregate => {
-                    let Statement::Cube { fact, group_by, agg, measure } = &plan.statement else {
-                        return Err(SedaError::Internal(
-                            "program invariant: aggregate outside a CUBE statement".to_string(),
-                        ));
-                    };
-                    let derived =
-                        build.as_ref().ok_or_else(|| empty_register("aggregate", "schema"))?;
-                    let fact_table = derived
-                        .schema
-                        .fact(fact)
-                        .ok_or_else(|| SedaError::UnknownFact(fact.clone()))?;
-                    let measure = measure.clone().unwrap_or_else(|| fact.clone());
-                    let group_refs: Vec<&str> = group_by.iter().map(String::as_str).collect();
-                    let cube_query = CubeQuery::sum(&group_refs, &measure).with_agg(*agg);
-                    let s = self.tracer.enter(span::AGGREGATE);
-                    let result = aggregate(fact_table, &cube_query);
-                    let counters = SpanCounters {
-                        rows: result.as_ref().map(|c| c.rows_scanned).unwrap_or(0),
-                        ..SpanCounters::default()
-                    };
-                    self.tracer.exit_with(s, counters);
-                    let mut result = result?;
-                    if let Some(breach) = ctx.cube_breach(result.len()) {
-                        let keep = breach.budget as usize;
-                        resolve_breach(Some(breach), ctx, &mut profile)?;
-                        result.cells.truncate(keep);
-                    }
-                    cube = Some(result);
-                }
-                PlanOp::Emit(shape) => {
-                    payload = Some(match shape {
-                        EmitShape::TopK => ResponsePayload::TopK(
-                            top_k.take().ok_or_else(|| empty_register("emit", "top-k"))?,
-                        ),
-                        EmitShape::Contexts => ResponsePayload::Contexts(
-                            contexts.take().ok_or_else(|| empty_register("emit", "contexts"))?,
-                        ),
-                        EmitShape::Connections => ResponsePayload::Connections {
-                            top_k: top_k.take().ok_or_else(|| empty_register("emit", "top-k"))?,
-                            summary: connections
-                                .take()
-                                .ok_or_else(|| empty_register("emit", "connections"))?,
-                        },
-                        EmitShape::Table => ResponsePayload::Table(
-                            table.take().ok_or_else(|| empty_register("emit", "table"))?,
-                        ),
-                        EmitShape::Cube => ResponsePayload::Cube {
-                            build: build.take().ok_or_else(|| empty_register("emit", "schema"))?,
-                            cube: cube.take().ok_or_else(|| empty_register("emit", "cube"))?,
-                        },
-                    });
-                }
-            }
-        }
-        let mut payload = payload.ok_or_else(|| {
-            SedaError::Internal("program invariant: no emit instruction ran".to_string())
-        })?;
-        if let Some(breach) = ctx.row_breach(payload.rows()) {
-            let keep = breach.budget as usize;
-            resolve_breach(Some(breach), ctx, &mut profile)?;
-            truncate_payload(&mut payload, keep);
-        }
-        profile.exec_secs = exec_start.elapsed_secs();
-        profile.rows = payload.rows();
-        profile.settle_budget_spent();
-        self.tracer.exit(exec_span);
-        profile.spans = self.tracer.take_spans();
-        Ok(SedaResponse { payload, profile })
-    }
-
-    /// The pre-optimizer fixed-sequence executor, kept verbatim as the
-    /// equivalence oracle: the `optimizer_equivalence` suite pins the
-    /// interpreter's payloads and work counters against it, statement shape
-    /// by statement shape.  Not part of the supported API.
+    /// The reference spelling of the one executor: the plain rank join over
+    /// fresh posting lists, whatever strategy the plan derives and with no
+    /// prepared state.  The `optimizer_equivalence` suite pins the planned
+    /// strategy's payloads and work counters against it, statement shape by
+    /// statement shape.  Not part of the supported API.
     #[doc(hidden)]
     pub fn execute_plan_unoptimized(
         &mut self,
         plan: &QueryPlan,
         ctx: &RequestContext,
     ) -> Result<SedaResponse, SedaError> {
-        self.contained(|reader| reader.execute_fixed_inner(plan, ctx))
+        self.contained(|reader| {
+            reader.execute_statement(plan, ctx, None, None, SearchStrategy::Join)
+        })
     }
 
-    /// The unoptimized search of the oracle and the typed steps: the
-    /// engine-default [`TopKConfig`] at `k`, the plain join, no prepared
-    /// state.
-    fn search_unoptimized(
-        &mut self,
-        terms: &[TermInput],
-        k: usize,
-        limits: &SearchLimits,
-    ) -> (TopKResult, Option<LimitBreach>) {
-        let config = TopKConfig { k, ..self.engine.config().topk.clone() };
-        let scratch = &mut self.scratch;
-        self.engine.search(terms, &config, limits, scratch, None, None, SearchStrategy::Join)
-    }
-
-    fn execute_fixed_inner(
+    /// The search step of `TOPK` and `CONNECTIONS`: one traced search over
+    /// the plan's term inputs (or a prepared statement's `materialized`
+    /// lists and `cache`), its counters absorbed into `profile` and a breach
+    /// resolved against the request's policy.
+    fn run_search(
         &mut self,
         plan: &QueryPlan,
         ctx: &RequestContext,
+        profile: &mut ExecProfile,
+        materialized: Option<&MaterializedTerms>,
+        cache: Option<&mut TupleScoreCache>,
+        strategy: SearchStrategy,
+    ) -> Result<TopKResult, SedaError> {
+        let s = self.tracer.enter(span::SEARCH);
+        let before = profile.clone();
+        let (result, breach) = self.engine.search(
+            &plan.term_inputs,
+            plan.search_config(),
+            &ctx.search_limits(),
+            &mut self.scratch,
+            materialized,
+            cache,
+            strategy,
+        );
+        profile.absorb(&result.stats);
+        let mut counters = SpanCounters::delta(&before, profile);
+        counters.rows = result.tuples.len();
+        self.tracer.exit_with(s, counters);
+        resolve_breach(breach, ctx, profile)?;
+        Ok(result)
+    }
+
+    /// The complete-results step of `RESULTS` and `CUBE`: R(q) over the
+    /// plan's resolved per-term context paths, traced, with a breach
+    /// resolved against the request's policy.
+    fn run_complete_results(
+        &mut self,
+        plan: &QueryPlan,
+        ctx: &RequestContext,
+        profile: &mut ExecProfile,
+    ) -> Result<QueryResultTable, SedaError> {
+        let query = plan
+            .query
+            .as_ref()
+            .expect("invariant: the planner attaches a query to this statement shape");
+        let s = self.tracer.enter(span::COMPLETE_RESULTS);
+        let (table, breach) = self.engine.complete_results_governed(
+            query,
+            &plan.term_paths,
+            &plan.connections,
+            &mut self.scratch,
+            ctx,
+        )?;
+        let counters = SpanCounters { rows: table.len(), ..SpanCounters::default() };
+        self.tracer.exit_with(s, counters);
+        resolve_breach(breach, ctx, profile)?;
+        Ok(table)
+    }
+
+    /// The one statement executor: runs the plan's statement with the given
+    /// access `strategy`, over a prepared statement's `materialized` term
+    /// lists and compactness `cache` when lent.
+    fn execute_statement(
+        &mut self,
+        plan: &QueryPlan,
+        ctx: &RequestContext,
+        materialized: Option<&MaterializedTerms>,
+        cache: Option<&mut TupleScoreCache>,
+        strategy: SearchStrategy,
     ) -> Result<SedaResponse, SedaError> {
         self.tracer.begin_if_idle();
         let exec_span = self.tracer.enter(span::EXECUTE);
         let exec_start = Stopwatch::start();
         let mut profile = ExecProfile::default();
         ctx.check_cancelled()?;
-        let limits = ctx.search_limits();
         let mut payload = match &plan.statement {
-            Statement::TopK { k } => {
-                let s = self.tracer.enter(span::SEARCH);
-                let before = profile.clone();
-                let (result, breach) = self.search_unoptimized(&plan.term_inputs, *k, &limits);
-                profile.absorb(&result.stats);
-                let mut counters = SpanCounters::delta(&before, &profile);
-                counters.rows = result.tuples.len();
-                self.tracer.exit_with(s, counters);
-                resolve_breach(breach, ctx, &mut profile)?;
-                ResponsePayload::TopK(result)
-            }
+            Statement::TopK { .. } => ResponsePayload::TopK(self.run_search(
+                plan,
+                ctx,
+                &mut profile,
+                materialized,
+                cache,
+                strategy,
+            )?),
             Statement::ContextSummary => {
                 let query = plan
                     .query
@@ -638,15 +491,9 @@ impl<'e> SedaReader<'e> {
                 resolve_breach(ctx.deadline_breach(), ctx, &mut profile)?;
                 ResponsePayload::Contexts(contexts)
             }
-            Statement::ConnectionSummary { k } => {
-                let s = self.tracer.enter(span::SEARCH);
-                let before = profile.clone();
-                let (top_k, breach) = self.search_unoptimized(&plan.term_inputs, *k, &limits);
-                profile.absorb(&top_k.stats);
-                let mut counters = SpanCounters::delta(&before, &profile);
-                counters.rows = top_k.tuples.len();
-                self.tracer.exit_with(s, counters);
-                resolve_breach(breach, ctx, &mut profile)?;
+            Statement::ConnectionSummary { .. } => {
+                let top_k =
+                    self.run_search(plan, ctx, &mut profile, materialized, cache, strategy)?;
                 ctx.check_cancelled()?;
                 let s = self.tracer.enter(span::DISCOVER_CONNECTIONS);
                 let summary = self.engine.connection_summary(&top_k);
@@ -656,22 +503,7 @@ impl<'e> SedaReader<'e> {
                 ResponsePayload::Connections { top_k, summary }
             }
             Statement::CompleteResults => {
-                let query = plan
-                    .query
-                    .as_ref()
-                    .expect("invariant: the planner attaches a query to this statement shape");
-                let s = self.tracer.enter(span::COMPLETE_RESULTS);
-                let (table, breach) = self.engine.complete_results_governed(
-                    query,
-                    &plan.selections,
-                    &plan.connections,
-                    &mut self.scratch,
-                    ctx,
-                )?;
-                let counters = SpanCounters { rows: table.len(), ..SpanCounters::default() };
-                self.tracer.exit_with(s, counters);
-                resolve_breach(breach, ctx, &mut profile)?;
-                ResponsePayload::Table(table)
+                ResponsePayload::Table(self.run_complete_results(plan, ctx, &mut profile)?)
             }
             Statement::Twig { .. } => {
                 let pattern = plan
@@ -692,21 +524,7 @@ impl<'e> SedaReader<'e> {
                 ResponsePayload::Table(table)
             }
             Statement::Cube { fact, group_by, agg, measure } => {
-                let query = plan
-                    .query
-                    .as_ref()
-                    .expect("invariant: the planner attaches a query to this statement shape");
-                let s = self.tracer.enter(span::COMPLETE_RESULTS);
-                let (table, breach) = self.engine.complete_results_governed(
-                    query,
-                    &plan.selections,
-                    &plan.connections,
-                    &mut self.scratch,
-                    ctx,
-                )?;
-                let counters = SpanCounters { rows: table.len(), ..SpanCounters::default() };
-                self.tracer.exit_with(s, counters);
-                resolve_breach(breach, ctx, &mut profile)?;
+                let table = self.run_complete_results(plan, ctx, &mut profile)?;
                 ctx.check_cancelled()?;
                 let s = self.tracer.enter(span::DERIVE_STAR_SCHEMA);
                 let build = self.engine.build_star_schema(&table, &plan.cube_options);
@@ -763,7 +581,18 @@ impl<'e> SedaReader<'e> {
             ctx.check_cancelled()?;
             let terms = reader.engine.term_inputs(query, selections);
             let start = Stopwatch::start();
-            let (result, breach) = reader.search_unoptimized(&terms, k, &ctx.search_limits());
+            // The typed step runs the engine-default configuration at `k`,
+            // the plain join, no prepared state.
+            let config = TopKConfig { k, ..reader.engine.config().topk.clone() };
+            let (result, breach) = reader.engine.search(
+                &terms,
+                &config,
+                &ctx.search_limits(),
+                &mut reader.scratch,
+                None,
+                None,
+                SearchStrategy::Join,
+            );
             let mut profile =
                 ExecProfile { exec_secs: start.elapsed_secs(), ..ExecProfile::default() };
             profile.absorb(&result.stats);
@@ -793,8 +622,9 @@ impl<'e> SedaReader<'e> {
     ) -> Result<seda_olap::QueryResultTable, SedaError> {
         let ctx = RequestContext::unlimited();
         self.contained(|SedaReader { engine, scratch, .. }| {
+            let term_paths = engine.term_paths(query, selections);
             let (table, _) =
-                engine.complete_results_governed(query, selections, connections, scratch, &ctx)?;
+                engine.complete_results_governed(query, &term_paths, connections, scratch, &ctx)?;
             Ok(table)
         })
     }
@@ -925,14 +755,75 @@ mod tests {
         let response = reader.execute_text("EXPLAIN TOPK 5 FOR (name, *)").unwrap();
         let transcript = response.explain_transcript().unwrap();
         assert!(transcript.contains("plan: TOPK"), "{transcript}");
-        // The optimizer's single-keyword pass rewrites the one-term join
-        // into a scan; the transcript shows the rewrite trail and program.
+        // One term under the candidate bound plans the scan, not the join.
         assert!(transcript.contains("single-term sorted-prefix scan"), "{transcript}");
-        assert!(transcript.contains("rewrites:"), "{transcript}");
-        assert!(transcript.contains("program:"), "{transcript}");
         let response = reader.execute_text("EXPLAIN TOPK 5 FOR (name, *) AND (year, *)").unwrap();
         let transcript = response.explain_transcript().unwrap();
         assert!(transcript.contains("threshold-algorithm rank join"), "{transcript}");
+    }
+
+    #[test]
+    fn explain_is_a_pure_function_of_engine_and_request() {
+        let e = engine();
+        let q = "(trade_country, *) AND (percentage, *)";
+        let texts = [
+            format!("TOPK 5 FOR {q}"),
+            format!("CONTEXTS FOR {q}"),
+            format!("CONNECTIONS 5 FOR {q}"),
+            format!("RESULTS FOR {q}"),
+            "TWIG /country/name".to_string(),
+            format!("CUBE import-trade-percentage BY import-country FOR {q}"),
+        ];
+        let requests: Vec<SedaRequest> =
+            texts.iter().map(|t| SedaRequest::parse(t).unwrap()).collect();
+        let mut reader = e.reader();
+        let transcripts = |reader: &SedaReader<'_>| -> Vec<String> {
+            requests.iter().map(|r| reader.explain(r).unwrap()).collect()
+        };
+        let before = transcripts(&reader);
+        // A mixed workload — every shape executed, explained and prepared —
+        // moves the engine's metrics but not one byte of any transcript.
+        for (text, request) in texts.iter().zip(&requests) {
+            reader.execute(request).unwrap();
+            let explained = reader.execute_text(&format!("EXPLAIN {text}")).unwrap();
+            let through_text = explained.explain_transcript().unwrap();
+            let through_prepared = reader.prepare(request).unwrap().explain();
+            let through_reader = reader.explain(request).unwrap();
+            assert_eq!(through_text, through_reader, "{text}");
+            assert_eq!(through_prepared, through_reader, "{text}");
+        }
+        assert_eq!(transcripts(&reader), before);
+    }
+
+    #[test]
+    fn a_repeated_selection_path_does_not_change_the_answer() {
+        let collection = parse_collection(vec![(
+            "us.xml",
+            r#"<country><name>United States</name><year>2006</year>
+                 <economy><import_partners>
+                   <item><trade_country>China</trade_country><percentage>15</percentage></item>
+                 </import_partners></economy></country>"#,
+        )])
+        .unwrap();
+        // One context combination is the whole budget: counting the repeated
+        // path as a second context would breach it.
+        let e = SedaEngine::build(
+            collection,
+            Registry::factbook_defaults(),
+            EngineConfig { complete_result_limit: 1, ..EngineConfig::default() },
+        )
+        .unwrap();
+        let mut reader = e.reader();
+        let q = "(trade_country, *) AND (percentage, *)";
+        let p = "/country/economy/import_partners/item/trade_country";
+        let rest = "WITH 1 IN /country/economy/import_partners/item/percentage";
+        for shape in ["RESULTS", "CUBE import-trade-percentage BY import-country", "TOPK 5"] {
+            let once = reader.execute_text(&format!("{shape} FOR {q} WITH 0 IN {p} {rest}"));
+            let twice = reader.execute_text(&format!("{shape} FOR {q} WITH 0 IN {p}|{p} {rest}"));
+            let (once, twice) = (once.unwrap(), twice.unwrap());
+            assert_eq!(twice.payload, once.payload, "{shape}");
+            assert_eq!(once.profile.rows, 1, "{shape}");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! connection summary, complete results, cube processing) driven from
 //! textual requests through one `SedaReader`, ending with the paper's
 //! Query 1 cube computed by a single `CUBE … FOR …` statement.  Along the
-//! way: a prepared statement (plan once, execute many) and the optimizer's
-//! pass-by-pass rewrite trail.
+//! way: a prepared statement (plan once, execute many) and its plan
+//! transcript.
 //!
 //! Run with `cargo run --release --example unified_api`.
 
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 1b. Serve: prepare the same statement once and re-execute it.  Warm
-    //     re-executions skip parsing, the rewrite passes, sorted-access
+    //     re-executions skip parsing, planning, sorted-access
     //     resolution and — after the first run — most connectivity label
     //     probes (the compactness memo is shared across executions).
     let request = SedaRequest::parse(&format!("TOPK 5 FOR {query}"))?;
@@ -51,9 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         prepared.executions(),
         prepared.cached_scores()
     );
-    for line in prepared.plan().rewrite_trail() {
-        println!("  rewrite {line}");
-    }
+    print!("{}", prepared.explain());
 
     // 2. Explore: context summary.
     let response = reader.execute_text(&format!("CONTEXTS FOR {query}"))?;

@@ -1,21 +1,21 @@
-//! Optimizer equivalence: the compiled [`seda_core::PlanProgram`] executed by
-//! the reader's interpreter must return byte-identical responses to the
-//! pre-optimizer fixed-sequence executor (`execute_plan_unoptimized`, kept
-//! verbatim as the oracle), across randomized datagen corpora and every
-//! statement type.  Prepared statements must reproduce fresh executions too.
+//! Strategy equivalence: a request executed the way the planner decides
+//! (single-term scan or rank join, fresh or over a prepared statement's
+//! materialized lists and memo) must return byte-identical responses to the
+//! reference spelling of the same executor (`execute_plan_unoptimized`: the
+//! plain join, no prepared state), across randomized datagen corpora and
+//! every statement type.  Prepared statements must reproduce fresh
+//! executions too.
 //!
-//! Every rewrite pass is result-preserving by construction — normalization,
-//! pushdown annotation, the single-keyword scan and access ordering all
-//! leave payloads *and* work counters unchanged — so the
-//! comparison here is full structural equality of the `Result`, with one
-//! carve-out: warm-cache prepared re-executions legitimately skip
-//! connectivity label probes, so that single counter is masked in the
-//! prepared-reuse comparison only.
+//! The scan is chosen only where it reproduces the join's payload *and* work
+//! counters, so the comparison here is full structural equality of the
+//! `Result`, with one carve-out: warm-cache prepared re-executions
+//! legitimately skip connectivity label probes, so that single counter is
+//! masked in the prepared-reuse comparison only.
 
 use proptest::prelude::*;
 
 use seda_core::{
-    EngineConfig, RequestContext, ResponsePayload, SedaEngine, SedaError, SedaRequest,
+    Budget, EngineConfig, RequestContext, ResponsePayload, SedaEngine, SedaError, SedaRequest,
 };
 use seda_datagen::{
     googlebase, mondial, recipeml, GoogleBaseConfig, MondialConfig, RecipeMlConfig,
@@ -42,10 +42,9 @@ fn googlebase_registry() -> Registry {
     registry
 }
 
-/// Executes `text` through the optimizer pipeline (the interpreter over the
-/// compiled program) and through the fixed-sequence oracle, and asserts the
-/// two outcomes are structurally identical — payload, profile counters, or
-/// the exact same typed error.
+/// Executes `text` with the planned strategy and through the reference
+/// spelling, and asserts the two outcomes are structurally identical —
+/// payload, profile counters, or the exact same typed error.
 fn assert_program_matches_oracle(engine: &SedaEngine, text: &str) -> Result<(), TestCaseError> {
     let request = SedaRequest::parse(text).expect("request parses");
     let plan = engine.prepare(&request).expect("request prepares");
@@ -174,7 +173,7 @@ proptest! {
         for text in statements(q, "(name, *)", "/country/name", None, k) {
             assert_program_matches_oracle(&engine, &text)?;
         }
-        // A restricted term exercises normalize + pushdown concretely.
+        // A restricted term filters postings inside sorted access.
         assert_program_matches_oracle(
             &engine,
             &format!("TOPK {k} FOR {q} WITH 0 IN /country/name"),
@@ -265,27 +264,98 @@ fn prepared_set_k_matches_fresh_plans() {
     }
 }
 
-/// Interpreter-level governance parity: a breach surfaces as the same typed
-/// error through the program as through the oracle.
+/// Governance parity: under each budget ceiling, in error mode and in
+/// `allow_degraded` mode, the four spellings of the one executor — the
+/// facade, a planned request, a prepared statement and the reference — reach
+/// the same outcome: the same typed breach, or the same degraded prefix with
+/// the same counters.
 #[test]
 fn program_matches_oracle_under_budgets() {
-    let engine = engine(
+    let mondial = engine(
         mondial::generate(&MondialConfig::small()).expect("generate mondial"),
         Registry::new(),
     );
-    let request = SedaRequest::parse("TOPK 10 FOR (name, *) AND (population, *)").expect("parses");
-    let plan = engine.prepare(&request).expect("prepares");
-    let budget = seda_core::Budget::unlimited().with_max_label_probes(1);
-    let ctx = RequestContext::new(budget.clone());
-    let mut reader = engine.reader();
-    let optimized = reader.execute_plan_governed(&plan, &ctx);
-    let ctx = RequestContext::new(budget);
-    let oracle = reader.execute_plan_unoptimized(&plan, &ctx);
-    match (&optimized, &oracle) {
-        (Err(a), Err(b)) => {
-            assert_eq!(a, b);
-            assert!(matches!(a, SedaError::Limit { .. }), "{a}");
+    let googlebase = engine(
+        googlebase::generate(&GoogleBaseConfig::small()).expect("generate googlebase"),
+        googlebase_registry(),
+    );
+    let q = "(category, *) AND (price, *)";
+    let unlimited = Budget::unlimited;
+    let cases: Vec<(&SedaEngine, String, Budget, &str)> = vec![
+        (
+            &mondial,
+            "TOPK 10 FOR (name, *) AND (population, *)".to_string(),
+            unlimited().with_max_label_probes(1),
+            "label probes",
+        ),
+        (
+            &googlebase,
+            "TWIG /item/category".to_string(),
+            unlimited().with_max_twig_matches(1),
+            "twig matches",
+        ),
+        (
+            &googlebase,
+            format!("CUBE price BY category AGG sum FOR {q}"),
+            unlimited().with_max_cube_cells(1),
+            "cube cells",
+        ),
+        (&googlebase, format!("RESULTS FOR {q}"), unlimited().with_max_rows(1), "result rows"),
+        (
+            &googlebase,
+            format!("TOPK 10 FOR {q}"),
+            unlimited().with_max_sorted_accesses(1),
+            "sorted accesses",
+        ),
+        // One term: the planned scan against the reference join.
+        (
+            &googlebase,
+            "TOPK 10 FOR (price, *)".to_string(),
+            unlimited().with_max_sorted_accesses(1),
+            "sorted accesses",
+        ),
+    ];
+    for (engine, text, budget, resource) in cases {
+        let request = SedaRequest::parse(&text).expect("parses");
+        let plan = engine.prepare(&request).expect("prepares");
+        let mut reader = engine.reader();
+        for degraded in [false, true] {
+            // Prepared afresh per run: a memo warmed by an earlier run spends
+            // fewer label probes, so it would get further on the same budget.
+            let mut prepared = reader.prepare(&request).expect("prepares");
+            let ctx = || {
+                let ctx = RequestContext::new(budget.clone());
+                if degraded {
+                    ctx.allow_degraded()
+                } else {
+                    ctx
+                }
+            };
+            let outcomes = [
+                reader.execute_governed(&request, &ctx()),
+                reader.execute_plan_governed(&plan, &ctx()),
+                prepared.execute_governed(&mut reader, &ctx()),
+                reader.execute_plan_unoptimized(&plan, &ctx()),
+            ]
+            .map(|outcome| {
+                outcome.map(|r| {
+                    let p = r.profile;
+                    let counters =
+                        (p.sorted_accesses, p.random_accesses, p.tuples_scored, p.label_probes);
+                    (r.payload, p.degraded, p.rows, counters)
+                })
+            });
+            for outcome in &outcomes[1..] {
+                assert_eq!(outcome, &outcomes[0], "{text} under {budget:?}, degraded={degraded}");
+            }
+            match &outcomes[0] {
+                Ok((_, flagged, ..)) => assert!(degraded && *flagged, "{text}: must breach"),
+                Err(SedaError::Limit { resource: named, .. }) => {
+                    assert!(!degraded, "{text}: degraded mode keeps the prefix");
+                    assert_eq!(*named, resource, "{text}");
+                }
+                Err(other) => panic!("{text}: expected a Limit breach, got {other:?}"),
+            }
         }
-        other => panic!("expected matching Limit errors, got {other:?}"),
     }
 }

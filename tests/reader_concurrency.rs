@@ -34,13 +34,8 @@ fn workload() -> Vec<SedaRequest> {
 
 /// Renders the deterministic parts of a response (everything except wall
 /// times) so runs can be compared byte-for-byte.
-///
-/// The optimizer's access-order pass annotates EXPLAIN transcripts with
-/// engine-lifetime execution statistics ("prior profile: …"), which
-/// legitimately advance as the workload records requests; that one line is
-/// masked so the comparison pins everything else byte-for-byte.
 fn fingerprint(response: &SedaResponse) -> String {
-    let rendered = format!(
+    format!(
         "{:?}|rows={}|sorted={}|random={}|scored={}|probes={}",
         response.payload,
         response.profile.rows,
@@ -48,16 +43,7 @@ fn fingerprint(response: &SedaResponse) -> String {
         response.profile.random_accesses,
         response.profile.tuples_scored,
         response.profile.label_probes,
-    );
-    match rendered.find("prior profile:") {
-        Some(start) => {
-            // Inside the Debug-escaped transcript the line ends at `\n`
-            // (two characters).
-            let end = rendered[start..].find("\\n").map(|n| start + n).unwrap_or(rendered.len());
-            format!("{}{}", &rendered[..start], &rendered[end..])
-        }
-        None => rendered,
-    }
+    )
 }
 
 #[test]

@@ -48,19 +48,6 @@ pub fn rogue_metric(metrics: &Metrics) {
     metrics.counter("seda_adhoc_total", "");
 }
 
-/// A stand-in for the optimizer's pass trait so rule 7 has a shape to scan.
-pub trait RewritePass {}
-
-/// Rule 7: a rewrite pass that never made it into the registry.
-pub struct Unregistered;
-
-impl RewritePass for Unregistered {}
-
-/// The registry rule 7 checks against — conspicuously empty.
-pub fn registered_passes() -> [&'static dyn RewritePass; 0] {
-    []
-}
-
 #[cfg(test)]
 mod tests {
     // unwrap here is fine: test code is exempt.

@@ -340,45 +340,6 @@ fn lint_file(rel: &str, src: &str) -> Vec<Violation> {
         }
     }
 
-    // Rule 7: every optimizer rewrite pass is registered in the pass list.
-    // An `impl RewritePass for T` whose `T` never appears (as `&T`) inside
-    // the `registered_passes` body of the same file is dead weight that
-    // silently never runs.
-    {
-        let registry_at = masked[..lib_end].find("fn registered_passes");
-        for at in find_all(&masked, "impl RewritePass for ", lib_end) {
-            let name_start = at + "impl RewritePass for ".len();
-            let name: String = masked[name_start..]
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if name.is_empty() {
-                continue;
-            }
-            let needle = format!("&{name}");
-            let registered = registry_at.is_some_and(|r| {
-                let hay = &masked[r..lib_end];
-                let mut from = 0;
-                while let Some(p) = hay[from..].find(&needle) {
-                    let end = from + p + needle.len();
-                    if hay.as_bytes().get(end).is_none_or(|b| !is_ident_byte(*b)) {
-                        return true;
-                    }
-                    from += p + 1;
-                }
-                false
-            });
-            if !registered {
-                report(
-                    &mut violations,
-                    at,
-                    "pass-registry",
-                    format!("rewrite pass `{name}` is not listed in `registered_passes`"),
-                );
-            }
-        }
-    }
-
     // Rule 5: public seda-core APIs return Result<_, SedaError>.
     if rel.starts_with("crates/core/src/") && !RESULT_ERROR_ALLOWLIST.contains(&rel) {
         for at in find_all(&masked, "pub fn ", lib_end) {
@@ -552,7 +513,7 @@ fn main() -> ExitCode {
                 println!("{v}");
             }
             if violations.is_empty() {
-                println!("xtask lint: clean ({} rules)", 7);
+                println!("xtask lint: clean ({} rules)", 6);
                 ExitCode::SUCCESS
             } else {
                 println!("xtask lint: {} violation(s)", violations.len());
@@ -665,33 +626,13 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_rewrite_passes_are_flagged() {
-        let bad = "trait RewritePass {}\nstruct Orphan;\nimpl RewritePass for Orphan {}\nfn registered_passes() -> [&'static dyn RewritePass; 0] {\n    []\n}\n";
-        let violations = lint_file("crates/demo/src/lib.rs", bad);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].rule, "pass-registry");
-        let good = "trait RewritePass {}\nstruct Listed;\nimpl RewritePass for Listed {}\nfn registered_passes() -> [&'static dyn RewritePass; 1] {\n    [&Listed]\n}\n";
-        assert!(lint_file("crates/demo/src/lib.rs", good).is_empty());
-        // A prefix of a registered name is not itself registered.
-        let prefix = "trait RewritePass {}\nstruct Access;\nstruct AccessOrder;\nimpl RewritePass for Access {}\nimpl RewritePass for AccessOrder {}\nfn registered_passes() -> [&'static dyn RewritePass; 1] {\n    [&AccessOrder]\n}\n";
-        let violations = lint_file("crates/demo/src/lib.rs", prefix);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].detail.contains("`Access`"), "{violations:?}");
-    }
-
-    #[test]
     fn bad_fixture_tree_fails_and_counts_every_rule() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/bad");
         let violations = lint_tree(&root);
         assert!(!violations.is_empty());
-        for rule in [
-            "forbidden-call",
-            "counter-budget",
-            "instant-now",
-            "unsafe-forbid",
-            "metric-name",
-            "pass-registry",
-        ] {
+        for rule in
+            ["forbidden-call", "counter-budget", "instant-now", "unsafe-forbid", "metric-name"]
+        {
             assert!(
                 violations.iter().any(|v| v.rule == rule),
                 "fixture must trip {rule}: {violations:?}"
