@@ -11,24 +11,31 @@
 //! cargo run --release -p seda-bench --bin audit [-- <scale>]
 //! ```
 //!
-//! The optional scale factor (default `0.1`) is forwarded to
-//! [`seda_bench::scaled_collection`].  Exits non-zero when any corpus fails
-//! its audit, printing every [`seda_xmlstore::audit::InvariantViolation`] as
-//! `substrate/invariant: detail`.
+//! The optional scale factor (default `0.1`, a fraction of paper scale in
+//! `(0, 1]`) is forwarded to [`Dataset::generate_scaled`]; anything else exits
+//! with code 2.  Exits 1 when any corpus fails its audit, printing every
+//! violation as `substrate/invariant: detail`.
 
 use std::process::ExitCode;
 
-use seda_bench::scaled_collection;
 use seda_core::{EngineConfig, SedaEngine, Stopwatch};
 use seda_datagen::Dataset;
 use seda_olap::Registry;
 
+/// The corpus scale named by the first argument (default `0.1`).
+fn parse_scale(arg: Option<&str>) -> Result<f64, String> {
+    let Some(text) = arg else { return Ok(0.1) };
+    match text.parse::<f64>() {
+        Ok(scale) if scale > 0.0 && scale <= 1.0 => Ok(scale),
+        _ => Err(format!("scale must be a number in (0, 1], got {text:?}")),
+    }
+}
+
 fn main() -> ExitCode {
-    let scale: f64 = match std::env::args().nth(1).map(|s| s.parse()) {
-        None => 0.1,
-        Some(Ok(scale)) => scale,
-        Some(Err(err)) => {
-            eprintln!("audit: scale must be a number: {err}");
+    let scale = match parse_scale(std::env::args().nth(1).as_deref()) {
+        Ok(scale) => scale,
+        Err(problem) => {
+            eprintln!("audit: {problem}");
             return ExitCode::from(2);
         }
     };
@@ -38,13 +45,10 @@ fn main() -> ExitCode {
         "seda audit @ scale {scale}: xmlstore, textindex, datagraph, dataguide, metrics, core"
     );
     for dataset in Dataset::ALL {
-        let collection = scaled_collection(dataset, scale);
-        let documents = collection.len();
-        let engine = match SedaEngine::build(
-            collection,
-            Registry::factbook_defaults(),
-            EngineConfig::default(),
-        ) {
+        let built = dataset.generate_scaled(scale).map_err(Into::into).and_then(|collection| {
+            SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
+        });
+        let engine = match built {
             Ok(engine) => engine,
             Err(err) => {
                 // Build-time audit failures surface here as SedaError::Internal.
@@ -60,7 +64,7 @@ fn main() -> ExitCode {
             Ok(()) => println!(
                 "  {:<22} ok   {:>5} docs   build-audit {:>7.2}ms   settled-audit {:>7.2}ms",
                 dataset.name(),
-                documents,
+                engine.collection().len(),
                 engine.build_profile().verify_ms,
                 settled_ms,
             ),
@@ -78,5 +82,20 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_scale;
+
+    #[test]
+    fn scales_outside_the_unit_interval_are_rejected_not_clamped() {
+        assert_eq!(parse_scale(None), Ok(0.1));
+        assert_eq!(parse_scale(Some("1")), Ok(1.0));
+        assert_eq!(parse_scale(Some("0.005")), Ok(0.005));
+        for bad in ["7", "1.0001", "0", "-0.5", "nan", "inf", "abc", ""] {
+            assert!(parse_scale(Some(bad)).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

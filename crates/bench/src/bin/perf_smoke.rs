@@ -1,292 +1,70 @@
-//! CI perf smoke check: re-measures the mondial `TOPK` pipeline latency and
-//! fails when it regresses past a committed threshold.
+//! CI perf smoke check: the two gates of [`seda_bench`], measured on this
+//! machine against this build — no argument, no file, no environment variable.
 //!
-//! The baseline is the `mondial` / `TOPK` row of the committed
-//! `BENCH_pipeline.json` at the repo root (parsed by plain string matching —
-//! the report is emitted one object per line by `bench_pipeline`).  The
-//! allowed budget is `max(50ms, 10 × committed wall_ms)`: generous enough to
-//! absorb shared-runner noise, tight enough to catch the connectivity oracle
-//! silently falling back to per-query BFS (a ~50× regression on this
-//! workload).
+//! ```text
+//! cargo run --release -p seda-bench --bin perf_smoke
+//! ```
 //!
-//! Two overhead checks ride along, each holding its layer to within 5% of
-//! the plain run (plus a small floor absorbing timer noise): resource
-//! governance under a generous never-breached budget, and span tracing via
-//! `SedaReader::set_tracing` — so neither observability layer can quietly
-//! tax the hot path.
-//!
-//! Two planner checks complete the gate: the cold (plan + execute) path
-//! must stay within 5% of the committed baseline (plus the same noise
-//! floor) — planning may not tax one-shot requests — and prepared
-//! re-execution of a mixed statement workload must
-//! beat cold execution by at least 1.3x, pinning the prepared-statement
-//! speedup the committed `BENCH_pipeline.json` reports.
-//!
-//! Last, a scaling gate holds the rank join to linear work per sorted access:
-//! the broad three-term `TOPK` over a googlebase corpus (every document its
-//! own component) at 4× the documents may take at most 8× the time.  The
-//! component-partitioned join reads ≈ 4×; a join that scans every seen
-//! posting per sorted access reads ≈ 16×.
-//!
-//! Usage: `cargo run --release -p seda-bench --bin perf_smoke [-- <baseline.json>]`
-//! (default baseline path `BENCH_pipeline.json`).  Exits non-zero on
-//! regression or when the baseline row cannot be found.
+//! Prints both measured ratios with their bounds and exits non-zero when
+//! either gate fails.  Absolute latencies are `benchmark/run.sh`'s business.
 
 use std::process::ExitCode;
 
-use seda_bench::{best_of_three, measure_pipeline, topk_workloads};
-use seda_core::{Budget, EngineConfig, RequestContext, SedaEngine, SedaRequest};
-use seda_datagen::{googlebase, GoogleBaseConfig};
-use seda_olap::Registry;
+use seda_bench::{
+    generous_context, googlebase_engine, governance_verdict, interleaved_minima,
+    join_scaling_verdict, BASE_ITEMS, BROAD_TOPK, SCALED_ITEMS,
+};
+use seda_core::{RequestContext, SedaReader, SedaRequest};
 
-/// Best-of-three wall time (ms) of the broad three-term googlebase `TOPK`
-/// over a datagen corpus of `items` one-document components.
-fn broad_googlebase_topk_ms(items: usize) -> Result<f64, String> {
-    let config = GoogleBaseConfig { items, ..GoogleBaseConfig::small() };
-    let collection = googlebase::generate(&config).map_err(|e| e.to_string())?;
-    let engine =
-        SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
-            .map_err(|e| e.to_string())?;
-    let request =
-        SedaRequest::parse("TOPK 10 FOR (title, model) AND (price, *) AND (condition, new)")
-            .map_err(|e| e.to_string())?;
-    let mut reader = engine.reader();
-    let (_, ms) = best_of_three(|| reader.execute(&request).expect("broad TOPK executes"));
-    Ok(ms)
+/// Measures both gates and prints each verdict; `Ok(false)` when either failed.
+fn run() -> Result<bool, String> {
+    let request = SedaRequest::parse(BROAD_TOPK).map_err(|e| e.to_string())?;
+    let base_engine = googlebase_engine(BASE_ITEMS)?;
+    let scaled_engine = googlebase_engine(SCALED_ITEMS)?;
+    let (mut base, mut scaled) = (base_engine.reader(), scaled_engine.reader());
+    let unlimited = RequestContext::unlimited();
+    let ungoverned = |reader: &mut SedaReader<'_>| {
+        reader.execute_governed(&request, &unlimited).expect("broad TOPK executes");
+    };
+
+    let (base_ms, scaled_ms) =
+        interleaved_minima(|| ungoverned(&mut base), || ungoverned(&mut scaled));
+    let scaling = report(join_scaling_verdict(base_ms, scaled_ms));
+
+    let mut governed_reader = scaled_engine.reader();
+    let mut degraded = false;
+    let (ungoverned_ms, governed_ms) = interleaved_minima(
+        || ungoverned(&mut scaled),
+        || {
+            let response = governed_reader
+                .execute_governed(&request, &generous_context())
+                .expect("generous budget never breaches");
+            degraded |= response.profile.degraded;
+        },
+    );
+    if degraded {
+        return Err("a generous budget degraded the response".to_string());
+    }
+    let governance = report(governance_verdict(ungoverned_ms, governed_ms));
+    Ok(scaling && governance)
 }
 
-/// Extracts the `wall_ms` value of the `mondial` `TOPK` row from the report's
-/// line-per-object JSON.
-fn committed_mondial_topk_ms(report: &str) -> Option<f64> {
-    report
-        .lines()
-        .find(|line| {
-            line.contains("\"workload\": \"mondial\"") && line.contains("\"statement\": \"TOPK\"")
-        })
-        .and_then(|line| {
-            let rest = line.split("\"wall_ms\": ").nth(1)?;
-            rest.split([',', '}']).next()?.trim().parse().ok()
-        })
+/// Prints one gate's line; true when it passed.
+fn report(verdict: Result<String, String>) -> bool {
+    match &verdict {
+        Ok(line) => println!("perf_smoke: {line}"),
+        Err(line) => eprintln!("perf_smoke: REGRESSION — {line}"),
+    }
+    verdict.is_ok()
 }
 
 fn main() -> ExitCode {
-    let baseline_path =
-        std::env::args().nth(1).unwrap_or_else(|| "BENCH_pipeline.json".to_string());
-    let report = match std::fs::read_to_string(&baseline_path) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("perf_smoke: cannot read baseline {baseline_path}: {err}");
-            return ExitCode::FAILURE;
+    match run() {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(failure) => {
+            eprintln!("perf_smoke: {failure}");
+            ExitCode::FAILURE
         }
-    };
-    let Some(committed_ms) = committed_mondial_topk_ms(&report) else {
-        eprintln!("perf_smoke: no mondial TOPK row in {baseline_path}");
-        return ExitCode::FAILURE;
-    };
-
-    let Some(workload) = topk_workloads().into_iter().find(|w| w.name == "mondial") else {
-        eprintln!("perf_smoke: no mondial workload");
-        return ExitCode::FAILURE;
-    };
-    let measurements = measure_pipeline(&workload);
-    let Some(topk) = measurements.iter().find(|m| m.statement == "TOPK" && m.mode == "cold") else {
-        eprintln!("perf_smoke: pipeline measurement has no cold TOPK row");
-        return ExitCode::FAILURE;
-    };
-
-    let budget_ms = (committed_ms * 10.0).max(50.0);
-    println!(
-        "perf_smoke: mondial TOPK {:.3}ms (committed {:.3}ms, budget {:.3}ms, {} label probes)",
-        topk.wall_ms, committed_ms, budget_ms, topk.label_probes
-    );
-    if topk.wall_ms > budget_ms {
-        eprintln!(
-            "perf_smoke: REGRESSION — mondial TOPK took {:.3}ms, budget is {:.3}ms",
-            topk.wall_ms, budget_ms
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // Planning must not tax the cold path: a freshly planned run stays
-    // within 5% of the committed baseline (plus the usual floor absorbing
-    // timer noise on millisecond workloads).
-    let optimized_budget_ms = (committed_ms * 1.05).max(committed_ms + 5.0);
-    println!(
-        "perf_smoke: optimized cold TOPK {:.3}ms (committed {:.3}ms, budget {:.3}ms)",
-        topk.wall_ms, committed_ms, optimized_budget_ms
-    );
-    if topk.wall_ms > optimized_budget_ms {
-        eprintln!(
-            "perf_smoke: OPTIMIZER OVERHEAD — cold TOPK took {:.3}ms, committed baseline \
-             is {:.3}ms (allowed {:.3}ms)",
-            topk.wall_ms, committed_ms, optimized_budget_ms
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // Resource governance must be close to free when every ceiling is
-    // generous: re-run the same TOPK request under a fully specified (but
-    // never-breached) Budget and require the governed wall time to stay
-    // within 5% of the ungoverned run (plus a small floor absorbing timer
-    // noise on sub-millisecond workloads).
-    let request = match SedaRequest::parse(&format!("TOPK 10 FOR {}", workload.query_text)) {
-        Ok(request) => request,
-        Err(err) => {
-            eprintln!("perf_smoke: TOPK request failed to parse: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let generous = Budget::unlimited()
-        .with_deadline(std::time::Duration::from_secs(3600))
-        .with_max_sorted_accesses(usize::MAX)
-        .with_max_random_accesses(usize::MAX)
-        .with_max_candidates(usize::MAX)
-        .with_max_label_probes(u64::MAX)
-        .with_max_rows(usize::MAX)
-        .with_max_twig_matches(usize::MAX)
-        .with_max_cube_cells(usize::MAX);
-    let mut reader = workload.engine.reader();
-    let (governed, governed_ms) = best_of_three(|| {
-        let ctx = RequestContext::new(generous.clone());
-        reader.execute_governed(&request, &ctx).expect("generous budget never breaches")
-    });
-    let overhead_budget_ms = (topk.wall_ms * 1.05).max(topk.wall_ms + 5.0);
-    println!(
-        "perf_smoke: governed TOPK {governed_ms:.3}ms (ungoverned {:.3}ms, budget {overhead_budget_ms:.3}ms)",
-        topk.wall_ms
-    );
-    if governed.profile.degraded {
-        eprintln!("perf_smoke: a generous budget must never degrade the response");
-        return ExitCode::FAILURE;
-    }
-    if governed_ms > overhead_budget_ms {
-        eprintln!(
-            "perf_smoke: GOVERNANCE OVERHEAD — governed TOPK took {governed_ms:.3}ms, \
-             ungoverned {:.3}ms (allowed {overhead_budget_ms:.3}ms)",
-            topk.wall_ms
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // Span tracing must also be close to free: re-measure the same TOPK
-    // request untraced and traced on one reader handle and require the traced
-    // wall time to stay within 5% (plus the same timer-noise floor).  A
-    // tracing layer that allocates or formats on the hot path shows up here.
-    let (_, untraced_ms) =
-        best_of_three(|| reader.execute(&request).expect("untraced TOPK executes"));
-    reader.set_tracing(true);
-    let (traced, traced_ms) =
-        best_of_three(|| reader.execute(&request).expect("traced TOPK executes"));
-    reader.set_tracing(false);
-    let tracing_budget_ms = (untraced_ms * 1.05).max(untraced_ms + 5.0);
-    println!(
-        "perf_smoke: traced TOPK {traced_ms:.3}ms (untraced {untraced_ms:.3}ms, \
-         budget {tracing_budget_ms:.3}ms, {} spans)",
-        traced.profile.spans.len()
-    );
-    if traced.profile.spans.is_empty() {
-        eprintln!("perf_smoke: traced run recorded no spans");
-        return ExitCode::FAILURE;
-    }
-    if traced_ms > tracing_budget_ms {
-        eprintln!(
-            "perf_smoke: TRACING OVERHEAD — traced TOPK took {traced_ms:.3}ms, \
-             untraced {untraced_ms:.3}ms (allowed {tracing_budget_ms:.3}ms)"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // Prepared statements are the planner's headline win: on a mixed
-    // statement workload, re-executing prepared statements (plan once, warm
-    // materialized term lists, warm compactness memo) must beat cold
-    // request → response execution by at least 1.3x.  The check runs on the
-    // factbook corpus (the paper's Query 1 workload), where the warm
-    // compactness memo removes the dominant per-execution cost; on mondial
-    // the wall time is random-access bound, so the speedup there is smaller.
-    let Some(mixed_workload) = topk_workloads().into_iter().find(|w| w.name == "factbook") else {
-        eprintln!("perf_smoke: no factbook workload");
-        return ExitCode::FAILURE;
-    };
-    let mut mixed_reader = mixed_workload.engine.reader();
-    let mixed: Vec<SedaRequest> = [
-        format!("TOPK 10 FOR {}", mixed_workload.query_text),
-        format!("CONTEXTS FOR {}", mixed_workload.query_text),
-        format!("CONNECTIONS 10 FOR {}", mixed_workload.query_text),
-    ]
-    .iter()
-    .map(|t| SedaRequest::parse(t).expect("mixed workload request parses"))
-    .collect();
-    let (_, cold_ms) = best_of_three(|| {
-        for request in &mixed {
-            mixed_reader.execute(request).expect("cold mixed workload executes");
-        }
-    });
-    let mut prepared: Vec<_> = mixed
-        .iter()
-        .map(|r| mixed_reader.prepare(r).expect("mixed workload request prepares"))
-        .collect();
-    let (_, warm_ms) = best_of_three(|| {
-        for statement in &mut prepared {
-            statement.execute(&mut mixed_reader).expect("prepared mixed workload executes");
-        }
-    });
-    let speedup = if warm_ms > 0.0 { cold_ms / warm_ms } else { f64::INFINITY };
-    println!(
-        "perf_smoke: mixed workload cold {cold_ms:.3}ms, prepared {warm_ms:.3}ms \
-         ({speedup:.2}x speedup)"
-    );
-    if speedup < 1.3 {
-        eprintln!(
-            "perf_smoke: PREPARED SPEEDUP — prepared re-execution is only {speedup:.2}x \
-             faster than cold execution (required: 1.3x)"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // The rank join must do linear work per sorted access: quadrupling the
-    // one-document components may cost at most 8x (linear reads ~4x, a scan
-    // of every seen posting per sorted access ~16x).
-    const BASE_ITEMS: usize = 1_500;
-    let scaled = broad_googlebase_topk_ms(BASE_ITEMS)
-        .and_then(|base| Ok((base, broad_googlebase_topk_ms(4 * BASE_ITEMS)?)));
-    let (base_ms, scaled_ms) = match scaled {
-        Ok(pair) => pair,
-        Err(err) => {
-            eprintln!("perf_smoke: join scaling workload failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "perf_smoke: broad googlebase TOPK {base_ms:.3}ms at {BASE_ITEMS} documents, \
-         {scaled_ms:.3}ms at {} ({:.1}x, allowed 8x)",
-        4 * BASE_ITEMS,
-        scaled_ms / base_ms
-    );
-    if scaled_ms > 8.0 * base_ms {
-        eprintln!(
-            "perf_smoke: JOIN SCALING — 4x the documents cost {:.1}x the time (allowed 8x): \
-             the join is scanning seen postings instead of looking up its component group",
-            scaled_ms / base_ms
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-#[cfg(test)]
-mod tests {
-    use super::committed_mondial_topk_ms;
-
-    #[test]
-    fn parses_the_committed_report_shape() {
-        let report = concat!(
-            "{\n  \"label\": \"x\",\n  \"runs\": [\n",
-            "    {\"workload\": \"googlebase\", \"statement\": \"TOPK\", \"wall_ms\": 0.621},\n",
-            "    {\"workload\": \"mondial\", \"statement\": \"TOPK\", \"wall_ms\": 510.631, \"plan_ms\": 0.1},\n",
-            "    {\"workload\": \"mondial\", \"statement\": \"CONTEXTS\", \"wall_ms\": 1.0}\n",
-            "  ]\n}\n"
-        );
-        assert_eq!(committed_mondial_topk_ms(report), Some(510.631));
-        assert_eq!(committed_mondial_topk_ms("{}"), None);
     }
 }

@@ -1,786 +1,159 @@
 //! # seda-bench
 //!
-//! Shared fixtures and report generators for the benchmark harness that
-//! regenerates every table and figure of the SEDA paper (see `DESIGN.md` for
-//! the experiment index and `EXPERIMENTS.md` for paper-vs-measured numbers).
+//! What only this crate checks.  Every latency, throughput and memory number
+//! comes from the paper-scale harness under `benchmark/` (see
+//! `benchmark/README.md`); this crate keeps the `audit` binary and the two
+//! gates of `perf_smoke`, which compare the engine against itself within one
+//! process and so need no committed baseline:
 //!
-//! The heavy lifting lives here so that the individual Criterion benches stay
-//! small and the same reports can be produced by examples and integration
-//! tests.
+//! * **join scaling** — the broad three-term googlebase `TOPK` at 4× the
+//!   documents costs at most [`JOIN_SCALING_BOUND`]× the time;
+//! * **governance overhead** — the same request under a fully specified,
+//!   never-breached [`Budget`] costs at most [`GOVERNANCE_BOUND`]× the
+//!   ungoverned run.
+//!
+//! Each verdict is a pure function of the measured numbers, so the tests below
+//! feed it a regressed engine's numbers and watch it fail.
 
-use seda_core::{
-    BuildProfile, EngineConfig, Histogram, RequestContext, SedaEngine, SedaQuery, SedaRequest,
-    SedaResponse,
-};
-use seda_datagen::{
-    factbook, googlebase, mondial, recipeml, Dataset, FactbookConfig, GoogleBaseConfig,
-    MondialConfig, RecipeMlConfig,
-};
-use seda_dataguide::DataGuideSet;
-use seda_olap::{BuildOptions, Registry, StarSchemaBuild};
-use seda_textindex::{ContextIndex, CountStorage, FullTextQuery};
-use seda_xmlstore::Collection;
+use std::time::{Duration, Instant};
 
-/// Scale factor applied to the paper-sized corpora.  `1.0` reproduces the
-/// Table 1 document counts exactly; smaller values keep bench iterations
-/// affordable.
-pub fn scaled_collection(dataset: Dataset, scale: f64) -> Collection {
-    let scale = scale.clamp(0.005, 1.0);
-    match dataset {
-        Dataset::GoogleBase => {
-            let mut config = GoogleBaseConfig::paper();
-            config.items = ((config.items as f64 * scale) as usize).max(50);
-            googlebase::generate(&config).expect("generate google base")
-        }
-        Dataset::Mondial => {
-            let mut config = MondialConfig::paper();
-            config.countries = ((config.countries as f64 * scale) as usize).max(10);
-            config.provinces = ((config.provinces as f64 * scale) as usize).max(10);
-            config.cities = ((config.cities as f64 * scale) as usize).max(20);
-            config.seas = ((config.seas as f64 * scale) as usize).max(4);
-            config.rivers = ((config.rivers as f64 * scale) as usize).max(4);
-            config.organizations = ((config.organizations as f64 * scale) as usize).max(3);
-            config.features = ((config.features as f64 * scale) as usize).max(4);
-            mondial::generate(&config).expect("generate mondial")
-        }
-        Dataset::RecipeMl => {
-            let mut config = RecipeMlConfig::paper();
-            config.recipes = ((config.recipes as f64 * scale) as usize).max(50);
-            recipeml::generate(&config).expect("generate recipeml")
-        }
-        Dataset::WorldFactbook => {
-            let countries = ((267.0 * scale) as usize).max(10);
-            let years = if scale >= 0.5 { 6 } else { 3 };
-            factbook::generate(&FactbookConfig::paper_scaled(countries, years))
-                .expect("generate factbook")
-        }
-    }
+use seda_core::{Budget, EngineConfig, RequestContext, SedaEngine};
+use seda_datagen::{googlebase, GoogleBaseConfig};
+use seda_olap::Registry;
+
+/// The broad request both gates time: three terms, two of them match-all, so
+/// every document contributes postings and the rank join does all the work.
+pub const BROAD_TOPK: &str = "TOPK 10 FOR (title, model) AND (price, *) AND (condition, new)";
+
+/// Corpus sizes of the join-scaling gate (one-document components each).
+pub const BASE_ITEMS: usize = 1_500;
+/// Four times [`BASE_ITEMS`]; also the corpus of the governance gate, where
+/// the request takes ≈ 6.5 ms and timer noise is well under a percent.
+pub const SCALED_ITEMS: usize = 4 * BASE_ITEMS;
+
+/// Timed repetitions per side of [`interleaved_minima`].
+pub const REPS: usize = 15;
+
+/// Allowed `t(SCALED_ITEMS) / t(BASE_ITEMS)`.  A join doing linear work per
+/// sorted access reads ≈ 4× (measured 3.92–4.13× over twenty runs); one
+/// scanning every seen posting per sorted access reads ≈ 16×.
+pub const JOIN_SCALING_BOUND: f64 = 8.0;
+
+/// Allowed `t(governed) / t(ungoverned)`: the worst of twenty measured runs
+/// (1.092–1.131) plus their spread, 1.131 + 0.039.  The cost is real — the
+/// deadline check reads the clock once per sorted access — not noise.
+pub const GOVERNANCE_BOUND: f64 = 1.17;
+
+/// An engine over a datagen googlebase corpus of `items` flat documents.
+pub fn googlebase_engine(items: usize) -> Result<SedaEngine, String> {
+    let config = GoogleBaseConfig { items, ..GoogleBaseConfig::small() };
+    let collection = googlebase::generate(&config).map_err(|e| e.to_string())?;
+    SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
+        .map_err(|e| e.to_string())
 }
 
-/// One row of the reproduced Table 1.
-#[derive(Debug, Clone)]
-pub struct Table1Row {
-    /// Data set name.
-    pub dataset: &'static str,
-    /// Documents generated.
-    pub documents: usize,
-    /// Dataguides measured at the 40% threshold.
-    pub dataguides: usize,
-    /// Documents reported by the paper.
-    pub paper_documents: usize,
-    /// Dataguides reported by the paper.
-    pub paper_dataguides: usize,
-}
-
-/// Reproduces Table 1 (dataguide statistics at a 40% overlap threshold) at the
-/// given corpus scale.
-pub fn table1(scale: f64) -> Vec<Table1Row> {
-    Dataset::ALL
-        .iter()
-        .map(|&dataset| {
-            let collection = scaled_collection(dataset, scale);
-            let guides = DataGuideSet::build(&collection, 0.4).expect("dataguide build");
-            Table1Row {
-                dataset: dataset.name(),
-                documents: collection.len(),
-                dataguides: guides.len(),
-                paper_documents: dataset.paper_document_count(),
-                paper_dataguides: dataset.paper_dataguide_count(),
-            }
-        })
-        .collect()
-}
-
-/// Renders Table 1 in the paper's layout.
-pub fn render_table1(rows: &[Table1Row]) -> String {
-    let mut out = String::from(
-        "Table 1: Dataguide statistics for threshold of 40%\n\
-         data set                  # documents   # data guides   (paper: docs -> guides)\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{:<25} {:>11} {:>15}   ({} -> {})\n",
-            row.dataset, row.documents, row.dataguides, row.paper_documents, row.paper_dataguides
-        ));
-    }
-    out
-}
-
-/// Statistics of the Factbook-like corpus reported in the paper's text
-/// (Sec. 1 and Sec. 5): distinct paths, number of contexts matching
-/// "United States", and document frequencies of prominent vs rare paths.
-#[derive(Debug, Clone)]
-pub struct FactbookStats {
-    /// Total documents.
-    pub documents: usize,
-    /// Distinct root-to-leaf paths (paper: 1984).
-    pub distinct_paths: usize,
-    /// Distinct contexts matching the content "United States" (paper: 27).
-    pub united_states_contexts: usize,
-    /// Documents containing the `/country` path (paper: 1577 of 1600).
-    pub country_documents: usize,
-    /// Documents containing the refugees country-of-origin path (paper: 186).
-    pub refugees_documents: usize,
-}
-
-/// Computes the Factbook text statistics over a collection.
-pub fn factbook_stats(collection: &Collection) -> FactbookStats {
-    let index = ContextIndex::build(collection, CountStorage::DocumentStore);
-    let us_paths = index.paths_matching(&FullTextQuery::phrase("United States"));
-    let freq = collection.path_document_frequency();
-    let country = collection.paths().get_str(collection.symbols(), "/country");
-    let refugees = collection
-        .paths()
-        .get_str(collection.symbols(), "/country/transnational_issues/refugees/country_of_origin");
-    FactbookStats {
-        documents: collection.len(),
-        distinct_paths: collection.distinct_path_count(),
-        united_states_contexts: us_paths.len(),
-        country_documents: country.map(|p| freq.get(&p).copied().unwrap_or(0)).unwrap_or(0),
-        refugees_documents: refugees.map(|p| freq.get(&p).copied().unwrap_or(0)).unwrap_or(0),
-    }
-}
-
-/// Builds a SEDA engine over a Factbook-like corpus of the given size.
-pub fn factbook_engine(countries: usize, years: usize) -> SedaEngine {
-    factbook_engine_with(countries, years, 1)
-}
-
-/// Builds a SEDA engine over a Factbook-like corpus with the given build
-/// parallelism (`1` = sequential single-pass, `0` = auto, `n` = `n` workers).
-pub fn factbook_engine_with(countries: usize, years: usize, parallelism: usize) -> SedaEngine {
-    let collection = factbook::generate(&FactbookConfig::paper_scaled(countries, years))
-        .expect("generate factbook");
-    SedaEngine::build(
-        collection,
-        Registry::factbook_defaults(),
-        EngineConfig { parallelism, ..EngineConfig::default() },
-    )
-    .expect("engine build")
-}
-
-/// Builds the given collection sequentially and with `threads` workers and
-/// returns both [`BuildProfile`]s, so benches and reports can show the
-/// measured shard/merge split and the parallel speedup without regenerating
-/// the corpus per variant.
-pub fn build_profiles(collection: &Collection, threads: usize) -> (BuildProfile, BuildProfile) {
-    let profile = |parallelism: usize| {
-        SedaEngine::build(
-            collection.clone(),
-            Registry::factbook_defaults(),
-            EngineConfig { parallelism, ..EngineConfig::default() },
-        )
-        .expect("engine build")
-        .build_profile()
-        .clone()
-    };
-    (profile(1), profile(threads))
-}
-
-/// Renders a sequential-vs-parallel build comparison from two profiles.
-pub fn render_build_comparison(sequential: &BuildProfile, parallel: &BuildProfile) -> String {
-    let speedup =
-        if parallel.total_secs > 0.0 { sequential.total_secs / parallel.total_secs } else { 0.0 };
-    format!(
-        "sequential:\n{}parallel ({} threads):\n{}speedup: {speedup:.2}x\n",
-        sequential.render(),
-        parallel.parallelism,
-        parallel.render()
+/// A context whose every ceiling is set and none can be reached, so each
+/// governance site does its full check and never breaches.
+pub fn generous_context() -> RequestContext {
+    RequestContext::new(
+        Budget::unlimited()
+            .with_deadline(Duration::from_secs(3600))
+            .with_max_sorted_accesses(usize::MAX)
+            .with_max_random_accesses(usize::MAX)
+            .with_max_candidates(usize::MAX)
+            .with_max_label_probes(u64::MAX)
+            .with_max_rows(usize::MAX)
+            .with_max_twig_matches(usize::MAX)
+            .with_max_cube_cells(usize::MAX),
     )
 }
 
-/// The paper's Query 1.
-pub fn query1() -> SedaQuery {
-    SedaQuery::parse(r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#)
-        .expect("query 1 parses")
-}
-
-/// One top-k benchmark workload: an engine plus the query that exercises it.
-pub struct TopKWorkload {
-    /// Workload name (`googlebase`, `mondial`, `factbook`).
-    pub name: &'static str,
-    /// The query text (parseable by [`SedaQuery::parse`]).
-    pub query_text: &'static str,
-    /// The engine built over the workload's corpus.
-    pub engine: SedaEngine,
-}
-
-/// One measured top-k run, serialisable into the `BENCH_topk.json` report.
-#[derive(Debug, Clone)]
-pub struct TopKMeasurement {
-    /// Workload name.
-    pub workload: &'static str,
-    /// Query text.
-    pub query: &'static str,
-    /// `ta` or `naive`.
-    pub algo: &'static str,
-    /// Requested k.
-    pub k: usize,
-    /// Result tuples returned.
-    pub tuples: usize,
-    /// Best-of-reps wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Latency quantiles over every timed rep.
-    pub stats: RepStats,
-    /// Entries consumed from sorted posting lists.
-    pub sorted_accesses: usize,
-    /// Random-access score probes.
-    pub random_accesses: usize,
-    /// Candidate tuples scored (connectivity + compactness).
-    pub tuples_scored: usize,
-    /// Label entries scanned by connectivity-oracle intersections.
-    pub label_probes: u64,
-    /// Candidate combinations clipped by the candidate limit.
-    pub candidates_truncated: usize,
-    /// Whether the Threshold Algorithm terminated early.
-    pub early_terminated: bool,
-}
-
-impl TopKMeasurement {
-    /// Renders the measurement as one indented JSON object (no trailing
-    /// newline).
-    pub fn to_json(&self, indent: &str) -> String {
-        format!(
-            "{indent}{{\"workload\": {:?}, \"query\": {:?}, \"algo\": {:?}, \"k\": {}, \
-             \"tuples\": {}, \"wall_ms\": {:.3}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"reps\": {}, \"sorted_accesses\": {}, \
-             \"random_accesses\": {}, \"tuples_scored\": {}, \"label_probes\": {}, \
-             \"candidates_truncated\": {}, \"early_terminated\": {}}}",
-            self.workload,
-            self.query,
-            self.algo,
-            self.k,
-            self.tuples,
-            self.wall_ms,
-            self.stats.p50_ms,
-            self.stats.p95_ms,
-            self.stats.p99_ms,
-            self.stats.reps,
-            self.sorted_accesses,
-            self.random_accesses,
-            self.tuples_scored,
-            self.label_probes,
-            self.candidates_truncated,
-            self.early_terminated,
-        )
-    }
-}
-
-impl TopKWorkload {
-    /// Resolves the workload's query into concrete top-k term inputs.
-    pub fn term_inputs(&self) -> Vec<seda_topk::TermInput> {
-        let collection = self.engine.collection();
-        SedaQuery::parse(self.query_text)
-            .expect("workload query parses")
-            .terms
-            .iter()
-            .map(|t| match t.context.allowed_paths(collection) {
-                Some(paths) => seda_topk::TermInput::with_paths(t.search.clone(), paths),
-                None => seda_topk::TermInput::new(t.search.clone()),
-            })
-            .collect()
-    }
-
-    /// Measures TA at k ∈ {1, 10, 100} through a [`seda_core::SedaReader`]
-    /// (the facade's steady-state serving configuration: one per-thread
-    /// handle, scratch reused across queries), plus the exhaustive naive
-    /// baseline at k = 10 via the raw searcher.  Each row is measured over
-    /// [`bench_reps`] timed reps after one warm-up run (`wall_ms` is the
-    /// best rep; the quantile columns summarise all reps).  The request is
-    /// planned once outside the timed loop, so the TA and naive numbers both
-    /// measure pure execution over pre-resolved term inputs.
-    pub fn measure(&self) -> Vec<TopKMeasurement> {
-        let mut reader = self.engine.reader();
-        let mut out = Vec::new();
-        for &k in &[1usize, 10, 100] {
-            let request = SedaRequest::parse(&format!("TOPK {k} FOR {}", self.query_text))
-                .expect("workload request parses");
-            let plan = self.engine.prepare(&request).expect("workload request plans");
-            let ctx = RequestContext::unlimited();
-            let (response, stats) = measure_reps(|| {
-                reader.execute_plan_governed(&plan, &ctx).expect("workload executes")
-            });
-            let result = response.top_k().expect("TOPK response carries a result").clone();
-            out.push(self.measurement("ta", k, stats, &result));
-        }
-        // The naive baseline is not part of the public facade: it exists to
-        // quantify the Threshold Algorithm's early termination.
-        let searcher = seda_topk::TopKSearcher::new(
-            self.engine.collection(),
-            self.engine.node_index(),
-            self.engine.graph(),
-        );
-        let terms = self.term_inputs();
-        let mut scratch = seda_topk::SearchScratch::new();
-        let config = seda_topk::TopKConfig::with_k(10);
-        let (result, stats) = measure_reps(|| searcher.search_naive(&terms, &config, &mut scratch));
-        out.push(self.measurement("naive", 10, stats, &result));
-        out
-    }
-
-    fn measurement(
-        &self,
-        algo: &'static str,
-        k: usize,
-        stats: RepStats,
-        result: &seda_topk::TopKResult,
-    ) -> TopKMeasurement {
-        TopKMeasurement {
-            workload: self.name,
-            query: self.query_text,
-            algo,
-            k,
-            tuples: result.tuples.len(),
-            wall_ms: stats.best_ms,
-            stats,
-            sorted_accesses: result.stats.sorted_accesses,
-            random_accesses: result.stats.random_accesses,
-            tuples_scored: result.stats.tuples_scored,
-            label_probes: result.stats.label_probes,
-            candidates_truncated: result.stats.candidates_truncated,
-            early_terminated: result.stats.early_terminated,
-        }
-    }
-}
-
-/// Runs `f` once for warm-up and then three timed times, returning the last
-/// result together with the best wall time in milliseconds.
-pub fn best_of_three<T>(mut f: impl FnMut() -> T) -> (T, f64) {
-    let warmup = f();
-    let mut best = f64::INFINITY;
-    let mut result = warmup;
-    for _ in 0..3 {
-        let t = std::time::Instant::now();
-        result = f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    (result, best)
-}
-
-/// Wall-time statistics of one repeated measurement: the best rep (the
-/// committed `wall_ms`, least affected by scheduler noise) plus latency
-/// quantiles over every rep, so the reports expose tail behaviour too.
-#[derive(Debug, Clone, Copy)]
-pub struct RepStats {
-    /// Best single-rep wall time in milliseconds.
-    pub best_ms: f64,
-    /// Median rep wall time in milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile rep wall time in milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile rep wall time in milliseconds.
-    pub p99_ms: f64,
-    /// Timed repetitions measured (excluding the warm-up run).
-    pub reps: usize,
-}
-
-impl RepStats {
-    /// Element-wise sum of two measurements, for synthetic rows composed of
-    /// separately measured phases (an upper bound on the composed quantiles).
-    pub fn plus(&self, other: &RepStats) -> RepStats {
-        RepStats {
-            best_ms: self.best_ms + other.best_ms,
-            p50_ms: self.p50_ms + other.p50_ms,
-            p95_ms: self.p95_ms + other.p95_ms,
-            p99_ms: self.p99_ms + other.p99_ms,
-            reps: self.reps.min(other.reps),
-        }
-    }
-}
-
-/// Timed repetitions per measurement: `BENCH_REPS` when set, else 30 (the
-/// minimum for the committed p95/p99 columns to be meaningful).
-pub fn bench_reps() -> usize {
-    std::env::var("BENCH_REPS").ok().and_then(|v| v.parse().ok()).filter(|&r| r > 0).unwrap_or(30)
-}
-
-/// Runs `f` once for warm-up and then [`bench_reps`] timed times, feeding
-/// every rep into a metrics [`Histogram`] — the same log-bucketed ladder the
-/// serving path records request latencies on — and returning the last result
-/// together with the rep statistics.
-pub fn measure_reps<T>(mut f: impl FnMut() -> T) -> (T, RepStats) {
-    let reps = bench_reps();
-    let histogram = Histogram::new();
-    let mut best = f64::INFINITY;
-    let mut result = f();
-    for _ in 0..reps {
-        let t = std::time::Instant::now();
-        result = f();
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        best = best.min(ms);
-        histogram.observe_secs(ms / 1e3);
-    }
-    let stats = RepStats {
-        best_ms: best,
-        p50_ms: histogram.quantile_ms(0.50),
-        p95_ms: histogram.quantile_ms(0.95),
-        p99_ms: histogram.quantile_ms(0.99),
-        reps,
+/// Fastest-of-[`REPS`] wall time in milliseconds of `a` and of `b`, after one
+/// untimed run of each.  The reps alternate a, b, a, b, … so a slow phase of
+/// the host falls on both sides, and the minima compare the two at their
+/// undisturbed best.
+pub fn interleaved_minima(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let time = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        f();
+        start.elapsed().as_secs_f64() * 1e3
     };
-    (result, stats)
-}
-
-/// The four standard top-k benchmark workloads: googlebase, mondial,
-/// factbook and recipeml corpora with queries that exercise joins,
-/// cross-document BFS, phrase scoring and deep ingredient nesting
-/// respectively.
-pub fn topk_workloads() -> Vec<TopKWorkload> {
-    let build = |collection: Collection| {
-        SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
-            .expect("workload engine build")
-    };
-    vec![
-        TopKWorkload {
-            name: "googlebase",
-            query_text: "(title, model) AND (price, *) AND (condition, new)",
-            engine: build(
-                googlebase::generate(&GoogleBaseConfig::small()).expect("generate googlebase"),
-            ),
-        },
-        TopKWorkload {
-            name: "mondial",
-            query_text: "(name, *) AND (population, *)",
-            engine: build(mondial::generate(&MondialConfig::small()).expect("generate mondial")),
-        },
-        TopKWorkload {
-            name: "factbook",
-            query_text: r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#,
-            engine: factbook_engine(40, 3),
-        },
-        TopKWorkload {
-            name: "recipeml",
-            query_text: "(title, *) AND (item, *)",
-            engine: build(recipeml::generate(&RecipeMlConfig::small()).expect("generate recipeml")),
-        },
-    ]
-}
-
-/// The Query 1 refinement as a facade request: every term pinned to its
-/// import-partner context.  Paths absent from the corpus are dropped from
-/// the refinement (small corpora may lack import partners).
-pub fn query1_request(engine: &SedaEngine, statement: &str) -> SedaRequest {
-    let mut text = format!("{statement} FOR {}", query1());
-    for (term, path) in [
-        (0usize, "/country/name"),
-        (1, "/country/economy/import_partners/item/trade_country"),
-        (2, "/country/economy/import_partners/item/percentage"),
-    ] {
-        if engine.resolve_path(path).is_ok() {
-            text.push_str(&format!(" WITH {term} IN {path}"));
-        }
+    a();
+    b();
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPS {
+        best_a = best_a.min(time(&mut a));
+        best_b = best_b.min(time(&mut b));
     }
-    SedaRequest::parse(&text).expect("query 1 request parses")
+    (best_a, best_b)
 }
 
-/// Runs the full Query 1 pipeline (context refinement to import partners,
-/// complete results, star schema) through the request facade and returns the
-/// build — the Figure 3 artefact.
-pub fn run_query1_cube(engine: &SedaEngine) -> StarSchemaBuild {
-    let request = query1_request(engine, "RESULTS");
-    let mut reader = engine.reader();
-    let response = reader.execute(&request).expect("query 1 complete-results request");
-    let result = response.table().expect("RESULTS response carries a table");
-    engine.build_star_schema(result, &BuildOptions::default())
-}
-
-/// One measured request → response trip through the facade, serialisable
-/// into the `BENCH_pipeline.json` report.
-#[derive(Debug, Clone)]
-pub struct PipelineMeasurement {
-    /// Workload name.
-    pub workload: &'static str,
-    /// Statement verb of the request (`TOPK`, `CONTEXTS`, …).
-    pub statement: String,
-    /// `"cold"` (parse + plan + execute per rep) or `"prepared"` (planned
-    /// once via `SedaReader::prepare`; every timed rep is a warm
-    /// re-execution of the prepared plan).
-    pub mode: &'static str,
-    /// Canonical textual form of the request.
-    pub request: String,
-    /// Rows in the response payload.
-    pub rows: usize,
-    /// Best-of-reps request → response wall time in milliseconds
-    /// (plan + execution).
-    pub wall_ms: f64,
-    /// Latency quantiles over every timed rep.
-    pub stats: RepStats,
-    /// Planning share of the measured run, in milliseconds.
-    pub plan_ms: f64,
-    /// Sorted posting-list accesses of the measured run.
-    pub sorted_accesses: usize,
-    /// Random-access probes of the measured run.
-    pub random_accesses: usize,
-    /// Label probes of the measured run.
-    pub label_probes: u64,
-    /// Aggregate budget work units of the measured run
-    /// ([`seda_core::ExecProfile::budget_spent`]).
-    pub budget_spent: u64,
-    /// True when the response was degraded by a budget breach (never the
-    /// case for the ungoverned benchmark runs; recorded so regressions in
-    /// the governance layer are visible in the report).
-    pub degraded: bool,
-}
-
-impl PipelineMeasurement {
-    /// Renders the measurement as one indented JSON object (no trailing
-    /// newline).
-    pub fn to_json(&self, indent: &str) -> String {
-        format!(
-            "{indent}{{\"workload\": {:?}, \"statement\": {:?}, \"mode\": {:?}, \
-             \"request\": {:?}, \
-             \"rows\": {}, \"wall_ms\": {:.3}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"reps\": {}, \"plan_ms\": {:.3}, \
-             \"sorted_accesses\": {}, \"random_accesses\": {}, \"label_probes\": {}, \
-             \"budget_spent\": {}, \"degraded\": {}}}",
-            self.workload,
-            self.statement,
-            self.mode,
-            self.request,
-            self.rows,
-            self.wall_ms,
-            self.stats.p50_ms,
-            self.stats.p95_ms,
-            self.stats.p99_ms,
-            self.stats.reps,
-            self.plan_ms,
-            self.sorted_accesses,
-            self.random_accesses,
-            self.label_probes,
-            self.budget_spent,
-            self.degraded,
-        )
-    }
-}
-
-/// Measures the full request → response pipeline of one workload: every
-/// statement of the Fig. 4 engine, [`bench_reps`] timed reps through one
-/// reader handle (`wall_ms` is the best rep; the quantile columns summarise
-/// all reps).
-///
-/// Each statement is measured in two modes.  The `"cold"` rows parse, plan
-/// and execute per rep — what a one-shot request observes.  The `"prepared"`
-/// rows plan once through [`seda_core::SedaReader::prepare`] and re-execute
-/// the prepared plan per rep with warm materialized term lists and a warm
-/// compactness memo — the steady state of a repeated statement.  Cold rows
-/// are emitted first, so first-match consumers of the report (`perf_smoke`)
-/// keep reading the cold baseline.
-///
-/// The cold `CONNECTIONS` statement derives its summary from a top-k result,
-/// so its row reuses the tuples of the measured `TOPK` run instead of
-/// re-running the search: the row reports the *incremental* cost of
-/// connection discovery (planning plus the pairwise oracle walk).  Its search
-/// counters are zero by construction — that work is already accounted to the
-/// `TOPK` row.  The prepared `CONNECTIONS` row runs the full prepared plan
-/// (search included), so the two are not directly comparable.
-pub fn measure_pipeline(workload: &TopKWorkload) -> Vec<PipelineMeasurement> {
-    let engine = &workload.engine;
-    let mut reader = engine.reader();
-    let parse = |text: String| SedaRequest::parse(&text).expect("pipeline request parses");
-    let mut measure = |request: &SedaRequest| {
-        let (response, stats): (SedaResponse, RepStats) =
-            measure_reps(|| reader.execute(request).expect("pipeline request executes"));
-        let row = PipelineMeasurement {
-            workload: workload.name,
-            statement: request.statement.name().to_string(),
-            mode: "cold",
-            request: request.render(),
-            rows: response.profile.rows,
-            wall_ms: stats.best_ms,
-            stats,
-            plan_ms: response.profile.plan_secs * 1e3,
-            sorted_accesses: response.profile.sorted_accesses,
-            random_accesses: response.profile.random_accesses,
-            label_probes: response.profile.label_probes,
-            budget_spent: response.profile.budget_spent,
-            degraded: response.profile.degraded,
-        };
-        (response, row)
-    };
-
-    let (topk_response, topk_row) = measure(&parse(format!("TOPK 10 FOR {}", workload.query_text)));
-    let mut out = vec![topk_row];
-    out.push(measure(&parse(format!("CONTEXTS FOR {}", workload.query_text))).1);
-
-    // CONNECTIONS: share the already-scored top-k tuples.
-    let connections_request = parse(format!("CONNECTIONS 10 FOR {}", workload.query_text));
-    let top_k = topk_response.top_k().expect("TOPK response carries a result").clone();
-    let (_, plan_stats) =
-        measure_reps(|| engine.prepare(&connections_request).expect("pipeline request plans"));
-    let (summary, discover_stats) = measure_reps(|| engine.connection_summary(&top_k));
-    let stats = plan_stats.plus(&discover_stats);
-    out.push(PipelineMeasurement {
-        workload: workload.name,
-        statement: connections_request.statement.name().to_string(),
-        mode: "cold",
-        request: connections_request.render(),
-        rows: summary.len(),
-        wall_ms: stats.best_ms,
-        stats,
-        plan_ms: plan_stats.best_ms,
-        sorted_accesses: 0,
-        random_accesses: 0,
-        label_probes: 0,
-        budget_spent: 0,
-        degraded: false,
-    });
-
-    if workload.name == "factbook" {
-        // The complete-result / cube stages need the paper's refined
-        // contexts to stay tractable, which only the factbook corpus has.
-        out.push(measure(&query1_request(engine, "RESULTS")).1);
-        out.push(
-            measure(&query1_request(
-                engine,
-                "CUBE import-trade-percentage BY import-country AGG sum",
-            ))
-            .1,
-        );
-    }
-
-    // Prepared rows: the same statements planned once and re-executed per
-    // rep (the first, untimed `measure_reps` warm-up fills the compactness
-    // memo, so every timed rep measures the warm steady state).
-    let mut prepared_requests = vec![
-        parse(format!("TOPK 10 FOR {}", workload.query_text)),
-        parse(format!("CONTEXTS FOR {}", workload.query_text)),
-        parse(format!("CONNECTIONS 10 FOR {}", workload.query_text)),
-    ];
-    if workload.name == "factbook" {
-        prepared_requests.push(query1_request(engine, "RESULTS"));
-        prepared_requests
-            .push(query1_request(engine, "CUBE import-trade-percentage BY import-country AGG sum"));
-    }
-    for request in &prepared_requests {
-        let mut prepared = reader.prepare(request).expect("pipeline request prepares");
-        let (response, stats): (SedaResponse, RepStats) =
-            measure_reps(|| prepared.execute(&mut reader).expect("prepared request executes"));
-        out.push(PipelineMeasurement {
-            workload: workload.name,
-            statement: request.statement.name().to_string(),
-            mode: "prepared",
-            request: request.render(),
-            rows: response.profile.rows,
-            wall_ms: stats.best_ms,
-            stats,
-            plan_ms: response.profile.plan_secs * 1e3,
-            sorted_accesses: response.profile.sorted_accesses,
-            random_accesses: response.profile.random_accesses,
-            label_probes: response.profile.label_probes,
-            budget_spent: response.profile.budget_spent,
-            degraded: response.profile.degraded,
-        });
-    }
-    out
-}
-
-/// Renders the Figure 3(c) fact table (restricted to the United States rows
-/// for readability).
-pub fn render_query1_fact_table(build: &StarSchemaBuild, limit: usize) -> String {
-    let mut out = String::from(
-        "Fact table (import-trade-percentage): country, year, import-country, percentage\n",
-    );
-    if let Some(fact) = build.schema.fact("import-trade-percentage") {
-        for row in fact.rows.iter().filter(|r| r.dimensions[0] == "United States").take(limit) {
-            out.push_str(&format!(
-                "  {:<20} {:<6} {:<15} {}\n",
-                row.dimensions[0], row.dimensions[1], row.dimensions[2], row.measures[0]
-            ));
-        }
-        out.push_str(&format!("  ({} rows total)\n", fact.len()));
+/// One gate's report line — the ratio `measured_ms / base_ms`, its bound and
+/// both times — as `Ok` when the ratio is within `bound`, else as `Err`.
+fn bounded_ratio(gate: &str, base_ms: f64, measured_ms: f64, bound: f64) -> Result<String, String> {
+    let ratio = measured_ms / base_ms;
+    let line =
+        format!("{gate} {ratio:.3}x (allowed {bound}x): {measured_ms:.3}ms against {base_ms:.3}ms");
+    // Written so that a NaN ratio (a measurement that timed nothing) fails.
+    if ratio <= bound {
+        Ok(line)
     } else {
-        out.push_str("  <no fact table derived>\n");
+        Err(line)
     }
-    out
+}
+
+/// The join-scaling gate over the broad `TOPK` times at [`BASE_ITEMS`] and
+/// [`SCALED_ITEMS`] documents.
+pub fn join_scaling_verdict(base_ms: f64, scaled_ms: f64) -> Result<String, String> {
+    bounded_ratio("join scaling", base_ms, scaled_ms, JOIN_SCALING_BOUND)
+}
+
+/// The governance-overhead gate over one request's ungoverned and governed
+/// times.
+pub fn governance_verdict(ungoverned_ms: f64, governed_ms: f64) -> Result<String, String> {
+    bounded_ratio("governance overhead", ungoverned_ms, governed_ms, GOVERNANCE_BOUND)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seda_core::SedaRequest;
 
     #[test]
-    fn table1_shape_holds_at_small_scale() {
-        let rows = table1(0.1);
-        assert_eq!(rows.len(), 4);
-        let by_name = |n: &str| rows.iter().find(|r| r.dataset.contains(n)).unwrap().clone();
-        // RecipeML collapses to 3 dataguides at any scale.
-        assert_eq!(by_name("RecipeML").dataguides, 3);
-        // Google Base and Mondial reduce by an order of magnitude or more.
-        assert!(by_name("Google").dataguides * 10 <= by_name("Google").documents);
-        assert!(by_name("Mondial").dataguides * 10 <= by_name("Mondial").documents);
-        // The Factbook reduces far less (heterogeneous corpus).
-        let fb = by_name("Factbook");
-        assert!(fb.dataguides * 2 >= fb.documents / 10, "factbook stays heterogeneous");
-        let rendered = render_table1(&rows);
-        assert!(rendered.contains("RecipeML"));
+    fn join_scaling_fails_on_a_prefix_scan_join_and_passes_on_the_measured_pair() {
+        // The join PR 12 removed: 4x the documents, 16x the time.
+        let failure = join_scaling_verdict(1.0, 16.0).unwrap_err();
+        assert!(failure.starts_with("join scaling 16.000x (allowed 8x)"), "{failure}");
+        // The least favourable pair recorded on the component-partitioned join.
+        let pass = join_scaling_verdict(1.29, 7.66).unwrap();
+        assert!(pass.starts_with("join scaling 5.938x"), "{pass}");
     }
 
     #[test]
-    fn query1_cube_reproduces_fixed_facts() {
-        let engine = factbook_engine(20, 3);
-        let build = run_query1_cube(&engine);
-        let fact = build.schema.fact("import-trade-percentage").expect("fact table");
-        let rendered = render_query1_fact_table(&build, 50);
-        assert!(rendered.contains("China"));
-        assert!(fact.dimensions_form_key());
+    fn governance_fails_at_one_and_a_half_and_passes_at_a_tenth_over() {
+        let failure = governance_verdict(6.5, 6.5 * 1.5).unwrap_err();
+        assert!(failure.starts_with("governance overhead 1.500x"), "{failure}");
+        assert!(governance_verdict(6.5, 6.5 * 1.10).is_ok());
+        // A measurement that timed nothing is a failure, not a pass.
+        assert!(governance_verdict(0.0, 0.0).is_err());
     }
 
+    /// The seeded slowdown: the governed side does the request twice, and the
+    /// real measuring helper plus the real verdict must see it.
     #[test]
-    fn build_profiles_surface_the_shard_merge_split() {
-        let collection = factbook::generate(&FactbookConfig::paper_scaled(20, 3)).unwrap();
-        let (sequential, parallel) = build_profiles(&collection, 4);
-        assert_eq!(sequential.parallelism, 1);
-        assert_eq!(sequential.shards, 1);
-        assert_eq!(sequential.merge_secs(), 0.0);
-        assert_eq!(parallel.parallelism, 4);
-        assert_eq!(parallel.shards, parallel.documents);
-        assert!(parallel.merge_secs() > 0.0);
-        assert_eq!(sequential.documents, parallel.documents);
-        let rendered = render_build_comparison(&sequential, &parallel);
-        assert!(rendered.contains("speedup"));
-    }
-
-    #[test]
-    fn pipeline_rows_carry_the_execution_mode() {
-        let stats = RepStats { best_ms: 0.1, p50_ms: 0.1, p95_ms: 0.1, p99_ms: 0.1, reps: 3 };
-        let row = PipelineMeasurement {
-            workload: "w",
-            statement: "TOPK".to_string(),
-            mode: "prepared",
-            request: "r".to_string(),
-            rows: 1,
-            wall_ms: 0.1,
-            stats,
-            plan_ms: 0.0,
-            sorted_accesses: 0,
-            random_accesses: 0,
-            label_probes: 0,
-            budget_spent: 0,
-            degraded: false,
-        };
-        assert!(row.to_json("").contains("\"mode\": \"prepared\""));
-    }
-
-    #[test]
-    fn measure_reps_reports_ordered_quantiles() {
-        let (value, stats) = measure_reps(|| 42u32);
-        assert_eq!(value, 42);
-        assert_eq!(stats.reps, bench_reps());
-        assert!(stats.best_ms >= 0.0);
-        assert!(stats.p50_ms <= stats.p95_ms);
-        assert!(stats.p95_ms <= stats.p99_ms);
-        let doubled = stats.plus(&stats);
-        assert!(doubled.p99_ms >= stats.p99_ms);
-        assert_eq!(doubled.reps, stats.reps);
-    }
-
-    #[test]
-    fn factbook_stats_capture_the_long_tail() {
-        let collection = factbook::generate(&FactbookConfig::paper_scaled(40, 3)).unwrap();
-        let stats = factbook_stats(&collection);
-        assert_eq!(stats.documents, 120);
-        assert!(stats.distinct_paths > 100);
-        assert!(stats.united_states_contexts >= 3);
-        assert!(stats.country_documents as f64 >= 0.9 * stats.documents as f64);
-        assert!(stats.refugees_documents < stats.documents / 2);
+    fn a_seeded_slow_governed_side_fails_the_gate_through_the_real_helper() {
+        let engine = googlebase_engine(300).unwrap();
+        let request = SedaRequest::parse(BROAD_TOPK).unwrap();
+        let (mut plain, mut slowed) = (engine.reader(), engine.reader());
+        let unlimited = RequestContext::unlimited();
+        let (ungoverned_ms, governed_ms) = interleaved_minima(
+            || drop(plain.execute_governed(&request, &unlimited).unwrap()),
+            || {
+                for _ in 0..2 {
+                    slowed.execute_governed(&request, &generous_context()).unwrap();
+                }
+            },
+        );
+        governance_verdict(ungoverned_ms, governed_ms).unwrap_err();
     }
 }

@@ -16,8 +16,8 @@
 //!
 //! Every [`SedaEngine::build`] runs `verify()` before handing the engine to
 //! the caller and records the cost in
-//! [`crate::BuildProfile::verify_ms`]; `seda-bench audit` runs the same check
-//! over the benchmark corpora from the command line.
+//! [`crate::BuildProfile::verify_ms`]; `seda-bench`'s `audit` binary runs the
+//! same check over every datagen corpus shape from the command line.
 
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
 

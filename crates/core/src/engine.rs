@@ -118,9 +118,8 @@ impl PhaseProfile {
     }
 }
 
-/// Timings and shape of one [`SedaEngine::build`] run, surfaced through
-/// `seda-bench` so sequential-vs-parallel speedups are measured rather than
-/// asserted.
+/// Timings and shape of one [`SedaEngine::build`] run, so sequential-vs-parallel
+/// speedups are measured (`benchmark/` reads them) rather than asserted.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BuildProfile {
     /// Worker threads actually used (after resolving `parallelism == 0` and

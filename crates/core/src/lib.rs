@@ -64,7 +64,7 @@ pub mod error;
 pub mod faults;
 pub mod govern;
 pub mod metrics;
-pub mod parallel;
+pub(crate) mod parallel;
 pub mod plan;
 pub mod prepared;
 pub mod query;

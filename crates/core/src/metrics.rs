@@ -13,9 +13,7 @@
 //! Latency is recorded in [`Histogram`]s with an HDR-style bucket ladder:
 //! eight linear buckets for sub-8µs values, then eight sub-buckets per
 //! power-of-two octave (≤ 12.5 % relative quantile error), all in one flat
-//! atomic array.  The same type backs the repetition statistics of
-//! `seda-bench`, so committed BENCH numbers and served metrics share one
-//! quantile implementation.
+//! atomic array.
 //!
 //! Snapshots are deterministic: [`MetricsRegistry::snapshot`] renders the
 //! catalog as JSON sorted by `(name, label)`, and
@@ -187,11 +185,6 @@ impl Histogram {
         let lo = self.min.load(Ordering::Relaxed);
         let hi = self.max.load(Ordering::Relaxed);
         estimate.clamp(lo.min(hi), hi)
-    }
-
-    /// The `q`-quantile in milliseconds (bench-report convenience).
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        self.quantile_micros(q) as f64 / 1e3
     }
 
     /// This histogram's invariant violations, labelled `what` in details.

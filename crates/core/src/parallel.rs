@@ -44,7 +44,7 @@ pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// Number of worker threads to use for a configured parallelism value:
 /// `0` resolves to the machine's available parallelism, anything else is
 /// taken literally.
-pub fn effective_parallelism(configured: usize) -> usize {
+pub(crate) fn effective_parallelism(configured: usize) -> usize {
     if configured == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
@@ -62,7 +62,11 @@ pub fn effective_parallelism(configured: usize) -> usize {
 /// A panicking closure is caught inside its worker and reported as the
 /// lowest-indexed [`WorkerPanic`] observed; remaining workers stop handing
 /// out work and the process survives.
-pub fn parallel_map<T, S, F>(items: &[T], threads: usize, f: F) -> Result<Vec<S>, WorkerPanic>
+pub(crate) fn parallel_map<T, S, F>(
+    items: &[T],
+    threads: usize,
+    f: F,
+) -> Result<Vec<S>, WorkerPanic>
 where
     T: Sync,
     S: Send,
@@ -149,7 +153,7 @@ where
 /// `Err(WorkerPanic)` **for that item only**, the worker discards its
 /// (possibly corrupted) state and re-`init`s before the next item, and every
 /// other item completes normally.
-pub fn parallel_map_with<T, S, C, I, F>(
+pub(crate) fn parallel_map_with<T, S, C, I, F>(
     items: &[T],
     threads: usize,
     init: I,

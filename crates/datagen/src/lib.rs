@@ -36,8 +36,8 @@ pub use recipeml::RecipeMlConfig;
 use seda_xmlstore::{Collection, Result};
 use serde::{Deserialize, Serialize};
 
-/// Identifies one of the four paper data sets; used by benches and the
-/// Table 1 harness to iterate over all of them uniformly.
+/// Identifies one of the four paper data sets; used by the audit binary, the
+/// examples and the tests to iterate over all of them uniformly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Dataset {
     /// Google Base snapshot (flat, regular).
@@ -95,6 +95,42 @@ impl Dataset {
         }
     }
 
+    /// Generates the data set at `scale` times its paper size (`1.0` reproduces
+    /// the Table 1 document counts).  `scale` is a fraction in `(0, 1]` —
+    /// callers reading it from outside the program validate that; small
+    /// fractions are floored so every corpus keeps enough documents to show
+    /// its shapes.
+    pub fn generate_scaled(self, scale: f64) -> Result<Collection> {
+        let scaled = |paper: usize, floor: usize| ((paper as f64 * scale) as usize).max(floor);
+        match self {
+            Dataset::GoogleBase => {
+                let mut config = GoogleBaseConfig::paper();
+                config.items = scaled(config.items, 100);
+                googlebase::generate(&config)
+            }
+            Dataset::Mondial => {
+                let mut config = MondialConfig::paper();
+                config.countries = scaled(config.countries, 10);
+                config.provinces = scaled(config.provinces, 10);
+                config.cities = scaled(config.cities, 20);
+                config.seas = scaled(config.seas, 4);
+                config.rivers = scaled(config.rivers, 4);
+                config.organizations = scaled(config.organizations, 3);
+                config.features = scaled(config.features, 4);
+                mondial::generate(&config)
+            }
+            Dataset::RecipeMl => {
+                let mut config = RecipeMlConfig::paper();
+                config.recipes = scaled(config.recipes, 100);
+                recipeml::generate(&config)
+            }
+            Dataset::WorldFactbook => {
+                let years = if scale >= 0.5 { 6 } else { 3 };
+                factbook::generate(&FactbookConfig::paper_scaled(scaled(267, 12), years))
+            }
+        }
+    }
+
     /// Generates a small version of the data set suitable for tests.
     pub fn generate_small(self) -> Result<Collection> {
         match self {
@@ -126,6 +162,15 @@ mod tests {
         // 267 countries x 6 years = 1602 ~ paper's 1600.
         let fb = FactbookConfig::paper().document_count();
         assert!((1590..=1610).contains(&fb), "factbook paper scale = {fb}");
+    }
+
+    #[test]
+    fn scaled_generation_hits_the_paper_counts_at_one_and_the_floors_at_a_hundredth() {
+        let counts = |scale: f64| Dataset::ALL.map(|ds| ds.generate_scaled(scale).unwrap().len());
+        // Google Base, Mondial, RecipeML, Factbook (267 countries x 6 years).
+        assert_eq!(counts(1.0), [10_000, 5_563, 10_988, 1_602]);
+        // Mondial: 10 + 14 + 31 + 4 + 4 + 3 + 5; Factbook: 12 countries x 3 years.
+        assert_eq!(counts(0.01), [100, 71, 109, 36]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "data set", "# documents", "# data guides", "(paper docs -> guides)"
     );
     for dataset in Dataset::ALL {
-        let collection = scaled(dataset, scale)?;
+        let collection = dataset.generate_scaled(scale)?;
         let engine = SedaEngine::build(collection, Registry::new(), EngineConfig::default())?;
         let stats = engine.dataguide_stats();
         println!(
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nReduction factor vs overlap threshold (Sec. 6.1 ablation):\n");
     println!("{:<26} {:>8} {:>8} {:>8} {:>8} {:>8}", "data set", "0.0", "0.2", "0.4", "0.6", "0.8");
     for dataset in Dataset::ALL {
-        let collection = scaled(dataset, scale.min(0.1))?;
+        let collection = dataset.generate_scaled(scale.min(0.1))?;
         let mut cells = Vec::new();
         for threshold in [0.0, 0.2, 0.4, 0.6, 0.8] {
             let guides = DataGuideSet::build(&collection, threshold)?;
@@ -57,36 +57,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     Ok(())
-}
-
-fn scaled(dataset: Dataset, scale: f64) -> seda_xmlstore::Result<seda_xmlstore::Collection> {
-    use seda_datagen::*;
-    Ok(match dataset {
-        Dataset::GoogleBase => {
-            let mut config = GoogleBaseConfig::paper();
-            config.items = ((config.items as f64 * scale) as usize).max(100);
-            googlebase::generate(&config)?
-        }
-        Dataset::Mondial => {
-            let mut config = MondialConfig::paper();
-            config.countries = ((config.countries as f64 * scale) as usize).max(10);
-            config.provinces = ((config.provinces as f64 * scale) as usize).max(10);
-            config.cities = ((config.cities as f64 * scale) as usize).max(20);
-            config.seas = ((config.seas as f64 * scale) as usize).max(4);
-            config.rivers = ((config.rivers as f64 * scale) as usize).max(4);
-            config.organizations = ((config.organizations as f64 * scale) as usize).max(3);
-            config.features = ((config.features as f64 * scale) as usize).max(4);
-            mondial::generate(&config)?
-        }
-        Dataset::RecipeMl => {
-            let mut config = RecipeMlConfig::paper();
-            config.recipes = ((config.recipes as f64 * scale) as usize).max(100);
-            recipeml::generate(&config)?
-        }
-        Dataset::WorldFactbook => {
-            let countries = ((267.0 * scale) as usize).max(12);
-            let years = if scale >= 0.5 { 6 } else { 3 };
-            factbook::generate(&FactbookConfig::paper_scaled(countries, years))?
-        }
-    })
 }

@@ -202,8 +202,8 @@ proptest! {
     }
 }
 
-/// The fixed workloads of `BENCH_topk.json` agree between TA and the oracle
-/// too (non-random sanity anchor for the property above).
+/// Fixed small workloads, one per corpus shape, agree between TA and the
+/// oracle too (non-random sanity anchor for the property above).
 #[test]
 fn ta_matches_naive_on_fixed_small_workloads() {
     let engine = engine(mondial::generate(&MondialConfig::small()).expect("generate mondial"));

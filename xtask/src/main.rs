@@ -52,10 +52,8 @@ const INSTANT_ALLOWLIST: &[&str] = &["crates/core/src/govern.rs", "crates/topk/s
 const COUNTER_ALLOWLIST: &[&str] = &["crates/core/src/response.rs"];
 
 /// `seda-core` files whose public `Result`s use typed sub-errors that the
-/// facade converts via `From`: contained worker panics (`WorkerPanic`) and
-/// the query parser (`QueryError`).
-const RESULT_ERROR_ALLOWLIST: &[&str] =
-    &["crates/core/src/parallel.rs", "crates/core/src/query.rs"];
+/// facade converts via `From`: the query parser (`QueryError`).
+const RESULT_ERROR_ALLOWLIST: &[&str] = &["crates/core/src/query.rs"];
 
 /// Governed counter → identifiers that count as its budget check.
 const COUNTER_BUDGETS: &[(&str, &[&str])] = &[
