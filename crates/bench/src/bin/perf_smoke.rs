@@ -1,22 +1,22 @@
-//! CI perf smoke check: the two gates of [`seda_bench`], measured on this
+//! CI perf smoke check: the three gates of [`seda_bench`], measured on this
 //! machine against this build — no argument, no file, no environment variable.
 //!
 //! ```text
 //! cargo run --release -p seda-bench --bin perf_smoke
 //! ```
 //!
-//! Prints both measured ratios with their bounds and exits non-zero when
-//! either gate fails.  Absolute latencies are `benchmark/run.sh`'s business.
+//! Prints the three measured ratios with their bounds and exits non-zero when
+//! any gate fails.  Absolute latencies are `benchmark/run.sh`'s business.
 
 use std::process::ExitCode;
 
 use seda_bench::{
-    generous_context, googlebase_engine, governance_verdict, interleaved_minima,
-    join_scaling_verdict, BASE_ITEMS, BROAD_TOPK, SCALED_ITEMS,
+    cold_fill_verdict, generous_context, googlebase_engine, governance_verdict, interleaved_minima,
+    join_scaling_verdict, BASE_ITEMS, BROAD_TOPK, SCALED_ITEMS, SELECTIVE_TOPK,
 };
 use seda_core::{RequestContext, SedaReader, SedaRequest};
 
-/// Measures both gates and prints each verdict; `Ok(false)` when either failed.
+/// Measures the three gates and prints each verdict; `Ok(false)` when any failed.
 fn run() -> Result<bool, String> {
     let request = SedaRequest::parse(BROAD_TOPK).map_err(|e| e.to_string())?;
     let base_engine = googlebase_engine(BASE_ITEMS)?;
@@ -46,7 +46,16 @@ fn run() -> Result<bool, String> {
         return Err("a generous budget degraded the response".to_string());
     }
     let governance = report(governance_verdict(ungoverned_ms, governed_ms));
-    Ok(scaling && governance)
+
+    let selective = SedaRequest::parse(SELECTIVE_TOPK).map_err(|e| e.to_string())?;
+    let mut statement = scaled.prepare(&selective).map_err(|e| e.to_string())?;
+    let mut prepared_reader = scaled_engine.reader();
+    let (prepared_ms, cold_ms) = interleaved_minima(
+        || drop(statement.execute(&mut prepared_reader).expect("prepared selective TOPK")),
+        || drop(scaled.execute_governed(&selective, &unlimited).expect("cold selective TOPK")),
+    );
+    let cold_fill = report(cold_fill_verdict(prepared_ms, cold_ms));
+    Ok(scaling && governance && cold_fill)
 }
 
 /// Prints one gate's line; true when it passed.

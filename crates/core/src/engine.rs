@@ -146,6 +146,10 @@ pub struct BuildProfile {
     /// Bytes held by the precomputed connectivity-oracle labels (see
     /// [`seda_datagraph::ConnectivityIndex::label_bytes`]).
     pub label_bytes: usize,
+    /// Bytes held by the node index's frozen read model, all tables summed
+    /// (see [`seda_textindex::NodeIndex::read_model_bytes`] for the tables
+    /// and the budget of the two path tables).
+    pub posting_bytes: usize,
     /// Milliseconds spent on the post-build structural audit
     /// ([`SedaEngine::verify`]) that every build runs before handing the
     /// engine to the caller.
@@ -197,6 +201,7 @@ impl BuildProfile {
         out.push_str(&row("dataguides", &self.guides));
         out.push_str(&format!("  {:<14} {:>9.2}ms\n", "guide links", self.links_secs * 1e3));
         out.push_str(&format!("  {:<14} {:>9} bytes\n", "oracle labels", self.label_bytes));
+        out.push_str(&format!("  {:<14} {:>9} bytes\n", "posting tables", self.posting_bytes));
         out.push_str(&format!("  {:<14} {:>9.2}ms\n", "audit", self.verify_ms));
         out
     }
@@ -298,6 +303,7 @@ impl SedaEngine {
         profile.links_secs = links_start.elapsed_secs();
         tracer.exit(links_span);
         profile.label_bytes = graph.connectivity().label_bytes();
+        profile.posting_bytes = node_index.read_model_bytes().total();
 
         let mut engine = SedaEngine {
             collection,
@@ -313,6 +319,7 @@ impl SedaEngine {
         };
         engine.metrics.gauge(names::ENGINE_DOCUMENTS).set(engine.collection.len() as u64);
         engine.metrics.gauge(names::ORACLE_LABEL_BYTES).set(engine.profile.label_bytes as u64);
+        engine.metrics.gauge(names::POSTING_BYTES).set(engine.profile.posting_bytes as u64);
 
         // Post-build audit: a freshly built engine must satisfy every
         // substrate invariant; a violation here means the build itself is

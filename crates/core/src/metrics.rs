@@ -56,6 +56,9 @@ pub mod names {
     pub const ENGINE_DOCUMENTS: &str = "seda_engine_documents";
     /// Bytes held by the connectivity-oracle labels (set at build time).
     pub const ORACLE_LABEL_BYTES: &str = "seda_oracle_label_bytes";
+    /// Bytes held by the node index's frozen read model — dictionary, posting
+    /// arena, posting paths, path runs, side tables (set at build time).
+    pub const POSTING_BYTES: &str = "seda_posting_bytes";
 }
 
 /// The statement labels the per-statement metrics are registered under —
@@ -345,7 +348,7 @@ impl MetricsRegistry {
         ] {
             register(global, "");
         }
-        let gauges = [names::ENGINE_DOCUMENTS, names::ORACLE_LABEL_BYTES]
+        let gauges = [names::ENGINE_DOCUMENTS, names::ORACLE_LABEL_BYTES, names::POSTING_BYTES]
             .into_iter()
             .map(|name| Scalar { name, label: "", value: AtomicU64::new(0) })
             .collect();

@@ -4,6 +4,10 @@
 //! build — identical `NodeIndex` and `ContextIndex` postings (for both
 //! `CountStorage` designs), identical `DataGraph` edges, and identical
 //! `DataGuideSet` contents and Table-1 statistics.
+//!
+//! `NodeIndex` is compared by its derived `PartialEq`, field by field, so the
+//! whole frozen read model is covered: term dictionary, posting arena, the
+//! per-posting path array and the path-partitioned match-all runs.
 
 use proptest::prelude::*;
 

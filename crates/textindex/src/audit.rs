@@ -8,7 +8,9 @@
 //! | `termdict-bijection` | the term dictionary round-trips: `get(resolve(id)) == id` both ways, one id per term |
 //! | `csr-offsets` | `posting_offsets` has length `dict.len() + 1`, starts at 0, is monotone and ends at the arena length |
 //! | `postings-sorted` | every per-term posting slice is sorted by (score desc, node asc), scores finite, nodes distinct |
-//! | `node-side-table` | slots are dense and ascending by node id; `node_slots` is the exact inverse; side tables align |
+//! | `node-side-table` | slots are dense and strictly ascending by node id; the side tables align |
+//! | `posting-paths` | the per-posting path array has the arena's length and holds the side-table path of each posting's node |
+//! | `path-runs` | run offsets are well-formed; every indexed node appears exactly once, in its own path's run; runs are sorted by (score desc, node asc); score bits equal `1/√len` |
 //! | `context-paths` | every path referenced by the context index is a member of its own `all_paths` universe |
 //!
 //! The violation type lives in [`seda_xmlstore::audit`] so every substrate
@@ -19,18 +21,27 @@ use seda_xmlstore::NodeId;
 
 use crate::context_index::ContextIndex;
 use crate::dict::TermId;
-use crate::node_index::NodeIndex;
+use crate::node_index::{match_all_score, ranked, NodeIndex, SlotLookup};
 
 const SUBSTRATE: &str = "textindex";
 
 impl NodeIndex {
     /// Verifies the frozen read model: dictionary bijection, CSR offset
-    /// well-formedness, per-term posting order and the node side table.
+    /// well-formedness, per-term posting order, the node side table, the
+    /// per-posting path array and the path-partitioned match-all runs.
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
         self.verify_dict(&mut violations);
         self.verify_posting_arena(&mut violations);
+        let before_side_table = violations.len();
         self.verify_side_table(&mut violations);
+        // The last two walks look every node up in the side table; over a
+        // broken one they would only echo its violations.
+        if violations.len() == before_side_table {
+            let slots = SlotLookup::new(&self.slot_nodes);
+            self.verify_posting_paths(&slots, &mut violations);
+            self.verify_path_runs(&slots, &mut violations);
+        }
         finish(violations)
     }
 
@@ -159,18 +170,16 @@ impl NodeIndex {
         let n = self.slot_nodes.len();
         if self.slot_paths.len() != n
             || self.slot_token_counts.len() != n
-            || self.node_slots.len() != n
             || self.indexed_nodes != n
         {
             violations.push(InvariantViolation::new(
                 SUBSTRATE,
                 "node-side-table",
                 format!(
-                    "side tables disagree: {} nodes, {} paths, {} lengths, {} slots, {} counted",
+                    "side tables disagree: {} nodes, {} paths, {} lengths, {} counted",
                     n,
                     self.slot_paths.len(),
                     self.slot_token_counts.len(),
-                    self.node_slots.len(),
                     self.indexed_nodes
                 ),
             ));
@@ -189,13 +198,99 @@ impl NodeIndex {
                 ));
             }
         }
-        for (slot, node) in self.slot_nodes.iter().enumerate() {
-            if self.node_slots.get(node).copied() != Some(slot as u32) {
+    }
+
+    fn verify_posting_paths(&self, slots: &SlotLookup, violations: &mut Vec<InvariantViolation>) {
+        if self.posting_paths.len() != self.sorted_postings.len() {
+            violations.push(InvariantViolation::new(
+                SUBSTRATE,
+                "posting-paths",
+                format!(
+                    "{} paths for {} postings",
+                    self.posting_paths.len(),
+                    self.sorted_postings.len()
+                ),
+            ));
+            return;
+        }
+        for (i, (scored, path)) in self.sorted_postings.iter().zip(&self.posting_paths).enumerate()
+        {
+            let expected = slots.slot(scored.node).map(|slot| self.slot_paths[slot]);
+            if expected != Some(*path) {
                 violations.push(InvariantViolation::new(
                     SUBSTRATE,
-                    "node-side-table",
-                    format!("slot {slot} node {node:?} missing its inverse mapping"),
+                    "posting-paths",
+                    format!(
+                        "posting {i} of {:?} carries path {} but the side table says {expected:?}",
+                        scored.node, path.0
+                    ),
                 ));
+            }
+        }
+    }
+
+    fn verify_path_runs(&self, slots: &SlotLookup, violations: &mut Vec<InvariantViolation>) {
+        let offsets = &self.path_run_offsets;
+        if offsets.is_empty() && self.path_runs.is_empty() && self.slot_nodes.is_empty() {
+            return; // default-constructed, never merged
+        }
+        let well_formed = offsets.first() == Some(&0)
+            && offsets.windows(2).all(|pair| pair[0] <= pair[1])
+            && offsets.last().map(|&end| end as usize) == Some(self.path_runs.len());
+        if !well_formed || self.path_runs.len() != self.slot_nodes.len() {
+            violations.push(InvariantViolation::new(
+                SUBSTRATE,
+                "path-runs",
+                format!(
+                    "{} run offsets spanning {:?}..{:?} over {} entries for {} indexed nodes",
+                    offsets.len(),
+                    offsets.first(),
+                    offsets.last(),
+                    self.path_runs.len(),
+                    self.slot_nodes.len()
+                ),
+            ));
+            return;
+        }
+        // As many entries as slots and no slot twice: every node exactly once.
+        let mut seen = vec![false; self.slot_nodes.len()];
+        for (path, bounds) in offsets.windows(2).enumerate() {
+            let run = &self.path_runs[bounds[0] as usize..bounds[1] as usize];
+            for pair in run.windows(2) {
+                if !ranked(&pair[0], &pair[1]).is_lt() {
+                    violations.push(InvariantViolation::new(
+                        SUBSTRATE,
+                        "path-runs",
+                        format!(
+                            "run of path {path}: ({:?}, {}) then ({:?}, {})",
+                            pair[0].node, pair[0].score, pair[1].node, pair[1].score
+                        ),
+                    ));
+                }
+            }
+            for scored in run {
+                let problem = match slots.slot(scored.node) {
+                    None => Some("is not an indexed node".to_string()),
+                    Some(slot) => {
+                        let expected = match_all_score(self.slot_token_counts[slot] as usize);
+                        if std::mem::replace(&mut seen[slot], true) {
+                            Some("appears twice".to_string())
+                        } else if self.slot_paths[slot].index() != path {
+                            Some(format!("belongs to path {}", self.slot_paths[slot].0))
+                        } else if scored.score.to_bits() != expected.to_bits() {
+                            Some(format!("scores {} instead of {expected}", scored.score))
+                        } else {
+                            None
+                        }
+                    }
+                };
+                if let Some(problem) = problem {
+                    violations.push(InvariantViolation::new(
+                        SUBSTRATE,
+                        "path-runs",
+                        format!("run of path {path}: {:?} {problem}", scored.node),
+                    ));
+                }
             }
         }
     }
@@ -228,6 +323,21 @@ impl NodeIndex {
         self.slot_nodes.swap(a, b);
     }
 
+    /// Test-only corruption hook: overwrites one entry of the per-posting
+    /// path array (breaks `posting-paths`).
+    #[doc(hidden)]
+    pub fn corrupt_posting_path(&mut self, index: usize, path: seda_xmlstore::PathId) {
+        self.posting_paths[index] = path;
+    }
+
+    /// Test-only corruption hook: swaps two entries of the path-partitioned
+    /// match-all runs (breaks `path-runs`: order inside a run, or which run a
+    /// node sits in).
+    #[doc(hidden)]
+    pub fn corrupt_swap_path_runs(&mut self, a: usize, b: usize) {
+        self.path_runs.swap(a, b);
+    }
+
     /// The number of entries in the frozen posting arena (sizing input for
     /// the corruption suite's swap hook).
     #[doc(hidden)]
@@ -239,9 +349,8 @@ impl NodeIndex {
     /// input for the corruption suite's swap hook).
     #[doc(hidden)]
     pub fn posting_range(&self, id: TermId) -> (usize, usize) {
-        let start = self.posting_offsets[id.index()] as usize;
-        let end = self.posting_offsets[id.index() + 1] as usize;
-        (start, end)
+        let range = self.term_range(id);
+        (range.start, range.end)
     }
 }
 
@@ -366,6 +475,37 @@ mod tests {
         index.corrupt_swap_slot_nodes(0, 1);
         let violations = index.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.invariant == "node-side-table"), "{violations:?}");
+    }
+
+    #[test]
+    fn rewritten_posting_path_fails_posting_paths() {
+        let (collection, mut index) = sample();
+        // Every posting of "united" sits on /country/name; claim one for /country/year.
+        let term = index.term_dict().get("united").unwrap();
+        let year = collection.paths().get_str(collection.symbols(), "/country/year").unwrap();
+        index.corrupt_posting_path(index.posting_range(term).0, year);
+        let violations = index.verify().unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "posting-paths"), "{violations:?}");
+    }
+
+    #[test]
+    fn swapped_run_entries_fail_path_runs() {
+        let (_, index) = sample();
+        // Inside one run: "United States" (2 tokens) ranks above "United Mexican
+        // States" (3 tokens) on /country/name, so the swap breaks the order.
+        let name_run = index
+            .path_run_offsets
+            .windows(2)
+            .map(|b| b[0] as usize..b[1] as usize)
+            .find(|run| run.len() == 2 && index.path_runs[run.start].score < 1.0)
+            .expect("the /country/name run");
+        // Across runs: the first and last entries belong to different paths.
+        for (a, b) in [(name_run.start, name_run.start + 1), (0, index.path_runs.len() - 1)] {
+            let mut corrupted = index.clone();
+            corrupted.corrupt_swap_path_runs(a, b);
+            let violations = corrupted.verify().unwrap_err();
+            assert!(violations.iter().all(|v| v.invariant == "path-runs"), "{violations:?}");
+        }
     }
 
     #[test]

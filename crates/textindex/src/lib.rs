@@ -31,7 +31,7 @@ pub mod tokenize;
 
 pub use context_index::{ContextIndex, ContextIndexShard, CountStorage, PathEntry};
 pub use dict::{TermDict, TermId};
-pub use node_index::{NodeIndex, NodeIndexShard, Posting, ScoredNode};
+pub use node_index::{NodeIndex, NodeIndexShard, Posting, ReadModelBytes, ScoredNode};
 pub use query::{FullTextQuery, QueryParseError};
 pub use tokenize::{terms, tokenize, Token};
 

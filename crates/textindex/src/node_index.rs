@@ -16,17 +16,30 @@
 //! # Read model
 //!
 //! The build artifacts (`postings`, `node_tokens`, `node_paths`) are plain
-//! maps, but the query path never touches them directly.  At the end of
-//! [`NodeIndex::merge`] the index freezes an **interned read model**: terms
-//! are interned into a [`TermDict`], per-term posting lists are stored in one
-//! CSR arena **pre-sorted by descending content score** (idf folded in), and
-//! a dense node side table carries each indexed node's context path and token
-//! length for random access and path filtering.  [`NodeIndex::sorted_access`]
-//! therefore returns a borrowed slice — no per-query sort, no per-query
-//! allocation — and [`NodeIndex::evaluate_into`] scores into caller-owned
-//! buffers.
+//! maps, but sorted access never touches them.  At the end of
+//! [`NodeIndex::merge`] the index freezes an **interned read model**:
+//!
+//! * terms are interned into a [`TermDict`] and per-term posting lists live
+//!   in one CSR arena **pre-sorted by descending content score** (idf folded
+//!   in), with a parallel array holding each posting's context path;
+//! * the match-all list `(tag, *)` is stored **partitioned by context path**:
+//!   a second CSR, keyed by [`PathId`], whose per-path runs hold every indexed
+//!   node of that path with its match-all score, pre-sorted the same way;
+//! * a dense node side table carries each indexed node's context path and
+//!   token length for random access.
+//!
+//! [`NodeIndex::sorted_access`] therefore returns a borrowed slice, and
+//! [`NodeIndex::evaluate_into`] costs what it returns: a single-term or
+//! match-all query is a filtered copy of pre-sorted entries, and only a
+//! phrase, multi-keyword or boolean query scores its candidates (the union of
+//! its positive terms' postings) and sorts them.  No query walks every
+//! indexed node unless it is itself unrestricted.  What the two path tables
+//! cost is stated, and asserted, at [`NodeIndex::read_model_bytes`].
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::mem::size_of;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -56,6 +69,90 @@ pub struct ScoredNode {
     pub score: f64,
 }
 
+/// The order of every list the index hands out: descending score, ties
+/// broken by ascending node id.
+pub(crate) fn ranked(a: &ScoredNode, b: &ScoredNode) -> Ordering {
+    b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal).then(a.node.cmp(&b.node))
+}
+
+/// Content score of a match-all hit (`*`, or a query with no positive term)
+/// on a node of `len` tokens: every node of one length scores equally, and
+/// low enough that structural compactness dominates the combined score.
+pub(crate) fn match_all_score(len: usize) -> f64 {
+    1.0 / (len as f64).sqrt().max(1.0)
+}
+
+/// Inverse document frequency with the usual smoothing.
+fn smoothed_idf(indexed_nodes: usize, df: usize) -> f64 {
+    ((1.0 + indexed_nodes as f64) / (1.0 + df as f64)).ln() + 1.0
+}
+
+/// Heap bytes held by the frozen read model of a [`NodeIndex`], table by
+/// table (see [`NodeIndex::read_model_bytes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadModelBytes {
+    /// Term dictionary (both directions, term text included) and idf table.
+    pub dictionary: usize,
+    /// Score-sorted posting arena and its per-term CSR offsets.
+    pub posting_arena: usize,
+    /// Per-posting context paths, parallel to the posting arena.
+    pub posting_paths: usize,
+    /// Path-partitioned match-all runs and their per-path CSR offsets.
+    pub path_runs: usize,
+    /// Node side tables: slot → node, slot → path, slot → token count.
+    pub side_tables: usize,
+}
+
+impl ReadModelBytes {
+    /// Sum over all tables.
+    pub fn total(&self) -> usize {
+        self.dictionary
+            + self.posting_arena
+            + self.posting_paths
+            + self.path_runs
+            + self.side_tables
+    }
+}
+
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * size_of::<T>()
+}
+
+/// Node → side-table slot without hashing, for the passes that look up every
+/// posting or every indexed node (the read-model build, the audit).  Slots
+/// ascend by node id, so a document's slots are one contiguous range and the
+/// node is found by binary search inside it.
+pub(crate) struct SlotLookup<'a> {
+    nodes: &'a [NodeId],
+    /// Every document with a slot, ascending, with its first slot.
+    docs: Vec<(DocId, u32)>,
+}
+
+impl<'a> SlotLookup<'a> {
+    /// `nodes` is the side table's `slot_nodes`: strictly ascending.
+    pub(crate) fn new(nodes: &'a [NodeId]) -> Self {
+        let mut docs: Vec<(DocId, u32)> = Vec::new();
+        for (slot, node) in nodes.iter().enumerate() {
+            if docs.last().is_none_or(|&(doc, _)| doc != node.doc) {
+                docs.push((node.doc, slot as u32));
+            }
+        }
+        SlotLookup { nodes, docs }
+    }
+
+    pub(crate) fn slot(&self, node: NodeId) -> Option<usize> {
+        // Document ids are dense, so document `d` is entry `d` unless an
+        // earlier document holds no text.
+        let entry = match self.docs.get(node.doc.index()) {
+            Some(&(doc, _)) if doc == node.doc => node.doc.index(),
+            _ => self.docs.binary_search_by_key(&node.doc, |&(doc, _)| doc).ok()?,
+        };
+        let start = self.docs[entry].1 as usize;
+        let end = self.docs.get(entry + 1).map_or(self.nodes.len(), |&(_, next)| next as usize);
+        self.nodes[start..end].binary_search(&node).ok().map(|at| start + at)
+    }
+}
+
 /// Inverted full-text index over the direct text content of nodes.
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeIndex {
@@ -76,9 +173,17 @@ pub struct NodeIndex {
     pub(crate) posting_offsets: Vec<u32>,
     /// Per-term postings pre-sorted by (score desc, node asc), idf folded in.
     pub(crate) sorted_postings: Vec<ScoredNode>,
-    /// Dense slot of every indexed node (slots in ascending `NodeId` order).
-    pub(crate) node_slots: HashMap<NodeId, u32>,
-    /// Slot → node id.
+    /// Context path of each posting's node, parallel to `sorted_postings`, so
+    /// path filtering reads one sequential array and looks no node up.
+    pub(crate) posting_paths: Vec<PathId>,
+    /// CSR offsets into `path_runs`, indexed by `PathId`; length is the
+    /// largest indexed path id + 2.
+    pub(crate) path_run_offsets: Vec<u32>,
+    /// The match-all list partitioned by context path: every indexed node
+    /// once, in its own path's run, scored `1/√len`, each run pre-sorted by
+    /// (score desc, node asc).
+    pub(crate) path_runs: Vec<ScoredNode>,
+    /// Slot → node id: every indexed node once, in ascending `NodeId` order.
     pub(crate) slot_nodes: Vec<NodeId>,
     /// Slot → context path (side table for path filtering).
     pub(crate) slot_paths: Vec<PathId>,
@@ -182,45 +287,82 @@ impl NodeIndex {
     }
 
     /// Freezes the interned read model from the merged build artifacts: the
-    /// term dictionary, idf table, score-sorted posting arena and the node
-    /// side table.
+    /// node side table, the term dictionary, the idf table, the score-sorted
+    /// posting arena with its parallel path array, and the path-partitioned
+    /// match-all runs.
     fn rebuild_read_model(&mut self) {
-        let mut terms: Vec<&str> = self.postings.keys().map(String::as_str).collect();
-        terms.sort_unstable();
-        self.dict = TermDict::from_sorted(terms.into_iter());
+        let mut nodes: Vec<(NodeId, u32)> =
+            self.node_tokens.iter().map(|(&node, tokens)| (node, tokens.len() as u32)).collect();
+        nodes.sort_unstable_by_key(|&(node, _)| node);
+        self.slot_nodes = nodes.iter().map(|&(node, _)| node).collect();
+        self.slot_token_counts = nodes.iter().map(|&(_, len)| len).collect();
+        self.slot_paths = self.slot_nodes.iter().map(|node| self.node_paths[node]).collect();
+        let slots = SlotLookup::new(&self.slot_nodes);
 
-        let mut nodes: Vec<NodeId> = self.node_tokens.keys().copied().collect();
-        nodes.sort_unstable();
-        self.node_slots = nodes.iter().enumerate().map(|(i, &n)| (n, i as u32)).collect();
-        self.slot_paths = nodes.iter().map(|n| self.node_paths[n]).collect();
-        self.slot_token_counts = nodes.iter().map(|n| self.node_tokens[n].len() as u32).collect();
-        self.slot_nodes = nodes;
+        let mut lists: Vec<(&str, &[Posting])> =
+            self.postings.iter().map(|(term, list)| (term.as_str(), list.as_slice())).collect();
+        lists.sort_unstable_by_key(|&(term, _)| term);
+        self.dict = TermDict::from_sorted(lists.iter().map(|&(term, _)| term));
 
-        self.idf_by_term = Vec::with_capacity(self.dict.len());
-        self.posting_offsets = Vec::with_capacity(self.dict.len() + 1);
+        let total: usize = lists.iter().map(|(_, list)| list.len()).sum();
+        self.idf_by_term = Vec::with_capacity(lists.len());
+        self.posting_offsets = Vec::with_capacity(lists.len() + 1);
         self.posting_offsets.push(0);
-        self.sorted_postings.clear();
-        // Collecting term ids first keeps the borrow checker happy while we
-        // push into the posting arena below.
-        for id in 0..self.dict.len() as u32 {
-            let term = self.dict.resolve(TermId(id)).to_string();
-            let idf = self.idf(&term);
+        self.sorted_postings = Vec::with_capacity(total);
+        self.posting_paths = Vec::with_capacity(total);
+        // One term's postings with their paths, so the score sort carries
+        // each posting's path along and nothing is looked up twice.
+        let mut run: Vec<(ScoredNode, PathId)> = Vec::new();
+        for &(_, list) in &lists {
+            let idf = smoothed_idf(self.indexed_nodes, list.len());
             self.idf_by_term.push(idf);
-            let start = self.sorted_postings.len();
-            for posting in &self.postings[&term] {
-                let len =
-                    (self.node_tokens.get(&posting.node).map(Vec::len).unwrap_or(1).max(1)) as f64;
+            run.clear();
+            run.extend(list.iter().map(|posting| {
+                // One slot lookup per posting yields both the length the
+                // score is normalised by and the path.
+                let slot = slots
+                    .slot(posting.node)
+                    .expect("invariant: every posting's node has a slot (node-side-table)");
+                let len = self.slot_token_counts[slot].max(1) as f64;
                 let score = (posting.tf as f64) * idf / len.sqrt();
-                self.sorted_postings.push(ScoredNode { node: posting.node, score });
-            }
-            self.sorted_postings[start..].sort_by(|a, b| {
-                b.score
-                    .partial_cmp(&a.score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.node.cmp(&b.node))
-            });
+                (ScoredNode { node: posting.node, score }, self.slot_paths[slot])
+            }));
+            run.sort_by(|a, b| ranked(&a.0, &b.0));
+            self.sorted_postings.extend(run.iter().map(|&(scored, _)| scored));
+            self.posting_paths.extend(run.iter().map(|&(_, path)| path));
             self.posting_offsets.push(self.sorted_postings.len() as u32);
         }
+        self.rebuild_path_runs();
+    }
+
+    /// Partitions the indexed nodes by context path into `path_runs`: a
+    /// counting sort of the slots by path id, then a sort of each run by
+    /// (score desc, node asc).  Slots ascend by node id, so a run comes out of
+    /// the counting sort in node order: one whose nodes all have one length
+    /// is already sorted, and its sort is a single pass.
+    fn rebuild_path_runs(&mut self) {
+        let path_slots = self.slot_paths.iter().map(|path| path.index() + 1).max().unwrap_or(0);
+        let mut offsets = vec![0u32; path_slots + 1];
+        for path in &self.slot_paths {
+            offsets[path.index() + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut cursors = offsets.clone();
+        let placeholder = ScoredNode { node: NodeId::new(DocId(0), 0), score: 0.0 };
+        let mut runs = vec![placeholder; self.slot_nodes.len()];
+        for (slot, &node) in self.slot_nodes.iter().enumerate() {
+            let cursor = &mut cursors[self.slot_paths[slot].index()];
+            let score = match_all_score(self.slot_token_counts[slot] as usize);
+            runs[*cursor as usize] = ScoredNode { node, score };
+            *cursor += 1;
+        }
+        for bounds in offsets.windows(2) {
+            runs[bounds[0] as usize..bounds[1] as usize].sort_by(ranked);
+        }
+        self.path_run_offsets = offsets;
+        self.path_runs = runs;
     }
 
     /// Number of nodes with indexed content.
@@ -245,8 +387,7 @@ impl NodeIndex {
 
     /// Inverse document frequency with the usual smoothing.
     pub fn idf(&self, term: &str) -> f64 {
-        let df = self.document_frequency(term);
-        ((1.0 + self.indexed_nodes as f64) / (1.0 + df as f64)).ln() + 1.0
+        smoothed_idf(self.indexed_nodes, self.document_frequency(term))
     }
 
     /// The context path of an indexed node.
@@ -258,19 +399,13 @@ impl NodeIndex {
     /// and token count (the inputs of path filtering and length
     /// normalisation), or `None` for nodes without indexed content.
     pub fn node_entry(&self, node: NodeId) -> Option<(PathId, u32)> {
-        let slot = *self.node_slots.get(&node)? as usize;
+        let slot = self.slot_nodes.binary_search(&node).ok()?;
         Some((self.slot_paths[slot], self.slot_token_counts[slot]))
     }
 
     /// The tokenised direct text of an indexed node.
     pub fn node_tokens(&self, node: NodeId) -> Option<&[String]> {
         self.node_tokens.get(&node).map(Vec::as_slice)
-    }
-
-    /// tf-idf content score of a single term for a node, length-normalised.
-    fn term_score(&self, term: &str, node: NodeId, tf: u32) -> f64 {
-        let len = self.node_tokens.get(&node).map(Vec::len).unwrap_or(1).max(1) as f64;
-        (tf as f64) * self.interned_idf(term) / len.sqrt()
     }
 
     /// idf via the precomputed per-term table, falling back to the formula
@@ -290,24 +425,25 @@ impl NodeIndex {
         if !query.matches_tokens(tokens) {
             return None;
         }
-        Some(self.score_unchecked(query, node, tokens))
+        Some(self.score_tokens(&query.positive_terms(), tokens))
     }
 
-    fn score_unchecked(&self, query: &FullTextQuery, node: NodeId, tokens: &[String]) -> f64 {
-        let positive = query.positive_terms();
+    /// Content score of a node with the given tokens that satisfies a query
+    /// whose positive terms are `positive`: the sum of their length-normalised
+    /// tf-idf scores, or the match-all score when there is none.
+    fn score_tokens(&self, positive: &[String], tokens: &[String]) -> f64 {
         if positive.is_empty() {
-            // Match-all queries (`*`): every node scores equally; use a small
-            // constant so structural compactness dominates the combined score.
-            return 1.0 / (tokens.len() as f64).sqrt().max(1.0);
+            return match_all_score(tokens.len());
         }
+        let norm = (tokens.len().max(1) as f64).sqrt();
         positive
             .iter()
             .map(|term| {
-                let tf = tokens.iter().filter(|t| *t == term).count() as u32;
+                let tf = tokens.iter().filter(|t| *t == term).count();
                 if tf == 0 {
                     0.0
                 } else {
-                    self.term_score(term, node, tf)
+                    (tf as f64) * self.interned_idf(term) / norm
                 }
             })
             .sum()
@@ -330,11 +466,30 @@ impl NodeIndex {
         out
     }
 
-    /// Evaluates `query` into caller-owned buffers (the allocation-free form
-    /// backing [`NodeIndex::evaluate`]): `out` receives the scored matches in
+    /// Evaluates `query` into caller-owned buffers (the form backing
+    /// [`NodeIndex::evaluate`]): `out` receives the scored matches in
     /// descending score order (ties broken by node id), `candidates` is an
-    /// internal scratch buffer.  Both are cleared first; reusing them across
-    /// queries keeps the read path free of per-query allocations.
+    /// internal scratch buffer.  Both are cleared first.
+    ///
+    /// `allowed` restricts the matches to nodes on one of the given context
+    /// paths; it may be in any order, repeat a path or name paths no indexed
+    /// node has, and an empty slice matches nothing.  The cost follows the
+    /// query's shape, never the size of the index:
+    ///
+    /// * **one positive term** (a keyword or a one-token phrase) — the term's
+    ///   pre-sorted posting slice, filtered through the parallel path array:
+    ///   one pass over the term's postings, no scoring, no sort, and a single
+    ///   copy when `allowed` is `None`;
+    /// * **no positive term** (`*`, an empty bag, a pure negation) — the
+    ///   pre-sorted runs of the allowed paths (all runs for `None`): a copy for
+    ///   one path, a copy plus one stable sort over the concatenated runs for
+    ///   several; a negation also checks each run entry's tokens;
+    /// * **anything else** (several keywords, a phrase, a boolean combination)
+    ///   — the union of the positive terms' postings on allowed paths is
+    ///   matched against the node tokens, scored and sorted.  Candidates come
+    ///   from positive postings only, so a disjunction with a negated branch
+    ///   (`a OR NOT b`) returns just the nodes that hold one of its positive
+    ///   terms.
     pub fn evaluate_into(
         &self,
         query: &FullTextQuery,
@@ -344,55 +499,103 @@ impl NodeIndex {
     ) {
         out.clear();
         candidates.clear();
-        let path_ok = |slot: usize| match allowed {
-            Some(paths) => paths.contains(&self.slot_paths[slot]),
-            None => true,
+        // Every arm wants the allowed set strictly ascending: membership is a
+        // binary search, and concatenated runs must not repeat.  Callers
+        // usually pass it that way (tag resolution walks the path table in id
+        // order); user selections need not.
+        let normalised: Vec<PathId>;
+        let allowed = match allowed {
+            Some(paths) if !paths.windows(2).all(|pair| pair[0] < pair[1]) => {
+                let mut sorted = paths.to_vec();
+                sorted.sort_unstable();
+                sorted.dedup();
+                normalised = sorted;
+                Some(normalised.as_slice())
+            }
+            other => other,
         };
+        if allowed.is_some_and(<[PathId]>::is_empty) {
+            return;
+        }
 
-        // Fast path: a single-term keyword (or single-token phrase) query is
-        // exactly one pre-sorted posting list — copy the borrowed slice out,
-        // filtered by path, with no re-scoring and no sort.
         if let Some(term) = query.single_positive_term() {
             let Some(id) = self.dict.get(term) else { return };
-            for scored in self.sorted_access_by_id(id) {
-                let slot = self.node_slots[&scored.node] as usize;
-                if path_ok(slot) {
-                    out.push(*scored);
-                }
+            match allowed {
+                None => out.extend_from_slice(self.sorted_access_by_id(id)),
+                Some(paths) => out.extend(self.postings_on(id, paths)),
             }
             return;
         }
 
-        if query.is_match_all() || query.positive_terms().is_empty() {
-            // Match-all or pure-negation queries must consider every indexed
-            // node; slots are already in ascending node order.
-            candidates.extend(self.slot_nodes.iter().copied());
-        } else {
-            for term in query.positive_terms() {
-                if let Some(id) = self.dict.get(&term) {
-                    candidates.extend(self.sorted_access_by_id(id).iter().map(|s| s.node));
+        let positive = query.positive_terms();
+        if positive.is_empty() {
+            // Only a negation can reject a node here; `*` takes whole runs.
+            let verify = !query.is_match_all();
+            let mut runs = 0;
+            let mut take = |run: &[ScoredNode]| {
+                runs += usize::from(!run.is_empty());
+                if verify {
+                    let matches =
+                        |s: &&ScoredNode| query.matches_tokens(&self.node_tokens[&s.node]);
+                    out.extend(run.iter().filter(matches));
+                } else {
+                    out.extend_from_slice(run);
                 }
+            };
+            match allowed {
+                Some(paths) => paths.iter().for_each(|&path| take(self.path_run(path))),
+                None => self
+                    .path_run_offsets
+                    .windows(2)
+                    .for_each(|b| take(&self.path_runs[b[0] as usize..b[1] as usize])),
             }
-            candidates.sort_unstable();
-            candidates.dedup();
+            if runs > 1 {
+                out.sort_by(ranked);
+            }
+            return;
         }
 
-        for &node in candidates.iter() {
-            let slot = self.node_slots[&node] as usize;
-            if !path_ok(slot) {
-                continue;
-            }
-            let tokens = &self.node_tokens[&node];
-            if query.matches_tokens(tokens) {
-                out.push(ScoredNode { node, score: self.score_unchecked(query, node, tokens) });
+        for term in &positive {
+            let Some(id) = self.dict.get(term) else { continue };
+            match allowed {
+                None => candidates.extend(self.sorted_access_by_id(id).iter().map(|s| s.node)),
+                Some(paths) => candidates.extend(self.postings_on(id, paths).map(|s| s.node)),
             }
         }
-        out.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.node.cmp(&b.node))
-        });
+        candidates.sort_unstable();
+        candidates.dedup();
+        for &node in candidates.iter() {
+            let tokens = &self.node_tokens[&node];
+            if query.matches_tokens(tokens) {
+                out.push(ScoredNode { node, score: self.score_tokens(&positive, tokens) });
+            }
+        }
+        out.sort_by(ranked);
+    }
+
+    /// One term's postings on the given paths (strictly ascending), in
+    /// sorted-access order: the posting slice filtered through its parallel
+    /// path array.
+    fn postings_on<'a>(
+        &'a self,
+        id: TermId,
+        paths: &'a [PathId],
+    ) -> impl Iterator<Item = &'a ScoredNode> {
+        let range = self.term_range(id);
+        self.sorted_postings[range.clone()]
+            .iter()
+            .zip(&self.posting_paths[range])
+            .filter(|(_, path)| paths.binary_search(path).is_ok())
+            .map(|(scored, _)| scored)
+    }
+
+    /// The run of `path` in the path-partitioned match-all list; empty for a
+    /// path no indexed node has, including ids beyond the table.
+    fn path_run(&self, path: PathId) -> &[ScoredNode] {
+        match self.path_run_offsets.get(path.index()..) {
+            Some([start, end, ..]) => &self.path_runs[*start as usize..*end as usize],
+            _ => &[],
+        }
     }
 
     /// Per-term sorted access for the Threshold Algorithm: postings of `term`
@@ -407,9 +610,47 @@ impl NodeIndex {
 
     /// [`NodeIndex::sorted_access`] by interned term id.
     pub fn sorted_access_by_id(&self, id: TermId) -> &[ScoredNode] {
-        let i = id.index();
-        &self.sorted_postings
-            [self.posting_offsets[i] as usize..self.posting_offsets[i + 1] as usize]
+        &self.sorted_postings[self.term_range(id)]
+    }
+
+    /// One term's range of the posting arena and its parallel path array.
+    pub(crate) fn term_range(&self, id: TermId) -> Range<usize> {
+        self.posting_offsets[id.index()] as usize..self.posting_offsets[id.index() + 1] as usize
+    }
+
+    /// Heap bytes of the frozen read model, table by table — what sorted
+    /// access and [`NodeIndex::evaluate_into`] read.  The build artifacts the
+    /// index also keeps (`postings`, `node_tokens`, `node_paths`: positions and
+    /// token text for phrase checks and random access) are not counted here.
+    ///
+    /// Vectors count their capacity exactly; the dictionary's hash table is
+    /// estimated as one entry plus one control byte per slot of capacity.
+    ///
+    /// # Budget of the path tables
+    ///
+    /// [`ReadModelBytes::posting_paths`] is 4 B per posting and
+    /// [`ReadModelBytes::path_runs`] 16 B per indexed node plus one 4 B offset
+    /// per path id — `16 · nodes + 4 · postings + 4 · (path ids + 1)` bytes,
+    /// asserted by this module's tests.  At the benchmark's paper scale that
+    /// is 3.1 MB on googlebase-flat (150,000 nodes, 184,534 postings), 4.7 MB
+    /// on recipeml-ingest, 1.6 MB on factbook-olap and 0.7 MB on
+    /// mondial-links: at most 1.5% of the workload's peak resident memory.
+    pub fn read_model_bytes(&self) -> ReadModelBytes {
+        let term_text: usize = self.dict.terms.iter().map(String::capacity).sum::<usize>()
+            + self.dict.ids.keys().map(String::capacity).sum::<usize>();
+        let id_table = self.dict.ids.capacity() * (size_of::<(String, TermId)>() + 1);
+        ReadModelBytes {
+            dictionary: vec_bytes(&self.dict.terms)
+                + id_table
+                + term_text
+                + vec_bytes(&self.idf_by_term),
+            posting_arena: vec_bytes(&self.sorted_postings) + vec_bytes(&self.posting_offsets),
+            posting_paths: vec_bytes(&self.posting_paths),
+            path_runs: vec_bytes(&self.path_runs) + vec_bytes(&self.path_run_offsets),
+            side_tables: vec_bytes(&self.slot_nodes)
+                + vec_bytes(&self.slot_paths)
+                + vec_bytes(&self.slot_token_counts),
+        }
     }
 
     /// Convenience wrapper: evaluate a keyword string.
@@ -598,6 +839,66 @@ mod tests {
         let results = index.evaluate_in_paths(&FullTextQuery::keywords("united"), &[name_path]);
         assert_eq!(results.len(), 1);
         assert_eq!(collection.context_string(results[0].node).unwrap(), "/country/name");
+    }
+
+    /// One query per arm of `evaluate_into`: one positive term, match-all,
+    /// pure negation, and the scored rest.
+    fn one_query_per_arm() -> [FullTextQuery; 4] {
+        [
+            FullTextQuery::keywords("united"),
+            FullTextQuery::Any,
+            FullTextQuery::parse("NOT mexico").unwrap(),
+            FullTextQuery::phrase("united states"),
+        ]
+    }
+
+    #[test]
+    fn an_empty_allowed_set_matches_nothing_and_gathers_no_candidates() {
+        // `(pricee, *)`: a tag that resolves to no path used to have every
+        // indexed node gathered and scored before nothing was returned.
+        let (_, index) = sample();
+        let stale = NodeId::new(DocId(0), 0);
+        let mut candidates = vec![stale];
+        let mut out = vec![ScoredNode { node: stale, score: 1.0 }];
+        for query in one_query_per_arm() {
+            index.evaluate_into(&query, Some(&[]), &mut candidates, &mut out);
+            assert!(out.is_empty() && candidates.is_empty(), "{query}: {candidates:?}");
+        }
+    }
+
+    #[test]
+    fn repeated_unsorted_and_unknown_allowed_paths_change_nothing() {
+        let (collection, index) = sample();
+        let path = |p: &str| collection.paths().get_str(collection.symbols(), p).unwrap();
+        let (name, year) = (path("/country/name"), path("/country/year"));
+        let textless = path("/country");
+        let beyond = PathId(collection.paths().len() as u32);
+        let messy = [year, PathId(u32::MAX), name, textless, year, beyond, name];
+        for query in one_query_per_arm() {
+            let expected: Vec<ScoredNode> = index
+                .evaluate(&query)
+                .into_iter()
+                .filter(|hit| [name, year].contains(&index.node_path(hit.node).unwrap()))
+                .collect();
+            assert!(!expected.is_empty(), "{query} must match under /country/name|year");
+            assert_eq!(index.evaluate_in_paths(&query, &messy), expected, "{query}");
+        }
+    }
+
+    #[test]
+    fn path_tables_stay_inside_their_byte_budget() {
+        let (_, index) = sample();
+        let bytes = index.read_model_bytes();
+        let path_ids = index.path_run_offsets.len() - 1;
+        let budget =
+            16 * index.indexed_node_count() + 4 * index.sorted_postings.len() + 4 * (path_ids + 1);
+        assert!(
+            bytes.posting_paths + bytes.path_runs <= budget,
+            "{bytes:?} over the budget of {budget} bytes"
+        );
+        for part in [bytes.dictionary, bytes.posting_arena, bytes.side_tables] {
+            assert!(part > 0 && part < bytes.total(), "{bytes:?}");
+        }
     }
 
     #[test]

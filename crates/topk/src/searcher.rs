@@ -210,11 +210,13 @@ impl<'a> TopKSearcher<'a> {
     ///
     /// The [`SearchLimits`] ceilings are checked at the loop's existing
     /// counter sites (sorted access, random access, tuple scoring, label
-    /// probes) plus a per-sorted-access deadline/cancellation test.  On a
-    /// breach the loop stops and returns the top-k prefix computed so far —
-    /// exact over the combinations enumerated up to the stop, thanks to TA's
-    /// monotone threshold — together with the tripped [`LimitBreach`];
-    /// `None` means the search ran to its normal termination.
+    /// probes) plus a cancellation test per sorted access and a deadline test
+    /// (one clock read) before sorted access 0 and every
+    /// [`SearchLimits::DEADLINE_STRIDE`]th after.  On a breach the loop stops
+    /// and returns the top-k prefix computed so far — exact over the
+    /// combinations enumerated up to the stop, thanks to TA's monotone
+    /// threshold — together with the tripped [`LimitBreach`]; `None` means the
+    /// search ran to its normal termination.
     ///
     /// `cache`, when given, memoises compactness scores across searches.
     /// `strategy` only short-circuits when it reproduces the join loop
@@ -290,7 +292,9 @@ impl<'a> TopKSearcher<'a> {
         let mut tuples: Vec<ResultTuple> = Vec::with_capacity(config.k.min(list.len()));
         for entry in list.iter().take(config.k) {
             if let Some(deadline) = limits.deadline {
-                if std::time::Instant::now() >= deadline {
+                if stats.sorted_accesses % SearchLimits::DEADLINE_STRIDE == 0
+                    && std::time::Instant::now() >= deadline
+                {
                     breach = Some(LimitBreach { resource: "deadline", spent: 0, budget: 0 });
                     break;
                 }
@@ -420,7 +424,9 @@ impl<'a> TopKSearcher<'a> {
             let mut advanced = false;
             for i in 0..m {
                 if let Some(deadline) = limits.deadline {
-                    if std::time::Instant::now() >= deadline {
+                    if stats.sorted_accesses % SearchLimits::DEADLINE_STRIDE == 0
+                        && std::time::Instant::now() >= deadline
+                    {
                         breach = Some(LimitBreach { resource: "deadline", spent: 0, budget: 0 });
                         break 'outer;
                     }

@@ -2,7 +2,12 @@
 //! collection twice with `parallelism > 1` — and once sequentially — must
 //! yield identical substrates, identical guide links, identical dataguide
 //! statistics and identical query answers, regardless of worker scheduling.
+//!
+//! `NodeIndex` equality is derived `PartialEq` over every field, so it covers
+//! the whole frozen read model — the per-posting path array and the
+//! path-partitioned match-all runs included.
 
+use seda_core::metrics::names;
 use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
 use seda_datagen::{factbook, FactbookConfig};
 use seda_olap::Registry;
@@ -85,4 +90,10 @@ fn build_profile_is_surfaced_for_parallel_builds() {
     assert_eq!(profile.shards, engine.collection().len());
     assert!(profile.shard_secs() > 0.0);
     assert!(profile.total_secs >= profile.shard_secs());
+    // The read model's bytes are a function of the collection, not of how it
+    // was built, and reach the registry and the rendered table.
+    assert!(profile.posting_bytes > 0);
+    assert_eq!(profile.posting_bytes, build(1).build_profile().posting_bytes);
+    assert_eq!(engine.metrics().gauge(names::POSTING_BYTES).get(), profile.posting_bytes as u64);
+    assert!(profile.render().contains("posting tables"));
 }

@@ -4,14 +4,18 @@
 //! [`SedaError::Cancelled`], and a breached request must leave the engine
 //! fully serviceable.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use seda_core::metrics::names;
 use seda_core::{
-    Budget, CancelToken, EngineConfig, RequestContext, SedaEngine, SedaError, SedaRequest,
+    Budget, CancelToken, ContextSpec, EngineConfig, RequestContext, SedaEngine, SedaError,
+    SedaRequest,
 };
-use seda_datagen::{factbook, FactbookConfig};
+use seda_datagen::{factbook, googlebase, FactbookConfig, GoogleBaseConfig};
+use seda_datagraph::{DataGraph, GraphConfig};
 use seda_olap::Registry;
+use seda_textindex::{FullTextQuery, NodeIndex};
+use seda_topk::{SearchLimits, SearchScratch, SearchStrategy, TermInput, TopKConfig, TopKSearcher};
 
 fn engine() -> SedaEngine {
     let collection =
@@ -156,6 +160,52 @@ fn generous_budgets_change_nothing() {
     assert!(!governed.profile.degraded);
     assert_eq!(governed.payload, ungoverned.payload, "generous ceilings must not change answers");
     assert!(governed.profile.budget_spent > 0);
+}
+
+/// The join reads the clock before sorted access 0 and every
+/// [`SearchLimits::DEADLINE_STRIDE`]th after, not once per access.  An
+/// expired deadline still breaches before the first access (the zero deadline
+/// of `each_exhausted_budget_names_its_resource`); one that expires
+/// mid-search is noticed at the next multiple of the stride.
+#[test]
+fn a_deadline_expiring_mid_search_breaches_on_a_stride_boundary() {
+    let config = GoogleBaseConfig { items: 600, ..GoogleBaseConfig::small() };
+    let collection = googlebase::generate(&config).expect("generate googlebase");
+    let index = NodeIndex::build(&collection);
+    let graph = DataGraph::build(&collection, &GraphConfig::default());
+    let searcher = TopKSearcher::new(&collection, &index, &graph);
+    let any_under = |tag: &str| {
+        let paths = ContextSpec::Tag(tag.to_string()).allowed_paths(&collection);
+        TermInput::with_paths(FullTextQuery::Any, paths.expect("a tag restricts"))
+    };
+    let terms = [any_under("title"), any_under("price")];
+    let k = TopKConfig::with_k(10);
+    let mut scratch = SearchScratch::new();
+    let mut search = |limits: &SearchLimits| {
+        searcher.search(&terms, &k, limits, &mut scratch, None, SearchStrategy::Join)
+    };
+
+    let start = Instant::now();
+    let (full, breach) = search(&SearchLimits::unlimited());
+    let whole = start.elapsed();
+    assert!(breach.is_none());
+    assert!(full.stats.sorted_accesses > 8 * SearchLimits::DEADLINE_STRIDE, "{:?}", full.stats);
+
+    // Half the search's own time puts the deadline well inside the join; a
+    // run the host disturbed (expired before the join, or never) is repeated.
+    for _ in 0..20 {
+        let deadline = Some(Instant::now() + whole / 2);
+        let (partial, breach) = search(&SearchLimits { deadline, ..SearchLimits::unlimited() });
+        let accesses = partial.stats.sorted_accesses;
+        if breach.is_none() || accesses == 0 {
+            continue;
+        }
+        assert_eq!(breach.expect("checked above").resource, "deadline");
+        assert_eq!(accesses % SearchLimits::DEADLINE_STRIDE, 0, "breached after {accesses}");
+        assert!(accesses < full.stats.sorted_accesses);
+        return;
+    }
+    panic!("no deadline of {:?} caught the search between its first and last access", whole / 2);
 }
 
 #[test]
