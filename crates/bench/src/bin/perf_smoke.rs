@@ -1,22 +1,24 @@
-//! CI perf smoke check: the three gates of [`seda_bench`], measured on this
+//! CI perf smoke check: the four gates of [`seda_bench`], measured on this
 //! machine against this build — no argument, no file, no environment variable.
 //!
 //! ```text
 //! cargo run --release -p seda-bench --bin perf_smoke
 //! ```
 //!
-//! Prints the three measured ratios with their bounds and exits non-zero when
+//! Prints the four measured ratios with their bounds and exits non-zero when
 //! any gate fails.  Absolute latencies are `benchmark/run.sh`'s business.
 
 use std::process::ExitCode;
 
 use seda_bench::{
     cold_fill_verdict, generous_context, googlebase_engine, governance_verdict, interleaved_minima,
-    join_scaling_verdict, BASE_ITEMS, BROAD_TOPK, SCALED_ITEMS, SELECTIVE_TOPK,
+    join_scaling_verdict, mondial_engine, pinned_pairs_verdict, term_inputs, BASE_ITEMS,
+    BROAD_TOPK, PAIR_QUERY, SCALED_ITEMS, SELECTIVE_TOPK,
 };
+use seda_core::seda_topk::{SearchLimits, SearchScratch, SearchStrategy, TopKConfig, TopKSearcher};
 use seda_core::{RequestContext, SedaReader, SedaRequest};
 
-/// Measures the three gates and prints each verdict; `Ok(false)` when any failed.
+/// Measures the four gates and prints each verdict; `Ok(false)` when any failed.
 fn run() -> Result<bool, String> {
     let request = SedaRequest::parse(BROAD_TOPK).map_err(|e| e.to_string())?;
     let base_engine = googlebase_engine(BASE_ITEMS)?;
@@ -55,7 +57,40 @@ fn run() -> Result<bool, String> {
         || drop(scaled.execute_governed(&selective, &unlimited).expect("cold selective TOPK")),
     );
     let cold_fill = report(cold_fill_verdict(prepared_ms, cold_ms));
-    Ok(scaling && governance && cold_fill)
+    let pinned_pairs = report(pinned_pairs()?);
+    Ok(scaling && governance && cold_fill && pinned_pairs)
+}
+
+/// The pinned-pairs gate: [`PAIR_QUERY`] through the join and through
+/// `search_naive`, which must rank the same tuples from the same pairs.
+fn pinned_pairs() -> Result<Result<String, String>, String> {
+    let engine = mondial_engine()?;
+    let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
+    let terms = term_inputs(&engine, PAIR_QUERY)?;
+    let config = TopKConfig { k: 10, ..engine.config().topk.clone() };
+    let limits = SearchLimits::unlimited();
+    let (mut join_scratch, mut naive_scratch) = (SearchScratch::new(), SearchScratch::new());
+    let (mut join, mut naive) = (None, None);
+    let (naive_ms, join_ms) = interleaved_minima(
+        || naive = Some(searcher.search_naive(&terms, &config, &mut naive_scratch)),
+        || {
+            let strategy = SearchStrategy::Join;
+            let (result, _) =
+                searcher.search(&terms, &config, &limits, &mut join_scratch, None, strategy);
+            join = Some(result);
+        },
+    );
+    let (join, naive) = (join.unwrap_or_default(), naive.unwrap_or_default());
+    if join.tuples.is_empty() || join.tuples != naive.tuples {
+        return Err("the join and search_naive disagree on the pair query".to_string());
+    }
+    if join.stats.tuples_scored != naive.stats.tuples_scored || join.stats.early_terminated {
+        return Err(format!(
+            "the two sides scored different pairs: {:?} against {:?}",
+            join.stats, naive.stats
+        ));
+    }
+    Ok(pinned_pairs_verdict(naive_ms, join_ms))
 }
 
 /// Prints one gate's line; true when it passed.

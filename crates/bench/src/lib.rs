@@ -2,7 +2,7 @@
 //!
 //! What only this crate checks.  Every latency, throughput and memory number
 //! comes from the paper-scale harness under `benchmark/` (see
-//! `benchmark/README.md`); this crate keeps the `audit` binary and the three
+//! `benchmark/README.md`); this crate keeps the `audit` binary and the four
 //! gates of `perf_smoke`, which compare the engine against itself within one
 //! process and so need no committed baseline:
 //!
@@ -14,15 +14,20 @@
 //! * **cold over prepared** — the selective three-term `TOPK` executed cold
 //!   (term lists evaluated per request) costs at most [`COLD_FILL_BOUND`]× its
 //!   prepared statement (lists materialised once): evaluating a term costs
-//!   what it returns, not a walk over the index.
+//!   what it returns, not a walk over the index;
+//! * **pinned pairs** — the selective two-term Mondial search through the
+//!   Threshold-Algorithm join costs at most [`PINNED_PAIRS_BOUND`]× the same
+//!   terms through `search_naive`, which scores the same pairs one-to-one:
+//!   one source scanned against many partners, not a label merge per pair.
 //!
 //! Each verdict is a pure function of the measured numbers, so the tests below
 //! feed it a regressed engine's numbers and watch it fail.
 
 use std::time::{Duration, Instant};
 
-use seda_core::{Budget, EngineConfig, RequestContext, SedaEngine};
-use seda_datagen::{googlebase, GoogleBaseConfig};
+use seda_core::seda_topk::TermInput;
+use seda_core::{Budget, EngineConfig, RequestContext, SedaEngine, SedaQuery};
+use seda_datagen::{googlebase, Dataset, GoogleBaseConfig};
 use seda_olap::Registry;
 
 /// The broad request both gates time: three terms, two of them match-all, so
@@ -35,6 +40,13 @@ pub const BROAD_TOPK: &str = "TOPK 10 FOR (title, model) AND (price, *) AND (con
 /// prepared one is term evaluation.
 pub const SELECTIVE_TOPK: &str =
     r#"TOPK 10 FOR (title, "laptops") AND (price, *) AND (condition, new)"#;
+
+/// The query of the pinned-pairs gate, on the paper-scale Mondial corpus: one
+/// country's names (the country, its provinces and cities: 23 nodes) against
+/// every `population` node (4,790, one block of tied scores, so the Threshold
+/// Algorithm cannot stop early and scores all 110,170 pairs — the pairs
+/// `search_naive` scores).
+pub const PAIR_QUERY: &str = r#"(name, "Canada") AND (population, *)"#;
 
 /// Corpus sizes of the join-scaling gate (one-document components each).
 pub const BASE_ITEMS: usize = 1_500;
@@ -68,12 +80,42 @@ pub const GOVERNANCE_BOUND: f64 = 1.10;
 /// indexed node per match-all term reads 7.5–7.6×.
 pub const COLD_FILL_BOUND: f64 = 3.0;
 
+/// Allowed `t(join) / t(search_naive)` for [`PAIR_QUERY`].  Both sides score
+/// the same 110,170 pairs; `search_naive` merges both labels for every pair
+/// (and materialises and sorts every connected tuple), the join pins the node
+/// each sorted access returns and scans its partners against it: measured
+/// 0.176–0.194 over twenty runs (≈ 5.9 ms against ≈ 32 ms).  A join that
+/// merges per pair as well reads 0.42–0.46 (≈ 14.3 ms); the bound sits
+/// between the two, at their geometric mean.
+pub const PINNED_PAIRS_BOUND: f64 = 0.30;
+
 /// An engine over a datagen googlebase corpus of `items` flat documents.
 pub fn googlebase_engine(items: usize) -> Result<SedaEngine, String> {
     let config = GoogleBaseConfig { items, ..GoogleBaseConfig::small() };
     let collection = googlebase::generate(&config).map_err(|e| e.to_string())?;
     SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
         .map_err(|e| e.to_string())
+}
+
+/// An engine over the datagen Mondial corpus at paper scale (5,563 documents
+/// webbed by IDREF edges into one hub-labelled component).
+pub fn mondial_engine() -> Result<SedaEngine, String> {
+    let collection = Dataset::Mondial.generate_scaled(1.0).map_err(|e| e.to_string())?;
+    SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
+        .map_err(|e| e.to_string())
+}
+
+/// The searcher's inputs for the terms of `query` over `engine`.
+pub fn term_inputs(engine: &SedaEngine, query: &str) -> Result<Vec<TermInput>, String> {
+    let query = SedaQuery::parse(query).map_err(|e| e.to_string())?;
+    Ok(query
+        .terms
+        .iter()
+        .map(|term| match term.context.allowed_paths(engine.collection()) {
+            Some(paths) => TermInput::with_paths(term.search.clone(), paths),
+            None => TermInput::new(term.search.clone()),
+        })
+        .collect())
 }
 
 /// A context whose every ceiling is set and none can be reached, so each
@@ -143,6 +185,11 @@ pub fn cold_fill_verdict(prepared_ms: f64, cold_ms: f64) -> Result<String, Strin
     bounded_ratio("cold over prepared", prepared_ms, cold_ms, COLD_FILL_BOUND)
 }
 
+/// The pinned-pairs gate over one query's `search_naive` and join times.
+pub fn pinned_pairs_verdict(naive_ms: f64, join_ms: f64) -> Result<String, String> {
+    bounded_ratio("pinned pairs over one-to-one", naive_ms, join_ms, PINNED_PAIRS_BOUND)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,6 +226,17 @@ mod tests {
         // The least favourable of twenty runs on the partitioned postings.
         let pass = cold_fill_verdict(0.483, 0.626).unwrap();
         assert!(pass.starts_with("cold over prepared 1.296x"), "{pass}");
+    }
+
+    #[test]
+    fn pinned_pairs_fail_on_a_merge_per_pair_and_pass_on_the_measured_pair() {
+        // The join before pairs were pinned: both labels merged for every
+        // pair, as `search_naive` does (the most favourable of three runs).
+        let failure = pinned_pairs_verdict(34.446, 14.462).unwrap_err();
+        assert!(failure.starts_with("pinned pairs over one-to-one 0.420x (allowed 0.3x)"));
+        // The least favourable of the twenty runs behind the bound.
+        let pass = pinned_pairs_verdict(30.179, 5.841).unwrap();
+        assert!(pass.starts_with("pinned pairs over one-to-one 0.194x"), "{pass}");
     }
 
     /// The seeded slowdown: the governed side does the request twice, and the

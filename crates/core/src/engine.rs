@@ -16,7 +16,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{Deserialize, Serialize};
 
-use seda_datagraph::{is_connected_with, shortest_path_with, DataGraph, GraphConfig};
+use seda_datagraph::{is_connected_with, pin, shortest_path_with, DataGraph, GraphConfig};
 use seda_dataguide::{
     discover_connections, guide_links, Connection, DataGuideSet, DataGuideStats, GuideLink,
 };
@@ -930,30 +930,56 @@ impl SedaEngine {
         if candidates.iter().any(Vec::is_empty) {
             return Ok(Vec::new());
         }
+        let max_depth = self.config.connection_max_depth;
+        let limit = self.config.complete_result_limit;
+        let traversal = scratch.traversal_mut();
+        // A row is allocated, at full width, once its newest member has
+        // passed the test.
+        let admit = |next: &mut Vec<Vec<NodeId>>, row: &[NodeId], candidate: NodeId| {
+            let mut extended = Vec::with_capacity(candidates.len());
+            extended.extend_from_slice(row);
+            extended.push(candidate);
+            next.push(extended);
+            if next.len() > limit {
+                return Err(SedaError::Limit {
+                    resource: "graph-join frontier tuples",
+                    spent: next.len(),
+                    budget: limit,
+                });
+            }
+            Ok(())
+        };
         let mut rows: Vec<Vec<NodeId>> = vec![Vec::new()];
         for term_candidates in &candidates {
             let mut next = Vec::new();
             for row in &rows {
-                for &candidate in term_candidates {
-                    let mut extended = row.clone();
-                    extended.push(candidate);
-                    // Require connectivity with the partial tuple.
-                    if extended.len() == 1
-                        || is_connected_with(
-                            &self.graph,
-                            scratch.traversal_mut(),
-                            &extended,
-                            self.config.connection_max_depth,
-                        )
-                    {
-                        next.push(extended);
+                let Some(&source) = row.first() else {
+                    for &candidate in term_candidates {
+                        admit(&mut next, row, candidate)?;
                     }
-                    if next.len() > self.config.complete_result_limit {
-                        return Err(SedaError::Limit {
-                            resource: "graph-join frontier tuples",
-                            spent: next.len(),
-                            budget: self.config.complete_result_limit,
-                        });
+                    continue;
+                };
+                // A tuple is connected when every later node lies within
+                // `max_depth` of its first ([`is_connected_with`]), and the
+                // row's members passed that test when the row was formed: only
+                // the candidate is new.  The first node is one source for the
+                // whole candidate list, so it is pinned.
+                let Some(mut first) = pin(&self.graph, traversal, source) else {
+                    for &candidate in term_candidates {
+                        if is_connected_with(
+                            &self.graph,
+                            traversal,
+                            &[source, candidate],
+                            max_depth,
+                        ) {
+                            admit(&mut next, row, candidate)?;
+                        }
+                    }
+                    continue;
+                };
+                for &candidate in term_candidates {
+                    if first.distance_to(candidate, max_depth).is_some() {
+                        admit(&mut next, row, candidate)?;
                     }
                 }
             }

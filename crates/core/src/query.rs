@@ -148,6 +148,15 @@ impl ContextSpec {
                     .map(|p| vec![p])
                     .unwrap_or_default(),
             ),
+            // A plain tag names one symbol: compare leaves as integers, and
+            // a tag the collection never interned matches nothing.
+            ContextSpec::Tag(tag) if !tag.contains('*') => Some(
+                collection
+                    .symbols()
+                    .get(tag)
+                    .map(|leaf| collection.paths().paths_with_leaf(leaf))
+                    .unwrap_or_default(),
+            ),
             ContextSpec::Tag(tag) => Some(
                 collection
                     .paths()

@@ -26,8 +26,8 @@
 
 use seda_olap::{aggregate, CubeQuery, QueryResultTable};
 use seda_topk::{
-    LimitBreach, MaterializedTerms, SearchScratch, SearchStrategy, TopKConfig, TopKResult,
-    TupleScoreCache,
+    LimitBreach, MaterializedTerms, SearchScratch, SearchStats, SearchStrategy, TopKConfig,
+    TopKResult, TupleScoreCache,
 };
 
 use crate::engine::{catch_internal, SedaEngine};
@@ -142,6 +142,14 @@ impl<'e> SedaReader<'e> {
     /// The engine this reader serves.
     pub fn engine(&self) -> &'e SedaEngine {
         self.engine
+    }
+
+    /// The scratch every request of this reader runs through, for tests that
+    /// drive the searcher through the same buffers or read the traversal
+    /// counters a request left behind.  Not part of the supported API.
+    #[doc(hidden)]
+    pub fn scratch_mut(&mut self) -> &mut SearchScratch {
+        &mut self.scratch
     }
 
     /// Compiles a request into a reusable [`PreparedStatement`]: the plan
@@ -427,8 +435,10 @@ impl<'e> SedaReader<'e> {
     }
 
     /// The complete-results step of `RESULTS` and `CUBE`: R(q) over the
-    /// plan's resolved per-term context paths, traced, with a breach
-    /// resolved against the request's policy.
+    /// plan's resolved per-term context paths, traced, the label probes of
+    /// its connectivity checks (the cross-root join, the connection filter)
+    /// absorbed into `profile` and the span, with a breach resolved against
+    /// the request's policy.
     fn run_complete_results(
         &mut self,
         plan: &QueryPlan,
@@ -440,6 +450,7 @@ impl<'e> SedaReader<'e> {
             .as_ref()
             .expect("invariant: the planner attaches a query to this statement shape");
         let s = self.tracer.enter(span::COMPLETE_RESULTS);
+        let probes_before = self.scratch.traversal_mut().label_probes;
         let (table, breach) = self.engine.complete_results_governed(
             query,
             &plan.term_paths,
@@ -447,7 +458,9 @@ impl<'e> SedaReader<'e> {
             &mut self.scratch,
             ctx,
         )?;
-        let counters = SpanCounters { rows: table.len(), ..SpanCounters::default() };
+        let label_probes = self.scratch.traversal_mut().label_probes - probes_before;
+        profile.absorb(&SearchStats { label_probes, ..SearchStats::default() });
+        let counters = SpanCounters { rows: table.len(), label_probes, ..SpanCounters::default() };
         self.tracer.exit_with(s, counters);
         resolve_breach(breach, ctx, profile)?;
         Ok(table)

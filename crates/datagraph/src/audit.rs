@@ -12,6 +12,7 @@
 //! | `labels-radius` | hub-scheme label distances never exceed the advertised radius |
 //! | `labels-sound` | hub pruning kept the 2-hop cover sound: every adjacency edge answers distance 1 |
 //! | `scratch-epoch` | traversal scratch arrays stay parallel and no stamp exceeds the current epoch |
+//! | `scratch-pinned` | no scattered label entry outlives its `PinnedSource`: between queries the pinned array holds "no entry" under every key |
 //!
 //! The violation type lives in [`seda_xmlstore::audit`]; see there for the
 //! catalog conventions.
@@ -21,7 +22,7 @@ use std::collections::HashMap;
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
 use seda_xmlstore::NodeId;
 
-use crate::connectivity::LabelScheme;
+use crate::connectivity::{LabelScheme, NO_ENTRY};
 use crate::graph::{DataGraph, EdgeKind};
 use crate::traversal::TraversalScratch;
 
@@ -374,7 +375,10 @@ impl TraversalScratch {
     /// Verifies the epoch discipline of the reusable traversal state: the
     /// stamp/distance/predecessor arrays stay parallel, and no slot carries a
     /// stamp from the future (`stamp[i] > epoch` would make a stale mark read
-    /// as visited in a later epoch — the `scratch-epoch` class).
+    /// as visited in a later epoch — the `scratch-epoch` class); and the array
+    /// a [`crate::PinnedSource`] scatters its label into is clean again (a
+    /// leftover entry would read as a hub of every later source and shorten
+    /// its distances — the `scratch-pinned` class).
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
         if self.stamp.len() != self.dist.len() || self.stamp.len() != self.pred.len() {
@@ -398,7 +402,32 @@ impl TraversalScratch {
                 ));
             }
         }
+        if let Some(key) = self.pinned.iter().position(|&d| d != NO_ENTRY) {
+            violations.push(InvariantViolation::new(
+                SUBSTRATE,
+                "scratch-pinned",
+                format!(
+                    "label key {key} still holds a pinned distance of {} with no source pinned",
+                    self.pinned[key]
+                ),
+            ));
+        }
         finish(violations)
+    }
+
+    /// Test-only corruption hook: leaves one pinned entry behind, as a
+    /// [`crate::PinnedSource`] that never un-scattered would (breaks
+    /// `scratch-pinned`).  Returns `false` when the scratch has never pinned
+    /// a source and holds no slots.
+    #[doc(hidden)]
+    pub fn corrupt_leave_pinned(&mut self) -> bool {
+        match self.pinned.first_mut() {
+            Some(slot) => {
+                *slot = 0;
+                true
+            }
+            None => false,
+        }
     }
 
     /// Test-only corruption hook: stamps one slot with a future epoch (breaks
@@ -501,6 +530,20 @@ mod tests {
         assert!(scratch.corrupt_stamp_future());
         let violations = scratch.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.invariant == "scratch-epoch"), "{violations:?}");
+    }
+
+    #[test]
+    fn a_leftover_pinned_entry_fails_scratch_pinned() {
+        let g = linked_graph();
+        let mut scratch = TraversalScratch::new();
+        assert!(!scratch.corrupt_leave_pinned(), "a scratch that never pinned has no slots");
+        // Pin and release a source so the array exists and is clean.
+        let source = crate::traversal::pin(&g, &mut scratch, g.node_id(0)).expect("node 0 pins");
+        drop(source);
+        scratch.verify().unwrap();
+        assert!(scratch.corrupt_leave_pinned());
+        let violations = scratch.verify().unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "scratch-pinned"), "{violations:?}");
     }
 
     #[test]

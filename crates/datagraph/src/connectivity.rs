@@ -30,6 +30,23 @@
 //! both are queried by the same intersection loop.  The number of label
 //! entries scanned is counted as `label_probes` — the successor of the old
 //! `bfs_visits` counter in query profiles.
+//!
+//! # One source, many targets
+//!
+//! The merge-scan walks both labels for every pair, although a join asks one
+//! source about a whole batch of targets.  The one-to-many form — the way
+//! pruned landmark labels are meant to be queried (Akiba, Iwata, Yoshida,
+//! SIGMOD 2013), and what the index's own builder does to prune — scatters
+//! the source's label once into an array indexed by label key (`scatter`,
+//! `|L(a)|` probes) and then answers each target by one branch-free pass over
+//! the target's label alone (`pinned_distance`, `|L(b)|` probes).  The scan
+//! reads all of `L(b)` where the merge stops as soon as either label runs
+//! out, and the source's label is passed over twice more (scatter,
+//! un-scatter); what it saves is every step through `L(a)` per target and
+//! every data-dependent branch.  Over Mondial's hub labels (≈ 33 entries a
+//! node, 23 targets a source) the pair-scoring join runs 2.4–2.7× faster for
+//! it; over short tree labels and a handful of targets it earns nothing back
+//! — see [`crate::traversal::pin`] for who uses it.
 
 use serde::{Deserialize, Serialize};
 
@@ -47,6 +64,11 @@ pub const LABEL_RADIUS: u16 = 16;
 /// (either no common hub within the radius, or a saturated tree distance in a
 /// document deeper than `u16` can express).
 pub(crate) const SATURATED: u32 = u16::MAX as u32;
+
+/// "The pinned source has no entry under this key" in the scattered array of
+/// the one-to-many query.  Equal to [`SATURATED`] on purpose: a sum through a
+/// missing key lands on the "not covered" side by itself, without a branch.
+pub(crate) const NO_ENTRY: u16 = u16::MAX;
 
 const UNSET: u32 = u32::MAX;
 
@@ -150,6 +172,50 @@ impl ConnectivityIndex {
                 j += 1;
             }
         }
+        best
+    }
+
+    /// First half of the one-to-many query: scatters `a`'s label into
+    /// `pinned` (`pinned[key] = dist(a, key)`, [`NO_ENTRY`] elsewhere), so
+    /// that [`ConnectivityIndex::pinned_distance`] answers any number of
+    /// targets by reading only the target's label.  Counts `|L(a)|` probes.
+    /// Returns false — writing nothing — when a key of `a` lies outside
+    /// `pinned`; the caller then keeps to [`ConnectivityIndex::label_distance`].
+    pub(crate) fn scatter(&self, a: u32, pinned: &mut [u16], probes: &mut u64) -> bool {
+        let (hubs, dists) = self.entries(a);
+        // Keys ascend, so the last one bounds them all.
+        if hubs.last().is_some_and(|&key| key as usize >= pinned.len()) {
+            return false;
+        }
+        for (&key, &d) in hubs.iter().zip(dists) {
+            debug_assert_eq!(pinned[key as usize], NO_ENTRY, "a pinned label was left behind");
+            pinned[key as usize] = d;
+        }
+        *probes += hubs.len() as u64;
+        true
+    }
+
+    /// Undoes [`ConnectivityIndex::scatter`] for the same node, leaving
+    /// `pinned` all-[`NO_ENTRY`] again in `O(|L(a)|)`.
+    pub(crate) fn unscatter(&self, a: u32, pinned: &mut [u16]) {
+        for &key in self.entries(a).0 {
+            pinned[key as usize] = NO_ENTRY;
+        }
+    }
+
+    /// [`ConnectivityIndex::label_distance`] from the node whose label is
+    /// scattered in `pinned` to `b`, by one pass over `b`'s entries: the same
+    /// value whenever the labels cover the pair, and `>= SATURATED` exactly
+    /// when `label_distance` is (a key the source lacks reads [`NO_ENTRY`],
+    /// which alone reaches [`SATURATED`]).  Counts `|L(b)|` probes.
+    pub(crate) fn pinned_distance(&self, pinned: &[u16], b: u32, probes: &mut u64) -> u32 {
+        let (hubs, dists) = self.entries(b);
+        let mut best = UNSET;
+        for (&key, &d) in hubs.iter().zip(dists) {
+            let to_key = pinned.get(key as usize).copied().unwrap_or(NO_ENTRY);
+            best = best.min(to_key as u32 + d as u32);
+        }
+        *probes += hubs.len() as u64;
         best
     }
 

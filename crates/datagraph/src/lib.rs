@@ -31,8 +31,8 @@ pub use graph::{doc_component_builds_on_this_thread, DataGraph, Edge, EdgeKind, 
 pub use traversal::{
     bfs_is_connected_with, bfs_shortest_distance_with, bfs_shortest_path_with, compactness,
     compactness_with, connecting_tree_size, connecting_tree_size_with, is_connected,
-    is_connected_with, pairwise_distances, shortest_distance, shortest_distance_with,
-    shortest_path, shortest_path_with, Hop, TraversalScratch,
+    is_connected_with, pairwise_distances, pin, shortest_distance, shortest_distance_with,
+    shortest_path, shortest_path_with, Hop, PinnedSource, TraversalScratch,
 };
 
 #[cfg(test)]
@@ -41,7 +41,9 @@ mod proptests {
 
     use crate::config::GraphConfig;
     use crate::graph::DataGraph;
-    use crate::traversal::{compactness, connecting_tree_size, is_connected, shortest_distance};
+    use crate::traversal::{
+        compactness, connecting_tree_size, is_connected, pin, shortest_distance, TraversalScratch,
+    };
     use seda_xmlstore::{Collection, NodeId};
 
     /// Builds a single-document collection shaped like a shallow tree of
@@ -88,6 +90,25 @@ mod proptests {
             prop_assert_eq!(d_ab, d_ba);
             prop_assert!(is_connected(&g, &[na, nb], limit));
             prop_assert!(compactness(&g, &[na, nb], limit) > 0.0);
+        }
+
+        /// One pinned source answers every target of its document like the
+        /// pairwise query, at bounds inside and outside the tree's depth, and
+        /// leaves the scratch clean.
+        #[test]
+        fn a_pinned_source_matches_the_pairwise_distance(width in 1u8..4, depth in 1u8..4, a in 0u32..10, bound in 0usize..12) {
+            let c = tree_collection(width, depth);
+            let g = DataGraph::build(&c, &GraphConfig::default());
+            let doc = c.documents().next().unwrap();
+            let na = NodeId::new(doc.id, a % doc.len() as u32);
+            let mut scratch = TraversalScratch::new();
+            {
+                let mut source = pin(&g, &mut scratch, na).expect("a node of the graph pins");
+                for nb in doc.node_ids() {
+                    prop_assert_eq!(source.distance_to(nb, bound), shortest_distance(&g, na, nb, bound));
+                }
+            }
+            prop_assert!(scratch.verify().is_ok());
         }
 
         /// The connecting-tree size of a pair equals the pair's shortest-path

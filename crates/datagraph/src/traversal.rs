@@ -19,15 +19,21 @@
 //! [`bfs_is_connected_with`] — the reference the oracle is property-tested
 //! against.
 //!
+//! A caller with one source and a batch of targets [`pin`]s the source: its
+//! label is scattered once into the scratch and every
+//! [`PinnedSource::distance_to`] then scans the target's label only, with the
+//! answers of [`shortest_distance_with`].  Probes are counted where entries
+//! are read: `|L(source)|` for the pin, `|L(target)|` per query.
+//!
 //! Every function exists in two flavours: a convenience form that allocates a
 //! fresh [`TraversalScratch`] internally, and a `*_with` form that reuses a
 //! caller-owned scratch.  The scratch holds **epoch-stamped** visited/distance
 //! arrays indexed by the graph's dense node indices, so even the BFS fallback
 //! touches no hash map and resets in O(1) between runs.
 
-use seda_xmlstore::NodeId;
+use seda_xmlstore::{DocId, NodeId};
 
-use crate::connectivity::{LabelScheme, SATURATED};
+use crate::connectivity::{ConnectivityIndex, LabelScheme, NO_ENTRY, SATURATED};
 use crate::graph::{DataGraph, EdgeKind};
 
 /// A hop on a connection path between two nodes.
@@ -62,6 +68,12 @@ pub struct TraversalScratch {
     matrix: Vec<u32>,
     in_tree: Vec<bool>,
     best: Vec<u32>,
+    /// The scattered label of the current [`PinnedSource`], one `u16` per
+    /// label key (2 bytes a graph node), all `NO_ENTRY` whenever no source is
+    /// pinned — a leftover entry would shorten later pinned distances, so
+    /// [`TraversalScratch::verify`] checks it; sized on the first [`pin`]
+    /// over a graph.
+    pub(crate) pinned: Vec<u16>,
     /// Total label entries scanned by connectivity-oracle intersections
     /// through this scratch (monotonic; the query profile reports deltas).
     pub label_probes: u64,
@@ -202,7 +214,14 @@ fn oracle_distance(
         return OracleDistance::NeedsBfs;
     }
     let d = oracle.label_distance(da, db, &mut scratch.label_probes);
-    match oracle.scheme(a.doc) {
+    classify(oracle, a.doc, d, max_depth)
+}
+
+/// What a 2-hop label distance `d` between two nodes of `doc`'s component
+/// proves about their true distance under `max_depth` — the one reading of
+/// label answers, shared by the pairwise merge and the pinned scan.
+fn classify(oracle: &ConnectivityIndex, doc: DocId, d: u32, max_depth: usize) -> OracleDistance {
+    match oracle.scheme(doc) {
         LabelScheme::Tree => {
             // Tree components are single cross-edge-free documents, so both
             // endpoints share the document and the labels are exact — unless
@@ -260,6 +279,90 @@ pub fn shortest_distance_with(
             bfs_with(graph, scratch, da, max_depth);
             scratch.distance(db).map(|d| d as usize)
         }
+    }
+}
+
+/// A source node whose label is scattered in the scratch, so that each
+/// [`PinnedSource::distance_to`] reads the target's label alone — the
+/// one-to-many form of [`shortest_distance_with`] (see
+/// [`crate::connectivity`]).  Made by [`pin`]; holds the scratch for as long
+/// as it lives and takes the scattered entries back out when it drops, so a
+/// `break`, a `?` or an unwinding panic in the caller's loop leaves the
+/// scratch as clean as a normal exit does.
+pub struct PinnedSource<'a> {
+    graph: &'a DataGraph,
+    scratch: &'a mut TraversalScratch,
+    source: NodeId,
+    dense: u32,
+}
+
+/// Pins `source` for a batch of [`PinnedSource::distance_to`] queries, at the
+/// cost of one pass over its label (counted in
+/// [`TraversalScratch::label_probes`]) and one more when the guard drops.
+/// `None` when `source` lies outside the graph or the graph's labels do not
+/// cover it; the caller then asks [`shortest_distance_with`] pair by pair.
+///
+/// A pinned query reads `|L(target)|` entries where the merge reads between
+/// `min(|L(a)|, |L(b)|)` and `|L(a)| + |L(b)|`, and has no data-dependent
+/// branch; against that stand the two passes over `L(source)`.  It pays when
+/// one source meets many targets over long labels — the top-k join's pair arm
+/// and the cross-root `RESULTS` join on hub-labelled components — and not on a
+/// few targets with short tree labels, which is why tuples of three and more
+/// nodes (a handful of partners per group, measured slower) stay on the merge.
+pub fn pin<'a>(
+    graph: &'a DataGraph,
+    scratch: &'a mut TraversalScratch,
+    source: NodeId,
+) -> Option<PinnedSource<'a>> {
+    let dense = graph.dense(source)?;
+    let nodes = graph.node_count();
+    let oracle = graph.connectivity();
+    if !oracle.covers(nodes) {
+        return None;
+    }
+    // Label keys are dense node indices (tree) or hub ranks (hub): both
+    // below the node count.
+    if scratch.pinned.len() < nodes {
+        scratch.pinned.resize(nodes, NO_ENTRY);
+    }
+    if !oracle.scatter(dense, &mut scratch.pinned, &mut scratch.label_probes) {
+        return None;
+    }
+    Some(PinnedSource { graph, scratch, source, dense })
+}
+
+impl PinnedSource<'_> {
+    /// Exactly [`shortest_distance_with`]`(source, target, max_depth)`: the
+    /// same component, scheme, saturation and radius rules, and the same BFS
+    /// when the labels cannot certify the bound.
+    pub fn distance_to(&mut self, target: NodeId, max_depth: usize) -> Option<usize> {
+        if target == self.source {
+            return Some(0);
+        }
+        let target_dense = self.graph.dense(target)?;
+        if !self.graph.same_component(self.source, target) {
+            return None;
+        }
+        let oracle = self.graph.connectivity();
+        let d = oracle.pinned_distance(
+            &self.scratch.pinned,
+            target_dense,
+            &mut self.scratch.label_probes,
+        );
+        match classify(oracle, self.source.doc, d, max_depth) {
+            OracleDistance::Known(d) => d.map(|d| d as usize),
+            OracleDistance::NeedsBfs => {
+                bfs_with(self.graph, self.scratch, self.dense, max_depth);
+                self.scratch.distance(target_dense).map(|d| d as usize)
+            }
+        }
+    }
+}
+
+impl Drop for PinnedSource<'_> {
+    fn drop(&mut self) {
+        // Writes the slots `scatter` wrote, so it cannot go out of bounds.
+        self.graph.connectivity().unscatter(self.dense, &mut self.scratch.pinned);
     }
 }
 
@@ -568,7 +671,7 @@ pub fn compactness_with(
 mod tests {
     use super::*;
     use crate::config::GraphConfig;
-    use seda_xmlstore::{parse_collection, Collection, DocId};
+    use seda_xmlstore::{parse_collection, Collection};
 
     fn setup() -> (Collection, DataGraph) {
         let c = parse_collection(vec![
@@ -759,6 +862,84 @@ mod tests {
         // Disarming restores exact answers through the same scratch.
         scratch.probe_ceiling = None;
         assert_eq!(bfs_shortest_distance_with(&g, &mut scratch, us_name, sea_name, 10), Some(4));
+    }
+
+    #[test]
+    fn a_pinned_source_answers_like_the_pairwise_query_and_like_bfs() {
+        let (c, g) = setup();
+        let (mut pinned_scratch, mut scratch) = (TraversalScratch::new(), TraversalScratch::new());
+        let mut nodes: Vec<NodeId> = c.documents().flat_map(|d| d.node_ids()).collect();
+        // A node of a document the graph was not built over, on either side.
+        let outside = NodeId::new(DocId(c.len() as u32), 0);
+        assert!(pin(&g, &mut pinned_scratch, outside).is_none());
+        nodes.push(outside);
+        for &a in nodes.iter().filter(|&&a| a != outside) {
+            let mut source = pin(&g, &mut pinned_scratch, a).expect("a node of the graph pins");
+            // Depths on both sides of the radius; three documents, two
+            // components (the island), so every outcome class is met.
+            for depth in [0usize, 1, 2, 5, 12, g.connectivity().radius() + 4] {
+                for &b in &nodes {
+                    let pairwise = shortest_distance_with(&g, &mut scratch, a, b, depth);
+                    assert_eq!(
+                        source.distance_to(b, depth),
+                        pairwise,
+                        "pinned {a:?} -> {b:?} at depth {depth}"
+                    );
+                    assert_eq!(pairwise, bfs_shortest_distance_with(&g, &mut scratch, a, b, depth));
+                }
+            }
+        }
+        pinned_scratch.verify().expect("every source unpinned itself");
+    }
+
+    #[test]
+    fn pinned_probes_count_the_source_once_and_every_target_in_full() {
+        let (c, g) = setup();
+        let label_len = |n: NodeId| {
+            let d = g.dense(n).unwrap() as usize;
+            let offsets = &g.connectivity().offsets;
+            u64::from(offsets[d + 1] - offsets[d])
+        };
+        let us_name = find(&c, "/country/name", "United States");
+        let sea_name = find(&c, "/sea/name", "Pacific Ocean");
+        let island = find(&c, "/island/name", "Lonely Island");
+        let mut scratch = TraversalScratch::new();
+        let mut source = pin(&g, &mut scratch, us_name).unwrap();
+        assert_eq!(source.distance_to(sea_name, 12), Some(4));
+        // The node itself and another component are answered before any scan.
+        assert_eq!(source.distance_to(us_name, 12), Some(0));
+        assert_eq!(source.distance_to(island, 12), None);
+        drop(source);
+        assert_eq!(scratch.label_probes, label_len(us_name) + label_len(sea_name));
+    }
+
+    #[test]
+    fn a_pinned_source_unpins_however_its_scope_is_left() {
+        let (c, g) = setup();
+        let us_name = find(&c, "/country/name", "United States");
+        let sea_name = find(&c, "/sea/name", "Pacific Ocean");
+        let mut scratch = TraversalScratch::new();
+        scratch.verify().expect("a scratch that never pinned is clean");
+
+        fn leave_early(g: &DataGraph, scratch: &mut TraversalScratch, a: NodeId) -> Option<usize> {
+            let mut source = pin(g, scratch, a)?;
+            source.distance_to(NodeId::new(DocId(99), 0), 12)?;
+            unreachable!("the target lies outside the graph")
+        }
+        assert_eq!(leave_early(&g, &mut scratch, us_name), None);
+        scratch.verify().expect("`?` out of a pinned scope unpins");
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut source = pin(&g, &mut scratch, us_name).unwrap();
+            source.distance_to(sea_name, 12);
+            panic!("mid-batch");
+        }));
+        assert!(unwound.is_err());
+        scratch.verify().expect("a panic unwinding through a pinned scope unpins");
+
+        // The scratch the panic went through answers like a fresh one.
+        let mut source = pin(&g, &mut scratch, sea_name).unwrap();
+        assert_eq!(source.distance_to(us_name, 12), Some(4));
     }
 
     /// Reference BFS over `HashMap`s (the pre-CSR implementation), used to pin

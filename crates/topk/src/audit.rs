@@ -5,7 +5,7 @@
 //!
 //! | class | invariant |
 //! |---|---|
-//! | `scratch-epoch` | the embedded traversal scratch keeps its epoch discipline (delegated to the datagraph audit) |
+//! | `scratch-epoch`, `scratch-pinned` | the embedded traversal scratch keeps its epoch discipline and holds no pinned label between searches (delegated to the datagraph audit) |
 //! | `kth-order` | the buffered k-best score list stays sorted descending and free of NaN |
 //! | `stats-counters` | [`SearchStats`] counters are mutually consistent (disconnected ≤ scored) |
 //!
@@ -21,7 +21,8 @@ const SUBSTRATE: &str = "topk";
 
 impl SearchScratch {
     /// Verifies the reusable search state: the traversal scratch's epoch
-    /// discipline plus the descending order of the buffered k-best scores.
+    /// discipline and clean pinned array, plus the descending order of the
+    /// buffered k-best scores.
     pub fn verify(&self) -> AuditResult {
         let mut violations = self.traversal.verify().err().unwrap_or_default();
         for (i, pair) in self.join.kth_scores.windows(2).enumerate() {

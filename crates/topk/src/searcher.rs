@@ -45,10 +45,26 @@
 //! through a reusable [`TraversalScratch`]).  Every search takes the caller's
 //! [`SearchScratch`]: hold one across queries and even the posting-list
 //! buffers are reused; pass `&mut SearchScratch::new()` for a one-off.
+//!
+//! # Random access: one source, many partners
+//!
+//! Every tuple a sorted access forms holds the node just read, so scoring
+//! them is one source asked about a batch of partners.  For pairs — where the
+//! compactness *is* the distance — a cold search pins that node once a batch
+//! holds eight pairs ([`seda_datagraph::pin`]: its label scattered into the
+//! traversal scratch, 2 bytes a graph node) and scores each pair by one pass
+//! over the partner's label instead of merging both labels per pair; on the
+//! IDREF-webbed Mondial corpus that is the difference between ≈ 16 and ≈ 6 ms
+//! a search.  Tuples of three and more nodes keep the pairwise matrix (short
+//! tree labels and a handful of partners a group: pinning measured slower),
+//! and so does a prepared statement's search, whose memo sits in front of the
+//! oracle.  The pinned arm's differential test is `tests/topk_equivalence.rs`:
+//! [`TopKSearcher::search_naive`] scores every pair one-to-one through
+//! `compactness_with` and must rank the same tuples with the same score bits.
 
 use std::collections::BinaryHeap;
 
-use seda_datagraph::{compactness_with, DataGraph, TraversalScratch};
+use seda_datagraph::{compactness_with, pin, DataGraph, TraversalScratch};
 use seda_textindex::{NodeIndex, ScoredNode};
 use seda_xmlstore::{Collection, NodeId};
 
@@ -219,6 +235,10 @@ impl<'a> TopKSearcher<'a> {
     /// search ran to its normal termination.
     ///
     /// `cache`, when given, memoises compactness scores across searches.
+    /// Without one, the pairs of a two-term search are scored by pinning the
+    /// node each sorted access returns (module docs, "Random access"): tuples,
+    /// score bits and every counter but [`SearchStats::label_probes`] equal
+    /// the pair-by-pair scoring's.
     /// `strategy` only short-circuits when it reproduces the join loop
     /// exactly (one term, candidate limit ≥ k: a direct scan of the sorted
     /// prefix — same tuples, same stats, no join machinery), so results never
@@ -354,12 +374,44 @@ impl<'a> TopKSearcher<'a> {
         (TopKResult { tuples, stats }, breach)
     }
 
+    /// Picks the copy of [`TopKSearcher::rank_join`] a search runs in: the
+    /// one with the pinned pair arm for two lists and no memo in front of the
+    /// oracle, the one without for everything else.  Two copies of one source
+    /// because the arm hands the loop's counters and buffers to an
+    /// out-of-line function, which costs the loop its registers whether or
+    /// not the arm is ever taken: factbook-olap's three-term searches read
+    /// 5–10% slower with the arm compiled into their loop.
+    #[allow(clippy::too_many_arguments)]
+    fn join(
+        &self,
+        lists: &[Vec<ScoredNode>],
+        partition: PartitionSource<'_>,
+        config: &TopKConfig,
+        limits: &SearchLimits,
+        traversal: &mut TraversalScratch,
+        join: &mut JoinBuffers,
+        cache: Option<&mut TupleScoreCache>,
+        strategy: SearchStrategy,
+    ) -> (TopKResult, Option<LimitBreach>) {
+        if lists.len() == 2 && cache.is_none() {
+            self.rank_join::<true>(
+                lists, partition, config, limits, traversal, join, cache, strategy,
+            )
+        } else {
+            self.rank_join::<false>(
+                lists, partition, config, limits, traversal, join, cache, strategy,
+            )
+        }
+    }
+
     /// The one search body behind [`TopKSearcher::search`] and
     /// [`TopKSearcher::search_materialized`]: the empty/`k == 0` guard, the
     /// strategy dispatch and the Threshold-Algorithm join loop over the
-    /// borrowed term lists and their component partition.
+    /// borrowed term lists and their component partition.  `PAIRS` compiles
+    /// the pinned pair arm in ([`score_pairs_pinned`]); the caller sets it
+    /// only for two lists without a memo.
     #[allow(clippy::too_many_arguments)]
-    fn join(
+    fn rank_join<const PAIRS: bool>(
         &self,
         lists: &[Vec<ScoredNode>],
         partition: PartitionSource<'_>,
@@ -514,7 +566,33 @@ impl<'a> TopKSearcher<'a> {
                         break 'outer;
                     }
                 }
-                if combo_nodes.len() == combo_scores.len() * m {
+                // The tuples just formed, still to be scored.  A cold search
+                // over pairs asks one source — the node just read — about the
+                // whole batch: that arm runs out of line and exists only in
+                // the `PAIRS` copy of this function, so the loop below is
+                // compiled as it always was for every other search.
+                let mut unscored = combo_nodes.len() == combo_scores.len() * m;
+                if PAIRS && unscored && combo_scores.len() >= PIN_MIN {
+                    match score_pairs_pinned(
+                        self.graph,
+                        traversal,
+                        (new_node.node, i),
+                        (combo_nodes, combo_scores),
+                        config,
+                        limits,
+                        &mut stats,
+                        kth_scores,
+                        &mut buffer,
+                    ) {
+                        PairArm::NotTaken => {}
+                        PairArm::Scored => unscored = false,
+                        PairArm::Stopped(stop) => {
+                            breach = stop;
+                            break 'outer;
+                        }
+                    }
+                }
+                if unscored {
                     for (c, &content) in combo_scores.iter().enumerate() {
                         if let Some(max) = limits.max_tuples_scored {
                             if stats.tuples_scored >= max {
@@ -590,7 +668,7 @@ impl<'a> TopKSearcher<'a> {
                     // An exhausted list keeps contributing its last score;
                     // dropping it from the max would tighten the threshold
                     // but changes `sorted_accesses` / `early_terminated`, so
-                    // it is left to the ROADMAP item 2 follow-up.
+                    // it is left to the ROADMAP item 1 follow-up.
                     let front = if positions[j] == 0 {
                         best_scores[j]
                     } else {
@@ -717,6 +795,97 @@ impl<'a> TopKSearcher<'a> {
         tuples.truncate(config.k);
         TopKResult { tuples, stats }
     }
+}
+
+/// Fewest pairs one sorted access must score for the pair arm to pin its
+/// node.  A pin reads `L(new)` twice (scatter, un-scatter) and all of every
+/// `L(partner)`; the merge reads, per pair, both labels up to the end of the
+/// shorter one — by entry counts the pin breaks even around the third pair.
+/// Sized by measurement over the benchmark's four paper-scale corpora (the
+/// twenty selective searches and the broad one, one process, the settings in
+/// turns, fastest of 30): wall time is the same for every value from 2 to 16
+/// — mondial-links 120–124 ms for the twenty against 320 ms never pinning,
+/// factbook-olap's two-term broad search 3.35–3.49 ms against 3.40 — so the
+/// probe count decides.  On short tree labels small batches *read more*
+/// pinned than merged (factbook broad: +22% entries at 2, +0.9% at 8, none at
+/// 16, where no batch is that large), while mondial's hub labels lose 0.01%
+/// between 2 and 8.
+const PIN_MIN: usize = 8;
+
+/// What [`score_pairs_pinned`] did with one sorted access's pairs.
+enum PairArm {
+    /// Nothing: the node cannot be pinned (outside the graph, or a graph
+    /// without labels); the general loop scores the pairs.
+    NotTaken,
+    /// Scored every pair.
+    Scored,
+    /// Scored up to a stop of the whole join: the breached ceiling, or `None`
+    /// at the candidate limit.
+    Stopped(Option<LimitBreach>),
+}
+
+/// The join's scoring loop for the pairs of one sorted access, as one
+/// one-to-many distance query: `new` — at position `slot` of every pair — is
+/// pinned once, and each pair costs one pass over its partner's label instead
+/// of a merge of both ([`seda_datagraph::pin`]).  Same checks in the same
+/// order as the general loop, same compactness (`1 / (1 + distance)`, 0 when
+/// disconnected), so everything but the probe count repeats;
+/// `tests/topk_equivalence.rs` holds it to `search_naive`, which scores every
+/// pair one-to-one through `compactness_with`.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn score_pairs_pinned(
+    graph: &DataGraph,
+    traversal: &mut TraversalScratch,
+    (new, slot): (NodeId, usize),
+    (pairs, contents): (&[NodeId], &[f64]),
+    config: &TopKConfig,
+    limits: &SearchLimits,
+    stats: &mut SearchStats,
+    kth_scores: &mut Vec<f64>,
+    buffer: &mut BinaryHeap<HeapTuple>,
+) -> PairArm {
+    let Some(mut pinned) = pin(graph, traversal, new) else {
+        return PairArm::NotTaken;
+    };
+    for (nodes, &content) in pairs.chunks_exact(2).zip(contents) {
+        if let Some(max) = limits.max_tuples_scored {
+            if stats.tuples_scored >= max {
+                return PairArm::Stopped(Some(LimitBreach {
+                    resource: "candidate tuples",
+                    spent: stats.tuples_scored as u64,
+                    budget: max as u64,
+                }));
+            }
+        }
+        stats.tuples_scored += 1;
+        match pinned.distance_to(nodes[1 - slot], config.max_depth) {
+            None => stats.tuples_disconnected += 1,
+            Some(distance) => {
+                let compactness = 1.0 / (1.0 + distance as f64);
+                let score = config.content_weight * content + config.structure_weight * compactness;
+                note_score(kth_scores, config.k, score);
+                // As in the general loop: only tuples still inside the
+                // provisional top-k are buffered.
+                if score
+                    >= *kth_scores
+                        .last()
+                        .expect("invariant: note_score keeps at least one entry (kth-order)")
+                {
+                    buffer.push(HeapTuple(ResultTuple {
+                        nodes: nodes.to_vec(),
+                        content_score: content,
+                        compactness,
+                        score,
+                    }));
+                }
+            }
+        }
+        if stats.tuples_scored >= config.candidate_limit {
+            return PairArm::Stopped(None);
+        }
+    }
+    PairArm::Scored
 }
 
 /// Folds one buffered score into the descending top-`k` score list

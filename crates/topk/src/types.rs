@@ -245,7 +245,11 @@ impl MaterializedTerms {
 /// cache across executions: warm runs answer the dominant cost of the join
 /// loop — connectivity-oracle label probes — from the memo instead of
 /// re-intersecting labels.  Warm-run [`SearchStats::label_probes`] therefore
-/// legitimately drop below the cold run's.
+/// legitimately drop below the cold run's.  A hit hashes the tuple's node
+/// vector; for pairs over long hub labels that costs more than the pinned
+/// probe a cold search makes (`searcher` module docs).  A search with a memo
+/// keeps to the memo and the pairwise oracle all the same: ROADMAP item 1
+/// holds the measurement and what removing the memo has to come with.
 #[derive(Debug, Clone, Default)]
 pub struct TupleScoreCache {
     map: HashMap<Vec<NodeId>, f64>,
@@ -281,7 +285,8 @@ impl TupleScoreCache {
         self.hits
     }
 
-    /// Lookups that fell through to a fresh BFS so far.
+    /// Lookups that fell through to the connectivity oracle so far (label
+    /// probes; a BFS only beyond the label radius).
     pub fn misses(&self) -> u64 {
         self.misses
     }

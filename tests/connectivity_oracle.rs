@@ -7,19 +7,21 @@
 //! across documents), Google-Base-like (isolated single-item documents, the
 //! centroid-tree labeling path), and a synthetic dense IDREF web that
 //! cross-links every document into one large component (the adversarial case
-//! for pruned landmark labeling).  A final set of tests pins that the labels
-//! coming out of the shard → merge lifecycle are identical to a sequential
-//! build, independent of shard order.
+//! for pruned landmark labeling).  On every shape the one-to-many form of the
+//! query — a pinned source scanned against each target — must give the same
+//! three-way agreement, pair for pair.  A final set of tests pins that the
+//! labels coming out of the shard → merge lifecycle are identical to a
+//! sequential build, independent of shard order.
 
 use proptest::prelude::*;
 
 use seda_datagen::{googlebase, mondial, GoogleBaseConfig, MondialConfig};
 use seda_datagraph::{
     bfs_is_connected_with, bfs_shortest_distance_with, bfs_shortest_path_with, is_connected_with,
-    shortest_distance_with, shortest_path_with, DataGraph, GraphConfig, GraphShard,
+    pin, shortest_distance_with, shortest_path_with, DataGraph, GraphConfig, GraphShard,
     TraversalScratch, LABEL_RADIUS,
 };
-use seda_xmlstore::{parse_collection, Collection, NodeId};
+use seda_xmlstore::{parse_collection, Collection, DocId, NodeId};
 
 /// Depth bounds straddling every regime of the oracle: trivial (0/1), well
 /// inside the label radius, the searcher default (12), the radius itself, and
@@ -49,13 +51,32 @@ fn sample_nodes(collection: &Collection, stride: usize) -> Vec<NodeId> {
     nodes
 }
 
+/// A node of a document past the collection's last: outside every graph built
+/// over it.
+fn outside_node(graph: &DataGraph) -> NodeId {
+    let mut doc = 0;
+    while graph.dense(NodeId::new(DocId(doc), 0)).is_some() {
+        doc += 1;
+    }
+    NodeId::new(DocId(doc), 0)
+}
+
 /// Asserts oracle == BFS for every node pair at every depth bound: same
-/// distance, same path existence and length, same pair connectivity.
+/// distance — asked pair by pair and of a source pinned once per `a` — same
+/// path existence and length, same pair connectivity.  `nodes` is extended by
+/// one node outside the graph, which can be neither pinned nor reached.
 fn assert_oracle_matches_bfs(graph: &DataGraph, nodes: &[NodeId]) -> Result<(), TestCaseError> {
     let mut oracle_scratch = TraversalScratch::new();
     let mut bfs_scratch = TraversalScratch::new();
+    let mut pinned_scratch = TraversalScratch::new();
+    let outside = outside_node(graph);
+    prop_assert!(pin(graph, &mut pinned_scratch, outside).is_none());
+    let nodes: Vec<NodeId> = nodes.iter().copied().chain([outside]).collect();
+    let nodes = &nodes[..];
     for &depth in &depths() {
         for &a in nodes {
+            let mut pinned = pin(graph, &mut pinned_scratch, a);
+            prop_assert_eq!(pinned.is_some(), a != outside, "every node of the graph pins");
             for &b in nodes {
                 let got = shortest_distance_with(graph, &mut oracle_scratch, a, b, depth);
                 let want = bfs_shortest_distance_with(graph, &mut bfs_scratch, a, b, depth);
@@ -67,6 +88,16 @@ fn assert_oracle_matches_bfs(graph: &DataGraph, nodes: &[NodeId]) -> Result<(), 
                     b,
                     depth
                 );
+                if let Some(source) = pinned.as_mut() {
+                    prop_assert_eq!(
+                        source.distance_to(b, depth),
+                        want,
+                        "pinned distance diverges for {:?} -> {:?} at depth {}",
+                        a,
+                        b,
+                        depth
+                    );
+                }
                 let got_path = shortest_path_with(graph, &mut oracle_scratch, a, b, depth);
                 let want_path = bfs_shortest_path_with(graph, &mut bfs_scratch, a, b, depth);
                 prop_assert_eq!(
@@ -94,6 +125,7 @@ fn assert_oracle_matches_bfs(graph: &DataGraph, nodes: &[NodeId]) -> Result<(), 
                 );
             }
         }
+        prop_assert!(pinned_scratch.verify().is_ok(), "a dropped source left entries behind");
         // Tuple connectivity over larger tuples, matching the top-k join's
         // star-shaped usage.
         for tuple in nodes.chunks(3).filter(|t| t.len() == 3) {
@@ -227,17 +259,26 @@ fn oracle_matches_bfs_on_fixed_mondial() {
 
     let mut oracle_scratch = TraversalScratch::new();
     let mut bfs_scratch = TraversalScratch::new();
+    let mut pinned_scratch = TraversalScratch::new();
     for &depth in &[2usize, 12, LABEL_RADIUS as usize + 4] {
         for &a in &nodes {
+            let mut source = pin(&graph, &mut pinned_scratch, a).expect("a node of the graph pins");
             for &b in &nodes {
+                let want = bfs_shortest_distance_with(&graph, &mut bfs_scratch, a, b, depth);
                 assert_eq!(
                     shortest_distance_with(&graph, &mut oracle_scratch, a, b, depth),
-                    bfs_shortest_distance_with(&graph, &mut bfs_scratch, a, b, depth),
+                    want,
                     "distance diverges for {a:?} -> {b:?} at depth {depth}"
+                );
+                assert_eq!(
+                    source.distance_to(b, depth),
+                    want,
+                    "pinned distance diverges for {a:?} -> {b:?} at depth {depth}"
                 );
             }
         }
     }
+    pinned_scratch.verify().expect("every source unpinned itself");
 
     let shards: Vec<GraphShard> = collection
         .documents()

@@ -258,6 +258,45 @@ fn explain_analyze_survives_a_contained_mid_search_panic() {
     assert_eq!(transcript.matches("[plan]").count(), 1, "{transcript}");
 }
 
+/// The pinned distance probes keep per-request state in the reader's scratch
+/// (`tests/pinned_scratch_hygiene.rs`): after a contained panic the same
+/// reader must serve the two pinned paths — the two-term join and the
+/// cross-root `RESULTS` join, on the IDREF-webbed corpus where they pin —
+/// exactly like a fresh reader, from a scratch that verifies clean.
+#[test]
+fn a_contained_mid_search_panic_leaves_the_pinned_paths_answering_like_a_fresh_reader() {
+    let _guard = serialise();
+    let collection = seda_datagen::Dataset::Mondial.generate_small().expect("generate mondial");
+    let engine =
+        SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
+            .expect("engine build");
+    let topk = SedaRequest::parse("TOPK 10 FOR (name, *) AND (population, *)").expect("parses");
+    let results = SedaRequest::parse(
+        "RESULTS FOR (*, *) AND (*, *) WITH 0 IN /sea/name WITH 1 IN /country/name",
+    )
+    .expect("parses");
+    let fresh_topk = engine.reader().execute(&topk).expect("fresh top-k");
+    let fresh_results = engine.reader().execute(&results).expect("fresh RESULTS");
+    assert!(fresh_topk.profile.label_probes > 0 && fresh_results.profile.label_probes > 0);
+
+    let mut reader = engine.reader();
+    // Grow and use the scratch first, so the panic meets a worked-in reader.
+    reader.execute(&topk).expect("warm-up top-k");
+    reader.execute(&results).expect("warm-up RESULTS");
+    arm("mid-search", FaultAction::Panic);
+    let err = reader.execute(&topk).expect_err("armed mid-search must fail the request");
+    assert!(matches!(err, SedaError::Internal(_)), "{err:?}");
+    disarm_all();
+
+    reader.scratch_mut().verify().expect("the healed scratch holds no pinned label");
+    let again = reader.execute(&topk).expect("reader recovered");
+    assert_eq!(again.top_k(), fresh_topk.top_k(), "tuples, score bits and counters");
+    let again = reader.execute(&results).expect("reader recovered");
+    assert_eq!(again.table(), fresh_results.table());
+    assert_eq!(again.profile.label_probes, fresh_results.profile.label_probes);
+    reader.scratch_mut().verify().expect("and stays clean");
+}
+
 #[test]
 fn batch_isolation_confines_an_injected_panic_to_one_request() {
     let _guard = serialise();

@@ -9,6 +9,14 @@
 //! shape, term count and `k`.  Any later change to candidate generation is
 //! held to the same file.
 //!
+//! Re-recorded once since, deliberately and in one column: ISSUE 19 (pairs of
+//! a cold search are scored by pinning the node just read and scanning each
+//! partner's label, instead of merging both labels per pair) changed
+//! `probes=` on two-term, `broad` and `clipped` lines — every one of those
+//! queries has two terms — and nothing else: with `probes=[0-9]*` masked the
+//! old and the new file are equal, and no three-term line moved, budget
+//! breach sites included.
+//!
 //! One [`SearchScratch`] serves all cases, and every case also runs over
 //! materialised term lists (the prepared-statement path), which must agree
 //! with the cold search.
