@@ -1,24 +1,27 @@
-//! CI perf smoke check: the four gates of [`seda_bench`], measured on this
+//! CI perf smoke check: the five gates of [`seda_bench`], measured on this
 //! machine against this build — no argument, no file, no environment variable.
 //!
 //! ```text
 //! cargo run --release -p seda-bench --bin perf_smoke
 //! ```
 //!
-//! Prints the four measured ratios with their bounds and exits non-zero when
+//! Prints the five measured ratios with their bounds and exits non-zero when
 //! any gate fails.  Absolute latencies are `benchmark/run.sh`'s business.
 
+use std::hint::black_box;
 use std::process::ExitCode;
 
 use seda_bench::{
     cold_fill_verdict, generous_context, googlebase_engine, governance_verdict, interleaved_minima,
-    join_scaling_verdict, mondial_engine, pinned_pairs_verdict, term_inputs, BASE_ITEMS,
-    BROAD_TOPK, PAIR_QUERY, SCALED_ITEMS, SELECTIVE_TOPK,
+    join_scaling_verdict, mondial_engine, pinned_pairs_verdict, term_inputs, twig_scan_verdict,
+    BASE_ITEMS, BROAD_TOPK, PAIR_QUERY, SCALED_ITEMS, SELECTIVE_TOPK, TWIG_PATH,
 };
 use seda_core::seda_topk::{SearchLimits, SearchScratch, SearchStrategy, TopKConfig, TopKSearcher};
+use seda_core::seda_twigjoin::{evaluate_twig, TwigPattern};
 use seda_core::{RequestContext, SedaReader, SedaRequest};
+use seda_datagen::Dataset;
 
-/// Measures the four gates and prints each verdict; `Ok(false)` when any failed.
+/// Measures the five gates and prints each verdict; `Ok(false)` when any failed.
 fn run() -> Result<bool, String> {
     let request = SedaRequest::parse(BROAD_TOPK).map_err(|e| e.to_string())?;
     let base_engine = googlebase_engine(BASE_ITEMS)?;
@@ -58,7 +61,29 @@ fn run() -> Result<bool, String> {
     );
     let cold_fill = report(cold_fill_verdict(prepared_ms, cold_ms));
     let pinned_pairs = report(pinned_pairs()?);
-    Ok(scaling && governance && cold_fill && pinned_pairs)
+    let twig_scan = report(twig_scan()?);
+    Ok(scaling && governance && cold_fill && pinned_pairs && twig_scan)
+}
+
+/// The twig-over-one-scan gate: [`TWIG_PATH`] over the paper-scale RecipeML
+/// collection (no engine is built) against one pass over its nodes that
+/// compares each name with the `item` symbol and must count the twig's matches.
+fn twig_scan() -> Result<Result<String, String>, String> {
+    let collection = Dataset::RecipeMl.generate_scaled(1.0).map_err(|e| e.to_string())?;
+    let pattern = TwigPattern::parse(TWIG_PATH).map_err(|e| e.to_string())?;
+    let item = collection.symbols().get("item").ok_or("the corpus has no item element")?;
+    let (mut items, mut matches) = (0, 0);
+    let (scan_ms, twig_ms) = interleaved_minima(
+        || {
+            let nodes = black_box(&collection).documents().flat_map(|document| document.iter());
+            items = nodes.filter(|(_, node)| node.name == item).count();
+        },
+        || matches = black_box(evaluate_twig(&collection, &pattern)).len(),
+    );
+    if items == 0 || items != matches {
+        return Err(format!("the scan counted {items} items, the twig matched {matches}"));
+    }
+    Ok(twig_scan_verdict(scan_ms, twig_ms))
 }
 
 /// The pinned-pairs gate: [`PAIR_QUERY`] through the join and through

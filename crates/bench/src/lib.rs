@@ -2,7 +2,7 @@
 //!
 //! What only this crate checks.  Every latency, throughput and memory number
 //! comes from the paper-scale harness under `benchmark/` (see
-//! `benchmark/README.md`); this crate keeps the `audit` binary and the four
+//! `benchmark/README.md`); this crate keeps the `audit` binary and the five
 //! gates of `perf_smoke`, which compare the engine against itself within one
 //! process and so need no committed baseline:
 //!
@@ -18,7 +18,12 @@
 //! * **pinned pairs** — the selective two-term Mondial search through the
 //!   Threshold-Algorithm join costs at most [`PINNED_PAIRS_BOUND`]× the same
 //!   terms through `search_naive`, which scores the same pairs one-to-one:
-//!   one source scanned against many partners, not a label merge per pair.
+//!   one source scanned against many partners, not a label merge per pair;
+//! * **twig over one scan** — [`TWIG_PATH`] evaluated over the paper-scale
+//!   RecipeML collection costs at most [`TWIG_SCAN_BOUND`]× one pass over
+//!   every node of that collection comparing its name with one symbol — the
+//!   floor of any scan-fed evaluator: one pass per document and nothing
+//!   allocated per stream element or per solution.
 //!
 //! Each verdict is a pure function of the measured numbers, so the tests below
 //! feed it a regressed engine's numbers and watch it fail.
@@ -47,6 +52,11 @@ pub const SELECTIVE_TOPK: &str =
 /// Algorithm cannot stop early and scores all 110,170 pairs — the pairs
 /// `search_naive` scores).
 pub const PAIR_QUERY: &str = r#"(name, "Canada") AND (population, *)"#;
+
+/// The twig of the twig-over-one-scan gate, on the paper-scale RecipeML
+/// collection (10,988 documents, 355,535 nodes): 43,945 matches, four a
+/// document, through one `//` step.
+pub const TWIG_PATH: &str = "/recipeml/recipe//item";
 
 /// Corpus sizes of the join-scaling gate (one-document components each).
 pub const BASE_ITEMS: usize = 1_500;
@@ -88,6 +98,19 @@ pub const COLD_FILL_BOUND: f64 = 3.0;
 /// merges per pair as well reads 0.42–0.46 (≈ 14.3 ms); the bound sits
 /// between the two, at their geometric mean.
 pub const PINNED_PAIRS_BOUND: f64 = 0.30;
+
+/// Allowed `t(evaluate_twig) / t(scan)` for [`TWIG_PATH`], the scan being one
+/// pass over every node of the collection that compares the node's name with
+/// the `item` symbol (≈ 1.0 ms; the evaluation ≈ 6 ms, of which ≈ 2 ms are the
+/// 43,945 one-element row `Vec`s its public result type demands).  Measured
+/// 5.55–6.25× over twenty runs; the evaluator this one replaced — one pass
+/// and one string comparison per pattern node, a cloned Dewey id per stream
+/// element, a `BTreeMap` per solution, one global sort — reads 24.9–27.8× in
+/// the same twenty runs, taken in turns.  In the host's memory-bound slow
+/// state the ratios were seen up to 12× and 33–50× (ISSUE 20's prototype), so
+/// the bound is the geometric mean of the worst reading of the new evaluator
+/// (12) and the best of the old (24.9): √(12 · 24.9) ≈ 17.
+pub const TWIG_SCAN_BOUND: f64 = 17.0;
 
 /// An engine over a datagen googlebase corpus of `items` flat documents.
 pub fn googlebase_engine(items: usize) -> Result<SedaEngine, String> {
@@ -190,6 +213,12 @@ pub fn pinned_pairs_verdict(naive_ms: f64, join_ms: f64) -> Result<String, Strin
     bounded_ratio("pinned pairs over one-to-one", naive_ms, join_ms, PINNED_PAIRS_BOUND)
 }
 
+/// The twig-over-one-scan gate over the times of one name-comparing pass
+/// across the collection and of the twig evaluation.
+pub fn twig_scan_verdict(scan_ms: f64, twig_ms: f64) -> Result<String, String> {
+    bounded_ratio("twig over one scan", scan_ms, twig_ms, TWIG_SCAN_BOUND)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,6 +266,17 @@ mod tests {
         // The least favourable of the twenty runs behind the bound.
         let pass = pinned_pairs_verdict(30.179, 5.841).unwrap();
         assert!(pass.starts_with("pinned pairs over one-to-one 0.194x"), "{pass}");
+    }
+
+    #[test]
+    fn twig_scan_fails_on_a_pass_per_pattern_node_and_passes_on_the_measured_pair() {
+        // The evaluator before the region-encoded rewrite, at its most
+        // favourable of twenty runs.
+        let failure = twig_scan_verdict(1.270, 31.644).unwrap_err();
+        assert!(failure.starts_with("twig over one scan 24.917x (allowed 17x)"), "{failure}");
+        // The least favourable of the twenty runs of the new one.
+        let pass = twig_scan_verdict(0.993, 6.209).unwrap();
+        assert!(pass.starts_with("twig over one scan 6.253x"), "{pass}");
     }
 
     /// The seeded slowdown: the governed side does the request twice, and the

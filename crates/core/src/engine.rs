@@ -24,8 +24,8 @@ use seda_olap::{BuildOptions, QueryResultTable, Registry, StarSchemaBuild, StarS
 use seda_textindex::{ContextIndex, CountStorage, FullTextQuery, NodeIndex};
 use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch, SearchStrategy};
 use seda_topk::{TermInput, TopKConfig, TopKResult, TopKSearcher, TupleScoreCache};
-use seda_twigjoin::{evaluate_twig, Axis, TwigPattern};
-use seda_xmlstore::{parse_collection, Collection, DocId, NodeId, PathId};
+use seda_twigjoin::{evaluate_twig_in, Axis, TwigMatches, TwigPattern};
+use seda_xmlstore::{parse_collection, Collection, DocId, Document, NodeId, PathId};
 
 use crate::error::SedaError;
 use crate::faults;
@@ -732,11 +732,14 @@ impl SedaEngine {
     /// [`EngineConfig::complete_result_limit`].
     ///
     /// Under the per-request [`RequestContext`]
-    /// ([`RequestContext::unlimited`] for ungoverned callers) cancellation,
-    /// the wall-clock deadline and the result-row budget are checked between
-    /// context combinations.  A budget breach returns the deduplicated rows
-    /// enumerated so far (clipped to the row ceiling) together with the
-    /// breach, leaving the degrade-or-error decision to the caller;
+    /// ([`RequestContext::unlimited`] for ungoverned callers) cancellation
+    /// and the wall-clock deadline are checked between context combinations,
+    /// every [`SearchLimits::DEADLINE_STRIDE`]th document inside a twig
+    /// evaluation and once more after the last combination; the result-row
+    /// budget between combinations.  A budget breach returns the deduplicated
+    /// rows enumerated so far (clipped to the row ceiling; a prefix of the
+    /// full answer when one same-root combination was cut short) together
+    /// with the breach, leaving the degrade-or-error decision to the caller;
     /// cancellation always errors.
     pub(crate) fn complete_results_governed(
         &self,
@@ -745,12 +748,15 @@ impl SedaEngine {
         connections: &[Connection],
         scratch: &mut SearchScratch,
         ctx: &RequestContext,
-    ) -> Result<(QueryResultTable, Option<LimitBreach>), SedaError> {
+    ) -> Result<GovernedTable, SedaError> {
         let column_names = query.terms.iter().map(|t| t.label()).collect();
-        let mut table = QueryResultTable::new(column_names);
+        let mut out = GovernedTable {
+            table: QueryResultTable::new(column_names),
+            ..GovernedTable::default()
+        };
 
         if self.context_combinations_of(term_paths)? == 0 {
-            return Ok((table, None));
+            return Ok(out);
         }
 
         // Enumerate one concrete context per term (usually a single
@@ -759,14 +765,18 @@ impl SedaEngine {
         let mut combination = vec![0usize; term_paths.len()];
         loop {
             ctx.check_cancelled()?;
-            if let Some(breach) = ctx.deadline_breach() {
+            out.breach = ctx.deadline_breach();
+            if out.breach.is_none() {
+                let chosen: Vec<PathId> =
+                    combination.iter().enumerate().map(|(t, &i)| term_paths[t][i]).collect();
+                self.evaluate_combination(query, &chosen, connections, &mut out, scratch, ctx)?;
+            }
+            let table = &mut out.table;
+            if out.breach.is_some() {
                 table.rows.sort();
                 table.rows.dedup();
-                return Ok((table, Some(breach)));
+                return Ok(out);
             }
-            let chosen: Vec<PathId> =
-                combination.iter().enumerate().map(|(t, &i)| term_paths[t][i]).collect();
-            self.evaluate_combination(query, &chosen, connections, &mut table, scratch)?;
             if table.rows.len() > self.config.complete_result_limit {
                 // Different combinations may produce overlapping rows, so
                 // dedup before concluding the (final) result is over-limit.
@@ -787,7 +797,8 @@ impl SedaEngine {
                 table.rows.dedup();
                 if let Some(breach) = ctx.row_breach(table.rows.len()) {
                     table.rows.truncate(breach.budget as usize);
-                    return Ok((table, Some(breach)));
+                    out.breach = Some(breach);
+                    return Ok(out);
                 }
             }
 
@@ -798,7 +809,9 @@ impl SedaEngine {
                     // Deduplicate rows that different combinations may share.
                     table.rows.sort();
                     table.rows.dedup();
-                    return Ok((table, None));
+                    // A complete answer that arrives late is late all the same.
+                    out.breach = ctx.deadline_breach();
+                    return Ok(out);
                 }
                 combination[pos] += 1;
                 if combination[pos] < term_paths[pos].len() {
@@ -818,14 +831,16 @@ impl SedaEngine {
 
     /// Evaluates one concrete combination of per-term contexts via a twig
     /// pattern (all contexts in one document tree) and appends the matching
-    /// rows to `table`, applying the connection filter.
+    /// rows to `out.table`, applying the connection filter; a twig evaluation
+    /// the request's context stopped leaves its breach in `out.breach`.
     fn evaluate_combination(
         &self,
         query: &SedaQuery,
         chosen: &[PathId],
         connections: &[Connection],
-        table: &mut QueryResultTable,
+        out: &mut GovernedTable,
         scratch: &mut SearchScratch,
+        ctx: &RequestContext,
     ) -> Result<(), SedaError> {
         // All chosen contexts must share the same root label to form a single
         // twig; otherwise fall back to graph enumeration.
@@ -838,7 +853,7 @@ impl SedaEngine {
         let same_root = roots.windows(2).all(|w| w[0] == w[1]);
 
         let rows: Vec<Vec<NodeId>> = if same_root {
-            self.twig_rows(query, &path_strings)
+            self.twig_rows(query, chosen, &path_strings, out, ctx)?
         } else {
             self.graph_rows(query, chosen, scratch)?
         };
@@ -851,20 +866,31 @@ impl SedaEngine {
             }
             let row: Vec<(NodeId, PathId)> =
                 nodes.iter().zip(chosen.iter()).map(|(&n, &p)| (n, p)).collect();
-            table.rows.push(row);
+            out.table.rows.push(row);
         }
         Ok(())
     }
 
     /// Structural evaluation: builds one twig from the chosen context paths
-    /// (shared prefixes merged), attaches the term predicates and returns one
-    /// row per twig match, with columns in term order.
-    fn twig_rows(&self, query: &SedaQuery, path_strings: &[String]) -> Vec<Vec<NodeId>> {
+    /// (shared prefixes merged, the root anchored at the document's root
+    /// element), attaches the term predicates and returns one row per twig
+    /// match, with columns in term order.  Only the documents the node index
+    /// says can match are visited ([`SedaEngine::documents_holding`]); their
+    /// node count is added to `out.nodes_visited`, and a stop by `ctx` leaves
+    /// its breach in `out.breach` and the rows a prefix.
+    fn twig_rows(
+        &self,
+        query: &SedaQuery,
+        chosen: &[PathId],
+        path_strings: &[String],
+        out: &mut GovernedTable,
+        ctx: &RequestContext,
+    ) -> Result<Vec<Vec<NodeId>>, SedaError> {
         // Build the pattern manually so we know which pattern node belongs to
         // which term.
         let root_label = path_strings[0].trim_start_matches('/').split('/').next().unwrap_or("");
         if root_label.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let mut pattern = TwigPattern::with_root(root_label);
         let mut term_nodes = Vec::with_capacity(path_strings.len());
@@ -894,13 +920,70 @@ impl SedaEngine {
             term_nodes.push(current);
         }
 
-        let matches = evaluate_twig(&self.collection, &pattern);
+        let (matches, breach) = match self.documents_holding(query, chosen) {
+            Some(holding) => {
+                let documents =
+                    holding.iter().filter_map(|&doc| self.collection.document(doc).ok());
+                self.evaluate_twig_governed(&pattern, documents, ctx)?
+            }
+            None => self.evaluate_twig_governed(&pattern, self.collection.documents(), ctx)?,
+        };
+        out.nodes_visited += matches.nodes_visited;
+        out.breach = breach;
         let columns: Vec<usize> =
             term_nodes.iter().map(|&n| matches.column_of(n).unwrap_or(usize::MAX)).collect();
         if columns.contains(&usize::MAX) {
-            return Vec::new();
+            return Ok(Vec::new());
         }
-        matches.rows.iter().map(|row| columns.iter().map(|&c| row[c]).collect()).collect()
+        Ok(matches.rows.iter().map(|row| columns.iter().map(|&c| row[c]).collect()).collect())
+    }
+
+    /// The documents that can hold a match of every term on its chosen path,
+    /// ascending — `None` when no term narrows them.  A term narrows when its
+    /// search needs an indexed token ([`FullTextQuery::requires_token`]): the
+    /// node index then returns every node on the path the twig's predicate
+    /// accepts, and (the twig's root being anchored, every step a child step)
+    /// a match of the term's pattern node is a node on exactly that path.
+    /// The evaluator still checks the predicate, so this only ever narrows.
+    fn documents_holding(&self, query: &SedaQuery, chosen: &[PathId]) -> Option<Vec<DocId>> {
+        let mut documents: Option<Vec<DocId>> = None;
+        for (term, &path) in query.terms.iter().zip(chosen) {
+            if !term.search.requires_token() {
+                continue;
+            }
+            let matches = self.node_index.evaluate_in_paths(&term.search, &[path]);
+            let mut holding: Vec<DocId> = matches.iter().map(|scored| scored.node.doc).collect();
+            holding.sort_unstable();
+            holding.dedup();
+            if let Some(narrowed) = &documents {
+                holding.retain(|doc| narrowed.binary_search(doc).is_ok());
+            }
+            documents = Some(holding);
+        }
+        documents
+    }
+
+    /// [`evaluate_twig_in`] under the request's context: `ctx` is asked
+    /// before document 0 and before every [`SearchLimits::DEADLINE_STRIDE`]th
+    /// after it — only when there is such a document, so an evaluation that
+    /// visited them all is never reported as cut short.  A deadline ends the
+    /// iteration — the matches are then a prefix of the full answer and the
+    /// breach comes back with them; cancellation is the error it is.
+    fn evaluate_twig_governed<'a>(
+        &self,
+        pattern: &TwigPattern,
+        documents: impl Iterator<Item = &'a Document>,
+        ctx: &RequestContext,
+    ) -> Result<(TwigMatches, Option<LimitBreach>), SedaError> {
+        let mut stop: Result<Option<LimitBreach>, SedaError> = Ok(None);
+        let governed = documents.enumerate().map_while(|(visited, document)| {
+            if visited % SearchLimits::DEADLINE_STRIDE == 0 {
+                stop = ctx.check_cancelled().map(|()| ctx.deadline_breach());
+            }
+            matches!(stop, Ok(None)).then_some(document)
+        });
+        let matches = evaluate_twig_in(&self.collection, pattern, governed);
+        Ok((matches, stop?))
     }
 
     /// Fallback evaluation when the chosen contexts span different document
@@ -1054,12 +1137,18 @@ impl SedaEngine {
         StarSchemaBuilder::new(&self.collection, &self.registry).build(result, options)
     }
 
-    /// Evaluates a compiled twig pattern and shapes the matches as a
-    /// [`QueryResultTable`]: one column per output pattern node (labelled
-    /// with the node's root-to-leaf label chain), one row per match.  The
-    /// second element reports the document nodes the evaluation scanned
-    /// ([`seda_twigjoin::TwigMatches::nodes_visited`]).
-    pub(crate) fn twig_table(&self, pattern: &TwigPattern) -> (QueryResultTable, usize) {
+    /// Evaluates a compiled twig pattern over every document and shapes the
+    /// matches as a [`QueryResultTable`]: one column per output pattern node
+    /// (labelled with the node's root-to-leaf label chain), one row per
+    /// match, with the document nodes the evaluation visited
+    /// ([`seda_twigjoin::TwigMatches::nodes_visited`]).  A deadline that runs
+    /// out during the evaluation returns the prefix matched so far with the
+    /// breach; cancellation errors.
+    pub(crate) fn twig_table(
+        &self,
+        pattern: &TwigPattern,
+        ctx: &RequestContext,
+    ) -> Result<GovernedTable, SedaError> {
         let outputs = pattern.output_nodes();
         let column_names: Vec<String> = outputs
             .iter()
@@ -1074,7 +1163,8 @@ impl SedaEngine {
                 format!("/{}", labels.join("/"))
             })
             .collect();
-        let matches = evaluate_twig(&self.collection, pattern);
+        let (matches, breach) =
+            self.evaluate_twig_governed(pattern, self.collection.documents(), ctx)?;
         let columns: Vec<Option<usize>> = outputs.iter().map(|&n| matches.column_of(n)).collect();
         let mut table = QueryResultTable::new(column_names);
         for row in &matches.rows {
@@ -1090,8 +1180,22 @@ impl SedaEngine {
                 table.rows.push(shaped);
             }
         }
-        (table, matches.nodes_visited)
+        Ok(GovernedTable { table, nodes_visited: matches.nodes_visited, breach })
     }
+}
+
+/// A result table computed under a [`RequestContext`], with what the
+/// computation cost and whether the context cut it short.
+#[derive(Debug, Default)]
+pub(crate) struct GovernedTable {
+    /// The rows computed; a prefix of the full answer's when `breach` is a
+    /// deadline that stopped a twig evaluation.
+    pub(crate) table: QueryResultTable,
+    /// Document nodes the twig evaluations visited (0 for the cross-root
+    /// join, which enumerates the graph instead).
+    pub(crate) nodes_visited: usize,
+    /// The budget breach that ended the computation, if any.
+    pub(crate) breach: Option<LimitBreach>,
 }
 
 #[cfg(test)]
@@ -1416,5 +1520,76 @@ mod tests {
         let contents: Vec<String> =
             result.rows[0].iter().map(|(n, _)| e.collection().content(*n).unwrap()).collect();
         assert_eq!(contents, vec!["United States", "Pacific Ocean"]);
+    }
+
+    /// The seam `TWIG` and same-root `RESULTS` / `CUBE` are governed through,
+    /// driven without a race against the clock: the document iterator itself
+    /// cancels the request, or outlasts its deadline, at a chosen document.
+    #[test]
+    fn a_governed_twig_evaluation_asks_its_context_on_stride_boundaries() {
+        use crate::govern::{Budget, CancelToken};
+        use std::time::Duration;
+
+        const STRIDE: usize = SearchLimits::DEADLINE_STRIDE;
+        let documents = 2 * STRIDE + STRIDE / 2;
+        let mut collection = Collection::new();
+        for d in 0..documents {
+            collection
+                .add_document(format!("d{d}.xml"), |b| {
+                    b.start_element("r")?;
+                    b.leaf("a", "x")?;
+                    b.end_element()
+                })
+                .unwrap();
+        }
+        let e = SedaEngine::build(collection, Registry::new(), EngineConfig::default()).unwrap();
+        let pattern = TwigPattern::parse("/r/a").unwrap();
+        let all = || e.collection().documents();
+        let (full, breach) =
+            e.evaluate_twig_governed(&pattern, all(), &RequestContext::unlimited()).unwrap();
+        assert_eq!((full.len(), breach), (documents, None));
+
+        // Cancelled while a document past the first boundary is handed out:
+        // noticed at the next boundary, and an error whatever was matched.
+        let token = CancelToken::new();
+        let ctx = RequestContext::unlimited().with_cancel_token(token.clone());
+        let mut handed_out = 0;
+        let cancelling = all().inspect(|document| {
+            handed_out += 1;
+            if document.id.index() == STRIDE + 3 {
+                token.cancel();
+            }
+        });
+        let outcome = e.evaluate_twig_governed(&pattern, cancelling, &ctx);
+        assert_eq!(outcome.err(), Some(SedaError::Cancelled));
+        assert_eq!(handed_out, 2 * STRIDE + 1, "the boundary document was the last one asked for");
+
+        // A deadline outlasted at the same document: the evaluation ends at
+        // the next boundary with a prefix and the breach.  (A host that stalls
+        // for the whole deadline earlier ends it at an earlier boundary.)
+        let deadline = Duration::from_millis(200);
+        let ctx = RequestContext::new(Budget::unlimited().with_deadline(deadline));
+        let outlasting = all().inspect(|document| {
+            if document.id.index() == STRIDE + 3 {
+                std::thread::sleep(deadline);
+            }
+        });
+        let (prefix, breach) = e.evaluate_twig_governed(&pattern, outlasting, &ctx).unwrap();
+        assert_eq!(breach.map(|b| b.resource), Some("deadline"));
+        assert!(prefix.len() <= 2 * STRIDE && prefix.len() % STRIDE == 0, "{}", prefix.len());
+        assert_eq!(prefix.rows[..], full.rows[..prefix.len()]);
+
+        // Outlasted after the last boundary: every document was visited, so
+        // the evaluation reports nothing (the statement's own final check of
+        // the clock does).
+        let ctx = RequestContext::new(Budget::unlimited().with_deadline(deadline));
+        let outlasting = all().inspect(|document| {
+            if document.id.index() == documents - 1 {
+                std::thread::sleep(deadline);
+            }
+        });
+        let (late, breach) = e.evaluate_twig_governed(&pattern, outlasting, &ctx).unwrap();
+        assert_eq!((late.rows.len(), breach), (documents, None));
+        assert!(ctx.deadline_breach().is_some());
     }
 }

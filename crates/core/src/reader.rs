@@ -30,7 +30,7 @@ use seda_topk::{
     TopKResult, TupleScoreCache,
 };
 
-use crate::engine::{catch_internal, SedaEngine};
+use crate::engine::{catch_internal, GovernedTable, SedaEngine};
 use crate::error::SedaError;
 use crate::govern::{RequestContext, Stopwatch};
 use crate::metrics::names;
@@ -437,8 +437,9 @@ impl<'e> SedaReader<'e> {
     /// The complete-results step of `RESULTS` and `CUBE`: R(q) over the
     /// plan's resolved per-term context paths, traced, the label probes of
     /// its connectivity checks (the cross-root join, the connection filter)
-    /// absorbed into `profile` and the span, with a breach resolved against
-    /// the request's policy.
+    /// absorbed into `profile` and the span, the document nodes its twig
+    /// evaluations visited (0 for the cross-root join) into the span, with a
+    /// breach resolved against the request's policy.
     fn run_complete_results(
         &mut self,
         plan: &QueryPlan,
@@ -451,16 +452,22 @@ impl<'e> SedaReader<'e> {
             .expect("invariant: the planner attaches a query to this statement shape");
         let s = self.tracer.enter(span::COMPLETE_RESULTS);
         let probes_before = self.scratch.traversal_mut().label_probes;
-        let (table, breach) = self.engine.complete_results_governed(
-            query,
-            &plan.term_paths,
-            &plan.connections,
-            &mut self.scratch,
-            ctx,
-        )?;
+        let GovernedTable { table, nodes_visited, breach } =
+            self.engine.complete_results_governed(
+                query,
+                &plan.term_paths,
+                &plan.connections,
+                &mut self.scratch,
+                ctx,
+            )?;
         let label_probes = self.scratch.traversal_mut().label_probes - probes_before;
         profile.absorb(&SearchStats { label_probes, ..SearchStats::default() });
-        let counters = SpanCounters { rows: table.len(), label_probes, ..SpanCounters::default() };
+        let counters = SpanCounters {
+            rows: table.len(),
+            label_probes,
+            nodes_visited,
+            ..SpanCounters::default()
+        };
         self.tracer.exit_with(s, counters);
         resolve_breach(breach, ctx, profile)?;
         Ok(table)
@@ -524,7 +531,8 @@ impl<'e> SedaReader<'e> {
                     .as_ref()
                     .expect("invariant: the planner compiles twig statements to a pattern");
                 let s = self.tracer.enter(span::TWIG_EVALUATE);
-                let (mut table, nodes_visited) = self.engine.twig_table(pattern);
+                let GovernedTable { mut table, nodes_visited, breach } =
+                    self.engine.twig_table(pattern, ctx)?;
                 let counters =
                     SpanCounters { nodes_visited, rows: table.len(), ..SpanCounters::default() };
                 self.tracer.exit_with(s, counters);
@@ -533,7 +541,10 @@ impl<'e> SedaReader<'e> {
                     resolve_breach(Some(breach), ctx, &mut profile)?;
                     table.rows.truncate(keep);
                 }
-                resolve_breach(ctx.deadline_breach(), ctx, &mut profile)?;
+                // A deadline that stopped the evaluation left a prefix; one
+                // that ran out after it, the whole table.
+                let breach = breach.or_else(|| ctx.deadline_breach());
+                resolve_breach(breach, ctx, &mut profile)?;
                 ResponsePayload::Table(table)
             }
             Statement::Cube { fact, group_by, agg, measure } => {
@@ -636,9 +647,9 @@ impl<'e> SedaReader<'e> {
         let ctx = RequestContext::unlimited();
         self.contained(|SedaReader { engine, scratch, .. }| {
             let term_paths = engine.term_paths(query, selections);
-            let (table, _) =
+            let results =
                 engine.complete_results_governed(query, &term_paths, connections, scratch, &ctx)?;
-            Ok(table)
+            Ok(results.table)
         })
     }
 }

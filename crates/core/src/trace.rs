@@ -87,7 +87,11 @@ pub struct SpanCounters {
     pub tuples_scored: usize,
     /// Connectivity-label entries scanned within the span.
     pub label_probes: u64,
-    /// Document nodes visited by twig evaluation within the span.
+    /// Nodes of the documents twig evaluation visited within the span, each
+    /// counted once: the whole collection for a `TWIG` statement (less the
+    /// documents whose root element is not the pattern's anchored root), and
+    /// for a same-root `RESULTS` / `CUBE` only the documents the node index
+    /// says can hold a match — so a selective term shows as a small count.
     pub nodes_visited: usize,
     /// Result rows (or fact rows scanned) produced within the span.
     pub rows: usize,

@@ -305,9 +305,12 @@ impl<'a> StarSchemaBuilder<'a> {
             .map(|p| self.dimension_name_for_key_part(p, instances.first().copied()))
             .collect();
 
+        // The instances are sorted by node id, so they arrive document by
+        // document — what the compiled key's per-document memory wants.
+        let mut compiled = key.compile(self.collection);
         let mut rows = Vec::new();
         for &node in &instances {
-            match key.evaluate(self.collection, node) {
+            match compiled.evaluate(node) {
                 Ok(values) => rows.push(FactRow {
                     dimensions: values,
                     measures: vec![self.collection.content(node).unwrap_or_default()],

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use seda_xmlstore::{Collection, NodeId, RelativeStep};
+use seda_xmlstore::{Collection, DocId, NodeId, PathId, RelativeStep};
 
 /// One component of a relative key.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -132,53 +132,31 @@ impl RelativeKey {
     }
 
     /// Evaluates the key for one node, returning the key values (one per
-    /// part) or the first violation encountered.
+    /// part) or the first violation encountered.  Evaluating many nodes is
+    /// cheaper through one compiled evaluator, as [`RelativeKey::verify`] does.
     pub fn evaluate(
         &self,
         collection: &Collection,
         node: NodeId,
     ) -> Result<KeyValues, KeyViolation> {
-        let document = match collection.document(node.doc) {
-            Ok(d) => d,
-            Err(_) => {
-                return Err(KeyViolation::MissingComponent {
-                    expression: "<document>".to_string(),
-                    node,
-                })
-            }
-        };
-        let mut values = Vec::with_capacity(self.parts.len());
-        for part in &self.parts {
-            let matches: Vec<u32> = match part {
+        self.compile(collection).evaluate(node)
+    }
+
+    /// Resolves the key's parts against `collection` once — absolute paths to
+    /// their interned ids, relative expressions to parsed steps — for
+    /// evaluating many nodes.
+    pub(crate) fn compile<'a>(&'a self, collection: &'a Collection) -> CompiledKey<'a> {
+        let parts = self
+            .parts
+            .iter()
+            .map(|part| match part {
                 KeyPart::Absolute(expr) => {
-                    match collection.paths().get_str(collection.symbols(), expr) {
-                        Some(path) => document.nodes_with_path(path),
-                        None => Vec::new(),
-                    }
+                    CompiledPart::Absolute(collection.paths().get_str(collection.symbols(), expr))
                 }
-                KeyPart::Relative(expr) => {
-                    let steps = RelativeStep::parse_expr(expr);
-                    document.eval_relative_steps(node.node, &steps, collection.symbols())
-                }
-            };
-            match matches.len() {
-                0 => {
-                    return Err(KeyViolation::MissingComponent {
-                        expression: part.expression().to_string(),
-                        node,
-                    })
-                }
-                1 => values.push(document.content(matches[0])),
-                n => {
-                    return Err(KeyViolation::AmbiguousComponent {
-                        expression: part.expression().to_string(),
-                        node,
-                        matches: n,
-                    })
-                }
-            }
-        }
-        Ok(values)
+                KeyPart::Relative(expr) => CompiledPart::Relative(RelativeStep::parse_expr(expr)),
+            })
+            .collect();
+        CompiledKey { key: self, collection, parts, document: None, absolute: Vec::new() }
     }
 
     /// Verifies that the key uniquely identifies every node in `nodes`
@@ -189,8 +167,9 @@ impl RelativeKey {
         let mut violations = Vec::new();
         let mut seen: std::collections::HashMap<KeyValues, NodeId> =
             std::collections::HashMap::new();
+        let mut compiled = self.compile(collection);
         for &node in nodes {
-            match self.evaluate(collection, node) {
+            match compiled.evaluate(node) {
                 Ok(values) => {
                     if let Some(&previous) = seen.get(&values) {
                         if previous != node {
@@ -204,6 +183,84 @@ impl RelativeKey {
             }
         }
         violations
+    }
+}
+
+/// One key part resolved against a collection.
+#[derive(Debug)]
+enum CompiledPart {
+    /// The interned path; `None` for a path no node of the collection has.
+    Absolute(Option<PathId>),
+    /// The parsed steps.
+    Relative(Vec<RelativeStep>),
+}
+
+/// A [`RelativeKey`] resolved against one collection
+/// ([`RelativeKey::compile`]).  Besides the resolved parts it remembers what
+/// the absolute parts match in the document evaluated last, so nodes that
+/// arrive grouped by document (as sorted fact instances do) cost one pass
+/// over each document instead of one per node and part.
+#[derive(Debug)]
+pub(crate) struct CompiledKey<'a> {
+    key: &'a RelativeKey,
+    collection: &'a Collection,
+    parts: Vec<CompiledPart>,
+    /// The document `absolute` describes.
+    document: Option<DocId>,
+    /// Per key part: how many nodes of `document` an absolute part matches,
+    /// and the first of them; unused for relative parts.
+    absolute: Vec<(usize, u32)>,
+}
+
+impl CompiledKey<'_> {
+    /// What [`RelativeKey::evaluate`] returns for `node`.
+    pub(crate) fn evaluate(&mut self, node: NodeId) -> Result<KeyValues, KeyViolation> {
+        let Ok(document) = self.collection.document(node.doc) else {
+            return Err(KeyViolation::MissingComponent {
+                expression: "<document>".to_string(),
+                node,
+            });
+        };
+        if self.document != Some(node.doc) {
+            self.document = Some(node.doc);
+            self.absolute.clear();
+            self.absolute.resize(self.parts.len(), (0, 0));
+            for (ordinal, data_node) in document.iter() {
+                for (part, matched) in self.parts.iter().zip(&mut self.absolute) {
+                    if matches!(part, CompiledPart::Absolute(Some(path)) if *path == data_node.path)
+                    {
+                        if matched.0 == 0 {
+                            matched.1 = ordinal;
+                        }
+                        matched.0 += 1;
+                    }
+                }
+            }
+        }
+        let mut values = Vec::with_capacity(self.parts.len());
+        for (i, part) in self.parts.iter().enumerate() {
+            let (matches, first) = match part {
+                CompiledPart::Absolute(_) => self.absolute[i],
+                CompiledPart::Relative(steps) => {
+                    let reached =
+                        document.eval_relative_steps(node.node, steps, self.collection.symbols());
+                    (reached.len(), reached.first().copied().unwrap_or(0))
+                }
+            };
+            let expression = || self.key.parts[i].expression().to_string();
+            match matches {
+                0 => return Err(KeyViolation::MissingComponent { expression: expression(), node }),
+                1 => values.push(document.content(first)),
+                matches => {
+                    return Err(KeyViolation::AmbiguousComponent {
+                        expression: expression(),
+                        node,
+                        matches,
+                    })
+                }
+            }
+        }
+        Ok(values)
     }
 }
 
@@ -271,6 +328,108 @@ mod tests {
             ambiguous.evaluate(&c, nodes[0]),
             Err(KeyViolation::AmbiguousComponent { matches: 2, .. })
         ));
+    }
+
+    /// The evaluation as it was before keys were compiled: every part resolved
+    /// from its text and matched by a scan of the document, per node.
+    fn evaluate_uncompiled(
+        key: &RelativeKey,
+        collection: &Collection,
+        node: NodeId,
+    ) -> Result<KeyValues, KeyViolation> {
+        let document = collection.document(node.doc).unwrap();
+        let mut values = Vec::new();
+        for part in key.parts() {
+            let matches: Vec<u32> = match part {
+                KeyPart::Absolute(expr) => collection
+                    .paths()
+                    .get_str(collection.symbols(), expr)
+                    .map(|path| document.nodes_with_path(path))
+                    .unwrap_or_default(),
+                KeyPart::Relative(expr) => document.eval_relative_steps(
+                    node.node,
+                    &RelativeStep::parse_expr(expr),
+                    collection.symbols(),
+                ),
+            };
+            let expression = part.expression().to_string();
+            match matches.len() {
+                0 => return Err(KeyViolation::MissingComponent { expression, node }),
+                1 => values.push(document.content(matches[0])),
+                matches => {
+                    return Err(KeyViolation::AmbiguousComponent { expression, node, matches })
+                }
+            }
+        }
+        Ok(values)
+    }
+
+    #[test]
+    fn a_compiled_key_evaluates_like_the_uncompiled_one_across_documents() {
+        let c = parse_collection(vec![
+            (
+                "us.xml",
+                r#"<country><name>United States</name><year>2006</year>
+                     <economy><import_partners>
+                       <item><trade_country>China</trade_country><percentage>15</percentage></item>
+                       <item><trade_country>Canada</trade_country><percentage>16.9</percentage></item>
+                     </import_partners></economy></country>"#,
+            ),
+            // No year; two names.
+            (
+                "xx.xml",
+                r#"<country><name>A</name><name>B</name>
+                     <economy><import_partners>
+                       <item><trade_country>China</trade_country><percentage>1</percentage></item>
+                     </import_partners></economy></country>"#,
+            ),
+            (
+                "mx.xml",
+                r#"<country><name>Mexico</name><year>2005</year>
+                     <economy><import_partners>
+                       <item><trade_country>China</trade_country><percentage>15</percentage></item>
+                     </import_partners></economy></country>"#,
+            ),
+        ])
+        .unwrap();
+        let mut nodes = percentage_nodes(&c);
+        // Back to the first document after the others: the per-document
+        // memory must follow the node, not the call order.
+        nodes.push(nodes[0]);
+        let keys = [
+            vec!["/country/name", "/country/year", "../trade_country"],
+            vec!["/country/year", "/country/name", "."],
+            vec!["/country/economy/import_partners/item", "/country/name"],
+            vec!["/country/population", "/country/name"],
+            vec!["/nowhere/at/all"],
+            vec!["../missing", "/country/name"],
+            vec![".."],
+        ];
+        for parts in keys {
+            let key = RelativeKey::parse(&parts);
+            let mut compiled = key.compile(&c);
+            for &node in &nodes {
+                let expected = evaluate_uncompiled(&key, &c, node);
+                assert_eq!(compiled.evaluate(node), expected, "{parts:?} at {node:?}");
+                assert_eq!(key.evaluate(&c, node), expected, "{parts:?} at {node:?}");
+            }
+            // Same violations in the same order.
+            let mut seen = std::collections::HashMap::new();
+            let mut expected = Vec::new();
+            for &node in &nodes {
+                match evaluate_uncompiled(&key, &c, node) {
+                    Ok(values) => match seen.get(&values) {
+                        Some(&previous) if previous != node => {
+                            expected.push(KeyViolation::DuplicateKey { values })
+                        }
+                        Some(_) => {}
+                        None => drop(seen.insert(values, node)),
+                    },
+                    Err(violation) => expected.push(violation),
+                }
+            }
+            assert_eq!(key.verify(&c, &nodes), expected, "{parts:?}");
+        }
     }
 
     #[test]

@@ -87,6 +87,21 @@ impl FullTextQuery {
         }
     }
 
+    /// True when no token list without one of the query's positive terms can
+    /// satisfy it — so every match is an indexed node on a positive term's
+    /// posting list, and [`crate::NodeIndex::evaluate_in_paths`] (which draws
+    /// its candidates from those lists) returns *every* node
+    /// [`FullTextQuery::matches_text`] accepts.  Conservative: a negation
+    /// never qualifies, whatever it negates.
+    pub fn requires_token(&self) -> bool {
+        match self {
+            FullTextQuery::Any | FullTextQuery::Not(_) => false,
+            FullTextQuery::Keywords(ts) | FullTextQuery::Phrase(ts) => !ts.is_empty(),
+            FullTextQuery::And(a, b) => a.requires_token() || b.requires_token(),
+            FullTextQuery::Or(a, b) => a.requires_token() && b.requires_token(),
+        }
+    }
+
     /// Evaluates the query against a tokenised content string.
     pub fn matches_tokens(&self, tokens: &[String]) -> bool {
         match self {
@@ -404,6 +419,34 @@ mod tests {
     fn match_all_detection() {
         assert!(FullTextQuery::Keywords(vec![]).is_match_all());
         assert!(!FullTextQuery::keywords("x").is_match_all());
+    }
+
+    #[test]
+    fn requires_token_holds_exactly_when_empty_content_and_foreign_content_fail() {
+        let cases = [
+            ("*", false),
+            ("china", true),
+            ("\"united states\"", true),
+            ("china AND NOT mexico", true),
+            ("NOT mexico AND china", true),
+            ("china OR canada", true),
+            ("NOT china", false),
+            ("china OR *", false),
+            ("china OR NOT mexico", false),
+            ("NOT (NOT china)", false),
+            ("(china OR *) AND canada", true),
+        ];
+        for (text, expected) in cases {
+            let q = FullTextQuery::parse(text).unwrap();
+            assert_eq!(q.requires_token(), expected, "{text}");
+            if expected {
+                // Content holding none of the positive terms cannot match.
+                assert!(!q.matches_text(""), "{text}");
+                assert!(!q.matches_text("brazil"), "{text}");
+            }
+        }
+        assert!(!FullTextQuery::Keywords(vec![]).requires_token());
+        assert!(!FullTextQuery::Phrase(vec![]).requires_token());
     }
 
     #[test]

@@ -1,20 +1,44 @@
-//! Holistic, stack-based twig evaluation over Dewey-ordered streams.
+//! Holistic, stack-based twig evaluation over region-encoded streams.
 //!
 //! The complete-result generator of Sec. 7 retrieves the matches of every twig
 //! leaf "in Dewey ID order, which can be directly used by the XML twig
-//! processing" of Bruno et al.  This module implements that machinery:
+//! processing" of Bruno, Koudas and Srivastava (*Holistic twig joins*, SIGMOD
+//! 2002).  This module is that machinery, one document at a time:
 //!
-//! * per-pattern-node input streams of `(DeweyId, node)` pairs sorted in
-//!   document order,
-//! * the PathStack algorithm (the path-at-a-time half of the holistic twig
-//!   join family) producing root-to-leaf chain solutions with a linked-stack
-//!   encoding, and
-//! * a hash merge of the chain solutions on their shared branching nodes,
-//!   yielding complete twig matches.
+//! * **Region encoding.**  Holistic twig joins are defined over positions
+//!   `(LeftPos : RightPos, LevelNum)`.  Here a node's region is `start` = its
+//!   ordinal in the document, `end` = the first ordinal past its subtree and
+//!   `level` = its depth.  Ordinals are assigned in document order, which is
+//!   Dewey order (the audit's `dewey-order` invariant), so comparing ordinals
+//!   compares Dewey ids and every structural test is integer arithmetic:
+//!   `x` is an ancestor of `y` iff `x.start < y.start < x.end`, and its
+//!   parent iff also `x.level + 1 == y.level`.
+//! * **Streams.**  A *stream element* is the region of one data node that
+//!   matches one pattern node (label equal, direct text satisfying the node's
+//!   predicate; a root with [`Axis::Child`] only matches the document's root
+//!   element).  **One** pass over a document fills the streams of all pattern
+//!   nodes, in document order.  An element's `end` is not stored anywhere in
+//!   the document: the pass keeps a stack of still-open elements and *every*
+//!   later node of depth ≤ theirs closes them — not only later stream
+//!   elements, or `<r><a><b/></a><c><b/></c></r>` would put the second `b`
+//!   under `a`.
+//! * **PathStack** (the path-at-a-time half of the holistic twig join family)
+//!   runs per root-to-leaf chain of the pattern over those streams and expands
+//!   chain solutions from its linked stacks; chain solutions are then joined
+//!   on the chain prefix they share with the chains merged before them —
+//!   always a prefix, because the merged chains cover an ancestor-closed part
+//!   of the pattern tree — by sort + binary search.
+//! * **The workspace.**  Streams, stacks, chain solutions and merged solutions
+//!   live in flat buffers of one `Workspace` that is allocated once per call
+//!   and reused for every document; nothing is allocated per stream element or
+//!   per solution.  Only the result rows themselves are.
+//! * **Rows sorted by construction.**  Each document's rows are sorted,
+//!   deduplicated and appended in place.  Documents are visited in ascending
+//!   id order and a row never spans documents, so the result is globally
+//!   sorted without a final sort — and an evaluation whose document iterator
+//!   ends early returns a **prefix** of the full answer.
 
-use std::collections::{BTreeMap, HashMap};
-
-use seda_xmlstore::{Collection, DeweyId, Document, NodeId};
+use seda_xmlstore::{Collection, DocId, Document, NodeId, Symbol};
 
 use crate::pattern::{Axis, TwigPattern};
 
@@ -24,11 +48,14 @@ pub struct TwigMatches {
     /// Pattern-node indices the rows are projected onto (the output nodes).
     pub output_nodes: Vec<usize>,
     /// One row per match: a node per output pattern node, in
-    /// `output_nodes` order.
+    /// `output_nodes` order.  Sorted and free of duplicates.
     pub rows: Vec<Vec<NodeId>>,
-    /// Document nodes scanned while building the pattern nodes' input
-    /// streams — the dominant work measure of the evaluation, surfaced so
-    /// callers can attribute twig cost without re-walking the collection.
+    /// Nodes of the documents the evaluation visited, each counted once (one
+    /// pass per document fills every pattern node's stream) — the dominant
+    /// work measure of the evaluation, surfaced so callers can attribute twig
+    /// cost without re-walking the collection.  A document that is never
+    /// scanned (its root element cannot match an anchored pattern root, or
+    /// the caller's document iterator left it out) counts nothing.
     pub nodes_visited: usize,
 }
 
@@ -49,262 +76,328 @@ impl TwigMatches {
     }
 }
 
-/// One element of a pattern node's input stream.
-#[derive(Debug, Clone)]
-struct StreamElement {
-    ordinal: u32,
-    dewey: DeweyId,
+/// A stream element: the region of a data node matching one pattern node.
+#[derive(Debug, Clone, Copy)]
+struct Region {
+    /// Ordinal of the node (document order).
+    start: u32,
+    /// First ordinal past the node's subtree.
+    end: u32,
+    /// Depth of the node (the root element has depth 1).
+    level: u32,
 }
 
-/// Builds the Dewey-ordered input stream of one pattern node within one
-/// document: nodes whose label matches and whose direct text satisfies the
-/// node's predicate.
-fn build_stream(
-    collection: &Collection,
-    document: &Document,
-    pattern: &TwigPattern,
-    pattern_node: usize,
-    nodes_visited: &mut usize,
-) -> Vec<StreamElement> {
-    let node = pattern.node(pattern_node);
-    let mut out = Vec::new();
-    for (ordinal, data_node) in document.iter() {
-        *nodes_visited += 1;
-        if collection.symbols().resolve(data_node.name) != node.label {
-            continue;
+impl Region {
+    /// The structural test of a pattern edge with `axis`, `self` above `below`.
+    fn relates(self, below: Region, axis: Axis) -> bool {
+        let ancestor = self.start < below.start && below.start < self.end;
+        match axis {
+            Axis::Child => ancestor && self.level + 1 == below.level,
+            Axis::Descendant => ancestor,
         }
-        if let Some(predicate) = &node.predicate {
-            let text = data_node.text.as_deref().unwrap_or("");
-            if !predicate.matches_text(text) {
-                continue;
-            }
-        }
-        out.push(StreamElement { ordinal, dewey: data_node.dewey.clone() });
     }
-    // Document iteration order is document order, which is Dewey order.
-    out
 }
 
-/// Stack entry of the PathStack algorithm: a stream element plus a pointer to
-/// the top of the parent stack at push time.
-#[derive(Debug, Clone)]
+/// Stack entry of the PathStack algorithm: a stream element plus the index of
+/// the top of the parent position's stack at push time (unused at position 0).
+#[derive(Debug, Clone, Copy)]
 struct StackEntry {
-    ordinal: u32,
-    dewey: DeweyId,
-    parent_top: isize,
+    region: Region,
+    parent_top: u32,
 }
 
-/// Runs PathStack for one root-to-leaf chain of the pattern within one
-/// document.  Returns chain solutions as vectors of ordinals aligned with
-/// `chain`.
-fn path_stack(
-    chain: &[usize],
-    pattern: &TwigPattern,
-    streams: &HashMap<usize, Vec<StreamElement>>,
-) -> Vec<Vec<u32>> {
-    let n = chain.len();
-    let mut cursors = vec![0usize; n];
-    let mut stacks: Vec<Vec<StackEntry>> = vec![Vec::new(); n];
-    let mut solutions = Vec::new();
+/// What one evaluation derives from its pattern, once.
+struct Plan<'p> {
+    pattern: &'p TwigPattern,
+    /// The label of every pattern node, interned.
+    symbols: Vec<Symbol>,
+    /// True when the root only matches the document's root element.
+    anchored: bool,
+    /// Root-to-leaf chains, in leaf order.
+    chains: Vec<Vec<usize>>,
+    /// Per chain: how many of its leading nodes earlier chains already cover.
+    shared: Vec<usize>,
+    /// Output pattern nodes, in index order.
+    outputs: Vec<usize>,
+}
 
-    loop {
-        // Pick the chain position whose next stream element has the minimal
-        // Dewey id.
-        let mut min_pos: Option<usize> = None;
-        for (i, &q) in chain.iter().enumerate() {
-            let stream = &streams[&q];
-            if cursors[i] >= stream.len() {
-                continue;
+impl<'p> Plan<'p> {
+    /// `None` when the pattern can match nothing in `collection`: it is empty,
+    /// outputs nothing, or names a label the collection never interned.
+    fn new(collection: &Collection, pattern: &'p TwigPattern) -> Option<Self> {
+        let outputs = pattern.output_nodes();
+        if pattern.is_empty() || outputs.is_empty() {
+            return None;
+        }
+        let symbols = (0..pattern.len())
+            .map(|q| collection.symbols().get(&pattern.node(q).label))
+            .collect::<Option<Vec<Symbol>>>()?;
+        let chains = pattern.root_to_leaf_chains();
+        let mut covered = vec![false; pattern.len()];
+        let shared = chains
+            .iter()
+            .map(|chain| {
+                let shared = chain.iter().take_while(|&&q| covered[q]).count();
+                chain.iter().for_each(|&q| covered[q] = true);
+                shared
+            })
+            .collect();
+        let anchored = pattern.node(pattern.root()).axis == Axis::Child;
+        Some(Plan { pattern, symbols, anchored, chains, shared, outputs })
+    }
+}
+
+/// The reusable buffers of one evaluation; see the module docs.
+#[derive(Default)]
+struct Workspace {
+    /// Per pattern node: its stream within the current document.
+    streams: Vec<Vec<Region>>,
+    /// Stream elements whose subtree the scan is still inside, outermost
+    /// first, as (pattern node, index in its stream).
+    open: Vec<(usize, usize)>,
+    /// Per chain position: the PathStack stack, its stream cursor and the
+    /// stack entry the solution being expanded holds.
+    stacks: Vec<Vec<StackEntry>>,
+    cursors: Vec<usize>,
+    picks: Vec<usize>,
+    /// Solutions of the current chain, `chain.len()` ordinals each.
+    solutions: Vec<u32>,
+    /// Solutions of the chains merged so far, `pattern.len()` ordinals each
+    /// (indexed by pattern node), and the buffer the next merge writes.
+    merged: Vec<u32>,
+    merged_next: Vec<u32>,
+    /// Merged solutions projected onto the output nodes.
+    projected: Vec<u32>,
+    /// Row indices of `solutions` or `projected`, sorted.
+    order: Vec<usize>,
+}
+
+impl Workspace {
+    fn new(plan: &Plan<'_>) -> Self {
+        let longest = plan.chains.iter().map(Vec::len).max().unwrap_or(0);
+        Workspace {
+            streams: vec![Vec::new(); plan.pattern.len()],
+            stacks: vec![Vec::new(); longest],
+            cursors: vec![0; longest],
+            picks: vec![0; longest],
+            ..Workspace::default()
+        }
+    }
+
+    /// Fills every pattern node's stream from one pass over `document`;
+    /// false when some stream stayed empty, so the document cannot match.
+    fn fill_streams(&mut self, plan: &Plan<'_>, document: &Document) -> bool {
+        self.streams.iter_mut().for_each(Vec::clear);
+        self.open.clear();
+        let past_the_end = document.len() as u32;
+        // An anchored root is the root element, nothing below it.
+        let anchor = plan.anchored.then_some(plan.pattern.root());
+        for (ordinal, node) in document.iter() {
+            let level = node.dewey.depth() as u32;
+            while let Some(&(q, at)) = self.open.last() {
+                if self.streams[q][at].level < level {
+                    break;
+                }
+                self.streams[q][at].end = ordinal;
+                self.open.pop();
             }
-            let candidate = &stream[cursors[i]].dewey;
-            match min_pos {
-                None => min_pos = Some(i),
-                Some(current) => {
-                    let current_dewey = &streams[&chain[current]][cursors[current]].dewey;
-                    if candidate < current_dewey {
-                        min_pos = Some(i);
+            for (q, &symbol) in plan.symbols.iter().enumerate() {
+                if symbol != node.name || (Some(q) == anchor && ordinal != 0) {
+                    continue;
+                }
+                if let Some(predicate) = &plan.pattern.node(q).predicate {
+                    if !predicate.matches_text(node.text.as_deref().unwrap_or("")) {
+                        continue;
+                    }
+                }
+                // Elements still open when the document ends reach to its end.
+                self.open.push((q, self.streams[q].len()));
+                self.streams[q].push(Region { start: ordinal, end: past_the_end, level });
+            }
+        }
+        self.streams.iter().all(|stream| !stream.is_empty())
+    }
+
+    /// Runs PathStack for one root-to-leaf chain over the current streams and
+    /// leaves the chain's solutions, root first, in `self.solutions`.
+    fn path_stack(&mut self, plan: &Plan<'_>, chain: &[usize]) {
+        let n = chain.len();
+        self.solutions.clear();
+        self.stacks[..n].iter_mut().for_each(Vec::clear);
+        self.cursors[..n].fill(0);
+        // Only a leaf element completes a solution: stop with the leaf stream.
+        while self.cursors[n - 1] < self.streams[chain[n - 1]].len() {
+            // The chain position whose next stream element comes first in
+            // document order; a node matching two positions goes to the
+            // earlier position first.
+            let mut next: Option<(usize, Region)> = None;
+            for (i, &q) in chain.iter().enumerate() {
+                if let Some(&candidate) = self.streams[q].get(self.cursors[i]) {
+                    if next.is_none_or(|(_, first)| candidate.start < first.start) {
+                        next = Some((i, candidate));
                     }
                 }
             }
-        }
-        let Some(i) = min_pos else { break };
-        let element = streams[&chain[i]][cursors[i]].clone();
-        cursors[i] += 1;
+            let Some((i, element)) = next else { break };
+            self.cursors[i] += 1;
 
-        // Clean every stack: pop entries that cannot be ancestors of the new
-        // element (they can never participate in a future solution).
-        for stack in stacks.iter_mut() {
-            while let Some(top) = stack.last() {
-                if top.dewey.is_ancestor_or_self_of(&element.dewey) {
-                    break;
+            // Clean every stack: keep only ancestors-or-self of the new
+            // element (the others can never take part in a later solution).
+            for stack in &mut self.stacks[..n] {
+                while stack.last().is_some_and(|top| top.region.end <= element.start) {
+                    stack.pop();
                 }
-                stack.pop();
             }
-        }
 
-        // Push only if the parent stack can support the element.
-        if i == 0 || !stacks[i - 1].is_empty() {
-            let parent_top = if i == 0 { -1 } else { stacks[i - 1].len() as isize - 1 };
-            stacks[i].push(StackEntry {
-                ordinal: element.ordinal,
-                dewey: element.dewey,
-                parent_top,
-            });
-            if i == n - 1 {
-                expand_solutions(chain, pattern, &stacks, &mut solutions);
-                stacks[n - 1].pop();
+            // Push only if the parent stack can support the element.
+            if i == 0 || !self.stacks[i - 1].is_empty() {
+                let parent_top = if i == 0 { 0 } else { self.stacks[i - 1].len() as u32 - 1 };
+                self.stacks[i].push(StackEntry { region: element, parent_top });
+                if i == n - 1 {
+                    self.expand_solutions(plan, chain);
+                    self.stacks[n - 1].pop();
+                }
             }
         }
     }
-    solutions
-}
 
-/// Expands every root-to-leaf solution ending at the entry currently on top of
-/// the leaf stack.
-fn expand_solutions(
-    chain: &[usize],
-    pattern: &TwigPattern,
-    stacks: &[Vec<StackEntry>],
-    solutions: &mut Vec<Vec<u32>>,
-) {
-    let n = chain.len();
-    let leaf_entry =
-        stacks[n - 1].last().expect("invariant: the leaf entry was just pushed onto its stack");
-    // Partial solutions built bottom-up: (current level, ordinals leaf..level).
-    let mut partials: Vec<(isize, Vec<u32>, DeweyId)> =
-        vec![(leaf_entry.parent_top, vec![leaf_entry.ordinal], leaf_entry.dewey.clone())];
-    for level in (0..n - 1).rev() {
-        // Axis of the pattern node *below* this level, relating it to the
-        // element we are about to pick at this level.
-        let axis = pattern.node(chain[level + 1]).axis;
-        let mut next = Vec::new();
-        for (top, ordinals, child_dewey) in partials {
-            if top < 0 {
-                continue;
-            }
-            for entry in &stacks[level][..=top as usize] {
-                let structural_ok = match axis {
-                    Axis::Child => entry.dewey.is_parent_of(&child_dewey),
-                    Axis::Descendant => entry.dewey.is_ancestor_of(&child_dewey),
-                };
-                if structural_ok {
-                    let mut extended = ordinals.clone();
-                    extended.push(entry.ordinal);
-                    next.push((entry.parent_top, extended, entry.dewey.clone()));
-                }
-            }
-        }
-        partials = next;
-        if partials.is_empty() {
+    /// Appends every root-to-leaf solution ending at the entry on top of the
+    /// leaf stack: a depth-first walk from the leaf towards the root over the
+    /// stack entries each pick's `parent_top` allows, `picks[l]` holding the
+    /// entry chosen at position `l`.
+    fn expand_solutions(&mut self, plan: &Plan<'_>, chain: &[usize]) {
+        let Workspace { stacks, picks, solutions, .. } = self;
+        let leaf = chain.len() - 1;
+        let Some(top) = stacks[leaf].len().checked_sub(1) else { return };
+        picks[leaf] = top;
+        if leaf == 0 {
+            solutions.push(stacks[0][top].region.start);
             return;
         }
+        // Positions `level..=leaf` hold picks; `from` is the first entry of
+        // position `level - 1` not tried yet under them.
+        let (mut level, mut from) = (leaf, 0);
+        loop {
+            let below = stacks[level][picks[level]];
+            // Axis of the pattern node at `level`, relating it to the entry
+            // about to be picked above it.
+            let axis = plan.pattern.node(chain[level]).axis;
+            let above = &stacks[level - 1];
+            let found = (from..=below.parent_top as usize)
+                .find(|&j| above[j].region.relates(below.region, axis));
+            match found {
+                Some(j) if level == 1 => {
+                    picks[0] = j;
+                    solutions.extend((0..=leaf).map(|l| stacks[l][picks[l]].region.start));
+                    from = j + 1;
+                }
+                Some(j) => {
+                    picks[level - 1] = j;
+                    level -= 1;
+                    from = 0;
+                }
+                None if level == leaf => return,
+                None => {
+                    from = picks[level] + 1;
+                    level += 1;
+                }
+            }
+        }
     }
-    for (_, ordinals, _) in partials {
-        // Ordinals were collected leaf-first; reverse to root-first.
-        let mut root_first = ordinals;
-        root_first.reverse();
-        solutions.push(root_first);
+
+    /// Joins the current chain's solutions into the merged solutions on the
+    /// `shared` leading chain nodes the merged solutions already hold.
+    fn merge_chain(&mut self, chain: &[usize], shared: usize, width: usize) {
+        let Workspace { solutions, merged, merged_next, order, .. } = self;
+        let n = chain.len();
+        let solution = |row: usize| &solutions[row * n..][..n];
+        // The key of a merged solution, compared with a chain solution's.
+        let key_of = |merged_row: &[u32], row: usize| {
+            let key = chain[..shared].iter().map(|&q| merged_row[q]);
+            solution(row)[..shared].iter().copied().cmp(key)
+        };
+        order.clear();
+        order.extend(0..solutions.len() / n);
+        order.sort_unstable_by(|&a, &b| solution(a)[..shared].cmp(&solution(b)[..shared]));
+        merged_next.clear();
+        for merged_row in merged.chunks_exact(width) {
+            let first = order.partition_point(|&row| key_of(merged_row, row).is_lt());
+            for &row in order[first..].iter().take_while(|&&row| key_of(merged_row, row).is_eq()) {
+                let at = merged_next.len();
+                merged_next.extend_from_slice(merged_row);
+                for (&q, &ordinal) in chain[shared..].iter().zip(&solution(row)[shared..]) {
+                    merged_next[at + q] = ordinal;
+                }
+            }
+        }
+        std::mem::swap(merged, merged_next);
+    }
+
+    /// Evaluates the pattern over the current streams and appends the
+    /// document's rows — sorted, free of duplicates — to `rows`.
+    fn append_rows(&mut self, plan: &Plan<'_>, doc: DocId, rows: &mut Vec<Vec<NodeId>>) {
+        let width = plan.pattern.len();
+        // One merged solution that covers no pattern node yet.
+        self.merged.clear();
+        self.merged.resize(width, 0);
+        for (chain, &shared) in plan.chains.iter().zip(&plan.shared) {
+            self.path_stack(plan, chain);
+            self.merge_chain(chain, shared, width);
+            if self.merged.is_empty() {
+                return;
+            }
+        }
+        let Workspace { merged, projected, order, .. } = self;
+        projected.clear();
+        for solution in merged.chunks_exact(width) {
+            projected.extend(plan.outputs.iter().map(|&q| solution[q]));
+        }
+        let k = plan.outputs.len();
+        let row = |r: usize| &projected[r * k..][..k];
+        order.clear();
+        order.extend(0..projected.len() / k);
+        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        order.dedup_by(|a, b| row(*a) == row(*b));
+        rows.extend(
+            order.iter().map(|&r| row(r).iter().map(|&node| NodeId::new(doc, node)).collect()),
+        );
     }
 }
 
 /// Evaluates a twig pattern over an entire collection.
 pub fn evaluate_twig(collection: &Collection, pattern: &TwigPattern) -> TwigMatches {
-    let output_nodes = pattern.output_nodes();
-    let mut matches =
-        TwigMatches { output_nodes: output_nodes.clone(), rows: Vec::new(), nodes_visited: 0 };
-    if pattern.is_empty() || output_nodes.is_empty() {
-        return matches;
-    }
-    let chains = pattern.root_to_leaf_chains();
-
-    for document in collection.documents() {
-        // Build streams once per document.
-        let mut streams: HashMap<usize, Vec<StreamElement>> = HashMap::new();
-        let mut missing = false;
-        for q in pattern.node_indices() {
-            let stream = build_stream(collection, document, pattern, q, &mut matches.nodes_visited);
-            if stream.is_empty() {
-                missing = true;
-                break;
-            }
-            streams.insert(q, stream);
-        }
-        if missing {
-            continue;
-        }
-
-        // Chain solutions, merged on shared pattern nodes.
-        let mut merged: Option<Vec<BTreeMap<usize, u32>>> = None;
-        for chain in &chains {
-            let chain_solutions = path_stack(chain, pattern, &streams);
-            if chain_solutions.is_empty() {
-                merged = Some(Vec::new());
-                break;
-            }
-            let as_maps: Vec<BTreeMap<usize, u32>> = chain_solutions
-                .into_iter()
-                .map(|ordinals| chain.iter().copied().zip(ordinals).collect())
-                .collect();
-            merged = Some(match merged {
-                None => as_maps,
-                Some(existing) => merge_solutions(existing, as_maps),
-            });
-            if merged.as_ref().map(Vec::is_empty).unwrap_or(false) {
-                break;
-            }
-        }
-
-        if let Some(solutions) = merged {
-            for solution in solutions {
-                let row: Option<Vec<NodeId>> = output_nodes
-                    .iter()
-                    .map(|q| solution.get(q).map(|&o| NodeId::new(document.id, o)))
-                    .collect();
-                if let Some(row) = row {
-                    matches.rows.push(row);
-                }
-            }
-        }
-    }
-    matches.rows.sort();
-    matches.rows.dedup();
-    matches
+    evaluate_twig_in(collection, pattern, collection.documents())
 }
 
-/// Hash-joins two sets of partial solutions on their shared pattern nodes.
-fn merge_solutions(
-    left: Vec<BTreeMap<usize, u32>>,
-    right: Vec<BTreeMap<usize, u32>>,
-) -> Vec<BTreeMap<usize, u32>> {
-    if left.is_empty() || right.is_empty() {
-        return Vec::new();
-    }
-    let left_keys: Vec<usize> = left[0].keys().copied().collect();
-    let right_keys: Vec<usize> = right[0].keys().copied().collect();
-    let shared: Vec<usize> = left_keys.iter().copied().filter(|k| right_keys.contains(k)).collect();
-
-    let key_of = |solution: &BTreeMap<usize, u32>| -> Vec<u32> {
-        shared.iter().map(|k| solution[k]).collect()
-    };
-
-    let mut right_by_key: HashMap<Vec<u32>, Vec<&BTreeMap<usize, u32>>> = HashMap::new();
-    for r in &right {
-        right_by_key.entry(key_of(r)).or_default().push(r);
-    }
-
-    let mut out = Vec::new();
-    for l in &left {
-        if let Some(rs) = right_by_key.get(&key_of(l)) {
-            for r in rs {
-                let mut combined = l.clone();
-                for (&k, &v) in r.iter() {
-                    combined.insert(k, v);
-                }
-                out.push(combined);
-            }
+/// Evaluates a twig pattern over `documents` of `collection`, which must come
+/// in ascending id order (any subsequence of [`Collection::documents`]).
+///
+/// The rows are those of [`evaluate_twig`] that lie in the given documents,
+/// in the same order; an iterator that stops early — a caller's deadline, say
+/// — therefore yields a prefix of the rows a longer one would.
+pub fn evaluate_twig_in<'a>(
+    collection: &Collection,
+    pattern: &TwigPattern,
+    documents: impl IntoIterator<Item = &'a Document>,
+) -> TwigMatches {
+    let mut matches =
+        TwigMatches { output_nodes: pattern.output_nodes(), ..TwigMatches::default() };
+    let Some(plan) = Plan::new(collection, pattern) else { return matches };
+    let root = plan.symbols[pattern.root()];
+    let mut workspace = Workspace::new(&plan);
+    for document in documents {
+        debug_assert!(matches.rows.last().is_none_or(|row| row[0].doc < document.id));
+        // A document whose root element is not the anchored root is not scanned.
+        let root_element = document.node(document.root());
+        if plan.anchored && root_element.map_or(true, |node| node.name != root) {
+            continue;
+        }
+        matches.nodes_visited += document.len();
+        if workspace.fill_streams(&plan, document) {
+            workspace.append_rows(&plan, document.id, &mut matches.rows);
         }
     }
-    out
+    matches
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! # seda-twigjoin
 //!
 //! The complete-result machinery of SEDA's Sec. 7: query pattern trees
-//! ([`TwigPattern`]), holistic stack-based twig evaluation over Dewey-ordered
-//! input streams ([`evaluate_twig`]), and cross-twig joins
+//! ([`TwigPattern`]), holistic stack-based twig evaluation over region-encoded
+//! input streams in Dewey order ([`evaluate_twig`], or [`evaluate_twig_in`]
+//! over chosen documents), and cross-twig joins
 //! ([`cross_twig_join`]) that combine twig results across documents via value
 //! equality or IDREF adjacency — "similar to a join in an RDBMS".
 //!
@@ -22,7 +23,7 @@ pub mod eval;
 pub mod join;
 pub mod pattern;
 
-pub use eval::{evaluate_twig, TwigMatches};
+pub use eval::{evaluate_twig, evaluate_twig_in, TwigMatches};
 pub use join::{cross_twig_join, cross_twig_join_bounded, JoinPredicate, JoinedMatches};
 pub use pattern::{Axis, TwigNode, TwigParseError, TwigPattern};
 

@@ -48,7 +48,9 @@ pub enum Axis {
 pub struct TwigNode {
     /// Element/attribute label the node must match.
     pub label: String,
-    /// Axis to the parent pattern node (ignored for the root).
+    /// Axis to the parent pattern node.  For the root it relates the node to
+    /// the document: [`Axis::Child`] (`/a`) matches only the document's root
+    /// element, [`Axis::Descendant`] (`//a`) an `a` at any depth.
     pub axis: Axis,
     /// Optional full-text predicate on the matched node's direct content.
     pub predicate: Option<FullTextQuery>,
@@ -67,7 +69,8 @@ pub struct TwigPattern {
 }
 
 impl TwigPattern {
-    /// Creates a pattern with only a root node.
+    /// Creates a pattern with only a root node, anchored at the document's
+    /// root element (`/label`).
     pub fn with_root(label: impl Into<String>) -> Self {
         TwigPattern {
             nodes: vec![TwigNode {
@@ -82,8 +85,9 @@ impl TwigPattern {
     }
 
     /// Compiles the textual twig syntax `/a/b//c`: `/` introduces a
-    /// child-axis step, `//` a descendant-axis step.  The leaf of the path is
-    /// marked as an output node.
+    /// child-axis step, `//` a descendant-axis step — for the first step too,
+    /// so `/a/…` starts at the document's root element and `//a/…` at any `a`.
+    /// The leaf of the path is marked as an output node.
     pub fn parse(expr: &str) -> Result<Self, TwigParseError> {
         let trimmed = expr.trim();
         if trimmed.is_empty() {
@@ -115,8 +119,10 @@ impl TwigPattern {
             rest = &rest[end..];
         }
         let mut iter = steps.into_iter();
-        let (_, root) = iter.next().expect("invariant: a parsed twig path has at least one step");
+        let (root_axis, root) =
+            iter.next().expect("invariant: a parsed twig path has at least one step");
         let mut pattern = TwigPattern::with_root(root);
+        pattern.nodes[0].axis = root_axis;
         let mut current = 0usize;
         for (axis, label) in iter {
             current = pattern.add_child(current, label, axis);
@@ -311,6 +317,15 @@ mod tests {
         assert_eq!(p.node(2).axis, Axis::Descendant);
         assert!(p.node(2).output);
         assert_eq!(p.output_nodes(), vec![2]);
+    }
+
+    #[test]
+    fn parse_keeps_the_axis_of_the_first_step() {
+        assert_eq!(TwigPattern::parse("/city/name").unwrap().node(0).axis, Axis::Child);
+        let anywhere = TwigPattern::parse("//city/name").unwrap();
+        assert_eq!(anywhere.node(0).axis, Axis::Descendant);
+        assert_eq!(anywhere.node(1).axis, Axis::Child);
+        assert_eq!(TwigPattern::from_path("/city/name").unwrap().node(0).axis, Axis::Child);
     }
 
     #[test]

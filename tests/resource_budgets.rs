@@ -11,7 +11,7 @@ use seda_core::{
     Budget, CancelToken, ContextSpec, EngineConfig, RequestContext, SedaEngine, SedaError,
     SedaRequest,
 };
-use seda_datagen::{factbook, googlebase, FactbookConfig, GoogleBaseConfig};
+use seda_datagen::{factbook, googlebase, Dataset, FactbookConfig, GoogleBaseConfig};
 use seda_datagraph::{DataGraph, GraphConfig};
 use seda_olap::Registry;
 use seda_textindex::{FullTextQuery, NodeIndex};
@@ -219,6 +219,77 @@ fn cancellation_surfaces_as_cancelled() {
     assert_eq!(err, SedaError::Cancelled);
     // The same reader still serves uncancelled requests.
     assert!(reader.execute(&topk_request()).is_ok());
+}
+
+/// `TWIG` and same-root `RESULTS` / `CUBE` spend their time inside one twig
+/// evaluation, which reads the request's context before document 0 and every
+/// [`SearchLimits::DEADLINE_STRIDE`]th after: a deadline that runs out on the
+/// way ends it there with the rows of the documents visited — a prefix of the
+/// full answer.  (The stride and a cancellation landing mid-evaluation are
+/// pinned without a clock race by `seda-core`'s engine tests.)
+#[test]
+fn a_deadline_stops_a_twig_evaluation_between_documents() {
+    let collection = Dataset::RecipeMl.generate_scaled(0.1).expect("generate recipeml");
+    let engine =
+        SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
+            .expect("engine build");
+    let mut reader = engine.reader();
+    for text in ["TWIG /recipeml/recipe//item", "RESULTS FOR (title, *) AND (item, *)"] {
+        let request = SedaRequest::parse(text).expect("request parses");
+        let mut timed = || {
+            let start = Instant::now();
+            let response = reader.execute(&request).expect("ungoverned run");
+            (start.elapsed(), response)
+        };
+        let (whole, full) = (0..3).map(|_| timed()).min_by_key(|(time, _)| *time).expect("3 runs");
+        let full_rows = &full.table().expect("table payload").rows;
+        assert!(full_rows.len() > 1_000, "{text}: {} rows", full_rows.len());
+
+        // An unlimited context changes nothing.
+        let unlimited =
+            reader.execute_governed(&request, &RequestContext::unlimited()).expect("unlimited run");
+        assert_eq!(unlimited.payload, full.payload, "{text}");
+        assert!(!unlimited.profile.degraded);
+
+        // Half the statement's own time puts the deadline inside the
+        // evaluation; a run the host disturbed (the deadline fell after the
+        // last document, or the run beat it) is repeated.
+        let half = || Budget::unlimited().with_deadline(whole / 2);
+        let mut stopped_inside = false;
+        for _ in 0..20 {
+            let ctx = RequestContext::new(half()).allow_degraded();
+            let degraded = reader.execute_governed(&request, &ctx).expect("degraded run");
+            let rows = &degraded.table().expect("table payload").rows;
+            assert_eq!(rows[..], full_rows[..rows.len()], "{text}: not a prefix");
+            // (A complete answer may be flagged too: it arrived late.)
+            assert!(degraded.profile.degraded || rows.len() == full_rows.len(), "{text}");
+            if degraded.profile.degraded && !rows.is_empty() && rows.len() < full_rows.len() {
+                stopped_inside = true;
+                break;
+            }
+        }
+        assert!(
+            stopped_inside,
+            "{text}: no deadline of {:?} fell inside the evaluation",
+            whole / 2
+        );
+
+        // Without the opt-in the same breach is the typed error.
+        let strict = (0..20)
+            .find_map(|_| reader.execute_governed(&request, &RequestContext::new(half())).err());
+        assert!(
+            matches!(strict, Some(SedaError::Limit { resource: "deadline", .. })),
+            "{text}: {strict:?}"
+        );
+
+        // A cancelled request errors.
+        let token = CancelToken::new();
+        token.cancel();
+        let ctx = RequestContext::unlimited().with_cancel_token(token);
+        assert_eq!(reader.execute_governed(&request, &ctx).err(), Some(SedaError::Cancelled));
+        // The reader still serves.
+        assert_eq!(reader.execute(&request).expect("ungoverned run").payload, full.payload);
+    }
 }
 
 /// Every executed request is recorded in the engine's metrics exactly once,
