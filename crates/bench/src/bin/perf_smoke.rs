@@ -1,27 +1,29 @@
-//! CI perf smoke check: the five gates of [`seda_bench`], measured on this
+//! CI perf smoke check: the six gates of [`seda_bench`], measured on this
 //! machine against this build — no argument, no file, no environment variable.
 //!
 //! ```text
 //! cargo run --release -p seda-bench --bin perf_smoke
 //! ```
 //!
-//! Prints the five measured ratios with their bounds and exits non-zero when
+//! Prints the six measured ratios with their bounds and exits non-zero when
 //! any gate fails.  Absolute latencies are `benchmark/run.sh`'s business.
 
 use std::hint::black_box;
 use std::process::ExitCode;
 
 use seda_bench::{
-    cold_fill_verdict, generous_context, googlebase_engine, governance_verdict, interleaved_minima,
-    join_scaling_verdict, mondial_engine, pinned_pairs_verdict, term_inputs, twig_scan_verdict,
-    BASE_ITEMS, BROAD_TOPK, PAIR_QUERY, SCALED_ITEMS, SELECTIVE_TOPK, TWIG_PATH,
+    cold_fill_verdict, generous_context, googlebase_engine, governance_verdict,
+    index_build_verdict, interleaved_minima, join_scaling_verdict, mondial_engine,
+    pinned_pairs_verdict, term_inputs, twig_scan_verdict, BASE_ITEMS, BROAD_TOPK, PAIR_QUERY,
+    SCALED_ITEMS, SELECTIVE_TOPK, TWIG_PATH,
 };
+use seda_core::seda_textindex::{terms, ContextIndex, CountStorage, NodeIndex};
 use seda_core::seda_topk::{SearchLimits, SearchScratch, SearchStrategy, TopKConfig, TopKSearcher};
 use seda_core::seda_twigjoin::{evaluate_twig, TwigPattern};
 use seda_core::{RequestContext, SedaReader, SedaRequest};
 use seda_datagen::Dataset;
 
-/// Measures the five gates and prints each verdict; `Ok(false)` when any failed.
+/// Measures the six gates and prints each verdict; `Ok(false)` when any failed.
 fn run() -> Result<bool, String> {
     let request = SedaRequest::parse(BROAD_TOPK).map_err(|e| e.to_string())?;
     let base_engine = googlebase_engine(BASE_ITEMS)?;
@@ -62,7 +64,34 @@ fn run() -> Result<bool, String> {
     let cold_fill = report(cold_fill_verdict(prepared_ms, cold_ms));
     let pinned_pairs = report(pinned_pairs()?);
     let twig_scan = report(twig_scan()?);
-    Ok(scaling && governance && cold_fill && pinned_pairs && twig_scan)
+    let index_build = report(index_build()?);
+    Ok(scaling && governance && cold_fill && pinned_pairs && twig_scan && index_build)
+}
+
+/// The index-build gate: both text indexes built over the paper-scale
+/// googlebase collection (no engine is built) against one pass that tokenises
+/// every text node of it, which must count the tokens the node index holds.
+fn index_build() -> Result<Result<String, String>, String> {
+    let collection = Dataset::GoogleBase.generate_paper_scale().map_err(|e| e.to_string())?;
+    let (mut tokens, mut indexed) = (0, 0);
+    let (tokenise_ms, build_ms) = interleaved_minima(
+        || {
+            let nodes = black_box(&collection).documents().flat_map(|document| document.iter());
+            tokens =
+                nodes.filter_map(|(_, node)| node.text.as_deref()).map(|t| terms(t).len()).sum();
+        },
+        || {
+            let node_index = black_box(NodeIndex::build(&collection));
+            black_box(ContextIndex::build(&collection, CountStorage::DocumentStore));
+            indexed = node_index.read_model_bytes().tokens;
+        },
+    );
+    // 4 B a token and one 4 B offset a node: an arena smaller than its tokens
+    // means one side did not do its work.
+    if tokens == 0 || indexed < 4 * tokens {
+        return Err(format!("the pass counted {tokens} tokens, the arena holds {indexed} bytes"));
+    }
+    Ok(index_build_verdict(tokenise_ms, build_ms))
 }
 
 /// The twig-over-one-scan gate: [`TWIG_PATH`] over the paper-scale RecipeML

@@ -2,7 +2,7 @@
 //!
 //! What only this crate checks.  Every latency, throughput and memory number
 //! comes from the paper-scale harness under `benchmark/` (see
-//! `benchmark/README.md`); this crate keeps the `audit` binary and the five
+//! `benchmark/README.md`); this crate keeps the `audit` binary and the six
 //! gates of `perf_smoke`, which compare the engine against itself within one
 //! process and so need no committed baseline:
 //!
@@ -23,7 +23,12 @@
 //!   RecipeML collection costs at most [`TWIG_SCAN_BOUND`]× one pass over
 //!   every node of that collection comparing its name with one symbol — the
 //!   floor of any scan-fed evaluator: one pass per document and nothing
-//!   allocated per stream element or per solution.
+//!   allocated per stream element or per solution;
+//! * **index build over one tokenising pass** — `NodeIndex::build` plus
+//!   `ContextIndex::build` over the paper-scale googlebase collection cost at
+//!   most [`INDEX_BUILD_BOUND`]× one pass that tokenises every text node of it
+//!   — the floor of any index build: nothing hashed, cloned or allocated per
+//!   document beyond the tokens themselves.
 //!
 //! Each verdict is a pure function of the measured numbers, so the tests below
 //! feed it a regressed engine's numbers and watch it fail.
@@ -111,6 +116,19 @@ pub const PINNED_PAIRS_BOUND: f64 = 0.30;
 /// the bound is the geometric mean of the worst reading of the new evaluator
 /// (12) and the best of the old (24.9): √(12 · 24.9) ≈ 17.
 pub const TWIG_SCAN_BOUND: f64 = 17.0;
+
+/// Allowed `t(NodeIndex::build + ContextIndex::build) / t(tokenise)` on the
+/// paper-scale googlebase collection (10,000 documents, 150,000 text nodes),
+/// the tokenising pass being `terms(text).len()` summed over every text node.
+/// With flat per-document shards merged straight into the node index's read
+/// model and the context index built by one fold: measured 5.78–6.39× over
+/// twenty runs (≈ 93 ms against ≈ 15.6 ms).  The builds these replaced — three
+/// hash maps and a `String` per token occurrence a document in the node index,
+/// a map and a set per distinct token a document in the context index — read
+/// 15.9–17.3× over six runs (≈ 540 ms against ≈ 33 ms: their garbage slows the
+/// tokenising pass they take turns with, too).  The bound is the geometric
+/// mean of the worst new reading and the best old: √(6.39 · 15.9) ≈ 10.
+pub const INDEX_BUILD_BOUND: f64 = 10.0;
 
 /// An engine over a datagen googlebase corpus of `items` flat documents.
 pub fn googlebase_engine(items: usize) -> Result<SedaEngine, String> {
@@ -219,6 +237,12 @@ pub fn twig_scan_verdict(scan_ms: f64, twig_ms: f64) -> Result<String, String> {
     bounded_ratio("twig over one scan", scan_ms, twig_ms, TWIG_SCAN_BOUND)
 }
 
+/// The index-build gate over the times of one tokenising pass across the
+/// collection and of building both text indexes over it.
+pub fn index_build_verdict(tokenise_ms: f64, build_ms: f64) -> Result<String, String> {
+    bounded_ratio("index build over one tokenising pass", tokenise_ms, build_ms, INDEX_BUILD_BOUND)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,6 +301,20 @@ mod tests {
         // The least favourable of the twenty runs of the new one.
         let pass = twig_scan_verdict(0.993, 6.209).unwrap();
         assert!(pass.starts_with("twig over one scan 6.253x"), "{pass}");
+    }
+
+    #[test]
+    fn index_build_fails_on_a_map_per_document_and_passes_on_the_measured_pair() {
+        // Both indexes as they were built before the flat shards and the one
+        // fold, at their most favourable of six runs.
+        let failure = index_build_verdict(33.411, 532.678).unwrap_err();
+        assert!(
+            failure.starts_with("index build over one tokenising pass 15.943x (allowed 10x)"),
+            "{failure}"
+        );
+        // The least favourable of the twenty runs of the flat builds.
+        let pass = index_build_verdict(15.599, 99.707).unwrap();
+        assert!(pass.starts_with("index build over one tokenising pass 6.392x"), "{pass}");
     }
 
     /// The seeded slowdown: the governed side does the request twice, and the

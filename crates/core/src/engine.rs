@@ -4,13 +4,15 @@
 //!
 //! # Build lifecycle
 //!
-//! Every index substrate follows a **shard → merge** lifecycle: a per-document
-//! shard phase that parallelises freely (documents share the collection's
-//! intern tables, so shards carry globally valid ids) and a merge phase that
-//! combines shards deterministically in document order.  [`SedaEngine::build`]
-//! orchestrates the fan-out across a scoped worker pool, gated by
-//! [`EngineConfig::parallelism`], and records a [`BuildProfile`] with
-//! per-substrate shard and merge wall times.
+//! Three substrates — node index, data graph, dataguides — follow a
+//! **shard → merge** lifecycle: a per-document shard phase that parallelises
+//! freely (documents share the collection's intern tables, so shards carry
+//! globally valid ids) and a merge phase that combines shards
+//! deterministically in document order.  The context index is one serial
+//! fold over the collection on both paths (see `seda_textindex::context_index`
+//! for the measurement).  [`SedaEngine::build`] orchestrates the fan-out
+//! across a scoped worker pool, gated by [`EngineConfig::parallelism`], and
+//! records a [`BuildProfile`] with per-substrate shard and merge wall times.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -135,7 +137,8 @@ pub struct BuildProfile {
     pub shards: usize,
     /// Node full-text index build.
     pub node_index: PhaseProfile,
-    /// Keyword → context index build.
+    /// Keyword → context index build: one serial fold, reported as
+    /// `merge_secs` (the serial phase) on a sharded build.
     pub context_index: PhaseProfile,
     /// Data-graph construction and resolution.
     pub graph: PhaseProfile,
@@ -146,9 +149,9 @@ pub struct BuildProfile {
     /// Bytes held by the precomputed connectivity-oracle labels (see
     /// [`seda_datagraph::ConnectivityIndex::label_bytes`]).
     pub label_bytes: usize,
-    /// Bytes held by the node index's frozen read model, all tables summed
-    /// (see [`seda_textindex::NodeIndex::read_model_bytes`] for the tables
-    /// and the budget of the two path tables).
+    /// Bytes held by the node index — its whole heap, all tables summed (see
+    /// [`seda_textindex::NodeIndex::read_model_bytes`] for the tables and the
+    /// budgets of the path tables and the token arena).
     pub posting_bytes: usize,
     /// Milliseconds spent on the post-build structural audit
     /// ([`SedaEngine::verify`]) that every build runs before handing the
@@ -201,7 +204,10 @@ impl BuildProfile {
         out.push_str(&row("dataguides", &self.guides));
         out.push_str(&format!("  {:<14} {:>9.2}ms\n", "guide links", self.links_secs * 1e3));
         out.push_str(&format!("  {:<14} {:>9} bytes\n", "oracle labels", self.label_bytes));
-        out.push_str(&format!("  {:<14} {:>9} bytes\n", "posting tables", self.posting_bytes));
+        out.push_str(&format!(
+            "  {:<14} {:>9} bytes (the node index's whole heap)\n",
+            "posting tables", self.posting_bytes
+        ));
         out.push_str(&format!("  {:<14} {:>9.2}ms\n", "audit", self.verify_ms));
         out
     }
@@ -428,24 +434,15 @@ impl SedaEngine {
         profile.node_index = phase;
         tracer.exit(outer);
 
+        // The context index has no shard phase (one fold over the collection
+        // is cheaper than merging per-document shards was): on this path its
+        // whole build is serial time, so it is reported as merge time.
         let outer = tracer.enter(span::BUILD_CONTEXT_INDEX);
-        let inner = tracer.enter(span::SHARD);
-        let t = Stopwatch::start();
-        let shards = parallel_map(&docs, threads, |&doc| {
-            ContextIndex::build_shard(
-                collection
-                    .document(doc)
-                    .expect("invariant: collection document ids are dense (doc-id-dense)"),
-                config.count_storage,
-            )
-        })?;
-        let (mut phase, merge_start) = PhaseProfile::finish_shards(t);
-        tracer.exit(inner);
         let inner = tracer.enter(span::MERGE);
-        let context_index = ContextIndex::merge(collection, config.count_storage, shards);
-        phase.finish_merge(merge_start);
+        let t = Stopwatch::start();
+        let context_index = ContextIndex::build(collection, config.count_storage);
+        profile.context_index.finish_merge(t);
         tracer.exit(inner);
-        profile.context_index = phase;
         tracer.exit(outer);
 
         let outer = tracer.enter(span::BUILD_GUIDES);

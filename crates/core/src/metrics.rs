@@ -56,8 +56,9 @@ pub mod names {
     pub const ENGINE_DOCUMENTS: &str = "seda_engine_documents";
     /// Bytes held by the connectivity-oracle labels (set at build time).
     pub const ORACLE_LABEL_BYTES: &str = "seda_oracle_label_bytes";
-    /// Bytes held by the node index's frozen read model — dictionary, posting
-    /// arena, posting paths, path runs, side tables (set at build time).
+    /// Bytes held by the node index, its whole heap — dictionary, posting
+    /// arena, posting paths, path runs, side tables, token arena (set at
+    /// build time).
     pub const POSTING_BYTES: &str = "seda_posting_bytes";
 }
 

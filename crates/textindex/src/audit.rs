@@ -5,10 +5,11 @@
 //!
 //! | class | invariant |
 //! |---|---|
-//! | `termdict-bijection` | the term dictionary round-trips: `get(resolve(id)) == id` both ways, one id per term |
+//! | `termdict-bijection` | the term dictionary round-trips: `get(resolve(id)) == id` both ways, one id per term, one idf per term, and no term without a posting |
 //! | `csr-offsets` | `posting_offsets` has length `dict.len() + 1`, starts at 0, is monotone and ends at the arena length |
 //! | `postings-sorted` | every per-term posting slice is sorted by (score desc, node asc), scores finite, nodes distinct |
 //! | `node-side-table` | slots are dense and strictly ascending by node id; the side tables align |
+//! | `token-arena` | `token_offsets` has length slots + 1, starts at 0, is monotone and ends at the arena length; every id is in the dictionary; no slot is empty; every posting's node holds the term, with score bits equal to `tf · idf / √len`, and the postings' term frequencies add up to the arena's length (no token without its posting) |
 //! | `posting-paths` | the per-posting path array has the arena's length and holds the side-table path of each posting's node |
 //! | `path-runs` | run offsets are well-formed; every indexed node appears exactly once, in its own path's run; runs are sorted by (score desc, node asc); score bits equal `1/√len` |
 //! | `context-paths` | every path referenced by the context index is a member of its own `all_paths` universe |
@@ -17,29 +18,32 @@
 //! reports through one shape; see there for the catalog conventions.
 
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
-use seda_xmlstore::NodeId;
 
 use crate::context_index::ContextIndex;
 use crate::dict::TermId;
-use crate::node_index::{match_all_score, ranked, NodeIndex, SlotLookup};
+use crate::node_index::{match_all_score, ranked, term_score, NodeIndex, SlotLookup};
 
 const SUBSTRATE: &str = "textindex";
 
 impl NodeIndex {
-    /// Verifies the frozen read model: dictionary bijection, CSR offset
+    /// Verifies every table of the index: dictionary bijection, CSR offset
     /// well-formedness, per-term posting order, the node side table, the
-    /// per-posting path array and the path-partitioned match-all runs.
+    /// token arena, the per-posting path array, the path-partitioned
+    /// match-all runs and that postings and tokens tell one story.
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
         self.verify_dict(&mut violations);
+        let before_postings = violations.len();
         self.verify_posting_arena(&mut violations);
-        let before_side_table = violations.len();
+        let postings_well_formed = violations.len() == before_postings;
+        let before_slots = violations.len();
         self.verify_side_table(&mut violations);
-        // The last two walks look every node up in the side table; over a
-        // broken one they would only echo its violations.
-        if violations.len() == before_side_table {
+        self.verify_token_arena(&mut violations);
+        // The remaining walks look every node up in the side table and read
+        // its tokens; over broken ones they would only echo the violations.
+        if violations.len() == before_slots {
             let slots = SlotLookup::new(&self.slot_nodes);
-            self.verify_posting_paths(&slots, &mut violations);
+            self.verify_postings_against_nodes(&slots, postings_well_formed, &mut violations);
             self.verify_path_runs(&slots, &mut violations);
         }
         finish(violations)
@@ -65,17 +69,6 @@ impl NodeIndex {
                     format!("term {term:?} does not round-trip to id {}", id.0),
                 ));
             }
-        }
-        if self.dict.len() != self.postings.len() {
-            violations.push(InvariantViolation::new(
-                SUBSTRATE,
-                "termdict-bijection",
-                format!(
-                    "dictionary holds {} terms but the index has {} posting lists",
-                    self.dict.len(),
-                    self.postings.len()
-                ),
-            ));
         }
         if self.idf_by_term.len() != self.dict.len() {
             violations.push(InvariantViolation::new(
@@ -131,6 +124,16 @@ impl NodeIndex {
                 continue; // already reported as a csr-offsets violation
             }
             let slice = &self.sorted_postings[start as usize..end as usize];
+            if slice.is_empty() {
+                violations.push(InvariantViolation::new(
+                    SUBSTRATE,
+                    "termdict-bijection",
+                    format!(
+                        "term {:?} is interned but has no posting",
+                        self.dict.resolve(TermId(id))
+                    ),
+                ));
+            }
             for (i, pair) in slice.windows(2).enumerate() {
                 let ordered = pair[0].score > pair[1].score
                     || (pair[0].score == pair[1].score && pair[0].node < pair[1].node);
@@ -168,20 +171,11 @@ impl NodeIndex {
 
     fn verify_side_table(&self, violations: &mut Vec<InvariantViolation>) {
         let n = self.slot_nodes.len();
-        if self.slot_paths.len() != n
-            || self.slot_token_counts.len() != n
-            || self.indexed_nodes != n
-        {
+        if self.slot_paths.len() != n {
             violations.push(InvariantViolation::new(
                 SUBSTRATE,
                 "node-side-table",
-                format!(
-                    "side tables disagree: {} nodes, {} paths, {} lengths, {} counted",
-                    n,
-                    self.slot_paths.len(),
-                    self.slot_token_counts.len(),
-                    self.indexed_nodes
-                ),
+                format!("side tables disagree: {n} nodes, {} paths", self.slot_paths.len()),
             ));
         }
         for (i, pair) in self.slot_nodes.windows(2).enumerate() {
@@ -200,7 +194,68 @@ impl NodeIndex {
         }
     }
 
-    fn verify_posting_paths(&self, slots: &SlotLookup, violations: &mut Vec<InvariantViolation>) {
+    /// The arena's shape: well-formed offsets, known ids, no empty slot.
+    fn verify_token_arena(&self, violations: &mut Vec<InvariantViolation>) {
+        let offsets = &self.token_offsets;
+        if offsets.is_empty() && self.slot_tokens.is_empty() && self.slot_nodes.is_empty() {
+            return; // default-constructed, never merged
+        }
+        let well_formed = offsets.len() == self.slot_nodes.len() + 1
+            && offsets.first() == Some(&0)
+            && offsets.windows(2).all(|pair| pair[0] <= pair[1])
+            && offsets.last().map(|&end| end as usize) == Some(self.slot_tokens.len());
+        if !well_formed {
+            violations.push(InvariantViolation::new(
+                SUBSTRATE,
+                "token-arena",
+                format!(
+                    "{} token offsets spanning {:?}..{:?} over {} tokens for {} indexed nodes",
+                    offsets.len(),
+                    offsets.first(),
+                    offsets.last(),
+                    self.slot_tokens.len(),
+                    self.slot_nodes.len()
+                ),
+            ));
+            return;
+        }
+        for (slot, pair) in offsets.windows(2).enumerate() {
+            if pair[0] == pair[1] {
+                violations.push(InvariantViolation::new(
+                    SUBSTRATE,
+                    "token-arena",
+                    format!("indexed node {:?} (slot {slot}) has no token", self.slot_nodes[slot]),
+                ));
+            }
+        }
+        for (i, id) in self.slot_tokens.iter().enumerate() {
+            if id.index() >= self.dict.len() {
+                violations.push(InvariantViolation::new(
+                    SUBSTRATE,
+                    "token-arena",
+                    format!("token {i} is id {} of a {}-term dictionary", id.0, self.dict.len()),
+                ));
+            }
+        }
+    }
+
+    /// One walk over the posting arena, one slot lookup per posting, for the
+    /// two classes that hold a posting against its node.
+    ///
+    /// `posting-paths`: the parallel array carries the node's side-table path.
+    ///
+    /// `token-arena` (only over well-formed posting offsets, which say which
+    /// term a posting belongs to): the node holds the term and scores
+    /// `tf · idf / √len` to the bit, and the term frequencies add up to the
+    /// arena's length — with `postings-sorted` (no node twice in a slice) every
+    /// posting covers its own tokens, so a token without its posting leaves
+    /// the sum short.
+    fn verify_postings_against_nodes(
+        &self,
+        slots: &SlotLookup,
+        offsets_well_formed: bool,
+        violations: &mut Vec<InvariantViolation>,
+    ) {
         if self.posting_paths.len() != self.sorted_postings.len() {
             violations.push(InvariantViolation::new(
                 SUBSTRATE,
@@ -213,9 +268,11 @@ impl NodeIndex {
             ));
             return;
         }
+        let (mut term, mut covered) = (0, 0);
         for (i, (scored, path)) in self.sorted_postings.iter().zip(&self.posting_paths).enumerate()
         {
-            let expected = slots.slot(scored.node).map(|slot| self.slot_paths[slot]);
+            let slot = slots.slot(scored.node);
+            let expected = slot.map(|slot| self.slot_paths[slot]);
             if expected != Some(*path) {
                 violations.push(InvariantViolation::new(
                     SUBSTRATE,
@@ -226,6 +283,38 @@ impl NodeIndex {
                     ),
                 ));
             }
+            let (Some(slot), true) = (slot, offsets_well_formed) else { continue };
+            while self.posting_offsets[term + 1] as usize <= i {
+                term += 1;
+            }
+            let tokens = self.tokens_of(slot);
+            let tf = tokens.iter().filter(|token| token.index() == term).count();
+            covered += tf;
+            let expected = term_score(tf, self.idf_by_term[term], tokens.len());
+            if tf == 0 || scored.score.to_bits() != expected.to_bits() {
+                violations.push(InvariantViolation::new(
+                    SUBSTRATE,
+                    "token-arena",
+                    format!(
+                        "posting of {:?} for {:?} scores {} but the node holds the term {tf} \
+                         time(s) among {} tokens (expected {expected})",
+                        self.dict.resolve(TermId(term as u32)),
+                        scored.node,
+                        scored.score,
+                        tokens.len()
+                    ),
+                ));
+            }
+        }
+        if offsets_well_formed && covered != self.slot_tokens.len() {
+            violations.push(InvariantViolation::new(
+                SUBSTRATE,
+                "token-arena",
+                format!(
+                    "the postings' term frequencies cover {covered} of the arena's {} tokens",
+                    self.slot_tokens.len()
+                ),
+            ));
         }
     }
 
@@ -272,7 +361,7 @@ impl NodeIndex {
                 let problem = match slots.slot(scored.node) {
                     None => Some("is not an indexed node".to_string()),
                     Some(slot) => {
-                        let expected = match_all_score(self.slot_token_counts[slot] as usize);
+                        let expected = match_all_score(self.tokens_of(slot).len());
                         if std::mem::replace(&mut seen[slot], true) {
                             Some("appears twice".to_string())
                         } else if self.slot_paths[slot].index() != path {
@@ -338,11 +427,11 @@ impl NodeIndex {
         self.path_runs.swap(a, b);
     }
 
-    /// The number of entries in the frozen posting arena (sizing input for
-    /// the corruption suite's swap hook).
+    /// Test-only corruption hook: overwrites one entry of the token arena
+    /// (breaks `token-arena`: a posting loses its token).
     #[doc(hidden)]
-    pub fn sorted_posting_len(&self) -> usize {
-        self.sorted_postings.len()
+    pub fn corrupt_token(&mut self, index: usize, id: TermId) {
+        self.slot_tokens[index] = id;
     }
 
     /// One term's `[start, end)` slice of the frozen posting arena (targeting
@@ -409,13 +498,6 @@ impl ContextIndex {
     }
 }
 
-/// A [`NodeId`] guaranteed not to exist in small test corpora; used by the
-/// corruption suite to desynchronise side tables.
-#[doc(hidden)]
-pub fn bogus_node() -> NodeId {
-    NodeId::new(seda_xmlstore::DocId(u32::MAX), u32::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,6 +557,30 @@ mod tests {
         index.corrupt_swap_slot_nodes(0, 1);
         let violations = index.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.invariant == "node-side-table"), "{violations:?}");
+    }
+
+    #[test]
+    fn rewritten_token_fails_token_arena() {
+        let (_, index) = sample();
+        let united = index.term_dict().get("united").unwrap();
+        let year = index.term_dict().get("2006").unwrap();
+        // A posting without its token: the first "united" becomes "2006".
+        // A wrong tf: "mexican" becomes a second "united" in its node.
+        // An id outside the dictionary.
+        let first = index.slot_tokens.iter().position(|&id| id == united).unwrap();
+        let mexican = index.term_dict().get("mexican").unwrap();
+        let other = index.slot_tokens.iter().position(|&id| id == mexican).unwrap();
+        for (at, id) in [(first, year), (other, united), (0, TermId(u32::MAX))] {
+            let mut corrupted = index.clone();
+            corrupted.corrupt_token(at, id);
+            let violations = corrupted.verify().unwrap_err();
+            assert!(violations.iter().all(|v| v.invariant == "token-arena"), "{violations:?}");
+        }
+        // A node that lost its tokens to its neighbour.
+        let mut corrupted = index.clone();
+        corrupted.token_offsets[1] = corrupted.token_offsets[0];
+        let violations = corrupted.verify().unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "token-arena"), "{violations:?}");
     }
 
     #[test]

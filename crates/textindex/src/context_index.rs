@@ -13,12 +13,32 @@
 //! the document store (one count per path) or duplicating them into every
 //! posting list.  Both are implemented here behind [`CountStorage`] so the
 //! trade-off can be measured.
+//!
+//! # Build
+//!
+//! [`ContextIndex::build`] is the only constructor: **one fold** over the
+//! collection's nodes straight into the final maps — per-path occurrence and
+//! document counts through plain arrays indexed by [`PathId`] (a
+//! last-document stamp per path instead of a set per document), a keyword's
+//! path set found by reference and no `String` cloned — then one pass
+//! over the shared path table for the tag-name keywords.
+//!
+//! There is deliberately no per-document shard → merge lifecycle, unlike the
+//! node index, the data graph and the dataguides.  The index is a few hundred
+//! paths under a few thousand keywords, so a shard per document (a map and a
+//! set per distinct token, per document) only built 1.6k–11k small maps to
+//! fold them into one: at the benchmark's paper scale the shard → merge build
+//! took 142 / 48 / 237 / 280 ms (factbook-olap / mondial-links /
+//! googlebase-flat / recipeml-ingest) against 26 / 10 / 38 / 54 ms for the
+//! fold — less than the old *merge phase alone*, so there is no collection
+//! size at which fanning this substrate out pays.  The engine's sharded build
+//! therefore calls [`ContextIndex::build`] too and reports it as serial time.
 
 use std::collections::{BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
-use seda_xmlstore::{Collection, DocId, Document, PathId};
+use seda_xmlstore::{Collection, DocId, PathId};
 
 use crate::query::FullTextQuery;
 use crate::tokenize::terms;
@@ -67,147 +87,83 @@ pub struct ContextIndex {
     pub(crate) text_paths: BTreeSet<PathId>,
 }
 
-/// Partial context index over a single document, produced by
-/// [`ContextIndex::build_shard`] and consumed by [`ContextIndex::merge`].
-///
-/// The shard covers the document-content pass only; the collection-wide
-/// tag-name pass (which iterates the shared path table, not the documents)
-/// runs once inside [`ContextIndex::merge`].
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ContextIndexShard {
-    doc: Option<DocId>,
-    storage: Option<CountStorage>,
-    keyword_paths: HashMap<String, BTreeSet<PathId>>,
-    posting_counts: HashMap<(String, PathId), usize>,
-    text_paths: BTreeSet<PathId>,
-    element_paths: BTreeSet<PathId>,
-    path_occurrences: HashMap<PathId, usize>,
-}
-
-impl ContextIndexShard {
-    /// The document this shard was built from.
-    pub fn doc(&self) -> Option<DocId> {
-        self.doc
-    }
-
-    /// Number of distinct keywords contributed by this document's content.
-    pub fn keyword_count(&self) -> usize {
-        self.keyword_paths.len()
-    }
-}
-
 impl ContextIndex {
-    /// Builds the index over a collection.
-    ///
-    /// This is the sequential reference path; it is equivalent to building
-    /// one shard per document with [`ContextIndex::build_shard`] and
-    /// combining them with [`ContextIndex::merge`].
+    /// Builds the index over a collection in one pass over its nodes (see
+    /// the module docs for why there is no per-document shard phase).
     pub fn build(collection: &Collection, storage: CountStorage) -> Self {
-        let shards = collection.documents().map(|doc| Self::build_shard(doc, storage)).collect();
-        Self::merge(collection, storage, shards)
-    }
-
-    /// Builds the partial index of a single document (the per-shard phase of
-    /// the shard → merge build lifecycle).
-    pub fn build_shard(doc: &Document, storage: CountStorage) -> ContextIndexShard {
-        let mut shard = ContextIndexShard {
-            doc: Some(doc.id),
-            storage: Some(storage),
-            ..ContextIndexShard::default()
-        };
-        for (_, node) in doc.iter() {
-            shard.element_paths.insert(node.path);
-            *shard.path_occurrences.entry(node.path).or_insert(0) += 1;
-            // Content keywords.
-            if let Some(text) = node.text.as_deref() {
-                let tokens = terms(text);
-                if !tokens.is_empty() {
-                    shard.text_paths.insert(node.path);
-                }
-                for token in tokens {
-                    shard.keyword_paths.entry(token.clone()).or_default().insert(node.path);
-                    if storage == CountStorage::PostingLists {
-                        *shard.posting_counts.entry((token, node.path)).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        shard
-    }
-
-    /// Merges per-document shards into the full index (the merge phase of the
-    /// shard → merge build lifecycle).
-    ///
-    /// The collection is needed for the tag-name keyword pass, which runs over
-    /// the shared path table exactly once here instead of once per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard was built with a different [`CountStorage`] than
-    /// `storage`: a `DocumentStore` shard carries no duplicated posting
-    /// counts, so merging it into a `PostingLists` index would silently drop
-    /// frequencies.
-    pub fn merge(
-        collection: &Collection,
-        storage: CountStorage,
-        mut shards: Vec<ContextIndexShard>,
-    ) -> Self {
-        for shard in &shards {
-            assert!(
-                shard.storage.is_none() || shard.storage == Some(storage),
-                "shard for {:?} was built with {:?}, cannot merge into a {storage:?} index",
-                shard.doc,
-                shard.storage,
-            );
-        }
-        shards.sort_by_key(|s| s.doc);
         let mut keyword_paths: HashMap<String, BTreeSet<PathId>> = HashMap::new();
         let mut posting_counts: HashMap<(String, PathId), usize> = HashMap::new();
-        let mut text_paths: BTreeSet<PathId> = BTreeSet::new();
-        let mut all_paths: BTreeSet<PathId> = BTreeSet::new();
-        let mut path_occurrences: HashMap<PathId, usize> = HashMap::new();
-        let mut path_document_frequency: HashMap<PathId, usize> = HashMap::new();
-
-        for shard in shards {
-            for (term, paths) in shard.keyword_paths {
-                keyword_paths.entry(term).or_default().extend(paths);
-            }
+        let mut post = |token: String, path: PathId| {
             if storage == CountStorage::PostingLists {
-                for (key, count) in shard.posting_counts {
-                    *posting_counts.entry(key).or_insert(0) += count;
+                *posting_counts.entry((token.clone(), path)).or_insert(0) += 1;
+            }
+            // Nearly every occurrence finds its keyword present: look it up
+            // by reference, and give the token away only for a first one.
+            match keyword_paths.get_mut(&token) {
+                Some(paths) => {
+                    paths.insert(path);
+                }
+                None => {
+                    keyword_paths.insert(token, BTreeSet::from([path]));
                 }
             }
-            text_paths.extend(shard.text_paths.iter().copied());
-            all_paths.extend(shard.element_paths.iter().copied());
-            for (&path, &count) in &shard.path_occurrences {
-                *path_occurrences.entry(path).or_insert(0) += count;
-            }
-            for &path in &shard.element_paths {
-                *path_document_frequency.entry(path).or_insert(0) += 1;
+        };
+
+        // Per-path counts, indexed by `PathId`.  A path's document frequency
+        // counts the documents that stamped it: `stamp[path]` is the last
+        // document seen on the path, so no per-document set is needed.
+        let path_ids = collection.paths().len();
+        let mut occurrences = vec![0usize; path_ids];
+        let mut document_frequency = vec![0usize; path_ids];
+        let mut stamp: Vec<Option<DocId>> = vec![None; path_ids];
+        let mut text_paths: BTreeSet<PathId> = BTreeSet::new();
+        for doc in collection.documents() {
+            for (_, node) in doc.iter() {
+                let at = node.path.index();
+                occurrences[at] += 1;
+                if stamp[at] != Some(doc.id) {
+                    stamp[at] = Some(doc.id);
+                    document_frequency[at] += 1;
+                }
+                // Content keywords.
+                let Some(text) = node.text.as_deref() else { continue };
+                let tokens = terms(text);
+                if !tokens.is_empty() {
+                    text_paths.insert(node.path);
+                }
+                for token in tokens {
+                    post(token, node.path);
+                }
             }
         }
 
         // Tag-name keywords: every label on a path contributes the path to the
-        // label's posting list.  The path table is shared by all documents, so
-        // this pass is global rather than per shard.
+        // label's posting list.
+        let mut all_paths: BTreeSet<PathId> = BTreeSet::new();
         for (path_id, label_path) in collection.paths().iter() {
             for &step in label_path.steps() {
                 for token in terms(collection.symbols().resolve(step)) {
-                    keyword_paths.entry(token.clone()).or_default().insert(path_id);
-                    if storage == CountStorage::PostingLists {
-                        *posting_counts.entry((token, path_id)).or_insert(0) += 1;
-                    }
+                    post(token, path_id);
                 }
             }
             all_paths.insert(path_id);
         }
 
+        // Only paths some node has carry counts.
+        let occurring = |counts: Vec<usize>| -> HashMap<PathId, usize> {
+            counts
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, count)| count > 0)
+                .map(|(at, count)| (PathId(at as u32), count))
+                .collect()
+        };
         ContextIndex {
             storage,
+            path_occurrences: occurring(occurrences),
+            path_document_frequency: occurring(document_frequency),
             keyword_paths,
             posting_counts,
-            path_occurrences,
-            path_document_frequency,
             all_paths,
             text_paths,
         }
@@ -332,24 +288,12 @@ impl ContextIndex {
             .into_iter()
             .map(|path| PathEntry {
                 path,
-                frequency: self.lookup_frequency(path),
+                frequency: self.path_frequency(path),
                 document_frequency: self.path_document_frequency(path),
             })
             .collect();
         entries.sort_by(|a, b| b.frequency.cmp(&a.frequency).then(a.path.cmp(&b.path)));
         entries
-    }
-
-    fn lookup_frequency(&self, path: PathId) -> usize {
-        match self.storage {
-            CountStorage::DocumentStore => self.path_frequency(path),
-            CountStorage::PostingLists => {
-                // The duplicated counts are per (keyword, path); the absolute
-                // path frequency is still served from the per-path map, which
-                // both designs keep for document statistics.
-                self.path_frequency(path)
-            }
-        }
     }
 }
 
@@ -479,40 +423,6 @@ mod tests {
         assert_eq!(doc_store.context_bucket(&q), postings.context_bucket(&q));
         // The posting-list design stores at least as many count entries.
         assert!(postings.count_entries() >= doc_store.count_entries());
-    }
-
-    #[test]
-    fn merged_shards_equal_sequential_build_for_both_storages() {
-        let (collection, _) = sample();
-        for storage in [CountStorage::DocumentStore, CountStorage::PostingLists] {
-            let sequential = ContextIndex::build(&collection, storage);
-            let mut shards: Vec<ContextIndexShard> =
-                collection.documents().map(|doc| ContextIndex::build_shard(doc, storage)).collect();
-            shards.reverse(); // merge must not depend on shard order
-            let merged = ContextIndex::merge(&collection, storage, shards);
-            assert_eq!(merged, sequential);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot merge")]
-    fn merge_rejects_mismatched_count_storage() {
-        let (collection, _) = sample();
-        let shards: Vec<ContextIndexShard> = collection
-            .documents()
-            .map(|doc| ContextIndex::build_shard(doc, CountStorage::DocumentStore))
-            .collect();
-        ContextIndex::merge(&collection, CountStorage::PostingLists, shards);
-    }
-
-    #[test]
-    fn merge_of_no_shards_still_indexes_tag_names() {
-        let (collection, _) = sample();
-        let merged = ContextIndex::merge(&collection, CountStorage::DocumentStore, Vec::new());
-        // Content keywords are missing without shards, but tag-name keywords
-        // come from the shared path table.
-        let bucket = merged.context_bucket(&FullTextQuery::keywords("percentage"));
-        assert!(!bucket.is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Inverted index over node content.
 //!
 //! This is the index the top-k search unit (Sec. 4) reads: for every node that
-//! carries text, the index stores a posting per term with term frequency and
-//! positions.  It supports the two access paths the Threshold Algorithm needs:
+//! carries text, the index stores a posting per term, scored by term
+//! frequency.  It supports the two access paths the Threshold Algorithm needs:
 //!
 //! * **sorted access** — per-term posting lists ordered by descending content
 //!   score, and
@@ -13,11 +13,10 @@
 //! `"United States"` hits `country` and `trade_country` nodes rather than
 //! every ancestor up to the document root.
 //!
-//! # Read model
+//! # One representation
 //!
-//! The build artifacts (`postings`, `node_tokens`, `node_paths`) are plain
-//! maps, but sorted access never touches them.  At the end of
-//! [`NodeIndex::merge`] the index freezes an **interned read model**:
+//! The index *is* its read model: every table it holds is one a query reads,
+//! and [`NodeIndex::read_model_bytes`] states the bytes of each.
 //!
 //! * terms are interned into a [`TermDict`] and per-term posting lists live
 //!   in one CSR arena **pre-sorted by descending content score** (idf folded
@@ -25,16 +24,34 @@
 //! * the match-all list `(tag, *)` is stored **partitioned by context path**:
 //!   a second CSR, keyed by [`PathId`], whose per-path runs hold every indexed
 //!   node of that path with its match-all score, pre-sorted the same way;
-//! * a dense node side table carries each indexed node's context path and
-//!   token length for random access.
+//! * a dense node side table (slot → node, slot → context path) serves path
+//!   lookups;
+//! * the **token arena**, a third CSR, holds every indexed node's tokens as
+//!   [`TermId`]s in text order (4 B a token, no string per occurrence).  It
+//!   is what random access ([`NodeIndex::score`]) and the phrase, negation
+//!   and multi-keyword checks of [`NodeIndex::evaluate_into`] read — the
+//!   node's ids resolved to the dictionary's strings and handed to
+//!   [`FullTextQuery::matches_tokens`] — and a node's token count (length
+//!   normalisation) is the difference of two of its offsets.
 //!
 //! [`NodeIndex::sorted_access`] therefore returns a borrowed slice, and
 //! [`NodeIndex::evaluate_into`] costs what it returns: a single-term or
 //! match-all query is a filtered copy of pre-sorted entries, and only a
 //! phrase, multi-keyword or boolean query scores its candidates (the union of
 //! its positive terms' postings) and sorts them.  No query walks every
-//! indexed node unless it is itself unrestricted.  What the two path tables
-//! cost is stated, and asserted, at [`NodeIndex::read_model_bytes`].
+//! indexed node unless it is itself unrestricted.
+//!
+//! # Build
+//!
+//! A [`NodeIndexShard`] carries one document's indexed nodes as flat vectors
+//! in document order — node id, context path, tokens — with no map and
+//! nothing allocated per posting; tokenising is all a shard does, and it is
+//! the part of the build that parallelises.  [`NodeIndex::merge`] interns the
+//! shards' tokens (ids are lexicographic ranks) straight into the token
+//! arena, derives one `(term, node, tf)` entry per distinct term of each node
+//! from it and counting-sorts those into the posting arena.  The only hash
+//! map of the build is merge's interning table; the only one the index owns
+//! is inside its [`TermDict`].
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -47,18 +64,7 @@ use seda_xmlstore::{Collection, DocId, Document, NodeId, PathId};
 
 use crate::dict::{TermDict, TermId};
 use crate::query::FullTextQuery;
-use crate::tokenize::{terms, tokenize};
-
-/// One posting: a node containing a term.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Posting {
-    /// Node containing the term.
-    pub node: NodeId,
-    /// Number of occurrences of the term in the node's direct text.
-    pub tf: u32,
-    /// Token positions of the occurrences (for phrase verification).
-    pub positions: Vec<u32>,
-}
+use crate::tokenize::terms;
 
 /// A node matched by a query, with its content score.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -87,8 +93,14 @@ fn smoothed_idf(indexed_nodes: usize, df: usize) -> f64 {
     ((1.0 + indexed_nodes as f64) / (1.0 + df as f64)).ln() + 1.0
 }
 
-/// Heap bytes held by the frozen read model of a [`NodeIndex`], table by
-/// table (see [`NodeIndex::read_model_bytes`]).
+/// Single-term content score of a node of `len` tokens holding the term `tf`
+/// times: tf · idf / √len.
+pub(crate) fn term_score(tf: usize, idf: f64, len: usize) -> f64 {
+    (tf as f64) * idf / (len.max(1) as f64).sqrt()
+}
+
+/// Heap bytes held by a [`NodeIndex`], table by table (see
+/// [`NodeIndex::read_model_bytes`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadModelBytes {
     /// Term dictionary (both directions, term text included) and idf table.
@@ -99,8 +111,11 @@ pub struct ReadModelBytes {
     pub posting_paths: usize,
     /// Path-partitioned match-all runs and their per-path CSR offsets.
     pub path_runs: usize,
-    /// Node side tables: slot → node, slot → path, slot → token count.
+    /// Node side tables: slot → node, slot → path.
     pub side_tables: usize,
+    /// Token arena: every node's tokens as term ids, and its per-slot CSR
+    /// offsets.
+    pub tokens: usize,
 }
 
 impl ReadModelBytes {
@@ -111,6 +126,7 @@ impl ReadModelBytes {
             + self.posting_paths
             + self.path_runs
             + self.side_tables
+            + self.tokens
     }
 }
 
@@ -119,9 +135,9 @@ fn vec_bytes<T>(v: &Vec<T>) -> usize {
 }
 
 /// Node → side-table slot without hashing, for the passes that look up every
-/// posting or every indexed node (the read-model build, the audit).  Slots
-/// ascend by node id, so a document's slots are one contiguous range and the
-/// node is found by binary search inside it.
+/// posting or every indexed node (the audit).  Slots ascend by node id, so a
+/// document's slots are one contiguous range and the node is found by binary
+/// search inside it.
 pub(crate) struct SlotLookup<'a> {
     nodes: &'a [NodeId],
     /// Every document with a slot, ascending, with its first slot.
@@ -156,15 +172,6 @@ impl<'a> SlotLookup<'a> {
 /// Inverted full-text index over the direct text content of nodes.
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeIndex {
-    pub(crate) postings: HashMap<String, Vec<Posting>>,
-    /// Tokenised direct text of every indexed node (random access / phrase
-    /// verification).
-    pub(crate) node_tokens: HashMap<NodeId, Vec<String>>,
-    /// Context path of every indexed node (context filtering).
-    pub(crate) node_paths: HashMap<NodeId, PathId>,
-    pub(crate) indexed_nodes: usize,
-
-    // ---- interned read model, frozen by `rebuild_read_model` ----
     /// Term intern table; ids are lexicographic ranks, so deterministic.
     pub(crate) dict: TermDict,
     /// Smoothed idf per term id.
@@ -187,23 +194,29 @@ pub struct NodeIndex {
     pub(crate) slot_nodes: Vec<NodeId>,
     /// Slot → context path (side table for path filtering).
     pub(crate) slot_paths: Vec<PathId>,
-    /// Slot → token count (side table for length normalisation).
-    pub(crate) slot_token_counts: Vec<u32>,
+    /// CSR offsets into `slot_tokens`, length slots + 1.  A node's token
+    /// count (length normalisation) is the difference of its two offsets.
+    pub(crate) token_offsets: Vec<u32>,
+    /// The token arena: every indexed node's tokens in text order, interned.
+    pub(crate) slot_tokens: Vec<TermId>,
 }
 
 /// Partial node index over a single document, produced by
-/// [`NodeIndex::build_shard`] and consumed by [`NodeIndex::merge`].
+/// [`NodeIndex::build_shard`] and consumed by [`NodeIndex::merge`]: the
+/// document's indexed nodes in document order, as flat parallel vectors.
 ///
 /// Shards carry globally valid [`NodeId`]s and [`PathId`]s because documents
-/// of a [`Collection`] share its symbol and path intern tables, so merging is
-/// a plain k-way union with no id remapping.
+/// of a [`Collection`] share its symbol and path intern tables; only the
+/// tokens are still text, interned at merge.
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeIndexShard {
     doc: Option<DocId>,
-    postings: HashMap<String, Vec<Posting>>,
-    node_tokens: HashMap<NodeId, Vec<String>>,
-    node_paths: HashMap<NodeId, PathId>,
-    indexed_nodes: usize,
+    nodes: Vec<NodeId>,
+    paths: Vec<PathId>,
+    /// Per node, the end of its run in `tokens` (its start is the previous
+    /// node's end).
+    token_ends: Vec<u32>,
+    tokens: Vec<String>,
 }
 
 impl NodeIndexShard {
@@ -214,165 +227,150 @@ impl NodeIndexShard {
 
     /// Number of nodes with indexed content in this shard.
     pub fn indexed_node_count(&self) -> usize {
-        self.indexed_nodes
+        self.nodes.len()
     }
 }
 
 impl NodeIndex {
     /// Builds the index over every node of the collection that has direct
-    /// text content (elements with text and attributes).
-    ///
-    /// This is the sequential reference path; it is equivalent to building
-    /// one shard per document with [`NodeIndex::build_shard`] and combining
-    /// them with [`NodeIndex::merge`].
+    /// text content (elements with text and attributes): one shard per
+    /// document ([`NodeIndex::build_shard`]), merged ([`NodeIndex::merge`]).
     pub fn build(collection: &Collection) -> Self {
         Self::merge(collection.documents().map(Self::build_shard).collect())
     }
 
-    /// Builds the partial index of a single document (the per-shard phase of
-    /// the shard → merge build lifecycle).
+    /// Tokenises a single document (the per-shard phase of the shard → merge
+    /// build lifecycle).
     pub fn build_shard(doc: &Document) -> NodeIndexShard {
         let mut shard = NodeIndexShard { doc: Some(doc.id), ..NodeIndexShard::default() };
         for (ordinal, node) in doc.iter() {
             let Some(text) = node.text.as_deref() else { continue };
-            let tokens = tokenize(text);
+            let mut tokens = terms(text);
             if tokens.is_empty() {
                 continue;
             }
-            let node_id = NodeId::new(doc.id, ordinal);
-            let mut tfs: HashMap<&str, (u32, Vec<u32>)> = HashMap::new();
-            for token in &tokens {
-                let entry = tfs.entry(token.text.as_str()).or_insert((0, Vec::new()));
-                entry.0 += 1;
-                entry.1.push(token.position);
-            }
-            for (term, (tf, positions)) in tfs {
-                shard.postings.entry(term.to_string()).or_default().push(Posting {
-                    node: node_id,
-                    tf,
-                    positions,
-                });
-            }
-            shard.node_tokens.insert(node_id, tokens.into_iter().map(|t| t.text).collect());
-            shard.node_paths.insert(node_id, node.path);
-            shard.indexed_nodes += 1;
+            shard.nodes.push(NodeId::new(doc.id, ordinal));
+            shard.paths.push(node.path);
+            shard.tokens.append(&mut tokens);
+            shard.token_ends.push(shard.tokens.len() as u32);
         }
         shard
     }
 
-    /// Merges per-document shards into the full index (the merge phase of the
-    /// shard → merge build lifecycle) and freezes the interned read model.
+    /// Merges per-document shards into the index (the merge phase of the
+    /// shard → merge build lifecycle).
     ///
     /// Shards are merged in ascending document order regardless of the order
     /// they are passed in, so the result is deterministic and identical to
     /// the sequential [`NodeIndex::build`].
     pub fn merge(mut shards: Vec<NodeIndexShard>) -> Self {
         shards.sort_by_key(|s| s.doc);
-        let mut index = NodeIndex::default();
-        for shard in shards {
-            for (term, postings) in shard.postings {
-                index.postings.entry(term).or_default().extend(postings);
+        let slots: usize = shards.iter().map(|s| s.nodes.len()).sum();
+        let token_total: usize = shards.iter().map(|s| s.tokens.len()).sum();
+
+        // Side tables and token offsets: the shards' vectors end to end.
+        // Shards ascend by document and a shard's nodes by ordinal, so slots
+        // ascend by node id.
+        let mut slot_nodes = Vec::with_capacity(slots);
+        let mut slot_paths = Vec::with_capacity(slots);
+        let mut token_offsets = Vec::with_capacity(slots + 1);
+        token_offsets.push(0u32);
+        for shard in &shards {
+            let base = token_offsets[token_offsets.len() - 1];
+            slot_nodes.extend_from_slice(&shard.nodes);
+            slot_paths.extend_from_slice(&shard.paths);
+            token_offsets.extend(shard.token_ends.iter().map(|&end| base + end));
+        }
+
+        // Intern every token in first-seen order, then renumber by rank so
+        // ids are lexicographic whatever the document order.
+        let mut first_seen: HashMap<&str, u32> = HashMap::new();
+        let mut distinct: Vec<&str> = Vec::new();
+        let mut slot_tokens: Vec<TermId> = Vec::with_capacity(token_total);
+        for token in shards.iter().flat_map(|shard| &shard.tokens) {
+            let next = distinct.len() as u32;
+            let id = *first_seen.entry(token).or_insert_with(|| {
+                distinct.push(token);
+                next
+            });
+            slot_tokens.push(TermId(id));
+        }
+        let mut by_rank: Vec<u32> = (0..distinct.len() as u32).collect();
+        by_rank.sort_unstable_by_key(|&id| distinct[id as usize]);
+        let mut rank = vec![0u32; distinct.len()];
+        for (r, &id) in by_rank.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        for id in &mut slot_tokens {
+            *id = TermId(rank[id.index()]);
+        }
+        let dict = TermDict::from_sorted(by_rank.iter().map(|&id| distinct[id as usize]));
+
+        // One (term, slot, tf) entry per distinct term of each node, in slot
+        // order, and each term's document frequency.
+        let mut entries: Vec<(TermId, u32, u32)> = Vec::with_capacity(token_total);
+        let mut df = vec![0u32; dict.len()];
+        let mut node_terms: Vec<TermId> = Vec::new();
+        for (slot, bounds) in token_offsets.windows(2).enumerate() {
+            node_terms.clear();
+            node_terms.extend_from_slice(&slot_tokens[bounds[0] as usize..bounds[1] as usize]);
+            node_terms.sort_unstable();
+            for occurrences in node_terms.chunk_by(|a, b| a == b) {
+                entries.push((occurrences[0], slot as u32, occurrences.len() as u32));
+                df[occurrences[0].index()] += 1;
             }
-            index.node_tokens.extend(shard.node_tokens);
-            index.node_paths.extend(shard.node_paths);
-            index.indexed_nodes += shard.indexed_nodes;
         }
-        // Per-term posting lists are concatenated in document order; keep them
-        // sorted by node id for deterministic iteration.
-        for postings in index.postings.values_mut() {
-            postings.sort_by_key(|p| p.node);
-        }
-        index.rebuild_read_model();
-        index
-    }
+        let idf_by_term: Vec<f64> = df.iter().map(|&df| smoothed_idf(slots, df as usize)).collect();
 
-    /// Freezes the interned read model from the merged build artifacts: the
-    /// node side table, the term dictionary, the idf table, the score-sorted
-    /// posting arena with its parallel path array, and the path-partitioned
-    /// match-all runs.
-    fn rebuild_read_model(&mut self) {
-        let mut nodes: Vec<(NodeId, u32)> =
-            self.node_tokens.iter().map(|(&node, tokens)| (node, tokens.len() as u32)).collect();
-        nodes.sort_unstable_by_key(|&(node, _)| node);
-        self.slot_nodes = nodes.iter().map(|&(node, _)| node).collect();
-        self.slot_token_counts = nodes.iter().map(|&(_, len)| len).collect();
-        self.slot_paths = self.slot_nodes.iter().map(|node| self.node_paths[node]).collect();
-        let slots = SlotLookup::new(&self.slot_nodes);
-
-        let mut lists: Vec<(&str, &[Posting])> =
-            self.postings.iter().map(|(term, list)| (term.as_str(), list.as_slice())).collect();
-        lists.sort_unstable_by_key(|&(term, _)| term);
-        self.dict = TermDict::from_sorted(lists.iter().map(|&(term, _)| term));
-
-        let total: usize = lists.iter().map(|(_, list)| list.len()).sum();
-        self.idf_by_term = Vec::with_capacity(lists.len());
-        self.posting_offsets = Vec::with_capacity(lists.len() + 1);
-        self.posting_offsets.push(0);
-        self.sorted_postings = Vec::with_capacity(total);
-        self.posting_paths = Vec::with_capacity(total);
-        // One term's postings with their paths, so the score sort carries
-        // each posting's path along and nothing is looked up twice.
-        let mut run: Vec<(ScoredNode, PathId)> = Vec::new();
-        for &(_, list) in &lists {
-            let idf = smoothed_idf(self.indexed_nodes, list.len());
-            self.idf_by_term.push(idf);
-            run.clear();
-            run.extend(list.iter().map(|posting| {
-                // One slot lookup per posting yields both the length the
-                // score is normalised by and the path.
-                let slot = slots
-                    .slot(posting.node)
-                    .expect("invariant: every posting's node has a slot (node-side-table)");
-                let len = self.slot_token_counts[slot].max(1) as f64;
-                let score = (posting.tf as f64) * idf / len.sqrt();
-                (ScoredNode { node: posting.node, score }, self.slot_paths[slot])
-            }));
-            run.sort_by(|a, b| ranked(&a.0, &b.0));
-            self.sorted_postings.extend(run.iter().map(|&(scored, _)| scored));
-            self.posting_paths.extend(run.iter().map(|&(_, path)| path));
-            self.posting_offsets.push(self.sorted_postings.len() as u32);
+        // Counting sort of the entries by term: slot order inside a term's
+        // run is node order, then each run is sorted by (score desc, node
+        // asc) with its posting's path carried along.
+        let mut posting_offsets = Vec::with_capacity(dict.len() + 1);
+        posting_offsets.push(0u32);
+        for &df in &df {
+            posting_offsets.push(posting_offsets[posting_offsets.len() - 1] + df);
         }
-        self.rebuild_path_runs();
-    }
-
-    /// Partitions the indexed nodes by context path into `path_runs`: a
-    /// counting sort of the slots by path id, then a sort of each run by
-    /// (score desc, node asc).  Slots ascend by node id, so a run comes out of
-    /// the counting sort in node order: one whose nodes all have one length
-    /// is already sorted, and its sort is a single pass.
-    fn rebuild_path_runs(&mut self) {
-        let path_slots = self.slot_paths.iter().map(|path| path.index() + 1).max().unwrap_or(0);
-        let mut offsets = vec![0u32; path_slots + 1];
-        for path in &self.slot_paths {
-            offsets[path.index() + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut cursors = offsets.clone();
-        let placeholder = ScoredNode { node: NodeId::new(DocId(0), 0), score: 0.0 };
-        let mut runs = vec![placeholder; self.slot_nodes.len()];
-        for (slot, &node) in self.slot_nodes.iter().enumerate() {
-            let cursor = &mut cursors[self.slot_paths[slot].index()];
-            let score = match_all_score(self.slot_token_counts[slot] as usize);
-            runs[*cursor as usize] = ScoredNode { node, score };
+        let mut cursors = posting_offsets.clone();
+        let placeholder = (ScoredNode { node: NodeId::new(DocId(0), 0), score: 0.0 }, PathId(0));
+        let mut arena = vec![placeholder; entries.len()];
+        for &(term, slot, tf) in &entries {
+            let slot = slot as usize;
+            let len = (token_offsets[slot + 1] - token_offsets[slot]) as usize;
+            let score = term_score(tf as usize, idf_by_term[term.index()], len);
+            let cursor = &mut cursors[term.index()];
+            arena[*cursor as usize] =
+                (ScoredNode { node: slot_nodes[slot], score }, slot_paths[slot]);
             *cursor += 1;
         }
-        for bounds in offsets.windows(2) {
-            runs[bounds[0] as usize..bounds[1] as usize].sort_by(ranked);
+        for bounds in posting_offsets.windows(2) {
+            arena[bounds[0] as usize..bounds[1] as usize].sort_by(|a, b| ranked(&a.0, &b.0));
         }
-        self.path_run_offsets = offsets;
-        self.path_runs = runs;
+        let (sorted_postings, posting_paths) = arena.into_iter().unzip();
+
+        let (path_run_offsets, path_runs) = path_runs(&slot_nodes, &slot_paths, &token_offsets);
+        NodeIndex {
+            dict,
+            idf_by_term,
+            posting_offsets,
+            sorted_postings,
+            posting_paths,
+            path_run_offsets,
+            path_runs,
+            slot_nodes,
+            slot_paths,
+            token_offsets,
+            slot_tokens,
+        }
     }
 
     /// Number of nodes with indexed content.
     pub fn indexed_node_count(&self) -> usize {
-        self.indexed_nodes
+        self.slot_nodes.len()
     }
 
     /// Number of distinct terms in the index.
     pub fn term_count(&self) -> usize {
-        self.postings.len()
+        self.dict.len()
     }
 
     /// The interned term dictionary of the read model.
@@ -382,69 +380,100 @@ impl NodeIndex {
 
     /// Document frequency of a term (number of nodes containing it).
     pub fn document_frequency(&self, term: &str) -> usize {
-        self.postings.get(term).map(Vec::len).unwrap_or(0)
+        self.dict.get(term).map_or(0, |id| self.term_range(id).len())
     }
 
-    /// Inverse document frequency with the usual smoothing.
+    /// Inverse document frequency with the usual smoothing: the precomputed
+    /// table for an indexed term, the formula at df = 0 for any other.
     pub fn idf(&self, term: &str) -> f64 {
-        smoothed_idf(self.indexed_nodes, self.document_frequency(term))
+        match self.dict.get(term) {
+            Some(id) => self.idf_by_term[id.index()],
+            None => smoothed_idf(self.indexed_node_count(), 0),
+        }
     }
 
     /// The context path of an indexed node.
     pub fn node_path(&self, node: NodeId) -> Option<PathId> {
-        self.node_paths.get(&node).copied()
+        self.slot_of(node).map(|slot| self.slot_paths[slot])
     }
 
-    /// The read-model side table entry of an indexed node: its context path
-    /// and token count (the inputs of path filtering and length
-    /// normalisation), or `None` for nodes without indexed content.
+    /// The side table entry of an indexed node: its context path and token
+    /// count (the inputs of path filtering and length normalisation), or
+    /// `None` for nodes without indexed content.
     pub fn node_entry(&self, node: NodeId) -> Option<(PathId, u32)> {
-        let slot = self.slot_nodes.binary_search(&node).ok()?;
-        Some((self.slot_paths[slot], self.slot_token_counts[slot]))
+        let slot = self.slot_of(node)?;
+        Some((self.slot_paths[slot], self.tokens_of(slot).len() as u32))
     }
 
-    /// The tokenised direct text of an indexed node.
-    pub fn node_tokens(&self, node: NodeId) -> Option<&[String]> {
-        self.node_tokens.get(&node).map(Vec::as_slice)
+    /// The tokenised direct text of an indexed node, in text order.
+    pub fn node_tokens(&self, node: NodeId) -> Option<Vec<&str>> {
+        let slot = self.slot_of(node)?;
+        let mut tokens = Vec::new();
+        self.resolve_tokens(slot, &mut tokens);
+        Some(tokens)
     }
 
-    /// idf via the precomputed per-term table, falling back to the formula
-    /// for terms outside the dictionary (df = 0, so the value only matters
-    /// for the smoothing constant).
-    fn interned_idf(&self, term: &str) -> f64 {
-        match self.dict.get(term) {
-            Some(id) => self.idf_by_term[id.index()],
-            None => self.idf(term),
-        }
+    /// The side-table slot of an indexed node.
+    fn slot_of(&self, node: NodeId) -> Option<usize> {
+        self.slot_nodes.binary_search(&node).ok()
+    }
+
+    /// One slot's run of the token arena.
+    pub(crate) fn tokens_of(&self, slot: usize) -> &[TermId] {
+        &self.slot_tokens[self.token_offsets[slot] as usize..self.token_offsets[slot + 1] as usize]
+    }
+
+    /// Refills `out` with the dictionary strings of one slot's tokens — the
+    /// form [`FullTextQuery::matches_tokens`] reads.
+    fn resolve_tokens<'a>(&'a self, slot: usize, out: &mut Vec<&'a str>) {
+        out.clear();
+        out.extend(self.tokens_of(slot).iter().map(|&id| self.dict.resolve(id)));
+    }
+
+    /// Whether the node of `slot` satisfies `query`; `tokens` is a scratch
+    /// buffer.
+    fn matches<'a>(
+        &'a self,
+        query: &FullTextQuery,
+        slot: usize,
+        tokens: &mut Vec<&'a str>,
+    ) -> bool {
+        self.resolve_tokens(slot, tokens);
+        query.matches_tokens(tokens)
     }
 
     /// Content score of `query` for `node`, or `None` when the node does not
     /// satisfy the query (random access for the Threshold Algorithm).
     pub fn score(&self, query: &FullTextQuery, node: NodeId) -> Option<f64> {
-        let tokens = self.node_tokens.get(&node)?;
-        if !query.matches_tokens(tokens) {
+        let slot = self.slot_of(node)?;
+        if !self.matches(query, slot, &mut Vec::new()) {
             return None;
         }
-        Some(self.score_tokens(&query.positive_terms(), tokens))
+        Some(self.score_slot(&self.positive_ids(query), slot))
     }
 
-    /// Content score of a node with the given tokens that satisfies a query
-    /// whose positive terms are `positive`: the sum of their length-normalised
-    /// tf-idf scores, or the match-all score when there is none.
-    fn score_tokens(&self, positive: &[String], tokens: &[String]) -> f64 {
+    /// The query's positive terms (sorted, deduplicated) as dictionary ids;
+    /// `None` stands for a term no node holds.
+    fn positive_ids(&self, query: &FullTextQuery) -> Vec<Option<TermId>> {
+        query.positive_terms().iter().map(|term| self.dict.get(term)).collect()
+    }
+
+    /// Content score of a slot that satisfies a query whose positive terms
+    /// are `positive`: the sum of their length-normalised tf-idf scores, or
+    /// the match-all score when there is none.
+    fn score_slot(&self, positive: &[Option<TermId>], slot: usize) -> f64 {
+        let tokens = self.tokens_of(slot);
         if positive.is_empty() {
             return match_all_score(tokens.len());
         }
-        let norm = (tokens.len().max(1) as f64).sqrt();
+        // A term the node does not hold adds 0.0 — as `term_score` of tf 0.
         positive
             .iter()
             .map(|term| {
-                let tf = tokens.iter().filter(|t| *t == term).count();
-                if tf == 0 {
-                    0.0
-                } else {
-                    (tf as f64) * self.interned_idf(term) / norm
-                }
+                term.map_or(0.0, |id| {
+                    let tf = tokens.iter().filter(|&&token| token == id).count();
+                    term_score(tf, self.idf_by_term[id.index()], tokens.len())
+                })
             })
             .sum()
     }
@@ -527,17 +556,21 @@ impl NodeIndex {
             return;
         }
 
-        let positive = query.positive_terms();
+        let positive = self.positive_ids(query);
         if positive.is_empty() {
             // Only a negation can reject a node here; `*` takes whole runs.
             let verify = !query.is_match_all();
             let mut runs = 0;
+            let mut tokens = Vec::new();
             let mut take = |run: &[ScoredNode]| {
                 runs += usize::from(!run.is_empty());
                 if verify {
-                    let matches =
-                        |s: &&ScoredNode| query.matches_tokens(&self.node_tokens[&s.node]);
-                    out.extend(run.iter().filter(matches));
+                    out.extend(run.iter().filter(|s| {
+                        let slot = self
+                            .slot_of(s.node)
+                            .expect("invariant: every run entry is an indexed node (path-runs)");
+                        self.matches(query, slot, &mut tokens)
+                    }));
                 } else {
                     out.extend_from_slice(run);
                 }
@@ -555,8 +588,7 @@ impl NodeIndex {
             return;
         }
 
-        for term in &positive {
-            let Some(id) = self.dict.get(term) else { continue };
+        for &id in positive.iter().flatten() {
             match allowed {
                 None => candidates.extend(self.sorted_access_by_id(id).iter().map(|s| s.node)),
                 Some(paths) => candidates.extend(self.postings_on(id, paths).map(|s| s.node)),
@@ -564,10 +596,13 @@ impl NodeIndex {
         }
         candidates.sort_unstable();
         candidates.dedup();
+        let mut tokens = Vec::new();
         for &node in candidates.iter() {
-            let tokens = &self.node_tokens[&node];
-            if query.matches_tokens(tokens) {
-                out.push(ScoredNode { node, score: self.score_tokens(&positive, tokens) });
+            let slot = self
+                .slot_of(node)
+                .expect("invariant: every posting's node has a slot (node-side-table)");
+            if self.matches(query, slot, &mut tokens) {
+                out.push(ScoredNode { node, score: self.score_slot(&positive, slot) });
             }
         }
         out.sort_by(ranked);
@@ -618,23 +653,27 @@ impl NodeIndex {
         self.posting_offsets[id.index()] as usize..self.posting_offsets[id.index() + 1] as usize
     }
 
-    /// Heap bytes of the frozen read model, table by table — what sorted
-    /// access and [`NodeIndex::evaluate_into`] read.  The build artifacts the
-    /// index also keeps (`postings`, `node_tokens`, `node_paths`: positions and
-    /// token text for phrase checks and random access) are not counted here.
+    /// Heap bytes of the index, table by table — every table is one a query
+    /// reads, and together they are the index's whole heap.
     ///
     /// Vectors count their capacity exactly; the dictionary's hash table is
     /// estimated as one entry plus one control byte per slot of capacity.
     ///
-    /// # Budget of the path tables
+    /// # Budgets
     ///
     /// [`ReadModelBytes::posting_paths`] is 4 B per posting and
     /// [`ReadModelBytes::path_runs`] 16 B per indexed node plus one 4 B offset
-    /// per path id — `16 · nodes + 4 · postings + 4 · (path ids + 1)` bytes,
-    /// asserted by this module's tests.  At the benchmark's paper scale that
-    /// is 3.1 MB on googlebase-flat (150,000 nodes, 184,534 postings), 4.7 MB
-    /// on recipeml-ingest, 1.6 MB on factbook-olap and 0.7 MB on
-    /// mondial-links: at most 1.5% of the workload's peak resident memory.
+    /// per path id — `16 · nodes + 4 · postings + 4 · (path ids + 1)` bytes;
+    /// [`ReadModelBytes::tokens`] is 4 B per token occurrence plus one 4 B
+    /// offset per indexed node — `4 · tokens + 4 · (nodes + 1)` bytes.  Both
+    /// are asserted by this module's tests.  At the benchmark's paper scale:
+    ///
+    /// | workload | path tables | token arena | whole index |
+    /// |---|---|---|---|
+    /// | googlebase-flat (150,000 nodes, 184,534 postings) | 3.1 MB | 1.3 MB | 12.6 MB |
+    /// | recipeml-ingest | 4.7 MB | 2.2 MB | 15.2 MB |
+    /// | factbook-olap | 1.6 MB | 0.7 MB | 6.0 MB |
+    /// | mondial-links | 0.7 MB | 0.3 MB | 3.9 MB |
     pub fn read_model_bytes(&self) -> ReadModelBytes {
         let term_text: usize = self.dict.terms.iter().map(String::capacity).sum::<usize>()
             + self.dict.ids.keys().map(String::capacity).sum::<usize>();
@@ -647,9 +686,8 @@ impl NodeIndex {
             posting_arena: vec_bytes(&self.sorted_postings) + vec_bytes(&self.posting_offsets),
             posting_paths: vec_bytes(&self.posting_paths),
             path_runs: vec_bytes(&self.path_runs) + vec_bytes(&self.path_run_offsets),
-            side_tables: vec_bytes(&self.slot_nodes)
-                + vec_bytes(&self.slot_paths)
-                + vec_bytes(&self.slot_token_counts),
+            side_tables: vec_bytes(&self.slot_nodes) + vec_bytes(&self.slot_paths),
+            tokens: vec_bytes(&self.slot_tokens) + vec_bytes(&self.token_offsets),
         }
     }
 
@@ -657,6 +695,39 @@ impl NodeIndex {
     pub fn search(&self, keywords: &str) -> Vec<ScoredNode> {
         self.evaluate(&FullTextQuery::Keywords(terms(keywords)))
     }
+}
+
+/// Partitions the indexed nodes by context path: a counting sort of the
+/// slots by path id (the returned CSR offsets, indexed by `PathId`), then a
+/// sort of each run by (score desc, node asc).  Slots ascend by node id, so a
+/// run comes out of the counting sort in node order: one whose nodes all have
+/// one length is already sorted, and its sort is a single pass.
+fn path_runs(
+    slot_nodes: &[NodeId],
+    slot_paths: &[PathId],
+    token_offsets: &[u32],
+) -> (Vec<u32>, Vec<ScoredNode>) {
+    let path_slots = slot_paths.iter().map(|path| path.index() + 1).max().unwrap_or(0);
+    let mut offsets = vec![0u32; path_slots + 1];
+    for path in slot_paths {
+        offsets[path.index() + 1] += 1;
+    }
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    let mut cursors = offsets.clone();
+    let placeholder = ScoredNode { node: NodeId::new(DocId(0), 0), score: 0.0 };
+    let mut runs = vec![placeholder; slot_nodes.len()];
+    for (slot, &node) in slot_nodes.iter().enumerate() {
+        let cursor = &mut cursors[slot_paths[slot].index()];
+        let len = (token_offsets[slot + 1] - token_offsets[slot]) as usize;
+        runs[*cursor as usize] = ScoredNode { node, score: match_all_score(len) };
+        *cursor += 1;
+    }
+    for bounds in offsets.windows(2) {
+        runs[bounds[0] as usize..bounds[1] as usize].sort_by(ranked);
+    }
+    (offsets, runs)
 }
 
 #[cfg(test)]
@@ -890,15 +961,49 @@ mod tests {
         let (_, index) = sample();
         let bytes = index.read_model_bytes();
         let path_ids = index.path_run_offsets.len() - 1;
-        let budget =
-            16 * index.indexed_node_count() + 4 * index.sorted_postings.len() + 4 * (path_ids + 1);
+        let nodes = index.indexed_node_count();
+        let budget = 16 * nodes + 4 * index.sorted_postings.len() + 4 * (path_ids + 1);
         assert!(
             bytes.posting_paths + bytes.path_runs <= budget,
             "{bytes:?} over the budget of {budget} bytes"
         );
-        for part in [bytes.dictionary, bytes.posting_arena, bytes.side_tables] {
+        let arena_budget = 4 * index.slot_tokens.len() + 4 * (nodes + 1);
+        assert!(bytes.tokens <= arena_budget, "{bytes:?} over the budget of {arena_budget} bytes");
+        for part in [bytes.dictionary, bytes.posting_arena, bytes.side_tables, bytes.tokens] {
             assert!(part > 0 && part < bytes.total(), "{bytes:?}");
         }
+    }
+
+    #[test]
+    fn the_byte_total_accounts_for_every_field_that_owns_heap() {
+        let (_, index) = sample();
+        let bytes = index.read_model_bytes();
+        // No `..`: a field added to the index must be added here, and so to
+        // `read_model_bytes`.
+        let NodeIndex {
+            dict: _, // counted as `bytes.dictionary`, with `idf_by_term`
+            idf_by_term,
+            posting_offsets,
+            sorted_postings,
+            posting_paths,
+            path_run_offsets,
+            path_runs,
+            slot_nodes,
+            slot_paths,
+            token_offsets,
+            slot_tokens,
+        } = &index;
+        let vectors = vec_bytes(posting_offsets)
+            + vec_bytes(sorted_postings)
+            + vec_bytes(posting_paths)
+            + vec_bytes(path_run_offsets)
+            + vec_bytes(path_runs)
+            + vec_bytes(slot_nodes)
+            + vec_bytes(slot_paths)
+            + vec_bytes(token_offsets)
+            + vec_bytes(slot_tokens);
+        assert_eq!(bytes.total(), bytes.dictionary + vectors);
+        assert!(bytes.dictionary > vec_bytes(idf_by_term));
     }
 
     #[test]
@@ -922,21 +1027,11 @@ mod tests {
     }
 
     #[test]
-    fn merged_shards_equal_sequential_build() {
-        let (collection, sequential) = sample();
-        let shards: Vec<NodeIndexShard> =
-            collection.documents().map(NodeIndex::build_shard).collect();
-        assert_eq!(shards.len(), 2);
-        assert!(shards.iter().all(|s| s.doc().is_some()));
-        let merged = NodeIndex::merge(shards);
-        assert_eq!(merged, sequential);
-    }
-
-    #[test]
     fn merge_order_does_not_matter() {
         let (collection, sequential) = sample();
         let mut shards: Vec<NodeIndexShard> =
             collection.documents().map(NodeIndex::build_shard).collect();
+        assert!(shards.iter().all(|s| s.doc().is_some() && s.indexed_node_count() > 0));
         shards.reverse();
         assert_eq!(NodeIndex::merge(shards), sequential);
     }

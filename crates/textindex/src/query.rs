@@ -102,11 +102,14 @@ impl FullTextQuery {
         }
     }
 
-    /// Evaluates the query against a tokenised content string.
-    pub fn matches_tokens(&self, tokens: &[String]) -> bool {
+    /// Evaluates the query against a tokenised content string (owned tokens
+    /// fresh from the tokenizer, or the node index's dictionary strings).
+    pub fn matches_tokens<T: AsRef<str>>(&self, tokens: &[T]) -> bool {
         match self {
             FullTextQuery::Any => true,
-            FullTextQuery::Keywords(ts) => ts.iter().all(|t| tokens.iter().any(|tok| tok == t)),
+            FullTextQuery::Keywords(ts) => {
+                ts.iter().all(|t| tokens.iter().any(|tok| tok.as_ref() == t))
+            }
             FullTextQuery::Phrase(ts) => {
                 if ts.is_empty() {
                     return true;
@@ -114,7 +117,7 @@ impl FullTextQuery {
                 if tokens.len() < ts.len() {
                     return false;
                 }
-                tokens.windows(ts.len()).any(|w| w.iter().zip(ts).all(|(a, b)| a == b))
+                tokens.windows(ts.len()).any(|w| w.iter().zip(ts).all(|(a, b)| a.as_ref() == b))
             }
             FullTextQuery::And(a, b) => a.matches_tokens(tokens) && b.matches_tokens(tokens),
             FullTextQuery::Or(a, b) => a.matches_tokens(tokens) || b.matches_tokens(tokens),

@@ -7,21 +7,11 @@
 //! single token because percentages and monetary values (`12.31T`) are
 //! first-class content in the Factbook corpus.
 
-/// A token together with its ordinal position within the tokenised text
-/// (positions support phrase queries).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
-    /// Normalised (lower-case) token text.
-    pub text: String,
-    /// 0-based position of the token in its source text.
-    pub position: u32,
-}
-
-/// Splits text into normalised tokens.
-pub fn tokenize(text: &str) -> Vec<Token> {
+/// Splits text into normalised tokens, in text order (the one tokenizer:
+/// indexed content, tag names and query keywords all pass through it).
+pub fn terms(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
     let mut current = String::new();
-    let mut position = 0u32;
     let mut chars = text.chars().peekable();
 
     while let Some(c) = chars.next() {
@@ -33,27 +23,20 @@ pub fn tokenize(text: &str) -> Vec<Token> {
             if chars.peek().map(|n| n.is_ascii_digit()).unwrap_or(false) {
                 current.push('.');
             } else {
-                flush(&mut tokens, &mut current, &mut position);
+                flush(&mut tokens, &mut current);
             }
         } else {
-            flush(&mut tokens, &mut current, &mut position);
+            flush(&mut tokens, &mut current);
         }
     }
-    flush(&mut tokens, &mut current, &mut position);
+    flush(&mut tokens, &mut current);
     tokens
 }
 
-fn flush(tokens: &mut Vec<Token>, current: &mut String, position: &mut u32) {
+fn flush(tokens: &mut Vec<String>, current: &mut String) {
     if !current.is_empty() {
-        tokens.push(Token { text: std::mem::take(current), position: *position });
-        *position += 1;
+        tokens.push(std::mem::take(current));
     }
-}
-
-/// Convenience: tokenised text as plain strings (used for query keywords,
-/// where positions are irrelevant).
-pub fn terms(text: &str) -> Vec<String> {
-    tokenize(text).into_iter().map(|t| t.text).collect()
 }
 
 #[cfg(test)]
@@ -80,13 +63,6 @@ mod tests {
     fn trailing_period_is_dropped() {
         assert_eq!(terms("China."), vec!["china"]);
         assert_eq!(terms("15."), vec!["15"]);
-    }
-
-    #[test]
-    fn positions_are_sequential() {
-        let tokens = tokenize("trade partners of the United States");
-        let positions: Vec<u32> = tokens.iter().map(|t| t.position).collect();
-        assert_eq!(positions, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! # seda-twigjoin
 //!
 //! The complete-result machinery of SEDA's Sec. 7: query pattern trees
-//! ([`TwigPattern`]), holistic stack-based twig evaluation over region-encoded
-//! input streams in Dewey order ([`evaluate_twig`], or [`evaluate_twig_in`]
-//! over chosen documents), and cross-twig joins
-//! ([`cross_twig_join`]) that combine twig results across documents via value
-//! equality or IDREF adjacency — "similar to a join in an RDBMS".
+//! ([`TwigPattern`]) and holistic stack-based twig evaluation over
+//! region-encoded input streams in Dewey order ([`evaluate_twig`], or
+//! [`evaluate_twig_in`] over chosen documents).  Results that span documents
+//! are joined by the engine over the data graph, not here.
 //!
 //! ```
 //! use seda_twigjoin::{evaluate_twig, TwigPattern};
@@ -20,11 +19,9 @@
 //! ```
 
 pub mod eval;
-pub mod join;
 pub mod pattern;
 
 pub use eval::{evaluate_twig, evaluate_twig_in, TwigMatches};
-pub use join::{cross_twig_join, cross_twig_join_bounded, JoinPredicate, JoinedMatches};
 pub use pattern::{Axis, TwigNode, TwigParseError, TwigPattern};
 
 #[cfg(test)]

@@ -126,6 +126,20 @@ fn swapped_run_entries_are_detected_as_textindex_path_runs() {
 }
 
 #[test]
+fn rewritten_token_is_detected_as_textindex_token_arena() {
+    let mut e = engine();
+    {
+        let (_, node_index, ..) = e.substrates_mut();
+        // The arena's first token belongs to sea.xml (`id="sea-1"`): as
+        // "united" it leaves a posting without its token and a token without
+        // its posting.
+        let term = node_index.term_dict().get("united").expect("indexed term");
+        node_index.corrupt_token(0, term);
+    }
+    expect_violation(&e, "textindex", "token-arena");
+}
+
+#[test]
 fn bogus_context_path_is_detected_as_textindex_context_paths() {
     let mut e = engine();
     {

@@ -57,7 +57,7 @@ fn evaluate_into_equals_random_access_on_every_datagen_shape() {
             .iter()
             .filter_map(|hit| index.node_tokens(hit.node))
             .find(|tokens| tokens.len() >= 2)
-            .map(|tokens| tokens[..2].to_vec())
+            .map(|tokens| tokens[..2].iter().map(|token| token.to_string()).collect())
             .expect("some node holds two tokens");
         let queries = [
             FullTextQuery::Any,
