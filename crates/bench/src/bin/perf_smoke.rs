@@ -18,7 +18,7 @@ use seda_bench::{
     SCALED_ITEMS, SELECTIVE_TOPK, TWIG_PATH,
 };
 use seda_core::seda_textindex::{terms, ContextIndex, CountStorage, NodeIndex};
-use seda_core::seda_topk::{SearchLimits, SearchScratch, SearchStrategy, TopKConfig, TopKSearcher};
+use seda_core::seda_topk::{SearchLimits, SearchScratch, TopKConfig, TopKSearcher};
 use seda_core::seda_twigjoin::{evaluate_twig, TwigPattern};
 use seda_core::{RequestContext, SedaReader, SedaRequest};
 use seda_datagen::Dataset;
@@ -127,12 +127,7 @@ fn pinned_pairs() -> Result<Result<String, String>, String> {
     let (mut join, mut naive) = (None, None);
     let (naive_ms, join_ms) = interleaved_minima(
         || naive = Some(searcher.search_naive(&terms, &config, &mut naive_scratch)),
-        || {
-            let strategy = SearchStrategy::Join;
-            let (result, _) =
-                searcher.search(&terms, &config, &limits, &mut join_scratch, None, strategy);
-            join = Some(result);
-        },
+        || join = Some(searcher.search(&terms, &config, &limits, &mut join_scratch, None).0),
     );
     let (join, naive) = (join.unwrap_or_default(), naive.unwrap_or_default());
     if join.tuples.is_empty() || join.tuples != naive.tuples {

@@ -9,10 +9,11 @@
 //! freely (documents share the collection's intern tables, so shards carry
 //! globally valid ids) and a merge phase that combines shards
 //! deterministically in document order.  The context index is one serial
-//! fold over the collection on both paths (see `seda_textindex::context_index`
-//! for the measurement).  [`SedaEngine::build`] orchestrates the fan-out
-//! across a scoped worker pool, gated by [`EngineConfig::parallelism`], and
-//! records a [`BuildProfile`] with per-substrate shard and merge wall times.
+//! fold over the collection (see `seda_textindex::context_index` for the
+//! measurement).  [`SedaEngine::build`] runs this one orchestration at every
+//! thread count: [`EngineConfig::parallelism`] only sets how many workers the
+//! shard phases fan out over (one runs them inline on the build thread), and
+//! a [`BuildProfile`] records per-substrate shard and merge wall times.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -24,7 +25,7 @@ use seda_dataguide::{
 };
 use seda_olap::{BuildOptions, QueryResultTable, Registry, StarSchemaBuild, StarSchemaBuilder};
 use seda_textindex::{ContextIndex, CountStorage, FullTextQuery, NodeIndex};
-use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch, SearchStrategy};
+use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch};
 use seda_topk::{TermInput, TopKConfig, TopKResult, TopKSearcher, TupleScoreCache};
 use seda_twigjoin::{evaluate_twig_in, Axis, TwigMatches, TwigPattern};
 use seda_xmlstore::{parse_collection, Collection, DocId, Document, NodeId, PathId};
@@ -72,10 +73,10 @@ pub struct EngineConfig {
     /// Upper bound on the number of complete-result tuples materialised by
     /// the fallback graph-enumeration path.
     pub complete_result_limit: usize,
-    /// Worker threads for the shard-parallel engine build: `1` (the default)
-    /// builds every substrate sequentially, `0` uses the machine's available
-    /// parallelism, any other value is taken literally.  The build output is
-    /// identical for every setting.
+    /// Worker threads for the shard phases of the engine build: `1` (the
+    /// default) runs them inline on the build thread, `0` uses the machine's
+    /// available parallelism, any other value is taken literally.  The build
+    /// output is identical for every setting.
     pub parallelism: usize,
 }
 
@@ -96,11 +97,11 @@ impl Default for EngineConfig {
 /// Wall time of one substrate's build, split into its two lifecycle phases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseProfile {
-    /// Seconds spent building per-document shards (the parallel phase).
+    /// Seconds spent building per-document shards (the parallel phase; zero
+    /// for the context index, which has none).
     pub shard_secs: f64,
-    /// Seconds spent merging shards (the sequential phase).  Zero when the
-    /// substrate ran through its sequential entry point, which folds the
-    /// merge into the same timed pass.
+    /// Seconds spent in the serial phase, on every build: merging shards, or
+    /// the context index's whole one-fold build.
     pub merge_secs: f64,
 }
 
@@ -120,25 +121,21 @@ impl PhaseProfile {
     }
 }
 
-/// Timings and shape of one [`SedaEngine::build`] run, so sequential-vs-parallel
-/// speedups are measured (`benchmark/` reads them) rather than asserted.
+/// Timings and shape of one [`SedaEngine::build`] run, so one-thread vs
+/// several-thread speedups are measured (`benchmark/` reads them) rather than
+/// asserted.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BuildProfile {
     /// Worker threads actually used (after resolving `parallelism == 0` and
     /// clamping to the document count).
     pub parallelism: usize,
-    /// Documents in the collection.
+    /// Documents in the collection — also the shards each sharded substrate
+    /// builds, one per document.
     pub documents: usize,
-    /// Shards fanned out per substrate: one per document on the parallel
-    /// path.  `1` means the sequential entry points ran on the build thread
-    /// (internally they still shard per document and merge in order — the
-    /// two paths share one implementation), so all time lands in
-    /// `shard_secs`.
-    pub shards: usize,
     /// Node full-text index build.
     pub node_index: PhaseProfile,
     /// Keyword → context index build: one serial fold, reported as
-    /// `merge_secs` (the serial phase) on a sharded build.
+    /// `merge_secs` (the serial phase).
     pub context_index: PhaseProfile,
     /// Data-graph construction and resolution.
     pub graph: PhaseProfile,
@@ -192,9 +189,8 @@ impl BuildProfile {
             )
         };
         let mut out = format!(
-            "build profile: {} docs, {} shards, {} thread(s), {:.2}ms total\n",
+            "build profile: {} docs, {} thread(s), {:.2}ms total\n",
             self.documents,
-            self.shards,
             self.parallelism,
             self.total_secs * 1e3
         );
@@ -234,10 +230,10 @@ impl SedaEngine {
     /// Builds the engine: constructs the data graph, both full-text indexes
     /// and the dataguide summary over the collection.
     ///
-    /// With [`EngineConfig::parallelism`] `> 1` (or `0` for auto), each
-    /// substrate fans per-document shard builds out across a scoped worker
-    /// pool and merges the shards in document order; the resulting engine is
-    /// identical to the sequential build.  The timings of both phases are
+    /// Each sharded substrate builds one shard per document — across a scoped
+    /// pool of [`EngineConfig::parallelism`] workers, inline at one — and
+    /// merges the shards in document order, so the resulting engine is
+    /// identical at every thread count.  The timings of both phases are
     /// recorded in [`SedaEngine::build_profile`].
     pub fn build(
         collection: Collection,
@@ -289,19 +285,8 @@ impl SedaEngine {
         let mut tracer = Tracer::enabled();
         tracer.begin();
 
-        let (graph, node_index, context_index, guides) = if threads <= 1 {
-            profile.shards = 1;
-            Self::build_substrates_sequential(&collection, &config, &mut profile, &mut tracer)?
-        } else {
-            profile.shards = collection.len();
-            Self::build_substrates_sharded(
-                &collection,
-                &config,
-                threads,
-                &mut profile,
-                &mut tracer,
-            )?
-        };
+        let (graph, node_index, context_index, guides) =
+            Self::build_substrates(&collection, &config, threads, &mut profile, &mut tracer)?;
 
         let links_span = tracer.enter(span::BUILD_LINKS);
         let links_start = Stopwatch::start();
@@ -351,45 +336,9 @@ impl SedaEngine {
         Ok(engine)
     }
 
-    /// Single-pass sequential builds of all four substrates (the
-    /// `parallelism == 1` path); all time is accounted to the shard phase.
-    fn build_substrates_sequential(
-        collection: &Collection,
-        config: &EngineConfig,
-        profile: &mut BuildProfile,
-        tracer: &mut Tracer,
-    ) -> Result<(DataGraph, NodeIndex, ContextIndex, DataGuideSet), SedaError> {
-        let s = tracer.enter(span::BUILD_GRAPH);
-        let t = Stopwatch::start();
-        faults::fire("oracle-build")?;
-        let graph = DataGraph::build(collection, &config.graph);
-        (profile.graph, _) = PhaseProfile::finish_shards(t);
-        tracer.exit(s);
-
-        let s = tracer.enter(span::BUILD_NODE_INDEX);
-        let t = Stopwatch::start();
-        let node_index = NodeIndex::build(collection);
-        (profile.node_index, _) = PhaseProfile::finish_shards(t);
-        tracer.exit(s);
-
-        let s = tracer.enter(span::BUILD_CONTEXT_INDEX);
-        let t = Stopwatch::start();
-        let context_index = ContextIndex::build(collection, config.count_storage);
-        (profile.context_index, _) = PhaseProfile::finish_shards(t);
-        tracer.exit(s);
-
-        let s = tracer.enter(span::BUILD_GUIDES);
-        let t = Stopwatch::start();
-        let guides = DataGuideSet::build(collection, config.dataguide_threshold)?;
-        (profile.guides, _) = PhaseProfile::finish_shards(t);
-        tracer.exit(s);
-
-        Ok((graph, node_index, context_index, guides))
-    }
-
-    /// Shard-parallel builds of all four substrates: per-document shards are
-    /// fanned out across `threads` workers, then merged in document order.
-    fn build_substrates_sharded(
+    /// Builds all four substrates: per-document shards are fanned out across
+    /// `threads` workers (inline at one), then merged in document order.
+    fn build_substrates(
         collection: &Collection,
         config: &EngineConfig,
         threads: usize,
@@ -435,8 +384,8 @@ impl SedaEngine {
         tracer.exit(outer);
 
         // The context index has no shard phase (one fold over the collection
-        // is cheaper than merging per-document shards was): on this path its
-        // whole build is serial time, so it is reported as merge time.
+        // is cheaper than merging per-document shards was): its whole build
+        // is serial time, so it is reported as merge time.
         let outer = tracer.enter(span::BUILD_CONTEXT_INDEX);
         let inner = tracer.enter(span::MERGE);
         let t = Stopwatch::start();
@@ -572,15 +521,13 @@ impl SedaEngine {
     }
 
     /// The engine's one search: runs the Threshold-Algorithm searcher under
-    /// `config` (its `k` honoured literally — `0` yields an empty result),
+    /// `config` (its `k` honoured literally — `0` yields an empty result) and
     /// per-request [`SearchLimits`] ([`SearchLimits::unlimited`] for
-    /// ungoverned callers) and the plan's access [`SearchStrategy`], over
-    /// either fresh posting lists or a prepared statement's materialized term
-    /// lists, with an optional compactness memo shared across executions.
-    /// The second element reports the first exhausted resource, if any; the
-    /// returned tuples are then the certifiably correct prefix computed
-    /// before it ran out.
-    #[allow(clippy::too_many_arguments)]
+    /// ungoverned callers), over either fresh posting lists or a prepared
+    /// statement's materialized term lists, with an optional compactness memo
+    /// shared across executions.  The second element reports the first
+    /// exhausted resource, if any; the returned tuples are then the
+    /// certifiably correct prefix computed before it ran out.
     pub(crate) fn search(
         &self,
         terms: &[TermInput],
@@ -589,15 +536,12 @@ impl SedaEngine {
         scratch: &mut SearchScratch,
         materialized: Option<&MaterializedTerms>,
         cache: Option<&mut TupleScoreCache>,
-        strategy: SearchStrategy,
     ) -> (TopKResult, Option<LimitBreach>) {
         faults::fire_unchecked("mid-search");
         let searcher = TopKSearcher::new(&self.collection, &self.node_index, &self.graph);
         match materialized {
-            Some(lists) => {
-                searcher.search_materialized(lists, config, limits, scratch, cache, strategy)
-            }
-            None => searcher.search(terms, config, limits, scratch, cache, strategy),
+            Some(lists) => searcher.search_materialized(lists, config, limits, scratch, cache),
+            None => searcher.search(terms, config, limits, scratch, cache),
         }
     }
 
@@ -733,10 +677,12 @@ impl SedaEngine {
     /// and the wall-clock deadline are checked between context combinations,
     /// every [`SearchLimits::DEADLINE_STRIDE`]th document inside a twig
     /// evaluation and once more after the last combination; the result-row
-    /// budget between combinations.  A budget breach returns the deduplicated
-    /// rows enumerated so far (clipped to the row ceiling; a prefix of the
-    /// full answer when one same-root combination was cut short) together
-    /// with the breach, leaving the degrade-or-error decision to the caller;
+    /// and label-probe budgets between combinations, the latter also before
+    /// every source row of the cross-root join.  A budget breach returns the
+    /// deduplicated rows enumerated so far (clipped to the row ceiling; a
+    /// prefix of the full answer when one same-root combination was cut
+    /// short, a subset of it when the cross-root join was) together with the
+    /// breach, leaving the degrade-or-error decision to the caller;
     /// cancellation always errors.
     pub(crate) fn complete_results_governed(
         &self,
@@ -757,8 +703,9 @@ impl SedaEngine {
         }
 
         // Enumerate one concrete context per term (usually a single
-        // combination once the user has refined her query) and evaluate a
+        // combination once the user has refined their query) and evaluate a
         // twig per combination; union the rows.
+        let probes_before = scratch.traversal_mut().label_probes;
         let mut combination = vec![0usize; term_paths.len()];
         loop {
             ctx.check_cancelled()?;
@@ -767,6 +714,10 @@ impl SedaEngine {
                 let chosen: Vec<PathId> =
                     combination.iter().enumerate().map(|(t, &i)| term_paths[t][i]).collect();
                 self.evaluate_combination(query, &chosen, connections, &mut out, scratch, ctx)?;
+                // The cross-root join checks the ceiling per source row; the
+                // connection filter's probes are checked here.
+                out.label_probes = scratch.traversal_mut().label_probes - probes_before;
+                out.breach = out.breach.take().or_else(|| ctx.label_probe_breach(out.label_probes));
             }
             let table = &mut out.table;
             if out.breach.is_some() {
@@ -829,7 +780,8 @@ impl SedaEngine {
     /// Evaluates one concrete combination of per-term contexts via a twig
     /// pattern (all contexts in one document tree) and appends the matching
     /// rows to `out.table`, applying the connection filter; a twig evaluation
-    /// the request's context stopped leaves its breach in `out.breach`.
+    /// or cross-root join the request's context stopped leaves its breach in
+    /// `out.breach`.
     fn evaluate_combination(
         &self,
         query: &SedaQuery,
@@ -852,7 +804,7 @@ impl SedaEngine {
         let rows: Vec<Vec<NodeId>> = if same_root {
             self.twig_rows(query, chosen, &path_strings, out, ctx)?
         } else {
-            self.graph_rows(query, chosen, scratch)?
+            self.graph_rows(query, chosen, out, scratch, ctx)?
         };
 
         for nodes in rows {
@@ -989,12 +941,17 @@ impl SedaEngine {
     /// intermediate partial-tuple frontier reaches
     /// [`EngineConfig::complete_result_limit`] — a resource bound on the
     /// enumeration itself, reported as such rather than as a final tuple
-    /// count.
+    /// count.  The request's label-probe ceiling — counted from
+    /// `out.label_probes`, what earlier combinations spent — is checked once
+    /// per source row; a breach leaves `out.breach` set and returns the
+    /// whole rows found so far (none before the last term's stage).
     fn graph_rows(
         &self,
         query: &SedaQuery,
         chosen: &[PathId],
+        out: &mut GovernedTable,
         scratch: &mut SearchScratch,
+        ctx: &RequestContext,
     ) -> Result<Vec<Vec<NodeId>>, SedaError> {
         let candidates: Vec<Vec<NodeId>> = chosen
             .iter()
@@ -1013,6 +970,7 @@ impl SedaEngine {
         let max_depth = self.config.connection_max_depth;
         let limit = self.config.complete_result_limit;
         let traversal = scratch.traversal_mut();
+        let probes_before = traversal.label_probes - out.label_probes;
         // A row is allocated, at full width, once its newest member has
         // passed the test.
         let admit = |next: &mut Vec<Vec<NodeId>>, row: &[NodeId], candidate: NodeId| {
@@ -1030,9 +988,18 @@ impl SedaEngine {
             Ok(())
         };
         let mut rows: Vec<Vec<NodeId>> = vec![Vec::new()];
-        for term_candidates in &candidates {
+        for (stage, term_candidates) in candidates.iter().enumerate() {
             let mut next = Vec::new();
             for row in &rows {
+                if let Some(breach) = ctx.label_probe_breach(traversal.label_probes - probes_before)
+                {
+                    out.breach = Some(breach);
+                    // Rows of an earlier stage are not rows of the answer.
+                    if stage + 1 < candidates.len() {
+                        next.clear();
+                    }
+                    return Ok(next);
+                }
                 let Some(&source) = row.first() else {
                     for &candidate in term_candidates {
                         admit(&mut next, row, candidate)?;
@@ -1177,7 +1144,7 @@ impl SedaEngine {
                 table.rows.push(shaped);
             }
         }
-        Ok(GovernedTable { table, nodes_visited: matches.nodes_visited, breach })
+        Ok(GovernedTable { table, nodes_visited: matches.nodes_visited, label_probes: 0, breach })
     }
 }
 
@@ -1191,6 +1158,9 @@ pub(crate) struct GovernedTable {
     /// Document nodes the twig evaluations visited (0 for the cross-root
     /// join, which enumerates the graph instead).
     pub(crate) nodes_visited: usize,
+    /// Label probes the connectivity checks spent (the cross-root join, the
+    /// connection filter; 0 for `TWIG`).
+    pub(crate) label_probes: u64,
     /// The budget breach that ended the computation, if any.
     pub(crate) breach: Option<LimitBreach>,
 }
@@ -1463,9 +1433,8 @@ mod tests {
         let profile = e.build_profile();
         assert_eq!(profile.parallelism, 1);
         assert_eq!(profile.documents, 3);
-        assert_eq!(profile.shards, 1);
         assert!(profile.total_secs > 0.0);
-        assert_eq!(profile.merge_secs(), 0.0, "sequential path has no merge phase");
+        assert!(profile.merge_secs() > 0.0, "one thread runs the same serial phases");
         assert!(!profile.render().is_empty());
 
         let collection =
@@ -1479,8 +1448,7 @@ mod tests {
         .unwrap();
         let profile = parallel.build_profile();
         assert_eq!(profile.parallelism, 2);
-        assert_eq!(profile.shards, 2);
-        assert!(profile.render().contains("2 docs"));
+        assert!(profile.render().contains("2 docs, 2 thread(s)"));
     }
 
     #[test]

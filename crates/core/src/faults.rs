@@ -13,10 +13,10 @@
 //!
 //! * `"parse"` — in [`crate::SedaEngine::build_from_sources`], before the
 //!   XML collection is parsed;
-//! * `"shard-merge"` — in the sharded engine build, before the per-document
-//!   substrate shards are merged;
-//! * `"oracle-build"` — before the data graph (and its connectivity oracle)
-//!   is built or merged;
+//! * `"shard-merge"` — in every engine build, before the node index's
+//!   per-document shards are merged;
+//! * `"oracle-build"` — in every engine build, before the data graph's
+//!   shards are merged (and its connectivity oracle built);
 //! * `"mid-search"` — inside the engine's one search function, before the
 //!   Threshold-Algorithm loop runs.
 //!

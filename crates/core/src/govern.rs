@@ -249,6 +249,14 @@ impl RequestContext {
         })
     }
 
+    /// The label-probe breach once connectivity checks outside the searcher
+    /// (the complete-result step) have spent `spent` probes — the ceiling
+    /// the searcher enforces inside its own loop.
+    pub(crate) fn label_probe_breach(&self, spent: u64) -> Option<LimitBreach> {
+        let max = self.budget.max_label_probes?;
+        (spent > max).then_some(LimitBreach { resource: "label probes", spent, budget: max })
+    }
+
     /// The twig-match breach for a twig result of `matches` rows.
     pub(crate) fn twig_breach(&self, matches: usize) -> Option<LimitBreach> {
         let max = self.budget.max_twig_matches?;
@@ -342,8 +350,14 @@ mod tests {
     #[test]
     fn shape_breaches_fire_only_past_their_ceiling() {
         let ctx = RequestContext::new(
-            Budget::unlimited().with_max_rows(2).with_max_twig_matches(3).with_max_cube_cells(4),
+            Budget::unlimited()
+                .with_max_rows(2)
+                .with_max_twig_matches(3)
+                .with_max_cube_cells(4)
+                .with_max_label_probes(5),
         );
+        assert!(ctx.label_probe_breach(5).is_none());
+        assert_eq!(ctx.label_probe_breach(6).unwrap().resource, "label probes");
         assert!(ctx.row_breach(2).is_none());
         assert_eq!(ctx.row_breach(3).unwrap().resource, "result rows");
         assert!(ctx.twig_breach(3).is_none());

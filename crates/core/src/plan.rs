@@ -4,14 +4,14 @@
 //! request against an engine (term indices exist, path strings resolve, twig
 //! paths compile, limits hold), resolves every context selection down to
 //! [`PathId`]s and [`TermInput`]s, and records the execution steps.  It makes
-//! one decision — whether the search step is a single-term sorted-prefix scan
-//! or the Threshold-Algorithm rank join — derived from the term count and the
-//! candidate bound.  [`QueryPlan::explain`] renders the transcript (header
-//! plus numbered steps), a pure function of the engine and the request.
+//! no decision: every search step is the Threshold-Algorithm rank join,
+//! whatever the term count.  [`QueryPlan::explain`] renders the transcript
+//! (header plus numbered steps), a pure function of the engine and the
+//! request.
 
 use seda_dataguide::Connection;
 use seda_olap::BuildOptions;
-use seda_topk::{SearchStrategy, TermInput, TopKConfig};
+use seda_topk::{TermInput, TopKConfig};
 use seda_twigjoin::TwigPattern;
 use seda_xmlstore::PathId;
 
@@ -54,12 +54,6 @@ pub enum PlanStep {
         k: usize,
         /// Candidate-tuple bound of the join loop.
         candidate_limit: usize,
-    },
-    /// Degenerate one-term search (chosen when the candidate bound covers
-    /// `k`): a direct scan of the sorted posting prefix.
-    SingleTermScan {
-        /// Number of result tuples requested.
-        k: usize,
     },
     /// Build the per-term context buckets from the keyword→path index.
     ContextBuckets {
@@ -114,9 +108,6 @@ impl std::fmt::Display for PlanStep {
             },
             PlanStep::ThresholdJoin { k, candidate_limit } => {
                 write!(f, "threshold-algorithm rank join: k={k}, candidate limit {candidate_limit}")
-            }
-            PlanStep::SingleTermScan { k } => {
-                write!(f, "single-term sorted-prefix scan: k={k}")
             }
             PlanStep::ContextBuckets { terms } => {
                 write!(f, "context buckets from the keyword→path index for {terms} term(s)")
@@ -189,28 +180,6 @@ impl QueryPlan {
         &self.topk
     }
 
-    /// The access strategy of the search step — the planner's one decision.
-    /// One term degenerates to ranked retrieval, and the sorted-prefix scan
-    /// reproduces the join's tuples, counters and termination exactly while
-    /// the candidate bound covers `k`.
-    pub(crate) fn strategy(&self) -> SearchStrategy {
-        if self.term_inputs.len() == 1 && self.topk.candidate_limit >= self.topk.k {
-            SearchStrategy::SingleTermScan
-        } else {
-            SearchStrategy::Join
-        }
-    }
-
-    /// The search step [`QueryPlan::strategy`] selects at the plan's `k`.
-    pub(crate) fn search_step(&self) -> PlanStep {
-        let TopKConfig { k, candidate_limit, .. } = self.topk;
-        if self.strategy() == SearchStrategy::Join {
-            PlanStep::ThresholdJoin { k, candidate_limit }
-        } else {
-            PlanStep::SingleTermScan { k }
-        }
-    }
-
     /// Renders the plan transcript: the statement header and the numbered
     /// execution steps.
     pub fn explain(&self) -> String {
@@ -236,9 +205,7 @@ impl SedaEngine {
     }
 
     /// Lowers a request into a [`QueryPlan`]: validates it, resolves every
-    /// context selection and records the execution steps, choosing the
-    /// search step ([`PlanStep::SingleTermScan`] or
-    /// [`PlanStep::ThresholdJoin`]) from the term count and candidate bound.
+    /// context selection and records the execution steps.
     ///
     /// This is the one compile path; [`crate::SedaReader::prepare`] wraps its
     /// output into a reusable [`crate::PreparedStatement`].
@@ -327,7 +294,10 @@ impl SedaEngine {
                         paths: input.allowed_paths.as_ref().map(Vec::len),
                     });
                 }
-                plan.steps.push(plan.search_step());
+                plan.steps.push(PlanStep::ThresholdJoin {
+                    k: *k,
+                    candidate_limit: plan.topk.candidate_limit,
+                });
                 if matches!(statement, Statement::ConnectionSummary { .. }) {
                     plan.steps.push(PlanStep::DiscoverConnections {
                         max_depth: config.connection_max_depth,
@@ -408,18 +378,18 @@ mod tests {
     }
 
     #[test]
-    fn one_term_plans_a_scan_and_several_terms_the_join() {
+    fn every_term_count_plans_the_rank_join() {
         let e = engine();
-        let req = SedaRequest::parse("TOPK 5 FOR (name, *)").unwrap();
-        let plan = e.prepare(&req).unwrap();
-        assert_eq!(plan.steps().last(), Some(&PlanStep::SingleTermScan { k: 5 }));
-        assert!(plan.explain().contains("single-term sorted-prefix scan: k=5"));
-        // Two terms keep the join.
-        let req = SedaRequest::parse("TOPK 5 FOR (name, *) AND (percentage, *)").unwrap();
-        let plan = e.prepare(&req).unwrap();
         let candidate_limit = e.config().topk.candidate_limit;
-        assert_eq!(plan.steps().last(), Some(&PlanStep::ThresholdJoin { k: 5, candidate_limit }));
-        assert!(plan.explain().contains("threshold-algorithm rank join: k=5"));
+        for q in ["(name, *)", "(name, *) AND (percentage, *)"] {
+            let plan = e.prepare(&SedaRequest::parse(&format!("TOPK 5 FOR {q}")).unwrap()).unwrap();
+            assert_eq!(
+                plan.steps().last(),
+                Some(&PlanStep::ThresholdJoin { k: 5, candidate_limit }),
+                "{q}"
+            );
+            assert!(plan.explain().contains("threshold-algorithm rank join: k=5"), "{q}");
+        }
     }
 
     #[test]

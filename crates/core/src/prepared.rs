@@ -77,19 +77,18 @@ impl PreparedStatement {
 
     /// Re-parameterizes `k` without replanning, for the statement shapes
     /// that carry one (`TOPK k`, `CONNECTIONS k`).  Only the result bound
-    /// and the scan-or-join choice derived from it change, so the
-    /// materialized term lists and the compactness memo stay valid.  Returns
-    /// `false` (and changes nothing) for statements without a `k` parameter.
+    /// changes, so the materialized term lists and the compactness memo stay
+    /// valid.  Returns `false` (and changes nothing) for statements without a
+    /// `k` parameter.
     pub fn set_k(&mut self, k: usize) -> bool {
         match &mut self.plan.statement {
             Statement::TopK { k: slot } | Statement::ConnectionSummary { k: slot } => *slot = k,
             _ => return false,
         }
         self.plan.topk.k = k;
-        let search_step = self.plan.search_step();
         for step in &mut self.plan.steps {
-            if matches!(step, PlanStep::ThresholdJoin { .. } | PlanStep::SingleTermScan { .. }) {
-                *step = search_step.clone();
+            if let PlanStep::ThresholdJoin { k: slot, .. } = step {
+                *slot = k;
             }
         }
         true
@@ -203,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn set_k_reverts_the_scan_when_the_candidate_bound_no_longer_covers_k() {
+    fn set_k_on_one_term_matches_a_fresh_plan_on_both_sides_of_the_candidate_bound() {
         let collection = parse_collection(vec![(
             "us.xml",
             r#"<country><name>United States</name><year>2006</year></country>"#,
@@ -217,18 +216,16 @@ mod tests {
         let mut reader = e.reader();
         let mut prepared =
             reader.prepare(&SedaRequest::parse("TOPK 1 FOR (name, *)").unwrap()).unwrap();
-        assert!(prepared.explain().contains("single-term sorted-prefix scan"));
-        assert!(prepared.set_k(5));
-        // k=5 exceeds the candidate bound of 2: the scan is no longer exact.
-        assert!(prepared.explain().contains("threshold-algorithm rank join: k=5"));
-        let request = SedaRequest::parse("TOPK 5 FOR (name, *)").unwrap();
-        assert_eq!(prepared.explain(), reader.explain(&request).unwrap());
-        // Back under the bound the scan returns, at the new k.
-        assert!(prepared.set_k(2));
-        assert!(prepared.explain().contains("single-term sorted-prefix scan: k=2"));
-        assert!(prepared.set_k(5));
-        let fresh = reader.execute(&request).unwrap();
-        assert_eq!(prepared.execute(&mut reader).unwrap().payload, fresh.payload);
+        // k=5 exceeds the candidate bound of 2, k=1 does not: the one join
+        // serves both, and the transcript only changes its k.
+        for k in [5usize, 1, 5] {
+            assert!(prepared.set_k(k));
+            assert!(prepared.explain().contains(&format!("threshold-algorithm rank join: k={k}")));
+            let request = SedaRequest::parse(&format!("TOPK {k} FOR (name, *)")).unwrap();
+            assert_eq!(prepared.explain(), reader.explain(&request).unwrap(), "k={k}");
+            let fresh = reader.execute(&request).unwrap();
+            assert_eq!(prepared.execute(&mut reader).unwrap().payload, fresh.payload, "k={k}");
+        }
     }
 
     #[test]

@@ -26,8 +26,8 @@
 
 use seda_olap::{aggregate, CubeQuery, QueryResultTable};
 use seda_topk::{
-    LimitBreach, MaterializedTerms, SearchScratch, SearchStats, SearchStrategy, TopKConfig,
-    TopKResult, TupleScoreCache,
+    LimitBreach, MaterializedTerms, SearchScratch, SearchStats, TopKConfig, TopKResult,
+    TupleScoreCache,
 };
 
 use crate::engine::{catch_internal, GovernedTable, SedaEngine};
@@ -314,8 +314,8 @@ impl<'e> SedaReader<'e> {
     }
 
     /// The reader's one panic-containment boundary: every execution entry
-    /// point — plans, prepared statements, the typed steps, the oracle —
-    /// runs its body here, so a panic anywhere below becomes
+    /// point — plans, prepared statements, the typed steps — runs its body
+    /// here, so a panic anywhere below becomes
     /// [`SedaError::Internal`] and the reader heals before returning.
     fn contained<T>(
         &mut self,
@@ -336,10 +336,10 @@ impl<'e> SedaReader<'e> {
     }
 
     /// Executes a plan as one request: the statement executor runs inside
-    /// the containment boundary with the plan's derived access strategy, and
-    /// the outcome is recorded in the metrics registry — the single path
-    /// behind the facade, direct plan execution and prepared statements
-    /// (which lend their `materialized` term lists and compactness `cache`).
+    /// the containment boundary, and the outcome is recorded in the metrics
+    /// registry — the single path behind the facade, direct plan execution
+    /// and prepared statements (which lend their `materialized` term lists
+    /// and compactness `cache`).
     fn run_plan(
         &mut self,
         plan: &QueryPlan,
@@ -349,8 +349,7 @@ impl<'e> SedaReader<'e> {
         cache: Option<&mut TupleScoreCache>,
     ) -> Result<SedaResponse, SedaError> {
         let outcome = self.contained(|reader| {
-            let mut response =
-                reader.execute_statement(plan, ctx, materialized, cache, plan.strategy())?;
+            let mut response = reader.execute_statement(plan, ctx, materialized, cache)?;
             response.profile.plan_secs = plan_secs;
             Ok(response)
         });
@@ -386,22 +385,6 @@ impl<'e> SedaReader<'e> {
         outcome
     }
 
-    /// The reference spelling of the one executor: the plain rank join over
-    /// fresh posting lists, whatever strategy the plan derives and with no
-    /// prepared state.  The `optimizer_equivalence` suite pins the planned
-    /// strategy's payloads and work counters against it, statement shape by
-    /// statement shape.  Not part of the supported API.
-    #[doc(hidden)]
-    pub fn execute_plan_unoptimized(
-        &mut self,
-        plan: &QueryPlan,
-        ctx: &RequestContext,
-    ) -> Result<SedaResponse, SedaError> {
-        self.contained(|reader| {
-            reader.execute_statement(plan, ctx, None, None, SearchStrategy::Join)
-        })
-    }
-
     /// The search step of `TOPK` and `CONNECTIONS`: one traced search over
     /// the plan's term inputs (or a prepared statement's `materialized`
     /// lists and `cache`), its counters absorbed into `profile` and a breach
@@ -413,7 +396,6 @@ impl<'e> SedaReader<'e> {
         profile: &mut ExecProfile,
         materialized: Option<&MaterializedTerms>,
         cache: Option<&mut TupleScoreCache>,
-        strategy: SearchStrategy,
     ) -> Result<TopKResult, SedaError> {
         let s = self.tracer.enter(span::SEARCH);
         let before = profile.clone();
@@ -424,7 +406,6 @@ impl<'e> SedaReader<'e> {
             &mut self.scratch,
             materialized,
             cache,
-            strategy,
         );
         profile.absorb(&result.stats);
         let mut counters = SpanCounters::delta(&before, profile);
@@ -451,8 +432,7 @@ impl<'e> SedaReader<'e> {
             .as_ref()
             .expect("invariant: the planner attaches a query to this statement shape");
         let s = self.tracer.enter(span::COMPLETE_RESULTS);
-        let probes_before = self.scratch.traversal_mut().label_probes;
-        let GovernedTable { table, nodes_visited, breach } =
+        let GovernedTable { table, nodes_visited, label_probes, breach } =
             self.engine.complete_results_governed(
                 query,
                 &plan.term_paths,
@@ -460,7 +440,6 @@ impl<'e> SedaReader<'e> {
                 &mut self.scratch,
                 ctx,
             )?;
-        let label_probes = self.scratch.traversal_mut().label_probes - probes_before;
         profile.absorb(&SearchStats { label_probes, ..SearchStats::default() });
         let counters = SpanCounters {
             rows: table.len(),
@@ -473,16 +452,15 @@ impl<'e> SedaReader<'e> {
         Ok(table)
     }
 
-    /// The one statement executor: runs the plan's statement with the given
-    /// access `strategy`, over a prepared statement's `materialized` term
-    /// lists and compactness `cache` when lent.
+    /// The one statement executor: runs the plan's statement, over a
+    /// prepared statement's `materialized` term lists and compactness
+    /// `cache` when lent.
     fn execute_statement(
         &mut self,
         plan: &QueryPlan,
         ctx: &RequestContext,
         materialized: Option<&MaterializedTerms>,
         cache: Option<&mut TupleScoreCache>,
-        strategy: SearchStrategy,
     ) -> Result<SedaResponse, SedaError> {
         self.tracer.begin_if_idle();
         let exec_span = self.tracer.enter(span::EXECUTE);
@@ -496,7 +474,6 @@ impl<'e> SedaReader<'e> {
                 &mut profile,
                 materialized,
                 cache,
-                strategy,
             )?),
             Statement::ContextSummary => {
                 let query = plan
@@ -512,8 +489,7 @@ impl<'e> SedaReader<'e> {
                 ResponsePayload::Contexts(contexts)
             }
             Statement::ConnectionSummary { .. } => {
-                let top_k =
-                    self.run_search(plan, ctx, &mut profile, materialized, cache, strategy)?;
+                let top_k = self.run_search(plan, ctx, &mut profile, materialized, cache)?;
                 ctx.check_cancelled()?;
                 let s = self.tracer.enter(span::DISCOVER_CONNECTIONS);
                 let summary = self.engine.connection_summary(&top_k);
@@ -531,7 +507,7 @@ impl<'e> SedaReader<'e> {
                     .as_ref()
                     .expect("invariant: the planner compiles twig statements to a pattern");
                 let s = self.tracer.enter(span::TWIG_EVALUATE);
-                let GovernedTable { mut table, nodes_visited, breach } =
+                let GovernedTable { mut table, nodes_visited, breach, .. } =
                     self.engine.twig_table(pattern, ctx)?;
                 let counters =
                     SpanCounters { nodes_visited, rows: table.len(), ..SpanCounters::default() };
@@ -606,7 +582,7 @@ impl<'e> SedaReader<'e> {
             let terms = reader.engine.term_inputs(query, selections);
             let start = Stopwatch::start();
             // The typed step runs the engine-default configuration at `k`,
-            // the plain join, no prepared state.
+            // no prepared state.
             let config = TopKConfig { k, ..reader.engine.config().topk.clone() };
             let (result, breach) = reader.engine.search(
                 &terms,
@@ -615,7 +591,6 @@ impl<'e> SedaReader<'e> {
                 &mut reader.scratch,
                 None,
                 None,
-                SearchStrategy::Join,
             );
             let mut profile =
                 ExecProfile { exec_secs: start.elapsed_secs(), ..ExecProfile::default() };
@@ -779,8 +754,8 @@ mod tests {
         let response = reader.execute_text("EXPLAIN TOPK 5 FOR (name, *)").unwrap();
         let transcript = response.explain_transcript().unwrap();
         assert!(transcript.contains("plan: TOPK"), "{transcript}");
-        // One term under the candidate bound plans the scan, not the join.
-        assert!(transcript.contains("single-term sorted-prefix scan"), "{transcript}");
+        // One term runs the same join as several.
+        assert!(transcript.contains("threshold-algorithm rank join: k=5"), "{transcript}");
         let response = reader.execute_text("EXPLAIN TOPK 5 FOR (name, *) AND (year, *)").unwrap();
         let transcript = response.explain_transcript().unwrap();
         assert!(transcript.contains("threshold-algorithm rank join"), "{transcript}");

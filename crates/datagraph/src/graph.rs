@@ -404,7 +404,7 @@ impl DataGraph {
     }
 
     /// The precomputed connectivity oracle (distance labels built at merge
-    /// time).  The traversal layer answers `is_connected` / shortest-path
+    /// time).  The traversal layer answers `is_connected_with` / shortest-path
     /// queries from it instead of running BFS.
     pub fn connectivity(&self) -> &ConnectivityIndex {
         &self.connectivity

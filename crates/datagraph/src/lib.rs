@@ -29,10 +29,9 @@ pub use config::{GraphConfig, ValueKeySpec};
 pub use connectivity::{ConnectivityIndex, LabelScheme, LABEL_RADIUS};
 pub use graph::{doc_component_builds_on_this_thread, DataGraph, Edge, EdgeKind, GraphShard};
 pub use traversal::{
-    bfs_is_connected_with, bfs_shortest_distance_with, bfs_shortest_path_with, compactness,
-    compactness_with, connecting_tree_size, connecting_tree_size_with, is_connected,
-    is_connected_with, pairwise_distances, pin, shortest_distance, shortest_distance_with,
-    shortest_path, shortest_path_with, Hop, PinnedSource, TraversalScratch,
+    bfs_is_connected_with, bfs_shortest_distance_with, bfs_shortest_path_with, compactness_with,
+    connecting_tree_size_with, is_connected_with, pin, shortest_distance_with, shortest_path_with,
+    Hop, PinnedSource, TraversalScratch,
 };
 
 #[cfg(test)]
@@ -42,7 +41,8 @@ mod proptests {
     use crate::config::GraphConfig;
     use crate::graph::DataGraph;
     use crate::traversal::{
-        compactness, connecting_tree_size, is_connected, pin, shortest_distance, TraversalScratch,
+        compactness_with, connecting_tree_size_with, is_connected_with, pin,
+        shortest_distance_with, TraversalScratch,
     };
     use seda_xmlstore::{Collection, NodeId};
 
@@ -84,12 +84,13 @@ mod proptests {
             let na = NodeId::new(doc.id, a % n);
             let nb = NodeId::new(doc.id, b % n);
             let limit = doc.len();
-            let d_ab = shortest_distance(&g, na, nb, limit);
-            let d_ba = shortest_distance(&g, nb, na, limit);
+            let s = &mut TraversalScratch::new();
+            let d_ab = shortest_distance_with(&g, s, na, nb, limit);
+            let d_ba = shortest_distance_with(&g, s, nb, na, limit);
             prop_assert!(d_ab.is_some());
             prop_assert_eq!(d_ab, d_ba);
-            prop_assert!(is_connected(&g, &[na, nb], limit));
-            prop_assert!(compactness(&g, &[na, nb], limit) > 0.0);
+            prop_assert!(is_connected_with(&g, s, &[na, nb], limit));
+            prop_assert!(compactness_with(&g, s, &[na, nb], limit) > 0.0);
         }
 
         /// One pinned source answers every target of its document like the
@@ -101,11 +102,14 @@ mod proptests {
             let g = DataGraph::build(&c, &GraphConfig::default());
             let doc = c.documents().next().unwrap();
             let na = NodeId::new(doc.id, a % doc.len() as u32);
-            let mut scratch = TraversalScratch::new();
+            let (mut scratch, s) = (TraversalScratch::new(), &mut TraversalScratch::new());
             {
                 let mut source = pin(&g, &mut scratch, na).expect("a node of the graph pins");
                 for nb in doc.node_ids() {
-                    prop_assert_eq!(source.distance_to(nb, bound), shortest_distance(&g, na, nb, bound));
+                    prop_assert_eq!(
+                        source.distance_to(nb, bound),
+                        shortest_distance_with(&g, s, na, nb, bound)
+                    );
                 }
             }
             prop_assert!(scratch.verify().is_ok());
@@ -123,10 +127,11 @@ mod proptests {
             let na = NodeId::new(doc.id, a % n);
             let nb = NodeId::new(doc.id, b % n);
             let nc = NodeId::new(doc.id, extra % n);
-            let pair = connecting_tree_size(&g, &[na, nb], limit).unwrap();
-            let dist = shortest_distance(&g, na, nb, limit).unwrap();
+            let s = &mut TraversalScratch::new();
+            let pair = connecting_tree_size_with(&g, s, &[na, nb], limit).unwrap();
+            let dist = shortest_distance_with(&g, s, na, nb, limit).unwrap();
             prop_assert_eq!(pair, dist);
-            let triple = connecting_tree_size(&g, &[na, nb, nc], limit).unwrap();
+            let triple = connecting_tree_size_with(&g, s, &[na, nb, nc], limit).unwrap();
             prop_assert!(triple >= pair);
         }
     }

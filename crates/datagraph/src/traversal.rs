@@ -25,11 +25,11 @@
 //! answers of [`shortest_distance_with`].  Probes are counted where entries
 //! are read: `|L(source)|` for the pin, `|L(target)|` per query.
 //!
-//! Every function exists in two flavours: a convenience form that allocates a
-//! fresh [`TraversalScratch`] internally, and a `*_with` form that reuses a
-//! caller-owned scratch.  The scratch holds **epoch-stamped** visited/distance
-//! arrays indexed by the graph's dense node indices, so even the BFS fallback
-//! touches no hash map and resets in O(1) between runs.
+//! Every function takes a caller-owned [`TraversalScratch`] (a one-off caller
+//! passes `&mut TraversalScratch::new()`).  The scratch holds
+//! **epoch-stamped** visited/distance arrays indexed by the graph's dense node
+//! indices, so even the BFS fallback touches no hash map and resets in O(1)
+//! between runs.
 
 use seda_xmlstore::{DocId, NodeId};
 
@@ -252,16 +252,6 @@ fn classify(oracle: &ConnectivityIndex, doc: DocId, d: u32, max_depth: usize) ->
 
 /// Shortest-path distance between two nodes (number of edges), bounded by
 /// `max_depth`; `None` when no path exists within the bound.
-pub fn shortest_distance(
-    graph: &DataGraph,
-    a: NodeId,
-    b: NodeId,
-    max_depth: usize,
-) -> Option<usize> {
-    shortest_distance_with(graph, &mut TraversalScratch::new(), a, b, max_depth)
-}
-
-/// [`shortest_distance`] reusing a caller-owned scratch.
 pub fn shortest_distance_with(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
@@ -366,7 +356,7 @@ impl Drop for PinnedSource<'_> {
     }
 }
 
-/// [`shortest_distance`] answered by plain breadth-first search — the
+/// [`shortest_distance_with`] answered by plain breadth-first search — the
 /// reference implementation the oracle is property-tested against.
 pub fn bfs_shortest_distance_with(
     graph: &DataGraph,
@@ -384,18 +374,8 @@ pub fn bfs_shortest_distance_with(
 }
 
 /// Shortest path between two nodes as the sequence of intermediate hops
-/// (excluding `a`, including `b`), bounded by `max_depth`.
-pub fn shortest_path(
-    graph: &DataGraph,
-    a: NodeId,
-    b: NodeId,
-    max_depth: usize,
-) -> Option<Vec<Hop>> {
-    shortest_path_with(graph, &mut TraversalScratch::new(), a, b, max_depth)
-}
-
-/// [`shortest_path`] reusing a caller-owned scratch.  The returned hop vector
-/// is freshly allocated (it escapes the scratch's lifetime).
+/// (excluding `a`, including `b`), bounded by `max_depth`.  The returned hop
+/// vector is freshly allocated (it escapes the scratch's lifetime).
 ///
 /// The path is materialised by oracle-guided descent: from each node, step to
 /// the first CSR neighbour whose label distance to the target is one less.
@@ -450,8 +430,9 @@ pub fn shortest_path_with(
     Some(path)
 }
 
-/// [`shortest_path`] materialised from a breadth-first search — the reference
-/// implementation the oracle-guided descent is property-tested against.
+/// [`shortest_path_with`] materialised from a breadth-first search — the
+/// reference implementation the oracle-guided descent is property-tested
+/// against.
 pub fn bfs_shortest_path_with(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
@@ -466,28 +447,6 @@ pub fn bfs_shortest_path_with(
     bfs_with(graph, scratch, da, max_depth);
     scratch.distance(db)?;
     Some(path_from_pred(graph, scratch, da, db))
-}
-
-/// Pairwise shortest-path distances for a tuple of nodes.  Entry `(i, j)` is
-/// `None` when nodes `i` and `j` are not connected within `max_depth`.
-pub fn pairwise_distances(
-    graph: &DataGraph,
-    nodes: &[NodeId],
-    max_depth: usize,
-) -> Vec<Vec<Option<usize>>> {
-    let mut scratch = TraversalScratch::new();
-    let n = nodes.len();
-    fill_distance_matrix(graph, &mut scratch, nodes, max_depth);
-    (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|j| {
-                    let d = scratch.matrix[i * n + j];
-                    (d != UNSET).then_some(d as usize)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// Fills `scratch.matrix` (row-major, `UNSET` = unreachable) with the
@@ -533,11 +492,6 @@ fn fill_distance_matrix(
 /// True when the tuple of nodes is connected in the data graph (every node is
 /// reachable from the first within `max_depth` hops).  This is the witness
 /// requirement of Definition 4.
-pub fn is_connected(graph: &DataGraph, nodes: &[NodeId], max_depth: usize) -> bool {
-    is_connected_with(graph, &mut TraversalScratch::new(), nodes, max_depth)
-}
-
-/// [`is_connected`] reusing a caller-owned scratch.
 pub fn is_connected_with(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
@@ -572,8 +526,8 @@ pub fn is_connected_with(
     true
 }
 
-/// [`is_connected`] answered by plain breadth-first search — the reference
-/// implementation the oracle is property-tested against.
+/// [`is_connected_with`] answered by plain breadth-first search — the
+/// reference implementation the oracle is property-tested against.
 pub fn bfs_is_connected_with(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
@@ -591,15 +545,6 @@ pub fn bfs_is_connected_with(
 /// Size (total edge count) of an approximate minimal connecting subtree of the
 /// tuple: a minimum spanning tree over the pairwise shortest-path distances.
 /// `None` when the tuple is not connected within `max_depth`.
-pub fn connecting_tree_size(
-    graph: &DataGraph,
-    nodes: &[NodeId],
-    max_depth: usize,
-) -> Option<usize> {
-    connecting_tree_size_with(graph, &mut TraversalScratch::new(), nodes, max_depth)
-}
-
-/// [`connecting_tree_size`] reusing a caller-owned scratch.
 pub fn connecting_tree_size_with(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
@@ -650,11 +595,6 @@ pub fn connecting_tree_size_with(
 /// The compactness score of a tuple: `1 / (1 + size of the approximate
 /// connecting subtree)`.  Tuples that are not connected within `max_depth`
 /// score 0 and should be discarded by callers.
-pub fn compactness(graph: &DataGraph, nodes: &[NodeId], max_depth: usize) -> f64 {
-    compactness_with(graph, &mut TraversalScratch::new(), nodes, max_depth)
-}
-
-/// [`compactness`] reusing a caller-owned scratch.
 pub fn compactness_with(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
@@ -707,23 +647,25 @@ mod tests {
     #[test]
     fn sibling_leaves_are_two_hops_apart() {
         let (c, g) = setup();
+        let s = &mut TraversalScratch::new();
         let china = find(&c, "/country/economy/import_partners/item/trade_country", "China");
         let pct15 = find(&c, "/country/economy/import_partners/item/percentage", "15");
-        assert_eq!(shortest_distance(&g, china, pct15, 10), Some(2));
+        assert_eq!(shortest_distance_with(&g, s, china, pct15, 10), Some(2));
         // China and the *other* item's percentage are four hops apart.
         let pct169 = find(&c, "/country/economy/import_partners/item/percentage", "16.9");
-        assert_eq!(shortest_distance(&g, china, pct169, 10), Some(4));
+        assert_eq!(shortest_distance_with(&g, s, china, pct169, 10), Some(4));
     }
 
     #[test]
     fn cross_document_paths_use_idref_edges() {
         let (c, g) = setup();
+        let s = &mut TraversalScratch::new();
         let us_name = find(&c, "/country/name", "United States");
         let sea_name = find(&c, "/sea/name", "Pacific Ocean");
         // name -> country -(IdRef via bordering)-> ... -> sea -> name
-        let d = shortest_distance(&g, us_name, sea_name, 10).unwrap();
+        let d = shortest_distance_with(&g, s, us_name, sea_name, 10).unwrap();
         assert_eq!(d, 4);
-        let path = shortest_path(&g, us_name, sea_name, 10).unwrap();
+        let path = shortest_path_with(&g, s, us_name, sea_name, 10).unwrap();
         assert_eq!(path.len(), d);
         assert!(path.iter().any(|h| h.kind == EdgeKind::IdRef));
     }
@@ -731,72 +673,77 @@ mod tests {
     #[test]
     fn disconnected_nodes_have_no_path() {
         let (c, g) = setup();
+        let s = &mut TraversalScratch::new();
         let us_name = find(&c, "/country/name", "United States");
         let island = find(&c, "/island/name", "Lonely Island");
-        assert_eq!(shortest_distance(&g, us_name, island, 12), None);
-        assert!(!is_connected(&g, &[us_name, island], 12));
-        assert_eq!(compactness(&g, &[us_name, island], 12), 0.0);
+        assert_eq!(shortest_distance_with(&g, s, us_name, island, 12), None);
+        assert!(!is_connected_with(&g, s, &[us_name, island], 12));
+        assert_eq!(compactness_with(&g, s, &[us_name, island], 12), 0.0);
     }
 
     #[test]
     fn max_depth_bounds_the_search() {
         let (c, g) = setup();
+        let s = &mut TraversalScratch::new();
         let us_name = find(&c, "/country/name", "United States");
         let sea_name = find(&c, "/sea/name", "Pacific Ocean");
-        assert_eq!(shortest_distance(&g, us_name, sea_name, 2), None);
-        assert_eq!(shortest_distance(&g, us_name, sea_name, 4), Some(4));
+        assert_eq!(shortest_distance_with(&g, s, us_name, sea_name, 2), None);
+        assert_eq!(shortest_distance_with(&g, s, us_name, sea_name, 4), Some(4));
     }
 
     #[test]
     fn connected_tuples_and_compactness() {
         let (c, g) = setup();
+        let s = &mut TraversalScratch::new();
         let china = find(&c, "/country/economy/import_partners/item/trade_country", "China");
         let pct15 = find(&c, "/country/economy/import_partners/item/percentage", "15");
         let pct169 = find(&c, "/country/economy/import_partners/item/percentage", "16.9");
         let us_name = find(&c, "/country/name", "United States");
 
-        assert!(is_connected(&g, &[us_name, china, pct15], 10));
+        assert!(is_connected_with(&g, s, &[us_name, china, pct15], 10));
         // The tighter tuple (China with its own percentage sibling) is more
         // compact than the mismatched tuple (China with Canada's percentage).
-        let tight = compactness(&g, &[us_name, china, pct15], 10);
-        let loose = compactness(&g, &[us_name, china, pct169], 10);
+        let tight = compactness_with(&g, s, &[us_name, china, pct15], 10);
+        let loose = compactness_with(&g, s, &[us_name, china, pct169], 10);
         assert!(tight > loose, "tight={tight} loose={loose}");
     }
 
     #[test]
     fn singleton_and_empty_tuples_are_trivially_connected() {
         let (c, g) = setup();
+        let s = &mut TraversalScratch::new();
         let us_name = find(&c, "/country/name", "United States");
-        assert!(is_connected(&g, &[us_name], 1));
-        assert!(is_connected(&g, &[], 1));
-        assert_eq!(connecting_tree_size(&g, &[us_name], 1), Some(0));
-        assert_eq!(connecting_tree_size(&g, &[], 1), Some(0));
-        assert_eq!(compactness(&g, &[us_name], 1), 1.0);
+        assert!(is_connected_with(&g, s, &[us_name], 1));
+        assert!(is_connected_with(&g, s, &[], 1));
+        assert_eq!(connecting_tree_size_with(&g, s, &[us_name], 1), Some(0));
+        assert_eq!(connecting_tree_size_with(&g, s, &[], 1), Some(0));
+        assert_eq!(compactness_with(&g, s, &[us_name], 1), 1.0);
     }
 
     #[test]
     fn shortest_path_endpoints_and_self_path() {
         let (c, g) = setup();
+        let s = &mut TraversalScratch::new();
         let us_name = find(&c, "/country/name", "United States");
-        assert_eq!(shortest_path(&g, us_name, us_name, 5), Some(vec![]));
+        assert_eq!(shortest_path_with(&g, s, us_name, us_name, 5), Some(vec![]));
         let root = NodeId::new(DocId(0), 0);
-        let p = shortest_path(&g, us_name, root, 5).unwrap();
+        let p = shortest_path_with(&g, s, us_name, root, 5).unwrap();
         assert_eq!(p.last().unwrap().node, root);
     }
 
     #[test]
-    fn pairwise_distances_matrix_is_symmetric() {
+    fn distance_matrix_is_symmetric() {
         let (c, g) = setup();
+        let s = &mut TraversalScratch::new();
         let china = find(&c, "/country/economy/import_partners/item/trade_country", "China");
         let pct15 = find(&c, "/country/economy/import_partners/item/percentage", "15");
         let us_name = find(&c, "/country/name", "United States");
-        let nodes = [us_name, china, pct15];
-        let m = pairwise_distances(&g, &nodes, 10);
-        #[allow(clippy::needless_range_loop)]
+        fill_distance_matrix(&g, s, &[us_name, china, pct15], 10);
         for i in 0..3 {
-            assert_eq!(m[i][i], Some(0));
+            assert_eq!(s.matrix[i * 3 + i], 0);
             for j in 0..3 {
-                assert_eq!(m[i][j], m[j][i]);
+                assert_ne!(s.matrix[i * 3 + j], UNSET, "one document: every pair connects");
+                assert_eq!(s.matrix[i * 3 + j], s.matrix[j * 3 + i]);
             }
         }
     }
@@ -810,7 +757,7 @@ mod tests {
             for &b in &nodes {
                 assert_eq!(
                     shortest_distance_with(&g, &mut scratch, a, b, 12),
-                    shortest_distance(&g, a, b, 12),
+                    shortest_distance_with(&g, &mut TraversalScratch::new(), a, b, 12),
                     "scratch reuse changed the distance of {a:?} -> {b:?}"
                 );
             }

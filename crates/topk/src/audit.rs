@@ -75,7 +75,7 @@ pub fn verify_search_stats(stats: &SearchStats) -> AuditResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SearchLimits, SearchStrategy, TermInput, TopKConfig, TopKSearcher};
+    use crate::{SearchLimits, TermInput, TopKConfig, TopKSearcher};
     use seda_datagraph::{DataGraph, GraphConfig};
     use seda_textindex::{FullTextQuery, NodeIndex};
     use seda_xmlstore::parse_collection;
@@ -102,7 +102,6 @@ mod tests {
             &SearchLimits::unlimited(),
             &mut scratch,
             None,
-            SearchStrategy::Join,
         );
         assert!(!result.tuples.is_empty());
         scratch.verify().unwrap();

@@ -9,9 +9,7 @@
 //! ```
 //! use seda_datagraph::{DataGraph, GraphConfig};
 //! use seda_textindex::{FullTextQuery, NodeIndex};
-//! use seda_topk::{
-//!     SearchLimits, SearchScratch, SearchStrategy, TermInput, TopKConfig, TopKSearcher,
-//! };
+//! use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
 //! use seda_xmlstore::parse_collection;
 //!
 //! let collection = parse_collection(vec![
@@ -21,14 +19,13 @@
 //! let graph = DataGraph::build(&collection, &GraphConfig::default());
 //! let searcher = TopKSearcher::new(&collection, &index, &graph);
 //! // The one search entry point: ungoverned is unlimited limits, a one-off
-//! // search is a fresh scratch, no optimizer state is `None` + `Join`.
+//! // search is a fresh scratch, no compactness memo is `None`.
 //! let (result, breach) = searcher.search(
 //!     &[TermInput::new(FullTextQuery::phrase("United States"))],
 //!     &TopKConfig::with_k(3),
 //!     &SearchLimits::unlimited(),
 //!     &mut SearchScratch::new(),
 //!     None,
-//!     SearchStrategy::Join,
 //! );
 //! assert!(breach.is_none());
 //! assert_eq!(result.tuples.len(), 1);
@@ -41,18 +38,15 @@ pub mod types;
 
 pub use searcher::{SearchScratch, TopKSearcher};
 pub use types::{
-    LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, SearchStrategy,
-    TermInput, TopKConfig, TopKResult, TupleScoreCache,
+    LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, TermInput, TopKConfig,
+    TopKResult, TupleScoreCache,
 };
 
 #[cfg(test)]
 mod proptests {
     use proptest::prelude::*;
 
-    use crate::{
-        SearchLimits, SearchScratch, SearchStrategy, TermInput, TopKConfig, TopKResult,
-        TopKSearcher,
-    };
+    use crate::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKResult, TopKSearcher};
     use seda_datagraph::{DataGraph, GraphConfig};
     use seda_textindex::{FullTextQuery, NodeIndex};
     use seda_xmlstore::Collection;
@@ -60,7 +54,7 @@ mod proptests {
     fn search(searcher: &TopKSearcher<'_>, terms: &[TermInput], config: &TopKConfig) -> TopKResult {
         let mut scratch = SearchScratch::new();
         let limits = SearchLimits::unlimited();
-        searcher.search(terms, config, &limits, &mut scratch, None, SearchStrategy::Join).0
+        searcher.search(terms, config, &limits, &mut scratch, None).0
     }
 
     /// A small random two-level collection of `docs` documents, each with a

@@ -70,8 +70,8 @@ use seda_xmlstore::{Collection, NodeId};
 
 use crate::partition::ComponentPartition;
 use crate::types::{
-    LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, SearchStrategy,
-    TermInput, TopKConfig, TopKResult, TupleScoreCache,
+    LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, TermInput, TopKConfig,
+    TopKResult, TupleScoreCache,
 };
 
 /// Reusable buffers of the top-k search: posting lists and their component
@@ -113,7 +113,8 @@ pub(crate) struct JoinBuffers {
 
 /// Where the join finds the component partition of its term lists: ready in
 /// [`MaterializedTerms`], or in the scratch, still to be rebuilt for the
-/// lists just filled (skipped when the search never reaches the join).
+/// lists just filled (skipped when the join has no partner to look up: no
+/// list, `k == 0` or one list).
 enum PartitionSource<'a> {
     Ready(&'a ComponentPartition),
     Stale(&'a mut ComponentPartition),
@@ -217,8 +218,13 @@ impl<'a> TopKSearcher<'a> {
     /// Runs the Threshold-Algorithm search under per-request resource
     /// ceilings, reusing `scratch` for every buffer the join loop needs.
     /// Ungoverned callers pass [`SearchLimits::unlimited`], one-off callers
-    /// `&mut SearchScratch::new()`, and callers without optimizer state
-    /// `None` and [`SearchStrategy::Join`].
+    /// `&mut SearchScratch::new()`, and callers without a compactness memo
+    /// `None`.
+    ///
+    /// Every term count runs the same join.  Over one list it reads the first
+    /// `min(k, len)` entries and stops: the k-th read meets the threshold,
+    /// every singleton tuple is maximally compact (`1.0`, no label probe) and
+    /// no partner is ever looked up.
     ///
     /// At most [`TopKConfig::candidate_limit`] candidate tuples are scored;
     /// when the limit clips the candidate set, the number of dropped
@@ -239,10 +245,6 @@ impl<'a> TopKSearcher<'a> {
     /// node each sorted access returns (module docs, "Random access"): tuples,
     /// score bits and every counter but [`SearchStats::label_probes`] equal
     /// the pair-by-pair scoring's.
-    /// `strategy` only short-circuits when it reproduces the join loop
-    /// exactly (one term, candidate limit ≥ k: a direct scan of the sorted
-    /// prefix — same tuples, same stats, no join machinery), so results never
-    /// depend on it.
     pub fn search(
         &self,
         terms: &[TermInput],
@@ -250,13 +252,12 @@ impl<'a> TopKSearcher<'a> {
         limits: &SearchLimits,
         scratch: &mut SearchScratch,
         cache: Option<&mut TupleScoreCache>,
-        strategy: SearchStrategy,
     ) -> (TopKResult, Option<LimitBreach>) {
         let SearchScratch { traversal, lists, partition, eval_candidates, join } = scratch;
         self.fill_lists(terms, lists, eval_candidates);
         let lists = &lists[..terms.len()];
         let partition = PartitionSource::Stale(partition);
-        self.join(lists, partition, config, limits, traversal, join, cache, strategy)
+        self.join(lists, partition, config, limits, traversal, join, cache)
     }
 
     /// Materialises the per-term sorted-access lists once, for reuse across
@@ -284,94 +285,11 @@ impl<'a> TopKSearcher<'a> {
         limits: &SearchLimits,
         scratch: &mut SearchScratch,
         cache: Option<&mut TupleScoreCache>,
-        strategy: SearchStrategy,
     ) -> (TopKResult, Option<LimitBreach>) {
         let MaterializedTerms { lists, partition } = materialized;
         let SearchScratch { traversal, join, .. } = scratch;
         let partition = PartitionSource::Ready(partition);
-        self.join(lists, partition, config, limits, traversal, join, cache, strategy)
-    }
-
-    /// Degenerate single-term search: with one list the Threshold Algorithm
-    /// consumes exactly `min(k, len)` sorted accesses (after the k-th access
-    /// the threshold equals the k-th buffered score), every singleton tuple
-    /// is maximally compact (`1.0`, zero oracle probes) and no joins happen.
-    /// This scan reproduces that behaviour — tuples, stats and breach
-    /// semantics — without the join machinery.
-    fn scan_single_term(
-        &self,
-        list: &[ScoredNode],
-        config: &TopKConfig,
-        limits: &SearchLimits,
-    ) -> (TopKResult, Option<LimitBreach>) {
-        let mut stats = SearchStats::default();
-        if list.is_empty() {
-            return (TopKResult { tuples: Vec::new(), stats }, None);
-        }
-        let mut breach: Option<LimitBreach> = None;
-        let mut tuples: Vec<ResultTuple> = Vec::with_capacity(config.k.min(list.len()));
-        for entry in list.iter().take(config.k) {
-            if let Some(deadline) = limits.deadline {
-                if stats.sorted_accesses % SearchLimits::DEADLINE_STRIDE == 0
-                    && std::time::Instant::now() >= deadline
-                {
-                    breach = Some(LimitBreach { resource: "deadline", spent: 0, budget: 0 });
-                    break;
-                }
-            }
-            if let Some(cancel) = &limits.cancel {
-                if cancel.load(std::sync::atomic::Ordering::Relaxed) {
-                    breach = Some(LimitBreach { resource: "cancelled", spent: 0, budget: 0 });
-                    break;
-                }
-            }
-            if let Some(max) = limits.max_sorted_accesses {
-                if stats.sorted_accesses >= max {
-                    breach = Some(LimitBreach {
-                        resource: "sorted accesses",
-                        spent: stats.sorted_accesses as u64,
-                        budget: max as u64,
-                    });
-                    break;
-                }
-            }
-            stats.sorted_accesses += 1;
-            // The join loop checks the tuple ceiling after the sorted access
-            // that produced the candidate; mirror that order so breach stats
-            // line up with the general path.
-            if let Some(max) = limits.max_tuples_scored {
-                if stats.tuples_scored >= max {
-                    breach = Some(LimitBreach {
-                        resource: "candidate tuples",
-                        spent: stats.tuples_scored as u64,
-                        budget: max as u64,
-                    });
-                    break;
-                }
-            }
-            stats.tuples_scored += 1;
-            let score = config.content_weight * entry.score + config.structure_weight * 1.0;
-            tuples.push(ResultTuple {
-                nodes: vec![entry.node],
-                content_score: entry.score,
-                compactness: 1.0,
-                score,
-            });
-        }
-        if breach.is_none() && list.len() >= config.k {
-            // The TA loop flags early termination once the k-th buffered
-            // score meets the threshold, which for one list happens on the
-            // k-th sorted access — including when the list is exactly k long.
-            stats.early_terminated = true;
-        }
-        tuples.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.nodes.cmp(&b.nodes))
-        });
-        tuples.dedup_by(|a, b| a.nodes == b.nodes);
-        (TopKResult { tuples, stats }, breach)
+        self.join(lists, partition, config, limits, traversal, join, cache)
     }
 
     /// Picks the copy of [`TopKSearcher::rank_join`] a search runs in: the
@@ -391,25 +309,20 @@ impl<'a> TopKSearcher<'a> {
         traversal: &mut TraversalScratch,
         join: &mut JoinBuffers,
         cache: Option<&mut TupleScoreCache>,
-        strategy: SearchStrategy,
     ) -> (TopKResult, Option<LimitBreach>) {
         if lists.len() == 2 && cache.is_none() {
-            self.rank_join::<true>(
-                lists, partition, config, limits, traversal, join, cache, strategy,
-            )
+            self.rank_join::<true>(lists, partition, config, limits, traversal, join, cache)
         } else {
-            self.rank_join::<false>(
-                lists, partition, config, limits, traversal, join, cache, strategy,
-            )
+            self.rank_join::<false>(lists, partition, config, limits, traversal, join, cache)
         }
     }
 
     /// The one search body behind [`TopKSearcher::search`] and
-    /// [`TopKSearcher::search_materialized`]: the empty/`k == 0` guard, the
-    /// strategy dispatch and the Threshold-Algorithm join loop over the
-    /// borrowed term lists and their component partition.  `PAIRS` compiles
-    /// the pinned pair arm in ([`score_pairs_pinned`]); the caller sets it
-    /// only for two lists without a memo.
+    /// [`TopKSearcher::search_materialized`]: the empty/`k == 0` guard and
+    /// the Threshold-Algorithm join loop over the borrowed term lists and
+    /// their component partition.  `PAIRS` compiles the pinned pair arm in
+    /// ([`score_pairs_pinned`]); the caller sets it only for two lists
+    /// without a memo.
     #[allow(clippy::too_many_arguments)]
     fn rank_join<const PAIRS: bool>(
         &self,
@@ -420,22 +333,20 @@ impl<'a> TopKSearcher<'a> {
         traversal: &mut TraversalScratch,
         join: &mut JoinBuffers,
         mut cache: Option<&mut TupleScoreCache>,
-        strategy: SearchStrategy,
     ) -> (TopKResult, Option<LimitBreach>) {
         let mut stats = SearchStats::default();
         if lists.is_empty() || config.k == 0 {
             return (TopKResult { tuples: Vec::new(), stats }, None);
         }
-        if strategy == SearchStrategy::SingleTermScan
-            && lists.len() == 1
-            && config.candidate_limit >= config.k
-        {
-            return self.scan_single_term(&lists[0], config, limits);
-        }
         let partition: &ComponentPartition = match partition {
             PartitionSource::Ready(partition) => partition,
             PartitionSource::Stale(partition) => {
-                partition.rebuild(self.graph, lists);
+                // Partners are looked up only in lists other than the one
+                // just read, so one list never reads the partition: skip the
+                // O(components) rebuild that would otherwise dominate it.
+                if lists.len() > 1 {
+                    partition.rebuild(self.graph, lists);
+                }
                 partition
             }
         };
@@ -668,7 +579,7 @@ impl<'a> TopKSearcher<'a> {
                     // An exhausted list keeps contributing its last score;
                     // dropping it from the max would tighten the threshold
                     // but changes `sorted_accesses` / `early_terminated`, so
-                    // it is left to the ROADMAP item 1 follow-up.
+                    // it is left to the ROADMAP item 2 follow-up.
                     let front = if positions[j] == 0 {
                         best_scores[j]
                     } else {
@@ -938,7 +849,7 @@ mod tests {
         .unwrap()
     }
 
-    /// The governed join search without optimizer state.
+    /// The governed search without a compactness memo.
     fn governed(
         searcher: &TopKSearcher<'_>,
         terms: &[TermInput],
@@ -946,7 +857,7 @@ mod tests {
         limits: &SearchLimits,
         scratch: &mut SearchScratch,
     ) -> (TopKResult, Option<LimitBreach>) {
-        searcher.search(terms, config, limits, scratch, None, SearchStrategy::Join)
+        searcher.search(terms, config, limits, scratch, None)
     }
 
     /// The plain search: unlimited, fresh scratch.
@@ -1228,14 +1139,8 @@ mod tests {
         assert_eq!(materialized.term_count(), terms.len());
         let mut scratch = SearchScratch::new();
         let (fresh, _) = governed(&searcher, &terms, &config, &limits, &mut scratch);
-        let (replayed, breach) = searcher.search_materialized(
-            &materialized,
-            &config,
-            &limits,
-            &mut scratch,
-            None,
-            SearchStrategy::Join,
-        );
+        let (replayed, breach) =
+            searcher.search_materialized(&materialized, &config, &limits, &mut scratch, None);
         assert!(breach.is_none());
         assert_eq!(fresh.tuples, replayed.tuples);
         assert_eq!(fresh.stats, replayed.stats);
@@ -1258,7 +1163,6 @@ mod tests {
             &limits,
             &mut scratch,
             Some(&mut cache),
-            SearchStrategy::Join,
         );
         assert!(cold.stats.label_probes > 0);
         assert!(cache.misses() > 0 && cache.hits() == 0);
@@ -1268,7 +1172,6 @@ mod tests {
             &limits,
             &mut scratch,
             Some(&mut cache),
-            SearchStrategy::Join,
         );
         assert_eq!(cold.tuples, warm.tuples, "memoisation must not change the answer");
         assert!(cache.hits() > 0);
@@ -1281,31 +1184,38 @@ mod tests {
     }
 
     #[test]
-    fn single_term_scan_matches_the_join_loop_exactly() {
+    fn one_list_join_reads_the_sorted_prefix_and_looks_up_no_partner() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&c, &index, &graph);
         // "United States" matches 2 nodes; exercise k below, at and above the
         // list length to pin tuples, stats and the early-termination flag.
         let terms = vec![TermInput::new(FullTextQuery::phrase("United States"))];
-        let materialized = searcher.materialize_terms(&terms);
         let limits = SearchLimits::unlimited();
         let mut scratch = SearchScratch::new();
-        for k in [1usize, 2, 10] {
+        for k in [0usize, 1, 2, 10] {
+            // A three-term search first leaves the scratch's partition built
+            // for other lists: the one-list search never reads it.
+            governed(&searcher, &query1_terms(&c), &TopKConfig::with_k(3), &limits, &mut scratch);
             let config = TopKConfig::with_k(k);
-            let (join, _) = governed(&searcher, &terms, &config, &limits, &mut scratch);
-            let (scan, breach) = searcher.search_materialized(
-                &materialized,
-                &config,
-                &limits,
-                &mut scratch,
-                None,
-                SearchStrategy::SingleTermScan,
-            );
+            let (result, breach) = governed(&searcher, &terms, &config, &limits, &mut scratch);
             assert!(breach.is_none());
-            assert_eq!(join.tuples, scan.tuples, "k={k}");
-            assert_eq!(join.stats, scan.stats, "k={k}");
+            let read = k.min(2);
+            let stats = &result.stats;
+            assert_eq!((stats.sorted_accesses, stats.tuples_scored), (read, read), "k={k}");
+            assert_eq!((stats.random_accesses, stats.label_probes), (0, 0), "k={k}");
+            assert_eq!(stats.early_terminated, k == 1 || k == 2, "k={k}");
+            assert_eq!(result.tuples.len(), read, "k={k}");
+            assert!(result.tuples.iter().all(|t| t.compactness == 1.0));
+            assert!(result.tuples.windows(2).all(|w| w[0].score >= w[1].score));
+            let fresh = search(&searcher, &terms, &config);
+            assert_eq!(result, fresh, "k={k}");
         }
+        // The candidate bound stops the read before the threshold can.
+        let clipped = TopKConfig { candidate_limit: 1, ..TopKConfig::with_k(2) };
+        let (result, _) = governed(&searcher, &terms, &clipped, &limits, &mut scratch);
+        assert_eq!((result.stats.sorted_accesses, result.tuples.len()), (1, 1));
+        assert!(!result.stats.early_terminated);
     }
 
     #[test]

@@ -197,22 +197,6 @@ impl TopKResult {
     }
 }
 
-/// How the compiled plan drives the top-k search.
-///
-/// Chosen by the plan optimizer at prepare time; the default is the general
-/// Threshold-Algorithm rank join.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SearchStrategy {
-    /// The Threshold-Algorithm rank join over all term lists (general case).
-    #[default]
-    Join,
-    /// Single-keyword shortcut: one term degenerates to ranked retrieval — a
-    /// direct scan of the sorted posting prefix with no join machinery.  Only
-    /// applied when it reproduces the join's tuples, stats and termination
-    /// behaviour exactly (one term, candidate limit ≥ k).
-    SingleTermScan,
-}
-
 /// Per-term sorted-access lists materialised once at prepare time, so a
 /// prepared statement's re-executions skip full-text evaluation entirely.
 ///
@@ -353,7 +337,6 @@ mod tests {
         assert_eq!(m.term_count(), 2);
         assert_eq!(m.list_len(0), 0);
         assert_eq!(m.list_len(7), 0, "out-of-range terms read as empty");
-        assert_eq!(SearchStrategy::default(), SearchStrategy::Join);
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn analyze(engine: &SedaEngine, request: &str) -> (String, SedaResponse) {
 }
 
 #[test]
-fn topk_analyze_annotates_the_search_step() {
+fn topk_analyze_annotates_the_search_span() {
     let e = engine();
     let (transcript, response) = analyze(&e, &format!("TOPK 5 FOR {QUERY}"));
     assert!(transcript.contains("plan: TOPK"), "{transcript}");

@@ -82,24 +82,24 @@ fn parse_site_faults_surface_as_internal_and_build_recovers() {
 #[test]
 fn build_site_faults_fail_sequential_and_sharded_builds_cleanly() {
     let _guard = serialise();
-    // Sequential path reaches "oracle-build" only.
-    arm("oracle-build", FaultAction::Error);
-    assert!(
-        matches!(engine_with_parallelism(1), Err(SedaError::Internal(_))),
-        "armed oracle-build must fail the sequential build"
-    );
-
-    // Sharded path reaches both merge-side sites; a panic at either must be
-    // contained by the build facade.
-    for site in ["oracle-build", "shard-merge"] {
-        arm(site, FaultAction::Panic);
-        assert!(
-            matches!(engine_with_parallelism(2), Err(SedaError::Internal(_))),
-            "armed {site} must fail the sharded build"
-        );
+    // One orchestration at every thread count: a one-thread build reaches
+    // both merge-side sites as a two-thread one does, and an error or a
+    // panic at either is contained by the build facade.
+    for parallelism in [1, 2] {
+        for site in ["oracle-build", "shard-merge"] {
+            for action in [FaultAction::Error, FaultAction::Panic] {
+                arm(site, action);
+                assert!(
+                    matches!(engine_with_parallelism(parallelism), Err(SedaError::Internal(_))),
+                    "armed {site} ({action:?}) must fail the build at parallelism {parallelism}"
+                );
+            }
+        }
     }
     disarm_all();
-    assert!(engine_with_parallelism(2).is_ok(), "unarmed sharded build succeeds");
+    for parallelism in [1, 2] {
+        assert!(engine_with_parallelism(parallelism).is_ok(), "unarmed build succeeds");
+    }
 }
 
 #[test]

@@ -1,16 +1,14 @@
-//! Strategy equivalence: a request executed the way the planner decides
-//! (single-term scan or rank join, fresh or over a prepared statement's
-//! materialized lists and memo) must return byte-identical responses to the
-//! reference spelling of the same executor (`execute_plan_unoptimized`: the
-//! plain join, no prepared state), across randomized datagen corpora and
-//! every statement type.  Prepared statements must reproduce fresh
-//! executions too.
+//! Prepared-statement equivalence: a request executed through a prepared
+//! statement — over its materialized term lists and compactness memo, round
+//! after round — must return the payload a fresh execution of the same
+//! request returns (the oracle here), across randomized datagen corpora and
+//! every statement type; `set_k` must keep matching fresh plans; and every
+//! spelling of the one executor (facade, planned request, prepared
+//! statement) must reach the same outcome under each budget ceiling.
 //!
-//! The scan is chosen only where it reproduces the join's payload *and* work
-//! counters, so the comparison here is full structural equality of the
-//! `Result`, with one carve-out: warm-cache prepared re-executions
-//! legitimately skip connectivity label probes, so that single counter is
-//! masked in the prepared-reuse comparison only.
+//! The comparison is full structural equality of the `Result`, with one
+//! carve-out: warm-cache prepared re-executions legitimately skip
+//! connectivity label probes, so that single counter is masked.
 
 use proptest::prelude::*;
 
@@ -42,57 +40,6 @@ fn googlebase_registry() -> Registry {
     registry
 }
 
-/// Executes `text` with the planned strategy and through the reference
-/// spelling, and asserts the two outcomes are structurally identical —
-/// payload, profile counters, or the exact same typed error.
-fn assert_program_matches_oracle(engine: &SedaEngine, text: &str) -> Result<(), TestCaseError> {
-    let request = SedaRequest::parse(text).expect("request parses");
-    let plan = engine.prepare(&request).expect("request prepares");
-    let mut reader = engine.reader();
-    let optimized = reader.execute_plan_governed(&plan, &RequestContext::unlimited());
-    let mut oracle_reader = engine.reader();
-    let oracle = oracle_reader.execute_plan_unoptimized(&plan, &RequestContext::unlimited());
-    match (&optimized, &oracle) {
-        (Ok(a), Ok(b)) => {
-            prop_assert_eq!(&a.payload, &b.payload, "payload diverges: {}", text);
-            prop_assert_eq!(a.profile.rows, b.profile.rows, "rows diverge: {}", text);
-            prop_assert_eq!(
-                a.profile.sorted_accesses,
-                b.profile.sorted_accesses,
-                "sorted accesses diverge: {}",
-                text
-            );
-            prop_assert_eq!(
-                a.profile.random_accesses,
-                b.profile.random_accesses,
-                "random accesses diverge: {}",
-                text
-            );
-            prop_assert_eq!(
-                a.profile.tuples_scored,
-                b.profile.tuples_scored,
-                "tuples scored diverge: {}",
-                text
-            );
-            prop_assert_eq!(
-                a.profile.label_probes,
-                b.profile.label_probes,
-                "label probes diverge: {}",
-                text
-            );
-        }
-        (Err(a), Err(b)) => prop_assert_eq!(a, b, "errors diverge: {}", text),
-        _ => prop_assert!(
-            false,
-            "outcomes diverge for {}: optimized {:?} vs oracle {:?}",
-            text,
-            optimized.as_ref().map(|r| r.profile.rows),
-            oracle.as_ref().map(|r| r.profile.rows)
-        ),
-    }
-    Ok(())
-}
-
 /// Masks the one counter warm-cache executions legitimately change.
 fn normalized(mut payload: ResponsePayload) -> ResponsePayload {
     match &mut payload {
@@ -104,7 +51,8 @@ fn normalized(mut payload: ResponsePayload) -> ResponsePayload {
 }
 
 /// Asserts a prepared statement re-executed several times keeps reproducing
-/// a fresh `execute` of the same request (modulo label probes).
+/// a fresh `execute` of the same request (modulo label probes), or fails
+/// with the same typed error.
 fn assert_prepared_matches_fresh(engine: &SedaEngine, text: &str) -> Result<(), TestCaseError> {
     let request = SedaRequest::parse(text).expect("request parses");
     let mut reader = engine.reader();
@@ -171,14 +119,13 @@ proptest! {
         let engine = engine(mondial::generate(&config).expect("generate mondial"), Registry::new());
         let q = r#"(name, *) AND (population, *)"#;
         for text in statements(q, "(name, *)", "/country/name", None, k) {
-            assert_program_matches_oracle(&engine, &text)?;
+            assert_prepared_matches_fresh(&engine, &text)?;
         }
         // A restricted term filters postings inside sorted access.
-        assert_program_matches_oracle(
+        assert_prepared_matches_fresh(
             &engine,
             &format!("TOPK {k} FOR {q} WITH 0 IN /country/name"),
         )?;
-        assert_prepared_matches_fresh(&engine, &format!("TOPK {k} FOR {q}"))?;
     }
 
     /// Google-Base-like corpora: one document per item, no cross edges —
@@ -199,10 +146,8 @@ proptest! {
         let q = r#"(category, *) AND (price, *)"#;
         let cube = format!("CUBE price BY category AGG sum FOR {q}");
         for text in statements(q, "(price, *)", "/item/category", Some(&cube), k) {
-            assert_program_matches_oracle(&engine, &text)?;
+            assert_prepared_matches_fresh(&engine, &text)?;
         }
-        assert_prepared_matches_fresh(&engine, &cube)?;
-        assert_prepared_matches_fresh(&engine, &format!("CONNECTIONS {k} FOR {q}"))?;
     }
 
     /// RecipeML-like corpora: three document shapes under one root, deep
@@ -220,14 +165,13 @@ proptest! {
             engine(recipeml::generate(&config).expect("generate recipeml"), Registry::new());
         let q = r#"(item, *) AND (qty, *)"#;
         for text in statements(q, "(item, *)", "/recipeml/recipe/head/title", None, k) {
-            assert_program_matches_oracle(&engine, &text)?;
+            assert_prepared_matches_fresh(&engine, &text)?;
         }
-        assert_prepared_matches_fresh(&engine, &format!("RESULTS FOR {q}"))?;
     }
 }
 
 /// Non-random anchors: the exact fixed corpora of the bench suite, plus the
-/// degraded-k edge cases the strategies above rarely hit.
+/// degenerate ks the strategies above rarely hit, for one term and two.
 #[test]
 fn program_matches_oracle_on_fixed_corpora_and_edge_ks() {
     let engine = engine(
@@ -236,14 +180,14 @@ fn program_matches_oracle_on_fixed_corpora_and_edge_ks() {
     );
     for k in [0, 1, 1000] {
         let text = format!("TOPK {k} FOR (name, *) AND (population, *)");
-        assert_program_matches_oracle(&engine, &text).expect("equivalence");
+        assert_prepared_matches_fresh(&engine, &text).expect("equivalence");
         let text = format!("TOPK {k} FOR (name, *)");
-        assert_program_matches_oracle(&engine, &text).expect("equivalence");
+        assert_prepared_matches_fresh(&engine, &text).expect("equivalence");
     }
 }
 
 /// `set_k` on a prepared statement keeps matching a freshly planned request
-/// with the same k, including across the scan↔join strategy boundary.
+/// with the same k.
 #[test]
 fn prepared_set_k_matches_fresh_plans() {
     let engine = engine(
@@ -265,10 +209,10 @@ fn prepared_set_k_matches_fresh_plans() {
 }
 
 /// Governance parity: under each budget ceiling, in error mode and in
-/// `allow_degraded` mode, the four spellings of the one executor — the
-/// facade, a planned request, a prepared statement and the reference — reach
-/// the same outcome: the same typed breach, or the same degraded prefix with
-/// the same counters.
+/// `allow_degraded` mode, the three spellings of the one executor — the
+/// facade, a planned request and a prepared statement — reach the same
+/// outcome: the same typed breach, or the same degraded prefix with the same
+/// counters.
 #[test]
 fn program_matches_oracle_under_budgets() {
     let mondial = engine(
@@ -285,6 +229,14 @@ fn program_matches_oracle_under_budgets() {
         (
             &mondial,
             "TOPK 10 FOR (name, *) AND (population, *)".to_string(),
+            unlimited().with_max_label_probes(1),
+            "label probes",
+        ),
+        (
+            &mondial,
+            "RESULTS FOR (name, *) AND (name, *) WITH 0 IN /country/name \
+             WITH 1 IN /organization/name"
+                .to_string(),
             unlimited().with_max_label_probes(1),
             "label probes",
         ),
@@ -307,7 +259,6 @@ fn program_matches_oracle_under_budgets() {
             unlimited().with_max_sorted_accesses(1),
             "sorted accesses",
         ),
-        // One term: the planned scan against the reference join.
         (
             &googlebase,
             "TOPK 10 FOR (price, *)".to_string(),
@@ -335,7 +286,6 @@ fn program_matches_oracle_under_budgets() {
                 reader.execute_governed(&request, &ctx()),
                 reader.execute_plan_governed(&plan, &ctx()),
                 prepared.execute_governed(&mut reader, &ctx()),
-                reader.execute_plan_unoptimized(&plan, &ctx()),
             ]
             .map(|outcome| {
                 outcome.map(|r| {

@@ -1,7 +1,8 @@
 //! Determinism of the shard-parallel engine build: building the same
-//! collection twice with `parallelism > 1` — and once sequentially — must
-//! yield identical substrates, identical guide links, identical dataguide
-//! statistics and identical query answers, regardless of worker scheduling.
+//! collection twice with `parallelism > 1` — and once on one thread, through
+//! the same orchestration — must yield identical substrates, identical guide
+//! links, identical dataguide statistics and identical query answers,
+//! regardless of worker scheduling.
 //!
 //! `NodeIndex` equality is derived `PartialEq` over every field, so it covers
 //! the whole frozen read model — the per-posting path array and the
@@ -87,7 +88,6 @@ fn build_profile_is_surfaced_for_parallel_builds() {
     let profile = engine.build_profile();
     assert_eq!(profile.parallelism, 4);
     assert_eq!(profile.documents, engine.collection().len());
-    assert_eq!(profile.shards, engine.collection().len());
     assert!(profile.shard_secs() > 0.0);
     assert!(profile.total_secs >= profile.shard_secs());
     // The read model's bytes are a function of the collection, not of how it

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use seda_core::seda_topk::{
-    SearchLimits, SearchScratch, SearchStrategy, TermInput, TopKConfig, TopKResult, TopKSearcher,
+    SearchLimits, SearchScratch, TermInput, TopKConfig, TopKResult, TopKSearcher,
 };
 use seda_core::{EngineConfig, SedaEngine, SedaError, SedaQuery, SedaReader, SedaRequest};
 use seda_datagen::Dataset;
@@ -75,7 +75,6 @@ impl Expected {
             &SearchLimits::unlimited(),
             &mut SearchScratch::new(),
             None,
-            SearchStrategy::Join,
         );
         assert!(breach.is_none());
         assert!(top_k.stats.label_probes > 0 && top_k.stats.tuples_disconnected > 0);
@@ -100,7 +99,6 @@ impl Expected {
             &SearchLimits::unlimited(),
             reader.scratch_mut(),
             None,
-            SearchStrategy::Join,
         );
         assert!(breach.is_none(), "after {after}");
         assert_eq!(top_k, self.top_k, "unlimited search after {after}");
@@ -120,8 +118,7 @@ fn search(
 ) -> (TopKResult, Option<&'static str>) {
     let engine = reader.engine();
     let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
-    let (result, breach) =
-        searcher.search(terms, config, limits, reader.scratch_mut(), None, SearchStrategy::Join);
+    let (result, breach) = searcher.search(terms, config, limits, reader.scratch_mut(), None);
     (result, breach.map(|b| b.resource))
 }
 

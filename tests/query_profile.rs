@@ -5,7 +5,7 @@ use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, Sed
 use seda_datagen::{mondial, MondialConfig};
 use seda_datagraph::doc_component_builds_on_this_thread;
 use seda_olap::Registry;
-use seda_topk::{SearchLimits, SearchScratch, SearchStrategy, TopKConfig, TopKSearcher};
+use seda_topk::{SearchLimits, SearchScratch, TopKConfig, TopKSearcher};
 
 fn small_engine() -> SedaEngine {
     let config = MondialConfig {
@@ -59,7 +59,6 @@ fn doc_components_built_once_per_engine_never_per_search() {
             &SearchLimits::unlimited(),
             &mut scratch,
             None,
-            SearchStrategy::Join,
         );
         let _ = searcher.search_naive(&terms, &TopKConfig::with_k(k), &mut scratch);
     }

@@ -15,7 +15,7 @@ use seda_datagen::{factbook, googlebase, Dataset, FactbookConfig, GoogleBaseConf
 use seda_datagraph::{DataGraph, GraphConfig};
 use seda_olap::Registry;
 use seda_textindex::{FullTextQuery, NodeIndex};
-use seda_topk::{SearchLimits, SearchScratch, SearchStrategy, TermInput, TopKConfig, TopKSearcher};
+use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
 
 fn engine() -> SedaEngine {
     let collection =
@@ -75,6 +75,62 @@ fn each_exhausted_budget_names_its_resource() {
     // After every breach the reader and engine still answer correctly.
     let response = reader.execute(&topk).expect("engine remains serviceable");
     assert!(!response.top_k().expect("top-k payload").tuples.is_empty());
+}
+
+/// `RESULTS` / `CUBE` spend label probes outside the searcher — in the
+/// cross-root join and in the connection filter — and the request's ceiling
+/// holds there as it does in `TOPK`: a typed breach naming the resource, or
+/// with the opt-in a degraded answer whose rows are rows of the full one.
+#[test]
+fn a_label_probe_budget_stops_complete_results() {
+    let mondial = SedaEngine::build(
+        Dataset::Mondial.generate_small().expect("generate mondial"),
+        Registry::new(),
+        EngineConfig::default(),
+    )
+    .expect("engine build");
+    let cross_root = SedaRequest::parse(
+        "RESULTS FOR (name, *) AND (name, *) WITH 0 IN /country/name WITH 1 IN /organization/name",
+    )
+    .expect("results request parses");
+    let factbook = engine();
+    let mut filtered = results_request();
+    let discovered = factbook
+        .reader()
+        .execute_text(r#"CONNECTIONS 10 FOR (trade_country, *) AND (percentage, *)"#)
+        .expect("connections run");
+    filtered.connections =
+        discovered.connections().expect("connection payload").connections.clone();
+    assert!(!filtered.connections.is_empty());
+
+    for (engine, request, joins_across_roots) in
+        [(&mondial, &cross_root, true), (&factbook, &filtered, false)]
+    {
+        let mut reader = engine.reader();
+        let full = reader.execute(request).expect("ungoverned run");
+        let full_rows = &full.table().expect("table payload").rows;
+        assert!(!full_rows.is_empty() && full.profile.label_probes > 1, "{:?}", full.profile);
+
+        let budget = || Budget::unlimited().with_max_label_probes(1);
+        let err = reader
+            .execute_governed(request, &RequestContext::new(budget()))
+            .expect_err("the label-probe ceiling must breach");
+        assert!(
+            matches!(err, SedaError::Limit { resource: "label probes", budget: 1, .. }),
+            "{err:?}"
+        );
+
+        let ctx = RequestContext::new(budget()).allow_degraded();
+        let degraded = reader.execute_governed(request, &ctx).expect("degraded run");
+        assert!(degraded.profile.degraded);
+        let rows = &degraded.table().expect("table payload").rows;
+        assert!(rows.iter().all(|row| full_rows.contains(row)), "not a subset");
+        assert!(degraded.profile.label_probes <= full.profile.label_probes);
+        if joins_across_roots {
+            // Checked per source row: the join stopped after its first one.
+            assert!(rows.len() < full_rows.len(), "{} of {}", rows.len(), full_rows.len());
+        }
+    }
 }
 
 #[test]
@@ -181,9 +237,8 @@ fn a_deadline_expiring_mid_search_breaches_on_a_stride_boundary() {
     let terms = [any_under("title"), any_under("price")];
     let k = TopKConfig::with_k(10);
     let mut scratch = SearchScratch::new();
-    let mut search = |limits: &SearchLimits| {
-        searcher.search(&terms, &k, limits, &mut scratch, None, SearchStrategy::Join)
-    };
+    let mut search =
+        |limits: &SearchLimits| searcher.search(&terms, &k, limits, &mut scratch, None);
 
     let start = Instant::now();
     let (full, breach) = search(&SearchLimits::unlimited());

@@ -9,8 +9,7 @@
 use proptest::prelude::*;
 
 use seda_core::seda_topk::{
-    LimitBreach, SearchLimits, SearchScratch, SearchStrategy, TermInput, TopKConfig, TopKResult,
-    TopKSearcher,
+    LimitBreach, SearchLimits, SearchScratch, TermInput, TopKConfig, TopKResult, TopKSearcher,
 };
 use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
 use seda_datagen::{googlebase, mondial, GoogleBaseConfig, MondialConfig};
@@ -36,7 +35,7 @@ fn term_inputs(engine: &SedaEngine, query_text: &str) -> Vec<TermInput> {
         .collect()
 }
 
-/// The TA search without optimizer state: no compactness memo, the plain join.
+/// The TA search without a compactness memo.
 fn search(
     searcher: &TopKSearcher<'_>,
     terms: &[TermInput],
@@ -44,7 +43,7 @@ fn search(
     limits: &SearchLimits,
     scratch: &mut SearchScratch,
 ) -> (TopKResult, Option<LimitBreach>) {
-    searcher.search(terms, config, limits, scratch, None, SearchStrategy::Join)
+    searcher.search(terms, config, limits, scratch, None)
 }
 
 /// Asserts TA == naive: same tuple count, same scores within 1e-9, and the
@@ -229,6 +228,44 @@ fn ta_matches_naive_on_fixed_small_workloads() {
         )
         .unwrap();
     assert_eq!(via_engine.tuples, ta.tuples);
+}
+
+/// One term is ranked retrieval, and the one join answers it as such: it
+/// reads the first `min(k, len)` postings (fewer when the candidate bound is
+/// lower), scores each as a maximally compact singleton without a random
+/// access or a label probe, and stops on the threshold exactly when the k-th
+/// read happened — the list held `k` entries and the bound did not stop the
+/// loop first.  Fresh and prepared (materialised) lists answer alike.
+#[test]
+fn one_list_join_reads_the_sorted_prefix_and_stops() {
+    let corpus = GoogleBaseConfig { items: 40, categories: 4, attributes_per_category: 4, seed: 7 };
+    let engine = engine(googlebase::generate(&corpus).expect("generate googlebase"));
+    let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
+    let terms = term_inputs(&engine, "(price, *)");
+    let materialized = searcher.materialize_terms(&terms);
+    let len = materialized.list_len(0);
+    assert!(len > 5, "the list must outgrow the small ks: {len}");
+    let unlimited = SearchLimits::unlimited();
+    let mut scratch = SearchScratch::new();
+    let mut cases: Vec<TopKConfig> =
+        [0, 1, 5, len, len + 3].into_iter().map(TopKConfig::with_k).collect();
+    cases.push(TopKConfig { candidate_limit: 3, ..TopKConfig::with_k(5) });
+    for config in cases {
+        let (k, bound) = (config.k, config.candidate_limit);
+        let (result, breach) = search(&searcher, &terms, &config, &unlimited, &mut scratch);
+        assert!(breach.is_none());
+        let read = k.min(len).min(bound);
+        let stats = &result.stats;
+        assert_eq!((stats.sorted_accesses, stats.tuples_scored), (read, read), "k={k}");
+        assert_eq!((stats.random_accesses, stats.label_probes), (0, 0), "k={k}");
+        assert_eq!(stats.early_terminated, k > 0 && len >= k && bound > k, "k={k}");
+        assert_eq!(result.tuples.len(), read, "k={k}");
+        assert!(result.tuples.iter().all(|t| t.nodes.len() == 1 && t.compactness == 1.0));
+        assert!(result.tuples.windows(2).all(|w| w[0].score >= w[1].score), "k={k}");
+        let (replayed, _) =
+            searcher.search_materialized(&materialized, &config, &unlimited, &mut scratch, None);
+        assert_eq!(replayed, result, "k={k}");
+    }
 }
 
 /// One `SearchScratch` carried across engines, term counts and a breached

@@ -29,8 +29,7 @@
 use std::fmt::Write as _;
 
 use seda_core::seda_topk::{
-    LimitBreach, SearchLimits, SearchScratch, SearchStrategy, TermInput, TopKConfig, TopKResult,
-    TopKSearcher,
+    LimitBreach, SearchLimits, SearchScratch, TermInput, TopKConfig, TopKResult, TopKSearcher,
 };
 use seda_core::{EngineConfig, SedaEngine, SedaQuery};
 use seda_datagen::Dataset;
@@ -164,21 +163,14 @@ fn render_all() -> String {
                 if let Some(limit) = candidate_limit {
                     config.candidate_limit = limit;
                 }
-                let (cold, breach) = searcher.search(
-                    &terms,
-                    &config,
-                    &unlimited,
-                    &mut scratch,
-                    None,
-                    SearchStrategy::Join,
-                );
+                let (cold, breach) =
+                    searcher.search(&terms, &config, &unlimited, &mut scratch, None);
                 let (replayed, replayed_breach) = searcher.search_materialized(
                     &materialized,
                     &config,
                     &unlimited,
                     &mut scratch,
                     None,
-                    SearchStrategy::Join,
                 );
                 assert_eq!(cold, replayed, "{label} k={k}: materialised lists diverge from cold");
                 assert_eq!(breach, replayed_breach);
@@ -196,14 +188,8 @@ fn render_all() -> String {
             ("probes<=200", SearchLimits { max_label_probes: Some(200), ..unlimited.clone() }),
         ];
         for (name, limits) in budgets {
-            let (result, breach) = searcher.search(
-                &terms,
-                &TopKConfig::with_k(10),
-                &limits,
-                &mut scratch,
-                None,
-                SearchStrategy::Join,
-            );
+            let (result, breach) =
+                searcher.search(&terms, &TopKConfig::with_k(10), &limits, &mut scratch, None);
             render_case(&mut out, &format!("three-term k=10 budget {name}"), &result, &breach);
         }
     }

@@ -118,7 +118,12 @@ fn sequential_build_profiles_carry_substrate_spans() {
     ] {
         assert!(names.contains(&expected), "missing {expected}: {names:?}");
     }
-    assert!(!names.contains(&"shard"), "sequential builds have no shard phase: {names:?}");
+    // One thread runs the one orchestration: the same phases as two threads.
+    let phases = |e: &SedaEngine| -> Vec<(String, usize)> {
+        e.build_profile().spans.iter().map(|s| (s.name.clone(), s.depth)).collect()
+    };
+    assert_eq!(phases(&e), phases(&engine_with_parallelism(2)));
+    assert_eq!(names.iter().filter(|&&n| n == "shard").count(), 3, "{names:?}");
 }
 
 #[test]
