@@ -1,11 +1,11 @@
-//! CI perf smoke check: the six gates of [`seda_bench`], measured on this
+//! CI perf smoke check: the seven gates of [`seda_bench`], measured on this
 //! machine against this build — no argument, no file, no environment variable.
 //!
 //! ```text
 //! cargo run --release -p seda-bench --bin perf_smoke
 //! ```
 //!
-//! Prints the six measured ratios with their bounds and exits non-zero when
+//! Prints the seven measured ratios with their bounds and exits non-zero when
 //! any gate fails.  Absolute latencies are `benchmark/run.sh`'s business.
 
 use std::hint::black_box;
@@ -14,16 +14,16 @@ use std::process::ExitCode;
 use seda_bench::{
     cold_fill_verdict, generous_context, googlebase_engine, governance_verdict,
     index_build_verdict, interleaved_minima, join_scaling_verdict, mondial_engine,
-    pinned_pairs_verdict, term_inputs, twig_scan_verdict, BASE_ITEMS, BROAD_TOPK, PAIR_QUERY,
-    SCALED_ITEMS, SELECTIVE_TOPK, TWIG_PATH,
+    pinned_pairs_verdict, prepared_over_cold_verdict, term_inputs, twig_scan_verdict, BASE_ITEMS,
+    BROAD_TOPK, PAIR_QUERY, SCALED_ITEMS, SELECTIVE_TOPK, TWIG_PATH,
 };
 use seda_core::seda_textindex::{terms, ContextIndex, CountStorage, NodeIndex};
 use seda_core::seda_topk::{SearchLimits, SearchScratch, TopKConfig, TopKSearcher};
 use seda_core::seda_twigjoin::{evaluate_twig, TwigPattern};
-use seda_core::{RequestContext, SedaReader, SedaRequest};
+use seda_core::{RequestContext, SedaEngine, SedaReader, SedaRequest, SedaResponse};
 use seda_datagen::Dataset;
 
-/// Measures the six gates and prints each verdict; `Ok(false)` when any failed.
+/// Measures the seven gates and prints each verdict; `Ok(false)` when any failed.
 fn run() -> Result<bool, String> {
     let request = SedaRequest::parse(BROAD_TOPK).map_err(|e| e.to_string())?;
     let base_engine = googlebase_engine(BASE_ITEMS)?;
@@ -62,10 +62,19 @@ fn run() -> Result<bool, String> {
         || drop(scaled.execute_governed(&selective, &unlimited).expect("cold selective TOPK")),
     );
     let cold_fill = report(cold_fill_verdict(prepared_ms, cold_ms));
-    let pinned_pairs = report(pinned_pairs()?);
+    let mondial = mondial_engine()?;
+    let pinned_pairs = report(pinned_pairs(&mondial)?);
+    let prepared_over_cold = report(prepared_over_cold(&mondial)?);
+    drop(mondial);
     let twig_scan = report(twig_scan()?);
     let index_build = report(index_build()?);
-    Ok(scaling && governance && cold_fill && pinned_pairs && twig_scan && index_build)
+    Ok(scaling
+        && governance
+        && cold_fill
+        && pinned_pairs
+        && prepared_over_cold
+        && twig_scan
+        && index_build)
 }
 
 /// The index-build gate: both text indexes built over the paper-scale
@@ -115,19 +124,41 @@ fn twig_scan() -> Result<Result<String, String>, String> {
     Ok(twig_scan_verdict(scan_ms, twig_ms))
 }
 
+/// The prepared-over-cold gate: `TOPK 10 FOR` [`PAIR_QUERY`] executed cold
+/// and through its prepared statement, which must rank the same tuples.
+fn prepared_over_cold(engine: &SedaEngine) -> Result<Result<String, String>, String> {
+    let request =
+        SedaRequest::parse(&format!("TOPK 10 FOR {PAIR_QUERY}")).map_err(|e| e.to_string())?;
+    let (mut cold_reader, mut prepared_reader) = (engine.reader(), engine.reader());
+    let mut statement = prepared_reader.prepare(&request).map_err(|e| e.to_string())?;
+    let (mut cold, mut prepared) = (None, None);
+    let (cold_ms, prepared_ms) = interleaved_minima(
+        || cold = Some(cold_reader.execute(&request).expect("cold pair TOPK")),
+        || prepared = Some(statement.execute(&mut prepared_reader).expect("prepared pair TOPK")),
+    );
+    let (cold, prepared) = cold.zip(prepared).ok_or("the pair TOPK never ran")?;
+    let tuples = |response: &SedaResponse| response.top_k().map(|r| r.tuples.clone());
+    if tuples(&cold).unwrap_or_default().is_empty() || tuples(&prepared) != tuples(&cold) {
+        return Err("the prepared and cold pair TOPK disagree".to_string());
+    }
+    Ok(prepared_over_cold_verdict(
+        (cold_ms, cold.profile.label_probes),
+        (prepared_ms, prepared.profile.label_probes),
+    ))
+}
+
 /// The pinned-pairs gate: [`PAIR_QUERY`] through the join and through
 /// `search_naive`, which must rank the same tuples from the same pairs.
-fn pinned_pairs() -> Result<Result<String, String>, String> {
-    let engine = mondial_engine()?;
-    let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
-    let terms = term_inputs(&engine, PAIR_QUERY)?;
+fn pinned_pairs(engine: &SedaEngine) -> Result<Result<String, String>, String> {
+    let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
+    let terms = term_inputs(engine, PAIR_QUERY)?;
     let config = TopKConfig { k: 10, ..engine.config().topk.clone() };
     let limits = SearchLimits::unlimited();
     let (mut join_scratch, mut naive_scratch) = (SearchScratch::new(), SearchScratch::new());
     let (mut join, mut naive) = (None, None);
     let (naive_ms, join_ms) = interleaved_minima(
         || naive = Some(searcher.search_naive(&terms, &config, &mut naive_scratch)),
-        || join = Some(searcher.search(&terms, &config, &limits, &mut join_scratch, None).0),
+        || join = Some(searcher.search(&terms, &config, &limits, &mut join_scratch).0),
     );
     let (join, naive) = (join.unwrap_or_default(), naive.unwrap_or_default());
     if join.tuples.is_empty() || join.tuples != naive.tuples {

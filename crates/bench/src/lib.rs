@@ -2,7 +2,7 @@
 //!
 //! What only this crate checks.  Every latency, throughput and memory number
 //! comes from the paper-scale harness under `benchmark/` (see
-//! `benchmark/README.md`); this crate keeps the `audit` binary and the six
+//! `benchmark/README.md`); this crate keeps the `audit` binary and the seven
 //! gates of `perf_smoke`, which compare the engine against itself within one
 //! process and so need no committed baseline:
 //!
@@ -19,6 +19,11 @@
 //!   Threshold-Algorithm join costs at most [`PINNED_PAIRS_BOUND`]× the same
 //!   terms through `search_naive`, which scores the same pairs one-to-one:
 //!   one source scanned against many partners, not a label merge per pair;
+//! * **prepared over cold** — `TOPK 10 FOR` [`PAIR_QUERY`] through its
+//!   prepared statement costs at most [`PREPARED_OVER_COLD_BOUND`]× the same
+//!   request executed cold, and spends the cold run's label probes: a
+//!   prepared statement holds what a cold search builds and scores its pairs
+//!   the same way;
 //! * **twig over one scan** — [`TWIG_PATH`] evaluated over the paper-scale
 //!   RecipeML collection costs at most [`TWIG_SCAN_BOUND`]× one pass over
 //!   every node of that collection comparing its name with one symbol — the
@@ -103,6 +108,17 @@ pub const COLD_FILL_BOUND: f64 = 3.0;
 /// merges per pair as well reads 0.42–0.46 (≈ 14.3 ms); the bound sits
 /// between the two, at their geometric mean.
 pub const PINNED_PAIRS_BOUND: f64 = 0.30;
+
+/// Allowed `t(prepared) / t(cold)` for `TOPK 10 FOR` [`PAIR_QUERY`] on the
+/// paper-scale Mondial corpus.  A prepared statement that holds the plan, the
+/// materialised lists and their partition runs the cold run's pinned join
+/// minus parsing, planning and list fill: measured 0.965–0.984× over twenty
+/// runs (≈ 4.6 ms each side).  One that memoises every pair's compactness
+/// and answers the 110,170 pairs from the memo instead — hashing the pair's
+/// node vector on every hit, spending no label probe — reads 2.99–3.31× over
+/// twenty runs (≈ 16 ms).  The bound is the geometric mean of the worst new
+/// reading and the best old: √(0.984 · 2.993) ≈ 1.7.
+pub const PREPARED_OVER_COLD_BOUND: f64 = 1.7;
 
 /// Allowed `t(evaluate_twig) / t(scan)` for [`TWIG_PATH`], the scan being one
 /// pass over every node of the collection that compares the node's name with
@@ -231,6 +247,23 @@ pub fn pinned_pairs_verdict(naive_ms: f64, join_ms: f64) -> Result<String, Strin
     bounded_ratio("pinned pairs over one-to-one", naive_ms, join_ms, PINNED_PAIRS_BOUND)
 }
 
+/// The prepared-over-cold gate over one request's cold and prepared `(time,
+/// label probes)`: the time ratio within its bound, and the same probes on
+/// both sides.
+pub fn prepared_over_cold_verdict(
+    (cold_ms, cold_probes): (f64, u64),
+    (prepared_ms, prepared_probes): (f64, u64),
+) -> Result<String, String> {
+    let verdict =
+        bounded_ratio("prepared over cold", cold_ms, prepared_ms, PREPARED_OVER_COLD_BOUND);
+    if prepared_probes == cold_probes {
+        verdict
+    } else {
+        let line = verdict.unwrap_or_else(|line| line);
+        Err(format!("{line}; label probes {prepared_probes} against {cold_probes}"))
+    }
+}
+
 /// The twig-over-one-scan gate over the times of one name-comparing pass
 /// across the collection and of the twig evaluation.
 pub fn twig_scan_verdict(scan_ms: f64, twig_ms: f64) -> Result<String, String> {
@@ -290,6 +323,21 @@ mod tests {
         // The least favourable of the twenty runs behind the bound.
         let pass = pinned_pairs_verdict(30.179, 5.841).unwrap();
         assert!(pass.starts_with("pinned pairs over one-to-one 0.194x"), "{pass}");
+    }
+
+    #[test]
+    fn prepared_over_cold_fails_on_memoised_compactness_and_passes_on_the_measured_pair() {
+        // Prepared statements that memoised every pair's compactness, at
+        // their most favourable of twenty runs: slower, and no probes.
+        let failure = prepared_over_cold_verdict((4.844, 1_399_332), (14.497, 0)).unwrap_err();
+        assert!(failure.starts_with("prepared over cold 2.993x (allowed 1.7x)"), "{failure}");
+        assert!(failure.ends_with("label probes 0 against 1399332"), "{failure}");
+        // Fast enough, but a probe count that differs from the cold run's.
+        let failure = prepared_over_cold_verdict((4.844, 1_399_332), (4.844, 0)).unwrap_err();
+        assert!(failure.starts_with("prepared over cold 1.000x"), "{failure}");
+        // The least favourable of the twenty runs behind the bound.
+        let pass = prepared_over_cold_verdict((4.735, 1_399_332), (4.661, 1_399_332)).unwrap();
+        assert!(pass.starts_with("prepared over cold 0.984x"), "{pass}");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! a [`BuildProfile`] records per-substrate shard and merge wall times.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +27,7 @@ use seda_dataguide::{
 use seda_olap::{BuildOptions, QueryResultTable, Registry, StarSchemaBuild, StarSchemaBuilder};
 use seda_textindex::{ContextIndex, CountStorage, FullTextQuery, NodeIndex};
 use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch};
-use seda_topk::{TermInput, TopKConfig, TopKResult, TopKSearcher, TupleScoreCache};
+use seda_topk::{TermInput, TopKConfig, TopKResult, TopKSearcher};
 use seda_twigjoin::{evaluate_twig_in, Axis, TwigMatches, TwigPattern};
 use seda_xmlstore::{parse_collection, Collection, DocId, Document, NodeId, PathId};
 
@@ -209,9 +210,18 @@ impl BuildProfile {
     }
 }
 
+/// Source of [`SedaEngine`] ids: every build in the process takes the next
+/// (`Relaxed`: the id publishes no other data, and `fetch_add` alone keeps
+/// every id distinct).
+static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
+
 /// The SEDA engine: owns the collection, every index, the dataguide summary
 /// and the fact/dimension registry.
 pub struct SedaEngine {
+    /// Process-unique id of this build, stamped into every plan it lowers:
+    /// plans and prepared statements carry this engine's path and node ids,
+    /// so only this engine's readers may run them.
+    id: u64,
     collection: Collection,
     node_index: NodeIndex,
     context_index: ContextIndex,
@@ -297,6 +307,7 @@ impl SedaEngine {
         profile.posting_bytes = node_index.read_model_bytes().total();
 
         let mut engine = SedaEngine {
+            id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
             collection,
             node_index,
             context_index,
@@ -412,6 +423,11 @@ impl SedaEngine {
         Ok((graph, node_index, context_index, guides))
     }
 
+    /// The id [`SedaEngine::prepare`] stamps into this engine's plans.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
     /// Timings and shape of the build that produced this engine.
     pub fn build_profile(&self) -> &BuildProfile {
         &self.profile
@@ -524,9 +540,8 @@ impl SedaEngine {
     /// `config` (its `k` honoured literally — `0` yields an empty result) and
     /// per-request [`SearchLimits`] ([`SearchLimits::unlimited`] for
     /// ungoverned callers), over either fresh posting lists or a prepared
-    /// statement's materialized term lists, with an optional compactness memo
-    /// shared across executions.  The second element reports the first
-    /// exhausted resource, if any; the returned tuples are then the
+    /// statement's materialized term lists.  The second element reports the
+    /// first exhausted resource, if any; the returned tuples are then the
     /// certifiably correct prefix computed before it ran out.
     pub(crate) fn search(
         &self,
@@ -535,20 +550,19 @@ impl SedaEngine {
         limits: &SearchLimits,
         scratch: &mut SearchScratch,
         materialized: Option<&MaterializedTerms>,
-        cache: Option<&mut TupleScoreCache>,
     ) -> (TopKResult, Option<LimitBreach>) {
         faults::fire_unchecked("mid-search");
-        let searcher = TopKSearcher::new(&self.collection, &self.node_index, &self.graph);
+        let searcher = TopKSearcher::new(&self.node_index, &self.graph);
         match materialized {
-            Some(lists) => searcher.search_materialized(lists, config, limits, scratch, cache),
-            None => searcher.search(terms, config, limits, scratch, cache),
+            Some(lists) => searcher.search_materialized(lists, config, limits, scratch),
+            None => searcher.search(terms, config, limits, scratch),
         }
     }
 
     /// Resolves term inputs into reusable sorted posting lists for a
     /// [`crate::PreparedStatement`] (sorted access without the join).
     pub(crate) fn materialize_search_terms(&self, terms: &[TermInput]) -> MaterializedTerms {
-        TopKSearcher::new(&self.collection, &self.node_index, &self.graph).materialize_terms(terms)
+        TopKSearcher::new(&self.node_index, &self.graph).materialize_terms(terms)
     }
 
     /// Computes the context summary of a query (Sec. 5): one bucket per term

@@ -73,6 +73,10 @@ pub enum SedaError {
     Internal(String),
     /// The request was cancelled through its [`crate::CancelToken`].
     Cancelled,
+    /// A [`crate::QueryPlan`] or [`crate::PreparedStatement`] was executed
+    /// through a reader of an engine other than the one that planned it; its
+    /// resolved paths and term lists are meaningless there.
+    ForeignPlan,
 }
 
 impl fmt::Display for SedaError {
@@ -108,6 +112,10 @@ impl fmt::Display for SedaError {
                 write!(f, "internal error (contained; the engine remains serviceable): {detail}")
             }
             SedaError::Cancelled => write!(f, "request cancelled by its caller"),
+            SedaError::ForeignPlan => write!(
+                f,
+                "the plan was prepared by another engine; prepare it again through this engine"
+            ),
         }
     }
 }
@@ -192,6 +200,7 @@ mod tests {
             ),
             (SedaError::Internal("worker panicked".into()), "remains serviceable"),
             (SedaError::Cancelled, "cancelled"),
+            (SedaError::ForeignPlan, "prepared by another engine"),
         ];
         for (err, needle) in cases {
             assert!(err.to_string().contains(needle), "{err} should contain {needle:?}");

@@ -146,6 +146,9 @@ impl std::fmt::Display for PlanStep {
 #[non_exhaustive]
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
+    /// Id of the engine that lowered this plan: its term inputs, paths and
+    /// (for a prepared statement) materialized lists name that engine's ids.
+    pub(crate) engine: u64,
     pub(crate) statement: Statement,
     pub(crate) query: Option<SedaQuery>,
     /// Resolved per-term search inputs (empty for statements without a
@@ -205,7 +208,9 @@ impl SedaEngine {
     }
 
     /// Lowers a request into a [`QueryPlan`]: validates it, resolves every
-    /// context selection and records the execution steps.
+    /// context selection and records the execution steps.  The plan runs
+    /// only through this engine's readers; any other reader refuses it with
+    /// [`SedaError::ForeignPlan`].
     ///
     /// This is the one compile path; [`crate::SedaReader::prepare`] wraps its
     /// output into a reusable [`crate::PreparedStatement`].
@@ -219,6 +224,7 @@ impl SedaEngine {
         let config = self.config();
         let statement = &request.statement;
         let mut plan = QueryPlan {
+            engine: self.id(),
             statement: statement.clone(),
             query: None,
             term_inputs: Vec::new(),

@@ -2,14 +2,13 @@
 //!
 //! [`SedaReader::prepare`](crate::SedaReader::prepare) compiles a
 //! [`SedaRequest`](crate::SedaRequest) into its [`QueryPlan`] and wraps the
-//! result in a [`PreparedStatement`] that additionally owns
-//! the per-statement reusable state a single execution would rebuild from
-//! scratch: the materialized sorted posting lists of the search terms and a
-//! compactness memo shared across executions.  Re-executing a prepared
-//! statement skips parsing, validation, context resolution, sorted access
-//! resolution and — after the first run — most connectivity label probes,
-//! while returning byte-identical payloads to a fresh
-//! [`execute`](crate::SedaReader::execute).
+//! result in a [`PreparedStatement`] that additionally owns what a single
+//! execution would rebuild from scratch: the materialized sorted posting
+//! lists of the search terms and their component partition.  Re-executing a
+//! prepared statement skips parsing, validation, context resolution, sorted
+//! access resolution and partitioning; the join then runs exactly as a cold
+//! one, so the payload — every counter included — is byte-identical to a
+//! fresh [`execute`](crate::SedaReader::execute).
 //!
 //! ```
 //! use seda_core::{EngineConfig, SedaEngine, SedaRequest};
@@ -29,7 +28,7 @@
 //! assert_eq!(prepared.executions(), 3);
 //! ```
 
-use seda_topk::{MaterializedTerms, TupleScoreCache};
+use seda_topk::MaterializedTerms;
 
 use crate::error::SedaError;
 use crate::govern::RequestContext;
@@ -38,19 +37,17 @@ use crate::reader::SedaReader;
 use crate::request::Statement;
 use crate::response::SedaResponse;
 
-/// A compiled, reusable statement: the [`QueryPlan`] plus the
-/// cross-execution scratch (materialized term lists, compactness memo) that
-/// makes repeated execution cheap.
+/// A compiled, reusable statement: the [`QueryPlan`] plus the materialized
+/// term lists and their component partition, resolved once.
 ///
 /// Prepared statements are engine-scoped but reader-agnostic: prepare once,
-/// then execute through any reader of the same engine.
+/// then execute through any reader of the same engine (a reader of another
+/// engine refuses it with [`SedaError::ForeignPlan`]).
 pub struct PreparedStatement {
     pub(crate) plan: QueryPlan,
     /// Sorted posting lists of the plan's search terms, resolved once at
     /// prepare time (`None` for statements without a search phase).
     pub(crate) materialized: Option<MaterializedTerms>,
-    /// Compactness memo shared across executions of this statement.
-    pub(crate) cache: TupleScoreCache,
     pub(crate) executions: u64,
 }
 
@@ -70,16 +67,10 @@ impl PreparedStatement {
         self.executions
     }
 
-    /// Number of memoized compactness entries accumulated so far.
-    pub fn cached_scores(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Re-parameterizes `k` without replanning, for the statement shapes
     /// that carry one (`TOPK k`, `CONNECTIONS k`).  Only the result bound
-    /// changes, so the materialized term lists and the compactness memo stay
-    /// valid.  Returns `false` (and changes nothing) for statements without a
-    /// `k` parameter.
+    /// changes, so the materialized term lists stay valid.  Returns `false`
+    /// (and changes nothing) for statements without a `k` parameter.
     pub fn set_k(&mut self, k: usize) -> bool {
         match &mut self.plan.statement {
             Statement::TopK { k: slot } | Statement::ConnectionSummary { k: slot } => *slot = k,
@@ -118,18 +109,6 @@ mod tests {
     use crate::request::SedaRequest;
     use seda_olap::Registry;
     use seda_xmlstore::parse_collection;
-
-    /// Warm-cache executions legitimately skip connectivity label probes,
-    /// so payload comparisons zero that one counter; everything else —
-    /// tuples, scores, every other counter — must match byte for byte.
-    fn normalized(mut payload: crate::ResponsePayload) -> crate::ResponsePayload {
-        match &mut payload {
-            crate::ResponsePayload::TopK(result) => result.stats.label_probes = 0,
-            crate::ResponsePayload::Connections { top_k, .. } => top_k.stats.label_probes = 0,
-            _ => {}
-        }
-        payload
-    }
 
     fn engine() -> SedaEngine {
         let collection = parse_collection(vec![
@@ -171,7 +150,7 @@ mod tests {
             let mut prepared = reader.prepare(&request).unwrap();
             for _ in 0..3 {
                 let reused = prepared.execute(&mut reader).unwrap();
-                assert_eq!(normalized(reused.payload), normalized(fresh.payload.clone()), "{text}");
+                assert_eq!(reused.payload, fresh.payload, "{text}");
             }
             assert_eq!(prepared.executions(), 3, "{text}");
         }
@@ -194,7 +173,7 @@ mod tests {
                 &SedaRequest::parse("TOPK 3 FOR (trade_country, *) AND (percentage, *)").unwrap(),
             )
             .unwrap();
-        assert_eq!(normalized(widened.payload), normalized(fresh.payload));
+        assert_eq!(widened.payload, fresh.payload);
         assert!(prepared.explain().contains("threshold-algorithm rank join: k=3"));
         // Statements without a k parameter refuse the re-parameterization.
         let mut twig = reader.prepare(&SedaRequest::parse("TWIG /country/name").unwrap()).unwrap();
@@ -226,19 +205,5 @@ mod tests {
             let fresh = reader.execute(&request).unwrap();
             assert_eq!(prepared.execute(&mut reader).unwrap().payload, fresh.payload, "k={k}");
         }
-    }
-
-    #[test]
-    fn the_compactness_memo_fills_on_the_first_execution() {
-        let e = engine();
-        let mut reader = e.reader();
-        let mut prepared = reader
-            .prepare(
-                &SedaRequest::parse("TOPK 5 FOR (trade_country, *) AND (percentage, *)").unwrap(),
-            )
-            .unwrap();
-        assert_eq!(prepared.cached_scores(), 0);
-        prepared.execute(&mut reader).unwrap();
-        assert!(prepared.cached_scores() > 0);
     }
 }

@@ -27,7 +27,6 @@
 use seda_olap::{aggregate, CubeQuery, QueryResultTable};
 use seda_topk::{
     LimitBreach, MaterializedTerms, SearchScratch, SearchStats, TopKConfig, TopKResult,
-    TupleScoreCache,
 };
 
 use crate::engine::{catch_internal, GovernedTable, SedaEngine};
@@ -153,8 +152,8 @@ impl<'e> SedaReader<'e> {
     }
 
     /// Compiles a request into a reusable [`PreparedStatement`]: the plan
-    /// plus the cross-execution state (materialized sorted
-    /// posting lists, compactness memo) that makes repeated execution cheap.
+    /// plus the materialized sorted posting lists of its terms and their
+    /// component partition, which a cold execution rebuilds every time.
     ///
     /// Preparing touches no reader scratch, and the returned statement may
     /// execute through *any* reader of this engine.
@@ -162,7 +161,7 @@ impl<'e> SedaReader<'e> {
         let plan = self.engine.prepare(request)?;
         let materialized = (!plan.term_inputs.is_empty())
             .then(|| self.engine.materialize_search_terms(&plan.term_inputs));
-        Ok(PreparedStatement { plan, materialized, cache: TupleScoreCache::new(), executions: 0 })
+        Ok(PreparedStatement { plan, materialized, executions: 0 })
     }
 
     /// Plans a request and returns the plan transcript.
@@ -260,7 +259,7 @@ impl<'e> SedaReader<'e> {
             // Plain EXPLAIN stops before the boundary too.
             return self.recorded(request.statement.name(), Ok(SedaResponse { payload, profile }));
         }
-        let mut response = self.run_plan(&plan, ctx, plan_secs, None, None)?;
+        let mut response = self.run_plan(&plan, ctx, plan_secs, None)?;
         if request.analyze {
             // EXPLAIN ANALYZE: the payload becomes the annotated transcript
             // (plan + budget accounting + executed span tree); the profile
@@ -338,21 +337,25 @@ impl<'e> SedaReader<'e> {
     /// Executes a plan as one request: the statement executor runs inside
     /// the containment boundary, and the outcome is recorded in the metrics
     /// registry — the single path behind the facade, direct plan execution
-    /// and prepared statements (which lend their `materialized` term lists
-    /// and compactness `cache`).
+    /// and prepared statements (which lend their `materialized` term lists).
+    /// A plan lowered by another engine is refused with
+    /// [`SedaError::ForeignPlan`] before anything runs.
     fn run_plan(
         &mut self,
         plan: &QueryPlan,
         ctx: &RequestContext,
         plan_secs: f64,
         materialized: Option<&MaterializedTerms>,
-        cache: Option<&mut TupleScoreCache>,
     ) -> Result<SedaResponse, SedaError> {
-        let outcome = self.contained(|reader| {
-            let mut response = reader.execute_statement(plan, ctx, materialized, cache)?;
-            response.profile.plan_secs = plan_secs;
-            Ok(response)
-        });
+        let outcome = if plan.engine != self.engine.id() {
+            Err(SedaError::ForeignPlan)
+        } else {
+            self.contained(|reader| {
+                let mut response = reader.execute_statement(plan, ctx, materialized)?;
+                response.profile.plan_secs = plan_secs;
+                Ok(response)
+            })
+        };
         self.recorded(plan.statement.name(), outcome)
     }
 
@@ -365,20 +368,20 @@ impl<'e> SedaReader<'e> {
         plan: &QueryPlan,
         ctx: &RequestContext,
     ) -> Result<SedaResponse, SedaError> {
-        self.run_plan(plan, ctx, 0.0, None, None)
+        self.run_plan(plan, ctx, 0.0, None)
     }
 
     /// What [`PreparedStatement::execute_governed`] reaches: the executor
-    /// runs over the statement's materialized term lists and compactness
-    /// memo instead of rebuilding them, as one request like
+    /// runs over the statement's materialized term lists instead of
+    /// rebuilding them, as one request like
     /// [`SedaReader::execute_plan_governed`].
     pub(crate) fn execute_prepared_governed(
         &mut self,
         statement: &mut PreparedStatement,
         ctx: &RequestContext,
     ) -> Result<SedaResponse, SedaError> {
-        let PreparedStatement { plan, materialized, cache, executions } = statement;
-        let outcome = self.run_plan(plan, ctx, 0.0, materialized.as_ref(), Some(cache));
+        let PreparedStatement { plan, materialized, executions } = statement;
+        let outcome = self.run_plan(plan, ctx, 0.0, materialized.as_ref());
         if outcome.is_ok() {
             *executions += 1;
         }
@@ -387,15 +390,14 @@ impl<'e> SedaReader<'e> {
 
     /// The search step of `TOPK` and `CONNECTIONS`: one traced search over
     /// the plan's term inputs (or a prepared statement's `materialized`
-    /// lists and `cache`), its counters absorbed into `profile` and a breach
-    /// resolved against the request's policy.
+    /// lists), its counters absorbed into `profile` and a breach resolved
+    /// against the request's policy.
     fn run_search(
         &mut self,
         plan: &QueryPlan,
         ctx: &RequestContext,
         profile: &mut ExecProfile,
         materialized: Option<&MaterializedTerms>,
-        cache: Option<&mut TupleScoreCache>,
     ) -> Result<TopKResult, SedaError> {
         let s = self.tracer.enter(span::SEARCH);
         let before = profile.clone();
@@ -405,7 +407,6 @@ impl<'e> SedaReader<'e> {
             &ctx.search_limits(),
             &mut self.scratch,
             materialized,
-            cache,
         );
         profile.absorb(&result.stats);
         let mut counters = SpanCounters::delta(&before, profile);
@@ -453,14 +454,12 @@ impl<'e> SedaReader<'e> {
     }
 
     /// The one statement executor: runs the plan's statement, over a
-    /// prepared statement's `materialized` term lists and compactness
-    /// `cache` when lent.
+    /// prepared statement's `materialized` term lists when lent.
     fn execute_statement(
         &mut self,
         plan: &QueryPlan,
         ctx: &RequestContext,
         materialized: Option<&MaterializedTerms>,
-        cache: Option<&mut TupleScoreCache>,
     ) -> Result<SedaResponse, SedaError> {
         self.tracer.begin_if_idle();
         let exec_span = self.tracer.enter(span::EXECUTE);
@@ -468,13 +467,9 @@ impl<'e> SedaReader<'e> {
         let mut profile = ExecProfile::default();
         ctx.check_cancelled()?;
         let mut payload = match &plan.statement {
-            Statement::TopK { .. } => ResponsePayload::TopK(self.run_search(
-                plan,
-                ctx,
-                &mut profile,
-                materialized,
-                cache,
-            )?),
+            Statement::TopK { .. } => {
+                ResponsePayload::TopK(self.run_search(plan, ctx, &mut profile, materialized)?)
+            }
             Statement::ContextSummary => {
                 let query = plan
                     .query
@@ -489,7 +484,7 @@ impl<'e> SedaReader<'e> {
                 ResponsePayload::Contexts(contexts)
             }
             Statement::ConnectionSummary { .. } => {
-                let top_k = self.run_search(plan, ctx, &mut profile, materialized, cache)?;
+                let top_k = self.run_search(plan, ctx, &mut profile, materialized)?;
                 ctx.check_cancelled()?;
                 let s = self.tracer.enter(span::DISCOVER_CONNECTIONS);
                 let summary = self.engine.connection_summary(&top_k);
@@ -589,7 +584,6 @@ impl<'e> SedaReader<'e> {
                 &config,
                 &ctx.search_limits(),
                 &mut reader.scratch,
-                None,
                 None,
             );
             let mut profile =

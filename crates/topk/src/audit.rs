@@ -89,7 +89,7 @@ mod tests {
         .unwrap();
         let index = NodeIndex::build(&c);
         let graph = DataGraph::build(&c, &GraphConfig::default());
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let mut scratch = SearchScratch::new();
         scratch.verify().unwrap();
         let terms = vec![
@@ -101,7 +101,6 @@ mod tests {
             &TopKConfig::with_k(3),
             &SearchLimits::unlimited(),
             &mut scratch,
-            None,
         );
         assert!(!result.tuples.is_empty());
         scratch.verify().unwrap();

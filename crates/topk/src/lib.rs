@@ -17,15 +17,14 @@
 //! ]).unwrap();
 //! let index = NodeIndex::build(&collection);
 //! let graph = DataGraph::build(&collection, &GraphConfig::default());
-//! let searcher = TopKSearcher::new(&collection, &index, &graph);
+//! let searcher = TopKSearcher::new(&index, &graph);
 //! // The one search entry point: ungoverned is unlimited limits, a one-off
-//! // search is a fresh scratch, no compactness memo is `None`.
+//! // search is a fresh scratch.
 //! let (result, breach) = searcher.search(
 //!     &[TermInput::new(FullTextQuery::phrase("United States"))],
 //!     &TopKConfig::with_k(3),
 //!     &SearchLimits::unlimited(),
 //!     &mut SearchScratch::new(),
-//!     None,
 //! );
 //! assert!(breach.is_none());
 //! assert_eq!(result.tuples.len(), 1);
@@ -33,13 +32,13 @@
 
 pub mod audit;
 mod partition;
-pub mod searcher;
-pub mod types;
+mod searcher;
+mod types;
 
 pub use searcher::{SearchScratch, TopKSearcher};
 pub use types::{
     LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, TermInput, TopKConfig,
-    TopKResult, TupleScoreCache,
+    TopKResult,
 };
 
 #[cfg(test)]
@@ -54,7 +53,7 @@ mod proptests {
     fn search(searcher: &TopKSearcher<'_>, terms: &[TermInput], config: &TopKConfig) -> TopKResult {
         let mut scratch = SearchScratch::new();
         let limits = SearchLimits::unlimited();
-        searcher.search(terms, config, &limits, &mut scratch, None).0
+        searcher.search(terms, config, &limits, &mut scratch).0
     }
 
     /// A small random two-level collection of `docs` documents, each with a
@@ -86,7 +85,7 @@ mod proptests {
             let c = random_collection(&words);
             let index = NodeIndex::build(&c);
             let graph = DataGraph::build(&c, &GraphConfig::default());
-            let searcher = TopKSearcher::new(&c, &index, &graph);
+            let searcher = TopKSearcher::new(&index, &graph);
             let terms = vec![
                 TermInput::new(FullTextQuery::keywords("alpha")),
                 TermInput::new(FullTextQuery::Any),
@@ -107,7 +106,7 @@ mod proptests {
             let c = random_collection(&words);
             let index = NodeIndex::build(&c);
             let graph = DataGraph::build(&c, &GraphConfig::default());
-            let searcher = TopKSearcher::new(&c, &index, &graph);
+            let searcher = TopKSearcher::new(&index, &graph);
             let terms = vec![
                 TermInput::new(FullTextQuery::keywords("beta")),
                 TermInput::new(FullTextQuery::Any),

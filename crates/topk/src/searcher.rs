@@ -50,15 +50,15 @@
 //!
 //! Every tuple a sorted access forms holds the node just read, so scoring
 //! them is one source asked about a batch of partners.  For pairs — where the
-//! compactness *is* the distance — a cold search pins that node once a batch
+//! compactness *is* the distance — the join pins that node once a batch
 //! holds eight pairs ([`seda_datagraph::pin`]: its label scattered into the
 //! traversal scratch, 2 bytes a graph node) and scores each pair by one pass
 //! over the partner's label instead of merging both labels per pair; on the
 //! IDREF-webbed Mondial corpus that is the difference between ≈ 16 and ≈ 6 ms
 //! a search.  Tuples of three and more nodes keep the pairwise matrix (short
-//! tree labels and a handful of partners a group: pinning measured slower),
-//! and so does a prepared statement's search, whose memo sits in front of the
-//! oracle.  The pinned arm's differential test is `tests/topk_equivalence.rs`:
+//! tree labels and a handful of partners a group: pinning measured slower).
+//! A search over a prepared statement's materialised lists scores exactly as
+//! a cold one.  The pinned arm's differential test is `tests/topk_equivalence.rs`:
 //! [`TopKSearcher::search_naive`] scores every pair one-to-one through
 //! `compactness_with` and must rank the same tuples with the same score bits.
 
@@ -66,12 +66,12 @@ use std::collections::BinaryHeap;
 
 use seda_datagraph::{compactness_with, pin, DataGraph, TraversalScratch};
 use seda_textindex::{NodeIndex, ScoredNode};
-use seda_xmlstore::{Collection, NodeId};
+use seda_xmlstore::NodeId;
 
 use crate::partition::ComponentPartition;
 use crate::types::{
     LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, TermInput, TopKConfig,
-    TopKResult, TupleScoreCache,
+    TopKResult,
 };
 
 /// Reusable buffers of the top-k search: posting lists and their component
@@ -135,9 +135,8 @@ impl SearchScratch {
     }
 }
 
-/// Top-k searcher over a collection, its node index and its data graph.
+/// Top-k searcher over a collection's node index and data graph.
 pub struct TopKSearcher<'a> {
-    collection: &'a Collection,
     index: &'a NodeIndex,
     graph: &'a DataGraph,
 }
@@ -189,13 +188,8 @@ fn score_tuple(
 impl<'a> TopKSearcher<'a> {
     /// Creates a searcher over prebuilt structures.  Document components are
     /// read from the graph (a build-time artifact), never recomputed here.
-    pub fn new(collection: &'a Collection, index: &'a NodeIndex, graph: &'a DataGraph) -> Self {
-        TopKSearcher { collection, index, graph }
-    }
-
-    /// The collection the searcher works over.
-    pub fn collection(&self) -> &Collection {
-        self.collection
+    pub fn new(index: &'a NodeIndex, graph: &'a DataGraph) -> Self {
+        TopKSearcher { index, graph }
     }
 
     /// Evaluates each term into `lists[..terms.len()]` — the per-term
@@ -218,8 +212,7 @@ impl<'a> TopKSearcher<'a> {
     /// Runs the Threshold-Algorithm search under per-request resource
     /// ceilings, reusing `scratch` for every buffer the join loop needs.
     /// Ungoverned callers pass [`SearchLimits::unlimited`], one-off callers
-    /// `&mut SearchScratch::new()`, and callers without a compactness memo
-    /// `None`.
+    /// `&mut SearchScratch::new()`.
     ///
     /// Every term count runs the same join.  Over one list it reads the first
     /// `min(k, len)` entries and stops: the k-th read meets the threshold,
@@ -240,24 +233,22 @@ impl<'a> TopKSearcher<'a> {
     /// threshold — together with the tripped [`LimitBreach`]; `None` means the
     /// search ran to its normal termination.
     ///
-    /// `cache`, when given, memoises compactness scores across searches.
-    /// Without one, the pairs of a two-term search are scored by pinning the
-    /// node each sorted access returns (module docs, "Random access"): tuples,
-    /// score bits and every counter but [`SearchStats::label_probes`] equal
-    /// the pair-by-pair scoring's.
+    /// The pairs of a two-term search are scored by pinning the node each
+    /// sorted access returns (module docs, "Random access"): tuples, score
+    /// bits and every counter but [`SearchStats::label_probes`] equal the
+    /// pair-by-pair scoring's.
     pub fn search(
         &self,
         terms: &[TermInput],
         config: &TopKConfig,
         limits: &SearchLimits,
         scratch: &mut SearchScratch,
-        cache: Option<&mut TupleScoreCache>,
     ) -> (TopKResult, Option<LimitBreach>) {
         let SearchScratch { traversal, lists, partition, eval_candidates, join } = scratch;
         self.fill_lists(terms, lists, eval_candidates);
         let lists = &lists[..terms.len()];
         let partition = PartitionSource::Stale(partition);
-        self.join(lists, partition, config, limits, traversal, join, cache)
+        self.join(lists, partition, config, limits, traversal, join)
     }
 
     /// Materialises the per-term sorted-access lists once, for reuse across
@@ -276,30 +267,28 @@ impl<'a> TopKSearcher<'a> {
 
     /// [`TopKSearcher::search`] over pre-materialised term lists: the join
     /// loop reads the lists and their partition in place (nothing is copied
-    /// into the scratch), so results equal a cold search over the terms the
-    /// lists were materialised from.
+    /// into the scratch), so results — every counter included — equal a cold
+    /// search over the terms the lists were materialised from.
     pub fn search_materialized(
         &self,
         materialized: &MaterializedTerms,
         config: &TopKConfig,
         limits: &SearchLimits,
         scratch: &mut SearchScratch,
-        cache: Option<&mut TupleScoreCache>,
     ) -> (TopKResult, Option<LimitBreach>) {
         let MaterializedTerms { lists, partition } = materialized;
         let SearchScratch { traversal, join, .. } = scratch;
         let partition = PartitionSource::Ready(partition);
-        self.join(lists, partition, config, limits, traversal, join, cache)
+        self.join(lists, partition, config, limits, traversal, join)
     }
 
     /// Picks the copy of [`TopKSearcher::rank_join`] a search runs in: the
-    /// one with the pinned pair arm for two lists and no memo in front of the
-    /// oracle, the one without for everything else.  Two copies of one source
-    /// because the arm hands the loop's counters and buffers to an
-    /// out-of-line function, which costs the loop its registers whether or
-    /// not the arm is ever taken: factbook-olap's three-term searches read
-    /// 5–10% slower with the arm compiled into their loop.
-    #[allow(clippy::too_many_arguments)]
+    /// one with the pinned pair arm for two lists, the one without for
+    /// everything else.  Two copies of one source because the arm hands the
+    /// loop's counters and buffers to an out-of-line function, which costs
+    /// the loop its registers whether or not the arm is ever taken:
+    /// factbook-olap's three-term searches read 5–10% slower with the arm
+    /// compiled into their loop.
     fn join(
         &self,
         lists: &[Vec<ScoredNode>],
@@ -308,12 +297,11 @@ impl<'a> TopKSearcher<'a> {
         limits: &SearchLimits,
         traversal: &mut TraversalScratch,
         join: &mut JoinBuffers,
-        cache: Option<&mut TupleScoreCache>,
     ) -> (TopKResult, Option<LimitBreach>) {
-        if lists.len() == 2 && cache.is_none() {
-            self.rank_join::<true>(lists, partition, config, limits, traversal, join, cache)
+        if lists.len() == 2 {
+            self.rank_join::<true>(lists, partition, config, limits, traversal, join)
         } else {
-            self.rank_join::<false>(lists, partition, config, limits, traversal, join, cache)
+            self.rank_join::<false>(lists, partition, config, limits, traversal, join)
         }
     }
 
@@ -321,9 +309,7 @@ impl<'a> TopKSearcher<'a> {
     /// [`TopKSearcher::search_materialized`]: the empty/`k == 0` guard and
     /// the Threshold-Algorithm join loop over the borrowed term lists and
     /// their component partition.  `PAIRS` compiles the pinned pair arm in
-    /// ([`score_pairs_pinned`]); the caller sets it only for two lists
-    /// without a memo.
-    #[allow(clippy::too_many_arguments)]
+    /// ([`score_pairs_pinned`]); the caller sets it only for two lists.
     fn rank_join<const PAIRS: bool>(
         &self,
         lists: &[Vec<ScoredNode>],
@@ -332,7 +318,6 @@ impl<'a> TopKSearcher<'a> {
         limits: &SearchLimits,
         traversal: &mut TraversalScratch,
         join: &mut JoinBuffers,
-        mut cache: Option<&mut TupleScoreCache>,
     ) -> (TopKResult, Option<LimitBreach>) {
         let mut stats = SearchStats::default();
         if lists.is_empty() || config.k == 0 {
@@ -477,8 +462,8 @@ impl<'a> TopKSearcher<'a> {
                         break 'outer;
                     }
                 }
-                // The tuples just formed, still to be scored.  A cold search
-                // over pairs asks one source — the node just read — about the
+                // The tuples just formed, still to be scored.  A search over
+                // pairs asks one source — the node just read — about the
                 // whole batch: that arm runs out of line and exists only in
                 // the `PAIRS` copy of this function, so the loop below is
                 // compiled as it always was for every other search.
@@ -517,24 +502,8 @@ impl<'a> TopKSearcher<'a> {
                         }
                         let nodes = &combo_nodes[c * m..(c + 1) * m];
                         stats.tuples_scored += 1;
-                        let compact = match cache.as_deref_mut() {
-                            Some(memo) => match memo.lookup(config.max_depth, nodes) {
-                                Some(hit) => hit,
-                                None => {
-                                    let fresh = compactness_with(
-                                        self.graph,
-                                        traversal,
-                                        nodes,
-                                        config.max_depth,
-                                    );
-                                    memo.store(config.max_depth, nodes, fresh);
-                                    fresh
-                                }
-                            },
-                            None => {
-                                compactness_with(self.graph, traversal, nodes, config.max_depth)
-                            }
-                        };
+                        let compact =
+                            compactness_with(self.graph, traversal, nodes, config.max_depth);
                         if compact == 0.0 && m > 1 {
                             stats.tuples_disconnected += 1;
                         } else {
@@ -817,7 +786,7 @@ mod tests {
     use super::*;
     use seda_datagraph::GraphConfig;
     use seda_textindex::FullTextQuery;
-    use seda_xmlstore::parse_collection;
+    use seda_xmlstore::{parse_collection, Collection};
 
     fn factbook_fragment() -> Collection {
         parse_collection(vec![
@@ -849,20 +818,9 @@ mod tests {
         .unwrap()
     }
 
-    /// The governed search without a compactness memo.
-    fn governed(
-        searcher: &TopKSearcher<'_>,
-        terms: &[TermInput],
-        config: &TopKConfig,
-        limits: &SearchLimits,
-        scratch: &mut SearchScratch,
-    ) -> (TopKResult, Option<LimitBreach>) {
-        searcher.search(terms, config, limits, scratch, None)
-    }
-
     /// The plain search: unlimited, fresh scratch.
     fn search(searcher: &TopKSearcher<'_>, terms: &[TermInput], config: &TopKConfig) -> TopKResult {
-        governed(searcher, terms, config, &SearchLimits::unlimited(), &mut SearchScratch::new()).0
+        searcher.search(terms, config, &SearchLimits::unlimited(), &mut SearchScratch::new()).0
     }
 
     fn searcher_parts(c: &Collection) -> (NodeIndex, DataGraph) {
@@ -898,7 +856,7 @@ mod tests {
     fn query1_returns_connected_tuples_only() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let result = search(&searcher, &query1_terms(&c), &TopKConfig::with_k(5));
         assert!(!result.tuples.is_empty());
         for tuple in &result.tuples {
@@ -915,7 +873,7 @@ mod tests {
     fn tight_tuples_rank_above_loose_ones() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let result = search(&searcher, &query1_terms(&c), &TopKConfig::with_k(10));
         // The best US tuple must pair China with 15 or Canada with 16.9 (the
         // same-item pairing), not a cross-item combination.
@@ -936,7 +894,7 @@ mod tests {
     fn ta_matches_naive_baseline() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let config = TopKConfig::with_k(4);
         let terms = query1_terms(&c);
         let ta = search(&searcher, &terms, &config);
@@ -956,13 +914,13 @@ mod tests {
     fn scratch_reuse_is_equivalent_to_fresh_scratch() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let terms = query1_terms(&c);
         let mut scratch = SearchScratch::new();
         for k in [1usize, 3, 10] {
             let config = TopKConfig::with_k(k);
             let reused =
-                governed(&searcher, &terms, &config, &SearchLimits::unlimited(), &mut scratch).0;
+                searcher.search(&terms, &config, &SearchLimits::unlimited(), &mut scratch).0;
             let fresh = search(&searcher, &terms, &config);
             assert_eq!(reused.tuples, fresh.tuples, "scratch reuse changed results at k={k}");
             let reused_naive = searcher.search_naive(&terms, &config, &mut scratch);
@@ -975,7 +933,7 @@ mod tests {
     fn k_limits_the_result_size() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let terms = query1_terms(&c);
         let one = search(&searcher, &terms, &TopKConfig::with_k(1));
         assert_eq!(one.tuples.len(), 1);
@@ -991,7 +949,7 @@ mod tests {
     fn empty_term_list_and_unmatchable_terms() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         assert!(search(&searcher, &[], &TopKConfig::default()).tuples.is_empty());
         let impossible = vec![
             TermInput::new(FullTextQuery::keywords("zzzunknownzzz")),
@@ -1004,7 +962,7 @@ mod tests {
     fn single_term_queries_degenerate_to_ranked_retrieval() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let terms = vec![TermInput::new(FullTextQuery::phrase("United States"))];
         let result = search(&searcher, &terms, &TopKConfig::with_k(10));
         assert_eq!(result.tuples.len(), 2, "US appears as a country name and as a trade partner");
@@ -1017,7 +975,7 @@ mod tests {
     fn context_restriction_filters_terms() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let name_path = c.paths().get_str(c.symbols(), "/country/name").unwrap();
         let terms =
             vec![TermInput::with_paths(FullTextQuery::phrase("United States"), vec![name_path])];
@@ -1030,7 +988,7 @@ mod tests {
     fn stats_record_work_and_early_termination_does_less_of_it() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let terms = query1_terms(&c);
         let small_k = search(&searcher, &terms, &TopKConfig::with_k(1));
         let naive =
@@ -1045,7 +1003,7 @@ mod tests {
     fn each_search_limit_breaches_with_its_resource_name() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let terms = query1_terms(&c);
         let config = TopKConfig::with_k(5);
         let mut scratch = SearchScratch::new();
@@ -1075,7 +1033,7 @@ mod tests {
             ),
         ];
         for (resource, limits) in cases {
-            let (result, breach) = governed(&searcher, &terms, &config, &limits, &mut scratch);
+            let (result, breach) = searcher.search(&terms, &config, &limits, &mut scratch);
             let breach = breach.unwrap_or_else(|| panic!("{resource} limit must trip"));
             assert_eq!(breach.resource, resource);
             // The prefix is well-formed even when empty.
@@ -1091,11 +1049,10 @@ mod tests {
         use std::sync::Arc;
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let flag = Arc::new(AtomicBool::new(true));
         let limits = SearchLimits { cancel: Some(flag), ..SearchLimits::unlimited() };
-        let (result, breach) = governed(
-            &searcher,
+        let (result, breach) = searcher.search(
             &query1_terms(&c),
             &TopKConfig::with_k(5),
             &limits,
@@ -1109,7 +1066,7 @@ mod tests {
     fn generous_limits_do_not_change_the_result() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let terms = query1_terms(&c);
         let config = TopKConfig::with_k(5);
         let limits = SearchLimits {
@@ -1122,7 +1079,7 @@ mod tests {
         };
         assert!(!limits.is_unlimited());
         let (governed, breach) =
-            governed(&searcher, &terms, &config, &limits, &mut SearchScratch::new());
+            searcher.search(&terms, &config, &limits, &mut SearchScratch::new());
         assert!(breach.is_none());
         assert_eq!(governed.tuples, search(&searcher, &terms, &config).tuples);
     }
@@ -1131,63 +1088,25 @@ mod tests {
     fn materialized_search_matches_fresh_search() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let terms = query1_terms(&c);
         let config = TopKConfig::with_k(5);
         let limits = SearchLimits::unlimited();
         let materialized = searcher.materialize_terms(&terms);
-        assert_eq!(materialized.term_count(), terms.len());
         let mut scratch = SearchScratch::new();
-        let (fresh, _) = governed(&searcher, &terms, &config, &limits, &mut scratch);
+        let (fresh, _) = searcher.search(&terms, &config, &limits, &mut scratch);
         let (replayed, breach) =
-            searcher.search_materialized(&materialized, &config, &limits, &mut scratch, None);
+            searcher.search_materialized(&materialized, &config, &limits, &mut scratch);
         assert!(breach.is_none());
         assert_eq!(fresh.tuples, replayed.tuples);
         assert_eq!(fresh.stats, replayed.stats);
     }
 
     #[test]
-    fn warm_cache_reproduces_cold_tuples_with_fewer_probes() {
-        let c = factbook_fragment();
-        let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
-        let terms = query1_terms(&c);
-        let config = TopKConfig::with_k(5);
-        let limits = SearchLimits::unlimited();
-        let materialized = searcher.materialize_terms(&terms);
-        let mut scratch = SearchScratch::new();
-        let mut cache = TupleScoreCache::new();
-        let (cold, _) = searcher.search_materialized(
-            &materialized,
-            &config,
-            &limits,
-            &mut scratch,
-            Some(&mut cache),
-        );
-        assert!(cold.stats.label_probes > 0);
-        assert!(cache.misses() > 0 && cache.hits() == 0);
-        let (warm, _) = searcher.search_materialized(
-            &materialized,
-            &config,
-            &limits,
-            &mut scratch,
-            Some(&mut cache),
-        );
-        assert_eq!(cold.tuples, warm.tuples, "memoisation must not change the answer");
-        assert!(cache.hits() > 0);
-        assert!(
-            warm.stats.label_probes < cold.stats.label_probes,
-            "warm runs answer compactness from the memo: {} vs {}",
-            warm.stats.label_probes,
-            cold.stats.label_probes
-        );
-    }
-
-    #[test]
     fn one_list_join_reads_the_sorted_prefix_and_looks_up_no_partner() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         // "United States" matches 2 nodes; exercise k below, at and above the
         // list length to pin tuples, stats and the early-termination flag.
         let terms = vec![TermInput::new(FullTextQuery::phrase("United States"))];
@@ -1196,9 +1115,9 @@ mod tests {
         for k in [0usize, 1, 2, 10] {
             // A three-term search first leaves the scratch's partition built
             // for other lists: the one-list search never reads it.
-            governed(&searcher, &query1_terms(&c), &TopKConfig::with_k(3), &limits, &mut scratch);
+            searcher.search(&query1_terms(&c), &TopKConfig::with_k(3), &limits, &mut scratch);
             let config = TopKConfig::with_k(k);
-            let (result, breach) = governed(&searcher, &terms, &config, &limits, &mut scratch);
+            let (result, breach) = searcher.search(&terms, &config, &limits, &mut scratch);
             assert!(breach.is_none());
             let read = k.min(2);
             let stats = &result.stats;
@@ -1213,7 +1132,7 @@ mod tests {
         }
         // The candidate bound stops the read before the threshold can.
         let clipped = TopKConfig { candidate_limit: 1, ..TopKConfig::with_k(2) };
-        let (result, _) = governed(&searcher, &terms, &clipped, &limits, &mut scratch);
+        let (result, _) = searcher.search(&terms, &clipped, &limits, &mut scratch);
         assert_eq!((result.stats.sorted_accesses, result.tuples.len()), (1, 1));
         assert!(!result.stats.early_terminated);
     }
@@ -1222,7 +1141,7 @@ mod tests {
     fn candidate_truncation_is_recorded_not_silent() {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let searcher = TopKSearcher::new(&index, &graph);
         let terms = query1_terms(&c);
 
         // A generous limit loses nothing and reports nothing.

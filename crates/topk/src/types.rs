@@ -1,7 +1,5 @@
 //! Shared types of the top-k search unit.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use seda_textindex::{FullTextQuery, ScoredNode};
@@ -211,95 +209,9 @@ pub struct MaterializedTerms {
 }
 
 impl MaterializedTerms {
-    /// Number of materialised term lists.
-    pub fn term_count(&self) -> usize {
-        self.lists.len()
-    }
-
     /// Posting-list length of term `i` (sorted-access upper bound).
     pub fn list_len(&self, i: usize) -> usize {
         self.lists.get(i).map(Vec::len).unwrap_or(0)
-    }
-}
-
-/// Memoised compactness scores of candidate node tuples.
-///
-/// The connecting-tree size of a node tuple depends only on the immutable
-/// data graph and the search depth, so a prepared statement can carry one
-/// cache across executions: warm runs answer the dominant cost of the join
-/// loop — connectivity-oracle label probes — from the memo instead of
-/// re-intersecting labels.  Warm-run [`SearchStats::label_probes`] therefore
-/// legitimately drop below the cold run's.  A hit hashes the tuple's node
-/// vector; for pairs over long hub labels that costs more than the pinned
-/// probe a cold search makes (`searcher` module docs).  A search with a memo
-/// keeps to the memo and the pairwise oracle all the same: ROADMAP item 1
-/// holds the measurement and what removing the memo has to come with.
-#[derive(Debug, Clone, Default)]
-pub struct TupleScoreCache {
-    map: HashMap<Vec<NodeId>, f64>,
-    /// Depth the memoised scores were computed at; a different depth
-    /// invalidates the whole cache.
-    max_depth: Option<usize>,
-    hits: u64,
-    misses: u64,
-}
-
-impl TupleScoreCache {
-    /// Entry ceiling: beyond this the cache stops absorbing new tuples (reads
-    /// keep working), bounding memory on adversarial workloads.
-    const MAX_ENTRIES: usize = 1 << 20;
-
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        TupleScoreCache::default()
-    }
-
-    /// Number of memoised tuples.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is memoised yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Lookups answered from the memo so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that fell through to the connectivity oracle so far (label
-    /// probes; a BFS only beyond the label radius).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Memoised compactness of `nodes` at `max_depth`, if present.
-    pub fn lookup(&mut self, max_depth: usize, nodes: &[NodeId]) -> Option<f64> {
-        self.reset_on_depth_change(max_depth);
-        let hit = self.map.get(nodes).copied();
-        match hit {
-            Some(_) => self.hits += 1,
-            None => self.misses += 1,
-        }
-        hit
-    }
-
-    /// Memoises the compactness of `nodes` at `max_depth` (no-op at the entry
-    /// ceiling).
-    pub fn store(&mut self, max_depth: usize, nodes: &[NodeId], compactness: f64) {
-        self.reset_on_depth_change(max_depth);
-        if self.map.len() < Self::MAX_ENTRIES {
-            self.map.insert(nodes.to_vec(), compactness);
-        }
-    }
-
-    fn reset_on_depth_change(&mut self, max_depth: usize) {
-        if self.max_depth != Some(max_depth) {
-            self.map.clear();
-            self.max_depth = Some(max_depth);
-        }
     }
 }
 
@@ -317,25 +229,9 @@ mod tests {
     }
 
     #[test]
-    fn tuple_score_cache_memoises_per_depth() {
-        let mut cache = TupleScoreCache::new();
-        let nodes = vec![NodeId::new(seda_xmlstore::DocId(0), 1)];
-        assert!(cache.is_empty());
-        assert_eq!(cache.lookup(12, &nodes), None);
-        cache.store(12, &nodes, 0.5);
-        assert_eq!(cache.lookup(12, &nodes), Some(0.5));
-        assert_eq!(cache.len(), 1);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // A different depth invalidates the memo.
-        assert_eq!(cache.lookup(3, &nodes), None);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
     fn materialized_terms_report_list_shapes() {
         let m = MaterializedTerms { lists: vec![vec![], vec![]], ..MaterializedTerms::default() };
-        assert_eq!(m.term_count(), 2);
-        assert_eq!(m.list_len(0), 0);
+        assert_eq!(m.list_len(1), 0);
         assert_eq!(m.list_len(7), 0, "out-of-range terms read as empty");
     }
 

@@ -1,22 +1,20 @@
 //! Prepared-statement equivalence: a request executed through a prepared
-//! statement — over its materialized term lists and compactness memo, round
-//! after round — must return the payload a fresh execution of the same
-//! request returns (the oracle here), across randomized datagen corpora and
-//! every statement type; `set_k` must keep matching fresh plans; and every
-//! spelling of the one executor (facade, planned request, prepared
-//! statement) must reach the same outcome under each budget ceiling.
+//! statement — over its materialized term lists, round after round — must
+//! return the payload a fresh execution of the same request returns (the
+//! oracle here), across randomized datagen corpora and every statement type;
+//! `set_k` must keep matching fresh plans; every spelling of the one executor
+//! (facade, planned request, prepared statement) must reach the same outcome
+//! under each budget ceiling; and a plan or prepared statement runs only on
+//! the engine that planned it.
 //!
-//! The comparison is full structural equality of the `Result`, with one
-//! carve-out: warm-cache prepared re-executions legitimately skip
-//! connectivity label probes, so that single counter is masked.
+//! The comparison is full structural equality of the `Result`, every counter
+//! included.
 
 use proptest::prelude::*;
 
-use seda_core::{
-    Budget, EngineConfig, RequestContext, ResponsePayload, SedaEngine, SedaError, SedaRequest,
-};
+use seda_core::{Budget, EngineConfig, RequestContext, SedaEngine, SedaError, SedaRequest};
 use seda_datagen::{
-    googlebase, mondial, recipeml, GoogleBaseConfig, MondialConfig, RecipeMlConfig,
+    googlebase, mondial, recipeml, Dataset, GoogleBaseConfig, MondialConfig, RecipeMlConfig,
 };
 use seda_olap::{ContextEntry, Registry, RelativeKey, SchemaDef};
 use seda_xmlstore::Collection;
@@ -40,19 +38,8 @@ fn googlebase_registry() -> Registry {
     registry
 }
 
-/// Masks the one counter warm-cache executions legitimately change.
-fn normalized(mut payload: ResponsePayload) -> ResponsePayload {
-    match &mut payload {
-        ResponsePayload::TopK(result) => result.stats.label_probes = 0,
-        ResponsePayload::Connections { top_k, .. } => top_k.stats.label_probes = 0,
-        _ => {}
-    }
-    payload
-}
-
 /// Asserts a prepared statement re-executed several times keeps reproducing
-/// a fresh `execute` of the same request (modulo label probes), or fails
-/// with the same typed error.
+/// a fresh `execute` of the same request, or fails with the same typed error.
 fn assert_prepared_matches_fresh(engine: &SedaEngine, text: &str) -> Result<(), TestCaseError> {
     let request = SedaRequest::parse(text).expect("request parses");
     let mut reader = engine.reader();
@@ -62,8 +49,8 @@ fn assert_prepared_matches_fresh(engine: &SedaEngine, text: &str) -> Result<(), 
         let reused = prepared.execute(&mut reader);
         match (&fresh, &reused) {
             (Ok(a), Ok(b)) => prop_assert_eq!(
-                normalized(a.payload.clone()),
-                normalized(b.payload.clone()),
+                &a.payload,
+                &b.payload,
                 "prepared round {} diverges: {}",
                 round,
                 text
@@ -204,7 +191,68 @@ fn prepared_set_k_matches_fresh_plans() {
             .execute(&SedaRequest::parse(&format!("TOPK {k} FOR (item, *) AND (qty, *)")).unwrap())
             .expect("fresh execution");
         let reused = prepared.execute(&mut reader).expect("prepared execution");
-        assert_eq!(normalized(reused.payload), normalized(fresh.payload), "k={k}");
+        assert_eq!(reused.payload, fresh.payload, "k={k}");
+    }
+}
+
+/// A two-term search whose sorted accesses form at least eight pairs each
+/// takes the pinned pair arm: its third prepared execution must spend exactly
+/// the label probes of a fresh run, as it did on the first.
+#[test]
+fn a_pinned_pair_search_spends_the_same_label_probes_prepared_and_fresh() {
+    let engine = engine(
+        mondial::generate(&MondialConfig::small()).expect("generate mondial"),
+        Registry::new(),
+    );
+    let request = SedaRequest::parse("TOPK 10 FOR (name, *) AND (population, *)").expect("parses");
+    let mut reader = engine.reader();
+    let fresh = reader.execute(&request).expect("fresh execution");
+    let top_k = fresh.top_k().expect("a top-k payload");
+    // More pairs than sorted accesses: the batches are wide enough to pin.
+    assert!(top_k.stats.tuples_scored >= 8 * top_k.stats.sorted_accesses, "{:?}", top_k.stats);
+    assert!(top_k.stats.label_probes > 0);
+    let mut prepared = reader.prepare(&request).expect("prepares");
+    for _ in 0..2 {
+        prepared.execute(&mut reader).expect("prepared execution");
+    }
+    let third = prepared.execute(&mut reader).expect("prepared execution");
+    assert_eq!(third.profile.label_probes, fresh.profile.label_probes);
+    assert_eq!(third.payload, fresh.payload);
+}
+
+/// A plan or prepared statement carries the path and node ids of the engine
+/// that planned it: a reader of another engine refuses it with a typed error
+/// instead of answering from those ids, in both directions.
+#[test]
+fn a_plan_from_another_engine_is_refused() {
+    let mondial = engine(Dataset::Mondial.generate_small().expect("mondial"), Registry::new());
+    let googlebase =
+        engine(Dataset::GoogleBase.generate_small().expect("googlebase"), googlebase_registry());
+    let texts = [
+        "TOPK 5 FOR (name, *) AND (population, *)",
+        "RESULTS FOR (name, *) AND (population, *)",
+        "TOPK 5 FOR (category, *) AND (price, *)",
+        "CONTEXTS FOR (category, *)",
+    ];
+    for (home, away) in [(&mondial, &googlebase), (&googlebase, &mondial)] {
+        let mut home_reader = home.reader();
+        let mut away_reader = away.reader();
+        for text in texts {
+            let request = SedaRequest::parse(text).expect("parses");
+            let plan = home.prepare(&request).expect(text);
+            let mut prepared = home_reader.prepare(&request).expect("prepares at home");
+            let ctx = RequestContext::unlimited();
+            assert_eq!(
+                away_reader.execute_plan_governed(&plan, &ctx).unwrap_err(),
+                SedaError::ForeignPlan,
+                "{text}"
+            );
+            assert_eq!(prepared.execute(&mut away_reader).unwrap_err(), SedaError::ForeignPlan);
+            assert_eq!(prepared.executions(), 0, "{text}");
+            // At home both still run.
+            home_reader.execute_plan_governed(&plan, &ctx).expect("the plan runs at home");
+            prepared.execute(&mut home_reader).expect("the statement runs at home");
+        }
     }
 }
 
@@ -270,10 +318,8 @@ fn program_matches_oracle_under_budgets() {
         let request = SedaRequest::parse(&text).expect("parses");
         let plan = engine.prepare(&request).expect("prepares");
         let mut reader = engine.reader();
+        let mut prepared = reader.prepare(&request).expect("prepares");
         for degraded in [false, true] {
-            // Prepared afresh per run: a memo warmed by an earlier run spends
-            // fewer label probes, so it would get further on the same budget.
-            let mut prepared = reader.prepare(&request).expect("prepares");
             let ctx = || {
                 let ctx = RequestContext::new(budget.clone());
                 if degraded {

@@ -68,13 +68,12 @@ struct Expected {
 impl Expected {
     fn from_fresh_scratches(engine: &SedaEngine) -> Expected {
         let terms = term_inputs(engine, "(name, *) AND (population, *)");
-        let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
+        let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
         let (top_k, breach) = searcher.search(
             &terms,
             &TopKConfig::with_k(10),
             &SearchLimits::unlimited(),
             &mut SearchScratch::new(),
-            None,
         );
         assert!(breach.is_none());
         assert!(top_k.stats.label_probes > 0 && top_k.stats.tuples_disconnected > 0);
@@ -92,13 +91,12 @@ impl Expected {
             .scratch_mut()
             .verify()
             .unwrap_or_else(|violations| panic!("scratch after {after}: {violations:?}"));
-        let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
+        let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
         let (top_k, breach) = searcher.search(
             &self.terms,
             &TopKConfig::with_k(10),
             &SearchLimits::unlimited(),
             reader.scratch_mut(),
-            None,
         );
         assert!(breach.is_none(), "after {after}");
         assert_eq!(top_k, self.top_k, "unlimited search after {after}");
@@ -117,8 +115,8 @@ fn search(
     limits: &SearchLimits,
 ) -> (TopKResult, Option<&'static str>) {
     let engine = reader.engine();
-    let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
-    let (result, breach) = searcher.search(terms, config, limits, reader.scratch_mut(), None);
+    let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
+    let (result, breach) = searcher.search(terms, config, limits, reader.scratch_mut());
     (result, breach.map(|b| b.resource))
 }
 

@@ -40,7 +40,7 @@ fn doc_components_built_once_per_engine_never_per_search() {
 
     let query = SedaQuery::parse("(name, *) AND (population, *)").unwrap();
     let selections = ContextSelections::none();
-    let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
+    let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
     let terms: Vec<seda_topk::TermInput> = query
         .terms
         .iter()
@@ -58,7 +58,6 @@ fn doc_components_built_once_per_engine_never_per_search() {
             &TopKConfig::with_k(k),
             &SearchLimits::unlimited(),
             &mut scratch,
-            None,
         );
         let _ = searcher.search_naive(&terms, &TopKConfig::with_k(k), &mut scratch);
     }

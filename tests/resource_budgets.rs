@@ -229,7 +229,7 @@ fn a_deadline_expiring_mid_search_breaches_on_a_stride_boundary() {
     let collection = googlebase::generate(&config).expect("generate googlebase");
     let index = NodeIndex::build(&collection);
     let graph = DataGraph::build(&collection, &GraphConfig::default());
-    let searcher = TopKSearcher::new(&collection, &index, &graph);
+    let searcher = TopKSearcher::new(&index, &graph);
     let any_under = |tag: &str| {
         let paths = ContextSpec::Tag(tag.to_string()).allowed_paths(&collection);
         TermInput::with_paths(FullTextQuery::Any, paths.expect("a tag restricts"))
@@ -237,8 +237,7 @@ fn a_deadline_expiring_mid_search_breaches_on_a_stride_boundary() {
     let terms = [any_under("title"), any_under("price")];
     let k = TopKConfig::with_k(10);
     let mut scratch = SearchScratch::new();
-    let mut search =
-        |limits: &SearchLimits| searcher.search(&terms, &k, limits, &mut scratch, None);
+    let mut search = |limits: &SearchLimits| searcher.search(&terms, &k, limits, &mut scratch);
 
     let start = Instant::now();
     let (full, breach) = search(&SearchLimits::unlimited());

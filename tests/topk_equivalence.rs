@@ -8,9 +8,7 @@
 
 use proptest::prelude::*;
 
-use seda_core::seda_topk::{
-    LimitBreach, SearchLimits, SearchScratch, TermInput, TopKConfig, TopKResult, TopKSearcher,
-};
+use seda_core::seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
 use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
 use seda_datagen::{googlebase, mondial, GoogleBaseConfig, MondialConfig};
 use seda_olap::Registry;
@@ -35,17 +33,6 @@ fn term_inputs(engine: &SedaEngine, query_text: &str) -> Vec<TermInput> {
         .collect()
 }
 
-/// The TA search without a compactness memo.
-fn search(
-    searcher: &TopKSearcher<'_>,
-    terms: &[TermInput],
-    config: &TopKConfig,
-    limits: &SearchLimits,
-    scratch: &mut SearchScratch,
-) -> (TopKResult, Option<LimitBreach>) {
-    searcher.search(terms, config, limits, scratch, None)
-}
-
 /// Asserts TA == naive: same tuple count, same scores within 1e-9, and the
 /// same node tuples (both searchers break score ties by ascending node
 /// tuples, so the sequences must agree exactly).
@@ -54,10 +41,10 @@ fn assert_equivalent(
     terms: &[TermInput],
     k: usize,
 ) -> Result<(), TestCaseError> {
-    let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
+    let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
     let config = TopKConfig::with_k(k);
     let mut scratch = SearchScratch::new();
-    let ta = search(&searcher, terms, &config, &SearchLimits::unlimited(), &mut scratch).0;
+    let ta = searcher.search(terms, &config, &SearchLimits::unlimited(), &mut scratch).0;
     let naive = searcher.search_naive(terms, &config, &mut scratch);
     prop_assert_eq!(ta.tuples.len(), naive.tuples.len(), "result sizes differ");
     for (i, (a, b)) in ta.tuples.iter().zip(naive.tuples.iter()).enumerate() {
@@ -93,10 +80,10 @@ fn assert_equivalent_under_ties(
     terms: &[TermInput],
     k: usize,
 ) -> Result<(), TestCaseError> {
-    let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
+    let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
     let mut scratch = SearchScratch::new();
     let unlimited = SearchLimits::unlimited();
-    let ta = search(&searcher, terms, &TopKConfig::with_k(k), &unlimited, &mut scratch).0;
+    let ta = searcher.search(terms, &TopKConfig::with_k(k), &unlimited, &mut scratch).0;
     let all = searcher.search_naive(terms, &TopKConfig::with_k(usize::MAX), &mut scratch);
     prop_assert_eq!(all.stats.candidates_truncated, 0);
     prop_assert_eq!(ta.tuples.len(), all.tuples.len().min(k), "result sizes differ");
@@ -207,10 +194,10 @@ proptest! {
 fn ta_matches_naive_on_fixed_small_workloads() {
     let engine = engine(mondial::generate(&MondialConfig::small()).expect("generate mondial"));
     let terms = term_inputs(&engine, "(name, *) AND (population, *)");
-    let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
+    let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
     let mut scratch = SearchScratch::new();
     let config = TopKConfig::with_k(10);
-    let ta = search(&searcher, &terms, &config, &SearchLimits::unlimited(), &mut scratch).0;
+    let ta = searcher.search(&terms, &config, &SearchLimits::unlimited(), &mut scratch).0;
     let naive = searcher.search_naive(&terms, &config, &mut scratch);
     assert_eq!(ta.tuples.len(), naive.tuples.len());
     for (a, b) in ta.tuples.iter().zip(naive.tuples.iter()) {
@@ -240,7 +227,7 @@ fn ta_matches_naive_on_fixed_small_workloads() {
 fn one_list_join_reads_the_sorted_prefix_and_stops() {
     let corpus = GoogleBaseConfig { items: 40, categories: 4, attributes_per_category: 4, seed: 7 };
     let engine = engine(googlebase::generate(&corpus).expect("generate googlebase"));
-    let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
+    let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
     let terms = term_inputs(&engine, "(price, *)");
     let materialized = searcher.materialize_terms(&terms);
     let len = materialized.list_len(0);
@@ -252,7 +239,7 @@ fn one_list_join_reads_the_sorted_prefix_and_stops() {
     cases.push(TopKConfig { candidate_limit: 3, ..TopKConfig::with_k(5) });
     for config in cases {
         let (k, bound) = (config.k, config.candidate_limit);
-        let (result, breach) = search(&searcher, &terms, &config, &unlimited, &mut scratch);
+        let (result, breach) = searcher.search(&terms, &config, &unlimited, &mut scratch);
         assert!(breach.is_none());
         let read = k.min(len).min(bound);
         let stats = &result.stats;
@@ -263,7 +250,7 @@ fn one_list_join_reads_the_sorted_prefix_and_stops() {
         assert!(result.tuples.iter().all(|t| t.nodes.len() == 1 && t.compactness == 1.0));
         assert!(result.tuples.windows(2).all(|w| w[0].score >= w[1].score), "k={k}");
         let (replayed, _) =
-            searcher.search_materialized(&materialized, &config, &unlimited, &mut scratch, None);
+            searcher.search_materialized(&materialized, &config, &unlimited, &mut scratch);
         assert_eq!(replayed, result, "k={k}");
     }
 }
@@ -290,11 +277,11 @@ fn one_scratch_across_engines_term_counts_and_a_breach_matches_fresh_scratches()
     let mut shared = SearchScratch::new();
     let mut breaches = 0;
     for (round, (engine, text, limits)) in rounds.into_iter().enumerate() {
-        let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
+        let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
         let terms = term_inputs(engine, text);
         let config = TopKConfig::with_k(10);
-        let reused = search(&searcher, &terms, &config, limits, &mut shared);
-        let fresh = search(&searcher, &terms, &config, limits, &mut SearchScratch::new());
+        let reused = searcher.search(&terms, &config, limits, &mut shared);
+        let fresh = searcher.search(&terms, &config, limits, &mut SearchScratch::new());
         assert_eq!(reused, fresh, "round {round}: {text}");
         assert!(!reused.0.tuples.is_empty(), "round {round} must find answers: {text}");
         breaches += usize::from(reused.1.is_some());

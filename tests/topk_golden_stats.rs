@@ -145,7 +145,7 @@ fn render_all() -> String {
         let engine =
             SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
                 .expect("engine build");
-        let searcher = TopKSearcher::new(engine.collection(), engine.node_index(), engine.graph());
+        let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
         writeln!(
             out,
             "# {} — {} documents, {} components",
@@ -163,15 +163,9 @@ fn render_all() -> String {
                 if let Some(limit) = candidate_limit {
                     config.candidate_limit = limit;
                 }
-                let (cold, breach) =
-                    searcher.search(&terms, &config, &unlimited, &mut scratch, None);
-                let (replayed, replayed_breach) = searcher.search_materialized(
-                    &materialized,
-                    &config,
-                    &unlimited,
-                    &mut scratch,
-                    None,
-                );
+                let (cold, breach) = searcher.search(&terms, &config, &unlimited, &mut scratch);
+                let (replayed, replayed_breach) =
+                    searcher.search_materialized(&materialized, &config, &unlimited, &mut scratch);
                 assert_eq!(cold, replayed, "{label} k={k}: materialised lists diverge from cold");
                 assert_eq!(breach, replayed_breach);
                 let head = format!("{label} k={k} limit={}", config.candidate_limit);
@@ -189,7 +183,7 @@ fn render_all() -> String {
         ];
         for (name, limits) in budgets {
             let (result, breach) =
-                searcher.search(&terms, &TopKConfig::with_k(10), &limits, &mut scratch, None);
+                searcher.search(&terms, &TopKConfig::with_k(10), &limits, &mut scratch);
             render_case(&mut out, &format!("three-term k=10 budget {name}"), &result, &breach);
         }
     }
