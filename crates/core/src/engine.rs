@@ -20,7 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-use seda_datagraph::{is_connected_with, pin, shortest_path_with, DataGraph, GraphConfig};
+use seda_datagraph::{
+    is_connected_with, pin, shortest_path_with, DataGraph, GraphConfig, TraversalScratch, MAX_DEPTH,
+};
 use seda_dataguide::{
     discover_connections, guide_links, Connection, DataGuideSet, DataGuideStats, GuideLink,
 };
@@ -61,15 +63,17 @@ pub(crate) fn catch_internal<T>(f: impl FnOnce() -> Result<T, SedaError>) -> Res
 pub struct EngineConfig {
     /// Dataguide merge threshold (the paper uses 40%).
     pub dataguide_threshold: f64,
-    /// Top-k search configuration.
+    /// Top-k search configuration.  Its `max_depth` may not exceed
+    /// [`MAX_DEPTH`] ([`SedaEngine::build`] refuses the configuration).
     pub topk: TopKConfig,
     /// Data-graph construction configuration (ID/IDREF conventions,
     /// value-based key specs).
     pub graph: GraphConfig,
     /// Count storage of the context index (Fig. 8 design choice).
     pub count_storage: CountStorage,
-    /// Maximum number of hops considered when verifying connections in the
-    /// complete-result generator.
+    /// Maximum number of hops considered when discovering connections and
+    /// verifying them in the complete-result generator; at most
+    /// [`MAX_DEPTH`] ([`SedaEngine::build`] refuses the configuration).
     pub connection_max_depth: usize,
     /// Upper bound on the number of complete-result tuples materialised by
     /// the fallback graph-enumeration path.
@@ -245,6 +249,10 @@ impl SedaEngine {
     /// merges the shards in document order, so the resulting engine is
     /// identical at every thread count.  The timings of both phases are
     /// recorded in [`SedaEngine::build_profile`].
+    ///
+    /// Fails with [`SedaError::Limit`] (resource `"connection depth"`) when
+    /// `config.topk.max_depth` or `config.connection_max_depth` exceeds
+    /// [`MAX_DEPTH`], the deepest bound the distance labels answer exactly.
     pub fn build(
         collection: Collection,
         registry: Registry,
@@ -280,6 +288,15 @@ impl SedaEngine {
         registry: Registry,
         config: EngineConfig,
     ) -> Result<Self, SedaError> {
+        for depth in [config.topk.max_depth, config.connection_max_depth] {
+            if depth > MAX_DEPTH {
+                return Err(SedaError::Limit {
+                    resource: "connection depth",
+                    spent: depth,
+                    budget: MAX_DEPTH,
+                });
+            }
+        }
         let build_start = Stopwatch::start();
         // More workers than documents cannot help; clamping keeps the
         // reported parallelism honest and avoids spawning idle workers for
@@ -616,14 +633,24 @@ impl SedaEngine {
 
     /// Computes the connection summary from a top-k result (Sec. 6): the
     /// pairwise connections between matched nodes, abstracted to context
-    /// signatures, most frequent first.
-    pub fn connection_summary(&self, top_k: &TopKResult) -> ConnectionSummary {
+    /// signatures, most frequent first.  The label probes of the path
+    /// descents are counted in the caller's `traversal` scratch, and
+    /// `proceed` is asked before each tuple whether discovery goes on (see
+    /// [`discover_connections`]).
+    pub(crate) fn connection_summary(
+        &self,
+        top_k: &TopKResult,
+        traversal: &mut TraversalScratch,
+        proceed: impl FnMut(u64) -> bool,
+    ) -> ConnectionSummary {
         let tuples = top_k.node_tuples();
         let connections = discover_connections(
             &self.collection,
             &self.graph,
             &tuples,
             self.config.connection_max_depth,
+            traversal,
+            proceed,
         );
         ConnectionSummary { connections }
     }
@@ -1234,6 +1261,34 @@ mod tests {
             .unwrap()
     }
 
+    /// The labels answer every bound up to `MAX_DEPTH` exactly, so a
+    /// configuration may ask for that much and no more.
+    #[test]
+    fn build_refuses_depth_bounds_past_the_labels() {
+        let build = |topk_depth: usize, connection_max_depth: usize| {
+            let config = EngineConfig {
+                topk: TopKConfig { max_depth: topk_depth, ..TopKConfig::default() },
+                connection_max_depth,
+                ..EngineConfig::default()
+            };
+            let collection = parse_collection(vec![("a.xml", "<a><b>x</b><c>y</c></a>")]).unwrap();
+            SedaEngine::build(collection, Registry::new(), config)
+        };
+        let request = crate::SedaRequest::parse("CONNECTIONS 5 FOR (b, *) AND (c, *)").unwrap();
+        let answer = |e: SedaEngine| e.reader().execute(&request).unwrap().payload;
+        assert_eq!(answer(build(MAX_DEPTH, MAX_DEPTH).unwrap()), answer(build(12, 12).unwrap()));
+        for (topk, connection) in [(MAX_DEPTH + 1, 12), (12, MAX_DEPTH + 1), (usize::MAX, 0)] {
+            let err = build(topk, connection).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(SedaError::Limit { resource: "connection depth", budget: MAX_DEPTH, .. })
+                ),
+                "{err:?}"
+            );
+        }
+    }
+
     #[test]
     fn context_summary_reports_contexts_for_each_term() {
         let e = engine();
@@ -1259,7 +1314,7 @@ mod tests {
         let q = query1();
         let topk = top_k(&e, &q, &ContextSelections::none(), 10);
         assert!(!topk.tuples.is_empty());
-        let connections = e.connection_summary(&topk);
+        let connections = e.reader().connection_summary(&topk);
         assert!(!connections.is_empty());
         // The same-item trade_country ~ percentage connection must be among
         // the discovered connections.
@@ -1339,7 +1394,7 @@ mod tests {
         // Discover connections from the top-k and keep only the same-item one
         // (length 2).
         let topk = top_k(&e, &q, &selections, 10);
-        let summary = e.connection_summary(&topk);
+        let summary = e.reader().connection_summary(&topk);
         let same_item: Vec<Connection> = summary
             .connections
             .iter()

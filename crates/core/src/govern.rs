@@ -7,13 +7,13 @@
 //! and an optional [`CancelToken`]) through
 //! [`crate::SedaReader::execute_governed`].  Ceilings are enforced at the
 //! pipeline's existing counter sites — the Threshold-Algorithm loop in
-//! `seda-topk`, the BFS probe ceiling in `seda-datagraph`, the
-//! complete-result enumeration, twig match and cube materialisation in the
-//! reader/engine — and a breach surfaces either as a typed
-//! [`SedaError::Limit`] naming the exhausted resource, or, when the caller
-//! opts in via [`RequestContext::allow_degraded`], as a partial response
-//! flagged [`crate::ExecProfile::degraded`] carrying the exact prefix
-//! computed before the breach.
+//! `seda-topk`, the complete-result enumeration, connection discovery, twig
+//! match and cube materialisation in the reader/engine — and a breach
+//! surfaces either as a typed [`SedaError::Limit`] naming the exhausted
+//! resource, or, when the caller opts in via
+//! [`RequestContext::allow_degraded`], as a partial response flagged
+//! [`crate::ExecProfile::degraded`] carrying the exact prefix computed
+//! before the breach.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -35,8 +35,8 @@ pub struct Budget {
     pub max_random_accesses: Option<usize>,
     /// Ceiling on candidate tuples scored by the top-k search.
     pub max_candidates: Option<usize>,
-    /// Ceiling on label probes spent on connectivity checks; also arms the
-    /// traversal BFS probe ceiling so oracle fallbacks stay bounded.
+    /// Ceiling on label probes spent on connectivity checks and connection
+    /// discovery.
     pub max_label_probes: Option<u64>,
     /// Ceiling on result rows across every statement shape.
     pub max_rows: Option<usize>,
@@ -250,8 +250,9 @@ impl RequestContext {
     }
 
     /// The label-probe breach once connectivity checks outside the searcher
-    /// (the complete-result step) have spent `spent` probes — the ceiling
-    /// the searcher enforces inside its own loop.
+    /// (the complete-result step, connection discovery) have brought the
+    /// request to `spent` probes — the ceiling the searcher enforces inside
+    /// its own loop.
     pub(crate) fn label_probe_breach(&self, spent: u64) -> Option<LimitBreach> {
         let max = self.budget.max_label_probes?;
         (spent > max).then_some(LimitBreach { resource: "label probes", spent, budget: max })

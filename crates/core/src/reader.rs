@@ -487,10 +487,22 @@ impl<'e> SedaReader<'e> {
                 let top_k = self.run_search(plan, ctx, &mut profile, materialized)?;
                 ctx.check_cancelled()?;
                 let s = self.tracer.enter(span::DISCOVER_CONNECTIONS);
-                let summary = self.engine.connection_summary(&top_k);
-                let counters = SpanCounters { rows: summary.len(), ..SpanCounters::default() };
+                let traversal = self.scratch.traversal_mut();
+                let probes_before = traversal.label_probes;
+                // The request's ceiling covers the search and the discovery,
+                // checked before each tuple: a breach keeps the connections
+                // of the tuples before it.
+                let spent_by_search = profile.label_probes;
+                let summary = self.engine.connection_summary(&top_k, traversal, |probes| {
+                    ctx.label_probe_breach(spent_by_search + probes - probes_before).is_none()
+                });
+                let label_probes = traversal.label_probes - probes_before;
+                profile.absorb(&SearchStats { label_probes, ..SearchStats::default() });
+                let counters =
+                    SpanCounters { rows: summary.len(), label_probes, ..SpanCounters::default() };
                 self.tracer.exit_with(s, counters);
-                resolve_breach(ctx.deadline_breach(), ctx, &mut profile)?;
+                let breach = ctx.label_probe_breach(profile.label_probes);
+                resolve_breach(breach.or_else(|| ctx.deadline_breach()), ctx, &mut profile)?;
                 ResponsePayload::Connections { top_k, summary }
             }
             Statement::CompleteResults => {
@@ -601,9 +613,10 @@ impl<'e> SedaReader<'e> {
         self.engine.context_summary(query)
     }
 
-    /// Connection summary of an existing top-k result.
+    /// Connection summary of an existing top-k result, its label probes
+    /// counted in this reader's scratch.
     pub fn connection_summary(&mut self, top_k: &TopKResult) -> ConnectionSummary {
-        self.engine.connection_summary(top_k)
+        self.engine.connection_summary(top_k, self.scratch.traversal_mut(), |_| true)
     }
 
     /// Complete result set R(q) through this reader's scratch.

@@ -9,9 +9,8 @@
 //! | `cross-symmetry` | every cross edge is stored under both endpoints with the same kind |
 //! | `component-partition` | `doc_component` equals the dense union-find closure of the cross edges |
 //! | `labels-sorted` | per-node label keys strictly ascending (sorted and deduped), schemes cover every document |
-//! | `labels-radius` | hub-scheme label distances never exceed the advertised radius |
+//! | `labels-bounded` | hub-scheme label distances never exceed [`crate::MAX_DEPTH`] |
 //! | `labels-sound` | hub pruning kept the 2-hop cover sound: every adjacency edge answers distance 1 |
-//! | `scratch-epoch` | traversal scratch arrays stay parallel and no stamp exceeds the current epoch |
 //! | `scratch-pinned` | no scattered label entry outlives its `PinnedSource`: between queries the pinned array holds "no entry" under every key |
 //!
 //! The violation type lives in [`seda_xmlstore::audit`]; see there for the
@@ -22,7 +21,7 @@ use std::collections::HashMap;
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
 use seda_xmlstore::NodeId;
 
-use crate::connectivity::{LabelScheme, NO_ENTRY};
+use crate::connectivity::{LabelScheme, MAX_DEPTH, NO_ENTRY};
 use crate::graph::{DataGraph, EdgeKind};
 use crate::traversal::TraversalScratch;
 
@@ -267,14 +266,11 @@ impl DataGraph {
             let scheme = conn.scheme(self.node_id(dense as u32).doc);
             if scheme == LabelScheme::Hub {
                 for &d in &conn.dists[lo..hi] {
-                    if d > conn.radius {
+                    if d as usize > MAX_DEPTH {
                         violations.push(InvariantViolation::new(
                             SUBSTRATE,
-                            "labels-radius",
-                            format!(
-                                "node {dense} carries distance {d} beyond radius {}",
-                                conn.radius
-                            ),
+                            "labels-bounded",
+                            format!("node {dense} carries distance {d} beyond {MAX_DEPTH}"),
                         ));
                     }
                 }
@@ -354,7 +350,8 @@ impl DataGraph {
     }
 
     /// Test-only corruption hook: inflates one label distance (breaks
-    /// `labels-radius` for hub-scheme nodes when set beyond the radius).
+    /// `labels-bounded` for hub-scheme nodes when set beyond
+    /// [`crate::MAX_DEPTH`]).
     #[doc(hidden)]
     pub fn corrupt_label_dist(&mut self, entry: usize, dist: u16) {
         self.connectivity.dists[entry] = dist;
@@ -372,36 +369,12 @@ impl DataGraph {
 }
 
 impl TraversalScratch {
-    /// Verifies the epoch discipline of the reusable traversal state: the
-    /// stamp/distance/predecessor arrays stay parallel, and no slot carries a
-    /// stamp from the future (`stamp[i] > epoch` would make a stale mark read
-    /// as visited in a later epoch — the `scratch-epoch` class); and the array
-    /// a [`crate::PinnedSource`] scatters its label into is clean again (a
+    /// Verifies the reusable traversal state between queries: the array a
+    /// [`crate::PinnedSource`] scatters its label into is clean again (a
     /// leftover entry would read as a hub of every later source and shorten
     /// its distances — the `scratch-pinned` class).
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
-        if self.stamp.len() != self.dist.len() || self.stamp.len() != self.pred.len() {
-            violations.push(InvariantViolation::new(
-                SUBSTRATE,
-                "scratch-epoch",
-                format!(
-                    "scratch arrays diverged: {} stamps, {} distances, {} predecessors",
-                    self.stamp.len(),
-                    self.dist.len(),
-                    self.pred.len()
-                ),
-            ));
-        }
-        for (i, &stamp) in self.stamp.iter().enumerate() {
-            if stamp > self.epoch {
-                violations.push(InvariantViolation::new(
-                    SUBSTRATE,
-                    "scratch-epoch",
-                    format!("slot {i} stamped {stamp}, beyond the current epoch {}", self.epoch),
-                ));
-            }
-        }
         if let Some(key) = self.pinned.iter().position(|&d| d != NO_ENTRY) {
             violations.push(InvariantViolation::new(
                 SUBSTRATE,
@@ -424,20 +397,6 @@ impl TraversalScratch {
         match self.pinned.first_mut() {
             Some(slot) => {
                 *slot = 0;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Test-only corruption hook: stamps one slot with a future epoch (breaks
-    /// `scratch-epoch`).  Returns `false` when the scratch has never run a
-    /// traversal and holds no slots.
-    #[doc(hidden)]
-    pub fn corrupt_stamp_future(&mut self) -> bool {
-        match self.stamp.first_mut() {
-            Some(slot) => {
-                *slot = self.epoch + 1;
                 true
             }
             None => false,
@@ -517,28 +476,12 @@ mod tests {
     }
 
     #[test]
-    fn traversal_scratch_epoch_discipline() {
-        let g = linked_graph();
-        let mut scratch = TraversalScratch::new();
-        scratch.verify().unwrap();
-        assert!(!scratch.corrupt_stamp_future(), "an unused scratch has no slots");
-        // Run a BFS so the stamp arrays exist, then stamp the future.
-        let a = g.node_id(0);
-        let b = g.node_id(1);
-        let _ = crate::traversal::bfs_shortest_distance_with(&g, &mut scratch, a, b, 4);
-        scratch.verify().unwrap();
-        assert!(scratch.corrupt_stamp_future());
-        let violations = scratch.verify().unwrap_err();
-        assert!(violations.iter().all(|v| v.invariant == "scratch-epoch"), "{violations:?}");
-    }
-
-    #[test]
     fn a_leftover_pinned_entry_fails_scratch_pinned() {
         let g = linked_graph();
         let mut scratch = TraversalScratch::new();
         assert!(!scratch.corrupt_leave_pinned(), "a scratch that never pinned has no slots");
         // Pin and release a source so the array exists and is clean.
-        let source = crate::traversal::pin(&g, &mut scratch, g.node_id(0)).expect("node 0 pins");
+        let source = crate::pin(&g, &mut scratch, g.node_id(0)).expect("node 0 pins");
         drop(source);
         scratch.verify().unwrap();
         assert!(scratch.corrupt_leave_pinned());
@@ -547,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn inflated_distance_fails_labels_radius() {
+    fn inflated_distance_fails_labels_bounded() {
         let mut g = linked_graph();
         // Dense node 0 is the sea element — a hub-scheme document.
         let (lo, hi) = g.label_range(0);
@@ -555,6 +498,6 @@ mod tests {
         g.corrupt_label_dist(lo, u16::MAX);
         let violations = g.verify().unwrap_err();
         // The saturated distance also breaks edge soundness around node 0.
-        assert!(violations.iter().any(|v| v.invariant == "labels-radius"), "{violations:?}");
+        assert!(violations.iter().any(|v| v.invariant == "labels-bounded"), "{violations:?}");
     }
 }

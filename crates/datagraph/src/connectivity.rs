@@ -17,19 +17,27 @@
 //!   distances at any depth.  These are computed per document in
 //!   [`crate::DataGraph::build_shard`] and adopted at merge time, rebased to
 //!   the graph's dense node indices.
-//! * **Hub labels** (pruned landmark labeling, bounded at
-//!   [`LABEL_RADIUS`]) for components with cross edges.  Hubs are visited in
-//!   descending-degree order; each runs a pruned BFS of radius
-//!   [`LABEL_RADIUS`], so labels stay small and queries are exact for every
-//!   distance `<= LABEL_RADIUS`.  Queries with a deeper `max_depth` fall back
-//!   to BFS — the default search depth (12) is below the radius, so the hot
-//!   path never does.
+//! * **Hub labels** (pruned landmark labeling) for components with cross
+//!   edges.  Hubs are visited in descending-degree order and each runs a
+//!   BFS pruned by the labels accumulated so far and cut off at
+//!   [`MAX_DEPTH`] hops, so queries are exact for every distance
+//!   `<= MAX_DEPTH`.  The cut is what bounds the labels on long
+//!   cross-document chains: the links of a chain share one degree, so the
+//!   order visits them in chain order and an uncut BFS prunes nothing ahead
+//!   of its hub.  On a chain of one-item documents each referencing the next
+//!   (three nodes a document; 2-core Xeon), the cut keeps 20.3–20.4 entries
+//!   a node at 500, 1,000 and 10,000 documents (31–38 ms to build the
+//!   10,000), where no cut costs 833 and 1,666 entries a node at 500 and
+//!   1,000 documents (2.7 s) — quadratic entries and a cubic build.
 //!
 //! Both schemes store their labels in one flat CSR arena (`offsets`, `hubs`,
 //! `dists`) alongside the adjacency built in [`crate::DataGraph::merge`], and
-//! both are queried by the same intersection loop.  The number of label
-//! entries scanned is counted as `label_probes` — the successor of the old
-//! `bfs_visits` counter in query profiles.
+//! both are queried by the same intersection loop, whose answer reads the
+//! same under either scheme: a label distance `d` is the true distance when
+//! `d <= MAX_DEPTH`, and anything larger (a pair farther apart, a saturated
+//! tree label, no common hub) proves only that the true distance exceeds
+//! [`MAX_DEPTH`].  The number of label entries scanned is counted as
+//! `label_probes`.
 //!
 //! # One source, many targets
 //!
@@ -46,7 +54,7 @@
 //! every data-dependent branch.  Over Mondial's hub labels (≈ 33 entries a
 //! node, 23 targets a source) the pair-scoring join runs 2.4–2.7× faster for
 //! it; over short tree labels and a handful of targets it earns nothing back
-//! — see [`crate::traversal::pin`] for who uses it.
+//! — see [`crate::pin`] for who uses it.
 
 use serde::{Deserialize, Serialize};
 
@@ -54,20 +62,16 @@ use seda_xmlstore::{Collection, DocId};
 
 use crate::graph::{DataGraph, Edge, GraphShard};
 
-/// Exactness radius of the hub labels: distances up to this bound are
-/// answered exactly from the labels; deeper queries fall back to BFS.  Kept
-/// above the default search depth (12) so the top-k hot path never falls
-/// back.
-pub const LABEL_RADIUS: u16 = 16;
-
-/// Label distances at or above this value mean "not covered by the labels"
-/// (either no common hub within the radius, or a saturated tree distance in a
-/// document deeper than `u16` can express).
-pub(crate) const SATURATED: u32 = u16::MAX as u32;
+/// The deepest bound the labels answer, under both schemes: hub labelling
+/// stops `MAX_DEPTH` hops from each hub, so a label distance above it means
+/// only "farther than `MAX_DEPTH`".  Kept above the default search depth
+/// (12).  Traversal queries clamp their `max_depth` to it.
+pub const MAX_DEPTH: usize = 16;
 
 /// "The pinned source has no entry under this key" in the scattered array of
-/// the one-to-many query.  Equal to [`SATURATED`] on purpose: a sum through a
-/// missing key lands on the "not covered" side by itself, without a branch.
+/// the one-to-many query.  Above [`MAX_DEPTH`] on purpose: a sum through a
+/// missing key lands on the "farther than `MAX_DEPTH`" side by itself,
+/// without a branch.
 pub(crate) const NO_ENTRY: u16 = u16::MAX;
 
 const UNSET: u32 = u32::MAX;
@@ -75,12 +79,11 @@ const UNSET: u32 = u32::MAX;
 /// Labeling scheme of a document (shared by every document of its
 /// component).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LabelScheme {
-    /// Centroid-decomposition tree labels: exact at any distance.  Used for
-    /// documents with no cross edges (always singleton components).
+pub(crate) enum LabelScheme {
+    /// Centroid-decomposition tree labels.  Used for documents with no cross
+    /// edges (always singleton components).
     Tree,
-    /// Radius-bounded pruned landmark labels: exact up to
-    /// [`LABEL_RADIUS`].  Used for components touched by cross edges.
+    /// Pruned landmark labels.  Used for components touched by cross edges.
     Hub,
 }
 
@@ -93,8 +96,6 @@ pub enum LabelScheme {
 /// parallel distances in `dists`.
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConnectivityIndex {
-    /// Exactness radius of the hub labels ([`LABEL_RADIUS`] at build time).
-    pub(crate) radius: u16,
     /// Labeling scheme per document.
     pub(crate) schemes: Vec<LabelScheme>,
     /// Per-node label offsets, length `node_count + 1`.
@@ -109,21 +110,10 @@ pub struct ConnectivityIndex {
 }
 
 impl ConnectivityIndex {
-    /// Exactness radius of the hub labels: queries bounded by `max_depth <=
-    /// radius()` are answered from the labels alone.
-    pub fn radius(&self) -> usize {
-        self.radius as usize
-    }
-
     /// Labeling scheme of a document ([`LabelScheme::Tree`] for documents
-    /// outside the collection, whose empty labels force the BFS fallback).
-    pub fn scheme(&self, doc: DocId) -> LabelScheme {
+    /// outside the collection).
+    pub(crate) fn scheme(&self, doc: DocId) -> LabelScheme {
         self.schemes.get(doc.index()).copied().unwrap_or(LabelScheme::Tree)
-    }
-
-    /// Total number of `(hub, distance)` label entries.
-    pub fn label_entries(&self) -> usize {
-        self.hubs.len()
     }
 
     /// Bytes occupied by the label arenas (the oracle's memory footprint).
@@ -148,8 +138,8 @@ impl ConnectivityIndex {
     }
 
     /// Minimum `dist(a, hub) + dist(hub, b)` over the common label keys of
-    /// two dense nodes — the 2-hop distance query.  Returns `>= SATURATED`
-    /// when the labels do not cover the pair.  Every entry scanned counts one
+    /// two dense nodes — the 2-hop distance query.  Returns more than
+    /// [`MAX_DEPTH`] when the true distance is.  Every entry scanned counts one
     /// probe.
     pub(crate) fn label_distance(&self, a: u32, b: u32, probes: &mut u64) -> u32 {
         let (a_hubs, a_dists) = self.entries(a);
@@ -205,9 +195,9 @@ impl ConnectivityIndex {
 
     /// [`ConnectivityIndex::label_distance`] from the node whose label is
     /// scattered in `pinned` to `b`, by one pass over `b`'s entries: the same
-    /// value whenever the labels cover the pair, and `>= SATURATED` exactly
-    /// when `label_distance` is (a key the source lacks reads [`NO_ENTRY`],
-    /// which alone reaches [`SATURATED`]).  Counts `|L(b)|` probes.
+    /// value whenever it is at most [`MAX_DEPTH`], and above it exactly when
+    /// `label_distance` is (a key the source lacks reads [`NO_ENTRY`], which
+    /// alone exceeds [`MAX_DEPTH`]).  Counts `|L(b)|` probes.
     pub(crate) fn pinned_distance(&self, pinned: &[u16], b: u32, probes: &mut u64) -> u32 {
         let (hubs, dists) = self.entries(b);
         let mut best = UNSET;
@@ -292,8 +282,8 @@ impl ConnectivityIndex {
         }
 
         // Hub components: pruned landmark labeling, hubs in descending-degree
-        // order (dense index breaks ties), each BFS bounded at the radius and
-        // pruned by the labels accumulated so far.
+        // order (dense index breaks ties), each BFS pruned by the labels
+        // accumulated so far and cut off at `MAX_DEPTH`.
         let mut hub_nodes: Vec<u32> = Vec::new();
         for doc in collection.documents() {
             if schemes[doc.id.index()] == LabelScheme::Hub {
@@ -336,7 +326,7 @@ impl ConnectivityIndex {
                     continue;
                 }
                 labels[u as usize].push((rank as u32, du as u16));
-                if du < LABEL_RADIUS as u32 {
+                if (du as usize) < MAX_DEPTH {
                     for &(next, _) in graph.neighbors_dense(u) {
                         if hub_dist[next as usize] == UNSET {
                             hub_dist[next as usize] = du + 1;
@@ -359,7 +349,10 @@ impl ConnectivityIndex {
         offsets.push(0u32);
         let mut total = 0u32;
         for l in &labels {
-            total += l.len() as u32;
+            total = u32::try_from(l.len())
+                .ok()
+                .and_then(|len| total.checked_add(len))
+                .expect("invariant: label offsets end at the arena length (csr-offsets)");
             offsets.push(total);
         }
         let mut hubs = Vec::with_capacity(total as usize);
@@ -371,7 +364,7 @@ impl ConnectivityIndex {
                 dists.push(d);
             }
         }
-        ConnectivityIndex { radius: LABEL_RADIUS, schemes, offsets, hubs, dists }
+        ConnectivityIndex { schemes, offsets, hubs, dists }
     }
 }
 
@@ -383,8 +376,8 @@ impl ConnectivityIndex {
 /// `O(log n)` entries per node.  For any pair, the decomposition ancestor
 /// that separates them lies on their tree path, so the 2-hop intersection
 /// over these labels returns the exact distance at any depth.  Distances
-/// deeper than `u16` saturate, which the query layer treats as "not covered"
-/// and answers by BFS instead.
+/// deeper than `u16` saturate at `u16::MAX`, which the query layer reads as
+/// "farther than [`MAX_DEPTH`]".
 pub(crate) fn centroid_tree_labels(adj: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>, Vec<u16>) {
     let n = adj.len();
     let mut labels: Vec<Vec<(u32, u16)>> = vec![Vec::new(); n];

@@ -61,7 +61,7 @@ pub fn doc_component_builds_on_this_thread() -> usize {
 ///   non-tree edges), which BFS/compactness traverse, and
 /// * the **cross-edge adjacency** (IDREF, XLink and value-based edges only,
 ///   symmetric: every edge is stored under both endpoints), which backs
-///   [`DataGraph::cross_neighbors`] and [`DataGraph::edges`].
+///   [`DataGraph::edges`].
 ///
 /// The per-document connected components over cross edges (the pruning
 /// structure the top-k searchers use) are computed once here as well.
@@ -87,9 +87,6 @@ pub struct DataGraph {
     /// components.
     pub(crate) connectivity: ConnectivityIndex,
     pub(crate) edge_count: usize,
-    id_nodes: usize,
-    idref_nodes: usize,
-    value_pairs: usize,
 }
 
 /// Per-document raw material for the data graph, produced by
@@ -108,8 +105,6 @@ pub struct GraphShard {
     id_entries: Vec<(String, NodeId)>,
     /// `(referencing element, lookup key, kind)` triples, in document order.
     references: Vec<(NodeId, String, EdgeKind)>,
-    /// Referencing attribute instances seen (including unresolvable ones).
-    reference_attrs: usize,
     /// Per value-key spec: `(content, node)` pairs on the primary side.
     primary_values: Vec<Vec<(String, NodeId)>>,
     /// Per value-key spec: `(content, node)` pairs on the foreign side.
@@ -129,16 +124,6 @@ impl GraphShard {
     pub fn doc(&self) -> Option<DocId> {
         self.doc
     }
-
-    /// Number of ID attribute instances recorded in this shard.
-    pub fn id_entry_count(&self) -> usize {
-        self.id_entries.len()
-    }
-
-    /// Number of IDREF/XLink attribute instances seen in this shard.
-    pub fn reference_attribute_count(&self) -> usize {
-        self.reference_attrs
-    }
 }
 
 impl DataGraph {
@@ -147,7 +132,7 @@ impl DataGraph {
     /// * IDREF/XLink edges connect the *element owning* the referencing
     ///   attribute to the *element owning* the referenced ID attribute.
     /// * Value-based edges connect the nodes named by the configured
-    ///   [`crate::config::ValueKeySpec`]s whenever their contents are equal.
+    ///   [`crate::ValueKeySpec`]s whenever their contents are equal.
     ///
     /// This is the sequential reference path; it is equivalent to building
     /// one shard per document with [`DataGraph::build_shard`] and resolving
@@ -185,7 +170,6 @@ impl DataGraph {
                 None
             };
             let Some(kind) = kind else { continue };
-            shard.reference_attrs += 1;
             let Some(parent) = node.parent else { continue };
             let Some(value) = node.text.as_deref() else { continue };
             // XLink values may carry a fragment (`doc.xml#id`); use the
@@ -262,7 +246,6 @@ impl DataGraph {
         for shard in &shards {
             for (value, owner) in &shard.id_entries {
                 id_map.insert(value.clone(), *owner);
-                graph.id_nodes += 1;
             }
         }
 
@@ -271,7 +254,6 @@ impl DataGraph {
 
         // Phase 2: resolve IDREF / XLink references.
         for shard in &shards {
-            graph.idref_nodes += shard.reference_attrs;
             for (source, key, kind) in &shard.references {
                 if let Some(&target) = id_map.get(key.as_str()) {
                     edges.push(Edge { from: *source, to: target, kind: *kind });
@@ -298,7 +280,6 @@ impl DataGraph {
                                     to: target,
                                     kind: EdgeKind::ValueBased,
                                 });
-                                graph.value_pairs += 1;
                             }
                         }
                     }
@@ -426,28 +407,6 @@ impl DataGraph {
     /// Number of distinct non-tree edges (each counted once).
     pub fn cross_edge_count(&self) -> usize {
         self.edge_count
-    }
-
-    /// Number of ID attribute instances seen.
-    pub fn id_attribute_count(&self) -> usize {
-        self.id_nodes
-    }
-
-    /// Number of IDREF/XLink attribute instances seen.
-    pub fn reference_attribute_count(&self) -> usize {
-        self.idref_nodes
-    }
-
-    /// Non-tree neighbours of a node.
-    pub fn cross_neighbors(&self, node: NodeId) -> &[(NodeId, EdgeKind)] {
-        match self.dense(node) {
-            Some(dense) => {
-                let dense = dense as usize;
-                &self.cross_targets
-                    [self.cross_offsets[dense] as usize..self.cross_offsets[dense + 1] as usize]
-            }
-            None => &[],
-        }
     }
 
     /// All neighbours of a node: parent, children (tree edges from the
@@ -604,8 +563,8 @@ mod tests {
         let c = mondial_like();
         let g = DataGraph::build(&c, &GraphConfig::default());
         for edge in g.edges() {
-            assert!(g.cross_neighbors(edge.from).iter().any(|(n, _)| *n == edge.to));
-            assert!(g.cross_neighbors(edge.to).iter().any(|(n, _)| *n == edge.from));
+            assert!(g.neighbors(edge.from).contains(&(edge.to, edge.kind)));
+            assert!(g.neighbors(edge.to).contains(&(edge.from, edge.kind)));
         }
     }
 
@@ -618,7 +577,14 @@ mod tests {
         .unwrap();
         let g = DataGraph::build(&c, &GraphConfig::default());
         assert_eq!(g.cross_edge_count(), 0);
-        assert_eq!(g.reference_attribute_count(), 1);
+        assert!(only_tree_edges(&c, &g));
+    }
+
+    /// True when no node of the collection has a non-tree neighbour.
+    fn only_tree_edges(c: &Collection, g: &DataGraph) -> bool {
+        c.documents()
+            .flat_map(|doc| doc.node_ids())
+            .all(|n| g.neighbors(n).iter().all(|&(_, kind)| kind == EdgeKind::ParentChild))
     }
 
     #[test]
@@ -701,12 +667,12 @@ mod tests {
                 .unwrap();
         let doc = c.documents().next().unwrap().id;
         let shard = DataGraph::build_shard(&c, doc, &GraphConfig::default());
-        assert_eq!(shard.reference_attribute_count(), 1);
-        assert_eq!(shard.id_entry_count(), 0);
+        assert_eq!(shard.references.len(), 1);
+        assert!(shard.id_entries.is_empty());
         // The dangling reference survives to the merge but resolves to nothing.
         let merged = DataGraph::merge(&c, vec![shard]);
         assert_eq!(merged.cross_edge_count(), 0);
-        assert_eq!(merged.reference_attribute_count(), 1);
+        assert!(only_tree_edges(&c, &merged));
     }
 
     #[test]

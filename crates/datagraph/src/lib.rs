@@ -3,9 +3,9 @@
 //! The SEDA data graph (Definition 2 of the paper): XML element/attribute
 //! nodes connected by parent/child, IDREF, XLink/XPointer and value-based
 //! edges.  The crate builds the graph over a [`seda_xmlstore::Collection`],
-//! exposes traversal primitives (BFS, shortest paths, connectedness of result
-//! tuples), and implements the *compactness* measure the top-k scoring
-//! function uses.
+//! answers distance queries from precomputed distance labels (shortest
+//! paths, connectedness of result tuples, exact up to [`MAX_DEPTH`] hops),
+//! and implements the *compactness* measure the top-k scoring function uses.
 //!
 //! ```
 //! use seda_datagraph::{DataGraph, GraphConfig};
@@ -20,18 +20,17 @@
 //! ```
 
 pub mod audit;
-pub mod config;
-pub mod connectivity;
-pub mod graph;
-pub mod traversal;
+mod config;
+mod connectivity;
+mod graph;
+mod traversal;
 
 pub use config::{GraphConfig, ValueKeySpec};
-pub use connectivity::{ConnectivityIndex, LabelScheme, LABEL_RADIUS};
+pub use connectivity::{ConnectivityIndex, MAX_DEPTH};
 pub use graph::{doc_component_builds_on_this_thread, DataGraph, Edge, EdgeKind, GraphShard};
 pub use traversal::{
-    bfs_is_connected_with, bfs_shortest_distance_with, bfs_shortest_path_with, compactness_with,
-    connecting_tree_size_with, is_connected_with, pin, shortest_distance_with, shortest_path_with,
-    Hop, PinnedSource, TraversalScratch,
+    compactness_with, connecting_tree_size_with, is_connected_with, pin, shortest_distance_with,
+    shortest_path_with, Hop, PinnedSource, TraversalScratch,
 };
 
 #[cfg(test)]

@@ -9,15 +9,12 @@
 //! system — we approximate it with a minimum spanning tree over the pairwise
 //! shortest-path distances of the tuple's nodes.
 //!
-//! Distances are answered by the [`crate::ConnectivityIndex`] built at merge
-//! time: a bounded query is a label intersection (counted in
-//! [`TraversalScratch::label_probes`]), not a graph walk.  Hub labels are
-//! exact up to the index radius; the rare query whose `max_depth` exceeds it
-//! falls back to plain BFS (counted in [`TraversalScratch::bfs_visits`]).
-//! The BFS implementation also remains available as
-//! [`bfs_shortest_distance_with`] / [`bfs_shortest_path_with`] /
-//! [`bfs_is_connected_with`] — the reference the oracle is property-tested
-//! against.
+//! Every distance is answered by the [`crate::ConnectivityIndex`] built at
+//! merge time: a bounded query is a label intersection (counted in
+//! [`TraversalScratch::label_probes`]), never a graph walk.  The labels are
+//! exact up to [`MAX_DEPTH`] under both schemes, so one rule reads every
+//! answer: a label distance `d` is returned iff `d <= max_depth.min(MAX_DEPTH)`
+//! — a depth bound beyond [`MAX_DEPTH`] is clamped to it.
 //!
 //! A caller with one source and a batch of targets [`pin`]s the source: its
 //! label is scattered once into the scratch and every
@@ -26,14 +23,13 @@
 //! are read: `|L(source)|` for the pin, `|L(target)|` per query.
 //!
 //! Every function takes a caller-owned [`TraversalScratch`] (a one-off caller
-//! passes `&mut TraversalScratch::new()`).  The scratch holds
-//! **epoch-stamped** visited/distance arrays indexed by the graph's dense node
-//! indices, so even the BFS fallback touches no hash map and resets in O(1)
-//! between runs.
+//! passes `&mut TraversalScratch::new()`), which holds the probe counter, the
+//! pinned source's scattered label and the compactness computation's small
+//! spanning-tree buffers.
 
-use seda_xmlstore::{DocId, NodeId};
+use seda_xmlstore::NodeId;
 
-use crate::connectivity::{ConnectivityIndex, LabelScheme, NO_ENTRY, SATURATED};
+use crate::connectivity::{MAX_DEPTH, NO_ENTRY};
 use crate::graph::{DataGraph, EdgeKind};
 
 /// A hop on a connection path between two nodes.
@@ -47,22 +43,15 @@ pub struct Hop {
 
 const UNSET: u32 = u32::MAX;
 
-/// Reusable traversal state: epoch-stamped visited/distance/predecessor
-/// arrays over the graph's dense node indices (for the BFS fallback and the
-/// reference implementations), the work queue, and the small spanning-tree
-/// buffers of the compactness computation.
+/// Reusable traversal state: the label-probe counter, the scattered label of
+/// a [`PinnedSource`], and the small spanning-tree buffers of the compactness
+/// computation.
 ///
-/// One scratch serves any number of traversals over graphs of any size (the
-/// arrays grow on demand); reuse it across queries to keep the read path
+/// One scratch serves any number of queries over graphs of any size (the
+/// buffers grow on demand); reuse it across queries to keep the read path
 /// allocation-free.
 #[derive(Debug, Default)]
 pub struct TraversalScratch {
-    /// Current epoch; a slot is visited iff `stamp[i] == epoch`.
-    pub(crate) epoch: u32,
-    pub(crate) stamp: Vec<u32>,
-    pub(crate) dist: Vec<u32>,
-    pub(crate) pred: Vec<(u32, EdgeKind)>,
-    queue: Vec<u32>,
     /// Pairwise-distance matrix of the compactness computation (row-major,
     /// `UNSET` for unreachable), reused across tuples.
     matrix: Vec<u32>,
@@ -77,123 +66,26 @@ pub struct TraversalScratch {
     /// Total label entries scanned by connectivity-oracle intersections
     /// through this scratch (monotonic; the query profile reports deltas).
     pub label_probes: u64,
-    /// Total nodes visited by BFS runs through this scratch — the reference
-    /// implementations plus the deep-query fallback (monotonic).
-    pub bfs_visits: u64,
-    /// Optional work ceiling on `label_probes + bfs_visits`: once the sum
-    /// reaches the ceiling, BFS runs stop expanding (clipping is counted in
-    /// [`TraversalScratch::probe_clips`]).  Unreached nodes then read as
-    /// disconnected — a *degraded* answer, so only resource-governed callers
-    /// should arm this, and they must report the breach.  Label-only oracle
-    /// answers stay exact; the ceiling merely bounds fallback walks.
-    pub probe_ceiling: Option<u64>,
-    /// BFS runs clipped by [`TraversalScratch::probe_ceiling`] (monotonic).
-    pub probe_clips: u64,
 }
 
 impl TraversalScratch {
-    /// Creates an empty scratch; arrays are sized on first use.
+    /// Creates an empty scratch; buffers are sized on first use.
     pub fn new() -> Self {
         TraversalScratch::default()
     }
-
-    /// Starts a new traversal epoch, growing the arrays to `nodes` slots.
-    fn begin(&mut self, nodes: usize) {
-        if self.stamp.len() < nodes {
-            self.stamp.resize(nodes, 0);
-            self.dist.resize(nodes, 0);
-            self.pred.resize(nodes, (0, EdgeKind::ParentChild));
-        }
-        // Epoch 0 means "never stamped"; on wrap-around every stamp is
-        // cleared so stale marks cannot alias the new epoch.
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-        self.queue.clear();
-    }
-
-    #[inline]
-    fn visit(&mut self, dense: u32, dist: u32) {
-        self.stamp[dense as usize] = self.epoch;
-        self.dist[dense as usize] = dist;
-        self.queue.push(dense);
-        self.bfs_visits += 1;
-    }
-
-    #[inline]
-    fn seen(&self, dense: u32) -> bool {
-        self.stamp[dense as usize] == self.epoch
-    }
-
-    /// Distance of a dense node in the last BFS, or `None` if unreached.
-    fn distance(&self, dense: u32) -> Option<u32> {
-        self.seen(dense).then(|| self.dist[dense as usize])
-    }
 }
 
-/// Breadth-first search from `source` over tree and non-tree edges, bounded
-/// by `max_depth` hops.  On return the scratch holds the distances and
-/// predecessors of every reached node (valid until the next traversal).
-fn bfs_with(graph: &DataGraph, scratch: &mut TraversalScratch, source: u32, max_depth: usize) {
-    scratch.begin(graph.node_count());
-    scratch.visit(source, 0);
-    let mut head = 0;
-    while head < scratch.queue.len() {
-        if let Some(ceiling) = scratch.probe_ceiling {
-            if scratch.label_probes + scratch.bfs_visits >= ceiling {
-                // Budget exhausted: stop expanding.  Nodes not yet reached
-                // read as disconnected, which governed callers surface as a
-                // degraded (prefix) answer rather than unbounded work.
-                scratch.probe_clips += 1;
-                return;
-            }
-        }
-        let current = scratch.queue[head];
-        head += 1;
-        let depth = scratch.dist[current as usize];
-        if depth as usize >= max_depth {
-            continue;
-        }
-        for &(next, kind) in graph.neighbors_dense(current) {
-            if !scratch.seen(next) {
-                scratch.visit(next, depth + 1);
-                scratch.pred[next as usize] = (current, kind);
-            }
-        }
-    }
+/// The one reading of a label distance `d` under a depth bound: the true
+/// distance when `d <= max_depth.min(MAX_DEPTH)`, and otherwise proof that no
+/// path within the (clamped) bound exists — labels are exact up to
+/// [`MAX_DEPTH`] under both schemes and never under-estimate beyond it.
+fn within(d: u32, max_depth: usize) -> Option<u32> {
+    (d as usize <= max_depth.min(MAX_DEPTH)).then_some(d)
 }
 
-/// Rebuilds the hop sequence `a -> b` from the predecessor array of the last
-/// BFS (which must have run from `a` and reached `b`).
-fn path_from_pred(graph: &DataGraph, scratch: &TraversalScratch, da: u32, db: u32) -> Vec<Hop> {
-    let mut path = Vec::new();
-    let mut current = db;
-    while current != da {
-        let (prev, kind) = scratch.pred[current as usize];
-        path.push(Hop { node: graph.node_id(current), kind });
-        current = prev;
-    }
-    path.reverse();
-    path
-}
-
-/// Outcome of consulting the connectivity oracle for a bounded distance.
-enum OracleDistance {
-    /// The labels answer the query exactly: `Some(d)` with `d <= max_depth`,
-    /// or `None` when no path of at most `max_depth` hops exists.
-    Known(Option<u32>),
-    /// The query's `max_depth` exceeds what the labels certify (deeper than
-    /// the hub radius, or a saturated tree label); only BFS can answer.
-    NeedsBfs,
-}
-
-/// Bounded shortest-path distance via label intersection.
-///
-/// Correctness relies on three facts: documents in different components are
-/// never connected; tree labels are exact at any depth; hub labels are exact
-/// for all true distances `<= radius`, and only ever over-estimate beyond it.
+/// Bounded shortest-path distance via label intersection.  Documents in
+/// different components are never connected; a graph whose labels do not
+/// cover it answers "not connected".
 fn oracle_distance(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
@@ -202,56 +94,20 @@ fn oracle_distance(
     da: u32,
     db: u32,
     max_depth: usize,
-) -> OracleDistance {
+) -> Option<u32> {
     if da == db {
-        return OracleDistance::Known(Some(0));
-    }
-    if !graph.same_component(a, b) {
-        return OracleDistance::Known(None);
+        return Some(0);
     }
     let oracle = graph.connectivity();
-    if !oracle.covers(graph.node_count()) {
-        return OracleDistance::NeedsBfs;
+    if !graph.same_component(a, b) || !oracle.covers(graph.node_count()) {
+        return None;
     }
-    let d = oracle.label_distance(da, db, &mut scratch.label_probes);
-    classify(oracle, a.doc, d, max_depth)
-}
-
-/// What a 2-hop label distance `d` between two nodes of `doc`'s component
-/// proves about their true distance under `max_depth` — the one reading of
-/// label answers, shared by the pairwise merge and the pinned scan.
-fn classify(oracle: &ConnectivityIndex, doc: DocId, d: u32, max_depth: usize) -> OracleDistance {
-    match oracle.scheme(doc) {
-        LabelScheme::Tree => {
-            // Tree components are single cross-edge-free documents, so both
-            // endpoints share the document and the labels are exact — unless
-            // a distance saturated `u16`, which only BFS can resolve.
-            if d >= SATURATED {
-                OracleDistance::NeedsBfs
-            } else if d as usize <= max_depth {
-                OracleDistance::Known(Some(d))
-            } else {
-                OracleDistance::Known(None)
-            }
-        }
-        LabelScheme::Hub => {
-            let radius = oracle.radius();
-            if d as usize <= max_depth.min(radius) {
-                // A label answer within the radius is the true distance.
-                OracleDistance::Known(Some(d))
-            } else if max_depth <= radius {
-                // The labels cover every distance up to `max_depth`; finding
-                // none there proves the true distance exceeds the bound.
-                OracleDistance::Known(None)
-            } else {
-                OracleDistance::NeedsBfs
-            }
-        }
-    }
+    within(oracle.label_distance(da, db, &mut scratch.label_probes), max_depth)
 }
 
 /// Shortest-path distance between two nodes (number of edges), bounded by
-/// `max_depth`; `None` when no path exists within the bound.
+/// `max_depth` (clamped to [`MAX_DEPTH`]); `None` when no path exists within
+/// the bound.
 pub fn shortest_distance_with(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
@@ -263,21 +119,15 @@ pub fn shortest_distance_with(
         return Some(0);
     }
     let (da, db) = (graph.dense(a)?, graph.dense(b)?);
-    match oracle_distance(graph, scratch, a, b, da, db, max_depth) {
-        OracleDistance::Known(d) => d.map(|d| d as usize),
-        OracleDistance::NeedsBfs => {
-            bfs_with(graph, scratch, da, max_depth);
-            scratch.distance(db).map(|d| d as usize)
-        }
-    }
+    oracle_distance(graph, scratch, a, b, da, db, max_depth).map(|d| d as usize)
 }
 
 /// A source node whose label is scattered in the scratch, so that each
 /// [`PinnedSource::distance_to`] reads the target's label alone — the
 /// one-to-many form of [`shortest_distance_with`] (see
-/// [`crate::connectivity`]).  Made by [`pin`]; holds the scratch for as long
-/// as it lives and takes the scattered entries back out when it drops, so a
-/// `break`, a `?` or an unwinding panic in the caller's loop leaves the
+/// [`crate::ConnectivityIndex`]).  Made by [`pin`]; holds the scratch for as
+/// long as it lives and takes the scattered entries back out when it drops,
+/// so a `break`, a `?` or an unwinding panic in the caller's loop leaves the
 /// scratch as clean as a normal exit does.
 pub struct PinnedSource<'a> {
     graph: &'a DataGraph,
@@ -323,8 +173,7 @@ pub fn pin<'a>(
 
 impl PinnedSource<'_> {
     /// Exactly [`shortest_distance_with`]`(source, target, max_depth)`: the
-    /// same component, scheme, saturation and radius rules, and the same BFS
-    /// when the labels cannot certify the bound.
+    /// same component rule and the same reading of the label distance.
     pub fn distance_to(&mut self, target: NodeId, max_depth: usize) -> Option<usize> {
         if target == self.source {
             return Some(0);
@@ -333,19 +182,12 @@ impl PinnedSource<'_> {
         if !self.graph.same_component(self.source, target) {
             return None;
         }
-        let oracle = self.graph.connectivity();
-        let d = oracle.pinned_distance(
+        let d = self.graph.connectivity().pinned_distance(
             &self.scratch.pinned,
             target_dense,
             &mut self.scratch.label_probes,
         );
-        match classify(oracle, self.source.doc, d, max_depth) {
-            OracleDistance::Known(d) => d.map(|d| d as usize),
-            OracleDistance::NeedsBfs => {
-                bfs_with(self.graph, self.scratch, self.dense, max_depth);
-                self.scratch.distance(target_dense).map(|d| d as usize)
-            }
-        }
+        within(d, max_depth).map(|d| d as usize)
     }
 }
 
@@ -356,26 +198,10 @@ impl Drop for PinnedSource<'_> {
     }
 }
 
-/// [`shortest_distance_with`] answered by plain breadth-first search — the
-/// reference implementation the oracle is property-tested against.
-pub fn bfs_shortest_distance_with(
-    graph: &DataGraph,
-    scratch: &mut TraversalScratch,
-    a: NodeId,
-    b: NodeId,
-    max_depth: usize,
-) -> Option<usize> {
-    if a == b {
-        return Some(0);
-    }
-    let (da, db) = (graph.dense(a)?, graph.dense(b)?);
-    bfs_with(graph, scratch, da, max_depth);
-    scratch.distance(db).map(|d| d as usize)
-}
-
 /// Shortest path between two nodes as the sequence of intermediate hops
-/// (excluding `a`, including `b`), bounded by `max_depth`.  The returned hop
-/// vector is freshly allocated (it escapes the scratch's lifetime).
+/// (excluding `a`, including `b`), bounded by `max_depth` (clamped to
+/// [`MAX_DEPTH`]).  The returned hop vector is freshly allocated (it escapes
+/// the scratch's lifetime).
 ///
 /// The path is materialised by oracle-guided descent: from each node, step to
 /// the first CSR neighbour whose label distance to the target is one less.
@@ -393,65 +219,33 @@ pub fn shortest_path_with(
         return Some(Vec::new());
     }
     let (da, db) = (graph.dense(a)?, graph.dense(b)?);
-    let total = match oracle_distance(graph, scratch, a, b, da, db, max_depth) {
-        OracleDistance::Known(None) => return None,
-        OracleDistance::Known(Some(d)) => d,
-        OracleDistance::NeedsBfs => {
-            bfs_with(graph, scratch, da, max_depth);
-            scratch.distance(db)?;
-            return Some(path_from_pred(graph, scratch, da, db));
-        }
-    };
+    let total = oracle_distance(graph, scratch, a, b, da, db, max_depth)?;
     let oracle = graph.connectivity();
     let mut path = Vec::with_capacity(total as usize);
     let mut current = da;
-    let mut remaining = total;
-    'descend: while remaining > 0 {
-        for &(next, kind) in graph.neighbors_dense(current) {
-            let advances = if remaining == 1 {
-                next == db
-            } else {
-                // `remaining - 1` is within the certified range, so the label
-                // distance equals the true distance exactly when it matches.
-                oracle.label_distance(next, db, &mut scratch.label_probes) == remaining - 1
-            };
-            if advances {
-                path.push(Hop { node: graph.node_id(next), kind });
-                current = next;
-                remaining -= 1;
-                continue 'descend;
-            }
-        }
-        // Unreachable with exact labels; keep a safe way out regardless.
-        bfs_with(graph, scratch, da, max_depth);
-        scratch.distance(db)?;
-        return Some(path_from_pred(graph, scratch, da, db));
+    for remaining in (1..=total).rev() {
+        // Every distance on the way is below `total <= MAX_DEPTH`, so a label
+        // distance of `remaining - 1` is the true distance.
+        let &(next, kind) = graph
+            .neighbors_dense(current)
+            .iter()
+            .find(|&&(next, _)| {
+                if remaining == 1 {
+                    next == db
+                } else {
+                    oracle.label_distance(next, db, &mut scratch.label_probes) == remaining - 1
+                }
+            })
+            .expect("invariant: exact labels put a neighbour one hop closer (labels-sound)");
+        path.push(Hop { node: graph.node_id(next), kind });
+        current = next;
     }
     Some(path)
 }
 
-/// [`shortest_path_with`] materialised from a breadth-first search — the
-/// reference implementation the oracle-guided descent is property-tested
-/// against.
-pub fn bfs_shortest_path_with(
-    graph: &DataGraph,
-    scratch: &mut TraversalScratch,
-    a: NodeId,
-    b: NodeId,
-    max_depth: usize,
-) -> Option<Vec<Hop>> {
-    if a == b {
-        return Some(Vec::new());
-    }
-    let (da, db) = (graph.dense(a)?, graph.dense(b)?);
-    bfs_with(graph, scratch, da, max_depth);
-    scratch.distance(db)?;
-    Some(path_from_pred(graph, scratch, da, db))
-}
-
 /// Fills `scratch.matrix` (row-major, `UNSET` = unreachable) with the
 /// pairwise bounded shortest-path distances of `nodes`, one oracle probe per
-/// pair (plus a BFS per row when the bound exceeds the label radius).
+/// pair.
 fn fill_distance_matrix(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
@@ -468,20 +262,10 @@ fn fill_distance_matrix(
     }
     for i in 0..n {
         let Some(di) = graph.dense(nodes[i]) else { continue };
-        let mut bfs_ran = false;
         for j in (i + 1)..n {
             let Some(dj) = graph.dense(nodes[j]) else { continue };
-            let d = match oracle_distance(graph, scratch, nodes[i], nodes[j], di, dj, max_depth) {
-                OracleDistance::Known(d) => d,
-                OracleDistance::NeedsBfs => {
-                    if !bfs_ran {
-                        bfs_with(graph, scratch, di, max_depth);
-                        bfs_ran = true;
-                    }
-                    scratch.distance(dj)
-                }
-            };
-            if let Some(d) = d {
+            if let Some(d) = oracle_distance(graph, scratch, nodes[i], nodes[j], di, dj, max_depth)
+            {
                 scratch.matrix[i * n + j] = d;
                 scratch.matrix[j * n + i] = d;
             }
@@ -490,8 +274,8 @@ fn fill_distance_matrix(
 }
 
 /// True when the tuple of nodes is connected in the data graph (every node is
-/// reachable from the first within `max_depth` hops).  This is the witness
-/// requirement of Definition 4.
+/// reachable from the first within `max_depth` hops, clamped to
+/// [`MAX_DEPTH`]).  This is the witness requirement of Definition 4.
 pub fn is_connected_with(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
@@ -504,42 +288,11 @@ pub fn is_connected_with(
     // Reachability from the first node suffices (the graph is undirected for
     // traversal purposes).
     let Some(first) = graph.dense(nodes[0]) else { return false };
-    let mut bfs_ran = false;
-    for &n in &nodes[1..] {
-        let Some(dn) = graph.dense(n) else { return false };
-        match oracle_distance(graph, scratch, nodes[0], n, first, dn, max_depth) {
-            OracleDistance::Known(Some(_)) => {}
-            OracleDistance::Known(None) => return false,
-            OracleDistance::NeedsBfs => {
-                // One BFS from the first node answers every fallback pair of
-                // this tuple (oracle probes in between never disturb it).
-                if !bfs_ran {
-                    bfs_with(graph, scratch, first, max_depth);
-                    bfs_ran = true;
-                }
-                if !scratch.seen(dn) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-/// [`is_connected_with`] answered by plain breadth-first search — the
-/// reference implementation the oracle is property-tested against.
-pub fn bfs_is_connected_with(
-    graph: &DataGraph,
-    scratch: &mut TraversalScratch,
-    nodes: &[NodeId],
-    max_depth: usize,
-) -> bool {
-    if nodes.len() <= 1 {
-        return true;
-    }
-    let Some(first) = graph.dense(nodes[0]) else { return false };
-    bfs_with(graph, scratch, first, max_depth);
-    nodes.iter().all(|&n| graph.dense(n).map(|d| scratch.seen(d)).unwrap_or(false))
+    nodes[1..].iter().all(|&n| {
+        graph.dense(n).is_some_and(|dn| {
+            oracle_distance(graph, scratch, nodes[0], n, first, dn, max_depth).is_some()
+        })
+    })
 }
 
 /// Size (total edge count) of an approximate minimal connecting subtree of the
@@ -611,7 +364,10 @@ pub fn compactness_with(
 mod tests {
     use super::*;
     use crate::config::GraphConfig;
-    use seda_xmlstore::{parse_collection, Collection};
+    use seda_xmlstore::{parse_collection, Collection, DocId};
+
+    /// Depth bounds on both sides of `MAX_DEPTH`, where hub labelling stops.
+    const DEPTHS: [usize; 9] = [0, 1, 2, 5, 12, 16, 17, 40, 100];
 
     fn setup() -> (Collection, DataGraph) {
         let c = parse_collection(vec![
@@ -770,22 +526,21 @@ mod tests {
         let (c, g) = setup();
         let mut scratch = TraversalScratch::new();
         let nodes: Vec<NodeId> = c.documents().flat_map(|d| d.node_ids()).collect();
-        // Depths straddle the hub radius to exercise both the label path and
-        // the BFS fallback.
-        for depth in [0usize, 1, 2, 5, 12, g.connectivity().radius() + 4] {
+        for depth in DEPTHS.into_iter().chain([MAX_DEPTH, usize::MAX]) {
             for &a in &nodes {
+                let reference = reference_bfs_distances(&g, a, depth.min(MAX_DEPTH));
                 for &b in &nodes {
-                    let reference = bfs_shortest_distance_with(&g, &mut scratch, a, b, depth);
+                    let want = reference.get(&b).copied();
                     assert_eq!(
                         shortest_distance_with(&g, &mut scratch, a, b, depth),
-                        reference,
+                        want,
                         "oracle disagrees with BFS for {a:?} -> {b:?} at depth {depth}"
                     );
                     let path = shortest_path_with(&g, &mut scratch, a, b, depth);
-                    assert_eq!(path.map(|p| p.len()), reference, "path length must be shortest");
+                    assert_eq!(path.map(|p| p.len()), want, "path length must be shortest");
                     assert_eq!(
                         is_connected_with(&g, &mut scratch, &[a, b], depth),
-                        bfs_is_connected_with(&g, &mut scratch, &[a, b], depth),
+                        want.is_some(),
                         "is_connected diverged for {a:?}, {b:?} at depth {depth}"
                     );
                 }
@@ -793,22 +548,25 @@ mod tests {
         }
     }
 
+    /// Tree labels are exact at any distance, but a bound past `MAX_DEPTH`
+    /// reads as `MAX_DEPTH` under both schemes.
     #[test]
-    fn probe_ceiling_clips_bfs_and_disarms_cleanly() {
-        let (c, g) = setup();
-        let us_name = find(&c, "/country/name", "United States");
-        let sea_name = find(&c, "/sea/name", "Pacific Ocean");
-        let mut scratch = TraversalScratch::new();
-
-        // An exhausted ceiling makes BFS answers read as disconnected and
-        // counts the clip.
-        scratch.probe_ceiling = Some(scratch.label_probes + scratch.bfs_visits + 1);
-        assert_eq!(bfs_shortest_distance_with(&g, &mut scratch, us_name, sea_name, 10), None);
-        assert!(scratch.probe_clips > 0, "clipped BFS runs must be counted");
-
-        // Disarming restores exact answers through the same scratch.
-        scratch.probe_ceiling = None;
-        assert_eq!(bfs_shortest_distance_with(&g, &mut scratch, us_name, sea_name, 10), Some(4));
+    fn depth_bounds_past_max_depth_are_clamped() {
+        let deep = format!("{}{}", "<n>".repeat(MAX_DEPTH + 2), "</n>".repeat(MAX_DEPTH + 2));
+        let c = parse_collection(vec![("deep.xml", deep.as_str())]).unwrap();
+        let g = DataGraph::build(&c, &GraphConfig::default());
+        let s = &mut TraversalScratch::new();
+        let root = NodeId::new(DocId(0), 0);
+        let at = |hops: usize| NodeId::new(DocId(0), hops as u32);
+        assert_eq!(shortest_distance_with(&g, s, root, at(MAX_DEPTH), usize::MAX), Some(MAX_DEPTH));
+        assert_eq!(
+            shortest_path_with(&g, s, root, at(MAX_DEPTH), 100).map(|p| p.len()),
+            Some(MAX_DEPTH)
+        );
+        assert_eq!(shortest_distance_with(&g, s, root, at(MAX_DEPTH + 1), usize::MAX), None);
+        assert!(!is_connected_with(&g, s, &[root, at(MAX_DEPTH + 1)], 100));
+        let mut source = pin(&g, s, root).unwrap();
+        assert_eq!(source.distance_to(at(MAX_DEPTH + 1), MAX_DEPTH + 1), None);
     }
 
     #[test]
@@ -822,9 +580,10 @@ mod tests {
         nodes.push(outside);
         for &a in nodes.iter().filter(|&&a| a != outside) {
             let mut source = pin(&g, &mut pinned_scratch, a).expect("a node of the graph pins");
-            // Depths on both sides of the radius; three documents, two
-            // components (the island), so every outcome class is met.
-            for depth in [0usize, 1, 2, 5, 12, g.connectivity().radius() + 4] {
+            // Three documents, two components (the island), so every outcome
+            // class is met.
+            for depth in DEPTHS {
+                let reference = reference_bfs_distances(&g, a, depth.min(MAX_DEPTH));
                 for &b in &nodes {
                     let pairwise = shortest_distance_with(&g, &mut scratch, a, b, depth);
                     assert_eq!(
@@ -832,7 +591,7 @@ mod tests {
                         pairwise,
                         "pinned {a:?} -> {b:?} at depth {depth}"
                     );
-                    assert_eq!(pairwise, bfs_shortest_distance_with(&g, &mut scratch, a, b, depth));
+                    assert_eq!(pairwise, reference.get(&b).copied());
                 }
             }
         }
@@ -889,8 +648,9 @@ mod tests {
         assert_eq!(source.distance_to(us_name, 12), Some(4));
     }
 
-    /// Reference BFS over `HashMap`s (the pre-CSR implementation), used to pin
-    /// the CSR + epoch-stamped implementation.
+    /// Reference BFS over `HashMap`s and [`DataGraph::neighbors`], sharing no
+    /// code with the labels it judges: the distance of every node within
+    /// `max_depth` hops of `source`.
     fn reference_bfs_distances(
         graph: &DataGraph,
         source: NodeId,
@@ -914,25 +674,5 @@ mod tests {
             }
         }
         distances
-    }
-
-    #[test]
-    fn csr_bfs_matches_hashmap_reference() {
-        let (c, g) = setup();
-        let mut scratch = TraversalScratch::new();
-        for doc in c.documents() {
-            for source in doc.node_ids() {
-                for depth in [1usize, 3, 12] {
-                    let reference = reference_bfs_distances(&g, source, depth);
-                    for target in c.documents().flat_map(|d| d.node_ids()) {
-                        assert_eq!(
-                            shortest_distance_with(&g, &mut scratch, source, target, depth),
-                            reference.get(&target).copied(),
-                            "oracle disagrees with reference for {source:?} -> {target:?} at depth {depth}"
-                        );
-                    }
-                }
-            }
-        }
     }
 }

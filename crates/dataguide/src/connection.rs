@@ -72,16 +72,23 @@ fn signature_key(signature: &[PathId]) -> Vec<PathId> {
 /// For every tuple and every pair of member nodes, the shortest path in the
 /// data graph (bounded by `max_depth`) is abstracted to its context signature;
 /// identical signatures are aggregated with their support count.  Connections
-/// are returned most-frequent first.
+/// are returned most-frequent first.  The label probes of the path descents
+/// are counted in the caller's `scratch`, and before each tuple
+/// `proceed(scratch.label_probes)` decides whether discovery goes on: a
+/// `false` returns the connections of the tuples before it.
 pub fn discover_connections(
     collection: &Collection,
     graph: &DataGraph,
     tuples: &[Vec<NodeId>],
     max_depth: usize,
+    scratch: &mut TraversalScratch,
+    mut proceed: impl FnMut(u64) -> bool,
 ) -> Vec<Connection> {
     let mut aggregated: BTreeMap<Vec<PathId>, Connection> = BTreeMap::new();
-    let mut scratch = TraversalScratch::new();
     for tuple in tuples {
+        if !proceed(scratch.label_probes) {
+            break;
+        }
         for i in 0..tuple.len() {
             for j in (i + 1)..tuple.len() {
                 let a = tuple[i];
@@ -89,7 +96,7 @@ pub fn discover_connections(
                 if a == b {
                     continue;
                 }
-                let Some(hops) = shortest_path_with(graph, &mut scratch, a, b, max_depth) else {
+                let Some(hops) = shortest_path_with(graph, scratch, a, b, max_depth) else {
                     continue;
                 };
                 let Ok(start_path) = collection.context(a) else { continue };
@@ -347,7 +354,8 @@ mod tests {
         let pct_other = node(&c, "/country/economy/import_partners/item/percentage", "16.9");
         // Two tuples: China with its own percentage, China with Canada's.
         let tuples = vec![vec![china, pct_same], vec![china, pct_other]];
-        let connections = discover_connections(&c, &g, &tuples, 10);
+        let connections =
+            discover_connections(&c, &g, &tuples, 10, &mut TraversalScratch::new(), |_| true);
         assert_eq!(
             connections.len(),
             2,
@@ -356,6 +364,17 @@ mod tests {
         let lengths: Vec<usize> = connections.iter().map(Connection::length).collect();
         assert!(lengths.contains(&2), "same-item connection via the shared item node");
         assert!(lengths.contains(&4), "cross-item connection via import_partners");
+
+        // Told to stop once probes were spent, discovery keeps the first
+        // tuple's connection and reads no label for the second.
+        let mut scratch = TraversalScratch::new();
+        let first = discover_connections(&c, &g, &tuples, 10, &mut scratch, |spent| spent == 0);
+        assert_eq!(first.len(), 1);
+        assert_eq!(first[0].length(), 2);
+        let spent_on_first = scratch.label_probes;
+        let mut alone = TraversalScratch::new();
+        discover_connections(&c, &g, &tuples[..1], 10, &mut alone, |_| true);
+        assert_eq!(spent_on_first, alone.label_probes);
     }
 
     #[test]
@@ -366,7 +385,8 @@ mod tests {
         let canada = node(&c, "/country/economy/import_partners/item/trade_country", "Canada");
         let pct169 = node(&c, "/country/economy/import_partners/item/percentage", "16.9");
         let tuples = vec![vec![china, pct15], vec![canada, pct169]];
-        let connections = discover_connections(&c, &g, &tuples, 10);
+        let connections =
+            discover_connections(&c, &g, &tuples, 10, &mut TraversalScratch::new(), |_| true);
         assert_eq!(connections.len(), 1, "both pairs share the same signature");
         assert_eq!(connections[0].support, 2);
         assert_eq!(connections[0].length(), 2);
@@ -378,7 +398,8 @@ mod tests {
         let us_name = node(&c, "/country/name", "United States");
         let sea_name = node(&c, "/sea/name", "Pacific Ocean");
         let tuples = vec![vec![us_name, sea_name]];
-        let connections = discover_connections(&c, &g, &tuples, 10);
+        let connections =
+            discover_connections(&c, &g, &tuples, 10, &mut TraversalScratch::new(), |_| true);
         assert_eq!(connections.len(), 1);
         assert!(connections[0].edge_kinds.contains(&EdgeKind::IdRef));
         assert!(connections[0].edge_kinds.contains(&EdgeKind::ParentChild));
@@ -389,7 +410,14 @@ mod tests {
         let (c, g, _) = setup();
         let china = node(&c, "/country/economy/import_partners/item/trade_country", "China");
         let pct15 = node(&c, "/country/economy/import_partners/item/percentage", "15");
-        let connections = discover_connections(&c, &g, &[vec![china, pct15]], 10);
+        let connections = discover_connections(
+            &c,
+            &g,
+            &[vec![china, pct15]],
+            10,
+            &mut TraversalScratch::new(),
+            |_| true,
+        );
         let rendered = connections[0].display(&c);
         assert!(rendered.contains("/country/economy/import_partners/item/trade_country"));
         assert!(rendered.contains("/country/economy/import_partners/item/percentage"));
@@ -437,7 +465,14 @@ mod tests {
         // Instantiate only the trade_country ~ percentage connection.
         let china = node(&c, "/country/economy/import_partners/item/trade_country", "China");
         let pct15 = node(&c, "/country/economy/import_partners/item/percentage", "15");
-        let instantiated = discover_connections(&c, &g, &[vec![china, pct15]], 10);
+        let instantiated = discover_connections(
+            &c,
+            &g,
+            &[vec![china, pct15]],
+            10,
+            &mut TraversalScratch::new(),
+            |_| true,
+        );
         let (fp, total) = false_positive_connections(
             &c,
             &guides,

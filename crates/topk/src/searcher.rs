@@ -346,17 +346,9 @@ impl<'a> TopKSearcher<'a> {
             best_scores,
         } = join;
         let label_probes_before = traversal.label_probes;
-        // Arm the BFS probe ceiling so even oracle fallbacks inside
-        // compactness checks respect the label-probe budget; disarmed before
-        // returning on every path out of the loop.
-        if let Some(max) = limits.max_label_probes {
-            traversal.probe_ceiling =
-                Some((label_probes_before + traversal.bfs_visits).saturating_add(max));
-        }
         if lists.iter().any(Vec::is_empty) {
             // Some term has no match at all: the result is empty (Definition 4
             // requires every term to be satisfied).
-            traversal.probe_ceiling = None;
             return (TopKResult { tuples: Vec::new(), stats }, None);
         }
         best_scores.clear();
@@ -577,7 +569,6 @@ impl<'a> TopKSearcher<'a> {
                 break;
             }
         }
-        traversal.probe_ceiling = None;
         stats.label_probes = traversal.label_probes - label_probes_before;
 
         let mut tuples: Vec<ResultTuple> =

@@ -37,7 +37,9 @@ impl TermInput {
 pub struct TopKConfig {
     /// Number of result tuples to return.
     pub k: usize,
-    /// Maximum number of hops when testing connectivity / compactness.
+    /// Maximum number of hops when testing connectivity / compactness; at
+    /// most [`seda_datagraph::MAX_DEPTH`], to which the traversal layer
+    /// clamps larger bounds (`seda_core::SedaEngine::build` refuses them).
     pub max_depth: usize,
     /// Weight of the summed content scores in the combined score.
     pub content_weight: f64,
@@ -91,9 +93,7 @@ pub struct SearchLimits {
     pub max_random_accesses: Option<usize>,
     /// Ceiling on candidate tuples scored (connectivity + compactness).
     pub max_tuples_scored: Option<usize>,
-    /// Ceiling on label entries scanned by connectivity-oracle probes.  Also
-    /// arms the traversal scratch's BFS probe ceiling so oracle fallbacks
-    /// cannot run unbounded.
+    /// Ceiling on label entries scanned by connectivity-oracle probes.
     pub max_label_probes: Option<u64>,
     /// Cooperative cancellation flag; checked once per sorted access.  A
     /// breach is reported with resource name `"cancelled"`.

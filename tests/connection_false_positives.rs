@@ -5,6 +5,7 @@
 
 use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
 use seda_datagen::{factbook, FactbookConfig};
+use seda_datagraph::TraversalScratch;
 use seda_dataguide::{
     discover_connections, false_positive_connections, guide_connection, guide_links, DataGuideSet,
 };
@@ -24,8 +25,14 @@ fn setup() -> (SedaEngine, Vec<(PathId, PathId)>, Vec<seda_dataguide::Connection
         .top_k_governed(&query, &ContextSelections::none(), 15, &RequestContext::unlimited())
         .unwrap()
         .0;
-    let instantiated =
-        discover_connections(engine.collection(), engine.graph(), &topk.node_tuples(), 12);
+    let instantiated = discover_connections(
+        engine.collection(),
+        engine.graph(),
+        &topk.node_tuples(),
+        12,
+        &mut TraversalScratch::new(),
+        |_| true,
+    );
 
     // Candidate pairs: trade_country x percentage contexts plus a pair that
     // the keyword restriction rules out (name x refugees origin).

@@ -1,35 +1,38 @@
 //! The precomputed connectivity oracle must agree with plain breadth-first
 //! search — same `shortest_distance`, same path length, same `is_connected`
-//! verdict — at **every** depth bound, including bounds beyond the hub-label
-//! radius where the oracle is required to fall back to BFS.
+//! verdict — at **every** depth bound, read as the oracle documents it: a
+//! bound past `MAX_DEPTH` (16 hops, where hub labelling stops) is clamped to
+//! it.  Bounds below, at and far past `MAX_DEPTH` are judged.  The labels
+//! answer every bound alone; the BFS they are judged against lives in
+//! `tests/reference/` and shares no code with them.
 //!
-//! Three corpus shapes are exercised: Mondial-like (moderate IDREF webs
+//! Four corpus shapes are exercised: Mondial-like (moderate IDREF webs
 //! across documents), Google-Base-like (isolated single-item documents, the
-//! centroid-tree labeling path), and a synthetic dense IDREF web that
-//! cross-links every document into one large component (the adversarial case
-//! for pruned landmark labeling).  On every shape the one-to-many form of the
-//! query — a pinned source scanned against each target — must give the same
-//! three-way agreement, pair for pair.  A final set of tests pins that the
-//! labels coming out of the shard → merge lifecycle are identical to a
-//! sequential build, independent of shard order.
+//! centroid-tree labeling path), a synthetic dense IDREF web that cross-links
+//! every document into one large component (the adversarial case for pruned
+//! landmark labeling), and a long IDREF chain whose diameter is several times
+//! `MAX_DEPTH` (the case the hub BFS's cut exists for).  On every shape the
+//! one-to-many form of the query — a pinned source scanned against each
+//! target — must give the same agreement, pair for pair, and every returned
+//! path must be a walk over the graph's edges.  A final set of tests pins
+//! that the labels coming out of the shard → merge lifecycle are identical to
+//! a sequential build, independent of shard order, and that the chain's
+//! labels grow linearly with its length.
+
+mod reference;
 
 use proptest::prelude::*;
 
 use seda_datagen::{googlebase, mondial, GoogleBaseConfig, MondialConfig};
 use seda_datagraph::{
-    bfs_is_connected_with, bfs_shortest_distance_with, bfs_shortest_path_with, is_connected_with,
-    pin, shortest_distance_with, shortest_path_with, DataGraph, GraphConfig, GraphShard,
-    TraversalScratch, LABEL_RADIUS,
+    is_connected_with, pin, shortest_distance_with, shortest_path_with, DataGraph, GraphConfig,
+    GraphShard, TraversalScratch, MAX_DEPTH,
 };
 use seda_xmlstore::{parse_collection, Collection, DocId, NodeId};
 
-/// Depth bounds straddling every regime of the oracle: trivial (0/1), well
-/// inside the label radius, the searcher default (12), the radius itself, and
-/// past the radius (where hub components must fall back to BFS).
-fn depths() -> Vec<usize> {
-    let r = LABEL_RADIUS as usize;
-    vec![0, 1, 2, 5, 12, r, r + 4]
-}
+/// Depth bounds straddling every regime: trivial (0/1), short, the searcher
+/// default (12), both sides of `MAX_DEPTH` (16), and far past it.
+const DEPTHS: [usize; 9] = [0, 1, 2, 5, 12, 16, 17, 40, 100];
 
 /// A deterministic spread of nodes across the collection's documents: the
 /// root, a middle node and the last node of every `stride`-th document.
@@ -61,25 +64,28 @@ fn outside_node(graph: &DataGraph) -> NodeId {
     NodeId::new(DocId(doc), 0)
 }
 
-/// Asserts oracle == BFS for every node pair at every depth bound: same
+/// Asserts oracle == BFS for every node pair at every depth bound (the BFS
+/// bounded at `depth.min(MAX_DEPTH)`, the oracle's documented clamp): same
 /// distance — asked pair by pair and of a source pinned once per `a` — same
-/// path existence and length, same pair connectivity.  `nodes` is extended by
-/// one node outside the graph, which can be neither pinned nor reached.
+/// path existence and length (each returned path a walk over the graph's
+/// edges), same pair and tuple connectivity.  `nodes` is extended by one node
+/// outside the graph, which can be neither pinned nor reached.
 fn assert_oracle_matches_bfs(graph: &DataGraph, nodes: &[NodeId]) -> Result<(), TestCaseError> {
     let mut oracle_scratch = TraversalScratch::new();
-    let mut bfs_scratch = TraversalScratch::new();
     let mut pinned_scratch = TraversalScratch::new();
     let outside = outside_node(graph);
     prop_assert!(pin(graph, &mut pinned_scratch, outside).is_none());
     let nodes: Vec<NodeId> = nodes.iter().copied().chain([outside]).collect();
     let nodes = &nodes[..];
-    for &depth in &depths() {
+    for depth in DEPTHS {
+        let bound = depth.min(MAX_DEPTH);
         for &a in nodes {
+            let reached = reference::distances(graph, a, bound);
             let mut pinned = pin(graph, &mut pinned_scratch, a);
             prop_assert_eq!(pinned.is_some(), a != outside, "every node of the graph pins");
             for &b in nodes {
+                let want = reached.get(&b).copied();
                 let got = shortest_distance_with(graph, &mut oracle_scratch, a, b, depth);
-                let want = bfs_shortest_distance_with(graph, &mut bfs_scratch, a, b, depth);
                 prop_assert_eq!(
                     got,
                     want,
@@ -98,26 +104,26 @@ fn assert_oracle_matches_bfs(graph: &DataGraph, nodes: &[NodeId]) -> Result<(), 
                         depth
                     );
                 }
-                let got_path = shortest_path_with(graph, &mut oracle_scratch, a, b, depth);
-                let want_path = bfs_shortest_path_with(graph, &mut bfs_scratch, a, b, depth);
+                let path = shortest_path_with(graph, &mut oracle_scratch, a, b, depth);
                 prop_assert_eq!(
-                    got_path.as_ref().map(Vec::len),
-                    want_path.as_ref().map(Vec::len),
+                    path.as_ref().map(Vec::len),
+                    want,
                     "path length diverges for {:?} -> {:?} at depth {}",
                     a,
                     b,
                     depth
                 );
-                // A returned path must actually end at the target.
-                if let Some(path) = &got_path {
-                    if let Some(last) = path.last() {
-                        prop_assert_eq!(last.node, b);
-                    }
+                // A returned path must be a walk from `a` that ends at `b`.
+                let mut at = a;
+                for hop in path.iter().flatten() {
+                    prop_assert!(graph.neighbors(at).contains(&(hop.node, hop.kind)));
+                    at = hop.node;
                 }
+                prop_assert!(path.is_none() || at == b, "the path of {:?} ends at {:?}", b, at);
                 let pair = [a, b];
                 prop_assert_eq!(
                     is_connected_with(graph, &mut oracle_scratch, &pair, depth),
-                    bfs_is_connected_with(graph, &mut bfs_scratch, &pair, depth),
+                    reference::reaches(graph, &reached, &pair),
                     "pair connectivity diverges for {:?} -> {:?} at depth {}",
                     a,
                     b,
@@ -131,7 +137,7 @@ fn assert_oracle_matches_bfs(graph: &DataGraph, nodes: &[NodeId]) -> Result<(), 
         for tuple in nodes.chunks(3).filter(|t| t.len() == 3) {
             prop_assert_eq!(
                 is_connected_with(graph, &mut oracle_scratch, tuple, depth),
-                bfs_is_connected_with(graph, &mut bfs_scratch, tuple, depth),
+                reference::reaches(graph, &reference::distances(graph, tuple[0], bound), tuple),
                 "tuple connectivity diverges for {:?} at depth {}",
                 tuple,
                 depth
@@ -163,6 +169,24 @@ fn idref_web(docs: usize, per_doc: usize, stride: usize) -> Collection {
     }
     parse_collection(sources.iter().map(|(n, x)| (n.as_str(), x.as_str())))
         .expect("idref web parses")
+}
+
+/// A long IDREF chain: `docs` one-item documents, each referencing the
+/// next, three hops from root to root — one hub-labelled component whose
+/// diameter grows with `docs`.
+fn idref_chain(docs: usize) -> Collection {
+    let sources: Vec<(String, String)> = (0..docs)
+        .map(|d| {
+            let next = if d + 1 < docs {
+                format!(r#"<next to_idref="c{}"/>"#, d + 1)
+            } else {
+                String::new()
+            };
+            (format!("chain{d}.xml"), format!(r#"<link id="c{d}"><item>{next}</item></link>"#))
+        })
+        .collect();
+    parse_collection(sources.iter().map(|(n, x)| (n.as_str(), x.as_str())))
+        .expect("idref chain parses")
 }
 
 proptest! {
@@ -210,7 +234,7 @@ proptest! {
     }
 
     /// Dense IDREF cross-link webs: one big component, high cross-edge
-    /// density, distances that straddle the label radius.
+    /// density.
     #[test]
     fn oracle_matches_bfs_on_dense_idref_webs(
         docs in 2usize..7,
@@ -247,6 +271,31 @@ proptest! {
     }
 }
 
+/// Hub labels cut at `MAX_DEPTH`: a 30-document chain whose ends lie 87 hops
+/// apart, every sampled pair judged at every depth bound — the pairs farther
+/// apart than `MAX_DEPTH` unreachable under all of them.
+#[test]
+fn oracle_matches_bfs_on_a_long_idref_chain() {
+    let collection = idref_chain(30);
+    let graph = DataGraph::build(&collection, &GraphConfig::default());
+    assert_eq!(graph.doc_component_count(), 1, "the chain is one component");
+    let (first, last) = (NodeId::new(DocId(0), 0), NodeId::new(DocId(29), 0));
+    assert_eq!(reference::distances(&graph, first, usize::MAX).get(&last), Some(&87));
+    assert_oracle_matches_bfs(&graph, &sample_nodes(&collection, 1)).expect("oracle == BFS");
+}
+
+/// The cut keeps a chain's labels linear in its length: the links of a chain
+/// share one degree, so the hubs come in chain order and an uncut BFS would
+/// label every node after its hub (quadratic entries, a cubic build).
+#[test]
+fn chain_labels_grow_linearly() {
+    let label_bytes = |docs| {
+        DataGraph::build(&idref_chain(docs), &GraphConfig::default()).connectivity().label_bytes()
+    };
+    let (short, long) = (label_bytes(200), label_bytes(400));
+    assert!(long <= short * 21 / 10, "200 documents: {short} label bytes, 400: {long}");
+}
+
 /// Non-random anchor: the fixed mondial workload of the benchmark reports,
 /// plus its shard-merge determinism, outside proptest so a failure names no
 /// seed.
@@ -258,13 +307,13 @@ fn oracle_matches_bfs_on_fixed_mondial() {
     let nodes = sample_nodes(&collection, 9);
 
     let mut oracle_scratch = TraversalScratch::new();
-    let mut bfs_scratch = TraversalScratch::new();
     let mut pinned_scratch = TraversalScratch::new();
-    for &depth in &[2usize, 12, LABEL_RADIUS as usize + 4] {
+    for depth in DEPTHS {
         for &a in &nodes {
+            let reached = reference::distances(&graph, a, depth.min(MAX_DEPTH));
             let mut source = pin(&graph, &mut pinned_scratch, a).expect("a node of the graph pins");
             for &b in &nodes {
-                let want = bfs_shortest_distance_with(&graph, &mut bfs_scratch, a, b, depth);
+                let want = reached.get(&b).copied();
                 assert_eq!(
                     shortest_distance_with(&graph, &mut oracle_scratch, a, b, depth),
                     want,

@@ -7,16 +7,20 @@
 //! oracle about each candidate.  The reference here is the definition spelled
 //! out — every combination of the per-term candidates
 //! (`NodeIndex::evaluate_in_paths`), kept when plain breadth-first search
-//! reaches every member from the first ([`bfs_is_connected_with`] on the whole
-//! tuple) — over every datagen corpus shape that can pose the question.
+//! reaches every member from the first (`reference::distances`, the
+//! test-only BFS of `tests/reference/`) — over every datagen corpus shape
+//! that can pose the question.
 //!
 //! The second test pins the accounting: the label probes of that join reach
 //! the response's [`seda_core::ExecProfile`] and its `complete-results` span,
 //! and a same-root (twig) `RESULTS`, which probes nothing, keeps reporting 0.
 
+mod reference;
+
+use std::collections::HashMap;
+
 use seda_core::{EngineConfig, SedaEngine, SedaRequest};
 use seda_datagen::Dataset;
-use seda_datagraph::{bfs_is_connected_with, TraversalScratch};
 use seda_olap::Registry;
 use seda_textindex::FullTextQuery;
 use seda_xmlstore::{NodeId, PathId};
@@ -82,7 +86,8 @@ fn reference_rows(engine: &SedaEngine, contexts: &[&str]) -> Option<Vec<Vec<(Nod
         return None;
     }
     let max_depth = engine.config().connection_max_depth;
-    let mut scratch = TraversalScratch::new();
+    // One BFS per distinct first node, shared by every tuple it starts.
+    let mut reached: HashMap<NodeId, HashMap<NodeId, usize>> = HashMap::new();
     let mut tuples: Vec<Vec<NodeId>> = vec![Vec::new()];
     for (_, nodes) in &columns {
         tuples = tuples
@@ -92,7 +97,13 @@ fn reference_rows(engine: &SedaEngine, contexts: &[&str]) -> Option<Vec<Vec<(Nod
     }
     let mut rows: Vec<Vec<(NodeId, PathId)>> = tuples
         .into_iter()
-        .filter(|tuple| bfs_is_connected_with(engine.graph(), &mut scratch, tuple, max_depth))
+        .filter(|tuple| {
+            let graph = engine.graph();
+            let reached = reached
+                .entry(tuple[0])
+                .or_insert_with(|| reference::distances(graph, tuple[0], max_depth));
+            reference::reaches(graph, reached, tuple)
+        })
         .map(|tuple| tuple.into_iter().zip(columns.iter().map(|(path, _)| *path)).collect())
         .collect();
     rows.sort();

@@ -133,6 +133,57 @@ fn a_label_probe_budget_stops_complete_results() {
     }
 }
 
+/// `CONNECTIONS` spends label probes after its search, descending the
+/// shortest path of every pair it abstracts: they are counted in the profile
+/// and the `discover-connections` span, and the request's ceiling covers
+/// search and discovery together, checked before each tuple — a degraded
+/// answer summarises the tuples discovered before the breach.
+#[test]
+fn connection_discovery_counts_and_budgets_its_label_probes() {
+    let engine = engine();
+    let mut reader = engine.reader();
+    reader.set_tracing(true);
+    let q = r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#;
+    let topk = SedaRequest::parse(&format!("TOPK 5 FOR {q}")).expect("topk request parses");
+    let connections =
+        SedaRequest::parse(&format!("CONNECTIONS 5 FOR {q}")).expect("connections request parses");
+    let span_probes = |response: &seda_core::SedaResponse, name: &str| {
+        let span = response.profile.spans.iter().find(|span| span.name == name);
+        span.expect("a traced request records its spans").counters.label_probes
+    };
+
+    let searched = reader.execute(&topk).expect("TOPK").profile.label_probes;
+    let full = reader.execute(&connections).expect("CONNECTIONS");
+    assert!(!full.connections().expect("connection payload").is_empty());
+    let discovered = span_probes(&full, "discover-connections");
+    assert!(discovered > 0, "path descents probe the labels");
+    assert_eq!(span_probes(&full, "search"), searched);
+    assert_eq!(full.profile.label_probes, searched + discovered);
+
+    // A ceiling the search alone fits under, discovery included does not.
+    let budget = || Budget::unlimited().with_max_label_probes(searched);
+    assert!(reader.execute_governed(&topk, &RequestContext::new(budget())).is_ok());
+    let err = reader
+        .execute_governed(&connections, &RequestContext::new(budget()))
+        .expect_err("discovery spends past the ceiling");
+    // The first tuple fits under the ceiling; discovery stops before the
+    // second.
+    assert!(
+        matches!(err, SedaError::Limit { resource: "label probes", spent, budget }
+            if spent > budget && spent < (searched + discovered) as usize
+                && budget == searched as usize),
+        "{err:?}"
+    );
+    let ctx = RequestContext::new(budget()).allow_degraded();
+    let degraded = reader.execute_governed(&connections, &ctx).expect("degraded run");
+    assert!(degraded.profile.degraded);
+    assert_eq!(degraded.top_k(), full.top_k());
+    let mut first_tuple = full.top_k().expect("top-k payload").clone();
+    first_tuple.tuples.truncate(1);
+    assert_eq!(degraded.connections(), Some(&reader.connection_summary(&first_tuple)));
+    assert_ne!(degraded.connections(), full.connections());
+}
+
 #[test]
 fn twig_and_cube_budgets_cap_their_shapes() {
     let engine = engine();

@@ -60,7 +60,7 @@ const COUNTER_BUDGETS: &[(&str, &[&str])] = &[
     ("sorted_accesses", &["max_sorted_accesses"]),
     ("random_accesses", &["max_random_accesses"]),
     ("tuples_scored", &["max_tuples_scored"]),
-    ("label_probes", &["max_label_probes", "probe_ceiling"]),
+    ("label_probes", &["max_label_probes"]),
 ];
 
 /// One lint finding, reported as `file:line: [rule] detail`.
