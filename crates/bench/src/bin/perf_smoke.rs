@@ -1,11 +1,11 @@
-//! CI perf smoke check: the seven gates of [`seda_bench`], measured on this
+//! CI perf smoke check: the eight gates of [`seda_bench`], measured on this
 //! machine against this build — no argument, no file, no environment variable.
 //!
 //! ```text
 //! cargo run --release -p seda-bench --bin perf_smoke
 //! ```
 //!
-//! Prints the seven measured ratios with their bounds and exits non-zero when
+//! Prints the eight measured ratios with their bounds and exits non-zero when
 //! any gate fails.  Absolute latencies are `benchmark/run.sh`'s business.
 
 use std::hint::black_box;
@@ -14,16 +14,18 @@ use std::process::ExitCode;
 use seda_bench::{
     cold_fill_verdict, generous_context, googlebase_engine, governance_verdict,
     index_build_verdict, interleaved_minima, join_scaling_verdict, mondial_engine,
-    pinned_pairs_verdict, prepared_over_cold_verdict, term_inputs, twig_scan_verdict, BASE_ITEMS,
-    BROAD_TOPK, PAIR_QUERY, SCALED_ITEMS, SELECTIVE_TOPK, TWIG_PATH,
+    pinned_pairs_verdict, prepared_over_cold_verdict, term_inputs, twig_scan_verdict,
+    twig_statement_verdict, BASE_ITEMS, BROAD_TOPK, PAIR_QUERY, SCALED_ITEMS, SELECTIVE_TOPK,
+    TWIG_PATH,
 };
 use seda_core::seda_textindex::{terms, ContextIndex, CountStorage, NodeIndex};
 use seda_core::seda_topk::{SearchLimits, SearchScratch, TopKConfig, TopKSearcher};
 use seda_core::seda_twigjoin::{evaluate_twig, TwigPattern};
-use seda_core::{RequestContext, SedaEngine, SedaReader, SedaRequest, SedaResponse};
+use seda_core::{EngineConfig, RequestContext, SedaEngine, SedaReader, SedaRequest, SedaResponse};
 use seda_datagen::Dataset;
+use seda_olap::Registry;
 
-/// Measures the seven gates and prints each verdict; `Ok(false)` when any failed.
+/// Measures the eight gates and prints each verdict; `Ok(false)` when any failed.
 fn run() -> Result<bool, String> {
     let request = SedaRequest::parse(BROAD_TOPK).map_err(|e| e.to_string())?;
     let base_engine = googlebase_engine(BASE_ITEMS)?;
@@ -66,7 +68,13 @@ fn run() -> Result<bool, String> {
     let pinned_pairs = report(pinned_pairs(&mondial)?);
     let prepared_over_cold = report(prepared_over_cold(&mondial)?);
     drop(mondial);
-    let twig_scan = report(twig_scan()?);
+    let recipeml = Dataset::RecipeMl.generate_scaled(1.0).map_err(|e| e.to_string())?;
+    let recipeml =
+        SedaEngine::build(recipeml, Registry::factbook_defaults(), EngineConfig::default())
+            .map_err(|e| e.to_string())?;
+    let twig_scan = report(twig_scan(&recipeml)?);
+    let twig_statement = report(twig_statement(&recipeml)?);
+    drop(recipeml);
     let index_build = report(index_build()?);
     Ok(scaling
         && governance
@@ -74,6 +82,7 @@ fn run() -> Result<bool, String> {
         && pinned_pairs
         && prepared_over_cold
         && twig_scan
+        && twig_statement
         && index_build)
 }
 
@@ -104,24 +113,42 @@ fn index_build() -> Result<Result<String, String>, String> {
 }
 
 /// The twig-over-one-scan gate: [`TWIG_PATH`] over the paper-scale RecipeML
-/// collection (no engine is built) against one pass over its nodes that
-/// compares each name with the `item` symbol and must count the twig's matches.
-fn twig_scan() -> Result<Result<String, String>, String> {
-    let collection = Dataset::RecipeMl.generate_scaled(1.0).map_err(|e| e.to_string())?;
+/// collection of `engine` against one pass over its nodes that compares each
+/// name with the `item` symbol and must count the twig's matches.
+fn twig_scan(engine: &SedaEngine) -> Result<Result<String, String>, String> {
+    let collection = engine.collection();
     let pattern = TwigPattern::parse(TWIG_PATH).map_err(|e| e.to_string())?;
     let item = collection.symbols().get("item").ok_or("the corpus has no item element")?;
     let (mut items, mut matches) = (0, 0);
     let (scan_ms, twig_ms) = interleaved_minima(
         || {
-            let nodes = black_box(&collection).documents().flat_map(|document| document.iter());
+            let nodes = black_box(collection).documents().flat_map(|document| document.iter());
             items = nodes.filter(|(_, node)| node.name == item).count();
         },
-        || matches = black_box(evaluate_twig(&collection, &pattern)).len(),
+        || matches = black_box(evaluate_twig(collection, &pattern)).len(),
     );
     if items == 0 || items != matches {
         return Err(format!("the scan counted {items} items, the twig matched {matches}"));
     }
     Ok(twig_scan_verdict(scan_ms, twig_ms))
+}
+
+/// The twig-statement gate: `TWIG` [`TWIG_PATH`] executed from its text
+/// through a reader of `engine` against [`TWIG_PATH`] evaluated directly over
+/// the engine's collection; both must count the same matches.
+fn twig_statement(engine: &SedaEngine) -> Result<Result<String, String>, String> {
+    let pattern = TwigPattern::parse(TWIG_PATH).map_err(|e| e.to_string())?;
+    let text = format!("TWIG {TWIG_PATH}");
+    let mut reader = engine.reader();
+    let (mut matches, mut rows) = (0, 0);
+    let (evaluate_ms, statement_ms) = interleaved_minima(
+        || matches = black_box(evaluate_twig(engine.collection(), &pattern)).len(),
+        || rows = reader.execute_text(&text).expect("TWIG executes").payload.rows(),
+    );
+    if matches == 0 || rows != matches {
+        return Err(format!("the statement returned {rows} rows, the twig matched {matches}"));
+    }
+    Ok(twig_statement_verdict(evaluate_ms, statement_ms))
 }
 
 /// The prepared-over-cold gate: `TOPK 10 FOR` [`PAIR_QUERY`] executed cold

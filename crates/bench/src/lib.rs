@@ -2,7 +2,7 @@
 //!
 //! What only this crate checks.  Every latency, throughput and memory number
 //! comes from the paper-scale harness under `benchmark/` (see
-//! `benchmark/README.md`); this crate keeps the `audit` binary and the seven
+//! `benchmark/README.md`); this crate keeps the `audit` binary and the eight
 //! gates of `perf_smoke`, which compare the engine against itself within one
 //! process and so need no committed baseline:
 //!
@@ -28,7 +28,12 @@
 //!   RecipeML collection costs at most [`TWIG_SCAN_BOUND`]× one pass over
 //!   every node of that collection comparing its name with one symbol — the
 //!   floor of any scan-fed evaluator: one pass per document and nothing
-//!   allocated per stream element or per solution;
+//!   allocated per stream element, per solution or per row;
+//! * **twig statement over evaluation** — `TWIG` [`TWIG_PATH`] executed as a
+//!   request through a reader of an engine over that collection costs at most
+//!   [`TWIG_STATEMENT_BOUND`]× [`TWIG_PATH`] evaluated directly: a `TWIG`
+//!   answer costs its evaluation, the evaluator's rows handed over as the
+//!   response's table with no second materialisation;
 //! * **index build over one tokenising pass** — `NodeIndex::build` plus
 //!   `ContextIndex::build` over the paper-scale googlebase collection cost at
 //!   most [`INDEX_BUILD_BOUND`]× one pass that tokenises every text node of it
@@ -63,9 +68,9 @@ pub const SELECTIVE_TOPK: &str =
 /// `search_naive` scores).
 pub const PAIR_QUERY: &str = r#"(name, "Canada") AND (population, *)"#;
 
-/// The twig of the twig-over-one-scan gate, on the paper-scale RecipeML
-/// collection (10,988 documents, 355,535 nodes): 43,945 matches, four a
-/// document, through one `//` step.
+/// The twig of the twig-over-one-scan and twig-statement gates, on the
+/// paper-scale RecipeML collection (10,988 documents, 355,535 nodes): 43,945
+/// matches, four a document, through one `//` step.
 pub const TWIG_PATH: &str = "/recipeml/recipe//item";
 
 /// Corpus sizes of the join-scaling gate (one-document components each).
@@ -122,16 +127,34 @@ pub const PREPARED_OVER_COLD_BOUND: f64 = 1.7;
 
 /// Allowed `t(evaluate_twig) / t(scan)` for [`TWIG_PATH`], the scan being one
 /// pass over every node of the collection that compares the node's name with
-/// the `item` symbol (≈ 1.0 ms; the evaluation ≈ 6 ms, of which ≈ 2 ms are the
-/// 43,945 one-element row `Vec`s its public result type demands).  Measured
-/// 5.55–6.25× over twenty runs; the evaluator this one replaced — one pass
-/// and one string comparison per pattern node, a cloned Dewey id per stream
-/// element, a `BTreeMap` per solution, one global sort — reads 24.9–27.8× in
-/// the same twenty runs, taken in turns.  In the host's memory-bound slow
-/// state the ratios were seen up to 12× and 33–50× (ISSUE 20's prototype), so
-/// the bound is the geometric mean of the worst reading of the new evaluator
-/// (12) and the best of the old (24.9): √(12 · 24.9) ≈ 17.
+/// the `item` symbol.  When the bound was set the scan took ≈ 1.0 ms and the
+/// evaluation ≈ 6 ms, ≈ 2 ms of it the 43,945 one-element row `Vec`s the
+/// result type then demanded: 5.55–6.25× over twenty runs, against
+/// 24.9–27.8× in the same twenty runs, taken in turns, for the evaluator
+/// before it — one pass and one string comparison per pattern node, a cloned
+/// Dewey id per stream element, a `BTreeMap` per solution, one global sort.
+/// With the rows in one flat buffer it reads 3.08–3.73× over twenty runs
+/// (scan ≈ 2.9 ms, evaluation ≈ 9 ms on a 2-vCPU host whose memory-bound
+/// scan ran at a third of its old speed), where the row `Vec`s read
+/// 3.66–3.86× in the same twenty runs.  In the host's memory-bound slow state
+/// the ratios were also seen up to 12× and 33–50× (the rewrite's prototype),
+/// so the bound is the geometric mean of the worst reading of the
+/// region-encoded evaluator (12) and the best of the one before (24.9):
+/// √(12 · 24.9) ≈ 17.
 pub const TWIG_SCAN_BOUND: f64 = 17.0;
+
+/// Allowed `t(TWIG statement) / t(evaluate_twig)` for [`TWIG_PATH`] on the
+/// paper-scale RecipeML collection, the statement executed from its text
+/// through a reader.  With the evaluator's flat row buffer moved into the
+/// response's table the statement costs its evaluation plus parsing and
+/// planning: measured 0.996–1.022× over twenty runs (≈ 9.2 ms each side).  A
+/// statement that re-materialises the matches — one row `Vec` of
+/// `(node, path)` pairs per match, a context lookup per cell — reads
+/// 1.386–1.433× in the same twenty runs, taken in turns (≈ 15.4 against
+/// ≈ 10.9 ms, the evaluation then also filling a row `Vec` per match).  The
+/// bound is the geometric mean of the worst new reading and
+/// the best old: √(1.022 · 1.386) ≈ 1.19.
+pub const TWIG_STATEMENT_BOUND: f64 = 1.19;
 
 /// Allowed `t(NodeIndex::build + ContextIndex::build) / t(tokenise)` on the
 /// paper-scale googlebase collection (10,000 documents, 150,000 text nodes),
@@ -270,6 +293,12 @@ pub fn twig_scan_verdict(scan_ms: f64, twig_ms: f64) -> Result<String, String> {
     bounded_ratio("twig over one scan", scan_ms, twig_ms, TWIG_SCAN_BOUND)
 }
 
+/// The twig-statement gate over the times of the direct twig evaluation and
+/// of the same twig executed as a `TWIG` request.
+pub fn twig_statement_verdict(evaluate_ms: f64, statement_ms: f64) -> Result<String, String> {
+    bounded_ratio("twig statement over evaluation", evaluate_ms, statement_ms, TWIG_STATEMENT_BOUND)
+}
+
 /// The index-build gate over the times of one tokenising pass across the
 /// collection and of building both text indexes over it.
 pub fn index_build_verdict(tokenise_ms: f64, build_ms: f64) -> Result<String, String> {
@@ -349,6 +378,20 @@ mod tests {
         // The least favourable of the twenty runs of the new one.
         let pass = twig_scan_verdict(0.993, 6.209).unwrap();
         assert!(pass.starts_with("twig over one scan 6.253x"), "{pass}");
+    }
+
+    #[test]
+    fn twig_statement_fails_on_a_second_materialisation_and_passes_on_the_measured_pair() {
+        // The statement that shaped every match into a row of `(node, path)`
+        // pairs, at its most favourable of twenty runs.
+        let failure = twig_statement_verdict(10.945, 15.168).unwrap_err();
+        assert!(
+            failure.starts_with("twig statement over evaluation 1.386x (allowed 1.19x)"),
+            "{failure}"
+        );
+        // The least favourable of the twenty runs of the moved buffer.
+        let pass = twig_statement_verdict(8.703, 8.897).unwrap();
+        assert!(pass.starts_with("twig statement over evaluation 1.022x"), "{pass}");
     }
 
     #[test]

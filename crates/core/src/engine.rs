@@ -762,30 +762,27 @@ impl SedaEngine {
             }
             let table = &mut out.table;
             if out.breach.is_some() {
-                table.rows.sort();
-                table.rows.dedup();
+                table.sort_dedup();
                 return Ok(out);
             }
-            if table.rows.len() > self.config.complete_result_limit {
+            if table.len() > self.config.complete_result_limit {
                 // Different combinations may produce overlapping rows, so
                 // dedup before concluding the (final) result is over-limit.
-                table.rows.sort();
-                table.rows.dedup();
-                if table.rows.len() > self.config.complete_result_limit {
+                table.sort_dedup();
+                if table.len() > self.config.complete_result_limit {
                     return Err(SedaError::Limit {
                         resource: "complete-result tuples",
-                        spent: table.rows.len(),
+                        spent: table.len(),
                         budget: self.config.complete_result_limit,
                     });
                 }
             }
-            if ctx.row_breach(table.rows.len()).is_some() {
+            if ctx.row_breach(table.len()).is_some() {
                 // Overlapping combinations may shrink below the ceiling once
                 // deduplicated; only a post-dedup excess is a real breach.
-                table.rows.sort();
-                table.rows.dedup();
-                if let Some(breach) = ctx.row_breach(table.rows.len()) {
-                    table.rows.truncate(breach.budget as usize);
+                table.sort_dedup();
+                if let Some(breach) = ctx.row_breach(table.len()) {
+                    table.truncate(breach.budget as usize);
                     out.breach = Some(breach);
                     return Ok(out);
                 }
@@ -796,8 +793,7 @@ impl SedaEngine {
             loop {
                 if pos == combination.len() {
                     // Deduplicate rows that different combinations may share.
-                    table.rows.sort();
-                    table.rows.dedup();
+                    table.sort_dedup();
                     // A complete answer that arrives late is late all the same.
                     out.breach = ctx.deadline_breach();
                     return Ok(out);
@@ -842,32 +838,31 @@ impl SedaEngine {
             .collect();
         let same_root = roots.windows(2).all(|w| w[0] == w[1]);
 
-        let rows: Vec<Vec<NodeId>> = if same_root {
+        let cells = if same_root {
             self.twig_rows(query, chosen, &path_strings, out, ctx)?
         } else {
             self.graph_rows(query, chosen, out, scratch, ctx)?
         };
-
-        for nodes in rows {
-            if !connections.is_empty()
-                && !self.row_satisfies_connections(&nodes, connections, scratch)
-            {
-                continue;
+        if connections.is_empty() {
+            out.table.extend_rows(&cells);
+            return Ok(());
+        }
+        for row in cells.chunks_exact(chosen.len()) {
+            if self.row_satisfies_connections(row, connections, scratch) {
+                out.table.push_row(row);
             }
-            let row: Vec<(NodeId, PathId)> =
-                nodes.iter().zip(chosen.iter()).map(|(&n, &p)| (n, p)).collect();
-            out.table.rows.push(row);
         }
         Ok(())
     }
 
     /// Structural evaluation: builds one twig from the chosen context paths
     /// (shared prefixes merged, the root anchored at the document's root
-    /// element), attaches the term predicates and returns one row per twig
-    /// match, with columns in term order.  Only the documents the node index
-    /// says can match are visited ([`SedaEngine::documents_holding`]); their
-    /// node count is added to `out.nodes_visited`, and a stop by `ctx` leaves
-    /// its breach in `out.breach` and the rows a prefix.
+    /// element), attaches the term predicates and returns the twig's matches
+    /// as flat rows, one cell a term in term order.  Only the documents the
+    /// node index says can match are visited
+    /// ([`SedaEngine::documents_holding`]); their node count is added to
+    /// `out.nodes_visited`, and a stop by `ctx` leaves its breach in
+    /// `out.breach` and the rows a prefix.
     fn twig_rows(
         &self,
         query: &SedaQuery,
@@ -875,7 +870,7 @@ impl SedaEngine {
         path_strings: &[String],
         out: &mut GovernedTable,
         ctx: &RequestContext,
-    ) -> Result<Vec<Vec<NodeId>>, SedaError> {
+    ) -> Result<Vec<NodeId>, SedaError> {
         // Build the pattern manually so we know which pattern node belongs to
         // which term.
         let root_label = path_strings[0].trim_start_matches('/').split('/').next().unwrap_or("");
@@ -914,18 +909,22 @@ impl SedaEngine {
             Some(holding) => {
                 let documents =
                     holding.iter().filter_map(|&doc| self.collection.document(doc).ok());
-                self.evaluate_twig_governed(&pattern, documents, ctx)?
+                self.evaluate_twig_governed(&pattern, documents, false, ctx)?
             }
-            None => self.evaluate_twig_governed(&pattern, self.collection.documents(), ctx)?,
+            None => {
+                self.evaluate_twig_governed(&pattern, self.collection.documents(), false, ctx)?
+            }
         };
         out.nodes_visited += matches.nodes_visited;
         out.breach = breach;
-        let columns: Vec<usize> =
-            term_nodes.iter().map(|&n| matches.column_of(n).unwrap_or(usize::MAX)).collect();
-        if columns.contains(&usize::MAX) {
-            return Ok(Vec::new());
+        let columns: Option<Vec<usize>> =
+            term_nodes.iter().map(|&n| matches.column_of(n)).collect();
+        let Some(columns) = columns else { return Ok(Vec::new()) };
+        let mut cells = Vec::with_capacity(matches.len() * columns.len());
+        for row in matches.rows() {
+            cells.extend(columns.iter().map(|&c| row[c]));
         }
-        Ok(matches.rows.iter().map(|row| columns.iter().map(|&c| row[c]).collect()).collect())
+        Ok(cells)
     }
 
     /// The documents that can hold a match of every term on its chosen path,
@@ -953,26 +952,33 @@ impl SedaEngine {
         documents
     }
 
-    /// [`evaluate_twig_in`] under the request's context: `ctx` is asked
-    /// before document 0 and before every [`SearchLimits::DEADLINE_STRIDE`]th
-    /// after it — only when there is such a document, so an evaluation that
-    /// visited them all is never reported as cut short.  A deadline ends the
-    /// iteration — the matches are then a prefix of the full answer and the
-    /// breach comes back with them; cancellation is the error it is.
+    /// [`evaluate_twig_in`] under the request's context, through its stop
+    /// hook: cancellation and the deadline are checked before document 0 and
+    /// before every [`SearchLimits::DEADLINE_STRIDE`]th after it — only when
+    /// there is such a document, so an evaluation that visited them all is
+    /// never reported as cut short.  A deadline ends the evaluation — the
+    /// matches are then a prefix of the full answer and the breach comes back
+    /// with them; cancellation is the error it is.  With `twig_ceiling` the
+    /// hook also ends it before the first document after the rows exceed the
+    /// request's twig-match ceiling, so a `TWIG` never evaluates (and
+    /// materialises) more of the collection than the document that crossed
+    /// it; the caller finds that breach in the row count and clips the prefix.
     fn evaluate_twig_governed<'a>(
         &self,
         pattern: &TwigPattern,
         documents: impl Iterator<Item = &'a Document>,
+        twig_ceiling: bool,
         ctx: &RequestContext,
     ) -> Result<(TwigMatches, Option<LimitBreach>), SedaError> {
         let mut stop: Result<Option<LimitBreach>, SedaError> = Ok(None);
-        let governed = documents.enumerate().map_while(|(visited, document)| {
-            if visited % SearchLimits::DEADLINE_STRIDE == 0 {
+        let mut asked = 0;
+        let matches = evaluate_twig_in(&self.collection, pattern, documents, |rows| {
+            if asked % SearchLimits::DEADLINE_STRIDE == 0 {
                 stop = ctx.check_cancelled().map(|()| ctx.deadline_breach());
             }
-            matches!(stop, Ok(None)).then_some(document)
+            asked += 1;
+            !matches!(stop, Ok(None)) || (twig_ceiling && ctx.twig_breach(rows).is_some())
         });
-        let matches = evaluate_twig_in(&self.collection, pattern, governed);
         Ok((matches, stop?))
     }
 
@@ -985,7 +991,9 @@ impl SedaEngine {
     /// count.  The request's label-probe ceiling — counted from
     /// `out.label_probes`, what earlier combinations spent — is checked once
     /// per source row; a breach leaves `out.breach` set and returns the
-    /// whole rows found so far (none before the last term's stage).
+    /// whole rows found so far (none before the last term's stage).  Rows
+    /// come back flat, one cell a term in term order, and the frontier is
+    /// kept the same way: `stage` cells a row before stage `stage`.
     fn graph_rows(
         &self,
         query: &SedaQuery,
@@ -993,7 +1001,7 @@ impl SedaEngine {
         out: &mut GovernedTable,
         scratch: &mut SearchScratch,
         ctx: &RequestContext,
-    ) -> Result<Vec<Vec<NodeId>>, SedaError> {
+    ) -> Result<Vec<NodeId>, SedaError> {
         let candidates: Vec<Vec<NodeId>> = chosen
             .iter()
             .enumerate()
@@ -1012,26 +1020,27 @@ impl SedaEngine {
         let limit = self.config.complete_result_limit;
         let traversal = scratch.traversal_mut();
         let probes_before = traversal.label_probes - out.label_probes;
-        // A row is allocated, at full width, once its newest member has
+        // A row is written to the next frontier once its newest member has
         // passed the test.
-        let admit = |next: &mut Vec<Vec<NodeId>>, row: &[NodeId], candidate: NodeId| {
-            let mut extended = Vec::with_capacity(candidates.len());
-            extended.extend_from_slice(row);
-            extended.push(candidate);
-            next.push(extended);
-            if next.len() > limit {
+        let admit = |next: &mut Vec<NodeId>, row: &[NodeId], candidate: NodeId| {
+            next.extend_from_slice(row);
+            next.push(candidate);
+            let rows = next.len() / (row.len() + 1);
+            if rows > limit {
                 return Err(SedaError::Limit {
                     resource: "graph-join frontier tuples",
-                    spent: next.len(),
+                    spent: rows,
                     budget: limit,
                 });
             }
             Ok(())
         };
-        let mut rows: Vec<Vec<NodeId>> = vec![Vec::new()];
+        let mut frontier: Vec<NodeId> = Vec::new();
         for (stage, term_candidates) in candidates.iter().enumerate() {
             let mut next = Vec::new();
-            for row in &rows {
+            // Before the first stage the frontier is one row of no cells.
+            let start = (stage == 0).then_some(&[][..]);
+            for row in start.into_iter().chain(frontier.chunks_exact(stage.max(1))) {
                 if let Some(breach) = ctx.label_probe_breach(traversal.label_probes - probes_before)
                 {
                     out.breach = Some(breach);
@@ -1071,12 +1080,12 @@ impl SedaEngine {
                     }
                 }
             }
-            rows = next;
-            if rows.is_empty() {
+            frontier = next;
+            if frontier.is_empty() {
                 break;
             }
         }
-        Ok(rows)
+        Ok(frontier)
     }
 
     /// Checks the selected-connection constraint for one result row: every
@@ -1142,22 +1151,25 @@ impl SedaEngine {
         StarSchemaBuilder::new(&self.collection, &self.registry).build(result, options)
     }
 
-    /// Evaluates a compiled twig pattern over every document and shapes the
-    /// matches as a [`QueryResultTable`]: one column per output pattern node
-    /// (labelled with the node's root-to-leaf label chain), one row per
-    /// match, with the document nodes the evaluation visited
+    /// Evaluates a compiled twig pattern over every document and hands its
+    /// matches over as a [`QueryResultTable`] — the evaluator's row buffer
+    /// moved, not copied: one column per output pattern node (labelled with
+    /// the node's root-to-leaf label chain), one row per match, with the
+    /// document nodes the evaluation visited
     /// ([`seda_twigjoin::TwigMatches::nodes_visited`]).  A deadline that runs
     /// out during the evaluation returns the prefix matched so far with the
-    /// breach; cancellation errors.
+    /// breach; cancellation errors.  The request's twig-match ceiling stops
+    /// the evaluation after the document that crosses it, leaving the caller
+    /// a prefix longer than the ceiling to clip.
     pub(crate) fn twig_table(
         &self,
         pattern: &TwigPattern,
         ctx: &RequestContext,
     ) -> Result<GovernedTable, SedaError> {
-        let outputs = pattern.output_nodes();
-        let column_names: Vec<String> = outputs
-            .iter()
-            .map(|&node| {
+        let column_names: Vec<String> = pattern
+            .output_nodes()
+            .into_iter()
+            .map(|node| {
                 let mut labels = Vec::new();
                 let mut current = Some(node);
                 while let Some(idx) = current {
@@ -1169,23 +1181,11 @@ impl SedaEngine {
             })
             .collect();
         let (matches, breach) =
-            self.evaluate_twig_governed(pattern, self.collection.documents(), ctx)?;
-        let columns: Vec<Option<usize>> = outputs.iter().map(|&n| matches.column_of(n)).collect();
-        let mut table = QueryResultTable::new(column_names);
-        for row in &matches.rows {
-            let shaped: Option<Vec<(NodeId, PathId)>> = columns
-                .iter()
-                .map(|&c| {
-                    let node = row[c?];
-                    let path = self.collection.context(node).ok()?;
-                    Some((node, path))
-                })
-                .collect();
-            if let Some(shaped) = shaped {
-                table.rows.push(shaped);
-            }
-        }
-        Ok(GovernedTable { table, nodes_visited: matches.nodes_visited, label_probes: 0, breach })
+            self.evaluate_twig_governed(pattern, self.collection.documents(), true, ctx)?;
+        let nodes_visited = matches.nodes_visited;
+        // The matches' columns are the pattern's output nodes, in this order.
+        let table = QueryResultTable::from_cells(column_names, matches.into_cells());
+        Ok(GovernedTable { table, nodes_visited, label_probes: 0, breach })
     }
 }
 
@@ -1194,7 +1194,8 @@ impl SedaEngine {
 #[derive(Debug, Default)]
 pub(crate) struct GovernedTable {
     /// The rows computed; a prefix of the full answer's when `breach` is a
-    /// deadline that stopped a twig evaluation.
+    /// deadline that stopped a twig evaluation, or when a `TWIG`'s rows
+    /// exceed its twig-match ceiling (no breach: the row count is one).
     pub(crate) table: QueryResultTable,
     /// Document nodes the twig evaluations visited (0 for the cross-root
     /// join, which enumerates the graph instead).
@@ -1367,8 +1368,8 @@ mod tests {
         // (Mexico's document has no import partners and its name is not
         // "United States").
         assert_eq!(result.len(), 4);
-        for row in &result.rows {
-            let name_content = c.content(row[0].0).unwrap();
+        for row in result.rows() {
+            let name_content = c.content(row[0]).unwrap();
             assert_eq!(name_content, "United States");
         }
     }
@@ -1404,9 +1405,8 @@ mod tests {
         assert!(!same_item.is_empty());
         let result = e.reader().complete_results(&q, &selections, &same_item).unwrap();
         assert_eq!(result.len(), 4);
-        for row in &result.rows {
-            let tc_node = row[1].0;
-            let pct_node = row[2].0;
+        for row in result.rows() {
+            let (tc_node, pct_node) = (row[1], row[2]);
             let tc_parent = c.node(tc_node).unwrap().parent;
             let pct_parent = c.node(pct_node).unwrap().parent;
             assert_eq!(tc_parent, pct_parent, "connection filter must keep same-item pairs only");
@@ -1493,7 +1493,7 @@ mod tests {
             sequential.reader().complete_results(&q, &ContextSelections::none(), &[]).unwrap();
         let par_result =
             parallel.reader().complete_results(&q, &ContextSelections::none(), &[]).unwrap();
-        assert_eq!(seq_result.rows, par_result.rows);
+        assert_eq!(seq_result, par_result);
     }
 
     #[test]
@@ -1552,7 +1552,7 @@ mod tests {
         let result = e.reader().complete_results(&q, &ContextSelections::none(), &[]).unwrap();
         assert_eq!(result.len(), 1, "country and sea are connected via the IDREF edge");
         let contents: Vec<String> =
-            result.rows[0].iter().map(|(n, _)| e.collection().content(*n).unwrap()).collect();
+            result.rows().flatten().map(|&n| e.collection().content(n).unwrap()).collect();
         assert_eq!(contents, vec!["United States", "Pacific Ocean"]);
     }
 
@@ -1580,8 +1580,9 @@ mod tests {
         let pattern = TwigPattern::parse("/r/a").unwrap();
         let all = || e.collection().documents();
         let (full, breach) =
-            e.evaluate_twig_governed(&pattern, all(), &RequestContext::unlimited()).unwrap();
+            e.evaluate_twig_governed(&pattern, all(), false, &RequestContext::unlimited()).unwrap();
         assert_eq!((full.len(), breach), (documents, None));
+        let is_prefix = |matches: &TwigMatches| full.rows().take(matches.len()).eq(matches.rows());
 
         // Cancelled while a document past the first boundary is handed out:
         // noticed at the next boundary, and an error whatever was matched.
@@ -1594,7 +1595,7 @@ mod tests {
                 token.cancel();
             }
         });
-        let outcome = e.evaluate_twig_governed(&pattern, cancelling, &ctx);
+        let outcome = e.evaluate_twig_governed(&pattern, cancelling, false, &ctx);
         assert_eq!(outcome.err(), Some(SedaError::Cancelled));
         assert_eq!(handed_out, 2 * STRIDE + 1, "the boundary document was the last one asked for");
 
@@ -1608,10 +1609,10 @@ mod tests {
                 std::thread::sleep(deadline);
             }
         });
-        let (prefix, breach) = e.evaluate_twig_governed(&pattern, outlasting, &ctx).unwrap();
+        let (prefix, breach) = e.evaluate_twig_governed(&pattern, outlasting, false, &ctx).unwrap();
         assert_eq!(breach.map(|b| b.resource), Some("deadline"));
         assert!(prefix.len() <= 2 * STRIDE && prefix.len() % STRIDE == 0, "{}", prefix.len());
-        assert_eq!(prefix.rows[..], full.rows[..prefix.len()]);
+        assert!(is_prefix(&prefix));
 
         // Outlasted after the last boundary: every document was visited, so
         // the evaluation reports nothing (the statement's own final check of
@@ -1622,8 +1623,23 @@ mod tests {
                 std::thread::sleep(deadline);
             }
         });
-        let (late, breach) = e.evaluate_twig_governed(&pattern, outlasting, &ctx).unwrap();
-        assert_eq!((late.rows.len(), breach), (documents, None));
+        let (late, breach) = e.evaluate_twig_governed(&pattern, outlasting, false, &ctx).unwrap();
+        assert_eq!((late.len(), breach), (documents, None));
         assert!(ctx.deadline_breach().is_some());
+
+        // The twig-match ceiling is asked before every document, not on
+        // stride boundaries, and only where the caller applies it: the
+        // evaluation ends after the document that crossed it, with no breach
+        // of its own (the row count is the breach).
+        let ctx = RequestContext::new(Budget::unlimited().with_max_twig_matches(3));
+        let mut handed_out = 0;
+        let counting = all().inspect(|_| handed_out += 1);
+        let (bounded, breach) = e.evaluate_twig_governed(&pattern, counting, true, &ctx).unwrap();
+        assert_eq!((bounded.len(), breach), (4, None));
+        assert_eq!(handed_out, 5, "asked before the fifth document, after four rows");
+        assert_eq!(bounded.nodes_visited, 4 * 2);
+        assert!(is_prefix(&bounded));
+        let (unbounded, _) = e.evaluate_twig_governed(&pattern, all(), false, &ctx).unwrap();
+        assert_eq!(unbounded.len(), documents);
     }
 }

@@ -84,7 +84,7 @@ fn truncate_payload(payload: &mut ResponsePayload, keep: usize) {
             }
         }
         ResponsePayload::Connections { summary, .. } => summary.connections.truncate(keep),
-        ResponsePayload::Table(table) => table.rows.truncate(keep),
+        ResponsePayload::Table(table) => table.truncate(keep),
         ResponsePayload::Cube { cube, .. } => cube.cells.truncate(keep),
         ResponsePayload::Explain(_) => {}
     }
@@ -519,10 +519,12 @@ impl<'e> SedaReader<'e> {
                 let counters =
                     SpanCounters { nodes_visited, rows: table.len(), ..SpanCounters::default() };
                 self.tracer.exit_with(s, counters);
+                // The evaluation stopped after the document that crossed the
+                // twig-match ceiling; the answer is its first rows.
                 if let Some(breach) = ctx.twig_breach(table.len()) {
                     let keep = breach.budget as usize;
                     resolve_breach(Some(breach), ctx, &mut profile)?;
-                    table.rows.truncate(keep);
+                    table.truncate(keep);
                 }
                 // A deadline that stopped the evaluation left a prefix; one
                 // that ran out after it, the whole table.

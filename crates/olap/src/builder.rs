@@ -2,8 +2,8 @@
 //!
 //! * **Step 1 — Matching**: each `(node, path)` column of the full result
 //!   R(q) is matched against the registry: a column matches a fact/dimension
-//!   when the set of paths in the column is a subset of the definition's
-//!   context list.  Partial intersections produce warnings.
+//!   when the set of paths in the column (its nodes' contexts) is a subset of
+//!   the definition's context list.  Partial intersections produce warnings.
 //! * **Step 2 — Augmentation**: the user may add or remove facts/dimensions;
 //!   the result is then extended with any missing key columns (the paper's
 //!   example: the `/country/year` column is added so the percentage fact table
@@ -54,7 +54,7 @@ pub fn match_result(
 ) -> MatchingOutcome {
     let mut outcome = MatchingOutcome::default();
     for column in 0..result.width() {
-        let paths = result.column_paths(column);
+        let paths = result.column_paths(collection, column);
         let mut cm = ColumnMatch { column, ..ColumnMatch::default() };
         if paths.is_empty() {
             outcome.columns.push(cm);
@@ -240,8 +240,7 @@ impl<'a> StarSchemaBuilder<'a> {
                 nodes.extend(result.column_nodes(column));
             }
         } else {
-            let docs: BTreeSet<_> =
-                result.rows.iter().flat_map(|r| r.iter().map(|(n, _)| n.doc)).collect();
+            let docs: BTreeSet<_> = result.rows().flatten().map(|n| n.doc).collect();
             for path in def.context_paths(self.collection) {
                 for node in self.collection.nodes_with_path(path) {
                     if docs.contains(&node.doc) {
@@ -417,7 +416,7 @@ pub fn define_from_column(
         return Err(violations);
     }
     let contexts = result
-        .column_paths(column)
+        .column_paths(collection, column)
         .into_iter()
         .map(|p| crate::schema::ContextEntry::new(collection.path_string(p), key.clone()))
         .collect();
@@ -430,7 +429,7 @@ pub fn define_from_column(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seda_xmlstore::{parse_collection, PathId};
+    use seda_xmlstore::parse_collection;
 
     /// Two US documents (2004, 2005) with the Figure 3(c) import partners.
     fn us_collection() -> Collection {
@@ -481,10 +480,10 @@ mod tests {
                     .iter()
                     .find(|&&ch| doc.node_unchecked(ch).path == pct_path)
                     .unwrap();
-                table.push_row(vec![
-                    (seda_xmlstore::NodeId::new(doc.id, name), name_path),
-                    (seda_xmlstore::NodeId::new(doc.id, tc), tc_path),
-                    (seda_xmlstore::NodeId::new(doc.id, pct), pct_path),
+                table.push_row(&[
+                    NodeId::new(doc.id, name),
+                    NodeId::new(doc.id, tc),
+                    NodeId::new(doc.id, pct),
                 ]);
             }
         }
@@ -644,6 +643,5 @@ mod tests {
         let build = StarSchemaBuilder::new(&c, &registry).build(&empty, &BuildOptions::default());
         assert!(build.schema.fact_tables.is_empty());
         assert!(build.matching.facts.is_empty());
-        let _ = PathId(0);
     }
 }

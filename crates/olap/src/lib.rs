@@ -20,11 +20,11 @@
 //! assert_eq!(cube.cell(&["China"]).unwrap().value, 15.0);
 //! ```
 
-pub mod builder;
-pub mod cube;
-pub mod key;
-pub mod schema;
-pub mod table;
+mod builder;
+mod cube;
+mod key;
+mod schema;
+mod table;
 
 pub use builder::{
     define_from_column, match_result, merge_fact_tables, BuildOptions, ColumnMatch,
@@ -33,16 +33,27 @@ pub use builder::{
 pub use cube::{aggregate, rollup, AggFn, CubeCell, CubeError, CubeQuery, CubeResult};
 pub use key::{KeyPart, KeyValues, KeyViolation, RelativeKey};
 pub use schema::{ContextEntry, Registry, SchemaDef, SchemaRole};
-pub use table::{
-    describe_row, parse_numeric, DimensionTable, FactRow, FactTable, QueryResultTable, StarSchema,
-};
+pub use table::{parse_numeric, DimensionTable, FactRow, FactTable, QueryResultTable, StarSchema};
 
 #[cfg(test)]
 mod proptests {
     use proptest::prelude::*;
 
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use seda_xmlstore::{DocId, NodeId};
+
     use crate::cube::{aggregate, AggFn, CubeQuery};
-    use crate::table::{FactRow, FactTable};
+    use crate::table::{FactRow, FactTable, QueryResultTable};
+
+    /// The panic message of `f`, if it panics.
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        let payload = catch_unwind(AssertUnwindSafe(f)).err()?;
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+    }
 
     fn table_from(rows: &[(u8, u8, f64)]) -> FactTable {
         FactTable {
@@ -91,6 +102,75 @@ mod proptests {
                 let lo = min.cell(&coord).unwrap().value;
                 let hi = max.cell(&coord).unwrap().value;
                 prop_assert!(lo <= cell.value + 1e-9 && cell.value <= hi + 1e-9);
+            }
+        }
+
+        /// The flat result table behaves as the nested-vector model it
+        /// replaced, at every width from none to four: `len`, `rows`,
+        /// `column_nodes`, `truncate` and `sort_dedup` agree with the same
+        /// operations on `Vec<Vec<NodeId>>`, whether the rows arrive one by
+        /// one or in bulk, and a row of the wrong arity fails as documented.
+        #[test]
+        fn the_flat_table_matches_the_nested_model(
+            width in 0usize..5,
+            drawn in proptest::collection::vec(proptest::collection::vec(0u32..6, 4..5), 0..16),
+            keep in 0usize..20,
+            arrival in 0u8..3,
+        ) {
+            // Few distinct nodes, so duplicate rows are common.
+            let nested: Vec<Vec<NodeId>> = match width {
+                0 => Vec::new(),
+                _ => drawn
+                    .iter()
+                    .map(|row| row[..width].iter().map(|&n| NodeId::new(DocId(n % 2), n)).collect())
+                    .collect(),
+            };
+            let names: Vec<String> = (0..width).map(|c| format!("t{c}")).collect();
+            let mut table = QueryResultTable::new(names.clone());
+            match arrival {
+                0 => nested.iter().for_each(|row| table.push_row(row)),
+                1 => table.extend_rows(&nested.concat()),
+                _ => table = QueryResultTable::from_cells(names, nested.concat()),
+            }
+            let rows = |t: &QueryResultTable| t.rows().map(<[_]>::to_vec).collect::<Vec<_>>();
+            prop_assert_eq!(table.len(), nested.len());
+            prop_assert_eq!(table.is_empty(), nested.is_empty());
+            prop_assert_eq!(rows(&table), nested.clone());
+            prop_assert_eq!(table.row(keep), nested.get(keep).map(Vec::as_slice));
+            for column in 0..width {
+                let model: Vec<NodeId> = nested.iter().map(|row| row[column]).collect();
+                prop_assert_eq!(table.column_nodes(column), model);
+            }
+
+            let mut sorted = nested.clone();
+            sorted.sort();
+            sorted.dedup();
+            let mut deduped = table.clone();
+            deduped.sort_dedup();
+            prop_assert_eq!(rows(&deduped), sorted);
+
+            let mut truncated = nested.clone();
+            truncated.truncate(keep);
+            table.truncate(keep);
+            prop_assert_eq!(rows(&table), truncated);
+
+            // One cell too many or too few is refused by the arity check,
+            // never by an out-of-bounds slice.
+            let arity_refused = |message: Option<String>| {
+                message.is_some_and(|m| m.contains("row arity must match column count"))
+            };
+            let filler = vec![NodeId::new(DocId(0), 0); width + 1];
+            for cells in [&filler[..width.saturating_sub(1)], &filler[..]] {
+                if cells.len() != width {
+                    prop_assert!(arity_refused(panic_message(|| table.clone().push_row(cells))));
+                }
+                let whole_rows = cells.is_empty() || cells.len().checked_rem(width) == Some(0);
+                if !whole_rows {
+                    prop_assert!(arity_refused(panic_message(|| table.clone().extend_rows(cells))));
+                    let names = table.column_names.clone();
+                    let taken = || drop(QueryResultTable::from_cells(names, cells.to_vec()));
+                    prop_assert!(arity_refused(panic_message(taken)));
+                }
             }
         }
 

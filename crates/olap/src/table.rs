@@ -11,30 +11,47 @@ use seda_xmlstore::{Collection, NodeId, PathId};
 /// "two columns for each query term: the first one contains the Dewey ID XML
 /// node reference, and the other one contains the full root-to-leaf path of
 /// the node."  Here the node reference carries the document and ordinal (from
-/// which the Dewey id is recoverable) and the path is the interned context.
+/// which the Dewey id is recoverable).  The path column is not stored: a
+/// node's root-to-leaf path is a function of the node
+/// (`Collection::context`), so R(q) keeps its two columns a term while the
+/// table holds one cell — [`QueryResultTable::column_paths`] derives the
+/// other on demand.
+///
+/// The rows live in one flat buffer, row *i* being `cells[i·w..(i+1)·w]` for
+/// `w` = [`QueryResultTable::width`] columns.  A table without columns has no
+/// rows.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueryResultTable {
     /// Human-readable label per query term (e.g. the term's textual form).
     pub column_names: Vec<String>,
-    /// One row per result tuple; entry `i` holds `(node, context)` for query
+    /// The rows, one after the other: cell `i` of a row is the node of query
     /// term `i`.
-    pub rows: Vec<Vec<(NodeId, PathId)>>,
+    cells: Vec<NodeId>,
 }
 
 impl QueryResultTable {
     /// Creates an empty table with the given column labels.
     pub fn new(column_names: Vec<String>) -> Self {
-        QueryResultTable { column_names, rows: Vec::new() }
+        QueryResultTable { column_names, cells: Vec::new() }
+    }
+
+    /// A table over rows laid out one after the other in `cells`, which it
+    /// takes over without copying; panics as [`QueryResultTable::extend_rows`]
+    /// does unless `cells` holds a whole number of rows.
+    pub fn from_cells(column_names: Vec<String>, cells: Vec<NodeId>) -> Self {
+        let table = QueryResultTable::new(column_names);
+        table.assert_whole_rows(&cells);
+        QueryResultTable { cells, ..table }
     }
 
     /// Number of result tuples.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.cells.len() / self.width().max(1)
     }
 
     /// True when the result is empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.cells.is_empty()
     }
 
     /// Number of query-term columns.
@@ -42,22 +59,65 @@ impl QueryResultTable {
         self.column_names.len()
     }
 
+    /// The rows, in order, each borrowed from the flat buffer.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, NodeId> {
+        // Without columns there are no cells, so any chunk size is empty.
+        self.cells.chunks_exact(self.width().max(1))
+    }
+
+    /// Row `i`; `None` past the last row.
+    pub fn row(&self, i: usize) -> Option<&[NodeId]> {
+        self.rows().nth(i)
+    }
+
     /// Appends a tuple; panics if its arity differs from the column count.
-    pub fn push_row(&mut self, row: Vec<(NodeId, PathId)>) {
+    /// (A table without columns stays without rows.)
+    pub fn push_row(&mut self, row: &[NodeId]) {
         assert_eq!(row.len(), self.width(), "row arity must match column count");
-        self.rows.push(row);
+        self.cells.extend_from_slice(row);
+    }
+
+    /// Appends whole rows laid out one after the other; panics unless
+    /// `cells` holds a whole number of rows of the column count (and, for a
+    /// table without columns, none).
+    pub fn extend_rows(&mut self, cells: &[NodeId]) {
+        self.assert_whole_rows(cells);
+        self.cells.extend_from_slice(cells);
+    }
+
+    fn assert_whole_rows(&self, cells: &[NodeId]) {
+        // `n.is_multiple_of(0)` holds for `n == 0` only.
+        let width = self.width();
+        let whole = cells.len().is_multiple_of(width);
+        assert!(whole, "row arity must match column count ({} cells, width {width})", cells.len());
+    }
+
+    /// Keeps the first `rows` rows.
+    pub fn truncate(&mut self, rows: usize) {
+        self.cells.truncate(rows.saturating_mul(self.width()));
+    }
+
+    /// Sorts the rows (lexicographically by their cells) and removes
+    /// duplicates: one sort of row indices, one rebuild of the buffer.
+    pub fn sort_dedup(&mut self) {
+        let width = self.width();
+        let row = |r: usize| &self.cells[r * width..][..width];
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        order.dedup_by(|a, b| row(*a) == row(*b));
+        self.cells = order.iter().flat_map(|&r| row(r)).copied().collect();
     }
 
     /// The set of distinct context paths appearing in column `i` — the
     /// π_cpi(R) the matching step compares against fact/dimension context
-    /// lists.
-    pub fn column_paths(&self, column: usize) -> BTreeSet<PathId> {
-        self.rows.iter().map(|r| r[column].1).collect()
+    /// lists — derived from the column's nodes.
+    pub fn column_paths(&self, collection: &Collection, column: usize) -> BTreeSet<PathId> {
+        self.rows().filter_map(|row| collection.context(row[column]).ok()).collect()
     }
 
     /// The nodes of column `i`.
     pub fn column_nodes(&self, column: usize) -> Vec<NodeId> {
-        self.rows.iter().map(|r| r[column].0).collect()
+        self.rows().map(|row| row[column]).collect()
     }
 }
 
@@ -210,24 +270,10 @@ impl StarSchema {
     }
 }
 
-/// Renders a query-result row for diagnostics.
-pub fn describe_row(collection: &Collection, row: &[(NodeId, PathId)]) -> String {
-    row.iter()
-        .map(|(node, path)| {
-            format!(
-                "{}={:?}",
-                collection.path_string(*path),
-                collection.content(*node).unwrap_or_default()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seda_xmlstore::DocId;
+    use seda_xmlstore::{parse_collection, DocId};
 
     fn node(n: u32) -> NodeId {
         NodeId::new(DocId(0), n)
@@ -235,21 +281,32 @@ mod tests {
 
     #[test]
     fn query_result_table_tracks_columns_and_paths() {
-        let mut t = QueryResultTable::new(vec!["us".into(), "partner".into()]);
-        t.push_row(vec![(node(1), PathId(0)), (node(2), PathId(1))]);
-        t.push_row(vec![(node(3), PathId(0)), (node(4), PathId(2))]);
+        let c =
+            parse_collection(vec![("d.xml", "<r><a>x</a><b>y</b><a>z</a><c>w</c></r>")]).unwrap();
+        let mut t = QueryResultTable::new(vec!["a".into(), "b or c".into()]);
+        t.push_row(&[node(1), node(2)]);
+        t.push_row(&[node(3), node(4)]);
         assert_eq!(t.len(), 2);
         assert_eq!(t.width(), 2);
-        assert_eq!(t.column_paths(0).len(), 1);
-        assert_eq!(t.column_paths(1).len(), 2);
+        assert_eq!(t.row(1), Some(&[node(3), node(4)][..]));
+        assert_eq!(t.row(2), None);
+        // Both `a` cells share one path; `b` and `c` are two.
+        assert_eq!(t.column_paths(&c, 0).len(), 1);
+        assert_eq!(t.column_paths(&c, 1).len(), 2);
         assert_eq!(t.column_nodes(1), vec![node(2), node(4)]);
     }
 
     #[test]
     #[should_panic(expected = "row arity")]
     fn mismatched_row_arity_panics() {
-        let mut t = QueryResultTable::new(vec!["a".into()]);
-        t.push_row(vec![(node(1), PathId(0)), (node(2), PathId(1))]);
+        let mut t = QueryResultTable::new(vec!["a".into(), "b".into()]);
+        t.push_row(&[node(1), node(2), node(3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row arity")]
+    fn a_table_without_columns_takes_no_cells() {
+        QueryResultTable::new(Vec::new()).extend_rows(&[node(1)]);
     }
 
     #[test]

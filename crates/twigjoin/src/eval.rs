@@ -30,26 +30,31 @@
 //!   of the pattern tree — by sort + binary search.
 //! * **The workspace.**  Streams, stacks, chain solutions and merged solutions
 //!   live in flat buffers of one `Workspace` that is allocated once per call
-//!   and reused for every document; nothing is allocated per stream element or
-//!   per solution.  Only the result rows themselves are.
+//!   and reused for every document; nothing is allocated per stream element,
+//!   per solution or per row.
 //! * **Rows sorted by construction.**  Each document's rows are sorted,
-//!   deduplicated and appended in place.  Documents are visited in ascending
-//!   id order and a row never spans documents, so the result is globally
-//!   sorted without a final sort — and an evaluation whose document iterator
-//!   ends early returns a **prefix** of the full answer.
+//!   deduplicated and appended in place to one flat cell buffer.  Documents
+//!   are visited in ascending id order and a row never spans documents, so the
+//!   result is globally sorted without a final sort — and an evaluation that
+//!   stops early, because its document iterator ends or its caller's stop hook
+//!   says so, returns a **prefix** of the full answer.
+
+use std::slice::ChunksExact;
 
 use seda_xmlstore::{Collection, DocId, Document, NodeId, Symbol};
 
 use crate::pattern::{Axis, TwigPattern};
 
-/// Matches of a twig pattern over a collection.
+/// Matches of a twig pattern over a collection: a flat row table, row *i*
+/// being `cells[i·w..(i+1)·w]` for `w` output nodes.  A pattern without
+/// output nodes has no rows.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TwigMatches {
     /// Pattern-node indices the rows are projected onto (the output nodes).
     pub output_nodes: Vec<usize>,
-    /// One row per match: a node per output pattern node, in
+    /// The rows, one after the other: a node per output pattern node, in
     /// `output_nodes` order.  Sorted and free of duplicates.
-    pub rows: Vec<Vec<NodeId>>,
+    cells: Vec<NodeId>,
     /// Nodes of the documents the evaluation visited, each counted once (one
     /// pass per document fills every pattern node's stream) — the dominant
     /// work measure of the evaluation, surfaced so callers can attribute twig
@@ -62,17 +67,28 @@ pub struct TwigMatches {
 impl TwigMatches {
     /// Number of matches.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.cells.len() / self.output_nodes.len().max(1)
     }
 
     /// True when the pattern matched nothing.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.cells.is_empty()
+    }
+
+    /// The rows, in order, each borrowed from the flat buffer.
+    pub fn rows(&self) -> ChunksExact<'_, NodeId> {
+        // Without output nodes there are no cells, so any chunk size is empty.
+        self.cells.chunks_exact(self.output_nodes.len().max(1))
     }
 
     /// Index of a pattern node within the output columns.
     pub fn column_of(&self, pattern_node: usize) -> Option<usize> {
         self.output_nodes.iter().position(|&n| n == pattern_node)
+    }
+
+    /// The flat row buffer, `output_nodes.len()` cells a row.
+    pub fn into_cells(self) -> Vec<NodeId> {
+        self.cells
     }
 }
 
@@ -334,8 +350,8 @@ impl Workspace {
     }
 
     /// Evaluates the pattern over the current streams and appends the
-    /// document's rows — sorted, free of duplicates — to `rows`.
-    fn append_rows(&mut self, plan: &Plan<'_>, doc: DocId, rows: &mut Vec<Vec<NodeId>>) {
+    /// document's rows — sorted, free of duplicates — to `cells`.
+    fn append_rows(&mut self, plan: &Plan<'_>, doc: DocId, cells: &mut Vec<NodeId>) {
         let width = plan.pattern.len();
         // One merged solution that covers no pattern node yet.
         self.merged.clear();
@@ -358,27 +374,30 @@ impl Workspace {
         order.extend(0..projected.len() / k);
         order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
         order.dedup_by(|a, b| row(*a) == row(*b));
-        rows.extend(
-            order.iter().map(|&r| row(r).iter().map(|&node| NodeId::new(doc, node)).collect()),
+        cells.extend(
+            order.iter().flat_map(|&r| row(r).iter().map(move |&node| NodeId::new(doc, node))),
         );
     }
 }
 
 /// Evaluates a twig pattern over an entire collection.
 pub fn evaluate_twig(collection: &Collection, pattern: &TwigPattern) -> TwigMatches {
-    evaluate_twig_in(collection, pattern, collection.documents())
+    evaluate_twig_in(collection, pattern, collection.documents(), |_| false)
 }
 
 /// Evaluates a twig pattern over `documents` of `collection`, which must come
 /// in ascending id order (any subsequence of [`Collection::documents`]).
 ///
-/// The rows are those of [`evaluate_twig`] that lie in the given documents,
-/// in the same order; an iterator that stops early — a caller's deadline, say
-/// — therefore yields a prefix of the rows a longer one would.
+/// `stop` is asked before each document with the number of rows matched so
+/// far; once it answers `true` the evaluation ends there.  The rows are those
+/// of [`evaluate_twig`] that lie in the documents evaluated, in the same
+/// order, so an iterator that ends early or a stop — a caller's deadline or
+/// row ceiling, say — yields a prefix of the rows a longer run would.
 pub fn evaluate_twig_in<'a>(
     collection: &Collection,
     pattern: &TwigPattern,
     documents: impl IntoIterator<Item = &'a Document>,
+    mut stop: impl FnMut(usize) -> bool,
 ) -> TwigMatches {
     let mut matches =
         TwigMatches { output_nodes: pattern.output_nodes(), ..TwigMatches::default() };
@@ -386,7 +405,10 @@ pub fn evaluate_twig_in<'a>(
     let root = plan.symbols[pattern.root()];
     let mut workspace = Workspace::new(&plan);
     for document in documents {
-        debug_assert!(matches.rows.last().is_none_or(|row| row[0].doc < document.id));
+        if stop(matches.len()) {
+            break;
+        }
+        debug_assert!(matches.cells.last().is_none_or(|node| node.doc < document.id));
         // A document whose root element is not the anchored root is not scanned.
         let root_element = document.node(document.root());
         if plan.anchored && root_element.map_or(true, |node| node.name != root) {
@@ -394,7 +416,7 @@ pub fn evaluate_twig_in<'a>(
         }
         matches.nodes_visited += document.len();
         if workspace.fill_streams(&plan, document) {
-            workspace.append_rows(&plan, document.id, &mut matches.rows);
+            workspace.append_rows(&plan, document.id, &mut matches.cells);
         }
     }
     matches
@@ -435,7 +457,7 @@ mod tests {
         let p = TwigPattern::from_path("/country/economy/import_partners/item/percentage").unwrap();
         let m = evaluate_twig(&c, &p);
         assert_eq!(m.len(), 3);
-        for row in &m.rows {
+        for row in m.rows() {
             assert_eq!(c.node_name(row[0]).unwrap(), "percentage");
         }
     }
@@ -452,9 +474,8 @@ mod tests {
         let m = evaluate_twig(&c, &p);
         // US has 2 items, Mexico 1, Canada none (no import_partners) -> 3 rows.
         assert_eq!(m.len(), 3);
-        let name_col = m.column_of(m.output_nodes[0]).unwrap();
-        let _ = name_col;
-        for row in &m.rows {
+        assert_eq!(m.column_of(m.output_nodes[0]), Some(0));
+        for row in m.rows() {
             let contents: Vec<String> = row.iter().map(|&n| c.content(n).unwrap()).collect();
             // trade_country and percentage must come from the same item.
             let valid = matches!(
@@ -478,7 +499,8 @@ mod tests {
         p.set_predicate(tc, FullTextQuery::phrase("United States"));
         let m = evaluate_twig(&c, &p);
         assert_eq!(m.len(), 1);
-        let contents: Vec<String> = m.rows[0].iter().map(|&n| c.content(n).unwrap()).collect();
+        let contents: Vec<String> =
+            m.rows().next().unwrap().iter().map(|&n| c.content(n).unwrap()).collect();
         assert_eq!(contents, vec!["Mexico", "United States"]);
     }
 
@@ -520,7 +542,7 @@ mod tests {
         let m = evaluate_twig(&c, &p);
         assert_eq!(m.output_nodes.len(), 2);
         assert_eq!(m.len(), 3);
-        for row in &m.rows {
+        for row in m.rows() {
             assert_eq!(c.node_name(row[0]).unwrap(), "country");
             assert_eq!(c.node_name(row[1]).unwrap(), "year");
         }
@@ -532,8 +554,55 @@ mod tests {
         let p = TwigPattern::from_paths(&["/country/name", "/country/year"]).unwrap();
         let m = evaluate_twig(&c, &p);
         assert_eq!(m.len(), 3);
-        let mut rows = m.rows.clone();
+        let mut rows: Vec<&[NodeId]> = m.rows().collect();
         rows.dedup();
         assert_eq!(rows.len(), m.len());
+    }
+
+    /// A stop hook that answers once more than `ceiling` rows are in ends the
+    /// evaluation before the next document: a prefix, cut at the first
+    /// document that crossed the ceiling.
+    #[test]
+    fn a_stop_hook_ends_the_evaluation_before_the_next_document() {
+        let c = factbook();
+        let p = TwigPattern::from_path("/country/economy/import_partners/item/percentage").unwrap();
+        let full = evaluate_twig(&c, &p);
+        let mut asked = Vec::new();
+        let cut = evaluate_twig_in(&c, &p, c.documents(), |rows| {
+            asked.push(rows);
+            rows > 1
+        });
+        // US holds two items: asked before it (0 rows) and before Mexico (2).
+        assert_eq!(asked, vec![0, 2]);
+        assert_eq!(cut.len(), 2);
+        assert_eq!(cut.rows().collect::<Vec<_>>(), full.rows().take(2).collect::<Vec<_>>());
+        assert_eq!(cut.nodes_visited, c.documents().next().unwrap().len());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The flat buffer read back as rows is the nested-vector model it
+        /// was flattened from, at every width — none included, which has no
+        /// rows.
+        #[test]
+        fn rows_read_back_the_nested_model(
+            width in 0usize..5,
+            drawn in proptest::collection::vec(proptest::collection::vec(0u32..50, 4..5), 0..12),
+        ) {
+            let nested: Vec<Vec<NodeId>> = match width {
+                0 => Vec::new(),
+                _ => drawn
+                    .iter()
+                    .map(|row| row[..width].iter().map(|&n| NodeId::new(DocId(n / 10), n)).collect())
+                    .collect(),
+            };
+            let matches =
+                TwigMatches { output_nodes: (0..width).collect(), cells: nested.concat(), nodes_visited: 0 };
+            proptest::prop_assert_eq!(matches.len(), nested.len());
+            proptest::prop_assert_eq!(matches.is_empty(), nested.is_empty());
+            proptest::prop_assert_eq!(matches.rows().map(<[_]>::to_vec).collect::<Vec<_>>(), nested.clone());
+            proptest::prop_assert_eq!(matches.into_cells(), nested.concat());
+        }
     }
 }

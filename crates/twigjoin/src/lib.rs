@@ -18,8 +18,8 @@
 //! assert_eq!(matches.len(), 1);
 //! ```
 
-pub mod eval;
-pub mod pattern;
+mod eval;
+mod pattern;
 
 pub use eval::{evaluate_twig, evaluate_twig_in, TwigMatches};
 pub use pattern::{Axis, TwigNode, TwigParseError, TwigPattern};
@@ -65,7 +65,7 @@ mod proptests {
                 TwigPattern::from_paths(&["/list/item/key", "/list/item/value"]).unwrap();
             let m = evaluate_twig(&c, &branching);
             prop_assert_eq!(m.len(), (n as usize) * (items as usize));
-            for row in &m.rows {
+            for row in m.rows() {
                 // key and value must come from the same item (same parent).
                 let key_parent = c.node(row[0]).unwrap().parent;
                 let value_parent = c.node(row[1]).unwrap().parent;
@@ -83,7 +83,7 @@ mod proptests {
             let p = TwigPattern::from_paths(&["/list/item/key", "/list/item/value"]).unwrap();
             let a = evaluate_twig(&c, &p);
             let b = evaluate_twig(&c, &p);
-            prop_assert_eq!(a.rows, b.rows);
+            prop_assert_eq!(a, b);
         }
     }
 }

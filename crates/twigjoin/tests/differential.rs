@@ -7,8 +7,8 @@
 mod reference;
 
 use seda_textindex::FullTextQuery;
-use seda_twigjoin::{evaluate_twig, evaluate_twig_in, Axis, TwigPattern};
-use seda_xmlstore::{parse_collection, Collection, DocumentBuilder};
+use seda_twigjoin::{evaluate_twig, evaluate_twig_in, Axis, TwigMatches, TwigPattern};
+use seda_xmlstore::{parse_collection, Collection, DocumentBuilder, NodeId};
 
 /// Four labels, so labels repeat along a path and across pattern nodes.
 const LABELS: [&str; 4] = ["r", "a", "b", "c"];
@@ -129,14 +129,20 @@ fn random_pattern(rng: &mut Rng) -> TwigPattern {
     pattern
 }
 
+/// The rows of the flat table as nested vectors, the reference's shape.
+fn nested(matches: &TwigMatches) -> Vec<Vec<NodeId>> {
+    matches.rows().map(<[_]>::to_vec).collect()
+}
+
 fn assert_same(collection: &Collection, pattern: &TwigPattern, case: &str) -> usize {
     let new = evaluate_twig(collection, pattern);
     let old = reference::evaluate_twig(collection, pattern);
     assert_eq!(new.output_nodes, old.output_nodes, "{case}: {pattern:?}");
-    assert_eq!(new.rows, old.rows, "{case}: {pattern:?}");
+    assert_eq!(nested(&new), old.rows, "{case}: {pattern:?}");
+    assert_eq!(new.len(), old.rows.len(), "{case}: {pattern:?}");
     let scanned: usize = collection.documents().map(|d| d.len()).sum();
     assert!(new.nodes_visited <= scanned, "{case}: every node is visited at most once");
-    new.rows.len()
+    new.len()
 }
 
 #[test]
@@ -167,7 +173,7 @@ fn an_element_is_closed_by_every_later_node_not_only_by_stream_elements() {
         parse_collection(vec![("d.xml", "<r><a><b/></a><c><b/></c></r>")]).expect("parses");
     let pattern = TwigPattern::parse("//a//b").expect("parses");
     let matches = evaluate_twig(&collection, &pattern);
-    let nodes: Vec<u32> = matches.rows.iter().map(|row| row[0].node).collect();
+    let nodes: Vec<u32> = matches.rows().map(|row| row[0].node).collect();
     assert_eq!(nodes, vec![2], "only the first b lies under a");
     assert_same(&collection, &pattern, "lazy close");
 }
@@ -179,7 +185,7 @@ fn a_node_matching_two_chain_positions_never_matches_itself() {
     let mut pattern = TwigPattern::parse("//a//a").expect("parses");
     pattern.set_output(0, true);
     let matches = evaluate_twig(&collection, &pattern);
-    let pairs: Vec<(u32, u32)> = matches.rows.iter().map(|r| (r[0].node, r[1].node)).collect();
+    let pairs: Vec<(u32, u32)> = matches.rows().map(|r| (r[0].node, r[1].node)).collect();
     assert_eq!(pairs, vec![(0, 1), (0, 2), (0, 4), (1, 2)]);
     assert_same(&collection, &pattern, "//a//a");
     for text in ["//a/a", "/a//a", "/a/a/a", "//a//a//a", "/a//a//b"] {
@@ -199,7 +205,8 @@ fn an_anchored_root_is_the_root_element_and_a_descendant_root_is_any_element() {
     .expect("parses");
     let anchored = evaluate_twig(&collection, &TwigPattern::parse("/city/name").expect("parses"));
     assert_eq!(anchored.len(), 1);
-    assert_eq!(collection.content(anchored.rows[0][0]).expect("node exists"), "Paris");
+    let paris = anchored.rows().next().expect("one row")[0];
+    assert_eq!(collection.content(paris).expect("node exists"), "Paris");
     // Only the document whose root element is `city` was scanned.
     assert_eq!(anchored.nodes_visited, 2);
     assert_eq!(evaluate_twig(&collection, &TwigPattern::from_path("/city/name").unwrap()).len(), 1);
@@ -217,34 +224,59 @@ fn an_unknown_label_touches_no_document() {
     assert_eq!(matches.output_nodes, vec![1]);
 }
 
-/// What makes the evaluator usable behind a document pre-filter and a
-/// deadline: over a subsequence of the documents it returns exactly the full
-/// answer's rows in those documents, so over a prefix it returns a prefix.
+/// What makes the evaluator usable behind a document pre-filter, a deadline
+/// and a row ceiling: over a subsequence of the documents it returns exactly
+/// the full answer's rows in those documents, so over a prefix it returns a
+/// prefix — whether the iterator ends early or the stop hook ends it.
 #[test]
 fn a_subsequence_of_the_documents_yields_that_subsequence_of_the_rows() {
     let mut rng = Rng(0xC1D2_2009);
-    let mut cut_short = 0;
+    let (mut cut_short, mut stopped) = (0, 0);
     for case in 0..1_500 {
         let collection = random_collection(&mut rng);
         let pattern = random_pattern(&mut rng);
-        let full = evaluate_twig(&collection, &pattern);
+        let full = nested(&evaluate_twig(&collection, &pattern));
 
         let keep = rng.below(collection.len() + 1);
-        let prefix = evaluate_twig_in(&collection, &pattern, collection.documents().take(keep));
-        assert_eq!(prefix.output_nodes, full.output_nodes);
-        assert_eq!(prefix.rows[..], full.rows[..prefix.rows.len()], "case {case}: not a prefix");
-        assert!(full.rows[prefix.rows.len()..].iter().all(|row| row[0].doc.index() >= keep));
-        cut_short += usize::from(prefix.rows.len() < full.rows.len());
+        let prefix =
+            evaluate_twig_in(&collection, &pattern, collection.documents().take(keep), |_| false);
+        assert_eq!(prefix.output_nodes, pattern.output_nodes());
+        let prefix = nested(&prefix);
+        assert_eq!(prefix[..], full[..prefix.len()], "case {case}: not a prefix");
+        assert!(full[prefix.len()..].iter().all(|row| row[0].doc.index() >= keep));
+        cut_short += usize::from(prefix.len() < full.len());
+
+        // A hook asked before each document with the rows so far, stopping
+        // once they pass a ceiling: the rows of the documents up to the one
+        // that crossed it.
+        let ceiling = rng.below(full.len() + 2);
+        let mut asked = 0;
+        let bounded = evaluate_twig_in(&collection, &pattern, collection.documents(), |rows| {
+            asked += 1;
+            rows > ceiling
+        });
+        let bounded = nested(&bounded);
+        // Row `ceiling` is the first past the ceiling; its document crossed.
+        let crossed = full.get(ceiling).map(|row| row[0].doc.index());
+        let expected: Vec<_> = match crossed {
+            Some(last) => full.iter().filter(|row| row[0].doc.index() <= last).cloned().collect(),
+            None => full.clone(),
+        };
+        assert_eq!(bounded, expected, "case {case}: not the rows up to the ceiling");
+        stopped += usize::from(bounded.len() < full.len());
+        assert!(asked <= collection.len());
 
         let chosen: Vec<bool> = collection.documents().map(|_| rng.chance(50)).collect();
         let some = evaluate_twig_in(
             &collection,
             &pattern,
             collection.documents().filter(|d| chosen[d.id.index()]),
+            |_| false,
         );
         let expected: Vec<_> =
-            full.rows.iter().filter(|row| chosen[row[0].doc.index()]).cloned().collect();
-        assert_eq!(some.rows, expected, "case {case}: not the chosen documents' rows");
+            full.iter().filter(|row| chosen[row[0].doc.index()]).cloned().collect();
+        assert_eq!(nested(&some), expected, "case {case}: not the chosen documents' rows");
     }
     assert!(cut_short > 100, "only {cut_short} proper prefixes");
+    assert!(stopped > 100, "only {stopped} evaluations stopped by the hook");
 }

@@ -1,18 +1,32 @@
 //! The twig evaluator as it shipped before the region-encoded rewrite of
-//! `seda_twigjoin::eval`, kept verbatim as the differential reference: one
+//! `seda_twigjoin::evaluate_twig`, kept verbatim as the differential reference: one
 //! pass per pattern node resolving names to strings, streams of cloned Dewey
 //! ids in a `HashMap`, chain solutions as `BTreeMap`s hash-joined on their
 //! shared pattern nodes, one global sort.  It shares no code with the new
 //! evaluator.  The one addition is the anchoring rule both now follow: a root
 //! with `Axis::Child` only matches the document's root element.
 //!
+//! It keeps its own nested result type, so it shares no representation with
+//! the evaluator's flat row table either.
+//!
 //! Included by path from `crates/twigjoin/tests/` and from the root suite
 //! (`#[path]`), until ROADMAP item 3's test-support crate absorbs it.
 
 use std::collections::{BTreeMap, HashMap};
 
-use seda_twigjoin::{Axis, TwigMatches, TwigPattern};
+use seda_twigjoin::{Axis, TwigPattern};
 use seda_xmlstore::{Collection, DeweyId, Document, NodeId};
+
+/// Matches as the old evaluator returned them: one `Vec` a row.
+#[derive(Debug)]
+pub struct TwigMatches {
+    /// Pattern-node indices the rows are projected onto.
+    pub output_nodes: Vec<usize>,
+    /// One row per match, a node per output node; sorted, no duplicates.
+    pub rows: Vec<Vec<NodeId>>,
+    /// One count per node per pattern node it was tested against.
+    pub nodes_visited: usize,
+}
 
 /// One element of a pattern node's input stream.
 #[derive(Debug, Clone)]

@@ -65,9 +65,9 @@ fn stages_progress_through_the_feedback_loop() {
     assert_eq!(session.stage(), SessionStage::Materialized);
     // Every complete-result row satisfies the connection constraint: the
     // trade_country and percentage nodes share the same item parent.
-    for row in &complete.rows {
-        let tc_parent = c.node(row[1].0).unwrap().parent;
-        let pct_parent = c.node(row[2].0).unwrap().parent;
+    for row in complete.rows() {
+        let tc_parent = c.node(row[1]).unwrap().parent;
+        let pct_parent = c.node(row[2]).unwrap().parent;
         assert_eq!(tc_parent, pct_parent);
     }
 
@@ -86,10 +86,7 @@ fn complete_results_are_a_superset_of_topk_tuples() {
     let complete = session.complete_results().unwrap();
     assert!(complete.len() >= topk_nodes.len());
     for tuple in &topk_nodes {
-        let found = complete
-            .rows
-            .iter()
-            .any(|row| row.iter().map(|(n, _)| *n).collect::<Vec<_>>() == *tuple);
+        let found = complete.rows().any(|row| row == tuple.as_slice());
         assert!(found, "top-k tuple missing from the complete result");
     }
 }

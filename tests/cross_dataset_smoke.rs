@@ -19,8 +19,8 @@ fn mondial_queries_cross_documents_via_idref_edges() {
     let query = SedaQuery::parse(r#"(/sea/name, *) AND (/country/name, *)"#).unwrap();
     let result = engine.reader().complete_results(&query, &ContextSelections::none(), &[]).unwrap();
     assert!(!result.is_empty(), "seas and their bordering countries are connected");
-    for row in &result.rows {
-        assert_ne!(row[0].0.doc, row[1].0.doc, "sea and country live in different documents");
+    for row in result.rows() {
+        assert_ne!(row[0].doc, row[1].doc, "sea and country live in different documents");
     }
 }
 
@@ -61,14 +61,14 @@ fn recipeml_sessions_explore_contexts() {
     assert!(!complete.is_empty());
     // Ingredients pair with the quantity of the same `ing` element.
     let c = engine.collection();
-    for row in complete.rows.iter().take(50) {
-        let item_parent = c.node(row[0].0).unwrap().parent.unwrap();
+    for row in complete.rows().take(50) {
+        let item_parent = c.node(row[0]).unwrap().parent.unwrap();
         let qty_grandparent = c
             .node(
-                c.node(row[1].0)
+                c.node(row[1])
                     .unwrap()
                     .parent
-                    .map(|p| seda_xmlstore::NodeId::new(row[1].0.doc, p))
+                    .map(|p| seda_xmlstore::NodeId::new(row[1].doc, p))
                     .unwrap(),
             )
             .unwrap()

@@ -79,7 +79,7 @@ fn parallel_query_answers_match_sequential_byte_for_byte() {
         sequential.reader().complete_results(&query, &ContextSelections::none(), &[]).unwrap();
     let par_complete =
         parallel.reader().complete_results(&query, &ContextSelections::none(), &[]).unwrap();
-    assert_eq!(seq_complete.rows, par_complete.rows);
+    assert_eq!(seq_complete, par_complete);
 }
 
 #[test]

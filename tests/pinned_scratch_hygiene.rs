@@ -23,8 +23,7 @@ use seda_core::seda_topk::{
 };
 use seda_core::{EngineConfig, SedaEngine, SedaError, SedaQuery, SedaReader, SedaRequest};
 use seda_datagen::Dataset;
-use seda_olap::Registry;
-use seda_xmlstore::{NodeId, PathId};
+use seda_olap::{QueryResultTable, Registry};
 
 /// Small enough for `/country/name × /city/name` (1,374 connected pairs over
 /// 20 countries) to overrun the frontier in the join's second stage, while a
@@ -61,7 +60,7 @@ struct Expected {
     terms: Vec<TermInput>,
     top_k: TopKResult,
     results: SedaRequest,
-    rows: Vec<Vec<(NodeId, PathId)>>,
+    table: QueryResultTable,
     results_probes: u64,
 }
 
@@ -79,9 +78,9 @@ impl Expected {
         assert!(top_k.stats.label_probes > 0 && top_k.stats.tuples_disconnected > 0);
         let results = cross_root("/sea/name", "/country/name");
         let response = engine.reader().execute(&results).expect("cross-root RESULTS");
-        let rows = response.table().expect("table payload").rows.clone();
-        assert!(!rows.is_empty());
-        Expected { terms, top_k, results, rows, results_probes: response.profile.label_probes }
+        let table = response.table().expect("table payload").clone();
+        assert!(!table.is_empty());
+        Expected { terms, top_k, results, table, results_probes: response.profile.label_probes }
     }
 
     /// The reader's scratch verifies clean and answers like a fresh one.
@@ -101,7 +100,7 @@ impl Expected {
         assert!(breach.is_none(), "after {after}");
         assert_eq!(top_k, self.top_k, "unlimited search after {after}");
         let response = reader.execute(&self.results).expect("cross-root RESULTS");
-        assert_eq!(response.table().expect("table payload").rows, self.rows, "rows after {after}");
+        assert_eq!(response.table(), Some(&self.table), "rows after {after}");
         assert_eq!(response.profile.label_probes, self.results_probes, "probes after {after}");
         reader.scratch_mut().verify().expect("the checks themselves leave the scratch clean");
     }

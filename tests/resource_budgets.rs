@@ -16,6 +16,7 @@ use seda_datagraph::{DataGraph, GraphConfig};
 use seda_olap::Registry;
 use seda_textindex::{FullTextQuery, NodeIndex};
 use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
+use seda_xmlstore::NodeId;
 
 fn engine() -> SedaEngine {
     let collection =
@@ -108,7 +109,7 @@ fn a_label_probe_budget_stops_complete_results() {
     {
         let mut reader = engine.reader();
         let full = reader.execute(request).expect("ungoverned run");
-        let full_rows = &full.table().expect("table payload").rows;
+        let full_rows: Vec<&[NodeId]> = full.table().expect("table payload").rows().collect();
         assert!(!full_rows.is_empty() && full.profile.label_probes > 1, "{:?}", full.profile);
 
         let budget = || Budget::unlimited().with_max_label_probes(1);
@@ -123,7 +124,7 @@ fn a_label_probe_budget_stops_complete_results() {
         let ctx = RequestContext::new(budget()).allow_degraded();
         let degraded = reader.execute_governed(request, &ctx).expect("degraded run");
         assert!(degraded.profile.degraded);
-        let rows = &degraded.table().expect("table payload").rows;
+        let rows: Vec<&[NodeId]> = degraded.table().expect("table payload").rows().collect();
         assert!(rows.iter().all(|row| full_rows.contains(row)), "not a subset");
         assert!(degraded.profile.label_probes <= full.profile.label_probes);
         if joins_across_roots {
@@ -194,11 +195,14 @@ fn twig_and_cube_budgets_cap_their_shapes() {
     let full_rows = full.table().expect("table payload").len();
     assert!(full_rows > 1, "workload must produce enough twig matches to cap");
 
+    // The evaluation stops after the first document that crosses the ceiling,
+    // so what it spent is that document's rows, not the whole answer's.
     let ctx = RequestContext::new(Budget::unlimited().with_max_twig_matches(1));
     let err = reader.execute_governed(&twig, &ctx).expect_err("twig ceiling must breach");
     assert!(
-        matches!(err, SedaError::Limit { resource: "twig matches", spent, budget: 1 } if spent == full_rows),
-        "{err:?}"
+        matches!(err, SedaError::Limit { resource: "twig matches", spent, budget: 1 }
+            if 1 < spent && spent < full_rows),
+        "{err:?} of {full_rows}"
     );
 
     // Degraded opt-in keeps the prefix instead.
@@ -206,7 +210,7 @@ fn twig_and_cube_budgets_cap_their_shapes() {
     let degraded = reader.execute_governed(&twig, &ctx).expect("degraded twig");
     assert!(degraded.profile.degraded);
     assert_eq!(degraded.table().expect("table payload").len(), 1);
-    assert_eq!(degraded.table().unwrap().rows[0], full.table().unwrap().rows[0]);
+    assert_eq!(degraded.table().unwrap().row(0), full.table().unwrap().row(0));
 
     let cube = SedaRequest::parse(
         r#"CUBE import-trade-percentage BY import-country AGG sum
@@ -225,6 +229,56 @@ fn twig_and_cube_budgets_cap_their_shapes() {
     let degraded = reader.execute_governed(&cube, &ctx).expect("degraded cube");
     assert!(degraded.profile.degraded);
     assert_eq!(degraded.cube().expect("cube payload").len(), 1);
+}
+
+/// `max_twig_matches` bounds the evaluation, not only the answer: a `TWIG`
+/// stops after the document whose rows cross the ceiling instead of
+/// evaluating (and materialising) the whole collection first, and answers
+/// with the first rows of the full answer — degraded, or a typed breach.
+#[test]
+fn a_twig_ceiling_bounds_the_evaluation_not_only_the_answer() {
+    let collection = Dataset::RecipeMl.generate_scaled(0.1).expect("generate recipeml");
+    let engine =
+        SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
+            .expect("engine build");
+    let collection = engine.collection();
+    let mut reader = engine.reader();
+    reader.set_tracing(true);
+    let twig = SedaRequest::parse("TWIG /recipeml/recipe//item").expect("twig request parses");
+    let visited = |response: &seda_core::SedaResponse| {
+        let span = response.profile.spans.iter().find(|span| span.name == "twig-evaluate");
+        span.expect("a traced TWIG records its span").counters.nodes_visited
+    };
+    let full = reader.execute(&twig).expect("ungoverned twig");
+    assert_eq!(visited(&full), collection.total_nodes());
+    let full_rows: Vec<&[NodeId]> = full.table().expect("table payload").rows().collect();
+
+    let ceiling = 10;
+    // The document holding row `ceiling` is the one that crosses it: the
+    // evaluation visits it and the ones before, and nothing after.
+    let crossing = full_rows[ceiling][0].doc;
+    let expected: usize =
+        collection.documents().take_while(|d| d.id <= crossing).map(|d| d.len()).sum();
+    assert!(expected < collection.total_nodes() / 100, "{expected}");
+    let matched = full_rows.iter().take_while(|row| row[0].doc <= crossing).count();
+
+    let budget = || Budget::unlimited().with_max_twig_matches(ceiling);
+    let degraded = reader
+        .execute_governed(&twig, &RequestContext::new(budget()).allow_degraded())
+        .expect("degraded twig");
+    assert!(degraded.profile.degraded);
+    assert_eq!(visited(&degraded), expected);
+    let rows: Vec<&[NodeId]> = degraded.table().expect("table payload").rows().collect();
+    assert_eq!(rows[..], full_rows[..ceiling]);
+
+    let err = reader
+        .execute_governed(&twig, &RequestContext::new(budget()))
+        .expect_err("the twig ceiling must breach");
+    assert!(
+        matches!(err, SedaError::Limit { resource: "twig matches", spent, budget }
+            if budget == ceiling && spent == matched),
+        "{err:?}: {matched} rows up to the crossing document"
+    );
 }
 
 #[test]
@@ -347,7 +401,7 @@ fn a_deadline_stops_a_twig_evaluation_between_documents() {
             (start.elapsed(), response)
         };
         let (whole, full) = (0..3).map(|_| timed()).min_by_key(|(time, _)| *time).expect("3 runs");
-        let full_rows = &full.table().expect("table payload").rows;
+        let full_rows: Vec<&[NodeId]> = full.table().expect("table payload").rows().collect();
         assert!(full_rows.len() > 1_000, "{text}: {} rows", full_rows.len());
 
         // An unlimited context changes nothing.
@@ -364,7 +418,7 @@ fn a_deadline_stops_a_twig_evaluation_between_documents() {
         for _ in 0..20 {
             let ctx = RequestContext::new(half()).allow_degraded();
             let degraded = reader.execute_governed(&request, &ctx).expect("degraded run");
-            let rows = &degraded.table().expect("table payload").rows;
+            let rows: Vec<&[NodeId]> = degraded.table().expect("table payload").rows().collect();
             assert_eq!(rows[..], full_rows[..rows.len()], "{text}: not a prefix");
             // (A complete answer may be flagged too: it arrived late.)
             assert!(degraded.profile.degraded || rows.len() == full_rows.len(), "{text}");

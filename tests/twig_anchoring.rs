@@ -39,10 +39,9 @@ fn a_nested_element_with_the_roots_name_is_not_the_root() {
         reader.execute_text("RESULTS FOR (name, *) WITH 0 IN /city/name").expect("results");
     let table = results.table().expect("table payload");
     assert_eq!(table.len(), 1, "{table:?}");
-    let (node, path) = table.rows[0][0];
+    let node = table.row(0).expect("one row")[0];
     assert_eq!(collection.content(node).expect("node exists"), "Paris");
-    assert_eq!(collection.context(node).expect("node exists"), path);
-    assert_eq!(collection.path_string(path), "/city/name");
+    assert_eq!(collection.context_string(node).expect("node exists"), "/city/name");
 
     let twig = reader.execute_text("TWIG /city/name").expect("twig");
     assert_eq!(twig.table().expect("table payload").len(), 1);
@@ -50,7 +49,7 @@ fn a_nested_element_with_the_roots_name_is_not_the_root() {
     let anywhere = anywhere.table().expect("table payload");
     assert_eq!(anywhere.len(), 2, "`//city` is the spelling of a city at any depth");
     let contexts: Vec<String> =
-        anywhere.rows.iter().map(|row| collection.path_string(row[0].1)).collect();
+        anywhere.rows().map(|row| collection.context_string(row[0]).expect("node")).collect();
     assert_eq!(contexts, ["/city/name", "/country/province/city/name"]);
 
     // What the search side always answered.
@@ -86,8 +85,8 @@ fn same_root_results() -> [(Dataset, String); 4] {
     ]
 }
 
-/// Each cell `(node, path)` of the `RESULTS` request `text` is a node whose
-/// context *is* `path`, on a path the request selected, and whose text
+/// Each cell of the `RESULTS` request `text` is a node whose context — the
+/// cell's path column — is a path the request selected, and whose text
 /// satisfies its term.
 fn assert_cells_lie_on_their_paths(engine: &SedaEngine, text: &str) {
     let collection = engine.collection();
@@ -95,13 +94,13 @@ fn assert_cells_lie_on_their_paths(engine: &SedaEngine, text: &str) {
     let query = request.query.clone().expect("a RESULTS request has a query");
     let response = engine.reader().execute(&request).expect("results");
     let table = response.table().expect("table payload");
-    assert!(!table.rows.is_empty(), "{text} matched nothing");
-    for row in &table.rows {
-        for (column, &(node, path)) in row.iter().enumerate() {
-            assert_eq!(collection.context(node).expect("node exists"), path, "{text}");
+    assert!(!table.is_empty(), "{text} matched nothing");
+    for row in table.rows() {
+        for (column, &node) in row.iter().enumerate() {
+            let path = collection.context_string(node).expect("node exists");
             let selected = request.path_selections.iter().find(|(term, _)| *term == column);
             if let Some((_, paths)) = selected {
-                assert!(paths.contains(&collection.path_string(path)), "{text}");
+                assert!(paths.contains(&path), "{text}");
             }
             let content = collection.node(node).expect("node exists").text.clone();
             assert!(

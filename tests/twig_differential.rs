@@ -79,7 +79,7 @@ fn reference_results(engine: &SedaEngine, request: &SedaRequest) -> QueryResultT
     let collection = engine.collection();
     let query = request.query.as_ref().expect("the statement has a query");
     let term_paths = term_paths(collection, request);
-    let mut table = QueryResultTable::new(query.terms.iter().map(|t| t.label()).collect());
+    let mut rows: Vec<Vec<NodeId>> = Vec::new();
     let combinations: usize = term_paths.iter().map(Vec::len).product();
     for combination in 0..combinations {
         let mut rest = combination;
@@ -103,20 +103,26 @@ fn reference_results(engine: &SedaEngine, request: &SedaRequest) -> QueryResultT
             }
         }
         let matches = reference::evaluate_twig(collection, &pattern);
+        let column_of = |node| matches.output_nodes.iter().position(|&n| n == node);
         for row in &matches.rows {
             let cells = term_nodes.iter().zip(&chosen).map(|(&node, &path)| {
-                (row[matches.column_of(node).expect("term nodes are outputs")], path)
+                let cell = row[column_of(node).expect("term nodes are outputs")];
+                // R(q)'s path column, derived from the node, is the chosen path.
+                assert_eq!(collection.context(cell).expect("node exists"), path);
+                cell
             });
-            table.rows.push(cells.collect());
+            rows.push(cells.collect());
         }
     }
-    table.rows.sort();
-    table.rows.dedup();
+    rows.sort();
+    rows.dedup();
+    let mut table = QueryResultTable::new(query.terms.iter().map(|t| t.label()).collect());
+    rows.iter().for_each(|row| table.push_row(row));
     table
 }
 
 /// The `TWIG` payload around the reference evaluator: one column per output
-/// node named by its label chain, every cell with its node's own context.
+/// node named by its label chain, one cell a column.
 fn reference_twig(engine: &SedaEngine, path: &str) -> QueryResultTable {
     let collection = engine.collection();
     let pattern = TwigPattern::parse(path).expect("twig path parses");
@@ -132,8 +138,7 @@ fn reference_twig(engine: &SedaEngine, path: &str) -> QueryResultTable {
     });
     let mut table = QueryResultTable::new(names.collect());
     for row in reference::evaluate_twig(collection, &pattern).rows {
-        let cell = |node: NodeId| (node, collection.context(node).expect("node exists"));
-        table.rows.push(row.into_iter().map(cell).collect());
+        table.push_row(&row);
     }
     table
 }
