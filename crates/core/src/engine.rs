@@ -252,7 +252,8 @@ impl SedaEngine {
     ///
     /// Fails with [`SedaError::Limit`] (resource `"connection depth"`) when
     /// `config.topk.max_depth` or `config.connection_max_depth` exceeds
-    /// [`MAX_DEPTH`], the deepest bound the distance labels answer exactly.
+    /// [`MAX_DEPTH`], the deepest bound the connectivity oracle answers
+    /// exactly.
     pub fn build(
         collection: Collection,
         registry: Registry,
@@ -1262,7 +1263,7 @@ mod tests {
             .unwrap()
     }
 
-    /// The labels answer every bound up to `MAX_DEPTH` exactly, so a
+    /// The oracle answers every bound up to `MAX_DEPTH` exactly, so a
     /// configuration may ask for that much and no more.
     #[test]
     fn build_refuses_depth_bounds_past_the_labels() {

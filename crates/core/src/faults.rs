@@ -16,7 +16,8 @@
 //! * `"shard-merge"` — in every engine build, before the node index's
 //!   per-document shards are merged;
 //! * `"oracle-build"` — in every engine build, before the data graph's
-//!   shards are merged (and its connectivity oracle built);
+//!   shards are merged (and its connectivity oracle — the per-document
+//!   cross-edge bit and the hub labels — built);
 //! * `"mid-search"` — inside the engine's one search function, before the
 //!   Threshold-Algorithm loop runs.
 //!

@@ -32,8 +32,8 @@ pub struct ExecProfile {
     /// Candidate combinations clipped by the candidate limit (non-zero means
     /// a best-effort top-k).
     pub candidates_truncated: usize,
-    /// Label entries scanned by connectivity-oracle intersections during
-    /// connectivity/compactness checks.
+    /// Connectivity-oracle probes during connectivity/compactness checks:
+    /// hub-label entries scanned and tree parent steps walked.
     pub label_probes: u64,
     /// True when the Threshold Algorithm stopped early.
     pub early_terminated: bool,

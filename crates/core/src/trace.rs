@@ -85,7 +85,8 @@ pub struct SpanCounters {
     pub random_accesses: usize,
     /// Candidate tuples scored within the span.
     pub tuples_scored: usize,
-    /// Connectivity-label entries scanned within the span.
+    /// Connectivity-oracle probes (label entries, parent steps) within the
+    /// span.
     pub label_probes: u64,
     /// Nodes of the documents twig evaluation visited within the span, each
     /// counted once: the whole collection for a `TWIG` statement (less the

@@ -5,12 +5,13 @@
 //!
 //! | class | invariant |
 //! |---|---|
-//! | `csr-offsets` | every CSR offset array is monotone, starts at 0, ends at its arena length, targets in-bounds |
+//! | `csr-offsets` | every CSR offset array is monotone, starts at 0, ends at its arena length, targets in-bounds; the label offsets span exactly the hub documents |
 //! | `cross-symmetry` | every cross edge is stored under both endpoints with the same kind |
 //! | `component-partition` | `doc_component` equals the dense union-find closure of the cross edges |
-//! | `labels-sorted` | per-node label keys strictly ascending (sorted and deduped), schemes cover every document |
-//! | `labels-bounded` | hub-scheme label distances never exceed [`crate::MAX_DEPTH`] |
-//! | `labels-sound` | hub pruning kept the 2-hop cover sound: every adjacency edge answers distance 1 |
+//! | `tree-parent` | every non-root node of a document no cross edge touches lists first in its adjacency a parent-child neighbour at a smaller dense index of the same document — the parent a distance walk steps to |
+//! | `labels-sorted` | per-node label keys strictly ascending (sorted and deduped); the hub-document bit covers every document |
+//! | `labels-bounded` | label distances never exceed [`crate::MAX_DEPTH`] |
+//! | `labels-sound` | hub pruning kept the 2-hop cover sound: every adjacency edge of a hub document answers distance 1 |
 //! | `scratch-pinned` | no scattered label entry outlives its `PinnedSource`: between queries the pinned array holds "no entry" under every key |
 //!
 //! The violation type lives in [`seda_xmlstore::audit`]; see there for the
@@ -19,9 +20,9 @@
 use std::collections::HashMap;
 
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
-use seda_xmlstore::NodeId;
+use seda_xmlstore::{DocId, NodeId};
 
-use crate::connectivity::{LabelScheme, MAX_DEPTH, NO_ENTRY};
+use crate::connectivity::{MAX_DEPTH, NO_ENTRY};
 use crate::graph::{DataGraph, EdgeKind};
 use crate::traversal::TraversalScratch;
 
@@ -42,7 +43,9 @@ fn check_offsets(
         ));
         return false;
     }
-    if offsets.first() != Some(&0) || offsets.last().map(|&o| o as usize) != Some(arena_len) {
+    if offsets.first().is_some_and(|&o| o != 0)
+        || offsets.last().map_or(0, |&o| o as usize) != arena_len
+    {
         violations.push(InvariantViolation::new(
             SUBSTRATE,
             "csr-offsets",
@@ -69,8 +72,9 @@ fn check_offsets(
 
 impl DataGraph {
     /// Verifies the frozen graph: CSR well-formedness of both adjacency
-    /// arenas, cross-edge symmetry, the document component partition, and
-    /// the connectivity oracle's label invariants.
+    /// arenas, cross-edge symmetry, the document component partition, the
+    /// parent links the tree documents' distance walk reads, and the hub
+    /// labels' invariants.
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
         if self.doc_offsets.is_empty() {
@@ -123,7 +127,12 @@ impl DataGraph {
             self.verify_cross_symmetry(&mut violations);
             self.verify_components(&mut violations, docs);
         }
-        self.verify_labels(&mut violations, node_count, docs, cross_ok && doc_ok && adj_ok);
+        if doc_ok && adj_ok {
+            self.verify_tree_parents(&mut violations, docs);
+        }
+        if doc_ok {
+            self.verify_labels(&mut violations, docs, cross_ok && adj_ok);
+        }
         finish(violations)
     }
 
@@ -214,29 +223,66 @@ impl DataGraph {
         }
     }
 
+    /// Every non-root node of a tree document lists first the parent the
+    /// distance walk steps to.
+    fn verify_tree_parents(&self, violations: &mut Vec<InvariantViolation>, docs: usize) {
+        for doc in 0..docs {
+            if self.connectivity.is_hub(DocId(doc as u32)) {
+                continue;
+            }
+            let (root, end) = (self.doc_offsets[doc], self.doc_offsets[doc + 1]);
+            for dense in root + 1..end {
+                let first = self.neighbors_dense(dense).first().copied();
+                let parent_first = matches!(first,
+                    Some((parent, EdgeKind::ParentChild)) if (root..dense).contains(&parent));
+                if !parent_first {
+                    violations.push(InvariantViolation::new(
+                        SUBSTRATE,
+                        "tree-parent",
+                        format!(
+                            "node {dense} of tree document {doc} lists {first:?} first, \
+                             not a parent in its document before it"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+
     fn verify_labels(
         &self,
         violations: &mut Vec<InvariantViolation>,
-        node_count: usize,
         docs: usize,
         adjacency_trusted: bool,
     ) {
         let conn = &self.connectivity;
-        if conn.schemes.len() != docs {
+        if conn.hub_docs.len() != docs {
             violations.push(InvariantViolation::new(
                 SUBSTRATE,
                 "labels-sorted",
-                format!("{} label schemes for {docs} documents", conn.schemes.len()),
+                format!("{} hub-document bits for {docs} documents", conn.hub_docs.len()),
             ));
             return;
         }
-        if !check_offsets(
-            violations,
-            "label offsets",
-            &conn.offsets,
-            node_count + 1,
-            conn.hubs.len(),
-        ) || conn.dists.len() != conn.hubs.len()
+        // The labelled span: from the first hub document to the last.
+        let hub_docs: Vec<usize> = (0..docs).filter(|&doc| conn.hub_docs[doc]).collect();
+        let (first, end) = match (hub_docs.first(), hub_docs.last()) {
+            (Some(&f), Some(&l)) => (self.doc_offsets[f], self.doc_offsets[l + 1]),
+            _ => (0, 0),
+        };
+        let slots = (end - first) as usize;
+        if conn.first != first {
+            violations.push(InvariantViolation::new(
+                SUBSTRATE,
+                "csr-offsets",
+                format!("labels start at node {}, the first hub document at {first}", conn.first),
+            ));
+            return;
+        }
+        // No label at all without a hub document.
+        let expected = if slots == 0 { 0 } else { slots + 1 };
+        if !check_offsets(violations, "label offsets", &conn.offsets, expected, conn.hubs.len())
+            || conn.dists.len() != conn.hubs.len()
         {
             if conn.dists.len() != conn.hubs.len() {
                 violations.push(InvariantViolation::new(
@@ -247,11 +293,11 @@ impl DataGraph {
             }
             return;
         }
-        for dense in 0..node_count {
-            let lo = conn.offsets[dense] as usize;
-            let hi = conn.offsets[dense + 1] as usize;
-            let hubs = &conn.hubs[lo..hi];
-            for (i, pair) in hubs.windows(2).enumerate() {
+        for slot in 0..slots {
+            let dense = first as usize + slot;
+            let lo = conn.offsets[slot] as usize;
+            let hi = conn.offsets[slot + 1] as usize;
+            for (i, pair) in conn.hubs[lo..hi].windows(2).enumerate() {
                 if pair[0] >= pair[1] {
                     violations.push(InvariantViolation::new(
                         SUBSTRATE,
@@ -263,16 +309,13 @@ impl DataGraph {
                     ));
                 }
             }
-            let scheme = conn.scheme(self.node_id(dense as u32).doc);
-            if scheme == LabelScheme::Hub {
-                for &d in &conn.dists[lo..hi] {
-                    if d as usize > MAX_DEPTH {
-                        violations.push(InvariantViolation::new(
-                            SUBSTRATE,
-                            "labels-bounded",
-                            format!("node {dense} carries distance {d} beyond {MAX_DEPTH}"),
-                        ));
-                    }
+            for &d in &conn.dists[lo..hi] {
+                if d as usize > MAX_DEPTH {
+                    violations.push(InvariantViolation::new(
+                        SUBSTRATE,
+                        "labels-bounded",
+                        format!("node {dense} carries distance {d} beyond {MAX_DEPTH}"),
+                    ));
                 }
             }
         }
@@ -280,20 +323,29 @@ impl DataGraph {
             return; // soundness needs a well-formed adjacency to walk
         }
         // Hub-pruning soundness, checked empirically: for every adjacency
-        // edge between distinct nodes the 2-hop cover must answer exactly 1.
+        // edge of a hub document between distinct nodes the 2-hop cover must
+        // answer exactly 1.
         let mut probes = 0u64;
-        for dense in 0..node_count as u32 {
-            for &(target, _) in self.neighbors_dense(dense) {
-                if target == dense {
-                    continue;
-                }
-                let d = conn.label_distance(dense, target, &mut probes);
-                if d != 1 {
-                    violations.push(InvariantViolation::new(
-                        SUBSTRATE,
-                        "labels-sound",
-                        format!("adjacent nodes {dense} and {target} answer distance {d}, not 1"),
-                    ));
+        for &doc in &hub_docs {
+            for dense in self.doc_offsets[doc]..self.doc_offsets[doc + 1] {
+                for &(target, _) in self.neighbors_dense(dense) {
+                    if target == dense {
+                        continue;
+                    }
+                    let d = if (first..end).contains(&target) {
+                        conn.label_distance(dense, target, &mut probes)
+                    } else {
+                        u32::MAX
+                    };
+                    if d != 1 {
+                        violations.push(InvariantViolation::new(
+                            SUBSTRATE,
+                            "labels-sound",
+                            format!(
+                                "adjacent nodes {dense} and {target} answer distance {d}, not 1"
+                            ),
+                        ));
+                    }
                 }
             }
         }
@@ -304,6 +356,15 @@ impl DataGraph {
     #[doc(hidden)]
     pub fn corrupt_adj_offset(&mut self, index: usize, value: u32) {
         self.adj_offsets[index] = value;
+    }
+
+    /// Test-only corruption hook: points one node's first adjacency entry at
+    /// `target` (breaks `tree-parent` for a non-root node of a tree document
+    /// when `target` does not precede it in its document).
+    #[doc(hidden)]
+    pub fn corrupt_first_neighbor(&mut self, dense: u32, target: u32) {
+        let slot = self.adj_offsets[dense as usize] as usize;
+        self.adj_targets[slot].0 = target;
     }
 
     /// Test-only corruption hook: redirects one cross-edge target (breaks
@@ -324,8 +385,7 @@ impl DataGraph {
     /// `labels-sorted` when the node has two or more labels).
     #[doc(hidden)]
     pub fn corrupt_swap_labels(&mut self, dense: u32) -> bool {
-        let lo = self.connectivity.offsets[dense as usize] as usize;
-        let hi = self.connectivity.offsets[dense as usize + 1] as usize;
+        let (lo, hi) = self.label_range(dense);
         if hi - lo < 2 {
             return false;
         }
@@ -336,35 +396,38 @@ impl DataGraph {
 
     /// Test-only corruption hook: drops every label of one node, keeping the
     /// arenas structurally well-formed (breaks `labels-sound` for any node
-    /// with a neighbour).
+    /// of a hub document with a neighbour).
     #[doc(hidden)]
     pub fn corrupt_clear_labels(&mut self, dense: u32) {
-        let lo = self.connectivity.offsets[dense as usize] as usize;
-        let hi = self.connectivity.offsets[dense as usize + 1] as usize;
-        let dropped = (hi - lo) as u32;
+        let (lo, hi) = self.label_range(dense);
         self.connectivity.hubs.drain(lo..hi);
         self.connectivity.dists.drain(lo..hi);
-        for offset in &mut self.connectivity.offsets[dense as usize + 1..] {
-            *offset -= dropped;
+        let dropped = (hi - lo) as u32;
+        for offset in &mut self.connectivity.offsets {
+            if *offset as usize > lo {
+                *offset -= dropped;
+            }
         }
     }
 
     /// Test-only corruption hook: inflates one label distance (breaks
-    /// `labels-bounded` for hub-scheme nodes when set beyond
-    /// [`crate::MAX_DEPTH`]).
+    /// `labels-bounded` when set beyond [`crate::MAX_DEPTH`]).
     #[doc(hidden)]
     pub fn corrupt_label_dist(&mut self, entry: usize, dist: u16) {
         self.connectivity.dists[entry] = dist;
     }
 
-    /// The label entry range of one dense node (sizing input for the
-    /// corruption suite).
+    /// The label entry range of one dense node, empty outside the labelled
+    /// span (sizing input for the corruption suite).
     #[doc(hidden)]
     pub fn label_range(&self, dense: u32) -> (usize, usize) {
-        (
-            self.connectivity.offsets[dense as usize] as usize,
-            self.connectivity.offsets[dense as usize + 1] as usize,
-        )
+        let conn = &self.connectivity;
+        match dense.checked_sub(conn.first).map(|slot| slot as usize) {
+            Some(slot) if slot < conn.slots() => {
+                (conn.offsets[slot] as usize, conn.offsets[slot + 1] as usize)
+            }
+            _ => (0, 0),
+        }
     }
 }
 
@@ -391,7 +454,7 @@ impl TraversalScratch {
     /// Test-only corruption hook: leaves one pinned entry behind, as a
     /// [`crate::PinnedSource`] that never un-scattered would (breaks
     /// `scratch-pinned`).  Returns `false` when the scratch has never pinned
-    /// a source and holds no slots.
+    /// a hub source and holds no slots.
     #[doc(hidden)]
     pub fn corrupt_leave_pinned(&mut self) -> bool {
         match self.pinned.first_mut() {
@@ -444,7 +507,7 @@ mod tests {
         let mut g = linked_graph();
         assert!(g.cross_edge_count() > 0);
         // Point one direction of the edge at the unrelated island document.
-        g.corrupt_cross_target(0, NodeId::new(seda_xmlstore::DocId(2), 0));
+        g.corrupt_cross_target(0, NodeId::new(DocId(2), 0));
         let violations = g.verify().unwrap_err();
         assert!(violations.iter().any(|v| v.invariant == "cross-symmetry"), "{violations:?}");
     }
@@ -455,6 +518,18 @@ mod tests {
         g.corrupt_doc_component(0, 99);
         let violations = g.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.invariant == "component-partition"), "{violations:?}");
+    }
+
+    #[test]
+    fn a_first_neighbour_that_is_not_the_parent_fails_tree_parent() {
+        let mut g = linked_graph();
+        // island.xml (document 2) is a tree: no cross edge touches it.  Its
+        // `name` points at itself instead of at the `island` before it.
+        let name = g.dense(NodeId::new(DocId(2), 1)).unwrap();
+        g.corrupt_first_neighbor(name, name);
+        let violations = g.verify().unwrap_err();
+        assert!(!violations.is_empty());
+        assert!(violations.iter().all(|v| v.invariant == "tree-parent"), "{violations:?}");
     }
 
     #[test]
@@ -476,11 +551,19 @@ mod tests {
     }
 
     #[test]
+    fn tree_documents_carry_no_label_entries() {
+        let mut g = linked_graph();
+        let island = g.dense(NodeId::new(DocId(2), 0)).unwrap();
+        assert_eq!(g.label_range(island), (0, 0));
+        assert!(!g.corrupt_swap_labels(island));
+    }
+
+    #[test]
     fn a_leftover_pinned_entry_fails_scratch_pinned() {
         let g = linked_graph();
         let mut scratch = TraversalScratch::new();
         assert!(!scratch.corrupt_leave_pinned(), "a scratch that never pinned has no slots");
-        // Pin and release a source so the array exists and is clean.
+        // Pin and release a hub source so the array exists and is clean.
         let source = crate::pin(&g, &mut scratch, g.node_id(0)).expect("node 0 pins");
         drop(source);
         scratch.verify().unwrap();
@@ -492,7 +575,7 @@ mod tests {
     #[test]
     fn inflated_distance_fails_labels_bounded() {
         let mut g = linked_graph();
-        // Dense node 0 is the sea element — a hub-scheme document.
+        // Dense node 0 is the sea element — a hub document.
         let (lo, hi) = g.label_range(0);
         assert!(hi > lo);
         g.corrupt_label_dist(lo, u16::MAX);

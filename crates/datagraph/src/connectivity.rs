@@ -1,71 +1,44 @@
-//! The connectivity oracle: precomputed distance labels that replace
-//! per-query BFS on the read path.
+//! The connectivity oracle: bounded distances without a per-query graph
+//! search.
 //!
 //! Connection checks are the inner loop of every top-k query (Definition 4
-//! demands a connected witness subgraph, and the compactness score needs
-//! pairwise distances), and breadth-first search made them cost tens of
-//! millions of node visits per query on cross-linked corpora.  The oracle
-//! moves that work to build time: every node carries a small sorted list of
-//! `(hub, distance)` entries — a *2-hop cover* — and a bounded shortest-path
-//! query becomes a merge-scan intersection of two such lists.
+//! demands a connected witness subgraph, and compactness needs pairwise
+//! distances).  The oracle answers them from what the build froze, chosen
+//! **per document** by one bit: is the document touched by a cross edge?
 //!
-//! Two labeling schemes are chosen **per document component**:
+//! * **Tree documents** (untouched) are components of their own whose part
+//!   of the data graph *is* the XML tree, so a distance is the climb from
+//!   both nodes to their lowest common ancestor — the ancestor relation the
+//!   paper's Dewey node references encode.  The traversal layer walks the
+//!   adjacency (preorder indices, parent first); nothing is stored.
+//! * **Hub documents** get pruned landmark labels: hubs in descending-degree
+//!   order, each running a BFS pruned by the labels so far and cut off at
+//!   [`MAX_DEPTH`] hops, so a label distance `d` is exact when
+//!   `d <= MAX_DEPTH` and otherwise proves only that the pair is farther
+//!   apart.  The cut bounds the labels on long cross-document chains, whose
+//!   equal-degree links an uncut BFS labels quadratically
+//!   (`chain_labels_grow_linearly`; the figures are in the README).
 //!
-//! * **Tree labels** (centroid decomposition) for documents untouched by any
-//!   cross edge.  Such a document is a pure tree, so recursively splitting it
-//!   at centroids yields `O(log n)` labels per node that answer *exact*
-//!   distances at any depth.  These are computed per document in
-//!   [`crate::DataGraph::build_shard`] and adopted at merge time, rebased to
-//!   the graph's dense node indices.
-//! * **Hub labels** (pruned landmark labeling) for components with cross
-//!   edges.  Hubs are visited in descending-degree order and each runs a
-//!   BFS pruned by the labels accumulated so far and cut off at
-//!   [`MAX_DEPTH`] hops, so queries are exact for every distance
-//!   `<= MAX_DEPTH`.  The cut is what bounds the labels on long
-//!   cross-document chains: the links of a chain share one degree, so the
-//!   order visits them in chain order and an uncut BFS prunes nothing ahead
-//!   of its hub.  On a chain of one-item documents each referencing the next
-//!   (three nodes a document; 2-core Xeon), the cut keeps 20.3–20.4 entries
-//!   a node at 500, 1,000 and 10,000 documents (31–38 ms to build the
-//!   10,000), where no cut costs 833 and 1,666 entries a node at 500 and
-//!   1,000 documents (2.7 s) — quadratic entries and a cubic build.
-//!
-//! Both schemes store their labels in one flat CSR arena (`offsets`, `hubs`,
-//! `dists`) alongside the adjacency built in [`crate::DataGraph::merge`], and
-//! both are queried by the same intersection loop, whose answer reads the
-//! same under either scheme: a label distance `d` is the true distance when
-//! `d <= MAX_DEPTH`, and anything larger (a pair farther apart, a saturated
-//! tree label, no common hub) proves only that the true distance exceeds
-//! [`MAX_DEPTH`].  The number of label entries scanned is counted as
-//! `label_probes`.
-//!
-//! # One source, many targets
-//!
-//! The merge-scan walks both labels for every pair, although a join asks one
-//! source about a whole batch of targets.  The one-to-many form — the way
-//! pruned landmark labels are meant to be queried (Akiba, Iwata, Yoshida,
-//! SIGMOD 2013), and what the index's own builder does to prune — scatters
-//! the source's label once into an array indexed by label key (`scatter`,
-//! `|L(a)|` probes) and then answers each target by one branch-free pass over
-//! the target's label alone (`pinned_distance`, `|L(b)|` probes).  The scan
-//! reads all of `L(b)` where the merge stops as soon as either label runs
-//! out, and the source's label is passed over twice more (scatter,
-//! un-scatter); what it saves is every step through `L(a)` per target and
-//! every data-dependent branch.  Over Mondial's hub labels (≈ 33 entries a
-//! node, 23 targets a source) the pair-scoring join runs 2.4–2.7× faster for
-//! it; over short tree labels and a handful of targets it earns nothing back
-//! — see [`crate::pin`] for who uses it.
+//! The hub labels live in one CSR arena (`offsets`, `hubs`, `dists`) over
+//! the dense span from the first hub document to the last.  A pair query
+//! merge-scans two sorted `(hub, distance)` lists.  The one-to-many form
+//! (Akiba, Iwata, Yoshida, SIGMOD 2013) scatters the source's label once
+//! (`scatter`) and answers each target by one branch-free pass over the
+//! target's label alone (`pinned_distance`): 2.4–2.7× on Mondial's
+//! pair-scoring join.  Every entry scanned, and every parent step of a walk,
+//! counts as one `label_probes`.  See [`crate::pin`].
 
 use serde::{Deserialize, Serialize};
 
-use seda_xmlstore::{Collection, DocId};
+use seda_xmlstore::DocId;
 
-use crate::graph::{DataGraph, Edge, GraphShard};
+use crate::graph::{DataGraph, Edge};
 
-/// The deepest bound the labels answer, under both schemes: hub labelling
-/// stops `MAX_DEPTH` hops from each hub, so a label distance above it means
-/// only "farther than `MAX_DEPTH`".  Kept above the default search depth
-/// (12).  Traversal queries clamp their `max_depth` to it.
+/// The deepest bound the oracle answers: hub labelling stops `MAX_DEPTH`
+/// hops from each hub, so a label distance above it means only "farther than
+/// `MAX_DEPTH`", and a parent walk gives up after `MAX_DEPTH` steps.  Kept
+/// above the default search depth (12).  Traversal queries clamp their
+/// `max_depth` to it.
 pub const MAX_DEPTH: usize = 16;
 
 /// "The pinned source has no entry under this key" in the scattered array of
@@ -76,71 +49,70 @@ pub(crate) const NO_ENTRY: u16 = u16::MAX;
 
 const UNSET: u32 = u32::MAX;
 
-/// Labeling scheme of a document (shared by every document of its
-/// component).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) enum LabelScheme {
-    /// Centroid-decomposition tree labels.  Used for documents with no cross
-    /// edges (always singleton components).
-    Tree,
-    /// Pruned landmark labels.  Used for components touched by cross edges.
-    Hub,
-}
-
 /// The precomputed distance-label substrate of a [`DataGraph`].
 ///
-/// Built once in [`DataGraph::merge`] from the per-document shard labels plus
-/// a merge-time landmark pass over cross-linked components; immutable
-/// afterwards.  All label state lives in three flat arrays, CSR-style: node
-/// `i`'s entries are `hubs[offsets[i]..offsets[i+1]]` (sorted ascending) with
-/// parallel distances in `dists`.
+/// Built once in [`DataGraph::merge`] by a landmark pass over the documents
+/// cross edges touch; immutable afterwards.  Tree documents carry one bit
+/// and no label.  The hub labels live in three flat arrays, CSR-style: the
+/// node of dense index `first + i` has entries `hubs[offsets[i]..offsets[i+1]]`
+/// (sorted ascending) with parallel distances in `dists`.
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConnectivityIndex {
-    /// Labeling scheme per document.
-    pub(crate) schemes: Vec<LabelScheme>,
-    /// Per-node label offsets, length `node_count + 1`.
+    /// Per document: true when a cross edge touches it (its nodes carry hub
+    /// labels), false for a tree document (answered by parent walks).
+    pub(crate) hub_docs: Vec<bool>,
+    /// Dense index of the first hub document's root: the node of `offsets[0]`.
+    pub(crate) first: u32,
+    /// Label offsets of the span from `first` to the last hub document's end,
+    /// one more than the span's nodes; empty when no document is touched.
+    /// Tree documents inside the span hold empty ranges.
     pub(crate) offsets: Vec<u32>,
-    /// Label keys, sorted ascending per node: centroid dense indices for
-    /// tree-labeled nodes, hub ranks for hub-labeled nodes.  The two key
-    /// spaces never meet — nodes of different schemes are always in
-    /// different components, which the query rejects before intersecting.
+    /// Hub ranks, sorted ascending per node.
     pub(crate) hubs: Vec<u32>,
-    /// Distance to each label key (parallel to `hubs`).
+    /// Distance to each hub (parallel to `hubs`).
     pub(crate) dists: Vec<u16>,
 }
 
 impl ConnectivityIndex {
-    /// Labeling scheme of a document ([`LabelScheme::Tree`] for documents
-    /// outside the collection).
-    pub(crate) fn scheme(&self, doc: DocId) -> LabelScheme {
-        self.schemes.get(doc.index()).copied().unwrap_or(LabelScheme::Tree)
+    /// True when a cross edge touches `doc`, so its distances come from hub
+    /// labels (false for documents outside the collection).
+    pub(crate) fn is_hub(&self, doc: DocId) -> bool {
+        self.hub_docs.get(doc.index()).copied().unwrap_or(false)
     }
 
-    /// Bytes occupied by the label arenas (the oracle's memory footprint).
+    /// Bytes occupied by the oracle: the per-document bit and the hub-label
+    /// arenas.
     pub fn label_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u32>()
+        self.hub_docs.len() * std::mem::size_of::<bool>()
+            + self.offsets.len() * std::mem::size_of::<u32>()
             + self.hubs.len() * std::mem::size_of::<u32>()
             + self.dists.len() * std::mem::size_of::<u16>()
-            + self.schemes.len() * std::mem::size_of::<LabelScheme>()
     }
 
-    /// True when the index was built over a graph of `node_count` nodes (the
+    /// True when the index was built over a graph of `docs` documents (the
     /// traversal layer's guard before trusting the labels).
-    pub fn covers(&self, node_count: usize) -> bool {
-        self.offsets.len() == node_count + 1
+    pub(crate) fn covers(&self, docs: usize) -> bool {
+        self.hub_docs.len() == docs
     }
 
-    /// Label entries of one dense node.
+    /// Number of label slots: the nodes of the hub span, and a bound on the
+    /// hub ranks used as label keys.
+    pub(crate) fn slots(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Label entries of one dense node of a hub document.
     fn entries(&self, dense: u32) -> (&[u32], &[u16]) {
-        let lo = self.offsets[dense as usize] as usize;
-        let hi = self.offsets[dense as usize + 1] as usize;
+        let slot = (dense - self.first) as usize;
+        let lo = self.offsets[slot] as usize;
+        let hi = self.offsets[slot + 1] as usize;
         (&self.hubs[lo..hi], &self.dists[lo..hi])
     }
 
-    /// Minimum `dist(a, hub) + dist(hub, b)` over the common label keys of
-    /// two dense nodes — the 2-hop distance query.  Returns more than
-    /// [`MAX_DEPTH`] when the true distance is.  Every entry scanned counts one
-    /// probe.
+    /// Minimum `dist(a, hub) + dist(hub, b)` over the common hubs of two
+    /// dense nodes of hub documents — the 2-hop distance query.  Returns more
+    /// than [`MAX_DEPTH`] when the true distance is.  Every entry scanned
+    /// counts one probe.
     pub(crate) fn label_distance(&self, a: u32, b: u32, probes: &mut u64) -> u32 {
         let (a_hubs, a_dists) = self.entries(a);
         let (b_hubs, b_dists) = self.entries(b);
@@ -165,12 +137,9 @@ impl ConnectivityIndex {
         best
     }
 
-    /// First half of the one-to-many query: scatters `a`'s label into
-    /// `pinned` (`pinned[key] = dist(a, key)`, [`NO_ENTRY`] elsewhere), so
-    /// that [`ConnectivityIndex::pinned_distance`] answers any number of
-    /// targets by reading only the target's label.  Counts `|L(a)|` probes.
-    /// Returns false — writing nothing — when a key of `a` lies outside
-    /// `pinned`; the caller then keeps to [`ConnectivityIndex::label_distance`].
+    /// Scatters `a`'s label into `pinned` (`pinned[key] = dist(a, key)`,
+    /// [`NO_ENTRY`] elsewhere), counting `|L(a)|` probes.  Returns false —
+    /// writing nothing — when a key of `a` lies outside `pinned`.
     pub(crate) fn scatter(&self, a: u32, pinned: &mut [u16], probes: &mut u64) -> bool {
         let (hubs, dists) = self.entries(a);
         // Keys ascend, so the last one bounds them all.
@@ -193,11 +162,10 @@ impl ConnectivityIndex {
         }
     }
 
-    /// [`ConnectivityIndex::label_distance`] from the node whose label is
-    /// scattered in `pinned` to `b`, by one pass over `b`'s entries: the same
-    /// value whenever it is at most [`MAX_DEPTH`], and above it exactly when
-    /// `label_distance` is (a key the source lacks reads [`NO_ENTRY`], which
-    /// alone exceeds [`MAX_DEPTH`]).  Counts `|L(b)|` probes.
+    /// [`ConnectivityIndex::label_distance`] from the node scattered in
+    /// `pinned` to `b` by one pass over `L(b)`, counting `|L(b)|` probes: a
+    /// key the source lacks reads [`NO_ENTRY`], which alone exceeds
+    /// [`MAX_DEPTH`].
     pub(crate) fn pinned_distance(&self, pinned: &[u16], b: u32, probes: &mut u64) -> u32 {
         let (hubs, dists) = self.entries(b);
         let mut best = UNSET;
@@ -209,114 +177,57 @@ impl ConnectivityIndex {
         best
     }
 
-    /// Builds the index at merge time: adopts shard tree labels for
-    /// cross-edge-free documents (recomputing them from the adjacency when a
-    /// shard is missing) and runs the pruned landmark pass over the
-    /// cross-linked components.  Deterministic: depends only on the frozen
-    /// adjacency and the collection, never on shard order.
-    pub(crate) fn assemble(
-        collection: &Collection,
-        graph: &DataGraph,
-        shards: &[GraphShard],
-        edges: &[Edge],
-    ) -> ConnectivityIndex {
-        let docs = collection.len();
-        let node_count = graph.node_count();
-        let mut has_cross = vec![false; docs];
+    /// Builds the index at merge time: marks the documents a cross edge
+    /// touches and runs the pruned landmark pass over their nodes.
+    /// Deterministic: depends only on the frozen adjacency and the edges.
+    pub(crate) fn assemble(graph: &DataGraph, edges: &[Edge]) -> ConnectivityIndex {
+        let docs = graph.doc_count();
+        let mut hub_docs = vec![false; docs];
         for edge in edges {
-            has_cross[edge.from.doc.index()] = true;
-            has_cross[edge.to.doc.index()] = true;
+            hub_docs[edge.from.doc.index()] = true;
+            hub_docs[edge.to.doc.index()] = true;
         }
-        let schemes: Vec<LabelScheme> = has_cross
-            .iter()
-            .map(|&c| if c { LabelScheme::Hub } else { LabelScheme::Tree })
-            .collect();
+        let hub_ranges = || {
+            (0..docs)
+                .filter(|&doc| hub_docs[doc])
+                .map(|doc| graph.doc_offsets[doc]..graph.doc_offsets[doc + 1])
+        };
+        let (Some(first), Some(end)) =
+            (hub_ranges().next().map(|r| r.start), hub_ranges().next_back().map(|r| r.end))
+        else {
+            return ConnectivityIndex { hub_docs, ..ConnectivityIndex::default() };
+        };
+        let slot = |dense: u32| (dense - first) as usize;
 
-        let mut labels: Vec<Vec<(u32, u16)>> = vec![Vec::new(); node_count];
-
-        // Tree documents: rebase the shard labels to dense indices (adding
-        // the document base keeps each node's entries sorted).
-        let mut shard_of_doc: Vec<Option<&GraphShard>> = vec![None; docs];
-        for shard in shards {
-            if let Some(doc) = shard.doc() {
-                if doc.index() < docs {
-                    shard_of_doc[doc.index()] = Some(shard);
-                }
-            }
-        }
-        for doc in collection.documents() {
-            if schemes[doc.id.index()] == LabelScheme::Hub {
-                continue;
-            }
-            let base = graph.doc_base(doc.id);
-            let len = doc.len();
-            match shard_of_doc[doc.id.index()] {
-                Some(shard) if shard.tree_offsets.len() == len + 1 => {
-                    for ord in 0..len {
-                        let range =
-                            shard.tree_offsets[ord] as usize..shard.tree_offsets[ord + 1] as usize;
-                        for k in range {
-                            labels[base as usize + ord]
-                                .push((base + shard.tree_hubs[k], shard.tree_dists[k]));
-                        }
-                    }
-                }
-                _ => {
-                    // No shard (or a foreign one): the document has no cross
-                    // edges, so its CSR adjacency *is* the tree — relabel it
-                    // here with the same algorithm the shard phase uses.
-                    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); len];
-                    for (ord, slot) in adj.iter_mut().enumerate() {
-                        for &(target, _) in graph.neighbors_dense(base + ord as u32) {
-                            slot.push(target - base);
-                        }
-                    }
-                    let (offsets, hubs, dists) = centroid_tree_labels(&adj);
-                    for ord in 0..len {
-                        for k in offsets[ord] as usize..offsets[ord + 1] as usize {
-                            labels[base as usize + ord].push((base + hubs[k], dists[k]));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Hub components: pruned landmark labeling, hubs in descending-degree
-        // order (dense index breaks ties), each BFS pruned by the labels
-        // accumulated so far and cut off at `MAX_DEPTH`.
-        let mut hub_nodes: Vec<u32> = Vec::new();
-        for doc in collection.documents() {
-            if schemes[doc.id.index()] == LabelScheme::Hub {
-                let base = graph.doc_base(doc.id);
-                hub_nodes.extend(base..base + doc.len() as u32);
-            }
-        }
+        // Pruned landmark labeling, hubs in descending-degree order (dense
+        // index breaks ties), each BFS pruned by the labels accumulated so
+        // far and cut off at `MAX_DEPTH`.  A hub's BFS never leaves the hub
+        // documents, so every node it reaches has a slot.
+        let mut hub_nodes: Vec<u32> = hub_ranges().flatten().collect();
         hub_nodes.sort_by_key(|&d| (std::cmp::Reverse(graph.neighbors_dense(d).len()), d));
 
-        let mut hub_dist: Vec<u32> = vec![UNSET; node_count];
+        let mut labels: Vec<Vec<(u32, u16)>> = vec![Vec::new(); slot(end)];
+        let mut hub_dist: Vec<u32> = vec![UNSET; slot(end)];
         let mut to_hub: Vec<u32> = vec![UNSET; hub_nodes.len()];
         let mut queue: Vec<u32> = Vec::new();
-        let mut touched: Vec<u32> = Vec::new();
         for (rank, &hub) in hub_nodes.iter().enumerate() {
             // Scatter the hub's own labels so the pruning query is O(|label|).
-            for &(r, d) in &labels[hub as usize] {
+            for &(r, d) in &labels[slot(hub)] {
                 to_hub[r as usize] = d as u32;
             }
             queue.clear();
-            touched.clear();
-            hub_dist[hub as usize] = 0;
+            hub_dist[slot(hub)] = 0;
             queue.push(hub);
-            touched.push(hub);
             let mut head = 0;
             while head < queue.len() {
                 let u = queue[head];
                 head += 1;
-                let du = hub_dist[u as usize];
+                let du = hub_dist[slot(u)];
                 // Prune when an earlier hub already certifies a distance no
                 // worse than the BFS level — the classic PLL cut that keeps
                 // labels near-minimal.
                 let mut q = UNSET;
-                for &(r, d) in &labels[u as usize] {
+                for &(r, d) in &labels[slot(u)] {
                     let via = to_hub[r as usize].saturating_add(d as u32);
                     if via < q {
                         q = via;
@@ -325,27 +236,26 @@ impl ConnectivityIndex {
                 if q <= du {
                     continue;
                 }
-                labels[u as usize].push((rank as u32, du as u16));
+                labels[slot(u)].push((rank as u32, du as u16));
                 if (du as usize) < MAX_DEPTH {
                     for &(next, _) in graph.neighbors_dense(u) {
-                        if hub_dist[next as usize] == UNSET {
-                            hub_dist[next as usize] = du + 1;
+                        if hub_dist[slot(next)] == UNSET {
+                            hub_dist[slot(next)] = du + 1;
                             queue.push(next);
-                            touched.push(next);
                         }
                     }
                 }
             }
-            for &t in &touched {
-                hub_dist[t as usize] = UNSET;
+            for &t in &queue {
+                hub_dist[slot(t)] = UNSET;
             }
-            for &(r, _) in &labels[hub as usize] {
+            for &(r, _) in &labels[slot(hub)] {
                 to_hub[r as usize] = UNSET;
             }
         }
 
         // Flatten into the CSR arenas.
-        let mut offsets = Vec::with_capacity(node_count + 1);
+        let mut offsets = Vec::with_capacity(labels.len() + 1);
         offsets.push(0u32);
         let mut total = 0u32;
         for l in &labels {
@@ -364,131 +274,6 @@ impl ConnectivityIndex {
                 dists.push(d);
             }
         }
-        ConnectivityIndex { schemes, offsets, hubs, dists }
+        ConnectivityIndex { hub_docs, first, offsets, hubs, dists }
     }
-}
-
-/// Centroid-decomposition distance labels of a tree, as a per-node CSR
-/// (`offsets`, `hubs`, `dists`) with each node's entries sorted by hub.
-///
-/// The tree is recursively split at centroids; every node records its exact
-/// tree distance to each centroid "above" it in the decomposition, giving
-/// `O(log n)` entries per node.  For any pair, the decomposition ancestor
-/// that separates them lies on their tree path, so the 2-hop intersection
-/// over these labels returns the exact distance at any depth.  Distances
-/// deeper than `u16` saturate at `u16::MAX`, which the query layer reads as
-/// "farther than [`MAX_DEPTH`]".
-pub(crate) fn centroid_tree_labels(adj: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>, Vec<u16>) {
-    let n = adj.len();
-    let mut labels: Vec<Vec<(u32, u16)>> = vec![Vec::new(); n];
-    let mut removed = vec![false; n];
-    let mut comp: Vec<u32> = Vec::new();
-    let mut parent: Vec<u32> = vec![UNSET; n];
-    let mut size: Vec<u32> = vec![0; n];
-    let mut dist: Vec<u16> = vec![0; n];
-    let mut in_comp: Vec<bool> = vec![false; n];
-    let mut seeds: Vec<u32> = Vec::new();
-
-    for start in 0..n as u32 {
-        if !labels[start as usize].is_empty() || removed[start as usize] {
-            continue;
-        }
-        seeds.clear();
-        seeds.push(start);
-        while let Some(seed) = seeds.pop() {
-            // Collect the alive component of `seed` in BFS order.
-            comp.clear();
-            comp.push(seed);
-            in_comp[seed as usize] = true;
-            parent[seed as usize] = UNSET;
-            let mut head = 0;
-            while head < comp.len() {
-                let u = comp[head];
-                head += 1;
-                for &w in &adj[u as usize] {
-                    if !removed[w as usize] && !in_comp[w as usize] {
-                        in_comp[w as usize] = true;
-                        parent[w as usize] = u;
-                        comp.push(w);
-                    }
-                }
-            }
-            // Subtree sizes in reverse BFS order, then the classic centroid
-            // walk: descend into any child subtree heavier than half.
-            for &u in &comp {
-                size[u as usize] = 1;
-            }
-            for &u in comp.iter().rev() {
-                if parent[u as usize] != UNSET {
-                    size[parent[u as usize] as usize] += size[u as usize];
-                }
-            }
-            let half = comp.len() as u32 / 2;
-            let mut centroid = seed;
-            'walk: loop {
-                for &w in &adj[centroid as usize] {
-                    if in_comp[w as usize]
-                        && !removed[w as usize]
-                        && parent[w as usize] == centroid
-                        && size[w as usize] > half
-                    {
-                        centroid = w;
-                        continue 'walk;
-                    }
-                }
-                break;
-            }
-            // BFS from the centroid labels the whole component with exact
-            // tree distances (the path to a decomposition ancestor never
-            // leaves its component).
-            for &u in &comp {
-                in_comp[u as usize] = false;
-            }
-            comp.clear();
-            comp.push(centroid);
-            in_comp[centroid as usize] = true;
-            dist[centroid as usize] = 0;
-            let mut head = 0;
-            while head < comp.len() {
-                let u = comp[head];
-                head += 1;
-                let du = dist[u as usize];
-                labels[u as usize].push((centroid, du));
-                for &w in &adj[u as usize] {
-                    if !removed[w as usize] && !in_comp[w as usize] {
-                        in_comp[w as usize] = true;
-                        dist[w as usize] = du.saturating_add(1);
-                        comp.push(w);
-                    }
-                }
-            }
-            for &u in &comp {
-                in_comp[u as usize] = false;
-            }
-            removed[centroid as usize] = true;
-            for &w in &adj[centroid as usize] {
-                if !removed[w as usize] {
-                    seeds.push(w);
-                }
-            }
-        }
-    }
-
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0u32);
-    let mut total = 0u32;
-    for l in &mut labels {
-        l.sort_unstable_by_key(|&(h, _)| h);
-        total += l.len() as u32;
-        offsets.push(total);
-    }
-    let mut hubs = Vec::with_capacity(total as usize);
-    let mut dists = Vec::with_capacity(total as usize);
-    for l in &labels {
-        for &(h, d) in l {
-            hubs.push(h);
-            dists.push(d);
-        }
-    }
-    (offsets, hubs, dists)
 }

@@ -1,4 +1,8 @@
 //! The SEDA data graph (Definition 2).
+//!
+//! Dense node indices follow each document's preorder, and every adjacency
+//! lists the parent first — all a parent walk needs in a document no cross
+//! edge touches (`tree-parent` in the audit).
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -8,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use seda_xmlstore::{Collection, DocId, NodeId, NodeKind};
 
 use crate::config::GraphConfig;
-use crate::connectivity::{centroid_tree_labels, ConnectivityIndex};
+use crate::connectivity::ConnectivityIndex;
 
 /// Kind of an edge in the data graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -82,9 +86,8 @@ pub struct DataGraph {
     /// Connected-component id of every document (components over cross
     /// edges), indexed by document.
     pub(crate) doc_component: Vec<u32>,
-    /// Precomputed distance labels (the connectivity oracle), built at merge
-    /// time from the shard tree labels plus a landmark pass over cross-linked
-    /// components.
+    /// The connectivity oracle: which documents cross edges touch, and the
+    /// hub labels of those, built at merge time.
     pub(crate) connectivity: ConnectivityIndex,
     pub(crate) edge_count: usize,
 }
@@ -109,21 +112,6 @@ pub struct GraphShard {
     primary_values: Vec<Vec<(String, NodeId)>>,
     /// Per value-key spec: `(content, node)` pairs on the foreign side.
     foreign_values: Vec<Vec<(String, NodeId)>>,
-    /// Centroid-decomposition label offsets of the document tree, length
-    /// `doc len + 1`.  Adopted at merge for documents that end up with no
-    /// cross edges; discarded (and replaced by hub labels) otherwise.
-    pub(crate) tree_offsets: Vec<u32>,
-    /// Tree label keys: centroid ordinals within the document.
-    pub(crate) tree_hubs: Vec<u32>,
-    /// Tree label distances (parallel to `tree_hubs`).
-    pub(crate) tree_dists: Vec<u16>,
-}
-
-impl GraphShard {
-    /// The document this shard was built from.
-    pub fn doc(&self) -> Option<DocId> {
-        self.doc
-    }
 }
 
 impl DataGraph {
@@ -199,22 +187,6 @@ impl DataGraph {
             shard.primary_values.push(primary);
             shard.foreign_values.push(foreign);
         }
-
-        // Tree distance labels of this document (parent/child edges only, in
-        // the same order the merged CSR adjacency will use).  The merge phase
-        // adopts them verbatim for documents that end up with no cross edges.
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); document.len()];
-        for (ordinal, node) in document.iter() {
-            let slot = &mut adj[ordinal as usize];
-            if let Some(parent) = node.parent {
-                slot.push(parent);
-            }
-            slot.extend_from_slice(&node.children);
-        }
-        let (tree_offsets, tree_hubs, tree_dists) = centroid_tree_labels(&adj);
-        shard.tree_offsets = tree_offsets;
-        shard.tree_hubs = tree_hubs;
-        shard.tree_dists = tree_dists;
         shard
     }
 
@@ -290,8 +262,7 @@ impl DataGraph {
 
         graph.freeze_adjacency(collection, &edges);
         graph.doc_component = compute_doc_components(collection.len(), &edges);
-        let connectivity = ConnectivityIndex::assemble(collection, &graph, &shards, &edges);
-        graph.connectivity = connectivity;
+        graph.connectivity = ConnectivityIndex::assemble(&graph, &edges);
         graph
     }
 
@@ -379,14 +350,21 @@ impl DataGraph {
         self.doc_offsets[node.doc.index()] + node.node
     }
 
-    /// Dense index of a document's first node (ordinal 0).
-    pub(crate) fn doc_base(&self, doc: DocId) -> u32 {
-        self.doc_offsets[doc.index()]
+    /// Number of documents the graph was built over.
+    pub(crate) fn doc_count(&self) -> usize {
+        self.doc_offsets.len().saturating_sub(1)
     }
 
-    /// The precomputed connectivity oracle (distance labels built at merge
-    /// time).  The traversal layer answers `is_connected_with` / shortest-path
-    /// queries from it instead of running BFS.
+    /// The parent of a non-root node of a document no cross edge touches:
+    /// the first entry of its adjacency (`tree-parent`).
+    pub(crate) fn parent_dense(&self, dense: u32) -> u32 {
+        self.adj_targets[self.adj_offsets[dense as usize] as usize].0
+    }
+
+    /// The connectivity oracle built at merge time.  The traversal layer
+    /// answers `is_connected_with` / shortest-path queries from it — and
+    /// from parent walks in the documents it marks as trees — instead of
+    /// running BFS.
     pub fn connectivity(&self) -> &ConnectivityIndex {
         &self.connectivity
     }

@@ -3,9 +3,11 @@
 //! The SEDA data graph (Definition 2 of the paper): XML element/attribute
 //! nodes connected by parent/child, IDREF, XLink/XPointer and value-based
 //! edges.  The crate builds the graph over a [`seda_xmlstore::Collection`],
-//! answers distance queries from precomputed distance labels (shortest
-//! paths, connectedness of result tuples, exact up to [`MAX_DEPTH`] hops),
-//! and implements the *compactness* measure the top-k scoring function uses.
+//! answers distance queries (shortest paths, connectedness of result tuples,
+//! exact up to [`MAX_DEPTH`] hops) by parent walks inside documents no cross
+//! edge touches and by precomputed hub labels inside the documents cross
+//! edges touch, and implements the *compactness* measure the top-k scoring
+//! function uses.
 //!
 //! ```
 //! use seda_datagraph::{DataGraph, GraphConfig};

@@ -9,23 +9,16 @@
 //! system — we approximate it with a minimum spanning tree over the pairwise
 //! shortest-path distances of the tuple's nodes.
 //!
-//! Every distance is answered by the [`crate::ConnectivityIndex`] built at
-//! merge time: a bounded query is a label intersection (counted in
-//! [`TraversalScratch::label_probes`]), never a graph walk.  The labels are
-//! exact up to [`MAX_DEPTH`] under both schemes, so one rule reads every
-//! answer: a label distance `d` is returned iff `d <= max_depth.min(MAX_DEPTH)`
-//! — a depth bound beyond [`MAX_DEPTH`] is clamped to it.
-//!
-//! A caller with one source and a batch of targets [`pin`]s the source: its
-//! label is scattered once into the scratch and every
-//! [`PinnedSource::distance_to`] then scans the target's label only, with the
-//! answers of [`shortest_distance_with`].  Probes are counted where entries
-//! are read: `|L(source)|` for the pin, `|L(target)|` per query.
+//! No distance is searched for ([`crate::ConnectivityIndex`]): inside a
+//! document no cross edge touches it is a parent walk to the lowest common
+//! ancestor, inside the documents cross edges touch a hub-label
+//! intersection.  Both are exact up to [`MAX_DEPTH`], so a distance `d` is
+//! returned iff `d <= max_depth.min(MAX_DEPTH)` — a deeper bound is clamped.
+//! A caller with one source and a batch of targets [`pin`]s the source.
 //!
 //! Every function takes a caller-owned [`TraversalScratch`] (a one-off caller
-//! passes `&mut TraversalScratch::new()`), which holds the probe counter, the
-//! pinned source's scattered label and the compactness computation's small
-//! spanning-tree buffers.
+//! passes `&mut TraversalScratch::new()`): the probe counter, the pinned
+//! source's scattered label and the spanning-tree buffers.
 
 use seda_xmlstore::NodeId;
 
@@ -57,14 +50,14 @@ pub struct TraversalScratch {
     matrix: Vec<u32>,
     in_tree: Vec<bool>,
     best: Vec<u32>,
-    /// The scattered label of the current [`PinnedSource`], one `u16` per
-    /// label key (2 bytes a graph node), all `NO_ENTRY` whenever no source is
-    /// pinned — a leftover entry would shorten later pinned distances, so
-    /// [`TraversalScratch::verify`] checks it; sized on the first [`pin`]
-    /// over a graph.
+    /// The scattered label of the current hub [`PinnedSource`], one `u16`
+    /// per hub label key (2 bytes a hub-labelled node, none without cross
+    /// edges), all `NO_ENTRY` whenever no source is pinned — a leftover entry
+    /// would shorten later distances ([`TraversalScratch::verify`]).
     pub(crate) pinned: Vec<u16>,
-    /// Total label entries scanned by connectivity-oracle intersections
-    /// through this scratch (monotonic; the query profile reports deltas).
+    /// Total label entries scanned and parent steps walked by distance
+    /// queries through this scratch (monotonic; the query profile reports
+    /// deltas).
     pub label_probes: u64,
 }
 
@@ -77,15 +70,52 @@ impl TraversalScratch {
 
 /// The one reading of a label distance `d` under a depth bound: the true
 /// distance when `d <= max_depth.min(MAX_DEPTH)`, and otherwise proof that no
-/// path within the (clamped) bound exists — labels are exact up to
-/// [`MAX_DEPTH`] under both schemes and never under-estimate beyond it.
+/// path within the (clamped) bound exists — hub labels are exact up to
+/// [`MAX_DEPTH`] and never under-estimate beyond it.
 fn within(d: u32, max_depth: usize) -> Option<u32> {
     (d as usize <= max_depth.min(MAX_DEPTH)).then_some(d)
 }
 
-/// Bounded shortest-path distance via label intersection.  Documents in
-/// different components are never connected; a graph whose labels do not
-/// cover it answers "not connected".
+/// Walks two dense nodes of one tree document up to their lowest common
+/// ancestor: while they differ, the larger index — later in preorder, so not
+/// an ancestor of the other — steps to its parent, and `step(from_a, node)`
+/// sees the node `a`'s side reaches or the node `b`'s side leaves.  One probe
+/// a step.  Returns the step count, which is the tree distance, or `None`
+/// once it would exceed `max_depth.min(MAX_DEPTH)`.
+fn climb(
+    graph: &DataGraph,
+    (mut a, mut b): (u32, u32),
+    max_depth: usize,
+    probes: &mut u64,
+    mut step: impl FnMut(bool, u32),
+) -> Option<u32> {
+    let limit = max_depth.min(MAX_DEPTH) as u32;
+    let mut steps = 0;
+    while a != b {
+        if steps == limit {
+            return None;
+        }
+        steps += 1;
+        *probes += 1;
+        if a > b {
+            a = graph.parent_dense(a);
+            step(true, a);
+        } else {
+            step(false, b);
+            b = graph.parent_dense(b);
+        }
+    }
+    Some(steps)
+}
+
+/// Whether two nodes can be connected at all: not across components, and
+/// not through an oracle built over another graph.
+fn may_connect(graph: &DataGraph, a: NodeId, b: NodeId) -> bool {
+    graph.same_component(a, b) && graph.connectivity().covers(graph.doc_count())
+}
+
+/// Bounded shortest-path distance between two nodes of the graph: a parent
+/// walk in a tree document, a label intersection in the hub documents.
 fn oracle_distance(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
@@ -98,11 +128,16 @@ fn oracle_distance(
     if da == db {
         return Some(0);
     }
-    let oracle = graph.connectivity();
-    if !graph.same_component(a, b) || !oracle.covers(graph.node_count()) {
+    if !may_connect(graph, a, b) {
         return None;
     }
-    within(oracle.label_distance(da, db, &mut scratch.label_probes), max_depth)
+    let oracle = graph.connectivity();
+    let probes = &mut scratch.label_probes;
+    if oracle.is_hub(a.doc) {
+        within(oracle.label_distance(da, db, probes), max_depth)
+    } else {
+        climb(graph, (da, db), max_depth, probes, |_, _| {})
+    }
 }
 
 /// Shortest-path distance between two nodes (number of edges), bounded by
@@ -122,58 +157,51 @@ pub fn shortest_distance_with(
     oracle_distance(graph, scratch, a, b, da, db, max_depth).map(|d| d as usize)
 }
 
-/// A source node whose label is scattered in the scratch, so that each
-/// [`PinnedSource::distance_to`] reads the target's label alone — the
-/// one-to-many form of [`shortest_distance_with`] (see
-/// [`crate::ConnectivityIndex`]).  Made by [`pin`]; holds the scratch for as
-/// long as it lives and takes the scattered entries back out when it drops,
-/// so a `break`, a `?` or an unwinding panic in the caller's loop leaves the
+/// A source node ready for a batch of [`PinnedSource::distance_to`]
+/// queries, made by [`pin`].  It holds the scratch for as long as it lives
+/// and takes a hub source's scattered entries back out when it drops, so a
+/// `break`, a `?` or an unwinding panic in the caller's loop leaves the
 /// scratch as clean as a normal exit does.
 pub struct PinnedSource<'a> {
     graph: &'a DataGraph,
     scratch: &'a mut TraversalScratch,
     source: NodeId,
     dense: u32,
+    /// Whether the source lies in a hub document (its label is scattered).
+    hub: bool,
 }
 
-/// Pins `source` for a batch of [`PinnedSource::distance_to`] queries, at the
-/// cost of one pass over its label (counted in
-/// [`TraversalScratch::label_probes`]) and one more when the guard drops.
-/// `None` when `source` lies outside the graph or the graph's labels do not
-/// cover it; the caller then asks [`shortest_distance_with`] pair by pair.
-///
-/// A pinned query reads `|L(target)|` entries where the merge reads between
-/// `min(|L(a)|, |L(b)|)` and `|L(a)| + |L(b)|`, and has no data-dependent
-/// branch; against that stand the two passes over `L(source)`.  It pays when
-/// one source meets many targets over long labels — the top-k join's pair arm
-/// and the cross-root `RESULTS` join on hub-labelled components — and not on a
-/// few targets with short tree labels, which is why tuples of three and more
-/// nodes (a handful of partners per group, measured slower) stay on the merge.
+/// Pins `source` for a batch of [`PinnedSource::distance_to`] queries — the
+/// one-to-many form of [`shortest_distance_with`].  A source in a hub
+/// document scatters its label once (`|L(source)|` probes) so each query
+/// reads `|L(target)|` entries with no data-dependent branch, which pays over
+/// long labels and many targets; a source in a tree document scatters
+/// nothing and each query walks.  `None` when `source` lies outside the
+/// graph or the graph's oracle does not cover it.
 pub fn pin<'a>(
     graph: &'a DataGraph,
     scratch: &'a mut TraversalScratch,
     source: NodeId,
 ) -> Option<PinnedSource<'a>> {
     let dense = graph.dense(source)?;
-    let nodes = graph.node_count();
     let oracle = graph.connectivity();
-    if !oracle.covers(nodes) {
+    if !oracle.covers(graph.doc_count()) {
         return None;
     }
-    // Label keys are dense node indices (tree) or hub ranks (hub): both
-    // below the node count.
-    if scratch.pinned.len() < nodes {
-        scratch.pinned.resize(nodes, NO_ENTRY);
+    let hub = oracle.is_hub(source.doc);
+    if hub {
+        // Label keys are hub ranks, below the number of label slots.
+        scratch.pinned.resize(scratch.pinned.len().max(oracle.slots()), NO_ENTRY);
+        if !oracle.scatter(dense, &mut scratch.pinned, &mut scratch.label_probes) {
+            return None;
+        }
     }
-    if !oracle.scatter(dense, &mut scratch.pinned, &mut scratch.label_probes) {
-        return None;
-    }
-    Some(PinnedSource { graph, scratch, source, dense })
+    Some(PinnedSource { graph, scratch, source, dense, hub })
 }
 
 impl PinnedSource<'_> {
     /// Exactly [`shortest_distance_with`]`(source, target, max_depth)`: the
-    /// same component rule and the same reading of the label distance.
+    /// same component rule and the same reading of the distance.
     pub fn distance_to(&mut self, target: NodeId, max_depth: usize) -> Option<usize> {
         if target == self.source {
             return Some(0);
@@ -182,19 +210,23 @@ impl PinnedSource<'_> {
         if !self.graph.same_component(self.source, target) {
             return None;
         }
-        let d = self.graph.connectivity().pinned_distance(
-            &self.scratch.pinned,
-            target_dense,
-            &mut self.scratch.label_probes,
-        );
-        within(d, max_depth).map(|d| d as usize)
+        let probes = &mut self.scratch.label_probes;
+        let d = if self.hub {
+            let oracle = self.graph.connectivity();
+            within(oracle.pinned_distance(&self.scratch.pinned, target_dense, probes), max_depth)
+        } else {
+            climb(self.graph, (self.dense, target_dense), max_depth, probes, |_, _| {})
+        };
+        d.map(|d| d as usize)
     }
 }
 
 impl Drop for PinnedSource<'_> {
     fn drop(&mut self) {
         // Writes the slots `scatter` wrote, so it cannot go out of bounds.
-        self.graph.connectivity().unscatter(self.dense, &mut self.scratch.pinned);
+        if self.hub {
+            self.graph.connectivity().unscatter(self.dense, &mut self.scratch.pinned);
+        }
     }
 }
 
@@ -203,11 +235,11 @@ impl Drop for PinnedSource<'_> {
 /// [`MAX_DEPTH`]).  The returned hop vector is freshly allocated (it escapes
 /// the scratch's lifetime).
 ///
-/// The path is materialised by oracle-guided descent: from each node, step to
-/// the first CSR neighbour whose label distance to the target is one less.
-/// The result has exactly the shortest-path length; among equally short
-/// paths the neighbour order (parent, children, cross edges) breaks ties
-/// deterministically.
+/// In a tree document the path is the only one there is: the climb from `a`
+/// to the lowest common ancestor, then the descent to `b`.  In the hub
+/// documents each hop steps to the first CSR neighbour whose label distance
+/// to `b` is one less, so the neighbour order (parent, children, cross
+/// edges) breaks ties between equally short paths.
 pub fn shortest_path_with(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
@@ -219,8 +251,23 @@ pub fn shortest_path_with(
         return Some(Vec::new());
     }
     let (da, db) = (graph.dense(a)?, graph.dense(b)?);
-    let total = oracle_distance(graph, scratch, a, b, da, db, max_depth)?;
     let oracle = graph.connectivity();
+    if !oracle.is_hub(a.doc) {
+        if !may_connect(graph, a, b) {
+            return None;
+        }
+        let (mut up, mut down) = (Vec::new(), Vec::new());
+        climb(graph, (da, db), max_depth, &mut scratch.label_probes, |from_a, node| {
+            if from_a {
+                up.push(node);
+            } else {
+                down.push(node);
+            }
+        })?;
+        let hop = |dense| Hop { node: graph.node_id(dense), kind: EdgeKind::ParentChild };
+        return Some(up.into_iter().chain(down.into_iter().rev()).map(hop).collect());
+    }
+    let total = oracle_distance(graph, scratch, a, b, da, db, max_depth)?;
     let mut path = Vec::with_capacity(total as usize);
     let mut current = da;
     for remaining in (1..=total).rev() {
@@ -548,8 +595,8 @@ mod tests {
         }
     }
 
-    /// Tree labels are exact at any distance, but a bound past `MAX_DEPTH`
-    /// reads as `MAX_DEPTH` under both schemes.
+    /// A parent walk could go on past `MAX_DEPTH`, but a bound past it reads
+    /// as `MAX_DEPTH` on both sides of the dispatch.
     #[test]
     fn depth_bounds_past_max_depth_are_clamped() {
         let deep = format!("{}{}", "<n>".repeat(MAX_DEPTH + 2), "</n>".repeat(MAX_DEPTH + 2));
@@ -567,6 +614,31 @@ mod tests {
         assert!(!is_connected_with(&g, s, &[root, at(MAX_DEPTH + 1)], 100));
         let mut source = pin(&g, s, root).unwrap();
         assert_eq!(source.distance_to(at(MAX_DEPTH + 1), MAX_DEPTH + 1), None);
+    }
+
+    /// In a tree document a path climbs to the lowest common ancestor and
+    /// descends from it, one probe a parent step, and a pinned source
+    /// scatters nothing.
+    #[test]
+    fn a_tree_path_is_the_climb_then_the_descent() {
+        let c = parse_collection(vec![("t.xml", "<a><b><c/></b><d><e/></d></a>")]).unwrap();
+        let g = DataGraph::build(&c, &GraphConfig::default());
+        let at = |ordinal| NodeId::new(DocId(0), ordinal);
+        let s = &mut TraversalScratch::new();
+        let path = shortest_path_with(&g, s, at(2), at(4), 12).unwrap();
+        let nodes: Vec<NodeId> = path.iter().map(|hop| hop.node).collect();
+        assert_eq!(nodes, [at(1), at(0), at(3), at(4)]);
+        assert!(path.iter().all(|hop| hop.kind == EdgeKind::ParentChild));
+        assert_eq!(s.label_probes, 4, "one probe a parent step");
+        assert_eq!(shortest_path_with(&g, s, at(2), at(4), 3), None);
+
+        let mut scratch = TraversalScratch::new();
+        let mut source = pin(&g, &mut scratch, at(2)).expect("a tree node pins");
+        assert_eq!(source.distance_to(at(4), 12), Some(4));
+        assert_eq!(source.distance_to(at(1), 12), Some(1));
+        drop(source);
+        assert!(scratch.pinned.is_empty(), "a tree source scatters nothing");
+        assert_eq!(scratch.label_probes, 5);
     }
 
     #[test]
@@ -602,9 +674,8 @@ mod tests {
     fn pinned_probes_count_the_source_once_and_every_target_in_full() {
         let (c, g) = setup();
         let label_len = |n: NodeId| {
-            let d = g.dense(n).unwrap() as usize;
-            let offsets = &g.connectivity().offsets;
-            u64::from(offsets[d + 1] - offsets[d])
+            let (lo, hi) = g.label_range(g.dense(n).unwrap());
+            (hi - lo) as u64
         };
         let us_name = find(&c, "/country/name", "United States");
         let sea_name = find(&c, "/sea/name", "Pacific Ocean");
@@ -649,7 +720,7 @@ mod tests {
     }
 
     /// Reference BFS over `HashMap`s and [`DataGraph::neighbors`], sharing no
-    /// code with the labels it judges: the distance of every node within
+    /// code with the oracle it judges: the distance of every node within
     /// `max_depth` hops of `source`.
     fn reference_bfs_distances(
         graph: &DataGraph,

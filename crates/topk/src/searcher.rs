@@ -51,12 +51,14 @@
 //! Every tuple a sorted access forms holds the node just read, so scoring
 //! them is one source asked about a batch of partners.  For pairs — where the
 //! compactness *is* the distance — the join pins that node once a batch
-//! holds eight pairs ([`seda_datagraph::pin`]: its label scattered into the
-//! traversal scratch, 2 bytes a graph node) and scores each pair by one pass
-//! over the partner's label instead of merging both labels per pair; on the
-//! IDREF-webbed Mondial corpus that is the difference between ≈ 16 and ≈ 6 ms
-//! a search.  Tuples of three and more nodes keep the pairwise matrix (short
-//! tree labels and a handful of partners a group: pinning measured slower).
+//! holds eight pairs ([`seda_datagraph::pin`]: a hub node's label scattered
+//! into the traversal scratch, 2 bytes a hub-labelled node) and scores each
+//! pair by one pass over the partner's label instead of merging both labels
+//! per pair; on the IDREF-webbed Mondial corpus that is the difference
+//! between ≈ 16 and ≈ 6 ms a search.  A node of a tree document scatters
+//! nothing, and each of its pairs is the parent walk the pairwise query
+//! takes.  Tuples of three and more nodes keep the pairwise matrix (a
+//! handful of partners a group: pinning measured slower).
 //! A search over a prepared statement's materialised lists scores exactly as
 //! a cold one.  The pinned arm's differential test is `tests/topk_equivalence.rs`:
 //! [`TopKSearcher::search_naive`] scores every pair one-to-one through
@@ -677,10 +679,12 @@ impl<'a> TopKSearcher<'a> {
 /// turns, fastest of 30): wall time is the same for every value from 2 to 16
 /// — mondial-links 120–124 ms for the twenty against 320 ms never pinning,
 /// factbook-olap's two-term broad search 3.35–3.49 ms against 3.40 — so the
-/// probe count decides.  On short tree labels small batches *read more*
-/// pinned than merged (factbook broad: +22% entries at 2, +0.9% at 8, none at
-/// 16, where no batch is that large), while mondial's hub labels lose 0.01%
-/// between 2 and 8.
+/// probe count decides.  On the short tree labels documents without cross
+/// edges then carried, small batches *read more* pinned than merged (factbook
+/// broad: +22% entries at 2, +0.9% at 8, none at 16, where no batch is that
+/// large), while mondial's hub labels lose 0.01% between 2 and 8.  Those
+/// documents now answer by parent walks, pinned or not, so only hub
+/// components feel the value.
 const PIN_MIN: usize = 8;
 
 /// What [`score_pairs_pinned`] did with one sorted access's pairs.

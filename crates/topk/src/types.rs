@@ -93,7 +93,8 @@ pub struct SearchLimits {
     pub max_random_accesses: Option<usize>,
     /// Ceiling on candidate tuples scored (connectivity + compactness).
     pub max_tuples_scored: Option<usize>,
-    /// Ceiling on label entries scanned by connectivity-oracle probes.
+    /// Ceiling on connectivity-oracle probes (label entries scanned, parent
+    /// steps walked).
     pub max_label_probes: Option<u64>,
     /// Cooperative cancellation flag; checked once per sorted access.  A
     /// breach is reported with resource name `"cancelled"`.
@@ -170,8 +171,8 @@ pub struct SearchStats {
     /// [`TopKConfig::candidate_limit`] clipped the candidate set.  Non-zero
     /// means the result is a best-effort top-k rather than an exact one.
     pub candidates_truncated: usize,
-    /// Label entries scanned by the connectivity-oracle intersections of the
-    /// connectivity/compactness checks.
+    /// Connectivity-oracle probes of the connectivity/compactness checks:
+    /// hub-label entries scanned and tree parent steps walked.
     pub label_probes: u64,
     /// True when the algorithm stopped via the threshold condition rather
     /// than exhausting all lists.

@@ -14,7 +14,7 @@ use seda_core::{EngineConfig, SedaEngine};
 use seda_datagen::Dataset;
 use seda_dataguide::GuideId;
 use seda_olap::Registry;
-use seda_xmlstore::{parse_collection, DocId};
+use seda_xmlstore::{parse_collection, DocId, NodeId};
 
 /// A small heterogeneous corpus exercising every substrate: an IDREF cross
 /// edge (graph labels), a repeated term with distinct scores ("united" in two
@@ -167,6 +167,18 @@ fn dropped_connectivity_labels_are_detected_as_datagraph_labels_sound() {
         graph.corrupt_clear_labels(0);
     }
     expect_violation(&e, "datagraph", "labels-sound");
+}
+
+#[test]
+fn a_first_neighbour_other_than_the_parent_is_detected_as_datagraph_tree_parent() {
+    let mut e = engine();
+    {
+        let (_, _, _, graph, _) = e.substrates_mut();
+        // mx.xml (document 2) is a tree document: no cross edge touches it.
+        let node = graph.dense(NodeId::new(DocId(2), 1)).expect("mx.xml has a second node");
+        graph.corrupt_first_neighbor(node, node);
+    }
+    expect_violation(&e, "datagraph", "tree-parent");
 }
 
 #[test]

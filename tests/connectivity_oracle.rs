@@ -1,29 +1,37 @@
-//! The precomputed connectivity oracle must agree with plain breadth-first
-//! search — same `shortest_distance`, same path length, same `is_connected`
-//! verdict — at **every** depth bound, read as the oracle documents it: a
-//! bound past `MAX_DEPTH` (16 hops, where hub labelling stops) is clamped to
-//! it.  Bounds below, at and far past `MAX_DEPTH` are judged.  The labels
-//! answer every bound alone; the BFS they are judged against lives in
-//! `tests/reference/` and shares no code with them.
+//! The connectivity oracle must agree with plain breadth-first search —
+//! same `shortest_distance`, same path length, same `is_connected` verdict —
+//! at **every** depth bound, read as the oracle documents it: a bound past
+//! `MAX_DEPTH` (16 hops, where hub labelling stops and a parent walk gives
+//! up) is clamped to it.  Bounds below, at and far past `MAX_DEPTH` are
+//! judged.  The oracle answers every bound alone — a parent walk inside a
+//! document no cross edge touches, a hub-label intersection inside the
+//! documents cross edges touch; the BFS it is judged against lives in
+//! `tests/reference/` and shares no code with it.
 //!
-//! Four corpus shapes are exercised: Mondial-like (moderate IDREF webs
-//! across documents), Google-Base-like (isolated single-item documents, the
-//! centroid-tree labeling path), a synthetic dense IDREF web that cross-links
-//! every document into one large component (the adversarial case for pruned
-//! landmark labeling), and a long IDREF chain whose diameter is several times
+//! The corpus shapes: Mondial-like (moderate IDREF webs across documents),
+//! Google-Base-like (isolated single-item documents, all parent walks),
+//! RecipeML-like (deep regular documents, all parent walks), a fixed tree
+//! deeper than `MAX_DEPTH` whose two deepest leaves lie 42 hops apart, a
+//! synthetic dense IDREF web that cross-links every document into one large
+//! component (the adversarial case for pruned landmark labeling), tree
+//! documents interleaved with such a web (both sides of the dispatch in one
+//! graph), and a long IDREF chain whose diameter is several times
 //! `MAX_DEPTH` (the case the hub BFS's cut exists for).  On every shape the
-//! one-to-many form of the query — a pinned source scanned against each
-//! target — must give the same agreement, pair for pair, and every returned
-//! path must be a walk over the graph's edges.  A final set of tests pins
-//! that the labels coming out of the shard → merge lifecycle are identical to
-//! a sequential build, independent of shard order, and that the chain's
-//! labels grow linearly with its length.
+//! one-to-many form of the query — a pinned source asked about each target —
+//! must give the same agreement, pair for pair, and every returned path must
+//! be a walk over the graph's edges.  A final set of tests pins that the
+//! labels coming out of the shard → merge lifecycle are identical to a
+//! sequential build, independent of shard order, that the chain's labels
+//! grow linearly with its length, and that corpora without cross edges carry
+//! no labels at all.
 
 mod reference;
 
 use proptest::prelude::*;
 
-use seda_datagen::{googlebase, mondial, GoogleBaseConfig, MondialConfig};
+use seda_datagen::{
+    googlebase, mondial, recipeml, Dataset, GoogleBaseConfig, MondialConfig, RecipeMlConfig,
+};
 use seda_datagraph::{
     is_connected_with, pin, shortest_distance_with, shortest_path_with, DataGraph, GraphConfig,
     GraphShard, TraversalScratch, MAX_DEPTH,
@@ -153,6 +161,13 @@ fn assert_oracle_matches_bfs(graph: &DataGraph, nodes: &[NodeId]) -> Result<(), 
 /// density defeats tree-only shortcuts — the adversarial shape for the hub
 /// labeling.
 fn idref_web(docs: usize, per_doc: usize, stride: usize) -> Collection {
+    let sources = idref_web_sources(docs, per_doc, stride);
+    parse_collection(sources.iter().map(|(n, x)| (n.as_str(), x.as_str())))
+        .expect("idref web parses")
+}
+
+/// The `(name, xml)` sources of [`idref_web`].
+fn idref_web_sources(docs: usize, per_doc: usize, stride: usize) -> Vec<(String, String)> {
     let mut sources = Vec::new();
     for d in 0..docs {
         let mut xml = String::from("<hub>");
@@ -167,8 +182,47 @@ fn idref_web(docs: usize, per_doc: usize, stride: usize) -> Collection {
         xml.push_str("</hub>");
         sources.push((format!("web{d}.xml"), xml));
     }
+    sources
+}
+
+/// Tree documents interleaved with the documents of a small IDREF web, so
+/// that tree documents sit inside the hub-labelled span and both sides of
+/// the dispatch answer in one graph.
+fn trees_around_a_web() -> Collection {
+    let mut sources = Vec::new();
+    for (d, web) in idref_web_sources(4, 3, 1).into_iter().enumerate() {
+        let tree = format!(
+            "<item><title>t{d}</title><offer><price><amount>{d}</amount></price></offer></item>"
+        );
+        sources.push((format!("tree{d}.xml"), tree));
+        sources.push(web);
+    }
+    sources.push(("tree4.xml".to_string(), "<item><title>last</title></item>".to_string()));
     parse_collection(sources.iter().map(|(n, x)| (n.as_str(), x.as_str())))
-        .expect("idref web parses")
+        .expect("mixed corpus parses")
+}
+
+/// One document, two branches of `depth` nested elements under its root,
+/// each element with a leaf sibling before its child: deeper than
+/// `MAX_DEPTH`, with siblings at every level, and its two deepest leaves
+/// `2 * (depth + 1)` hops apart.
+fn deep_tree(depth: usize) -> Collection {
+    let mut xml = String::from("<root>");
+    for branch in ["left", "right"] {
+        for level in 0..depth {
+            xml.push_str(&format!("<{branch}><leaf>{level}</leaf>"));
+        }
+        for _ in 0..depth {
+            xml.push_str(&format!("</{branch}>"));
+        }
+    }
+    xml.push_str("</root>");
+    parse_collection(vec![("deep.xml", xml.as_str())]).expect("deep tree parses")
+}
+
+/// Every node of every document.
+fn all_nodes(collection: &Collection) -> Vec<NodeId> {
+    collection.documents().flat_map(|doc| doc.node_ids()).collect()
 }
 
 /// A long IDREF chain: `docs` one-item documents, each referencing the
@@ -193,8 +247,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Mondial-like corpora: cross-document IDREF edges produce multi-document
-    /// components answered by hub labels; isolated documents take the
-    /// centroid-tree path.
+    /// components answered by hub labels; documents no edge touches are
+    /// answered by parent walks.
     #[test]
     fn oracle_matches_bfs_on_mondial(
         countries in 2usize..6,
@@ -219,7 +273,7 @@ proptest! {
     }
 
     /// Google-Base-like corpora: no cross edges, every document is its own
-    /// component — the pure centroid-tree labeling regime.
+    /// component — parent walks only.
     #[test]
     fn oracle_matches_bfs_on_googlebase(
         items in 5usize..25,
@@ -230,6 +284,23 @@ proptest! {
         let collection = googlebase::generate(&config).expect("generate googlebase");
         let graph = DataGraph::build(&collection, &GraphConfig::default());
         let nodes = sample_nodes(&collection, 4);
+        assert_oracle_matches_bfs(&graph, &nodes)?;
+    }
+
+    /// RecipeML-like corpora: deep regular documents, no cross edges —
+    /// parent walks of many steps.  Every node of the first document is
+    /// judged against every other, beside a spread over the rest.
+    #[test]
+    fn oracle_matches_bfs_on_recipeml(
+        recipes in 3usize..12,
+        seed in 0u64..1_000,
+    ) {
+        let config = RecipeMlConfig { recipes, menu_percent: 30, nutrition_percent: 30, seed };
+        let collection = recipeml::generate(&config).expect("generate recipeml");
+        let graph = DataGraph::build(&collection, &GraphConfig::default());
+        let mut nodes: Vec<NodeId> =
+            collection.documents().next().expect("a recipe").node_ids().collect();
+        nodes.extend(sample_nodes(&collection, 2));
         assert_oracle_matches_bfs(&graph, &nodes)?;
     }
 
@@ -284,6 +355,33 @@ fn oracle_matches_bfs_on_a_long_idref_chain() {
     assert_oracle_matches_bfs(&graph, &sample_nodes(&collection, 1)).expect("oracle == BFS");
 }
 
+/// A fixed tree deeper than `MAX_DEPTH`, siblings at every level, its ends
+/// 42 hops apart: every pair of its nodes judged at every depth bound.
+#[test]
+fn oracle_matches_bfs_on_a_deep_tree() {
+    let collection = deep_tree(20);
+    let graph = DataGraph::build(&collection, &GraphConfig::default());
+    let last_leaf = |branch: &str| {
+        let doc = collection.documents().next().expect("one document");
+        let path = format!("/root{}/leaf", format!("/{branch}").repeat(20));
+        let path = collection.paths().get_str(collection.symbols(), &path).expect("deepest leaf");
+        NodeId::new(doc.id, *doc.nodes_with_path(path).first().expect("one deepest leaf"))
+    };
+    let (left, right) = (last_leaf("left"), last_leaf("right"));
+    assert_eq!(reference::distances(&graph, left, usize::MAX).get(&right), Some(&42));
+    assert_oracle_matches_bfs(&graph, &all_nodes(&collection)).expect("oracle == BFS");
+}
+
+/// Tree documents and a hub component in one graph, tree documents inside
+/// the labelled span: both sides of the dispatch judged together.
+#[test]
+fn oracle_matches_bfs_on_trees_around_a_web() {
+    let collection = trees_around_a_web();
+    let graph = DataGraph::build(&collection, &GraphConfig::default());
+    assert_eq!(graph.doc_component_count(), 6, "five trees and one web");
+    assert_oracle_matches_bfs(&graph, &all_nodes(&collection)).expect("oracle == BFS");
+}
+
 /// The cut keeps a chain's labels linear in its length: the links of a chain
 /// share one degree, so the hubs come in chain order and an uncut BFS would
 /// label every node after its hub (quadratic entries, a cubic build).
@@ -294,6 +392,24 @@ fn chain_labels_grow_linearly() {
     };
     let (short, long) = (label_bytes(200), label_bytes(400));
     assert!(long <= short * 21 / 10, "200 documents: {short} label bytes, 400: {long}");
+}
+
+/// Documents no cross edge touches carry no labels: one byte a document,
+/// the bit that sends their pairs to a parent walk.
+#[test]
+fn tree_corpora_carry_no_labels() {
+    for dataset in [Dataset::GoogleBase, Dataset::RecipeMl, Dataset::WorldFactbook] {
+        let collection = dataset.generate_small().expect("datagen");
+        let graph = DataGraph::build(&collection, &GraphConfig::default());
+        assert_eq!(graph.cross_edge_count(), 0, "{}", dataset.name());
+        let bytes = graph.connectivity().label_bytes();
+        assert!(
+            bytes <= collection.len(),
+            "{}: {bytes} label bytes for {} documents",
+            dataset.name(),
+            collection.len()
+        );
+    }
 }
 
 /// Non-random anchor: the fixed mondial workload of the benchmark reports,

@@ -1,7 +1,8 @@
 //! Plain breadth-first search over the data graph's adjacency, as the
-//! reference the connectivity oracle's label answers are judged against: a
+//! reference the connectivity oracle's answers are judged against: a
 //! `HashMap` of distances filled from [`DataGraph::neighbors`], sharing no
-//! code with the distance labels, the traversal scratch or the pinned query.
+//! code with the hub labels, the parent walk, the traversal scratch or the
+//! pinned query.
 //!
 //! Included as `mod reference;` by the root suites that judge the oracle,
 //! following `crates/twigjoin/tests/reference/`.

@@ -17,6 +17,16 @@
 //! old and the new file are equal, and no three-term line moved, budget
 //! breach sites included.
 //!
+//! Re-recorded a second time when tree distances stopped coming from labels:
+//! a pair inside a document no cross edge touches is a parent walk, and
+//! `label_probes` counts its steps instead of label entries.  With
+//! `probes=[0-9]*` masked only two lines moved, both `budget probes<=200`
+//! breach lines of tree corpora: RecipeML's stops at the same place having
+//! spent 280 instead of 206, and World Factbook's stops earlier (25 sorted
+//! accesses and 18 tuples instead of 28 and 24) with the same top tuple and
+//! digest.  Google Base's probe counts repeat (two parent steps where two
+//! label entries were read), and the Mondial block is byte-identical.
+//!
 //! One [`SearchScratch`] serves all cases, and every case also runs over
 //! materialised term lists (the prepared-statement path), which must agree
 //! with the cold search.
