@@ -5,11 +5,11 @@
 //!
 //! | class | invariant |
 //! |---|---|
-//! | `csr-offsets` | every CSR offset array is monotone, starts at 0, ends at its arena length, targets in-bounds; the label offsets span exactly the hub documents |
+//! | `csr-offsets` | every CSR offset array is monotone, starts at 0, ends at its arena length, targets in-bounds; the label offsets cover every node, or none without a cross edge |
 //! | `cross-symmetry` | every cross edge is stored under both endpoints with the same kind |
 //! | `component-partition` | `doc_component` equals the dense union-find closure of the cross edges |
-//! | `tree-parent` | every non-root node of a document no cross edge touches lists first in its adjacency a parent-child neighbour at a smaller dense index of the same document — the parent a distance walk steps to |
-//! | `labels-sorted` | per-node label keys strictly ascending (sorted and deduped); the hub-document bit covers every document |
+//! | `tree-parent` | every non-root node of a document no cross edge touches lists first in its adjacency a parent-child neighbour at a smaller dense index of the same document, whose adjacency lists the node as its child — the parent a distance walk steps to |
+//! | `labels-sorted` | per-node label keys strictly ascending (sorted and deduped); the hub-document bit covers every document and is set exactly where a node of the document has a cross edge |
 //! | `labels-bounded` | label distances never exceed [`crate::MAX_DEPTH`] |
 //! | `labels-sound` | hub pruning kept the 2-hop cover sound: every adjacency edge of a hub document answers distance 1 |
 //! | `scratch-pinned` | no scattered label entry outlives its `PinnedSource`: between queries the pinned array holds "no entry" under every key |
@@ -131,7 +131,7 @@ impl DataGraph {
             self.verify_tree_parents(&mut violations, docs);
         }
         if doc_ok {
-            self.verify_labels(&mut violations, docs, cross_ok && adj_ok);
+            self.verify_labels(&mut violations, docs, cross_ok, adj_ok);
         }
         finish(violations)
     }
@@ -224,7 +224,7 @@ impl DataGraph {
     }
 
     /// Every non-root node of a tree document lists first the parent the
-    /// distance walk steps to.
+    /// distance walk steps to, and that parent lists it as a child.
     fn verify_tree_parents(&self, violations: &mut Vec<InvariantViolation>, docs: usize) {
         for doc in 0..docs {
             if self.connectivity.is_hub(DocId(doc as u32)) {
@@ -234,14 +234,16 @@ impl DataGraph {
             for dense in root + 1..end {
                 let first = self.neighbors_dense(dense).first().copied();
                 let parent_first = matches!(first,
-                    Some((parent, EdgeKind::ParentChild)) if (root..dense).contains(&parent));
+                    Some((parent, EdgeKind::ParentChild)) if (root..dense).contains(&parent)
+                        && self.neighbors_dense(parent)
+                            .contains(&(dense, EdgeKind::ParentChild)));
                 if !parent_first {
                     violations.push(InvariantViolation::new(
                         SUBSTRATE,
                         "tree-parent",
                         format!(
                             "node {dense} of tree document {doc} lists {first:?} first, \
-                             not a parent in its document before it"
+                             not a parent in its document before it that lists it as a child"
                         ),
                     ));
                 }
@@ -253,7 +255,8 @@ impl DataGraph {
         &self,
         violations: &mut Vec<InvariantViolation>,
         docs: usize,
-        adjacency_trusted: bool,
+        cross_ok: bool,
+        adj_ok: bool,
     ) {
         let conn = &self.connectivity;
         if conn.hub_docs.len() != docs {
@@ -264,23 +267,26 @@ impl DataGraph {
             ));
             return;
         }
-        // The labelled span: from the first hub document to the last.
-        let hub_docs: Vec<usize> = (0..docs).filter(|&doc| conn.hub_docs[doc]).collect();
-        let (first, end) = match (hub_docs.first(), hub_docs.last()) {
-            (Some(&f), Some(&l)) => (self.doc_offsets[f], self.doc_offsets[l + 1]),
-            _ => (0, 0),
-        };
-        let slots = (end - first) as usize;
-        if conn.first != first {
-            violations.push(InvariantViolation::new(
-                SUBSTRATE,
-                "csr-offsets",
-                format!("labels start at node {}, the first hub document at {first}", conn.first),
-            ));
-            return;
+        if cross_ok {
+            // The bit picks the answer path, so it must say exactly whether a
+            // cross edge touches the document.
+            for doc in 0..docs {
+                let nodes = self.doc_offsets[doc] as usize..self.doc_offsets[doc + 1] as usize;
+                let touched = nodes.into_iter().any(|dense| !self.cross_range(dense).is_empty());
+                if conn.hub_docs[doc] != touched {
+                    violations.push(InvariantViolation::new(
+                        SUBSTRATE,
+                        "labels-sorted",
+                        format!(
+                            "document {doc}: hub bit {}, touched by a cross edge: {touched}",
+                            conn.hub_docs[doc]
+                        ),
+                    ));
+                }
+            }
         }
-        // No label at all without a hub document.
-        let expected = if slots == 0 { 0 } else { slots + 1 };
+        // Every node has a label range, or none does without a hub document.
+        let expected = if conn.hub_docs.contains(&true) { self.node_count() + 1 } else { 0 };
         if !check_offsets(violations, "label offsets", &conn.offsets, expected, conn.hubs.len())
             || conn.dists.len() != conn.hubs.len()
         {
@@ -293,10 +299,9 @@ impl DataGraph {
             }
             return;
         }
-        for slot in 0..slots {
-            let dense = first as usize + slot;
-            let lo = conn.offsets[slot] as usize;
-            let hi = conn.offsets[slot + 1] as usize;
+        for dense in 0..conn.slots() {
+            let lo = conn.offsets[dense] as usize;
+            let hi = conn.offsets[dense + 1] as usize;
             for (i, pair) in conn.hubs[lo..hi].windows(2).enumerate() {
                 if pair[0] >= pair[1] {
                     violations.push(InvariantViolation::new(
@@ -319,24 +324,20 @@ impl DataGraph {
                 }
             }
         }
-        if !adjacency_trusted {
+        if !(cross_ok && adj_ok) {
             return; // soundness needs a well-formed adjacency to walk
         }
         // Hub-pruning soundness, checked empirically: for every adjacency
         // edge of a hub document between distinct nodes the 2-hop cover must
         // answer exactly 1.
         let mut probes = 0u64;
-        for &doc in &hub_docs {
+        for doc in (0..docs).filter(|&doc| conn.hub_docs[doc]) {
             for dense in self.doc_offsets[doc]..self.doc_offsets[doc + 1] {
                 for &(target, _) in self.neighbors_dense(dense) {
                     if target == dense {
                         continue;
                     }
-                    let d = if (first..end).contains(&target) {
-                        conn.label_distance(dense, target, &mut probes)
-                    } else {
-                        u32::MAX
-                    };
+                    let d = conn.label_distance(dense, target, &mut probes);
                     if d != 1 {
                         violations.push(InvariantViolation::new(
                             SUBSTRATE,
@@ -360,7 +361,7 @@ impl DataGraph {
 
     /// Test-only corruption hook: points one node's first adjacency entry at
     /// `target` (breaks `tree-parent` for a non-root node of a tree document
-    /// when `target` does not precede it in its document).
+    /// when `target` is not its parent).
     #[doc(hidden)]
     pub fn corrupt_first_neighbor(&mut self, dense: u32, target: u32) {
         let slot = self.adj_offsets[dense as usize] as usize;
@@ -379,6 +380,14 @@ impl DataGraph {
     #[doc(hidden)]
     pub fn corrupt_doc_component(&mut self, doc: usize, id: u32) {
         self.doc_component[doc] = id;
+    }
+
+    /// Test-only corruption hook: clears one document's hub bit, sending its
+    /// pairs to the parent walk (breaks `labels-sorted` when a cross edge
+    /// touches the document).
+    #[doc(hidden)]
+    pub fn corrupt_clear_hub_doc(&mut self, doc: usize) {
+        self.connectivity.hub_docs[doc] = false;
     }
 
     /// Test-only corruption hook: swaps two label keys of one node (breaks
@@ -417,16 +426,16 @@ impl DataGraph {
         self.connectivity.dists[entry] = dist;
     }
 
-    /// The label entry range of one dense node, empty outside the labelled
-    /// span (sizing input for the corruption suite).
+    /// The label entry range of one dense node, empty when the graph has no
+    /// labels (sizing input for the corruption suite).
     #[doc(hidden)]
     pub fn label_range(&self, dense: u32) -> (usize, usize) {
         let conn = &self.connectivity;
-        match dense.checked_sub(conn.first).map(|slot| slot as usize) {
-            Some(slot) if slot < conn.slots() => {
-                (conn.offsets[slot] as usize, conn.offsets[slot + 1] as usize)
-            }
-            _ => (0, 0),
+        let dense = dense as usize;
+        if dense < conn.slots() {
+            (conn.offsets[dense] as usize, conn.offsets[dense + 1] as usize)
+        } else {
+            (0, 0)
         }
     }
 }
@@ -482,7 +491,7 @@ mod tests {
                    </sea>"#,
             ),
             ("us.xml", r#"<country id="cty-us"><name>United States</name></country>"#),
-            ("island.xml", r#"<island><name>Lonely</name></island>"#),
+            ("island.xml", r#"<island><name>Lonely</name><area><km2>4</km2></area></island>"#),
         ])
         .unwrap();
         DataGraph::build(&c, &GraphConfig::default())
@@ -533,6 +542,29 @@ mod tests {
     }
 
     #[test]
+    fn a_first_neighbour_at_an_earlier_non_parent_fails_tree_parent() {
+        let mut g = linked_graph();
+        // The last node of island.xml sits two or more levels below its root,
+        // which precedes it in the document but is not its parent.
+        let root = g.doc_offsets[2];
+        let deepest = g.doc_offsets[3] - 1;
+        assert!(g.parent_dense(deepest) != root);
+        g.corrupt_first_neighbor(deepest, root);
+        let violations = g.verify().unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "tree-parent"), "{violations:?}");
+    }
+
+    #[test]
+    fn a_cleared_hub_bit_fails_labels_sorted() {
+        let mut g = linked_graph();
+        // sea.xml (document 0) holds the IDREF; without its bit its pairs
+        // would be answered by a parent walk that climbs past its root.
+        g.corrupt_clear_hub_doc(0);
+        let violations = g.verify().unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "labels-sorted"), "{violations:?}");
+    }
+
+    #[test]
     fn swapped_label_keys_fail_labels_sorted() {
         let mut g = linked_graph();
         let node_count = g.node_count() as u32;
@@ -554,7 +586,8 @@ mod tests {
     fn tree_documents_carry_no_label_entries() {
         let mut g = linked_graph();
         let island = g.dense(NodeId::new(DocId(2), 0)).unwrap();
-        assert_eq!(g.label_range(island), (0, 0));
+        let (lo, hi) = g.label_range(island);
+        assert_eq!(lo, hi);
         assert!(!g.corrupt_swap_labels(island));
     }
 

@@ -19,8 +19,8 @@
 //!   equal-degree links an uncut BFS labels quadratically
 //!   (`chain_labels_grow_linearly`; the figures are in the README).
 //!
-//! The hub labels live in one CSR arena (`offsets`, `hubs`, `dists`) over
-//! the dense span from the first hub document to the last.  A pair query
+//! The hub labels live in one CSR arena (`offsets`, `hubs`, `dists`)
+//! indexed by dense node, empty when no cross edge exists.  A pair query
 //! merge-scans two sorted `(hub, distance)` lists.  The one-to-many form
 //! (Akiba, Iwata, Yoshida, SIGMOD 2013) scatters the source's label once
 //! (`scatter`) and answers each target by one branch-free pass over the
@@ -54,18 +54,15 @@ const UNSET: u32 = u32::MAX;
 /// Built once in [`DataGraph::merge`] by a landmark pass over the documents
 /// cross edges touch; immutable afterwards.  Tree documents carry one bit
 /// and no label.  The hub labels live in three flat arrays, CSR-style: the
-/// node of dense index `first + i` has entries `hubs[offsets[i]..offsets[i+1]]`
+/// node of dense index `i` has entries `hubs[offsets[i]..offsets[i+1]]`
 /// (sorted ascending) with parallel distances in `dists`.
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConnectivityIndex {
     /// Per document: true when a cross edge touches it (its nodes carry hub
     /// labels), false for a tree document (answered by parent walks).
     pub(crate) hub_docs: Vec<bool>,
-    /// Dense index of the first hub document's root: the node of `offsets[0]`.
-    pub(crate) first: u32,
-    /// Label offsets of the span from `first` to the last hub document's end,
-    /// one more than the span's nodes; empty when no document is touched.
-    /// Tree documents inside the span hold empty ranges.
+    /// Label offsets, one more than the graph's nodes; empty when no document
+    /// is touched.  Nodes of tree documents hold empty ranges.
     pub(crate) offsets: Vec<u32>,
     /// Hub ranks, sorted ascending per node.
     pub(crate) hubs: Vec<u32>,
@@ -95,17 +92,16 @@ impl ConnectivityIndex {
         self.hub_docs.len() == docs
     }
 
-    /// Number of label slots: the nodes of the hub span, and a bound on the
-    /// hub ranks used as label keys.
+    /// Number of label slots: the graph's nodes when a cross edge exists,
+    /// else 0 — a bound on the hub ranks used as label keys.
     pub(crate) fn slots(&self) -> usize {
         self.offsets.len().saturating_sub(1)
     }
 
     /// Label entries of one dense node of a hub document.
     fn entries(&self, dense: u32) -> (&[u32], &[u16]) {
-        let slot = (dense - self.first) as usize;
-        let lo = self.offsets[slot] as usize;
-        let hi = self.offsets[slot + 1] as usize;
+        let lo = self.offsets[dense as usize] as usize;
+        let hi = self.offsets[dense as usize + 1] as usize;
         (&self.hubs[lo..hi], &self.dists[lo..hi])
     }
 
@@ -187,47 +183,43 @@ impl ConnectivityIndex {
             hub_docs[edge.from.doc.index()] = true;
             hub_docs[edge.to.doc.index()] = true;
         }
-        let hub_ranges = || {
-            (0..docs)
-                .filter(|&doc| hub_docs[doc])
-                .map(|doc| graph.doc_offsets[doc]..graph.doc_offsets[doc + 1])
-        };
-        let (Some(first), Some(end)) =
-            (hub_ranges().next().map(|r| r.start), hub_ranges().next_back().map(|r| r.end))
-        else {
+        if edges.is_empty() {
             return ConnectivityIndex { hub_docs, ..ConnectivityIndex::default() };
-        };
-        let slot = |dense: u32| (dense - first) as usize;
+        }
 
-        // Pruned landmark labeling, hubs in descending-degree order (dense
-        // index breaks ties), each BFS pruned by the labels accumulated so
-        // far and cut off at `MAX_DEPTH`.  A hub's BFS never leaves the hub
-        // documents, so every node it reaches has a slot.
-        let mut hub_nodes: Vec<u32> = hub_ranges().flatten().collect();
+        // Pruned landmark labeling over the hub documents' nodes, hubs in
+        // descending-degree order (dense index breaks ties), each BFS pruned
+        // by the labels accumulated so far and cut off at `MAX_DEPTH`.  A
+        // hub's BFS never leaves the hub documents.
+        let mut hub_nodes: Vec<u32> = (0..docs)
+            .filter(|&doc| hub_docs[doc])
+            .flat_map(|doc| graph.doc_offsets[doc]..graph.doc_offsets[doc + 1])
+            .collect();
         hub_nodes.sort_by_key(|&d| (std::cmp::Reverse(graph.neighbors_dense(d).len()), d));
 
-        let mut labels: Vec<Vec<(u32, u16)>> = vec![Vec::new(); slot(end)];
-        let mut hub_dist: Vec<u32> = vec![UNSET; slot(end)];
+        let node_count = graph.node_count();
+        let mut labels: Vec<Vec<(u32, u16)>> = vec![Vec::new(); node_count];
+        let mut hub_dist: Vec<u32> = vec![UNSET; node_count];
         let mut to_hub: Vec<u32> = vec![UNSET; hub_nodes.len()];
         let mut queue: Vec<u32> = Vec::new();
         for (rank, &hub) in hub_nodes.iter().enumerate() {
             // Scatter the hub's own labels so the pruning query is O(|label|).
-            for &(r, d) in &labels[slot(hub)] {
+            for &(r, d) in &labels[hub as usize] {
                 to_hub[r as usize] = d as u32;
             }
             queue.clear();
-            hub_dist[slot(hub)] = 0;
+            hub_dist[hub as usize] = 0;
             queue.push(hub);
             let mut head = 0;
             while head < queue.len() {
                 let u = queue[head];
                 head += 1;
-                let du = hub_dist[slot(u)];
+                let du = hub_dist[u as usize];
                 // Prune when an earlier hub already certifies a distance no
                 // worse than the BFS level — the classic PLL cut that keeps
                 // labels near-minimal.
                 let mut q = UNSET;
-                for &(r, d) in &labels[slot(u)] {
+                for &(r, d) in &labels[u as usize] {
                     let via = to_hub[r as usize].saturating_add(d as u32);
                     if via < q {
                         q = via;
@@ -236,20 +228,20 @@ impl ConnectivityIndex {
                 if q <= du {
                     continue;
                 }
-                labels[slot(u)].push((rank as u32, du as u16));
+                labels[u as usize].push((rank as u32, du as u16));
                 if (du as usize) < MAX_DEPTH {
                     for &(next, _) in graph.neighbors_dense(u) {
-                        if hub_dist[slot(next)] == UNSET {
-                            hub_dist[slot(next)] = du + 1;
+                        if hub_dist[next as usize] == UNSET {
+                            hub_dist[next as usize] = du + 1;
                             queue.push(next);
                         }
                     }
                 }
             }
             for &t in &queue {
-                hub_dist[slot(t)] = UNSET;
+                hub_dist[t as usize] = UNSET;
             }
-            for &(r, _) in &labels[slot(hub)] {
+            for &(r, _) in &labels[hub as usize] {
                 to_hub[r as usize] = UNSET;
             }
         }
@@ -274,6 +266,6 @@ impl ConnectivityIndex {
                 dists.push(d);
             }
         }
-        ConnectivityIndex { hub_docs, first, offsets, hubs, dists }
+        ConnectivityIndex { hub_docs, offsets, hubs, dists }
     }
 }

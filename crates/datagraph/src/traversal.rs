@@ -51,8 +51,8 @@ pub struct TraversalScratch {
     in_tree: Vec<bool>,
     best: Vec<u32>,
     /// The scattered label of the current hub [`PinnedSource`], one `u16`
-    /// per hub label key (2 bytes a hub-labelled node, none without cross
-    /// edges), all `NO_ENTRY` whenever no source is pinned — a leftover entry
+    /// per label slot (2 bytes a node, none without cross edges), all
+    /// `NO_ENTRY` whenever no source is pinned — a leftover entry
     /// would shorten later distances ([`TraversalScratch::verify`]).
     pub(crate) pinned: Vec<u16>,
     /// Total label entries scanned and parent steps walked by distance

@@ -182,6 +182,17 @@ fn a_first_neighbour_other_than_the_parent_is_detected_as_datagraph_tree_parent(
 }
 
 #[test]
+fn a_cleared_hub_document_bit_is_detected_as_datagraph_labels_sorted() {
+    let mut e = engine();
+    {
+        let (_, _, _, graph, _) = e.substrates_mut();
+        // sea.xml (document 0) holds the IDREF cross edge.
+        graph.corrupt_clear_hub_doc(0);
+    }
+    expect_violation(&e, "datagraph", "labels-sorted");
+}
+
+#[test]
 fn desynced_path_index_is_detected_as_dataguide_path_index() {
     let mut e = engine();
     let c = e.collection();

@@ -186,8 +186,8 @@ fn idref_web_sources(docs: usize, per_doc: usize, stride: usize) -> Vec<(String,
 }
 
 /// Tree documents interleaved with the documents of a small IDREF web, so
-/// that tree documents sit inside the hub-labelled span and both sides of
-/// the dispatch answer in one graph.
+/// that tree documents sit between hub documents and both sides of the
+/// dispatch answer in one graph.
 fn trees_around_a_web() -> Collection {
     let mut sources = Vec::new();
     for (d, web) in idref_web_sources(4, 3, 1).into_iter().enumerate() {
@@ -372,8 +372,8 @@ fn oracle_matches_bfs_on_a_deep_tree() {
     assert_oracle_matches_bfs(&graph, &all_nodes(&collection)).expect("oracle == BFS");
 }
 
-/// Tree documents and a hub component in one graph, tree documents inside
-/// the labelled span: both sides of the dispatch judged together.
+/// Tree documents and a hub component in one graph, tree documents between
+/// hub documents: both sides of the dispatch judged together.
 #[test]
 fn oracle_matches_bfs_on_trees_around_a_web() {
     let collection = trees_around_a_web();
