@@ -159,14 +159,18 @@ pub const TWIG_STATEMENT_BOUND: f64 = 1.19;
 /// Allowed `t(NodeIndex::build + ContextIndex::build) / t(tokenise)` on the
 /// paper-scale googlebase collection (10,000 documents, 150,000 text nodes),
 /// the tokenising pass being `terms(text).len()` summed over every text node.
-/// With flat per-document shards merged straight into the node index's read
-/// model and the context index built by one fold: measured 5.78–6.39× over
-/// twenty runs (≈ 93 ms against ≈ 15.6 ms).  The builds these replaced — three
-/// hash maps and a `String` per token occurrence a document in the node index,
-/// a map and a set per distinct token a document in the context index — read
-/// 15.9–17.3× over six runs (≈ 540 ms against ≈ 33 ms: their garbage slows the
-/// tokenising pass they take turns with, too).  The bound is the geometric
-/// mean of the worst new reading and the best old: √(6.39 · 15.9) ≈ 10.
+/// With the node index built in one pass that interns each token as it reads
+/// it, straight into the read model, and the context index built by one fold:
+/// measured 6.01–7.91× over eight runs on a 2-core host (≈ 123–173 ms against
+/// ≈ 19–22 ms).  The per-document shards merged into the read model that it
+/// replaced read 7.01–9.02× in the same turns (5.78–6.39× over twenty runs on
+/// a quieter host, ≈ 93 ms against ≈ 15.6 ms).  The builds before those —
+/// three hash maps and a `String` per token occurrence a document in the node
+/// index, a map and a set per distinct token a document in the context index —
+/// read 15.9–17.3× over six runs (≈ 540 ms against ≈ 33 ms: their garbage
+/// slows the tokenising pass they take turns with, too).  The bound is the
+/// geometric mean of the shards' worst quiet reading and the best old one:
+/// √(6.39 · 15.9) ≈ 10.
 pub const INDEX_BUILD_BOUND: f64 = 10.0;
 
 /// An engine over a datagen googlebase corpus of `items` flat documents.
@@ -396,7 +400,7 @@ mod tests {
 
     #[test]
     fn index_build_fails_on_a_map_per_document_and_passes_on_the_measured_pair() {
-        // Both indexes as they were built before the flat shards and the one
+        // Both indexes as they were built before the flat builds and the one
         // fold, at their most favourable of six runs.
         let failure = index_build_verdict(33.411, 532.678).unwrap_err();
         assert!(

@@ -2,18 +2,18 @@
 //! generator, connection summary generator, complete result set generator and
 //! data cube processor, built over the storage and indexing substrates.
 //!
-//! # Build lifecycle
+//! # Build
 //!
-//! Three substrates — node index, data graph, dataguides — follow a
-//! **shard → merge** lifecycle: a per-document shard phase that parallelises
-//! freely (documents share the collection's intern tables, so shards carry
-//! globally valid ids) and a merge phase that combines shards
-//! deterministically in document order.  The context index is one serial
-//! fold over the collection (see `seda_textindex::context_index` for the
-//! measurement).  [`SedaEngine::build`] runs this one orchestration at every
-//! thread count: [`EngineConfig::parallelism`] only sets how many workers the
-//! shard phases fan out over (one runs them inline on the build thread), and
-//! a [`BuildProfile`] records per-substrate shard and merge wall times.
+//! Each substrate has one build: a single pass over the collection in
+//! document order (`NodeIndex::build`, `DataGraph::build`,
+//! `ContextIndex::build`, `DataGuideSet::build`).  [`SedaEngine::build`] runs
+//! them on one thread or two.  At two, the node index — the largest build —
+//! runs on a scoped second thread while the calling thread builds the data
+//! graph, the context index and the dataguides.  The graph stays on the
+//! calling thread, so its document components count on
+//! `seda_datagraph::doc_component_builds_on_this_thread` there.  The engine
+//! is identical at either thread count, and a [`BuildProfile`] records each
+//! substrate's wall time.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,17 +37,10 @@ use crate::error::SedaError;
 use crate::faults;
 use crate::govern::{RequestContext, Stopwatch};
 use crate::metrics::{names, MetricsRegistry};
-use crate::parallel::{effective_parallelism, panic_message, parallel_map, WorkerPanic};
+use crate::parallel::{effective_parallelism, panic_message};
 use crate::query::{ContextSpec, SedaQuery};
 use crate::summaries::{ConnectionSummary, ContextBucket, ContextSelections, ContextSummary};
 use crate::trace::{span, SpanRecord, Tracer};
-
-/// Lifts a contained build-worker panic into the unified error taxonomy.
-impl From<WorkerPanic> for SedaError {
-    fn from(p: WorkerPanic) -> Self {
-        SedaError::Internal(format!("build worker panicked on document {}: {}", p.index, p.message))
-    }
-}
 
 /// Runs `f` inside a panic-containment boundary: a panic anywhere below
 /// becomes [`SedaError::Internal`] instead of unwinding into the caller.
@@ -78,10 +71,11 @@ pub struct EngineConfig {
     /// Upper bound on the number of complete-result tuples materialised by
     /// the fallback graph-enumeration path.
     pub complete_result_limit: usize,
-    /// Worker threads for the shard phases of the engine build: `1` (the
-    /// default) runs them inline on the build thread, `0` uses the machine's
-    /// available parallelism, any other value is taken literally.  The build
-    /// output is identical for every setting.
+    /// Threads of the engine build: `1` (the default) builds every substrate
+    /// on the calling thread; `2` or more (`0` resolves to the machine's
+    /// available parallelism) builds the node index on a second thread.  No
+    /// build uses more than two.  The build output is identical for every
+    /// setting.
     pub parallelism: usize,
 }
 
@@ -99,53 +93,24 @@ impl Default for EngineConfig {
     }
 }
 
-/// Wall time of one substrate's build, split into its two lifecycle phases.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct PhaseProfile {
-    /// Seconds spent building per-document shards (the parallel phase; zero
-    /// for the context index, which has none).
-    pub shard_secs: f64,
-    /// Seconds spent in the serial phase, on every build: merging shards, or
-    /// the context index's whole one-fold build.
-    pub merge_secs: f64,
-}
-
-impl PhaseProfile {
-    fn finish_shards(start: Stopwatch) -> (Self, Stopwatch) {
-        let (shard_secs, merge_start) = start.split();
-        (PhaseProfile { shard_secs, merge_secs: 0.0 }, merge_start)
-    }
-
-    fn finish_merge(&mut self, merge_start: Stopwatch) {
-        self.merge_secs = merge_start.elapsed_secs();
-    }
-
-    /// Total seconds spent on this substrate.
-    pub fn total_secs(&self) -> f64 {
-        self.shard_secs + self.merge_secs
-    }
-}
-
 /// Timings and shape of one [`SedaEngine::build`] run, so one-thread vs
-/// several-thread speedups are measured (`benchmark/` reads them) rather than
+/// two-thread speedups are measured (`benchmark/` reads them) rather than
 /// asserted.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BuildProfile {
-    /// Worker threads actually used (after resolving `parallelism == 0` and
-    /// clamping to the document count).
+    /// Threads actually used: 1, or 2 when the node index was built on a
+    /// second thread.
     pub parallelism: usize,
-    /// Documents in the collection — also the shards each sharded substrate
-    /// builds, one per document.
+    /// Documents in the collection.
     pub documents: usize,
-    /// Node full-text index build.
-    pub node_index: PhaseProfile,
-    /// Keyword → context index build: one serial fold, reported as
-    /// `merge_secs` (the serial phase).
-    pub context_index: PhaseProfile,
-    /// Data-graph construction and resolution.
-    pub graph: PhaseProfile,
-    /// Dataguide computation and threshold merge.
-    pub guides: PhaseProfile,
+    /// Seconds spent building the node full-text index.
+    pub node_index_secs: f64,
+    /// Seconds spent building the keyword → context index.
+    pub context_index_secs: f64,
+    /// Seconds spent on data-graph construction and resolution.
+    pub graph_secs: f64,
+    /// Seconds spent on dataguide computation and the threshold merge.
+    pub guides_secs: f64,
     /// Inter-dataguide link derivation (always sequential).
     pub links_secs: f64,
     /// Bytes held by the precomputed connectivity-oracle labels (see
@@ -161,49 +126,36 @@ pub struct BuildProfile {
     pub verify_ms: f64,
     /// End-to-end engine build wall time (includes the post-build audit).
     pub total_secs: f64,
-    /// Hierarchical span breakdown of the build (per-substrate shard/merge
-    /// phases, link derivation, audit verify), recorded by the build-path
+    /// Hierarchical span breakdown of the build (one span per substrate,
+    /// link derivation, audit verify), recorded by the build-path
     /// [`crate::Tracer`].
     pub spans: Vec<SpanRecord>,
 }
 
 impl BuildProfile {
-    /// Seconds spent across all shard phases.
-    pub fn shard_secs(&self) -> f64 {
-        self.node_index.shard_secs
-            + self.context_index.shard_secs
-            + self.graph.shard_secs
-            + self.guides.shard_secs
-    }
-
-    /// Seconds spent across all merge phases.
+    /// Always 0.0: no build has a merge phase any more.  Kept only because
+    /// `benchmark/` still reports it as `core.build_merge_ms`.
     pub fn merge_secs(&self) -> f64 {
-        self.node_index.merge_secs
-            + self.context_index.merge_secs
-            + self.graph.merge_secs
-            + self.guides.merge_secs
+        0.0
     }
 
     /// Renders the profile as a small human-readable table.
     pub fn render(&self) -> String {
-        let row = |name: &str, p: &PhaseProfile| {
-            format!(
-                "  {name:<14} {:>9.2}ms shard  {:>9.2}ms merge\n",
-                p.shard_secs * 1e3,
-                p.merge_secs * 1e3
-            )
-        };
         let mut out = format!(
             "build profile: {} docs, {} thread(s), {:.2}ms total\n",
             self.documents,
             self.parallelism,
             self.total_secs * 1e3
         );
-        out.push_str(&row("node index", &self.node_index));
-        out.push_str(&row("context index", &self.context_index));
-        out.push_str(&row("data graph", &self.graph));
-        out.push_str(&row("dataguides", &self.guides));
-        out.push_str(&format!("  {:<14} {:>9.2}ms\n", "guide links", self.links_secs * 1e3));
+        for (name, secs) in [
+            ("node index", self.node_index_secs),
+            ("context index", self.context_index_secs),
+            ("data graph", self.graph_secs),
+            ("dataguides", self.guides_secs),
+            ("guide links", self.links_secs),
+        ] {
+            out.push_str(&format!("  {name:<14} {:>9.2}ms\n", secs * 1e3));
+        }
         out.push_str(&format!("  {:<14} {:>9} bytes\n", "oracle labels", self.label_bytes));
         out.push_str(&format!(
             "  {:<14} {:>9} bytes (the node index's whole heap)\n",
@@ -244,11 +196,11 @@ impl SedaEngine {
     /// Builds the engine: constructs the data graph, both full-text indexes
     /// and the dataguide summary over the collection.
     ///
-    /// Each sharded substrate builds one shard per document — across a scoped
-    /// pool of [`EngineConfig::parallelism`] workers, inline at one — and
-    /// merges the shards in document order, so the resulting engine is
-    /// identical at every thread count.  The timings of both phases are
-    /// recorded in [`SedaEngine::build_profile`].
+    /// Each substrate is built in one pass over the collection; at
+    /// [`EngineConfig::parallelism`] ≥ 2 the node index is built on a second
+    /// thread (see the module docs).  The resulting engine is identical at
+    /// every thread count, and each substrate's wall time is recorded in
+    /// [`SedaEngine::build_profile`].
     ///
     /// Fails with [`SedaError::Limit`] (resource `"connection depth"`) when
     /// `config.topk.max_depth` or `config.connection_max_depth` exceeds
@@ -299,10 +251,7 @@ impl SedaEngine {
             }
         }
         let build_start = Stopwatch::start();
-        // More workers than documents cannot help; clamping keeps the
-        // reported parallelism honest and avoids spawning idle workers for
-        // tiny collections.
-        let threads = effective_parallelism(config.parallelism).min(collection.len()).max(1);
+        let threads = if effective_parallelism(config.parallelism) >= 2 { 2 } else { 1 };
         let mut profile = BuildProfile {
             parallelism: threads,
             documents: collection.len(),
@@ -365,8 +314,11 @@ impl SedaEngine {
         Ok(engine)
     }
 
-    /// Builds all four substrates: per-document shards are fanned out across
-    /// `threads` workers (inline at one), then merged in document order.
+    /// Builds all four substrates.  At two threads the node index is built
+    /// on a scoped second thread, joined after the calling thread's three
+    /// builds; at one it runs last, inline.  Either way its span is recorded
+    /// after the other three, from the task's own start and wall time, so
+    /// both thread counts carry the same spans in the same order.
     fn build_substrates(
         collection: &Collection,
         config: &EngineConfig,
@@ -374,71 +326,60 @@ impl SedaEngine {
         profile: &mut BuildProfile,
         tracer: &mut Tracer,
     ) -> Result<(DataGraph, NodeIndex, ContextIndex, DataGuideSet), SedaError> {
-        let docs: Vec<DocId> = collection.documents().map(|d| d.id).collect();
+        let clock = tracer.clock();
+        let node_index_task = || -> Result<(NodeIndex, f64, f64), SedaError> {
+            let (start_secs, t) = clock.split();
+            faults::fire("node-index-build")?;
+            let index = NodeIndex::build(collection);
+            Ok((index, start_secs, t.elapsed_secs()))
+        };
+        let (rest, node_index) = std::thread::scope(|scope| {
+            let worker = (threads >= 2).then(|| scope.spawn(node_index_task));
+            let rest = Self::build_on_this_thread(collection, config, profile, tracer);
+            let node_index = match worker {
+                Some(handle) => handle
+                    .join()
+                    .unwrap_or_else(|payload| Err(SedaError::Internal(panic_message(payload)))),
+                None => node_index_task(),
+            };
+            (rest, node_index)
+        });
+        let (graph, context_index, guides) = rest?;
+        let (node_index, start_secs, secs) = node_index?;
+        tracer.record(span::BUILD_NODE_INDEX, start_secs, secs);
+        profile.node_index_secs = secs;
+        Ok((graph, node_index, context_index, guides))
+    }
 
+    /// The three substrate builds that stay on the calling thread: the data
+    /// graph (so its component count is this thread's), the context index
+    /// and the dataguides.
+    fn build_on_this_thread(
+        collection: &Collection,
+        config: &EngineConfig,
+        profile: &mut BuildProfile,
+        tracer: &mut Tracer,
+    ) -> Result<(DataGraph, ContextIndex, DataGuideSet), SedaError> {
         let outer = tracer.enter(span::BUILD_GRAPH);
-        let inner = tracer.enter(span::SHARD);
         let t = Stopwatch::start();
-        let shards = parallel_map(&docs, threads, |&doc| {
-            DataGraph::build_shard(collection, doc, &config.graph)
-        })?;
-        let (mut phase, merge_start) = PhaseProfile::finish_shards(t);
-        tracer.exit(inner);
-        let inner = tracer.enter(span::MERGE);
         faults::fire("oracle-build")?;
-        let graph = DataGraph::merge(collection, shards);
-        phase.finish_merge(merge_start);
-        tracer.exit(inner);
-        profile.graph = phase;
+        let graph = DataGraph::build(collection, &config.graph);
+        profile.graph_secs = t.elapsed_secs();
         tracer.exit(outer);
 
-        let outer = tracer.enter(span::BUILD_NODE_INDEX);
-        let inner = tracer.enter(span::SHARD);
-        let t = Stopwatch::start();
-        let shards = parallel_map(&docs, threads, |&doc| {
-            NodeIndex::build_shard(
-                collection
-                    .document(doc)
-                    .expect("invariant: collection document ids are dense (doc-id-dense)"),
-            )
-        })?;
-        let (mut phase, merge_start) = PhaseProfile::finish_shards(t);
-        tracer.exit(inner);
-        let inner = tracer.enter(span::MERGE);
-        faults::fire("shard-merge")?;
-        let node_index = NodeIndex::merge(shards);
-        phase.finish_merge(merge_start);
-        tracer.exit(inner);
-        profile.node_index = phase;
-        tracer.exit(outer);
-
-        // The context index has no shard phase (one fold over the collection
-        // is cheaper than merging per-document shards was): its whole build
-        // is serial time, so it is reported as merge time.
         let outer = tracer.enter(span::BUILD_CONTEXT_INDEX);
-        let inner = tracer.enter(span::MERGE);
         let t = Stopwatch::start();
         let context_index = ContextIndex::build(collection, config.count_storage);
-        profile.context_index.finish_merge(t);
-        tracer.exit(inner);
+        profile.context_index_secs = t.elapsed_secs();
         tracer.exit(outer);
 
         let outer = tracer.enter(span::BUILD_GUIDES);
-        let inner = tracer.enter(span::SHARD);
         let t = Stopwatch::start();
-        let shards =
-            parallel_map(&docs, threads, |&doc| DataGuideSet::build_shard(collection, [doc]))?;
-        let (mut phase, merge_start) = PhaseProfile::finish_shards(t);
-        tracer.exit(inner);
-        let inner = tracer.enter(span::MERGE);
-        let shards = shards.into_iter().collect::<seda_xmlstore::Result<Vec<_>>>()?;
-        let guides = DataGuideSet::merge(config.dataguide_threshold, shards);
-        phase.finish_merge(merge_start);
-        tracer.exit(inner);
-        profile.guides = phase;
+        let guides = DataGuideSet::build(collection, config.dataguide_threshold)?;
+        profile.guides_secs = t.elapsed_secs();
         tracer.exit(outer);
 
-        Ok((graph, node_index, context_index, guides))
+        Ok((graph, context_index, guides))
     }
 
     /// The id [`SedaEngine::prepare`] stamps into this engine's plans.
@@ -1504,7 +1445,8 @@ mod tests {
         assert_eq!(profile.parallelism, 1);
         assert_eq!(profile.documents, 3);
         assert!(profile.total_secs > 0.0);
-        assert!(profile.merge_secs() > 0.0, "one thread runs the same serial phases");
+        assert!(profile.graph_secs > 0.0 && profile.node_index_secs > 0.0);
+        assert_eq!(profile.merge_secs(), 0.0, "no build has a merge phase");
         assert!(!profile.render().is_empty());
 
         let collection =

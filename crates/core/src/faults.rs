@@ -13,11 +13,12 @@
 //!
 //! * `"parse"` — in [`crate::SedaEngine::build_from_sources`], before the
 //!   XML collection is parsed;
-//! * `"shard-merge"` — in every engine build, before the node index's
-//!   per-document shards are merged;
-//! * `"oracle-build"` — in every engine build, before the data graph's
-//!   shards are merged (and its connectivity oracle — the per-document
-//!   cross-edge bit and the hub labels — built);
+//! * `"node-index-build"` — in every engine build, inside the node-index
+//!   task, before `NodeIndex::build` runs; at two threads the task runs on
+//!   the second thread, so the site proves a panic there is contained;
+//! * `"oracle-build"` — in every engine build, on the calling thread,
+//!   before `DataGraph::build` runs (and the connectivity oracle — the
+//!   per-document cross-edge bit and the hub labels — is built);
 //! * `"mid-search"` — inside the engine's one search function, before the
 //!   Threshold-Algorithm loop runs.
 //!
@@ -28,7 +29,7 @@
 //! error — proving the isolation layer, not bypassing it.
 
 /// The catalog of named fault sites, in pipeline order.
-pub const FAULT_SITES: &[&str] = &["parse", "shard-merge", "oracle-build", "mid-search"];
+pub const FAULT_SITES: &[&str] = &["parse", "node-index-build", "oracle-build", "mid-search"];
 
 #[cfg(feature = "failpoints")]
 mod armed {

@@ -1,19 +1,16 @@
-//! Scoped worker-pool primitives for the shard-parallel engine build.
+//! Scoped worker-pool primitive for batch request execution.
 //!
-//! The build environment has no crates.io access, so instead of `rayon` this
-//! module implements the one primitive the orchestrator needs — an
-//! order-preserving parallel map over a slice — on `std::thread::scope` with
-//! an atomic work counter.  Swapping in `rayon::par_iter` later only changes
-//! this file.
+//! The workspace builds offline against the stubs under `vendor/`, so
+//! instead of `rayon` this module implements the one primitive
+//! [`crate::SedaEngine::execute_batch`] needs — an order-preserving parallel
+//! map over a slice with per-worker state — on `std::thread::scope` with an
+//! atomic work counter.
 //!
-//! Both maps **contain panics**: a panicking closure never unwinds through
-//! the pool or kills the process.  [`parallel_map`] (the engine-build
-//! primitive, where a failed shard fails the whole build) reports the first
-//! panic as a [`WorkerPanic`] error; [`parallel_map_with`] (the
-//! batch-execute primitive, where requests are independent) isolates each
-//! item, reporting per-item `Result`s and rebuilding the worker's state via
-//! `init` after a panic so one poisoned request cannot corrupt its
-//! neighbours' scratch.
+//! The map **contains panics**: a panicking closure never unwinds through
+//! the pool or kills the process.  Requests are independent, so
+//! [`parallel_map_with`] isolates each item, reporting per-item `Result`s
+//! and rebuilding the worker's state via `init` after a panic so one
+//! poisoned request cannot corrupt its neighbours' scratch.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,96 +50,8 @@ pub(crate) fn effective_parallelism(configured: usize) -> usize {
 }
 
 /// Applies `f` to every item of `items` using up to `threads` worker threads
-/// and returns the results in item order.
-///
-/// Work is handed out through an atomic counter, so long and short items mix
-/// freely without a static partition; the output order never depends on
-/// scheduling.  With `threads <= 1` (or one item) the map runs inline.
-///
-/// A panicking closure is caught inside its worker and reported as the
-/// lowest-indexed [`WorkerPanic`] observed; remaining workers stop handing
-/// out work and the process survives.
-pub(crate) fn parallel_map<T, S, F>(
-    items: &[T],
-    threads: usize,
-    f: F,
-) -> Result<Vec<S>, WorkerPanic>
-where
-    T: Sync,
-    S: Send,
-    F: Fn(&T) -> S + Sync,
-{
-    let threads = threads.min(items.len());
-    if threads <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(index, item)| {
-                catch_unwind(AssertUnwindSafe(|| f(item)))
-                    .map_err(|payload| WorkerPanic { index, message: panic_message(payload) })
-            })
-            .collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<S>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    let mut first_panic: Option<WorkerPanic> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, S)> = Vec::new();
-                    let mut failure: Option<WorkerPanic> = None;
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= items.len() {
-                            break;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(&items[index]))) {
-                            Ok(value) => local.push((index, value)),
-                            Err(payload) => {
-                                // Park the counter at the end so every worker
-                                // drains instead of mapping doomed items.
-                                next.fetch_max(items.len(), Ordering::Relaxed);
-                                failure =
-                                    Some(WorkerPanic { index, message: panic_message(payload) });
-                                break;
-                            }
-                        }
-                    }
-                    (local, failure)
-                })
-            })
-            .collect();
-        for handle in handles {
-            // Workers catch panics themselves, so join only fails on a bug in
-            // this module; propagating that panic is the right response.
-            #[allow(clippy::expect_used)]
-            let (local, failure) = handle
-                .join()
-                .expect("invariant: workers catch panics as values, the thread never unwinds");
-            for (index, value) in local {
-                slots[index] = Some(value);
-            }
-            if let Some(panic) = failure {
-                match &first_panic {
-                    Some(existing) if existing.index <= panic.index => {}
-                    _ => first_panic = Some(panic),
-                }
-            }
-        }
-    });
-    if let Some(panic) = first_panic {
-        return Err(panic);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("invariant: every slot is produced once no worker panicked"))
-        .collect())
-}
-
-/// Like [`parallel_map`], but every worker thread first creates its own
-/// state via `init` and threads it through all items it processes.
+/// and returns the results in item order; every worker thread first creates
+/// its own state via `init` and threads it through all items it processes.
 ///
 /// This is the primitive behind [`crate::SedaEngine::execute_batch`]: `init`
 /// builds one [`crate::SedaReader`] per worker, so concurrent requests reuse
@@ -243,44 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn preserves_item_order() {
-        let items: Vec<usize> = (0..1000).collect();
-        let doubled = parallel_map(&items, 8, |&x| x * 2).unwrap();
-        assert_eq!(doubled, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_thread_runs_inline() {
-        let items = vec![1, 2, 3];
-        assert_eq!(parallel_map(&items, 1, |&x| x + 1).unwrap(), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn empty_input_yields_empty_output() {
-        let items: Vec<u32> = Vec::new();
-        assert!(parallel_map(&items, 4, |&x| x).unwrap().is_empty());
-    }
-
-    #[test]
     fn effective_parallelism_resolves_auto() {
         assert!(effective_parallelism(0) >= 1);
         assert_eq!(effective_parallelism(3), 3);
-    }
-
-    #[test]
-    fn panicking_item_is_contained_and_reported() {
-        let items: Vec<usize> = (0..64).collect();
-        for threads in [1usize, 4] {
-            let err = parallel_map(&items, threads, |&x| {
-                if x == 7 {
-                    panic!("boom at {x}");
-                }
-                x
-            })
-            .unwrap_err();
-            assert_eq!(err.index, 7, "threads={threads}");
-            assert!(err.message.contains("boom"), "threads={threads}: {}", err.message);
-        }
     }
 
     #[test]

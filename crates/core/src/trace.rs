@@ -5,7 +5,7 @@
 //! threads) and the build path runs one per [`crate::SedaEngine::build`].
 //! Spans are entered and exited around the pipeline's phases — parse, plan,
 //! each plan step, twig evaluation, star-schema derivation, cube
-//! aggregation, and the build's shard/merge/link/verify phases — and land as
+//! aggregation, and the build's substrate/link/verify phases — and land as
 //! flat [`SpanRecord`]s (name, depth, start offset, wall time, counter
 //! deltas) in [`crate::ExecProfile::spans`] and
 //! [`crate::BuildProfile::spans`].
@@ -59,7 +59,8 @@ pub mod span {
     pub const AGGREGATE: &str = "aggregate";
     /// Data-graph construction (build path).
     pub const BUILD_GRAPH: &str = "build:data-graph";
-    /// Node full-text index construction (build path).
+    /// Node full-text index construction (build path; on the second thread
+    /// of a two-thread build, recorded once that thread is joined).
     pub const BUILD_NODE_INDEX: &str = "build:node-index";
     /// Keyword→context index construction (build path).
     pub const BUILD_CONTEXT_INDEX: &str = "build:context-index";
@@ -69,10 +70,6 @@ pub mod span {
     pub const BUILD_LINKS: &str = "build:guide-links";
     /// Post-build structural audit (build path).
     pub const BUILD_VERIFY: &str = "build:audit-verify";
-    /// Per-document shard fan-out phase (nested under a build span).
-    pub const SHARD: &str = "shard";
-    /// Shard merge phase (nested under a build span).
-    pub const MERGE: &str = "merge";
 }
 
 /// Work-counter deltas attributed to one span: how much of the profile's
@@ -247,21 +244,34 @@ impl Tracer {
         if !self.enabled {
             return SpanToken::DISABLED;
         }
-        if self.spans.len() >= Self::CAP {
-            self.dropped += 1;
+        let start_secs = self.clock.elapsed_secs();
+        let Some(index) = self.push(name, start_secs, 0.0) else {
             return SpanToken::DISABLED;
-        }
-        let index = self.spans.len();
-        self.spans.push(SpanRecord {
-            name: name.to_string(),
-            depth: self.open.len(),
-            start_secs: self.clock.elapsed_secs(),
-            wall_secs: 0.0,
-            counters: SpanCounters::default(),
-        });
+        };
         let open_depth = self.open.len();
         self.open.push(index);
         SpanToken { open_depth, index }
+    }
+
+    /// Appends a span at the current nesting depth and returns its index;
+    /// `None` when recording is off, or when the trace is full (counted in
+    /// [`Tracer::dropped`]).
+    fn push(&mut self, name: &str, start_secs: f64, wall_secs: f64) -> Option<usize> {
+        if !self.enabled {
+            return None;
+        }
+        if self.spans.len() >= Self::CAP {
+            self.dropped += 1;
+            return None;
+        }
+        self.spans.push(SpanRecord {
+            name: name.to_string(),
+            depth: self.open.len(),
+            start_secs,
+            wall_secs,
+            counters: SpanCounters::default(),
+        });
+        Some(self.spans.len() - 1)
     }
 
     /// Closes the token's span (and any span opened after it that was never
@@ -285,6 +295,18 @@ impl Tracer {
                 }
             }
         }
+    }
+
+    /// The clock span offsets are measured on: hand a copy to another thread
+    /// to time a phase there, then [`Tracer::record`] it.
+    pub(crate) fn clock(&self) -> Stopwatch {
+        self.clock
+    }
+
+    /// Records a closed span timed elsewhere — `start_secs` read from
+    /// [`Tracer::clock`] — at the current nesting depth.
+    pub(crate) fn record(&mut self, name: &str, start_secs: f64, wall_secs: f64) {
+        self.push(name, start_secs, wall_secs);
     }
 
     /// Closes any span still open (with the current clock) and drains the

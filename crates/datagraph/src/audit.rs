@@ -78,7 +78,7 @@ impl DataGraph {
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
         if self.doc_offsets.is_empty() {
-            // A default-constructed (never merged) graph holds no arenas;
+            // A default-constructed (never built) graph holds no arenas;
             // vacuously well-formed.
             return finish(violations);
         }
@@ -169,7 +169,7 @@ impl DataGraph {
     }
 
     /// Recomputes the union-find partition over the stored cross edges (the
-    /// same dense, ascending-doc numbering the merge uses) and compares.
+    /// same dense, ascending-doc numbering the build uses) and compares.
     fn verify_components(&self, violations: &mut Vec<InvariantViolation>, docs: usize) {
         if self.doc_component.len() != docs {
             violations.push(InvariantViolation::new(

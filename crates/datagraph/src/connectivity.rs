@@ -51,7 +51,7 @@ const UNSET: u32 = u32::MAX;
 
 /// The precomputed distance-label substrate of a [`DataGraph`].
 ///
-/// Built once in [`DataGraph::merge`] by a landmark pass over the documents
+/// Built once in [`DataGraph::build`] by a landmark pass over the documents
 /// cross edges touch; immutable afterwards.  Tree documents carry one bit
 /// and no label.  The hub labels live in three flat arrays, CSR-style: the
 /// node of dense index `i` has entries `hubs[offsets[i]..offsets[i+1]]`
@@ -173,7 +173,7 @@ impl ConnectivityIndex {
         best
     }
 
-    /// Builds the index at merge time: marks the documents a cross edge
+    /// Builds the index with the graph: marks the documents a cross edge
     /// touches and runs the pruned landmark pass over their nodes.
     /// Deterministic: depends only on the frozen adjacency and the edges.
     pub(crate) fn assemble(graph: &DataGraph, edges: &[Edge]) -> ConnectivityIndex {

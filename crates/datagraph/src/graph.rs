@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use seda_xmlstore::{Collection, DocId, NodeId, NodeKind};
+use seda_xmlstore::{Collection, DocId, NodeId, NodeKind, PathId};
 
 use crate::config::GraphConfig;
 use crate::connectivity::ConnectivityIndex;
@@ -45,7 +45,7 @@ thread_local! {
 /// Number of document-component computations performed **on the calling
 /// thread** since it started.
 ///
-/// Document components are a build-time artifact of [`DataGraph::merge`];
+/// Document components are a build-time artifact of [`DataGraph::build`];
 /// searchers must never recompute them per query.  Regression tests read this
 /// counter before and after a batch of searches to pin that invariant (the
 /// counter is thread-local so concurrently running tests cannot disturb each
@@ -59,7 +59,7 @@ pub fn doc_component_builds_on_this_thread() -> usize {
 /// Nodes are addressed by **dense indices**: node `(doc, ordinal)` maps to
 /// `doc_offsets[doc] + ordinal`, so every per-node lookup on the traversal hot
 /// path is an array access instead of a `HashMap` probe.  Two adjacency lists
-/// are materialised at merge time:
+/// are materialised at build time:
 ///
 /// * the **full adjacency** (tree edges implicit in the documents plus all
 ///   non-tree edges), which BFS/compactness traverse, and
@@ -87,120 +87,91 @@ pub struct DataGraph {
     /// edges), indexed by document.
     pub(crate) doc_component: Vec<u32>,
     /// The connectivity oracle: which documents cross edges touch, and the
-    /// hub labels of those, built at merge time.
+    /// hub labels of those, built with the graph.
     pub(crate) connectivity: ConnectivityIndex,
     pub(crate) edge_count: usize,
-}
-
-/// Per-document raw material for the data graph, produced by
-/// [`DataGraph::build_shard`] and resolved across documents by
-/// [`DataGraph::merge`].
-///
-/// The shard phase records everything that can be discovered from a single
-/// document — ID definitions, IDREF/XLink references, and the contents of
-/// value-key endpoints — without resolving anything.  Resolution (ID lookup
-/// and value joins) is inherently cross-document and happens once at merge
-/// time over the combined symbol maps.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GraphShard {
-    doc: Option<DocId>,
-    /// `(id value, owning element)` pairs, in document order.
-    id_entries: Vec<(String, NodeId)>,
-    /// `(referencing element, lookup key, kind)` triples, in document order.
-    references: Vec<(NodeId, String, EdgeKind)>,
-    /// Per value-key spec: `(content, node)` pairs on the primary side.
-    primary_values: Vec<Vec<(String, NodeId)>>,
-    /// Per value-key spec: `(content, node)` pairs on the foreign side.
-    foreign_values: Vec<Vec<(String, NodeId)>>,
 }
 
 impl DataGraph {
     /// Builds the data graph over a collection.
     ///
     /// * IDREF/XLink edges connect the *element owning* the referencing
-    ///   attribute to the *element owning* the referenced ID attribute.
+    ///   attribute to the *element owning* the referenced ID attribute; when
+    ///   two elements define one ID value, the later one in document order
+    ///   wins.
     /// * Value-based edges connect the nodes named by the configured
     ///   [`crate::ValueKeySpec`]s whenever their contents are equal.
     ///
-    /// This is the sequential reference path; it is equivalent to building
-    /// one shard per document with [`DataGraph::build_shard`] and resolving
-    /// them with [`DataGraph::merge`].
+    /// One scan in document order collects ID definitions, references and
+    /// value-key endpoints; resolution runs after it, because a reference
+    /// may name an ID defined by a later document.  The CSR adjacency, the
+    /// per-document components and the connectivity oracle are then
+    /// materialised over the collection's node arenas.
     pub fn build(collection: &Collection, config: &GraphConfig) -> Self {
-        let shards = collection
-            .documents()
-            .map(|doc| Self::build_shard(collection, doc.id, config))
+        let path_of = |text: &str| collection.paths().get_str(collection.symbols(), text);
+        let key_paths: Vec<(Option<PathId>, Option<PathId>)> = config
+            .value_keys
+            .iter()
+            .map(|spec| (path_of(&spec.primary_path), path_of(&spec.foreign_path)))
             .collect();
-        Self::merge(collection, shards)
-    }
 
-    /// Scans a single document for graph raw material (the per-shard phase):
-    /// ID definitions, IDREF/XLink references and value-key endpoint
-    /// contents.  No cross-document resolution happens here.
-    pub fn build_shard(collection: &Collection, doc: DocId, config: &GraphConfig) -> GraphShard {
-        let mut shard = GraphShard { doc: Some(doc), ..GraphShard::default() };
-        let Ok(document) = collection.document(doc) else { return shard };
-
-        for (_, node) in document.iter() {
-            if node.kind != NodeKind::Attribute {
-                continue;
-            }
-            let name = collection.symbols().resolve(node.name);
-            if config.is_id_attribute(name) {
-                if let (Some(value), Some(parent)) = (node.text.as_deref(), node.parent) {
-                    shard.id_entries.push((value.trim().to_string(), NodeId::new(doc, parent)));
+        let mut id_map: HashMap<&str, NodeId> = HashMap::new();
+        let mut references: Vec<(NodeId, &str, EdgeKind)> = Vec::new();
+        // Per value-key spec: primary-side nodes by content, and the
+        // foreign-side `(content, node)` pairs.
+        let mut primary: Vec<HashMap<String, Vec<NodeId>>> = vec![HashMap::new(); key_paths.len()];
+        let mut foreign: Vec<Vec<(String, NodeId)>> = vec![Vec::new(); key_paths.len()];
+        for doc in collection.documents() {
+            for (ordinal, node) in doc.iter() {
+                let here = NodeId::new(doc.id, ordinal);
+                for (spec, &(primary_path, foreign_path)) in key_paths.iter().enumerate() {
+                    if primary_path == Some(node.path) {
+                        primary[spec].entry(doc.content(ordinal)).or_default().push(here);
+                    }
+                    if foreign_path == Some(node.path) {
+                        foreign[spec].push((doc.content(ordinal), here));
+                    }
                 }
+                if node.kind != NodeKind::Attribute {
+                    continue;
+                }
+                let (Some(parent), Some(value)) = (node.parent, node.text.as_deref()) else {
+                    continue;
+                };
+                let owner = NodeId::new(doc.id, parent);
+                let name = collection.symbols().resolve(node.name);
+                if config.is_id_attribute(name) {
+                    id_map.insert(value.trim(), owner);
+                }
+                let kind = if config.is_idref_attribute(name) {
+                    EdgeKind::IdRef
+                } else if config.is_xlink_attribute(name) {
+                    EdgeKind::XLink
+                } else {
+                    continue;
+                };
+                // XLink values may carry a fragment (`doc.xml#id`); use the
+                // fragment if present.
+                references.push((owner, value.rsplit('#').next().unwrap_or(value).trim(), kind));
             }
-            let kind = if config.is_idref_attribute(name) {
-                Some(EdgeKind::IdRef)
-            } else if config.is_xlink_attribute(name) {
-                Some(EdgeKind::XLink)
-            } else {
-                None
-            };
-            let Some(kind) = kind else { continue };
-            let Some(parent) = node.parent else { continue };
-            let Some(value) = node.text.as_deref() else { continue };
-            // XLink values may carry a fragment (`doc.xml#id`); use the
-            // fragment if present.
-            let key = value.rsplit('#').next().unwrap_or(value).trim();
-            shard.references.push((NodeId::new(doc, parent), key.to_string(), kind));
         }
 
-        // Value-key endpoints of this document, per spec.
-        shard.primary_values = Vec::with_capacity(config.value_keys.len());
-        shard.foreign_values = Vec::with_capacity(config.value_keys.len());
-        for spec in &config.value_keys {
-            let mut primary = Vec::new();
-            let mut foreign = Vec::new();
-            if let Some(path) = collection.paths().get_str(collection.symbols(), &spec.primary_path)
-            {
-                for ordinal in document.nodes_with_path(path) {
-                    primary.push((document.content(ordinal), NodeId::new(doc, ordinal)));
-                }
+        // Reference edges in document order, then each spec's value edges.
+        let mut edges: Vec<Edge> = Vec::new();
+        for (from, key, kind) in references {
+            if let Some(&to) = id_map.get(key) {
+                edges.push(Edge { from, to, kind });
             }
-            if let Some(path) = collection.paths().get_str(collection.symbols(), &spec.foreign_path)
-            {
-                for ordinal in document.nodes_with_path(path) {
-                    foreign.push((document.content(ordinal), NodeId::new(doc, ordinal)));
-                }
-            }
-            shard.primary_values.push(primary);
-            shard.foreign_values.push(foreign);
         }
-        shard
-    }
-
-    /// Resolves per-document shards into the full data graph (the merge phase
-    /// of the shard → merge build lifecycle): ID/IDREF and XLink references
-    /// are looked up in the combined ID map, value-key joins run over the
-    /// combined endpoint lists, and the CSR adjacency plus the per-document
-    /// components are materialised over the collection's node arenas.
-    ///
-    /// Shards are processed in ascending document order regardless of input
-    /// order, so the result is deterministic and identical to the sequential
-    /// [`DataGraph::build`].
-    pub fn merge(collection: &Collection, mut shards: Vec<GraphShard>) -> Self {
-        shards.sort_by_key(|s| s.doc);
+        for (primary, foreign) in primary.iter().zip(foreign) {
+            for (content, from) in foreign {
+                for &to in primary.get(&content).into_iter().flatten() {
+                    if to != from {
+                        edges.push(Edge { from, to, kind: EdgeKind::ValueBased });
+                    }
+                }
+            }
+        }
 
         // Dense node numbering: prefix sums of document lengths.
         let mut doc_offsets = Vec::with_capacity(collection.len() + 1);
@@ -210,56 +181,7 @@ impl DataGraph {
             total += doc.len() as u32;
             doc_offsets.push(total);
         }
-        let mut graph = DataGraph { doc_offsets, ..DataGraph::default() };
-
-        // Phase 1: combined ID map.  Later documents overwrite earlier ones
-        // for a duplicated ID value, matching the sequential build.
-        let mut id_map: HashMap<String, NodeId> = HashMap::new();
-        for shard in &shards {
-            for (value, owner) in &shard.id_entries {
-                id_map.insert(value.clone(), *owner);
-            }
-        }
-
-        // Phase 2 + 3 collect resolved cross edges before the CSR is frozen.
-        let mut edges: Vec<Edge> = Vec::new();
-
-        // Phase 2: resolve IDREF / XLink references.
-        for shard in &shards {
-            for (source, key, kind) in &shard.references {
-                if let Some(&target) = id_map.get(key.as_str()) {
-                    edges.push(Edge { from: *source, to: target, kind: *kind });
-                }
-            }
-        }
-
-        // Phase 3: value-based joins over the combined endpoint lists.
-        let spec_count = shards.iter().map(|s| s.primary_values.len()).max().unwrap_or(0);
-        for spec in 0..spec_count {
-            let mut primary_values: HashMap<&str, Vec<NodeId>> = HashMap::new();
-            for shard in &shards {
-                for (content, node) in shard.primary_values.get(spec).into_iter().flatten() {
-                    primary_values.entry(content.as_str()).or_default().push(*node);
-                }
-            }
-            for shard in &shards {
-                for (content, node) in shard.foreign_values.get(spec).into_iter().flatten() {
-                    if let Some(targets) = primary_values.get(content.as_str()) {
-                        for &target in targets {
-                            if target != *node {
-                                edges.push(Edge {
-                                    from: *node,
-                                    to: target,
-                                    kind: EdgeKind::ValueBased,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        graph.edge_count = edges.len();
-
+        let mut graph = DataGraph { doc_offsets, edge_count: edges.len(), ..DataGraph::default() };
         graph.freeze_adjacency(collection, &edges);
         graph.doc_component = compute_doc_components(collection.len(), &edges);
         graph.connectivity = ConnectivityIndex::assemble(&graph, &edges);
@@ -329,7 +251,7 @@ impl DataGraph {
     }
 
     /// Total number of nodes addressable in the graph (the collection's node
-    /// count at merge time).
+    /// count at build time).
     pub fn node_count(&self) -> usize {
         *self.doc_offsets.last().unwrap_or(&0) as usize
     }
@@ -361,7 +283,7 @@ impl DataGraph {
         self.adj_targets[self.adj_offsets[dense as usize] as usize].0
     }
 
-    /// The connectivity oracle built at merge time.  The traversal layer
+    /// The connectivity oracle built with the graph.  The traversal layer
     /// answers `is_connected_with` / shortest-path queries from it — and
     /// from parent walks in the documents it marks as trees — instead of
     /// running BFS.
@@ -389,7 +311,7 @@ impl DataGraph {
 
     /// All neighbours of a node: parent, children (tree edges from the
     /// document), plus non-tree edges.  The tree edges are materialised in
-    /// the CSR adjacency at merge time, so no document access is needed.
+    /// the CSR adjacency at build time, so no document access is needed.
     pub fn neighbors(&self, node: NodeId) -> Vec<(NodeId, EdgeKind)> {
         match self.dense(node) {
             Some(dense) => self
@@ -425,7 +347,7 @@ impl DataGraph {
     /// Connected-component id of a document (components over non-tree
     /// edges), or `u32::MAX` for documents outside the graph's collection.
     ///
-    /// Components are computed once at merge time; the top-k searchers use
+    /// Components are computed once at build time; the top-k searchers use
     /// them to prune candidate tuples spanning disconnected documents before
     /// paying for a breadth-first connectivity check.
     pub fn doc_component(&self, doc: DocId) -> u32 {
@@ -623,55 +545,28 @@ mod tests {
     }
 
     #[test]
-    fn merged_shards_equal_sequential_build() {
+    fn build_resolves_references_across_documents() {
         let c = mondial_like();
-        let config = GraphConfig::with_value_keys(vec![ValueKeySpec::new(
-            "/country/name",
-            "/country/economy/import_partners/item/trade_country",
-        )]);
-        let sequential = DataGraph::build(&c, &config);
-        let mut shards: Vec<GraphShard> =
-            c.documents().map(|doc| DataGraph::build_shard(&c, doc.id, &config)).collect();
-        shards.reverse(); // merge must not depend on shard order
-        let merged = DataGraph::merge(&c, shards);
-        assert_eq!(merged, sequential);
-        assert_eq!(merged.cross_edge_count(), sequential.cross_edge_count());
-    }
-
-    #[test]
-    fn shards_record_unresolved_references() {
-        let c =
-            parse_collection(vec![("a.xml", r#"<root><child thing_idref="elsewhere"/></root>"#)])
-                .unwrap();
-        let doc = c.documents().next().unwrap().id;
-        let shard = DataGraph::build_shard(&c, doc, &GraphConfig::default());
-        assert_eq!(shard.references.len(), 1);
-        assert!(shard.id_entries.is_empty());
-        // The dangling reference survives to the merge but resolves to nothing.
-        let merged = DataGraph::merge(&c, vec![shard]);
-        assert_eq!(merged.cross_edge_count(), 0);
-        assert!(only_tree_edges(&c, &merged));
-    }
-
-    #[test]
-    fn merge_resolves_references_across_shards() {
-        let c = mondial_like();
-        let shards: Vec<GraphShard> = c
-            .documents()
-            .map(|doc| DataGraph::build_shard(&c, doc.id, &GraphConfig::default()))
+        let g = DataGraph::build(&c, &GraphConfig::default());
+        // sea.xml references cty-us and cty-ph, defined by later documents;
+        // china.xml's XLink names cty-us, defined by an earlier one.
+        assert_eq!(g.cross_edge_count(), 3);
+        let sea_links: Vec<DocId> = g
+            .edges()
+            .iter()
+            .filter(|e| e.kind == EdgeKind::IdRef)
+            .map(|e| if e.from.doc == DocId(0) { e.to.doc } else { e.from.doc })
             .collect();
-        // sea.xml references cty-us / cty-ph, which live in other shards.
-        let merged = DataGraph::merge(&c, shards);
-        assert_eq!(merged.cross_edge_count(), 3);
+        assert_eq!(sea_links, vec![DocId(1), DocId(2)]);
     }
 
     #[test]
-    fn merge_of_no_shards_is_empty() {
-        let merged = DataGraph::merge(&Collection::new(), Vec::new());
-        assert_eq!(merged.cross_edge_count(), 0);
-        assert!(merged.edges().is_empty());
-        assert_eq!(merged.node_count(), 0);
-        assert_eq!(merged.doc_component_count(), 0);
+    fn build_of_an_empty_collection_is_empty() {
+        let g = DataGraph::build(&Collection::new(), &GraphConfig::default());
+        assert_eq!(g.cross_edge_count(), 0);
+        assert!(g.edges().is_empty());
+        assert_eq!(g.node_count(), 0);
+        assert_eq!(g.doc_component_count(), 0);
     }
 
     #[test]
@@ -747,7 +642,7 @@ mod tests {
     }
 
     #[test]
-    fn components_are_built_once_per_merge() {
+    fn components_are_built_once_per_build() {
         let before = doc_component_builds_on_this_thread();
         let c = mondial_like();
         let g = DataGraph::build(&c, &GraphConfig::default());

@@ -29,7 +29,7 @@ mod traversal;
 
 pub use config::{GraphConfig, ValueKeySpec};
 pub use connectivity::{ConnectivityIndex, MAX_DEPTH};
-pub use graph::{doc_component_builds_on_this_thread, DataGraph, Edge, EdgeKind, GraphShard};
+pub use graph::{doc_component_builds_on_this_thread, DataGraph, Edge, EdgeKind};
 pub use traversal::{
     compactness_with, connecting_tree_size_with, is_connected_with, pin, shortest_distance_with,
     shortest_path_with, Hop, PinnedSource, TraversalScratch,

@@ -118,35 +118,6 @@ pub struct DataGuideStats {
     pub threshold: f64,
 }
 
-/// Per-document dataguides awaiting the threshold merge, produced by
-/// [`DataGuideSet::build_shard`] and consumed by [`DataGuideSet::merge`].
-///
-/// Computing a document's path set is the data-proportional part of dataguide
-/// construction and parallelises per document; the greedy 40%-threshold merge
-/// is order-sensitive, so it runs once over all shards' guides in document
-/// order, guaranteeing the merged set is identical to the sequential build.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DataGuideShard {
-    guides: Vec<(DocId, DataGuide)>,
-}
-
-impl DataGuideShard {
-    /// Number of per-document guides in this shard.
-    pub fn len(&self) -> usize {
-        self.guides.len()
-    }
-
-    /// True when the shard holds no guides.
-    pub fn is_empty(&self) -> bool {
-        self.guides.is_empty()
-    }
-
-    /// Iterates over the `(document, guide)` pairs of this shard.
-    pub fn iter(&self) -> impl Iterator<Item = (DocId, &DataGuide)> {
-        self.guides.iter().map(|(doc, guide)| (*doc, guide))
-    }
-}
-
 /// A collection of merged dataguides plus the document → guide assignment.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DataGuideSet {
@@ -169,44 +140,15 @@ impl DataGuideSet {
     ///    is at least `threshold`;
     /// 3. otherwise it becomes a new dataguide.
     ///
-    /// This is the sequential reference path; it is equivalent to building
-    /// shards with [`DataGuideSet::build_shard`] and combining them with
-    /// [`DataGuideSet::merge`].
+    /// Documents are inserted in ascending document order, one pass: the
+    /// greedy merge is order-sensitive, so the order fixes the guide
+    /// boundaries.
     pub fn build(collection: &Collection, threshold: f64) -> seda_xmlstore::Result<Self> {
-        let docs: Vec<DocId> = collection.documents().map(|d| d.id).collect();
-        let shard = Self::build_shard(collection, docs)?;
-        Ok(Self::merge(threshold, vec![shard]))
-    }
-
-    /// Computes the per-document dataguides of a batch of documents (the
-    /// per-shard phase of the shard → merge build lifecycle).
-    pub fn build_shard(
-        collection: &Collection,
-        docs: impl IntoIterator<Item = DocId>,
-    ) -> seda_xmlstore::Result<DataGuideShard> {
-        let mut shard = DataGuideShard::default();
-        for doc in docs {
-            shard.guides.push((doc, DataGuide::of_document(collection, doc)?));
-        }
-        Ok(shard)
-    }
-
-    /// Runs the overlap-threshold merge over the per-document guides of all
-    /// shards (the merge phase of the shard → merge build lifecycle).
-    ///
-    /// Guides are inserted in ascending document order regardless of how the
-    /// documents were partitioned into shards, so the result — including the
-    /// exact guide boundaries of the order-sensitive greedy algorithm — is
-    /// identical to the sequential [`DataGuideSet::build`].
-    pub fn merge(threshold: f64, shards: Vec<DataGuideShard>) -> Self {
-        let mut pending: Vec<(DocId, DataGuide)> =
-            shards.into_iter().flat_map(|s| s.guides).collect();
-        pending.sort_by_key(|(doc, _)| *doc);
         let mut set = DataGuideSet { threshold, ..DataGuideSet::default() };
-        for (doc, guide) in pending {
-            set.insert_guide(doc, guide);
+        for doc in collection.documents() {
+            set.insert_guide(doc.id, DataGuide::of_document(collection, doc.id)?);
         }
-        set
+        Ok(set)
     }
 
     /// Inserts one document's guide, preserving the paper's greedy semantics:
@@ -425,40 +367,10 @@ mod tests {
     }
 
     #[test]
-    fn merged_shards_equal_sequential_build() {
-        let c = collection_with_shapes();
-        let sequential = DataGuideSet::build(&c, 0.4).unwrap();
-        // Partition the five documents into three shards, deliberately out of
-        // order: the merge must reassemble document order before inserting.
-        let docs: Vec<DocId> = c.documents().map(|d| d.id).collect();
-        let shards = vec![
-            DataGuideSet::build_shard(&c, vec![docs[3], docs[4]]).unwrap(),
-            DataGuideSet::build_shard(&c, vec![docs[0]]).unwrap(),
-            DataGuideSet::build_shard(&c, vec![docs[2], docs[1]]).unwrap(),
-        ];
-        let merged = DataGuideSet::merge(0.4, shards);
-        assert_eq!(merged, sequential);
-        assert_eq!(merged.stats(c.len()), sequential.stats(c.len()));
-    }
-
-    #[test]
-    fn shard_exposes_per_document_guides() {
-        let c = collection_with_shapes();
-        let docs: Vec<DocId> = c.documents().map(|d| d.id).collect();
-        let shard = DataGuideSet::build_shard(&c, docs.clone()).unwrap();
-        assert_eq!(shard.len(), docs.len());
-        assert!(!shard.is_empty());
-        for (doc, guide) in shard.iter() {
-            assert!(docs.contains(&doc));
-            assert!(!guide.is_empty());
-        }
-    }
-
-    #[test]
-    fn merge_of_no_shards_is_empty() {
-        let merged = DataGuideSet::merge(0.4, Vec::new());
-        assert!(merged.is_empty());
-        assert_eq!(merged.threshold(), 0.4);
+    fn build_of_an_empty_collection_is_empty() {
+        let set = DataGuideSet::build(&Collection::new(), 0.4).unwrap();
+        assert!(set.is_empty());
+        assert_eq!(set.threshold(), 0.4);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub use connection::{
     discover_connections, false_positive_connections, guide_connection, guide_links, Connection,
     GuideConnection, GuideLink,
 };
-pub use guide::{DataGuide, DataGuideSet, DataGuideShard, DataGuideStats, GuideId};
+pub use guide::{DataGuide, DataGuideSet, DataGuideStats, GuideId};
 
 #[cfg(test)]
 mod proptests {

@@ -82,7 +82,7 @@ impl NodeIndex {
     fn verify_posting_arena(&self, violations: &mut Vec<InvariantViolation>) {
         let offsets = &self.posting_offsets;
         if offsets.is_empty() && self.dict.is_empty() && self.sorted_postings.is_empty() {
-            // A default-constructed (never merged) index has no frozen arena
+            // A default-constructed (never built) index has no frozen arena
             // at all, which is well-formed vacuously.
             return;
         }
@@ -198,7 +198,7 @@ impl NodeIndex {
     fn verify_token_arena(&self, violations: &mut Vec<InvariantViolation>) {
         let offsets = &self.token_offsets;
         if offsets.is_empty() && self.slot_tokens.is_empty() && self.slot_nodes.is_empty() {
-            return; // default-constructed, never merged
+            return; // default-constructed, never built
         }
         let well_formed = offsets.len() == self.slot_nodes.len() + 1
             && offsets.first() == Some(&0)
@@ -321,7 +321,7 @@ impl NodeIndex {
     fn verify_path_runs(&self, slots: &SlotLookup, violations: &mut Vec<InvariantViolation>) {
         let offsets = &self.path_run_offsets;
         if offsets.is_empty() && self.path_runs.is_empty() && self.slot_nodes.is_empty() {
-            return; // default-constructed, never merged
+            return; // default-constructed, never built
         }
         let well_formed = offsets.first() == Some(&0)
             && offsets.windows(2).all(|pair| pair[0] <= pair[1])

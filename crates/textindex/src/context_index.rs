@@ -23,16 +23,13 @@
 //! path set found by reference and no `String` cloned — then one pass
 //! over the shared path table for the tag-name keywords.
 //!
-//! There is deliberately no per-document shard → merge lifecycle, unlike the
-//! node index, the data graph and the dataguides.  The index is a few hundred
-//! paths under a few thousand keywords, so a shard per document (a map and a
-//! set per distinct token, per document) only built 1.6k–11k small maps to
-//! fold them into one: at the benchmark's paper scale the shard → merge build
-//! took 142 / 48 / 237 / 280 ms (factbook-olap / mondial-links /
-//! googlebase-flat / recipeml-ingest) against 26 / 10 / 38 / 54 ms for the
-//! fold — less than the old *merge phase alone*, so there is no collection
-//! size at which fanning this substrate out pays.  The engine's sharded build
-//! therefore calls [`ContextIndex::build`] too and reports it as serial time.
+//! There is no per-document shard → merge lifecycle; no substrate of the
+//! engine has one any more.  A shard per document (a map and a set per
+//! distinct token, per document) only built 1.6k–11k small maps to fold them
+//! into one: at the benchmark's paper scale the shard → merge build took
+//! 142 / 48 / 237 / 280 ms (factbook-olap / mondial-links / googlebase-flat /
+//! recipeml-ingest) against 26 / 10 / 38 / 54 ms for the fold — less than the
+//! old *merge phase alone*.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -221,9 +218,7 @@ impl ContextIndex {
                     return self.text_paths.clone();
                 }
                 let mut iter = ts.iter();
-                let first = iter
-                    .next()
-                    .expect("invariant: the merge branch requires a non-empty shard list");
+                let first = iter.next().expect("invariant: the list was checked non-empty above");
                 let mut acc = self.paths_for_term(first);
                 for t in iter {
                     let next = self.paths_for_term(t);

@@ -1,7 +1,7 @@
 //! Interned term dictionary for the node index read path.
 //!
 //! Query-time posting lookups used to hash full term strings on every access;
-//! the dictionary interns every distinct term once at build/merge time so the
+//! the dictionary interns every distinct term once at build time so the
 //! hot path works with dense [`TermId`]s and array indexing (the same move
 //! FIB-compression work makes for name-based forwarding tables).
 

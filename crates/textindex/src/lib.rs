@@ -31,7 +31,7 @@ pub mod tokenize;
 
 pub use context_index::{ContextIndex, CountStorage, PathEntry};
 pub use dict::{TermDict, TermId};
-pub use node_index::{NodeIndex, NodeIndexShard, ReadModelBytes, ScoredNode};
+pub use node_index::{NodeIndex, ReadModelBytes, ScoredNode};
 pub use query::{FullTextQuery, QueryParseError};
 pub use tokenize::terms;
 

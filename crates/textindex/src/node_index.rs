@@ -43,15 +43,14 @@
 //!
 //! # Build
 //!
-//! A [`NodeIndexShard`] carries one document's indexed nodes as flat vectors
-//! in document order — node id, context path, tokens — with no map and
-//! nothing allocated per posting; tokenising is all a shard does, and it is
-//! the part of the build that parallelises.  [`NodeIndex::merge`] interns the
-//! shards' tokens (ids are lexicographic ranks) straight into the token
-//! arena, derives one `(term, node, tf)` entry per distinct term of each node
-//! from it and counting-sorts those into the posting arena.  The only hash
-//! map of the build is merge's interning table; the only one the index owns
-//! is inside its [`TermDict`].
+//! [`NodeIndex::build`] is one pass over the collection in document order.
+//! It tokenises each text node and interns every token as it reads it, so
+//! the only strings the build holds are one per distinct term, in its one
+//! hash map.  The pass fills the token arena and the side tables directly.
+//! Term ids are then renumbered to lexicographic ranks, one
+//! `(term, node, tf)` entry per distinct term of each node is derived from
+//! the arena, and the entries are counting-sorted into the posting arena.
+//! The only hash map the index owns is inside its [`TermDict`].
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -60,7 +59,7 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use seda_xmlstore::{Collection, DocId, Document, NodeId, PathId};
+use seda_xmlstore::{Collection, DocId, NodeId, PathId};
 
 use crate::dict::{TermDict, TermId};
 use crate::query::FullTextQuery;
@@ -201,114 +200,60 @@ pub struct NodeIndex {
     pub(crate) slot_tokens: Vec<TermId>,
 }
 
-/// Partial node index over a single document, produced by
-/// [`NodeIndex::build_shard`] and consumed by [`NodeIndex::merge`]: the
-/// document's indexed nodes in document order, as flat parallel vectors.
-///
-/// Shards carry globally valid [`NodeId`]s and [`PathId`]s because documents
-/// of a [`Collection`] share its symbol and path intern tables; only the
-/// tokens are still text, interned at merge.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NodeIndexShard {
-    doc: Option<DocId>,
-    nodes: Vec<NodeId>,
-    paths: Vec<PathId>,
-    /// Per node, the end of its run in `tokens` (its start is the previous
-    /// node's end).
-    token_ends: Vec<u32>,
-    tokens: Vec<String>,
-}
-
-impl NodeIndexShard {
-    /// The document this shard was built from.
-    pub fn doc(&self) -> Option<DocId> {
-        self.doc
-    }
-
-    /// Number of nodes with indexed content in this shard.
-    pub fn indexed_node_count(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
 impl NodeIndex {
     /// Builds the index over every node of the collection that has direct
-    /// text content (elements with text and attributes): one shard per
-    /// document ([`NodeIndex::build_shard`]), merged ([`NodeIndex::merge`]).
-    pub fn build(collection: &Collection) -> Self {
-        Self::merge(collection.documents().map(Self::build_shard).collect())
-    }
-
-    /// Tokenises a single document (the per-shard phase of the shard → merge
-    /// build lifecycle).
-    pub fn build_shard(doc: &Document) -> NodeIndexShard {
-        let mut shard = NodeIndexShard { doc: Some(doc.id), ..NodeIndexShard::default() };
-        for (ordinal, node) in doc.iter() {
-            let Some(text) = node.text.as_deref() else { continue };
-            let mut tokens = terms(text);
-            if tokens.is_empty() {
-                continue;
-            }
-            shard.nodes.push(NodeId::new(doc.id, ordinal));
-            shard.paths.push(node.path);
-            shard.tokens.append(&mut tokens);
-            shard.token_ends.push(shard.tokens.len() as u32);
-        }
-        shard
-    }
-
-    /// Merges per-document shards into the index (the merge phase of the
-    /// shard → merge build lifecycle).
+    /// text content (elements with text and attributes), in one pass in
+    /// document order.
     ///
-    /// Shards are merged in ascending document order regardless of the order
-    /// they are passed in, so the result is deterministic and identical to
-    /// the sequential [`NodeIndex::build`].
-    pub fn merge(mut shards: Vec<NodeIndexShard>) -> Self {
-        shards.sort_by_key(|s| s.doc);
-        let slots: usize = shards.iter().map(|s| s.nodes.len()).sum();
-        let token_total: usize = shards.iter().map(|s| s.tokens.len()).sum();
-
-        // Side tables and token offsets: the shards' vectors end to end.
-        // Shards ascend by document and a shard's nodes by ordinal, so slots
+    /// Each token is interned as it is read, so the build holds one string
+    /// per distinct term, never one per occurrence; ids are then renumbered
+    /// by rank, so they are lexicographic whatever the document order.
+    pub fn build(collection: &Collection) -> Self {
+        let mut first_seen: HashMap<String, u32> = HashMap::new();
+        let mut slot_nodes = Vec::new();
+        let mut slot_paths = Vec::new();
+        let mut token_offsets = vec![0u32];
+        let mut slot_tokens: Vec<TermId> = Vec::new();
+        // Documents ascend by id and a document's nodes by ordinal, so slots
         // ascend by node id.
-        let mut slot_nodes = Vec::with_capacity(slots);
-        let mut slot_paths = Vec::with_capacity(slots);
-        let mut token_offsets = Vec::with_capacity(slots + 1);
-        token_offsets.push(0u32);
-        for shard in &shards {
-            let base = token_offsets[token_offsets.len() - 1];
-            slot_nodes.extend_from_slice(&shard.nodes);
-            slot_paths.extend_from_slice(&shard.paths);
-            token_offsets.extend(shard.token_ends.iter().map(|&end| base + end));
+        for doc in collection.documents() {
+            for (ordinal, node) in doc.iter() {
+                let Some(text) = node.text.as_deref() else { continue };
+                let tokens = terms(text);
+                if tokens.is_empty() {
+                    continue;
+                }
+                slot_nodes.push(NodeId::new(doc.id, ordinal));
+                slot_paths.push(node.path);
+                for token in tokens {
+                    let next = first_seen.len() as u32;
+                    slot_tokens.push(TermId(*first_seen.entry(token).or_insert(next)));
+                }
+                token_offsets.push(slot_tokens.len() as u32);
+            }
         }
+        // The pass grew these tables by doubling: trim them to what the
+        // index reads (and `read_model_bytes` reports).
+        slot_nodes.shrink_to_fit();
+        slot_paths.shrink_to_fit();
+        token_offsets.shrink_to_fit();
+        slot_tokens.shrink_to_fit();
+        let slots = slot_nodes.len();
 
-        // Intern every token in first-seen order, then renumber by rank so
-        // ids are lexicographic whatever the document order.
-        let mut first_seen: HashMap<&str, u32> = HashMap::new();
-        let mut distinct: Vec<&str> = Vec::new();
-        let mut slot_tokens: Vec<TermId> = Vec::with_capacity(token_total);
-        for token in shards.iter().flat_map(|shard| &shard.tokens) {
-            let next = distinct.len() as u32;
-            let id = *first_seen.entry(token).or_insert_with(|| {
-                distinct.push(token);
-                next
-            });
-            slot_tokens.push(TermId(id));
-        }
-        let mut by_rank: Vec<u32> = (0..distinct.len() as u32).collect();
-        by_rank.sort_unstable_by_key(|&id| distinct[id as usize]);
+        let mut distinct: Vec<(String, u32)> = first_seen.into_iter().collect();
+        distinct.sort_unstable();
         let mut rank = vec![0u32; distinct.len()];
-        for (r, &id) in by_rank.iter().enumerate() {
+        for (r, &(_, id)) in distinct.iter().enumerate() {
             rank[id as usize] = r as u32;
         }
         for id in &mut slot_tokens {
             *id = TermId(rank[id.index()]);
         }
-        let dict = TermDict::from_sorted(by_rank.iter().map(|&id| distinct[id as usize]));
+        let dict = TermDict::from_sorted(distinct.iter().map(|(term, _)| term.as_str()));
 
         // One (term, slot, tf) entry per distinct term of each node, in slot
         // order, and each term's document frequency.
-        let mut entries: Vec<(TermId, u32, u32)> = Vec::with_capacity(token_total);
+        let mut entries: Vec<(TermId, u32, u32)> = Vec::with_capacity(slot_tokens.len());
         let mut df = vec![0u32; dict.len()];
         let mut node_terms: Vec<TermId> = Vec::new();
         for (slot, bounds) in token_offsets.windows(2).enumerate() {
@@ -1027,22 +972,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_order_does_not_matter() {
-        let (collection, sequential) = sample();
-        let mut shards: Vec<NodeIndexShard> =
-            collection.documents().map(NodeIndex::build_shard).collect();
-        assert!(shards.iter().all(|s| s.doc().is_some() && s.indexed_node_count() > 0));
-        shards.reverse();
-        assert_eq!(NodeIndex::merge(shards), sequential);
-    }
-
-    #[test]
-    fn merge_of_no_shards_is_empty() {
-        let merged = NodeIndex::merge(Vec::new());
-        assert_eq!(merged.indexed_node_count(), 0);
-        assert_eq!(merged.term_count(), 0);
-        assert!(merged.term_dict().is_empty());
-        assert!(merged.evaluate(&FullTextQuery::Any).is_empty());
+    fn build_of_an_empty_collection_is_empty() {
+        let index = NodeIndex::build(&Collection::new());
+        assert_eq!(index.indexed_node_count(), 0);
+        assert_eq!(index.term_count(), 0);
+        assert!(index.term_dict().is_empty());
+        assert!(index.evaluate(&FullTextQuery::Any).is_empty());
     }
 
     #[test]

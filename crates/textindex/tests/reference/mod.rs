@@ -273,11 +273,6 @@ proptest! {
         assert_same_tables(&collection, &index, &expected);
         prop_assert_eq!(index.verify(), Ok(()));
 
-        // Shards in any order merge to the same index.
-        let mut shards: Vec<_> = collection.documents().map(NodeIndex::build_shard).collect();
-        shards.reverse();
-        prop_assert!(NodeIndex::merge(shards) == index);
-
         let all: Vec<PathId> = collection.paths().iter().map(|(id, _)| id).collect();
         let pick = |i: usize| all[picks[i] % all.len()];
         let allowed = [

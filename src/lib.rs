@@ -5,7 +5,7 @@
 //! integration tests and the examples can depend on a single crate.
 //!
 //! See the workspace `README.md` for the crate dependency DAG and the
-//! shard → merge build lifecycle.
+//! engine build.
 
 pub use seda_core::{
     seda_datagraph as datagraph, seda_dataguide as dataguide, seda_olap as olap,
@@ -14,7 +14,7 @@ pub use seda_core::{
 };
 pub use seda_core::{
     BuildProfile, ConnectionSummary, ContextBucket, ContextSelections, ContextSpec, ContextSummary,
-    EngineConfig, ExecProfile, PhaseProfile, PlanStep, QueryError, QueryPlan, QueryTerm,
-    RequestBuilder, ResponsePayload, SedaEngine, SedaError, SedaQuery, SedaReader, SedaRequest,
-    SedaResponse, SedaSession, Session, SessionStage, Statement,
+    EngineConfig, ExecProfile, PlanStep, QueryError, QueryPlan, QueryTerm, RequestBuilder,
+    ResponsePayload, SedaEngine, SedaError, SedaQuery, SedaReader, SedaRequest, SedaResponse,
+    SedaSession, Session, SessionStage, Statement,
 };

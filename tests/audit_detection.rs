@@ -258,7 +258,7 @@ fn inverted_histogram_minmax_is_detected_as_metrics_histogram_minmax() {
 #[test]
 fn fresh_engines_pass_over_every_datagen_corpus() {
     // All four synthetic corpus shapes, including the RecipeML generator —
-    // sequential and shard-parallel builds alike must freeze audit-clean
+    // one-thread and two-thread builds alike must freeze audit-clean
     // arenas (the build itself re-checks this, so a failure here would
     // surface as a build error too).
     for dataset in Dataset::ALL {
@@ -314,7 +314,7 @@ mod random_corpora {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// Freshly built engines over randomized corpora always pass their
-        /// structural audit, sequential or shard-parallel.
+        /// structural audit, built on one thread or two.
         #[test]
         fn freshly_built_engines_always_pass(
             words in proptest::collection::vec(0u8..4, 1..24),

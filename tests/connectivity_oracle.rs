@@ -20,10 +20,8 @@
 //! one-to-many form of the query — a pinned source asked about each target —
 //! must give the same agreement, pair for pair, and every returned path must
 //! be a walk over the graph's edges.  A final set of tests pins that the
-//! labels coming out of the shard → merge lifecycle are identical to a
-//! sequential build, independent of shard order, that the chain's labels
-//! grow linearly with its length, and that corpora without cross edges carry
-//! no labels at all.
+//! chain's labels grow linearly with its length, and that corpora without
+//! cross edges carry no labels at all.
 
 mod reference;
 
@@ -34,7 +32,7 @@ use seda_datagen::{
 };
 use seda_datagraph::{
     is_connected_with, pin, shortest_distance_with, shortest_path_with, DataGraph, GraphConfig,
-    GraphShard, TraversalScratch, MAX_DEPTH,
+    TraversalScratch, MAX_DEPTH,
 };
 use seda_xmlstore::{parse_collection, Collection, DocId, NodeId};
 
@@ -317,29 +315,6 @@ proptest! {
         let nodes = sample_nodes(&collection, 1);
         assert_oracle_matches_bfs(&graph, &nodes)?;
     }
-
-    /// Labels coming out of the shard → merge lifecycle are identical to the
-    /// sequential build, regardless of shard order.
-    #[test]
-    fn shard_merged_labels_match_sequential_build(
-        docs in 2usize..7,
-        per_doc in 2usize..6,
-        reverse in 0u8..2,
-    ) {
-        let collection = idref_web(docs, per_doc, 2);
-        let config = GraphConfig::default();
-        let sequential = DataGraph::build(&collection, &config);
-        let mut shards: Vec<GraphShard> = collection
-            .documents()
-            .map(|doc| DataGraph::build_shard(&collection, doc.id, &config))
-            .collect();
-        if reverse == 1 {
-            shards.reverse();
-        }
-        let merged = DataGraph::merge(&collection, shards);
-        prop_assert_eq!(merged.connectivity(), sequential.connectivity());
-        prop_assert_eq!(&merged, &sequential);
-    }
 }
 
 /// Hub labels cut at `MAX_DEPTH`: a 30-document chain whose ends lie 87 hops
@@ -413,13 +388,11 @@ fn tree_corpora_carry_no_labels() {
 }
 
 /// Non-random anchor: the fixed mondial workload of the benchmark reports,
-/// plus its shard-merge determinism, outside proptest so a failure names no
-/// seed.
+/// outside proptest so a failure names no seed.
 #[test]
 fn oracle_matches_bfs_on_fixed_mondial() {
     let collection = mondial::generate(&MondialConfig::small()).expect("generate mondial");
-    let config = GraphConfig::default();
-    let graph = DataGraph::build(&collection, &config);
+    let graph = DataGraph::build(&collection, &GraphConfig::default());
     let nodes = sample_nodes(&collection, 9);
 
     let mut oracle_scratch = TraversalScratch::new();
@@ -444,12 +417,4 @@ fn oracle_matches_bfs_on_fixed_mondial() {
         }
     }
     pinned_scratch.verify().expect("every source unpinned itself");
-
-    let shards: Vec<GraphShard> = collection
-        .documents()
-        .map(|doc| DataGraph::build_shard(&collection, doc.id, &config))
-        .collect();
-    let merged = DataGraph::merge(&collection, shards);
-    assert_eq!(merged.connectivity(), graph.connectivity());
-    assert_eq!(merged, graph);
 }

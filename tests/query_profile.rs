@@ -7,7 +7,7 @@ use seda_datagraph::doc_component_builds_on_this_thread;
 use seda_olap::Registry;
 use seda_topk::{SearchLimits, SearchScratch, TopKConfig, TopKSearcher};
 
-fn small_engine() -> SedaEngine {
+fn small_engine(parallelism: usize) -> SedaEngine {
     let config = MondialConfig {
         countries: 4,
         provinces: 4,
@@ -21,17 +21,25 @@ fn small_engine() -> SedaEngine {
     SedaEngine::build(
         mondial::generate(&config).expect("generate mondial"),
         Registry::factbook_defaults(),
-        EngineConfig::default(),
+        EngineConfig { parallelism, ..EngineConfig::default() },
     )
     .expect("engine build")
 }
 
 #[test]
 fn doc_components_built_once_per_engine_never_per_search() {
-    // The component counter is thread-local and the default build
-    // (parallelism = 1) merges on this thread, so the delta is exact.
+    // The component counter is thread-local and every build — a two-thread
+    // one too, which moves only the node index — builds the data graph on
+    // the calling thread, so the delta is exact.
     let before = doc_component_builds_on_this_thread();
-    let engine = small_engine();
+    drop(small_engine(2));
+    assert_eq!(
+        doc_component_builds_on_this_thread(),
+        before + 1,
+        "a two-thread build computes document components once, on this thread"
+    );
+    let before = doc_component_builds_on_this_thread();
+    let engine = small_engine(1);
     assert_eq!(
         doc_component_builds_on_this_thread(),
         before + 1,
