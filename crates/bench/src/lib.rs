@@ -136,7 +136,11 @@ pub const PREPARED_OVER_COLD_BOUND: f64 = 1.7;
 /// With the rows in one flat buffer it reads 3.08–3.73× over twenty runs
 /// (scan ≈ 2.9 ms, evaluation ≈ 9 ms on a 2-vCPU host whose memory-bound
 /// scan ran at a third of its old speed), where the row `Vec`s read
-/// 3.66–3.86× in the same twenty runs.  In the host's memory-bound slow state
+/// 3.66–3.86× in the same twenty runs.  With no Dewey ID stored per node both
+/// sides scan a 72-byte `Node` instead of 96 bytes: 2.99–3.12× over five runs
+/// (scan 3.1–3.7 ms, evaluation 9.5–11.4 ms on the same 2-vCPU host), against
+/// 2.97–4.42× for the 96-byte `Node` in the same runs, taken in turns.  In
+/// the host's memory-bound slow state
 /// the ratios were also seen up to 12× and 33–50× (the rewrite's prototype),
 /// so the bound is the geometric mean of the worst reading of the
 /// region-encoded evaluator (12) and the best of the one before (24.9):

@@ -28,11 +28,11 @@ const SUBSTRATE: &str = "core";
 
 impl SedaEngine {
     /// Verifies every structural invariant of the engine's frozen substrates:
-    /// the collection's Dewey order and tree linkage, both full-text indexes'
-    /// dictionary/postings/CSR invariants, the data graph's adjacency
-    /// symmetry, component partition and connectivity labels, and the
-    /// dataguide summary's path index and document assignment.  Returns every
-    /// violation found rather than stopping at the first.
+    /// the collection's preorder, tree linkage and context chain, both
+    /// full-text indexes' dictionary/postings/CSR invariants, the data graph's
+    /// adjacency symmetry, component partition and connectivity labels, and
+    /// the dataguide summary's path index and document assignment.  Returns
+    /// every violation found rather than stopping at the first.
     ///
     /// A freshly built engine always passes; [`SedaEngine::build`] enforces
     /// this before returning and reports the cost in

@@ -430,12 +430,6 @@ impl SedaEngine {
         &self.registry
     }
 
-    /// Mutable access to the registry (users can define new facts and
-    /// dimensions during query processing).
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
-    }
-
     /// The data graph.
     pub fn graph(&self) -> &DataGraph {
         &self.graph

@@ -87,7 +87,7 @@ pub use query::{ContextSpec, QueryError, QueryTerm, SedaQuery};
 pub use reader::SedaReader;
 pub use request::{RequestBuilder, SedaRequest, Statement};
 pub use response::{ExecProfile, ResponsePayload, SedaResponse};
-pub use session::{SedaSession, Session, SessionStage};
+pub use session::{SedaSession, SessionStage};
 pub use summaries::{ConnectionSummary, ContextBucket, ContextSelections, ContextSummary};
 pub use trace::{SpanCounters, SpanRecord, Tracer};
 

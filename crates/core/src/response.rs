@@ -196,14 +196,6 @@ impl SedaResponse {
         }
     }
 
-    /// The star-schema build, when the payload carries one.
-    pub fn schema_build(&self) -> Option<&StarSchemaBuild> {
-        match &self.payload {
-            ResponsePayload::Cube { build, .. } => Some(build),
-            _ => None,
-        }
-    }
-
     /// The explain transcript, when the payload carries one.
     pub fn explain_transcript(&self) -> Option<&str> {
         match &self.payload {

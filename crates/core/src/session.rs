@@ -60,9 +60,6 @@ pub struct SedaSession<'a> {
     stage: SessionStage,
 }
 
-/// Backwards-compatible alias for [`SedaSession`].
-pub type Session<'a> = SedaSession<'a>;
-
 impl<'a> SedaSession<'a> {
     /// Opens a session over an engine.
     pub fn new(engine: &'a SedaEngine) -> Self {

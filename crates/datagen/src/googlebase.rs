@@ -142,7 +142,8 @@ mod tests {
         let c = generate(&GoogleBaseConfig::small()).unwrap();
         for doc in c.documents().take(10) {
             for (_, node) in doc.iter() {
-                assert!(node.dewey.depth() <= 2, "Google Base items are flat documents");
+                let depth = c.paths().resolve(node.path).len();
+                assert!(depth <= 2, "Google Base items are flat documents");
             }
         }
     }

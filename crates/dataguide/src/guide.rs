@@ -90,11 +90,6 @@ impl DataGuide {
         (common / self.len() as f64).min(common / other.len() as f64)
     }
 
-    /// True when every path of `self` also occurs in `other`.
-    pub fn is_subset_of(&self, other: &DataGuide) -> bool {
-        self.paths.iter().all(|p| other.paths.contains(p))
-    }
-
     /// Absorbs another guide (set union of paths, concatenation of coverage).
     pub fn merge_in(&mut self, other: DataGuide) {
         self.paths.extend(other.paths);

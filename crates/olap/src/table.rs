@@ -10,12 +10,12 @@ use seda_xmlstore::{Collection, NodeId, PathId};
 /// The full (non-top-k) result of a SEDA query, as described in Sec. 1/7:
 /// "two columns for each query term: the first one contains the Dewey ID XML
 /// node reference, and the other one contains the full root-to-leaf path of
-/// the node."  Here the node reference carries the document and ordinal (from
-/// which the Dewey id is recoverable).  The path column is not stored: a
-/// node's root-to-leaf path is a function of the node
-/// (`Collection::context`), so R(q) keeps its two columns a term while the
-/// table holds one cell — [`QueryResultTable::column_paths`] derives the
-/// other on demand.
+/// the node."  Here the node reference carries the document and ordinal, from
+/// which `Document::dewey` derives the Dewey ID through the parent chain.
+/// The path column is not stored either: a node's root-to-leaf path is a
+/// function of the node (`Collection::context`), so R(q) keeps its two
+/// columns a term while the table holds one cell —
+/// [`QueryResultTable::column_paths`] derives the other on demand.
 ///
 /// The rows live in one flat buffer, row *i* being `cells[i·w..(i+1)·w]` for
 /// `w` = [`QueryResultTable::width`] columns.  A table without columns has no

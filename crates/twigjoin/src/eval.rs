@@ -8,11 +8,12 @@
 //! * **Region encoding.**  Holistic twig joins are defined over positions
 //!   `(LeftPos : RightPos, LevelNum)`.  Here a node's region is `start` = its
 //!   ordinal in the document, `end` = the first ordinal past its subtree and
-//!   `level` = its depth.  Ordinals are assigned in document order, which is
-//!   Dewey order (the audit's `dewey-order` invariant), so comparing ordinals
-//!   compares Dewey ids and every structural test is integer arithmetic:
-//!   `x` is an ancestor of `y` iff `x.start < y.start < x.end`, and its
-//!   parent iff also `x.level + 1 == y.level`.
+//!   `level` = its depth, the length of its context.  Ordinals are assigned in
+//!   preorder (the audit's `preorder` invariant), which is Dewey order, so
+//!   comparing ordinals compares Dewey ids and every structural test is
+//!   integer arithmetic: `x` is an ancestor of `y` iff
+//!   `x.start < y.start < x.end`, and its parent iff also
+//!   `x.level + 1 == y.level`.
 //! * **Streams.**  A *stream element* is the region of one data node that
 //!   matches one pattern node (label equal, direct text satisfying the node's
 //!   predicate; a root with [`Axis::Child`] only matches the document's root
@@ -41,7 +42,7 @@
 
 use std::slice::ChunksExact;
 
-use seda_xmlstore::{Collection, DocId, Document, NodeId, Symbol};
+use seda_xmlstore::{Collection, DocId, Document, NodeId, PathTable, Symbol};
 
 use crate::pattern::{Axis, TwigPattern};
 
@@ -125,6 +126,8 @@ struct StackEntry {
 /// What one evaluation derives from its pattern, once.
 struct Plan<'p> {
     pattern: &'p TwigPattern,
+    /// The collection's contexts: a node's depth is its context's length.
+    paths: &'p PathTable,
     /// The label of every pattern node, interned.
     symbols: Vec<Symbol>,
     /// True when the root only matches the document's root element.
@@ -140,7 +143,7 @@ struct Plan<'p> {
 impl<'p> Plan<'p> {
     /// `None` when the pattern can match nothing in `collection`: it is empty,
     /// outputs nothing, or names a label the collection never interned.
-    fn new(collection: &Collection, pattern: &'p TwigPattern) -> Option<Self> {
+    fn new(collection: &'p Collection, pattern: &'p TwigPattern) -> Option<Self> {
         let outputs = pattern.output_nodes();
         if pattern.is_empty() || outputs.is_empty() {
             return None;
@@ -159,7 +162,8 @@ impl<'p> Plan<'p> {
             })
             .collect();
         let anchored = pattern.node(pattern.root()).axis == Axis::Child;
-        Some(Plan { pattern, symbols, anchored, chains, shared, outputs })
+        let paths = collection.paths();
+        Some(Plan { pattern, paths, symbols, anchored, chains, shared, outputs })
     }
 }
 
@@ -209,7 +213,7 @@ impl Workspace {
         // An anchored root is the root element, nothing below it.
         let anchor = plan.anchored.then_some(plan.pattern.root());
         for (ordinal, node) in document.iter() {
-            let level = node.dewey.depth() as u32;
+            let level = plan.paths.resolve(node.path).len() as u32;
             while let Some(&(q, at)) = self.open.last() {
                 if self.streams[q][at].level < level {
                     break;

@@ -1,7 +1,7 @@
 //! The twig evaluator as it shipped before the region-encoded rewrite of
 //! `seda_twigjoin::evaluate_twig`, kept verbatim as the differential reference: one
-//! pass per pattern node resolving names to strings, streams of cloned Dewey
-//! ids in a `HashMap`, chain solutions as `BTreeMap`s hash-joined on their
+//! pass per pattern node resolving names to strings, streams of Dewey ids
+//! (derived by `Document::dewey`, no longer stored) in a `HashMap`, chain solutions as `BTreeMap`s hash-joined on their
 //! shared pattern nodes, one global sort.  It shares no code with the new
 //! evaluator.  The one addition is the anchoring rule both now follow: a root
 //! with `Axis::Child` only matches the document's root element.
@@ -62,7 +62,7 @@ fn build_stream(
                 continue;
             }
         }
-        out.push(StreamElement { ordinal, dewey: data_node.dewey.clone() });
+        out.push(StreamElement { ordinal, dewey: document.dewey(ordinal) });
     }
     // Document iteration order is document order, which is Dewey order.
     out

@@ -8,17 +8,21 @@
 //!
 //! | class | invariant |
 //! |---|---|
-//! | `dewey-order` | Dewey ids are strictly increasing in document order |
-//! | `dewey-parent-prefix` | a node's Dewey id extends its parent's by exactly one component; the root is `1` |
+//! | `preorder` | nodes are in preorder: only the first is parentless, each node's parent is an open ancestor of the node before it, and every children list ascends |
 //! | `tree-linkage` | parent/child ordinals are in-bounds, parents precede children, and back-pointers agree |
 //! | `doc-id-dense` | document ids equal their slot in the collection |
 //! | `path-in-bounds` | every node's interned path and name resolve in the shared tables |
+//! | `path-parent` | a node's context is one step longer than its parent's and ends in the node's name; a root's context is one step |
+//!
+//! Dewey IDs ([`Document::dewey`]), the twig evaluator's region encoding and
+//! the data graph's parent walk all read `preorder`; the evaluator's levels
+//! read `path-parent`.  Each class costs O(1) per node.
 
 use std::fmt;
 
 use crate::collection::Collection;
-use crate::dewey::DeweyId;
 use crate::document::Document;
+use crate::node::Node;
 
 /// One detected violation of a structural invariant.
 ///
@@ -35,7 +39,7 @@ pub struct InvariantViolation {
     /// `"datagraph"`, `"dataguide"`, `"topk"`, `"core"`).
     pub substrate: &'static str,
     /// Stable kebab-case class id of the violated invariant (e.g.
-    /// `"dewey-order"`, `"postings-sorted"`, `"csr-offsets"`).
+    /// `"preorder"`, `"postings-sorted"`, `"csr-offsets"`).
     pub invariant: &'static str,
     /// Human-oriented description of the specific violation site.
     pub detail: String,
@@ -73,90 +77,68 @@ pub fn finish(violations: Vec<InvariantViolation>) -> AuditResult {
 const SUBSTRATE: &str = "xmlstore";
 
 impl Document {
-    /// Verifies the per-document structural invariants: Dewey order, the
-    /// parent-prefix property, and parent/child linkage consistency.
+    /// Verifies the per-document structural invariants: preorder and
+    /// parent/child linkage consistency.
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
-        let mut previous: Option<&DeweyId> = None;
+        let doc = self.id.0;
+        let violation = |class, detail| InvariantViolation::new(SUBSTRATE, class, detail);
+        // The open ancestors of the previous node, root first.
+        let mut open: Vec<u32> = Vec::new();
         for (ordinal, node) in self.iter() {
-            if let Some(prev) = previous {
-                if node.dewey <= *prev {
-                    violations.push(InvariantViolation::new(
-                        SUBSTRATE,
-                        "dewey-order",
-                        format!(
-                            "doc {} node {ordinal}: dewey {} not after predecessor {prev}",
-                            self.id.0, node.dewey
-                        ),
-                    ));
-                }
-            }
-            previous = Some(&node.dewey);
             match node.parent {
-                None => {
-                    if ordinal != 0 || node.dewey != DeweyId::root() {
-                        violations.push(InvariantViolation::new(
-                            SUBSTRATE,
-                            "dewey-parent-prefix",
+                None if ordinal != 0 => {
+                    violations.push(violation(
+                        "preorder",
+                        format!("doc {doc} node {ordinal}: parentless node after the root"),
+                    ));
+                    open.clear();
+                }
+                None => {}
+                Some(parent) if parent >= ordinal => violations.push(violation(
+                    "tree-linkage",
+                    format!("doc {doc} node {ordinal}: parent {parent} does not precede it"),
+                )),
+                Some(parent) => {
+                    while open.last().is_some_and(|&top| top != parent) {
+                        open.pop();
+                    }
+                    if open.is_empty() {
+                        violations.push(violation(
+                            "preorder",
                             format!(
-                                "doc {} node {ordinal}: parentless node with dewey {}",
-                                self.id.0, node.dewey
+                                "doc {doc} node {ordinal}: parent {parent} is not an open ancestor"
                             ),
                         ));
                     }
-                }
-                Some(parent) => {
-                    if parent >= ordinal {
-                        violations.push(InvariantViolation::new(
-                            SUBSTRATE,
+                    if !self.node_unchecked(parent).children.contains(&ordinal) {
+                        violations.push(violation(
                             "tree-linkage",
                             format!(
-                                "doc {} node {ordinal}: parent {parent} does not precede it",
-                                self.id.0
+                                "doc {doc} node {ordinal}: missing from parent {parent}'s children"
                             ),
                         ));
-                    } else {
-                        let parent_node = self.node_unchecked(parent);
-                        if !parent_node.dewey.is_parent_of(&node.dewey) {
-                            violations.push(InvariantViolation::new(
-                                SUBSTRATE,
-                                "dewey-parent-prefix",
-                                format!(
-                                    "doc {} node {ordinal}: dewey {} does not extend parent's {}",
-                                    self.id.0, node.dewey, parent_node.dewey
-                                ),
-                            ));
-                        }
-                        if !parent_node.children.contains(&ordinal) {
-                            violations.push(InvariantViolation::new(
-                                SUBSTRATE,
-                                "tree-linkage",
-                                format!(
-                                    "doc {} node {ordinal}: missing from parent {parent}'s children",
-                                    self.id.0
-                                ),
-                            ));
-                        }
                     }
                 }
+            }
+            open.push(ordinal);
+            if node.children.windows(2).any(|pair| pair[0] >= pair[1]) {
+                violations.push(violation(
+                    "preorder",
+                    format!("doc {doc} node {ordinal}: children do not ascend"),
+                ));
             }
             for &child in &node.children {
                 if child as usize >= self.len() {
-                    violations.push(InvariantViolation::new(
-                        SUBSTRATE,
+                    violations.push(violation(
                         "tree-linkage",
-                        format!(
-                            "doc {} node {ordinal}: child ordinal {child} out of bounds",
-                            self.id.0
-                        ),
+                        format!("doc {doc} node {ordinal}: child ordinal {child} out of bounds"),
                     ));
                 } else if self.node_unchecked(child).parent != Some(ordinal) {
-                    violations.push(InvariantViolation::new(
-                        SUBSTRATE,
+                    violations.push(violation(
                         "tree-linkage",
                         format!(
-                            "doc {} node {ordinal}: child {child} does not point back to it",
-                            self.id.0
+                            "doc {doc} node {ordinal}: child {child} does not point back to it"
                         ),
                     ));
                 }
@@ -164,21 +146,17 @@ impl Document {
         }
         finish(violations)
     }
-
-    /// Test-only corruption hook: overwrites one node's Dewey id so the
-    /// seeded-corruption suite can break `dewey-order` / `dewey-parent-prefix`
-    /// in isolation.  Hidden from docs; never called by library code.
-    #[doc(hidden)]
-    pub fn corrupt_node_dewey(&mut self, ordinal: u32, dewey: DeweyId) {
-        self.corrupt_node_dewey_impl(ordinal, dewey);
-    }
 }
 
 impl Collection {
     /// Verifies every document plus the collection-level invariants
-    /// (dense document ids, interned paths and names in-bounds).
+    /// (dense document ids, interned paths and names in-bounds, each context
+    /// one step below its parent's).
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
+        let paths = self.paths();
+        let context_len =
+            |n: &Node| (n.path.index() < paths.len()).then(|| paths.resolve(n.path).len());
         for (slot, doc) in self.documents().enumerate() {
             if doc.id.index() != slot {
                 violations.push(InvariantViolation::new(
@@ -202,6 +180,26 @@ impl Collection {
                             self.paths().len()
                         ),
                     ));
+                }
+                // One step below the parent's context, where both resolve.
+                let parent_len = match node.parent {
+                    None => Some(0),
+                    Some(p) => doc.node(p).ok().and_then(context_len),
+                };
+                if let (Some(parent_len), Some(len)) = (parent_len, context_len(node)) {
+                    let leaf = self.paths().resolve(node.path).leaf();
+                    if len != parent_len + 1 || leaf != Some(node.name) {
+                        violations.push(InvariantViolation::new(
+                            SUBSTRATE,
+                            "path-parent",
+                            format!(
+                                "doc {} node {ordinal}: context {} is not one step below its \
+                                 parent's",
+                                doc.id.0,
+                                self.path_string(node.path)
+                            ),
+                        ));
+                    }
                 }
                 if node.name.index() >= self.symbols().len() {
                     violations.push(InvariantViolation::new(
@@ -247,35 +245,56 @@ mod tests {
         assert_eq!(Collection::new().verify(), Ok(()));
     }
 
-    #[test]
-    fn swapped_sibling_deweys_fail_dewey_order() {
-        let mut c = sample();
-        // Nodes 1 and 2 are the `name`/`year` sibling leaves: swapping their
-        // Dewey ids keeps the parent-prefix property but breaks order.
-        let d1 = c.document(crate::DocId(0)).unwrap().node(1).unwrap().dewey.clone();
-        let d2 = c.document(crate::DocId(0)).unwrap().node(2).unwrap().dewey.clone();
-        c.corrupt_document(crate::DocId(0), |doc| {
-            doc.corrupt_node_dewey(1, d2);
-            doc.corrupt_node_dewey(2, d1);
-        });
+    fn only_class(c: &Collection, class: &str) {
         let violations = c.verify().unwrap_err();
-        assert!(violations.iter().all(|v| v.invariant == "dewey-order"), "{violations:?}");
+        assert!(violations.iter().all(|v| v.invariant == class), "{violations:?}");
     }
 
     #[test]
-    fn deepened_leaf_dewey_fails_parent_prefix() {
+    fn swapped_children_entries_fail_preorder() {
         let mut c = sample();
-        // Replacing a leaf's Dewey id with a descendant of itself keeps
-        // document order intact but the parent is no longer one level up.
-        let deeper = c.document(crate::DocId(0)).unwrap().node(1).unwrap().dewey.child(1);
-        c.corrupt_document(crate::DocId(0), |doc| doc.corrupt_node_dewey(1, deeper));
-        let violations = c.verify().unwrap_err();
-        assert!(violations.iter().all(|v| v.invariant == "dewey-parent-prefix"), "{violations:?}");
+        // The root's children are name (1), year (2) and economy (3): swapping
+        // two entries keeps every link but breaks the ascending order.
+        c.corrupt_document(crate::DocId(0), |doc| doc.corrupt_swap_children(0, 0, 1));
+        only_class(&c, "preorder");
+    }
+
+    #[test]
+    fn a_parent_that_is_no_open_ancestor_fails_preorder() {
+        // Node 3 is a child of node 1 although node 2, a child of node 0, lies
+        // between them: every link agrees, but the arena is not in preorder.
+        let node = |parent: Option<u32>, children: Vec<u32>| Node {
+            name: crate::Symbol(0),
+            kind: crate::NodeKind::Element,
+            parent,
+            children,
+            text: None,
+            path: crate::PathId(0),
+        };
+        let nodes = vec![
+            node(None, vec![1, 2]),
+            node(Some(0), vec![3]),
+            node(Some(0), vec![]),
+            node(Some(1), vec![]),
+        ];
+        let doc = Document::from_parts(crate::DocId(0), "out_of_order.xml".into(), nodes);
+        let violations = doc.verify().unwrap_err();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].invariant, "preorder");
+    }
+
+    #[test]
+    fn a_re_pointed_context_fails_path_parent() {
+        let mut c = sample();
+        // `year` (node 2) gets its parent's context `/country`.
+        let country = c.paths().get_str(c.symbols(), "/country").unwrap();
+        c.corrupt_document(crate::DocId(0), |doc| doc.corrupt_node_path(2, country));
+        only_class(&c, "path-parent");
     }
 
     #[test]
     fn violation_display_names_the_class() {
-        let v = InvariantViolation::new("xmlstore", "dewey-order", "doc 0 node 3");
-        assert_eq!(v.to_string(), "[xmlstore/dewey-order] doc 0 node 3");
+        let v = InvariantViolation::new("xmlstore", "preorder", "doc 0 node 3");
+        assert_eq!(v.to_string(), "[xmlstore/preorder] doc 0 node 3");
     }
 }

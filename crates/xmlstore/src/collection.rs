@@ -12,7 +12,7 @@ use crate::document::{Document, DocumentBuilder};
 use crate::error::{Result, XmlStoreError};
 use crate::node::{DocId, Node, NodeId};
 use crate::path::{PathId, PathTable};
-use crate::symbol::{Symbol, SymbolTable};
+use crate::symbol::SymbolTable;
 
 /// A collection of XML documents sharing one symbol table and one path table.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
@@ -36,12 +36,6 @@ impl Collection {
     /// Shared path (context) table.
     pub fn paths(&self) -> &PathTable {
         &self.paths
-    }
-
-    /// Mutable access to the symbol table (used by query compilation to intern
-    /// user-provided labels that may not occur in the data).
-    pub fn symbols_mut(&mut self) -> &mut SymbolTable {
-        &mut self.symbols
     }
 
     /// Number of documents.
@@ -106,37 +100,16 @@ impl Collection {
         Ok(self.symbols.resolve(self.node(id)?.name))
     }
 
-    /// Opens a builder for a new document.  The caller drives the builder and
-    /// then hands the finished document back via [`Collection::insert`].
-    pub fn build_document(&mut self, uri: impl Into<String>) -> DocumentBuilder<'_> {
-        let doc_id = DocId(self.documents.len() as u32);
-        DocumentBuilder::new(&mut self.symbols, &mut self.paths, doc_id, uri)
-    }
-
-    /// Inserts a finished document.  The document must have been produced by a
-    /// builder obtained from this collection (enforced by checking the id).
-    pub fn insert(&mut self, document: Document) -> Result<DocId> {
-        let expected = DocId(self.documents.len() as u32);
-        if document.id != expected {
-            return Err(XmlStoreError::BuilderState(format!(
-                "document id {:?} does not match next slot {:?}; was the builder obtained from another collection?",
-                document.id, expected
-            )));
-        }
-        let id = document.id;
-        self.documents.push(document);
-        Ok(id)
-    }
-
     /// Builds and inserts a document in one closure-driven call.
     pub fn add_document<F>(&mut self, uri: impl Into<String>, f: F) -> Result<DocId>
     where
         F: FnOnce(&mut DocumentBuilder<'_>) -> Result<()>,
     {
-        let mut builder = self.build_document(uri);
+        let id = DocId(self.documents.len() as u32);
+        let mut builder = DocumentBuilder::new(&mut self.symbols, &mut self.paths, id, uri);
         f(&mut builder)?;
-        let doc = builder.finish()?;
-        self.insert(doc)
+        self.documents.push(builder.finish()?);
+        Ok(id)
     }
 
     /// Test-only corruption hook: hands out mutable access to one document so
@@ -158,17 +131,6 @@ impl Collection {
         out
     }
 
-    /// All nodes in the collection with the given element/attribute name.
-    pub fn nodes_with_name(&self, name: Symbol) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        for doc in &self.documents {
-            for ordinal in doc.nodes_with_name(name) {
-                out.push(NodeId::new(doc.id, ordinal));
-            }
-        }
-        out
-    }
-
     /// Document frequency of every path: in how many documents each distinct
     /// path occurs.  The paper reports `/country` occurring in 1577 of 1600
     /// World Factbook documents while rare paths occur in fewer than 200.
@@ -177,19 +139,6 @@ impl Collection {
         for doc in &self.documents {
             for path in doc.distinct_paths() {
                 *freq.entry(path).or_insert(0) += 1;
-            }
-        }
-        freq
-    }
-
-    /// Total occurrence count of every path across all nodes of the
-    /// collection (the per-path counts stored in the document store that back
-    /// the Fig. 8 index).
-    pub fn path_occurrence_count(&self) -> HashMap<PathId, usize> {
-        let mut freq: HashMap<PathId, usize> = HashMap::new();
-        for doc in &self.documents {
-            for (_, node) in doc.iter() {
-                *freq.entry(node.path).or_insert(0) += 1;
             }
         }
         freq
@@ -257,13 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn nodes_with_name_spans_documents() {
-        let c = two_country_collection();
-        let name = c.symbols().get("name").unwrap();
-        assert_eq!(c.nodes_with_name(name).len(), 2);
-    }
-
-    #[test]
     fn context_and_content_accessors() {
         let c = two_country_collection();
         let gdp = c.paths().get_str(c.symbols(), "/country/economy/GDP").unwrap();
@@ -281,50 +223,8 @@ mod tests {
     }
 
     #[test]
-    fn insert_rejects_foreign_documents() {
-        let mut a = Collection::new();
-        let mut b = Collection::new();
-        let doc = {
-            let mut builder = a.build_document("a.xml");
-            builder.start_element("r").unwrap();
-            builder.end_element().unwrap();
-            builder.finish().unwrap()
-        };
-        // Inserting into the originating collection works.
-        let cloned = doc.clone();
-        a.insert(doc).unwrap();
-        // Inserting the same id again (now stale) fails.
-        assert!(a.insert(cloned.clone()).is_err());
-        // A fresh collection accepts id 0, which is fine (ids match), so build
-        // a second doc in `a` and try to insert it into `b`.
-        let doc2 = {
-            let mut builder = a.build_document("b.xml");
-            builder.start_element("r").unwrap();
-            builder.end_element().unwrap();
-            builder.finish().unwrap()
-        };
-        assert!(b.insert(doc2).is_err());
-    }
-
-    #[test]
     fn total_nodes_sums_documents() {
         let c = two_country_collection();
         assert_eq!(c.total_nodes(), 10);
-    }
-
-    #[test]
-    fn path_occurrence_count_counts_nodes() {
-        let mut c = Collection::new();
-        c.add_document("d.xml", |b| {
-            b.start_element("r")?;
-            b.leaf("x", "1")?;
-            b.leaf("x", "2")?;
-            b.end_element()?;
-            Ok(())
-        })
-        .unwrap();
-        let occ = c.path_occurrence_count();
-        let x = c.paths().get_str(c.symbols(), "/r/x").unwrap();
-        assert_eq!(occ[&x], 2);
     }
 }

@@ -5,8 +5,14 @@ use serde::{Deserialize, Serialize};
 use crate::dewey::DeweyId;
 use crate::error::{Result, XmlStoreError};
 use crate::node::{DocId, Node, NodeId, NodeKind};
-use crate::path::{LabelPath, PathId, PathTable};
+use crate::path::{PathId, PathTable};
 use crate::symbol::{Symbol, SymbolTable};
+
+/// Deepest element nesting a document may have; a deeper one is refused with
+/// [`XmlStoreError::NestingTooDeep`].  It is libxml2's default depth limit.
+/// Each level is a context of its own, so a hostile document nested without a
+/// bound would cost memory quadratic in its depth.
+pub const MAX_NESTING: usize = 256;
 
 /// A stored XML document: an arena of nodes in document order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -94,21 +100,24 @@ impl Document {
         pieces.join(" ")
     }
 
-    /// Finds the node with the given Dewey id, if present.
-    pub fn node_by_dewey(&self, dewey: &DeweyId) -> Option<u32> {
-        // Nodes are in document order and Dewey order coincides with document
-        // order, so a binary search over the arena works.
-        self.nodes.binary_search_by(|n| n.dewey.cmp(dewey)).ok().map(|i| i as u32)
+    /// The Dewey ID of a node (the node reference of Sec. 7), derived from
+    /// the parent chain: each component is the node's 1-based rank among its
+    /// parent's children, found by binary search because children ascend.
+    pub fn dewey(&self, ordinal: u32) -> DeweyId {
+        let mut components = Vec::new();
+        let mut current = ordinal;
+        while let Some(parent) = self.parent(current) {
+            components.push(self.children(parent).partition_point(|&c| c < current) as u32 + 1);
+            current = parent;
+        }
+        components.push(1);
+        components.reverse();
+        DeweyId::from_components(components)
     }
 
     /// Ordinals of all nodes whose context equals `path`.
     pub fn nodes_with_path(&self, path: PathId) -> Vec<u32> {
         self.iter().filter(|(_, n)| n.path == path).map(|(i, _)| i).collect()
-    }
-
-    /// Ordinals of all nodes with the given name.
-    pub fn nodes_with_name(&self, name: Symbol) -> Vec<u32> {
-        self.iter().filter(|(_, n)| n.name == name).map(|(i, _)| i).collect()
     }
 
     /// The set of distinct context paths occurring in this document.
@@ -119,10 +128,20 @@ impl Document {
         paths
     }
 
-    /// Backing store for the test-only corruption hook in [`crate::audit`];
-    /// kept here because the node arena is private to this module.
-    pub(crate) fn corrupt_node_dewey_impl(&mut self, ordinal: u32, dewey: DeweyId) {
-        self.nodes[ordinal as usize].dewey = dewey;
+    /// Test-only corruption hook: swaps entries `a` and `b` of a node's
+    /// children list so the seeded-corruption suite can break `preorder` in
+    /// isolation.  Hidden from docs; never called by library code.
+    #[doc(hidden)]
+    pub fn corrupt_swap_children(&mut self, ordinal: u32, a: usize, b: usize) {
+        self.nodes[ordinal as usize].children.swap(a, b);
+    }
+
+    /// Test-only corruption hook: re-points one node's context so the
+    /// seeded-corruption suite can break `path-parent` in isolation.  Hidden
+    /// from docs; never called by library code.
+    #[doc(hidden)]
+    pub fn corrupt_node_path(&mut self, ordinal: u32, path: PathId) {
+        self.nodes[ordinal as usize].path = path;
     }
 
     /// Evaluates a relative step expression from `ordinal`.
@@ -192,9 +211,10 @@ impl RelativeStep {
 
 /// Streaming builder for a single document.
 ///
-/// The builder assigns Dewey ids and interned context paths while elements are
-/// opened and closed, so the finished [`Document`] is immediately usable by the
-/// indexes without a second pass.
+/// The builder links parents and children and interns each node's context as
+/// one step below its parent's while elements are opened and closed, so the
+/// finished [`Document`] is immediately usable by the indexes without a second
+/// pass.
 pub struct DocumentBuilder<'a> {
     symbols: &'a mut SymbolTable,
     paths: &'a mut PathTable,
@@ -203,13 +223,11 @@ pub struct DocumentBuilder<'a> {
     nodes: Vec<Node>,
     /// Stack of open element ordinals.
     open: Vec<u32>,
-    /// Stack of label symbols from root to the current open element.
-    label_stack: Vec<Symbol>,
 }
 
 impl<'a> DocumentBuilder<'a> {
     /// Creates a builder that interns names and paths into the given tables.
-    pub fn new(
+    pub(crate) fn new(
         symbols: &'a mut SymbolTable,
         paths: &'a mut PathTable,
         doc_id: DocId,
@@ -222,31 +240,23 @@ impl<'a> DocumentBuilder<'a> {
             uri: uri.into(),
             nodes: Vec::new(),
             open: Vec::new(),
-            label_stack: Vec::new(),
         }
     }
 
     fn push_node(&mut self, name: Symbol, kind: NodeKind, text: Option<String>) -> u32 {
         let ordinal = self.nodes.len() as u32;
-        let (parent, dewey) = match self.open.last() {
-            Some(&parent) => {
-                let parent_node = &self.nodes[parent as usize];
-                let child_ordinal = parent_node.children.len() as u32 + 1;
-                (Some(parent), parent_node.dewey.child(child_ordinal))
-            }
-            None => (None, DeweyId::root()),
-        };
-        self.label_stack.push(name);
-        let path = self.paths.intern(LabelPath::new(self.label_stack.clone()));
-        self.label_stack.pop();
+        let parent = self.open.last().copied();
+        let path = self.paths.child(parent.map(|p| self.nodes[p as usize].path), name);
         if let Some(parent) = parent {
             self.nodes[parent as usize].children.push(ordinal);
         }
-        self.nodes.push(Node { name, kind, parent, children: Vec::new(), text, dewey, path });
+        self.nodes.push(Node { name, kind, parent, children: Vec::new(), text, path });
         ordinal
     }
 
-    /// Opens a new element.  Returns its ordinal.
+    /// Opens a new element.  Returns its ordinal.  Fails with
+    /// [`XmlStoreError::NestingTooDeep`] when [`MAX_NESTING`] elements are
+    /// already open.
     pub fn start_element(&mut self, name: &str) -> Result<u32> {
         if self.open.is_empty() && !self.nodes.is_empty() {
             return Err(XmlStoreError::BuilderState(format!(
@@ -254,10 +264,15 @@ impl<'a> DocumentBuilder<'a> {
                 self.uri
             )));
         }
+        if self.open.len() == MAX_NESTING {
+            return Err(XmlStoreError::NestingTooDeep {
+                document: self.uri.clone(),
+                limit: MAX_NESTING,
+            });
+        }
         let sym = self.symbols.intern(name);
         let ordinal = self.push_node(sym, NodeKind::Element, None);
         self.open.push(ordinal);
-        self.label_stack.push(sym);
         Ok(ordinal)
     }
 
@@ -266,7 +281,6 @@ impl<'a> DocumentBuilder<'a> {
         self.open.pop().ok_or_else(|| {
             XmlStoreError::BuilderState("end_element without matching start_element".into())
         })?;
-        self.label_stack.pop();
         Ok(())
     }
 
@@ -307,7 +321,7 @@ impl<'a> DocumentBuilder<'a> {
 
     /// Finishes the document.  Fails if elements are still open or the
     /// document is empty.
-    pub fn finish(self) -> Result<Document> {
+    pub(crate) fn finish(self) -> Result<Document> {
         if !self.open.is_empty() {
             return Err(XmlStoreError::BuilderState(format!(
                 "{} element(s) still open at finish",
@@ -319,11 +333,6 @@ impl<'a> DocumentBuilder<'a> {
         }
         Ok(Document::from_parts(self.doc_id, self.uri, self.nodes))
     }
-
-    /// The document id this builder was created for.
-    pub fn doc_id(&self) -> DocId {
-        self.doc_id
-    }
 }
 
 #[cfg(test)]
@@ -331,8 +340,8 @@ mod tests {
     use super::*;
 
     fn build_sample() -> (SymbolTable, PathTable, Document) {
-        let mut symbols = SymbolTable::new();
-        let mut paths = PathTable::new();
+        let mut symbols = SymbolTable::default();
+        let mut paths = PathTable::default();
         let mut b = DocumentBuilder::new(&mut symbols, &mut paths, DocId(0), "sample.xml");
         b.start_element("country").unwrap();
         b.attribute("name", "United States").unwrap();
@@ -356,14 +365,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_assigns_dewey_ids_in_document_order() {
+    fn dewey_ids_derive_from_the_parent_chain() {
         let (_, _, doc) = build_sample();
-        let root = doc.node(0).unwrap();
-        assert_eq!(root.dewey, DeweyId::root());
+        assert_eq!(doc.dewey(0), DeweyId::root());
+        // Canada's trade_country: first child of the second `item` of
+        // import_partners, economy's second child, the root's third (the
+        // `name` attribute is the first).
+        let canada = doc.iter().find(|&(i, _)| doc.content(i) == "Canada").unwrap().0;
+        assert_eq!(doc.dewey(canada).to_string(), "1.3.2.2.1");
         let mut previous = DeweyId::root();
-        for (i, node) in doc.iter().skip(1) {
-            assert!(node.dewey > previous, "node {i} out of Dewey order");
-            previous = node.dewey.clone();
+        for (i, _) in doc.iter().skip(1) {
+            assert!(doc.dewey(i) > previous, "node {i} out of Dewey order");
+            previous = doc.dewey(i);
         }
     }
 
@@ -383,19 +396,10 @@ mod tests {
     fn content_concatenates_descendant_text_in_document_order() {
         let (symbols, _, doc) = build_sample();
         let item_name = symbols.get("item").unwrap();
-        let first_item = doc.nodes_with_name(item_name)[0];
+        let first_item = doc.iter().find(|(_, n)| n.name == item_name).unwrap().0;
         assert_eq!(doc.content(first_item), "China 15");
         assert!(doc.content(0).contains("United States"));
         assert!(doc.content(0).contains("16.9"));
-    }
-
-    #[test]
-    fn node_by_dewey_finds_nodes() {
-        let (_, _, doc) = build_sample();
-        for (i, node) in doc.iter() {
-            assert_eq!(doc.node_by_dewey(&node.dewey), Some(i));
-        }
-        assert_eq!(doc.node_by_dewey(&"1.99".parse().unwrap()), None);
     }
 
     #[test]
@@ -434,8 +438,8 @@ mod tests {
 
     #[test]
     fn builder_rejects_unbalanced_usage() {
-        let mut symbols = SymbolTable::new();
-        let mut paths = PathTable::new();
+        let mut symbols = SymbolTable::default();
+        let mut paths = PathTable::default();
         let mut b = DocumentBuilder::new(&mut symbols, &mut paths, DocId(0), "bad.xml");
         assert!(b.end_element().is_err());
         assert!(b.text("dangling").is_err());
@@ -447,8 +451,8 @@ mod tests {
 
     #[test]
     fn builder_rejects_second_root() {
-        let mut symbols = SymbolTable::new();
-        let mut paths = PathTable::new();
+        let mut symbols = SymbolTable::default();
+        let mut paths = PathTable::default();
         let mut b = DocumentBuilder::new(&mut symbols, &mut paths, DocId(0), "two_roots.xml");
         b.start_element("a").unwrap();
         b.end_element().unwrap();
@@ -457,8 +461,8 @@ mod tests {
 
     #[test]
     fn empty_document_rejected() {
-        let mut symbols = SymbolTable::new();
-        let mut paths = PathTable::new();
+        let mut symbols = SymbolTable::default();
+        let mut paths = PathTable::default();
         let b = DocumentBuilder::new(&mut symbols, &mut paths, DocId(0), "empty.xml");
         assert!(matches!(b.finish(), Err(XmlStoreError::EmptyDocument)));
     }

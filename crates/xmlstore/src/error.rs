@@ -5,8 +5,6 @@ use std::fmt;
 /// Errors produced while building, parsing or querying the XML store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XmlStoreError {
-    /// A Dewey ID string could not be parsed.
-    InvalidDeweyId(String),
     /// XML text could not be parsed.
     Parse(String),
     /// The parsed document had no root element.
@@ -20,6 +18,13 @@ pub enum XmlStoreError {
         /// Node ordinal that was out of range.
         node: u32,
     },
+    /// A document nests elements deeper than [`crate::MAX_NESTING`] levels.
+    NestingTooDeep {
+        /// Source URI or generated name of the refused document.
+        document: String,
+        /// The nesting limit it exceeded.
+        limit: usize,
+    },
     /// A builder operation was applied in an invalid state (e.g. `end_element`
     /// without a matching `start_element`).
     BuilderState(String),
@@ -28,12 +33,14 @@ pub enum XmlStoreError {
 impl fmt::Display for XmlStoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            XmlStoreError::InvalidDeweyId(s) => write!(f, "invalid Dewey id: {s:?}"),
             XmlStoreError::Parse(msg) => write!(f, "XML parse error: {msg}"),
             XmlStoreError::EmptyDocument => write!(f, "document has no root element"),
             XmlStoreError::UnknownDocument(d) => write!(f, "unknown document id {d}"),
             XmlStoreError::UnknownNode { doc, node } => {
                 write!(f, "unknown node {node} in document {doc}")
+            }
+            XmlStoreError::NestingTooDeep { document, limit } => {
+                write!(f, "document {document} nests elements deeper than {limit} levels")
             }
             XmlStoreError::BuilderState(msg) => write!(f, "document builder misuse: {msg}"),
         }
@@ -52,12 +59,15 @@ mod tests {
     #[test]
     fn errors_render_human_readable_messages() {
         let cases: Vec<(XmlStoreError, &str)> = vec![
-            (XmlStoreError::InvalidDeweyId("x".into()), "invalid Dewey id"),
             (XmlStoreError::Parse("boom".into()), "XML parse error: boom"),
             (XmlStoreError::EmptyDocument, "no root element"),
             (XmlStoreError::UnknownDocument(3), "unknown document id 3"),
             (XmlStoreError::UnknownNode { doc: 1, node: 2 }, "unknown node 2 in document 1"),
             (XmlStoreError::BuilderState("bad".into()), "builder misuse"),
+            (
+                XmlStoreError::NestingTooDeep { document: "deep.xml".into(), limit: 256 },
+                "document deep.xml nests elements deeper than 256 levels",
+            ),
         ];
         for (err, needle) in cases {
             assert!(err.to_string().contains(needle), "{err} should contain {needle}");

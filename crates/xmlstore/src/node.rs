@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::dewey::DeweyId;
 use crate::path::PathId;
 use crate::symbol::Symbol;
 
@@ -64,18 +63,11 @@ pub struct Node {
     pub children: Vec<u32>,
     /// Immediate text content of this node (not including descendants).
     pub text: Option<String>,
-    /// Dewey order identifier of the node.
-    pub dewey: DeweyId,
     /// Interned root-to-leaf label path (the node's *context*).
     pub path: PathId,
 }
 
 impl Node {
-    /// True when the node carries non-empty immediate text.
-    pub fn has_text(&self) -> bool {
-        self.text.as_deref().map(|t| !t.trim().is_empty()).unwrap_or(false)
-    }
-
     /// True for leaf nodes (no children).
     pub fn is_leaf(&self) -> bool {
         self.children.is_empty()
@@ -99,21 +91,5 @@ mod tests {
         let a = NodeId::new(DocId(0), 100);
         let b = NodeId::new(DocId(1), 1);
         assert!(a < b);
-    }
-
-    #[test]
-    fn has_text_ignores_whitespace() {
-        let mk = |text: Option<&str>| Node {
-            name: Symbol(0),
-            kind: NodeKind::Element,
-            parent: None,
-            children: vec![],
-            text: text.map(str::to_string),
-            dewey: DeweyId::root(),
-            path: PathId(0),
-        };
-        assert!(!mk(None).has_text());
-        assert!(!mk(Some("   \n")).has_text());
-        assert!(mk(Some("United States")).has_text());
     }
 }

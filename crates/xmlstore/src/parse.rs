@@ -18,67 +18,67 @@ use crate::node::DocId;
 /// verbatim.  Comments, processing instructions and the XML declaration are
 /// skipped; CDATA is treated as text.
 pub fn parse_into(collection: &mut Collection, uri: &str, xml: &str) -> Result<DocId> {
-    let mut builder = collection.build_document(uri);
-    let mut scanner = Scanner::new(xml);
-    let mut open_tags: Vec<String> = Vec::new();
-    let mut saw_root = false;
+    collection.add_document(uri, |builder| {
+        let mut scanner = Scanner::new(xml);
+        let mut open_tags: Vec<String> = Vec::new();
+        let mut saw_root = false;
 
-    while let Some(event) = scanner.next_event()? {
-        match event {
-            Event::Start { name, attributes, self_closing } => {
-                if saw_root && open_tags.is_empty() {
-                    return Err(XmlStoreError::Parse(format!(
-                        "second root element {name:?} in document {uri}"
-                    )));
-                }
-                builder.start_element(&name)?;
-                saw_root = true;
-                for (key, value) in attributes {
-                    builder.attribute(&key, &value)?;
-                }
-                if self_closing {
-                    builder.end_element()?;
-                } else {
-                    open_tags.push(name);
-                }
-            }
-            Event::End { name } => {
-                let Some(open) = open_tags.pop() else {
-                    return Err(XmlStoreError::Parse(format!(
-                        "closing tag </{name}> without matching opening tag"
-                    )));
-                };
-                if open != name {
-                    return Err(XmlStoreError::Parse(format!(
-                        "closing tag </{name}> does not match open element <{open}>"
-                    )));
-                }
-                builder.end_element()?;
-            }
-            Event::Text(value) => {
-                let trimmed = value.trim();
-                if !trimmed.is_empty() {
-                    if open_tags.is_empty() {
+        while let Some(event) = scanner.next_event()? {
+            match event {
+                Event::Start { name, attributes, self_closing } => {
+                    if saw_root && open_tags.is_empty() {
                         return Err(XmlStoreError::Parse(format!(
-                            "text content {trimmed:?} outside the root element"
+                            "second root element {name:?} in document {uri}"
                         )));
                     }
-                    builder.text(trimmed)?;
+                    builder.start_element(&name)?;
+                    saw_root = true;
+                    for (key, value) in attributes {
+                        builder.attribute(&key, &value)?;
+                    }
+                    if self_closing {
+                        builder.end_element()?;
+                    } else {
+                        open_tags.push(name);
+                    }
+                }
+                Event::End { name } => {
+                    let Some(open) = open_tags.pop() else {
+                        return Err(XmlStoreError::Parse(format!(
+                            "closing tag </{name}> without matching opening tag"
+                        )));
+                    };
+                    if open != name {
+                        return Err(XmlStoreError::Parse(format!(
+                            "closing tag </{name}> does not match open element <{open}>"
+                        )));
+                    }
+                    builder.end_element()?;
+                }
+                Event::Text(value) => {
+                    let trimmed = value.trim();
+                    if !trimmed.is_empty() {
+                        if open_tags.is_empty() {
+                            return Err(XmlStoreError::Parse(format!(
+                                "text content {trimmed:?} outside the root element"
+                            )));
+                        }
+                        builder.text(trimmed)?;
+                    }
                 }
             }
         }
-    }
 
-    if !saw_root {
-        return Err(XmlStoreError::EmptyDocument);
-    }
-    if let Some(open) = open_tags.last() {
-        return Err(XmlStoreError::Parse(format!(
-            "unbalanced element tags: <{open}> never closed"
-        )));
-    }
-    let document = builder.finish()?;
-    collection.insert(document)
+        if !saw_root {
+            return Err(XmlStoreError::EmptyDocument);
+        }
+        if let Some(open) = open_tags.last() {
+            return Err(XmlStoreError::Parse(format!(
+                "unbalanced element tags: <{open}> never closed"
+            )));
+        }
+        Ok(())
+    })
 }
 
 /// Parses many XML documents (uri, text) into a fresh collection.

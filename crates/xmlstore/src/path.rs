@@ -32,11 +32,6 @@ pub struct LabelPath {
 }
 
 impl LabelPath {
-    /// Builds a label path from label symbols, root label first.
-    pub fn new(steps: Vec<Symbol>) -> Self {
-        LabelPath { steps }
-    }
-
     /// The label symbols, root first.
     pub fn steps(&self) -> &[Symbol] {
         &self.steps
@@ -57,11 +52,6 @@ impl LabelPath {
         self.steps.is_empty()
     }
 
-    /// True iff `self` is a (non-strict) prefix of `other`.
-    pub fn is_prefix_of(&self, other: &LabelPath) -> bool {
-        other.steps.len() >= self.steps.len() && other.steps[..self.steps.len()] == self.steps[..]
-    }
-
     /// Renders the path in the `/a/b/c` notation used throughout the paper.
     pub fn display(&self, symbols: &SymbolTable) -> String {
         let mut s = String::new();
@@ -77,33 +67,44 @@ impl LabelPath {
 }
 
 /// Append-only intern table for label paths.
+///
+/// A context is interned as one edge from its parent's context: the table is
+/// keyed by `(parent context, or `None` for a root, label)`, so interning a
+/// node's context never builds or hashes its whole label list.  Ids are dense
+/// and in first-seen order.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct PathTable {
     paths: Vec<LabelPath>,
     #[serde(skip)]
-    lookup: HashMap<LabelPath, PathId>,
+    edges: HashMap<(Option<PathId>, Symbol), PathId>,
 }
 
 impl PathTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns a label path, returning the existing id if it was seen before.
-    pub fn intern(&mut self, path: LabelPath) -> PathId {
-        if let Some(&id) = self.lookup.get(&path) {
-            return id;
-        }
-        let id = PathId(self.paths.len() as u32);
-        self.lookup.insert(path.clone(), id);
-        self.paths.push(path);
-        id
+    /// Interns the context one `label` step below `parent` (`None`: a root
+    /// element's context), returning the existing id if it was seen before.
+    pub(crate) fn child(&mut self, parent: Option<PathId>, label: Symbol) -> PathId {
+        let paths = &mut self.paths;
+        *self.edges.entry((parent, label)).or_insert_with(|| {
+            let mut steps = parent.map_or_else(Vec::new, |p| paths[p.index()].steps.clone());
+            steps.push(label);
+            paths.push(LabelPath { steps });
+            PathId(paths.len() as u32 - 1)
+        })
     }
 
     /// Looks up an already-interned path without inserting.
     pub fn get(&self, path: &LabelPath) -> Option<PathId> {
-        self.lookup.get(path).copied()
+        self.walk(path.steps.iter().map(|&step| Some(step)))
+    }
+
+    /// Follows one edge per label from the root; `None` when a label is
+    /// unknown (`None` items) or unreached, or when there is no label at all.
+    fn walk(&self, labels: impl IntoIterator<Item = Option<Symbol>>) -> Option<PathId> {
+        let mut current = None;
+        for label in labels {
+            current = Some(*self.edges.get(&(current, label?))?);
+        }
+        current
     }
 
     /// Resolves a path id back to the label path.
@@ -132,31 +133,10 @@ impl PathTable {
         self.iter().filter(|(_, p)| p.leaf() == Some(leaf)).map(|(id, _)| id).collect()
     }
 
-    /// All path ids that contain `label` anywhere on the path.
-    pub fn paths_containing(&self, label: Symbol) -> Vec<PathId> {
-        self.iter().filter(|(_, p)| p.steps().contains(&label)).map(|(id, _)| id).collect()
-    }
-
-    /// Parses a `/a/b/c` string against a symbol table, interning any label
-    /// that has not been seen yet, and returns the interned path id.
-    pub fn intern_str(&mut self, symbols: &mut SymbolTable, path: &str) -> PathId {
-        let steps: Vec<Symbol> =
-            path.split('/').filter(|s| !s.is_empty()).map(|s| symbols.intern(s)).collect();
-        self.intern(LabelPath::new(steps))
-    }
-
     /// Looks up a `/a/b/c` string without interning. Returns `None` when the
-    /// path (or any of its labels) is unknown.
+    /// path (or any of its labels) is unknown, and for `/`.
     pub fn get_str(&self, symbols: &SymbolTable, path: &str) -> Option<PathId> {
-        let steps: Option<Vec<Symbol>> =
-            path.split('/').filter(|s| !s.is_empty()).map(|s| symbols.get(s)).collect();
-        self.get(&LabelPath::new(steps?))
-    }
-
-    /// Rebuilds the reverse lookup map after deserialisation.
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup =
-            self.paths.iter().enumerate().map(|(i, p)| (p.clone(), PathId(i as u32))).collect();
+        self.walk(path.split('/').filter(|s| !s.is_empty()).map(|s| symbols.get(s)))
     }
 }
 
@@ -164,18 +144,29 @@ impl PathTable {
 mod tests {
     use super::*;
 
+    /// Interns a `/a/b/c` string one edge at a time, as the builder does.
+    fn intern(table: &mut PathTable, symbols: &mut SymbolTable, path: &str) -> PathId {
+        let mut current = None;
+        for label in path.split('/').filter(|s| !s.is_empty()) {
+            current = Some(table.child(current, symbols.intern(label)));
+        }
+        current.expect("a path with at least one label")
+    }
+
     fn table_with(paths: &[&str]) -> (SymbolTable, PathTable, Vec<PathId>) {
-        let mut symbols = SymbolTable::new();
-        let mut table = PathTable::new();
-        let ids = paths.iter().map(|p| table.intern_str(&mut symbols, p)).collect();
+        let mut symbols = SymbolTable::default();
+        let mut table = PathTable::default();
+        let ids = paths.iter().map(|p| intern(&mut table, &mut symbols, p)).collect();
         (symbols, table, ids)
     }
 
     #[test]
-    fn intern_str_is_idempotent() {
+    fn interning_is_idempotent_and_interns_every_prefix() {
         let (_, table, ids) = table_with(&["/country/economy/GDP", "/country/economy/GDP"]);
         assert_eq!(ids[0], ids[1]);
-        assert_eq!(table.len(), 1);
+        // /country, /country/economy and /country/economy/GDP, in that order.
+        assert_eq!(table.len(), 3);
+        assert_eq!(ids[0], PathId(2));
     }
 
     #[test]
@@ -187,10 +178,26 @@ mod tests {
 
     #[test]
     fn get_str_finds_interned_paths_only() {
-        let (symbols, table, _) = table_with(&["/country/year"]);
-        assert!(table.get_str(&symbols, "/country/year").is_some());
+        let (symbols, table, ids) = table_with(&["/country/year"]);
+        assert_eq!(table.get_str(&symbols, "/country/year"), Some(ids[0]));
+        assert_eq!(table.get(table.resolve(ids[0])), Some(ids[0]));
         assert!(table.get_str(&symbols, "/country/economy").is_none());
-        assert!(table.get_str(&symbols, "/unknown_label").is_none());
+        assert!(table.get_str(&symbols, "/year").is_none());
+    }
+
+    #[test]
+    fn get_str_of_the_root_slash_is_none() {
+        let (symbols, table, _) = table_with(&["/country/year"]);
+        assert_eq!(table.get_str(&symbols, "/"), None);
+        assert_eq!(table.get_str(&symbols, ""), None);
+        assert_eq!(table.get(&LabelPath { steps: Vec::new() }), None);
+    }
+
+    #[test]
+    fn get_str_with_an_unknown_label_is_none() {
+        let (symbols, table, _) = table_with(&["/country/year"]);
+        assert_eq!(table.get_str(&symbols, "/country/unknown_label"), None);
+        assert_eq!(table.get_str(&symbols, "/unknown_label/year"), None);
     }
 
     #[test]
@@ -207,39 +214,10 @@ mod tests {
     }
 
     #[test]
-    fn paths_containing_matches_interior_labels() {
-        let (symbols, table, _) = table_with(&[
-            "/country/economy/import_partners/item/percentage",
-            "/country/economy/export_partners/item/percentage",
-            "/country/geography",
-        ]);
-        let economy = symbols.get("economy").unwrap();
-        assert_eq!(table.paths_containing(economy).len(), 2);
-    }
-
-    #[test]
-    fn prefix_relation() {
-        let mut symbols = SymbolTable::new();
-        let a = LabelPath::new(vec![symbols.intern("country")]);
-        let b = LabelPath::new(vec![symbols.intern("country"), symbols.intern("economy")]);
-        assert!(a.is_prefix_of(&b));
-        assert!(a.is_prefix_of(&a));
-        assert!(!b.is_prefix_of(&a));
-    }
-
-    #[test]
     fn leaf_and_len() {
         let (symbols, table, ids) = table_with(&["/country/economy/GDP"]);
         let p = table.resolve(ids[0]);
         assert_eq!(p.len(), 3);
         assert_eq!(symbols.resolve(p.leaf().unwrap()), "GDP");
-    }
-
-    #[test]
-    fn rebuild_lookup_restores_get() {
-        let (_, table, _) = table_with(&["/a/b", "/a/c"]);
-        let mut clone = PathTable { paths: table.paths.clone(), lookup: HashMap::new() };
-        clone.rebuild_lookup();
-        assert_eq!(clone.get(table.resolve(PathId(1))), Some(PathId(1)));
     }
 }

@@ -28,13 +28,8 @@ pub struct SymbolTable {
 }
 
 impl SymbolTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Interns `name`, returning the existing symbol if it was seen before.
-    pub fn intern(&mut self, name: &str) -> Symbol {
+    pub(crate) fn intern(&mut self, name: &str) -> Symbol {
         if let Some(&sym) = self.lookup.get(name) {
             return sym;
         }
@@ -69,13 +64,6 @@ impl SymbolTable {
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
         self.names.iter().enumerate().map(|(i, n)| (Symbol(i as u32), n.as_str()))
     }
-
-    /// Rebuilds the reverse lookup map; needed after deserialisation because
-    /// the map is not serialised.
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup =
-            self.names.iter().enumerate().map(|(i, n)| (n.clone(), Symbol(i as u32))).collect();
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +72,7 @@ mod tests {
 
     #[test]
     fn intern_is_idempotent() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         let a = t.intern("country");
         let b = t.intern("country");
         assert_eq!(a, b);
@@ -93,7 +81,7 @@ mod tests {
 
     #[test]
     fn distinct_names_get_distinct_symbols() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         let a = t.intern("country");
         let b = t.intern("economy");
         assert_ne!(a, b);
@@ -103,7 +91,7 @@ mod tests {
 
     #[test]
     fn get_does_not_insert() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         assert!(t.get("gdp").is_none());
         t.intern("gdp");
         assert!(t.get("gdp").is_some());
@@ -112,23 +100,11 @@ mod tests {
 
     #[test]
     fn iteration_preserves_interning_order() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         for name in ["a", "b", "c"] {
             t.intern(name);
         }
         let names: Vec<&str> = t.iter().map(|(_, n)| n).collect();
         assert_eq!(names, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn rebuild_lookup_restores_get() {
-        let mut t = SymbolTable::new();
-        t.intern("x");
-        t.intern("y");
-        let mut clone = SymbolTable { names: t.names.clone(), lookup: HashMap::new() };
-        assert!(clone.get("x").is_none(), "lookup is empty before rebuild");
-        clone.rebuild_lookup();
-        assert_eq!(clone.get("x"), Some(Symbol(0)));
-        assert_eq!(clone.get("y"), Some(Symbol(1)));
     }
 }

@@ -16,5 +16,5 @@ pub use seda_core::{
     BuildProfile, ConnectionSummary, ContextBucket, ContextSelections, ContextSpec, ContextSummary,
     EngineConfig, ExecProfile, PlanStep, QueryError, QueryPlan, QueryTerm, RequestBuilder,
     ResponsePayload, SedaEngine, SedaError, SedaQuery, SedaReader, SedaRequest, SedaResponse,
-    SedaSession, Session, SessionStage, Statement,
+    SedaSession, SessionStage, Statement,
 };

@@ -59,21 +59,39 @@ fn fresh_engine_passes_its_audit() {
     assert!(e.build_profile().verify_ms >= 0.0);
 }
 
+/// Asserts that the engine audit fails with `class` of `substrate` alone.
+fn expect_only(engine: &SedaEngine, substrate: &str, class: &str) {
+    let violations = engine.verify().expect_err("corrupted engine must fail its audit");
+    assert!(
+        violations.iter().all(|v| v.substrate == substrate && v.invariant == class),
+        "expected only {substrate}/{class} violations: {violations:?}"
+    );
+}
+
 #[test]
-fn swapped_sibling_deweys_are_detected_as_xmlstore_dewey_order() {
+fn swapped_children_entries_are_detected_as_xmlstore_preorder() {
     let mut e = engine();
-    // us.xml is document 1; nodes 1 and 2 are the name/year sibling leaves.
+    // us.xml is document 1; the root's children are its `id` attribute and
+    // the name/year leaves.  Swapping two entries keeps every link intact.
     let us = DocId(1);
-    let d1 = e.collection().document(us).unwrap().node(1).unwrap().dewey.clone();
-    let d2 = e.collection().document(us).unwrap().node(2).unwrap().dewey.clone();
     {
         let (collection, ..) = e.substrates_mut();
-        collection.corrupt_document(us, |doc| {
-            doc.corrupt_node_dewey(1, d2);
-            doc.corrupt_node_dewey(2, d1);
-        });
+        collection.corrupt_document(us, |doc| doc.corrupt_swap_children(0, 1, 2));
     }
-    expect_violation(&e, "xmlstore", "dewey-order");
+    expect_only(&e, "xmlstore", "preorder");
+}
+
+#[test]
+fn a_re_pointed_node_context_is_detected_as_xmlstore_path_parent() {
+    let mut e = engine();
+    let us = DocId(1);
+    let country = e.collection().paths().get_str(e.collection().symbols(), "/country").unwrap();
+    {
+        let (collection, ..) = e.substrates_mut();
+        // The `year` leaf (node 3) gets its parent's context.
+        collection.corrupt_document(us, |doc| doc.corrupt_node_path(3, country));
+    }
+    expect_only(&e, "xmlstore", "path-parent");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! connection refinement, complete results, aggregation — exercised through
 //! the session API over the Factbook-like corpus.
 
-use seda_core::{EngineConfig, SedaEngine, Session, SessionStage};
+use seda_core::{EngineConfig, SedaEngine, SedaSession, SessionStage};
 use seda_datagen::{factbook, FactbookConfig};
 use seda_olap::{BuildOptions, Registry};
 
@@ -14,7 +14,7 @@ fn engine() -> SedaEngine {
 #[test]
 fn stages_progress_through_the_feedback_loop() {
     let engine = engine();
-    let mut session = Session::new(&engine);
+    let mut session = SedaSession::new(&engine);
     assert_eq!(session.stage(), SessionStage::Empty);
 
     session
@@ -79,7 +79,7 @@ fn stages_progress_through_the_feedback_loop() {
 #[test]
 fn complete_results_are_a_superset_of_topk_tuples() {
     let engine = engine();
-    let mut session = Session::new(&engine);
+    let mut session = SedaSession::new(&engine);
     session.set_k(5);
     session.submit_text(r#"(/country/name, *) AND (/country/year, *)"#).unwrap();
     let topk_nodes: Vec<Vec<_>> = session.top_k().unwrap().node_tuples();
@@ -94,7 +94,7 @@ fn complete_results_are_a_superset_of_topk_tuples() {
 #[test]
 fn unparseable_queries_are_rejected_without_changing_state() {
     let engine = engine();
-    let mut session = Session::new(&engine);
+    let mut session = SedaSession::new(&engine);
     assert!(session.submit_text("this is not a SEDA query").is_err());
     assert_eq!(session.stage(), SessionStage::Empty);
     assert!(session.top_k().is_err());

@@ -3,7 +3,9 @@
 //! corpus, not just the Factbook running example — SEDA's whole point is
 //! handling heterogeneous repositories it has never seen.
 
-use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery, Session};
+use seda_core::{
+    ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery, SedaSession,
+};
 use seda_datagen::Dataset;
 use seda_olap::{BuildOptions, Registry, RelativeKey, SchemaDef};
 
@@ -52,7 +54,7 @@ fn googlebase_supports_user_defined_facts_and_cubes() {
 #[test]
 fn recipeml_sessions_explore_contexts() {
     let engine = engine_for(Dataset::RecipeMl);
-    let mut session = Session::new(&engine);
+    let mut session = SedaSession::new(&engine);
     session.submit_text(r#"(item, *) AND (qty, *)"#).unwrap();
     let summary = session.context_summary().unwrap();
     assert_eq!(summary.buckets.len(), 2);

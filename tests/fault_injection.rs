@@ -15,7 +15,7 @@ use seda_core::metrics::names;
 use seda_core::seda_topk::TopKResult;
 use seda_core::{
     Budget, ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaError, SedaQuery,
-    SedaRequest, Session,
+    SedaRequest, SedaSession,
 };
 use seda_datagen::{factbook, FactbookConfig};
 use seda_olap::Registry;
@@ -148,7 +148,7 @@ fn mid_search_panic_below_a_typed_step_is_contained_and_the_reader_recovers() {
 
     // The session composes the same typed step, so it surfaces the typed
     // error too and keeps serving afterwards.
-    let mut session = Session::new(&engine);
+    let mut session = SedaSession::new(&engine);
     session.set_k(5);
     arm("mid-search", FaultAction::Panic);
     let err = session.submit(query.clone()).expect_err("armed mid-search must fail the submit");

@@ -2,10 +2,11 @@
 //! result — never panic — on arbitrarily mangled input.  The strategy mangles
 //! a well-formed base document byte-by-byte (overwrites, truncation, garbage
 //! suffixes), which reaches far deeper into the tokenizer's state machine
-//! than fully random strings would.
+//! than fully random strings would.  Hostile nesting is refused with a typed
+//! error at [`MAX_NESTING`] levels instead of exhausting memory.
 
 use proptest::prelude::*;
-use seda_xmlstore::parse_collection;
+use seda_xmlstore::{parse_collection, XmlStoreError, MAX_NESTING};
 
 const BASE: &str = r#"<country id="c1"><name>Andorra</name>
   <economy><import_partners><item seq="1">
@@ -18,6 +19,31 @@ const BASE: &str = r#"<country id="c1"><name>Andorra</name>
 /// both acceptable, aborting the process is not.
 fn parse_never_panics(label: &str, xml: &str) {
     let _ = parse_collection([(label, xml)]);
+}
+
+/// `<a>` nested `depth` deep around one text node.
+fn nested(depth: usize) -> String {
+    format!("{}x{}", "<a>".repeat(depth), "</a>".repeat(depth))
+}
+
+#[test]
+fn nesting_up_to_the_limit_parses() {
+    let collection = parse_collection([("deep.xml", nested(MAX_NESTING).as_str())]).unwrap();
+    assert_eq!(collection.total_nodes(), MAX_NESTING);
+    let document = collection.documents().next().unwrap();
+    assert_eq!(document.dewey(MAX_NESTING as u32 - 1).depth(), MAX_NESTING);
+}
+
+#[test]
+fn nesting_past_the_limit_is_a_typed_error() {
+    for depth in [MAX_NESTING + 1, 100_000] {
+        let err = parse_collection([("deep.xml", nested(depth).as_str())]).unwrap_err();
+        assert_eq!(
+            err,
+            XmlStoreError::NestingTooDeep { document: "deep.xml".into(), limit: MAX_NESTING },
+            "depth {depth}"
+        );
+    }
 }
 
 proptest! {

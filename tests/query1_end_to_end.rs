@@ -3,7 +3,9 @@
 //! dimension tables, including the automatically added `year` key column and
 //! the fixed trade facts of the paper (China 15% / Canada 16.9% in 2006, …).
 
-use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery, Session};
+use seda_core::{
+    ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery, SedaSession,
+};
 use seda_datagen::{factbook, FactbookConfig};
 use seda_olap::{BuildOptions, CubeQuery, Registry};
 
@@ -91,7 +93,7 @@ fn query1_fact_table_contains_the_papers_fixed_rows() {
 #[test]
 fn session_reproduces_the_same_cube_and_aggregates_it() {
     let engine = engine();
-    let mut session = Session::new(&engine);
+    let mut session = SedaSession::new(&engine);
     session
         .submit_text(r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#)
         .unwrap();
