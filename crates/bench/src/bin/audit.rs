@@ -1,11 +1,14 @@
 //! `seda-bench audit` — builds a SEDA engine over every datagen corpus shape
 //! and runs the full structural audit ([`seda_core::SedaEngine::verify`])
-//! against each, printing the per-corpus verification cost.
+//! against each, then merges the corpus's dataguides at the engine's
+//! threshold and audits the set ([`DataGuideSet::verify`]), printing the
+//! per-corpus verification costs.
 //!
 //! `SedaEngine::build` already audits the freshly built engine (the cost is
-//! the `verify_ms` row of [`seda_core::BuildProfile`]); this binary re-runs
-//! the audit explicitly so CI exercises `verify()` on a *settled* engine too,
-//! and so the invariant catalog has a one-command smoke check:
+//! the build profile's `build:audit-verify` span); this binary re-runs the
+//! audit explicitly so CI exercises `verify()` on a *settled* engine too, and
+//! so the invariant catalog — the dataguide classes included, which no engine
+//! holds — has a one-command smoke check:
 //!
 //! ```text
 //! cargo run --release -p seda-bench --bin audit [-- <scale>]
@@ -18,6 +21,8 @@
 
 use std::process::ExitCode;
 
+use seda_core::seda_dataguide::DataGuideSet;
+use seda_core::trace::span;
 use seda_core::{EngineConfig, SedaEngine, Stopwatch};
 use seda_datagen::Dataset;
 use seda_olap::Registry;
@@ -57,24 +62,42 @@ fn main() -> ExitCode {
                 continue;
             }
         };
+        let guides =
+            match DataGuideSet::build(engine.collection(), engine.config().dataguide_threshold) {
+                Ok(guides) => guides,
+                Err(err) => {
+                    println!("  {:<22} DATAGUIDE BUILD FAILED: {err}", dataset.name());
+                    failures += 1;
+                    continue;
+                }
+            };
         let settled = Stopwatch::start();
         let audit = engine.verify();
         let settled_ms = settled.elapsed_secs() * 1e3;
-        match audit {
-            Ok(()) => println!(
-                "  {:<22} ok   {:>5} docs   build-audit {:>7.2}ms   settled-audit {:>7.2}ms",
+        let guide_clock = Stopwatch::start();
+        let guide_audit = guides.verify();
+        let guide_ms = guide_clock.elapsed_secs() * 1e3;
+        let violations: Vec<_> =
+            [audit, guide_audit].into_iter().filter_map(Result::err).flatten().collect();
+        if violations.is_empty() {
+            let build_audit =
+                engine.build_profile().spans.iter().find(|s| s.name == span::BUILD_VERIFY);
+            println!(
+                "  {:<22} ok   {:>5} docs   build-audit {:>7.2}ms   settled-audit {:>7.2}ms   \
+                 dataguide-audit {:>7.2}ms ({} guides)",
                 dataset.name(),
                 engine.collection().len(),
-                engine.build_profile().verify_ms,
+                build_audit.map_or(f64::NAN, |s| s.wall_secs * 1e3),
                 settled_ms,
-            ),
-            Err(violations) => {
-                println!("  {:<22} FAILED ({} violations)", dataset.name(), violations.len());
-                for v in &violations {
-                    println!("    {}/{}: {}", v.substrate, v.invariant, v.detail);
-                }
-                failures += 1;
+                guide_ms,
+                guides.len(),
+            );
+        } else {
+            println!("  {:<22} FAILED ({} violations)", dataset.name(), violations.len());
+            for v in &violations {
+                println!("    {}/{}: {}", v.substrate, v.invariant, v.detail);
             }
+            failures += 1;
         }
     }
     if failures > 0 {

@@ -2,8 +2,10 @@
 //! per-substrate `seda-audit` layers.
 //!
 //! [`SedaEngine::verify`] chains the substrate checkers (collection, node
-//! index, context index, data graph, dataguides, metrics) and returns every
-//! violation found, so one call audits the whole engine.  Each substrate
+//! index, context index, data graph, metrics) and returns every violation
+//! found, so one call audits the whole engine.  The engine holds no
+//! dataguides, so their classes are checked on a
+//! [`seda_dataguide::DataGuideSet`] by whoever builds one.  Each substrate
 //! documents its own invariant catalog in its `audit` module; this module
 //! adds the engine-local classes:
 //!
@@ -15,9 +17,10 @@
 //! | `profile-timings` | [`ExecProfile`] wall times are finite and non-negative |
 //!
 //! Every [`SedaEngine::build`] runs `verify()` before handing the engine to
-//! the caller and records the cost in
-//! [`crate::BuildProfile::verify_ms`]; `seda-bench`'s `audit` binary runs the
-//! same check over every datagen corpus shape from the command line.
+//! the caller and records the cost as the profile's
+//! [`crate::trace::span::BUILD_VERIFY`] span; `seda-bench`'s `audit` binary
+//! runs the same check, and a dataguide set's, over every datagen corpus
+//! shape from the command line.
 
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
 
@@ -31,12 +34,12 @@ impl SedaEngine {
     /// the collection's preorder, tree linkage and context chain, both
     /// full-text indexes' dictionary/postings/CSR invariants, the data graph's
     /// adjacency symmetry, component partition and connectivity labels, and
-    /// the dataguide summary's path index and document assignment.  Returns
-    /// every violation found rather than stopping at the first.
+    /// the metrics registry's.  Returns every violation found rather than
+    /// stopping at the first.
     ///
     /// A freshly built engine always passes; [`SedaEngine::build`] enforces
-    /// this before returning and reports the cost in
-    /// [`crate::BuildProfile::verify_ms`].
+    /// this before returning and records the cost as its
+    /// [`crate::trace::span::BUILD_VERIFY`] span.
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
         let mut take = |result: AuditResult| {
@@ -48,7 +51,6 @@ impl SedaEngine {
         take(self.node_index().verify());
         take(self.context_index().verify());
         take(self.graph().verify());
-        take(self.guides().verify());
         take(self.metrics().verify());
         finish(violations)
     }
@@ -64,7 +66,6 @@ impl SedaEngine {
         &mut seda_textindex::NodeIndex,
         &mut seda_textindex::ContextIndex,
         &mut seda_datagraph::DataGraph,
-        &mut seda_dataguide::DataGuideSet,
     ) {
         self.substrate_fields_mut()
     }
@@ -112,6 +113,7 @@ pub fn verify_exec_profile(profile: &ExecProfile) -> AuditResult {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use crate::trace::span;
     use seda_olap::Registry;
     use seda_xmlstore::parse_collection;
 
@@ -128,15 +130,16 @@ mod tests {
     fn fresh_engine_passes_and_reports_verify_cost() {
         let e = engine();
         e.verify().unwrap();
-        assert!(e.build_profile().verify_ms >= 0.0);
-        assert!(e.build_profile().render().contains("audit"));
+        let verify = e.build_profile().spans.iter().find(|s| s.name == span::BUILD_VERIFY);
+        assert!(verify.is_some_and(|s| s.wall_secs >= 0.0));
+        assert!(e.build_profile().render().contains(span::BUILD_VERIFY));
     }
 
     #[test]
     fn corrupted_substrate_surfaces_through_engine_verify() {
         let mut e = engine();
         {
-            let (_, _, _, graph, _) = e.substrates_mut();
+            let (_, _, _, graph) = e.substrates_mut();
             graph.corrupt_adj_offset(1, u32::MAX);
         }
         let violations = e.verify().unwrap_err();

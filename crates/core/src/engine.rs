@@ -4,16 +4,19 @@
 //!
 //! # Build
 //!
-//! Each substrate has one build: a single pass over the collection in
+//! Each index substrate has one build: a single pass over the collection in
 //! document order (`NodeIndex::build`, `DataGraph::build`,
-//! `ContextIndex::build`, `DataGuideSet::build`).  [`SedaEngine::build`] runs
-//! them on one thread or two.  At two, the node index — the largest build —
-//! runs on a scoped second thread while the calling thread builds the data
-//! graph, the context index and the dataguides.  The graph stays on the
-//! calling thread, so its document components count on
-//! `seda_datagraph::doc_component_builds_on_this_thread` there.  The engine
-//! is identical at either thread count, and a [`BuildProfile`] records each
-//! substrate's wall time.
+//! `ContextIndex::build`).  [`SedaEngine::build`] runs them on one thread or
+//! two.  At two, the node index — the largest build — runs on a scoped second
+//! thread while the calling thread builds the data graph and the context
+//! index.  The graph stays on the calling thread, so its document components
+//! count on `seda_datagraph::doc_component_builds_on_this_thread` there.  The
+//! engine is identical at either thread count; each build and the post-build
+//! audit leave one `build:*` span in the [`BuildProfile`].
+//!
+//! The engine keeps no dataguides: no statement, summary or plan reads them
+//! (connection summaries come from the top-k instances, Sec. 6.1), so Table 1
+//! is derived when asked for ([`SedaEngine::dataguide_stats`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,9 +26,7 @@ use serde::{Deserialize, Serialize};
 use seda_datagraph::{
     is_connected_with, pin, shortest_path_with, DataGraph, GraphConfig, TraversalScratch, MAX_DEPTH,
 };
-use seda_dataguide::{
-    discover_connections, guide_links, Connection, DataGuideSet, DataGuideStats, GuideLink,
-};
+use seda_dataguide::{discover_connections, Connection, DataGuideSet, DataGuideStats};
 use seda_olap::{BuildOptions, QueryResultTable, Registry, StarSchemaBuild, StarSchemaBuilder};
 use seda_textindex::{ContextIndex, CountStorage, FullTextQuery, NodeIndex};
 use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch};
@@ -54,7 +55,8 @@ pub(crate) fn catch_internal<T>(f: impl FnOnce() -> Result<T, SedaError>) -> Res
 /// Configuration of the engine's indexes and algorithms.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineConfig {
-    /// Dataguide merge threshold (the paper uses 40%).
+    /// Dataguide merge threshold of [`SedaEngine::dataguide_stats`] (the
+    /// paper uses 40%).
     pub dataguide_threshold: f64,
     /// Top-k search configuration.  Its `max_depth` may not exceed
     /// [`MAX_DEPTH`] ([`SedaEngine::build`] refuses the configuration).
@@ -103,16 +105,6 @@ pub struct BuildProfile {
     pub parallelism: usize,
     /// Documents in the collection.
     pub documents: usize,
-    /// Seconds spent building the node full-text index.
-    pub node_index_secs: f64,
-    /// Seconds spent building the keyword → context index.
-    pub context_index_secs: f64,
-    /// Seconds spent on data-graph construction and resolution.
-    pub graph_secs: f64,
-    /// Seconds spent on dataguide computation and the threshold merge.
-    pub guides_secs: f64,
-    /// Inter-dataguide link derivation (always sequential).
-    pub links_secs: f64,
     /// Bytes held by the precomputed connectivity-oracle labels (see
     /// [`seda_datagraph::ConnectivityIndex::label_bytes`]).
     pub label_bytes: usize,
@@ -120,15 +112,12 @@ pub struct BuildProfile {
     /// [`seda_textindex::NodeIndex::read_model_bytes`] for the tables and the
     /// budgets of the path tables and the token arena).
     pub posting_bytes: usize,
-    /// Milliseconds spent on the post-build structural audit
-    /// ([`SedaEngine::verify`]) that every build runs before handing the
-    /// engine to the caller.
-    pub verify_ms: f64,
     /// End-to-end engine build wall time (includes the post-build audit).
     pub total_secs: f64,
-    /// Hierarchical span breakdown of the build (one span per substrate,
-    /// link derivation, audit verify), recorded by the build-path
-    /// [`crate::Tracer`].
+    /// The build's only timings: one span per substrate build and one for
+    /// the post-build structural audit ([`SedaEngine::verify`]), named by
+    /// the `BUILD_*` constants of [`crate::trace::span`] and recorded by the
+    /// build-path [`crate::Tracer`].
     pub spans: Vec<SpanRecord>,
 }
 
@@ -139,7 +128,8 @@ impl BuildProfile {
         0.0
     }
 
-    /// Renders the profile as a small human-readable table.
+    /// Renders the profile as a small human-readable table: one line a span,
+    /// then the label and posting bytes.
     pub fn render(&self) -> String {
         let mut out = format!(
             "build profile: {} docs, {} thread(s), {:.2}ms total\n",
@@ -147,21 +137,14 @@ impl BuildProfile {
             self.parallelism,
             self.total_secs * 1e3
         );
-        for (name, secs) in [
-            ("node index", self.node_index_secs),
-            ("context index", self.context_index_secs),
-            ("data graph", self.graph_secs),
-            ("dataguides", self.guides_secs),
-            ("guide links", self.links_secs),
-        ] {
-            out.push_str(&format!("  {name:<14} {:>9.2}ms\n", secs * 1e3));
+        for span in &self.spans {
+            out.push_str(&format!("  {:<22} {:>9.2}ms\n", span.name, span.wall_secs * 1e3));
         }
-        out.push_str(&format!("  {:<14} {:>9} bytes\n", "oracle labels", self.label_bytes));
+        out.push_str(&format!("  {:<22} {:>9} bytes\n", "oracle labels", self.label_bytes));
         out.push_str(&format!(
-            "  {:<14} {:>9} bytes (the node index's whole heap)\n",
+            "  {:<22} {:>9} bytes (the node index's whole heap)\n",
             "posting tables", self.posting_bytes
         ));
-        out.push_str(&format!("  {:<14} {:>9.2}ms\n", "audit", self.verify_ms));
         out
     }
 }
@@ -171,8 +154,8 @@ impl BuildProfile {
 /// every id distinct).
 static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
 
-/// The SEDA engine: owns the collection, every index, the dataguide summary
-/// and the fact/dimension registry.
+/// The SEDA engine: owns the collection, every index and the fact/dimension
+/// registry.
 pub struct SedaEngine {
     /// Process-unique id of this build, stamped into every plan it lowers:
     /// plans and prepared statements carry this engine's path and node ids,
@@ -182,8 +165,6 @@ pub struct SedaEngine {
     node_index: NodeIndex,
     context_index: ContextIndex,
     graph: DataGraph,
-    guides: DataGuideSet,
-    links: Vec<GuideLink>,
     registry: Registry,
     config: EngineConfig,
     profile: BuildProfile,
@@ -193,13 +174,13 @@ pub struct SedaEngine {
 }
 
 impl SedaEngine {
-    /// Builds the engine: constructs the data graph, both full-text indexes
-    /// and the dataguide summary over the collection.
+    /// Builds the engine: constructs the data graph and both full-text
+    /// indexes over the collection.
     ///
     /// Each substrate is built in one pass over the collection; at
     /// [`EngineConfig::parallelism`] ≥ 2 the node index is built on a second
     /// thread (see the module docs).  The resulting engine is identical at
-    /// every thread count, and each substrate's wall time is recorded in
+    /// every thread count, and each substrate's wall time is a span of
     /// [`SedaEngine::build_profile`].
     ///
     /// Fails with [`SedaError::Limit`] (resource `"connection depth"`) when
@@ -252,26 +233,20 @@ impl SedaEngine {
         }
         let build_start = Stopwatch::start();
         let threads = if effective_parallelism(config.parallelism) >= 2 { 2 } else { 1 };
-        let mut profile = BuildProfile {
-            parallelism: threads,
-            documents: collection.len(),
-            ..BuildProfile::default()
-        };
         // The build path is always traced: builds are rare and expensive, so
         // the span breakdown is worth its (small, bounded) cost.
         let mut tracer = Tracer::enabled();
         tracer.begin();
 
-        let (graph, node_index, context_index, guides) =
-            Self::build_substrates(&collection, &config, threads, &mut profile, &mut tracer)?;
-
-        let links_span = tracer.enter(span::BUILD_LINKS);
-        let links_start = Stopwatch::start();
-        let links = guide_links(&collection, &graph, &guides);
-        profile.links_secs = links_start.elapsed_secs();
-        tracer.exit(links_span);
-        profile.label_bytes = graph.connectivity().label_bytes();
-        profile.posting_bytes = node_index.read_model_bytes().total();
+        let (graph, node_index, context_index) =
+            Self::build_substrates(&collection, &config, threads, &mut tracer)?;
+        let profile = BuildProfile {
+            parallelism: threads,
+            documents: collection.len(),
+            label_bytes: graph.connectivity().label_bytes(),
+            posting_bytes: node_index.read_model_bytes().total(),
+            ..BuildProfile::default()
+        };
 
         let mut engine = SedaEngine {
             id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
@@ -279,8 +254,6 @@ impl SedaEngine {
             node_index,
             context_index,
             graph,
-            guides,
-            links,
             registry,
             config,
             profile,
@@ -294,7 +267,6 @@ impl SedaEngine {
         // substrate invariant; a violation here means the build itself is
         // broken, which is an internal defect rather than a user error.
         let verify_span = tracer.enter(span::BUILD_VERIFY);
-        let verify_start = Stopwatch::start();
         if let Err(violations) = engine.verify() {
             let first = &violations[0];
             return Err(SedaError::Internal(format!(
@@ -306,7 +278,6 @@ impl SedaEngine {
                 first.detail
             )));
         }
-        engine.profile.verify_ms = verify_start.elapsed_secs() * 1e3;
         tracer.exit(verify_span);
         engine.profile.total_secs = build_start.elapsed_secs();
         engine.profile.spans = tracer.take_spans();
@@ -314,18 +285,17 @@ impl SedaEngine {
         Ok(engine)
     }
 
-    /// Builds all four substrates.  At two threads the node index is built
-    /// on a scoped second thread, joined after the calling thread's three
+    /// Builds the three index substrates.  At two threads the node index is
+    /// built on a scoped second thread, joined after the calling thread's two
     /// builds; at one it runs last, inline.  Either way its span is recorded
-    /// after the other three, from the task's own start and wall time, so
-    /// both thread counts carry the same spans in the same order.
+    /// after the other two, from the task's own start and wall time, so both
+    /// thread counts carry the same spans in the same order.
     fn build_substrates(
         collection: &Collection,
         config: &EngineConfig,
         threads: usize,
-        profile: &mut BuildProfile,
         tracer: &mut Tracer,
-    ) -> Result<(DataGraph, NodeIndex, ContextIndex, DataGuideSet), SedaError> {
+    ) -> Result<(DataGraph, NodeIndex, ContextIndex), SedaError> {
         let clock = tracer.clock();
         let node_index_task = || -> Result<(NodeIndex, f64, f64), SedaError> {
             let (start_secs, t) = clock.split();
@@ -335,7 +305,7 @@ impl SedaEngine {
         };
         let (rest, node_index) = std::thread::scope(|scope| {
             let worker = (threads >= 2).then(|| scope.spawn(node_index_task));
-            let rest = Self::build_on_this_thread(collection, config, profile, tracer);
+            let rest = Self::build_on_this_thread(collection, config, tracer);
             let node_index = match worker {
                 Some(handle) => handle
                     .join()
@@ -344,42 +314,29 @@ impl SedaEngine {
             };
             (rest, node_index)
         });
-        let (graph, context_index, guides) = rest?;
+        let (graph, context_index) = rest?;
         let (node_index, start_secs, secs) = node_index?;
         tracer.record(span::BUILD_NODE_INDEX, start_secs, secs);
-        profile.node_index_secs = secs;
-        Ok((graph, node_index, context_index, guides))
+        Ok((graph, node_index, context_index))
     }
 
-    /// The three substrate builds that stay on the calling thread: the data
-    /// graph (so its component count is this thread's), the context index
-    /// and the dataguides.
+    /// The two builds that stay on the calling thread: the data graph (so its
+    /// component count is this thread's) and the context index.
     fn build_on_this_thread(
         collection: &Collection,
         config: &EngineConfig,
-        profile: &mut BuildProfile,
         tracer: &mut Tracer,
-    ) -> Result<(DataGraph, ContextIndex, DataGuideSet), SedaError> {
+    ) -> Result<(DataGraph, ContextIndex), SedaError> {
         let outer = tracer.enter(span::BUILD_GRAPH);
-        let t = Stopwatch::start();
         faults::fire("oracle-build")?;
         let graph = DataGraph::build(collection, &config.graph);
-        profile.graph_secs = t.elapsed_secs();
         tracer.exit(outer);
 
         let outer = tracer.enter(span::BUILD_CONTEXT_INDEX);
-        let t = Stopwatch::start();
         let context_index = ContextIndex::build(collection, config.count_storage);
-        profile.context_index_secs = t.elapsed_secs();
         tracer.exit(outer);
 
-        let outer = tracer.enter(span::BUILD_GUIDES);
-        let t = Stopwatch::start();
-        let guides = DataGuideSet::build(collection, config.dataguide_threshold)?;
-        profile.guides_secs = t.elapsed_secs();
-        tracer.exit(outer);
-
-        Ok((graph, context_index, guides))
+        Ok((graph, context_index))
     }
 
     /// The id [`SedaEngine::prepare`] stamps into this engine's plans.
@@ -409,15 +366,8 @@ impl SedaEngine {
     /// access behind the `#[doc(hidden)]` [`SedaEngine::substrates_mut`].
     pub(crate) fn substrate_fields_mut(
         &mut self,
-    ) -> (&mut Collection, &mut NodeIndex, &mut ContextIndex, &mut DataGraph, &mut DataGuideSet)
-    {
-        (
-            &mut self.collection,
-            &mut self.node_index,
-            &mut self.context_index,
-            &mut self.graph,
-            &mut self.guides,
-        )
+    ) -> (&mut Collection, &mut NodeIndex, &mut ContextIndex, &mut DataGraph) {
+        (&mut self.collection, &mut self.node_index, &mut self.context_index, &mut self.graph)
     }
 
     /// The underlying collection.
@@ -435,16 +385,6 @@ impl SedaEngine {
         &self.graph
     }
 
-    /// The merged dataguide summary.
-    pub fn guides(&self) -> &DataGuideSet {
-        &self.guides
-    }
-
-    /// Inter-dataguide links.
-    pub fn guide_links(&self) -> &[GuideLink] {
-        &self.links
-    }
-
     /// The node full-text index.
     pub fn node_index(&self) -> &NodeIndex {
         &self.node_index
@@ -460,9 +400,13 @@ impl SedaEngine {
         &self.config
     }
 
-    /// Table 1 statistics of the dataguide summary.
-    pub fn dataguide_stats(&self) -> DataGuideStats {
-        self.guides.stats(self.collection.len())
+    /// Table 1 statistics of the collection's dataguides merged at
+    /// [`EngineConfig::dataguide_threshold`].  The engine keeps no dataguides
+    /// (no statement reads them), so every call builds the set
+    /// ([`DataGuideSet::build`]) and drops it.
+    pub fn dataguide_stats(&self) -> Result<DataGuideStats, SedaError> {
+        let guides = DataGuideSet::build(&self.collection, self.config.dataguide_threshold)?;
+        Ok(guides.stats(self.collection.len()))
     }
 
     /// Resolves the allowed paths of every term, combining the term's own
@@ -1378,7 +1322,7 @@ mod tests {
     #[test]
     fn dataguide_stats_report_merge_outcome() {
         let e = engine();
-        let stats = e.dataguide_stats();
+        let stats = e.dataguide_stats().unwrap();
         assert_eq!(stats.documents, 3);
         assert!(stats.dataguides <= 3 && stats.dataguides >= 1);
         assert!(stats.threshold > 0.39 && stats.threshold < 0.41);
@@ -1419,8 +1363,6 @@ mod tests {
         assert_eq!(parallel.node_index(), sequential.node_index());
         assert_eq!(parallel.context_index(), sequential.context_index());
         assert_eq!(parallel.graph(), sequential.graph());
-        assert_eq!(parallel.guides(), sequential.guides());
-        assert_eq!(parallel.guide_links(), sequential.guide_links());
         assert_eq!(parallel.dataguide_stats(), sequential.dataguide_stats());
 
         // Same query, same answers.
@@ -1439,9 +1381,20 @@ mod tests {
         assert_eq!(profile.parallelism, 1);
         assert_eq!(profile.documents, 3);
         assert!(profile.total_secs > 0.0);
-        assert!(profile.graph_secs > 0.0 && profile.node_index_secs > 0.0);
+        let names: Vec<&str> = profile.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                span::BUILD_GRAPH,
+                span::BUILD_CONTEXT_INDEX,
+                span::BUILD_NODE_INDEX,
+                span::BUILD_VERIFY
+            ]
+        );
         assert_eq!(profile.merge_secs(), 0.0, "no build has a merge phase");
-        assert!(!profile.render().is_empty());
+        for name in names {
+            assert!(profile.render().contains(name), "{name}");
+        }
 
         let collection =
             parse_collection(vec![("a.xml", "<a><x>1</x></a>"), ("b.xml", "<a><x>2</x></a>")])
@@ -1466,7 +1419,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(engine.collection().len(), 0);
-        assert!(engine.guides().is_empty());
+        assert_eq!(engine.dataguide_stats().unwrap().dataguides, 0);
     }
 
     #[test]

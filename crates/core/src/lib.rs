@@ -13,10 +13,13 @@
 //!
 //! The crate ties together the substrates:
 //! [`seda_xmlstore`] (storage), [`seda_textindex`] (full-text indexes),
-//! [`seda_datagraph`] (the data graph), [`seda_dataguide`] (dataguide
-//! summaries and connections), [`seda_topk`] (the Threshold-Algorithm top-k
-//! unit), [`seda_twigjoin`] (complete-result twig evaluation) and
-//! [`seda_olap`] (facts, dimensions, star schemas, cubes).
+//! [`seda_datagraph`] (the data graph), [`seda_dataguide`] (instance-level
+//! connection discovery, and the dataguides Table 1 is derived from on
+//! request — the engine builds and keeps none), [`seda_topk`] (the
+//! Threshold-Algorithm top-k unit), [`seda_twigjoin`] (complete-result twig
+//! evaluation) and [`seda_olap`] (facts, dimensions, star schemas, cubes).
+//! The engine itself holds three index substrates over the store: the node
+//! index, the context index and the data graph.
 //!
 //! # The unified query facade
 //!

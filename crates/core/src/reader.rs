@@ -182,7 +182,9 @@ impl<'e> SedaReader<'e> {
         self.tracer.is_enabled()
     }
 
-    /// Parses and executes a textual request.
+    /// Parses and executes a textual request.  Text that does not parse
+    /// names no statement, so its error is counted in the engine's
+    /// `seda_request_errors_total` and in no statement's request count.
     pub fn execute_text(&mut self, text: &str) -> Result<SedaResponse, SedaError> {
         self.tracer.begin_if_idle();
         let parse_span = self.tracer.enter(span::PARSE);
@@ -191,6 +193,7 @@ impl<'e> SedaReader<'e> {
             Err(err) => {
                 self.tracer.exit(parse_span);
                 self.tracer.reset();
+                self.engine.metrics().counter(names::REQUEST_ERRORS_TOTAL, "").inc();
                 return Err(err);
             }
         };
@@ -273,7 +276,8 @@ impl<'e> SedaReader<'e> {
     /// Records a request's outcome into the engine-wide metrics registry
     /// (see [`crate::metrics`]) and hands it back.  A request is recorded
     /// exactly once: by [`SedaReader::run_plan`] when it executes, or by the
-    /// facade when it stops at planning (plan-time errors, plain `EXPLAIN`).
+    /// facade when it stops at planning (plan-time errors, plain `EXPLAIN`);
+    /// text that fails to parse is counted by [`SedaReader::execute_text`].
     fn recorded(
         &self,
         label: &'static str,
@@ -707,6 +711,10 @@ mod tests {
             .unwrap();
         let china = cube.cube().unwrap().cell(&["China"]).unwrap();
         assert!((china.value - (15.0 + 13.8)).abs() < 1e-9);
+
+        for response in [&topk, &contexts, &connections, &results, &twig, &cube] {
+            crate::verify_exec_profile(&response.profile).unwrap();
+        }
     }
 
     #[test]

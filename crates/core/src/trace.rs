@@ -5,7 +5,7 @@
 //! threads) and the build path runs one per [`crate::SedaEngine::build`].
 //! Spans are entered and exited around the pipeline's phases — parse, plan,
 //! each plan step, twig evaluation, star-schema derivation, cube
-//! aggregation, and the build's substrate/link/verify phases — and land as
+//! aggregation, and the build's substrate and audit phases — and land as
 //! flat [`SpanRecord`]s (name, depth, start offset, wall time, counter
 //! deltas) in [`crate::ExecProfile::spans`] and
 //! [`crate::BuildProfile::spans`].
@@ -64,10 +64,6 @@ pub mod span {
     pub const BUILD_NODE_INDEX: &str = "build:node-index";
     /// Keyword→context index construction (build path).
     pub const BUILD_CONTEXT_INDEX: &str = "build:context-index";
-    /// Dataguide computation and threshold merge (build path).
-    pub const BUILD_GUIDES: &str = "build:dataguides";
-    /// Inter-dataguide link derivation (build path).
-    pub const BUILD_LINKS: &str = "build:guide-links";
     /// Post-build structural audit (build path).
     pub const BUILD_VERIFY: &str = "build:audit-verify";
 }

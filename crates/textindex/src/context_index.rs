@@ -22,14 +22,6 @@
 //! last-document stamp per path instead of a set per document), a keyword's
 //! path set found by reference and no `String` cloned — then one pass
 //! over the shared path table for the tag-name keywords.
-//!
-//! There is no per-document shard → merge lifecycle; no substrate of the
-//! engine has one any more.  A shard per document (a map and a set per
-//! distinct token, per document) only built 1.6k–11k small maps to fold them
-//! into one: at the benchmark's paper scale the shard → merge build took
-//! 142 / 48 / 237 / 280 ms (factbook-olap / mondial-links / googlebase-flat /
-//! recipeml-ingest) against 26 / 10 / 38 / 54 ms for the fold — less than the
-//! old *merge phase alone*.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -86,7 +78,7 @@ pub struct ContextIndex {
 
 impl ContextIndex {
     /// Builds the index over a collection in one pass over its nodes (see
-    /// the module docs for why there is no per-document shard phase).
+    /// the module docs).
     pub fn build(collection: &Collection, storage: CountStorage) -> Self {
         let mut keyword_paths: HashMap<String, BTreeSet<PathId>> = HashMap::new();
         let mut posting_counts: HashMap<(String, PathId), usize> = HashMap::new();

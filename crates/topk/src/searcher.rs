@@ -13,7 +13,7 @@
 //! * lists are consumed round-robin; every newly seen node is joined with the
 //!   nodes already seen for the other terms, candidate tuples are checked for
 //!   connectivity in the data graph and scored
-//!   `content_weight · Σ content + structure_weight · compactness`;
+//!   `Σ content + compactness`;
 //! * the algorithm maintains the classic rank-join threshold
 //!   `max_i ( frontier_i + Σ_{j≠i} best_j )` plus the maximal structural
 //!   bonus, and stops as soon as `k` buffered tuples score at least the
@@ -183,7 +183,7 @@ fn score_tuple(
         stats.tuples_disconnected += 1;
         return None;
     }
-    let score = config.content_weight * content + config.structure_weight * compact;
+    let score = content + compact;
     Some(ResultTuple { nodes: nodes.to_vec(), content_score: content, compactness: compact, score })
 }
 
@@ -501,8 +501,7 @@ impl<'a> TopKSearcher<'a> {
                         if compact == 0.0 && m > 1 {
                             stats.tuples_disconnected += 1;
                         } else {
-                            let score =
-                                config.content_weight * content + config.structure_weight * compact;
+                            let score = content + compact;
                             note_score(kth_scores, config.k, score);
                             // Buffer only tuples still inside the provisional
                             // top-k (ties at the k-th score included): a tuple
@@ -556,8 +555,7 @@ impl<'a> TopKSearcher<'a> {
                     }
                     threshold_content = threshold_content.max(bound);
                 }
-                let threshold =
-                    config.content_weight * threshold_content + config.structure_weight * 1.0;
+                let threshold = threshold_content + 1.0;
 
                 if kth_scores.len() >= config.k {
                     let kth_score = kth_scores[config.k - 1];
@@ -738,7 +736,7 @@ fn score_pairs_pinned(
             None => stats.tuples_disconnected += 1,
             Some(distance) => {
                 let compactness = 1.0 / (1.0 + distance as f64);
-                let score = config.content_weight * content + config.structure_weight * compactness;
+                let score = content + compactness;
                 note_score(kth_scores, config.k, score);
                 // As in the general loop: only tuples still inside the
                 // provisional top-k are buffered.

@@ -41,10 +41,6 @@ pub struct TopKConfig {
     /// most [`seda_datagraph::MAX_DEPTH`], to which the traversal layer
     /// clamps larger bounds (`seda_core::SedaEngine::build` refuses them).
     pub max_depth: usize,
-    /// Weight of the summed content scores in the combined score.
-    pub content_weight: f64,
-    /// Weight of the structural compactness in the combined score.
-    pub structure_weight: f64,
     /// Upper bound on the number of candidate tuples the algorithm will score
     /// (guards against combinatorial blow-up on match-all terms).
     ///
@@ -57,13 +53,7 @@ pub struct TopKConfig {
 
 impl Default for TopKConfig {
     fn default() -> Self {
-        TopKConfig {
-            k: 10,
-            max_depth: 12,
-            content_weight: 1.0,
-            structure_weight: 1.0,
-            candidate_limit: 200_000,
-        }
+        TopKConfig { k: 10, max_depth: 12, candidate_limit: 200_000 }
     }
 }
 
@@ -225,7 +215,7 @@ mod tests {
         let c = TopKConfig::default();
         assert_eq!(c.k, 10);
         assert!(c.max_depth > 0);
-        assert!(c.content_weight > 0.0 && c.structure_weight > 0.0);
+        assert!(c.candidate_limit > 0);
         assert_eq!(TopKConfig::with_k(3).k, 3);
     }
 

@@ -37,10 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ])?;
 
-    // 2. Build the engine: data graph, full-text indexes, dataguides.
+    // 2. Build the engine: data graph and full-text indexes.  Table 1's
+    //    dataguide statistics are derived on request.
     let engine =
         SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())?;
-    println!("dataguides: {:?}", engine.dataguide_stats());
+    println!("dataguides: {:?}", engine.dataguide_stats()?);
 
     // 3. Plan before running: EXPLAIN shows what the engine will do.
     let query_text = r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#;

@@ -3,8 +3,10 @@
 //! threshold-sweep ablation the paper discusses in Sec. 6.1.
 //!
 //! Table 1 rows come from fully built engines (`SedaEngine::dataguide_stats`,
-//! the same summary the query facade plans over); the threshold sweep probes
-//! the dataguide substrate directly, since it varies a build-time parameter.
+//! which merges the collection's dataguides at the engine's configured 40%
+//! threshold when asked; the engine keeps no dataguides, since no statement
+//! reads them); the threshold sweep builds `DataGuideSet`s directly, one per
+//! threshold.
 //!
 //! Run with `cargo run --release --example schema_exploration`
 //! (set `SEDA_TABLE1_SCALE=1.0` for paper-sized corpora).
@@ -26,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for dataset in Dataset::ALL {
         let collection = dataset.generate_scaled(scale)?;
         let engine = SedaEngine::build(collection, Registry::new(), EngineConfig::default())?;
-        let stats = engine.dataguide_stats();
+        let stats = engine.dataguide_stats()?;
         println!(
             "{:<26} {:>12} {:>14} {:>15} -> {}",
             dataset.name(),

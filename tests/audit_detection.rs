@@ -7,19 +7,23 @@
 //! This is the integration-level counterpart of the per-crate unit tests in
 //! each substrate's `audit` module: the corruptions here travel through
 //! `SedaEngine::substrates_mut()`, proving the engine-level aggregation
-//! attributes violations to the right substrate.
+//! attributes violations to the right substrate.  The engine holds no
+//! dataguides, so the dataguide classes are seeded into a standalone
+//! [`DataGuideSet`] built over the engine's collection.
 
 use seda_core::metrics::names;
-use seda_core::{EngineConfig, SedaEngine};
+use seda_core::trace::span;
+use seda_core::{BuildProfile, EngineConfig, SedaEngine};
 use seda_datagen::Dataset;
-use seda_dataguide::GuideId;
+use seda_dataguide::{DataGuideSet, GuideId};
 use seda_olap::Registry;
 use seda_xmlstore::{parse_collection, DocId, NodeId};
 
 /// A small heterogeneous corpus exercising every substrate: an IDREF cross
 /// edge (graph labels), a repeated term with distinct scores ("united" in two
 /// documents of different length — swappable postings) and two distinct
-/// document shapes (two dataguides with a populated path→guide index).
+/// document shapes (two dataguides with a populated path→guide index, once
+/// a [`DataGuideSet`] is built over it).
 fn engine() -> SedaEngine {
     let collection = parse_collection(vec![
         (
@@ -56,7 +60,25 @@ fn expect_violation(engine: &SedaEngine, substrate: &str, class: &str) {
 fn fresh_engine_passes_its_audit() {
     let e = engine();
     e.verify().unwrap();
-    assert!(e.build_profile().verify_ms >= 0.0);
+    assert!(verify_ms(e.build_profile()) >= 0.0);
+}
+
+/// Milliseconds the build's own audit took: its `build:audit-verify` span.
+fn verify_ms(profile: &BuildProfile) -> f64 {
+    let verify = profile.spans.iter().find(|s| s.name == span::BUILD_VERIFY);
+    verify.expect("every build records its audit").wall_secs * 1e3
+}
+
+/// The dataguide set of [`engine`]'s collection at the paper's threshold.
+fn guides(engine: &SedaEngine) -> DataGuideSet {
+    DataGuideSet::build(engine.collection(), engine.config().dataguide_threshold).unwrap()
+}
+
+/// Asserts that the dataguide audit fails with `class` among its classes.
+fn expect_guide_violation(guides: &DataGuideSet, class: &str) {
+    let violations = guides.verify().expect_err("corrupted dataguides must fail their audit");
+    assert!(violations.iter().all(|v| v.substrate == "dataguide"), "{violations:?}");
+    assert!(violations.iter().any(|v| v.invariant == class), "expected {class}: {violations:?}");
 }
 
 /// Asserts that the engine audit fails with `class` of `substrate` alone.
@@ -171,7 +193,7 @@ fn bogus_context_path_is_detected_as_textindex_context_paths() {
 fn broken_adjacency_offset_is_detected_as_datagraph_csr_offsets() {
     let mut e = engine();
     {
-        let (_, _, _, graph, _) = e.substrates_mut();
+        let (.., graph) = e.substrates_mut();
         graph.corrupt_adj_offset(1, u32::MAX);
     }
     expect_violation(&e, "datagraph", "csr-offsets");
@@ -181,7 +203,7 @@ fn broken_adjacency_offset_is_detected_as_datagraph_csr_offsets() {
 fn dropped_connectivity_labels_are_detected_as_datagraph_labels_sound() {
     let mut e = engine();
     {
-        let (_, _, _, graph, _) = e.substrates_mut();
+        let (.., graph) = e.substrates_mut();
         graph.corrupt_clear_labels(0);
     }
     expect_violation(&e, "datagraph", "labels-sound");
@@ -191,7 +213,7 @@ fn dropped_connectivity_labels_are_detected_as_datagraph_labels_sound() {
 fn a_first_neighbour_other_than_the_parent_is_detected_as_datagraph_tree_parent() {
     let mut e = engine();
     {
-        let (_, _, _, graph, _) = e.substrates_mut();
+        let (.., graph) = e.substrates_mut();
         // mx.xml (document 2) is a tree document: no cross edge touches it.
         let node = graph.dense(NodeId::new(DocId(2), 1)).expect("mx.xml has a second node");
         graph.corrupt_first_neighbor(node, node);
@@ -203,7 +225,7 @@ fn a_first_neighbour_other_than_the_parent_is_detected_as_datagraph_tree_parent(
 fn a_cleared_hub_document_bit_is_detected_as_datagraph_labels_sorted() {
     let mut e = engine();
     {
-        let (_, _, _, graph, _) = e.substrates_mut();
+        let (.., graph) = e.substrates_mut();
         // sea.xml (document 0) holds the IDREF cross edge.
         graph.corrupt_clear_hub_doc(0);
     }
@@ -212,24 +234,20 @@ fn a_cleared_hub_document_bit_is_detected_as_datagraph_labels_sorted() {
 
 #[test]
 fn desynced_path_index_is_detected_as_dataguide_path_index() {
-    let mut e = engine();
+    let e = engine();
+    let mut guides = guides(&e);
+    guides.verify().unwrap();
     let c = e.collection();
     let name = c.paths().get_str(c.symbols(), "/country/name").unwrap();
-    {
-        let (.., guides) = e.substrates_mut();
-        assert!(guides.corrupt_drop_path_index(name), "path must be indexed");
-    }
-    expect_violation(&e, "dataguide", "path-index");
+    assert!(guides.corrupt_drop_path_index(name), "path must be indexed");
+    expect_guide_violation(&guides, "path-index");
 }
 
 #[test]
 fn reassigned_document_is_detected_as_dataguide_assignment() {
-    let mut e = engine();
-    {
-        let (.., guides) = e.substrates_mut();
-        guides.corrupt_reassign_document(DocId(0), GuideId(999));
-    }
-    expect_violation(&e, "dataguide", "assignment");
+    let mut guides = guides(&engine());
+    guides.corrupt_reassign_document(DocId(0), GuideId(999));
+    expect_guide_violation(&guides, "assignment");
 }
 
 #[test]
@@ -291,7 +309,7 @@ fn fresh_engines_pass_over_every_datagen_corpus() {
             engine.verify().unwrap_or_else(|v| {
                 panic!("{} (parallelism {parallelism}): {v:?}", dataset.name())
             });
-            assert!(engine.build_profile().verify_ms >= 0.0);
+            assert!(verify_ms(engine.build_profile()) >= 0.0);
         }
     }
 }
@@ -300,7 +318,7 @@ fn fresh_engines_pass_over_every_datagen_corpus() {
 fn mondial_full_engine_audit_stays_under_100ms() {
     let collection = Dataset::Mondial.generate_small().unwrap();
     let engine = SedaEngine::build(collection, Registry::new(), EngineConfig::default()).unwrap();
-    let verify_ms = engine.build_profile().verify_ms;
+    let verify_ms = verify_ms(engine.build_profile());
     assert!(verify_ms < 100.0, "mondial full-engine verify took {verify_ms:.2}ms, budget is 100ms");
 }
 
@@ -332,7 +350,8 @@ mod random_corpora {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// Freshly built engines over randomized corpora always pass their
-        /// structural audit, built on one thread or two.
+        /// structural audit, built on one thread or two, and so do the
+        /// dataguides of those corpora.
         #[test]
         fn freshly_built_engines_always_pass(
             words in proptest::collection::vec(0u8..4, 1..24),
@@ -346,6 +365,7 @@ mod random_corpora {
             )
             .unwrap();
             prop_assert!(engine.verify().is_ok());
+            prop_assert!(guides(&engine).verify().is_ok());
         }
     }
 }

@@ -8,6 +8,7 @@ use seda_datagen::{factbook, FactbookConfig};
 use seda_datagraph::TraversalScratch;
 use seda_dataguide::{
     discover_connections, false_positive_connections, guide_connection, guide_links, DataGuideSet,
+    GuideLink,
 };
 use seda_olap::Registry;
 use seda_xmlstore::PathId;
@@ -53,13 +54,21 @@ fn setup() -> (SedaEngine, Vec<(PathId, PathId)>, Vec<seda_dataguide::Connection
     (engine, pairs, instantiated)
 }
 
+/// The engine's collection merged into dataguides at `threshold`, with the
+/// links the data graph draws between them.  The engine keeps neither: they
+/// are built here, for the experiment.
+fn guides_and_links(engine: &SedaEngine, threshold: f64) -> (DataGuideSet, Vec<GuideLink>) {
+    let guides = DataGuideSet::build(engine.collection(), threshold).unwrap();
+    let links = guide_links(engine.collection(), engine.graph(), &guides);
+    (guides, links)
+}
+
 #[test]
 fn false_positives_exist_and_are_a_subset_of_guide_connections() {
     let (engine, pairs, instantiated) = setup();
-    let collection = engine.collection();
-    let guides = engine.guides();
-    let links = engine.guide_links();
-    let (fp, total) = false_positive_connections(collection, guides, links, &instantiated, &pairs);
+    let (guides, links) = guides_and_links(&engine, engine.config().dataguide_threshold);
+    let (fp, total) =
+        false_positive_connections(engine.collection(), &guides, &links, &instantiated, &pairs);
     assert!(total >= 1, "the dataguides connect the candidate pairs");
     assert!(fp <= total);
     assert!(fp >= 1, "cross import/export pairs and the refugees pair are never instantiated");
@@ -68,18 +77,11 @@ fn false_positives_exist_and_are_a_subset_of_guide_connections() {
 #[test]
 fn higher_thresholds_do_not_increase_false_positives() {
     let (engine, pairs, instantiated) = setup();
-    let collection = engine.collection();
     let mut previous = usize::MAX;
     for threshold in [0.1, 0.4, 0.9] {
-        let guides = DataGuideSet::build(collection, threshold).unwrap();
-        let links = guide_links(collection, engine.graph(), &guides);
-        let (fp, _total) = false_positive_connections(
-            collection,
-            guides_ref(&guides),
-            &links,
-            &instantiated,
-            &pairs,
-        );
+        let (guides, links) = guides_and_links(&engine, threshold);
+        let (fp, _total) =
+            false_positive_connections(engine.collection(), &guides, &links, &instantiated, &pairs);
         assert!(
             fp <= previous,
             "false positives must not increase with the threshold ({previous} -> {fp} at {threshold})"
@@ -88,16 +90,12 @@ fn higher_thresholds_do_not_increase_false_positives() {
     }
 }
 
-fn guides_ref(guides: &DataGuideSet) -> &DataGuideSet {
-    guides
-}
-
 #[test]
 fn instantiated_connections_are_never_false_positives() {
     let (engine, _, instantiated) = setup();
     let collection = engine.collection();
-    let guides = engine.guides();
-    let links = engine.guide_links();
+    let (guides, links) = guides_and_links(&engine, engine.config().dataguide_threshold);
+    let (guides, links) = (&guides, links.as_slice());
     for connection in &instantiated {
         let pair = [(connection.from_path, connection.to_path)];
         let (fp, total) =

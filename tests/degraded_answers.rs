@@ -10,10 +10,14 @@
 //! document roots, a **subset** of it.  Each relation is checked here from
 //! request text, budget by budget, on the corpus shapes of the benchmark's
 //! analyze rounds: Factbook, RecipeML and (for the cross-root join) Mondial.
+//! Every profile, full or degraded, must pass `verify_exec_profile`.
 
 use std::time::{Duration, Instant};
 
-use seda_core::{Budget, EngineConfig, RequestContext, SedaEngine, SedaRequest, SedaResponse};
+use seda_core::{
+    verify_exec_profile, Budget, EngineConfig, RequestContext, SedaEngine, SedaRequest,
+    SedaResponse,
+};
 use seda_datagen::{names, Dataset};
 use seda_olap::Registry;
 use seda_xmlstore::NodeId;
@@ -69,6 +73,7 @@ fn assert_degraded_answers(engine: &SedaEngine, text: &str, relation: Relation) 
     let start = Instant::now();
     let full = reader.execute(&request).expect("ungoverned run");
     let whole = start.elapsed();
+    verify_exec_profile(&full.profile).unwrap_or_else(|v| panic!("{text}: {v:?}"));
     let full_rows = rows(&full);
     assert!(full_rows.len() > 10, "{text}: only {} rows", full_rows.len());
 
@@ -76,6 +81,8 @@ fn assert_degraded_answers(engine: &SedaEngine, text: &str, relation: Relation) 
     for budget in budgets(full_rows.len(), full.profile.label_probes, whole) {
         let ctx = RequestContext::new(budget.clone()).allow_degraded();
         let response = reader.execute_governed(&request, &ctx).expect("degraded runs answer");
+        verify_exec_profile(&response.profile)
+            .unwrap_or_else(|v| panic!("{text} under {budget:?}: {v:?}"));
         let got = rows(&response);
         if !response.profile.degraded {
             assert_eq!(got, full_rows, "{text} under {budget:?}: not degraded, not whole");

@@ -489,6 +489,29 @@ fn prepared_and_planned_executions_are_recorded_exactly_once() {
     assert_eq!(latencies(), latencies_before + n + 2);
 }
 
+/// Text that does not parse is a request that returned an error: counted
+/// once in the global error counter and in no statement's request count.
+#[test]
+fn malformed_text_requests_are_counted_once_as_errors() {
+    let engine = engine();
+    let mut reader = engine.reader();
+    let metrics = engine.metrics();
+    let errors = || metrics.counter(names::REQUEST_ERRORS_TOTAL, "").get();
+    let requests = || {
+        ["TOPK", "CONTEXTS", "CONNECTIONS", "RESULTS", "TWIG", "CUBE"]
+            .map(|statement| metrics.counter(names::REQUESTS_TOTAL, statement).get())
+    };
+    let (errors_before, requests_before) = (errors(), requests());
+    for (i, text) in
+        ["", "SELECT * FROM x", "TOPK 5 FOR", "TOPK five FOR (name, *)"].into_iter().enumerate()
+    {
+        let err = reader.execute_text(text).expect_err("malformed text must not parse");
+        assert!(matches!(err, SedaError::Parse(_)), "{text:?}: {err:?}");
+        assert_eq!(errors(), errors_before + i as u64 + 1, "{text:?} is one error");
+        assert_eq!(requests(), requests_before, "{text:?} names no statement");
+    }
+}
+
 mod proptests {
     use super::*;
     use proptest::prelude::*;

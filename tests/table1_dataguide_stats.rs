@@ -5,11 +5,14 @@
 //! more, while the heterogeneous World Factbook retains a small reduction
 //! factor (≈3 in the paper).
 
+use seda_core::{EngineConfig, SedaEngine};
+use seda_datagen::Dataset;
 use seda_datagen::{
     factbook, googlebase, mondial, recipeml, FactbookConfig, GoogleBaseConfig, MondialConfig,
     RecipeMlConfig,
 };
 use seda_dataguide::DataGuideSet;
+use seda_olap::Registry;
 
 #[test]
 fn recipeml_collapses_to_three_dataguides() {
@@ -70,5 +73,25 @@ fn every_document_is_assigned_to_exactly_one_guide() {
     assert_eq!(covered, collection.len());
     for doc in collection.documents() {
         assert!(guides.guide_of_document(doc.id).is_some());
+    }
+}
+
+/// The engine keeps no dataguides: its Table 1 statistics are the set built
+/// over its collection at its configured threshold, whatever the threshold.
+#[test]
+fn engine_statistics_are_the_dataguide_set_built_on_demand() {
+    for dataset in Dataset::ALL {
+        let collection = dataset.generate_small().unwrap();
+        for threshold in [0.0, 0.4, 1.0] {
+            let expected = DataGuideSet::build(&collection, threshold).unwrap();
+            let config = EngineConfig { dataguide_threshold: threshold, ..EngineConfig::default() };
+            let engine = SedaEngine::build(collection.clone(), Registry::new(), config).unwrap();
+            assert_eq!(
+                engine.dataguide_stats().unwrap(),
+                expected.stats(collection.len()),
+                "{} at {threshold}",
+                dataset.name()
+            );
+        }
     }
 }

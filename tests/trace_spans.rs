@@ -108,17 +108,11 @@ fn sequential_build_profiles_carry_substrate_spans() {
     let e = engine_with_parallelism(1);
     let spans = &e.build_profile().spans;
     let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-    for expected in [
-        "build:data-graph",
-        "build:node-index",
-        "build:context-index",
-        "build:dataguides",
-        "build:guide-links",
-        "build:audit-verify",
-    ] {
-        assert!(names.contains(&expected), "missing {expected}: {names:?}");
-    }
-    assert!(spans.iter().all(|s| s.name.starts_with("build:") && s.depth == 0), "{names:?}");
+    assert_eq!(
+        names,
+        ["build:data-graph", "build:context-index", "build:node-index", "build:audit-verify"]
+    );
+    assert!(spans.iter().all(|s| s.depth == 0), "{spans:?}");
 }
 
 #[test]
