@@ -1,22 +1,22 @@
-//! CI perf smoke check: the eight gates of [`seda_bench`], measured on this
+//! CI perf smoke check: the nine gates of [`seda_bench`], measured on this
 //! machine against this build — no argument, no file, no environment variable.
 //!
 //! ```text
 //! cargo run --release -p seda-bench --bin perf_smoke
 //! ```
 //!
-//! Prints the eight measured ratios with their bounds and exits non-zero when
+//! Prints the nine measured ratios with their bounds and exits non-zero when
 //! any gate fails.  Absolute latencies are `benchmark/run.sh`'s business.
 
 use std::hint::black_box;
 use std::process::ExitCode;
 
 use seda_bench::{
-    cold_fill_verdict, generous_context, googlebase_engine, governance_verdict,
-    index_build_verdict, interleaved_minima, join_scaling_verdict, mondial_engine,
-    pinned_pairs_verdict, prepared_over_cold_verdict, term_inputs, twig_scan_verdict,
-    twig_statement_verdict, BASE_ITEMS, BROAD_TOPK, PAIR_QUERY, SCALED_ITEMS, SELECTIVE_TOPK,
-    TWIG_PATH,
+    cold_fill_verdict, cube_statement_verdict, generous_context, googlebase_engine,
+    governance_verdict, index_build_verdict, interleaved_minima, join_scaling_verdict,
+    mondial_engine, pinned_pairs_verdict, prepared_over_cold_verdict, term_inputs,
+    twig_scan_verdict, twig_statement_verdict, BASE_ITEMS, BROAD_TOPK, CUBE_CLAUSE, PAIR_QUERY,
+    SCALED_ITEMS, SELECTIVE_TOPK, TWIG_PATH,
 };
 use seda_core::seda_textindex::{terms, ContextIndex, CountStorage, NodeIndex};
 use seda_core::seda_topk::{SearchLimits, SearchScratch, TopKConfig, TopKSearcher};
@@ -25,7 +25,7 @@ use seda_core::{EngineConfig, RequestContext, SedaEngine, SedaReader, SedaReques
 use seda_datagen::Dataset;
 use seda_olap::Registry;
 
-/// Measures the eight gates and prints each verdict; `Ok(false)` when any failed.
+/// Measures the nine gates and prints each verdict; `Ok(false)` when any failed.
 fn run() -> Result<bool, String> {
     let request = SedaRequest::parse(BROAD_TOPK).map_err(|e| e.to_string())?;
     let base_engine = googlebase_engine(BASE_ITEMS)?;
@@ -76,6 +76,7 @@ fn run() -> Result<bool, String> {
     let twig_statement = report(twig_statement(&recipeml)?);
     drop(recipeml);
     let index_build = report(index_build()?);
+    let cube_statement = report(cube_statement()?);
     Ok(scaling
         && governance
         && cold_fill
@@ -83,7 +84,34 @@ fn run() -> Result<bool, String> {
         && prepared_over_cold
         && twig_scan
         && twig_statement
-        && index_build)
+        && index_build
+        && cube_statement)
+}
+
+/// The cube-statement gate: the `CUBE` and the `RESULTS` statement over
+/// [`CUBE_CLAUSE`] on the paper-scale Factbook collection, each from its text
+/// through its own reader; the cube must aggregate every row the results hold.
+fn cube_statement() -> Result<Result<String, String>, String> {
+    let collection = Dataset::WorldFactbook.generate_paper_scale().map_err(|e| e.to_string())?;
+    let engine =
+        SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
+            .map_err(|e| e.to_string())?;
+    let results = format!("RESULTS {CUBE_CLAUSE}");
+    let cube = format!("CUBE import-trade-percentage BY import-country AGG sum {CUBE_CLAUSE}");
+    let (mut results_reader, mut cube_reader) = (engine.reader(), engine.reader());
+    let (mut rows, mut scanned) = (0, 0);
+    let (results_ms, cube_ms) = interleaved_minima(
+        || rows = results_reader.execute_text(&results).expect("RESULTS executes").payload.rows(),
+        || {
+            let response = cube_reader.execute_text(&cube).expect("CUBE executes");
+            scanned = response.cube().map_or(0, |cube| cube.rows_scanned);
+        },
+    );
+    // One fact row a result row, less the rows without a key.
+    if rows == 0 || scanned == 0 || scanned > rows {
+        return Err(format!("the cube scanned {scanned} fact rows of {rows} result rows"));
+    }
+    Ok(cube_statement_verdict(results_ms, cube_ms))
 }
 
 /// The index-build gate: both text indexes built over the paper-scale

@@ -2,7 +2,7 @@
 //!
 //! What only this crate checks.  Every latency, throughput and memory number
 //! comes from the paper-scale harness under `benchmark/` (see
-//! `benchmark/README.md`); this crate keeps the `audit` binary and the eight
+//! `benchmark/README.md`); this crate keeps the `audit` binary and the nine
 //! gates of `perf_smoke`, which compare the engine against itself within one
 //! process and so need no committed baseline:
 //!
@@ -38,7 +38,13 @@
 //!   `ContextIndex::build` over the paper-scale googlebase collection cost at
 //!   most [`INDEX_BUILD_BOUND`]× one pass that tokenises every text node of it
 //!   — the floor of any index build: nothing hashed, cloned or allocated per
-//!   document beyond the tokens themselves.
+//!   document beyond the tokens themselves;
+//! * **cube statement over its results** — the `CUBE` over
+//!   [`CUBE_CLAUSE`] on the paper-scale Factbook collection costs at most
+//!   [`CUBE_STATEMENT_BOUND`]× the `RESULTS` statement over the same clause,
+//!   both executed from their text: deriving the star schema and aggregating
+//!   it costs less than the R(q) they read, fact rows held as dictionary
+//!   codes rather than strings.
 //!
 //! Each verdict is a pure function of the measured numbers, so the tests below
 //! feed it a regressed engine's numbers and watch it fail.
@@ -72,6 +78,13 @@ pub const PAIR_QUERY: &str = r#"(name, "Canada") AND (population, *)"#;
 /// paper-scale RecipeML collection (10,988 documents, 355,535 nodes): 43,945
 /// matches, four a document, through one `//` step.
 pub const TWIG_PATH: &str = "/recipeml/recipe//item";
+
+/// The `FOR … WITH …` clause of the cube-statement gate, on the paper-scale
+/// Factbook collection: factbook-olap's broad `CUBE` — every import partner
+/// of every country, ≈ 3.2k fact rows over ≈ 270 partners.
+pub const CUBE_CLAUSE: &str = "FOR (trade_country, *) AND (percentage, *) \
+     WITH 0 IN /country/economy/import_partners/item/trade_country \
+     WITH 1 IN /country/economy/import_partners/item/percentage";
 
 /// Corpus sizes of the join-scaling gate (one-document components each).
 pub const BASE_ITEMS: usize = 1_500;
@@ -176,6 +189,20 @@ pub const TWIG_STATEMENT_BOUND: f64 = 1.19;
 /// geometric mean of the shards' worst quiet reading and the best old one:
 /// √(6.39 · 15.9) ≈ 10.
 pub const INDEX_BUILD_BOUND: f64 = 10.0;
+
+/// Allowed `t(CUBE) / t(RESULTS)` over [`CUBE_CLAUSE`], grouped by import
+/// country and summed, both statements executed from their text through one
+/// engine.  With fact rows as dictionary codes — absolute key parts interned
+/// once per document, rows sorted and merged on codes, the cube grouped on
+/// codes over measures parsed once per distinct value — the `CUBE` costs its
+/// `RESULTS` plus ≈ 0.95×: measured 1.83–2.02× over twenty runs (≈ 5.0
+/// against ≈ 2.6 ms on a 2-core host).  Fact rows of `String`s, sorted and
+/// grouped as string vectors, with every measure parsed per row and every
+/// document scanned for the absolute key parts, read 2.81–3.18× in the same
+/// twenty runs, taken in turns (≈ 8.4 against ≈ 2.8 ms).  The bound is the
+/// geometric mean of the worst new reading and the best old:
+/// √(2.02 · 2.81) ≈ 2.38.
+pub const CUBE_STATEMENT_BOUND: f64 = 2.38;
 
 /// An engine over a datagen googlebase corpus of `items` flat documents.
 pub fn googlebase_engine(items: usize) -> Result<SedaEngine, String> {
@@ -313,6 +340,12 @@ pub fn index_build_verdict(tokenise_ms: f64, build_ms: f64) -> Result<String, St
     bounded_ratio("index build over one tokenising pass", tokenise_ms, build_ms, INDEX_BUILD_BOUND)
 }
 
+/// The cube-statement gate over the times of the `RESULTS` and the `CUBE`
+/// statement over [`CUBE_CLAUSE`].
+pub fn cube_statement_verdict(results_ms: f64, cube_ms: f64) -> Result<String, String> {
+    bounded_ratio("cube statement over its results", results_ms, cube_ms, CUBE_STATEMENT_BOUND)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,6 +447,19 @@ mod tests {
         // The least favourable of the twenty runs of the flat builds.
         let pass = index_build_verdict(15.599, 99.707).unwrap();
         assert!(pass.starts_with("index build over one tokenising pass 6.392x"), "{pass}");
+    }
+
+    #[test]
+    fn cube_statement_fails_on_string_fact_rows_and_passes_on_the_measured_pair() {
+        // Fact rows of strings, at their most favourable of twenty runs.
+        let failure = cube_statement_verdict(4.690, 13.177).unwrap_err();
+        assert!(
+            failure.starts_with("cube statement over its results 2.810x (allowed 2.38x)"),
+            "{failure}"
+        );
+        // The least favourable of the twenty runs of the coded rows.
+        let pass = cube_statement_verdict(2.283, 4.608).unwrap();
+        assert!(pass.starts_with("cube statement over its results 2.018x"), "{pass}");
     }
 
     /// The seeded slowdown: the governed side does the request twice, and the

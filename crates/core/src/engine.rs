@@ -1314,7 +1314,7 @@ mod tests {
         let result = e.reader().complete_results(&q, &selections, &[]).unwrap();
         let build = e.build_star_schema(&result, &BuildOptions::default());
         let fact = build.schema.fact("import-trade-percentage").expect("fact table");
-        assert_eq!(fact.dimension_columns, vec!["country", "year", "import-country"]);
+        assert_eq!(fact.dimension_columns(), ["country", "year", "import-country"]);
         assert_eq!(fact.len(), 4);
         assert!(fact.dimensions_form_key());
     }

@@ -24,7 +24,7 @@
 //! assert_eq!(response.top_k().unwrap().tuples.len(), 1);
 //! ```
 
-use seda_olap::{aggregate, CubeQuery, QueryResultTable};
+use seda_olap::{aggregate, CubeQuery, FactTable, QueryResultTable};
 use seda_topk::{
     LimitBreach, MaterializedTerms, SearchScratch, SearchStats, TopKConfig, TopKResult,
 };
@@ -541,7 +541,8 @@ impl<'e> SedaReader<'e> {
                 ctx.check_cancelled()?;
                 let s = self.tracer.enter(span::DERIVE_STAR_SCHEMA);
                 let build = self.engine.build_star_schema(&table, &plan.cube_options);
-                self.tracer.exit(s);
+                let rows = build.schema.fact_tables.iter().map(FactTable::len).sum();
+                self.tracer.exit_with(s, SpanCounters { rows, ..SpanCounters::default() });
                 let fact_table =
                     build.schema.fact(fact).ok_or_else(|| SedaError::UnknownFact(fact.clone()))?;
                 let measure = measure.clone().unwrap_or_else(|| fact.clone());

@@ -87,7 +87,8 @@ pub struct SpanCounters {
     /// for a same-root `RESULTS` / `CUBE` only the documents the node index
     /// says can hold a match — so a selective term shows as a small count.
     pub nodes_visited: usize,
-    /// Result rows (or fact rows scanned) produced within the span.
+    /// Result rows produced within the span (fact rows derived, for the
+    /// star-schema derivation; fact rows scanned, for the aggregation).
     pub rows: usize,
 }
 

@@ -9,18 +9,24 @@
 //!   example: the `/country/year` column is added so the percentage fact table
 //!   has a primary key).
 //! * **Step 3 — Extraction**: fact and dimension tables are materialised by
-//!   evaluating the relative keys of every fact instance; fact tables with
-//!   identical dimension columns are merged.
+//!   evaluating the relative key of every fact instance — the key of the
+//!   instance's own context — straight into dictionary codes: an absolute
+//!   key part is resolved and interned once per document, by descending from
+//!   the root along its labels; a relative part and the measure are interned
+//!   per instance, their content borrowed from the store.  The rows are then
+//!   sorted and deduplicated on their codes, each dimension table is its
+//!   column's dictionary, and fact tables with identical dimension columns
+//!   are merged on codes in united dictionaries.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use seda_xmlstore::{Collection, NodeId};
+use seda_xmlstore::{Collection, NodeId, PathId};
 
-use crate::key::{KeyPart, KeyViolation, RelativeKey};
+use crate::key::{CompiledKey, KeyPart, KeyViolation, RelativeKey};
 use crate::schema::{Registry, SchemaDef, SchemaRole};
-use crate::table::{DimensionTable, FactRow, FactTable, QueryResultTable, StarSchema};
+use crate::table::{Dictionary, DimensionTable, FactTable, QueryResultTable, StarSchema};
 
 /// How a result column relates to the registry.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -165,45 +171,35 @@ impl<'a> StarSchemaBuilder<'a> {
 
         // Extraction.
         let mut fact_tables = Vec::new();
-        let mut dimension_values: Vec<(String, Vec<String>)> = Vec::new();
         for fact_name in &final_facts {
             let Some(def) = self.registry.get(fact_name) else { continue };
             match self.extract_fact_table(result, &matching, def, &mut warnings) {
-                Some(table) => {
-                    // Record dimension member values.
-                    for (i, dim) in table.dimension_columns.iter().enumerate() {
-                        dimension_values.push((
-                            dim.clone(),
-                            table.rows.iter().map(|r| r.dimensions[i].clone()).collect(),
-                        ));
-                    }
-                    fact_tables.push(table);
-                }
+                Some(table) => fact_tables.push(table),
                 None => warnings.push(format!("no instances found for fact {fact_name:?}")),
             }
         }
 
-        // Dimension tables: those referenced by fact tables plus any matched
-        // dimension columns of the result itself.
+        // Dimension tables: each dimension column of a fact table is one —
+        // the column's dictionary, or the union of the dictionaries of the
+        // tables sharing it — and each final dimension no fact table has as
+        // a column comes from the result columns matched to it.
+        let mut dimension_tables: Vec<DimensionTable> = Vec::new();
+        for table in &fact_tables {
+            for (column, name) in table.dimension_columns().iter().enumerate() {
+                let values = table.column_values(column);
+                match dimension_tables.iter_mut().find(|d| d.name == *name) {
+                    Some(existing) => existing.values = union(&[&existing.values, values]),
+                    None => dimension_tables
+                        .push(DimensionTable { name: name.clone(), values: values.to_vec() }),
+                }
+            }
+        }
         for dim_name in &final_dimensions {
-            if dimension_values.iter().any(|(n, _)| n == dim_name) {
+            if dimension_tables.iter().any(|d| d.name == *dim_name) {
                 continue;
             }
             if let Some(values) = self.dimension_values_from_result(result, &matching, dim_name) {
-                dimension_values.push((dim_name.clone(), values));
-            }
-        }
-        // Ensure every dimension column of every fact table has a dimension
-        // table, and add explicitly requested dimensions.
-        let mut dimension_tables: Vec<DimensionTable> = Vec::new();
-        for (name, values) in dimension_values {
-            match dimension_tables.iter_mut().find(|d| d.name == name) {
-                Some(existing) => {
-                    let mut merged = existing.values.clone();
-                    merged.extend(values);
-                    *existing = DimensionTable::from_values(name, merged);
-                }
-                None => dimension_tables.push(DimensionTable::from_values(name, values)),
+                dimension_tables.push(DimensionTable { name: dim_name.clone(), values });
             }
         }
 
@@ -281,56 +277,96 @@ impl<'a> StarSchemaBuilder<'a> {
         part.expression().to_string()
     }
 
+    /// The fact table of `def` over its instances, each keyed by the key of
+    /// its own context.  The table's dimension columns are those the first
+    /// instance's key names; an instance whose key names other columns is
+    /// left out, with a warning naming both contexts.
     fn extract_fact_table(
         &self,
         result: &QueryResultTable,
         matching: &MatchingOutcome,
-        def: &SchemaDef,
+        def: &'a SchemaDef,
         warnings: &mut Vec<String>,
     ) -> Option<FactTable> {
         let instances = self.fact_instances(result, matching, def);
-        if instances.is_empty() {
-            return None;
-        }
-        // Determine the key to use from the first instance's context.
-        let first_context = self.collection.context(instances[0]).ok()?;
-        let key: &RelativeKey = def
-            .key_for_context(self.collection, first_context)
-            .or_else(|| def.contexts.first().map(|c| &c.key))?;
-
-        let dimension_columns: Vec<String> = key
-            .parts()
-            .iter()
-            .map(|p| self.dimension_name_for_key_part(p, instances.first().copied()))
-            .collect();
-
+        let first_context = self.collection.context(*instances.first()?).ok()?;
+        let collection = self.collection;
+        // Per context met so far: its compiled key, or `None` when the key
+        // names other dimension columns than the first context's.
+        let mut keys: Vec<(PathId, Option<CompiledKey<'a>>)> = Vec::new();
+        let mut dimension_columns: Vec<String> = Vec::new();
+        // One dictionary per dimension column, then the measure's.
+        let mut columns: Vec<Dictionary<'a>> = Vec::new();
+        let mut codes = Vec::new();
         // The instances are sorted by node id, so they arrive document by
-        // document — what the compiled key's per-document memory wants.
-        let mut compiled = key.compile(self.collection);
-        let mut rows = Vec::new();
+        // document — what the compiled keys' per-document memory wants.
         for &node in &instances {
-            match compiled.evaluate(node) {
-                Ok(values) => rows.push(FactRow {
-                    dimensions: values,
-                    measures: vec![self.collection.content(node).unwrap_or_default()],
-                }),
+            let Ok(context) = collection.context(node) else {
+                let violation =
+                    KeyViolation::MissingComponent { expression: "<document>".into(), node };
+                warnings.push(format!(
+                    "key violation while extracting fact {:?}: {violation:?}",
+                    def.name
+                ));
+                continue;
+            };
+            let slot = match keys.iter().position(|(seen, _)| *seen == context) {
+                Some(slot) => slot,
+                None => {
+                    let key: &RelativeKey = def
+                        .key_for_context(collection, context)
+                        .or_else(|| def.contexts.first().map(|c| &c.key))?;
+                    let names: Vec<String> = key
+                        .parts()
+                        .iter()
+                        .map(|p| self.dimension_name_for_key_part(p, Some(node)))
+                        .collect();
+                    let joins = keys.is_empty() || names == dimension_columns;
+                    if keys.is_empty() {
+                        dimension_columns = names;
+                        columns = key.dictionaries();
+                        columns.push(Dictionary::default());
+                    } else if !joins {
+                        warnings.push(format!(
+                            "fact {:?}: the key of context {:?} names the columns {names:?}, \
+                             not the {dimension_columns:?} of context {:?}; its instances \
+                             are left out",
+                            def.name,
+                            collection.path_string(context),
+                            collection.path_string(first_context),
+                        ));
+                    }
+                    keys.push((context, joins.then(|| key.compile(collection))));
+                    keys.len() - 1
+                }
+            };
+            let Some(compiled) = &mut keys[slot].1 else { continue };
+            let (dimensions, measure) = columns.split_at_mut(dimension_columns.len());
+            match compiled.encode(node, dimensions, &mut codes) {
+                Ok(()) => {
+                    let content = collection.document(node.doc).map(|d| d.content_cow(node.node));
+                    codes.push(measure[0].intern(content.unwrap_or_default()));
+                }
                 Err(violation) => warnings.push(format!(
                     "key violation while extracting fact {:?}: {violation:?}",
                     def.name
                 )),
             }
         }
-        if rows.is_empty() {
+        if codes.is_empty() {
             return None;
         }
-        rows.sort_by(|a, b| a.dimensions.cmp(&b.dimensions).then(a.measures.cmp(&b.measures)));
-        rows.dedup();
-        Some(FactTable {
-            name: def.name.clone(),
+        let dictionaries = columns.into_iter().map(Dictionary::into_values).collect();
+        let measure_columns = vec![def.name.clone()];
+        let mut table = FactTable::from_codes(
+            def.name.clone(),
             dimension_columns,
-            measure_columns: vec![def.name.clone()],
-            rows,
-        })
+            measure_columns,
+            dictionaries,
+            codes,
+        );
+        table.sort_dedup();
+        Some(table)
     }
 
     fn dimension_values_from_result(
@@ -354,6 +390,8 @@ impl<'a> StarSchemaBuilder<'a> {
                 values.push(self.collection.content(node).unwrap_or_default());
             }
         }
+        values.sort();
+        values.dedup();
         Some(values)
     }
 }
@@ -361,42 +399,90 @@ impl<'a> StarSchemaBuilder<'a> {
 /// Merges fact tables that share the same dimension columns ("as an
 /// optimization, we merge fact tables if they have the same keys"): rows with
 /// identical dimension values are combined, measures become additional
-/// columns; missing measures are left empty.
+/// columns; missing measures are left empty, and of two rows of one table
+/// with the same dimension values the later one wins.  The dimension
+/// dictionaries are united and the rows merged on their codes.
 pub fn merge_fact_tables(tables: Vec<FactTable>) -> Vec<FactTable> {
-    use std::collections::BTreeMap;
     let mut by_key: BTreeMap<Vec<String>, Vec<FactTable>> = BTreeMap::new();
     for t in tables {
-        by_key.entry(t.dimension_columns.clone()).or_default().push(t);
+        by_key.entry(t.dimension_columns().to_vec()).or_default().push(t);
     }
     let mut out = Vec::new();
-    for (dims, group) in by_key {
+    for (dimension_columns, group) in by_key {
         if group.len() == 1 {
             out.extend(group);
             continue;
         }
+        let dimensions = dimension_columns.len();
+        let name = group.iter().map(|t| t.name.as_str()).collect::<Vec<_>>().join("+");
         let measure_columns: Vec<String> =
-            group.iter().flat_map(|t| t.measure_columns.clone()).collect();
-        let name = group.iter().map(|t| t.name.clone()).collect::<Vec<_>>().join("+");
-        let mut rows_by_dims: BTreeMap<Vec<String>, Vec<String>> = BTreeMap::new();
-        let mut offset = 0usize;
+            group.iter().flat_map(|t| t.measure_columns().iter().cloned()).collect();
+        let mut dictionaries: Vec<Vec<String>> = (0..dimensions)
+            .map(|c| union(&group.iter().map(|t| t.column_values(c)).collect::<Vec<_>>()))
+            .collect();
+
+        // Every row of every table by its dimension codes in the united
+        // dictionaries, each table's codes translated once per dictionary
+        // entry.
+        let mut keys: Vec<u32> = Vec::new();
+        // Each row, with the merged column of its table's first measure.
+        let mut sources: Vec<(usize, &[u32])> = Vec::new();
+        let mut first_measure = 0;
         for table in &group {
-            for row in &table.rows {
-                let entry = rows_by_dims
-                    .entry(row.dimensions.clone())
-                    .or_insert_with(|| vec![String::new(); measure_columns.len()]);
-                for (i, m) in row.measures.iter().enumerate() {
-                    entry[offset + i] = m.clone();
+            let translated: Vec<Vec<u32>> = (0..dimensions)
+                .map(|c| {
+                    let united = &dictionaries[c];
+                    let position = |v: &String| united.binary_search(v).map_or(0, |i| i as u32);
+                    table.column_values(c).iter().map(position).collect()
+                })
+                .collect();
+            for row in table.code_rows() {
+                keys.extend(translated.iter().zip(row).map(|(to, &code)| to[code as usize]));
+                sources.push((first_measure, row));
+            }
+            first_measure += table.measure_columns().len();
+        }
+        let key = |entry: usize| &keys[entry * dimensions..][..dimensions];
+        // A stable sort: within a run of equal keys, tables and rows keep
+        // their order, so the later row wins.
+        let mut order: Vec<usize> = (0..sources.len()).collect();
+        order.sort_by(|&a, &b| key(a).cmp(key(b)));
+
+        // Each measure column keeps its table's dictionary, led by `""` (code
+        // 0) for the rows the table has no value for.
+        for table in &group {
+            for c in dimensions..table.width() {
+                let values = table.column_values(c).iter().cloned();
+                dictionaries.push(std::iter::once(String::new()).chain(values).collect());
+            }
+        }
+        let mut codes = Vec::with_capacity(order.len() * (dimensions + measure_columns.len()));
+        for run in order.chunk_by(|&a, &b| key(a) == key(b)) {
+            codes.extend_from_slice(key(run[0]));
+            let start = codes.len();
+            codes.resize(start + measure_columns.len(), 0);
+            for &entry in run {
+                let (first, row) = sources[entry];
+                for (m, &code) in row[dimensions..].iter().enumerate() {
+                    codes[start + first + m] = code + 1;
                 }
             }
-            offset += table.measure_columns.len();
         }
-        let rows = rows_by_dims
-            .into_iter()
-            .map(|(dimensions, measures)| FactRow { dimensions, measures })
-            .collect();
-        out.push(FactTable { name, dimension_columns: dims, measure_columns, rows });
+        out.push(FactTable::from_codes(
+            name,
+            dimension_columns,
+            measure_columns,
+            dictionaries,
+            codes,
+        ));
     }
     out
+}
+
+/// The sorted union of sorted lists of distinct values.
+fn union(lists: &[&[String]]) -> Vec<String> {
+    let united: BTreeSet<&String> = lists.iter().flat_map(|list| list.iter()).collect();
+    united.into_iter().cloned().collect()
 }
 
 /// Defines a new fact or dimension from a result column, verifying the key
@@ -429,6 +515,7 @@ pub fn define_from_column(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::ContextEntry;
     use seda_xmlstore::parse_collection;
 
     /// Two US documents (2004, 2005) with the Figure 3(c) import partners.
@@ -512,35 +599,17 @@ mod tests {
         let fact = build.schema.fact("import-trade-percentage").expect("fact table exists");
         // Columns: country, year, import-country — year added automatically
         // because it is part of the fact's key even though it was not queried.
-        assert_eq!(fact.dimension_columns, vec!["country", "year", "import-country"]);
+        assert_eq!(fact.dimension_columns(), ["country", "year", "import-country"]);
         assert_eq!(fact.len(), 4);
         assert!(fact.dimensions_form_key(), "year augmentation restores the primary key");
-        let rendered: Vec<(String, String, String, String)> = fact
-            .rows
-            .iter()
-            .map(|r| {
-                (
-                    r.dimensions[0].clone(),
-                    r.dimensions[1].clone(),
-                    r.dimensions[2].clone(),
-                    r.measures[0].clone(),
-                )
-            })
+        let rendered: Vec<[&str; 4]> = fact
+            .rows()
+            .map(|r| [r.dimension(0), r.dimension(1), r.dimension(2), r.measure(0)])
             .collect();
-        assert!(rendered.contains(&(
-            "United States".into(),
-            "2004".into(),
-            "China".into(),
-            "12.5".into()
-        )));
-        assert!(rendered.contains(&(
-            "United States".into(),
-            "2005".into(),
-            "Mexico".into(),
-            "10.3".into()
-        )));
+        assert!(rendered.contains(&["United States", "2004", "China", "12.5"]));
+        assert!(rendered.contains(&["United States", "2005", "Mexico", "10.3"]));
         // Dimension tables exist for every fact-table dimension column.
-        for dim in &fact.dimension_columns {
+        for dim in fact.dimension_columns() {
             assert!(build.schema.dimension(dim).is_some(), "missing dimension table {dim}");
         }
         assert_eq!(
@@ -583,42 +652,98 @@ mod tests {
 
     #[test]
     fn merge_fact_tables_combines_same_key_tables() {
-        let a = FactTable {
-            name: "gdp".into(),
-            dimension_columns: vec!["country".into(), "year".into()],
-            measure_columns: vec!["gdp".into()],
-            rows: vec![FactRow {
-                dimensions: vec!["US".into(), "2004".into()],
-                measures: vec!["11.6".into()],
-            }],
-        };
-        let b = FactTable {
-            name: "population".into(),
-            dimension_columns: vec!["country".into(), "year".into()],
-            measure_columns: vec!["population".into()],
-            rows: vec![FactRow {
-                dimensions: vec!["US".into(), "2004".into()],
-                measures: vec!["293M".into()],
-            }],
-        };
+        let key = ["country", "year"];
+        let a = FactTable::from_rows("gdp", &key, &["gdp"], [["US", "2004", "11.6"]]);
+        let b = FactTable::from_rows("population", &key, &["population"], [["US", "2004", "293M"]]);
         let merged = merge_fact_tables(vec![a, b]);
         assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].measure_columns, vec!["gdp", "population"]);
-        assert_eq!(merged[0].rows[0].measures, vec!["11.6", "293M"]);
+        assert_eq!(merged[0].name, "gdp+population");
+        assert_eq!(merged[0].measure_columns(), ["gdp", "population"]);
+        assert_eq!(merged[0].row(0).unwrap().measures().collect::<Vec<_>>(), ["11.6", "293M"]);
         // Tables with different keys stay separate.
-        let c = FactTable {
-            name: "pct".into(),
-            dimension_columns: vec!["country".into()],
-            measure_columns: vec!["pct".into()],
-            rows: vec![],
-        };
-        let d = FactTable {
-            name: "gdp".into(),
-            dimension_columns: vec!["country".into(), "year".into()],
-            measure_columns: vec!["gdp".into()],
-            rows: vec![],
-        };
+        let no_rows: [[&str; 2]; 0] = [];
+        let c = FactTable::from_rows("pct", &["country"], &["pct"], no_rows);
+        let d = FactTable::from_rows("gdp", &key, &["gdp"], [["US", "2004", "11.6"]]);
         assert_eq!(merge_fact_tables(vec![c, d]).len(), 2);
+    }
+
+    #[test]
+    fn merging_unites_dictionaries_and_leaves_missing_measures_empty() {
+        let a = FactTable::from_rows(
+            "gdp",
+            &["country"],
+            &["gdp"],
+            [["US", "11.6"], ["Mexico", "1.0"], ["Mexico", "1.1"]],
+        );
+        let b =
+            FactTable::from_rows("pop", &["country"], &["pop"], [["China", ""], ["US", "293M"]]);
+        let merged = merge_fact_tables(vec![a, b]);
+        let rows: Vec<Vec<&str>> =
+            merged[0].rows().map(|r| r.dimensions().chain(r.measures()).collect()).collect();
+        // Rows in dimension order; Mexico's later row wins; a table without a
+        // row for a key leaves its measure empty, as does an empty value.
+        assert_eq!(
+            rows,
+            [vec!["China", "", ""], vec!["Mexico", "1.1", ""], vec!["US", "11.6", "293M"]]
+        );
+        assert_eq!(merged[0].column_values(0), ["China", "Mexico", "US"]);
+        // The overwritten "1.0" is gone from the dictionary.
+        assert_eq!(merged[0].column_values(1), ["", "1.1", "11.6"]);
+        assert_eq!(merged[0].column_values(2), ["", "293M"]);
+    }
+
+    /// Two contexts of one fact, each with its own key naming the same
+    /// dimension columns: `../k` from `/r/a/v` and `../j` from `/r/b/w` both
+    /// reach the `kj` dimension.
+    #[test]
+    fn every_instance_is_keyed_by_its_own_contexts_key() {
+        let c = parse_collection(vec![(
+            "r.xml",
+            "<r><name>R</name><a><k>K1</k><v>1</v></a><b><j>J2</j><w>2</w></b></r>",
+        )])
+        .unwrap();
+        let mut registry = Registry::new();
+        registry.add(SchemaDef::dimension(
+            "kj",
+            vec![
+                ContextEntry::new("/r/a/k", RelativeKey::parse(&["/r/name", "."])),
+                ContextEntry::new("/r/b/j", RelativeKey::parse(&["/r/name", "."])),
+            ],
+        ));
+        registry.add(SchemaDef::fact(
+            "m",
+            vec![
+                ContextEntry::new("/r/a/v", RelativeKey::parse(&["/r/name", "../k"])),
+                ContextEntry::new("/r/b/w", RelativeKey::parse(&["/r/name", "../j"])),
+            ],
+        ));
+        let mut result = QueryResultTable::new(vec!["m".into()]);
+        for path in ["/r/a/v", "/r/b/w"] {
+            let path = c.paths().get_str(c.symbols(), path).unwrap();
+            result.push_row(&[c.nodes_with_path(path)[0]]);
+        }
+        let build = StarSchemaBuilder::new(&c, &registry).build(&result, &BuildOptions::default());
+        assert!(build.warnings.is_empty(), "{:?}", build.warnings);
+        let fact = build.schema.fact("m").unwrap();
+        assert_eq!(fact.dimension_columns(), ["/r/name", "kj"]);
+        let rows: Vec<Vec<&str>> =
+            fact.rows().map(|r| r.dimensions().chain(r.measures()).collect()).collect();
+        assert_eq!(rows, [vec!["R", "J2", "2"], vec!["R", "K1", "1"]]);
+
+        // A context whose key names other columns is left out, named.
+        registry.add(SchemaDef::fact(
+            "m",
+            vec![
+                ContextEntry::new("/r/a/v", RelativeKey::parse(&["/r/name", "../k"])),
+                ContextEntry::new("/r/b/w", RelativeKey::parse(&["/r/name"])),
+            ],
+        ));
+        let build = StarSchemaBuilder::new(&c, &registry).build(&result, &BuildOptions::default());
+        assert_eq!(build.schema.fact("m").unwrap().len(), 1);
+        assert_eq!(build.warnings.len(), 1, "{:?}", build.warnings);
+        assert!(
+            build.warnings[0].contains("\"/r/b/w\"") && build.warnings[0].contains("\"/r/a/v\"")
+        );
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! for further analysis".  This module plays the role of that off-the-shelf
 //! tool: group-by aggregation, rollup along a dimension order, and
 //! slicing/dicing, so the examples and experiments can complete the pipeline
-//! end to end.
-
-use std::collections::BTreeMap;
+//! end to end.  It aggregates a dictionary-encoded [`FactTable`] on its codes
+//! and parses each distinct measure value once; strings appear only in the
+//! cells it returns.
 
 use serde::{Deserialize, Serialize};
 
-use crate::table::FactTable;
+use crate::table::{parse_numeric, FactTable};
 
 /// Aggregation functions supported by the cube engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -129,7 +129,12 @@ impl std::fmt::Display for CubeError {
 
 impl std::error::Error for CubeError {}
 
-/// Evaluates a cube query against a fact table.
+/// Evaluates a cube query against a fact table, on its codes: each filter
+/// value is resolved to its code once, by binary search in its dimension's
+/// dictionary, each distinct measure value is parsed once, and the rows are
+/// grouped on their group-by codes, whose order is their strings'.  Each
+/// group accumulates its rows in table order, and strings are materialised
+/// once per cell.
 pub fn aggregate(table: &FactTable, query: &CubeQuery) -> Result<CubeResult, CubeError> {
     let group_indices: Vec<usize> = query
         .group_by
@@ -150,52 +155,59 @@ pub fn aggregate(table: &FactTable, query: &CubeQuery) -> Result<CubeResult, Cub
         .measure_index(&query.measure)
         .ok_or_else(|| CubeError::UnknownMeasure(query.measure.clone()))?;
 
-    #[derive(Default)]
-    struct Acc {
-        sum: f64,
-        count: usize,
-        min: f64,
-        max: f64,
-    }
-    let mut groups: BTreeMap<Vec<String>, Acc> = BTreeMap::new();
-    for row in &table.rows {
-        if !filter_indices.iter().all(|&(i, v)| row.dimensions[i] == v) {
-            continue;
-        }
-        let Some(value) = row.numeric_measure(measure_index) else { continue };
-        let key: Vec<String> = group_indices.iter().map(|&i| row.dimensions[i].clone()).collect();
-        let acc = groups.entry(key).or_insert(Acc {
-            sum: 0.0,
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        });
-        acc.sum += value;
-        acc.count += 1;
-        acc.min = acc.min.min(value);
-        acc.max = acc.max.max(value);
-    }
-
-    let cells = groups
-        .into_iter()
-        .map(|(coordinates, acc)| {
-            let value = match query.agg {
-                AggFn::Sum => acc.sum,
-                AggFn::Count => acc.count as f64,
-                AggFn::Avg => {
-                    if acc.count == 0 {
-                        0.0
-                    } else {
-                        acc.sum / acc.count as f64
-                    }
-                }
-                AggFn::Min => acc.min,
-                AggFn::Max => acc.max,
-            };
-            CubeCell { coordinates, value, count: acc.count }
+    // `None` when a filter value is no member of its dimension: no row passes.
+    let filters: Option<Vec<(usize, u32)>> = filter_indices
+        .iter()
+        .map(|&(i, value)| {
+            let code = table.column_values(i).binary_search_by(|v| v.as_str().cmp(value));
+            code.ok().map(|code| (i, code as u32))
         })
         .collect();
-    Ok(CubeResult { group_by: query.group_by.clone(), cells, rows_scanned: table.rows.len() })
+    let measure = table.dimension_columns().len() + measure_index;
+    let values: Vec<Option<f64>> =
+        table.column_values(measure).iter().map(|v| parse_numeric(v)).collect();
+    let mut contributing: Vec<(&[u32], f64)> = match &filters {
+        Some(filters) => table
+            .code_rows()
+            .filter(|row| filters.iter().all(|&(i, code)| row[i] == code))
+            .filter_map(|row| values[row[measure] as usize].map(|value| (row, value)))
+            .collect(),
+        None => Vec::new(),
+    };
+    let group = |row| group_codes(row, &group_indices);
+    // Stable, so each group keeps its rows in table order.
+    contributing.sort_by(|a, b| group(a.0).cmp(group(b.0)));
+
+    let cells = contributing
+        .chunk_by(|a, b| group(a.0).eq(group(b.0)))
+        .map(|run| {
+            let (mut sum, mut min, mut max) = (0.0, f64::INFINITY, f64::NEG_INFINITY);
+            for &(_, value) in run {
+                sum += value;
+                min = f64::min(min, value);
+                max = f64::max(max, value);
+            }
+            let count = run.len();
+            let value = match query.agg {
+                AggFn::Sum => sum,
+                AggFn::Count => count as f64,
+                AggFn::Avg => sum / count as f64,
+                AggFn::Min => min,
+                AggFn::Max => max,
+            };
+            let coordinates = group_indices
+                .iter()
+                .map(|&i| table.column_values(i)[run[0].0[i] as usize].clone())
+                .collect();
+            CubeCell { coordinates, value, count }
+        })
+        .collect();
+    Ok(CubeResult { group_by: query.group_by.clone(), cells, rows_scanned: table.len() })
+}
+
+/// The codes of `row`'s group-by columns.
+fn group_codes<'r>(row: &'r [u32], group_by: &'r [usize]) -> impl Iterator<Item = u32> + 'r {
+    group_by.iter().map(|&i| row[i])
 }
 
 /// Computes a rollup along the given dimension order: one [`CubeResult`] per
@@ -222,30 +234,19 @@ pub fn rollup(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::FactRow;
 
     /// The Figure 3(c) fact table.
     fn figure3_table() -> FactTable {
         let rows = [
-            ("United States", "2006", "China", "15"),
-            ("United States", "2006", "Canada", "16.9"),
-            ("United States", "2005", "China", "13.8"),
-            ("United States", "2005", "Mexico", "10.3"),
-            ("United States", "2004", "Mexico", "10.7"),
-            ("United States", "2004", "China", "12.5"),
+            ["United States", "2006", "China", "15"],
+            ["United States", "2006", "Canada", "16.9"],
+            ["United States", "2005", "China", "13.8"],
+            ["United States", "2005", "Mexico", "10.3"],
+            ["United States", "2004", "Mexico", "10.7"],
+            ["United States", "2004", "China", "12.5"],
         ];
-        FactTable {
-            name: "import-trade-percentage".into(),
-            dimension_columns: vec!["country".into(), "year".into(), "import-country".into()],
-            measure_columns: vec!["percentage".into()],
-            rows: rows
-                .iter()
-                .map(|(c, y, p, v)| FactRow {
-                    dimensions: vec![c.to_string(), y.to_string(), p.to_string()],
-                    measures: vec![v.to_string()],
-                })
-                .collect(),
-        }
+        let columns = ["country", "year", "import-country"];
+        FactTable::from_rows("import-trade-percentage", &columns, &["percentage"], rows)
     }
 
     #[test]
@@ -323,17 +324,39 @@ mod tests {
             .is_err());
     }
 
+    /// The Figure 3(c) fact table plus `extra` rows.
+    fn figure3_with(extra: &[[&str; 4]]) -> FactTable {
+        let table = figure3_table();
+        let mut rows: Vec<Vec<&str>> =
+            table.rows().map(|r| r.dimensions().chain(r.measures()).collect()).collect();
+        rows.extend(extra.iter().map(|row| row.to_vec()));
+        let columns = ["country", "year", "import-country"];
+        FactTable::from_rows("import-trade-percentage", &columns, &["percentage"], rows)
+    }
+
     #[test]
     fn non_numeric_measures_are_skipped() {
-        let mut table = figure3_table();
-        table.rows.push(FactRow {
-            dimensions: vec!["United States".into(), "2007".into(), "China".into()],
-            measures: vec!["n/a".into()],
-        });
+        let table = figure3_with(&[["United States", "2007", "China", "n/a"]]);
         let result = aggregate(&table, &CubeQuery::sum(&["year"], "percentage")).unwrap();
         assert!(
             result.cell(&["2007"]).is_none(),
             "rows without numeric measures contribute nothing"
         );
+        assert_eq!(result.rows_scanned, 7);
+    }
+
+    #[test]
+    fn non_finite_measures_are_skipped_and_sums_stay_finite() {
+        let table = figure3_with(&[
+            ["United States", "2007", "China", "NaN"],
+            ["United States", "2006", "Mexico", "1e999"],
+            ["United States", "2005", "Canada", "-inf"],
+        ]);
+        let result = aggregate(&table, &CubeQuery::sum(&["year"], "percentage")).unwrap();
+        assert!(result.cell(&["2007"]).is_none(), "a NaN measure is no number");
+        let y2006 = result.cell(&["2006"]).unwrap();
+        assert_eq!((y2006.value, y2006.count), (15.0 + 16.9, 2));
+        let y2005 = result.cell(&["2005"]).unwrap();
+        assert_eq!((y2005.value, y2005.count), (13.8 + 10.3, 2));
     }
 }

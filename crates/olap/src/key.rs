@@ -10,7 +10,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use seda_xmlstore::{Collection, DocId, NodeId, PathId, RelativeStep};
+use seda_xmlstore::{Collection, DocId, Document, NodeId, RelativeStep, Symbol};
+
+use crate::table::Dictionary;
 
 /// One component of a relative key.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -139,24 +141,55 @@ impl RelativeKey {
         collection: &Collection,
         node: NodeId,
     ) -> Result<KeyValues, KeyViolation> {
-        self.compile(collection).evaluate(node)
+        let mut columns = self.dictionaries();
+        let mut codes = Vec::with_capacity(self.len());
+        self.compile(collection).encode(node, &mut columns, &mut codes)?;
+        Ok(decode(&columns, &codes))
     }
 
-    /// Resolves the key's parts against `collection` once — absolute paths to
-    /// their interned ids, relative expressions to parsed steps — for
-    /// evaluating many nodes.
+    /// One empty dictionary per part, for [`CompiledKey::encode`].
+    pub(crate) fn dictionaries<'a>(&self) -> Vec<Dictionary<'a>> {
+        self.parts.iter().map(|_| Dictionary::default()).collect()
+    }
+
+    /// Resolves the key's parts against `collection` once — absolute paths and
+    /// the labels of relative steps to their symbols — for evaluating many
+    /// nodes.
     pub(crate) fn compile<'a>(&'a self, collection: &'a Collection) -> CompiledKey<'a> {
+        let symbols = collection.symbols();
         let parts = self
             .parts
             .iter()
             .map(|part| match part {
                 KeyPart::Absolute(expr) => {
-                    CompiledPart::Absolute(collection.paths().get_str(collection.symbols(), expr))
+                    let labels = expr.split('/').filter(|label| !label.is_empty());
+                    let labels: Option<Vec<Symbol>> = labels.map(|l| symbols.get(l)).collect();
+                    CompiledPart::Absolute(labels.and_then(|labels| {
+                        let (&root, below) = labels.split_first()?;
+                        Some((root, below.iter().map(|&label| Step::Child(Some(label))).collect()))
+                    }))
                 }
-                KeyPart::Relative(expr) => CompiledPart::Relative(RelativeStep::parse_expr(expr)),
+                KeyPart::Relative(expr) => CompiledPart::Relative(
+                    RelativeStep::parse_expr(expr)
+                        .iter()
+                        .map(|step| match step {
+                            RelativeStep::Parent => Step::Parent,
+                            RelativeStep::SelfNode => Step::SelfNode,
+                            RelativeStep::Child(label) => Step::Child(symbols.get(label)),
+                        })
+                        .collect(),
+                ),
             })
             .collect();
-        CompiledKey { key: self, collection, parts, document: None, absolute: Vec::new() }
+        CompiledKey {
+            key: self,
+            collection,
+            parts,
+            document: None,
+            absolute: Vec::new(),
+            frontier: Vec::new(),
+            next: Vec::new(),
+        }
     }
 
     /// Verifies that the key uniquely identifies every node in `nodes`
@@ -165,20 +198,20 @@ impl RelativeKey {
     /// violations found; an empty vector means the key is valid.
     pub fn verify(&self, collection: &Collection, nodes: &[NodeId]) -> Vec<KeyViolation> {
         let mut violations = Vec::new();
-        let mut seen: std::collections::HashMap<KeyValues, NodeId> =
+        let mut seen: std::collections::HashMap<Vec<u32>, NodeId> =
             std::collections::HashMap::new();
         let mut compiled = self.compile(collection);
+        let mut columns = self.dictionaries();
+        let mut codes = Vec::with_capacity(self.len());
         for &node in nodes {
-            match compiled.evaluate(node) {
-                Ok(values) => {
-                    if let Some(&previous) = seen.get(&values) {
-                        if previous != node {
-                            violations.push(KeyViolation::DuplicateKey { values: values.clone() });
-                        }
-                    } else {
-                        seen.insert(values, node);
-                    }
-                }
+            codes.clear();
+            match compiled.encode(node, &mut columns, &mut codes) {
+                Ok(()) => match seen.get(&codes) {
+                    Some(&previous) if previous != node => violations
+                        .push(KeyViolation::DuplicateKey { values: decode(&columns, &codes) }),
+                    Some(_) => {}
+                    None => drop(seen.insert(codes.clone(), node)),
+                },
                 Err(v) => violations.push(v),
             }
         }
@@ -186,20 +219,40 @@ impl RelativeKey {
     }
 }
 
+/// The key values a row of codes stands for.
+fn decode(columns: &[Dictionary<'_>], codes: &[u32]) -> KeyValues {
+    columns.iter().zip(codes).map(|(column, &code)| column.value(code).to_string()).collect()
+}
+
 /// One key part resolved against a collection.
 #[derive(Debug)]
 enum CompiledPart {
-    /// The interned path; `None` for a path no node of the collection has.
-    Absolute(Option<PathId>),
-    /// The parsed steps.
-    Relative(Vec<RelativeStep>),
+    /// The root element's label and the child steps below it; `None` for a
+    /// path no node of the collection can have (a label no element carries,
+    /// or no label at all).
+    Absolute(Option<(Symbol, Vec<Step>)>),
+    /// The steps from the keyed node.
+    Relative(Vec<Step>),
+}
+
+/// A [`RelativeStep`] with its label resolved.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// `..`
+    Parent,
+    /// `.`
+    SelfNode,
+    /// A label; `None` for one no element of the collection carries.
+    Child(Option<Symbol>),
 }
 
 /// A [`RelativeKey`] resolved against one collection
-/// ([`RelativeKey::compile`]).  Besides the resolved parts it remembers what
-/// the absolute parts match in the document evaluated last, so nodes that
-/// arrive grouped by document (as sorted fact instances do) cost one pass
-/// over each document instead of one per node and part.
+/// ([`RelativeKey::compile`]).  It encodes a node's key as one id per part
+/// from that part's [`Dictionary`], and remembers what the absolute parts
+/// encode to in the document evaluated last: nodes that arrive grouped by
+/// document (as sorted fact instances do) resolve and intern each absolute
+/// part once per document, by descending from the root along the path's
+/// labels.  Nothing is allocated per node but a value new to a dictionary.
 #[derive(Debug)]
 pub(crate) struct CompiledKey<'a> {
     key: &'a RelativeKey,
@@ -207,14 +260,25 @@ pub(crate) struct CompiledKey<'a> {
     parts: Vec<CompiledPart>,
     /// The document `absolute` describes.
     document: Option<DocId>,
-    /// Per key part: how many nodes of `document` an absolute part matches,
-    /// and the first of them; unused for relative parts.
-    absolute: Vec<(usize, u32)>,
+    /// Per key part: an absolute part's value id in `document`, or how many
+    /// nodes it matched when that is not one; unused for relative parts.
+    absolute: Vec<Result<u32, usize>>,
+    /// Scratch frontiers of the descents and relative steps.
+    frontier: Vec<u32>,
+    next: Vec<u32>,
 }
 
-impl CompiledKey<'_> {
-    /// What [`RelativeKey::evaluate`] returns for `node`.
-    pub(crate) fn evaluate(&mut self, node: NodeId) -> Result<KeyValues, KeyViolation> {
+impl<'a> CompiledKey<'a> {
+    /// Appends `node`'s key to `codes`, one id per part from the part's
+    /// dictionary in `columns`, or returns the first violation, leaving
+    /// `codes` as it was.  `columns` must be the same dictionaries on every
+    /// call: the absolute parts' ids are remembered per document.
+    pub(crate) fn encode(
+        &mut self,
+        node: NodeId,
+        columns: &mut [Dictionary<'a>],
+        codes: &mut Vec<u32>,
+    ) -> Result<(), KeyViolation> {
         let Ok(document) = self.collection.document(node.doc) else {
             return Err(KeyViolation::MissingComponent {
                 expression: "<document>".to_string(),
@@ -224,44 +288,81 @@ impl CompiledKey<'_> {
         if self.document != Some(node.doc) {
             self.document = Some(node.doc);
             self.absolute.clear();
-            self.absolute.resize(self.parts.len(), (0, 0));
-            for (ordinal, data_node) in document.iter() {
-                for (part, matched) in self.parts.iter().zip(&mut self.absolute) {
-                    if matches!(part, CompiledPart::Absolute(Some(path)) if *path == data_node.path)
-                    {
-                        if matched.0 == 0 {
-                            matched.1 = ordinal;
-                        }
-                        matched.0 += 1;
+            for (part, column) in self.parts.iter().zip(columns.iter_mut()) {
+                let root = document.node(document.root()).ok().map(|root| root.name);
+                let (matches, first) = match part {
+                    CompiledPart::Absolute(Some((label, steps))) if root == Some(*label) => {
+                        walk(document, document.root(), steps, &mut self.frontier, &mut self.next)
                     }
-                }
+                    _ => (0, 0),
+                };
+                self.absolute.push(match matches {
+                    1 => Ok(column.intern(document.content_cow(first))),
+                    matches => Err(matches),
+                });
             }
         }
-        let mut values = Vec::with_capacity(self.parts.len());
+        let start = codes.len();
         for (i, part) in self.parts.iter().enumerate() {
-            let (matches, first) = match part {
+            let encoded = match part {
                 CompiledPart::Absolute(_) => self.absolute[i],
                 CompiledPart::Relative(steps) => {
-                    let reached =
-                        document.eval_relative_steps(node.node, steps, self.collection.symbols());
-                    (reached.len(), reached.first().copied().unwrap_or(0))
+                    match walk(document, node.node, steps, &mut self.frontier, &mut self.next) {
+                        (1, reached) => Ok(columns[i].intern(document.content_cow(reached))),
+                        (matches, _) => Err(matches),
+                    }
                 }
             };
-            let expression = || self.key.parts[i].expression().to_string();
-            match matches {
-                0 => return Err(KeyViolation::MissingComponent { expression: expression(), node }),
-                1 => values.push(document.content(first)),
-                matches => {
-                    return Err(KeyViolation::AmbiguousComponent {
-                        expression: expression(),
-                        node,
-                        matches,
-                    })
+            let matches = match encoded {
+                Ok(code) => {
+                    codes.push(code);
+                    continue;
                 }
+                Err(matches) => matches,
+            };
+            codes.truncate(start);
+            let expression = self.key.parts[i].expression().to_string();
+            return Err(match matches {
+                0 => KeyViolation::MissingComponent { expression, node },
+                matches => KeyViolation::AmbiguousComponent { expression, node, matches },
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The nodes `steps` reach from `start`, as
+/// [`Document::eval_relative_steps`] finds them but in the two scratch
+/// frontiers: how many, and the first.  An absolute part is its child steps
+/// from the root.
+fn walk(
+    document: &Document,
+    start: u32,
+    steps: &[Step],
+    frontier: &mut Vec<u32>,
+    next: &mut Vec<u32>,
+) -> (usize, u32) {
+    frontier.clear();
+    frontier.push(start);
+    for step in steps {
+        next.clear();
+        for &current in frontier.iter() {
+            match *step {
+                Step::Parent => next.extend(document.parent(current)),
+                Step::SelfNode => next.push(current),
+                Step::Child(label) => next.extend(
+                    document
+                        .children(current)
+                        .iter()
+                        .filter(|&&child| Some(document.node_unchecked(child).name) == label),
+                ),
             }
         }
-        Ok(values)
+        next.sort_unstable();
+        next.dedup();
+        std::mem::swap(frontier, next);
     }
+    (frontier.len(), frontier.first().copied().unwrap_or(0))
 }
 
 #[cfg(test)]
@@ -408,9 +509,14 @@ mod tests {
         for parts in keys {
             let key = RelativeKey::parse(&parts);
             let mut compiled = key.compile(&c);
+            let mut columns = key.dictionaries();
             for &node in &nodes {
                 let expected = evaluate_uncompiled(&key, &c, node);
-                assert_eq!(compiled.evaluate(node), expected, "{parts:?} at {node:?}");
+                let mut codes = vec![7];
+                let encoded = compiled.encode(node, &mut columns, &mut codes);
+                let values = encoded.map(|()| decode(&columns, &codes[1..]));
+                assert_eq!(values, expected, "{parts:?} at {node:?}");
+                assert_eq!(codes.len(), if expected.is_ok() { 1 + key.len() } else { 1 });
                 assert_eq!(key.evaluate(&c, node), expected, "{parts:?} at {node:?}");
             }
             // Same violations in the same order.

@@ -8,16 +8,15 @@
 //! tool.
 //!
 //! ```
-//! use seda_olap::{aggregate, CubeQuery, FactRow, FactTable};
+//! use seda_olap::{aggregate, CubeQuery, FactTable};
 //!
-//! let table = FactTable {
-//!     name: "pct".into(),
-//!     dimension_columns: vec!["country".into()],
-//!     measure_columns: vec!["pct".into()],
-//!     rows: vec![FactRow { dimensions: vec!["China".into()], measures: vec!["15".into()] }],
-//! };
+//! let rows = [["China", "15"], ["Canada", "16.9"], ["China", "12.5"]];
+//! let table = FactTable::from_rows("pct", &["country"], &["pct"], rows);
+//! // Each column is a sorted dictionary; the rows hold codes into it.
+//! assert_eq!(table.column_values(0), ["Canada", "China"]);
+//! assert_eq!(table.row(1).unwrap().dimension(0), "Canada");
 //! let cube = aggregate(&table, &CubeQuery::sum(&["country"], "pct")).unwrap();
-//! assert_eq!(cube.cell(&["China"]).unwrap().value, 15.0);
+//! assert_eq!(cube.cell(&["China"]).unwrap().value, 15.0 + 12.5);
 //! ```
 
 mod builder;
@@ -44,7 +43,7 @@ mod proptests {
     use seda_xmlstore::{DocId, NodeId};
 
     use crate::cube::{aggregate, AggFn, CubeQuery};
-    use crate::table::{FactRow, FactTable, QueryResultTable};
+    use crate::table::{FactTable, QueryResultTable};
 
     /// The panic message of `f`, if it panics.
     fn panic_message(f: impl FnOnce()) -> Option<String> {
@@ -56,18 +55,8 @@ mod proptests {
     }
 
     fn table_from(rows: &[(u8, u8, f64)]) -> FactTable {
-        FactTable {
-            name: "m".into(),
-            dimension_columns: vec!["a".into(), "b".into()],
-            measure_columns: vec!["m".into()],
-            rows: rows
-                .iter()
-                .map(|(a, b, v)| FactRow {
-                    dimensions: vec![format!("a{a}"), format!("b{b}")],
-                    measures: vec![format!("{v}")],
-                })
-                .collect(),
-        }
+        let rows = rows.iter().map(|(a, b, v)| [format!("a{a}"), format!("b{b}"), format!("{v}")]);
+        FactTable::from_rows("m", &["a", "b"], &["m"], rows)
     }
 
     proptest! {
@@ -172,6 +161,45 @@ mod proptests {
                     prop_assert!(arity_refused(panic_message(taken)));
                 }
             }
+        }
+
+        /// The coded fact table behaves as the string rows it was built
+        /// from: it reads them back in order, its dictionaries are the sorted
+        /// distinct values of its columns, `sort_dedup` sorts and dedups as
+        /// the string rows do, and `dimensions_form_key` agrees with them.
+        #[test]
+        fn the_coded_fact_table_matches_its_string_rows(
+            drawn in proptest::collection::vec(proptest::collection::vec(0u8..5, 3..4), 0..40),
+            dimensions in 0usize..3,
+        ) {
+            // Few distinct values, so duplicates are common; "" among them.
+            let value = |c: usize, v: u8| if v == 0 { String::new() } else { format!("c{c}v{v}") };
+            let nested: Vec<Vec<String>> = drawn
+                .iter()
+                .map(|row| row.iter().enumerate().map(|(c, &v)| value(c, v)).collect())
+                .collect();
+            let names = ["x", "y", "z"];
+            let table = FactTable::from_rows("f", &names[..dimensions], &names[dimensions..], &nested);
+            let strings = |t: &FactTable| -> Vec<Vec<String>> {
+                t.rows().map(|r| r.dimensions().chain(r.measures()).map(String::from).collect()).collect()
+            };
+            prop_assert_eq!(strings(&table), nested.clone());
+            for column in 0..3 {
+                let mut values: Vec<String> = nested.iter().map(|row| row[column].clone()).collect();
+                values.sort();
+                values.dedup();
+                prop_assert_eq!(table.column_values(column), &values[..]);
+            }
+            let keys: std::collections::BTreeSet<&[String]> =
+                nested.iter().map(|row| &row[..dimensions]).collect();
+            prop_assert_eq!(table.dimensions_form_key(), keys.len() == nested.len());
+            let mut sorted = nested.clone();
+            sorted.sort();
+            sorted.dedup();
+            let mut deduped = table.clone();
+            deduped.sort_dedup();
+            prop_assert_eq!(strings(&deduped), sorted.clone());
+            prop_assert_eq!(deduped, FactTable::from_rows("f", &names[..dimensions], &names[dimensions..], &sorted));
         }
 
         /// Slicing on a dimension value never yields more cells than the

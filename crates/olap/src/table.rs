@@ -1,7 +1,15 @@
 //! Tabular building blocks: the full query result R(q), fact tables and
 //! dimension tables.
+//!
+//! Both row tables are flat: R(q) holds `width × rows` node references, a
+//! [`FactTable`] `width × rows` dictionary codes.  A fact table stores each
+//! distinct value of a column once, in the column's sorted dictionary, so
+//! sorting, deduplicating, merging and grouping its rows compare integers in
+//! the strings' order, and a dimension table *is* a column's dictionary —
+//! nothing derivable is stored twice.
 
-use std::collections::BTreeSet;
+use std::borrow::Cow;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -122,7 +130,8 @@ impl QueryResultTable {
 }
 
 /// A dimension table of the derived star schema: the dimension name and its
-/// distinct member values.
+/// distinct member values — the dictionary of the fact-table column it
+/// describes (the union of them, when several fact tables share it).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DimensionTable {
     /// Dimension name (e.g. `country`, `year`, `import-country`).
@@ -132,14 +141,6 @@ pub struct DimensionTable {
 }
 
 impl DimensionTable {
-    /// Builds a dimension table from an iterator of values.
-    pub fn from_values(name: impl Into<String>, values: impl IntoIterator<Item = String>) -> Self {
-        let mut values: Vec<String> = values.into_iter().collect();
-        values.sort();
-        values.dedup();
-        DimensionTable { name: name.into(), values }
-    }
-
     /// Number of distinct members.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -151,38 +152,85 @@ impl DimensionTable {
     }
 }
 
-/// A fact table of the derived star schema.
+/// A fact table of the derived star schema, dictionary-encoded.
+///
+/// Every column — the dimension columns first, then the measure columns — has
+/// one dictionary: its distinct values, sorted.  A cell holds its value's
+/// code, the value's position in the column's dictionary, so comparing two
+/// codes of a column compares their strings.  The rows live in one flat
+/// buffer of codes, row *i* being `codes[i·w..(i+1)·w]` for `w` =
+/// [`FactTable::width`] columns, and are read through [`FactRow`] views.  A
+/// dictionary holds exactly the values its column's rows use, so two tables
+/// with the same rows in the same order are equal.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FactTable {
     /// Name of the fact (or of the merged facts) this table holds.
     pub name: String,
-    /// Names of the dimension (key) columns.
-    pub dimension_columns: Vec<String>,
-    /// Names of the measure columns.
-    pub measure_columns: Vec<String>,
-    /// Rows: dimension values followed by measure values, as strings.
-    pub rows: Vec<FactRow>,
+    dimension_columns: Vec<String>,
+    measure_columns: Vec<String>,
+    /// One sorted, distinct dictionary per column.
+    dictionaries: Vec<Vec<String>>,
+    /// The rows, one after the other: cell `c` of a row is a code of
+    /// `dictionaries[c]`.
+    codes: Vec<u32>,
 }
 
-/// One row of a fact table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FactRow {
-    /// Dimension values, aligned with `dimension_columns`.
-    pub dimensions: Vec<String>,
-    /// Measure values, aligned with `measure_columns` (kept as strings;
-    /// [`FactRow::numeric_measure`] parses them on demand).
-    pub measures: Vec<String>,
+/// One row of a [`FactTable`], borrowed from it: each cell resolves to its
+/// string through the column's dictionary.
+#[derive(Clone, Copy)]
+pub struct FactRow<'a> {
+    table: &'a FactTable,
+    codes: &'a [u32],
 }
 
-impl FactRow {
-    /// Parses measure `i` as a number, tolerating `%`, `,` and unit suffixes
-    /// such as `12.31T` / `924.4B` / `63.1M` (scaled to their numeric value).
-    pub fn numeric_measure(&self, index: usize) -> Option<f64> {
-        parse_numeric(self.measures.get(index)?)
+impl<'a> FactRow<'a> {
+    /// Value of dimension column `i`; panics past the last dimension column.
+    pub fn dimension(&self, i: usize) -> &'a str {
+        let dimensions = self.table.dimension_columns.len();
+        assert!(i < dimensions, "dimension column {i} of a table with {dimensions}");
+        self.cell(i)
+    }
+
+    /// Value of measure column `i`; panics past the last measure column.
+    pub fn measure(&self, i: usize) -> &'a str {
+        self.cell(self.table.dimension_columns.len() + i)
+    }
+
+    /// Measure `i` parsed as [`parse_numeric`] does; `None` past the last
+    /// measure column too.
+    pub fn numeric_measure(&self, i: usize) -> Option<f64> {
+        (i < self.table.measure_columns.len()).then(|| parse_numeric(self.measure(i))).flatten()
+    }
+
+    /// The dimension values, aligned with [`FactTable::dimension_columns`].
+    pub fn dimensions(self) -> impl Iterator<Item = &'a str> {
+        (0..self.table.dimension_columns.len()).map(move |i| self.cell(i))
+    }
+
+    /// The measure values, aligned with [`FactTable::measure_columns`].
+    pub fn measures(self) -> impl Iterator<Item = &'a str> {
+        (self.table.dimension_columns.len()..self.codes.len()).map(move |i| self.cell(i))
+    }
+
+    fn cell(&self, column: usize) -> &'a str {
+        &self.table.dictionaries[column][self.codes[column] as usize]
     }
 }
 
-/// Parses a Factbook-style numeric string.
+impl std::fmt::Debug for FactRow<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FactRow")
+            .field("dimensions", &self.dimensions().collect::<Vec<_>>())
+            .field("measures", &self.measures().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// Parses a Factbook-style numeric string, tolerating `%`, `,` and unit
+/// suffixes such as `12.31T` / `924.4B` / `63.1M` (scaled to their numeric
+/// value).  Anything that is not a finite number — `NaN`, `inf`, an overflow
+/// such as `1e999` — is `None`, like any other non-numeric text, so it cannot
+/// poison an aggregate.
 pub fn parse_numeric(raw: &str) -> Option<f64> {
     let cleaned: String = raw.trim().trim_end_matches('%').replace(',', "").trim().to_string();
     if cleaned.is_empty() {
@@ -195,18 +243,155 @@ pub fn parse_numeric(raw: &str) -> Option<f64> {
         Some('K') | Some('k') => (&cleaned[..cleaned.len() - 1], 1e3),
         _ => (cleaned.as_str(), 1.0),
     };
-    number_part.trim().parse::<f64>().ok().map(|v| v * multiplier)
+    let value = number_part.trim().parse::<f64>().ok()? * multiplier;
+    value.is_finite().then_some(value)
 }
 
 impl FactTable {
+    /// A table over rows of strings — each row its dimension values followed
+    /// by its measure values — kept in the order given; panics on a row whose
+    /// arity differs from the column count.
+    pub fn from_rows<R>(
+        name: impl Into<String>,
+        dimension_columns: &[&str],
+        measure_columns: &[&str],
+        rows: R,
+    ) -> Self
+    where
+        R: IntoIterator,
+        R::Item: IntoIterator,
+        <R::Item as IntoIterator>::Item: AsRef<str>,
+    {
+        let width = dimension_columns.len() + measure_columns.len();
+        // One dictionary entry a cell; `from_codes` sorts and merges them.
+        let mut dictionaries: Vec<Vec<String>> = vec![Vec::new(); width];
+        let mut codes = Vec::new();
+        for row in rows {
+            let start = codes.len();
+            for (column, value) in row.into_iter().enumerate() {
+                assert!(column < width, "row arity must match column count");
+                codes.push(dictionaries[column].len() as u32);
+                dictionaries[column].push(value.as_ref().to_string());
+            }
+            assert_eq!(codes.len() - start, width, "row arity must match column count");
+        }
+        let names = |columns: &[&str]| columns.iter().map(|c| c.to_string()).collect();
+        FactTable::from_codes(
+            name.into(),
+            names(dimension_columns),
+            names(measure_columns),
+            dictionaries,
+            codes,
+        )
+    }
+
+    /// The table over `codes`, laid out row after row, whose column `c` holds
+    /// codes of `dictionaries[c]` — values in any order, perhaps repeated or
+    /// unused.  Keeps the rows in their order, drops the unused values and
+    /// renumbers the rest in value order, equal values to one code.
+    pub(crate) fn from_codes<S: AsRef<str> + Into<String>>(
+        name: String,
+        dimension_columns: Vec<String>,
+        measure_columns: Vec<String>,
+        dictionaries: Vec<Vec<S>>,
+        mut codes: Vec<u32>,
+    ) -> Self {
+        let width = dictionaries.len();
+        debug_assert_eq!(width, dimension_columns.len() + measure_columns.len());
+        let dictionaries = dictionaries
+            .into_iter()
+            .enumerate()
+            .map(|(column, values)| {
+                let mut used = vec![false; values.len()];
+                codes.iter().skip(column).step_by(width).for_each(|&c| used[c as usize] = true);
+                let mut entries: Vec<(S, u32)> =
+                    values.into_iter().zip(0..).filter(|&(_, c)| used[c as usize]).collect();
+                entries.sort_unstable_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
+                let mut rank = vec![0; used.len()];
+                let mut dictionary: Vec<String> = Vec::with_capacity(entries.len());
+                for (value, old) in entries {
+                    if dictionary.last().map(String::as_str) != Some(value.as_ref()) {
+                        dictionary.push(value.into());
+                    }
+                    rank[old as usize] = dictionary.len() as u32 - 1;
+                }
+                codes.iter_mut().skip(column).step_by(width).for_each(|c| *c = rank[*c as usize]);
+                dictionary
+            })
+            .collect();
+        FactTable { name, dimension_columns, measure_columns, dictionaries, codes }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.codes.len() / self.width().max(1)
     }
 
     /// True when the fact table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.codes.is_empty()
+    }
+
+    /// Number of columns, dimensions and measures.
+    pub fn width(&self) -> usize {
+        self.dictionaries.len()
+    }
+
+    /// Names of the dimension (key) columns.
+    pub fn dimension_columns(&self) -> &[String] {
+        &self.dimension_columns
+    }
+
+    /// Names of the measure columns.
+    pub fn measure_columns(&self) -> &[String] {
+        &self.measure_columns
+    }
+
+    /// The rows, in order, each a view borrowed from the table.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = FactRow<'_>> {
+        self.code_rows().map(|codes| FactRow { table: self, codes })
+    }
+
+    /// Row `i`; `None` past the last row.
+    pub fn row(&self, i: usize) -> Option<FactRow<'_>> {
+        self.rows().nth(i)
+    }
+
+    /// The distinct values of column `column` (dimensions first, then
+    /// measures), sorted: the column's dictionary.  Panics past the last
+    /// column.
+    pub fn column_values(&self, column: usize) -> &[String] {
+        &self.dictionaries[column]
+    }
+
+    /// The rows as their codes.
+    pub(crate) fn code_rows(&self) -> std::slice::ChunksExact<'_, u32> {
+        // Without columns there are no codes, so any chunk size is empty.
+        self.codes.chunks_exact(self.width().max(1))
+    }
+
+    /// Sorts the rows — by their codes, which is by their strings — and
+    /// removes duplicates: one stable counting sort of the row order per
+    /// column, the last column first, then one rebuild of the buffer.
+    pub(crate) fn sort_dedup(&mut self) {
+        let width = self.width().max(1);
+        let rows = self.len();
+        let mut order: Vec<u32> = (0..rows as u32).collect();
+        let mut sorted = vec![0; rows];
+        for (column, dictionary) in self.dictionaries.iter().enumerate().rev() {
+            let code = |row: u32| self.codes[row as usize * width + column] as usize;
+            let mut starts = vec![0; dictionary.len() + 1];
+            order.iter().for_each(|&row| starts[code(row) + 1] += 1);
+            (1..starts.len()).for_each(|i| starts[i] += starts[i - 1]);
+            for &row in &order {
+                sorted[starts[code(row)]] = row;
+                starts[code(row)] += 1;
+            }
+            std::mem::swap(&mut order, &mut sorted);
+        }
+        let row = |r: u32| &self.codes[r as usize * width..][..width];
+        order.dedup_by(|a, b| row(*a) == row(*b));
+        self.codes = order.iter().flat_map(|&r| row(r)).copied().collect();
     }
 
     /// Index of a dimension column by name.
@@ -223,28 +408,51 @@ impl FactTable {
     /// all dimension values) — the property the paper's year-augmentation
     /// restores for the Query 1 fact table.
     pub fn dimensions_form_key(&self) -> bool {
-        let mut seen = BTreeSet::new();
-        for row in &self.rows {
-            if !seen.insert(row.dimensions.clone()) {
-                return false;
-            }
-        }
-        true
+        let dimensions = self.dimension_columns.len();
+        let mut seen = HashSet::new();
+        self.code_rows().all(|row| seen.insert(&row[..dimensions]))
     }
 
-    /// Derives the dimension tables of this fact table (one per dimension
-    /// column).
+    /// The dimension tables of this fact table, one per dimension column:
+    /// the column's dictionary.
     pub fn dimension_tables(&self) -> Vec<DimensionTable> {
-        self.dimension_columns
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                DimensionTable::from_values(
-                    name.clone(),
-                    self.rows.iter().map(|r| r.dimensions[i].clone()),
-                )
-            })
+        let columns = self.dimension_columns.iter().zip(&self.dictionaries);
+        columns
+            .map(|(name, values)| DimensionTable { name: name.clone(), values: values.clone() })
             .collect()
+    }
+}
+
+/// The distinct values of one column in first-seen order, each with its id —
+/// the codes of a column before [`FactTable::from_codes`] renumbers them in
+/// value order.  A value borrowed from the collection is interned without a
+/// copy.
+#[derive(Debug, Default)]
+pub(crate) struct Dictionary<'a> {
+    ids: HashMap<Cow<'a, str>, u32>,
+    values: Vec<Cow<'a, str>>,
+}
+
+impl<'a> Dictionary<'a> {
+    /// The id of `value`, interning it when it is new.
+    pub(crate) fn intern(&mut self, value: Cow<'a, str>) -> u32 {
+        if let Some(&id) = self.ids.get(value.as_ref()) {
+            return id;
+        }
+        let id = self.values.len() as u32;
+        self.values.push(value.clone());
+        self.ids.insert(value, id);
+        id
+    }
+
+    /// The value of `id`.
+    pub(crate) fn value(&self, id: u32) -> &str {
+        &self.values[id as usize]
+    }
+
+    /// The values, indexed by id.
+    pub(crate) fn into_values(self) -> Vec<Cow<'a, str>> {
+        self.values
     }
 }
 
@@ -310,13 +518,42 @@ mod tests {
     }
 
     #[test]
-    fn dimension_table_deduplicates_and_sorts() {
-        let d = DimensionTable::from_values(
-            "country",
-            ["China", "Canada", "China"].iter().map(|s| s.to_string()),
-        );
-        assert_eq!(d.values, vec!["Canada", "China"]);
-        assert_eq!(d.len(), 2);
+    fn columns_are_sorted_dictionaries_of_the_values_their_rows_use() {
+        let rows = [["China", "15"], ["Canada", "16.9"], ["China", "12.5"]];
+        let table = FactTable::from_rows("pct", &["country"], &["pct"], rows);
+        assert_eq!(table.column_values(0), ["Canada", "China"]);
+        assert_eq!(table.column_values(1), ["12.5", "15", "16.9"]);
+        // The rows keep their order and read back as strings.
+        let read: Vec<(&str, &str)> =
+            table.rows().map(|r| (r.dimension(0), r.measure(0))).collect();
+        assert_eq!(read, [("China", "15"), ("Canada", "16.9"), ("China", "12.5")]);
+        let dimensions = table.dimension_tables();
+        assert_eq!(dimensions.len(), 1);
+        assert_eq!((dimensions[0].name.as_str(), dimensions[0].len()), ("country", 2));
+        assert_eq!(dimensions[0].values, table.column_values(0));
+    }
+
+    #[test]
+    fn equal_rows_make_equal_tables_whatever_the_dictionaries_held() {
+        let rows = [["b", "1"], ["a", "2"], ["b", "1"]];
+        let built = FactTable::from_rows("f", &["d"], &["m"], rows);
+        // Unused, repeated and out-of-order dictionary entries are dropped,
+        // merged and renumbered.
+        let dictionaries = vec![vec!["z", "b", "a", "b"], vec!["2", "9", "1"]];
+        let (dimensions, measures) = (vec!["d".to_string()], vec!["m".to_string()]);
+        let codes = vec![1, 2, 2, 0, 3, 2];
+        let coded = FactTable::from_codes("f".into(), dimensions, measures, dictionaries, codes);
+        assert_eq!(coded, built);
+        assert_eq!(coded.column_values(0), ["a", "b"]);
+        let mut sorted = coded.clone();
+        sorted.sort_dedup();
+        assert_eq!(sorted, FactTable::from_rows("f", &["d"], &["m"], [["a", "2"], ["b", "1"]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "row arity")]
+    fn a_fact_row_of_the_wrong_arity_panics() {
+        FactTable::from_rows("f", &["d"], &["m"], [vec!["a"]]);
     }
 
     #[test]
@@ -329,42 +566,44 @@ mod tests {
         assert_eq!(parse_numeric("63.1M"), Some(63.1e6));
         assert_eq!(parse_numeric("not a number"), None);
         assert_eq!(parse_numeric(""), None);
+        // What `f64`'s parser takes but is no number to aggregate.
+        for raw in ["NaN", "nan", "inf", "-inf", "Infinity", "1e999", "-1e999", "1e300T"] {
+            assert_eq!(parse_numeric(raw), None, "{raw}");
+        }
     }
 
     #[test]
     fn fact_table_key_detection() {
-        let table = FactTable {
-            name: "percentage".into(),
-            dimension_columns: vec!["country".into(), "import-country".into()],
-            measure_columns: vec!["percentage".into()],
-            rows: vec![
-                FactRow {
-                    dimensions: vec!["United States".into(), "China".into()],
-                    measures: vec!["12.5".into()],
-                },
-                FactRow {
-                    dimensions: vec!["United States".into(), "China".into()],
-                    measures: vec!["13.8".into()],
-                },
-            ],
-        };
+        let rows = [["United States", "China", "12.5"], ["United States", "China", "13.8"]];
+        let table = FactTable::from_rows(
+            "percentage",
+            &["country", "import-country"],
+            &["percentage"],
+            rows,
+        );
         // Without the year dimension the rows collide — the paper's example of
         // "China 12.5%" vs "China 13.8%".
         assert!(!table.dimensions_form_key());
-        let mut with_year = table.clone();
-        with_year.dimension_columns.push("year".into());
-        with_year.rows[0].dimensions.push("2004".into());
-        with_year.rows[1].dimensions.push("2005".into());
+        let rows = [
+            ["United States", "China", "2004", "12.5"],
+            ["United States", "China", "2005", "13.8"],
+        ];
+        let columns = ["country", "import-country", "year"];
+        let with_year = FactTable::from_rows("percentage", &columns, &["percentage"], rows);
         assert!(with_year.dimensions_form_key());
         assert_eq!(with_year.dimension_tables().len(), 3);
-        assert_eq!(with_year.rows[0].numeric_measure(0), Some(12.5));
+        let first = with_year.row(0).unwrap();
+        assert_eq!(first.numeric_measure(0), Some(12.5));
+        assert_eq!(first.numeric_measure(1), None, "past the last measure column");
+        assert_eq!(first.dimensions().collect::<Vec<_>>(), ["United States", "China", "2004"]);
+        assert!(with_year.row(2).is_none());
     }
 
     #[test]
     fn star_schema_lookup() {
         let schema = StarSchema {
             fact_tables: vec![FactTable { name: "f".into(), ..FactTable::default() }],
-            dimension_tables: vec![DimensionTable::from_values("d", vec![])],
+            dimension_tables: vec![DimensionTable { name: "d".into(), values: vec![] }],
         };
         assert!(schema.fact("f").is_some());
         assert!(schema.fact("g").is_none());

@@ -1,5 +1,7 @@
 //! Documents and the programmatic document builder.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::dewey::DeweyId;
@@ -81,6 +83,17 @@ impl Document {
     /// text and all descendant text, in document order, separated by single
     /// spaces.
     pub fn content(&self, ordinal: u32) -> String {
+        self.content_cow(ordinal).into_owned()
+    }
+
+    /// [`Document::content`], borrowed from the document when one piece of
+    /// text makes it up (a leaf's own trimmed text, as most key values and
+    /// measures are) and joined into a new string only when several do.
+    pub fn content_cow(&self, ordinal: u32) -> Cow<'_, str> {
+        let node = &self.nodes[ordinal as usize];
+        if node.children.is_empty() {
+            return Cow::Borrowed(node.text.as_deref().map_or("", str::trim));
+        }
         let mut pieces: Vec<&str> = Vec::new();
         let mut stack = vec![ordinal];
         // Iterative pre-order walk; children are pushed in reverse so they are
@@ -97,7 +110,11 @@ impl Document {
                 stack.push(child);
             }
         }
-        pieces.join(" ")
+        match pieces[..] {
+            [] => Cow::Borrowed(""),
+            [piece] => Cow::Borrowed(piece),
+            _ => Cow::Owned(pieces.join(" ")),
+        }
     }
 
     /// The Dewey ID of a node (the node reference of Sec. 7), derived from
@@ -400,6 +417,10 @@ mod tests {
         assert_eq!(doc.content(first_item), "China 15");
         assert!(doc.content(0).contains("United States"));
         assert!(doc.content(0).contains("16.9"));
+        // One piece of text is borrowed, several are joined.
+        assert!(matches!(doc.content_cow(first_item), Cow::Owned(_)));
+        let leaf = doc.children(first_item)[0];
+        assert!(matches!(doc.content_cow(leaf), Cow::Borrowed("China")));
     }
 
     #[test]

@@ -97,8 +97,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nwarnings: {:?}", build.warnings);
     if let Some(fact) = build.schema.fact("import-trade-percentage") {
         println!("\nfact table {} ({} rows):", fact.name, fact.len());
-        for row in &fact.rows {
-            println!("  {:?} -> {:?}", row.dimensions, row.measures);
+        for row in fact.rows() {
+            let dimensions: Vec<&str> = row.dimensions().collect();
+            println!("  {dimensions:?} -> {:?}", row.measure(0));
         }
     }
     let cube = session.aggregate(

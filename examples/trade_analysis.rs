@@ -76,10 +76,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("\n-- Figure 3(c): fact table (United States rows) --");
     println!("{:<16} {:<6} {:<14} {:>10}", "country", "year", "import-country", "percentage");
-    for row in fact.rows.iter().filter(|r| r.dimensions[0] == "United States") {
+    for row in fact.rows().filter(|r| r.dimension(0) == "United States") {
         println!(
             "{:<16} {:<6} {:<14} {:>10}",
-            row.dimensions[0], row.dimensions[1], row.dimensions[2], row.measures[0]
+            row.dimension(0),
+            row.dimension(1),
+            row.dimension(2),
+            row.measure(0)
         );
     }
     for dim in &build.schema.dimension_tables {

@@ -47,36 +47,22 @@ fn query1_fact_table_contains_the_papers_fixed_rows() {
     let build = engine.build_star_schema(&result, &BuildOptions::default());
 
     let fact = build.schema.fact("import-trade-percentage").expect("fact table derived");
-    assert_eq!(fact.dimension_columns, vec!["country", "year", "import-country"]);
+    assert_eq!(fact.dimension_columns(), ["country", "year", "import-country"]);
     assert!(fact.dimensions_form_key(), "year augmentation must restore the primary key");
 
-    let rows: Vec<(String, String, String, String)> = fact
-        .rows
-        .iter()
-        .map(|r| {
-            (
-                r.dimensions[0].clone(),
-                r.dimensions[1].clone(),
-                r.dimensions[2].clone(),
-                r.measures[0].clone(),
-            )
-        })
+    let rows: Vec<[&str; 4]> = fact
+        .rows()
+        .map(|r| [r.dimension(0), r.dimension(1), r.dimension(2), r.measure(0)])
         .collect();
     // Figure 3(c) rows present in the small corpus (years 2004-2006).
     for expected in [
-        ("United States", "2006", "China", "15"),
-        ("United States", "2006", "Canada", "16.9"),
-        ("United States", "2005", "China", "13.8"),
-        ("United States", "2005", "Mexico", "10.3"),
-        ("United States", "2004", "China", "12.5"),
-        ("United States", "2004", "Mexico", "10.7"),
+        ["United States", "2006", "China", "15"],
+        ["United States", "2006", "Canada", "16.9"],
+        ["United States", "2005", "China", "13.8"],
+        ["United States", "2005", "Mexico", "10.3"],
+        ["United States", "2004", "China", "12.5"],
+        ["United States", "2004", "Mexico", "10.7"],
     ] {
-        let expected = (
-            expected.0.to_string(),
-            expected.1.to_string(),
-            expected.2.to_string(),
-            expected.3.to_string(),
-        );
         assert!(rows.contains(&expected), "missing Figure 3 row {expected:?}");
     }
 

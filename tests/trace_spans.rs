@@ -2,8 +2,8 @@
 //! profiles carry their span trees, and span wall times nest consistently
 //! inside the profile totals.
 
-use seda_core::{EngineConfig, SedaEngine, SedaRequest};
-use seda_olap::Registry;
+use seda_core::{EngineConfig, ResponsePayload, SedaEngine, SedaRequest};
+use seda_olap::{FactTable, Registry};
 use seda_xmlstore::parse_collection;
 
 fn engine_with_parallelism(parallelism: usize) -> SedaEngine {
@@ -81,6 +81,30 @@ fn typed_requests_trace_without_the_parse_span() {
     assert!(names.contains(&"twig-evaluate"), "{names:?}");
     let twig = response.profile.spans.iter().find(|s| s.name == "twig-evaluate").unwrap();
     assert!(twig.counters.nodes_visited > 0, "twig evaluation reports scanned nodes");
+}
+
+#[test]
+fn a_traced_cube_counts_the_fact_rows_it_derived_and_scanned() {
+    let e = engine_with_parallelism(1);
+    let mut reader = e.reader();
+    reader.set_tracing(true);
+    let response = reader
+        .execute_text(
+            "CUBE import-trade-percentage BY import-country AGG sum \
+             FOR (trade_country, *) AND (percentage, *) \
+             WITH 0 IN /country/economy/import_partners/item/trade_country \
+             WITH 1 IN /country/economy/import_partners/item/percentage",
+        )
+        .unwrap();
+    let ResponsePayload::Cube { build, cube } = &response.payload else {
+        panic!("a cube payload: {:?}", response.payload)
+    };
+    let span = |name: &str| response.profile.spans.iter().find(|s| s.name == name).unwrap();
+    let derived: usize = build.schema.fact_tables.iter().map(FactTable::len).sum();
+    assert_eq!(derived, 1, "the one US import item");
+    assert_eq!(span("derive-star-schema").counters.rows, derived);
+    assert_eq!(span("aggregate").counters.rows, cube.rows_scanned);
+    assert!(span("derive-star-schema").counters.render().contains("rows=1"));
 }
 
 #[test]
