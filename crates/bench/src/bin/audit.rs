@@ -21,10 +21,10 @@
 
 use std::process::ExitCode;
 
-use seda_core::seda_dataguide::DataGuideSet;
 use seda_core::trace::span;
 use seda_core::{EngineConfig, SedaEngine, Stopwatch};
 use seda_datagen::Dataset;
+use seda_dataguide::DataGuideSet;
 use seda_olap::Registry;
 
 /// The corpus scale named by the first argument (default `0.1`).

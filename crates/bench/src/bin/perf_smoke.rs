@@ -18,12 +18,12 @@ use seda_bench::{
     twig_scan_verdict, twig_statement_verdict, BASE_ITEMS, BROAD_TOPK, CUBE_CLAUSE, PAIR_QUERY,
     SCALED_ITEMS, SELECTIVE_TOPK, TWIG_PATH,
 };
-use seda_core::seda_textindex::{terms, ContextIndex, CountStorage, NodeIndex};
-use seda_core::seda_topk::{SearchLimits, SearchScratch, TopKConfig, TopKSearcher};
-use seda_core::seda_twigjoin::{evaluate_twig, TwigPattern};
 use seda_core::{EngineConfig, RequestContext, SedaEngine, SedaReader, SedaRequest, SedaResponse};
 use seda_datagen::Dataset;
 use seda_olap::Registry;
+use seda_textindex::{terms, ContextIndex, CountStorage, NodeIndex};
+use seda_topk::{SearchLimits, SearchScratch, TopKConfig, TopKSearcher};
+use seda_twigjoin::{evaluate_twig, TwigPattern};
 
 /// Measures the nine gates and prints each verdict; `Ok(false)` when any failed.
 fn run() -> Result<bool, String> {

@@ -51,10 +51,10 @@
 
 use std::time::{Duration, Instant};
 
-use seda_core::seda_topk::TermInput;
 use seda_core::{Budget, EngineConfig, RequestContext, SedaEngine, SedaQuery};
 use seda_datagen::{googlebase, Dataset, GoogleBaseConfig};
 use seda_olap::Registry;
+use seda_topk::TermInput;
 
 /// The broad request both gates time: three terms, two of them match-all, so
 /// every document contributes postings and the rank join does all the work.

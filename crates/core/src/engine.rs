@@ -23,10 +23,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-use seda_datagraph::{
-    is_connected_with, pin, shortest_path_with, DataGraph, GraphConfig, TraversalScratch, MAX_DEPTH,
+use seda_datagraph::{is_connected_with, pin, DataGraph, GraphConfig, TraversalScratch, MAX_DEPTH};
+use seda_dataguide::{
+    connection_signature, discover_connections, Connection, DataGuideSet, DataGuideStats,
 };
-use seda_dataguide::{discover_connections, Connection, DataGuideSet, DataGuideStats};
 use seda_olap::{BuildOptions, QueryResultTable, Registry, StarSchemaBuild, StarSchemaBuilder};
 use seda_textindex::{ContextIndex, CountStorage, FullTextQuery, NodeIndex};
 use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch};
@@ -39,7 +39,7 @@ use crate::faults;
 use crate::govern::{RequestContext, Stopwatch};
 use crate::metrics::{names, MetricsRegistry};
 use crate::parallel::{effective_parallelism, panic_message};
-use crate::query::{ContextSpec, SedaQuery};
+use crate::query::SedaQuery;
 use crate::summaries::{ConnectionSummary, ContextBucket, ContextSelections, ContextSummary};
 use crate::trace::{span, SpanRecord, Tracer};
 
@@ -58,18 +58,17 @@ pub struct EngineConfig {
     /// Dataguide merge threshold of [`SedaEngine::dataguide_stats`] (the
     /// paper uses 40%).
     pub dataguide_threshold: f64,
-    /// Top-k search configuration.  Its `max_depth` may not exceed
-    /// [`MAX_DEPTH`] ([`SedaEngine::build`] refuses the configuration).
+    /// Top-k search configuration.  Its `max_depth` is the engine's one
+    /// connectivity bound: the hops a top-k tuple, a discovered connection,
+    /// the cross-root join and the connection filter may span.  It may not
+    /// exceed [`MAX_DEPTH`] ([`SedaEngine::build`] refuses the
+    /// configuration).
     pub topk: TopKConfig,
     /// Data-graph construction configuration (ID/IDREF conventions,
     /// value-based key specs).
     pub graph: GraphConfig,
     /// Count storage of the context index (Fig. 8 design choice).
     pub count_storage: CountStorage,
-    /// Maximum number of hops considered when discovering connections and
-    /// verifying them in the complete-result generator; at most
-    /// [`MAX_DEPTH`] ([`SedaEngine::build`] refuses the configuration).
-    pub connection_max_depth: usize,
     /// Upper bound on the number of complete-result tuples materialised by
     /// the fallback graph-enumeration path.
     pub complete_result_limit: usize,
@@ -88,7 +87,6 @@ impl Default for EngineConfig {
             topk: TopKConfig::default(),
             graph: GraphConfig::default(),
             count_storage: CountStorage::DocumentStore,
-            connection_max_depth: 12,
             complete_result_limit: 500_000,
             parallelism: 1,
         }
@@ -184,9 +182,8 @@ impl SedaEngine {
     /// [`SedaEngine::build_profile`].
     ///
     /// Fails with [`SedaError::Limit`] (resource `"connection depth"`) when
-    /// `config.topk.max_depth` or `config.connection_max_depth` exceeds
-    /// [`MAX_DEPTH`], the deepest bound the connectivity oracle answers
-    /// exactly.
+    /// `config.topk.max_depth` exceeds [`MAX_DEPTH`], the deepest bound the
+    /// connectivity oracle answers exactly.
     pub fn build(
         collection: Collection,
         registry: Registry,
@@ -222,14 +219,12 @@ impl SedaEngine {
         registry: Registry,
         config: EngineConfig,
     ) -> Result<Self, SedaError> {
-        for depth in [config.topk.max_depth, config.connection_max_depth] {
-            if depth > MAX_DEPTH {
-                return Err(SedaError::Limit {
-                    resource: "connection depth",
-                    spent: depth,
-                    budget: MAX_DEPTH,
-                });
-            }
+        if config.topk.max_depth > MAX_DEPTH {
+            return Err(SedaError::Limit {
+                resource: "connection depth",
+                spent: config.topk.max_depth,
+                budget: MAX_DEPTH,
+            });
         }
         let build_start = Stopwatch::start();
         let threads = if effective_parallelism(config.parallelism) >= 2 { 2 } else { 1 };
@@ -463,51 +458,20 @@ impl SedaEngine {
     }
 
     /// Computes the context summary of a query (Sec. 5): one bucket per term
-    /// with all distinct paths the term appears in, across the whole
-    /// collection, sorted by absolute path frequency.
+    /// with the distinct paths the term's search matches across the whole
+    /// collection — restricted to the paths its own context allows, the
+    /// paths its `TOPK` can match — sorted by absolute path frequency.
     pub fn context_summary(&self, query: &SedaQuery) -> ContextSummary {
-        let mut buckets = Vec::with_capacity(query.terms.len());
-        for (i, term) in query.terms.iter().enumerate() {
-            let entries = match &term.context {
-                ContextSpec::Any => self.context_index.context_bucket(&term.search),
-                ContextSpec::Path(path) => {
-                    // Probe with the last tag name of the path in conjunction
-                    // with the search query.
-                    let tag = path.rsplit('/').next().unwrap_or_default();
-                    self.context_index.context_bucket_with_tag(&self.collection, &term.search, tag)
-                }
-                ContextSpec::Tag(tag) => {
-                    if tag.contains('*') {
-                        // Wildcard tag: fall back to filtering the plain
-                        // bucket by the allowed paths of the spec.
-                        let allowed =
-                            term.context.allowed_paths(&self.collection).unwrap_or_default();
-                        self.context_index
-                            .context_bucket(&term.search)
-                            .into_iter()
-                            .filter(|e| allowed.contains(&e.path))
-                            .collect()
-                    } else {
-                        self.context_index.context_bucket_with_tag(
-                            &self.collection,
-                            &term.search,
-                            tag,
-                        )
-                    }
-                }
-                ContextSpec::Disjunction(_) => {
-                    let allowed = term.context.allowed_paths(&self.collection);
-                    let bucket = self.context_index.context_bucket(&term.search);
-                    match allowed {
-                        Some(paths) => {
-                            bucket.into_iter().filter(|e| paths.contains(&e.path)).collect()
-                        }
-                        None => bucket,
-                    }
-                }
-            };
-            buckets.push(ContextBucket { term: i, label: term.label(), entries });
-        }
+        let buckets = query
+            .terms
+            .iter()
+            .enumerate()
+            .map(|(i, term)| {
+                let allowed = term.context.allowed_paths(&self.collection);
+                let entries = self.context_index.context_bucket(&term.search, allowed.as_deref());
+                ContextBucket { term: i, label: term.label(), entries }
+            })
+            .collect();
         ContextSummary { buckets }
     }
 
@@ -528,7 +492,7 @@ impl SedaEngine {
             &self.collection,
             &self.graph,
             &tuples,
-            self.config.connection_max_depth,
+            self.config.topk.max_depth,
             traversal,
             proceed,
         );
@@ -691,7 +655,7 @@ impl SedaEngine {
     /// All paths whose nodes can satisfy a search query (used when a term has
     /// neither a context spec nor a selection).
     fn paths_matching_search(&self, search: &FullTextQuery) -> Vec<PathId> {
-        self.context_index.context_bucket(search).into_iter().map(|e| e.path).collect()
+        self.context_index.context_bucket(search, None).into_iter().map(|e| e.path).collect()
     }
 
     /// Evaluates one concrete combination of per-term contexts via a twig
@@ -896,7 +860,7 @@ impl SedaEngine {
         if candidates.iter().any(Vec::is_empty) {
             return Ok(Vec::new());
         }
-        let max_depth = self.config.connection_max_depth;
+        let max_depth = self.config.topk.max_depth;
         let limit = self.config.complete_result_limit;
         let traversal = scratch.traversal_mut();
         let probes_before = traversal.label_probes - out.label_probes;
@@ -970,7 +934,8 @@ impl SedaEngine {
 
     /// Checks the selected-connection constraint for one result row: every
     /// pair of nodes whose contexts are the endpoints of some selected
-    /// connection must be related by one of the selected signatures.
+    /// connection must be related by one of the selected signatures (the
+    /// pair's [`connection_signature`], as discovery takes it).
     fn row_satisfies_connections(
         &self,
         nodes: &[NodeId],
@@ -994,22 +959,16 @@ impl SedaEngine {
                 if relevant.is_empty() {
                     continue;
                 }
-                let Some(hops) = shortest_path_with(
+                let Some((signature, _)) = connection_signature(
+                    &self.collection,
                     &self.graph,
                     scratch.traversal_mut(),
                     nodes[i],
                     nodes[j],
-                    self.config.connection_max_depth,
+                    self.config.topk.max_depth,
                 ) else {
                     return false;
                 };
-                let mut signature = vec![pa];
-                for hop in &hops {
-                    match self.collection.context(hop.node) {
-                        Ok(p) => signature.push(p),
-                        Err(_) => return false,
-                    }
-                }
                 let reversed: Vec<PathId> = signature.iter().rev().copied().collect();
                 let matched =
                     relevant.iter().any(|c| c.signature == signature || c.signature == reversed);
@@ -1146,10 +1105,9 @@ mod tests {
     /// configuration may ask for that much and no more.
     #[test]
     fn build_refuses_depth_bounds_past_the_labels() {
-        let build = |topk_depth: usize, connection_max_depth: usize| {
+        let build = |max_depth: usize| {
             let config = EngineConfig {
-                topk: TopKConfig { max_depth: topk_depth, ..TopKConfig::default() },
-                connection_max_depth,
+                topk: TopKConfig { max_depth, ..TopKConfig::default() },
                 ..EngineConfig::default()
             };
             let collection = parse_collection(vec![("a.xml", "<a><b>x</b><c>y</c></a>")]).unwrap();
@@ -1157,9 +1115,9 @@ mod tests {
         };
         let request = crate::SedaRequest::parse("CONNECTIONS 5 FOR (b, *) AND (c, *)").unwrap();
         let answer = |e: SedaEngine| e.reader().execute(&request).unwrap().payload;
-        assert_eq!(answer(build(MAX_DEPTH, MAX_DEPTH).unwrap()), answer(build(12, 12).unwrap()));
-        for (topk, connection) in [(MAX_DEPTH + 1, 12), (12, MAX_DEPTH + 1), (usize::MAX, 0)] {
-            let err = build(topk, connection).err();
+        assert_eq!(answer(build(MAX_DEPTH).unwrap()), answer(build(12).unwrap()));
+        for depth in [MAX_DEPTH + 1, usize::MAX] {
+            let err = build(depth).err();
             assert!(
                 matches!(
                     err,
@@ -1168,6 +1126,38 @@ mod tests {
                 "{err:?}"
             );
         }
+    }
+
+    /// A term's bucket lists only the contexts its own context allows — the
+    /// contexts its `TOPK` can match — not every path sharing the leaf tag.
+    #[test]
+    fn context_summary_honours_the_terms_own_context() {
+        let collection = parse_collection(vec![
+            ("us.xml", "<country><name>United States</name></country>"),
+            ("pacific.xml", "<sea><name>Pacific Ocean</name></sea>"),
+        ])
+        .unwrap();
+        let e = SedaEngine::build(collection, Registry::new(), EngineConfig::default()).unwrap();
+        let contexts = |text: &str| {
+            let summary = e.context_summary(&SedaQuery::parse(text).unwrap());
+            let paths = summary.buckets[0].paths();
+            paths.iter().map(|&p| e.collection().path_string(p)).collect::<Vec<_>>()
+        };
+        assert_eq!(contexts("(/country/name, *)"), ["/country/name"]);
+        assert_eq!(contexts("(/sea/name|/country/name, *)"), ["/country/name", "/sea/name"]);
+        assert_eq!(contexts("(name, *)"), ["/country/name", "/sea/name"]);
+        assert_eq!(contexts("(na*, ocean)"), ["/sea/name"]);
+        assert!(contexts("(/country, *)").is_empty(), "the root holds no text");
+        let mut reader = e.reader();
+        let topk = reader.execute_text("TOPK 10 FOR (/country/name, *)").unwrap();
+        let matched: Vec<String> = topk
+            .top_k()
+            .unwrap()
+            .tuples
+            .iter()
+            .map(|t| e.collection().context_string(t.nodes[0]).unwrap())
+            .collect();
+        assert_eq!(matched, ["/country/name"]);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! Threshold-Algorithm top-k unit), [`seda_twigjoin`] (complete-result twig
 //! evaluation) and [`seda_olap`] (facts, dimensions, star schemas, cubes).
 //! The engine itself holds three index substrates over the store: the node
-//! index, the context index and the data graph.
+//! index, the context index and the data graph.  This crate does not
+//! re-export the substrate crates: depend on the ones you name, or on the
+//! `seda` umbrella crate, which re-exports each of them once.
 //!
 //! # The unified query facade
 //!
@@ -93,16 +95,6 @@ pub use response::{ExecProfile, ResponsePayload, SedaResponse};
 pub use session::{SedaSession, SessionStage};
 pub use summaries::{ConnectionSummary, ContextBucket, ContextSelections, ContextSummary};
 pub use trace::{SpanCounters, SpanRecord, Tracer};
-
-// Re-export the crates a downstream application typically needs alongside the
-// engine, so `seda-core` works as a single entry point.
-pub use seda_datagraph;
-pub use seda_dataguide;
-pub use seda_olap;
-pub use seda_textindex;
-pub use seda_topk;
-pub use seda_twigjoin;
-pub use seda_xmlstore;
 
 #[cfg(test)]
 mod proptests {

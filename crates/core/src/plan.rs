@@ -21,19 +21,6 @@ use crate::query::SedaQuery;
 use crate::request::{SedaRequest, Statement};
 use crate::summaries::ContextSelections;
 
-/// Drops repeated paths, keeping first occurrences in order: a repeated path
-/// in a selection names the same context once, and the surviving order is the
-/// enumeration order of the complete-result combinations.
-fn dedup_in_order(paths: impl IntoIterator<Item = PathId>) -> Vec<PathId> {
-    let mut unique = Vec::new();
-    for path in paths {
-        if !unique.contains(&path) {
-            unique.push(path);
-        }
-    }
-    unique
-}
-
 /// One step of a [`QueryPlan`], in execution order.
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq)]
@@ -274,7 +261,7 @@ impl SedaEngine {
             if term >= query.len() {
                 return Err(SedaError::UnknownTerm { term, terms: query.len() });
             }
-            selections.select(term, dedup_in_order(paths.iter().copied()));
+            selections.select(term, paths.to_vec());
         }
         for (term, paths) in &request.path_selections {
             if *term >= query.len() {
@@ -282,7 +269,7 @@ impl SedaEngine {
             }
             let resolved: Vec<PathId> =
                 paths.iter().map(|p| self.resolve_path(p)).collect::<Result<_, _>>()?;
-            selections.select(*term, dedup_in_order(resolved));
+            selections.select(*term, resolved);
         }
 
         // Per-term contexts are resolved exactly once per plan: as search
@@ -305,9 +292,8 @@ impl SedaEngine {
                     candidate_limit: plan.topk.candidate_limit,
                 });
                 if matches!(statement, Statement::ConnectionSummary { .. }) {
-                    plan.steps.push(PlanStep::DiscoverConnections {
-                        max_depth: config.connection_max_depth,
-                    });
+                    plan.steps
+                        .push(PlanStep::DiscoverConnections { max_depth: config.topk.max_depth });
                 }
             }
             Statement::ContextSummary => {
@@ -326,7 +312,7 @@ impl SedaEngine {
                 plan.steps.push(PlanStep::EnumerateCombinations { combinations });
                 plan.steps.push(PlanStep::TwigEvaluate { pattern_nodes: 0, outputs: 0 });
                 plan.steps.push(PlanStep::GraphJoin {
-                    max_depth: config.connection_max_depth,
+                    max_depth: config.topk.max_depth,
                     limit: config.complete_result_limit,
                 });
                 if let Statement::Cube { fact, group_by, agg, measure } = statement {

@@ -648,7 +648,7 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use seda_olap::Registry;
-    use seda_xmlstore::parse_collection;
+    use seda_xmlstore::{parse_collection, PathId};
 
     fn engine() -> SedaEngine {
         let collection = parse_collection(vec![
@@ -833,7 +833,8 @@ mod tests {
         let mut reader = e.reader();
         let q = "(trade_country, *) AND (percentage, *)";
         let p = "/country/economy/import_partners/item/trade_country";
-        let rest = "WITH 1 IN /country/economy/import_partners/item/percentage";
+        let pct = "/country/economy/import_partners/item/percentage";
+        let rest = format!("WITH 1 IN {pct}");
         for shape in ["RESULTS", "CUBE import-trade-percentage BY import-country", "TOPK 5"] {
             let once = reader.execute_text(&format!("{shape} FOR {q} WITH 0 IN {p} {rest}"));
             let twice = reader.execute_text(&format!("{shape} FOR {q} WITH 0 IN {p}|{p} {rest}"));
@@ -841,6 +842,19 @@ mod tests {
             assert_eq!(twice.payload, once.payload, "{shape}");
             assert_eq!(once.profile.rows, 1, "{shape}");
         }
+
+        // The typed step: the selection itself keeps the path once.
+        let query = SedaQuery::parse(q).unwrap();
+        let path = |text: &str| e.collection().paths().get_str(e.collection().symbols(), text);
+        let (p, pct) = (path(p).unwrap(), path(pct).unwrap());
+        let mut answer = |paths: Vec<PathId>| {
+            let mut selections = ContextSelections::none();
+            selections.select(0, paths).select(1, vec![pct]);
+            reader.complete_results(&query, &selections, &[])
+        };
+        let once = answer(vec![p]).unwrap();
+        assert_eq!(once.len(), 1);
+        assert_eq!(answer(vec![p, p]).unwrap(), once);
     }
 
     #[test]

@@ -104,10 +104,18 @@ impl ContextSelections {
     }
 
     /// Selects the given contexts for a term (replacing earlier selections
-    /// for that term).
+    /// for that term).  A repeated path names the same context once: the
+    /// first occurrences are kept, in order — the order the complete-result
+    /// generator enumerates context combinations in.
     pub fn select(&mut self, term: usize, paths: Vec<PathId>) -> &mut Self {
+        let mut unique = Vec::with_capacity(paths.len());
+        for path in paths {
+            if !unique.contains(&path) {
+                unique.push(path);
+            }
+        }
         self.selections.retain(|(t, _)| *t != term);
-        self.selections.push((term, paths));
+        self.selections.push((term, unique));
         self
     }
 

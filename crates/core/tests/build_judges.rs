@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use seda_core::{EngineConfig, SedaEngine};
-use seda_datagraph::{DataGraph, EdgeKind, GraphConfig, ValueKeySpec};
+use seda_datagraph::{DataGraph, Edge, EdgeKind, GraphConfig, ValueKeySpec};
 use seda_dataguide::DataGuideSet;
 use seda_olap::Registry;
 use seda_xmlstore::{Collection, DocId, NodeId, NodeKind, PathId};
@@ -205,7 +205,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// `DataGraph::build` lists, node by node, exactly the neighbours the
-    /// nested-loop derivation expects, in the same order.
+    /// nested-loop derivation expects, in the same order, and `edges()`
+    /// lists exactly its cross edges.
     #[test]
     fn data_graph_build_matches_the_nested_loop_edges(docs in arb_docs()) {
         let c = random_collection(&docs);
@@ -216,6 +217,16 @@ proptest! {
         for n in all_nodes(&c) {
             prop_assert_eq!(graph.neighbors(n), expected_neighbours(&c, n, &edges), "{:?}", n);
         }
+        // Each edge once, oriented from < to, sorted by its endpoints (ties
+        // in edge order); a self-loop has no such orientation and is not
+        // listed.
+        let mut oriented: Vec<Edge> = edges
+            .iter()
+            .filter(|(from, to, _)| from != to)
+            .map(|&(a, b, kind)| Edge { from: a.min(b), to: a.max(b), kind })
+            .collect();
+        oriented.sort_by_key(|e| (e.from, e.to));
+        prop_assert_eq!(graph.edges(), oriented);
     }
 
     /// `DataGuideSet::build` forms the guides, the coverage and the

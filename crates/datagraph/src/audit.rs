@@ -5,9 +5,9 @@
 //!
 //! | class | invariant |
 //! |---|---|
-//! | `csr-offsets` | every CSR offset array is monotone, starts at 0, ends at its arena length, targets in-bounds; the label offsets cover every node, or none without a cross edge |
-//! | `cross-symmetry` | every cross edge is stored under both endpoints with the same kind |
-//! | `component-partition` | `doc_component` equals the dense union-find closure of the cross edges |
+//! | `csr-offsets` | the document, adjacency and label offset arrays are monotone, start at 0 and end at their arena lengths; adjacency targets are in bounds, and the adjacency holds two cross entries (non-parent-child neighbours) per cross edge; the label offsets cover every node, or none without a cross edge |
+//! | `cross-symmetry` | every cross entry of the adjacency is mirrored under its other endpoint with the same kind |
+//! | `component-partition` | `doc_component` equals the dense union-find closure of the adjacency's cross entries |
 //! | `tree-parent` | every non-root node of a document no cross edge touches lists first in its adjacency a parent-child neighbour at a smaller dense index of the same document, whose adjacency lists the node as its child — the parent a distance walk steps to |
 //! | `labels-sorted` | per-node label keys strictly ascending (sorted and deduped); the hub-document bit covers every document and is set exactly where a node of the document has a cross edge |
 //! | `labels-bounded` | label distances never exceed [`crate::MAX_DEPTH`] |
@@ -17,13 +17,11 @@
 //! The violation type lives in [`seda_xmlstore::audit`]; see there for the
 //! catalog conventions.
 
-use std::collections::HashMap;
-
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
 use seda_xmlstore::{DocId, NodeId};
 
 use crate::connectivity::{MAX_DEPTH, NO_ENTRY};
-use crate::graph::{DataGraph, EdgeKind};
+use crate::graph::{doc_components, DataGraph, EdgeKind};
 use crate::traversal::TraversalScratch;
 
 const SUBSTRATE: &str = "datagraph";
@@ -71,10 +69,9 @@ fn check_offsets(
 }
 
 impl DataGraph {
-    /// Verifies the frozen graph: CSR well-formedness of both adjacency
-    /// arenas, cross-edge symmetry, the document component partition, the
-    /// parent links the tree documents' distance walk reads, and the hub
-    /// labels' invariants.
+    /// Verifies the frozen graph: CSR well-formedness, cross-edge symmetry,
+    /// the document component partition, the parent links the tree
+    /// documents' distance walk reads, and the hub labels' invariants.
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
         if self.doc_offsets.is_empty() {
@@ -87,23 +84,17 @@ impl DataGraph {
 
         let doc_ok =
             check_offsets(&mut violations, "doc_offsets", &self.doc_offsets, docs + 1, node_count);
-        let adj_ok = check_offsets(
+        let mut adj_ok = check_offsets(
             &mut violations,
             "adj_offsets",
             &self.adj_offsets,
             node_count + 1,
             self.adj_targets.len(),
         );
-        let cross_ok = check_offsets(
-            &mut violations,
-            "cross_offsets",
-            &self.cross_offsets,
-            node_count + 1,
-            self.cross_targets.len(),
-        );
         if adj_ok {
             for (i, &(target, _)) in self.adj_targets.iter().enumerate() {
                 if target as usize >= node_count {
+                    adj_ok = false;
                     violations.push(InvariantViolation::new(
                         SUBSTRATE,
                         "csr-offsets",
@@ -112,115 +103,74 @@ impl DataGraph {
                 }
             }
         }
-        if cross_ok && doc_ok {
-            if self.cross_targets.len() != self.edge_count * 2 {
-                violations.push(InvariantViolation::new(
-                    SUBSTRATE,
-                    "csr-offsets",
-                    format!(
-                        "{} cross targets for {} undirected edges",
-                        self.cross_targets.len(),
-                        self.edge_count
-                    ),
-                ));
-            }
-            self.verify_cross_symmetry(&mut violations);
-            self.verify_components(&mut violations, docs);
-        }
+        let mut touched = None;
         if doc_ok && adj_ok {
+            touched = Some(self.verify_cross_edges(&mut violations, docs));
             self.verify_tree_parents(&mut violations, docs);
         }
         if doc_ok {
-            self.verify_labels(&mut violations, docs, cross_ok, adj_ok);
+            self.verify_labels(&mut violations, docs, touched.as_deref());
         }
         finish(violations)
     }
 
-    fn cross_range(&self, dense: usize) -> &[(NodeId, EdgeKind)] {
-        &self.cross_targets
-            [self.cross_offsets[dense] as usize..self.cross_offsets[dense + 1] as usize]
-    }
-
-    fn verify_cross_symmetry(&self, violations: &mut Vec<InvariantViolation>) {
-        for dense in 0..self.node_count() {
-            let from = self.node_id(dense as u32);
-            for &(to, kind) in self.cross_range(dense) {
-                let Some(to_dense) = self.dense(to) else {
-                    violations.push(InvariantViolation::new(
-                        SUBSTRATE,
-                        "cross-symmetry",
-                        format!("cross edge {from:?} -> {to:?} targets a node outside the graph"),
-                    ));
-                    continue;
-                };
-                let mirrored = self
-                    .cross_range(to_dense as usize)
-                    .iter()
-                    .any(|&(back, back_kind)| back == from && back_kind == kind);
-                if !mirrored {
-                    violations.push(InvariantViolation::new(
-                        SUBSTRATE,
-                        "cross-symmetry",
-                        format!("cross edge {from:?} -> {to:?} ({kind:?}) has no mirror"),
-                    ));
+    /// One walk over every document's dense range reads each cross entry of
+    /// the adjacency once: for its mirror (`cross-symmetry`), for the entry
+    /// count (`csr-offsets`) and for the union-find the stored components
+    /// are compared with (`component-partition`).  Returns, per document,
+    /// whether a cross entry touches it — what its hub bit must say.
+    fn verify_cross_edges(
+        &self,
+        violations: &mut Vec<InvariantViolation>,
+        docs: usize,
+    ) -> Vec<bool> {
+        let mut touched = vec![false; docs];
+        let mut doc_pairs = Vec::new();
+        for (doc, range) in self.doc_offsets.windows(2).enumerate() {
+            for from in range[0]..range[1] {
+                for (to, kind) in self.cross_neighbors_dense(from) {
+                    touched[doc] = true;
+                    doc_pairs.push((doc as u32, self.node_id(to).doc.0));
+                    if !self.cross_neighbors_dense(to).any(|back| back == (from, kind)) {
+                        violations.push(InvariantViolation::new(
+                            SUBSTRATE,
+                            "cross-symmetry",
+                            format!("cross edge {from} -> {to} ({kind:?}) has no mirror"),
+                        ));
+                    }
                 }
             }
         }
-    }
-
-    /// Recomputes the union-find partition over the stored cross edges (the
-    /// same dense, ascending-doc numbering the build uses) and compares.
-    fn verify_components(&self, violations: &mut Vec<InvariantViolation>, docs: usize) {
+        if doc_pairs.len() != self.edge_count * 2 {
+            violations.push(InvariantViolation::new(
+                SUBSTRATE,
+                "csr-offsets",
+                format!(
+                    "{} cross entries for {} undirected edges",
+                    doc_pairs.len(),
+                    self.edge_count
+                ),
+            ));
+        }
         if self.doc_component.len() != docs {
             violations.push(InvariantViolation::new(
                 SUBSTRATE,
                 "component-partition",
                 format!("{} component entries for {docs} documents", self.doc_component.len()),
             ));
-            return;
+            return touched;
         }
-        let mut parent: Vec<u32> = (0..docs as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                let grand = parent[parent[x as usize] as usize];
-                parent[x as usize] = grand;
-                x = grand;
-            }
-            x
-        }
-        for dense in 0..self.node_count() {
-            let from = self.node_id(dense as u32);
-            for &(to, _) in self.cross_range(dense) {
-                if self.dense(to).is_none() {
-                    continue; // reported by cross-symmetry
-                }
-                let a = find(&mut parent, from.doc.0);
-                let b = find(&mut parent, to.doc.0);
-                if a != b {
-                    parent[a as usize] = b;
-                }
-            }
-        }
-        let mut ids: HashMap<u32, u32> = HashMap::new();
-        let mut next = 0u32;
-        for doc in 0..docs as u32 {
-            let root = find(&mut parent, doc);
-            let id = *ids.entry(root).or_insert_with(|| {
-                let id = next;
-                next += 1;
-                id
-            });
-            if self.doc_component[doc as usize] != id {
+        let derived = doc_components(docs, doc_pairs);
+        for (doc, (&stored, &id)) in self.doc_component.iter().zip(&derived).enumerate() {
+            if stored != id {
                 violations.push(InvariantViolation::new(
                     SUBSTRATE,
                     "component-partition",
-                    format!(
-                        "doc {doc}: stored component {} but the cross edges give {id}",
-                        self.doc_component[doc as usize]
-                    ),
+                    format!("doc {doc}: stored component {stored} but the cross edges give {id}"),
                 ));
             }
         }
+        touched
     }
 
     /// Every non-root node of a tree document lists first the parent the
@@ -251,12 +201,13 @@ impl DataGraph {
         }
     }
 
+    /// `touched` is `None` when the adjacency is malformed: the hub bits
+    /// then have nothing to be judged against, and no edge to be sound for.
     fn verify_labels(
         &self,
         violations: &mut Vec<InvariantViolation>,
         docs: usize,
-        cross_ok: bool,
-        adj_ok: bool,
+        touched: Option<&[bool]>,
     ) {
         let conn = &self.connectivity;
         if conn.hub_docs.len() != docs {
@@ -267,12 +218,10 @@ impl DataGraph {
             ));
             return;
         }
-        if cross_ok {
+        if let Some(touched) = touched {
             // The bit picks the answer path, so it must say exactly whether a
             // cross edge touches the document.
-            for doc in 0..docs {
-                let nodes = self.doc_offsets[doc] as usize..self.doc_offsets[doc + 1] as usize;
-                let touched = nodes.into_iter().any(|dense| !self.cross_range(dense).is_empty());
+            for (doc, &touched) in touched.iter().enumerate() {
                 if conn.hub_docs[doc] != touched {
                     violations.push(InvariantViolation::new(
                         SUBSTRATE,
@@ -324,7 +273,7 @@ impl DataGraph {
                 }
             }
         }
-        if !(cross_ok && adj_ok) {
+        if touched.is_none() {
             return; // soundness needs a well-formed adjacency to walk
         }
         // Hub-pruning soundness, checked empirically: for every adjacency
@@ -368,11 +317,22 @@ impl DataGraph {
         self.adj_targets[slot].0 = target;
     }
 
-    /// Test-only corruption hook: redirects one cross-edge target (breaks
-    /// `cross-symmetry`).
+    /// Test-only corruption hook: redirects the `index`-th cross entry of
+    /// the adjacency, in adjacency order, to `target` (breaks
+    /// `cross-symmetry`).  Returns `false` when the adjacency holds no such
+    /// entry.
     #[doc(hidden)]
-    pub fn corrupt_cross_target(&mut self, index: usize, target: NodeId) {
-        self.cross_targets[index].0 = target;
+    pub fn corrupt_cross_target(&mut self, index: usize, target: NodeId) -> bool {
+        let target = self.dense(target).unwrap_or(u32::MAX);
+        let mut cross =
+            self.adj_targets.iter_mut().filter(|(_, kind)| *kind != EdgeKind::ParentChild);
+        match cross.nth(index) {
+            Some(entry) => {
+                entry.0 = target;
+                true
+            }
+            None => false,
+        }
     }
 
     /// Test-only corruption hook: overwrites one document's component id
@@ -516,7 +476,7 @@ mod tests {
         let mut g = linked_graph();
         assert!(g.cross_edge_count() > 0);
         // Point one direction of the edge at the unrelated island document.
-        g.corrupt_cross_target(0, NodeId::new(DocId(2), 0));
+        assert!(g.corrupt_cross_target(0, NodeId::new(DocId(2), 0)));
         let violations = g.verify().unwrap_err();
         assert!(violations.iter().any(|v| v.invariant == "cross-symmetry"), "{violations:?}");
     }

@@ -58,14 +58,12 @@ pub fn doc_component_builds_on_this_thread() -> usize {
 ///
 /// Nodes are addressed by **dense indices**: node `(doc, ordinal)` maps to
 /// `doc_offsets[doc] + ordinal`, so every per-node lookup on the traversal hot
-/// path is an array access instead of a `HashMap` probe.  Two adjacency lists
-/// are materialised at build time:
-///
-/// * the **full adjacency** (tree edges implicit in the documents plus all
-///   non-tree edges), which BFS/compactness traverse, and
-/// * the **cross-edge adjacency** (IDREF, XLink and value-based edges only,
-///   symmetric: every edge is stored under both endpoints), which backs
-///   [`DataGraph::edges`].
+/// path is an array access instead of a `HashMap` probe.  One adjacency is
+/// materialised at build time: each node lists its parent, its children in
+/// document order, then its cross edges (IDREF, XLink and value-based) in
+/// insertion order.  Every cross edge sits under both endpoints, so the
+/// adjacency's non-[`EdgeKind::ParentChild`] entries are also what
+/// [`DataGraph::edges`] lists.
 ///
 /// The per-document connected components over cross edges (the pruning
 /// structure the top-k searchers use) are computed once here as well.
@@ -79,10 +77,6 @@ pub struct DataGraph {
     /// Full adjacency targets as dense indices (parent first, then children
     /// in document order, then cross edges in insertion order).
     pub(crate) adj_targets: Vec<(u32, EdgeKind)>,
-    /// Cross-edge adjacency offsets, length `node_count + 1`.
-    pub(crate) cross_offsets: Vec<u32>,
-    /// Cross-edge targets (symmetric), in edge insertion order.
-    pub(crate) cross_targets: Vec<(NodeId, EdgeKind)>,
     /// Connected-component id of every document (components over cross
     /// edges), indexed by document.
     pub(crate) doc_component: Vec<u32>,
@@ -183,47 +177,32 @@ impl DataGraph {
         }
         let mut graph = DataGraph { doc_offsets, edge_count: edges.len(), ..DataGraph::default() };
         graph.freeze_adjacency(collection, &edges);
-        graph.doc_component = compute_doc_components(collection.len(), &edges);
+        COMPONENT_BUILDS.with(|c| c.set(c.get() + 1));
+        graph.doc_component =
+            doc_components(collection.len(), edges.iter().map(|e| (e.from.doc.0, e.to.doc.0)));
         graph.connectivity = ConnectivityIndex::assemble(&graph, &edges);
         graph
     }
 
-    /// Builds both CSR adjacency lists from the resolved cross edges.
+    /// Builds the CSR adjacency: parent, children in document order, then
+    /// the resolved cross edges in insertion order, each under both of its
+    /// endpoints.
     fn freeze_adjacency(&mut self, collection: &Collection, edges: &[Edge]) {
-        let node_count = self.node_count();
-
-        // Cross-edge CSR (symmetric).  Two counting passes keep the per-node
-        // target order identical to the former per-node `Vec` push order.
-        let mut cross_degree = vec![0u32; node_count];
+        // Each node's degree, then (once the offsets are laid out) the next
+        // free slot of its cross edges.
+        let mut cursor = vec![0u32; self.node_count()];
         for edge in edges {
-            cross_degree[self.dense_unchecked(edge.from) as usize] += 1;
-            cross_degree[self.dense_unchecked(edge.to) as usize] += 1;
+            cursor[self.dense_unchecked(edge.from) as usize] += 1;
+            cursor[self.dense_unchecked(edge.to) as usize] += 1;
         }
-        self.cross_offsets = prefix_sums(&cross_degree);
-        let mut cursor: Vec<u32> = self.cross_offsets[..node_count].to_vec();
-        self.cross_targets =
-            vec![(NodeId::new(DocId(0), 0), EdgeKind::ParentChild); edges.len() * 2];
-        for edge in edges {
-            for (a, b) in [(edge.from, edge.to), (edge.to, edge.from)] {
-                let slot = &mut cursor[self.dense_unchecked(a) as usize];
-                self.cross_targets[*slot as usize] = (b, edge.kind);
-                *slot += 1;
-            }
-        }
-
-        // Full adjacency CSR: parent, children (document order), then cross
-        // edges — the same neighbour order the HashMap-based graph produced.
-        let mut adj_degree = vec![0u32; node_count];
         for doc in collection.documents() {
             let base = self.doc_offsets[doc.id.index()];
             for (ordinal, node) in doc.iter() {
-                let dense = (base + ordinal) as usize;
-                adj_degree[dense] = node.parent.map(|_| 1).unwrap_or(0)
-                    + node.children.len() as u32
-                    + cross_degree[dense];
+                cursor[(base + ordinal) as usize] +=
+                    node.parent.is_some() as u32 + node.children.len() as u32;
             }
         }
-        self.adj_offsets = prefix_sums(&adj_degree);
+        self.adj_offsets = prefix_sums(&cursor);
         let total = *self.adj_offsets.last().unwrap_or(&0) as usize;
         self.adj_targets = vec![(0u32, EdgeKind::ParentChild); total];
         for doc in collection.documents() {
@@ -231,21 +210,19 @@ impl DataGraph {
             for (ordinal, node) in doc.iter() {
                 let dense = (base + ordinal) as usize;
                 let mut slot = self.adj_offsets[dense] as usize;
-                if let Some(parent) = node.parent {
-                    self.adj_targets[slot] = (base + parent, EdgeKind::ParentChild);
+                for neighbour in node.parent.into_iter().chain(node.children.iter().copied()) {
+                    self.adj_targets[slot] = (base + neighbour, EdgeKind::ParentChild);
                     slot += 1;
                 }
-                for &child in &node.children {
-                    self.adj_targets[slot] = (base + child, EdgeKind::ParentChild);
-                    slot += 1;
-                }
-                let cross =
-                    self.cross_offsets[dense] as usize..self.cross_offsets[dense + 1] as usize;
-                for i in cross {
-                    let (target, kind) = self.cross_targets[i];
-                    self.adj_targets[slot] = (self.dense_unchecked(target), kind);
-                    slot += 1;
-                }
+                cursor[dense] = slot as u32;
+            }
+        }
+        for edge in edges {
+            for (a, b) in [(edge.from, edge.to), (edge.to, edge.from)] {
+                let target = self.dense_unchecked(b);
+                let slot = &mut cursor[self.dense_unchecked(a) as usize];
+                self.adj_targets[*slot as usize] = (target, edge.kind);
+                *slot += 1;
             }
         }
     }
@@ -323,20 +300,30 @@ impl DataGraph {
         }
     }
 
+    /// The cross-edge (non-[`EdgeKind::ParentChild`]) entries of a dense
+    /// node's adjacency.
+    pub(crate) fn cross_neighbors_dense(
+        &self,
+        dense: u32,
+    ) -> impl Iterator<Item = (u32, EdgeKind)> + '_ {
+        self.neighbors_dense(dense)
+            .iter()
+            .copied()
+            .filter(|&(_, kind)| kind != EdgeKind::ParentChild)
+    }
+
     /// All materialised non-tree edges, each reported once (from < to).
     pub fn edges(&self) -> Vec<Edge> {
         let mut out = Vec::with_capacity(self.edge_count);
-        for dense in 0..self.node_count() {
-            // Walk the cross CSR directly; only endpoints of actual edges pay
-            // for a dense → NodeId conversion.
-            let range = self.cross_offsets[dense] as usize..self.cross_offsets[dense + 1] as usize;
-            if range.is_empty() {
-                continue;
-            }
-            let from = self.node_id(dense as u32);
-            for &(to, kind) in &self.cross_targets[range] {
-                if from < to {
-                    out.push(Edge { from, to, kind });
+        for (doc, range) in self.doc_offsets.windows(2).enumerate() {
+            for dense in range[0]..range[1] {
+                // Dense order is `NodeId` order; only the endpoints listed
+                // pay for a dense → `NodeId` conversion.
+                for (to, kind) in self.cross_neighbors_dense(dense) {
+                    if dense < to {
+                        let from = NodeId::new(DocId(doc as u32), dense - range[0]);
+                        out.push(Edge { from, to: self.node_id(to), kind });
+                    }
                 }
             }
         }
@@ -377,11 +364,11 @@ fn prefix_sums(degrees: &[u32]) -> Vec<u32> {
     offsets
 }
 
-/// Union-find over documents connected by cross edges; component ids are
-/// assigned densely in ascending document order, so the numbering is
-/// deterministic.
-fn compute_doc_components(docs: usize, edges: &[Edge]) -> Vec<u32> {
-    COMPONENT_BUILDS.with(|c| c.set(c.get() + 1));
+/// Union-find over documents joined by the given `(doc, doc)` pairs;
+/// component ids are assigned densely in ascending document order, so the
+/// numbering is deterministic.  The build and the `component-partition`
+/// audit both number documents through it.
+pub(crate) fn doc_components(docs: usize, pairs: impl IntoIterator<Item = (u32, u32)>) -> Vec<u32> {
     let mut parent: Vec<u32> = (0..docs as u32).collect();
     fn find(parent: &mut [u32], mut x: u32) -> u32 {
         while parent[x as usize] != x {
@@ -391,9 +378,9 @@ fn compute_doc_components(docs: usize, edges: &[Edge]) -> Vec<u32> {
         }
         x
     }
-    for edge in edges {
-        let a = find(&mut parent, edge.from.doc.0);
-        let b = find(&mut parent, edge.to.doc.0);
+    for (a, b) in pairs {
+        let a = find(&mut parent, a);
+        let b = find(&mut parent, b);
         if a != b {
             parent[a as usize] = b;
         }

@@ -67,15 +67,43 @@ fn signature_key(signature: &[PathId]) -> Vec<PathId> {
     }
 }
 
+/// The connection of a node pair: the contexts visited along the shortest
+/// data-graph path from `a` to `b` (bounded by `max_depth`), endpoints
+/// included, and the edge kinds used along it (deduplicated, in first-use
+/// order).  `None` when no path within the bound exists or a node on it has
+/// no context.  The label probes of the path descent count in `scratch`.
+/// Discovery and the complete-result connection filter both judge a pair by
+/// this one signature.
+pub fn connection_signature(
+    collection: &Collection,
+    graph: &DataGraph,
+    scratch: &mut TraversalScratch,
+    a: NodeId,
+    b: NodeId,
+    max_depth: usize,
+) -> Option<(Vec<PathId>, Vec<EdgeKind>)> {
+    let hops = shortest_path_with(graph, scratch, a, b, max_depth)?;
+    let mut signature = Vec::with_capacity(hops.len() + 1);
+    signature.push(collection.context(a).ok()?);
+    let mut edge_kinds: Vec<EdgeKind> = Vec::new();
+    for hop in &hops {
+        signature.push(collection.context(hop.node).ok()?);
+        if !edge_kinds.contains(&hop.kind) {
+            edge_kinds.push(hop.kind);
+        }
+    }
+    Some((signature, edge_kinds))
+}
+
 /// Discovers pairwise connections between the nodes of result tuples.
 ///
-/// For every tuple and every pair of member nodes, the shortest path in the
-/// data graph (bounded by `max_depth`) is abstracted to its context signature;
-/// identical signatures are aggregated with their support count.  Connections
-/// are returned most-frequent first.  The label probes of the path descents
-/// are counted in the caller's `scratch`, and before each tuple
-/// `proceed(scratch.label_probes)` decides whether discovery goes on: a
-/// `false` returns the connections of the tuples before it.
+/// For every tuple and every pair of distinct member nodes, the pair's
+/// [`connection_signature`] is taken; identical signatures are aggregated
+/// with their support count.  Connections are returned most-frequent first.
+/// The label probes of the path descents are counted in the caller's
+/// `scratch`, and before each tuple `proceed(scratch.label_probes)` decides
+/// whether discovery goes on: a `false` returns the connections of the
+/// tuples before it.
 pub fn discover_connections(
     collection: &Collection,
     graph: &DataGraph,
@@ -89,54 +117,28 @@ pub fn discover_connections(
         if !proceed(scratch.label_probes) {
             break;
         }
-        for i in 0..tuple.len() {
-            for j in (i + 1)..tuple.len() {
-                let a = tuple[i];
-                let b = tuple[j];
+        for (i, &a) in tuple.iter().enumerate() {
+            for &b in &tuple[i + 1..] {
                 if a == b {
                     continue;
                 }
-                let Some(hops) = shortest_path_with(graph, scratch, a, b, max_depth) else {
+                let Some((signature, edge_kinds)) =
+                    connection_signature(collection, graph, scratch, a, b, max_depth)
+                else {
                     continue;
                 };
-                let Ok(start_path) = collection.context(a) else { continue };
-                let mut signature = Vec::with_capacity(hops.len() + 1);
-                signature.push(start_path);
-                let mut edge_kinds: Vec<EdgeKind> = Vec::new();
-                let mut valid = true;
-                for hop in &hops {
-                    match collection.context(hop.node) {
-                        Ok(p) => signature.push(p),
-                        Err(_) => {
-                            valid = false;
-                            break;
-                        }
-                    }
-                    if !edge_kinds.contains(&hop.kind) {
-                        edge_kinds.push(hop.kind);
-                    }
-                }
-                if !valid {
-                    continue;
-                }
-                let key = signature_key(&signature);
-                match aggregated.get_mut(&key) {
-                    Some(existing) => existing.support += 1,
-                    None => {
-                        aggregated.insert(
-                            key,
-                            Connection {
-                                from_path: signature[0],
-                                to_path: *signature
-                                    .last()
-                                    .expect("invariant: a connection signature has both endpoints"),
-                                signature,
-                                edge_kinds,
-                                support: 1,
-                            },
-                        );
-                    }
-                }
+                aggregated
+                    .entry(signature_key(&signature))
+                    .and_modify(|existing| existing.support += 1)
+                    .or_insert_with(|| Connection {
+                        from_path: signature[0],
+                        to_path: *signature
+                            .last()
+                            .expect("invariant: a connection signature has both endpoints"),
+                        signature,
+                        edge_kinds,
+                        support: 1,
+                    });
             }
         }
     }

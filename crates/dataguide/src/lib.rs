@@ -23,8 +23,8 @@ pub mod connection;
 pub mod guide;
 
 pub use connection::{
-    discover_connections, false_positive_connections, guide_connection, guide_links, Connection,
-    GuideConnection, GuideLink,
+    connection_signature, discover_connections, false_positive_connections, guide_connection,
+    guide_links, Connection, GuideConnection, GuideLink,
 };
 pub use guide::{DataGuide, DataGuideSet, DataGuideStats, GuideId};
 

@@ -240,34 +240,21 @@ impl ContextIndex {
 
     /// The context bucket of a search query: matching paths with their
     /// absolute frequencies, sorted by descending frequency (the order SEDA
-    /// displays them in).
-    pub fn context_bucket(&self, query: &FullTextQuery) -> Vec<PathEntry> {
-        self.bucket_from_paths(self.paths_matching(query))
-    }
-
-    /// Context bucket restricted to paths whose *leaf tag name* matches
-    /// `tag` (used when a query term carries a full root-to-leaf context or a
-    /// tag-name context; Sec. 5 describes probing the index with the last tag
-    /// name in conjunction with the search query).
-    pub fn context_bucket_with_tag(
+    /// displays them in).  With `allowed`, only the matching paths among
+    /// those are kept — a query term's own context (Sec. 5) — and they are
+    /// kept before any frequency is looked up.
+    pub fn context_bucket(
         &self,
-        collection: &Collection,
         query: &FullTextQuery,
-        tag: &str,
+        allowed: Option<&[PathId]>,
     ) -> Vec<PathEntry> {
         let matching = self.paths_matching(query);
-        let filtered: BTreeSet<PathId> = matching
-            .into_iter()
-            .filter(|&p| {
-                collection
-                    .paths()
-                    .resolve(p)
-                    .leaf()
-                    .map(|leaf| collection.symbols().resolve(leaf) == tag)
-                    .unwrap_or(false)
-            })
-            .collect();
-        self.bucket_from_paths(filtered)
+        match allowed {
+            Some(allowed) => self.bucket_from_paths(
+                allowed.iter().copied().filter(|path| matching.contains(path)).collect(),
+            ),
+            None => self.bucket_from_paths(matching),
+        }
     }
 
     fn bucket_from_paths(&self, paths: BTreeSet<PathId>) -> Vec<PathEntry> {
@@ -325,7 +312,7 @@ mod tests {
     #[test]
     fn united_states_occurs_in_two_contexts() {
         let (collection, index) = sample();
-        let bucket = index.context_bucket(&FullTextQuery::phrase("United States"));
+        let bucket = index.context_bucket(&FullTextQuery::phrase("United States"), None);
         let paths = path_strings(&collection, &bucket);
         assert!(paths.contains(&"/country/name".to_string()));
         assert!(paths.contains(&"/country/economy/export_partners/item/trade_country".to_string()));
@@ -338,7 +325,7 @@ mod tests {
         // "percentage" never appears as content, only as a tag name; its
         // bucket must contain both import- and export-partner percentage
         // contexts (the paper's Query 1 relies on this).
-        let bucket = index.context_bucket(&FullTextQuery::keywords("percentage"));
+        let bucket = index.context_bucket(&FullTextQuery::keywords("percentage"), None);
         let paths = path_strings(&collection, &bucket);
         assert!(paths.contains(&"/country/economy/import_partners/item/percentage".to_string()));
         assert!(paths.contains(&"/country/economy/export_partners/item/percentage".to_string()));
@@ -347,7 +334,7 @@ mod tests {
     #[test]
     fn frequencies_are_absolute_path_counts() {
         let (collection, index) = sample();
-        let bucket = index.context_bucket(&FullTextQuery::keywords("trade country"));
+        let bucket = index.context_bucket(&FullTextQuery::keywords("trade country"), None);
         // Export-partner trade_country occurs twice (US->Canada, Mexico->US),
         // import-partner trade_country once.
         let export: Vec<&PathEntry> = bucket
@@ -367,7 +354,7 @@ mod tests {
     #[test]
     fn match_all_bucket_contains_only_text_paths() {
         let (collection, index) = sample();
-        let bucket = index.context_bucket(&FullTextQuery::Any);
+        let bucket = index.context_bucket(&FullTextQuery::Any, None);
         let paths = path_strings(&collection, &bucket);
         assert!(paths.contains(&"/country/year".to_string()));
         assert!(
@@ -377,26 +364,33 @@ mod tests {
     }
 
     #[test]
-    fn tag_filtered_bucket_restricts_to_leaf_name() {
+    fn allowed_paths_restrict_the_bucket() {
         let (collection, index) = sample();
-        let bucket =
-            index.context_bucket_with_tag(&collection, &FullTextQuery::Any, "trade_country");
+        let leaf = collection.symbols().get("trade_country").unwrap();
+        let allowed = collection.paths().paths_with_leaf(leaf);
+        let bucket = index.context_bucket(&FullTextQuery::Any, Some(&allowed));
         let paths = path_strings(&collection, &bucket);
         assert_eq!(paths.len(), 2);
         assert!(paths.iter().all(|p| p.ends_with("/trade_country")));
+        // An allowed path the search does not match stays out, and a
+        // repeated one is listed once.
+        let name = collection.paths().get_str(collection.symbols(), "/country/name").unwrap();
+        let china = FullTextQuery::keywords("china");
+        let bucket = index.context_bucket(&china, Some(&[allowed[0], name, allowed[0]]));
+        assert_eq!(path_strings(&collection, &bucket), [collection.path_string(allowed[0])]);
     }
 
     #[test]
     fn boolean_queries_combine_path_sets() {
         let (collection, index) = sample();
         let q = FullTextQuery::parse("china OR canada").unwrap();
-        let bucket = index.context_bucket(&q);
+        let bucket = index.context_bucket(&q, None);
         let paths = path_strings(&collection, &bucket);
         assert!(paths.iter().any(|p| p.contains("import_partners")));
         assert!(paths.iter().any(|p| p.contains("export_partners")));
 
         let not_q = FullTextQuery::parse("NOT china").unwrap();
-        let bucket = index.context_bucket(&not_q);
+        let bucket = index.context_bucket(&not_q, None);
         assert!(!path_strings(&collection, &bucket)
             .contains(&"/country/economy/import_partners/item/trade_country".to_string()));
     }
@@ -407,7 +401,7 @@ mod tests {
         let doc_store = ContextIndex::build(&collection, CountStorage::DocumentStore);
         let postings = ContextIndex::build(&collection, CountStorage::PostingLists);
         let q = FullTextQuery::phrase("united states");
-        assert_eq!(doc_store.context_bucket(&q), postings.context_bucket(&q));
+        assert_eq!(doc_store.context_bucket(&q, None), postings.context_bucket(&q, None));
         // The posting-list design stores at least as many count entries.
         assert!(postings.count_entries() >= doc_store.count_entries());
     }

@@ -73,12 +73,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Tag-probed bucket (Fig. 8), as used when a query term carries a
-    // context: this reads the index substrate the facade plans over.
-    let tagged = engine.context_index().context_bucket_with_tag(
-        collection,
-        &FullTextQuery::Any,
-        "trade_country",
-    );
+    // context: the paths ending in the tag restrict the bucket.  This reads
+    // the index substrate the facade plans over.
+    let leaf = collection.symbols().get("trade_country").ok_or("no trade_country tag")?;
+    let allowed = collection.paths().paths_with_leaf(leaf);
+    let tagged = engine.context_index().context_bucket(&FullTextQuery::Any, Some(&allowed));
     println!("\ncontexts with leaf tag trade_country:");
     for entry in &tagged {
         println!("  {:<65} freq {:>6}", collection.path_string(entry.path), entry.frequency);

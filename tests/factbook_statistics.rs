@@ -99,7 +99,7 @@ fn both_context_index_designs_agree_on_buckets() {
         FullTextQuery::keywords("percentage"),
         FullTextQuery::keywords("import"),
     ] {
-        assert_eq!(doc_store.context_bucket(&query), postings.context_bucket(&query));
+        assert_eq!(doc_store.context_bucket(&query, None), postings.context_bucket(&query, None));
     }
     assert!(postings.count_entries() >= doc_store.count_entries());
 }

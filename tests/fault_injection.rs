@@ -12,13 +12,13 @@ use std::time::Duration;
 
 use seda_core::faults::{arm, disarm_all, FaultAction, FAULT_SITES};
 use seda_core::metrics::names;
-use seda_core::seda_topk::TopKResult;
 use seda_core::{
     Budget, ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaError, SedaQuery,
     SedaRequest, SedaSession,
 };
 use seda_datagen::{factbook, FactbookConfig};
 use seda_olap::Registry;
+use seda_topk::TopKResult;
 
 /// The fault registry is process-global, so tests in this binary must not
 /// overlap: each one holds this guard while a site is armed.

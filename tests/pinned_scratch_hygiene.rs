@@ -18,12 +18,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use seda_core::seda_topk::{
-    SearchLimits, SearchScratch, TermInput, TopKConfig, TopKResult, TopKSearcher,
-};
 use seda_core::{EngineConfig, SedaEngine, SedaError, SedaQuery, SedaReader, SedaRequest};
 use seda_datagen::Dataset;
 use seda_olap::{QueryResultTable, Registry};
+use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKResult, TopKSearcher};
 
 /// Small enough for `/country/name × /city/name` (1,374 connected pairs over
 /// 20 countries) to overrun the frontier in the join's second stage, while a
@@ -165,7 +163,7 @@ fn every_exit_of_the_pinned_loops_leaves_the_scratch_as_a_fresh_one() {
         .min()
         .expect("five searches were timed");
     let half = fastest / 2;
-    let mid_search = |stats: &seda_core::seda_topk::SearchStats| {
+    let mid_search = |stats: &seda_topk::SearchStats| {
         stats.sorted_accesses > 0 && stats.sorted_accesses < full.sorted_accesses
     };
     let caught = (0..20).any(|_| {

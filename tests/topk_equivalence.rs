@@ -8,10 +8,10 @@
 
 use proptest::prelude::*;
 
-use seda_core::seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
 use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
 use seda_datagen::{googlebase, mondial, GoogleBaseConfig, MondialConfig};
 use seda_olap::Registry;
+use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
 use seda_xmlstore::{parse_collection, Collection};
 
 fn engine(collection: Collection) -> SedaEngine {

@@ -38,12 +38,12 @@
 
 use std::fmt::Write as _;
 
-use seda_core::seda_topk::{
-    LimitBreach, SearchLimits, SearchScratch, TermInput, TopKConfig, TopKResult, TopKSearcher,
-};
 use seda_core::{EngineConfig, SedaEngine, SedaQuery};
 use seda_datagen::Dataset;
 use seda_olap::Registry;
+use seda_topk::{
+    LimitBreach, SearchLimits, SearchScratch, TermInput, TopKConfig, TopKResult, TopKSearcher,
+};
 
 const GOLDEN: &str = include_str!("golden/topk_stats.txt");
 
