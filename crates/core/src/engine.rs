@@ -31,7 +31,7 @@ use seda_olap::{BuildOptions, QueryResultTable, Registry, StarSchemaBuild, StarS
 use seda_textindex::{ContextIndex, CountStorage, FullTextQuery, NodeIndex};
 use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch};
 use seda_topk::{TermInput, TopKConfig, TopKResult, TopKSearcher};
-use seda_twigjoin::{evaluate_twig_in, Axis, TwigMatches, TwigPattern};
+use seda_twigjoin::{evaluate_twig_in, TwigMatches, TwigPattern};
 use seda_xmlstore::{parse_collection, Collection, DocId, Document, NodeId, PathId};
 
 use crate::error::SedaError;
@@ -674,16 +674,12 @@ impl SedaEngine {
     ) -> Result<(), SedaError> {
         // All chosen contexts must share the same root label to form a single
         // twig; otherwise fall back to graph enumeration.
-        let path_strings: Vec<String> =
-            chosen.iter().map(|&p| self.collection.path_string(p)).collect();
-        let roots: Vec<&str> = path_strings
-            .iter()
-            .map(|p| p.trim_start_matches('/').split('/').next().unwrap_or_default())
-            .collect();
-        let same_root = roots.windows(2).all(|w| w[0] == w[1]);
+        let paths = self.collection.paths();
+        let root = |path: PathId| paths.resolve(path).steps().first();
+        let same_root = chosen.windows(2).all(|w| root(w[0]) == root(w[1]));
 
         let cells = if same_root {
-            self.twig_rows(query, chosen, &path_strings, out, ctx)?
+            self.twig_rows(query, chosen, out, ctx)?
         } else {
             self.graph_rows(query, chosen, out, scratch, ctx)?
         };
@@ -699,9 +695,9 @@ impl SedaEngine {
         Ok(())
     }
 
-    /// Structural evaluation: builds one twig from the chosen context paths
-    /// (shared prefixes merged, the root anchored at the document's root
-    /// element), attaches the term predicates and returns the twig's matches
+    /// Structural evaluation: merges the chosen contexts' labels into one twig
+    /// ([`TwigPattern::from_paths`]: shared prefixes merged, the root anchored
+    /// at the document's root element), attaches the term predicates and returns the twig's matches
     /// as flat rows, one cell a term in term order.  Only the documents the
     /// node index says can match are visited
     /// ([`SedaEngine::documents_holding`]); their node count is added to
@@ -711,42 +707,26 @@ impl SedaEngine {
         &self,
         query: &SedaQuery,
         chosen: &[PathId],
-        path_strings: &[String],
         out: &mut GovernedTable,
         ctx: &RequestContext,
     ) -> Result<Vec<NodeId>, SedaError> {
-        // Build the pattern manually so we know which pattern node belongs to
-        // which term.
-        let root_label = path_strings[0].trim_start_matches('/').split('/').next().unwrap_or("");
-        if root_label.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut pattern = TwigPattern::with_root(root_label);
-        let mut term_nodes = Vec::with_capacity(path_strings.len());
-        for (term_idx, path) in path_strings.iter().enumerate() {
-            let mut current = pattern.root();
-            for label in path.trim_start_matches('/').split('/').skip(1) {
-                let existing = pattern.node(current).children.iter().copied().find(|&c| {
-                    pattern.node(c).label == label && pattern.node(c).axis == Axis::Child
-                });
-                current = match existing {
-                    Some(c) => c,
-                    None => pattern.add_child(current, label, Axis::Child),
+        let symbols = self.collection.symbols();
+        let labels = chosen.iter().map(|&path| {
+            self.collection.paths().resolve(path).steps().iter().map(|&step| symbols.resolve(step))
+        });
+        let (mut pattern, term_nodes) = TwigPattern::from_paths(labels)
+            .expect("invariant: the chosen contexts are interned paths with one root label");
+        for (term, &node) in query.terms.iter().zip(&term_nodes) {
+            if !term.search.is_match_all() {
+                // Two terms on one path: their predicates are conjoined.
+                let predicate = match pattern.node(node).predicate.clone() {
+                    Some(existing) => {
+                        FullTextQuery::And(Box::new(existing), Box::new(term.search.clone()))
+                    }
+                    None => term.search.clone(),
                 };
+                pattern.set_predicate(node, predicate);
             }
-            pattern.set_output(current, true);
-            if !query.terms[term_idx].search.is_match_all() {
-                // Combine predicates if two terms map to the same pattern node.
-                let predicate = match pattern.node(current).predicate.clone() {
-                    Some(existing) => FullTextQuery::And(
-                        Box::new(existing),
-                        Box::new(query.terms[term_idx].search.clone()),
-                    ),
-                    None => query.terms[term_idx].search.clone(),
-                };
-                pattern.set_predicate(current, predicate);
-            }
-            term_nodes.push(current);
         }
 
         let (matches, breach) = match self.documents_holding(query, chosen) {
@@ -992,8 +972,8 @@ impl SedaEngine {
 
     /// Evaluates a compiled twig pattern over every document and hands its
     /// matches over as a [`QueryResultTable`] — the evaluator's row buffer
-    /// moved, not copied: one column per output pattern node (labelled with
-    /// the node's root-to-leaf label chain), one row per match, with the
+    /// moved, not copied: one column per output pattern node (named by the
+    /// node's [`TwigPattern::expression`], axes included), one row per match, with the
     /// document nodes the evaluation visited
     /// ([`seda_twigjoin::TwigMatches::nodes_visited`]).  A deadline that runs
     /// out during the evaluation returns the prefix matched so far with the
@@ -1005,20 +985,8 @@ impl SedaEngine {
         pattern: &TwigPattern,
         ctx: &RequestContext,
     ) -> Result<GovernedTable, SedaError> {
-        let column_names: Vec<String> = pattern
-            .output_nodes()
-            .into_iter()
-            .map(|node| {
-                let mut labels = Vec::new();
-                let mut current = Some(node);
-                while let Some(idx) = current {
-                    labels.push(pattern.node(idx).label.clone());
-                    current = pattern.node(idx).parent;
-                }
-                labels.reverse();
-                format!("/{}", labels.join("/"))
-            })
-            .collect();
+        let column_names: Vec<String> =
+            pattern.output_nodes().into_iter().map(|node| pattern.expression(node)).collect();
         let (matches, breach) =
             self.evaluate_twig_governed(pattern, self.collection.documents(), true, ctx)?;
         let nodes_visited = matches.nodes_visited;

@@ -139,7 +139,8 @@ mod proptests {
                 Ok(())
             }).unwrap();
             let root = seda_xmlstore::NodeId::new(seda_xmlstore::DocId(0), 0);
-            prop_assert!(ContextSpec::parse(&pattern).matches(&c, root));
+            let allowed = ContextSpec::parse(&pattern).allowed_paths(&c).expect("a tag restricts");
+            prop_assert!(allowed.contains(&c.context(root).unwrap()));
         }
     }
 }

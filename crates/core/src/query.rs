@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 use seda_textindex::{FullTextQuery, QueryParseError};
-use seda_xmlstore::{Collection, NodeId, PathId};
+use seda_xmlstore::{Collection, PathId};
 
 /// The context component of a query term.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -121,23 +121,10 @@ impl ContextSpec {
         rest.ends_with(last)
     }
 
-    /// Definition 3(2): does a node with the given name and context satisfy
-    /// this context spec?
-    pub fn matches(&self, collection: &Collection, node: NodeId) -> bool {
-        match self {
-            ContextSpec::Any => true,
-            ContextSpec::Path(path) => {
-                collection.context_string(node).map(|c| c == *path).unwrap_or(false)
-            }
-            ContextSpec::Tag(tag) => {
-                collection.node_name(node).map(|n| Self::tag_matches(tag, n)).unwrap_or(false)
-            }
-            ContextSpec::Disjunction(specs) => specs.iter().any(|s| s.matches(collection, node)),
-        }
-    }
-
-    /// The set of distinct paths this spec allows, or `None` for an
-    /// unrestricted spec.  Used to push context restrictions into the index.
+    /// Definition 3(2): the set of distinct paths this spec allows, or `None`
+    /// for an unrestricted spec.  A node satisfies the spec exactly when its
+    /// context is in the set; the index takes the set as the term's context
+    /// restriction.
     pub fn allowed_paths(&self, collection: &Collection) -> Option<Vec<PathId>> {
         match self {
             ContextSpec::Any => None,
@@ -279,7 +266,9 @@ impl SedaQuery {
     /// accepted).  The search component follows the
     /// [`FullTextQuery::parse`] syntax; parentheses inside a search component
     /// nest (`(name, (china OR canada) AND NOT mexico)`) and quoted phrases
-    /// may contain parentheses.
+    /// may contain parentheses.  A context disjunction with an empty
+    /// alternative (`(a||b, x)`, `(a|, x)`) is [`QueryError::Malformed`]; an
+    /// explicit `*` alternative still absorbs the disjunction.
     pub fn parse(input: &str) -> Result<Self, QueryError> {
         let normalised = input.replace('∧', "AND");
         let mut terms = Vec::new();
@@ -294,7 +283,15 @@ impl SedaQuery {
             let comma = inside
                 .find(',')
                 .ok_or_else(|| QueryError::Malformed(format!("missing ',' in {inside:?}")))?;
-            let context = ContextSpec::parse(&inside[..comma]);
+            let context_text = inside[..comma].trim();
+            // `a||b` or `a|` would parse an empty alternative as `*`, which
+            // absorbs the disjunction and lifts the term's restriction.
+            if context_text.contains('|') && context_text.split('|').any(|a| a.trim().is_empty()) {
+                return Err(QueryError::Malformed(format!(
+                    "empty alternative in context {context_text:?}"
+                )));
+            }
+            let context = ContextSpec::parse(context_text);
             let search_text = inside[comma + 1..].trim();
             let search = if search_text.is_empty() {
                 FullTextQuery::Any
@@ -397,6 +394,20 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_context_alternative_is_malformed() {
+        for text in ["(trade_country|, *)", "(a||b, *)", "(|a, x)", "(a| |b, x)", "(|, x)"] {
+            let err = SedaQuery::parse(text).unwrap_err();
+            assert!(matches!(&err, QueryError::Malformed(m) if m.contains("empty alternative")));
+        }
+        // An explicit `*` alternative still absorbs the disjunction, and an
+        // empty context without alternatives is the empty context.
+        assert_eq!(SedaQuery::parse("(a|*, x)").unwrap().terms[0].context, ContextSpec::Any);
+        assert_eq!(SedaQuery::parse("( , x)").unwrap().terms[0].context, ContextSpec::Any);
+        let q = SedaQuery::parse("(a|b, x)").unwrap();
+        assert_eq!(q.terms[0].context, ContextSpec::parse("a|b"));
+    }
+
+    #[test]
     fn context_spec_parsing() {
         assert_eq!(ContextSpec::parse("*"), ContextSpec::Any);
         assert_eq!(ContextSpec::parse(" /a/b "), ContextSpec::Path("/a/b".into()));
@@ -419,13 +430,17 @@ mod tests {
         .unwrap();
         let name_path = c.paths().get_str(c.symbols(), "/country/name").unwrap();
         let name_node = c.nodes_with_path(name_path)[0];
-        assert!(ContextSpec::Any.matches(&c, name_node));
-        assert!(ContextSpec::Tag("name".into()).matches(&c, name_node));
-        assert!(ContextSpec::Tag("na*".into()).matches(&c, name_node));
-        assert!(!ContextSpec::Tag("trade_country".into()).matches(&c, name_node));
-        assert!(ContextSpec::Path("/country/name".into()).matches(&c, name_node));
-        assert!(!ContextSpec::Path("/country".into()).matches(&c, name_node));
-        assert!(ContextSpec::parse("/country/name|trade_country").matches(&c, name_node));
+        let allows = |spec: ContextSpec| {
+            let context = c.context(name_node).unwrap();
+            spec.allowed_paths(&c).is_none_or(|paths| paths.contains(&context))
+        };
+        assert!(allows(ContextSpec::Any));
+        assert!(allows(ContextSpec::Tag("name".into())));
+        assert!(allows(ContextSpec::Tag("na*".into())));
+        assert!(!allows(ContextSpec::Tag("trade_country".into())));
+        assert!(allows(ContextSpec::Path("/country/name".into())));
+        assert!(!allows(ContextSpec::Path("/country".into())));
+        assert!(allows(ContextSpec::parse("/country/name|trade_country")));
     }
 
     #[test]

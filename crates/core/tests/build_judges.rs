@@ -3,7 +3,7 @@
 //!
 //! * `DataGraph::build` against a nested-loop edge derivation that shares no
 //!   code with it — IDs resolved last-wins, XLink `#fragment`s, value-key
-//!   equality without self-edges — compared neighbour list by neighbour
+//!   equality, no self-edges — compared neighbour list by neighbour
 //!   list, order included;
 //! * `DataGuideSet::build` against a naive pairwise greedy merge — the first
 //!   guide the document's paths are a subset of, else the best overlap at or
@@ -28,7 +28,8 @@ use seda_xmlstore::{Collection, DocId, NodeId, NodeKind, PathId};
 /// document defines an ID of its own and one of three IDs that repeat across
 /// documents (so a later definition overrides an earlier one), references
 /// an earlier document by IDREF, a shared ID (possibly never defined) by
-/// `ref`, and an earlier document by an XLink carrying a `#fragment`.
+/// `ref`, and an earlier document by an XLink carrying a `#fragment`; a
+/// shape-3 root also references its own ID, which makes no edge.
 fn random_collection(docs: &[(u8, String, String)]) -> Collection {
     let mut collection = Collection::new();
     for (i, (shape, word_a, word_b)) in docs.iter().enumerate() {
@@ -37,6 +38,9 @@ fn random_collection(docs: &[(u8, String, String)]) -> Collection {
             .add_document(format!("doc{i}.xml"), |b| {
                 b.start_element(&format!("shape{shape}"))?;
                 b.attribute("id", &format!("node-{i}"))?;
+                if shape == 3 {
+                    b.attribute("idref", &format!("node-{i}"))?;
+                }
                 if i > 0 {
                     b.start_element("link")?;
                     b.attribute("target_idref", &format!("node-{}", i / 2))?;
@@ -125,7 +129,8 @@ fn expected_cross_edges(c: &Collection, config: &GraphConfig) -> Vec<(NodeId, No
             }
             owner(m).filter(|(_, id)| id.trim() == key).map(|(element, _)| element)
         });
-        if let Some(to) = target {
+        // A reference to its own element is no edge.
+        if let Some(to) = target.filter(|&to| to != from) {
             edges.push((from, to, kind));
         }
     }
@@ -214,15 +219,14 @@ proptest! {
         let graph = DataGraph::build(&c, &config);
         let edges = expected_cross_edges(&c, &config);
         prop_assert_eq!(graph.cross_edge_count(), edges.len());
+        prop_assert_eq!(graph.edges().len(), edges.len());
         for n in all_nodes(&c) {
             prop_assert_eq!(graph.neighbors(n), expected_neighbours(&c, n, &edges), "{:?}", n);
         }
         // Each edge once, oriented from < to, sorted by its endpoints (ties
-        // in edge order); a self-loop has no such orientation and is not
-        // listed.
+        // in edge order).
         let mut oriented: Vec<Edge> = edges
             .iter()
-            .filter(|(from, to, _)| from != to)
             .map(|&(a, b, kind)| Edge { from: a.min(b), to: a.max(b), kind })
             .collect();
         oriented.sort_by_key(|e| (e.from, e.to));

@@ -151,9 +151,11 @@ impl DataGraph {
         }
 
         // Reference edges in document order, then each spec's value edges.
+        // No edge joins a node to itself: a self-loop changes no distance,
+        // and no node is its own neighbour.
         let mut edges: Vec<Edge> = Vec::new();
         for (from, key, kind) in references {
-            if let Some(&to) = id_map.get(key) {
+            if let Some(&to) = id_map.get(key).filter(|&&to| to != from) {
                 edges.push(Edge { from, to, kind });
             }
         }
@@ -465,6 +467,25 @@ mod tests {
         let g = DataGraph::build(&c, &GraphConfig::default());
         assert_eq!(g.cross_edge_count(), 0);
         assert!(only_tree_edges(&c, &g));
+    }
+
+    #[test]
+    fn a_reference_to_its_own_element_is_no_edge() {
+        let c = parse_collection(vec![("a.xml", r#"<a id="x" ref="x"/>"#)]).unwrap();
+        let g = DataGraph::build(&c, &GraphConfig::default());
+        assert_eq!(g.cross_edge_count(), 0);
+        assert_eq!(g.edges().len(), 0);
+        assert!(only_tree_edges(&c, &g));
+        // Beside a real reference (`c` to its parent), a self-reference
+        // still adds nothing.
+        let c = parse_collection(vec![(
+            "b.xml",
+            r#"<b id="y"><c href="y"/><d id="z" idref="z"/></b>"#,
+        )])
+        .unwrap();
+        let g = DataGraph::build(&c, &GraphConfig::default());
+        assert_eq!(g.cross_edge_count(), 1);
+        assert_eq!(g.edges().len(), 1);
     }
 
     /// True when no node of the collection has a non-tree neighbour.

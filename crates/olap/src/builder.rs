@@ -251,20 +251,15 @@ impl<'a> StarSchemaBuilder<'a> {
     }
 
     /// Column name for a key part: the name of the dimension whose context
-    /// covers the contexts this part resolves to, falling back to the
-    /// expression itself.
-    fn dimension_name_for_key_part(&self, part: &KeyPart, sample: Option<NodeId>) -> String {
+    /// covers the context this part resolves to — an absolute part's path, a
+    /// relative part's first node reached (`reached`) — falling back to that
+    /// context, or to the expression when a relative part reaches nothing.
+    fn dimension_name_for_key_part(&self, part: &KeyPart, reached: Option<NodeId>) -> String {
         let context = match part {
             KeyPart::Absolute(expr) => Some(expr.clone()),
-            KeyPart::Relative(expr) => sample.and_then(|node| {
-                let document = self.collection.document(node.doc).ok()?;
-                let steps = seda_xmlstore::RelativeStep::parse_expr(expr);
-                let targets =
-                    document.eval_relative_steps(node.node, &steps, self.collection.symbols());
-                targets
-                    .first()
-                    .map(|&t| self.collection.path_string(document.node_unchecked(t).path))
-            }),
+            KeyPart::Relative(_) => {
+                reached.and_then(|node| self.collection.context_string(node).ok())
+            }
         };
         if let Some(context) = context {
             for def in self.registry.dimensions() {
@@ -316,10 +311,14 @@ impl<'a> StarSchemaBuilder<'a> {
                     let key: &RelativeKey = def
                         .key_for_context(collection, context)
                         .or_else(|| def.contexts.first().map(|c| &c.key))?;
+                    let mut compiled = key.compile(collection);
                     let names: Vec<String> = key
                         .parts()
                         .iter()
-                        .map(|p| self.dimension_name_for_key_part(p, Some(node)))
+                        .enumerate()
+                        .map(|(i, part)| {
+                            self.dimension_name_for_key_part(part, compiled.first_reached(i, node))
+                        })
                         .collect();
                     let joins = keys.is_empty() || names == dimension_columns;
                     if keys.is_empty() {
@@ -336,7 +335,7 @@ impl<'a> StarSchemaBuilder<'a> {
                             collection.path_string(first_context),
                         ));
                     }
-                    keys.push((context, joins.then(|| key.compile(collection))));
+                    keys.push((context, joins.then_some(compiled)));
                     keys.len() - 1
                 }
             };

@@ -7,10 +7,17 @@
 //! `.`).  The key of the `percentage` fact in the paper is
 //! `(/country, /country/year, ../trade_country)`: for every percentage node
 //! the key collects the country, the year and the sibling trade country.
+//!
+//! A key is evaluated one way: [`RelativeKey::compile`] parses each part's
+//! steps (`..`, `.` and labels) and resolves its labels to the store's
+//! symbols once, and one walk over parent links and children lists, comparing
+//! symbols, reaches the nodes of every part — an absolute part as child steps
+//! from the root element.  The star-schema builder names a relative part's
+//! dimension column through the same walk.
 
 use serde::{Deserialize, Serialize};
 
-use seda_xmlstore::{Collection, DocId, Document, NodeId, RelativeStep, Symbol};
+use seda_xmlstore::{Collection, DocId, Document, NodeId, Symbol};
 
 use crate::table::Dictionary;
 
@@ -154,7 +161,8 @@ impl RelativeKey {
 
     /// Resolves the key's parts against `collection` once — absolute paths and
     /// the labels of relative steps to their symbols — for evaluating many
-    /// nodes.
+    /// nodes.  A relative part's `/`-separated steps are `..` (the parent),
+    /// `.` (the node itself) or a label (the children carrying it).
     pub(crate) fn compile<'a>(&'a self, collection: &'a Collection) -> CompiledKey<'a> {
         let symbols = collection.symbols();
         let parts = self
@@ -170,12 +178,12 @@ impl RelativeKey {
                     }))
                 }
                 KeyPart::Relative(expr) => CompiledPart::Relative(
-                    RelativeStep::parse_expr(expr)
-                        .iter()
+                    expr.split('/')
+                        .filter(|step| !step.is_empty())
                         .map(|step| match step {
-                            RelativeStep::Parent => Step::Parent,
-                            RelativeStep::SelfNode => Step::SelfNode,
-                            RelativeStep::Child(label) => Step::Child(symbols.get(label)),
+                            ".." => Step::Parent,
+                            "." => Step::SelfNode,
+                            label => Step::Child(symbols.get(label)),
                         })
                         .collect(),
                 ),
@@ -235,7 +243,7 @@ enum CompiledPart {
     Relative(Vec<Step>),
 }
 
-/// A [`RelativeStep`] with its label resolved.
+/// One step of a relative part, its label resolved.
 #[derive(Debug, Clone, Copy)]
 enum Step {
     /// `..`
@@ -329,12 +337,23 @@ impl<'a> CompiledKey<'a> {
         }
         Ok(())
     }
+
+    /// The first node, in document order, that part `part` reaches from
+    /// `node` when the part is relative; `None` when it reaches none or is
+    /// absolute.
+    pub(crate) fn first_reached(&mut self, part: usize, node: NodeId) -> Option<NodeId> {
+        let CompiledPart::Relative(steps) = &self.parts[part] else { return None };
+        let document = self.collection.document(node.doc).ok()?;
+        match walk(document, node.node, steps, &mut self.frontier, &mut self.next) {
+            (0, _) => None,
+            (_, first) => Some(NodeId::new(node.doc, first)),
+        }
+    }
 }
 
-/// The nodes `steps` reach from `start`, as
-/// [`Document::eval_relative_steps`] finds them but in the two scratch
-/// frontiers: how many, and the first.  An absolute part is its child steps
-/// from the root.
+/// The nodes `steps` reach from `start`, each step taken from every node of
+/// the frontier before, in the two scratch frontiers: how many, and the first
+/// in document order.  An absolute part is its child steps from the root.
 fn walk(
     document: &Document,
     start: u32,
@@ -431,6 +450,29 @@ mod tests {
         ));
     }
 
+    /// The nodes a relative expression reaches from `node`, comparing labels
+    /// as strings: a frontier per step, sorted and deduplicated.
+    fn walk_by_name(collection: &Collection, node: NodeId, expr: &str) -> Vec<u32> {
+        let document = collection.document(node.doc).unwrap();
+        let mut frontier = vec![node.node];
+        for step in expr.split('/').filter(|step| !step.is_empty()) {
+            let mut next: Vec<u32> = Vec::new();
+            for &current in &frontier {
+                match step {
+                    "." => next.push(current),
+                    ".." => next.extend(document.parent(current)),
+                    label => next.extend(document.children(current).iter().filter(|&&child| {
+                        collection.node_name(NodeId::new(node.doc, child)).unwrap() == label
+                    })),
+                }
+            }
+            next.sort_unstable();
+            next.dedup();
+            frontier = next;
+        }
+        frontier
+    }
+
     /// The evaluation as it was before keys were compiled: every part resolved
     /// from its text and matched by a scan of the document, per node.
     fn evaluate_uncompiled(
@@ -447,11 +489,7 @@ mod tests {
                     .get_str(collection.symbols(), expr)
                     .map(|path| document.nodes_with_path(path))
                     .unwrap_or_default(),
-                KeyPart::Relative(expr) => document.eval_relative_steps(
-                    node.node,
-                    &RelativeStep::parse_expr(expr),
-                    collection.symbols(),
-                ),
+                KeyPart::Relative(expr) => walk_by_name(collection, node, expr),
             };
             let expression = part.expression().to_string();
             match matches.len() {

@@ -18,8 +18,8 @@ use seda_xmlstore::{Collection, NodeId, PathId};
 /// The full (non-top-k) result of a SEDA query, as described in Sec. 1/7:
 /// "two columns for each query term: the first one contains the Dewey ID XML
 /// node reference, and the other one contains the full root-to-leaf path of
-/// the node."  Here the node reference carries the document and ordinal, from
-/// which `Document::dewey` derives the Dewey ID through the parent chain.
+/// the node."  Here the node reference carries the document and the preorder
+/// ordinal, which orders a document's nodes as their Dewey IDs do.
 /// The path column is not stored either: a node's root-to-leaf path is a
 /// function of the node (`Collection::context`), so R(q) keeps its two
 /// columns a term while the table holds one cell —

@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use seda_olap::{AggFn, BuildOptions, CubeQuery, KeyPart, QueryResultTable, Registry, SchemaRole};
-use seda_xmlstore::{Collection, NodeId, PathId, RelativeStep};
+use seda_xmlstore::{Collection, NodeId, PathId};
 
 /// One fact row: dimension values, then measure values.
 pub type Row = (Vec<String>, Vec<String>);
@@ -117,11 +117,30 @@ fn evaluate_part(collection: &Collection, part: &KeyPart, node: NodeId) -> Vec<u
             .get_str(collection.symbols(), expr)
             .map(|path| document.nodes_with_path(path))
             .unwrap_or_default(),
-        KeyPart::Relative(expr) => document.eval_relative_steps(
-            node.node,
-            &RelativeStep::parse_expr(expr),
-            collection.symbols(),
-        ),
+        KeyPart::Relative(expr) => {
+            // `..` moves to the parent, `.` stays, a label moves to the
+            // children named so; labels are compared as strings.
+            let mut frontier = vec![node.node];
+            for step in expr.split('/').filter(|step| !step.is_empty()) {
+                let mut next = Vec::new();
+                for &current in &frontier {
+                    match step {
+                        "." => next.push(current),
+                        ".." => next.extend(document.parent(current)),
+                        label => next.extend(document.children(current).iter().copied().filter(
+                            |&child| {
+                                collection.node_name(NodeId::new(node.doc, child)).ok()
+                                    == Some(label)
+                            },
+                        )),
+                    }
+                }
+                next.sort_unstable();
+                next.dedup();
+                frontier = next;
+            }
+            frontier
+        }
     }
 }
 

@@ -458,7 +458,7 @@ mod tests {
     #[test]
     fn single_path_twig_matches_all_instances() {
         let c = factbook();
-        let p = TwigPattern::from_path("/country/economy/import_partners/item/percentage").unwrap();
+        let p = TwigPattern::parse("/country/economy/import_partners/item/percentage").unwrap();
         let m = evaluate_twig(&c, &p);
         assert_eq!(m.len(), 3);
         for row in m.rows() {
@@ -469,10 +469,10 @@ mod tests {
     #[test]
     fn branching_twig_pairs_siblings_correctly() {
         let c = factbook();
-        let p = TwigPattern::from_paths(&[
-            "/country/name",
-            "/country/economy/import_partners/item/trade_country",
-            "/country/economy/import_partners/item/percentage",
+        let (p, _) = TwigPattern::from_paths([
+            &["country", "name"][..],
+            &["country", "economy", "import_partners", "item", "trade_country"],
+            &["country", "economy", "import_partners", "item", "percentage"],
         ])
         .unwrap();
         let m = evaluate_twig(&c, &p);
@@ -493,14 +493,12 @@ mod tests {
     #[test]
     fn predicates_filter_matches() {
         let c = factbook();
-        let mut p = TwigPattern::from_paths(&[
-            "/country/name",
-            "/country/economy/import_partners/item/trade_country",
+        let (mut p, ends) = TwigPattern::from_paths([
+            &["country", "name"][..],
+            &["country", "economy", "import_partners", "item", "trade_country"],
         ])
         .unwrap();
-        let tc =
-            p.node_indices().into_iter().find(|&i| p.node(i).label == "trade_country").unwrap();
-        p.set_predicate(tc, FullTextQuery::phrase("United States"));
+        p.set_predicate(ends[1], FullTextQuery::phrase("United States"));
         let m = evaluate_twig(&c, &p);
         assert_eq!(m.len(), 1);
         let contents: Vec<String> =
@@ -531,16 +529,16 @@ mod tests {
     #[test]
     fn unmatched_patterns_return_empty() {
         let c = factbook();
-        let p = TwigPattern::from_path("/country/nonexistent").unwrap();
+        let p = TwigPattern::parse("/country/nonexistent").unwrap();
         assert!(evaluate_twig(&c, &p).is_empty());
-        let p = TwigPattern::from_path("/city/name").unwrap();
+        let p = TwigPattern::parse("/city/name").unwrap();
         assert!(evaluate_twig(&c, &p).is_empty());
     }
 
     #[test]
     fn output_projection_respects_output_flags() {
         let c = factbook();
-        let mut p = TwigPattern::from_path("/country/year").unwrap();
+        let mut p = TwigPattern::parse("/country/year").unwrap();
         // Also output the root.
         p.set_output(0, true);
         let m = evaluate_twig(&c, &p);
@@ -555,7 +553,7 @@ mod tests {
     #[test]
     fn duplicate_free_results() {
         let c = factbook();
-        let p = TwigPattern::from_paths(&["/country/name", "/country/year"]).unwrap();
+        let p = TwigPattern::from_paths([["country", "name"], ["country", "year"]]).unwrap().0;
         let m = evaluate_twig(&c, &p);
         assert_eq!(m.len(), 3);
         let mut rows: Vec<&[NodeId]> = m.rows().collect();
@@ -569,7 +567,7 @@ mod tests {
     #[test]
     fn a_stop_hook_ends_the_evaluation_before_the_next_document() {
         let c = factbook();
-        let p = TwigPattern::from_path("/country/economy/import_partners/item/percentage").unwrap();
+        let p = TwigPattern::parse("/country/economy/import_partners/item/percentage").unwrap();
         let full = evaluate_twig(&c, &p);
         let mut asked = Vec::new();
         let cut = evaluate_twig_in(&c, &p, c.documents(), |rows| {

@@ -2,9 +2,13 @@
 //!
 //! The complete-result machinery of SEDA's Sec. 7: query pattern trees
 //! ([`TwigPattern`]) and holistic stack-based twig evaluation over
-//! region-encoded input streams in Dewey order ([`evaluate_twig`], or
-//! [`evaluate_twig_in`] over chosen documents).  Results that span documents
-//! are joined by the engine over the data graph, not here.
+//! region-encoded input streams ([`evaluate_twig`], or [`evaluate_twig_in`]
+//! over chosen documents).  A stream element is a preorder ordinal, which is
+//! Dewey order, and labels are compared as the store's symbols; no Dewey ID
+//! is built.  A complete result's twig is [`TwigPattern::from_paths`] over
+//! the chosen contexts' labels, and a `TWIG` statement's is
+//! [`TwigPattern::parse`].  Results that span documents are joined by the
+//! engine over the data graph, not here.
 //!
 //! ```
 //! use seda_twigjoin::{evaluate_twig, TwigPattern};
@@ -13,9 +17,14 @@
 //! let collection = parse_collection(vec![
 //!     ("us.xml", "<country><name>United States</name><year>2006</year></country>"),
 //! ]).unwrap();
-//! let pattern = TwigPattern::from_paths(&["/country/name", "/country/year"]).unwrap();
+//! // The chosen contexts `/country/name` and `/country/year`, as labels.
+//! let (pattern, ends) =
+//!     TwigPattern::from_paths([["country", "name"], ["country", "year"]]).unwrap();
 //! let matches = evaluate_twig(&collection, &pattern);
 //! assert_eq!(matches.len(), 1);
+//! let year = matches.rows().next().unwrap()[matches.column_of(ends[1]).unwrap()];
+//! assert_eq!(collection.content(year).unwrap(), "2006");
+//! assert_eq!(pattern.expression(ends[1]), "/country/year");
 //! ```
 
 mod eval;
@@ -61,8 +70,8 @@ mod proptests {
         #[test]
         fn twig_match_counts(n in 1u8..5, items in 1u8..6) {
             let c = item_collection(n, items);
-            let branching =
-                TwigPattern::from_paths(&["/list/item/key", "/list/item/value"]).unwrap();
+            let (branching, _) =
+                TwigPattern::from_paths([["list", "item", "key"], ["list", "item", "value"]]).unwrap();
             let m = evaluate_twig(&c, &branching);
             prop_assert_eq!(m.len(), (n as usize) * (items as usize));
             for row in m.rows() {
@@ -72,7 +81,7 @@ mod proptests {
                 prop_assert_eq!(key_parent, value_parent);
                 prop_assert_eq!(row[0].doc, row[1].doc);
             }
-            let single = TwigPattern::from_path("/list/item/value").unwrap();
+            let single = TwigPattern::parse("/list/item/value").unwrap();
             prop_assert_eq!(evaluate_twig(&c, &single).len(), (n as usize) * (items as usize));
         }
 
@@ -80,7 +89,8 @@ mod proptests {
         #[test]
         fn twig_evaluation_is_deterministic(n in 1u8..4, items in 1u8..5) {
             let c = item_collection(n, items);
-            let p = TwigPattern::from_paths(&["/list/item/key", "/list/item/value"]).unwrap();
+            let (p, _) =
+                TwigPattern::from_paths([["list", "item", "key"], ["list", "item", "value"]]).unwrap();
             let a = evaluate_twig(&c, &p);
             let b = evaluate_twig(&c, &p);
             prop_assert_eq!(a, b);

@@ -6,6 +6,13 @@
 //! tree: every node carries a label test, an axis relating it to its parent
 //! (child or descendant), an optional full-text predicate on its content, and
 //! a flag marking it as an output (query) node.
+//!
+//! A pattern comes from one of two constructors: [`TwigPattern::parse`]
+//! reads the textual syntax of a `TWIG` statement (`/a//b`), and
+//! [`TwigPattern::from_paths`] merges the root-to-leaf child paths of a
+//! complete result's chosen contexts, given as their labels.
+//! [`TwigPattern::expression`] renders a node's path back in the textual
+//! syntax, axes included.
 
 use std::fmt;
 
@@ -131,35 +138,30 @@ impl TwigPattern {
         Ok(pattern)
     }
 
-    /// Builds a single-path pattern from `/a/b/c` notation; the leaf is marked
-    /// as an output node.
-    pub fn from_path(path: &str) -> Result<Self, TwigParseError> {
-        let mut labels = path.split('/').filter(|s| !s.is_empty());
-        let root = labels
-            .next()
-            .ok_or_else(|| TwigParseError::new(format!("twig path has no steps: {path:?}")))?;
-        let mut pattern = TwigPattern::with_root(root);
-        let mut current = 0usize;
-        for label in labels {
-            current = pattern.add_child(current, label, Axis::Child);
-        }
-        pattern.nodes[current].output = true;
-        Ok(pattern)
-    }
-
-    /// Builds a merged pattern from several `/a/b/c` paths sharing the same
-    /// root; each path's leaf becomes an output node.  Fails when the paths
-    /// are empty or have different root labels.
-    pub fn from_paths(paths: &[&str]) -> Result<Self, TwigParseError> {
-        let mut iter = paths.iter();
-        let first = iter.next().ok_or_else(|| TwigParseError::new("no twig paths to merge"))?;
-        let mut pattern = TwigPattern::from_path(first)?;
-        for path in iter {
-            let mut labels = path.split('/').filter(|s| !s.is_empty());
-            let root = labels
-                .next()
-                .ok_or_else(|| TwigParseError::new(format!("twig path has no steps: {path:?}")))?;
-            if root != pattern.nodes[0].label {
+    /// Merges root-to-leaf child paths into one pattern, shared prefixes
+    /// merged and the root anchored at the document's root element.  Each
+    /// path is given as its labels, root first, and its last node becomes an
+    /// output node.  Returns the pattern and, per path in order, the pattern
+    /// node it ends on: two paths that end on one node get the same node.
+    /// Fails when there is no path, a path has no labels, or two paths start
+    /// with different labels.
+    pub fn from_paths<P, L>(
+        paths: impl IntoIterator<Item = P>,
+    ) -> Result<(Self, Vec<usize>), TwigParseError>
+    where
+        P: IntoIterator<Item = L>,
+        L: AsRef<str>,
+    {
+        let mut pattern = TwigPattern::default();
+        let mut ends = Vec::new();
+        for path in paths {
+            let mut labels = path.into_iter();
+            let root =
+                labels.next().ok_or_else(|| TwigParseError::new("a twig path has no steps"))?;
+            let root = root.as_ref();
+            if pattern.is_empty() {
+                pattern = TwigPattern::with_root(root);
+            } else if root != pattern.nodes[0].label {
                 return Err(TwigParseError::new(format!(
                     "twig paths have different roots: {:?} vs {root:?}",
                     pattern.nodes[0].label
@@ -167,6 +169,7 @@ impl TwigPattern {
             }
             let mut current = 0usize;
             for label in labels {
+                let label = label.as_ref();
                 current = match pattern.nodes[current].children.iter().copied().find(|&c| {
                     pattern.nodes[c].label == label && pattern.nodes[c].axis == Axis::Child
                 }) {
@@ -175,8 +178,12 @@ impl TwigPattern {
                 };
             }
             pattern.nodes[current].output = true;
+            ends.push(current);
         }
-        Ok(pattern)
+        if pattern.is_empty() {
+            return Err(TwigParseError::new("no twig paths to merge"));
+        }
+        Ok((pattern, ends))
     }
 
     /// Adds a child pattern node and returns its index.
@@ -222,6 +229,26 @@ impl TwigPattern {
     /// Borrow a pattern node.
     pub fn node(&self, idx: usize) -> &TwigNode {
         &self.nodes[idx]
+    }
+
+    /// The path from the root to `node` in the syntax [`TwigPattern::parse`]
+    /// reads, axes included: `/` before a child step, `//` before a
+    /// descendant step, so the output node of `parse("/a//b")` renders as
+    /// `/a//b`.
+    pub fn expression(&self, node: usize) -> String {
+        let mut chain = vec![node];
+        let mut current = node;
+        while let Some(parent) = self.nodes[current].parent {
+            chain.push(parent);
+            current = parent;
+        }
+        let mut out = String::new();
+        for &step in chain.iter().rev() {
+            let step = &self.nodes[step];
+            out.push_str(if step.axis == Axis::Descendant { "//" } else { "/" });
+            out.push_str(&step.label);
+        }
+        out
     }
 
     /// Indices of all pattern nodes, root first (pre-order).
@@ -272,8 +299,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_path_builds_a_chain() {
-        let p = TwigPattern::from_path("/country/economy/GDP").unwrap();
+    fn parse_of_a_child_path_builds_a_chain() {
+        let p = TwigPattern::parse("/country/economy/GDP").unwrap();
         assert_eq!(p.len(), 3);
         assert_eq!(p.node(0).label, "country");
         assert_eq!(p.node(2).label, "GDP");
@@ -284,29 +311,56 @@ mod tests {
 
     #[test]
     fn from_paths_merges_shared_prefixes() {
-        let p = TwigPattern::from_paths(&[
-            "/country/economy/import_partners/item/trade_country",
-            "/country/economy/import_partners/item/percentage",
-            "/country/name",
+        let (p, ends) = TwigPattern::from_paths([
+            &["country", "economy", "import_partners", "item", "trade_country"][..],
+            &["country", "economy", "import_partners", "item", "percentage"],
+            &["country", "name"],
         ])
         .unwrap();
         // country, economy, import_partners, item, trade_country, percentage, name
         assert_eq!(p.len(), 7);
         assert_eq!(p.output_nodes().len(), 3);
         assert_eq!(p.leaves().len(), 3);
+        assert_eq!(ends, vec![4, 5, 6]);
+        assert_eq!(p.node(ends[0]).label, "trade_country");
+        assert_eq!(p.node(ends[1]).label, "percentage");
         // The two partner leaves share the same `item` parent node.
-        let tc =
-            p.node_indices().into_iter().find(|&i| p.node(i).label == "trade_country").unwrap();
-        let pct = p.node_indices().into_iter().find(|&i| p.node(i).label == "percentage").unwrap();
-        assert_eq!(p.node(tc).parent, p.node(pct).parent);
+        assert_eq!(p.node(ends[0]).parent, p.node(ends[1]).parent);
+        assert_eq!(p.expression(ends[2]), "/country/name");
+    }
+
+    #[test]
+    fn paths_that_end_on_one_node_get_the_same_node() {
+        let (p, ends) =
+            TwigPattern::from_paths([["a", "b"], ["a", "b"]].iter().map(|path| path.iter()))
+                .unwrap();
+        assert_eq!(p.len(), 2);
+        assert_eq!(ends, vec![1, 1]);
+        assert_eq!(p.output_nodes(), vec![1]);
+        // A path that ends above another's end is an inner output node.
+        let (p, ends) = TwigPattern::from_paths([vec!["a", "b", "c"], vec!["a", "b"]]).unwrap();
+        assert_eq!(ends, vec![2, 1]);
+        assert_eq!(p.output_nodes(), vec![1, 2]);
+        assert_eq!(p.leaves(), vec![2]);
     }
 
     #[test]
     fn from_paths_rejects_mismatched_roots() {
-        let err = TwigPattern::from_paths(&["/country/name", "/sea/name"]).unwrap_err();
+        let err = TwigPattern::from_paths([["country", "name"], ["sea", "name"]]).unwrap_err();
         assert!(err.to_string().contains("different roots"), "{err}");
-        assert!(TwigPattern::from_paths(&[]).is_err());
-        assert!(TwigPattern::from_path("").is_err());
+        assert!(TwigPattern::from_paths(Vec::<[&str; 1]>::new()).is_err());
+        assert!(TwigPattern::from_paths([Vec::<&str>::new()]).is_err());
+    }
+
+    #[test]
+    fn expressions_keep_their_axes() {
+        for text in ["/country/economy//trade_country", "//a/b", "//a//b/c", "/a"] {
+            let p = TwigPattern::parse(text).unwrap();
+            assert_eq!(p.expression(p.output_nodes()[0]), text);
+        }
+        let p = TwigPattern::parse("/a/b//c").unwrap();
+        assert_eq!(p.expression(p.root()), "/a");
+        assert_eq!(p.expression(1), "/a/b");
     }
 
     #[test]
@@ -325,7 +379,8 @@ mod tests {
         let anywhere = TwigPattern::parse("//city/name").unwrap();
         assert_eq!(anywhere.node(0).axis, Axis::Descendant);
         assert_eq!(anywhere.node(1).axis, Axis::Child);
-        assert_eq!(TwigPattern::from_path("/city/name").unwrap().node(0).axis, Axis::Child);
+        let (merged, _) = TwigPattern::from_paths([["city", "name"]]).unwrap();
+        assert_eq!(merged.node(0).axis, Axis::Child);
     }
 
     #[test]
@@ -339,7 +394,8 @@ mod tests {
 
     #[test]
     fn chains_cover_every_leaf() {
-        let p = TwigPattern::from_paths(&["/a/b/c", "/a/b/d", "/a/e"]).unwrap();
+        let paths = [&["a", "b", "c"][..], &["a", "b", "d"], &["a", "e"]];
+        let (p, _) = TwigPattern::from_paths(paths).unwrap();
         let chains = p.root_to_leaf_chains();
         assert_eq!(chains.len(), 3);
         for chain in &chains {
@@ -361,7 +417,7 @@ mod tests {
 
     #[test]
     fn preorder_enumeration_starts_at_root() {
-        let p = TwigPattern::from_paths(&["/a/b/c", "/a/d"]).unwrap();
+        let (p, _) = TwigPattern::from_paths([&["a", "b", "c"][..], &["a", "d"]]).unwrap();
         let order = p.node_indices();
         assert_eq!(order[0], 0);
         assert_eq!(order.len(), p.len());

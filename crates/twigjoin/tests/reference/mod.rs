@@ -1,9 +1,10 @@
 //! The twig evaluator as it shipped before the region-encoded rewrite of
 //! `seda_twigjoin::evaluate_twig`, kept verbatim as the differential reference: one
 //! pass per pattern node resolving names to strings, streams of Dewey ids
-//! (derived by `Document::dewey`, no longer stored) in a `HashMap`, chain solutions as `BTreeMap`s hash-joined on their
-//! shared pattern nodes, one global sort.  It shares no code with the new
-//! evaluator.  The one addition is the anchoring rule both now follow: a root
+//! (derived here from `Document::parent` and `Document::children`; the store
+//! keeps none) in a `HashMap`, chain solutions as `BTreeMap`s hash-joined on
+//! their shared pattern nodes, one global sort.  It shares no code with the
+//! new evaluator.  The one addition is the anchoring rule both now follow: a root
 //! with `Axis::Child` only matches the document's root element.
 //!
 //! It keeps its own nested result type, so it shares no representation with
@@ -15,7 +16,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use seda_twigjoin::{Axis, TwigPattern};
-use seda_xmlstore::{Collection, DeweyId, Document, NodeId};
+use seda_xmlstore::{Collection, Document, NodeId};
 
 /// Matches as the old evaluator returned them: one `Vec` a row.
 #[derive(Debug)]
@@ -26,6 +27,45 @@ pub struct TwigMatches {
     pub rows: Vec<Vec<NodeId>>,
     /// One count per node per pattern node it was tested against.
     pub nodes_visited: usize,
+}
+
+/// A Dewey ID (Tatarinov et al., SIGMOD 2002): the 1-based rank of each node
+/// among its parent's children, from the root element (`1`) down.  The
+/// vectors' lexicographic order is document order.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct DeweyId(Vec<u32>);
+
+impl DeweyId {
+    /// The ID of `ordinal`, climbing its parent chain and ranking each node
+    /// among its parent's children.
+    fn of(document: &Document, ordinal: u32) -> Self {
+        let mut components = Vec::new();
+        let mut current = ordinal;
+        while let Some(parent) = document.parent(current) {
+            let children = document.children(parent);
+            let rank = children.iter().position(|&c| c == current).expect("a child of its parent");
+            components.push(rank as u32 + 1);
+            current = parent;
+        }
+        components.push(1);
+        components.reverse();
+        DeweyId(components)
+    }
+
+    /// True iff `self` is a proper ancestor of `other`.
+    fn is_ancestor_of(&self, other: &DeweyId) -> bool {
+        other.0.len() > self.0.len() && other.0.starts_with(&self.0)
+    }
+
+    /// True iff `self` is the parent of `other`.
+    fn is_parent_of(&self, other: &DeweyId) -> bool {
+        other.0.len() == self.0.len() + 1 && other.0.starts_with(&self.0)
+    }
+
+    /// True iff `self` equals `other` or is an ancestor of `other`.
+    fn is_ancestor_or_self_of(&self, other: &DeweyId) -> bool {
+        self == other || self.is_ancestor_of(other)
+    }
 }
 
 /// One element of a pattern node's input stream.
@@ -62,7 +102,7 @@ fn build_stream(
                 continue;
             }
         }
-        out.push(StreamElement { ordinal, dewey: document.dewey(ordinal) });
+        out.push(StreamElement { ordinal, dewey: DeweyId::of(document, ordinal) });
     }
     // Document iteration order is document order, which is Dewey order.
     out

@@ -14,9 +14,9 @@
 //! | `path-in-bounds` | every node's interned path and name resolve in the shared tables |
 //! | `path-parent` | a node's context is one step longer than its parent's and ends in the node's name; a root's context is one step |
 //!
-//! Dewey IDs ([`Document::dewey`]), the twig evaluator's region encoding and
-//! the data graph's parent walk all read `preorder`; the evaluator's levels
-//! read `path-parent`.  Each class costs O(1) per node.
+//! Preorder ordinals are the store's Dewey order: the twig evaluator's region
+//! encoding and the data graph's parent walk both read `preorder`; the
+//! evaluator's levels read `path-parent`.  Each class costs O(1) per node.
 
 use std::fmt;
 

@@ -4,7 +4,6 @@ use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
-use crate::dewey::DeweyId;
 use crate::error::{Result, XmlStoreError};
 use crate::node::{DocId, Node, NodeId, NodeKind};
 use crate::path::{PathId, PathTable};
@@ -117,21 +116,6 @@ impl Document {
         }
     }
 
-    /// The Dewey ID of a node (the node reference of Sec. 7), derived from
-    /// the parent chain: each component is the node's 1-based rank among its
-    /// parent's children, found by binary search because children ascend.
-    pub fn dewey(&self, ordinal: u32) -> DeweyId {
-        let mut components = Vec::new();
-        let mut current = ordinal;
-        while let Some(parent) = self.parent(current) {
-            components.push(self.children(parent).partition_point(|&c| c < current) as u32 + 1);
-            current = parent;
-        }
-        components.push(1);
-        components.reverse();
-        DeweyId::from_components(components)
-    }
-
     /// Ordinals of all nodes whose context equals `path`.
     pub fn nodes_with_path(&self, path: PathId) -> Vec<u32> {
         self.iter().filter(|(_, n)| n.path == path).map(|(i, _)| i).collect()
@@ -159,70 +143,6 @@ impl Document {
     #[doc(hidden)]
     pub fn corrupt_node_path(&mut self, ordinal: u32, path: PathId) {
         self.nodes[ordinal as usize].path = path;
-    }
-
-    /// Evaluates a relative step expression from `ordinal`.
-    ///
-    /// Relative XML keys (Sec. 7 of the paper) use steps such as
-    /// `../trade_country`: each `..` moves to the parent, each label moves to
-    /// the children with that label.  Returns every node reached.
-    pub fn eval_relative_steps(
-        &self,
-        ordinal: u32,
-        steps: &[RelativeStep],
-        symbols: &SymbolTable,
-    ) -> Vec<u32> {
-        let mut frontier = vec![ordinal];
-        for step in steps {
-            let mut next = Vec::new();
-            for &current in &frontier {
-                match step {
-                    RelativeStep::Parent => {
-                        if let Some(p) = self.parent(current) {
-                            next.push(p);
-                        }
-                    }
-                    RelativeStep::Child(label) => {
-                        for &child in self.children(current) {
-                            if symbols.resolve(self.nodes[child as usize].name) == label {
-                                next.push(child);
-                            }
-                        }
-                    }
-                    RelativeStep::SelfNode => next.push(current),
-                }
-            }
-            next.sort_unstable();
-            next.dedup();
-            frontier = next;
-        }
-        frontier
-    }
-}
-
-/// One step of a relative path expression (used by relative XML keys).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RelativeStep {
-    /// `..` — move to the parent.
-    Parent,
-    /// `label` — move to children with this label.
-    Child(String),
-    /// `.` — stay on the current node.
-    SelfNode,
-}
-
-impl RelativeStep {
-    /// Parses a `.`, `..`, or label-separated relative expression such as
-    /// `../trade_country` into steps.
-    pub fn parse_expr(expr: &str) -> Vec<RelativeStep> {
-        expr.split('/')
-            .filter(|s| !s.is_empty())
-            .map(|s| match s {
-                "." => RelativeStep::SelfNode,
-                ".." => RelativeStep::Parent,
-                label => RelativeStep::Child(label.to_string()),
-            })
-            .collect()
     }
 }
 
@@ -382,22 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn dewey_ids_derive_from_the_parent_chain() {
-        let (_, _, doc) = build_sample();
-        assert_eq!(doc.dewey(0), DeweyId::root());
-        // Canada's trade_country: first child of the second `item` of
-        // import_partners, economy's second child, the root's third (the
-        // `name` attribute is the first).
-        let canada = doc.iter().find(|&(i, _)| doc.content(i) == "Canada").unwrap().0;
-        assert_eq!(doc.dewey(canada).to_string(), "1.3.2.2.1");
-        let mut previous = DeweyId::root();
-        for (i, _) in doc.iter().skip(1) {
-            assert!(doc.dewey(i) > previous, "node {i} out of Dewey order");
-            previous = doc.dewey(i);
-        }
-    }
-
-    #[test]
     fn builder_interns_contexts() {
         let (symbols, paths, doc) = build_sample();
         let percentage_path =
@@ -433,28 +337,6 @@ mod tests {
         assert_eq!(attr.kind, NodeKind::Attribute);
         assert_eq!(attr.text.as_deref(), Some("United States"));
         assert_eq!(attr.parent, Some(0));
-    }
-
-    #[test]
-    fn relative_steps_navigate_siblings() {
-        let (symbols, paths, doc) = build_sample();
-        let percentage_path =
-            paths.get_str(&symbols, "/country/economy/import_partners/item/percentage").unwrap();
-        let percentage_nodes = doc.nodes_with_path(percentage_path);
-        let steps = RelativeStep::parse_expr("../trade_country");
-        let siblings = doc.eval_relative_steps(percentage_nodes[0], &steps, &symbols);
-        assert_eq!(siblings.len(), 1);
-        assert_eq!(doc.content(siblings[0]), "China");
-    }
-
-    #[test]
-    fn relative_step_parsing() {
-        assert_eq!(
-            RelativeStep::parse_expr("../trade_country"),
-            vec![RelativeStep::Parent, RelativeStep::Child("trade_country".into())]
-        );
-        assert_eq!(RelativeStep::parse_expr("."), vec![RelativeStep::SelfNode]);
-        assert_eq!(RelativeStep::parse_expr(""), vec![]);
     }
 
     #[test]

@@ -2,9 +2,15 @@
 //!
 //! Native XML document store underpinning the SEDA reproduction.  It plays the
 //! role DB2 pureXML plays in the paper: it stores XML documents as preorder
-//! node arenas with parent links (a node's Dewey order identifier is derived
-//! from them on demand), interns element names and root-to-leaf *context*
-//! paths, and supports retrieval of node content by node id.
+//! node arenas with parent links, interns element names and root-to-leaf
+//! *context* paths, and supports retrieval of node content by node id.
+//!
+//! Structure is read one way: a node's preorder ordinal is its place in
+//! Dewey order (the node reference of Sec. 7, checked by the audit's
+//! `preorder` class), and its context is an interned [`PathId`] whose
+//! [`LabelPath::steps`] are [`Symbol`]s.  The twig join, relative XML keys
+//! and the context summaries all compare those integers, never label
+//! strings, and no Dewey ID is built.
 //!
 //! The store keeps only what it cannot derive: a context is interned as one
 //! step below its parent's, and element nesting is capped at [`MAX_NESTING`]
@@ -28,7 +34,6 @@
 
 pub mod audit;
 mod collection;
-mod dewey;
 mod document;
 mod error;
 mod node;
@@ -38,8 +43,7 @@ mod symbol;
 
 pub use audit::{AuditResult, InvariantViolation};
 pub use collection::Collection;
-pub use dewey::DeweyId;
-pub use document::{Document, DocumentBuilder, RelativeStep, MAX_NESTING};
+pub use document::{Document, DocumentBuilder, MAX_NESTING};
 pub use error::{Result, XmlStoreError};
 pub use node::{DocId, Node, NodeId, NodeKind};
 pub use parse::{parse_collection, parse_into};
@@ -52,7 +56,7 @@ mod proptests {
 
     use proptest::prelude::*;
 
-    use crate::{Collection, DeweyId, PathId, Symbol};
+    use crate::{Collection, PathId, Symbol};
 
     /// Drives a builder through one random document: each `(op, label)`
     /// opens an element (ops 0–3, up to depth 30), closes one (4–5, never
@@ -82,13 +86,12 @@ mod proptests {
     }
 
     proptest! {
-        /// Dewey IDs and contexts derived from the parent chain equal what
-        /// storing them did: `1` at the root, a child's ID extends its
-        /// parent's by its rank, IDs ascend in document order, the depth is
-        /// the context's length, and `PathId`s follow the old rule of
+        /// Contexts derived from the parent chain equal what storing them
+        /// did: a node's context extends its parent's by its name, its
+        /// length is the node's depth, and `PathId`s follow the old rule of
         /// interning each node's full label list in document order.
         #[test]
-        fn derived_dewey_ids_and_contexts_match_the_stored_model(
+        fn derived_contexts_match_the_stored_model(
             documents in proptest::collection::vec(
                 proptest::collection::vec((0u8..8, any::<u8>()), 0..300),
                 1..4,
@@ -101,58 +104,17 @@ mod proptests {
             collection.verify().unwrap();
             let mut model: HashMap<Vec<Symbol>, PathId> = HashMap::new();
             for doc in collection.documents() {
-                prop_assert_eq!(doc.dewey(0), DeweyId::root());
                 let mut labels: Vec<Vec<Symbol>> = Vec::with_capacity(doc.len());
-                let mut previous: Option<DeweyId> = None;
-                for (i, node) in doc.iter() {
-                    let dewey = doc.dewey(i);
-                    let mut steps = Vec::new();
-                    if let Some(parent) = node.parent {
-                        let rank = doc.children(parent).iter().position(|&c| c == i).unwrap();
-                        prop_assert_eq!(&dewey, &doc.dewey(parent).child(rank as u32 + 1));
-                        steps = labels[parent as usize].clone();
-                    }
+                for (_, node) in doc.iter() {
+                    let mut steps = node.parent.map_or_else(Vec::new, |p| labels[p as usize].clone());
                     steps.push(node.name);
                     let next = PathId(model.len() as u32);
                     prop_assert_eq!(node.path, *model.entry(steps.clone()).or_insert(next));
-                    prop_assert_eq!(dewey.depth(), collection.paths().resolve(node.path).len());
-                    prop_assert_eq!(dewey.depth(), steps.len());
-                    if let Some(previous) = previous {
-                        prop_assert!(previous < dewey, "{} !< {}", previous, dewey);
-                    }
-                    previous = Some(dewey);
+                    prop_assert_eq!(collection.paths().resolve(node.path).steps(), &steps[..]);
                     labels.push(steps);
                 }
             }
             prop_assert_eq!(collection.paths().len(), model.len());
-        }
-
-        /// The ordering must be a total order consistent with equality.
-        #[test]
-        fn dewey_ordering_is_consistent(
-            a in proptest::collection::vec(1u32..20, 0..8),
-            b in proptest::collection::vec(1u32..20, 0..8),
-        ) {
-            use std::cmp::Ordering;
-            let extend = |ranks: &[u32]| ranks.iter().fold(DeweyId::root(), |d, &r| d.child(r));
-            let (a, b) = (extend(&a), extend(&b));
-            match a.cmp(&b) {
-                Ordering::Equal => prop_assert_eq!(&a, &b),
-                Ordering::Less => prop_assert!(b.cmp(&a) == Ordering::Greater),
-                Ordering::Greater => prop_assert!(b.cmp(&a) == Ordering::Less),
-            }
-        }
-
-        /// An ancestor's Dewey id always sorts before its descendants.
-        #[test]
-        fn ancestors_sort_before_descendants(
-            a in proptest::collection::vec(1u32..20, 0..8),
-            extra in proptest::collection::vec(1u32..20, 1..4),
-        ) {
-            let a = a.iter().fold(DeweyId::root(), |d, &r| d.child(r));
-            let child = extra.iter().fold(a.clone(), |d, &r| d.child(r));
-            prop_assert!(a.is_ancestor_of(&child));
-            prop_assert!(a < child);
         }
     }
 }

@@ -31,7 +31,8 @@ fn nesting_up_to_the_limit_parses() {
     let collection = parse_collection([("deep.xml", nested(MAX_NESTING).as_str())]).unwrap();
     assert_eq!(collection.total_nodes(), MAX_NESTING);
     let document = collection.documents().next().unwrap();
-    assert_eq!(document.dewey(MAX_NESTING as u32 - 1).depth(), MAX_NESTING);
+    let deepest = document.node(MAX_NESTING as u32 - 1).unwrap().path;
+    assert_eq!(collection.paths().resolve(deepest).len(), MAX_NESTING);
 }
 
 #[test]

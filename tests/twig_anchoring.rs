@@ -57,6 +57,32 @@ fn a_nested_element_with_the_roots_name_is_not_the_root() {
     assert_eq!(top_k.top_k().expect("top-k payload").tuples.len(), 1);
 }
 
+/// A `TWIG` column is named by the statement's own path, axes included: the
+/// names used to drop the axes, so `/country/economy//trade_country` read
+/// `/country/economy/trade_country` and `//city/name` read `/city/name`,
+/// paths no node of those answers has.
+#[test]
+fn twig_columns_are_named_by_their_own_expression() {
+    let engine = build(
+        parse_collection(vec![
+            ("paris.xml", "<city><name>Paris</name></city>"),
+            (
+                "us.xml",
+                "<country><economy><import_partners><item>\
+                 <trade_country>China</trade_country></item></import_partners></economy></country>",
+            ),
+        ])
+        .expect("corpus parses"),
+    );
+    let mut reader = engine.reader();
+    for path in ["/country/economy//trade_country", "//city/name"] {
+        let twig = reader.execute_text(&format!("TWIG {path}")).expect("twig");
+        let table = twig.table().expect("table payload");
+        assert_eq!(table.column_names, [path]);
+        assert_eq!(table.len(), 1, "{path}");
+    }
+}
+
 /// One same-root `RESULTS` per datagen shape, a selective term in each.
 fn same_root_results() -> [(Dataset, String); 4] {
     let ingredient = seda_datagen::names::INGREDIENTS[0];

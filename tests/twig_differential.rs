@@ -17,7 +17,8 @@ mod reference;
 use seda_core::{EngineConfig, ResponsePayload, SedaEngine, SedaRequest, SedaResponse, Statement};
 use seda_datagen::{names, Dataset};
 use seda_olap::{aggregate, CubeQuery, QueryResultTable, Registry};
-use seda_twigjoin::{Axis, TwigPattern};
+use seda_textindex::FullTextQuery;
+use seda_twigjoin::TwigPattern;
 use seda_xmlstore::{Collection, NodeId, PathId};
 
 const IMPORT_COUNTRY: &str = "/country/economy/import_partners/item/trade_country";
@@ -60,21 +61,11 @@ fn term_paths(collection: &Collection, request: &SedaRequest) -> Vec<Vec<PathId>
         .collect()
 }
 
-/// The pattern node `path` ends at, in a pattern `from_paths` built.
-fn node_of(pattern: &TwigPattern, path: &str) -> usize {
-    path.trim_start_matches('/').split('/').skip(1).fold(pattern.root(), |current, label| {
-        let children = &pattern.node(current).children;
-        *children
-            .iter()
-            .find(|&&c| pattern.node(c).label == label && pattern.node(c).axis == Axis::Child)
-            .expect("from_paths holds every step")
-    })
-}
-
 /// R(q) as the engine computes it around its evaluator — one twig per
-/// combination of the terms' paths, predicates attached, columns in term
-/// order, rows united, sorted and deduplicated — with the reference evaluator
-/// in the evaluator's place.
+/// combination of the terms' paths, predicates attached (two terms on one
+/// path conjoin theirs, in term order), columns in term order, rows united,
+/// sorted and deduplicated — with the reference evaluator in the evaluator's
+/// place.
 fn reference_results(engine: &SedaEngine, request: &SedaRequest) -> QueryResultTable {
     let collection = engine.collection();
     let query = request.query.as_ref().expect("the statement has a query");
@@ -91,16 +82,21 @@ fn reference_results(engine: &SedaEngine, request: &SedaRequest) -> QueryResultT
                 path
             })
             .collect();
-        let strings: Vec<String> = chosen.iter().map(|&p| collection.path_string(p)).collect();
-        let refs: Vec<&str> = strings.iter().map(String::as_str).collect();
-        let mut pattern =
-            TwigPattern::from_paths(&refs).expect("the benchmark's paths share a root");
-        let term_nodes: Vec<usize> = strings.iter().map(|path| node_of(&pattern, path)).collect();
+        let labels = chosen.iter().map(|&p| {
+            let steps = collection.paths().resolve(p).steps();
+            steps.iter().map(|&step| collection.symbols().resolve(step))
+        });
+        let (mut pattern, term_nodes) =
+            TwigPattern::from_paths(labels).expect("the benchmark's paths share a root");
         for (term, &node) in query.terms.iter().zip(&term_nodes) {
-            assert!(pattern.node(node).predicate.is_none(), "no two terms share a path here");
-            if !term.search.is_match_all() {
-                pattern.set_predicate(node, term.search.clone());
+            if term.search.is_match_all() {
+                continue;
             }
+            let predicate = match pattern.node(node).predicate.clone() {
+                Some(first) => FullTextQuery::And(Box::new(first), Box::new(term.search.clone())),
+                None => term.search.clone(),
+            };
+            pattern.set_predicate(node, predicate);
         }
         let matches = reference::evaluate_twig(collection, &pattern);
         let column_of = |node| matches.output_nodes.iter().position(|&n| n == node);
@@ -121,22 +117,13 @@ fn reference_results(engine: &SedaEngine, request: &SedaRequest) -> QueryResultT
     table
 }
 
-/// The `TWIG` payload around the reference evaluator: one column per output
-/// node named by its label chain, one cell a column.
+/// The `TWIG` payload around the reference evaluator: one column, the
+/// statement's leaf, named by the statement's own path, axes included.
 fn reference_twig(engine: &SedaEngine, path: &str) -> QueryResultTable {
     let collection = engine.collection();
     let pattern = TwigPattern::parse(path).expect("twig path parses");
-    let names = pattern.output_nodes().into_iter().map(|node| {
-        let mut labels = vec![pattern.node(node).label.clone()];
-        let mut current = node;
-        while let Some(parent) = pattern.node(current).parent {
-            labels.push(pattern.node(parent).label.clone());
-            current = parent;
-        }
-        labels.reverse();
-        format!("/{}", labels.join("/"))
-    });
-    let mut table = QueryResultTable::new(names.collect());
+    assert_eq!(pattern.output_nodes().len(), 1, "a parsed path outputs its leaf");
+    let mut table = QueryResultTable::new(vec![path.to_string()]);
     for row in reference::evaluate_twig(collection, &pattern).rows {
         table.push_row(&row);
     }
@@ -247,6 +234,42 @@ fn every_benchmark_twig_results_and_cube_shape_matches_the_reference_evaluator()
             let rows = assert_matches_reference(&engine, &text).profile.rows;
             assert!(rows > 0, "{dataset:?}: {text} came back empty");
         }
+    }
+}
+
+/// Two terms on one path end on one pattern node, whose predicate is the
+/// conjunction of theirs: a match-all term with a keyword term, and two
+/// keyword terms, each pair selected onto one path and left to its tag.
+#[test]
+fn two_terms_on_one_path_match_the_reference_given_the_same_conjunction() {
+    let factbook = engine(Dataset::WorldFactbook);
+    let recipes = engine(Dataset::RecipeMl);
+    let partner = names::COUNTRIES[1];
+    let ingredient = names::INGREDIENTS[0];
+    let word = ingredient.split(' ').next().expect("an ingredient has a word");
+    let both_on = |path: &str| format!("WITH 0 IN {path} WITH 1 IN {path}");
+    let cases = [
+        (
+            &factbook,
+            format!(
+                "RESULTS FOR (trade_country, *) AND (trade_country, \"{partner}\") {}",
+                both_on(IMPORT_COUNTRY)
+            ),
+        ),
+        (
+            &factbook,
+            format!("RESULTS FOR (name, united) AND (name, states) {}", both_on("/country/name")),
+        ),
+        (&recipes, format!("RESULTS FOR (item, *) AND (item, \"{ingredient}\")")),
+        (&recipes, format!("RESULTS FOR (item, \"{ingredient}\") AND (item, {word})")),
+    ];
+    for (engine, text) in cases {
+        let response = assert_matches_reference(engine, &text);
+        let ResponsePayload::Table(table) = &response.payload else {
+            panic!("{text}: a RESULTS payload is a table");
+        };
+        assert!(!table.is_empty(), "{text} came back empty");
+        assert!(table.rows().all(|row| row[0] == row[1]), "{text}: the terms share one node");
     }
 }
 
