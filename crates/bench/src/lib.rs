@@ -124,18 +124,23 @@ pub const COLD_FILL_BOUND: f64 = 3.0;
 /// each sorted access returns and scans its partners against it: measured
 /// 0.176–0.194 over twenty runs (≈ 5.9 ms against ≈ 32 ms).  A join that
 /// merges per pair as well reads 0.42–0.46 (≈ 14.3 ms); the bound sits
-/// between the two, at their geometric mean.
+/// between the two, at their geometric mean.  Since labels sit on the
+/// 2-core alone, both sides read shorter labels: six runs read 0.181–0.228
+/// (≈ 5.6–9.3 ms against ≈ 30–41 ms), taken in turns with labels on every
+/// hub node, which read 0.176–0.203 on the same noisy 2-core host.
 pub const PINNED_PAIRS_BOUND: f64 = 0.30;
 
 /// Allowed `t(prepared) / t(cold)` for `TOPK 10 FOR` [`PAIR_QUERY`] on the
 /// paper-scale Mondial corpus.  A prepared statement that holds the plan, the
 /// materialised lists and their partition runs the cold run's pinned join
 /// minus parsing, planning and list fill: measured 0.965–0.984× over twenty
-/// runs (≈ 4.6 ms each side).  One that memoises every pair's compactness
-/// and answers the 110,170 pairs from the memo instead — hashing the pair's
-/// node vector on every hit, spending no label probe — reads 2.99–3.31× over
-/// twenty runs (≈ 16 ms).  The bound is the geometric mean of the worst new
-/// reading and the best old: √(0.984 · 2.993) ≈ 1.7.
+/// runs (≈ 4.6 ms each side); 0.943–1.003× over six runs with labels on the
+/// 2-core alone (0.964–1.063× with labels on every hub node, in turns).  One
+/// that memoises every pair's compactness and answers the 110,170 pairs from
+/// the memo instead — hashing the pair's node vector on every hit, spending
+/// no label probe — reads 2.99–3.31× over twenty runs (≈ 16 ms).  The bound
+/// is the geometric mean of the worst new reading and the best old:
+/// √(0.984 · 2.993) ≈ 1.7.
 pub const PREPARED_OVER_COLD_BOUND: f64 = 1.7;
 
 /// Allowed `t(evaluate_twig) / t(scan)` for [`TWIG_PATH`], the scan being one
@@ -213,7 +218,7 @@ pub fn googlebase_engine(items: usize) -> Result<SedaEngine, String> {
 }
 
 /// An engine over the datagen Mondial corpus at paper scale (5,563 documents
-/// webbed by IDREF edges into one hub-labelled component).
+/// webbed by IDREF edges into one hub component).
 pub fn mondial_engine() -> Result<SedaEngine, String> {
     let collection = Dataset::Mondial.generate_scaled(1.0).map_err(|e| e.to_string())?;
     SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())

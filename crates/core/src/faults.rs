@@ -18,7 +18,7 @@
 //!   the second thread, so the site proves a panic there is contained;
 //! * `"oracle-build"` — in every engine build, on the calling thread,
 //!   before `DataGraph::build` runs (and the connectivity oracle — the
-//!   per-document cross-edge bit and the hub labels — is built);
+//!   per-document cross-edge bit, the peel and the core labels — is built);
 //! * `"mid-search"` — inside the engine's one search function, before the
 //!   Threshold-Algorithm loop runs.
 //!

@@ -33,7 +33,7 @@ pub struct ExecProfile {
     /// a best-effort top-k).
     pub candidates_truncated: usize,
     /// Connectivity-oracle probes during connectivity/compactness checks:
-    /// hub-label entries scanned and tree parent steps walked.
+    /// core-label entries scanned and climb or parent steps walked.
     pub label_probes: u64,
     /// True when the Threshold Algorithm stopped early.
     pub early_terminated: bool,

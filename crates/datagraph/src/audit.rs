@@ -5,13 +5,14 @@
 //!
 //! | class | invariant |
 //! |---|---|
-//! | `csr-offsets` | the document, adjacency and label offset arrays are monotone, start at 0 and end at their arena lengths; adjacency targets are in bounds, and the adjacency holds two cross entries (non-parent-child neighbours) per cross edge; the label offsets cover every node, or none without a cross edge |
+//! | `csr-offsets` | the document, adjacency and label offset arrays are monotone, start at 0 and end at their arena lengths; adjacency targets are in bounds, and the adjacency holds two cross entries (non-parent-child neighbours) per cross edge; the peel arrays (`depth`, `attach`) cover every node and the label offsets every core node by rank, or neither exists without a cross edge |
 //! | `cross-symmetry` | every cross entry of the adjacency is mirrored under its other endpoint with the same kind |
 //! | `component-partition` | `doc_component` equals the dense union-find closure of the adjacency's cross entries |
 //! | `tree-parent` | every non-root node of a document no cross edge touches lists first in its adjacency a parent-child neighbour at a smaller dense index of the same document, whose adjacency lists the node as its child — the parent a distance walk steps to |
 //! | `labels-sorted` | per-node label keys strictly ascending (sorted and deduped); the hub-document bit covers every document and is set exactly where a node of the document has a cross edge |
 //! | `labels-bounded` | label distances never exceed [`crate::MAX_DEPTH`] |
-//! | `labels-sound` | hub pruning kept the 2-hop cover sound: every adjacency edge of a hub document answers distance 1 |
+//! | `fringe-peel` | the peel of the hub documents holds: every neighbour of a peeled node shares its attachment and lies one step deeper — it hangs from the node — except its `up`, one step shallower, which a node other than a root lists exactly once; a core node holds a distinct rank within the label arena and keeps ≥ 2 adjacency entries naming core nodes |
+//! | `labels-sound` | hub pruning kept the 2-hop cover sound: every adjacency edge between two core nodes answers distance 1 |
 //! | `scratch-pinned` | no scattered label entry outlives its `PinnedSource`: between queries the pinned array holds "no entry" under every key |
 //!
 //! The violation type lives in [`seda_xmlstore::audit`]; see there for the
@@ -20,7 +21,7 @@
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
 use seda_xmlstore::{DocId, NodeId};
 
-use crate::connectivity::{MAX_DEPTH, NO_ENTRY};
+use crate::connectivity::{MAX_DEPTH, NO_CORE, NO_ENTRY};
 use crate::graph::{doc_components, DataGraph, EdgeKind};
 use crate::traversal::TraversalScratch;
 
@@ -71,7 +72,8 @@ fn check_offsets(
 impl DataGraph {
     /// Verifies the frozen graph: CSR well-formedness, cross-edge symmetry,
     /// the document component partition, the parent links the tree
-    /// documents' distance walk reads, and the hub labels' invariants.
+    /// documents' distance walk reads, the peel of the hub documents and the
+    /// core labels' invariants.
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
         if self.doc_offsets.is_empty() {
@@ -202,7 +204,8 @@ impl DataGraph {
     }
 
     /// `touched` is `None` when the adjacency is malformed: the hub bits
-    /// then have nothing to be judged against, and no edge to be sound for.
+    /// then have nothing to be judged against, and no peel or edge to be
+    /// sound for.
     fn verify_labels(
         &self,
         violations: &mut Vec<InvariantViolation>,
@@ -234,8 +237,25 @@ impl DataGraph {
                 }
             }
         }
-        // Every node has a label range, or none does without a hub document.
-        let expected = if conn.hub_docs.contains(&true) { self.node_count() + 1 } else { 0 };
+        // Every node has a peel entry, or none does without a hub document.
+        let nodes = if conn.hub_docs.contains(&true) { self.node_count() } else { 0 };
+        let lengths = [("depth", conn.depth.len()), ("attach", conn.attach.len())];
+        if let Some((name, len)) = lengths.into_iter().find(|&(_, len)| len != nodes) {
+            violations.push(InvariantViolation::new(
+                SUBSTRATE,
+                "csr-offsets",
+                format!("peel array {name}: {len} entries for {nodes} nodes"),
+            ));
+            return;
+        }
+        // Every core node has a label range, ranked; none does without one.
+        let hub_nodes = || {
+            (0..docs)
+                .filter(|&doc| conn.hub_docs[doc])
+                .flat_map(|doc| self.doc_offsets[doc]..self.doc_offsets[doc + 1])
+        };
+        let cores = (0..nodes as u32).filter(|&v| self.is_core(v)).count();
+        let expected = if nodes == 0 { 0 } else { cores + 1 };
         if !check_offsets(violations, "label offsets", &conn.offsets, expected, conn.hubs.len())
             || conn.dists.len() != conn.hubs.len()
         {
@@ -248,16 +268,16 @@ impl DataGraph {
             }
             return;
         }
-        for dense in 0..conn.slots() {
-            let lo = conn.offsets[dense] as usize;
-            let hi = conn.offsets[dense + 1] as usize;
+        for rank in 0..conn.slots() {
+            let lo = conn.offsets[rank] as usize;
+            let hi = conn.offsets[rank + 1] as usize;
             for (i, pair) in conn.hubs[lo..hi].windows(2).enumerate() {
                 if pair[0] >= pair[1] {
                     violations.push(InvariantViolation::new(
                         SUBSTRATE,
                         "labels-sorted",
                         format!(
-                            "node {dense} label keys not strictly ascending at {i}: {} then {}",
+                            "core rank {rank} label keys not strictly ascending at {i}: {} then {}",
                             pair[0], pair[1]
                         ),
                     ));
@@ -268,37 +288,96 @@ impl DataGraph {
                     violations.push(InvariantViolation::new(
                         SUBSTRATE,
                         "labels-bounded",
-                        format!("node {dense} carries distance {d} beyond {MAX_DEPTH}"),
+                        format!("core rank {rank} carries distance {d} beyond {MAX_DEPTH}"),
                     ));
                 }
             }
         }
         if touched.is_none() {
-            return; // soundness needs a well-formed adjacency to walk
+            return; // the peel and soundness need a well-formed adjacency to walk
+        }
+        if !self.verify_peel(violations, hub_nodes()) {
+            return; // soundness reads ranks the peel vouches for
         }
         // Hub-pruning soundness, checked empirically: for every adjacency
-        // edge of a hub document between distinct nodes the 2-hop cover must
-        // answer exactly 1.
+        // edge between two core nodes the 2-hop cover must answer exactly 1.
         let mut probes = 0u64;
-        for doc in (0..docs).filter(|&doc| conn.hub_docs[doc]) {
-            for dense in self.doc_offsets[doc]..self.doc_offsets[doc + 1] {
-                for &(target, _) in self.neighbors_dense(dense) {
-                    if target == dense {
-                        continue;
-                    }
-                    let d = conn.label_distance(dense, target, &mut probes);
-                    if d != 1 {
-                        violations.push(InvariantViolation::new(
-                            SUBSTRATE,
-                            "labels-sound",
-                            format!(
-                                "adjacent nodes {dense} and {target} answer distance {d}, not 1"
-                            ),
-                        ));
-                    }
+        for v in hub_nodes().filter(|&v| self.is_core(v)) {
+            for &(w, _) in self.neighbors_dense(v) {
+                if !self.is_core(w) {
+                    continue;
+                }
+                let d = conn.label_distance(
+                    conn.attach[v as usize],
+                    conn.attach[w as usize],
+                    &mut probes,
+                );
+                if d != 1 {
+                    violations.push(InvariantViolation::new(
+                        SUBSTRATE,
+                        "labels-sound",
+                        format!("adjacent core nodes {v} and {w} answer distance {d}, not 1"),
+                    ));
                 }
             }
         }
+    }
+
+    /// True when a dense node of a hub document survived the peel: it lies
+    /// at depth 0 with an attachment of its own.
+    fn is_core(&self, dense: u32) -> bool {
+        let conn = &self.connectivity;
+        conn.depth[dense as usize] == 0 && conn.attach[dense as usize] != NO_CORE
+    }
+
+    /// The `fringe-peel` class over the nodes of the hub documents; returns
+    /// whether it held.
+    fn verify_peel(
+        &self,
+        violations: &mut Vec<InvariantViolation>,
+        hub_nodes: impl Iterator<Item = u32>,
+    ) -> bool {
+        let conn = &self.connectivity;
+        let before = violations.len();
+        let mut fail = |detail: String| {
+            violations.push(InvariantViolation::new(SUBSTRATE, "fringe-peel", detail));
+        };
+        let mut ranked = vec![false; conn.slots()];
+        for v in hub_nodes {
+            let (depth, attach) = (conn.depth[v as usize], conn.attach[v as usize]);
+            let entries = self.neighbors_dense(v);
+            if self.is_core(v) {
+                let core_entries = entries.iter().filter(|&&(w, _)| self.is_core(w)).count();
+                let fresh =
+                    ranked.get_mut(attach as usize).map(|seen| !std::mem::replace(seen, true));
+                if fresh != Some(true) || core_entries < 2 {
+                    fail(format!(
+                        "core node {v}: rank {attach} (fresh in the arena: {fresh:?}), \
+                         {core_entries} core entries"
+                    ));
+                }
+                continue;
+            }
+            // A peeled node: its one `up` lies a step shallower (none at a
+            // root), everything else hangs from it a step deeper, and all
+            // share its attachment.
+            let mut ups = 0;
+            for &(w, _) in entries {
+                let (w_depth, w_attach) = (conn.depth[w as usize], conn.attach[w as usize]);
+                let up = w_depth.checked_add(1) == Some(depth);
+                ups += up as usize;
+                if w_attach != attach || !(up || depth.checked_add(1) == Some(w_depth)) {
+                    fail(format!(
+                        "peeled node {v} at depth {depth} (attachment {attach}) neighbours {w} \
+                         at depth {w_depth} (attachment {w_attach})"
+                    ));
+                }
+            }
+            if ups != (depth > 0) as usize {
+                fail(format!("peeled node {v} at depth {depth} lists {ups} shallower neighbours"));
+            }
+        }
+        violations.len() == before
     }
 
     /// Test-only corruption hook: overwrites one full-adjacency offset
@@ -363,9 +442,9 @@ impl DataGraph {
         true
     }
 
-    /// Test-only corruption hook: drops every label of one node, keeping the
-    /// arenas structurally well-formed (breaks `labels-sound` for any node
-    /// of a hub document with a neighbour).
+    /// Test-only corruption hook: drops every label entry of one node's
+    /// attachment, keeping the arenas structurally well-formed (breaks
+    /// `labels-sound` for a node attached to a core node).
     #[doc(hidden)]
     pub fn corrupt_clear_labels(&mut self, dense: u32) {
         let (lo, hi) = self.label_range(dense);
@@ -382,21 +461,37 @@ impl DataGraph {
     /// Test-only corruption hook: inflates one label distance (breaks
     /// `labels-bounded` when set beyond [`crate::MAX_DEPTH`]).
     #[doc(hidden)]
-    pub fn corrupt_label_dist(&mut self, entry: usize, dist: u16) {
+    pub fn corrupt_label_dist(&mut self, entry: usize, dist: u8) {
         self.connectivity.dists[entry] = dist;
     }
 
-    /// The label entry range of one dense node, empty when the graph has no
-    /// labels (sizing input for the corruption suite).
+    /// Test-only corruption hook: overwrites one node's depth below its
+    /// attachment (breaks `fringe-peel` when the node was peeled and `depth`
+    /// differs from its own).
+    #[doc(hidden)]
+    pub fn corrupt_peel_depth(&mut self, dense: u32, depth: u32) {
+        self.connectivity.depth[dense as usize] = depth;
+    }
+
+    /// The label entry range of one dense node's attachment — the core label
+    /// its distances read — empty for a node of a tree document or of a
+    /// component without a core (sizing input for the corruption suite).
     #[doc(hidden)]
     pub fn label_range(&self, dense: u32) -> (usize, usize) {
         let conn = &self.connectivity;
-        let dense = dense as usize;
-        if dense < conn.slots() {
-            (conn.offsets[dense] as usize, conn.offsets[dense + 1] as usize)
+        let rank = conn.attach.get(dense as usize).map_or(usize::MAX, |&rank| rank as usize);
+        if rank < conn.slots() {
+            (conn.offsets[rank] as usize, conn.offsets[rank + 1] as usize)
         } else {
             (0, 0)
         }
+    }
+
+    /// The depth of one dense node below its attachment, 0 at a core node,
+    /// a root or a node of a tree document (input for the corruption suite).
+    #[doc(hidden)]
+    pub fn peel_depth(&self, dense: u32) -> u32 {
+        self.connectivity.depth.get(dense as usize).copied().unwrap_or(0)
     }
 }
 
@@ -450,10 +545,16 @@ mod tests {
                      <bordering country_idref="cty-us"/>
                    </sea>"#,
             ),
-            ("us.xml", r#"<country id="cty-us"><name>United States</name></country>"#),
+            (
+                "us.xml",
+                r#"<country id="cty-us"><name>United States</name>
+                     <coast sea_idref="sea-1"/></country>"#,
+            ),
             ("island.xml", r#"<island><name>Lonely</name><area><km2>4</km2></area></island>"#),
         ])
         .unwrap();
+        // The two references close a ring through both roots: a 2-core of
+        // four nodes, every other node of the two documents peeled.
         DataGraph::build(&c, &GraphConfig::default())
     }
 
@@ -543,6 +644,28 @@ mod tests {
     }
 
     #[test]
+    fn the_ring_is_the_core_and_every_other_hub_node_hangs_from_it() {
+        let g = linked_graph();
+        // sea, bordering, country and coast stay; names, ids and the
+        // referencing attributes hang one step below them.
+        let core: Vec<u32> = (0..g.node_count() as u32).filter(|&v| g.is_core(v)).collect();
+        assert_eq!(core.len(), 4, "{core:?}");
+        assert_eq!(g.connectivity().slots(), 4);
+        let sea_name = g.dense(NodeId::new(DocId(0), 2)).unwrap();
+        assert_eq!(g.peel_depth(sea_name), 1);
+        assert_eq!(g.up_dense(sea_name), 0, "the name hangs from the sea");
+    }
+
+    #[test]
+    fn a_moved_peel_depth_fails_fringe_peel() {
+        let mut g = linked_graph();
+        let sea_name = g.dense(NodeId::new(DocId(0), 2)).unwrap();
+        g.corrupt_peel_depth(sea_name, 2);
+        let violations = g.verify().unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "fringe-peel"), "{violations:?}");
+    }
+
+    #[test]
     fn tree_documents_carry_no_label_entries() {
         let mut g = linked_graph();
         let island = g.dense(NodeId::new(DocId(2), 0)).unwrap();
@@ -571,7 +694,7 @@ mod tests {
         // Dense node 0 is the sea element — a hub document.
         let (lo, hi) = g.label_range(0);
         assert!(hi > lo);
-        g.corrupt_label_dist(lo, u16::MAX);
+        g.corrupt_label_dist(lo, u8::MAX);
         let violations = g.verify().unwrap_err();
         // The saturated distance also breaks edge soundness around node 0.
         assert!(violations.iter().any(|v| v.invariant == "labels-bounded"), "{violations:?}");

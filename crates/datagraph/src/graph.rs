@@ -80,8 +80,8 @@ pub struct DataGraph {
     /// Connected-component id of every document (components over cross
     /// edges), indexed by document.
     pub(crate) doc_component: Vec<u32>,
-    /// The connectivity oracle: which documents cross edges touch, and the
-    /// hub labels of those, built with the graph.
+    /// The connectivity oracle: which documents cross edges touch, their
+    /// peel and the labels of their 2-core, built with the graph.
     pub(crate) connectivity: ConnectivityIndex,
     pub(crate) edge_count: usize,
 }
@@ -260,6 +260,17 @@ impl DataGraph {
     /// the first entry of its adjacency (`tree-parent`).
     pub(crate) fn parent_dense(&self, dense: u32) -> u32 {
         self.adj_targets[self.adj_offsets[dense as usize] as usize].0
+    }
+
+    /// The neighbour one step closer to the attachment of a peeled node of a
+    /// hub document: its one neighbour one step shallower (`fringe-peel`),
+    /// found first in the adjacency whenever it is the node's XML parent.
+    /// The node itself at depth 0.
+    pub(crate) fn up_dense(&self, dense: u32) -> u32 {
+        let depth = &self.connectivity.depth;
+        let shallower = depth[dense as usize].wrapping_sub(1);
+        let up = self.neighbors_dense(dense).iter().find(|&&(w, _)| depth[w as usize] == shallower);
+        up.map_or(dense, |&(w, _)| w)
     }
 
     /// The connectivity oracle built with the graph.  The traversal layer

@@ -5,9 +5,9 @@
 //! edges.  The crate builds the graph over a [`seda_xmlstore::Collection`],
 //! answers distance queries (shortest paths, connectedness of result tuples,
 //! exact up to [`MAX_DEPTH`] hops) by parent walks inside documents no cross
-//! edge touches and by precomputed hub labels inside the documents cross
-//! edges touch, and implements the *compactness* measure the top-k scoring
-//! function uses.
+//! edge touches and, inside the documents cross edges touch, by precomputed
+//! labels on their 2-core that every other node climbs to, and implements
+//! the *compactness* measure the top-k scoring function uses.
 //!
 //! ```
 //! use seda_datagraph::{DataGraph, GraphConfig};

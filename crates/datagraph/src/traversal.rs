@@ -9,20 +9,27 @@
 //! system — we approximate it with a minimum spanning tree over the pairwise
 //! shortest-path distances of the tuple's nodes.
 //!
-//! No distance is searched for ([`crate::ConnectivityIndex`]): inside a
-//! document no cross edge touches it is a parent walk to the lowest common
-//! ancestor, inside the documents cross edges touch a hub-label
-//! intersection.  Both are exact up to [`MAX_DEPTH`], so a distance `d` is
-//! returned iff `d <= max_depth.min(MAX_DEPTH)` — a deeper bound is clamped.
-//! A caller with one source and a batch of targets [`pin`]s the source.
+//! No distance is searched for ([`crate::ConnectivityIndex`]); one rule
+//! answers them all: labels on the 2-core, every other node of a hub
+//! document climbs to it, tree documents are a parent walk.
+//!
+//! * In a tree document, the larger dense index steps to its parent until
+//!   both sides meet at their lowest common ancestor.
+//! * In the hub documents, two nodes of one attachment climb the deeper one
+//!   by `up` until they meet; two nodes of different attachments are
+//!   `depth(a) + core label distance + depth(b)`.
+//!
+//! All are exact up to [`MAX_DEPTH`], so a distance `d` is returned iff
+//! `d <= max_depth.min(MAX_DEPTH)` — a deeper bound is clamped.  A caller
+//! with one source and a batch of targets [`pin`]s the source.
 //!
 //! Every function takes a caller-owned [`TraversalScratch`] (a one-off caller
 //! passes `&mut TraversalScratch::new()`): the probe counter, the pinned
-//! source's scattered label and the spanning-tree buffers.
+//! source's scattered core label and the spanning-tree buffers.
 
 use seda_xmlstore::NodeId;
 
-use crate::connectivity::{MAX_DEPTH, NO_ENTRY};
+use crate::connectivity::{MAX_DEPTH, NO_CORE, NO_ENTRY};
 use crate::graph::{DataGraph, EdgeKind};
 
 /// A hop on a connection path between two nodes.
@@ -50,12 +57,12 @@ pub struct TraversalScratch {
     matrix: Vec<u32>,
     in_tree: Vec<bool>,
     best: Vec<u32>,
-    /// The scattered label of the current hub [`PinnedSource`], one `u16`
-    /// per label slot (2 bytes a node, none without cross edges), all
-    /// `NO_ENTRY` whenever no source is pinned — a leftover entry
-    /// would shorten later distances ([`TraversalScratch::verify`]).
+    /// The scattered core label of the current hub [`PinnedSource`], one
+    /// `u16` per core node (none without a 2-core), all `NO_ENTRY` whenever
+    /// no source is pinned — a leftover entry would shorten later distances
+    /// ([`TraversalScratch::verify`]).
     pub(crate) pinned: Vec<u16>,
-    /// Total label entries scanned and parent steps walked by distance
+    /// Total label entries scanned and climb or parent steps walked by distance
     /// queries through this scratch (monotonic; the query profile reports
     /// deltas).
     pub label_probes: u64,
@@ -70,23 +77,24 @@ impl TraversalScratch {
 
 /// The one reading of a label distance `d` under a depth bound: the true
 /// distance when `d <= max_depth.min(MAX_DEPTH)`, and otherwise proof that no
-/// path within the (clamped) bound exists — hub labels are exact up to
-/// [`MAX_DEPTH`] and never under-estimate beyond it.
+/// path within the (clamped) bound exists — core labels are exact up to
+/// [`MAX_DEPTH`] and never under-estimate beyond it, and the depths added to
+/// them are exact.
 fn within(d: u32, max_depth: usize) -> Option<u32> {
     (d as usize <= max_depth.min(MAX_DEPTH)).then_some(d)
 }
 
-/// Walks two dense nodes of one tree document up to their lowest common
-/// ancestor: while they differ, the larger index — later in preorder, so not
-/// an ancestor of the other — steps to its parent, and `step(from_a, node)`
-/// sees the node `a`'s side reaches or the node `b`'s side leaves.  One probe
-/// a step.  Returns the step count, which is the tree distance, or `None`
-/// once it would exceed `max_depth.min(MAX_DEPTH)`.
+/// Climbs two dense nodes until they meet: while they differ, `a` steps to
+/// its `parent` when `a_climbs(a, b)` and `b` otherwise, and `step(from_a,
+/// node)` sees the node `a`'s side reaches or the node `b`'s side leaves.  One probe a
+/// step.  Returns the step count, which is the distance, or `None` once it
+/// would exceed `max_depth.min(MAX_DEPTH)`.
 fn climb(
-    graph: &DataGraph,
     (mut a, mut b): (u32, u32),
     max_depth: usize,
     probes: &mut u64,
+    a_climbs: impl Fn(u32, u32) -> bool,
+    parent: impl Fn(u32) -> u32,
     mut step: impl FnMut(bool, u32),
 ) -> Option<u32> {
     let limit = max_depth.min(MAX_DEPTH) as u32;
@@ -97,15 +105,49 @@ fn climb(
         }
         steps += 1;
         *probes += 1;
-        if a > b {
-            a = graph.parent_dense(a);
+        if a_climbs(a, b) {
+            a = parent(a);
             step(true, a);
         } else {
             step(false, b);
-            b = graph.parent_dense(b);
+            b = parent(b);
         }
     }
     Some(steps)
+}
+
+/// The parent walk of two dense nodes of one tree document to their lowest
+/// common ancestor: the larger index — later in preorder, so not an ancestor
+/// of the other — steps to its parent.
+fn tree_walk(
+    graph: &DataGraph,
+    pair: (u32, u32),
+    max_depth: usize,
+    probes: &mut u64,
+    step: impl FnMut(bool, u32),
+) -> Option<u32> {
+    climb(pair, max_depth, probes, |a, b| a > b, |v| graph.parent_dense(v), step)
+}
+
+/// The distance between two dense nodes of one component of hub documents.
+/// Nodes of one attachment climb the deeper by `up`; nodes of different
+/// attachments are `depth(a) + core + depth(b)`, where `core(att(a),
+/// att(b), probes)` is the core label distance between the attachments.
+fn hub_distance(
+    graph: &DataGraph,
+    (a, b): (u32, u32),
+    max_depth: usize,
+    probes: &mut u64,
+    core: impl FnOnce(u32, u32, &mut u64) -> u32,
+) -> Option<u32> {
+    let oracle = graph.connectivity();
+    let depth = |v: u32| oracle.depth[v as usize];
+    let (ta, tb) = (oracle.attach[a as usize], oracle.attach[b as usize]);
+    if ta == tb {
+        let up = |v: u32| graph.up_dense(v);
+        return climb((a, b), max_depth, probes, |a, b| depth(a) >= depth(b), up, |_, _| {});
+    }
+    within(core(ta, tb, probes).saturating_add(depth(a)).saturating_add(depth(b)), max_depth)
 }
 
 /// Whether two nodes can be connected at all: not across components, and
@@ -115,7 +157,8 @@ fn may_connect(graph: &DataGraph, a: NodeId, b: NodeId) -> bool {
 }
 
 /// Bounded shortest-path distance between two nodes of the graph: a parent
-/// walk in a tree document, a label intersection in the hub documents.
+/// walk in a tree document, a climb or a core-label intersection in the hub
+/// documents.
 fn oracle_distance(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
@@ -134,9 +177,11 @@ fn oracle_distance(
     let oracle = graph.connectivity();
     let probes = &mut scratch.label_probes;
     if oracle.is_hub(a.doc) {
-        within(oracle.label_distance(da, db, probes), max_depth)
+        hub_distance(graph, (da, db), max_depth, probes, |ta, tb, probes| {
+            oracle.label_distance(ta, tb, probes)
+        })
     } else {
-        climb(graph, (da, db), max_depth, probes, |_, _| {})
+        tree_walk(graph, (da, db), max_depth, probes, |_, _| {})
     }
 }
 
@@ -159,25 +204,30 @@ pub fn shortest_distance_with(
 
 /// A source node ready for a batch of [`PinnedSource::distance_to`]
 /// queries, made by [`pin`].  It holds the scratch for as long as it lives
-/// and takes a hub source's scattered entries back out when it drops, so a
-/// `break`, a `?` or an unwinding panic in the caller's loop leaves the
-/// scratch as clean as a normal exit does.
+/// and takes a scattered core label back out when it drops, so a `break`, a
+/// `?` or an unwinding panic in the caller's loop leaves the scratch as clean
+/// as a normal exit does.
 pub struct PinnedSource<'a> {
     graph: &'a DataGraph,
     scratch: &'a mut TraversalScratch,
     source: NodeId,
     dense: u32,
-    /// Whether the source lies in a hub document (its label is scattered).
+    /// Whether the source lies in a hub document.
     hub: bool,
+    /// The core rank whose label is scattered: the source's attachment, or
+    /// [`NO_CORE`] when nothing is (a tree source, or a hub component
+    /// without a core).
+    scattered: u32,
 }
 
 /// Pins `source` for a batch of [`PinnedSource::distance_to`] queries — the
 /// one-to-many form of [`shortest_distance_with`].  A source in a hub
-/// document scatters its label once (`|L(source)|` probes) so each query
-/// reads `|L(target)|` entries with no data-dependent branch, which pays over
-/// long labels and many targets; a source in a tree document scatters
-/// nothing and each query walks.  `None` when `source` lies outside the
-/// graph or the graph's oracle does not cover it.
+/// document scatters its attachment's core label once (`|L(att(source))|`
+/// probes) so each target of another attachment reads `|L(att(target))|`
+/// entries with no data-dependent branch, which pays over long labels and
+/// many targets; targets of its own attachment climb, and a source in a tree
+/// document scatters nothing and each query walks.  `None` when `source` lies
+/// outside the graph or the graph's oracle does not cover it.
 pub fn pin<'a>(
     graph: &'a DataGraph,
     scratch: &'a mut TraversalScratch,
@@ -189,14 +239,15 @@ pub fn pin<'a>(
         return None;
     }
     let hub = oracle.is_hub(source.doc);
-    if hub {
-        // Label keys are hub ranks, below the number of label slots.
+    let scattered = if hub { oracle.attach[dense as usize] } else { NO_CORE };
+    if scattered != NO_CORE {
+        // Label keys are core ranks, below the number of core nodes.
         scratch.pinned.resize(scratch.pinned.len().max(oracle.slots()), NO_ENTRY);
-        if !oracle.scatter(dense, &mut scratch.pinned, &mut scratch.label_probes) {
+        if !oracle.scatter(scattered, &mut scratch.pinned, &mut scratch.label_probes) {
             return None;
         }
     }
-    Some(PinnedSource { graph, scratch, source, dense, hub })
+    Some(PinnedSource { graph, scratch, source, dense, hub, scattered })
 }
 
 impl PinnedSource<'_> {
@@ -210,12 +261,15 @@ impl PinnedSource<'_> {
         if !self.graph.same_component(self.source, target) {
             return None;
         }
+        let pair = (self.dense, target_dense);
         let probes = &mut self.scratch.label_probes;
         let d = if self.hub {
-            let oracle = self.graph.connectivity();
-            within(oracle.pinned_distance(&self.scratch.pinned, target_dense, probes), max_depth)
+            let (oracle, pinned) = (self.graph.connectivity(), &self.scratch.pinned);
+            hub_distance(self.graph, pair, max_depth, probes, |_, tb, probes| {
+                oracle.pinned_distance(pinned, tb, probes)
+            })
         } else {
-            climb(self.graph, (self.dense, target_dense), max_depth, probes, |_, _| {})
+            tree_walk(self.graph, pair, max_depth, probes, |_, _| {})
         };
         d.map(|d| d as usize)
     }
@@ -224,8 +278,8 @@ impl PinnedSource<'_> {
 impl Drop for PinnedSource<'_> {
     fn drop(&mut self) {
         // Writes the slots `scatter` wrote, so it cannot go out of bounds.
-        if self.hub {
-            self.graph.connectivity().unscatter(self.dense, &mut self.scratch.pinned);
+        if self.scattered != NO_CORE {
+            self.graph.connectivity().unscatter(self.scattered, &mut self.scratch.pinned);
         }
     }
 }
@@ -237,7 +291,7 @@ impl Drop for PinnedSource<'_> {
 ///
 /// In a tree document the path is the only one there is: the climb from `a`
 /// to the lowest common ancestor, then the descent to `b`.  In the hub
-/// documents each hop steps to the first CSR neighbour whose label distance
+/// documents each hop steps to the first CSR neighbour whose exact distance
 /// to `b` is one less, so the neighbour order (parent, children, cross
 /// edges) breaks ties between equally short paths.
 pub fn shortest_path_with(
@@ -257,7 +311,7 @@ pub fn shortest_path_with(
             return None;
         }
         let (mut up, mut down) = (Vec::new(), Vec::new());
-        climb(graph, (da, db), max_depth, &mut scratch.label_probes, |from_a, node| {
+        tree_walk(graph, (da, db), max_depth, &mut scratch.label_probes, |from_a, node| {
             if from_a {
                 up.push(node);
             } else {
@@ -271,19 +325,22 @@ pub fn shortest_path_with(
     let mut path = Vec::with_capacity(total as usize);
     let mut current = da;
     for remaining in (1..=total).rev() {
-        // Every distance on the way is below `total <= MAX_DEPTH`, so a label
-        // distance of `remaining - 1` is the true distance.
+        // Every distance on the way is below `total <= MAX_DEPTH`, so it is
+        // exact.
         let &(next, kind) = graph
             .neighbors_dense(current)
             .iter()
             .find(|&&(next, _)| {
                 if remaining == 1 {
-                    next == db
-                } else {
-                    oracle.label_distance(next, db, &mut scratch.label_probes) == remaining - 1
+                    return next == db;
                 }
+                let probes = &mut scratch.label_probes;
+                let d = hub_distance(graph, (next, db), MAX_DEPTH, probes, |ta, tb, probes| {
+                    oracle.label_distance(ta, tb, probes)
+                });
+                d == Some(remaining - 1)
             })
-            .expect("invariant: exact labels put a neighbour one hop closer (labels-sound)");
+            .expect("invariant: exact distances put a neighbour one hop closer (labels-sound)");
         path.push(Hop { node: graph.node_id(next), kind });
         current = next;
     }
@@ -413,7 +470,7 @@ mod tests {
     use crate::config::GraphConfig;
     use seda_xmlstore::{parse_collection, Collection, DocId};
 
-    /// Depth bounds on both sides of `MAX_DEPTH`, where hub labelling stops.
+    /// Depth bounds on both sides of `MAX_DEPTH`, where core labelling stops.
     const DEPTHS: [usize; 9] = [0, 1, 2, 5, 12, 16, 17, 40, 100];
 
     fn setup() -> (Collection, DataGraph) {
@@ -670,9 +727,28 @@ mod tests {
         pinned_scratch.verify().expect("every source unpinned itself");
     }
 
+    /// The sea and the country reference each other, so their roots and
+    /// referencing elements form a 2-core and every other node hangs from
+    /// it: a source scatters its attachment's label once, a target of
+    /// another attachment reads its attachment's label in full, and a target
+    /// of the same attachment climbs, one probe a step.
     #[test]
     fn pinned_probes_count_the_source_once_and_every_target_in_full() {
-        let (c, g) = setup();
+        let c = parse_collection(vec![
+            (
+                "us.xml",
+                r#"<country id="cty-us"><name>United States</name>
+                     <coast sea_idref="sea-pac"/></country>"#,
+            ),
+            (
+                "sea.xml",
+                r#"<sea id="sea-pac"><name>Pacific Ocean</name>
+                     <bordering country_idref="cty-us"/></sea>"#,
+            ),
+            ("island.xml", r#"<island id="isl-1"><name>Lonely Island</name></island>"#),
+        ])
+        .unwrap();
+        let g = DataGraph::build(&c, &GraphConfig::default());
         let label_len = |n: NodeId| {
             let (lo, hi) = g.label_range(g.dense(n).unwrap());
             (hi - lo) as u64
@@ -680,14 +756,21 @@ mod tests {
         let us_name = find(&c, "/country/name", "United States");
         let sea_name = find(&c, "/sea/name", "Pacific Ocean");
         let island = find(&c, "/island/name", "Lonely Island");
+        let us_id = NodeId::new(DocId(0), 1);
+        assert!(label_len(us_name) > 0 && label_len(sea_name) > 0, "both attach to the core");
         let mut scratch = TraversalScratch::new();
         let mut source = pin(&g, &mut scratch, us_name).unwrap();
+        // name -> country -> bordering (core) -> sea -> name.
         assert_eq!(source.distance_to(sea_name, 12), Some(4));
         // The node itself and another component are answered before any scan.
         assert_eq!(source.distance_to(us_name, 12), Some(0));
         assert_eq!(source.distance_to(island, 12), None);
         drop(source);
         assert_eq!(scratch.label_probes, label_len(us_name) + label_len(sea_name));
+        let mut source = pin(&g, &mut scratch, us_name).unwrap();
+        let before = source.scratch.label_probes;
+        assert_eq!(source.distance_to(us_id, 12), Some(2), "two climb steps to the country");
+        assert_eq!(source.scratch.label_probes - before, 2);
     }
 
     #[test]

@@ -51,14 +51,15 @@
 //! Every tuple a sorted access forms holds the node just read, so scoring
 //! them is one source asked about a batch of partners.  For pairs — where the
 //! compactness *is* the distance — the join pins that node once a batch
-//! holds eight pairs ([`seda_datagraph::pin`]: a hub node's label scattered
-//! into the traversal scratch, 2 bytes a hub-labelled node) and scores each
-//! pair by one pass over the partner's label instead of merging both labels
-//! per pair; on the IDREF-webbed Mondial corpus that is the difference
-//! between ≈ 16 and ≈ 6 ms a search.  A node of a tree document scatters
-//! nothing, and each of its pairs is the parent walk the pairwise query
-//! takes.  Tuples of three and more nodes keep the pairwise matrix (a
-//! handful of partners a group: pinning measured slower).
+//! holds eight pairs ([`seda_datagraph::pin`]: the core label of a hub
+//! node's attachment scattered into the traversal scratch, 2 bytes a core
+//! node) and scores each pair by one pass over the label of the partner's
+//! attachment instead of merging both labels per pair; on the IDREF-webbed
+//! Mondial corpus that is the difference between ≈ 16 and ≈ 6 ms a search.
+//! A node of a tree document scatters nothing, and each of its pairs is the
+//! parent walk the pairwise query takes.  Tuples of three and more nodes keep
+//! the pairwise matrix (a handful of partners a group: pinning measured
+//! slower).
 //! A search over a prepared statement's materialised lists scores exactly as
 //! a cold one.  The pinned arm's differential test is `tests/topk_equivalence.rs`:
 //! [`TopKSearcher::search_naive`] scores every pair one-to-one through
@@ -680,7 +681,7 @@ impl<'a> TopKSearcher<'a> {
 /// probe count decides.  On the short tree labels documents without cross
 /// edges then carried, small batches *read more* pinned than merged (factbook
 /// broad: +22% entries at 2, +0.9% at 8, none at 16, where no batch is that
-/// large), while mondial's hub labels lose 0.01% between 2 and 8.  Those
+/// large), while mondial's labels of the time lost 0.01% between 2 and 8.  Those
 /// documents now answer by parent walks, pinned or not, so only hub
 /// components feel the value.
 const PIN_MIN: usize = 8;

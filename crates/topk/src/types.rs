@@ -162,7 +162,7 @@ pub struct SearchStats {
     /// means the result is a best-effort top-k rather than an exact one.
     pub candidates_truncated: usize,
     /// Connectivity-oracle probes of the connectivity/compactness checks:
-    /// hub-label entries scanned and tree parent steps walked.
+    /// core-label entries scanned and climb or parent steps walked.
     pub label_probes: u64,
     /// True when the algorithm stopped via the threshold condition rather
     /// than exhausting all lists.

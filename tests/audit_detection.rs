@@ -19,10 +19,11 @@ use seda_dataguide::{DataGuideSet, GuideId};
 use seda_olap::Registry;
 use seda_xmlstore::{parse_collection, DocId, NodeId};
 
-/// A small heterogeneous corpus exercising every substrate: an IDREF cross
-/// edge (graph labels), a repeated term with distinct scores ("united" in two
-/// documents of different length — swappable postings) and two distinct
-/// document shapes (two dataguides with a populated path→guide index, once
+/// A small heterogeneous corpus exercising every substrate: two IDREF cross
+/// edges closing a ring through sea.xml and us.xml (a 2-core with labels,
+/// and peeled nodes hanging from it), a repeated term with distinct scores
+/// ("united" in two documents of different length — swappable postings) and
+/// two distinct document shapes (two dataguides with a populated path→guide index, once
 /// a [`DataGuideSet`] is built over it).
 fn engine() -> SedaEngine {
     let collection = parse_collection(vec![
@@ -31,7 +32,11 @@ fn engine() -> SedaEngine {
             r#"<sea id="sea-1"><name>Pacific</name>
                  <bordering country_idref="cty-us"/></sea>"#,
         ),
-        ("us.xml", r#"<country id="cty-us"><name>United States</name><year>2006</year></country>"#),
+        (
+            "us.xml",
+            r#"<country id="cty-us"><name>United States</name><year>2006</year>
+                 <coast sea_idref="sea-1"/></country>"#,
+        ),
         (
             "mx.xml",
             r#"<country id="cty-mx"><name>United Mexican States</name><year>2003</year></country>"#,
@@ -207,6 +212,19 @@ fn dropped_connectivity_labels_are_detected_as_datagraph_labels_sound() {
         graph.corrupt_clear_labels(0);
     }
     expect_violation(&e, "datagraph", "labels-sound");
+}
+
+#[test]
+fn a_moved_peel_depth_is_detected_as_datagraph_fringe_peel() {
+    let mut e = engine();
+    {
+        let (.., graph) = e.substrates_mut();
+        // The name of sea.xml hangs one step below the sea element.
+        let name = graph.dense(NodeId::new(DocId(0), 2)).expect("sea.xml has a name");
+        assert_eq!(graph.peel_depth(name), 1);
+        graph.corrupt_peel_depth(name, 2);
+    }
+    expect_violation(&e, "datagraph", "fringe-peel");
 }
 
 #[test]

@@ -1,12 +1,13 @@
 //! The connectivity oracle must agree with plain breadth-first search —
 //! same `shortest_distance`, same path length, same `is_connected` verdict —
 //! at **every** depth bound, read as the oracle documents it: a bound past
-//! `MAX_DEPTH` (16 hops, where hub labelling stops and a parent walk gives
-//! up) is clamped to it.  Bounds below, at and far past `MAX_DEPTH` are
-//! judged.  The oracle answers every bound alone — a parent walk inside a
-//! document no cross edge touches, a hub-label intersection inside the
-//! documents cross edges touch; the BFS it is judged against lives in
-//! `tests/reference/` and shares no code with it.
+//! `MAX_DEPTH` (16 hops, where core labelling stops and a climb or a parent
+//! walk gives up) is clamped to it.  Bounds below, at and far past
+//! `MAX_DEPTH` are judged.  The oracle answers every bound alone — a parent
+//! walk inside a document no cross edge touches; inside the documents cross
+//! edges touch, labels on their 2-core and a climb to it from every other
+//! node; the BFS it is judged against lives in `tests/reference/` and shares
+//! no code with it.
 //!
 //! The corpus shapes: Mondial-like (moderate IDREF webs across documents),
 //! Google-Base-like (isolated single-item documents, all parent walks),
@@ -15,13 +16,18 @@
 //! synthetic dense IDREF web that cross-links every document into one large
 //! component (the adversarial case for pruned landmark labeling), tree
 //! documents interleaved with such a web (both sides of the dispatch in one
-//! graph), and a long IDREF chain whose diameter is several times
-//! `MAX_DEPTH` (the case the hub BFS's cut exists for).  On every shape the
-//! one-to-many form of the query — a pinned source asked about each target —
-//! must give the same agreement, pair for pair, and every returned path must
-//! be a walk over the graph's edges.  A final set of tests pins that the
-//! chain's labels grow linearly with its length, and that corpora without
-//! cross edges carry no labels at all.
+//! graph), a long IDREF chain whose diameter is several times `MAX_DEPTH`
+//! (a path, so it peels away entirely and every pair is a climb that must
+//! stop at `MAX_DEPTH`), a document linked to a web only from deep inside
+//! (its root hangs from its child, its chain from a cross neighbour), two
+//! documents joined by one IDREF (a hub component with no core) and a web
+//! with a doubled edge (which keeps both of its ends in the core).  On every
+//! shape the one-to-many form of the query — a pinned source asked about
+//! each target — must give the same agreement, pair for pair, and every
+//! returned path must be a walk over the graph's edges.  A final set of
+//! tests pins that a ring's labels grow linearly with its length, that
+//! Mondial's labels stay on its core, and that corpora without cross edges
+//! carry no labels at all.
 
 mod reference;
 
@@ -159,9 +165,7 @@ fn assert_oracle_matches_bfs(graph: &DataGraph, nodes: &[NodeId]) -> Result<(), 
 /// density defeats tree-only shortcuts — the adversarial shape for the hub
 /// labeling.
 fn idref_web(docs: usize, per_doc: usize, stride: usize) -> Collection {
-    let sources = idref_web_sources(docs, per_doc, stride);
-    parse_collection(sources.iter().map(|(n, x)| (n.as_str(), x.as_str())))
-        .expect("idref web parses")
+    collection_of(&idref_web_sources(docs, per_doc, stride))
 }
 
 /// The `(name, xml)` sources of [`idref_web`].
@@ -196,8 +200,7 @@ fn trees_around_a_web() -> Collection {
         sources.push(web);
     }
     sources.push(("tree4.xml".to_string(), "<item><title>last</title></item>".to_string()));
-    parse_collection(sources.iter().map(|(n, x)| (n.as_str(), x.as_str())))
-        .expect("mixed corpus parses")
+    collection_of(&sources)
 }
 
 /// One document, two branches of `depth` nested elements under its root,
@@ -224,29 +227,43 @@ fn all_nodes(collection: &Collection) -> Vec<NodeId> {
 }
 
 /// A long IDREF chain: `docs` one-item documents, each referencing the
-/// next, three hops from root to root — one hub-labelled component whose
-/// diameter grows with `docs`.
+/// next, three hops from root to root — one hub component whose diameter
+/// grows with `docs`.  It is a tree, so the peel takes every node of it.
 fn idref_chain(docs: usize) -> Collection {
+    idref_links(docs, false)
+}
+
+/// [`idref_chain`] closed into a ring: the last document references the
+/// first, so every link stays in the 2-core.
+fn idref_ring(docs: usize) -> Collection {
+    idref_links(docs, true)
+}
+
+fn idref_links(docs: usize, ring: bool) -> Collection {
     let sources: Vec<(String, String)> = (0..docs)
         .map(|d| {
-            let next = if d + 1 < docs {
-                format!(r#"<next to_idref="c{}"/>"#, d + 1)
+            let next = if d + 1 < docs || ring {
+                format!(r#"<next to_idref="c{}"/>"#, (d + 1) % docs)
             } else {
                 String::new()
             };
             (format!("chain{d}.xml"), format!(r#"<link id="c{d}"><item>{next}</item></link>"#))
         })
         .collect();
-    parse_collection(sources.iter().map(|(n, x)| (n.as_str(), x.as_str())))
-        .expect("idref chain parses")
+    collection_of(&sources)
+}
+
+/// Parses `(name, xml)` sources into a collection.
+fn collection_of(sources: &[(String, String)]) -> Collection {
+    parse_collection(sources.iter().map(|(n, x)| (n.as_str(), x.as_str()))).expect("corpus parses")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Mondial-like corpora: cross-document IDREF edges produce multi-document
-    /// components answered by hub labels; documents no edge touches are
-    /// answered by parent walks.
+    /// components answered by core labels and climbs; documents no edge
+    /// touches are answered by parent walks.
     #[test]
     fn oracle_matches_bfs_on_mondial(
         countries in 2usize..6,
@@ -317,14 +334,18 @@ proptest! {
     }
 }
 
-/// Hub labels cut at `MAX_DEPTH`: a 30-document chain whose ends lie 87 hops
-/// apart, every sampled pair judged at every depth bound — the pairs farther
-/// apart than `MAX_DEPTH` unreachable under all of them.
+/// The all-fringe case: a 30-document chain whose ends lie 87 hops apart
+/// peels away entirely, so every pair is a climb, and the climb must stop at
+/// `MAX_DEPTH` — the pairs farther apart unreachable under every bound.
 #[test]
 fn oracle_matches_bfs_on_a_long_idref_chain() {
     let collection = idref_chain(30);
     let graph = DataGraph::build(&collection, &GraphConfig::default());
     assert_eq!(graph.doc_component_count(), 1, "the chain is one component");
+    assert!(
+        (0..graph.node_count() as u32).all(|v| graph.label_range(v) == (0, 0)),
+        "a chain has no core, so nothing is labelled"
+    );
     let (first, last) = (NodeId::new(DocId(0), 0), NodeId::new(DocId(29), 0));
     assert_eq!(reference::distances(&graph, first, usize::MAX).get(&last), Some(&87));
     assert_oracle_matches_bfs(&graph, &sample_nodes(&collection, 1)).expect("oracle == BFS");
@@ -357,16 +378,94 @@ fn oracle_matches_bfs_on_trees_around_a_web() {
     assert_oracle_matches_bfs(&graph, &all_nodes(&collection)).expect("oracle == BFS");
 }
 
-/// The cut keeps a chain's labels linear in its length: the links of a chain
-/// share one degree, so the hubs come in chain order and an uncut BFS would
-/// label every node after its hub (quadratic entries, a cubic build).
+/// A document of a web whose only link is one reference from deep inside
+/// it: its root and its other branches hang from the referencing chain
+/// (the root from its child, not from an XML parent), and the chain hangs
+/// from the cross neighbour it references.
+#[test]
+fn oracle_matches_bfs_on_a_document_linked_from_deep_inside() {
+    let mut sources = idref_web_sources(3, 2, 1);
+    sources.push((
+        "deep.xml".to_string(),
+        r#"<outer><side><leaf>x</leaf></side><a><b><c><ref to_idref="n0_0"/></c></b></a></outer>"#
+            .to_string(),
+    ));
+    let collection = collection_of(&sources);
+    let graph = DataGraph::build(&collection, &GraphConfig::default());
+    let deep = collection.documents().last().expect("the deep document").id;
+    let (outer, refs) = (NodeId::new(deep, 0), NodeId::new(deep, 6));
+    let depth = |node| graph.peel_depth(graph.dense(node).expect("a node of the graph"));
+    // `ref` hangs from the web item it references, `outer` four steps up.
+    assert_eq!((depth(refs), depth(outer)), (1, 5));
+    assert_oracle_matches_bfs(&graph, &all_nodes(&collection)).expect("oracle == BFS");
+}
+
+/// Two documents joined by a single IDREF: a hub component with no core, so
+/// every node of it attaches to one root and every pair is a climb.
+#[test]
+fn oracle_matches_bfs_on_a_hub_component_without_a_core() {
+    let collection = collection_of(&[
+        (
+            "a.xml".to_string(),
+            r#"<country id="c1"><name>A</name><province><city>x</city></province></country>"#
+                .to_string(),
+        ),
+        (
+            "b.xml".to_string(),
+            r#"<sea><name>S</name><bordering country_idref="c1"/></sea>"#.to_string(),
+        ),
+    ]);
+    let graph = DataGraph::build(&collection, &GraphConfig::default());
+    assert_eq!(graph.cross_edge_count(), 1);
+    assert!((0..graph.node_count() as u32).all(|v| graph.label_range(v) == (0, 0)));
+    assert_oracle_matches_bfs(&graph, &all_nodes(&collection)).expect("oracle == BFS");
+}
+
+/// A web with a doubled edge: a link element naming one item twice holds
+/// itself in the core by the two entries alone, while its document's root
+/// hangs from it.
+#[test]
+fn oracle_matches_bfs_on_a_web_with_a_doubled_edge() {
+    let mut sources = idref_web_sources(3, 2, 1);
+    sources.push((
+        "pair.xml".to_string(),
+        r#"<pair><link to_idref="n0_0" again_idref="n0_0"/><leaf>x</leaf></pair>"#.to_string(),
+    ));
+    let collection = collection_of(&sources);
+    let graph = DataGraph::build(&collection, &GraphConfig::default());
+    let pair = collection.documents().last().expect("the pair document").id;
+    let (root, link) = (NodeId::new(pair, 0), NodeId::new(pair, 1));
+    let dense = |node| graph.dense(node).expect("a node of the graph");
+    assert_eq!(graph.peel_depth(dense(link)), 0, "both ends of a doubled edge stay");
+    assert!(graph.label_range(dense(link)).1 > graph.label_range(dense(link)).0);
+    assert_eq!(graph.peel_depth(dense(root)), 1, "the root hangs from its link");
+    assert_oracle_matches_bfs(&graph, &all_nodes(&collection)).expect("oracle == BFS");
+}
+
+/// The cut keeps a ring's labels linear in its length: the links of a ring
+/// all stay in the 2-core and share one degree, so the hubs come in ring
+/// order and an uncut BFS would label every node after its hub (quadratic
+/// entries, a cubic build).  The rings are short enough (480 core nodes,
+/// 240 hops around at most) that the one-byte label distances could hold an
+/// uncut pass: with the cut lifted, 160 documents take 3.9× the bytes of 80.
 #[test]
 fn chain_labels_grow_linearly() {
     let label_bytes = |docs| {
-        DataGraph::build(&idref_chain(docs), &GraphConfig::default()).connectivity().label_bytes()
+        DataGraph::build(&idref_ring(docs), &GraphConfig::default()).connectivity().label_bytes()
     };
-    let (short, long) = (label_bytes(200), label_bytes(400));
-    assert!(long <= short * 21 / 10, "200 documents: {short} label bytes, 400: {long}");
+    let (short, long) = (label_bytes(80), label_bytes(160));
+    assert!(long <= short * 21 / 10, "80 documents: {short} label bytes, 160: {long}");
+}
+
+/// Mondial's labels stay on its 2-core: on `MondialConfig::small()` the
+/// oracle holds 29,661 bytes, against 125,162 when every node of its hub
+/// documents carried a label of its own — at most a quarter.
+#[test]
+fn mondial_labels_stay_on_the_core() {
+    let collection = mondial::generate(&MondialConfig::small()).expect("generate mondial");
+    let graph = DataGraph::build(&collection, &GraphConfig::default());
+    let bytes = graph.connectivity().label_bytes();
+    assert!(bytes <= 125_162 / 4, "{bytes} label bytes on the small Mondial corpus");
 }
 
 /// Documents no cross edge touches carry no labels: one byte a document,

@@ -27,6 +27,19 @@
 //! digest.  Google Base's probe counts repeat (two parent steps where two
 //! label entries were read), and the Mondial block is byte-identical.
 //!
+//! Re-recorded a third time when labels moved onto the 2-core: a pair of
+//! Mondial's hub documents reads the core labels of its two attachments, or
+//! climbs when they share one, and `label_probes` counts those entries and
+//! steps.  Only the sixteen Mondial lines moved.  Their unbudgeted probe
+//! counts fell (two-term 316,909 → 254,906, three-term 1,330,420 → 607,728,
+//! broad 158,025 → 72,617, clipped 5,260 → 4,889).  With `probes=[0-9]*`
+//! masked one line differs: the three-term `budget probes<=200` breach.
+//! Each tuple costs fewer probes, so the search gets further before the
+//! ceiling stops it — 7 sorted accesses, 21 random, 12 tuples scored and 10
+//! returned, 288 probes spent, where it stopped at 6, 15, 8, 8 and 348 —
+//! and its best tuple so far is a different one.  Every other Mondial line,
+//! budget breaches included, repeats its tuples, digests and counters.
+//!
 //! One [`SearchScratch`] serves all cases, and every case also runs over
 //! materialised term lists (the prepared-statement path), which must agree
 //! with the cold search.
