@@ -37,7 +37,7 @@ use seda_xmlstore::{parse_collection, Collection, DocId, Document, NodeId, PathI
 use crate::error::SedaError;
 use crate::faults;
 use crate::govern::{RequestContext, Stopwatch};
-use crate::metrics::{names, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 use crate::parallel::{effective_parallelism, panic_message};
 use crate::query::SedaQuery;
 use crate::summaries::{ConnectionSummary, ContextBucket, ContextSelections, ContextSummary};
@@ -166,8 +166,8 @@ pub struct SedaEngine {
     registry: Registry,
     config: EngineConfig,
     profile: BuildProfile,
-    /// Engine-wide metrics: counters, gauges and latency histograms every
-    /// governed request records into (see [`crate::metrics`]).
+    /// Engine-wide metrics: the counters and latency histograms every
+    /// request records into (see [`crate::metrics`]).
     metrics: MetricsRegistry,
 }
 
@@ -254,9 +254,6 @@ impl SedaEngine {
             profile,
             metrics: MetricsRegistry::new(),
         };
-        engine.metrics.gauge(names::ENGINE_DOCUMENTS).set(engine.collection.len() as u64);
-        engine.metrics.gauge(names::ORACLE_LABEL_BYTES).set(engine.profile.label_bytes as u64);
-        engine.metrics.gauge(names::POSTING_BYTES).set(engine.profile.posting_bytes as u64);
 
         // Post-build audit: a freshly built engine must satisfy every
         // substrate invariant; a violation here means the build itself is
@@ -344,8 +341,8 @@ impl SedaEngine {
         &self.profile
     }
 
-    /// The engine-wide metrics registry: counters, gauges and latency
-    /// histograms recorded by every governed request (see [`crate::metrics`]).
+    /// The engine-wide metrics registry: counters and latency histograms
+    /// recorded by every request (see [`crate::metrics`]).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }

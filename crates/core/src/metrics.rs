@@ -1,24 +1,24 @@
-//! Engine-wide metrics: named counters, gauges and log-bucketed latency
-//! histograms, aggregated per statement type.
+//! Engine-wide metrics: one typed record of request counters and
+//! log-bucketed latency histograms, aggregated per statement kind.
 //!
-//! The ROADMAP's serving-layer scorecard ("QPS, p50/p99/p999 per workload")
-//! needs a metrics substrate before any of those numbers can exist; this
-//! module is that substrate.  A [`MetricsRegistry`] owns a *fixed catalog* of
-//! metrics — every name is registered exactly once at construction and
-//! referenced through the typed constants in [`names`] (the `metric-name`
-//! rule of `cargo xtask lint` rejects stringly-typed call sites) — and every
-//! value lives in an atomic, so recording never allocates and never takes a
-//! lock.
+//! A [`MetricsRegistry`] is a struct of atomic fields: per statement kind
+//! (indexed by [`Statement`], labelled by [`Statement::name`]) the requests,
+//! the rows returned and a latency [`Histogram`]; engine-wide the request
+//! errors, budget breaches, degraded responses, cancellations and contained
+//! panics.  Every request is recorded exactly once — by
+//! `MetricsRegistry::record` with its statement and outcome, or by
+//! `MetricsRegistry::record_unparsed` when its text names no statement — and
+//! read back through typed accessors.  Recording never allocates and never
+//! takes a lock.  The build's numbers (documents, label and posting bytes)
+//! are not copied here: [`crate::SedaEngine::build_profile`] holds them.
 //!
 //! Latency is recorded in [`Histogram`]s with an HDR-style bucket ladder:
 //! eight linear buckets for sub-8µs values, then eight sub-buckets per
 //! power-of-two octave (≤ 12.5 % relative quantile error), all in one flat
 //! atomic array.
 //!
-//! Snapshots are deterministic: [`MetricsRegistry::snapshot`] renders the
-//! catalog as JSON sorted by `(name, label)`, and
-//! [`MetricsRegistry::render_prometheus`] emits the conventional text
-//! exposition format for the future serving layer.
+//! [`MetricsRegistry::snapshot`] is the one rendering, and the one place each
+//! metric name is spelled: deterministic JSON sorted by `(name, label)`.
 //!
 //! # Invariant catalog (substrate `metrics`)
 //!
@@ -32,39 +32,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
 
-/// The typed metric-name catalog.  Every metric the engine records is named
-/// here exactly once; call sites pass these constants (never string
-/// literals — `cargo xtask lint` enforces it).
-pub mod names {
-    /// Requests executed, per statement type.
-    pub const REQUESTS_TOTAL: &str = "seda_requests_total";
-    /// Requests that returned an error (any statement).
-    pub const REQUEST_ERRORS_TOTAL: &str = "seda_request_errors_total";
-    /// Budget ceilings hit ([`crate::SedaError::Limit`] surfaced).
-    pub const BUDGET_BREACHES_TOTAL: &str = "seda_budget_breaches_total";
-    /// Requests answered with a degraded (partial-prefix) payload.
-    pub const DEGRADED_RESPONSES_TOTAL: &str = "seda_degraded_responses_total";
-    /// Requests stopped by a [`crate::CancelToken`].
-    pub const CANCELLATIONS_TOTAL: &str = "seda_cancellations_total";
-    /// Panics contained into [`crate::SedaError::Internal`].
-    pub const PANICS_CONTAINED_TOTAL: &str = "seda_panics_contained_total";
-    /// Result rows returned, per statement type.
-    pub const ROWS_RETURNED_TOTAL: &str = "seda_rows_returned_total";
-    /// End-to-end request latency histogram, per statement type.
-    pub const REQUEST_LATENCY_SECONDS: &str = "seda_request_latency_seconds";
-    /// Documents in the engine's collection (set at build time).
-    pub const ENGINE_DOCUMENTS: &str = "seda_engine_documents";
-    /// Bytes held by the connectivity-oracle labels (set at build time).
-    pub const ORACLE_LABEL_BYTES: &str = "seda_oracle_label_bytes";
-    /// Bytes held by the node index, its whole heap — dictionary, posting
-    /// arena, posting paths, path runs, side tables, token arena (set at
-    /// build time).
-    pub const POSTING_BYTES: &str = "seda_posting_bytes";
-}
-
-/// The statement labels the per-statement metrics are registered under —
-/// kept in sync with [`crate::Statement::name`].
-const STATEMENT_LABELS: [&str; 6] = ["TOPK", "CONTEXTS", "CONNECTIONS", "RESULTS", "TWIG", "CUBE"];
+use crate::error::SedaError;
+use crate::request::Statement;
+use crate::response::SedaResponse;
 
 const SUBSTRATE: &str = "metrics";
 
@@ -256,243 +226,171 @@ impl Default for Histogram {
     }
 }
 
-/// A monotonically increasing counter handle (borrowed from the registry).
-#[derive(Debug, Clone, Copy)]
-pub struct Counter<'a> {
-    cell: &'a AtomicU64,
+/// One statement kind's request metrics.
+#[derive(Debug, Default)]
+struct StatementMetrics {
+    requests: AtomicU64,
+    rows_returned: AtomicU64,
+    latency: Histogram,
 }
 
-impl Counter<'_> {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.cell.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value-wins gauge handle (borrowed from the registry).
-#[derive(Debug, Clone, Copy)]
-pub struct Gauge<'a> {
-    cell: &'a AtomicU64,
-}
-
-impl Gauge<'_> {
-    /// Sets the gauge.
-    pub fn set(&self, v: u64) {
-        self.cell.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// One registered scalar metric.
-#[derive(Debug)]
-struct Scalar {
-    name: &'static str,
-    label: &'static str,
-    value: AtomicU64,
-}
-
-/// One registered histogram metric.
-#[derive(Debug)]
-struct HistogramEntry {
-    name: &'static str,
-    label: &'static str,
-    histogram: Histogram,
-}
-
-/// The engine-wide registry: a fixed catalog of counters, gauges and latency
-/// histograms, all atomically updated through borrowed handles.  Lookups by
-/// an unregistered `(name, label)` pair return a live no-op slot that is
-/// excluded from snapshots, so recording never panics and never allocates.
-#[derive(Debug)]
+/// The engine-wide metrics record: per statement kind and engine-wide
+/// counters plus per-kind latency histograms, all atomically updated.
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Vec<Scalar>,
-    gauges: Vec<Scalar>,
-    histograms: Vec<HistogramEntry>,
-    /// Shared sink for unregistered counter/gauge lookups.
-    noop: AtomicU64,
-    /// Shared sink for unregistered histogram lookups.
-    noop_histogram: Histogram,
+    /// One slot per statement kind, indexed by `Statement::kind`.
+    statements: [StatementMetrics; Statement::NAMES.len()],
+    request_errors: AtomicU64,
+    budget_breaches: AtomicU64,
+    degraded_responses: AtomicU64,
+    cancellations: AtomicU64,
+    panics_contained: AtomicU64,
+}
+
+fn bump(cell: &AtomicU64) {
+    cell.fetch_add(1, Ordering::Relaxed);
+}
+
+fn load(cell: &AtomicU64) -> u64 {
+    cell.load(Ordering::Relaxed)
 }
 
 impl MetricsRegistry {
-    /// A registry holding the full engine catalog (see [`names`]), with every
-    /// value zeroed.
+    /// A registry with every value zeroed.
     pub fn new() -> Self {
-        let mut counters = Vec::new();
-        let mut register = |name: &'static str, label: &'static str| {
-            counters.push(Scalar { name, label, value: AtomicU64::new(0) });
-        };
-        for statement in STATEMENT_LABELS {
-            register(names::REQUESTS_TOTAL, statement);
-            register(names::ROWS_RETURNED_TOTAL, statement);
-        }
-        for global in [
-            names::REQUEST_ERRORS_TOTAL,
-            names::BUDGET_BREACHES_TOTAL,
-            names::DEGRADED_RESPONSES_TOTAL,
-            names::CANCELLATIONS_TOTAL,
-            names::PANICS_CONTAINED_TOTAL,
-        ] {
-            register(global, "");
-        }
-        let gauges = [names::ENGINE_DOCUMENTS, names::ORACLE_LABEL_BYTES, names::POSTING_BYTES]
-            .into_iter()
-            .map(|name| Scalar { name, label: "", value: AtomicU64::new(0) })
-            .collect();
-        let histograms = STATEMENT_LABELS
-            .into_iter()
-            .map(|label| HistogramEntry {
-                name: names::REQUEST_LATENCY_SECONDS,
-                label,
-                histogram: Histogram::new(),
-            })
-            .collect();
-        MetricsRegistry {
-            counters,
-            gauges,
-            histograms,
-            noop: AtomicU64::new(0),
-            noop_histogram: Histogram::new(),
+        MetricsRegistry::default()
+    }
+
+    /// Records one request's outcome under its statement kind: the request,
+    /// and then either its rows, latency and degradation or its error and
+    /// the error's kind (budget breach, cancellation, contained panic).
+    pub(crate) fn record(&self, statement: &Statement, outcome: &Result<SedaResponse, SedaError>) {
+        let slot = &self.statements[statement.kind()];
+        bump(&slot.requests);
+        match outcome {
+            Ok(response) => {
+                slot.rows_returned.fetch_add(response.profile.rows as u64, Ordering::Relaxed);
+                slot.latency.observe_secs(response.profile.total_secs());
+                if response.profile.degraded {
+                    bump(&self.degraded_responses);
+                }
+            }
+            Err(err) => {
+                bump(&self.request_errors);
+                match err {
+                    SedaError::Limit { .. } => bump(&self.budget_breaches),
+                    SedaError::Cancelled => bump(&self.cancellations),
+                    SedaError::Internal(_) => bump(&self.panics_contained),
+                    _ => {}
+                }
+            }
         }
     }
 
-    /// The counter registered under `(name, label)` (global counters use the
-    /// empty label); a no-op handle when unregistered.
-    pub fn counter(&self, name: &str, label: &str) -> Counter<'_> {
-        let cell = self
-            .counters
-            .iter()
-            .find(|s| s.name == name && s.label == label)
-            .map_or(&self.noop, |s| &s.value);
-        Counter { cell }
+    /// Records a request whose text did not parse: an error of no statement.
+    pub(crate) fn record_unparsed(&self) {
+        bump(&self.request_errors);
     }
 
-    /// The gauge registered under `name`; a no-op handle when unregistered.
-    pub fn gauge(&self, name: &str) -> Gauge<'_> {
-        let cell = self.gauges.iter().find(|s| s.name == name).map_or(&self.noop, |s| &s.value);
-        Gauge { cell }
+    /// Requests of `statement`'s kind, failed ones included.
+    pub fn requests(&self, statement: &Statement) -> u64 {
+        load(&self.statements[statement.kind()].requests)
     }
 
-    /// The histogram registered under `(name, label)`; a no-op sink when
-    /// unregistered.
-    pub fn histogram(&self, name: &str, label: &str) -> &Histogram {
-        self.histograms
-            .iter()
-            .find(|h| h.name == name && h.label == label)
-            .map_or(&self.noop_histogram, |h| &h.histogram)
+    /// Rows returned by successful requests of `statement`'s kind.
+    pub fn rows_returned(&self, statement: &Statement) -> u64 {
+        load(&self.statements[statement.kind()].rows_returned)
     }
 
-    /// Renders the whole catalog as deterministic JSON: entries sorted by
+    /// End-to-end latency of the successful requests of `statement`'s kind.
+    pub fn latency(&self, statement: &Statement) -> &Histogram {
+        &self.statements[statement.kind()].latency
+    }
+
+    /// Requests that returned an error, unparsed text included.
+    pub fn request_errors(&self) -> u64 {
+        load(&self.request_errors)
+    }
+
+    /// Budget ceilings hit ([`SedaError::Limit`] surfaced).
+    pub fn budget_breaches(&self) -> u64 {
+        load(&self.budget_breaches)
+    }
+
+    /// Requests answered with a degraded (partial-prefix) payload.
+    pub fn degraded_responses(&self) -> u64 {
+        load(&self.degraded_responses)
+    }
+
+    /// Requests stopped by a [`crate::CancelToken`].
+    pub fn cancellations(&self) -> u64 {
+        load(&self.cancellations)
+    }
+
+    /// Panics contained into [`SedaError::Internal`].
+    pub fn panics_contained(&self) -> u64 {
+        load(&self.panics_contained)
+    }
+
+    /// Test-only corruption access: the latency histogram of `statement`'s
+    /// kind, so the seeded-corruption suite can reach the `corrupt_*` hooks.
+    #[doc(hidden)]
+    pub fn latency_mut(&mut self, statement: &Statement) -> &mut Histogram {
+        &mut self.statements[statement.kind()].latency
+    }
+
+    /// Every counter as `(name, label, value)`; engine-wide counters carry
+    /// the empty label.
+    fn counters(&self) -> Vec<(&'static str, &'static str, u64)> {
+        let mut counters = vec![
+            ("seda_request_errors_total", "", load(&self.request_errors)),
+            ("seda_budget_breaches_total", "", load(&self.budget_breaches)),
+            ("seda_degraded_responses_total", "", load(&self.degraded_responses)),
+            ("seda_cancellations_total", "", load(&self.cancellations)),
+            ("seda_panics_contained_total", "", load(&self.panics_contained)),
+        ];
+        for (label, slot) in Statement::NAMES.into_iter().zip(&self.statements) {
+            counters.push(("seda_requests_total", label, load(&slot.requests)));
+            counters.push(("seda_rows_returned_total", label, load(&slot.rows_returned)));
+        }
+        counters
+    }
+
+    /// Every histogram as `(name, label, histogram)`.
+    fn histograms(&self) -> impl Iterator<Item = (&'static str, &'static str, &Histogram)> {
+        let slots = Statement::NAMES.into_iter().zip(&self.statements);
+        slots.map(|(label, slot)| ("seda_request_latency_seconds", label, &slot.latency))
+    }
+
+    /// Renders the whole record as deterministic JSON: entries sorted by
     /// `(name, label)`, histograms summarised as count/sum/min/max and the
     /// p50/p95/p99 quantiles (all in integer microseconds).
     pub fn snapshot(&self) -> String {
-        let mut counters: Vec<&Scalar> = self.counters.iter().collect();
-        counters.sort_by_key(|s| (s.name, s.label));
-        let mut gauges: Vec<&Scalar> = self.gauges.iter().collect();
-        gauges.sort_by_key(|s| (s.name, s.label));
-        let mut histograms: Vec<&HistogramEntry> = self.histograms.iter().collect();
-        histograms.sort_by_key(|h| (h.name, h.label));
+        let mut counters = self.counters();
+        counters.sort();
+        let mut histograms: Vec<_> = self.histograms().collect();
+        histograms.sort_by_key(|&(name, label, _)| (name, label));
 
-        let scalar_json = |s: &Scalar| {
+        let counters = counters.iter().map(|(name, label, value)| {
+            format!(r#"    {{"name": "{name}", "label": "{label}", "value": {value}}}"#)
+        });
+        let histograms = histograms.iter().map(|(name, label, h)| {
             format!(
-                r#"    {{"name": "{}", "label": "{}", "value": {}}}"#,
-                s.name,
-                s.label,
-                s.value.load(Ordering::Relaxed)
+                r#"    {{"name": "{name}", "label": "{label}", "count": {}, "sum_us": {}, "min_us": {}, "max_us": {}, "p50_us": {}, "p95_us": {}, "p99_us": {}}}"#,
+                h.count(),
+                h.sum_micros(),
+                h.min_micros().unwrap_or(0),
+                h.max_micros().unwrap_or(0),
+                h.quantile_micros(0.50),
+                h.quantile_micros(0.95),
+                h.quantile_micros(0.99),
             )
-        };
+        });
         let mut out = String::from("{\n  \"counters\": [\n");
-        out.push_str(&counters.iter().map(|s| scalar_json(s)).collect::<Vec<_>>().join(",\n"));
-        out.push_str("\n  ],\n  \"gauges\": [\n");
-        out.push_str(&gauges.iter().map(|s| scalar_json(s)).collect::<Vec<_>>().join(",\n"));
+        out.push_str(&counters.collect::<Vec<_>>().join(",\n"));
         out.push_str("\n  ],\n  \"histograms\": [\n");
-        let hist_json = |h: &HistogramEntry| {
-            format!(
-                r#"    {{"name": "{}", "label": "{}", "count": {}, "sum_us": {}, "min_us": {}, "max_us": {}, "p50_us": {}, "p95_us": {}, "p99_us": {}}}"#,
-                h.name,
-                h.label,
-                h.histogram.count(),
-                h.histogram.sum_micros(),
-                h.histogram.min_micros().unwrap_or(0),
-                h.histogram.max_micros().unwrap_or(0),
-                h.histogram.quantile_micros(0.50),
-                h.histogram.quantile_micros(0.95),
-                h.histogram.quantile_micros(0.99),
-            )
-        };
-        out.push_str(&histograms.iter().map(|h| hist_json(h)).collect::<Vec<_>>().join(",\n"));
+        out.push_str(&histograms.collect::<Vec<_>>().join(",\n"));
         out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Renders the catalog in the Prometheus text exposition format
-    /// (counters and gauges as-is, histograms as quantile summaries in
-    /// seconds), for the future serving layer to expose.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut last_name = "";
-        let mut counters: Vec<&Scalar> = self.counters.iter().collect();
-        counters.sort_by_key(|s| (s.name, s.label));
-        for s in counters {
-            if s.name != last_name {
-                out.push_str(&format!("# TYPE {} counter\n", s.name));
-                last_name = s.name;
-            }
-            let labels = if s.label.is_empty() {
-                String::new()
-            } else {
-                format!("{{statement=\"{}\"}}", s.label)
-            };
-            out.push_str(&format!("{}{} {}\n", s.name, labels, s.value.load(Ordering::Relaxed)));
-        }
-        for s in &self.gauges {
-            out.push_str(&format!("# TYPE {} gauge\n", s.name));
-            out.push_str(&format!("{} {}\n", s.name, s.value.load(Ordering::Relaxed)));
-        }
-        let mut last_name = "";
-        let mut histograms: Vec<&HistogramEntry> = self.histograms.iter().collect();
-        histograms.sort_by_key(|h| (h.name, h.label));
-        for h in histograms {
-            if h.name != last_name {
-                out.push_str(&format!("# TYPE {} summary\n", h.name));
-                last_name = h.name;
-            }
-            for (q, tag) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                out.push_str(&format!(
-                    "{}{{statement=\"{}\",quantile=\"{}\"}} {:.6}\n",
-                    h.name,
-                    h.label,
-                    tag,
-                    h.histogram.quantile_micros(q) as f64 / 1e6
-                ));
-            }
-            out.push_str(&format!(
-                "{}_sum{{statement=\"{}\"}} {:.6}\n",
-                h.name,
-                h.label,
-                h.histogram.sum_micros() as f64 / 1e6
-            ));
-            out.push_str(&format!(
-                "{}_count{{statement=\"{}\"}} {}\n",
-                h.name,
-                h.label,
-                h.histogram.count()
-            ));
-        }
         out
     }
 
@@ -503,8 +401,8 @@ impl MetricsRegistry {
     /// registries always pass.
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
-        for h in &self.histograms {
-            violations.extend(h.histogram.violations(&format!("{}{{{}}}", h.name, h.label)));
+        for (name, label, histogram) in self.histograms() {
+            violations.extend(histogram.violations(&format!("{name}{{{label}}}")));
         }
         if self.snapshot() != self.snapshot() {
             violations.push(InvariantViolation::new(
@@ -514,22 +412,6 @@ impl MetricsRegistry {
             ));
         }
         finish(violations)
-    }
-
-    /// Test-only corruption access: mutable histogram lookup so the
-    /// seeded-corruption suite can reach the `corrupt_*` hooks.
-    #[doc(hidden)]
-    pub fn corrupt_histogram(&mut self, name: &str, label: &str) -> Option<&mut Histogram> {
-        self.histograms
-            .iter_mut()
-            .find(|h| h.name == name && h.label == label)
-            .map(|h| &mut h.histogram)
-    }
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        MetricsRegistry::new()
     }
 }
 
@@ -568,68 +450,77 @@ mod tests {
         assert_eq!(Histogram::new().quantile_micros(0.5), 0);
     }
 
+    fn statement(text: &str) -> Statement {
+        crate::SedaRequest::parse(text).unwrap().statement
+    }
+
+    fn answer(rows: usize, degraded: bool) -> Result<SedaResponse, SedaError> {
+        let mut response = SedaResponse {
+            payload: crate::ResponsePayload::Explain(String::new()),
+            profile: Default::default(),
+        };
+        response.profile.rows = rows;
+        response.profile.degraded = degraded;
+        Ok(response)
+    }
+
     #[test]
-    fn registry_records_through_typed_names_and_noops_unknowns() {
+    fn registry_records_each_outcome_under_its_statement_kind() {
         let m = MetricsRegistry::new();
-        m.counter(names::REQUESTS_TOTAL, "TOPK").inc();
-        m.counter(names::REQUESTS_TOTAL, "TOPK").add(2);
-        assert_eq!(m.counter(names::REQUESTS_TOTAL, "TOPK").get(), 3);
-        assert_eq!(m.counter(names::REQUESTS_TOTAL, "CUBE").get(), 0);
-        m.gauge(names::ENGINE_DOCUMENTS).set(7);
-        assert_eq!(m.gauge(names::ENGINE_DOCUMENTS).get(), 7);
-        m.histogram(names::REQUEST_LATENCY_SECONDS, "TOPK").observe_secs(0.001);
-        assert_eq!(m.histogram(names::REQUEST_LATENCY_SECONDS, "TOPK").count(), 1);
-        // Unregistered lookups are live no-ops, absent from the snapshot.
-        m.counter("bogus", "").inc();
-        m.histogram("bogus", "").observe_micros(1);
-        assert!(!m.snapshot().contains("bogus"));
+        let (topk, twig) = (statement("TOPK 3 FOR (a, *)"), statement("TWIG /a"));
+        m.record(&topk, &answer(2, false));
+        m.record(&topk, &answer(5, true));
+        m.record(&topk, &Err(SedaError::Cancelled));
+        m.record(&twig, &Err(SedaError::Limit { resource: "rows", spent: 2, budget: 1 }));
+        m.record_unparsed();
+        assert_eq!(
+            (m.requests(&topk), m.rows_returned(&topk), m.latency(&topk).count()),
+            (3, 7, 2)
+        );
+        assert_eq!(
+            (m.requests(&twig), m.rows_returned(&twig), m.latency(&twig).count()),
+            (1, 0, 0)
+        );
+        assert_eq!(m.requests(&statement("CONTEXTS FOR (a, *)")), 0);
+        assert_eq!((m.request_errors(), m.budget_breaches(), m.cancellations()), (3, 1, 1));
+        assert_eq!((m.degraded_responses(), m.panics_contained()), (1, 0));
         m.verify().unwrap();
     }
 
     #[test]
     fn snapshot_is_deterministic_and_sorted() {
         let m = MetricsRegistry::new();
-        m.counter(names::REQUESTS_TOTAL, "TWIG").inc();
+        m.record(&statement("TWIG /a"), &answer(1, false));
         let a = m.snapshot();
         assert_eq!(a, m.snapshot());
-        let budget = a.find(names::BUDGET_BREACHES_TOTAL).unwrap();
-        let requests = a.find(names::REQUESTS_TOTAL).unwrap();
+        let budget = a.find("seda_budget_breaches_total").unwrap();
+        let requests = a.find("seda_requests_total").unwrap();
         assert!(budget < requests, "snapshot entries must sort by name");
         assert!(a.contains(r#""name": "seda_requests_total", "label": "TWIG", "value": 1"#));
-    }
-
-    #[test]
-    fn prometheus_rendering_exposes_types_and_quantiles() {
-        let m = MetricsRegistry::new();
-        m.counter(names::REQUESTS_TOTAL, "TOPK").inc();
-        m.histogram(names::REQUEST_LATENCY_SECONDS, "TOPK").observe_micros(2_000);
-        let text = m.render_prometheus();
-        assert!(text.contains("# TYPE seda_requests_total counter"));
-        assert!(text.contains("seda_requests_total{statement=\"TOPK\"} 1"));
-        assert!(text.contains("# TYPE seda_request_latency_seconds summary"));
-        assert!(text.contains("quantile=\"0.99\""));
-        assert!(text.contains("seda_request_latency_seconds_count{statement=\"TOPK\"} 1"));
+        assert!(
+            a.contains(r#""name": "seda_request_latency_seconds", "label": "TWIG", "count": 1"#)
+        );
+        assert_eq!(a.matches(r#""name": "#).count(), 5 + 3 * Statement::NAMES.len());
     }
 
     #[test]
     fn corrupted_histograms_fail_their_audit() {
+        let (topk, twig) = (statement("TOPK 3 FOR (a, *)"), statement("TWIG /a"));
         let mut m = MetricsRegistry::new();
-        m.histogram(names::REQUEST_LATENCY_SECONDS, "TOPK").observe_micros(500);
+        m.latency(&topk).observe_micros(500);
         m.verify().unwrap();
-        m.corrupt_histogram(names::REQUEST_LATENCY_SECONDS, "TOPK").unwrap().corrupt_bucket(0, 3);
+        m.latency_mut(&topk).corrupt_bucket(0, 3);
         let violations = m.verify().unwrap_err();
         assert!(violations.iter().any(|v| v.invariant == "histogram-buckets"), "{violations:?}");
 
         let mut m = MetricsRegistry::new();
-        m.histogram(names::REQUEST_LATENCY_SECONDS, "CUBE").observe_micros(500);
-        m.corrupt_histogram(names::REQUEST_LATENCY_SECONDS, "CUBE").unwrap().corrupt_minmax();
+        m.latency(&twig).observe_micros(500);
+        m.latency_mut(&twig).corrupt_minmax();
         let violations = m.verify().unwrap_err();
         assert!(violations.iter().any(|v| v.invariant == "histogram-minmax"), "{violations:?}");
 
         let mut m = MetricsRegistry::new();
-        m.corrupt_histogram(names::REQUEST_LATENCY_SECONDS, "TWIG")
-            .unwrap()
-            .corrupt_swap_bounds(0, BUCKETS - 1);
+        m.latency_mut(&twig).corrupt_swap_bounds(0, BUCKETS - 1);
         let violations = m.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.substrate == "metrics"), "{violations:?}");
     }

@@ -93,7 +93,7 @@ impl PreparedStatement {
 
     /// Executes this statement under a per-request [`RequestContext`], as
     /// one request: governed, panic-contained and recorded in the engine's
-    /// metrics exactly like [`SedaReader::execute_plan_governed`].
+    /// metrics exactly like [`SedaReader::execute_governed`].
     pub fn execute_governed(
         &mut self,
         reader: &mut SedaReader<'_>,

@@ -262,15 +262,27 @@ impl SedaQuery {
     }
 
     /// Parses the paper-style notation
-    /// `(context, search) AND (context, search) …` (the `∧` character is also
-    /// accepted).  The search component follows the
+    /// `(context, search) AND (context, search) …`: the separator is a
+    /// case-insensitive word, and `∧` outside a quoted phrase reads as `AND`
+    /// (inside one it is phrase text).  The search component follows the
     /// [`FullTextQuery::parse`] syntax; parentheses inside a search component
     /// nest (`(name, (china OR canada) AND NOT mexico)`) and quoted phrases
     /// may contain parentheses.  A context disjunction with an empty
     /// alternative (`(a||b, x)`, `(a|, x)`) is [`QueryError::Malformed`]; an
     /// explicit `*` alternative still absorbs the disjunction.
     pub fn parse(input: &str) -> Result<Self, QueryError> {
-        let normalised = input.replace('∧', "AND");
+        let mut normalised = String::with_capacity(input.len());
+        let mut in_phrase = false;
+        for c in input.chars() {
+            match c {
+                '∧' if !in_phrase => normalised.push_str("AND"),
+                '"' => {
+                    in_phrase = !in_phrase;
+                    normalised.push(c);
+                }
+                _ => normalised.push(c),
+            }
+        }
         let mut terms = Vec::new();
         let mut rest = normalised.trim();
         while !rest.is_empty() {
@@ -300,10 +312,11 @@ impl SedaQuery {
             };
             terms.push(QueryTerm::new(context, search));
             rest = rest[close + 1..].trim();
-            if let Some(stripped) = rest.strip_prefix("AND") {
-                rest = stripped.trim();
-            } else if let Some(stripped) = rest.strip_prefix("and") {
-                rest = stripped.trim();
+            if let Some((word, tail)) = rest.split_at_checked(3) {
+                let whole_word = !tail.starts_with(|c: char| c.is_alphanumeric() || c == '_');
+                if word.eq_ignore_ascii_case("and") && whole_word {
+                    rest = tail.trim();
+                }
             }
         }
         if terms.is_empty() {
@@ -383,6 +396,24 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.terms[0].context, ContextSpec::Path("/country/name".into()));
         assert_eq!(q.terms[1].search, FullTextQuery::Keywords(vec!["2006".into()]));
+    }
+
+    #[test]
+    fn a_conjunction_sign_inside_a_phrase_is_phrase_text() {
+        let q = SedaQuery::parse(r#"(name, "x ∧ y") ∧ (year, *)"#).unwrap();
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.terms[0].search, FullTextQuery::Phrase(vec!["x".into(), "y".into()]));
+        assert_eq!(q.terms[1].context, ContextSpec::Tag("year".into()));
+    }
+
+    #[test]
+    fn the_term_separator_is_a_case_insensitive_word() {
+        let expected = SedaQuery::parse("(a, x) AND (b, y) AND (c, *)").unwrap();
+        for text in ["(a, x) And (b, y) aNd (c, *)", "(a, x)and(b, y) AND(c, *)"] {
+            assert_eq!(SedaQuery::parse(text).unwrap(), expected, "{text}");
+        }
+        // A word that merely starts with the letters is no separator.
+        assert!(SedaQuery::parse("(a, x) Andorra (b, y)").is_err());
     }
 
     #[test]

@@ -32,7 +32,6 @@ use seda_topk::{
 use crate::engine::{catch_internal, GovernedTable, SedaEngine};
 use crate::error::SedaError;
 use crate::govern::{RequestContext, Stopwatch};
-use crate::metrics::names;
 use crate::parallel::{effective_parallelism, parallel_map_with};
 use crate::plan::QueryPlan;
 use crate::prepared::PreparedStatement;
@@ -193,7 +192,7 @@ impl<'e> SedaReader<'e> {
             Err(err) => {
                 self.tracer.exit(parse_span);
                 self.tracer.reset();
-                self.engine.metrics().counter(names::REQUEST_ERRORS_TOTAL, "").inc();
+                self.engine.metrics().record_unparsed();
                 return Err(err);
             }
         };
@@ -249,7 +248,7 @@ impl<'e> SedaReader<'e> {
                 self.tracer.reset();
                 // A plan-time failure never reaches the execution boundary;
                 // it is this request's one metrics record.
-                return self.recorded(request.statement.name(), Err(err));
+                return self.recorded(&request.statement, Err(err));
             }
         };
         let plan_secs = plan_start.elapsed_secs();
@@ -260,7 +259,7 @@ impl<'e> SedaReader<'e> {
             let payload = ResponsePayload::Explain(plan.explain());
             profile.rows = payload.rows();
             // Plain EXPLAIN stops before the boundary too.
-            return self.recorded(request.statement.name(), Ok(SedaResponse { payload, profile }));
+            return self.recorded(&request.statement, Ok(SedaResponse { payload, profile }));
         }
         let mut response = self.run_plan(&plan, ctx, plan_secs, None)?;
         if request.analyze {
@@ -280,39 +279,10 @@ impl<'e> SedaReader<'e> {
     /// text that fails to parse is counted by [`SedaReader::execute_text`].
     fn recorded(
         &self,
-        label: &'static str,
+        statement: &Statement,
         outcome: Result<SedaResponse, SedaError>,
     ) -> Result<SedaResponse, SedaError> {
-        let metrics = self.engine.metrics();
-        metrics.counter(names::REQUESTS_TOTAL, label).inc();
-        match &outcome {
-            Ok(response) => {
-                metrics
-                    .counter(names::ROWS_RETURNED_TOTAL, label)
-                    .add(response.profile.rows as u64);
-                metrics
-                    .histogram(names::REQUEST_LATENCY_SECONDS, label)
-                    .observe_secs(response.profile.total_secs());
-                if response.profile.degraded {
-                    metrics.counter(names::DEGRADED_RESPONSES_TOTAL, "").inc();
-                }
-            }
-            Err(err) => {
-                metrics.counter(names::REQUEST_ERRORS_TOTAL, "").inc();
-                match err {
-                    SedaError::Limit { .. } => {
-                        metrics.counter(names::BUDGET_BREACHES_TOTAL, "").inc();
-                    }
-                    SedaError::Cancelled => {
-                        metrics.counter(names::CANCELLATIONS_TOTAL, "").inc();
-                    }
-                    SedaError::Internal(_) => {
-                        metrics.counter(names::PANICS_CONTAINED_TOTAL, "").inc();
-                    }
-                    _ => {}
-                }
-            }
-        }
+        self.engine.metrics().record(statement, &outcome);
         outcome
     }
 
@@ -340,8 +310,8 @@ impl<'e> SedaReader<'e> {
 
     /// Executes a plan as one request: the statement executor runs inside
     /// the containment boundary, and the outcome is recorded in the metrics
-    /// registry — the single path behind the facade, direct plan execution
-    /// and prepared statements (which lend their `materialized` term lists).
+    /// registry — the single path behind the facade and prepared statements
+    /// (which lend their `materialized` term lists).
     /// A plan lowered by another engine is refused with
     /// [`SedaError::ForeignPlan`] before anything runs.
     fn run_plan(
@@ -360,25 +330,13 @@ impl<'e> SedaReader<'e> {
                 Ok(response)
             })
         };
-        self.recorded(plan.statement.name(), outcome)
-    }
-
-    /// Executes an already-planned request under a per-request
-    /// [`RequestContext`] ([`RequestContext::unlimited`] for ungoverned
-    /// callers), with the governance and panic-containment semantics of
-    /// [`SedaReader::execute_governed`].
-    pub fn execute_plan_governed(
-        &mut self,
-        plan: &QueryPlan,
-        ctx: &RequestContext,
-    ) -> Result<SedaResponse, SedaError> {
-        self.run_plan(plan, ctx, 0.0, None)
+        self.recorded(&plan.statement, outcome)
     }
 
     /// What [`PreparedStatement::execute_governed`] reaches: the executor
     /// runs over the statement's materialized term lists instead of
     /// rebuilding them, as one request like
-    /// [`SedaReader::execute_plan_governed`].
+    /// [`SedaReader::execute_governed`].
     pub(crate) fn execute_prepared_governed(
         &mut self,
         statement: &mut PreparedStatement,

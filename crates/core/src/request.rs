@@ -70,15 +70,25 @@ pub enum Statement {
 }
 
 impl Statement {
-    /// Short name of the statement, used by error messages and plans.
+    /// The short name of each statement kind, indexed by [`Statement::kind`].
+    pub(crate) const NAMES: [&'static str; 6] =
+        ["TOPK", "CONTEXTS", "CONNECTIONS", "RESULTS", "TWIG", "CUBE"];
+
+    /// Short name of the statement, used by error messages, plans and
+    /// metric labels.
     pub fn name(&self) -> &'static str {
+        Self::NAMES[self.kind()]
+    }
+
+    /// The statement's kind: its index into [`Statement::NAMES`].
+    pub(crate) fn kind(&self) -> usize {
         match self {
-            Statement::TopK { .. } => "TOPK",
-            Statement::ContextSummary => "CONTEXTS",
-            Statement::ConnectionSummary { .. } => "CONNECTIONS",
-            Statement::CompleteResults => "RESULTS",
-            Statement::Twig { .. } => "TWIG",
-            Statement::Cube { .. } => "CUBE",
+            Statement::TopK { .. } => 0,
+            Statement::ContextSummary => 1,
+            Statement::ConnectionSummary { .. } => 2,
+            Statement::CompleteResults => 3,
+            Statement::Twig { .. } => 4,
+            Statement::Cube { .. } => 5,
         }
     }
 }

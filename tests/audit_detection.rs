@@ -11,9 +11,8 @@
 //! dataguides, so the dataguide classes are seeded into a standalone
 //! [`DataGuideSet`] built over the engine's collection.
 
-use seda_core::metrics::names;
 use seda_core::trace::span;
-use seda_core::{BuildProfile, EngineConfig, SedaEngine};
+use seda_core::{BuildProfile, EngineConfig, SedaEngine, SedaRequest, Statement};
 use seda_datagen::Dataset;
 use seda_dataguide::{DataGuideSet, GuideId};
 use seda_olap::Registry;
@@ -44,6 +43,11 @@ fn engine() -> SedaEngine {
     ])
     .unwrap();
     SedaEngine::build(collection, Registry::new(), EngineConfig::default()).unwrap()
+}
+
+/// The statement `text` names, whose latency histogram a metrics test corrupts.
+fn statement(text: &str) -> Statement {
+    SedaRequest::parse(text).unwrap().statement
 }
 
 /// Asserts that the engine audit fails, that every violation is attributed to
@@ -276,10 +280,7 @@ fn histogram_bucket_drift_is_detected_as_metrics_histogram_buckets() {
         let mut reader = e.reader();
         reader.execute_text("TOPK 5 FOR (name, *)").unwrap();
     }
-    let histogram = e
-        .metrics_mut()
-        .corrupt_histogram(names::REQUEST_LATENCY_SECONDS, "TOPK")
-        .expect("registered histogram");
+    let histogram = e.metrics_mut().latency_mut(&statement("TOPK 5 FOR (name, *)"));
     assert!(histogram.count() > 0, "the TOPK request must have recorded a latency");
     histogram.corrupt_bucket(0, 3);
     expect_violation(&e, "metrics", "histogram-buckets");
@@ -288,10 +289,7 @@ fn histogram_bucket_drift_is_detected_as_metrics_histogram_buckets() {
 #[test]
 fn swapped_histogram_bounds_are_detected_as_metrics_histogram_buckets() {
     let mut e = engine();
-    e.metrics_mut()
-        .corrupt_histogram(names::REQUEST_LATENCY_SECONDS, "TWIG")
-        .expect("registered histogram")
-        .corrupt_swap_bounds(3, 200);
+    e.metrics_mut().latency_mut(&statement("TWIG /country")).corrupt_swap_bounds(3, 200);
     expect_violation(&e, "metrics", "histogram-buckets");
 }
 
@@ -302,10 +300,7 @@ fn inverted_histogram_minmax_is_detected_as_metrics_histogram_minmax() {
         let mut reader = e.reader();
         reader.execute_text("TOPK 5 FOR (name, *)").unwrap();
     }
-    e.metrics_mut()
-        .corrupt_histogram(names::REQUEST_LATENCY_SECONDS, "TOPK")
-        .expect("registered histogram")
-        .corrupt_minmax();
+    e.metrics_mut().latency_mut(&statement("TOPK 5 FOR (name, *)")).corrupt_minmax();
     expect_violation(&e, "metrics", "histogram-minmax");
 }
 

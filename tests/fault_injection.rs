@@ -11,7 +11,6 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use seda_core::faults::{arm, disarm_all, FaultAction, FAULT_SITES};
-use seda_core::metrics::names;
 use seda_core::{
     Budget, ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaError, SedaQuery,
     SedaRequest, SedaSession,
@@ -234,7 +233,7 @@ fn explain_analyze_survives_a_contained_mid_search_panic() {
         r#"EXPLAIN ANALYZE TOPK 5 FOR (*, "United States") AND (trade_country, *)"#,
     )
     .expect("analyze request parses");
-    let panics_before = engine.metrics().counter(names::PANICS_CONTAINED_TOTAL, "").get();
+    let panics_before = engine.metrics().panics_contained();
 
     // The forced-tracing request unwinds mid-search; the panic must be
     // contained, and neither the forced tracing nor any half-open span may
@@ -245,7 +244,7 @@ fn explain_analyze_survives_a_contained_mid_search_panic() {
     disarm_all();
     assert!(!reader.tracing_enabled(), "forced tracing must be restored after a failure");
     assert_eq!(
-        engine.metrics().counter(names::PANICS_CONTAINED_TOTAL, "").get(),
+        engine.metrics().panics_contained(),
         panics_before + 1,
         "the contained panic must be counted as a first-class metric"
     );

@@ -2,10 +2,9 @@
 //! statement — over its materialized term lists, round after round — must
 //! return the payload a fresh execution of the same request returns (the
 //! oracle here), across randomized datagen corpora and every statement type;
-//! `set_k` must keep matching fresh plans; every spelling of the one executor
-//! (facade, planned request, prepared statement) must reach the same outcome
-//! under each budget ceiling; and a plan or prepared statement runs only on
-//! the engine that planned it.
+//! `set_k` must keep matching fresh plans; both spellings of the one executor
+//! (facade, prepared statement) must reach the same outcome under each budget
+//! ceiling; and a prepared statement runs only on the engine that planned it.
 //!
 //! The comparison is full structural equality of the `Result`, every counter
 //! included.
@@ -220,8 +219,8 @@ fn a_pinned_pair_search_spends_the_same_label_probes_prepared_and_fresh() {
     assert_eq!(third.payload, fresh.payload);
 }
 
-/// A plan or prepared statement carries the path and node ids of the engine
-/// that planned it: a reader of another engine refuses it with a typed error
+/// A prepared statement carries the path and node ids of the engine that
+/// planned it: a reader of another engine refuses it with a typed error
 /// instead of answering from those ids, in both directions.
 #[test]
 fn a_plan_from_another_engine_is_refused() {
@@ -239,26 +238,18 @@ fn a_plan_from_another_engine_is_refused() {
         let mut away_reader = away.reader();
         for text in texts {
             let request = SedaRequest::parse(text).expect("parses");
-            let plan = home.prepare(&request).expect(text);
             let mut prepared = home_reader.prepare(&request).expect("prepares at home");
-            let ctx = RequestContext::unlimited();
-            assert_eq!(
-                away_reader.execute_plan_governed(&plan, &ctx).unwrap_err(),
-                SedaError::ForeignPlan,
-                "{text}"
-            );
             assert_eq!(prepared.execute(&mut away_reader).unwrap_err(), SedaError::ForeignPlan);
             assert_eq!(prepared.executions(), 0, "{text}");
-            // At home both still run.
-            home_reader.execute_plan_governed(&plan, &ctx).expect("the plan runs at home");
+            // At home it still runs.
             prepared.execute(&mut home_reader).expect("the statement runs at home");
         }
     }
 }
 
 /// Governance parity: under each budget ceiling, in error mode and in
-/// `allow_degraded` mode, the three spellings of the one executor — the
-/// facade, a planned request and a prepared statement — reach the same
+/// `allow_degraded` mode, the two spellings of the one executor — the
+/// facade and a prepared statement — reach the same
 /// outcome: the same typed breach, or the same degraded prefix with the same
 /// counters.
 #[test]
@@ -316,7 +307,6 @@ fn program_matches_oracle_under_budgets() {
     ];
     for (engine, text, budget, resource) in cases {
         let request = SedaRequest::parse(&text).expect("parses");
-        let plan = engine.prepare(&request).expect("prepares");
         let mut reader = engine.reader();
         let mut prepared = reader.prepare(&request).expect("prepares");
         for degraded in [false, true] {
@@ -330,7 +320,6 @@ fn program_matches_oracle_under_budgets() {
             };
             let outcomes = [
                 reader.execute_governed(&request, &ctx()),
-                reader.execute_plan_governed(&plan, &ctx()),
                 prepared.execute_governed(&mut reader, &ctx()),
             ]
             .map(|outcome| {
@@ -341,9 +330,7 @@ fn program_matches_oracle_under_budgets() {
                     (r.payload, p.degraded, p.rows, counters)
                 })
             });
-            for outcome in &outcomes[1..] {
-                assert_eq!(outcome, &outcomes[0], "{text} under {budget:?}, degraded={degraded}");
-            }
+            assert_eq!(outcomes[1], outcomes[0], "{text} under {budget:?}, degraded={degraded}");
             match &outcomes[0] {
                 Ok((_, flagged, ..)) => assert!(degraded && *flagged, "{text}: must breach"),
                 Err(SedaError::Limit { resource: named, .. }) => {

@@ -6,7 +6,6 @@
 
 use std::time::{Duration, Instant};
 
-use seda_core::metrics::names;
 use seda_core::{
     Budget, CancelToken, ContextSpec, EngineConfig, RequestContext, SedaEngine, SedaError,
     SedaRequest,
@@ -452,16 +451,17 @@ fn a_deadline_stops_a_twig_evaluation_between_documents() {
 }
 
 /// Every executed request is recorded in the engine's metrics exactly once,
-/// whichever door it came through: a prepared statement, a direct plan
-/// execution, or the facade (which must not double-count).
+/// whichever door it came through: a prepared statement or the facade (which
+/// must not double-count).
 #[test]
 fn prepared_and_planned_executions_are_recorded_exactly_once() {
     let engine = engine();
     let mut reader = engine.reader();
     let metrics = engine.metrics();
-    let requests = || metrics.counter(names::REQUESTS_TOTAL, "TOPK").get();
-    let latencies = || metrics.histogram(names::REQUEST_LATENCY_SECONDS, "TOPK").count();
-    let breaches = || metrics.counter(names::BUDGET_BREACHES_TOTAL, "").get();
+    let topk = topk_request().statement;
+    let requests = || metrics.requests(&topk);
+    let latencies = || metrics.latency(&topk).count();
+    let breaches = || metrics.budget_breaches();
 
     let mut prepared = reader.prepare(&topk_request()).expect("request prepares");
     let (requests_before, latencies_before, breaches_before) =
@@ -481,12 +481,9 @@ fn prepared_and_planned_executions_are_recorded_exactly_once() {
     assert_eq!(requests(), requests_before + n + 1);
     assert_eq!(latencies(), latencies_before + n, "failed requests observe no latency");
 
-    let plan = engine.prepare(&topk_request()).expect("request plans");
-    reader.execute_plan_governed(&plan, &RequestContext::unlimited()).expect("plan executes");
-    assert_eq!(requests(), requests_before + n + 2, "direct plan execution is one request");
     reader.execute(&topk_request()).expect("facade executes");
-    assert_eq!(requests(), requests_before + n + 3, "the facade path must not double-count");
-    assert_eq!(latencies(), latencies_before + n + 2);
+    assert_eq!(requests(), requests_before + n + 2, "the facade path must not double-count");
+    assert_eq!(latencies(), latencies_before + n + 1);
 }
 
 /// Text that does not parse is a request that returned an error: counted
@@ -496,11 +493,17 @@ fn malformed_text_requests_are_counted_once_as_errors() {
     let engine = engine();
     let mut reader = engine.reader();
     let metrics = engine.metrics();
-    let errors = || metrics.counter(names::REQUEST_ERRORS_TOTAL, "").get();
-    let requests = || {
-        ["TOPK", "CONTEXTS", "CONNECTIONS", "RESULTS", "TWIG", "CUBE"]
-            .map(|statement| metrics.counter(names::REQUESTS_TOTAL, statement).get())
-    };
+    let errors = || metrics.request_errors();
+    let statements = [
+        "TOPK 1 FOR (a, *)",
+        "CONTEXTS FOR (a, *)",
+        "CONNECTIONS 1 FOR (a, *)",
+        "RESULTS FOR (a, *)",
+        "TWIG /a",
+        "CUBE f BY d AGG sum FOR (a, *)",
+    ]
+    .map(|text| SedaRequest::parse(text).expect("parses").statement);
+    let requests = || statements.each_ref().map(|statement| metrics.requests(statement));
     let (errors_before, requests_before) = (errors(), requests());
     for (i, text) in
         ["", "SELECT * FROM x", "TOPK 5 FOR", "TOPK five FOR (name, *)"].into_iter().enumerate()

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
-use seda_datagen::{googlebase, mondial, GoogleBaseConfig, MondialConfig};
+use seda_datagen::{googlebase, mondial, Dataset, GoogleBaseConfig, MondialConfig};
 use seda_olap::Registry;
 use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
 use seda_xmlstore::{parse_collection, Collection};
@@ -291,4 +291,59 @@ fn one_scratch_across_engines_term_counts_and_a_breach_matches_fresh_scratches()
         shared.verify().expect("scratch stays structurally sound");
     }
     assert_eq!(breaches, 2, "both tight rounds must stop on their budget");
+}
+
+/// Top-k is a prefix of top-(k+1): raising `k` by one appends at most one
+/// tuple and moves none of the first `k`, nodes and score bits alike.  Held
+/// for k = 1..=40 through `execute_text` on the four small corpora, over the
+/// two-term, three-term and broad shapes of `tests/topk_golden_stats.rs`.
+/// A clipped candidate set is outside the property, so every answer checked
+/// must have kept all its candidates.
+#[test]
+fn top_k_is_a_prefix_of_top_k_plus_one() {
+    let shapes = |dataset: Dataset| match dataset {
+        Dataset::GoogleBase => [
+            "(title, model) AND (price, *)",
+            "(title, model) AND (price, *) AND (condition, new)",
+            "(*, *) AND (price, *)",
+        ],
+        Dataset::Mondial => [
+            "(name, *) AND (population, *)",
+            "(/country/name, *) AND (population, *) AND (/sea/name, *)",
+            "(*, *) AND (/sea/name, *)",
+        ],
+        Dataset::RecipeMl => [
+            "(title, *) AND (item, *)",
+            "(title, *) AND (item, *) AND (qty, *)",
+            "(*, *) AND (title, *)",
+        ],
+        Dataset::WorldFactbook => [
+            "(trade_country, *) AND (percentage, *)",
+            r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#,
+            "(*, *) AND (percentage, *)",
+        ],
+    };
+    let mut checks = 0;
+    for dataset in Dataset::ALL {
+        let engine = engine(dataset.generate_small().expect("generate corpus"));
+        let mut reader = engine.reader();
+        for query in shapes(dataset) {
+            let answers: Vec<Vec<_>> = (1..=40)
+                .map(|k| {
+                    let text = format!("TOPK {k} FOR {query}");
+                    let response = reader.execute_text(&text).expect("request executes");
+                    let result = response.top_k().expect("a top-k payload");
+                    assert_eq!(result.stats.candidates_truncated, 0, "{dataset:?}: {text}");
+                    result.tuples.iter().map(|t| (t.nodes.clone(), t.score.to_bits())).collect()
+                })
+                .collect();
+            for (k, pair) in (1..).zip(answers.windows(2)) {
+                let (top_k, top_k_plus_one) = (&pair[0], &pair[1]);
+                assert!(top_k_plus_one.len() <= k + 1, "{dataset:?} k={k}: {query}");
+                assert!(top_k_plus_one.starts_with(top_k), "{dataset:?} k={k}: {query}");
+                checks += 1;
+            }
+        }
+    }
+    assert_eq!(checks, 4 * 3 * 39);
 }

@@ -26,28 +26,6 @@ pub fn rogue_clock() -> Instant {
     Instant::now()
 }
 
-/// Rule 6 (declarations): the same metric name registered under two
-/// different constants.
-pub mod names {
-    /// The widget counter.
-    pub const WIDGETS_TOTAL: &str = "seda_widgets_total";
-    /// Accidental duplicate of the widget counter.
-    pub const WIDGETS_AGAIN: &str = "seda_widgets_total";
-}
-
-/// A stand-in for the metrics registry so rule 6 has a call site.
-pub struct Metrics;
-
-impl Metrics {
-    /// Accepts any name, like the real registry.
-    pub fn counter(&self, _name: &str, _label: &str) {}
-}
-
-/// Rule 6 (call sites): an ad-hoc string-literal metric name.
-pub fn rogue_metric(metrics: &Metrics) {
-    metrics.counter("seda_adhoc_total", "");
-}
-
 #[cfg(test)]
 mod tests {
     // unwrap here is fine: test code is exempt.

@@ -16,11 +16,6 @@
 //!    every member manifest inherits it via `lints.workspace = true`.
 //! 5. **result-error** — public `seda-core` APIs returning `Result` use the
 //!    unified `SedaError` taxonomy.
-//! 6. **metric-name** — metric handles (`.counter(`, `.gauge(`,
-//!    `.histogram(`) are looked up via the typed constants in
-//!    `seda_core::metrics::names`, never via ad-hoc string literals, and each
-//!    `seda_`-prefixed metric name constant is declared exactly once per
-//!    file — so the metric catalog has a single authoritative registry.
 //!
 //! The pass lexes each source file just enough to blank out comments,
 //! string/char literals and raw strings, so rules never fire on doc examples
@@ -305,39 +300,6 @@ fn lint_file(rel: &str, src: &str) -> Vec<Violation> {
         }
     }
 
-    // Rule 6: metric handles come from typed name constants, and every
-    // `seda_`-prefixed metric name constant is declared exactly once.
-    for needle in [".counter(", ".gauge(", ".histogram("] {
-        for at in find_all(&masked, needle, lib_end) {
-            let arg = src[at + needle.len()..].trim_start();
-            if arg.starts_with('"') {
-                report(
-                    &mut violations,
-                    at,
-                    "metric-name",
-                    format!(
-                        "`{}` called with a string-literal name; use a `metrics::names` constant",
-                        needle.trim_start_matches('.').trim_end_matches('(')
-                    ),
-                );
-            }
-        }
-    }
-    let mut metric_names: Vec<&str> = Vec::new();
-    for at in find_all(&masked, "const ", lib_end) {
-        let Some(name) = metric_name_literal(&src[at..lib_end.min(src.len())]) else { continue };
-        if metric_names.contains(&name) {
-            report(
-                &mut violations,
-                at,
-                "metric-name",
-                format!("metric name \"{name}\" is declared by more than one constant"),
-            );
-        } else {
-            metric_names.push(name);
-        }
-    }
-
     // Rule 5: public seda-core APIs return Result<_, SedaError>.
     if rel.starts_with("crates/core/src/") && !RESULT_ERROR_ALLOWLIST.contains(&rel) {
         for at in find_all(&masked, "pub fn ", lib_end) {
@@ -358,17 +320,6 @@ fn lint_file(rel: &str, src: &str) -> Vec<Violation> {
     }
 
     violations
-}
-
-/// The `seda_`-prefixed string literal a `const NAME: &str = "seda_…";`
-/// declaration binds, when `decl` starts at its `const` keyword (sliced from
-/// the unmasked source, so the literal is intact).  Metric name constants
-/// follow this exact shape; any other constant returns `None`.
-fn metric_name_literal(decl: &str) -> Option<&str> {
-    let stmt = &decl[..decl.find(';')?];
-    let value = &stmt[stmt.find("= \"")? + 3..];
-    let literal = value.split('"').next()?;
-    literal.starts_with("seda_").then_some(literal)
 }
 
 /// The error type of `Result<T, E>` generic args (`generics` starts right
@@ -511,7 +462,7 @@ fn main() -> ExitCode {
                 println!("{v}");
             }
             if violations.is_empty() {
-                println!("xtask lint: clean ({} rules)", 6);
+                println!("xtask lint: clean ({} rules)", 5);
                 ExitCode::SUCCESS
             } else {
                 println!("xtask lint: {} violation(s)", violations.len());
@@ -587,33 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn literal_metric_names_are_flagged_but_typed_constants_are_not() {
-        let bad = "fn f(m: &MetricsRegistry) { m.counter(\"seda_adhoc_total\", \"\").inc(); }\n";
-        let violations = lint_file("crates/demo/src/lib.rs", bad);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].rule, "metric-name");
-        let good = "fn f(m: &MetricsRegistry) { m.counter(names::REQUESTS_TOTAL, \"\").inc(); }\n";
-        assert!(lint_file("crates/demo/src/lib.rs", good).is_empty());
-        // Test code is exempt, like every other source rule.
-        let test_only = "#[cfg(test)]\nmod tests { fn f(m: &M) { m.gauge(\"seda_x\").set(1); } }\n";
-        assert!(lint_file("crates/demo/src/lib.rs", test_only).is_empty());
-    }
-
-    #[test]
-    fn duplicated_metric_name_constants_are_flagged() {
-        let bad = "pub mod names {\n    pub const A: &str = \"seda_widgets_total\";\n    pub const B: &str = \"seda_widgets_total\";\n}\n";
-        let violations = lint_file("crates/demo/src/lib.rs", bad);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].rule, "metric-name");
-        assert_eq!(violations[0].line, 3, "the duplicate declaration is flagged, not the first");
-        let good = "pub mod names {\n    pub const A: &str = \"seda_widgets_total\";\n    pub const B: &str = \"seda_gadgets_total\";\n}\n";
-        assert!(lint_file("crates/demo/src/lib.rs", good).is_empty());
-        // Non-metric constants never participate.
-        let unrelated = "const LABELS: [&str; 2] = [\"a\", \"b\"];\nconst LABELS2: [&str; 2] = [\"a\", \"b\"];\n";
-        assert!(lint_file("crates/demo/src/lib.rs", unrelated).is_empty());
-    }
-
-    #[test]
     fn result_error_type_handles_nested_generics() {
         assert_eq!(result_error_type("Vec<(u32, u8)>, SedaError>").as_deref(), Some("SedaError"));
         assert_eq!(result_error_type("u32>").as_deref(), None);
@@ -629,7 +553,7 @@ mod tests {
         let violations = lint_tree(&root);
         assert!(!violations.is_empty());
         for rule in
-            ["forbidden-call", "counter-budget", "instant-now", "unsafe-forbid", "metric-name"]
+            ["forbidden-call", "counter-budget", "instant-now", "unsafe-forbid", "result-error"]
         {
             assert!(
                 violations.iter().any(|v| v.rule == rule),
