@@ -24,9 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use serde::{Deserialize, Serialize};
 
 use seda_datagraph::{is_connected_with, pin, DataGraph, GraphConfig, TraversalScratch, MAX_DEPTH};
-use seda_dataguide::{
-    connection_signature, discover_connections, Connection, DataGuideSet, DataGuideStats,
-};
+use seda_dataguide::{connection_signature, discover_connections, DataGuideSet, DataGuideStats};
 use seda_olap::{BuildOptions, QueryResultTable, Registry, StarSchemaBuild, StarSchemaBuilder};
 use seda_textindex::{ContextIndex, CountStorage, FullTextQuery, NodeIndex};
 use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch};
@@ -570,7 +568,7 @@ impl SedaEngine {
         &self,
         query: &SedaQuery,
         term_paths: &[Vec<PathId>],
-        connections: &[Connection],
+        connections: &[Vec<PathId>],
         scratch: &mut SearchScratch,
         ctx: &RequestContext,
     ) -> Result<GovernedTable, SedaError> {
@@ -664,7 +662,7 @@ impl SedaEngine {
         &self,
         query: &SedaQuery,
         chosen: &[PathId],
-        connections: &[Connection],
+        connections: &[Vec<PathId>],
         out: &mut GovernedTable,
         scratch: &mut SearchScratch,
         ctx: &RequestContext,
@@ -910,13 +908,14 @@ impl SedaEngine {
     }
 
     /// Checks the selected-connection constraint for one result row: every
-    /// pair of nodes whose contexts are the endpoints of some selected
-    /// connection must be related by one of the selected signatures (the
-    /// pair's [`connection_signature`], as discovery takes it).
+    /// pair of nodes whose contexts are the two ends of some selected
+    /// connection signature must be related by one of the selected
+    /// signatures (the pair's [`connection_signature`], as discovery takes
+    /// it).
     fn row_satisfies_connections(
         &self,
         nodes: &[NodeId],
-        connections: &[Connection],
+        connections: &[Vec<PathId>],
         scratch: &mut SearchScratch,
     ) -> bool {
         for i in 0..nodes.len() {
@@ -926,12 +925,10 @@ impl SedaEngine {
                 else {
                     return false;
                 };
-                let relevant: Vec<&Connection> = connections
+                let ends = |c: &&Vec<PathId>| (c.first().copied(), c.last().copied());
+                let relevant: Vec<&Vec<PathId>> = connections
                     .iter()
-                    .filter(|c| {
-                        (c.from_path == pa && c.to_path == pb)
-                            || (c.from_path == pb && c.to_path == pa)
-                    })
+                    .filter(|c| [(Some(pa), Some(pb)), (Some(pb), Some(pa))].contains(&ends(c)))
                     .collect();
                 if relevant.is_empty() {
                     continue;
@@ -947,8 +944,7 @@ impl SedaEngine {
                     return false;
                 };
                 let reversed: Vec<PathId> = signature.iter().rev().copied().collect();
-                let matched =
-                    relevant.iter().any(|c| c.signature == signature || c.signature == reversed);
+                let matched = relevant.iter().any(|c| **c == signature || **c == reversed);
                 if !matched {
                     return false;
                 }
@@ -1015,6 +1011,7 @@ pub(crate) struct GovernedTable {
 mod tests {
     use super::*;
     use crate::query::SedaQuery;
+    use crate::request::{RequestBuilder, SedaRequest};
     use seda_xmlstore::parse_collection;
 
     fn engine() -> SedaEngine {
@@ -1051,15 +1048,36 @@ mod tests {
             .unwrap()
     }
 
-    /// Ungoverned top-k through a fresh reader.
-    fn top_k(
+    /// A request over `q` with one `WITH` path per listed term.
+    fn request(q: &SedaQuery, selections: &[(usize, &str)]) -> RequestBuilder {
+        let builder = SedaRequest::builder().query(q.clone());
+        selections.iter().fold(builder, |b, &(term, path)| b.select_paths(term, [path]))
+    }
+
+    /// Ungoverned `TOPK k` through a fresh reader.
+    fn top_k(e: &SedaEngine, q: &SedaQuery, selections: &[(usize, &str)], k: usize) -> TopKResult {
+        let response = e.reader().execute(&request(q, selections).top_k(k).build()).unwrap();
+        response.top_k().unwrap().clone()
+    }
+
+    /// Ungoverned `RESULTS` through a fresh reader, `VIA` each signature.
+    fn results(
         e: &SedaEngine,
         q: &SedaQuery,
-        selections: &ContextSelections,
-        k: usize,
-    ) -> TopKResult {
-        e.reader().top_k_governed(q, selections, k, &RequestContext::unlimited()).unwrap().0
+        selections: &[(usize, &str)],
+        via: &[Vec<String>],
+    ) -> QueryResultTable {
+        let builder = request(q, selections).complete_results();
+        let builder = via.iter().fold(builder, |b, signature| b.via(signature.clone()));
+        e.reader().execute(&builder.build()).unwrap().table().unwrap().clone()
     }
+
+    /// Query 1's terms pinned to the import-partner contexts.
+    const IMPORT: [(usize, &str); 3] = [
+        (0, "/country/name"),
+        (1, "/country/economy/import_partners/item/trade_country"),
+        (2, "/country/economy/import_partners/item/percentage"),
+    ];
 
     fn query1() -> SedaQuery {
         SedaQuery::parse(r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#)
@@ -1148,7 +1166,7 @@ mod tests {
     fn top_k_and_connection_summary() {
         let e = engine();
         let q = query1();
-        let topk = top_k(&e, &q, &ContextSelections::none(), 10);
+        let topk = top_k(&e, &q, &[], 10);
         assert!(!topk.tuples.is_empty());
         let connections = e.reader().connection_summary(&topk);
         assert!(!connections.is_empty());
@@ -1171,10 +1189,7 @@ mod tests {
         let e = engine();
         let q = query1();
         let c = e.collection();
-        let name = c.paths().get_str(c.symbols(), "/country/name").unwrap();
-        let mut selections = ContextSelections::none();
-        selections.select(0, vec![name]);
-        let topk = top_k(&e, &q, &selections, 20);
+        let topk = top_k(&e, &q, &[(0, "/country/name")], 20);
         for t in &topk.tuples {
             assert_eq!(c.context_string(t.nodes[0]).unwrap(), "/country/name");
         }
@@ -1185,20 +1200,7 @@ mod tests {
         let e = engine();
         let q = query1();
         let c = e.collection();
-        let name = c.paths().get_str(c.symbols(), "/country/name").unwrap();
-        let tc = c
-            .paths()
-            .get_str(c.symbols(), "/country/economy/import_partners/item/trade_country")
-            .unwrap();
-        let pct = c
-            .paths()
-            .get_str(c.symbols(), "/country/economy/import_partners/item/percentage")
-            .unwrap();
-        let mut selections = ContextSelections::none();
-        selections.select(0, vec![name]);
-        selections.select(1, vec![tc]);
-        selections.select(2, vec![pct]);
-        let result = e.reader().complete_results(&q, &selections, &[]).unwrap();
+        let result = results(&e, &q, &IMPORT, &[]);
         // US 2006 has two import items, US 2005 has two: four rows in total
         // (Mexico's document has no import partners and its name is not
         // "United States").
@@ -1214,31 +1216,20 @@ mod tests {
         let e = engine();
         let q = query1();
         let c = e.collection();
-        let name = c.paths().get_str(c.symbols(), "/country/name").unwrap();
-        let tc = c
-            .paths()
-            .get_str(c.symbols(), "/country/economy/import_partners/item/trade_country")
-            .unwrap();
-        let pct = c
-            .paths()
-            .get_str(c.symbols(), "/country/economy/import_partners/item/percentage")
-            .unwrap();
-        let mut selections = ContextSelections::none();
-        selections.select(0, vec![name]);
-        selections.select(1, vec![tc]);
-        selections.select(2, vec![pct]);
+        let tc = e.resolve_path(IMPORT[1].1).unwrap();
+        let pct = e.resolve_path(IMPORT[2].1).unwrap();
         // Discover connections from the top-k and keep only the same-item one
         // (length 2).
-        let topk = top_k(&e, &q, &selections, 10);
+        let topk = top_k(&e, &q, &IMPORT, 10);
         let summary = e.reader().connection_summary(&topk);
-        let same_item: Vec<Connection> = summary
+        let same_item: Vec<Vec<String>> = summary
             .connections
             .iter()
             .filter(|conn| conn.from_path == tc && conn.to_path == pct && conn.length() == 2)
-            .cloned()
+            .map(|conn| conn.signature.iter().map(|&p| c.path_string(p)).collect())
             .collect();
         assert!(!same_item.is_empty());
-        let result = e.reader().complete_results(&q, &selections, &same_item).unwrap();
+        let result = results(&e, &q, &IMPORT, &same_item);
         assert_eq!(result.len(), 4);
         for row in result.rows() {
             let (tc_node, pct_node) = (row[1], row[2]);
@@ -1252,21 +1243,7 @@ mod tests {
     fn end_to_end_star_schema_matches_figure_3() {
         let e = engine();
         let q = query1();
-        let c = e.collection();
-        let name = c.paths().get_str(c.symbols(), "/country/name").unwrap();
-        let tc = c
-            .paths()
-            .get_str(c.symbols(), "/country/economy/import_partners/item/trade_country")
-            .unwrap();
-        let pct = c
-            .paths()
-            .get_str(c.symbols(), "/country/economy/import_partners/item/percentage")
-            .unwrap();
-        let mut selections = ContextSelections::none();
-        selections.select(0, vec![name]);
-        selections.select(1, vec![tc]);
-        selections.select(2, vec![pct]);
-        let result = e.reader().complete_results(&q, &selections, &[]).unwrap();
+        let result = results(&e, &q, &IMPORT, &[]);
         let build = e.build_star_schema(&result, &BuildOptions::default());
         let fact = build.schema.fact("import-trade-percentage").expect("fact table");
         assert_eq!(fact.dimension_columns(), ["country", "year", "import-country"]);
@@ -1322,11 +1299,7 @@ mod tests {
 
         // Same query, same answers.
         let q = SedaQuery::parse(r#"(/country/name, *) AND (/sea/name, *)"#).unwrap();
-        let seq_result =
-            sequential.reader().complete_results(&q, &ContextSelections::none(), &[]).unwrap();
-        let par_result =
-            parallel.reader().complete_results(&q, &ContextSelections::none(), &[]).unwrap();
-        assert_eq!(seq_result, par_result);
+        assert_eq!(results(&sequential, &q, &[], &[]), results(&parallel, &q, &[], &[]));
     }
 
     #[test]
@@ -1394,7 +1367,7 @@ mod tests {
         .unwrap();
         let e = SedaEngine::build(collection, Registry::new(), EngineConfig::default()).unwrap();
         let q = SedaQuery::parse(r#"(/country/name, *) AND (/sea/name, *)"#).unwrap();
-        let result = e.reader().complete_results(&q, &ContextSelections::none(), &[]).unwrap();
+        let result = results(&e, &q, &[], &[]);
         assert_eq!(result.len(), 1, "country and sea are connected via the IDREF edge");
         let contents: Vec<String> =
             result.rows().flatten().map(|&n| e.collection().content(n).unwrap()).collect();

@@ -3,13 +3,12 @@
 //! Planning is one stage, **lowering**: [`SedaEngine::prepare`] validates a
 //! request against an engine (term indices exist, path strings resolve, twig
 //! paths compile, limits hold), resolves every context selection down to
-//! [`PathId`]s and [`TermInput`]s, and records the execution steps.  It makes
-//! no decision: every search step is the Threshold-Algorithm rank join,
-//! whatever the term count.  [`QueryPlan::explain`] renders the transcript
-//! (header plus numbered steps), a pure function of the engine and the
-//! request.
+//! [`PathId`]s and [`TermInput`]s and every `VIA` signature down to
+//! [`PathId`]s, and records the execution steps.  It makes no decision:
+//! every search step is the Threshold-Algorithm rank join, whatever the term
+//! count.  [`QueryPlan::explain`] renders the transcript (header plus
+//! numbered steps), a pure function of the engine and the request.
 
-use seda_dataguide::Connection;
 use seda_olap::BuildOptions;
 use seda_topk::{TermInput, TopKConfig};
 use seda_twigjoin::TwigPattern;
@@ -144,7 +143,9 @@ pub struct QueryPlan {
     /// Resolved per-term candidate context paths of the complete-result
     /// statements (empty for every other statement).
     pub(crate) term_paths: Vec<Vec<PathId>>,
-    pub(crate) connections: Vec<Connection>,
+    /// Resolved `VIA` connection signatures, read by the complete-result
+    /// statements.
+    pub(crate) connections: Vec<Vec<PathId>>,
     /// Compiled twig pattern of a [`Statement::Twig`] request.
     pub(crate) pattern: Option<TwigPattern>,
     pub(crate) cube_options: BuildOptions,
@@ -194,6 +195,22 @@ impl SedaEngine {
             .ok_or_else(|| SedaError::UnknownPath(path.to_string()))
     }
 
+    fn resolve_paths(&self, paths: &[String]) -> Result<Vec<PathId>, SedaError> {
+        paths.iter().map(|path| self.resolve_path(path)).collect()
+    }
+
+    /// Renders path ids in `/a/b/c` notation — the inverse of
+    /// [`SedaEngine::resolve_path`]; an id the collection does not hold is
+    /// [`SedaError::UnknownPath`].
+    pub(crate) fn paths_text(&self, paths: &[PathId]) -> Result<Vec<String>, SedaError> {
+        let collection = self.collection();
+        let text = |&path: &PathId| match path.index() < collection.paths().len() {
+            true => Ok(collection.path_string(path)),
+            false => Err(SedaError::UnknownPath(format!("path id {}", path.index()))),
+        };
+        paths.iter().map(text).collect()
+    }
+
     /// Lowers a request into a [`QueryPlan`]: validates it, resolves every
     /// context selection and records the execution steps.  The plan runs
     /// only through this engine's readers; any other reader refuses it with
@@ -216,7 +233,7 @@ impl SedaEngine {
             query: None,
             term_inputs: Vec::new(),
             term_paths: Vec::new(),
-            connections: request.connections.clone(),
+            connections: Vec::new(),
             pattern: None,
             cube_options: request.cube_options.clone(),
             steps: Vec::new(),
@@ -254,23 +271,18 @@ impl SedaEngine {
             .filter(|query| !query.is_empty())
             .ok_or(SedaError::MissingQuery { statement: statement.name() })?;
 
-        // Merge programmatic selections with resolved path-string selections
-        // (strings win for a term both specify, matching builder order).
         let mut selections = ContextSelections::none();
-        for (term, paths) in request.selections.iter() {
-            if term >= query.len() {
-                return Err(SedaError::UnknownTerm { term, terms: query.len() });
-            }
-            selections.select(term, paths.to_vec());
-        }
         for (term, paths) in &request.path_selections {
             if *term >= query.len() {
                 return Err(SedaError::UnknownTerm { term: *term, terms: query.len() });
             }
-            let resolved: Vec<PathId> =
-                paths.iter().map(|p| self.resolve_path(p)).collect::<Result<_, _>>()?;
-            selections.select(*term, resolved);
+            selections.select(*term, self.resolve_paths(paths)?);
         }
+        plan.connections = request
+            .connections
+            .iter()
+            .map(|signature| self.resolve_paths(signature))
+            .collect::<Result<_, _>>()?;
 
         // Per-term contexts are resolved exactly once per plan: as search
         // inputs for the top-k statements, as candidate path sets for the
@@ -399,13 +411,13 @@ mod tests {
             assert!(once.contains("resolve contexts of term 0 (name, *): 1 path(s)"), "{once}");
             assert_eq!(e.prepare(&twice.unwrap()).unwrap().explain(), once, "{shape}");
         }
-        // Programmatic selections merge through the same place, and the
+        // Builder-made selections resolve through the same place, and the
         // first occurrence keeps its position.
         let name = e.resolve_path("/country/name").unwrap();
         let year = e.resolve_path("/country/year").unwrap();
         let req = SedaRequest::builder()
             .query(SedaQuery::parse("(*, 2006)").unwrap())
-            .select(0, vec![year, name, year])
+            .select_paths(0, ["/country/year", "/country/name", "/country/year"])
             .complete_results()
             .build();
         assert_eq!(e.prepare(&req).unwrap().term_paths, vec![vec![year, name]]);

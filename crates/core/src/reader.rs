@@ -7,9 +7,12 @@
 //! threads holding N readers serve queries fully in parallel — the engine
 //! itself holds no query-time mutable state besides its atomic metrics.
 //!
-//! Every execution entry point runs inside the reader's one containment
-//! boundary: a panic below becomes [`SedaError::Internal`], the scratch is
-//! rebuilt and the tracer reset, so the same reader keeps serving.
+//! Every request — text, [`SedaRequest`], [`PreparedStatement`] or a
+//! [`crate::SedaSession`] stage — is planned, run by the one statement
+//! executor, traced and counted once.  The executor runs inside the reader's
+//! one containment boundary: a panic below becomes [`SedaError::Internal`],
+//! the scratch is rebuilt and the tracer reset, so the same reader keeps
+//! serving.
 //!
 //! ```
 //! use seda_core::{EngineConfig, SedaEngine, SedaRequest};
@@ -25,9 +28,7 @@
 //! ```
 
 use seda_olap::{aggregate, CubeQuery, FactTable, QueryResultTable};
-use seda_topk::{
-    LimitBreach, MaterializedTerms, SearchScratch, SearchStats, TopKConfig, TopKResult,
-};
+use seda_topk::{LimitBreach, MaterializedTerms, SearchScratch, SearchStats, TopKResult};
 
 use crate::engine::{catch_internal, GovernedTable, SedaEngine};
 use crate::error::SedaError;
@@ -71,7 +72,8 @@ fn resolve_breach(
 
 /// Clips a degraded payload to `keep` rows, preserving each shape's order
 /// (score order for top-k tuples, frequency order for summaries, sorted row
-/// order for tables, cell order for cubes).
+/// order for tables, cell order for cubes); a `CONNECTIONS` payload keeps
+/// `keep` tuples and `keep` connections.
 fn truncate_payload(payload: &mut ResponsePayload, keep: usize) {
     match payload {
         ResponsePayload::TopK(result) => result.tuples.truncate(keep),
@@ -82,7 +84,10 @@ fn truncate_payload(payload: &mut ResponsePayload, keep: usize) {
                 remaining -= bucket.entries.len();
             }
         }
-        ResponsePayload::Connections { summary, .. } => summary.connections.truncate(keep),
+        ResponsePayload::Connections { top_k, summary } => {
+            top_k.tuples.truncate(keep);
+            summary.connections.truncate(keep);
+        }
         ResponsePayload::Table(table) => table.truncate(keep),
         ResponsePayload::Cube { cube, .. } => cube.cells.truncate(keep),
         ResponsePayload::Explain(_) => {}
@@ -286,15 +291,29 @@ impl<'e> SedaReader<'e> {
         outcome
     }
 
-    /// The reader's one panic-containment boundary: every execution entry
-    /// point — plans, prepared statements, the typed steps — runs its body
-    /// here, so a panic anywhere below becomes
-    /// [`SedaError::Internal`] and the reader heals before returning.
-    fn contained<T>(
+    /// Executes a plan as one request — the single path behind the facade
+    /// and prepared statements (which lend their `materialized` term lists).
+    /// The statement executor runs inside the reader's one panic-containment
+    /// boundary: a panic anywhere below becomes [`SedaError::Internal`] and
+    /// the reader heals before returning.  The outcome is recorded in the
+    /// metrics registry.
+    /// A plan lowered by another engine is refused with
+    /// [`SedaError::ForeignPlan`] before anything runs.
+    fn run_plan(
         &mut self,
-        body: impl FnOnce(&mut Self) -> Result<T, SedaError>,
-    ) -> Result<T, SedaError> {
-        let outcome = catch_internal(|| body(self));
+        plan: &QueryPlan,
+        ctx: &RequestContext,
+        plan_secs: f64,
+        materialized: Option<&MaterializedTerms>,
+    ) -> Result<SedaResponse, SedaError> {
+        if plan.engine != self.engine.id() {
+            return self.recorded(&plan.statement, Err(SedaError::ForeignPlan));
+        }
+        let outcome = catch_internal(|| {
+            let mut response = self.execute_statement(plan, ctx, materialized)?;
+            response.profile.plan_secs = plan_secs;
+            Ok(response)
+        });
         if matches!(outcome, Err(SedaError::Internal(_))) {
             // A contained panic may have left this reader's scratch buffers
             // mid-update; rebuild them so the next query starts clean.
@@ -305,31 +324,6 @@ impl<'e> SedaReader<'e> {
             // one) must not leak into the next request's trace.
             self.tracer.reset();
         }
-        outcome
-    }
-
-    /// Executes a plan as one request: the statement executor runs inside
-    /// the containment boundary, and the outcome is recorded in the metrics
-    /// registry — the single path behind the facade and prepared statements
-    /// (which lend their `materialized` term lists).
-    /// A plan lowered by another engine is refused with
-    /// [`SedaError::ForeignPlan`] before anything runs.
-    fn run_plan(
-        &mut self,
-        plan: &QueryPlan,
-        ctx: &RequestContext,
-        plan_secs: f64,
-        materialized: Option<&MaterializedTerms>,
-    ) -> Result<SedaResponse, SedaError> {
-        let outcome = if plan.engine != self.engine.id() {
-            Err(SedaError::ForeignPlan)
-        } else {
-            self.contained(|reader| {
-                let mut response = reader.execute_statement(plan, ctx, materialized)?;
-                response.profile.plan_secs = plan_secs;
-                Ok(response)
-            })
-        };
         self.recorded(&plan.statement, outcome)
     }
 
@@ -535,13 +529,26 @@ impl<'e> SedaReader<'e> {
         Ok(SedaResponse { payload, profile })
     }
 
-    // ----- typed helpers (the surface `SedaSession` composes) -----
+    // ----- adapters for `benchmark/src/layers.rs` alone -----
 
-    /// Top-k search through this reader's scratch under a per-request
-    /// [`RequestContext`] ([`RequestContext::unlimited`] for ungoverned
-    /// callers): a budget breach yields the certifiably correct prefix with
-    /// [`ExecProfile::degraded`] set when the context allows degraded
-    /// responses, and [`SedaError::Limit`] otherwise.
+    /// The request an adapter sends: `statement` over `query`, each selection
+    /// one `WITH` clause.
+    fn adapted(
+        &self,
+        statement: Statement,
+        query: &SedaQuery,
+        selections: &ContextSelections,
+    ) -> Result<SedaRequest, SedaError> {
+        let mut builder = SedaRequest::builder().statement(statement).query(query.clone());
+        for (term, paths) in selections.iter() {
+            builder = builder.select_paths(term, self.engine.paths_text(paths)?);
+        }
+        Ok(builder.build())
+    }
+
+    /// `TOPK k` of `query` under `selections` as one governed request: the
+    /// top-k result and its profile.  Only for `benchmark/src/layers.rs`.
+    #[doc(hidden)]
     pub fn top_k_governed(
         &mut self,
         query: &SedaQuery,
@@ -549,33 +556,26 @@ impl<'e> SedaReader<'e> {
         k: usize,
         ctx: &RequestContext,
     ) -> Result<(TopKResult, ExecProfile), SedaError> {
-        self.contained(|reader| {
-            ctx.check_cancelled()?;
-            let terms = reader.engine.term_inputs(query, selections);
-            let start = Stopwatch::start();
-            // The typed step runs the engine-default configuration at `k`,
-            // no prepared state.
-            let config = TopKConfig { k, ..reader.engine.config().topk.clone() };
-            let (result, breach) = reader.engine.search(
-                &terms,
-                &config,
-                &ctx.search_limits(),
-                &mut reader.scratch,
-                None,
-            );
-            let mut profile =
-                ExecProfile { exec_secs: start.elapsed_secs(), ..ExecProfile::default() };
-            profile.absorb(&result.stats);
-            resolve_breach(breach, ctx, &mut profile)?;
-            profile.rows = result.tuples.len();
-            profile.settle_budget_spent();
-            Ok((result, profile))
-        })
+        let request = self.adapted(Statement::TopK { k }, query, selections)?;
+        match self.execute_governed(&request, ctx)? {
+            SedaResponse { payload: ResponsePayload::TopK(result), profile } => {
+                Ok((result, profile))
+            }
+            _ => Err(mismatched_payload(&request)),
+        }
     }
 
-    /// Context summary of a query (read-only, no scratch needed).
+    /// `CONTEXTS` of `query` as one request, through a fresh reader of this
+    /// engine (the summary reads no scratch).  The signature has no error
+    /// channel: an error — an empty query, a contained panic — yields the
+    /// empty summary.  Only for `benchmark/src/layers.rs`.
+    #[doc(hidden)]
     pub fn context_summary(&self, query: &SedaQuery) -> ContextSummary {
-        self.engine.context_summary(query)
+        let request = SedaRequest::builder().contexts().query(query.clone()).build();
+        match self.engine.reader().execute_governed(&request, &RequestContext::unlimited()) {
+            Ok(SedaResponse { payload: ResponsePayload::Contexts(summary), .. }) => summary,
+            _ => ContextSummary::default(),
+        }
     }
 
     /// Connection summary of an existing top-k result, its label probes
@@ -584,21 +584,29 @@ impl<'e> SedaReader<'e> {
         self.engine.connection_summary(top_k, self.scratch.traversal_mut(), |_| true)
     }
 
-    /// Complete result set R(q) through this reader's scratch.
+    /// `RESULTS` of `query` under `selections`, `VIA` each connection's
+    /// signature, as one ungoverned request.  Only for
+    /// `benchmark/src/layers.rs`.
+    #[doc(hidden)]
     pub fn complete_results(
         &mut self,
         query: &SedaQuery,
         selections: &ContextSelections,
         connections: &[seda_dataguide::Connection],
-    ) -> Result<seda_olap::QueryResultTable, SedaError> {
-        let ctx = RequestContext::unlimited();
-        self.contained(|SedaReader { engine, scratch, .. }| {
-            let term_paths = engine.term_paths(query, selections);
-            let results =
-                engine.complete_results_governed(query, &term_paths, connections, scratch, &ctx)?;
-            Ok(results.table)
-        })
+    ) -> Result<QueryResultTable, SedaError> {
+        let mut request = self.adapted(Statement::CompleteResults, query, selections)?;
+        for connection in connections {
+            request.connections.push(self.engine.paths_text(&connection.signature)?);
+        }
+        match self.execute_governed(&request, &RequestContext::unlimited())?.payload {
+            ResponsePayload::Table(table) => Ok(table),
+            _ => Err(mismatched_payload(&request)),
+        }
     }
+}
+
+fn mismatched_payload(request: &SedaRequest) -> SedaError {
+    SedaError::Internal(format!("{} answered with another payload", request.statement.name()))
 }
 
 #[cfg(test)]
@@ -606,7 +614,7 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use seda_olap::Registry;
-    use seda_xmlstore::{parse_collection, PathId};
+    use seda_xmlstore::parse_collection;
 
     fn engine() -> SedaEngine {
         let collection = parse_collection(vec![
@@ -683,9 +691,8 @@ mod tests {
         let response = reader.execute_text("TOPK 0 FOR (trade_country, *)").unwrap();
         assert!(response.top_k().unwrap().tuples.is_empty(), "k=0 must yield no tuples");
         let q = SedaQuery::parse("(trade_country, *)").unwrap();
-        let ctx = RequestContext::unlimited();
-        let (typed, _) = reader.top_k_governed(&q, &ContextSelections::none(), 0, &ctx).unwrap();
-        assert!(typed.tuples.is_empty());
+        let built = reader.execute(&SedaRequest::builder().top_k(0).query(q).build()).unwrap();
+        assert!(built.top_k().unwrap().tuples.is_empty());
     }
 
     #[test]
@@ -801,14 +808,12 @@ mod tests {
             assert_eq!(once.profile.rows, 1, "{shape}");
         }
 
-        // The typed step: the selection itself keeps the path once.
+        // A builder-made request: the selection itself keeps the path once.
         let query = SedaQuery::parse(q).unwrap();
-        let path = |text: &str| e.collection().paths().get_str(e.collection().symbols(), text);
-        let (p, pct) = (path(p).unwrap(), path(pct).unwrap());
-        let mut answer = |paths: Vec<PathId>| {
-            let mut selections = ContextSelections::none();
-            selections.select(0, paths).select(1, vec![pct]);
-            reader.complete_results(&query, &selections, &[])
+        let mut answer = |paths: Vec<&str>| {
+            let builder = SedaRequest::builder().complete_results().query(query.clone());
+            let request = builder.select_paths(0, paths).select_paths(1, [pct]).build();
+            reader.execute(&request).map(|response| response.table().unwrap().clone())
         };
         let once = answer(vec![p]).unwrap();
         assert_eq!(once.len(), 1);

@@ -1,37 +1,41 @@
 //! Typed requests of the unified query facade.
 //!
 //! A [`SedaRequest`] bundles everything one trip through the Fig. 4 pipeline
-//! needs: the [`SedaQuery`] terms, optional context/connection refinements,
-//! and a [`Statement`] saying which unit of the engine answers it.  Requests
-//! are built fluently through [`RequestBuilder`], or parsed from the textual
-//! front-end:
+//! needs: the [`SedaQuery`] terms, the context and connection refinements,
+//! the star-schema options and a [`Statement`] saying which unit of the
+//! engine answers it.  Requests are built fluently through
+//! [`RequestBuilder`], or parsed from the textual front-end:
 //!
 //! ```text
 //! TOPK 10 FOR (*, "United States") AND (trade_country, *)
 //! CONTEXTS FOR (trade_country, *)
 //! CONNECTIONS 10 FOR (name, *) AND (population, *)
 //! RESULTS FOR (percentage, *) WITH 0 IN /country/economy/import_partners/item/percentage
+//! RESULTS FOR (trade_country, *) AND (percentage, *) VIA /a/item/trade_country ~ /a/item ~ /a/item/percentage
 //! TWIG /country/economy//trade_country
-//! CUBE import-trade-percentage BY import-country AGG sum FOR (*, "United States") AND …
+//! CUBE import-trade-percentage BY import-country AGG sum ADD year REMOVE country FOR (*, "United States") AND …
 //! ```
+//!
+//! `WITH <term> IN <path>|<path>…` selects a term's contexts; `VIA <path> ~
+//! <path> ~ …` keeps only the rows whose pairs connect through that
+//! connection signature (the paths of the connection summary, ends
+//! included); a `CUBE` head's `ADD` and `REMOVE` lists are the star-schema
+//! [`BuildOptions`].
 //!
 //! An `EXPLAIN` prefix plans the request and returns the plan transcript
 //! instead of executing it; `EXPLAIN ANALYZE` additionally *executes* the
 //! request and returns the transcript annotated with each stage's measured
 //! wall time, counter deltas and budget spend (see
-//! [`crate::trace::render_analyzed`]).  [`SedaRequest::render`] emits the
-//! canonical textual form, and `parse ∘ render` is the identity on parsed
-//! requests — the round-trip the facade's serialisation tests pin.
+//! [`crate::trace::render_analyzed`]).  Every request has exactly one
+//! textual form: [`SedaRequest::render`] emits it, and `parse ∘ render` is
+//! the identity — the round-trip the facade's serialisation tests pin.
 
 use serde::{Deserialize, Serialize};
 
-use seda_dataguide::Connection;
 use seda_olap::{AggFn, BuildOptions};
-use seda_xmlstore::PathId;
 
 use crate::error::SedaError;
 use crate::query::{QueryError, SedaQuery};
-use crate::summaries::ContextSelections;
 
 /// Which unit of the Fig. 4 engine a request drives.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -110,9 +114,9 @@ fn parse_agg(name: &str) -> Result<AggFn, SedaError> {
         "count" => Ok(AggFn::Count),
         "min" => Ok(AggFn::Min),
         "max" => Ok(AggFn::Max),
-        other => Err(SedaError::Parse(QueryError::Malformed(format!(
+        other => Err(malformed(format!(
             "unknown aggregation function {other:?} (expected sum|avg|count|min|max)"
-        )))),
+        ))),
     }
 }
 
@@ -123,14 +127,15 @@ pub struct SedaRequest {
     pub statement: Statement,
     /// The query terms; required by every statement except [`Statement::Twig`].
     pub query: Option<SedaQuery>,
-    /// Programmatic per-term context selections (by [`PathId`]).
-    pub selections: ContextSelections,
-    /// Per-term context selections by path string, resolved (and validated)
-    /// by the planner; this is the form the textual front-end produces.
+    /// Per-term context selections by path string (`WITH`), resolved and
+    /// validated by the planner.
     pub path_selections: Vec<(usize, Vec<String>)>,
-    /// Connection refinements applied to the complete-result set.
-    pub connections: Vec<Connection>,
-    /// Options of the star-schema derivation (cube statements).
+    /// Connection refinements of the complete-result set (`VIA`): each one a
+    /// connection signature by path string, ends included, resolved by the
+    /// planner like the `WITH` paths.
+    pub connections: Vec<Vec<String>>,
+    /// Options of the star-schema derivation (`ADD` / `REMOVE` of a cube
+    /// statement).
     pub cube_options: BuildOptions,
     /// Plan the request and return the `explain()` transcript instead of
     /// executing it.
@@ -147,11 +152,6 @@ impl SedaRequest {
         RequestBuilder::default()
     }
 
-    /// A top-k request over parsed query terms.
-    pub fn top_k(query: SedaQuery, k: usize) -> Self {
-        RequestBuilder::default().statement(Statement::TopK { k }).query(query).build()
-    }
-
     /// Parses the textual front-end (see the module docs for the grammar).
     pub fn parse(text: &str) -> Result<Self, SedaError> {
         let mut rest = text.trim();
@@ -165,82 +165,56 @@ impl SedaRequest {
             }
         }
         if rest.is_empty() {
-            return Err(SedaError::Parse(QueryError::Malformed("empty request".to_string())));
+            return Err(malformed("empty request".to_string()));
         }
         if rest.starts_with('(') {
             // Bare query terms default to a top-k search.
-            let (query, selections) = parse_query_part(rest)?;
-            return Ok(apply_selections(
-                builder.statement(Statement::TopK { k: 10 }).query(query),
-                selections,
-            ));
+            return parse_query_part(builder.statement(Statement::TopK { k: 10 }), rest);
         }
         let (verb, tail) = next_token(rest);
         let statement_tail = tail.trim();
-        match verb.to_ascii_uppercase().as_str() {
-            "TOPK" => {
+        let verb = verb.to_ascii_uppercase();
+        let (statement, query_text) = match verb.as_str() {
+            "TOPK" | "CONNECTIONS" => {
                 let (k, after) = parse_leading_count(statement_tail, 10)?;
-                let query_text = expect_for(after, "TOPK")?;
-                let (query, selections) = parse_query_part(query_text)?;
-                Ok(apply_selections(
-                    builder.statement(Statement::TopK { k }).query(query),
-                    selections,
-                ))
+                let statement = if verb == "TOPK" {
+                    Statement::TopK { k }
+                } else {
+                    Statement::ConnectionSummary { k }
+                };
+                (statement, expect_for(after, &verb)?)
             }
-            "CONTEXTS" => {
-                let query_text = expect_for(statement_tail, "CONTEXTS")?;
-                let (query, selections) = parse_query_part(query_text)?;
-                Ok(apply_selections(
-                    builder.statement(Statement::ContextSummary).query(query),
-                    selections,
-                ))
-            }
-            "CONNECTIONS" => {
-                let (k, after) = parse_leading_count(statement_tail, 10)?;
-                let query_text = expect_for(after, "CONNECTIONS")?;
-                let (query, selections) = parse_query_part(query_text)?;
-                Ok(apply_selections(
-                    builder.statement(Statement::ConnectionSummary { k }).query(query),
-                    selections,
-                ))
-            }
-            "RESULTS" => {
-                let query_text = expect_for(statement_tail, "RESULTS")?;
-                let (query, selections) = parse_query_part(query_text)?;
-                Ok(apply_selections(
-                    builder.statement(Statement::CompleteResults).query(query),
-                    selections,
-                ))
-            }
+            "CONTEXTS" => (Statement::ContextSummary, expect_for(statement_tail, "CONTEXTS")?),
+            "RESULTS" => (Statement::CompleteResults, expect_for(statement_tail, "RESULTS")?),
             "TWIG" => {
                 if statement_tail.is_empty() {
-                    return Err(SedaError::Parse(QueryError::Malformed(
-                        "TWIG requires a path expression".to_string(),
-                    )));
+                    return Err(malformed("TWIG requires a path expression".to_string()));
                 }
-                Ok(builder.statement(Statement::Twig { path: statement_tail.to_string() }).build())
+                return Ok(builder.twig(statement_tail).build());
             }
             "CUBE" => {
-                let (head, query_text) = split_keyword(statement_tail, "FOR").ok_or_else(|| {
-                    SedaError::Parse(QueryError::Malformed(
-                        "CUBE requires a FOR clause with query terms".to_string(),
-                    ))
+                let split = split_first_keyword(statement_tail, &["FOR"]);
+                let (head, _, query_text) = split.ok_or_else(|| {
+                    malformed("CUBE requires a FOR clause with query terms".to_string())
                 })?;
-                let statement = parse_cube_head(head)?;
-                let (query, selections) = parse_query_part(query_text)?;
-                Ok(apply_selections(builder.statement(statement).query(query), selections))
+                let (statement, options) = parse_cube_head(head)?;
+                builder = builder.cube_options(options);
+                (statement, query_text)
             }
-            other => Err(SedaError::Parse(QueryError::Malformed(format!(
-                "unknown statement verb {other:?} \
-                 (expected TOPK|CONTEXTS|CONNECTIONS|RESULTS|TWIG|CUBE or bare query terms)"
-            )))),
-        }
+            other => {
+                return Err(malformed(format!(
+                    "unknown statement verb {other:?} \
+                     (expected TOPK|CONTEXTS|CONNECTIONS|RESULTS|TWIG|CUBE or bare query terms)"
+                )))
+            }
+        };
+        parse_query_part(builder.statement(statement), query_text)
     }
 
-    /// Renders the request in the canonical textual form; `parse ∘ render`
-    /// is the identity on every parsed request.  Programmatic state that has
-    /// no textual form ([`PathId`] selections, connection refinements, cube
-    /// options) is not rendered.
+    /// Renders the request in its one textual form, every field included:
+    /// `parse ∘ render` is the identity on every request whose `WITH` and
+    /// `VIA` clauses name paths and whose strings are grammar tokens (no
+    /// whitespace, `|`, `~`, `,` or keyword).
     pub fn render(&self) -> String {
         let mut out = String::new();
         if self.explain {
@@ -262,6 +236,13 @@ impl SedaRequest {
                 if let Some(measure) = measure {
                     out.push_str(&format!(" MEASURE {measure}"));
                 }
+                for (keyword, names) in
+                    [("ADD", &self.cube_options.add), ("REMOVE", &self.cube_options.remove)]
+                {
+                    if !names.is_empty() {
+                        out.push_str(&format!(" {keyword} {}", names.join(", ")));
+                    }
+                }
             }
         }
         if let Some(query) = &self.query {
@@ -270,6 +251,9 @@ impl SedaRequest {
         }
         for (term, paths) in &self.path_selections {
             out.push_str(&format!(" WITH {term} IN {}", paths.join("|")));
+        }
+        for signature in &self.connections {
+            out.push_str(&format!(" VIA {}", signature.join(" ~ ")));
         }
         out
     }
@@ -287,9 +271,8 @@ impl std::fmt::Display for SedaRequest {
 pub struct RequestBuilder {
     statement: Option<Statement>,
     query: Option<SedaQuery>,
-    selections: ContextSelections,
     path_selections: Vec<(usize, Vec<String>)>,
-    connections: Vec<Connection>,
+    connections: Vec<Vec<String>>,
     cube_options: BuildOptions,
     explain: bool,
     analyze: bool,
@@ -350,15 +333,9 @@ impl RequestBuilder {
         Ok(self.query(query))
     }
 
-    /// Selects contexts for a term by [`PathId`] (replacing earlier
-    /// selections for that term).
-    pub fn select(mut self, term: usize, paths: Vec<PathId>) -> Self {
-        self.selections.select(term, paths);
-        self
-    }
-
-    /// Selects contexts for a term by path string; the planner resolves the
-    /// strings and fails with [`SedaError::UnknownPath`] on a miss.
+    /// Selects contexts for a term by path string (`WITH`), replacing
+    /// earlier selections for that term; the planner resolves the strings
+    /// and fails with [`SedaError::UnknownPath`] on a miss.
     pub fn select_paths<I, S>(mut self, term: usize, paths: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -369,9 +346,15 @@ impl RequestBuilder {
         self
     }
 
-    /// Restricts the complete-result set to the given connections.
-    pub fn connections(mut self, connections: Vec<Connection>) -> Self {
-        self.connections = connections;
+    /// Adds a connection refinement (`VIA`): the complete-result set keeps
+    /// only rows whose node pairs between the signature's two end contexts
+    /// connect through exactly this signature of path strings.
+    pub fn via<I, S>(mut self, signature: I) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        self.connections.push(signature.into_iter().map(Into::into).collect());
         self
     }
 
@@ -396,46 +379,60 @@ impl RequestBuilder {
         self
     }
 
-    /// Finalises the request.
+    /// Finalises the request.  What its statement cannot use is dropped, as
+    /// the planner would ignore it: a `TWIG` keeps only its path, and only a
+    /// `CUBE` keeps star-schema options.
     pub fn build(self) -> SedaRequest {
+        let statement = self.statement.unwrap_or(Statement::TopK { k: 10 });
+        let (twig, cube) = match &statement {
+            Statement::Twig { .. } => (true, false),
+            Statement::Cube { .. } => (false, true),
+            _ => (false, false),
+        };
         SedaRequest {
-            statement: self.statement.unwrap_or(Statement::TopK { k: 10 }),
-            query: self.query,
-            selections: self.selections,
-            path_selections: self.path_selections,
-            connections: self.connections,
-            cube_options: self.cube_options,
+            query: self.query.filter(|_| !twig),
+            path_selections: if twig { Vec::new() } else { self.path_selections },
+            connections: if twig { Vec::new() } else { self.connections },
+            cube_options: if cube { self.cube_options } else { BuildOptions::default() },
+            statement,
             explain: self.explain,
             analyze: self.analyze,
         }
     }
 }
 
-fn apply_selections(
-    mut builder: RequestBuilder,
-    selections: Vec<(usize, Vec<String>)>,
-) -> SedaRequest {
-    for (term, paths) in selections {
-        builder = builder.select_paths(term, paths);
-    }
-    builder.build()
+fn malformed(message: String) -> SedaError {
+    SedaError::Parse(QueryError::Malformed(message))
 }
 
-/// Splits `text` at the first top-level occurrence of `keyword` (a
+/// Splits `text` at the first top-level occurrence of any of `keywords` (a
 /// whitespace-delimited token outside quotes and parentheses), returning the
-/// trimmed text before and after it.
-fn split_keyword<'a>(text: &'a str, keyword: &str) -> Option<(&'a str, &'a str)> {
+/// trimmed text before it, the keyword as written and the trimmed text after
+/// it.
+fn split_first_keyword<'a>(
+    text: &'a str,
+    keywords: &[&str],
+) -> Option<(&'a str, &'a str, &'a str)> {
     let mut depth = 0usize;
     let mut in_quotes = false;
     let mut token_start: Option<usize> = None;
+    let found = |start: usize, end: usize| {
+        let token = &text[start..end];
+        keywords
+            .iter()
+            .any(|k| token.eq_ignore_ascii_case(k))
+            .then(|| (text[..start].trim(), token, text[end..].trim()))
+    };
     for (i, c) in text.char_indices() {
         let is_boundary = c.is_whitespace() || c == '(' || c == ')' || c == '"';
         if is_boundary {
             // Finalise the pending token with the state it was scanned in
             // (quote/paren state cannot change inside a token).
             if let Some(start) = token_start.take() {
-                if depth == 0 && !in_quotes && text[start..i].eq_ignore_ascii_case(keyword) {
-                    return Some((text[..start].trim(), text[i..].trim()));
+                if depth == 0 && !in_quotes {
+                    if let Some(split) = found(start, i) {
+                        return Some(split);
+                    }
                 }
             }
             match c {
@@ -448,12 +445,10 @@ fn split_keyword<'a>(text: &'a str, keyword: &str) -> Option<(&'a str, &'a str)>
             token_start = Some(i);
         }
     }
-    if let Some(start) = token_start {
-        if depth == 0 && !in_quotes && text[start..].eq_ignore_ascii_case(keyword) {
-            return Some((text[..start].trim(), ""));
-        }
+    match token_start {
+        Some(start) if depth == 0 && !in_quotes => found(start, text.len()),
+        _ => None,
     }
-    None
 }
 
 /// Strips `keyword` from the start of `text` when it is the first
@@ -484,134 +479,122 @@ fn parse_leading_count(text: &str, default: usize) -> Result<(usize, &str), Seda
     }
     match token.parse::<usize>() {
         Ok(k) => Ok((k, rest)),
-        Err(_) => Err(SedaError::Parse(QueryError::Malformed(format!(
-            "expected a count or FOR, found {token:?}"
-        )))),
+        Err(_) => Err(malformed(format!("expected a count or FOR, found {token:?}"))),
     }
 }
 
 /// Consumes the mandatory `FOR` keyword and returns the query part after it.
 fn expect_for<'a>(text: &'a str, statement: &str) -> Result<&'a str, SedaError> {
-    strip_leading_keyword(text, "FOR").ok_or_else(|| {
-        SedaError::Parse(QueryError::Malformed(format!(
-            "{statement} requires a FOR clause with query terms"
-        )))
-    })
+    strip_leading_keyword(text, "FOR")
+        .ok_or_else(|| malformed(format!("{statement} requires a FOR clause with query terms")))
 }
 
-/// Parses `<terms> [WITH <term> IN <path>|<path> …]`.
-#[allow(clippy::type_complexity)]
-fn parse_query_part(text: &str) -> Result<(SedaQuery, Vec<(usize, Vec<String>)>), SedaError> {
-    let (query_text, mut rest) = match split_keyword(text, "WITH") {
-        Some((q, r)) => (q, Some(r)),
+/// The clause keywords that may follow the query terms.
+const QUERY_CLAUSES: [&str; 2] = ["WITH", "VIA"];
+
+/// Parses `<terms> [WITH <term> IN <path>[|<path>…]]… [VIA <path> ~
+/// <path>[ ~ <path>…]]…` into the builder and finalises the request.
+fn parse_query_part(mut builder: RequestBuilder, text: &str) -> Result<SedaRequest, SedaError> {
+    let (query_text, mut next) = match split_first_keyword(text, &QUERY_CLAUSES) {
+        Some((query, keyword, rest)) => (query, Some((keyword, rest))),
         None => (text.trim(), None),
     };
-    let query = SedaQuery::parse(query_text)?;
-    let mut selections = Vec::new();
-    while let Some(clause_text) = rest {
-        let (clause, next) = match split_keyword(clause_text, "WITH") {
-            Some((c, n)) => (c, Some(n)),
-            None => (clause_text, None),
+    builder = builder.query(SedaQuery::parse(query_text)?);
+    while let Some((keyword, clause_text)) = next {
+        let clause = match split_first_keyword(clause_text, &QUERY_CLAUSES) {
+            Some((clause, keyword, rest)) => {
+                next = Some((keyword, rest));
+                clause
+            }
+            None => {
+                next = None;
+                clause_text
+            }
         };
-        rest = next;
-        if clause.is_empty() {
+        if keyword.eq_ignore_ascii_case("VIA") {
+            builder = builder.via(parse_paths(clause, '~', "VIA")?);
             continue;
         }
         let (term_token, tail) = next_token(clause);
         let term: usize = term_token.parse().map_err(|_| {
-            SedaError::Parse(QueryError::Malformed(format!(
-                "WITH clause expects a term index, found {term_token:?}"
-            )))
+            malformed(format!("WITH clause expects a term index, found {term_token:?}"))
         })?;
         let paths_text = strip_leading_keyword(tail, "IN").ok_or_else(|| {
-            SedaError::Parse(QueryError::Malformed(format!(
-                "WITH {term} must be followed by IN <path>[|<path>…]"
-            )))
+            malformed(format!("WITH {term} must be followed by IN <path>[|<path>…]"))
         })?;
-        if paths_text.is_empty() {
-            return Err(SedaError::Parse(QueryError::Malformed(format!(
-                "WITH {term} IN requires at least one path"
-            ))));
-        }
-        let paths: Vec<String> = paths_text.split('|').map(|p| p.trim().to_string()).collect();
-        if paths.iter().any(String::is_empty) {
-            return Err(SedaError::Parse(QueryError::Malformed(format!(
-                "empty path in WITH {term} IN {paths_text:?}"
-            ))));
-        }
-        selections.push((term, paths));
+        builder = builder.select_paths(term, parse_paths(paths_text, '|', "WITH … IN")?);
     }
-    Ok((query, selections))
+    Ok(builder.build())
 }
 
-/// Parses the column name of a `MEASURE` clause: exactly one token, with
-/// trailing garbage rejected rather than silently dropped.
-fn parse_measure_name(text: &str) -> Result<String, SedaError> {
-    let (measure, rest) = next_token(text);
-    if measure.is_empty() {
-        return Err(SedaError::Parse(QueryError::Malformed(
-            "MEASURE requires a column name".to_string(),
+/// Parses a non-empty `separator`-delimited list of path strings, each one
+/// whitespace-free token.
+fn parse_paths(text: &str, separator: char, clause: &str) -> Result<Vec<String>, SedaError> {
+    let paths: Vec<String> = text.split(separator).map(|p| p.trim().to_string()).collect();
+    if paths.iter().any(|p| p.is_empty() || p.contains(char::is_whitespace)) {
+        return Err(malformed(format!(
+            "{clause} expects paths separated by {separator:?}: {text:?}"
         )));
+    }
+    Ok(paths)
+}
+
+/// Parses the one token of a cube clause, rejecting trailing garbage rather
+/// than silently dropping it.
+fn single_token<'a>(text: &'a str, clause: &str) -> Result<&'a str, SedaError> {
+    let (token, rest) = next_token(text);
+    if token.is_empty() {
+        return Err(malformed(format!("{clause} requires a name")));
     }
     if !rest.trim().is_empty() {
-        return Err(SedaError::Parse(QueryError::Malformed(format!(
-            "unexpected trailing cube clause {:?}",
-            rest.trim()
-        ))));
+        return Err(malformed(format!("unexpected trailing cube clause {:?}", rest.trim())));
     }
-    Ok(measure.to_string())
+    Ok(token)
 }
 
-/// Parses the head of a cube statement:
-/// `<fact> BY <dim>[, <dim>…] [AGG <fn>] [MEASURE <column>]`.
-fn parse_cube_head(head: &str) -> Result<Statement, SedaError> {
-    let (fact, tail) = next_token(head);
-    if fact.is_empty() {
-        return Err(SedaError::Parse(QueryError::Malformed(
-            "CUBE requires a fact-table name".to_string(),
-        )));
-    }
-    let by_tail = strip_leading_keyword(tail, "BY").ok_or_else(|| {
-        SedaError::Parse(QueryError::Malformed(
-            "CUBE requires BY <dimension>[, <dimension>…]".to_string(),
-        ))
-    })?;
-    // The dimension list runs until the optional AGG / MEASURE keywords.
-    let (dims_text, agg, measure) = {
-        let (before_agg, after_agg) = match split_keyword(by_tail, "AGG") {
-            Some((b, a)) => (b, Some(a)),
-            None => (by_tail, None),
-        };
-        match after_agg {
-            Some(after) => {
-                let (agg_token, rest) = next_token(after);
-                let agg = parse_agg(agg_token)?;
-                let measure = match strip_leading_keyword(rest, "MEASURE") {
-                    Some(m) => Some(parse_measure_name(m)?),
-                    None if !rest.trim().is_empty() => {
-                        return Err(SedaError::Parse(QueryError::Malformed(format!(
-                            "unexpected trailing cube clause {:?}",
-                            rest.trim()
-                        ))))
-                    }
-                    None => None,
-                };
-                (before_agg, agg, measure)
-            }
-            None => match split_keyword(by_tail, "MEASURE") {
-                Some((dims, m)) => (dims, AggFn::Sum, Some(parse_measure_name(m)?)),
-                None => (by_tail, AggFn::Sum, None),
-            },
+/// Parses the comma-separated names of an `ADD` / `REMOVE` clause.
+fn parse_names(text: Option<&str>, clause: &str) -> Result<Vec<String>, SedaError> {
+    let Some(text) = text else { return Ok(Vec::new()) };
+    text.split(',').map(|name| single_token(name, clause).map(str::to_string)).collect()
+}
+
+/// Parses the head of a cube statement: `<fact> BY <dim>[, <dim>…] [AGG
+/// <fn>] [MEASURE <column>] [ADD <name>[, <name>…]] [REMOVE <name>[,
+/// <name>…]]`, the clauses in this order.
+fn parse_cube_head(head: &str) -> Result<(Statement, BuildOptions), SedaError> {
+    let mut rest = head;
+    let mut clauses = [None; 4];
+    for (slot, keyword) in clauses.iter_mut().zip(["REMOVE", "ADD", "MEASURE", "AGG"]) {
+        if let Some((before, _, after)) = split_first_keyword(rest, &[keyword]) {
+            (rest, *slot) = (before, Some(after));
         }
-    };
+    }
+    let [remove, add, measure, agg] = clauses;
+    let (fact, tail) = next_token(rest);
+    if fact.is_empty() {
+        return Err(malformed("CUBE requires a fact-table name".to_string()));
+    }
+    let dims_text = strip_leading_keyword(tail, "BY")
+        .ok_or_else(|| malformed("CUBE requires BY <dimension>[, <dimension>…]".to_string()))?;
     let group_by: Vec<String> =
         dims_text.split(',').map(|d| d.trim().to_string()).filter(|d| !d.is_empty()).collect();
     if group_by.is_empty() {
-        return Err(SedaError::Parse(QueryError::Malformed(
-            "CUBE requires at least one BY dimension".to_string(),
-        )));
+        return Err(malformed("CUBE requires at least one BY dimension".to_string()));
     }
-    Ok(Statement::Cube { fact: fact.to_string(), group_by, agg, measure })
+    let agg = match agg {
+        Some(text) => parse_agg(single_token(text, "AGG")?)?,
+        None => AggFn::Sum,
+    };
+    let measure = measure.map(|text| single_token(text, "MEASURE")).transpose()?;
+    let statement = Statement::Cube {
+        fact: fact.to_string(),
+        group_by,
+        agg,
+        measure: measure.map(str::to_string),
+    };
+    let options =
+        BuildOptions { add: parse_names(add, "ADD")?, remove: parse_names(remove, "REMOVE")? };
+    Ok((statement, options))
 }
 
 #[cfg(test)]

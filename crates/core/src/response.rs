@@ -37,8 +37,9 @@ pub struct ExecProfile {
     pub label_probes: u64,
     /// True when the Threshold Algorithm stopped early.
     pub early_terminated: bool,
-    /// Rows (tuples, bucket entries, connections, table rows or cube cells)
-    /// in the payload.
+    /// Rows (tuples, bucket entries, table rows or cube cells) in the
+    /// payload; a `CONNECTIONS` payload counts its longer list, tuples or
+    /// connections.
     pub rows: usize,
     /// Aggregate work units spent against the request's [`crate::Budget`]
     /// (sorted + random accesses + tuples scored + label probes + rows);
@@ -132,12 +133,15 @@ pub enum ResponsePayload {
 }
 
 impl ResponsePayload {
-    /// Number of result rows the payload carries.
+    /// Number of result rows the payload carries: for a `CONNECTIONS`
+    /// payload, the longer of its tuple and connection lists.
     pub fn rows(&self) -> usize {
         match self {
             ResponsePayload::TopK(r) => r.tuples.len(),
             ResponsePayload::Contexts(s) => s.total_contexts(),
-            ResponsePayload::Connections { summary, .. } => summary.len(),
+            ResponsePayload::Connections { top_k, summary } => {
+                top_k.tuples.len().max(summary.len())
+            }
             ResponsePayload::Table(t) => t.len(),
             ResponsePayload::Cube { cube, .. } => cube.len(),
             ResponsePayload::Explain(_) => 0,

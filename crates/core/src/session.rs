@@ -9,11 +9,17 @@
 //! 4. compute the complete result set,
 //! 5. derive the star schema and aggregate it into cubes.
 //!
-//! The session is a thin stateful shell over the unified facade: it owns a
-//! [`crate::SedaReader`] (so repeated queries reuse one scratch and never
-//! contend on the engine), and every stage-dependent operation returns a
-//! typed [`SedaError`] — stage misuse is [`SedaError::Stage`], never a bare
-//! `None`.
+//! The session holds one [`SedaRequest`] — the query terms with the `WITH`
+//! and `VIA` refinements made so far — and the last responses to it.  Every
+//! engine stage sends that request through
+//! [`SedaReader::execute_governed`] under the session's budget, planned,
+//! traced and counted like any request: `submit` runs `CONTEXTS`, then
+//! `CONNECTIONS k` (whose payload carries the top-k: one search),
+//! `select_contexts` runs `CONNECTIONS k`, `complete_results` runs
+//! `RESULTS`.  A stage changes the session only when all of its requests
+//! succeed.  The star schema and its cubes are derived from the `RESULTS`
+//! table, the paper's hand-off to an OLAP tool.  Stage misuse is
+//! [`SedaError::Stage`].
 
 use seda_dataguide::Connection;
 use seda_olap::{
@@ -27,8 +33,9 @@ use crate::error::SedaError;
 use crate::govern::{Budget, RequestContext};
 use crate::query::SedaQuery;
 use crate::reader::SedaReader;
-use crate::response::ExecProfile;
-use crate::summaries::{ConnectionSummary, ContextSelections, ContextSummary};
+use crate::request::{SedaRequest, Statement};
+use crate::response::{ExecProfile, SedaResponse};
+use crate::summaries::{ConnectionSummary, ContextSummary};
 
 /// Where the session currently stands in the Fig. 6 control flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,18 +53,14 @@ pub enum SessionStage {
 /// One interactive exploration session over a [`SedaEngine`].
 pub struct SedaSession<'a> {
     reader: SedaReader<'a>,
-    query: Option<SedaQuery>,
-    selections: ContextSelections,
-    chosen_connections: Vec<Connection>,
-    top_k: Option<TopKResult>,
-    context_summary: Option<ContextSummary>,
-    connection_summary: Option<ConnectionSummary>,
-    complete: Option<QueryResultTable>,
+    /// The refined request; its statement is the last stage's.
+    request: Option<SedaRequest>,
+    contexts: Option<SedaResponse>,
+    connections: Option<SedaResponse>,
+    complete: Option<SedaResponse>,
     star_schema: Option<StarSchemaBuild>,
-    last_profile: Option<ExecProfile>,
     k: usize,
     budget: Option<Budget>,
-    stage: SessionStage,
 }
 
 impl<'a> SedaSession<'a> {
@@ -65,18 +68,13 @@ impl<'a> SedaSession<'a> {
     pub fn new(engine: &'a SedaEngine) -> Self {
         SedaSession {
             reader: engine.reader(),
-            query: None,
-            selections: ContextSelections::none(),
-            chosen_connections: Vec::new(),
-            top_k: None,
-            context_summary: None,
-            connection_summary: None,
+            request: None,
+            contexts: None,
+            connections: None,
             complete: None,
             star_schema: None,
-            last_profile: None,
             k: engine.config().topk.k,
             budget: None,
-            stage: SessionStage::Empty,
         }
     }
 
@@ -87,7 +85,15 @@ impl<'a> SedaSession<'a> {
 
     /// Current stage in the control flow.
     pub fn stage(&self) -> SessionStage {
-        self.stage
+        if self.star_schema.is_some() {
+            SessionStage::Analyzed
+        } else if self.complete.is_some() {
+            SessionStage::Materialized
+        } else if self.request.is_some() {
+            SessionStage::Explored
+        } else {
+            SessionStage::Empty
+        }
     }
 
     /// Sets the number of top-k results to retrieve per iteration.
@@ -95,57 +101,73 @@ impl<'a> SedaSession<'a> {
         self.k = k.max(1);
     }
 
-    /// Sets (or clears) the per-search [`Budget`] of this session.  With a
-    /// budget in place, every subsequent top-k search runs governed **with
-    /// degraded responses allowed**: an interactive explorer prefers a
-    /// flagged partial answer over an error, and the degradation is visible
-    /// through [`SedaSession::last_profile`]'s `degraded` flag.
+    /// Sets (or clears) the [`Budget`] of this session.  It governs every
+    /// request of every stage, each on its own budget, **with degraded
+    /// responses allowed**: an interactive explorer prefers a flagged partial
+    /// answer over an error, visible in [`SedaSession::last_profile`].
     pub fn set_budget(&mut self, budget: Option<Budget>) {
         self.budget = budget;
     }
 
-    /// The session's current search budget, if any.
+    /// The session's current budget, if any.
     pub fn budget(&self) -> Option<&Budget> {
         self.budget.as_ref()
     }
 
-    /// The [`ExecProfile`] of the last search the session ran, if any.
+    /// The [`ExecProfile`] of the last request the session ran: `RESULTS`
+    /// once the complete results are materialised, `CONNECTIONS` before.
     pub fn last_profile(&self) -> Option<&ExecProfile> {
-        self.last_profile.as_ref()
+        self.complete.as_ref().or(self.connections.as_ref()).map(|response| &response.profile)
     }
 
-    fn request_context(&self) -> RequestContext {
-        match &self.budget {
-            Some(budget) => RequestContext::new(budget.clone()).allow_degraded(),
-            None => RequestContext::unlimited(),
-        }
+    /// The session's request, its statement the last stage's: rendered, it
+    /// replays that stage through any reader of the engine.
+    pub fn request(&self) -> Option<&SedaRequest> {
+        self.request.as_ref()
     }
 
     fn stage_error(&self, operation: &'static str, required: &'static str) -> SedaError {
-        SedaError::Stage { operation, required, stage: self.stage }
+        SedaError::Stage { operation, required, stage: self.stage() }
     }
 
-    /// Submits (or replaces) the query: computes top-k results, the context
-    /// summary and the connection summary.  Any earlier refinements are
-    /// cleared.
-    pub fn submit(&mut self, query: SedaQuery) -> Result<&TopKResult, SedaError> {
-        self.selections = ContextSelections::none();
-        self.chosen_connections.clear();
+    /// The session's request for a refinement or a later stage.
+    fn refined(&self, operation: &'static str) -> Result<SedaRequest, SedaError> {
+        self.request.clone().ok_or_else(|| self.stage_error(operation, "a submitted query"))
+    }
+
+    /// Sends `request` under the session's budget.
+    fn run(&mut self, request: &SedaRequest) -> Result<SedaResponse, SedaError> {
+        let ctx = match &self.budget {
+            Some(budget) => RequestContext::new(budget.clone()).allow_degraded(),
+            None => RequestContext::unlimited(),
+        };
+        self.reader.execute_governed(request, &ctx)
+    }
+
+    /// Runs `CONNECTIONS k` of `request`; on success commits it, its answer
+    /// and the stage's new context summary, if any, dropping later stages.
+    fn explore(
+        &mut self,
+        mut request: SedaRequest,
+        contexts: Option<SedaResponse>,
+    ) -> Result<&TopKResult, SedaError> {
+        request.statement = Statement::ConnectionSummary { k: self.k };
+        let connections = self.run(&request)?;
+        self.request = Some(request);
+        self.contexts = contexts.or(self.contexts.take());
+        self.connections = Some(connections);
         self.complete = None;
         self.star_schema = None;
-        self.context_summary = Some(self.reader.context_summary(&query));
-        let (top_k, profile) = self.reader.top_k_governed(
-            &query,
-            &self.selections,
-            self.k,
-            &self.request_context(),
-        )?;
-        self.connection_summary = Some(self.reader.connection_summary(&top_k));
-        self.last_profile = Some(profile);
-        self.top_k = Some(top_k);
-        self.query = Some(query);
-        self.stage = SessionStage::Explored;
-        Ok(self.top_k.as_ref().expect("invariant: the top-k result was just materialised"))
+        self.top_k()
+    }
+
+    /// Submits (or replaces) the query: computes the context summary, then
+    /// the top-k results and their connection summary.  Any earlier
+    /// refinements are cleared.
+    pub fn submit(&mut self, query: SedaQuery) -> Result<&TopKResult, SedaError> {
+        let request = SedaRequest::builder().contexts().query(query).build();
+        let contexts = self.run(&request)?;
+        self.explore(request, Some(contexts))
     }
 
     /// Parses and submits a textual query.
@@ -156,98 +178,87 @@ impl<'a> SedaSession<'a> {
 
     /// The current query, if any.
     pub fn query(&self) -> Option<&SedaQuery> {
-        self.query.as_ref()
+        self.request.as_ref().and_then(|request| request.query.as_ref())
     }
 
     /// The latest top-k result.
     pub fn top_k(&self) -> Result<&TopKResult, SedaError> {
-        self.top_k.as_ref().ok_or_else(|| self.stage_error("top_k", "a submitted query"))
+        self.connections
+            .as_ref()
+            .and_then(SedaResponse::top_k)
+            .ok_or_else(|| self.stage_error("top_k", "a submitted query"))
     }
 
     /// The context summary of the current query.
     pub fn context_summary(&self) -> Result<&ContextSummary, SedaError> {
-        self.context_summary
+        self.contexts
             .as_ref()
+            .and_then(SedaResponse::contexts)
             .ok_or_else(|| self.stage_error("context_summary", "a submitted query"))
     }
 
     /// The connection summary of the latest top-k result.
     pub fn connection_summary(&self) -> Result<&ConnectionSummary, SedaError> {
-        self.connection_summary
+        self.connections
             .as_ref()
+            .and_then(SedaResponse::connections)
             .ok_or_else(|| self.stage_error("connection_summary", "a submitted query"))
     }
 
-    /// The user's current context selections.
-    pub fn selections(&self) -> &ContextSelections {
-        &self.selections
+    /// The user's current context selections: per term, the selected paths
+    /// in `/a/b/c` notation.
+    pub fn selections(&self) -> &[(usize, Vec<String>)] {
+        self.request.as_ref().map_or(&[], |request| &request.path_selections)
     }
 
     /// Selects contexts for a query term and recomputes the top-k results and
     /// the connection summary restricted to those contexts (the feedback loop
-    /// of Fig. 6).
+    /// of Fig. 6).  A path id the collection does not hold is
+    /// [`SedaError::UnknownPath`].
     pub fn select_contexts(
         &mut self,
         term: usize,
         paths: Vec<PathId>,
     ) -> Result<&TopKResult, SedaError> {
-        let query = self
-            .query
-            .clone()
-            .ok_or_else(|| self.stage_error("select_contexts", "a submitted query"))?;
-        if term >= query.len() {
-            return Err(SedaError::UnknownTerm { term, terms: query.len() });
-        }
-        self.selections.select(term, paths);
-        let (top_k, profile) = self.reader.top_k_governed(
-            &query,
-            &self.selections,
-            self.k,
-            &self.request_context(),
-        )?;
-        self.connection_summary = Some(self.reader.connection_summary(&top_k));
-        self.last_profile = Some(profile);
-        self.top_k = Some(top_k);
-        self.complete = None;
-        self.star_schema = None;
-        self.stage = SessionStage::Explored;
-        Ok(self.top_k.as_ref().expect("invariant: the top-k result was just materialised"))
+        let mut request = self.refined("select_contexts")?;
+        let paths = self.engine().paths_text(&paths)?;
+        request.path_selections.retain(|(t, _)| *t != term);
+        request.path_selections.push((term, paths));
+        self.explore(request, None)
     }
 
-    /// Selects the connections that are relevant for the query.
+    /// Selects the connections that are relevant for the query: the complete
+    /// results keep only rows whose pairs connect through one of their
+    /// signatures.
     pub fn select_connections(&mut self, connections: Vec<Connection>) -> Result<(), SedaError> {
-        if self.query.is_none() {
-            return Err(self.stage_error("select_connections", "a submitted query"));
-        }
-        self.chosen_connections = connections;
+        let mut request = self.refined("select_connections")?;
+        request.connections = connections
+            .iter()
+            .map(|connection| self.engine().paths_text(&connection.signature))
+            .collect::<Result<_, _>>()?;
+        self.request = Some(request);
         self.complete = None;
         self.star_schema = None;
         Ok(())
     }
 
-    /// The currently selected connections.
-    pub fn chosen_connections(&self) -> &[Connection] {
-        &self.chosen_connections
-    }
-
     /// Materialises the complete (non-top-k) result set for the refined
     /// query.
     pub fn complete_results(&mut self) -> Result<&QueryResultTable, SedaError> {
-        let query = self
-            .query
-            .clone()
-            .ok_or_else(|| self.stage_error("complete_results", "a submitted query"))?;
-        let result =
-            self.reader.complete_results(&query, &self.selections, &self.chosen_connections)?;
-        self.complete = Some(result);
-        self.stage = SessionStage::Materialized;
-        Ok(self.complete.as_ref().expect("invariant: the complete result was just materialised"))
+        let mut request = self.refined("complete_results")?;
+        request.statement = Statement::CompleteResults;
+        let complete = self.run(&request)?;
+        self.request = Some(request);
+        self.complete = Some(complete);
+        self.star_schema = None;
+        self.complete()
     }
 
     /// The materialised complete result.
     pub fn complete(&self) -> Result<&QueryResultTable, SedaError> {
         self.complete
             .as_ref()
+            .and_then(SedaResponse::table)
             .ok_or_else(|| self.stage_error("complete", "a materialised result set"))
     }
 
@@ -257,12 +268,9 @@ impl<'a> SedaSession<'a> {
         if self.complete.is_none() {
             self.complete_results()?;
         }
-        let result =
-            self.complete.as_ref().expect("invariant: the complete result was materialised above");
-        let build = self.engine().build_star_schema(result, options);
+        let build = self.engine().build_star_schema(self.complete()?, options);
         self.star_schema = Some(build);
-        self.stage = SessionStage::Analyzed;
-        Ok(self.star_schema.as_ref().expect("invariant: the star schema was just materialised"))
+        self.star_schema()
     }
 
     /// The derived star schema.
@@ -397,6 +405,31 @@ mod tests {
             session.select_contexts(5, vec![]).unwrap_err(),
             SedaError::UnknownTerm { term: 5, terms: 1 }
         );
+    }
+
+    #[test]
+    fn unknown_path_ids_are_unknown_paths_and_change_nothing() {
+        let e = engine();
+        let mut session = SedaSession::new(&e);
+        session.submit_text("(percentage, *)").unwrap();
+        let before = session.request().cloned();
+        let bogus = PathId(u32::MAX);
+        assert_eq!(
+            session.select_contexts(0, vec![bogus]).unwrap_err(),
+            SedaError::UnknownPath(format!("path id {}", u32::MAX))
+        );
+        let connection = Connection {
+            from_path: bogus,
+            to_path: bogus,
+            signature: vec![bogus],
+            edge_kinds: vec![],
+            support: 1,
+        };
+        assert!(matches!(
+            session.select_connections(vec![connection]),
+            Err(SedaError::UnknownPath(_))
+        ));
+        assert_eq!(session.request().cloned(), before);
     }
 
     #[test]

@@ -128,16 +128,6 @@ impl ContextSelections {
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[PathId])> {
         self.selections.iter().map(|(t, p)| (*t, p.as_slice()))
     }
-
-    /// True when no term has a selection.
-    pub fn is_empty(&self) -> bool {
-        self.selections.is_empty()
-    }
-
-    /// Number of terms with a selection.
-    pub fn len(&self) -> usize {
-        self.selections.len()
-    }
 }
 
 #[cfg(test)]
@@ -147,11 +137,11 @@ mod tests {
     #[test]
     fn context_selections_replace_per_term() {
         let mut s = ContextSelections::none();
-        assert!(s.is_empty());
+        assert_eq!(s.iter().count(), 0);
         s.select(0, vec![PathId(1), PathId(2)]);
         s.select(0, vec![PathId(3)]);
         s.select(2, vec![PathId(4)]);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.iter().count(), 2);
         assert_eq!(s.for_term(0), Some(&[PathId(3)][..]));
         assert_eq!(s.for_term(1), None);
         assert_eq!(s.for_term(2), Some(&[PathId(4)][..]));

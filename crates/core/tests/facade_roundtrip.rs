@@ -8,8 +8,10 @@
 
 use proptest::prelude::*;
 
-use seda_core::{ContextSpec, SedaQuery, SedaRequest, Statement};
-use seda_olap::AggFn;
+use seda_core::{
+    ContextSpec, EngineConfig, SedaEngine, SedaError, SedaQuery, SedaRequest, Statement,
+};
+use seda_olap::{AggFn, BuildOptions, Registry};
 
 #[test]
 fn fixed_statement_round_trips() {
@@ -24,6 +26,10 @@ fn fixed_statement_round_trips() {
         "CUBE pct BY country, year AGG avg MEASURE pct FOR (name, *) WITH 0 IN /x/y",
         "EXPLAIN CUBE pct BY country AGG max FOR (name, *)",
         "EXPLAIN TOPK 3 FOR (tr*de, *)",
+        "RESULTS FOR (a, *) AND (b, *) WITH 1 IN /r/b VIA /r/a ~ /r ~ /r/b VIA /r/a ~ /r/b",
+        "CONNECTIONS 4 FOR (a, *) AND (b, *) VIA /r/a ~ /r/b WITH 0 IN /r/a",
+        "CUBE pct BY country AGG sum ADD year, region REMOVE country FOR (name, *) VIA /x ~ /y",
+        "EXPLAIN ANALYZE CUBE pct BY c MEASURE m REMOVE c FOR (name, *)",
     ];
     for text in cases {
         let parsed = SedaRequest::parse(text).unwrap();
@@ -32,6 +38,83 @@ fn fixed_statement_round_trips() {
         assert_eq!(reparsed, parsed, "{text:?} → {rendered:?} must round-trip");
         // Render is canonical: a second render is a fixpoint.
         assert_eq!(reparsed.render(), rendered, "render must be a fixpoint for {text:?}");
+    }
+}
+
+#[test]
+fn connection_refinements_and_cube_options_have_a_textual_form() {
+    let request = SedaRequest::parse(
+        "CUBE f BY d ADD year, region REMOVE country FOR (a, *) AND (b, *) \
+         VIA /r/a ~ /r ~ /r/b",
+    )
+    .unwrap();
+    assert_eq!(request.connections, vec![vec!["/r/a", "/r", "/r/b"]]);
+    assert_eq!(
+        request.cube_options,
+        BuildOptions { add: vec!["year".into(), "region".into()], remove: vec!["country".into()] }
+    );
+    let built = SedaRequest::builder()
+        .cube("f", &["d"])
+        .query(SedaQuery::parse("(a, *) AND (b, *)").unwrap())
+        .via(["/r/a", "/r", "/r/b"])
+        .cube_options(request.cube_options.clone())
+        .build();
+    assert_eq!(built, request);
+    // Only a cube keeps star-schema options, and a twig keeps only its path.
+    let results = SedaRequest::builder()
+        .complete_results()
+        .cube_options(request.cube_options.clone())
+        .build();
+    assert_eq!(results.cube_options, BuildOptions::default());
+    let twig = SedaRequest::builder()
+        .twig("/r/a")
+        .query(SedaQuery::parse("(a, *)").unwrap())
+        .select_paths(0, ["/r/a"])
+        .via(["/r/a", "/r"])
+        .build();
+    assert_eq!(twig, SedaRequest::parse("TWIG /r/a").unwrap());
+}
+
+#[test]
+fn malformed_via_add_and_remove_clauses_are_parse_errors() {
+    for text in [
+        "RESULTS FOR (a, *) VIA",
+        "RESULTS FOR (a, *) VIA /r/a ~",
+        "RESULTS FOR (a, *) VIA /r/a ~~ /r/b",
+        "RESULTS FOR (a, *) VIA /r/a /r/b",
+        "RESULTS FOR (a, *) WITH 0 IN /r/a VIA",
+        "RESULTS FOR (a, *) WITH",
+        "CUBE f BY d ADD FOR (a, *)",
+        "CUBE f BY d ADD x, FOR (a, *)",
+        "CUBE f BY d ADD x y FOR (a, *)",
+        "CUBE f BY d REMOVE FOR (a, *)",
+        "CUBE f BY d REMOVE a,,b FOR (a, *)",
+        "CUBE f BY d REMOVE x ADD y FOR (a, *)",
+        "CUBE f BY d AGG sum junk FOR (a, *)",
+    ] {
+        let outcome = SedaRequest::parse(text);
+        assert!(matches!(outcome, Err(SedaError::Parse(_))), "{text:?}: {outcome:?}");
+    }
+}
+
+#[test]
+fn an_unknown_via_path_is_an_unknown_path() {
+    let engine = SedaEngine::build_from_sources(
+        [("r.xml", "<r><a>x</a><b>y</b></r>")],
+        Registry::new(),
+        EngineConfig::default(),
+    )
+    .unwrap();
+    let mut reader = engine.reader();
+    let known = "RESULTS FOR (a, *) AND (b, *) VIA /r/a ~ /r ~ /r/b";
+    assert_eq!(reader.execute_text(known).unwrap().table().unwrap().len(), 1);
+    for text in [
+        "RESULTS FOR (a, *) AND (b, *) VIA /r/a ~ /r/nowhere ~ /r/b",
+        "CUBE f BY d FOR (a, *) VIA /r/nowhere ~ /r/a",
+        "TOPK 5 FOR (a, *) VIA /r/a ~ /r/nowhere",
+    ] {
+        let err = reader.execute_text(text).unwrap_err();
+        assert_eq!(err, SedaError::UnknownPath("/r/nowhere".into()), "{text}");
     }
 }
 
@@ -66,7 +149,11 @@ const RESERVED: &[&str] = &[
     "by",
     "agg",
     "measure",
+    "add",
+    "remove",
+    "via",
     "explain",
+    "analyze",
     "topk",
     "contexts",
     "connections",
@@ -131,8 +218,24 @@ fn query_strategy() -> impl Strategy<Value = SedaQuery> {
     .prop_map(SedaQuery::new)
 }
 
+fn twig_path_strategy() -> impl Strategy<Value = String> {
+    proptest::collection::vec(("[a-z]{1,6}", any::<bool>()), 1..4).prop_map(|steps| {
+        let mut path = String::new();
+        for (i, (label, descendant)) in steps.iter().enumerate() {
+            path.push_str(if *descendant && i > 0 { "//" } else { "/" });
+            path.push_str(label);
+        }
+        path
+    })
+}
+
+fn path_strategy() -> impl Strategy<Value = String> {
+    proptest::collection::vec("[a-z]{1,5}", 1..4).prop_map(|steps| format!("/{}", steps.join("/")))
+}
+
 fn statement_strategy() -> impl Strategy<Value = Statement> {
     prop_oneof![
+        twig_path_strategy().prop_map(|path| Statement::Twig { path }),
         (1usize..100).prop_map(|k| Statement::TopK { k }),
         Just(Statement::ContextSummary),
         (1usize..100).prop_map(|k| Statement::ConnectionSummary { k }),
@@ -161,23 +264,37 @@ fn statement_strategy() -> impl Strategy<Value = Statement> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every generated request survives `parse(render(request))` exactly.
+    /// Every builder-made request — all six statements, `WITH` on each,
+    /// `VIA`, `ADD` / `REMOVE`, `EXPLAIN [ANALYZE]` — survives
+    /// `parse(render(request))` exactly.
     #[test]
     fn request_render_parse_fixpoint(
         statement in statement_strategy(),
         query in query_strategy(),
-        explain in any::<bool>(),
+        explain in 0u8..3,
         selection_paths in proptest::collection::vec(
-            proptest::collection::vec("[a-z]{1,5}", 1..3), 0..3),
+            proptest::collection::vec(path_strategy(), 1..3), 0..3),
+        signatures in proptest::collection::vec(
+            proptest::collection::vec(path_strategy(), 1..4), 0..3),
+        options in (
+            proptest::collection::vec(ident("[a-z][a-z-]{0,8}"), 0..3),
+            proptest::collection::vec(ident("[a-z][a-z-]{0,8}"), 0..3),
+        ),
     ) {
         let mut builder = SedaRequest::builder().statement(statement).query(query);
-        if explain {
-            builder = builder.explain();
+        builder = match explain {
+            0 => builder,
+            1 => builder.explain(),
+            _ => builder.analyze(),
+        };
+        for (term, paths) in selection_paths.into_iter().enumerate() {
+            builder = builder.select_paths(term, paths);
         }
-        for (term, steps) in selection_paths.iter().enumerate() {
-            builder = builder.select_paths(term, [format!("/{}", steps.join("/"))]);
+        for signature in signatures {
+            builder = builder.via(signature);
         }
-        let request = builder.build();
+        let (add, remove) = options;
+        let request = builder.cube_options(BuildOptions { add, remove }).build();
         let rendered = request.render();
         let reparsed = SedaRequest::parse(&rendered);
         prop_assert!(reparsed.is_ok(), "render must be parseable: {rendered:?}");

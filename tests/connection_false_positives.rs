@@ -3,7 +3,7 @@
 //! keyword restrictions and (b) overlap merging; "the higher the overlap
 //! threshold, the fewer the false positive connections".
 
-use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
+use seda_core::{EngineConfig, SedaEngine, SedaQuery, SedaRequest};
 use seda_datagen::{factbook, FactbookConfig};
 use seda_datagraph::TraversalScratch;
 use seda_dataguide::{
@@ -21,11 +21,9 @@ fn setup() -> (SedaEngine, Vec<(PathId, PathId)>, Vec<seda_dataguide::Connection
     let query =
         SedaQuery::parse(r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#)
             .unwrap();
-    let topk = engine
-        .reader()
-        .top_k_governed(&query, &ContextSelections::none(), 15, &RequestContext::unlimited())
-        .unwrap()
-        .0;
+    let request = SedaRequest::builder().top_k(15).query(query.clone()).build();
+    let response = engine.reader().execute(&request).unwrap();
+    let topk = response.top_k().unwrap();
     let instantiated = discover_connections(
         engine.collection(),
         engine.graph(),

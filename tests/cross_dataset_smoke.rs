@@ -3,15 +3,19 @@
 //! corpus, not just the Factbook running example — SEDA's whole point is
 //! handling heterogeneous repositories it has never seen.
 
-use seda_core::{
-    ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery, SedaSession,
-};
+use seda_core::{EngineConfig, SedaEngine, SedaQuery, SedaRequest, SedaSession};
 use seda_datagen::Dataset;
-use seda_olap::{BuildOptions, Registry, RelativeKey, SchemaDef};
+use seda_olap::{BuildOptions, QueryResultTable, Registry, RelativeKey, SchemaDef};
 
 fn engine_for(dataset: Dataset) -> SedaEngine {
     let collection = dataset.generate_small().unwrap();
     SedaEngine::build(collection, Registry::new(), EngineConfig::default()).unwrap()
+}
+
+/// `RESULTS` of `query`, unrefined, through a fresh reader.
+fn complete_results(engine: &SedaEngine, query: &SedaQuery) -> QueryResultTable {
+    let request = SedaRequest::builder().complete_results().query(query.clone()).build();
+    engine.reader().execute(&request).unwrap().table().unwrap().clone()
 }
 
 #[test]
@@ -19,7 +23,7 @@ fn mondial_queries_cross_documents_via_idref_edges() {
     let engine = engine_for(Dataset::Mondial);
     assert!(engine.graph().cross_edge_count() > 0, "Mondial is densely linked by IDREFs");
     let query = SedaQuery::parse(r#"(/sea/name, *) AND (/country/name, *)"#).unwrap();
-    let result = engine.reader().complete_results(&query, &ContextSelections::none(), &[]).unwrap();
+    let result = complete_results(&engine, &query);
     assert!(!result.is_empty(), "seas and their bordering countries are connected");
     for row in result.rows() {
         assert_ne!(row[0].doc, row[1].doc, "sea and country live in different documents");
@@ -43,7 +47,7 @@ fn googlebase_supports_user_defined_facts_and_cubes() {
     ));
     let engine = SedaEngine::build(collection, registry, EngineConfig::default()).unwrap();
     let query = SedaQuery::parse(r#"(category, *) AND (price, *)"#).unwrap();
-    let result = engine.reader().complete_results(&query, &ContextSelections::none(), &[]).unwrap();
+    let result = complete_results(&engine, &query);
     assert!(!result.is_empty());
     let build = engine.build_star_schema(&result, &BuildOptions::default());
     let fact = build.schema.fact("price").expect("price fact table");
@@ -91,11 +95,9 @@ fn keyword_search_works_on_every_dataset() {
             "{}: the match-all bucket lists text-bearing contexts",
             dataset.name()
         );
-        let topk = engine
-            .reader()
-            .top_k_governed(&query, &ContextSelections::none(), 5, &RequestContext::unlimited())
-            .unwrap()
-            .0;
+        let request = SedaRequest::builder().top_k(5).query(query).build();
+        let response = engine.reader().execute(&request).unwrap();
+        let topk = response.top_k().unwrap();
         assert!(!topk.tuples.is_empty(), "{}: top-k over match-all", dataset.name());
     }
 }

@@ -12,8 +12,8 @@ use std::time::Duration;
 
 use seda_core::faults::{arm, disarm_all, FaultAction, FAULT_SITES};
 use seda_core::{
-    Budget, ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaError, SedaQuery,
-    SedaRequest, SedaSession,
+    Budget, EngineConfig, RequestContext, SedaEngine, SedaError, SedaQuery, SedaRequest,
+    SedaSession,
 };
 use seda_datagen::{factbook, FactbookConfig};
 use seda_olap::Registry;
@@ -36,10 +36,11 @@ fn engine_with_parallelism(parallelism: usize) -> Result<SedaEngine, SedaError> 
     )
 }
 
-/// Ungoverned top-5 through a fresh reader's typed step.
+/// Ungoverned `TOPK 5` through a fresh reader.
 fn top_k(engine: &SedaEngine, query: &SedaQuery) -> TopKResult {
-    let ctx = RequestContext::unlimited();
-    engine.reader().top_k_governed(query, &ContextSelections::none(), 5, &ctx).expect("top-k").0
+    let request = SedaRequest::builder().top_k(5).query(query.clone()).build();
+    let response = engine.reader().execute(&request).expect("top-k");
+    response.top_k().expect("top-k payload").clone()
 }
 
 fn topk_request() -> SedaRequest {
@@ -125,28 +126,31 @@ fn mid_search_panic_below_a_typed_step_is_contained_and_the_reader_recovers() {
     let _guard = serialise();
     let engine = engine_with_parallelism(1).expect("engine build");
     let query = SedaQuery::parse(r#"(*, "United States") AND (trade_country, *)"#).unwrap();
-    let selections = ContextSelections::none();
+    let request = SedaRequest::builder().top_k(5).query(query.clone()).build();
     let ctx = RequestContext::unlimited();
     let mut reader = engine.reader();
-    let (baseline, _) = reader.top_k_governed(&query, &selections, 5, &ctx).expect("baseline");
+    let top_k = |outcome: Result<seda_core::SedaResponse, SedaError>| {
+        outcome.map(|response| response.top_k().expect("top-k payload").clone())
+    };
+    let baseline = top_k(reader.execute_governed(&request, &ctx)).expect("baseline");
     assert!(!baseline.tuples.is_empty(), "workload must produce matches");
 
-    // The typed steps run inside the reader's containment boundary: the
-    // panic surfaces as a typed error instead of unwinding into the caller.
+    // A builder-made request runs inside the reader's containment boundary:
+    // the panic surfaces as a typed error instead of unwinding into the
+    // caller.
     arm("mid-search", FaultAction::Panic);
-    let err = reader
-        .top_k_governed(&query, &selections, 5, &ctx)
-        .expect_err("armed mid-search must fail the typed step");
+    let err = top_k(reader.execute_governed(&request, &ctx))
+        .expect_err("armed mid-search must fail the request");
     assert!(matches!(err, SedaError::Internal(_)), "{err:?}");
     disarm_all();
 
     // Same reader, same query: the scratch was rebuilt, the answer is the
     // unarmed baseline's, counters included.
-    let (recovered, _) = reader.top_k_governed(&query, &selections, 5, &ctx).expect("recovered");
+    let recovered = top_k(reader.execute_governed(&request, &ctx)).expect("recovered");
     assert_eq!(recovered, baseline, "recovery must not change the answer");
 
-    // The session composes the same typed step, so it surfaces the typed
-    // error too and keeps serving afterwards.
+    // The session sends the same search as its request, so it surfaces the
+    // typed error too and keeps serving afterwards.
     let mut session = SedaSession::new(&engine);
     session.set_k(5);
     arm("mid-search", FaultAction::Panic);
@@ -155,6 +159,25 @@ fn mid_search_panic_below_a_typed_step_is_contained_and_the_reader_recovers() {
     disarm_all();
     let resubmitted = session.submit(query).expect("session recovered");
     assert_eq!(resubmitted.tuples, baseline.tuples);
+
+    // A failed stage leaves the session as it was: refine term 0, then fail
+    // the submit of another query.
+    let name = engine.resolve_path("/country/name").expect("name path");
+    session.select_contexts(0, vec![name]).expect("refinement");
+    let query = session.query().cloned();
+    let selections = session.selections().to_vec();
+    let contexts = session.context_summary().expect("context summary").clone();
+    let top_k = session.top_k().expect("top-k").clone();
+    arm("mid-search", FaultAction::Panic);
+    let err = session
+        .submit(SedaQuery::parse("(percentage, *)").unwrap())
+        .expect_err("armed mid-search must fail the submit");
+    assert!(matches!(err, SedaError::Internal(_)), "{err:?}");
+    disarm_all();
+    assert_eq!(session.query(), query.as_ref(), "the failed query must not replace the old one");
+    assert_eq!(session.selections(), selections, "the selections must survive");
+    assert_eq!(session.context_summary(), Ok(&contexts), "the context summary must survive");
+    assert_eq!(session.top_k(), Ok(&top_k), "the top-k must survive");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! path-partitioned match-all runs included.
 
 use seda_core::trace::span;
-use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
+use seda_core::{EngineConfig, SedaEngine, SedaQuery, SedaRequest, SedaResponse};
 use seda_datagen::{factbook, FactbookConfig};
 use seda_olap::Registry;
 
@@ -51,27 +51,22 @@ fn parallel_query_answers_match_sequential_byte_for_byte() {
         assert_eq!(a.entries, b.entries);
     }
 
-    let seq_topk = sequential
-        .reader()
-        .top_k_governed(&query, &ContextSelections::none(), 10, &RequestContext::unlimited())
-        .unwrap()
-        .0;
-    let par_topk = parallel
-        .reader()
-        .top_k_governed(&query, &ContextSelections::none(), 10, &RequestContext::unlimited())
-        .unwrap()
-        .0;
+    let answer = |engine: &SedaEngine, request: SedaRequest| -> SedaResponse {
+        engine.reader().execute(&request).unwrap()
+    };
+    let top_k = SedaRequest::builder().top_k(10).query(query.clone()).build();
+    let (seq_topk, par_topk) = (answer(&sequential, top_k.clone()), answer(&parallel, top_k));
+    let (seq_topk, par_topk) = (seq_topk.top_k().unwrap(), par_topk.top_k().unwrap());
     assert_eq!(seq_topk.tuples.len(), par_topk.tuples.len());
     for (a, b) in seq_topk.tuples.iter().zip(par_topk.tuples.iter()) {
         assert_eq!(a.nodes, b.nodes);
         assert!((a.score - b.score).abs() < 1e-12);
     }
 
-    let seq_complete =
-        sequential.reader().complete_results(&query, &ContextSelections::none(), &[]).unwrap();
-    let par_complete =
-        parallel.reader().complete_results(&query, &ContextSelections::none(), &[]).unwrap();
-    assert_eq!(seq_complete, par_complete);
+    let results = SedaRequest::builder().complete_results().query(query).build();
+    let seq_complete = answer(&sequential, results.clone());
+    let par_complete = answer(&parallel, results);
+    assert_eq!(seq_complete.table().unwrap(), par_complete.table().unwrap());
 }
 
 #[test]

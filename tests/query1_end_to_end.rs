@@ -3,9 +3,7 @@
 //! dimension tables, including the automatically added `year` key column and
 //! the fixed trade facts of the paper (China 15% / Canada 16.9% in 2006, …).
 
-use seda_core::{
-    ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery, SedaSession,
-};
+use seda_core::{EngineConfig, SedaEngine, SedaQuery, SedaRequest, SedaSession};
 use seda_datagen::{factbook, FactbookConfig};
 use seda_olap::{BuildOptions, CubeQuery, Registry};
 
@@ -14,25 +12,15 @@ fn engine() -> SedaEngine {
     SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default()).unwrap()
 }
 
-fn import_selection(engine: &SedaEngine) -> ContextSelections {
-    let c = engine.collection();
-    let mut selections = ContextSelections::none();
-    selections.select(0, vec![c.paths().get_str(c.symbols(), "/country/name").unwrap()]);
-    selections.select(
-        1,
-        vec![c
-            .paths()
-            .get_str(c.symbols(), "/country/economy/import_partners/item/trade_country")
-            .unwrap()],
-    );
-    selections.select(
-        2,
-        vec![c
-            .paths()
-            .get_str(c.symbols(), "/country/economy/import_partners/item/percentage")
-            .unwrap()],
-    );
-    selections
+/// `RESULTS` of `query` with its terms pinned to the import-partner contexts.
+fn import_selection(query: &SedaQuery) -> SedaRequest {
+    SedaRequest::builder()
+        .complete_results()
+        .query(query.clone())
+        .select_paths(0, ["/country/name"])
+        .select_paths(1, ["/country/economy/import_partners/item/trade_country"])
+        .select_paths(2, ["/country/economy/import_partners/item/percentage"])
+        .build()
 }
 
 #[test]
@@ -41,10 +29,10 @@ fn query1_fact_table_contains_the_papers_fixed_rows() {
     let query =
         SedaQuery::parse(r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#)
             .unwrap();
-    let selections = import_selection(&engine);
-    let result = engine.reader().complete_results(&query, &selections, &[]).unwrap();
+    let response = engine.reader().execute(&import_selection(&query)).unwrap();
+    let result = response.table().unwrap();
     assert!(!result.is_empty());
-    let build = engine.build_star_schema(&result, &BuildOptions::default());
+    let build = engine.build_star_schema(result, &BuildOptions::default());
 
     let fact = build.schema.fact("import-trade-percentage").expect("fact table derived");
     assert_eq!(fact.dimension_columns(), ["country", "year", "import-country"]);
@@ -129,11 +117,9 @@ fn topk_results_for_query1_are_connected_and_ranked() {
     let query =
         SedaQuery::parse(r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#)
             .unwrap();
-    let topk = engine
-        .reader()
-        .top_k_governed(&query, &ContextSelections::none(), 10, &RequestContext::unlimited())
-        .unwrap()
-        .0;
+    let response =
+        engine.reader().execute(&SedaRequest::builder().top_k(10).query(query).build()).unwrap();
+    let topk = response.top_k().unwrap();
     assert!(!topk.tuples.is_empty());
     for window in topk.tuples.windows(2) {
         assert!(window[0].score >= window[1].score);

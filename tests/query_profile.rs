@@ -1,7 +1,7 @@
 //! Read-path regression test: document components are a build-time artifact
 //! (built exactly once per engine, never per search).
 
-use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
+use seda_core::{EngineConfig, SedaEngine, SedaQuery, SedaRequest};
 use seda_datagen::{mondial, MondialConfig};
 use seda_datagraph::doc_component_builds_on_this_thread;
 use seda_olap::Registry;
@@ -47,7 +47,7 @@ fn doc_components_built_once_per_engine_never_per_search() {
     );
 
     let query = SedaQuery::parse("(name, *) AND (population, *)").unwrap();
-    let selections = ContextSelections::none();
+    let request = SedaRequest::builder().query(query.clone());
     let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
     let terms: Vec<seda_topk::TermInput> = query
         .terms
@@ -60,7 +60,7 @@ fn doc_components_built_once_per_engine_never_per_search() {
     let mut reader = engine.reader();
     let mut scratch = SearchScratch::new();
     for k in 1..=10 {
-        let _ = reader.top_k_governed(&query, &selections, k, &RequestContext::unlimited());
+        let _ = reader.execute(&request.clone().top_k(k).build());
         let _ = searcher.search(
             &terms,
             &TopKConfig::with_k(k),

@@ -12,6 +12,7 @@ use seda_core::{
 };
 use seda_datagen::{factbook, googlebase, Dataset, FactbookConfig, GoogleBaseConfig};
 use seda_datagraph::{DataGraph, GraphConfig};
+use seda_dataguide::Connection;
 use seda_olap::Registry;
 use seda_textindex::{FullTextQuery, NodeIndex};
 use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
@@ -99,8 +100,11 @@ fn a_label_probe_budget_stops_complete_results() {
         .reader()
         .execute_text(r#"CONNECTIONS 10 FOR (trade_country, *) AND (percentage, *)"#)
         .expect("connections run");
-    filtered.connections =
-        discovered.connections().expect("connection payload").connections.clone();
+    let collection = factbook.collection();
+    let signature =
+        |c: &Connection| c.signature.iter().map(|&p| collection.path_string(p)).collect();
+    let summary = discovered.connections().expect("connection payload");
+    filtered.connections = summary.connections.iter().map(signature).collect();
     assert!(!filtered.connections.is_empty());
 
     for (engine, request, joins_across_roots) in

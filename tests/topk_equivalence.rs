@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use seda_core::{ContextSelections, EngineConfig, RequestContext, SedaEngine, SedaQuery};
+use seda_core::{EngineConfig, SedaEngine, SedaQuery, SedaRequest};
 use seda_datagen::{googlebase, mondial, Dataset, GoogleBaseConfig, MondialConfig};
 use seda_olap::Registry;
 use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
@@ -205,16 +205,11 @@ fn ta_matches_naive_on_fixed_small_workloads() {
         assert_eq!(a.nodes, b.nodes);
     }
     // The engine-level entry point agrees with the direct searcher.
-    let (via_engine, _) = engine
+    let via_engine = engine
         .reader()
-        .top_k_governed(
-            &SedaQuery::parse("(name, *) AND (population, *)").unwrap(),
-            &ContextSelections::none(),
-            10,
-            &RequestContext::unlimited(),
-        )
+        .execute(&SedaRequest::parse("TOPK 10 FOR (name, *) AND (population, *)").unwrap())
         .unwrap();
-    assert_eq!(via_engine.tuples, ta.tuples);
+    assert_eq!(via_engine.top_k().unwrap().tuples, ta.tuples);
 }
 
 /// One term is ranked retrieval, and the one join answers it as such: it
