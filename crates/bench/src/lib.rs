@@ -248,9 +248,7 @@ pub fn generous_context() -> RequestContext {
             .with_max_random_accesses(usize::MAX)
             .with_max_candidates(usize::MAX)
             .with_max_label_probes(u64::MAX)
-            .with_max_rows(usize::MAX)
-            .with_max_twig_matches(usize::MAX)
-            .with_max_cube_cells(usize::MAX),
+            .with_max_rows(usize::MAX),
     )
 }
 

@@ -13,7 +13,7 @@
 //!
 //! | class | invariant |
 //! |---|---|
-//! | `profile-counters` | [`ExecProfile`] counters are mutually consistent (disconnected ≤ scored, rows ≤ budget when accounted) |
+//! | `profile-counters` | [`ExecProfile`] counters are mutually consistent (disconnected ≤ scored) |
 //! | `profile-timings` | [`ExecProfile`] wall times are finite and non-negative |
 //!
 //! Every [`SedaEngine::build`] runs `verify()` before handing the engine to
@@ -87,16 +87,6 @@ pub fn verify_exec_profile(profile: &ExecProfile) -> AuditResult {
             ),
         ));
     }
-    if profile.budget_spent > 0 && (profile.rows as u64) > profile.budget_spent {
-        violations.push(InvariantViolation::new(
-            SUBSTRATE,
-            "profile-counters",
-            format!(
-                "{} result rows exceed the {} accounted budget units",
-                profile.rows, profile.budget_spent
-            ),
-        ));
-    }
     for (name, secs) in [("plan_secs", profile.plan_secs), ("exec_secs", profile.exec_secs)] {
         if !secs.is_finite() || secs < 0.0 {
             violations.push(InvariantViolation::new(
@@ -150,12 +140,8 @@ mod tests {
     fn exec_profile_consistency_checks() {
         verify_exec_profile(&ExecProfile::default()).unwrap();
 
-        let bad_counters = ExecProfile {
-            tuples_scored: 1,
-            tuples_disconnected: 2,
-            budget_spent: 10,
-            ..ExecProfile::default()
-        };
+        let bad_counters =
+            ExecProfile { tuples_scored: 1, tuples_disconnected: 2, ..ExecProfile::default() };
         let violations = verify_exec_profile(&bad_counters).unwrap_err();
         assert!(violations.iter().all(|v| v.invariant == "profile-counters"));
 

@@ -18,10 +18,9 @@
 //! (connection summaries come from the top-k instances, Sec. 6.1), so Table 1
 //! is derived when asked for ([`SedaEngine::dataguide_stats`]).
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use serde::{Deserialize, Serialize};
 
 use seda_datagraph::{is_connected_with, pin, DataGraph, GraphConfig, TraversalScratch, MAX_DEPTH};
 use seda_dataguide::{connection_signature, discover_connections, DataGuideSet, DataGuideStats};
@@ -36,10 +35,21 @@ use crate::error::SedaError;
 use crate::faults;
 use crate::govern::{RequestContext, Stopwatch};
 use crate::metrics::MetricsRegistry;
-use crate::parallel::{effective_parallelism, panic_message};
+use crate::parallel::effective_parallelism;
 use crate::query::SedaQuery;
 use crate::summaries::{ConnectionSummary, ContextBucket, ContextSelections, ContextSummary};
 use crate::trace::{span, SpanRecord, Tracer};
+
+/// Renders a `catch_unwind` payload as text.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 /// Runs `f` inside a panic-containment boundary: a panic anywhere below
 /// becomes [`SedaError::Internal`] instead of unwinding into the caller.
@@ -51,7 +61,7 @@ pub(crate) fn catch_internal<T>(f: impl FnOnce() -> Result<T, SedaError>) -> Res
 }
 
 /// Configuration of the engine's indexes and algorithms.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Dataguide merge threshold of [`SedaEngine::dataguide_stats`] (the
     /// paper uses 40%).
@@ -94,7 +104,7 @@ impl Default for EngineConfig {
 /// Timings and shape of one [`SedaEngine::build`] run, so one-thread vs
 /// two-thread speedups are measured (`benchmark/` reads them) rather than
 /// asserted.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildProfile {
     /// Threads actually used: 1, or 2 when the node index was built on a
     /// second thread.
@@ -777,16 +787,16 @@ impl SedaEngine {
     /// there is such a document, so an evaluation that visited them all is
     /// never reported as cut short.  A deadline ends the evaluation — the
     /// matches are then a prefix of the full answer and the breach comes back
-    /// with them; cancellation is the error it is.  With `twig_ceiling` the
+    /// with them; cancellation is the error it is.  With `row_ceiling` the
     /// hook also ends it before the first document after the rows exceed the
-    /// request's twig-match ceiling, so a `TWIG` never evaluates (and
-    /// materialises) more of the collection than the document that crossed
-    /// it; the caller finds that breach in the row count and clips the prefix.
+    /// request's `max_rows`, so a `TWIG` never evaluates (and materialises)
+    /// more of the collection than the document that crossed it; the caller
+    /// finds that breach in the row count and clips the prefix.
     fn evaluate_twig_governed<'a>(
         &self,
         pattern: &TwigPattern,
         documents: impl Iterator<Item = &'a Document>,
-        twig_ceiling: bool,
+        row_ceiling: bool,
         ctx: &RequestContext,
     ) -> Result<(TwigMatches, Option<LimitBreach>), SedaError> {
         let mut stop: Result<Option<LimitBreach>, SedaError> = Ok(None);
@@ -796,7 +806,7 @@ impl SedaEngine {
                 stop = ctx.check_cancelled().map(|()| ctx.deadline_breach());
             }
             asked += 1;
-            !matches!(stop, Ok(None)) || (twig_ceiling && ctx.twig_breach(rows).is_some())
+            !matches!(stop, Ok(None)) || (row_ceiling && ctx.row_breach(rows).is_some())
         });
         Ok((matches, stop?))
     }
@@ -970,9 +980,9 @@ impl SedaEngine {
     /// document nodes the evaluation visited
     /// ([`seda_twigjoin::TwigMatches::nodes_visited`]).  A deadline that runs
     /// out during the evaluation returns the prefix matched so far with the
-    /// breach; cancellation errors.  The request's twig-match ceiling stops
-    /// the evaluation after the document that crosses it, leaving the caller
-    /// a prefix longer than the ceiling to clip.
+    /// breach; cancellation errors.  The request's row ceiling stops the
+    /// evaluation after the document that crosses it, leaving the caller a
+    /// prefix longer than the ceiling to clip.
     pub(crate) fn twig_table(
         &self,
         pattern: &TwigPattern,
@@ -995,7 +1005,7 @@ impl SedaEngine {
 pub(crate) struct GovernedTable {
     /// The rows computed; a prefix of the full answer's when `breach` is a
     /// deadline that stopped a twig evaluation, or when a `TWIG`'s rows
-    /// exceed its twig-match ceiling (no breach: the row count is one).
+    /// exceed its row ceiling (no breach: the row count is one).
     pub(crate) table: QueryResultTable,
     /// Document nodes the twig evaluations visited (0 for the cross-root
     /// join, which enumerates the graph instead).
@@ -1445,11 +1455,11 @@ mod tests {
         assert_eq!((late.len(), breach), (documents, None));
         assert!(ctx.deadline_breach().is_some());
 
-        // The twig-match ceiling is asked before every document, not on
-        // stride boundaries, and only where the caller applies it: the
-        // evaluation ends after the document that crossed it, with no breach
-        // of its own (the row count is the breach).
-        let ctx = RequestContext::new(Budget::unlimited().with_max_twig_matches(3));
+        // The row ceiling is asked before every document, not on stride
+        // boundaries, and only where the caller applies it: the evaluation
+        // ends after the document that crossed it, with no breach of its own
+        // (the row count is the breach).
+        let ctx = RequestContext::new(Budget::unlimited().with_max_rows(3));
         let mut handed_out = 0;
         let counting = all().inspect(|_| handed_out += 1);
         let (bounded, breach) = e.evaluate_twig_governed(&pattern, counting, true, &ctx).unwrap();

@@ -19,6 +19,9 @@
 //! * `"oracle-build"` — in every engine build, on the calling thread,
 //!   before `DataGraph::build` runs (and the connectivity oracle — the
 //!   per-document cross-edge bit, the peel and the core labels — is built);
+//! * `"plan"` — in [`crate::SedaEngine::prepare`], before the request is
+//!   lowered; a request's planning runs inside the reader's boundary, so a
+//!   panic here is contained like one in execution;
 //! * `"mid-search"` — inside the engine's one search function, before the
 //!   Threshold-Algorithm loop runs.
 //!
@@ -29,7 +32,8 @@
 //! error — proving the isolation layer, not bypassing it.
 
 /// The catalog of named fault sites, in pipeline order.
-pub const FAULT_SITES: &[&str] = &["parse", "node-index-build", "oracle-build", "mid-search"];
+pub const FAULT_SITES: &[&str] =
+    &["parse", "node-index-build", "oracle-build", "plan", "mid-search"];
 
 #[cfg(feature = "failpoints")]
 mod armed {

@@ -1,16 +1,20 @@
 //! Per-request resource governance: budgets, deadlines and cancellation.
 //!
-//! The ROADMAP's serving-layer item calls for "per-request deadlines/limits
-//! surfaced as `SedaError::Limit`" — this module is that contract.  A
-//! [`Budget`] fixes ceilings on the resources a request may consume; a
+//! A [`Budget`] fixes ceilings on the resources a request may consume; a
 //! [`RequestContext`] carries the budget (plus the request's start instant
 //! and an optional [`CancelToken`]) through
-//! [`crate::SedaReader::execute_governed`].  Ceilings are enforced at the
-//! pipeline's existing counter sites — the Threshold-Algorithm loop in
-//! `seda-topk`, the complete-result enumeration, connection discovery, twig
-//! match and cube materialisation in the reader/engine — and a breach
-//! surfaces either as a typed [`SedaError::Limit`] naming the exhausted
-//! resource, or, when the caller opts in via
+//! [`crate::SedaReader::execute_governed`].  The work ceilings are enforced
+//! at the pipeline's counter sites — the Threshold-Algorithm loop in
+//! `seda-topk`, the complete-result enumeration and connection discovery.
+//! Output has one ceiling, `max_rows`, checked against a payload's
+//! [`crate::ResponsePayload::rows`] and clipped in one place at the end of
+//! the statement executor: a `TWIG`'s rows are its matches and a `CUBE`'s its
+//! cells.  Two steps also read it early: a `TWIG` stops evaluating after the
+//! document that crosses it, and a `CONNECTIONS` clips its tuples before
+//! discovery, so its summary describes only the tuples it returns.  A `CUBE`'s
+//! R(q) never reads it, so a clipped cube's cells keep their full aggregates.
+//! A breach surfaces either as a typed [`SedaError::Limit`] naming the
+//! exhausted resource, or, when the caller opts in via
 //! [`RequestContext::allow_degraded`], as a partial response flagged
 //! [`crate::ExecProfile::degraded`] carrying the exact prefix computed
 //! before the breach.
@@ -38,12 +42,10 @@ pub struct Budget {
     /// Ceiling on label probes spent on connectivity checks and connection
     /// discovery.
     pub max_label_probes: Option<u64>,
-    /// Ceiling on result rows across every statement shape.
+    /// Ceiling on result rows across every statement shape: top-k tuples,
+    /// context entries, connections, table rows, twig matches and cube cells.
+    /// A `TWIG` stops evaluating after the document that crosses it.
     pub max_rows: Option<usize>,
-    /// Ceiling on twig pattern matches materialised by `TWIG` statements.
-    pub max_twig_matches: Option<usize>,
-    /// Ceiling on cells materialised by `CUBE` statements.
-    pub max_cube_cells: Option<usize>,
 }
 
 impl Budget {
@@ -85,18 +87,6 @@ impl Budget {
     /// Sets the result-row ceiling.
     pub fn with_max_rows(mut self, max: usize) -> Self {
         self.max_rows = Some(max);
-        self
-    }
-
-    /// Sets the twig-match ceiling.
-    pub fn with_max_twig_matches(mut self, max: usize) -> Self {
-        self.max_twig_matches = Some(max);
-        self
-    }
-
-    /// Sets the cube-cell ceiling.
-    pub fn with_max_cube_cells(mut self, max: usize) -> Self {
-        self.max_cube_cells = Some(max);
         self
     }
 }
@@ -249,6 +239,15 @@ impl RequestContext {
         })
     }
 
+    /// This context without its row ceiling — the same start instant,
+    /// degraded opt-in, work ceilings and cancellation token — for a step
+    /// whose rows are not the answer's: a `CUBE`'s R(q), whose every row its
+    /// cells aggregate, so that `max_rows` bounds the cells and never the
+    /// facts they sum.
+    pub(crate) fn without_row_ceiling(&self) -> RequestContext {
+        RequestContext { budget: Budget { max_rows: None, ..self.budget.clone() }, ..self.clone() }
+    }
+
     /// The label-probe breach once connectivity checks outside the searcher
     /// (the complete-result step, connection discovery) have brought the
     /// request to `spent` probes — the ceiling the searcher enforces inside
@@ -256,26 +255,6 @@ impl RequestContext {
     pub(crate) fn label_probe_breach(&self, spent: u64) -> Option<LimitBreach> {
         let max = self.budget.max_label_probes?;
         (spent > max).then_some(LimitBreach { resource: "label probes", spent, budget: max })
-    }
-
-    /// The twig-match breach for a twig result of `matches` rows.
-    pub(crate) fn twig_breach(&self, matches: usize) -> Option<LimitBreach> {
-        let max = self.budget.max_twig_matches?;
-        (matches > max).then_some(LimitBreach {
-            resource: "twig matches",
-            spent: matches as u64,
-            budget: max as u64,
-        })
-    }
-
-    /// The cube-cell breach for a cube of `cells` cells.
-    pub(crate) fn cube_breach(&self, cells: usize) -> Option<LimitBreach> {
-        let max = self.budget.max_cube_cells?;
-        (cells > max).then_some(LimitBreach {
-            resource: "cube cells",
-            spent: cells as u64,
-            budget: max as u64,
-        })
     }
 
     /// The [`SearchLimits`] to hand the Threshold-Algorithm searcher.
@@ -304,17 +283,13 @@ mod tests {
             .with_max_random_accesses(2)
             .with_max_candidates(3)
             .with_max_label_probes(4)
-            .with_max_rows(5)
-            .with_max_twig_matches(6)
-            .with_max_cube_cells(7);
+            .with_max_rows(5);
         assert_eq!(b.deadline, Some(Duration::from_millis(5)));
         assert_eq!(b.max_sorted_accesses, Some(1));
         assert_eq!(b.max_random_accesses, Some(2));
         assert_eq!(b.max_candidates, Some(3));
         assert_eq!(b.max_label_probes, Some(4));
         assert_eq!(b.max_rows, Some(5));
-        assert_eq!(b.max_twig_matches, Some(6));
-        assert_eq!(b.max_cube_cells, Some(7));
     }
 
     #[test]
@@ -350,21 +325,12 @@ mod tests {
 
     #[test]
     fn shape_breaches_fire_only_past_their_ceiling() {
-        let ctx = RequestContext::new(
-            Budget::unlimited()
-                .with_max_rows(2)
-                .with_max_twig_matches(3)
-                .with_max_cube_cells(4)
-                .with_max_label_probes(5),
-        );
+        let ctx =
+            RequestContext::new(Budget::unlimited().with_max_rows(2).with_max_label_probes(5));
         assert!(ctx.label_probe_breach(5).is_none());
         assert_eq!(ctx.label_probe_breach(6).unwrap().resource, "label probes");
         assert!(ctx.row_breach(2).is_none());
         assert_eq!(ctx.row_breach(3).unwrap().resource, "result rows");
-        assert!(ctx.twig_breach(3).is_none());
-        assert_eq!(ctx.twig_breach(4).unwrap().resource, "twig matches");
-        assert!(ctx.cube_breach(4).is_none());
-        assert_eq!(ctx.cube_breach(5).unwrap().resource, "cube cells");
         let unlimited = RequestContext::unlimited();
         assert!(unlimited.row_breach(usize::MAX).is_none());
     }

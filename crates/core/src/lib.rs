@@ -85,7 +85,6 @@ pub use engine::{BuildProfile, EngineConfig, SedaEngine};
 pub use error::SedaError;
 pub use govern::{Budget, CancelToken, RequestContext, Stopwatch};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use parallel::WorkerPanic;
 pub use plan::{PlanStep, QueryPlan};
 pub use prepared::PreparedStatement;
 pub use query::{ContextSpec, QueryError, QueryTerm, SedaQuery};

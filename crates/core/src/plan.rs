@@ -16,6 +16,7 @@ use seda_xmlstore::PathId;
 
 use crate::engine::SedaEngine;
 use crate::error::SedaError;
+use crate::faults;
 use crate::query::SedaQuery;
 use crate::request::{SedaRequest, Statement};
 use crate::summaries::ContextSelections;
@@ -225,6 +226,7 @@ impl SedaEngine {
     /// paths, uncompilable twig expressions, and combination counts beyond
     /// the configured limits.
     pub fn prepare(&self, request: &SedaRequest) -> Result<QueryPlan, SedaError> {
+        faults::fire("plan")?;
         let config = self.config();
         let statement = &request.statement;
         let mut plan = QueryPlan {

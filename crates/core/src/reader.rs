@@ -9,10 +9,10 @@
 //!
 //! Every request — text, [`SedaRequest`], [`PreparedStatement`] or a
 //! [`crate::SedaSession`] stage — is planned, run by the one statement
-//! executor, traced and counted once.  The executor runs inside the reader's
-//! one containment boundary: a panic below becomes [`SedaError::Internal`],
-//! the scratch is rebuilt and the tracer reset, so the same reader keeps
-//! serving.
+//! executor, traced and counted once.  Planning and execution run inside the
+//! reader's one containment boundary: a panic in either becomes
+//! [`SedaError::Internal`], the scratch is rebuilt and the tracer reset, so
+//! the same reader keeps serving.
 //!
 //! ```
 //! use seda_core::{EngineConfig, SedaEngine, SedaRequest};
@@ -70,10 +70,26 @@ fn resolve_breach(
     }
 }
 
+/// The row ceiling's verdict on `rows` rows: `Some(keep)` when the answer is
+/// clipped to its first `keep` rows (a degraded response), `None` when it
+/// fits, and the typed breach when the caller did not opt into degraded
+/// responses.
+fn rows_kept(
+    ctx: &RequestContext,
+    rows: usize,
+    profile: &mut ExecProfile,
+) -> Result<Option<usize>, SedaError> {
+    let Some(breach) = ctx.row_breach(rows) else { return Ok(None) };
+    let keep = breach.budget as usize;
+    resolve_breach(Some(breach), ctx, profile)?;
+    Ok(Some(keep))
+}
+
 /// Clips a degraded payload to `keep` rows, preserving each shape's order
 /// (score order for top-k tuples, frequency order for summaries, sorted row
-/// order for tables, cell order for cubes); a `CONNECTIONS` payload keeps
-/// `keep` tuples and `keep` connections.
+/// order for tables and twig matches, cell order for cubes).  A
+/// `CONNECTIONS` payload's tuples were clipped before discovery, so its
+/// connections describe them; here only its connections are clipped.
 fn truncate_payload(payload: &mut ResponsePayload, keep: usize) {
     match payload {
         ResponsePayload::TopK(result) => result.tuples.truncate(keep),
@@ -84,10 +100,7 @@ fn truncate_payload(payload: &mut ResponsePayload, keep: usize) {
                 remaining -= bucket.entries.len();
             }
         }
-        ResponsePayload::Connections { top_k, summary } => {
-            top_k.tuples.truncate(keep);
-            summary.connections.truncate(keep);
-        }
+        ResponsePayload::Connections { summary, .. } => summary.connections.truncate(keep),
         ResponsePayload::Table(table) => table.truncate(keep),
         ResponsePayload::Cube { cube, .. } => cube.cells.truncate(keep),
         ResponsePayload::Explain(_) => {}
@@ -130,14 +143,6 @@ impl SedaEngine {
             || self.reader(),
             |reader, request| reader.execute(request),
         )
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(result) => result,
-            // A panic was contained inside the worker; the neighbouring
-            // requests completed on rebuilt reader state.
-            Err(panic) => Err(SedaError::Internal(panic.message)),
-        })
-        .collect()
     }
 }
 
@@ -160,17 +165,25 @@ impl<'e> SedaReader<'e> {
     /// component partition, which a cold execution rebuilds every time.
     ///
     /// Preparing touches no reader scratch, and the returned statement may
-    /// execute through *any* reader of this engine.
+    /// execute through *any* reader of this engine.  Preparing compiles and
+    /// answers nothing, so it is no request: it is recorded in no metric,
+    /// and a panic while planning comes back as [`SedaError::Internal`]
+    /// without being counted as a contained panic.
     pub fn prepare(&self, request: &SedaRequest) -> Result<PreparedStatement, SedaError> {
-        let plan = self.engine.prepare(request)?;
-        let materialized = (!plan.term_inputs.is_empty())
-            .then(|| self.engine.materialize_search_terms(&plan.term_inputs));
-        Ok(PreparedStatement { plan, materialized, executions: 0 })
+        catch_internal(|| {
+            let plan = self.engine.prepare(request)?;
+            let materialized = (!plan.term_inputs.is_empty())
+                .then(|| self.engine.materialize_search_terms(&plan.term_inputs));
+            Ok(PreparedStatement { plan, materialized, executions: 0 })
+        })
     }
 
-    /// Plans a request and returns the plan transcript.
-    pub fn explain(&self, request: &SedaRequest) -> Result<String, SedaError> {
-        Ok(self.engine.prepare(request)?.explain())
+    /// Plans a request and returns the plan transcript: the request's
+    /// `EXPLAIN` form, executed as one request.
+    pub fn explain(&mut self, request: &SedaRequest) -> Result<String, SedaError> {
+        let explain = SedaRequest { explain: true, analyze: false, ..request.clone() };
+        let transcript = self.execute(&explain)?.explain_transcript().map(str::to_owned);
+        Ok(transcript.expect("invariant: a plain EXPLAIN answers with its plan transcript"))
     }
 
     /// Turns span tracing on or off for every subsequent request this reader
@@ -217,8 +230,9 @@ impl<'e> SedaReader<'e> {
     /// deadlines, budget ceilings and cancellation are enforced at the
     /// pipeline's counter sites, a breach surfaces as [`SedaError::Limit`]
     /// (or a partial payload with [`ExecProfile::degraded`] set when the
-    /// context allows degraded responses), and any panic below is contained
-    /// into [`SedaError::Internal`], leaving the reader and engine usable.
+    /// context allows degraded responses), and any panic in planning or
+    /// execution is contained into [`SedaError::Internal`], leaving the
+    /// reader and engine usable.
     pub fn execute_governed(
         &mut self,
         request: &SedaRequest,
@@ -231,14 +245,43 @@ impl<'e> SedaReader<'e> {
         if force_tracing {
             self.tracer.set_enabled(true);
         }
-        let outcome = self.execute_governed_inner(request, ctx);
+        let outcome =
+            self.contained(&request.statement, |reader| reader.plan_and_execute(request, ctx));
         if force_tracing {
             self.tracer.set_enabled(false);
         }
         outcome
     }
 
-    fn execute_governed_inner(
+    /// The reader's one boundary, crossed once by every request (facade or
+    /// prepared): `run` executes inside a panic-containment boundary, so a
+    /// panic in planning or execution becomes [`SedaError::Internal`] and
+    /// the scratch is rebuilt; any failure resets the tracer; the outcome is
+    /// recorded in the engine's metrics exactly once.  Text that fails to
+    /// parse never gets here and is counted by [`SedaReader::execute_text`].
+    fn contained(
+        &mut self,
+        statement: &Statement,
+        run: impl FnOnce(&mut Self) -> Result<SedaResponse, SedaError>,
+    ) -> Result<SedaResponse, SedaError> {
+        let outcome = catch_internal(|| run(self));
+        if matches!(outcome, Err(SedaError::Internal(_))) {
+            // A contained panic may have left this reader's scratch buffers
+            // mid-update; rebuild them so the next query starts clean.
+            self.scratch = SearchScratch::new();
+        }
+        if outcome.is_err() {
+            // Spans left open by the failed request (including an unwound
+            // one) must not leak into the next request's trace.
+            self.tracer.reset();
+        }
+        self.engine.metrics().record(statement, &outcome);
+        outcome
+    }
+
+    /// Plans a request and runs its plan; a plain `EXPLAIN` stops after
+    /// planning.
+    fn plan_and_execute(
         &mut self,
         request: &SedaRequest,
         ctx: &RequestContext,
@@ -246,85 +289,27 @@ impl<'e> SedaReader<'e> {
         self.tracer.begin_if_idle();
         let plan_span = self.tracer.enter(span::PLAN);
         let plan_start = Stopwatch::start();
-        let plan = match self.engine.prepare(request) {
-            Ok(plan) => plan,
-            Err(err) => {
-                self.tracer.exit(plan_span);
-                self.tracer.reset();
-                // A plan-time failure never reaches the execution boundary;
-                // it is this request's one metrics record.
-                return self.recorded(&request.statement, Err(err));
-            }
-        };
+        let plan = self.engine.prepare(request)?;
         let plan_secs = plan_start.elapsed_secs();
         self.tracer.exit(plan_span);
         if request.explain && !request.analyze {
-            let mut profile = ExecProfile { plan_secs, ..ExecProfile::default() };
-            profile.spans = self.tracer.take_spans();
-            let payload = ResponsePayload::Explain(plan.explain());
-            profile.rows = payload.rows();
-            // Plain EXPLAIN stops before the boundary too.
-            return self.recorded(&request.statement, Ok(SedaResponse { payload, profile }));
+            let profile = ExecProfile {
+                plan_secs,
+                spans: self.tracer.take_spans(),
+                ..ExecProfile::default()
+            };
+            return Ok(SedaResponse { payload: ResponsePayload::Explain(plan.explain()), profile });
         }
-        let mut response = self.run_plan(&plan, ctx, plan_secs, None)?;
+        let mut response = self.execute_statement(&plan, ctx, None)?;
+        response.profile.plan_secs = plan_secs;
         if request.analyze {
             // EXPLAIN ANALYZE: the payload becomes the annotated transcript
-            // (plan + budget accounting + executed span tree); the profile
+            // (plan + wall split and rows + executed span tree); the profile
             // keeps the execution's counters, wall split and spans.
             let transcript = render_analyzed(&plan.explain(), &response.profile);
             response.payload = ResponsePayload::Explain(transcript);
         }
         Ok(response)
-    }
-
-    /// Records a request's outcome into the engine-wide metrics registry
-    /// (see [`crate::metrics`]) and hands it back.  A request is recorded
-    /// exactly once: by [`SedaReader::run_plan`] when it executes, or by the
-    /// facade when it stops at planning (plan-time errors, plain `EXPLAIN`);
-    /// text that fails to parse is counted by [`SedaReader::execute_text`].
-    fn recorded(
-        &self,
-        statement: &Statement,
-        outcome: Result<SedaResponse, SedaError>,
-    ) -> Result<SedaResponse, SedaError> {
-        self.engine.metrics().record(statement, &outcome);
-        outcome
-    }
-
-    /// Executes a plan as one request — the single path behind the facade
-    /// and prepared statements (which lend their `materialized` term lists).
-    /// The statement executor runs inside the reader's one panic-containment
-    /// boundary: a panic anywhere below becomes [`SedaError::Internal`] and
-    /// the reader heals before returning.  The outcome is recorded in the
-    /// metrics registry.
-    /// A plan lowered by another engine is refused with
-    /// [`SedaError::ForeignPlan`] before anything runs.
-    fn run_plan(
-        &mut self,
-        plan: &QueryPlan,
-        ctx: &RequestContext,
-        plan_secs: f64,
-        materialized: Option<&MaterializedTerms>,
-    ) -> Result<SedaResponse, SedaError> {
-        if plan.engine != self.engine.id() {
-            return self.recorded(&plan.statement, Err(SedaError::ForeignPlan));
-        }
-        let outcome = catch_internal(|| {
-            let mut response = self.execute_statement(plan, ctx, materialized)?;
-            response.profile.plan_secs = plan_secs;
-            Ok(response)
-        });
-        if matches!(outcome, Err(SedaError::Internal(_))) {
-            // A contained panic may have left this reader's scratch buffers
-            // mid-update; rebuild them so the next query starts clean.
-            self.scratch = SearchScratch::new();
-        }
-        if outcome.is_err() {
-            // Spans left open by the failed execution (including an unwound
-            // one) must not leak into the next request's trace.
-            self.tracer.reset();
-        }
-        self.recorded(&plan.statement, outcome)
     }
 
     /// What [`PreparedStatement::execute_governed`] reaches: the executor
@@ -337,7 +322,9 @@ impl<'e> SedaReader<'e> {
         ctx: &RequestContext,
     ) -> Result<SedaResponse, SedaError> {
         let PreparedStatement { plan, materialized, executions } = statement;
-        let outcome = self.run_plan(plan, ctx, 0.0, materialized.as_ref());
+        let outcome = self.contained(&plan.statement, |reader| {
+            reader.execute_statement(plan, ctx, materialized.as_ref())
+        });
         if outcome.is_ok() {
             *executions += 1;
         }
@@ -409,14 +396,20 @@ impl<'e> SedaReader<'e> {
         Ok(table)
     }
 
-    /// The one statement executor: runs the plan's statement, over a
-    /// prepared statement's `materialized` term lists when lent.
+    /// The one statement executor, behind the facade and prepared
+    /// statements: runs the plan's statement, over a prepared statement's
+    /// `materialized` term lists when lent.  A plan lowered by another
+    /// engine is refused with [`SedaError::ForeignPlan`] before anything
+    /// runs.
     fn execute_statement(
         &mut self,
         plan: &QueryPlan,
         ctx: &RequestContext,
         materialized: Option<&MaterializedTerms>,
     ) -> Result<SedaResponse, SedaError> {
+        if plan.engine != self.engine.id() {
+            return Err(SedaError::ForeignPlan);
+        }
         self.tracer.begin_if_idle();
         let exec_span = self.tracer.enter(span::EXECUTE);
         let exec_start = Stopwatch::start();
@@ -440,7 +433,12 @@ impl<'e> SedaReader<'e> {
                 ResponsePayload::Contexts(contexts)
             }
             Statement::ConnectionSummary { .. } => {
-                let top_k = self.run_search(plan, ctx, &mut profile, materialized)?;
+                let mut top_k = self.run_search(plan, ctx, &mut profile, materialized)?;
+                // Discovery reads only the tuples the answer returns, so the
+                // summary's supports count those tuples and no others.
+                if let Some(keep) = rows_kept(ctx, top_k.tuples.len(), &mut profile)? {
+                    top_k.tuples.truncate(keep);
+                }
                 ctx.check_cancelled()?;
                 let s = self.tracer.enter(span::DISCOVER_CONNECTIONS);
                 let traversal = self.scratch.traversal_mut();
@@ -470,26 +468,23 @@ impl<'e> SedaReader<'e> {
                     .as_ref()
                     .expect("invariant: the planner compiles twig statements to a pattern");
                 let s = self.tracer.enter(span::TWIG_EVALUATE);
-                let GovernedTable { mut table, nodes_visited, breach, .. } =
+                let GovernedTable { table, nodes_visited, breach, .. } =
                     self.engine.twig_table(pattern, ctx)?;
                 let counters =
                     SpanCounters { nodes_visited, rows: table.len(), ..SpanCounters::default() };
                 self.tracer.exit_with(s, counters);
-                // The evaluation stopped after the document that crossed the
-                // twig-match ceiling; the answer is its first rows.
-                if let Some(breach) = ctx.twig_breach(table.len()) {
-                    let keep = breach.budget as usize;
-                    resolve_breach(Some(breach), ctx, &mut profile)?;
-                    table.truncate(keep);
-                }
                 // A deadline that stopped the evaluation left a prefix; one
-                // that ran out after it, the whole table.
+                // that ran out after it, the whole table.  An evaluation the
+                // row ceiling stopped is clipped below, like every shape.
                 let breach = breach.or_else(|| ctx.deadline_breach());
                 resolve_breach(breach, ctx, &mut profile)?;
                 ResponsePayload::Table(table)
             }
             Statement::Cube { fact, group_by, agg, measure } => {
-                let table = self.run_complete_results(plan, ctx, &mut profile)?;
+                // The cube's rows are its cells, clipped below; its R(q) runs
+                // whole, so every kept cell aggregates every fact row.
+                let facts = ctx.without_row_ceiling();
+                let table = self.run_complete_results(plan, &facts, &mut profile)?;
                 ctx.check_cancelled()?;
                 let s = self.tracer.enter(span::DERIVE_STAR_SCHEMA);
                 let build = self.engine.build_star_schema(&table, &plan.cube_options);
@@ -507,23 +502,14 @@ impl<'e> SedaReader<'e> {
                     ..SpanCounters::default()
                 };
                 self.tracer.exit_with(s, counters);
-                let mut cube = cube?;
-                if let Some(breach) = ctx.cube_breach(cube.len()) {
-                    let keep = breach.budget as usize;
-                    resolve_breach(Some(breach), ctx, &mut profile)?;
-                    cube.cells.truncate(keep);
-                }
-                ResponsePayload::Cube { build, cube }
+                ResponsePayload::Cube { build, cube: cube? }
             }
         };
-        if let Some(breach) = ctx.row_breach(payload.rows()) {
-            let keep = breach.budget as usize;
-            resolve_breach(Some(breach), ctx, &mut profile)?;
+        if let Some(keep) = rows_kept(ctx, payload.rows(), &mut profile)? {
             truncate_payload(&mut payload, keep);
         }
         profile.exec_secs = exec_start.elapsed_secs();
         profile.rows = payload.rows();
-        profile.settle_budget_spent();
         self.tracer.exit(exec_span);
         profile.spans = self.tracer.take_spans();
         Ok(SedaResponse { payload, profile })
@@ -759,10 +745,10 @@ mod tests {
         let requests: Vec<SedaRequest> =
             texts.iter().map(|t| SedaRequest::parse(t).unwrap()).collect();
         let mut reader = e.reader();
-        let transcripts = |reader: &SedaReader<'_>| -> Vec<String> {
+        let transcripts = |reader: &mut SedaReader<'_>| -> Vec<String> {
             requests.iter().map(|r| reader.explain(r).unwrap()).collect()
         };
-        let before = transcripts(&reader);
+        let before = transcripts(&mut reader);
         // A mixed workload — every shape executed, explained and prepared —
         // moves the engine's metrics but not one byte of any transcript.
         for (text, request) in texts.iter().zip(&requests) {
@@ -774,7 +760,7 @@ mod tests {
             assert_eq!(through_text, through_reader, "{text}");
             assert_eq!(through_prepared, through_reader, "{text}");
         }
-        assert_eq!(transcripts(&reader), before);
+        assert_eq!(transcripts(&mut reader), before);
     }
 
     #[test]

@@ -25,12 +25,11 @@
 //! An `EXPLAIN` prefix plans the request and returns the plan transcript
 //! instead of executing it; `EXPLAIN ANALYZE` additionally *executes* the
 //! request and returns the transcript annotated with each stage's measured
-//! wall time, counter deltas and budget spend (see
+//! wall time and counter deltas (see
 //! [`crate::trace::render_analyzed`]).  Every request has exactly one
 //! textual form: [`SedaRequest::render`] emits it, and `parse ∘ render` is
-//! the identity — the round-trip the facade's serialisation tests pin.
-
-use serde::{Deserialize, Serialize};
+//! the identity — the round-trip `crates/core/tests/facade_roundtrip.rs`
+//! pins.
 
 use seda_olap::{AggFn, BuildOptions};
 
@@ -38,7 +37,7 @@ use crate::error::SedaError;
 use crate::query::{QueryError, SedaQuery};
 
 /// Which unit of the Fig. 4 engine a request drives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     /// Threshold-Algorithm top-k search.
     TopK {
@@ -121,7 +120,7 @@ fn parse_agg(name: &str) -> Result<AggFn, SedaError> {
 }
 
 /// One request → one [`crate::SedaResponse`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SedaRequest {
     /// What to compute.
     pub statement: Statement,
@@ -142,7 +141,7 @@ pub struct SedaRequest {
     pub explain: bool,
     /// With [`SedaRequest::explain`]: execute the request too, and annotate
     /// the transcript with measured per-stage wall times, counter deltas and
-    /// budget spend (`EXPLAIN ANALYZE`).
+    /// rows (`EXPLAIN ANALYZE`).
     pub analyze: bool,
 }
 

@@ -6,8 +6,6 @@
 //! Algorithm, label probes of the connectivity-oracle checks, rows produced,
 //! and the plan/execution wall split.
 
-use serde::{Deserialize, Serialize};
-
 use seda_olap::{CubeResult, QueryResultTable, StarSchemaBuild};
 use seda_topk::{SearchStats, TopKResult};
 
@@ -15,7 +13,7 @@ use crate::summaries::{ConnectionSummary, ContextSummary};
 use crate::trace::SpanRecord;
 
 /// Unified work counters and wall time of one request → response trip.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecProfile {
     /// Seconds spent planning (validation + context resolution).
     pub plan_secs: f64,
@@ -41,10 +39,6 @@ pub struct ExecProfile {
     /// payload; a `CONNECTIONS` payload counts its longer list, tuples or
     /// connections.
     pub rows: usize,
-    /// Aggregate work units spent against the request's [`crate::Budget`]
-    /// (sorted + random accesses + tuples scored + label probes + rows);
-    /// the cross-resource yardstick admission control can meter.
-    pub budget_spent: u64,
     /// True when a budget ceiling was hit and the caller opted into a
     /// degraded response: the payload is the exact prefix computed before
     /// the breach, not the full answer.
@@ -72,17 +66,6 @@ impl ExecProfile {
         self.plan_secs + self.exec_secs
     }
 
-    /// Settles [`ExecProfile::budget_spent`] from the final counters (sorted
-    /// plus random accesses, tuples scored, label probes and rows) — the one
-    /// cross-resource formula every governed path shares.
-    pub fn settle_budget_spent(&mut self) {
-        self.budget_spent = self.sorted_accesses as u64
-            + self.random_accesses as u64
-            + self.tuples_scored as u64
-            + self.label_probes
-            + self.rows as u64;
-    }
-
     /// Renders the profile as a human-readable line.
     pub fn render(&self) -> String {
         format!(
@@ -105,7 +88,7 @@ impl ExecProfile {
 }
 
 /// The statement-shaped result of a request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ResponsePayload {
     /// Result of a `TOPK` statement.
     TopK(TopKResult),
@@ -150,7 +133,7 @@ impl ResponsePayload {
 }
 
 /// The response of one executed request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SedaResponse {
     /// The statement-shaped result.
     pub payload: ResponsePayload,

@@ -116,6 +116,8 @@ impl<'a> SedaSession<'a> {
 
     /// The [`ExecProfile`] of the last request the session ran: `RESULTS`
     /// once the complete results are materialised, `CONNECTIONS` before.
+    /// Its `degraded` flag covers every answer of the last stage: a
+    /// `submit` whose context summary was clipped reads degraded too.
     pub fn last_profile(&self) -> Option<&ExecProfile> {
         self.complete.as_ref().or(self.connections.as_ref()).map(|response| &response.profile)
     }
@@ -152,7 +154,8 @@ impl<'a> SedaSession<'a> {
         contexts: Option<SedaResponse>,
     ) -> Result<&TopKResult, SedaError> {
         request.statement = Statement::ConnectionSummary { k: self.k };
-        let connections = self.run(&request)?;
+        let mut connections = self.run(&request)?;
+        connections.profile.degraded |= contexts.as_ref().is_some_and(|c| c.profile.degraded);
         self.request = Some(request);
         self.contexts = contexts.or(self.contexts.take());
         self.connections = Some(connections);
@@ -482,8 +485,9 @@ mod tests {
         assert!(profile.degraded, "an exhausted budget must flag the partial answer");
         session.set_budget(None);
         session.submit_text(r#"(trade_country, *)"#).unwrap();
-        assert!(!session.last_profile().unwrap().degraded);
-        assert!(session.last_profile().unwrap().budget_spent > 0);
+        let profile = session.last_profile().unwrap();
+        assert!(!profile.degraded);
+        assert!(profile.sorted_accesses > 0);
     }
 
     #[test]

@@ -28,8 +28,6 @@
 //! xtask lint` confines raw `Instant::now` reads to `govern`), as offsets
 //! from the tracer's last [`Tracer::begin`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::govern::Stopwatch;
 use crate::response::ExecProfile;
 
@@ -70,7 +68,7 @@ pub mod span {
 
 /// Work-counter deltas attributed to one span: how much of the profile's
 /// total each phase consumed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpanCounters {
     /// Sorted posting-list accesses within the span.
     pub sorted_accesses: usize,
@@ -133,7 +131,7 @@ impl SpanCounters {
 
 /// One closed span: a named phase with its nesting depth, start offset from
 /// the tracer's epoch, measured wall time and attributed counter deltas.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanRecord {
     /// Phase name (see [`span`]).
     pub name: String,
@@ -347,18 +345,18 @@ pub fn render_spans(spans: &[SpanRecord]) -> String {
 }
 
 /// Renders the `EXPLAIN ANALYZE` transcript: the plan transcript followed by
-/// the executed span tree and the profile's budget accounting.
+/// the profile's wall split, row count and degraded flag, then the executed
+/// span tree.
 pub fn render_analyzed(plan_transcript: &str, profile: &ExecProfile) -> String {
     let mut out = String::from(plan_transcript);
     if !out.ends_with('\n') {
         out.push('\n');
     }
     out.push_str(&format!(
-        "analyze: {:.3}ms plan, {:.3}ms exec, {} row(s), budget spent {}{}\n",
+        "analyze: {:.3}ms plan, {:.3}ms exec, {} row(s){}\n",
         profile.plan_secs * 1e3,
         profile.exec_secs * 1e3,
         profile.rows,
-        profile.budget_spent,
         if profile.degraded { " [degraded]" } else { "" },
     ));
     out.push_str(&render_spans(&profile.spans));
@@ -454,7 +452,6 @@ mod tests {
             plan_secs: 0.001,
             exec_secs: 0.002,
             rows: 3,
-            budget_spent: 42,
             spans: vec![SpanRecord {
                 name: span::SEARCH.to_string(),
                 depth: 0,
@@ -467,7 +464,7 @@ mod tests {
         let out = render_analyzed("plan: TOPK over 1 term(s): (name, *)\n  1. step\n", &profile);
         assert!(out.contains("plan: TOPK"));
         assert!(out.contains("analyze:"));
-        assert!(out.contains("budget spent 42"));
+        assert!(out.contains("3 row(s)\n"), "{out}");
         assert!(out.contains("[search] 2.000ms — rows=3"));
     }
 

@@ -20,14 +20,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use seda_xmlstore::{Collection, DocumentBuilder, Result};
 
 use crate::names;
 
 /// Configuration of the Factbook-like generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FactbookConfig {
     /// Number of countries/territories (one document per country per year).
     pub countries: usize,

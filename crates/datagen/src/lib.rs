@@ -34,11 +34,10 @@ pub use mondial::MondialConfig;
 pub use recipeml::RecipeMlConfig;
 
 use seda_xmlstore::{Collection, Result};
-use serde::{Deserialize, Serialize};
 
 /// Identifies one of the four paper data sets; used by the audit binary, the
 /// examples and the tests to iterate over all of them uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// Google Base snapshot (flat, regular).
     GoogleBase,

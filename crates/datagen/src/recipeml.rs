@@ -9,14 +9,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use seda_xmlstore::{Collection, DocumentBuilder, Result};
 
 use crate::names;
 
 /// Which of the three structural variants a document uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecipeShape {
     /// `recipeml/recipe/head + ingredients + directions`.
     Plain,
@@ -27,7 +26,7 @@ pub enum RecipeShape {
 }
 
 /// Configuration of the RecipeML-like generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RecipeMlConfig {
     /// Number of recipe documents.
     pub recipes: usize,

@@ -8,12 +8,10 @@
 //! path pairs are related by value ("we assume that instances of the last type
 //! of relationship are provided as input into the system").
 
-use serde::{Deserialize, Serialize};
-
 /// A value-based relationship specification: nodes whose context is
 /// `foreign_path` are linked to nodes whose context is `primary_path` when
 /// their contents are equal (primary-key / foreign-key semantics).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValueKeySpec {
     /// Context (root-to-leaf path, `/a/b/c` notation) of the primary-key side.
     pub primary_path: String,
@@ -29,7 +27,7 @@ impl ValueKeySpec {
 }
 
 /// Configuration for [`crate::DataGraph::build`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphConfig {
     /// Attribute names treated as element identifiers (ID attributes).
     pub id_attributes: Vec<String>,

@@ -46,8 +46,6 @@
 //! Every entry scanned, and every step of a climb or a walk, counts as one
 //! `label_probes`.  See [`crate::pin`].
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::DocId;
 
 use crate::graph::{DataGraph, Edge};
@@ -76,7 +74,7 @@ const UNSET: u32 = u32::MAX;
 /// Built once in [`DataGraph::build`] by peeling the documents cross edges
 /// touch down to their 2-core and running a landmark pass over the core;
 /// immutable afterwards.  Tree documents carry one bit and nothing else.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct ConnectivityIndex {
     /// Per document: true when a cross edge touches it (its nodes are peeled
     /// and climb to core labels), false for a tree document (answered by

@@ -7,15 +7,13 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, DocId, NodeId, NodeKind, PathId};
 
 use crate::config::GraphConfig;
 use crate::connectivity::ConnectivityIndex;
 
 /// Kind of an edge in the data graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// Parent/child relationship within a document (includes attributes).
     ParentChild,
@@ -28,7 +26,7 @@ pub enum EdgeKind {
 }
 
 /// A directed cross-document or intra-document non-tree edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// Source node.
     pub from: NodeId,
@@ -67,7 +65,7 @@ pub fn doc_component_builds_on_this_thread() -> usize {
 ///
 /// The per-document connected components over cross edges (the pruning
 /// structure the top-k searchers use) are computed once here as well.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct DataGraph {
     /// Prefix sums of document node counts: dense index of `(doc, ord)` is
     /// `doc_offsets[doc.index()] + ord`; length is `#docs + 1`.

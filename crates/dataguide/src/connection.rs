@@ -21,15 +21,13 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use seda_datagraph::{shortest_path_with, DataGraph, EdgeKind, TraversalScratch};
 use seda_xmlstore::{Collection, NodeId, PathId};
 
 use crate::guide::{DataGuideSet, GuideId};
 
 /// A connection between two contexts, abstracted from instance data.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Connection {
     /// Context of the first endpoint.
     pub from_path: PathId,
@@ -148,7 +146,7 @@ pub fn discover_connections(
 }
 
 /// A connection computed purely from the dataguide summary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuideConnection {
     /// First endpoint context.
     pub from_path: PathId,
@@ -165,7 +163,7 @@ pub struct GuideConnection {
 
 /// A link between two dataguides, derived from a non-tree edge of the data
 /// graph (IDREF / XLink / value-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuideLink {
     /// Guide and context of the source endpoint.
     pub from: (GuideId, PathId),

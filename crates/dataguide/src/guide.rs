@@ -15,12 +15,10 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, DocId, PathId};
 
 /// Identifier of a dataguide within a [`DataGuideSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GuideId(pub u32);
 
 impl GuideId {
@@ -31,7 +29,7 @@ impl GuideId {
 }
 
 /// One dataguide: a set of root-to-leaf paths plus the documents it covers.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataGuide {
     pub(crate) paths: BTreeSet<PathId>,
     pub(crate) documents: Vec<DocId>,
@@ -98,7 +96,7 @@ impl DataGuide {
 }
 
 /// Statistics of a built dataguide set — one row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataGuideStats {
     /// Number of documents summarised.
     pub documents: usize,
@@ -114,7 +112,7 @@ pub struct DataGuideStats {
 }
 
 /// A collection of merged dataguides plus the document → guide assignment.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataGuideSet {
     pub(crate) guides: Vec<DataGuide>,
     pub(crate) assignment: HashMap<DocId, GuideId>,

@@ -20,8 +20,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, NodeId, PathId};
 
 use crate::key::{CompiledKey, KeyPart, KeyViolation, RelativeKey};
@@ -29,7 +27,7 @@ use crate::schema::{Registry, SchemaDef, SchemaRole};
 use crate::table::{Dictionary, DimensionTable, FactTable, QueryResultTable, StarSchema};
 
 /// How a result column relates to the registry.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnMatch {
     /// Column index in R(q).
     pub column: usize,
@@ -42,7 +40,7 @@ pub struct ColumnMatch {
 }
 
 /// Outcome of the matching step.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MatchingOutcome {
     /// Per-column matches.
     pub columns: Vec<ColumnMatch>,
@@ -97,7 +95,7 @@ pub fn match_result(
 
 /// Options of the augmentation step: the user may add facts/dimensions the
 /// matching step did not find and remove ones it did.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildOptions {
     /// Names of registry definitions to add to the final sets.
     pub add: Vec<String>,
@@ -106,7 +104,7 @@ pub struct BuildOptions {
 }
 
 /// Result of building a star schema.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StarSchemaBuild {
     /// The matching-step outcome (before augmentation).
     pub matching: MatchingOutcome,

@@ -15,14 +15,12 @@
 //! from the root element.  The star-schema builder names a relative part's
 //! dimension column through the same walk.
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, DocId, Document, NodeId, Symbol};
 
 use crate::table::Dictionary;
 
 /// One component of a relative key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KeyPart {
     /// Absolute path expression, evaluated from the document root.
     Absolute(String),
@@ -50,7 +48,7 @@ impl KeyPart {
 }
 
 /// A relative key: an ordered list of key parts.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RelativeKey {
     parts: Vec<KeyPart>,
 }
@@ -59,7 +57,7 @@ pub struct RelativeKey {
 pub type KeyValues = Vec<String>;
 
 /// Problems detected while evaluating or verifying a key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KeyViolation {
     /// A key part evaluated to no node for the given keyed node.
     MissingComponent {

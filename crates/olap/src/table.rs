@@ -11,8 +11,6 @@
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, NodeId, PathId};
 
 /// The full (non-top-k) result of a SEDA query, as described in Sec. 1/7:
@@ -28,7 +26,7 @@ use seda_xmlstore::{Collection, NodeId, PathId};
 /// The rows live in one flat buffer, row *i* being `cells[i·w..(i+1)·w]` for
 /// `w` = [`QueryResultTable::width`] columns.  A table without columns has no
 /// rows.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryResultTable {
     /// Human-readable label per query term (e.g. the term's textual form).
     pub column_names: Vec<String>,
@@ -132,7 +130,7 @@ impl QueryResultTable {
 /// A dimension table of the derived star schema: the dimension name and its
 /// distinct member values — the dictionary of the fact-table column it
 /// describes (the union of them, when several fact tables share it).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DimensionTable {
     /// Dimension name (e.g. `country`, `year`, `import-country`).
     pub name: String,
@@ -162,7 +160,7 @@ impl DimensionTable {
 /// [`FactTable::width`] columns, and are read through [`FactRow`] views.  A
 /// dictionary holds exactly the values its column's rows use, so two tables
 /// with the same rows in the same order are equal.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FactTable {
     /// Name of the fact (or of the merged facts) this table holds.
     pub name: String,
@@ -458,7 +456,7 @@ impl<'a> Dictionary<'a> {
 
 /// A derived star schema: fact tables plus their dimension tables, ready to be
 /// handed to an OLAP engine.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StarSchema {
     /// Fact tables (one per fact, after merging facts with identical keys).
     pub fact_tables: Vec<FactTable>,

@@ -25,15 +25,13 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, DocId, PathId};
 
 use crate::query::FullTextQuery;
 use crate::tokenize::terms;
 
 /// Where the per-path occurrence counts are stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CountStorage {
     /// Counts live in a single map keyed by path ("document store" design,
     /// the paper's choice): no duplication, but resolving a frequency is a
@@ -46,7 +44,7 @@ pub enum CountStorage {
 
 /// One entry of a context bucket: a distinct path plus its absolute frequency
 /// in the collection.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathEntry {
     /// The distinct root-to-leaf path.
     pub path: PathId,
@@ -58,7 +56,7 @@ pub struct PathEntry {
 }
 
 /// The Fig. 8 keyword → paths index.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextIndex {
     pub(crate) storage: CountStorage,
     /// keyword → set of paths whose virtual document contains the keyword.

@@ -7,11 +7,9 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Dense identifier of an interned term.  Ids are assigned in lexicographic
 /// term order at build time, so they are deterministic for a given corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
 impl TermId {
@@ -22,7 +20,7 @@ impl TermId {
 }
 
 /// Bidirectional term ↔ id intern table.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct TermDict {
     pub(crate) ids: HashMap<String, TermId>,
     pub(crate) terms: Vec<String>,

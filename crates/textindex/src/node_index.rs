@@ -57,8 +57,6 @@ use std::collections::HashMap;
 use std::mem::size_of;
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, DocId, NodeId, PathId};
 
 use crate::dict::{TermDict, TermId};
@@ -66,7 +64,7 @@ use crate::query::FullTextQuery;
 use crate::tokenize::terms;
 
 /// A node matched by a query, with its content score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredNode {
     /// The matching node.
     pub node: NodeId,
@@ -169,7 +167,7 @@ impl<'a> SlotLookup<'a> {
 }
 
 /// Inverted full-text index over the direct text content of nodes.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct NodeIndex {
     /// Term intern table; ids are lexicographic ranks, so deterministic.
     pub(crate) dict: TermDict,

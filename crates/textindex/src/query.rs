@@ -5,12 +5,10 @@
 //! combination of those".  [`FullTextQuery`] models exactly that, plus the
 //! wildcard `*` used throughout the paper's examples (`(trade_country, ∗)`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::tokenize::terms;
 
 /// A full-text search expression over node content.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FullTextQuery {
     /// `*` — matches every node that has any text content.
     Any,

@@ -1,7 +1,5 @@
 //! Shared types of the top-k search unit.
 
-use serde::{Deserialize, Serialize};
-
 use seda_textindex::{FullTextQuery, ScoredNode};
 use seda_xmlstore::{NodeId, PathId};
 
@@ -10,7 +8,7 @@ use crate::partition::ComponentPartition;
 /// One search input per query term: the full-text expression plus an optional
 /// context restriction (the set of allowed root-to-leaf paths the user picked
 /// in the context summary).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TermInput {
     /// The full-text search expression of the query term.
     pub query: FullTextQuery,
@@ -33,7 +31,7 @@ impl TermInput {
 }
 
 /// Configuration of a top-k search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopKConfig {
     /// Number of result tuples to return.
     pub k: usize,
@@ -133,7 +131,7 @@ pub struct LimitBreach {
 }
 
 /// A scored result tuple `<n1, …, nm>` (Definition 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResultTuple {
     /// One node per query term, in query-term order.
     pub nodes: Vec<NodeId>,
@@ -147,7 +145,7 @@ pub struct ResultTuple {
 
 /// Counters describing the work a search performed; used to demonstrate the
 /// Threshold Algorithm's early termination.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Entries consumed from sorted posting lists.
     pub sorted_accesses: usize,
@@ -170,7 +168,7 @@ pub struct SearchStats {
 }
 
 /// Result of a top-k search.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TopKResult {
     /// The top tuples, best first.
     pub tuples: Vec<ResultTuple>,

@@ -2,8 +2,6 @@
 
 use std::borrow::Cow;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, XmlStoreError};
 use crate::node::{DocId, Node, NodeId, NodeKind};
 use crate::path::{PathId, PathTable};
@@ -16,7 +14,7 @@ use crate::symbol::{Symbol, SymbolTable};
 pub const MAX_NESTING: usize = 256;
 
 /// A stored XML document: an arena of nodes in document order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Document {
     /// Identifier of the document within its collection.
     pub id: DocId,

@@ -1,12 +1,10 @@
 //! Node and node-id types.
 
-use serde::{Deserialize, Serialize};
-
 use crate::path::PathId;
 use crate::symbol::Symbol;
 
 /// Identifier of a document within a [`crate::collection::Collection`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u32);
 
 impl DocId {
@@ -19,7 +17,7 @@ impl DocId {
 /// Globally unique node reference: document plus node ordinal within the
 /// document's node arena.  Node ordinals are assigned in document order, so
 /// comparing two `NodeId`s of the same document compares document order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId {
     /// Owning document.
     pub doc: DocId,
@@ -37,7 +35,7 @@ impl NodeId {
 /// Kind of a data node.  SEDA treats element-attribute relationships as a
 /// special case of parent/child (footnote 6 of the paper), so attributes are
 /// ordinary nodes with [`NodeKind::Attribute`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// An XML element.
     Element,
@@ -51,7 +49,7 @@ pub enum NodeKind {
 /// rather than as separate text nodes: SEDA's `content(n)` is the
 /// concatenation of all descendant text, which the store computes by walking
 /// the subtree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Element or attribute name.
     pub name: Symbol,

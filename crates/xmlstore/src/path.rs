@@ -9,12 +9,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::symbol::{Symbol, SymbolTable};
 
 /// Interned identifier for a distinct root-to-leaf label path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PathId(pub u32);
 
 impl PathId {
@@ -26,7 +24,7 @@ impl PathId {
 
 /// A single interned path: the sequence of label symbols from the document
 /// root to the node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LabelPath {
     steps: Vec<Symbol>,
 }
@@ -72,10 +70,9 @@ impl LabelPath {
 /// keyed by `(parent context, or `None` for a root, label)`, so interning a
 /// node's context never builds or hashes its whole label list.  Ids are dense
 /// and in first-seen order.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct PathTable {
     paths: Vec<LabelPath>,
-    #[serde(skip)]
     edges: HashMap<(Option<PathId>, Symbol), PathId>,
 }
 

@@ -155,6 +155,24 @@ fn the_session_budget_governs_every_stage() {
     assert!(session.connection_summary().unwrap().is_empty());
 }
 
+/// A `submit` runs `CONTEXTS`, then `CONNECTIONS`: a context summary the
+/// session budget clipped shows in the stage's profile even when the top-k
+/// and its connections fit the ceiling.
+#[test]
+fn a_clipped_context_summary_flags_its_submit_degraded() {
+    let engine = engine();
+    let full = engine.reader().execute_text("CONTEXTS FOR (trade_country, *)").unwrap();
+    assert!(full.contexts().unwrap().total_contexts() > 1, "the summary must be clippable");
+    let mut session = SedaSession::new(&engine);
+    session.set_k(1);
+    session.set_budget(Some(Budget::unlimited().with_max_rows(1)));
+    let top_k = session.submit_text("(trade_country, *)").unwrap();
+    assert_eq!(top_k.tuples.len(), 1);
+    assert!(session.connection_summary().unwrap().len() <= 1);
+    assert_eq!(session.context_summary().unwrap().total_contexts(), 1);
+    assert!(session.last_profile().unwrap().degraded, "the clipped contexts must show");
+}
+
 /// The session is its request: rendered, each stage's request replays
 /// through a fresh reader to the session's own payloads.
 #[test]

@@ -191,7 +191,6 @@ fn cross_root_results_report_their_label_probes_and_twig_results_report_none() {
     assert!(spent > 0, "the cross-root join probes the oracle");
     assert_eq!(response.profile.label_probes, spent);
     assert_eq!(span_probes(&response), spent);
-    assert!(response.profile.budget_spent >= spent, "probes count against the budget yardstick");
 
     let same_root = results_request(&["/country/name", "/country/population"]);
     let before = reader.scratch_mut().traversal_mut().label_probes;

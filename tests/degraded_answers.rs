@@ -3,7 +3,7 @@
 //! A request that opts into degraded answers and breaches a budget gets the
 //! part of the answer computed before the breach.  What part is documented
 //! per statement (`SedaEngine::complete_results_governed`, the reader's
-//! `TWIG` step): a `TWIG` stopped by its deadline or its twig-match ceiling,
+//! `TWIG` step): a `TWIG` stopped by its deadline or its row ceiling,
 //! and a same-root `RESULTS` of one context combination stopped by its
 //! deadline or clipped to its row ceiling, return a **prefix** of the full
 //! answer; a `RESULTS` over several combinations, or one joined across
@@ -43,18 +43,24 @@ fn rows(response: &SedaResponse) -> Vec<Vec<NodeId>> {
     table.rows().map(<[_]>::to_vec).collect()
 }
 
-/// Budgets that cut the statement short, or may: row and twig-match
-/// ceilings from none to all but one of the full answer's rows, label-probe
+/// Budgets that cut the statement short, or may: row ceilings from none to
+/// all but one of the full answer's rows, label-probe
 /// ceilings below what the full answer spent, and deadlines from zero to the
 /// whole statement's time (a deadline may also fall after the last row; the
 /// relation holds either way).
 fn budgets(full_rows: usize, probes: u64, whole: Duration) -> Vec<Budget> {
-    let ceilings = [0, 1, 7, full_rows / 3, full_rows / 2, full_rows.saturating_sub(1)];
-    let mut budgets: Vec<Budget> = Vec::new();
-    for ceiling in ceilings {
-        budgets.push(Budget::unlimited().with_max_rows(ceiling));
-        budgets.push(Budget::unlimited().with_max_twig_matches(ceiling));
-    }
+    let ceilings = [
+        0,
+        1,
+        7,
+        full_rows / 4,
+        full_rows / 3,
+        full_rows / 2,
+        2 * full_rows / 3,
+        full_rows.saturating_sub(1),
+    ];
+    let mut budgets: Vec<Budget> =
+        ceilings.into_iter().map(|ceiling| Budget::unlimited().with_max_rows(ceiling)).collect();
     for probes in [1, probes / 2, probes.saturating_sub(1)] {
         budgets.push(Budget::unlimited().with_max_label_probes(probes));
     }

@@ -121,6 +121,49 @@ fn mid_search_panic_becomes_internal_and_the_reader_keeps_serving() {
     assert!(!response.top_k().expect("top-k payload").tuples.is_empty());
 }
 
+/// Planning runs inside the reader's one boundary: a panic while the request
+/// is lowered surfaces as a typed error, is recorded once, and the same
+/// reader answers the next request like before.
+#[test]
+fn a_plan_panic_becomes_internal_and_the_reader_keeps_serving() {
+    let _guard = serialise();
+    let engine = engine_with_parallelism(1).expect("engine build");
+    let mut reader = engine.reader();
+    let request = topk_request();
+    let baseline = reader.execute(&request).expect("baseline");
+    let requests = engine.metrics().requests(&request.statement);
+    let panics = engine.metrics().panics_contained();
+
+    arm("plan", FaultAction::Panic);
+    let err = reader.execute(&request).expect_err("armed plan site must fail the request");
+    assert!(matches!(err, SedaError::Internal(_)), "{err:?}");
+    disarm_all();
+    assert_eq!(engine.metrics().requests(&request.statement), requests + 1);
+    assert_eq!(engine.metrics().panics_contained(), panics + 1);
+
+    let response = reader.execute(&request).expect("reader recovered");
+    assert_eq!(response.payload, baseline.payload);
+
+    // Explaining is a request, through the same boundary and recorded the
+    // same way.
+    arm("plan", FaultAction::Panic);
+    let err = reader.explain(&request).expect_err("armed plan site must fail the explain");
+    assert!(matches!(err, SedaError::Internal(_)), "{err:?}");
+    assert_eq!(engine.metrics().requests(&request.statement), requests + 3);
+    assert_eq!(engine.metrics().panics_contained(), panics + 2);
+
+    // Preparing plans outside any request: contained all the same, and
+    // recorded in no metric.
+    arm("plan", FaultAction::Panic);
+    let prepared = reader.prepare(&request);
+    assert!(matches!(prepared, Err(SedaError::Internal(_))), "armed plan site must fail it");
+    disarm_all();
+    assert_eq!(engine.metrics().requests(&request.statement), requests + 3);
+    assert_eq!(engine.metrics().panics_contained(), panics + 2);
+    let mut prepared = reader.prepare(&request).expect("prepare recovered");
+    assert_eq!(prepared.execute(&mut reader).expect("prepared run").payload, baseline.payload);
+}
+
 #[test]
 fn mid_search_panic_below_a_typed_step_is_contained_and_the_reader_recovers() {
     let _guard = serialise();
@@ -326,15 +369,21 @@ fn batch_isolation_confines_an_injected_panic_to_one_request() {
     let engine = engine_with_parallelism(1).expect("engine build");
     let requests = vec![topk_request(), topk_request(), topk_request()];
 
-    // One-shot arming: exactly one of the batch's requests hits the fault;
-    // per-item isolation must keep the other two healthy.
-    arm("mid-search", FaultAction::Panic);
-    let results = engine.execute_batch(&requests, 2);
-    disarm_all();
-    assert_eq!(results.len(), requests.len());
-    let failures = results.iter().filter(|r| r.is_err()).count();
-    assert_eq!(failures, 1, "exactly one request absorbs the one-shot fault: {results:?}");
-    for ok in results.iter().flatten() {
-        assert!(!ok.top_k().expect("top-k payload").tuples.is_empty());
+    // One-shot arming: exactly one of the batch's requests hits the fault,
+    // in planning or in execution; each request's own boundary must keep
+    // the other two healthy.
+    for site in ["plan", "mid-search"] {
+        arm(site, FaultAction::Panic);
+        let results = engine.execute_batch(&requests, 2);
+        disarm_all();
+        assert_eq!(results.len(), requests.len());
+        let failures = results.iter().filter(|r| r.is_err()).count();
+        assert_eq!(failures, 1, "{site}: one request absorbs the one-shot fault: {results:?}");
+        for result in &results {
+            match result {
+                Ok(ok) => assert!(!ok.top_k().expect("top-k payload").tuples.is_empty()),
+                Err(err) => assert!(matches!(err, SedaError::Internal(_)), "{site}: {err:?}"),
+            }
+        }
     }
 }

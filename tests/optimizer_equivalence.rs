@@ -282,14 +282,14 @@ fn program_matches_oracle_under_budgets() {
         (
             &googlebase,
             "TWIG /item/category".to_string(),
-            unlimited().with_max_twig_matches(1),
-            "twig matches",
+            unlimited().with_max_rows(1),
+            "result rows",
         ),
         (
             &googlebase,
             format!("CUBE price BY category AGG sum FOR {q}"),
-            unlimited().with_max_cube_cells(1),
-            "cube cells",
+            unlimited().with_max_rows(1),
+            "result rows",
         ),
         (&googlebase, format!("RESULTS FOR {q}"), unlimited().with_max_rows(1), "result rows"),
         (

@@ -13,7 +13,7 @@ use seda_core::{
 use seda_datagen::{factbook, googlebase, Dataset, FactbookConfig, GoogleBaseConfig};
 use seda_datagraph::{DataGraph, GraphConfig};
 use seda_dataguide::Connection;
-use seda_olap::Registry;
+use seda_olap::{ContextEntry, Registry, RelativeKey, SchemaDef};
 use seda_textindex::{FullTextQuery, NodeIndex};
 use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
 use seda_xmlstore::NodeId;
@@ -198,18 +198,19 @@ fn twig_and_cube_budgets_cap_their_shapes() {
     let full_rows = full.table().expect("table payload").len();
     assert!(full_rows > 1, "workload must produce enough twig matches to cap");
 
-    // The evaluation stops after the first document that crosses the ceiling,
-    // so what it spent is that document's rows, not the whole answer's.
-    let ctx = RequestContext::new(Budget::unlimited().with_max_twig_matches(1));
-    let err = reader.execute_governed(&twig, &ctx).expect_err("twig ceiling must breach");
+    // The evaluation stops after the first document that crosses the row
+    // ceiling, so what it spent is that document's rows, not the whole
+    // answer's.
+    let ctx = RequestContext::new(Budget::unlimited().with_max_rows(1));
+    let err = reader.execute_governed(&twig, &ctx).expect_err("row ceiling must breach");
     assert!(
-        matches!(err, SedaError::Limit { resource: "twig matches", spent, budget: 1 }
+        matches!(err, SedaError::Limit { resource: "result rows", spent, budget: 1 }
             if 1 < spent && spent < full_rows),
         "{err:?} of {full_rows}"
     );
 
     // Degraded opt-in keeps the prefix instead.
-    let ctx = RequestContext::new(Budget::unlimited().with_max_twig_matches(1)).allow_degraded();
+    let ctx = RequestContext::new(Budget::unlimited().with_max_rows(1)).allow_degraded();
     let degraded = reader.execute_governed(&twig, &ctx).expect("degraded twig");
     assert!(degraded.profile.degraded);
     assert_eq!(degraded.table().expect("table payload").len(), 1);
@@ -225,16 +226,94 @@ fn twig_and_cube_budgets_cap_their_shapes() {
     .expect("cube request parses");
     let full_cells = reader.execute(&cube).expect("ungoverned cube").cube().unwrap().len();
     assert!(full_cells > 1, "workload must produce enough cube cells to cap");
-    let ctx = RequestContext::new(Budget::unlimited().with_max_cube_cells(1));
-    let err = reader.execute_governed(&cube, &ctx).expect_err("cube ceiling must breach");
-    assert!(matches!(err, SedaError::Limit { resource: "cube cells", budget: 1, .. }), "{err:?}");
-    let ctx = RequestContext::new(Budget::unlimited().with_max_cube_cells(1)).allow_degraded();
+    // A cube's rows are its cells.
+    let ctx = RequestContext::new(Budget::unlimited().with_max_rows(1));
+    let err = reader.execute_governed(&cube, &ctx).expect_err("row ceiling must breach");
+    assert!(
+        matches!(err, SedaError::Limit { resource: "result rows", spent, budget: 1 }
+            if spent == full_cells),
+        "{err:?}"
+    );
+    let ctx = RequestContext::new(Budget::unlimited().with_max_rows(1)).allow_degraded();
     let degraded = reader.execute_governed(&cube, &ctx).expect("degraded cube");
     assert!(degraded.profile.degraded);
     assert_eq!(degraded.cube().expect("cube payload").len(), 1);
 }
 
-/// `max_twig_matches` bounds the evaluation, not only the answer: a `TWIG`
+/// A `CUBE`'s row ceiling bounds its cells and never the fact rows they
+/// aggregate: a ceiling that fits every cell leaves the cube whole though
+/// R(q) has more rows, and a smaller one keeps the full cube's first cells,
+/// each with its full value and count.
+#[test]
+fn a_cube_row_ceiling_clips_cells_not_the_facts_they_aggregate() {
+    let mut registry = Registry::new();
+    registry.add(SchemaDef::dimension(
+        "category",
+        vec![ContextEntry::new("/item/category", RelativeKey::parse(&["/item/id"]))],
+    ));
+    registry.add(SchemaDef::fact(
+        "price",
+        vec![ContextEntry::new("/item/price", RelativeKey::parse(&["/item/id", "/item/category"]))],
+    ));
+    let collection = googlebase::generate(&GoogleBaseConfig::small()).expect("generate googlebase");
+    let engine =
+        SedaEngine::build(collection, registry, EngineConfig::default()).expect("engine build");
+    let mut reader = engine.reader();
+    let q = "(category, *) AND (price, *)";
+    let facts = reader.execute(&SedaRequest::parse(&format!("RESULTS FOR {q}")).unwrap());
+    let facts = facts.expect("ungoverned R(q)").table().expect("table payload").len();
+    let cube = SedaRequest::parse(&format!("CUBE price BY category AGG sum FOR {q}")).unwrap();
+    let full = reader.execute(&cube).expect("ungoverned cube");
+    let full = full.cube().expect("cube payload").clone();
+    let cells = full.len();
+    assert!(1 < cells && cells < facts, "{cells} cells over {facts} fact rows");
+
+    let fits = RequestContext::new(Budget::unlimited().with_max_rows(cells));
+    let whole = reader.execute_governed(&cube, &fits).expect("every cell fits the ceiling");
+    assert!(!whole.profile.degraded);
+    assert_eq!(whole.cube().expect("cube payload"), &full);
+
+    let keep = cells / 2;
+    let ctx = RequestContext::new(Budget::unlimited().with_max_rows(keep));
+    let err = reader.execute_governed(&cube, &ctx).expect_err("fewer rows than cells");
+    assert_eq!(err, SedaError::Limit { resource: "result rows", spent: cells, budget: keep });
+    let degraded = reader.execute_governed(&cube, &ctx.allow_degraded()).expect("degraded cube");
+    assert!(degraded.profile.degraded);
+    assert_eq!(degraded.profile.rows, keep);
+    assert_eq!(degraded.cube().expect("cube payload").cells, full.cells[..keep]);
+}
+
+/// A degraded `CONNECTIONS` describes the tuples it returns: the row ceiling
+/// clips the tuples before discovery, so the summary is the discovery over
+/// the returned tuples — supports included — clipped to the ceiling itself.
+#[test]
+fn a_degraded_connection_summary_describes_only_the_returned_tuples() {
+    let collection = factbook::generate(&FactbookConfig::small()).expect("generate factbook");
+    let engine =
+        SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
+            .expect("engine build");
+    let mut reader = engine.reader();
+    let request = SedaRequest::parse(
+        r#"CONNECTIONS 10 FOR (*, "United States") AND (trade_country, *) AND (percentage, *)"#,
+    )
+    .expect("connections request parses");
+    let full = reader.execute(&request).expect("ungoverned run");
+    let full_tuples = &full.top_k().expect("top-k payload").tuples;
+    assert!(full_tuples.len() > 1, "workload must produce enough tuples to clip");
+
+    let ctx = RequestContext::new(Budget::unlimited().with_max_rows(1)).allow_degraded();
+    let degraded = reader.execute_governed(&request, &ctx).expect("degraded run");
+    assert!(degraded.profile.degraded);
+    let top_k = degraded.top_k().expect("top-k payload");
+    assert_eq!(top_k.tuples[..], full_tuples[..1]);
+    let mut expected = reader.connection_summary(top_k);
+    assert!(!expected.is_empty(), "one tuple of three nodes connects its pairs");
+    expected.connections.truncate(1);
+    assert_eq!(degraded.connections(), Some(&expected));
+    assert!(expected.connections.iter().all(|connection| connection.support == 1));
+}
+
+/// `max_rows` bounds a `TWIG`'s evaluation, not only its answer: a `TWIG`
 /// stops after the document whose rows cross the ceiling instead of
 /// evaluating (and materialising) the whole collection first, and answers
 /// with the first rows of the full answer — degraded, or a typed breach.
@@ -265,7 +344,7 @@ fn a_twig_ceiling_bounds_the_evaluation_not_only_the_answer() {
     assert!(expected < collection.total_nodes() / 100, "{expected}");
     let matched = full_rows.iter().take_while(|row| row[0].doc <= crossing).count();
 
-    let budget = || Budget::unlimited().with_max_twig_matches(ceiling);
+    let budget = || Budget::unlimited().with_max_rows(ceiling);
     let degraded = reader
         .execute_governed(&twig, &RequestContext::new(budget()).allow_degraded())
         .expect("degraded twig");
@@ -276,9 +355,9 @@ fn a_twig_ceiling_bounds_the_evaluation_not_only_the_answer() {
 
     let err = reader
         .execute_governed(&twig, &RequestContext::new(budget()))
-        .expect_err("the twig ceiling must breach");
+        .expect_err("the row ceiling must breach");
     assert!(
-        matches!(err, SedaError::Limit { resource: "twig matches", spent, budget }
+        matches!(err, SedaError::Limit { resource: "result rows", spent, budget }
             if budget == ceiling && spent == matched),
         "{err:?}: {matched} rows up to the crossing document"
     );
@@ -301,7 +380,7 @@ fn degraded_topk_is_a_prefix_of_the_full_answer() {
     for (got, want) in tuples.iter().zip(full_tuples) {
         assert_eq!(got.nodes, want.nodes, "degraded prefix must match the full ranking");
     }
-    assert!(degraded.profile.budget_spent > 0);
+    assert!(degraded.profile.sorted_accesses > 0, "a degraded answer still counts its work");
 }
 
 #[test]
@@ -316,14 +395,12 @@ fn generous_budgets_change_nothing() {
         .with_max_random_accesses(usize::MAX)
         .with_max_candidates(usize::MAX)
         .with_max_label_probes(u64::MAX)
-        .with_max_rows(usize::MAX)
-        .with_max_twig_matches(usize::MAX)
-        .with_max_cube_cells(usize::MAX);
+        .with_max_rows(usize::MAX);
     let ctx = RequestContext::new(generous).with_cancel_token(CancelToken::new());
     let governed = reader.execute_governed(&request, &ctx).expect("governed run");
     assert!(!governed.profile.degraded);
     assert_eq!(governed.payload, ungoverned.payload, "generous ceilings must not change answers");
-    assert!(governed.profile.budget_spent > 0);
+    assert_eq!(governed.profile.sorted_accesses, ungoverned.profile.sorted_accesses);
 }
 
 /// The join reads the clock before sorted access 0 and every
