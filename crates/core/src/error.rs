@@ -3,25 +3,24 @@
 //! Every fallible operation on the public query path — parsing a textual
 //! request, planning it, executing it, or driving a [`crate::SedaSession`]
 //! out of order — returns a [`SedaError`].  The substrate crates keep their
-//! own error types ([`QueryError`], [`TwigParseError`], [`CubeError`],
+//! own error types ([`TwigParseError`], [`CubeError`],
 //! [`XmlStoreError`], …); `From` conversions lift them into the taxonomy so
 //! `?` works across every layer of the Fig. 4 pipeline.
 
 use std::fmt;
 
 use seda_olap::CubeError;
-use seda_textindex::QueryParseError;
 use seda_twigjoin::TwigParseError;
 use seda_xmlstore::XmlStoreError;
 
-use crate::query::QueryError;
 use crate::session::SessionStage;
 
 /// Everything that can go wrong on the SEDA query path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SedaError {
-    /// The textual request or one of its components failed to parse.
-    Parse(QueryError),
+    /// The request text does not follow the grammar of [`crate::grammar`];
+    /// the message says what was expected and at which byte.
+    Parse(String),
     /// A twig path expression failed to compile.
     Twig(TwigParseError),
     /// A session operation was invoked in the wrong stage of the Fig. 6
@@ -82,7 +81,7 @@ pub enum SedaError {
 impl fmt::Display for SedaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SedaError::Parse(e) => write!(f, "{e}"),
+            SedaError::Parse(message) => write!(f, "malformed SEDA query: {message}"),
             SedaError::Twig(e) => write!(f, "{e}"),
             SedaError::Stage { operation, required, stage } => {
                 write!(f, "{operation} requires {required}, but the session stage is {stage:?}")
@@ -133,24 +132,11 @@ impl From<seda_topk::LimitBreach> for SedaError {
 impl std::error::Error for SedaError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SedaError::Parse(e) => Some(e),
             SedaError::Twig(e) => Some(e),
             SedaError::Cube(e) => Some(e),
             SedaError::Store(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<QueryError> for SedaError {
-    fn from(e: QueryError) -> Self {
-        SedaError::Parse(e)
-    }
-}
-
-impl From<QueryParseError> for SedaError {
-    fn from(e: QueryParseError) -> Self {
-        SedaError::Parse(QueryError::Search(e))
     }
 }
 
@@ -179,7 +165,7 @@ mod tests {
     #[test]
     fn every_variant_renders_a_message() {
         let cases: Vec<(SedaError, &str)> = vec![
-            (SedaError::Parse(QueryError::Malformed("x".into())), "malformed SEDA query"),
+            (SedaError::Parse("x".into()), "malformed SEDA query"),
             (
                 SedaError::Stage {
                     operation: "complete_results",
@@ -209,8 +195,6 @@ mod tests {
 
     #[test]
     fn from_conversions_wrap_substrate_errors() {
-        let e: SedaError = QueryError::Malformed("m".into()).into();
-        assert!(matches!(e, SedaError::Parse(_)));
         let e: SedaError = CubeError::UnknownDimension("d".into()).into();
         assert!(matches!(e, SedaError::Cube(_)));
         let e: SedaError = XmlStoreError::EmptyDocument.into();

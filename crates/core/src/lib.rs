@@ -68,6 +68,7 @@ pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod govern;
+pub mod grammar;
 pub mod metrics;
 pub(crate) mod parallel;
 pub mod plan;
@@ -87,7 +88,7 @@ pub use govern::{Budget, CancelToken, RequestContext, Stopwatch};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use plan::{PlanStep, QueryPlan};
 pub use prepared::PreparedStatement;
-pub use query::{ContextSpec, QueryError, QueryTerm, SedaQuery};
+pub use query::{ContextSpec, QueryTerm, SedaQuery};
 pub use reader::SedaReader;
 pub use request::{RequestBuilder, SedaRequest, Statement};
 pub use response::{ExecProfile, ResponsePayload, SedaResponse};
@@ -118,6 +119,18 @@ mod proptests {
                 .join(" AND ");
             let parsed = SedaQuery::parse(&text).unwrap();
             prop_assert_eq!(parsed.len(), n);
+        }
+
+        /// A search of bare words parses to the keyword bag of those words.
+        #[test]
+        fn parser_accepts_keyword_bags(
+            words in proptest::collection::vec(
+                "[a-z]{1,8}".prop_filter("operator", |w: &String| !["and", "or", "not"].contains(&w.as_str())),
+                1..5,
+            ),
+        ) {
+            let parsed = SedaQuery::parse(&format!("(a, {})", words.join(" "))).unwrap();
+            prop_assert_eq!(&parsed.terms[0].search, &seda_textindex::FullTextQuery::Keywords(words));
         }
 
         /// Tag wildcard matching: a pattern constructed from a name by

@@ -10,8 +10,10 @@
 //! (*, "United States") AND (trade_country, *) AND (percentage, *)
 //! ```
 
-use seda_textindex::{FullTextQuery, QueryParseError};
+use seda_textindex::FullTextQuery;
 use seda_xmlstore::{Collection, PathId};
+
+use crate::error::SedaError;
 
 /// The context component of a query term.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,116 +235,16 @@ pub struct SedaQuery {
     pub terms: Vec<QueryTerm>,
 }
 
-/// Errors from the query parser.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QueryError {
-    /// The overall `(ctx, search) AND …` structure was malformed.
-    Malformed(String),
-    /// A search-query component failed to parse.
-    Search(QueryParseError),
-}
-
-impl std::fmt::Display for QueryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QueryError::Malformed(m) => write!(f, "malformed SEDA query: {m}"),
-            QueryError::Search(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for QueryError {}
-
 impl SedaQuery {
     /// Builds a query from terms.
     pub fn new(terms: Vec<QueryTerm>) -> Self {
         SedaQuery { terms }
     }
 
-    /// Parses the paper-style notation
-    /// `(context, search) AND (context, search) …`: the separator is a
-    /// case-insensitive word, and `∧` outside a quoted phrase reads as `AND`
-    /// (inside one it is phrase text).  The search component follows the
-    /// [`FullTextQuery::parse`] syntax; parentheses inside a search component
-    /// nest (`(name, (china OR canada) AND NOT mexico)`) and quoted phrases
-    /// may contain parentheses.  A context disjunction with an empty
-    /// alternative (`(a||b, x)`, `(a|, x)`) is [`QueryError::Malformed`]; an
-    /// explicit `*` alternative still absorbs the disjunction.
-    pub fn parse(input: &str) -> Result<Self, QueryError> {
-        let mut normalised = String::with_capacity(input.len());
-        let mut in_phrase = false;
-        for c in input.chars() {
-            match c {
-                '∧' if !in_phrase => normalised.push_str("AND"),
-                '"' => {
-                    in_phrase = !in_phrase;
-                    normalised.push(c);
-                }
-                _ => normalised.push(c),
-            }
-        }
-        let mut terms = Vec::new();
-        let mut rest = normalised.trim();
-        while !rest.is_empty() {
-            if !rest.starts_with('(') {
-                return Err(QueryError::Malformed(format!("expected '(' at {rest:?}")));
-            }
-            let close = Self::matching_close(rest)
-                .ok_or_else(|| QueryError::Malformed("missing ')'".to_string()))?;
-            let inside = &rest[1..close];
-            let comma = inside
-                .find(',')
-                .ok_or_else(|| QueryError::Malformed(format!("missing ',' in {inside:?}")))?;
-            let context_text = inside[..comma].trim();
-            // `a||b` or `a|` would parse an empty alternative as `*`, which
-            // absorbs the disjunction and lifts the term's restriction.
-            if context_text.contains('|') && context_text.split('|').any(|a| a.trim().is_empty()) {
-                return Err(QueryError::Malformed(format!(
-                    "empty alternative in context {context_text:?}"
-                )));
-            }
-            let context = ContextSpec::parse(context_text);
-            let search_text = inside[comma + 1..].trim();
-            let search = if search_text.is_empty() {
-                FullTextQuery::Any
-            } else {
-                FullTextQuery::parse(search_text).map_err(QueryError::Search)?
-            };
-            terms.push(QueryTerm::new(context, search));
-            rest = rest[close + 1..].trim();
-            if let Some((word, tail)) = rest.split_at_checked(3) {
-                let whole_word = !tail.starts_with(|c: char| c.is_alphanumeric() || c == '_');
-                if word.eq_ignore_ascii_case("and") && whole_word {
-                    rest = tail.trim();
-                }
-            }
-        }
-        if terms.is_empty() {
-            return Err(QueryError::Malformed("no query terms".to_string()));
-        }
-        Ok(SedaQuery::new(terms))
-    }
-
-    /// Index of the `)` closing the `(` that `text` starts with, respecting
-    /// nested parentheses and double-quoted phrases.
-    fn matching_close(text: &str) -> Option<usize> {
-        debug_assert!(text.starts_with('('));
-        let mut depth = 0usize;
-        let mut in_quotes = false;
-        for (i, c) in text.char_indices() {
-            match c {
-                '"' => in_quotes = !in_quotes,
-                '(' if !in_quotes => depth += 1,
-                ')' if !in_quotes => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(i);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
+    /// Parses the paper-style notation `(context, search) AND …` (the
+    /// `query` rule of [`crate::grammar`]).
+    pub fn parse(input: &str) -> Result<Self, SedaError> {
+        crate::grammar::parse_query(input)
     }
 
     /// Number of query terms.
@@ -412,6 +314,10 @@ mod tests {
         }
         // A word that merely starts with the letters is no separator.
         assert!(SedaQuery::parse("(a, x) Andorra (b, y)").is_err());
+        // A separator is required between terms, and a term after it.
+        for text in ["(a, x) AND", "(a, x) (b, y)"] {
+            assert!(matches!(SedaQuery::parse(text), Err(SedaError::Parse(_))), "{text}");
+        }
     }
 
     #[test]
@@ -426,7 +332,7 @@ mod tests {
     fn an_empty_context_alternative_is_malformed() {
         for text in ["(trade_country|, *)", "(a||b, *)", "(|a, x)", "(a| |b, x)", "(|, x)"] {
             let err = SedaQuery::parse(text).unwrap_err();
-            assert!(matches!(&err, QueryError::Malformed(m) if m.contains("empty alternative")));
+            assert!(matches!(&err, SedaError::Parse(m) if m.contains("empty alternative")));
         }
         // An explicit `*` alternative still absorbs the disjunction, and an
         // empty context without alternatives is the empty context.

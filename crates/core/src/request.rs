@@ -1,26 +1,11 @@
 //! Typed requests of the unified query facade.
 //!
 //! A [`SedaRequest`] bundles everything one trip through the Fig. 4 pipeline
-//! needs: the [`SedaQuery`] terms, the context and connection refinements,
-//! the star-schema options and a [`Statement`] saying which unit of the
-//! engine answers it.  Requests are built fluently through
-//! [`RequestBuilder`], or parsed from the textual front-end:
-//!
-//! ```text
-//! TOPK 10 FOR (*, "United States") AND (trade_country, *)
-//! CONTEXTS FOR (trade_country, *)
-//! CONNECTIONS 10 FOR (name, *) AND (population, *)
-//! RESULTS FOR (percentage, *) WITH 0 IN /country/economy/import_partners/item/percentage
-//! RESULTS FOR (trade_country, *) AND (percentage, *) VIA /a/item/trade_country ~ /a/item ~ /a/item/percentage
-//! TWIG /country/economy//trade_country
-//! CUBE import-trade-percentage BY import-country AGG sum ADD year REMOVE country FOR (*, "United States") AND …
-//! ```
-//!
-//! `WITH <term> IN <path>|<path>…` selects a term's contexts; `VIA <path> ~
-//! <path> ~ …` keeps only the rows whose pairs connect through that
-//! connection signature (the paths of the connection summary, ends
-//! included); a `CUBE` head's `ADD` and `REMOVE` lists are the star-schema
-//! [`BuildOptions`].
+//! needs: the [`SedaQuery`] terms, the context (`WITH`) and connection
+//! (`VIA`) refinements, the star-schema options and a [`Statement`] saying
+//! which unit of the engine answers it.  Requests are built fluently through
+//! [`RequestBuilder`], or parsed from text by the one grammar of
+//! [`crate::grammar`].
 //!
 //! An `EXPLAIN` prefix plans the request and returns the plan transcript
 //! instead of executing it; `EXPLAIN ANALYZE` additionally *executes* the
@@ -34,7 +19,7 @@
 use seda_olap::{AggFn, BuildOptions};
 
 use crate::error::SedaError;
-use crate::query::{QueryError, SedaQuery};
+use crate::query::SedaQuery;
 
 /// Which unit of the Fig. 4 engine a request drives.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,19 +91,6 @@ pub(crate) fn agg_name(agg: AggFn) -> &'static str {
     }
 }
 
-fn parse_agg(name: &str) -> Result<AggFn, SedaError> {
-    match name.to_ascii_lowercase().as_str() {
-        "sum" => Ok(AggFn::Sum),
-        "avg" => Ok(AggFn::Avg),
-        "count" => Ok(AggFn::Count),
-        "min" => Ok(AggFn::Min),
-        "max" => Ok(AggFn::Max),
-        other => Err(malformed(format!(
-            "unknown aggregation function {other:?} (expected sum|avg|count|min|max)"
-        ))),
-    }
-}
-
 /// One request → one [`crate::SedaResponse`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SedaRequest {
@@ -151,63 +123,9 @@ impl SedaRequest {
         RequestBuilder::default()
     }
 
-    /// Parses the textual front-end (see the module docs for the grammar).
+    /// Parses request text (the grammar is [`crate::grammar`]'s).
     pub fn parse(text: &str) -> Result<Self, SedaError> {
-        let mut rest = text.trim();
-        let mut builder = RequestBuilder::default();
-        if let Some(tail) = strip_leading_keyword(rest, "EXPLAIN") {
-            builder = builder.explain();
-            rest = tail;
-            if let Some(tail) = strip_leading_keyword(rest, "ANALYZE") {
-                builder = builder.analyze();
-                rest = tail;
-            }
-        }
-        if rest.is_empty() {
-            return Err(malformed("empty request".to_string()));
-        }
-        if rest.starts_with('(') {
-            // Bare query terms default to a top-k search.
-            return parse_query_part(builder.statement(Statement::TopK { k: 10 }), rest);
-        }
-        let (verb, tail) = next_token(rest);
-        let statement_tail = tail.trim();
-        let verb = verb.to_ascii_uppercase();
-        let (statement, query_text) = match verb.as_str() {
-            "TOPK" | "CONNECTIONS" => {
-                let (k, after) = parse_leading_count(statement_tail, 10)?;
-                let statement = if verb == "TOPK" {
-                    Statement::TopK { k }
-                } else {
-                    Statement::ConnectionSummary { k }
-                };
-                (statement, expect_for(after, &verb)?)
-            }
-            "CONTEXTS" => (Statement::ContextSummary, expect_for(statement_tail, "CONTEXTS")?),
-            "RESULTS" => (Statement::CompleteResults, expect_for(statement_tail, "RESULTS")?),
-            "TWIG" => {
-                if statement_tail.is_empty() {
-                    return Err(malformed("TWIG requires a path expression".to_string()));
-                }
-                return Ok(builder.twig(statement_tail).build());
-            }
-            "CUBE" => {
-                let split = split_first_keyword(statement_tail, &["FOR"]);
-                let (head, _, query_text) = split.ok_or_else(|| {
-                    malformed("CUBE requires a FOR clause with query terms".to_string())
-                })?;
-                let (statement, options) = parse_cube_head(head)?;
-                builder = builder.cube_options(options);
-                (statement, query_text)
-            }
-            other => {
-                return Err(malformed(format!(
-                    "unknown statement verb {other:?} \
-                     (expected TOPK|CONTEXTS|CONNECTIONS|RESULTS|TWIG|CUBE or bare query terms)"
-                )))
-            }
-        };
-        parse_query_part(builder.statement(statement), query_text)
+        crate::grammar::parse_request(text)
     }
 
     /// Renders the request in its one textual form, every field included:
@@ -400,202 +318,6 @@ impl RequestBuilder {
     }
 }
 
-fn malformed(message: String) -> SedaError {
-    SedaError::Parse(QueryError::Malformed(message))
-}
-
-/// Splits `text` at the first top-level occurrence of any of `keywords` (a
-/// whitespace-delimited token outside quotes and parentheses), returning the
-/// trimmed text before it, the keyword as written and the trimmed text after
-/// it.
-fn split_first_keyword<'a>(
-    text: &'a str,
-    keywords: &[&str],
-) -> Option<(&'a str, &'a str, &'a str)> {
-    let mut depth = 0usize;
-    let mut in_quotes = false;
-    let mut token_start: Option<usize> = None;
-    let found = |start: usize, end: usize| {
-        let token = &text[start..end];
-        keywords
-            .iter()
-            .any(|k| token.eq_ignore_ascii_case(k))
-            .then(|| (text[..start].trim(), token, text[end..].trim()))
-    };
-    for (i, c) in text.char_indices() {
-        let is_boundary = c.is_whitespace() || c == '(' || c == ')' || c == '"';
-        if is_boundary {
-            // Finalise the pending token with the state it was scanned in
-            // (quote/paren state cannot change inside a token).
-            if let Some(start) = token_start.take() {
-                if depth == 0 && !in_quotes {
-                    if let Some(split) = found(start, i) {
-                        return Some(split);
-                    }
-                }
-            }
-            match c {
-                '"' => in_quotes = !in_quotes,
-                '(' if !in_quotes => depth += 1,
-                ')' if !in_quotes => depth = depth.saturating_sub(1),
-                _ => {}
-            }
-        } else if token_start.is_none() {
-            token_start = Some(i);
-        }
-    }
-    match token_start {
-        Some(start) if depth == 0 && !in_quotes => found(start, text.len()),
-        _ => None,
-    }
-}
-
-/// Strips `keyword` from the start of `text` when it is the first
-/// whitespace-delimited token (case-insensitive).
-fn strip_leading_keyword<'a>(text: &'a str, keyword: &str) -> Option<&'a str> {
-    let (token, rest) = next_token(text);
-    if token.eq_ignore_ascii_case(keyword) {
-        Some(rest.trim_start())
-    } else {
-        None
-    }
-}
-
-/// The first whitespace-delimited token of `text` and everything after it.
-fn next_token(text: &str) -> (&str, &str) {
-    let trimmed = text.trim_start();
-    match trimmed.find(char::is_whitespace) {
-        Some(end) => (&trimmed[..end], &trimmed[end..]),
-        None => (trimmed, ""),
-    }
-}
-
-/// Parses an optional leading integer (e.g. the `10` of `TOPK 10 FOR …`).
-fn parse_leading_count(text: &str, default: usize) -> Result<(usize, &str), SedaError> {
-    let (token, rest) = next_token(text);
-    if token.eq_ignore_ascii_case("FOR") || token.is_empty() {
-        return Ok((default, text));
-    }
-    match token.parse::<usize>() {
-        Ok(k) => Ok((k, rest)),
-        Err(_) => Err(malformed(format!("expected a count or FOR, found {token:?}"))),
-    }
-}
-
-/// Consumes the mandatory `FOR` keyword and returns the query part after it.
-fn expect_for<'a>(text: &'a str, statement: &str) -> Result<&'a str, SedaError> {
-    strip_leading_keyword(text, "FOR")
-        .ok_or_else(|| malformed(format!("{statement} requires a FOR clause with query terms")))
-}
-
-/// The clause keywords that may follow the query terms.
-const QUERY_CLAUSES: [&str; 2] = ["WITH", "VIA"];
-
-/// Parses `<terms> [WITH <term> IN <path>[|<path>…]]… [VIA <path> ~
-/// <path>[ ~ <path>…]]…` into the builder and finalises the request.
-fn parse_query_part(mut builder: RequestBuilder, text: &str) -> Result<SedaRequest, SedaError> {
-    let (query_text, mut next) = match split_first_keyword(text, &QUERY_CLAUSES) {
-        Some((query, keyword, rest)) => (query, Some((keyword, rest))),
-        None => (text.trim(), None),
-    };
-    builder = builder.query(SedaQuery::parse(query_text)?);
-    while let Some((keyword, clause_text)) = next {
-        let clause = match split_first_keyword(clause_text, &QUERY_CLAUSES) {
-            Some((clause, keyword, rest)) => {
-                next = Some((keyword, rest));
-                clause
-            }
-            None => {
-                next = None;
-                clause_text
-            }
-        };
-        if keyword.eq_ignore_ascii_case("VIA") {
-            builder = builder.via(parse_paths(clause, '~', "VIA")?);
-            continue;
-        }
-        let (term_token, tail) = next_token(clause);
-        let term: usize = term_token.parse().map_err(|_| {
-            malformed(format!("WITH clause expects a term index, found {term_token:?}"))
-        })?;
-        let paths_text = strip_leading_keyword(tail, "IN").ok_or_else(|| {
-            malformed(format!("WITH {term} must be followed by IN <path>[|<path>…]"))
-        })?;
-        builder = builder.select_paths(term, parse_paths(paths_text, '|', "WITH … IN")?);
-    }
-    Ok(builder.build())
-}
-
-/// Parses a non-empty `separator`-delimited list of path strings, each one
-/// whitespace-free token.
-fn parse_paths(text: &str, separator: char, clause: &str) -> Result<Vec<String>, SedaError> {
-    let paths: Vec<String> = text.split(separator).map(|p| p.trim().to_string()).collect();
-    if paths.iter().any(|p| p.is_empty() || p.contains(char::is_whitespace)) {
-        return Err(malformed(format!(
-            "{clause} expects paths separated by {separator:?}: {text:?}"
-        )));
-    }
-    Ok(paths)
-}
-
-/// Parses the one token of a cube clause, rejecting trailing garbage rather
-/// than silently dropping it.
-fn single_token<'a>(text: &'a str, clause: &str) -> Result<&'a str, SedaError> {
-    let (token, rest) = next_token(text);
-    if token.is_empty() {
-        return Err(malformed(format!("{clause} requires a name")));
-    }
-    if !rest.trim().is_empty() {
-        return Err(malformed(format!("unexpected trailing cube clause {:?}", rest.trim())));
-    }
-    Ok(token)
-}
-
-/// Parses the comma-separated names of an `ADD` / `REMOVE` clause.
-fn parse_names(text: Option<&str>, clause: &str) -> Result<Vec<String>, SedaError> {
-    let Some(text) = text else { return Ok(Vec::new()) };
-    text.split(',').map(|name| single_token(name, clause).map(str::to_string)).collect()
-}
-
-/// Parses the head of a cube statement: `<fact> BY <dim>[, <dim>…] [AGG
-/// <fn>] [MEASURE <column>] [ADD <name>[, <name>…]] [REMOVE <name>[,
-/// <name>…]]`, the clauses in this order.
-fn parse_cube_head(head: &str) -> Result<(Statement, BuildOptions), SedaError> {
-    let mut rest = head;
-    let mut clauses = [None; 4];
-    for (slot, keyword) in clauses.iter_mut().zip(["REMOVE", "ADD", "MEASURE", "AGG"]) {
-        if let Some((before, _, after)) = split_first_keyword(rest, &[keyword]) {
-            (rest, *slot) = (before, Some(after));
-        }
-    }
-    let [remove, add, measure, agg] = clauses;
-    let (fact, tail) = next_token(rest);
-    if fact.is_empty() {
-        return Err(malformed("CUBE requires a fact-table name".to_string()));
-    }
-    let dims_text = strip_leading_keyword(tail, "BY")
-        .ok_or_else(|| malformed("CUBE requires BY <dimension>[, <dimension>…]".to_string()))?;
-    let group_by: Vec<String> =
-        dims_text.split(',').map(|d| d.trim().to_string()).filter(|d| !d.is_empty()).collect();
-    if group_by.is_empty() {
-        return Err(malformed("CUBE requires at least one BY dimension".to_string()));
-    }
-    let agg = match agg {
-        Some(text) => parse_agg(single_token(text, "AGG")?)?,
-        None => AggFn::Sum,
-    };
-    let measure = measure.map(|text| single_token(text, "MEASURE")).transpose()?;
-    let statement = Statement::Cube {
-        fact: fact.to_string(),
-        group_by,
-        agg,
-        measure: measure.map(str::to_string),
-    };
-    let options =
-        BuildOptions { add: parse_names(add, "ADD")?, remove: parse_names(remove, "REMOVE")? };
-    Ok((statement, options))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,6 +341,16 @@ mod tests {
         let req = SedaRequest::parse("TWIG /country//name").unwrap();
         assert_eq!(req.statement, Statement::Twig { path: "/country//name".into() });
         assert!(req.query.is_none());
+        // A `(` ends a keyword everywhere.
+        for (text, spaced) in [
+            ("TOPK 3 FOR(a, x)", "TOPK 3 FOR (a, x)"),
+            ("CONTEXTS FOR(a, x)", "CONTEXTS FOR (a, x)"),
+            ("CUBE f BY d FOR(a, *)", "CUBE f BY d FOR (a, *)"),
+            ("RESULTS FOR (a, x)WITH 0 IN /p", "RESULTS FOR (a, x) WITH 0 IN /p"),
+        ] {
+            assert_eq!(SedaRequest::parse(text), SedaRequest::parse(spaced), "{text}");
+            assert!(SedaRequest::parse(text).is_ok(), "{text}");
+        }
     }
 
     #[test]
@@ -697,6 +429,10 @@ mod tests {
             Err(SedaError::Parse(_))
         ));
         assert!(matches!(SedaRequest::parse("TWIG"), Err(SedaError::Parse(_))));
+        // A TWIG takes exactly one path token.
+        for text in ["TWIG /a/b WITH 0 IN /x", "TWIG /a /b", "TWIG /a/b FOR (a, x)"] {
+            assert!(matches!(SedaRequest::parse(text), Err(SedaError::Parse(_))), "{text}");
+        }
         // Trailing garbage after MEASURE is rejected, not swallowed.
         assert!(matches!(
             SedaRequest::parse("CUBE f BY a AGG sum MEASURE m junk FOR (x, *)"),

@@ -90,6 +90,10 @@ fn malformed_via_add_and_remove_clauses_are_parse_errors() {
         "CUBE f BY d REMOVE a,,b FOR (a, *)",
         "CUBE f BY d REMOVE x ADD y FOR (a, *)",
         "CUBE f BY d AGG sum junk FOR (a, *)",
+        // BY follows the name-list rule of ADD / REMOVE.
+        "CUBE f BY a b FOR (a, *)",
+        "CUBE f BY a,,b FOR (a, *)",
+        "CUBE f BY a, FOR (a, *)",
     ] {
         let outcome = SedaRequest::parse(text);
         assert!(matches!(outcome, Err(SedaError::Parse(_))), "{text:?}: {outcome:?}");

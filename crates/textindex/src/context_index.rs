@@ -381,13 +381,16 @@ mod tests {
     #[test]
     fn boolean_queries_combine_path_sets() {
         let (collection, index) = sample();
-        let q = FullTextQuery::parse("china OR canada").unwrap();
+        let q = FullTextQuery::Or(
+            Box::new(FullTextQuery::keywords("china")),
+            Box::new(FullTextQuery::keywords("canada")),
+        );
         let bucket = index.context_bucket(&q, None);
         let paths = path_strings(&collection, &bucket);
         assert!(paths.iter().any(|p| p.contains("import_partners")));
         assert!(paths.iter().any(|p| p.contains("export_partners")));
 
-        let not_q = FullTextQuery::parse("NOT china").unwrap();
+        let not_q = FullTextQuery::Not(Box::new(FullTextQuery::keywords("china")));
         let bucket = index.context_bucket(&not_q, None);
         assert!(!path_strings(&collection, &bucket)
             .contains(&"/country/economy/import_partners/item/trade_country".to_string()));

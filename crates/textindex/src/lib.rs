@@ -32,7 +32,7 @@ pub mod tokenize;
 pub use context_index::{ContextIndex, CountStorage, PathEntry};
 pub use dict::{TermDict, TermId};
 pub use node_index::{NodeIndex, ReadModelBytes, ScoredNode};
-pub use query::{FullTextQuery, QueryParseError};
+pub use query::FullTextQuery;
 pub use tokenize::terms;
 
 /// The builders both indexes had before they kept one representation and
@@ -94,14 +94,6 @@ mod proptests {
             prop_assert_eq!(and.matches_text(&text), ma && mb);
             prop_assert_eq!(or.matches_text(&text), ma || mb);
             prop_assert_eq!(not.matches_text(&text), !ma);
-        }
-
-        /// The query parser round-trips simple keyword queries.
-        #[test]
-        fn parser_accepts_keyword_bags(words in proptest::collection::vec("[a-z]{1,8}", 1..5)) {
-            let input = words.join(" ");
-            let parsed = FullTextQuery::parse(&input).unwrap();
-            prop_assert_eq!(parsed, FullTextQuery::Keywords(words));
         }
     }
 }

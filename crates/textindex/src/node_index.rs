@@ -820,7 +820,10 @@ mod tests {
             FullTextQuery::phrase("united states"),
             FullTextQuery::keywords("china"),
             FullTextQuery::Any,
-            FullTextQuery::parse("china OR canada").unwrap(),
+            FullTextQuery::Or(
+                Box::new(FullTextQuery::keywords("china")),
+                Box::new(FullTextQuery::keywords("canada")),
+            ),
         ] {
             index.evaluate_into(&query, None, &mut candidates, &mut out);
             assert_eq!(out, index.evaluate(&query), "buffered evaluate diverged for {query:?}");
@@ -861,7 +864,7 @@ mod tests {
         [
             FullTextQuery::keywords("united"),
             FullTextQuery::Any,
-            FullTextQuery::parse("NOT mexico").unwrap(),
+            FullTextQuery::Not(Box::new(FullTextQuery::keywords("mexico"))),
             FullTextQuery::phrase("united states"),
         ]
     }
@@ -963,9 +966,15 @@ mod tests {
     #[test]
     fn boolean_query_evaluation() {
         let (_, index) = sample();
-        let q = FullTextQuery::parse("china OR canada").unwrap();
+        let q = FullTextQuery::Or(
+            Box::new(FullTextQuery::keywords("china")),
+            Box::new(FullTextQuery::keywords("canada")),
+        );
         assert_eq!(index.evaluate(&q).len(), 2);
-        let q = FullTextQuery::parse("\"united states\" AND NOT mexico").unwrap();
+        let q = FullTextQuery::And(
+            Box::new(FullTextQuery::phrase("united states")),
+            Box::new(FullTextQuery::Not(Box::new(FullTextQuery::keywords("mexico")))),
+        );
         assert_eq!(index.evaluate(&q).len(), 2, "negation applies to node content, not documents");
     }
 

@@ -127,33 +127,12 @@ impl FullTextQuery {
     pub fn matches_text(&self, text: &str) -> bool {
         self.matches_tokens(&terms(text))
     }
-
-    /// Parses the textual search-query syntax used by examples and tests:
-    ///
-    /// * `*` — match-all,
-    /// * `"quoted text"` — phrase,
-    /// * bare words — keyword bag,
-    /// * `AND`, `OR`, `NOT` (case-insensitive) and parentheses for boolean
-    ///   combinations; `AND` binds tighter than `OR`.
-    pub fn parse(input: &str) -> Result<Self, QueryParseError> {
-        let tokens = lex(input)?;
-        let mut parser = Parser { tokens, pos: 0 };
-        let query = parser.parse_or()?;
-        if parser.pos != parser.tokens.len() {
-            return Err(QueryParseError::new(format!(
-                "unexpected trailing input at token {}",
-                parser.pos
-            )));
-        }
-        Ok(query)
-    }
 }
 
 impl std::fmt::Display for FullTextQuery {
-    /// Renders the query in the textual syntax accepted by
-    /// [`FullTextQuery::parse`], so `parse(&q.to_string())` reproduces `q`
-    /// for every non-degenerate query (empty keyword/phrase lists render as
-    /// the equivalent `*`).
+    /// Renders the query as the search component of a `seda-core` query
+    /// term, which parses back to the same query unless a keyword or phrase
+    /// list is empty (it renders as the equivalent `*`).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FullTextQuery::Any => write!(f, "*"),
@@ -164,167 +143,6 @@ impl std::fmt::Display for FullTextQuery {
             FullTextQuery::And(a, b) => write!(f, "({a} AND {b})"),
             FullTextQuery::Or(a, b) => write!(f, "({a} OR {b})"),
             FullTextQuery::Not(inner) => write!(f, "(NOT {inner})"),
-        }
-    }
-}
-
-/// Error produced when a search-query string cannot be parsed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryParseError {
-    message: String,
-}
-
-impl QueryParseError {
-    fn new(message: impl Into<String>) -> Self {
-        QueryParseError { message: message.into() }
-    }
-}
-
-impl std::fmt::Display for QueryParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "query parse error: {}", self.message)
-    }
-}
-
-impl std::error::Error for QueryParseError {}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Lexeme {
-    Word(String),
-    Phrase(String),
-    Star,
-    LParen,
-    RParen,
-    And,
-    Or,
-    Not,
-}
-
-fn lex(input: &str) -> Result<Vec<Lexeme>, QueryParseError> {
-    let mut out = Vec::new();
-    let mut chars = input.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            ' ' | '\t' | '\n' | '\r' => {
-                chars.next();
-            }
-            '(' => {
-                chars.next();
-                out.push(Lexeme::LParen);
-            }
-            ')' => {
-                chars.next();
-                out.push(Lexeme::RParen);
-            }
-            '*' => {
-                chars.next();
-                out.push(Lexeme::Star);
-            }
-            '"' => {
-                chars.next();
-                let mut phrase = String::new();
-                let mut closed = false;
-                for c in chars.by_ref() {
-                    if c == '"' {
-                        closed = true;
-                        break;
-                    }
-                    phrase.push(c);
-                }
-                if !closed {
-                    return Err(QueryParseError::new("unterminated phrase quote"));
-                }
-                out.push(Lexeme::Phrase(phrase));
-            }
-            _ => {
-                let mut word = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_whitespace() || c == '(' || c == ')' || c == '"' || c == '*' {
-                        break;
-                    }
-                    word.push(c);
-                    chars.next();
-                }
-                match word.to_ascii_uppercase().as_str() {
-                    "AND" => out.push(Lexeme::And),
-                    "OR" => out.push(Lexeme::Or),
-                    "NOT" => out.push(Lexeme::Not),
-                    _ => out.push(Lexeme::Word(word)),
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-struct Parser {
-    tokens: Vec<Lexeme>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> Option<&Lexeme> {
-        self.tokens.get(self.pos)
-    }
-
-    fn next(&mut self) -> Option<Lexeme> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn parse_or(&mut self) -> Result<FullTextQuery, QueryParseError> {
-        let mut left = self.parse_and()?;
-        while matches!(self.peek(), Some(Lexeme::Or)) {
-            self.next();
-            let right = self.parse_and()?;
-            left = FullTextQuery::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn parse_and(&mut self) -> Result<FullTextQuery, QueryParseError> {
-        let mut left = self.parse_unary()?;
-        while matches!(self.peek(), Some(Lexeme::And)) {
-            self.next();
-            let right = self.parse_unary()?;
-            left = FullTextQuery::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn parse_unary(&mut self) -> Result<FullTextQuery, QueryParseError> {
-        if matches!(self.peek(), Some(Lexeme::Not)) {
-            self.next();
-            let inner = self.parse_unary()?;
-            return Ok(FullTextQuery::Not(Box::new(inner)));
-        }
-        self.parse_primary()
-    }
-
-    fn parse_primary(&mut self) -> Result<FullTextQuery, QueryParseError> {
-        match self.next() {
-            Some(Lexeme::Star) => Ok(FullTextQuery::Any),
-            Some(Lexeme::Phrase(p)) => Ok(FullTextQuery::phrase(&p)),
-            Some(Lexeme::Word(w)) => {
-                // Greedily absorb subsequent bare words into one keyword bag.
-                let mut words = vec![w];
-                while let Some(Lexeme::Word(next)) = self.peek() {
-                    words.push(next.clone());
-                    self.pos += 1;
-                }
-                Ok(FullTextQuery::Keywords(words.iter().flat_map(|w| terms(w)).collect()))
-            }
-            Some(Lexeme::LParen) => {
-                let inner = self.parse_or()?;
-                match self.next() {
-                    Some(Lexeme::RParen) => Ok(inner),
-                    _ => Err(QueryParseError::new("expected closing parenthesis")),
-                }
-            }
-            other => Err(QueryParseError::new(format!("unexpected token {other:?}"))),
         }
     }
 }
@@ -364,55 +182,25 @@ mod tests {
         assert!(!q.matches_text("import and export partners"));
     }
 
-    #[test]
-    fn parse_star() {
-        assert_eq!(FullTextQuery::parse("*").unwrap(), FullTextQuery::Any);
+    fn kw(word: &str) -> FullTextQuery {
+        FullTextQuery::keywords(word)
     }
 
-    #[test]
-    fn parse_phrase_and_keywords() {
-        assert_eq!(
-            FullTextQuery::parse("\"United States\"").unwrap(),
-            FullTextQuery::Phrase(vec!["united".into(), "states".into()])
-        );
-        assert_eq!(
-            FullTextQuery::parse("import partners").unwrap(),
-            FullTextQuery::Keywords(vec!["import".into(), "partners".into()])
-        );
+    fn and(a: FullTextQuery, b: FullTextQuery) -> FullTextQuery {
+        FullTextQuery::And(Box::new(a), Box::new(b))
     }
 
-    #[test]
-    fn parse_boolean_precedence() {
-        // AND binds tighter than OR.
-        let q = FullTextQuery::parse("china OR canada AND mexico").unwrap();
-        match q {
-            FullTextQuery::Or(left, right) => {
-                assert_eq!(*left, FullTextQuery::Keywords(vec!["china".into()]));
-                assert!(matches!(*right, FullTextQuery::And(_, _)));
-            }
-            other => panic!("unexpected parse {other:?}"),
-        }
+    fn or(a: FullTextQuery, b: FullTextQuery) -> FullTextQuery {
+        FullTextQuery::Or(Box::new(a), Box::new(b))
     }
 
-    #[test]
-    fn parse_parentheses_and_not() {
-        let q = FullTextQuery::parse("(china OR canada) AND NOT mexico").unwrap();
-        assert!(q.matches_text("china trade"));
-        assert!(!q.matches_text("china mexico trade"));
-        assert!(q.matches_text("canada"));
-        assert!(!q.matches_text("brazil"));
-    }
-
-    #[test]
-    fn parse_errors() {
-        assert!(FullTextQuery::parse("\"unterminated").is_err());
-        assert!(FullTextQuery::parse("(a OR b").is_err());
-        assert!(FullTextQuery::parse("a ) b").is_err());
+    fn not(a: FullTextQuery) -> FullTextQuery {
+        FullTextQuery::Not(Box::new(a))
     }
 
     #[test]
     fn positive_terms_exclude_negations() {
-        let q = FullTextQuery::parse("import AND NOT export").unwrap();
+        let q = and(kw("import"), not(kw("export")));
         assert_eq!(q.positive_terms(), vec!["import".to_string()]);
     }
 
@@ -424,21 +212,21 @@ mod tests {
 
     #[test]
     fn requires_token_holds_exactly_when_empty_content_and_foreign_content_fail() {
+        use FullTextQuery::Any;
         let cases = [
-            ("*", false),
-            ("china", true),
-            ("\"united states\"", true),
-            ("china AND NOT mexico", true),
-            ("NOT mexico AND china", true),
-            ("china OR canada", true),
-            ("NOT china", false),
-            ("china OR *", false),
-            ("china OR NOT mexico", false),
-            ("NOT (NOT china)", false),
-            ("(china OR *) AND canada", true),
+            ("*", Any, false),
+            ("china", kw("china"), true),
+            ("\"united states\"", FullTextQuery::phrase("united states"), true),
+            ("china AND NOT mexico", and(kw("china"), not(kw("mexico"))), true),
+            ("NOT mexico AND china", and(not(kw("mexico")), kw("china")), true),
+            ("china OR canada", or(kw("china"), kw("canada")), true),
+            ("NOT china", not(kw("china")), false),
+            ("china OR *", or(kw("china"), Any), false),
+            ("china OR NOT mexico", or(kw("china"), not(kw("mexico"))), false),
+            ("NOT (NOT china)", not(not(kw("china"))), false),
+            ("(china OR *) AND canada", and(or(kw("china"), Any), kw("canada")), true),
         ];
-        for (text, expected) in cases {
-            let q = FullTextQuery::parse(text).unwrap();
+        for (text, q, expected) in cases {
             assert_eq!(q.requires_token(), expected, "{text}");
             if expected {
                 // Content holding none of the positive terms cannot match.
@@ -451,23 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn display_renders_reparseable_text() {
-        for text in [
-            "*",
-            "china canada",
-            "\"united states\"",
-            "(china OR canada) AND NOT mexico",
-            "(NOT (a AND b)) OR \"c d\"",
-        ] {
-            let parsed = FullTextQuery::parse(text).unwrap();
-            let rendered = parsed.to_string();
-            assert_eq!(
-                FullTextQuery::parse(&rendered).unwrap(),
-                parsed,
-                "display of {text:?} must reparse to the same query (got {rendered:?})"
-            );
-        }
-        // Degenerate empty bags render as the equivalent match-all.
+    fn degenerate_empty_lists_render_as_match_all() {
         assert_eq!(FullTextQuery::Keywords(vec![]).to_string(), "*");
         assert_eq!(FullTextQuery::Phrase(vec![]).to_string(), "*");
     }

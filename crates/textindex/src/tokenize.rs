@@ -16,7 +16,9 @@ pub fn terms(text: &str) -> Vec<String> {
 
     while let Some(c) = chars.next() {
         if c.is_alphanumeric() {
-            current.extend(c.to_lowercase());
+            // `İ` lower-cases to `i` and a combining dot, which is no
+            // alphanumeric: keeping it would split the token on a second pass.
+            current.extend(c.to_lowercase().filter(|l| l.is_alphanumeric()));
         } else if c == '.' && !current.is_empty() && current.chars().all(|c| c.is_ascii_digit()) {
             // Keep decimal points inside numbers ("16.9", "12.31") but only if
             // a digit follows; a trailing period ends the token.
@@ -51,6 +53,14 @@ mod tests {
     #[test]
     fn punctuation_separates_tokens() {
         assert_eq!(terms("import-partners, 2006"), vec!["import", "partners", "2006"]);
+    }
+
+    #[test]
+    fn tokens_are_their_own_tokens() {
+        assert_eq!(terms("İstanbul"), vec!["istanbul"]);
+        for token in terms("İstanbul 16.9 GDP") {
+            assert_eq!(terms(&token), vec![token.clone()]);
+        }
     }
 
     #[test]

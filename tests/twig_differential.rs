@@ -14,7 +14,9 @@
 #[path = "../crates/twigjoin/tests/reference/mod.rs"]
 mod reference;
 
-use seda_core::{EngineConfig, ResponsePayload, SedaEngine, SedaRequest, SedaResponse, Statement};
+use seda_core::{
+    EngineConfig, ResponsePayload, SedaEngine, SedaQuery, SedaRequest, SedaResponse, Statement,
+};
 use seda_datagen::{names, Dataset};
 use seda_olap::{aggregate, CubeQuery, QueryResultTable, Registry};
 use seda_textindex::FullTextQuery;
@@ -296,7 +298,8 @@ fn the_document_pre_filter_narrows_exactly_when_a_search_needs_a_token() {
 
     // Nodes of the documents with an `item` whose text satisfies `search`.
     let nodes_of_documents_holding = |search: &str| -> usize {
-        let search = seda_textindex::FullTextQuery::parse(search).expect("search parses");
+        let query = SedaQuery::parse(&format!("(item, {search})")).expect("search parses");
+        let search = &query.terms[0].search;
         let holds = |d: &&seda_xmlstore::Document| {
             d.iter().any(|(_, n)| {
                 n.path == item && search.matches_text(n.text.as_deref().unwrap_or(""))

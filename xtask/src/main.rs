@@ -46,10 +46,6 @@ const INSTANT_ALLOWLIST: &[&str] = &["crates/core/src/govern.rs", "crates/topk/s
 /// already-governed counters into the response profile after the fact.
 const COUNTER_ALLOWLIST: &[&str] = &["crates/core/src/response.rs"];
 
-/// `seda-core` files whose public `Result`s use typed sub-errors that the
-/// facade converts via `From`: the query parser (`QueryError`).
-const RESULT_ERROR_ALLOWLIST: &[&str] = &["crates/core/src/query.rs"];
-
 /// Governed counter → identifiers that count as its budget check.
 const COUNTER_BUDGETS: &[(&str, &[&str])] = &[
     ("sorted_accesses", &["max_sorted_accesses"]),
@@ -301,7 +297,7 @@ fn lint_file(rel: &str, src: &str) -> Vec<Violation> {
     }
 
     // Rule 5: public seda-core APIs return Result<_, SedaError>.
-    if rel.starts_with("crates/core/src/") && !RESULT_ERROR_ALLOWLIST.contains(&rel) {
+    if rel.starts_with("crates/core/src/") {
         for at in find_all(&masked, "pub fn ", lib_end) {
             let sig_end = masked[at..lib_end].find(['{', ';']).map(|n| at + n).unwrap_or(lib_end);
             let sig = &masked[at..sig_end];
