@@ -36,6 +36,7 @@ use crate::faults;
 use crate::govern::{RequestContext, Stopwatch};
 use crate::metrics::MetricsRegistry;
 use crate::parallel::effective_parallelism;
+use crate::plan::QueryPlan;
 use crate::query::SedaQuery;
 use crate::summaries::{ConnectionSummary, ContextBucket, ContextSelections, ContextSummary};
 use crate::trace::{span, SpanRecord, Tracer};
@@ -339,7 +340,7 @@ impl SedaEngine {
         Ok((graph, context_index))
     }
 
-    /// The id [`SedaEngine::prepare`] stamps into this engine's plans.
+    /// The id the planner stamps into this engine's plans.
     pub(crate) fn id(&self) -> u64 {
         self.id
     }
@@ -526,41 +527,16 @@ impl SedaEngine {
             .collect()
     }
 
-    /// Number of concrete per-term context combinations the complete-result
-    /// generator would enumerate over already-resolved per-term path sets;
-    /// [`SedaError::Limit`] when it exceeds
-    /// [`EngineConfig::complete_result_limit`].
-    pub(crate) fn context_combinations_of(
-        &self,
-        term_paths: &[Vec<PathId>],
-    ) -> Result<usize, SedaError> {
-        if term_paths.iter().any(Vec::is_empty) {
-            return Ok(0);
-        }
-        let mut combinations = 1usize;
-        for paths in term_paths {
-            combinations = combinations.saturating_mul(paths.len());
-        }
-        if combinations > self.config.complete_result_limit {
-            return Err(SedaError::Limit {
-                resource: "context combinations",
-                spent: combinations,
-                budget: self.config.complete_result_limit,
-            });
-        }
-        Ok(combinations)
-    }
-
-    /// Computes the complete (non-top-k) result set R(q) for a refined query
-    /// (Sec. 7): every term restricted to its resolved candidate contexts
-    /// (`term_paths`, from [`SedaEngine::term_paths`] — a plan resolves them
-    /// once and every execution reuses them), tuples restricted to the
-    /// selected connections, every graph traversal reusing the caller's
-    /// scratch.
+    /// Computes the complete (non-top-k) result set R(q) of a `RESULTS` /
+    /// `CUBE` plan (Sec. 7): every term restricted to its resolved candidate
+    /// contexts (`plan.term_paths`, from [`SedaEngine::term_paths`] — a plan
+    /// resolves them once and every execution reuses them), tuples
+    /// restricted to the selected connections, every graph traversal reusing
+    /// the caller's scratch.
     ///
     /// Fails with [`SedaError::Limit`] instead of silently clipping when the
-    /// context combinations or materialised rows would exceed
-    /// [`EngineConfig::complete_result_limit`].
+    /// materialised rows would exceed [`EngineConfig::complete_result_limit`]
+    /// (lowering refused a plan with more context combinations).
     ///
     /// Under the per-request [`RequestContext`]
     /// ([`RequestContext::unlimited`] for ungoverned callers) cancellation
@@ -576,21 +552,19 @@ impl SedaEngine {
     /// cancellation always errors.
     pub(crate) fn complete_results_governed(
         &self,
-        query: &SedaQuery,
-        term_paths: &[Vec<PathId>],
-        connections: &[Vec<PathId>],
+        plan: &QueryPlan,
         scratch: &mut SearchScratch,
         ctx: &RequestContext,
     ) -> Result<GovernedTable, SedaError> {
-        let column_names = query.terms.iter().map(|t| t.label()).collect();
+        let column_names = plan.query.terms.iter().map(|t| t.label()).collect();
         let mut out = GovernedTable {
             table: QueryResultTable::new(column_names),
             ..GovernedTable::default()
         };
-
-        if self.context_combinations_of(term_paths)? == 0 {
+        if plan.combinations() == 0 {
             return Ok(out);
         }
+        let term_paths = &plan.term_paths;
 
         // Enumerate one concrete context per term (usually a single
         // combination once the user has refined their query) and evaluate a
@@ -601,9 +575,7 @@ impl SedaEngine {
             ctx.check_cancelled()?;
             out.breach = ctx.deadline_breach();
             if out.breach.is_none() {
-                let chosen: Vec<PathId> =
-                    combination.iter().enumerate().map(|(t, &i)| term_paths[t][i]).collect();
-                self.evaluate_combination(query, &chosen, connections, &mut out, scratch, ctx)?;
+                self.evaluate_combination(plan, &combination, &mut out, scratch, ctx)?;
                 // The cross-root join checks the ceiling per source row; the
                 // connection filter's probes are checked here.
                 out.label_probes = scratch.traversal_mut().label_probes - probes_before;
@@ -663,30 +635,28 @@ impl SedaEngine {
         self.context_index.context_bucket(search, None).into_iter().map(|e| e.path).collect()
     }
 
-    /// Evaluates one concrete combination of per-term contexts via a twig
-    /// pattern (all contexts in one document tree) and appends the matching
-    /// rows to `out.table`, applying the connection filter; a twig evaluation
-    /// or cross-root join the request's context stopped leaves its breach in
-    /// `out.breach`.
+    /// Evaluates one concrete combination of per-term contexts (one path
+    /// index per term) via a twig pattern (all contexts in one document
+    /// tree) and appends the matching rows to `out.table`, applying the
+    /// connection filter; a twig evaluation or cross-root join the request's
+    /// context stopped leaves its breach in `out.breach`.
     fn evaluate_combination(
         &self,
-        query: &SedaQuery,
-        chosen: &[PathId],
-        connections: &[Vec<PathId>],
+        plan: &QueryPlan,
+        combination: &[usize],
         out: &mut GovernedTable,
         scratch: &mut SearchScratch,
         ctx: &RequestContext,
     ) -> Result<(), SedaError> {
+        let (query, connections) = (&plan.query, &plan.connections);
+        let chosen: Vec<PathId> =
+            combination.iter().zip(&plan.term_paths).map(|(&i, paths)| paths[i]).collect();
         // All chosen contexts must share the same root label to form a single
         // twig; otherwise fall back to graph enumeration.
-        let paths = self.collection.paths();
-        let root = |path: PathId| paths.resolve(path).steps().first();
-        let same_root = chosen.windows(2).all(|w| root(w[0]) == root(w[1]));
-
-        let cells = if same_root {
-            self.twig_rows(query, chosen, out, ctx)?
+        let cells = if plan.same_root(combination) {
+            self.twig_rows(query, &chosen, out, ctx)?
         } else {
-            self.graph_rows(query, chosen, out, scratch, ctx)?
+            self.graph_rows(query, &chosen, out, scratch, ctx)?
         };
         if connections.is_empty() {
             out.table.extend_rows(&cells);

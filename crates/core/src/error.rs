@@ -72,9 +72,9 @@ pub enum SedaError {
     Internal(String),
     /// The request was cancelled through its [`crate::CancelToken`].
     Cancelled,
-    /// A [`crate::QueryPlan`] or [`crate::PreparedStatement`] was executed
-    /// through a reader of an engine other than the one that planned it; its
-    /// resolved paths and term lists are meaningless there.
+    /// A [`crate::PreparedStatement`] was executed through a reader of an
+    /// engine other than the one that prepared it; its resolved paths and
+    /// term lists are meaningless there.
     ForeignPlan,
 }
 

@@ -19,9 +19,9 @@
 //! * `"oracle-build"` — in every engine build, on the calling thread,
 //!   before `DataGraph::build` runs (and the connectivity oracle — the
 //!   per-document cross-edge bit, the peel and the core labels — is built);
-//! * `"plan"` — in [`crate::SedaEngine::prepare`], before the request is
-//!   lowered; a request's planning runs inside the reader's boundary, so a
-//!   panic here is contained like one in execution;
+//! * `"plan"` — in the planner, before the request is lowered; planning is
+//!   reached only through [`crate::SedaReader`] and runs inside its
+//!   boundary, so a panic here is contained like one in execution;
 //! * `"mid-search"` — inside the engine's one search function, before the
 //!   Threshold-Algorithm loop runs.
 //!

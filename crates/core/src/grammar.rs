@@ -33,7 +33,8 @@
 //! 10); a `name` is a word other than `BY`, `AGG`, `MEASURE`, `ADD`, `REMOVE`
 //! and `FOR`.  A `WITH` or `VIA` path list is the words up to the next
 //! `WITH` / `VIA`, split at its separator, which may stand alone or touch a
-//! path; a path holds no whitespace.  The `TWIG` word is compiled by
+//! path; a path holds no whitespace.  A term index is named by one `WITH`
+//! clause at most.  The `TWIG` word is compiled by
 //! [`seda_twigjoin::TwigPattern::parse`] at plan time, and a term's context
 //! word by [`ContextSpec::parse`]: `*` or nothing, a path `/a/b`, a tag with
 //! `*` wildcards, or a disjunction `a|/b/c` with no empty alternative.  The
@@ -259,9 +260,17 @@ impl<'a> Parser<'a> {
             statement
         };
         builder = builder.statement(statement).query(self.query()?);
+        let mut refined = Vec::new();
         loop {
             if self.keyword("WITH") {
+                let at = self.peek().map_or(self.source.len(), |t| t.start);
                 let term = self.count("WITH clause expects a term index")?;
+                if refined.contains(&term) {
+                    let message =
+                        format!("term {term} is already refined by an earlier WITH clause");
+                    return Err(parse_error(at, message));
+                }
+                refined.push(term);
                 self.need(|t| t.is("IN"), "WITH <term> must be followed by IN <path>[|<path>…]")?;
                 builder = builder.select_paths(term, self.paths('|', "WITH … IN")?);
             } else if self.keyword("VIA") {

@@ -27,9 +27,10 @@
 //!
 //! Every trip through the Fig. 4 pipeline is one **request → plan →
 //! response** lifecycle: a [`SedaRequest`] (built fluently or parsed from
-//! the textual front-end) is compiled by the planner into a [`QueryPlan`]
-//! (inspectable via [`QueryPlan::explain`]) and executed into a
-//! [`SedaResponse`] carrying the statement-shaped payload plus a unified
+//! the textual front-end) is lowered by the planner into a plan — a
+//! crate-private record, reached only through [`SedaReader`], that the
+//! executor runs and the request's `EXPLAIN` form renders — and executed
+//! into a [`SedaResponse`] carrying the statement-shaped payload plus a unified
 //! [`ExecProfile`].  Execution runs through per-thread [`SedaReader`]
 //! handles that own their scratch buffers, so concurrent queries never
 //! contend on shared engine state; [`SedaEngine::execute_batch`] fans a
@@ -71,7 +72,7 @@ pub mod govern;
 pub mod grammar;
 pub mod metrics;
 pub(crate) mod parallel;
-pub mod plan;
+mod plan;
 pub mod prepared;
 pub mod query;
 pub mod reader;
@@ -86,7 +87,6 @@ pub use engine::{BuildProfile, EngineConfig, SedaEngine};
 pub use error::SedaError;
 pub use govern::{Budget, CancelToken, RequestContext, Stopwatch};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use plan::{PlanStep, QueryPlan};
 pub use prepared::PreparedStatement;
 pub use query::{ContextSpec, QueryTerm, SedaQuery};
 pub use reader::SedaReader;

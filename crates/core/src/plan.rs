@@ -1,186 +1,160 @@
-//! Query planning: [`SedaRequest`] → [`QueryPlan`].
+//! Query planning: a [`SedaRequest`] lowered to its plan, the one record of
+//! the request that the reader's executor runs and `EXPLAIN` renders.
 //!
-//! Planning is one stage, **lowering**: [`SedaEngine::prepare`] validates a
-//! request against an engine (term indices exist, path strings resolve, twig
-//! paths compile, limits hold), resolves every context selection down to
-//! [`PathId`]s and [`TermInput`]s and every `VIA` signature down to
-//! [`PathId`]s, and records the execution steps.  It makes no decision:
-//! every search step is the Threshold-Algorithm rank join, whatever the term
-//! count.  [`QueryPlan::explain`] renders the transcript (header plus
-//! numbered steps), a pure function of the engine and the request.
+//! Planning is one stage, **lowering** (`SedaEngine::prepare`, reached only
+//! through [`crate::SedaReader`]): it validates a request against an engine
+//! (term indices exist, path strings resolve, twig paths compile, limits
+//! hold), resolves every context selection down to [`PathId`]s and
+//! [`TermInput`]s and every `VIA` signature down to [`PathId`]s.  It makes
+//! no decision: every search step is the Threshold-Algorithm rank join,
+//! whatever the term count.  The plan is crate-private; its transcript (a
+//! header plus numbered steps, computed from the plan's own fields when it
+//! is rendered) is the answer of the request's `EXPLAIN` form.
 
 use seda_olap::BuildOptions;
 use seda_topk::{TermInput, TopKConfig};
 use seda_twigjoin::TwigPattern;
-use seda_xmlstore::PathId;
+use seda_xmlstore::{PathId, Symbol};
 
 use crate::engine::SedaEngine;
 use crate::error::SedaError;
 use crate::faults;
 use crate::query::SedaQuery;
-use crate::request::{SedaRequest, Statement};
+use crate::request::{agg_name, SedaRequest, Statement};
 use crate::summaries::ContextSelections;
 
-/// One step of a [`QueryPlan`], in execution order.
-#[non_exhaustive]
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanStep {
-    /// Resolve the allowed contexts of one query term.
-    ResolveContexts {
-        /// Term index.
-        term: usize,
-        /// Canonical label of the term.
-        label: String,
-        /// Number of allowed paths, or `None` when the term is unrestricted.
-        paths: Option<usize>,
-    },
-    /// Sorted access over the per-term posting lists, feeding the
-    /// Threshold-Algorithm rank join.
-    ThresholdJoin {
-        /// Number of result tuples requested.
-        k: usize,
-        /// Candidate-tuple bound of the join loop.
-        candidate_limit: usize,
-    },
-    /// Build the per-term context buckets from the keyword→path index.
-    ContextBuckets {
-        /// Number of query terms.
-        terms: usize,
-    },
-    /// Discover pairwise connections between the nodes of the top-k result.
-    DiscoverConnections {
-        /// Connection-path depth bound.
-        max_depth: usize,
-    },
-    /// Enumerate one concrete context combination per term.
-    EnumerateCombinations {
-        /// Total number of combinations.
-        combinations: usize,
-    },
-    /// Evaluate same-root combinations as one merged twig pattern.
-    TwigEvaluate {
-        /// Number of pattern nodes (0 when built per combination).
-        pattern_nodes: usize,
-        /// Number of output nodes.
-        outputs: usize,
-    },
-    /// Join cross-root combinations through data-graph connectivity.
-    GraphJoin {
-        /// Connection-path depth bound.
-        max_depth: usize,
-        /// Row bound of the enumeration.
-        limit: usize,
-    },
-    /// Derive (and instantiate) the star schema from the complete result.
-    DeriveStarSchema,
-    /// Aggregate one fact table of the derived schema.
-    Aggregate {
-        /// Fact table name.
-        fact: String,
-        /// Group-by columns.
-        group_by: Vec<String>,
-        /// Aggregation function name.
-        agg: String,
-        /// Measure column.
-        measure: String,
-    },
-}
-
-impl std::fmt::Display for PlanStep {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanStep::ResolveContexts { term, label, paths } => match paths {
-                Some(n) => write!(f, "resolve contexts of term {term} {label}: {n} path(s)"),
-                None => write!(f, "resolve contexts of term {term} {label}: unrestricted"),
-            },
-            PlanStep::ThresholdJoin { k, candidate_limit } => {
-                write!(f, "threshold-algorithm rank join: k={k}, candidate limit {candidate_limit}")
-            }
-            PlanStep::ContextBuckets { terms } => {
-                write!(f, "context buckets from the keyword→path index for {terms} term(s)")
-            }
-            PlanStep::DiscoverConnections { max_depth } => {
-                write!(f, "discover pairwise connections (oracle depth ≤ {max_depth})")
-            }
-            PlanStep::EnumerateCombinations { combinations } => {
-                write!(f, "enumerate {combinations} context combination(s)")
-            }
-            PlanStep::TwigEvaluate { pattern_nodes, outputs } => {
-                if *pattern_nodes == 0 {
-                    write!(f, "evaluate same-root combinations as merged twig patterns")
-                } else {
-                    write!(f, "evaluate twig pattern: {pattern_nodes} node(s), {outputs} output(s)")
-                }
-            }
-            PlanStep::GraphJoin { max_depth, limit } => write!(
-                f,
-                "join cross-root combinations via graph connectivity \
-                 (depth ≤ {max_depth}, ≤ {limit} rows)"
-            ),
-            PlanStep::DeriveStarSchema => write!(f, "derive and instantiate the star schema"),
-            PlanStep::Aggregate { fact, group_by, agg, measure } => write!(
-                f,
-                "aggregate fact {fact:?}: {agg}({measure}) grouped by [{}]",
-                group_by.join(", ")
-            ),
-        }
-    }
-}
-
 /// A validated, fully resolved execution plan for one [`SedaRequest`]: the
-/// statement, its resolved term inputs and context paths, the step list and
-/// the search configuration.
-#[non_exhaustive]
+/// statement and the inputs it runs on, each held once.
 #[derive(Debug, Clone)]
-pub struct QueryPlan {
+pub(crate) struct QueryPlan {
     /// Id of the engine that lowered this plan: its term inputs, paths and
     /// (for a prepared statement) materialized lists name that engine's ids.
     pub(crate) engine: u64,
+    /// The statement; the `k` of a `TOPK` / `CONNECTIONS` lives here alone.
     pub(crate) statement: Statement,
-    pub(crate) query: Option<SedaQuery>,
-    /// Resolved per-term search inputs (empty for statements without a
-    /// search phase).
+    /// The query terms (empty for `TWIG`, the one statement without them).
+    pub(crate) query: SedaQuery,
+    /// Resolved per-term search inputs of `TOPK` and `CONNECTIONS`.
     pub(crate) term_inputs: Vec<TermInput>,
-    /// Resolved per-term candidate context paths of the complete-result
-    /// statements (empty for every other statement).
+    /// Resolved per-term candidate context paths of `RESULTS` and `CUBE`.
     pub(crate) term_paths: Vec<Vec<PathId>>,
-    /// Resolved `VIA` connection signatures, read by the complete-result
-    /// statements.
+    /// The root label of each of `term_paths`: a combination whose paths
+    /// share one root is evaluated as one twig, any other is joined.
+    pub(crate) roots: Vec<Vec<Symbol>>,
+    /// Resolved `VIA` connection signatures of `RESULTS` and `CUBE`.
     pub(crate) connections: Vec<Vec<PathId>>,
-    /// Compiled twig pattern of a [`Statement::Twig`] request.
-    pub(crate) pattern: Option<TwigPattern>,
+    /// Compiled pattern of a `TWIG` (empty for every other statement).
+    pub(crate) pattern: TwigPattern,
     pub(crate) cube_options: BuildOptions,
-    pub(crate) steps: Vec<PlanStep>,
-    /// Per-plan search configuration (k is folded in at lowering).
+    /// The engine's search configuration; a statement's `k` replaces its
+    /// default `k` at the search.
     pub(crate) topk: TopKConfig,
+    /// The engine's bound on the context combinations and rows of R(q).
+    pub(crate) complete_result_limit: usize,
 }
 
 impl QueryPlan {
-    /// The statement this plan executes.
-    pub fn statement(&self) -> &Statement {
-        &self.statement
+    /// Number of per-term context combinations R(q) enumerates: the product
+    /// of the term path counts (saturating), 0 when a term has no path.
+    pub(crate) fn combinations(&self) -> usize {
+        match self.term_paths.iter().any(Vec::is_empty) {
+            true => 0,
+            false => self.term_paths.iter().fold(1, |n, paths| n.saturating_mul(paths.len())),
+        }
     }
 
-    /// The execution steps, in order.
-    pub fn steps(&self) -> &[PlanStep] {
-        &self.steps
+    /// True when the paths `combination` picks (one index per term) share one
+    /// root label, so R(q) evaluates them as one twig.
+    pub(crate) fn same_root(&self, combination: &[usize]) -> bool {
+        let mut roots = combination.iter().zip(&self.roots).map(|(&i, roots)| roots[i]);
+        let first = roots.next();
+        roots.all(|root| Some(root) == first)
     }
 
-    /// The search configuration this plan executes with: the engine's
-    /// [`TopKConfig`] at the statement's `k`.
-    pub fn search_config(&self) -> &TopKConfig {
-        &self.topk
+    /// How many combinations [`QueryPlan::same_root`] holds for: Σ over the
+    /// root labels of Π over the terms of the term's paths under that label.
+    fn same_root_combinations(&self) -> usize {
+        let mut labels = self.roots.first().cloned().unwrap_or_default();
+        labels.sort_unstable();
+        labels.dedup();
+        let under =
+            |label: &Symbol, roots: &Vec<Symbol>| roots.iter().filter(|r| *r == label).count();
+        labels
+            .iter()
+            .map(|label| self.roots.iter().map(|roots| under(label, roots)).product::<usize>())
+            .sum()
     }
 
     /// Renders the plan transcript: the statement header and the numbered
-    /// execution steps.
-    pub fn explain(&self) -> String {
-        let mut out = format!("plan: {}", self.statement.name());
-        match &self.query {
-            Some(query) => out.push_str(&format!(" over {} term(s): {query}\n", query.len())),
-            None => out.push('\n'),
+    /// steps the executor runs, each computed from the plan's fields.
+    pub(crate) fn explain(&self) -> String {
+        let mut steps = Vec::new();
+        // A TOPK / CONNECTIONS resolves term inputs (a term may stay
+        // unrestricted), a RESULTS / CUBE term paths; no plan holds both.
+        let inputs =
+            self.term_inputs.iter().map(|input| input.allowed_paths.as_ref().map(Vec::len));
+        let paths = self.term_paths.iter().map(|paths| Some(paths.len()));
+        for ((i, term), paths) in self.query.terms.iter().enumerate().zip(inputs.chain(paths)) {
+            steps.push(match paths {
+                Some(n) => format!("resolve contexts of term {i} {term}: {n} path(s)"),
+                None => format!("resolve contexts of term {i} {term}: unrestricted"),
+            });
         }
-        for (i, step) in self.steps.iter().enumerate() {
+        let (max_depth, candidate_limit) = (self.topk.max_depth, self.topk.candidate_limit);
+        match &self.statement {
+            Statement::TopK { k } | Statement::ConnectionSummary { k } => {
+                steps.push(format!(
+                    "threshold-algorithm rank join: k={k}, candidate limit {candidate_limit}"
+                ));
+                if let Statement::ConnectionSummary { .. } = self.statement {
+                    steps.push(format!(
+                        "discover pairwise connections (oracle depth ≤ {max_depth})"
+                    ));
+                }
+            }
+            Statement::ContextSummary => steps.push(format!(
+                "context buckets from the keyword→path index for {} term(s)",
+                self.query.len()
+            )),
+            Statement::Twig { .. } => steps.push(format!(
+                "evaluate twig pattern: {} node(s), {} output(s)",
+                self.pattern.len(),
+                self.pattern.output_nodes().len()
+            )),
+            Statement::CompleteResults | Statement::Cube { .. } => {
+                let combinations = self.combinations();
+                steps.push(format!("enumerate {combinations} context combination(s)"));
+                let same_root = if combinations == 0 { 0 } else { self.same_root_combinations() };
+                if same_root > 0 {
+                    steps.push(format!(
+                        "evaluate {same_root} same-root combination(s) as merged twig patterns"
+                    ));
+                }
+                if combinations > same_root {
+                    steps.push(format!(
+                        "join {} cross-root combination(s) via graph connectivity \
+                         (depth ≤ {max_depth}, ≤ {} rows)",
+                        combinations - same_root,
+                        self.complete_result_limit
+                    ));
+                }
+                if let Statement::Cube { fact, group_by, agg, measure } = &self.statement {
+                    steps.push("derive and instantiate the star schema".to_string());
+                    steps.push(format!(
+                        "aggregate fact {fact:?}: {}({}) grouped by [{}]",
+                        agg_name(*agg),
+                        measure.as_ref().unwrap_or(fact),
+                        group_by.join(", ")
+                    ));
+                }
+            }
+        }
+        let mut out = format!("plan: {}", self.statement.name());
+        if !self.query.is_empty() {
+            out.push_str(&format!(" over {} term(s): {}", self.query.len(), self.query));
+        }
+        out.push('\n');
+        for (i, step) in steps.iter().enumerate() {
             out.push_str(&format!("  {}. {step}\n", i + 1));
         }
         out
@@ -212,34 +186,32 @@ impl SedaEngine {
         paths.iter().map(text).collect()
     }
 
-    /// Lowers a request into a [`QueryPlan`]: validates it, resolves every
-    /// context selection and records the execution steps.  The plan runs
-    /// only through this engine's readers; any other reader refuses it with
-    /// [`SedaError::ForeignPlan`].
+    /// Lowers a request into its plan: validates it and resolves every
+    /// context selection.  The plan runs only through this engine's readers;
+    /// any other reader refuses it with [`SedaError::ForeignPlan`].
     ///
-    /// This is the one compile path; [`crate::SedaReader::prepare`] wraps its
-    /// output into a reusable [`crate::PreparedStatement`].
-    ///
-    /// Preparing is read-only and touches no scratch state, so it is safe
-    /// from any thread.  Errors cover the whole [`SedaError`] taxonomy:
+    /// This is the one compile path, reached only through the reader's
+    /// panic boundary: [`crate::SedaReader::execute`] and
+    /// [`crate::SedaReader::prepare`].  Preparing is read-only and touches
+    /// no scratch state.  Errors cover the whole [`SedaError`] taxonomy:
     /// missing query terms, out-of-range term selections, unresolvable
     /// paths, uncompilable twig expressions, and combination counts beyond
     /// the configured limits.
-    pub fn prepare(&self, request: &SedaRequest) -> Result<QueryPlan, SedaError> {
+    pub(crate) fn prepare(&self, request: &SedaRequest) -> Result<QueryPlan, SedaError> {
         faults::fire("plan")?;
-        let config = self.config();
         let statement = &request.statement;
         let mut plan = QueryPlan {
             engine: self.id(),
             statement: statement.clone(),
-            query: None,
+            query: SedaQuery::default(),
             term_inputs: Vec::new(),
             term_paths: Vec::new(),
+            roots: Vec::new(),
             connections: Vec::new(),
-            pattern: None,
+            pattern: TwigPattern::default(),
             cube_options: request.cube_options.clone(),
-            steps: Vec::new(),
-            topk: config.topk.clone(),
+            topk: self.config().topk.clone(),
+            complete_result_limit: self.config().complete_result_limit,
         };
 
         // Twig statements stand alone: no query terms, no selections.
@@ -259,11 +231,7 @@ impl SedaEngine {
                     }
                 }
             }
-            plan.steps.push(PlanStep::TwigEvaluate {
-                pattern_nodes: pattern.len(),
-                outputs: pattern.output_nodes().len(),
-            });
-            plan.pattern = Some(pattern);
+            plan.pattern = pattern;
             return Ok(plan);
         }
 
@@ -291,59 +259,27 @@ impl SedaEngine {
         // complete-result statements, and not at all for CONTEXTS (the
         // bucket computation does its own index probes).
         match statement {
-            Statement::TopK { k } | Statement::ConnectionSummary { k } => {
-                plan.topk.k = *k;
+            Statement::TopK { .. } | Statement::ConnectionSummary { .. } => {
                 plan.term_inputs = self.term_inputs(query, &selections);
-                for (i, (term, input)) in query.terms.iter().zip(&plan.term_inputs).enumerate() {
-                    plan.steps.push(PlanStep::ResolveContexts {
-                        term: i,
-                        label: term.label(),
-                        paths: input.allowed_paths.as_ref().map(Vec::len),
-                    });
-                }
-                plan.steps.push(PlanStep::ThresholdJoin {
-                    k: *k,
-                    candidate_limit: plan.topk.candidate_limit,
-                });
-                if matches!(statement, Statement::ConnectionSummary { .. }) {
-                    plan.steps
-                        .push(PlanStep::DiscoverConnections { max_depth: config.topk.max_depth });
-                }
-            }
-            Statement::ContextSummary => {
-                plan.steps.push(PlanStep::ContextBuckets { terms: query.len() });
             }
             Statement::CompleteResults | Statement::Cube { .. } => {
                 plan.term_paths = self.term_paths(query, &selections);
-                for (i, (term, paths)) in query.terms.iter().zip(&plan.term_paths).enumerate() {
-                    plan.steps.push(PlanStep::ResolveContexts {
-                        term: i,
-                        label: term.label(),
-                        paths: Some(paths.len()),
+                let combinations = plan.combinations();
+                if combinations > plan.complete_result_limit {
+                    return Err(SedaError::Limit {
+                        resource: "context combinations",
+                        spent: combinations,
+                        budget: plan.complete_result_limit,
                     });
                 }
-                let combinations = self.context_combinations_of(&plan.term_paths)?;
-                plan.steps.push(PlanStep::EnumerateCombinations { combinations });
-                plan.steps.push(PlanStep::TwigEvaluate { pattern_nodes: 0, outputs: 0 });
-                plan.steps.push(PlanStep::GraphJoin {
-                    max_depth: config.topk.max_depth,
-                    limit: config.complete_result_limit,
-                });
-                if let Statement::Cube { fact, group_by, agg, measure } = statement {
-                    plan.steps.push(PlanStep::DeriveStarSchema);
-                    plan.steps.push(PlanStep::Aggregate {
-                        fact: fact.clone(),
-                        group_by: group_by.clone(),
-                        agg: crate::request::agg_name(*agg).to_string(),
-                        measure: measure.clone().unwrap_or_else(|| fact.clone()),
-                    });
-                }
+                let paths = self.collection().paths();
+                let root = |&path: &PathId| paths.resolve(path).steps()[0];
+                plan.roots = plan.term_paths.iter().map(|t| t.iter().map(root).collect()).collect();
             }
-            Statement::Twig { .. } => {
-                return Err(SedaError::Internal("twig statements are planned above".to_string()))
-            }
+            // A TWIG was lowered above.
+            Statement::ContextSummary | Statement::Twig { .. } => {}
         }
-        plan.query = Some(query.clone());
+        plan.query = query.clone();
         Ok(plan)
     }
 }
@@ -352,6 +288,7 @@ impl SedaEngine {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use seda_datagen::{factbook, mondial, FactbookConfig, MondialConfig};
     use seda_olap::Registry;
     use seda_xmlstore::parse_collection;
 
@@ -389,13 +326,62 @@ mod tests {
         let candidate_limit = e.config().topk.candidate_limit;
         for q in ["(name, *)", "(name, *) AND (percentage, *)"] {
             let plan = e.prepare(&SedaRequest::parse(&format!("TOPK 5 FOR {q}")).unwrap()).unwrap();
-            assert_eq!(
-                plan.steps().last(),
-                Some(&PlanStep::ThresholdJoin { k: 5, candidate_limit }),
-                "{q}"
-            );
-            assert!(plan.explain().contains("threshold-algorithm rank join: k=5"), "{q}");
+            let transcript = plan.explain();
+            let last = transcript.lines().last().unwrap();
+            let join =
+                format!(". threshold-algorithm rank join: k=5, candidate limit {candidate_limit}");
+            assert!(last.ends_with(&join), "{q}: {transcript}");
         }
+    }
+
+    /// A `RESULTS` transcript lists the evaluation arms that run, each with
+    /// the number of combinations the executor's same-root rule (first path
+    /// step equal across the terms) sends to it, and none when there is no
+    /// combination.
+    #[test]
+    fn results_list_only_the_arms_that_run() {
+        let build = |collection| {
+            SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
+                .unwrap()
+        };
+        let mondial = build(mondial::generate(&MondialConfig::small()).unwrap());
+        let request = SedaRequest::parse(r#"RESULTS FOR (name, "Canada") AND (population, *)"#);
+        let plan = mondial.prepare(&request.unwrap()).unwrap();
+        let paths = mondial.collection().paths();
+        let root = |path: &PathId| paths.resolve(*path).steps().first();
+        let (mut same_root, mut cross_root) = (0, 0);
+        for name in &plan.term_paths[0] {
+            for population in &plan.term_paths[1] {
+                match root(name) == root(population) {
+                    true => same_root += 1,
+                    false => cross_root += 1,
+                }
+            }
+        }
+        assert_eq!(same_root + cross_root, 30);
+        assert!(same_root > 0 && cross_root > 0, "the fixture mixes both arms");
+        let transcript = plan.explain();
+        let same = format!("\n  4. evaluate {same_root} same-root combination(s) as merged twig");
+        let cross = format!("\n  5. join {cross_root} cross-root combination(s) via graph");
+        assert!(transcript.contains(&same) && transcript.contains(&cross), "{transcript}");
+
+        let factbook = build(factbook::generate(&FactbookConfig::small()).unwrap());
+        let explain =
+            |text: &str| factbook.prepare(&SedaRequest::parse(text).unwrap()).unwrap().explain();
+        let item = "/country/economy/import_partners/item";
+        let one_root = explain(&format!(
+            r#"RESULTS FOR (*, "United States") AND (trade_country, *) AND (percentage, *)
+               WITH 0 IN /country/name WITH 1 IN {item}/trade_country WITH 2 IN {item}/percentage"#
+        ));
+        assert!(
+            one_root.ends_with(
+                "  4. enumerate 1 context combination(s)\n  \
+                 5. evaluate 1 same-root combination(s) as merged twig patterns\n"
+            ),
+            "{one_root}"
+        );
+        let none = explain("RESULTS FOR (/no/such, *) AND (percentage, *)");
+        assert!(none.ends_with("  3. enumerate 0 context combination(s)\n"), "{none}");
     }
 
     #[test]

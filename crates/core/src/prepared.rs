@@ -1,10 +1,13 @@
 //! Prepared statements: plan once, execute many.
 //!
-//! [`SedaReader::prepare`](crate::SedaReader::prepare) compiles a
-//! [`SedaRequest`](crate::SedaRequest) into its [`QueryPlan`] and wraps the
-//! result in a [`PreparedStatement`] that additionally owns what a single
+//! [`SedaReader::prepare`](crate::SedaReader::prepare), the one way to plan
+//! a request without running it, lowers a
+//! [`SedaRequest`](crate::SedaRequest) into its crate-private plan and wraps
+//! it in a [`PreparedStatement`] that additionally owns what a single
 //! execution would rebuild from scratch: the materialized sorted posting
-//! lists of the search terms and their component partition.  Re-executing a
+//! lists of the search terms and their component partition.  The plan is
+//! what [`PreparedStatement::explain`] renders, and what the request's
+//! `EXPLAIN` form answers with.  Re-executing a
 //! prepared statement skips parsing, validation, context resolution, sorted
 //! access resolution and partitioning; the join then runs exactly as a cold
 //! one, so the payload — every counter included — is byte-identical to a
@@ -32,12 +35,12 @@ use seda_topk::MaterializedTerms;
 
 use crate::error::SedaError;
 use crate::govern::RequestContext;
-use crate::plan::{PlanStep, QueryPlan};
+use crate::plan::QueryPlan;
 use crate::reader::SedaReader;
 use crate::request::Statement;
 use crate::response::SedaResponse;
 
-/// A compiled, reusable statement: the [`QueryPlan`] plus the materialized
+/// A compiled, reusable statement: the lowered plan plus the materialized
 /// term lists and their component partition, resolved once.
 ///
 /// Prepared statements are engine-scoped but reader-agnostic: prepare once,
@@ -52,12 +55,8 @@ pub struct PreparedStatement {
 }
 
 impl PreparedStatement {
-    /// The plan this statement executes.
-    pub fn plan(&self) -> &QueryPlan {
-        &self.plan
-    }
-
-    /// The plan transcript (header and numbered steps).
+    /// The plan transcript (header and numbered steps), the one a fresh
+    /// `EXPLAIN` of the statement answers with.
     pub fn explain(&self) -> String {
         self.plan.explain()
     }
@@ -75,12 +74,6 @@ impl PreparedStatement {
         match &mut self.plan.statement {
             Statement::TopK { k: slot } | Statement::ConnectionSummary { k: slot } => *slot = k,
             _ => return false,
-        }
-        self.plan.topk.k = k;
-        for step in &mut self.plan.steps {
-            if let PlanStep::ThresholdJoin { k: slot, .. } = step {
-                *slot = k;
-            }
         }
         true
     }
@@ -201,7 +194,9 @@ mod tests {
             assert!(prepared.set_k(k));
             assert!(prepared.explain().contains(&format!("threshold-algorithm rank join: k={k}")));
             let request = SedaRequest::parse(&format!("TOPK {k} FOR (name, *)")).unwrap();
-            assert_eq!(prepared.explain(), reader.explain(&request).unwrap(), "k={k}");
+            let explained = reader.execute_text(&format!("EXPLAIN {}", request.render()));
+            let explained = explained.unwrap();
+            assert_eq!(Some(prepared.explain().as_str()), explained.explain_transcript(), "k={k}");
             let fresh = reader.execute(&request).unwrap();
             assert_eq!(prepared.execute(&mut reader).unwrap().payload, fresh.payload, "k={k}");
         }

@@ -9,10 +9,14 @@
 //!
 //! Every request — text, [`SedaRequest`], [`PreparedStatement`] or a
 //! [`crate::SedaSession`] stage — is planned, run by the one statement
-//! executor, traced and counted once.  Planning and execution run inside the
-//! reader's one containment boundary: a panic in either becomes
-//! [`SedaError::Internal`], the scratch is rebuilt and the tracer reset, so
-//! the same reader keeps serving.
+//! executor, traced and counted once.  The reader is the only way to the
+//! planner: [`SedaReader::execute_governed`] (and the calls that end in it)
+//! and [`SedaReader::prepare`].  The plan is a crate-private record, the one
+//! the executor runs; a request's transcript is the answer of its `EXPLAIN`
+//! form (or [`PreparedStatement::explain`]), rendered from that record.
+//! Planning and execution run inside the reader's one containment boundary:
+//! a panic in either becomes [`SedaError::Internal`], the scratch is rebuilt
+//! and the tracer reset, so the same reader keeps serving.
 //!
 //! ```
 //! use seda_core::{EngineConfig, SedaEngine, SedaRequest};
@@ -28,7 +32,9 @@
 //! ```
 
 use seda_olap::{aggregate, CubeQuery, FactTable, QueryResultTable};
-use seda_topk::{LimitBreach, MaterializedTerms, SearchScratch, SearchStats, TopKResult};
+use seda_topk::{
+    LimitBreach, MaterializedTerms, SearchScratch, SearchStats, TopKConfig, TopKResult,
+};
 
 use crate::engine::{catch_internal, GovernedTable, SedaEngine};
 use crate::error::SedaError;
@@ -178,14 +184,6 @@ impl<'e> SedaReader<'e> {
         })
     }
 
-    /// Plans a request and returns the plan transcript: the request's
-    /// `EXPLAIN` form, executed as one request.
-    pub fn explain(&mut self, request: &SedaRequest) -> Result<String, SedaError> {
-        let explain = SedaRequest { explain: true, analyze: false, ..request.clone() };
-        let transcript = self.execute(&explain)?.explain_transcript().map(str::to_owned);
-        Ok(transcript.expect("invariant: a plain EXPLAIN answers with its plan transcript"))
-    }
-
     /// Turns span tracing on or off for every subsequent request this reader
     /// executes.  Traced requests carry their span tree in
     /// [`ExecProfile::spans`]; untraced requests leave it empty.
@@ -331,13 +329,14 @@ impl<'e> SedaReader<'e> {
         outcome
     }
 
-    /// The search step of `TOPK` and `CONNECTIONS`: one traced search over
-    /// the plan's term inputs (or a prepared statement's `materialized`
-    /// lists), its counters absorbed into `profile` and a breach resolved
-    /// against the request's policy.
+    /// The search step of `TOPK` and `CONNECTIONS`: one traced search for
+    /// the statement's `k` over the plan's term inputs (or a prepared
+    /// statement's `materialized` lists), its counters absorbed into
+    /// `profile` and a breach resolved against the request's policy.
     fn run_search(
         &mut self,
         plan: &QueryPlan,
+        k: usize,
         ctx: &RequestContext,
         profile: &mut ExecProfile,
         materialized: Option<&MaterializedTerms>,
@@ -346,7 +345,7 @@ impl<'e> SedaReader<'e> {
         let before = profile.clone();
         let (result, breach) = self.engine.search(
             &plan.term_inputs,
-            plan.search_config(),
+            &TopKConfig { k, ..plan.topk.clone() },
             &ctx.search_limits(),
             &mut self.scratch,
             materialized,
@@ -371,19 +370,9 @@ impl<'e> SedaReader<'e> {
         ctx: &RequestContext,
         profile: &mut ExecProfile,
     ) -> Result<QueryResultTable, SedaError> {
-        let query = plan
-            .query
-            .as_ref()
-            .expect("invariant: the planner attaches a query to this statement shape");
         let s = self.tracer.enter(span::COMPLETE_RESULTS);
         let GovernedTable { table, nodes_visited, label_probes, breach } =
-            self.engine.complete_results_governed(
-                query,
-                &plan.term_paths,
-                &plan.connections,
-                &mut self.scratch,
-                ctx,
-            )?;
+            self.engine.complete_results_governed(plan, &mut self.scratch, ctx)?;
         profile.absorb(&SearchStats { label_probes, ..SearchStats::default() });
         let counters = SpanCounters {
             rows: table.len(),
@@ -416,24 +405,20 @@ impl<'e> SedaReader<'e> {
         let mut profile = ExecProfile::default();
         ctx.check_cancelled()?;
         let mut payload = match &plan.statement {
-            Statement::TopK { .. } => {
-                ResponsePayload::TopK(self.run_search(plan, ctx, &mut profile, materialized)?)
+            Statement::TopK { k } => {
+                ResponsePayload::TopK(self.run_search(plan, *k, ctx, &mut profile, materialized)?)
             }
             Statement::ContextSummary => {
-                let query = plan
-                    .query
-                    .as_ref()
-                    .expect("invariant: the planner attaches a query to this statement shape");
                 let s = self.tracer.enter(span::CONTEXT_SUMMARY);
-                let contexts = self.engine.context_summary(query);
+                let contexts = self.engine.context_summary(&plan.query);
                 let counters =
                     SpanCounters { rows: contexts.total_contexts(), ..SpanCounters::default() };
                 self.tracer.exit_with(s, counters);
                 resolve_breach(ctx.deadline_breach(), ctx, &mut profile)?;
                 ResponsePayload::Contexts(contexts)
             }
-            Statement::ConnectionSummary { .. } => {
-                let mut top_k = self.run_search(plan, ctx, &mut profile, materialized)?;
+            Statement::ConnectionSummary { k } => {
+                let mut top_k = self.run_search(plan, *k, ctx, &mut profile, materialized)?;
                 // Discovery reads only the tuples the answer returns, so the
                 // summary's supports count those tuples and no others.
                 if let Some(keep) = rows_kept(ctx, top_k.tuples.len(), &mut profile)? {
@@ -463,13 +448,9 @@ impl<'e> SedaReader<'e> {
                 ResponsePayload::Table(self.run_complete_results(plan, ctx, &mut profile)?)
             }
             Statement::Twig { .. } => {
-                let pattern = plan
-                    .pattern
-                    .as_ref()
-                    .expect("invariant: the planner compiles twig statements to a pattern");
                 let s = self.tracer.enter(span::TWIG_EVALUATE);
                 let GovernedTable { table, nodes_visited, breach, .. } =
-                    self.engine.twig_table(pattern, ctx)?;
+                    self.engine.twig_table(&plan.pattern, ctx)?;
                 let counters =
                     SpanCounters { nodes_visited, rows: table.len(), ..SpanCounters::default() };
                 self.tracer.exit_with(s, counters);
@@ -742,25 +723,22 @@ mod tests {
             "TWIG /country/name".to_string(),
             format!("CUBE import-trade-percentage BY import-country FOR {q}"),
         ];
-        let requests: Vec<SedaRequest> =
-            texts.iter().map(|t| SedaRequest::parse(t).unwrap()).collect();
         let mut reader = e.reader();
-        let transcripts = |reader: &mut SedaReader<'_>| -> Vec<String> {
-            requests.iter().map(|r| reader.explain(r).unwrap()).collect()
+        let explain = |reader: &mut SedaReader<'_>, text: &str| {
+            let explained = reader.execute_text(&format!("EXPLAIN {text}")).unwrap();
+            explained.explain_transcript().unwrap().to_string()
         };
-        let before = transcripts(&mut reader);
+        let before: Vec<String> = texts.iter().map(|text| explain(&mut reader, text)).collect();
         // A mixed workload — every shape executed, explained and prepared —
         // moves the engine's metrics but not one byte of any transcript.
-        for (text, request) in texts.iter().zip(&requests) {
-            reader.execute(request).unwrap();
-            let explained = reader.execute_text(&format!("EXPLAIN {text}")).unwrap();
-            let through_text = explained.explain_transcript().unwrap();
-            let through_prepared = reader.prepare(request).unwrap().explain();
-            let through_reader = reader.explain(request).unwrap();
-            assert_eq!(through_text, through_reader, "{text}");
-            assert_eq!(through_prepared, through_reader, "{text}");
+        for text in &texts {
+            let request = SedaRequest::parse(text).unwrap();
+            reader.execute(&request).unwrap();
+            let through_prepared = reader.prepare(&request).unwrap().explain();
+            assert_eq!(through_prepared, explain(&mut reader, text), "{text}");
         }
-        assert_eq!(transcripts(&mut reader), before);
+        let after: Vec<String> = texts.iter().map(|text| explain(&mut reader, text)).collect();
+        assert_eq!(after, before);
     }
 
     #[test]

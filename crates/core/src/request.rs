@@ -429,6 +429,11 @@ mod tests {
             Err(SedaError::Parse(_))
         ));
         assert!(matches!(SedaRequest::parse("TWIG"), Err(SedaError::Parse(_))));
+        // A term is refined by one WITH clause; a second one is no silent
+        // replacement.
+        let twice = "RESULTS FOR (a, *) AND (b, *) WITH 0 IN /x/a WITH 1 IN /x/b WITH 0 IN /y/a";
+        let err = SedaRequest::parse(twice).unwrap_err();
+        assert!(matches!(&err, SedaError::Parse(m) if m.contains("term 0")), "{err}");
         // A TWIG takes exactly one path token.
         for text in ["TWIG /a/b WITH 0 IN /x", "TWIG /a /b", "TWIG /a/b FOR (a, x)"] {
             assert!(matches!(SedaRequest::parse(text), Err(SedaError::Parse(_))), "{text}");

@@ -36,7 +36,7 @@ use crate::response::ExecProfile;
 pub mod span {
     /// Textual request parsing ([`crate::SedaRequest::parse`]).
     pub const PARSE: &str = "parse";
-    /// Planning ([`crate::SedaEngine::prepare`]).
+    /// Planning: the request lowered to its plan.
     pub const PLAN: &str = "plan";
     /// Whole plan execution (parent of the per-step spans).
     pub const EXECUTE: &str = "execute";

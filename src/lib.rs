@@ -11,9 +11,8 @@
 
 pub use seda_core::{
     BuildProfile, ConnectionSummary, ContextBucket, ContextSelections, ContextSpec, ContextSummary,
-    EngineConfig, ExecProfile, PlanStep, QueryPlan, QueryTerm, RequestBuilder, ResponsePayload,
-    SedaEngine, SedaError, SedaQuery, SedaReader, SedaRequest, SedaResponse, SedaSession,
-    SessionStage, Statement,
+    EngineConfig, ExecProfile, QueryTerm, RequestBuilder, ResponsePayload, SedaEngine, SedaError,
+    SedaQuery, SedaReader, SedaRequest, SedaResponse, SedaSession, SessionStage, Statement,
 };
 pub use seda_datagraph as datagraph;
 pub use seda_dataguide as dataguide;

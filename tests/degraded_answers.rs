@@ -121,8 +121,9 @@ fn assert_degraded_answers(engine: &SedaEngine, text: &str, relation: Relation) 
 
 /// The number of context combinations the plan of `text` enumerates.
 fn combinations(engine: &SedaEngine, text: &str) -> usize {
-    let request = SedaRequest::parse(text).expect("request parses");
-    let transcript = engine.reader().explain(&request).expect("request plans");
+    let explained = engine.reader().execute_text(&format!("EXPLAIN {text}"));
+    let explained = explained.expect("request plans");
+    let transcript = explained.explain_transcript().expect("a plan transcript");
     let step = transcript.lines().find_map(|line| line.trim().split_once(". enumerate "));
     let count = step.and_then(|(_, rest)| rest.split(' ').next()?.parse().ok());
     count.unwrap_or_else(|| panic!("{text}: no enumeration step in {transcript}"))

@@ -1,9 +1,12 @@
 //! `EXPLAIN ANALYZE` end-to-end: for every statement type, the request
 //! executes the plan and returns the annotated transcript — the plan
 //! transcript, the `analyze:` budget-accounting line and the per-step span
-//! tree — while the profile keeps the execution's counters and rows.
+//! tree — while the profile keeps the execution's counters and rows.  Every
+//! statement's plain `EXPLAIN` transcript is pinned byte for byte on the
+//! small Factbook and Mondial corpora.
 
-use seda_core::{ResponsePayload, SedaEngine, SedaRequest, SedaResponse};
+use seda_core::{EngineConfig, ResponsePayload, SedaEngine, SedaRequest, SedaResponse};
+use seda_datagen::{factbook, mondial, FactbookConfig, MondialConfig};
 use seda_olap::Registry;
 use seda_xmlstore::parse_collection;
 
@@ -152,4 +155,145 @@ fn analyze_payload_is_the_explain_shape() {
     // keeps the execution's rows.
     assert_eq!(response.payload.rows(), 0);
     assert!(response.profile.rows > 0);
+}
+
+/// The small generated corpora the pinned transcripts are planned on.
+fn corpora() -> (SedaEngine, SedaEngine) {
+    let build = |collection| {
+        SedaEngine::build(collection, Registry::factbook_defaults(), EngineConfig::default())
+            .unwrap()
+    };
+    let factbook = build(factbook::generate(&FactbookConfig::small()).unwrap());
+    let mondial = build(mondial::generate(&MondialConfig::small()).unwrap());
+    (factbook, mondial)
+}
+
+/// The transcript of `EXPLAIN {request}`.
+fn explain(engine: &SedaEngine, request: &str) -> String {
+    let response = engine.reader().execute_text(&format!("EXPLAIN {request}")).unwrap();
+    response.explain_transcript().unwrap().to_string()
+}
+
+const IMPORT_COUNTRY: &str = "/country/economy/import_partners/item/trade_country";
+const IMPORT_PERCENTAGE: &str = "/country/economy/import_partners/item/percentage";
+
+/// Every statement's `EXPLAIN` transcript, byte for byte.
+#[test]
+fn every_transcript_is_pinned() {
+    let (factbook, mondial) = corpora();
+    let refined = format!(
+        "FOR {QUERY} WITH 0 IN /country/name WITH 1 IN {IMPORT_COUNTRY} WITH 2 IN {IMPORT_PERCENTAGE}"
+    );
+    let header =
+        "over 3 term(s): (*, \"united states\") AND (trade_country, *) AND (percentage, *)";
+    let refined_terms = "  1. resolve contexts of term 0 (*, \"united states\"): 1 path(s)
+  2. resolve contexts of term 1 (trade_country, *): 1 path(s)
+  3. resolve contexts of term 2 (percentage, *): 1 path(s)
+  4. enumerate 1 context combination(s)
+  5. evaluate 1 same-root combination(s) as merged twig patterns
+";
+    let cases = [
+        (
+            &factbook,
+            format!("TOPK 5 FOR {QUERY} WITH 0 IN /country/name"),
+            format!(
+                "plan: TOPK {header}
+  1. resolve contexts of term 0 (*, \"united states\"): 1 path(s)
+  2. resolve contexts of term 1 (trade_country, *): 4 path(s)
+  3. resolve contexts of term 2 (percentage, *): 4 path(s)
+  4. threshold-algorithm rank join: k=5, candidate limit 200000
+"
+            ),
+        ),
+        (
+            &factbook,
+            format!("CONTEXTS FOR {QUERY}"),
+            format!(
+                "plan: CONTEXTS {header}
+  1. context buckets from the keyword→path index for 3 term(s)
+"
+            ),
+        ),
+        (
+            &mondial,
+            r#"CONNECTIONS 5 FOR (name, "Canada") AND (population, *)"#.to_string(),
+            "plan: CONNECTIONS over 2 term(s): (name, \"canada\") AND (population, *)
+  1. resolve contexts of term 0 (name, \"canada\"): 10 path(s)
+  2. resolve contexts of term 1 (population, *): 3 path(s)
+  3. threshold-algorithm rank join: k=5, candidate limit 200000
+  4. discover pairwise connections (oracle depth ≤ 12)
+"
+            .to_string(),
+        ),
+        (
+            &factbook,
+            format!("RESULTS {refined}"),
+            format!("plan: RESULTS {header}\n{refined_terms}"),
+        ),
+        (
+            &mondial,
+            r#"RESULTS FOR (name, "Canada") AND (population, *)"#.to_string(),
+            "plan: RESULTS over 2 term(s): (name, \"canada\") AND (population, *)
+  1. resolve contexts of term 0 (name, \"canada\"): 10 path(s)
+  2. resolve contexts of term 1 (population, *): 3 path(s)
+  3. enumerate 30 context combination(s)
+  4. evaluate 3 same-root combination(s) as merged twig patterns
+  5. join 27 cross-root combination(s) via graph connectivity (depth ≤ 12, ≤ 500000 rows)
+"
+            .to_string(),
+        ),
+        (
+            &factbook,
+            "RESULTS FOR (/no/such, *) AND (percentage, *)".to_string(),
+            "plan: RESULTS over 2 term(s): (/no/such, *) AND (percentage, *)
+  1. resolve contexts of term 0 (/no/such, *): 0 path(s)
+  2. resolve contexts of term 1 (percentage, *): 4 path(s)
+  3. enumerate 0 context combination(s)
+"
+            .to_string(),
+        ),
+        (
+            &factbook,
+            "TWIG /country/economy//trade_country".to_string(),
+            "plan: TWIG\n  1. evaluate twig pattern: 3 node(s), 1 output(s)\n".to_string(),
+        ),
+        (
+            &factbook,
+            format!("CUBE import-trade-percentage BY import-country AGG sum {refined}"),
+            format!(
+                "plan: CUBE {header}\n{refined_terms}  6. derive and instantiate the star schema
+  7. aggregate fact \"import-trade-percentage\": \
+sum(import-trade-percentage) grouped by [import-country]
+"
+            ),
+        ),
+    ];
+    for (engine, request, expected) in cases {
+        assert_eq!(explain(engine, &request), expected, "{request}");
+    }
+}
+
+/// A prepared statement's transcript follows `set_k`, and the plan part of
+/// `EXPLAIN ANALYZE` is the plain `EXPLAIN` transcript.
+#[test]
+fn prepared_and_analyzed_transcripts_are_pinned() {
+    let (factbook, _) = corpora();
+    let mut reader = factbook.reader();
+    let mut prepared =
+        reader.prepare(&SedaRequest::parse(&format!("TOPK 5 FOR {QUERY}")).unwrap()).unwrap();
+    assert!(prepared.set_k(2));
+    let expected = "\
+plan: TOPK over 3 term(s): (*, \"united states\") AND (trade_country, *) AND (percentage, *)
+  1. resolve contexts of term 0 (*, \"united states\"): unrestricted
+  2. resolve contexts of term 1 (trade_country, *): 4 path(s)
+  3. resolve contexts of term 2 (percentage, *): 4 path(s)
+  4. threshold-algorithm rank join: k=2, candidate limit 200000
+";
+    assert_eq!(prepared.explain(), expected);
+    assert_eq!(explain(&factbook, &format!("TOPK 2 FOR {QUERY}")), expected);
+
+    let analyzed = reader.execute_text(&format!("EXPLAIN ANALYZE TOPK 2 FOR {QUERY}")).unwrap();
+    let transcript = analyzed.explain_transcript().unwrap();
+    let plan_part = &transcript[..transcript.find("analyze:").unwrap()];
+    assert_eq!(plan_part, expected);
 }

@@ -147,7 +147,8 @@ fn a_plan_panic_becomes_internal_and_the_reader_keeps_serving() {
     // Explaining is a request, through the same boundary and recorded the
     // same way.
     arm("plan", FaultAction::Panic);
-    let err = reader.explain(&request).expect_err("armed plan site must fail the explain");
+    let explain = SedaRequest { explain: true, ..request.clone() };
+    let err = reader.execute(&explain).expect_err("armed plan site must fail the explain");
     assert!(matches!(err, SedaError::Internal(_)), "{err:?}");
     assert_eq!(engine.metrics().requests(&request.statement), requests + 3);
     assert_eq!(engine.metrics().panics_contained(), panics + 2);
