@@ -34,10 +34,12 @@
 //! and `FOR`.  A `WITH` or `VIA` path list is the words up to the next
 //! `WITH` / `VIA`, split at its separator, which may stand alone or touch a
 //! path; a path holds no whitespace.  A term index is named by one `WITH`
-//! clause at most.  The `TWIG` word is compiled by
-//! [`seda_twigjoin::TwigPattern::parse`] at plan time, and a term's context
-//! word by [`ContextSpec::parse`]: `*` or nothing, a path `/a/b`, a tag with
-//! `*` wildcards, or a disjunction `a|/b/c` with no empty alternative.  The
+//! clause at most.  A clause its statement does not read is refused: `WITH`
+//! on `CONTEXTS`, and `VIA` on anything but `RESULTS` and `CUBE`.  The
+//! `TWIG` word is compiled by [`seda_twigjoin::TwigPattern::parse`] at plan
+//! time, and a term's context word by [`ContextSpec::parse`]: `*` or
+//! nothing, a path `/a/b`, a tag with `*` wildcards, or a disjunction
+//! `a|/b/c` with no empty alternative.  The
 //! words of a keyword bag are split into index terms by
 //! [`seda_textindex::terms`]; a term that reads as an operator (`x-and`)
 //! must be quoted, and `*` stands only alone.  `AND` binds tighter than
@@ -259,10 +261,16 @@ impl<'a> Parser<'a> {
             self.need(|t| t.is("FOR"), &expected)?;
             statement
         };
-        builder = builder.statement(statement).query(self.query()?);
+        builder = builder.statement(statement.clone()).query(self.query()?);
+        // A clause the statement does not read would change nothing.
+        let unread =
+            |keyword: Token, clause| parse_error(keyword.start, statement.unread_clause(clause));
         let mut refined = Vec::new();
         loop {
-            if self.keyword("WITH") {
+            if let Some(with) = self.take(|t| t.is("WITH")) {
+                if !statement.reads_selections() {
+                    return Err(unread(with, "WITH"));
+                }
                 let at = self.peek().map_or(self.source.len(), |t| t.start);
                 let term = self.count("WITH clause expects a term index")?;
                 if refined.contains(&term) {
@@ -273,7 +281,10 @@ impl<'a> Parser<'a> {
                 refined.push(term);
                 self.need(|t| t.is("IN"), "WITH <term> must be followed by IN <path>[|<path>…]")?;
                 builder = builder.select_paths(term, self.paths('|', "WITH … IN")?);
-            } else if self.keyword("VIA") {
+            } else if let Some(via) = self.take(|t| t.is("VIA")) {
+                if !statement.reads_connections() {
+                    return Err(unread(via, "VIA"));
+                }
                 builder = builder.via(self.paths('~', "VIA")?);
             } else {
                 return Ok(builder.build());

@@ -214,6 +214,17 @@ impl SedaEngine {
             complete_result_limit: self.config().complete_result_limit,
         };
 
+        // A clause the statement does not read would change nothing: a
+        // request built as a struct is refused like its text would be.
+        for (clause, present, read) in [
+            ("WITH", !request.path_selections.is_empty(), statement.reads_selections()),
+            ("VIA", !request.connections.is_empty(), statement.reads_connections()),
+        ] {
+            if present && !read {
+                return Err(SedaError::Parse(statement.unread_clause(clause)));
+            }
+        }
+
         // Twig statements stand alone: no query terms, no selections.
         if let Statement::Twig { path } = statement {
             let pattern = TwigPattern::parse(path)?;

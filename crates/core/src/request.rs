@@ -68,6 +68,26 @@ impl Statement {
         Self::NAMES[self.kind()]
     }
 
+    /// Whether the statement reads `WITH` context selections: every one
+    /// but `CONTEXTS` (whose buckets list every context of a term) and
+    /// `TWIG` (which has no terms).
+    pub(crate) fn reads_selections(&self) -> bool {
+        !matches!(self, Statement::ContextSummary | Statement::Twig { .. })
+    }
+
+    /// Whether the statement reads `VIA` connection refinements: only the
+    /// complete results do, and the cube derived from them.
+    pub(crate) fn reads_connections(&self) -> bool {
+        matches!(self, Statement::CompleteResults | Statement::Cube { .. })
+    }
+
+    /// The message refusing a `clause` (`WITH`, `VIA`) this statement does
+    /// not read: a clause that would change nothing is an error, not a
+    /// silent no-op.
+    pub(crate) fn unread_clause(&self, clause: &str) -> String {
+        format!("{} does not read a {clause} clause", self.name())
+    }
+
     /// The statement's kind: its index into [`Statement::NAMES`].
     pub(crate) fn kind(&self) -> usize {
         match self {
@@ -99,11 +119,15 @@ pub struct SedaRequest {
     /// The query terms; required by every statement except [`Statement::Twig`].
     pub query: Option<SedaQuery>,
     /// Per-term context selections by path string (`WITH`), resolved and
-    /// validated by the planner.
+    /// validated by the planner.  Every statement but `CONTEXTS` and `TWIG`
+    /// reads them; the planner refuses them on those two with
+    /// [`SedaError::Parse`].
     pub path_selections: Vec<(usize, Vec<String>)>,
     /// Connection refinements of the complete-result set (`VIA`): each one a
     /// connection signature by path string, ends included, resolved by the
-    /// planner like the `WITH` paths.
+    /// planner like the `WITH` paths.  Only `RESULTS` and `CUBE` read them;
+    /// the planner refuses them on any other statement with
+    /// [`SedaError::Parse`].
     pub connections: Vec<Vec<String>>,
     /// Options of the star-schema derivation (`ADD` / `REMOVE` of a cube
     /// statement).
@@ -298,7 +322,9 @@ impl RequestBuilder {
 
     /// Finalises the request.  What its statement cannot use is dropped, as
     /// the planner would ignore it: a `TWIG` keeps only its path, and only a
-    /// `CUBE` keeps star-schema options.
+    /// `CUBE` keeps star-schema options.  `WITH` / `VIA` clauses are kept on
+    /// every other statement: the planner refuses one its statement does not
+    /// read.
     pub fn build(self) -> SedaRequest {
         let statement = self.statement.unwrap_or(Statement::TopK { k: 10 });
         let (twig, cube) = match &statement {
@@ -434,6 +460,16 @@ mod tests {
         let twice = "RESULTS FOR (a, *) AND (b, *) WITH 0 IN /x/a WITH 1 IN /x/b WITH 0 IN /y/a";
         let err = SedaRequest::parse(twice).unwrap_err();
         assert!(matches!(&err, SedaError::Parse(m) if m.contains("term 0")), "{err}");
+        // A clause the statement does not read is refused, naming it.
+        for (text, clause) in [
+            ("TOPK 5 FOR (a, *) VIA /r/a ~ /r/b", "TOPK does not read a VIA clause"),
+            ("CONNECTIONS FOR (a, *) VIA /r/a ~ /r/b", "CONNECTIONS does not read a VIA clause"),
+            ("CONTEXTS FOR (a, *) WITH 0 IN /r/a", "CONTEXTS does not read a WITH clause"),
+            ("CONTEXTS FOR (a, *) VIA /r/a ~ /r/b", "CONTEXTS does not read a VIA clause"),
+        ] {
+            let err = SedaRequest::parse(text).unwrap_err();
+            assert!(matches!(&err, SedaError::Parse(m) if m.contains(clause)), "{text}: {err}");
+        }
         // A TWIG takes exactly one path token.
         for text in ["TWIG /a/b WITH 0 IN /x", "TWIG /a /b", "TWIG /a/b FOR (a, x)"] {
             assert!(matches!(SedaRequest::parse(text), Err(SedaError::Parse(_))), "{text}");

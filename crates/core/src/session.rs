@@ -9,16 +9,18 @@
 //! 4. compute the complete result set,
 //! 5. derive the star schema and aggregate it into cubes.
 //!
-//! The session holds one [`SedaRequest`] — the query terms with the `WITH`
-//! and `VIA` refinements made so far — and the last responses to it.  Every
-//! engine stage sends that request through
+//! The session holds the request of its last stage — the query terms with
+//! the refinements that stage reads — the `VIA` refinements selected so far,
+//! and the last responses.  Every engine stage sends its request through
 //! [`SedaReader::execute_governed`] under the session's budget, planned,
 //! traced and counted like any request: `submit` runs `CONTEXTS`, then
 //! `CONNECTIONS k` (whose payload carries the top-k: one search),
 //! `select_contexts` runs `CONNECTIONS k`, `complete_results` runs
-//! `RESULTS`.  A stage changes the session only when all of its requests
-//! succeed.  The star schema and its cubes are derived from the `RESULTS`
-//! table, the paper's hand-off to an OLAP tool.  Stage misuse is
+//! `RESULTS`.  A stage request carries only the clauses its statement reads:
+//! `CONTEXTS` none, `CONNECTIONS` the `WITH` selections, `RESULTS` those and
+//! the `VIA` refinements.  A stage changes the session only when all of its
+//! requests succeed.  The star schema and its cubes are derived from the
+//! `RESULTS` table, the paper's hand-off to an OLAP tool.  Stage misuse is
 //! [`SedaError::Stage`].
 
 use seda_dataguide::Connection;
@@ -53,8 +55,10 @@ pub enum SessionStage {
 /// One interactive exploration session over a [`SedaEngine`].
 pub struct SedaSession<'a> {
     reader: SedaReader<'a>,
-    /// The refined request; its statement is the last stage's.
+    /// The last stage's request: the query and the refinements it reads.
     request: Option<SedaRequest>,
+    /// The `VIA` refinements selected so far, which only `RESULTS` reads.
+    via: Vec<Vec<String>>,
     contexts: Option<SedaResponse>,
     connections: Option<SedaResponse>,
     complete: Option<SedaResponse>,
@@ -69,6 +73,7 @@ impl<'a> SedaSession<'a> {
         SedaSession {
             reader: engine.reader(),
             request: None,
+            via: Vec::new(),
             contexts: None,
             connections: None,
             complete: None,
@@ -148,15 +153,21 @@ impl<'a> SedaSession<'a> {
 
     /// Runs `CONNECTIONS k` of `request`; on success commits it, its answer
     /// and the stage's new context summary, if any, dropping later stages.
+    /// A new context summary is a new query, so it clears the `VIA`
+    /// refinements too.
     fn explore(
         &mut self,
         mut request: SedaRequest,
         contexts: Option<SedaResponse>,
     ) -> Result<&TopKResult, SedaError> {
         request.statement = Statement::ConnectionSummary { k: self.k };
+        request.connections.clear();
         let mut connections = self.run(&request)?;
         connections.profile.degraded |= contexts.as_ref().is_some_and(|c| c.profile.degraded);
         self.request = Some(request);
+        if contexts.is_some() {
+            self.via.clear();
+        }
         self.contexts = contexts.or(self.contexts.take());
         self.connections = Some(connections);
         self.complete = None;
@@ -234,12 +245,13 @@ impl<'a> SedaSession<'a> {
     /// results keep only rows whose pairs connect through one of their
     /// signatures.
     pub fn select_connections(&mut self, connections: Vec<Connection>) -> Result<(), SedaError> {
-        let mut request = self.refined("select_connections")?;
-        request.connections = connections
+        if self.request.is_none() {
+            return Err(self.stage_error("select_connections", "a submitted query"));
+        }
+        self.via = connections
             .iter()
             .map(|connection| self.engine().paths_text(&connection.signature))
             .collect::<Result<_, _>>()?;
-        self.request = Some(request);
         self.complete = None;
         self.star_schema = None;
         Ok(())
@@ -250,6 +262,7 @@ impl<'a> SedaSession<'a> {
     pub fn complete_results(&mut self) -> Result<&QueryResultTable, SedaError> {
         let mut request = self.refined("complete_results")?;
         request.statement = Statement::CompleteResults;
+        request.connections = self.via.clone();
         let complete = self.run(&request)?;
         self.request = Some(request);
         self.complete = Some(complete);
@@ -433,6 +446,36 @@ mod tests {
             Err(SedaError::UnknownPath(_))
         ));
         assert_eq!(session.request().cloned(), before);
+    }
+
+    #[test]
+    fn stage_requests_carry_only_the_clauses_they_read() {
+        let e = engine();
+        let mut session = SedaSession::new(&e);
+        session.submit_text("(trade_country, *) AND (percentage, *)").unwrap();
+        let connections = session.connection_summary().unwrap().connections.clone();
+        assert!(!connections.is_empty());
+        session.select_connections(connections).unwrap();
+        let c = e.collection();
+        let pct = c
+            .paths()
+            .get_str(c.symbols(), "/country/economy/import_partners/item/percentage")
+            .unwrap();
+        session.select_contexts(1, vec![pct]).unwrap();
+        // `CONNECTIONS` reads the selection, not the connections.
+        let request = session.request().unwrap();
+        assert_eq!(request.statement, Statement::ConnectionSummary { k: session.k });
+        assert_eq!((request.path_selections.len(), request.connections.len()), (1, 0));
+        assert_eq!(SedaRequest::parse(&request.render()).as_ref(), Ok(request));
+        // `RESULTS` reads both: the connections survived the selection.
+        session.complete_results().unwrap();
+        let request = session.request().unwrap();
+        assert_eq!((request.path_selections.len(), request.connections.is_empty()), (1, false));
+        assert_eq!(SedaRequest::parse(&request.render()).as_ref(), Ok(request));
+        // A new query clears them.
+        session.submit_text("(trade_country, *) AND (percentage, *)").unwrap();
+        session.complete_results().unwrap();
+        assert!(session.request().unwrap().connections.is_empty());
     }
 
     #[test]

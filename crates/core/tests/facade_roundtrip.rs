@@ -26,7 +26,8 @@ fn fixed_statement_round_trips() {
         "EXPLAIN CUBE pct BY country AGG max FOR (name, *)",
         "EXPLAIN TOPK 3 FOR (tr*de, *)",
         "RESULTS FOR (a, *) AND (b, *) WITH 1 IN /r/b VIA /r/a ~ /r ~ /r/b VIA /r/a ~ /r/b",
-        "CONNECTIONS 4 FOR (a, *) AND (b, *) VIA /r/a ~ /r/b WITH 0 IN /r/a",
+        "CONNECTIONS 4 FOR (a, *) AND (b, *) WITH 0 IN /r/a",
+        "CUBE pct BY country FOR (a, *) AND (b, *) VIA /r/a ~ /r/b WITH 0 IN /r/a",
         "CUBE pct BY country AGG sum ADD year, region REMOVE country FOR (name, *) VIA /x ~ /y",
         "EXPLAIN ANALYZE CUBE pct BY c MEASURE m REMOVE c FOR (name, *)",
     ];
@@ -114,10 +115,26 @@ fn an_unknown_via_path_is_an_unknown_path() {
     for text in [
         "RESULTS FOR (a, *) AND (b, *) VIA /r/a ~ /r/nowhere ~ /r/b",
         "CUBE f BY d FOR (a, *) VIA /r/nowhere ~ /r/a",
-        "TOPK 5 FOR (a, *) VIA /r/a ~ /r/nowhere",
     ] {
         let err = reader.execute_text(text).unwrap_err();
         assert_eq!(err, SedaError::UnknownPath("/r/nowhere".into()), "{text}");
+    }
+    // A clause the statement does not read is refused before any path of it
+    // is resolved: by the grammar for request text, by the planner for a
+    // built request (the builder keeps the clause).
+    let unread = [
+        ("TOPK 5 FOR (a, *) VIA /r/a ~ /r/nowhere", "TOPK does not read a VIA clause"),
+        ("CONTEXTS FOR (a, *) WITH 0 IN /r/nowhere", "CONTEXTS does not read a WITH clause"),
+    ];
+    for (text, message) in unread {
+        let err = reader.execute_text(text).unwrap_err();
+        assert!(matches!(&err, SedaError::Parse(m) if m.starts_with(message)), "{text}: {err}");
+    }
+    let built = SedaRequest::builder().top_k(5).query(SedaQuery::parse("(a, *)").unwrap());
+    let topk_via = built.clone().via(["/r/a", "/r/nowhere"]).build();
+    let contexts_with = built.contexts().select_paths(0, ["/r/nowhere"]).build();
+    for (request, (_, message)) in [topk_via, contexts_with].iter().zip(unread) {
+        assert_eq!(reader.execute(request).unwrap_err(), SedaError::Parse(message.into()));
     }
 }
 
@@ -269,7 +286,9 @@ proptest! {
 
     /// Every builder-made request — all six statements, `WITH` on each,
     /// `VIA`, `ADD` / `REMOVE`, `EXPLAIN [ANALYZE]` — survives
-    /// `parse(render(request))` exactly.
+    /// `parse(render(request))` exactly, unless it carries a clause its
+    /// statement does not read (`WITH` on `CONTEXTS`, `VIA` on anything but
+    /// `RESULTS` / `CUBE`), whose text is a parse error.
     #[test]
     fn request_render_parse_fixpoint(
         statement in statement_strategy(),
@@ -300,6 +319,17 @@ proptest! {
         let request = builder.cube_options(BuildOptions { add, remove }).build();
         let rendered = request.render();
         let reparsed = SedaRequest::parse(&rendered);
+        let reads_via = matches!(request.statement, Statement::CompleteResults | Statement::Cube { .. });
+        let unread = (request.statement == Statement::ContextSummary
+            && !request.path_selections.is_empty())
+            || (!reads_via && !request.connections.is_empty());
+        if unread {
+            prop_assert!(
+                matches!(&reparsed, Err(SedaError::Parse(m)) if m.contains("does not read")),
+                "an unread clause must be refused: {rendered:?} -> {reparsed:?}"
+            );
+            return Ok(());
+        }
         prop_assert!(reparsed.is_ok(), "render must be parseable: {rendered:?}");
         prop_assert_eq!(reparsed.unwrap(), request, "round-trip failed for {}", rendered);
     }

@@ -449,7 +449,9 @@ impl ContextIndex {
     /// when the `PostingLists` storage design is active.
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
-        let mut check_member = |path: &seda_xmlstore::PathId, role: &str| {
+        // `role` names the referencing table; it is formatted only for a
+        // path outside the universe.
+        let mut check_member = |path: &seda_xmlstore::PathId, role: std::fmt::Arguments<'_>| {
             if !self.all_paths.contains(path) {
                 violations.push(InvariantViolation::new(
                     SUBSTRATE,
@@ -459,21 +461,21 @@ impl ContextIndex {
             }
         };
         for path in &self.text_paths {
-            check_member(path, "text-path set");
+            check_member(path, format_args!("text-path set"));
         }
         for (term, paths) in &self.keyword_paths {
             for path in paths {
-                check_member(path, &format!("keyword {term:?}"));
+                check_member(path, format_args!("keyword {term:?}"));
             }
         }
         for path in self.path_occurrences.keys() {
-            check_member(path, "occurrence counts");
+            check_member(path, format_args!("occurrence counts"));
         }
         for path in self.path_document_frequency.keys() {
-            check_member(path, "document frequencies");
+            check_member(path, format_args!("document frequencies"));
         }
         for (term, path) in self.posting_counts.keys() {
-            check_member(path, &format!("posting count of {term:?}"));
+            check_member(path, format_args!("posting count of {term:?}"));
         }
         if self.storage == crate::context_index::CountStorage::DocumentStore
             && !self.posting_counts.is_empty()
@@ -512,6 +514,36 @@ mod tests {
         .unwrap();
         let index = NodeIndex::build(&collection);
         (collection, index)
+    }
+
+    #[test]
+    fn stray_context_paths_are_named_by_their_table() {
+        let (collection, _) = sample();
+        let stray = seda_xmlstore::PathId(999);
+        let mut ctx = ContextIndex::build(&collection, CountStorage::PostingLists);
+        assert_eq!(ctx.verify(), Ok(()));
+        ctx.corrupt_insert_text_path(stray);
+        ctx.keyword_paths.get_mut("united").unwrap().insert(stray);
+        ctx.path_occurrences.insert(stray, 1);
+        ctx.path_document_frequency.insert(stray, 1);
+        ctx.posting_counts.insert(("mexican".into(), stray), 1);
+        let details: Vec<String> = ctx
+            .verify()
+            .unwrap_err()
+            .into_iter()
+            .inspect(|v| assert_eq!((v.substrate, v.invariant), ("textindex", "context-paths")))
+            .map(|v| v.detail)
+            .collect();
+        assert_eq!(
+            details,
+            [
+                "text-path set references path 999 outside the universe",
+                "keyword \"united\" references path 999 outside the universe",
+                "occurrence counts references path 999 outside the universe",
+                "document frequencies references path 999 outside the universe",
+                "posting count of \"mexican\" references path 999 outside the universe",
+            ]
+        );
     }
 
     #[test]

@@ -19,16 +19,17 @@
 //! [`ContextIndex::build`] is the only constructor: **one fold** over the
 //! collection's nodes straight into the final maps — per-path occurrence and
 //! document counts through plain arrays indexed by [`PathId`] (a
-//! last-document stamp per path instead of a set per document), a keyword's
-//! path set found by reference and no `String` cloned — then one pass
-//! over the shared path table for the tag-name keywords.
+//! last-document stamp per path instead of a set per document), each token
+//! lent by the tokenizer visitor (`for_each_term`) and its path set found by `&str`, so a `String`
+//! is made only for a keyword's first occurrence — then one pass over the
+//! shared path table for the tag-name keywords.
 
 use std::collections::{BTreeSet, HashMap};
 
 use seda_xmlstore::{Collection, DocId, PathId};
 
 use crate::query::FullTextQuery;
-use crate::tokenize::terms;
+use crate::tokenize::for_each_term;
 
 /// Where the per-path occurrence counts are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,21 +81,22 @@ impl ContextIndex {
     pub fn build(collection: &Collection, storage: CountStorage) -> Self {
         let mut keyword_paths: HashMap<String, BTreeSet<PathId>> = HashMap::new();
         let mut posting_counts: HashMap<(String, PathId), usize> = HashMap::new();
-        let mut post = |token: String, path: PathId| {
+        // Nearly every occurrence finds its keyword present: look it up by
+        // the lent token, and own it only for a first one.
+        let mut post = |token: &str, path: PathId| {
             if storage == CountStorage::PostingLists {
-                *posting_counts.entry((token.clone(), path)).or_insert(0) += 1;
+                *posting_counts.entry((token.to_string(), path)).or_insert(0) += 1;
             }
-            // Nearly every occurrence finds its keyword present: look it up
-            // by reference, and give the token away only for a first one.
-            match keyword_paths.get_mut(&token) {
+            match keyword_paths.get_mut(token) {
                 Some(paths) => {
                     paths.insert(path);
                 }
                 None => {
-                    keyword_paths.insert(token, BTreeSet::from([path]));
+                    keyword_paths.insert(token.to_string(), BTreeSet::from([path]));
                 }
             }
         };
+        let mut buf = String::new();
 
         // Per-path counts, indexed by `PathId`.  A path's document frequency
         // counts the documents that stamped it: `stamp[path]` is the last
@@ -114,12 +116,13 @@ impl ContextIndex {
                 }
                 // Content keywords.
                 let Some(text) = node.text.as_deref() else { continue };
-                let tokens = terms(text);
-                if !tokens.is_empty() {
-                    text_paths.insert(node.path);
-                }
-                for token in tokens {
+                let mut any_token = false;
+                for_each_term(text, &mut buf, |token| {
+                    any_token = true;
                     post(token, node.path);
+                });
+                if any_token {
+                    text_paths.insert(node.path);
                 }
             }
         }
@@ -129,9 +132,9 @@ impl ContextIndex {
         let mut all_paths: BTreeSet<PathId> = BTreeSet::new();
         for (path_id, label_path) in collection.paths().iter() {
             for &step in label_path.steps() {
-                for token in terms(collection.symbols().resolve(step)) {
-                    post(token, path_id);
-                }
+                for_each_term(collection.symbols().resolve(step), &mut buf, |token| {
+                    post(token, path_id)
+                });
             }
             all_paths.insert(path_id);
         }

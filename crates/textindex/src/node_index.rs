@@ -44,9 +44,12 @@
 //! # Build
 //!
 //! [`NodeIndex::build`] is one pass over the collection in document order.
-//! It tokenises each text node and interns every token as it reads it, so
-//! the only strings the build holds are one per distinct term, in its one
-//! hash map.  The pass fills the token arena and the side tables directly.
+//! It tokenises each text node with the tokenizer visitor
+//! (`for_each_term`), which lends every token from one reused buffer, and
+//! interns the token as it reads it: a
+//! `String` is made only for a term's first occurrence, so the only strings
+//! the build holds are one per distinct term, in its one hash map.  The pass
+//! fills the token arena and the side tables directly.
 //! Term ids are then renumbered to lexicographic ranks, one
 //! `(term, node, tf)` entry per distinct term of each node is derived from
 //! the arena, and the entries are counting-sorted into the posting arena.
@@ -61,7 +64,7 @@ use seda_xmlstore::{Collection, DocId, NodeId, PathId};
 
 use crate::dict::{TermDict, TermId};
 use crate::query::FullTextQuery;
-use crate::tokenize::terms;
+use crate::tokenize::{for_each_term, terms};
 
 /// A node matched by a query, with its content score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -203,30 +206,40 @@ impl NodeIndex {
     /// text content (elements with text and attributes), in one pass in
     /// document order.
     ///
-    /// Each token is interned as it is read, so the build holds one string
-    /// per distinct term, never one per occurrence; ids are then renumbered
-    /// by rank, so they are lexicographic whatever the document order.
+    /// Each token is lent by the tokenizer visitor (`for_each_term`) and
+    /// interned as it is read: it is looked up by `&str`, and a `String` is allocated only for a
+    /// term seen for the first time, so the build holds one string per
+    /// distinct term, never one per occurrence.  Ids are then renumbered by
+    /// rank, so they are lexicographic whatever the document order.
     pub fn build(collection: &Collection) -> Self {
         let mut first_seen: HashMap<String, u32> = HashMap::new();
         let mut slot_nodes = Vec::new();
         let mut slot_paths = Vec::new();
         let mut token_offsets = vec![0u32];
         let mut slot_tokens: Vec<TermId> = Vec::new();
+        let mut buf = String::new();
         // Documents ascend by id and a document's nodes by ordinal, so slots
         // ascend by node id.
         for doc in collection.documents() {
             for (ordinal, node) in doc.iter() {
                 let Some(text) = node.text.as_deref() else { continue };
-                let tokens = terms(text);
-                if tokens.is_empty() {
+                let before = slot_tokens.len();
+                for_each_term(text, &mut buf, |token| {
+                    let id = match first_seen.get(token) {
+                        Some(&id) => id,
+                        None => {
+                            let id = first_seen.len() as u32;
+                            first_seen.insert(token.to_string(), id);
+                            id
+                        }
+                    };
+                    slot_tokens.push(TermId(id));
+                });
+                if slot_tokens.len() == before {
                     continue;
                 }
                 slot_nodes.push(NodeId::new(doc.id, ordinal));
                 slot_paths.push(node.path);
-                for token in tokens {
-                    let next = first_seen.len() as u32;
-                    slot_tokens.push(TermId(*first_seen.entry(token).or_insert(next)));
-                }
                 token_offsets.push(slot_tokens.len() as u32);
             }
         }

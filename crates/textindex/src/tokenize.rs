@@ -6,39 +6,76 @@
 //! punctuation separates tokens; decimal numbers such as `16.9` are kept as a
 //! single token because percentages and monetary values (`12.31T`) are
 //! first-class content in the Factbook corpus.
+//!
+//! The tokenizer is one crate-private visitor, `for_each_term`: it walks the text once
+//! and lends each token to its caller from one reused buffer, so the index
+//! builds pay a `String` only for a term they keep.  ASCII bytes take a fast
+//! path; every other character goes through `char::is_alphanumeric` and
+//! `char::to_lowercase`, which agree with the fast path on ASCII.  [`terms`]
+//! is the collecting wrapper over the visitor, for callers that want the
+//! tokens as a list (query text, tag names).
 
 /// Splits text into normalised tokens, in text order (the one tokenizer:
 /// indexed content, tag names and query keywords all pass through it).
 pub fn terms(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
-    let mut current = String::new();
-    let mut chars = text.chars().peekable();
-
-    while let Some(c) = chars.next() {
-        if c.is_alphanumeric() {
-            // `İ` lower-cases to `i` and a combining dot, which is no
-            // alphanumeric: keeping it would split the token on a second pass.
-            current.extend(c.to_lowercase().filter(|l| l.is_alphanumeric()));
-        } else if c == '.' && !current.is_empty() && current.chars().all(|c| c.is_ascii_digit()) {
-            // Keep decimal points inside numbers ("16.9", "12.31") but only if
-            // a digit follows; a trailing period ends the token.
-            if chars.peek().map(|n| n.is_ascii_digit()).unwrap_or(false) {
-                current.push('.');
-            } else {
-                flush(&mut tokens, &mut current);
-            }
-        } else {
-            flush(&mut tokens, &mut current);
-        }
-    }
-    flush(&mut tokens, &mut current);
+    for_each_term(text, &mut String::new(), |token| tokens.push(token.to_string()));
     tokens
 }
 
-fn flush(tokens: &mut Vec<String>, current: &mut String) {
-    if !current.is_empty() {
-        tokens.push(std::mem::take(current));
+/// Calls `visit` with each normalised token of `text`, in text order: the
+/// tokens of [`terms`], lent from `buf` instead of returned as strings.
+/// `buf` is scratch space the caller keeps across calls so that it grows
+/// only to the longest token; its contents on return are unspecified.
+pub(crate) fn for_each_term(text: &str, buf: &mut String, mut visit: impl FnMut(&str)) {
+    buf.clear();
+    // Whether every character of the token so far is an ASCII digit: only
+    // such a token may take a decimal point.
+    let mut digits = true;
+    let bytes = text.as_bytes();
+    let mut at = 0;
+    while let Some(&byte) = bytes.get(at) {
+        if byte.is_ascii() {
+            at += 1;
+            if byte.is_ascii_alphanumeric() {
+                digits &= byte.is_ascii_digit();
+                buf.push(byte.to_ascii_lowercase() as char);
+            } else if byte == b'.'
+                && digits
+                && !buf.is_empty()
+                && bytes.get(at).is_some_and(u8::is_ascii_digit)
+            {
+                // Keep decimal points inside numbers ("16.9", "12.31") but
+                // only if a digit follows; a trailing period ends the token.
+                digits = false;
+                buf.push('.');
+            } else {
+                flush(buf, &mut digits, &mut visit);
+            }
+            continue;
+        }
+        let Some(c) = text[at..].chars().next() else { break };
+        at += c.len_utf8();
+        if c.is_alphanumeric() {
+            // `İ` lower-cases to `i` and a combining dot, which is no
+            // alphanumeric: keeping it would split the token on a second pass.
+            for lower in c.to_lowercase().filter(|l| l.is_alphanumeric()) {
+                digits &= lower.is_ascii_digit();
+                buf.push(lower);
+            }
+        } else {
+            flush(buf, &mut digits, &mut visit);
+        }
     }
+    flush(buf, &mut digits, &mut visit);
+}
+
+fn flush(buf: &mut String, digits: &mut bool, visit: &mut impl FnMut(&str)) {
+    if !buf.is_empty() {
+        visit(buf);
+        buf.clear();
+    }
+    *digits = true;
 }
 
 #[cfg(test)]

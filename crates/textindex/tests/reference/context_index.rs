@@ -2,7 +2,7 @@
 //! until the index was built by one fold: `build_shard` made a
 //! `HashMap<String, BTreeSet<PathId>>` per document, `merge` folded them.
 //! Kept verbatim (as free functions) so the fold is compared against code it
-//! shares nothing with but the tokenizer.  It fills the real `ContextIndex`
+//! shares nothing with.  It fills the real `ContextIndex`
 //! fields, which is why this module is compiled into the crate's unit tests
 //! rather than an integration test.
 
@@ -10,7 +10,8 @@ use std::collections::{BTreeSet, HashMap};
 
 use seda_xmlstore::{Collection, DocId, Document, PathId};
 
-use crate::{terms, ContextIndex, CountStorage};
+use super::tokenize::terms;
+use crate::{ContextIndex, CountStorage};
 
 #[derive(Default)]
 pub struct ContextIndexShard {

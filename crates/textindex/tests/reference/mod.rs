@@ -1,10 +1,13 @@
 //! Differential suites for the two index builds against the builders they
-//! replaced, which share nothing with them but the tokenizer:
+//! replaced, and for the tokenizer against the one it replaced:
 //!
 //! * [`node_index`] — the map-based `NodeIndex` build (per-document maps,
 //!   a union, a second pass freezing the read model), as a plain function
 //!   returning the expected tables;
-//! * [`context_index`] — `ContextIndex::build_shard` + `merge`, verbatim.
+//! * [`context_index`] — `ContextIndex::build_shard` + `merge`, verbatim;
+//! * [`tokenize`] — the char-by-char `terms`, which both reference builds
+//!   tokenise with, so a tokenizer fault shows as a difference instead of
+//!   being shared by judge and judged.
 //!
 //! Every table and every answer of the new builds must equal the old ones,
 //! scores to the bit, on the four `seda_datagen` shapes and on random small
@@ -18,11 +21,13 @@
 
 pub mod context_index;
 pub mod node_index;
+pub mod tokenize;
 
 use proptest::prelude::*;
 use seda_datagen::Dataset;
 use seda_xmlstore::{Collection, NodeId, PathId};
 
+use crate::tokenize::for_each_term;
 use crate::{ContextIndex, CountStorage, FullTextQuery, NodeIndex, ScoredNode};
 use node_index::ExpectedTables;
 
@@ -286,5 +291,63 @@ proptest! {
         assert_same_answers(&collection, &index, &expected, &queries, &allowed);
 
         assert_same_context_index(&collection);
+    }
+}
+
+/// The visitor's tokens, collected.
+fn visited(text: &str, buf: &mut String) -> Vec<String> {
+    let mut tokens = Vec::new();
+    for_each_term(text, buf, |token| tokens.push(token.to_string()));
+    tokens
+}
+
+#[test]
+fn the_visitor_equals_the_reference_tokenizer_on_its_edge_cases() {
+    let mut buf = String::new();
+    for text in [
+        "16.9.5",
+        "15.",
+        "İstanbul",
+        "Côte d'Ivoire",
+        "北京",
+        "12.31T",
+        ".5 5. 5.a 1..2 a1.2 1.2.3.4 ١٢.3 0.0",
+        "İİ Σ ΣΑΣ ß ǅ Ⅻ ½ x\u{0301}y",
+        "",
+        "--- %% !!",
+        "Alpha, beta. 16.9",
+    ] {
+        assert_eq!(visited(text, &mut buf), tokenize::terms(text), "{text:?}");
+        assert_eq!(crate::terms(text), tokenize::terms(text), "{text:?}");
+    }
+    assert_eq!(visited("16.9.5 15. 12.31T", &mut buf), ["16.9", "5", "15", "12.31t"]);
+}
+
+/// A random character: mostly ASCII letters, digits, `.` and separators,
+/// then Latin-1 and Greek letters with case, then any scalar value.
+fn random_char(pick: u32) -> char {
+    const ASCII: &[u8] = b"aZ09.. ,-_'\t\nQz5";
+    const UNICODE: [char; 12] = ['İ', 'ı', 'Ô', 'ç', 'ß', 'Σ', 'ς', '北', '١', '½', '\u{301}', 'ǅ'];
+    match pick % 4 {
+        0 | 1 => ASCII[(pick / 4) as usize % ASCII.len()] as char,
+        2 => UNICODE[(pick / 4) as usize % UNICODE.len()],
+        _ => char::from_u32((pick / 4) % 0x11_0000).unwrap_or('\u{fffd}'),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn the_visitor_equals_the_reference_tokenizer_on_random_text(
+        picks in proptest::collection::vec(any::<u32>(), 0..48),
+        ascii in "[a-zA-Z0-9 .,;:_'-]{0,40}",
+    ) {
+        let unicode: String = picks.iter().map(|&pick| random_char(pick)).collect();
+        // One buffer across calls, as the builds keep it.
+        let mut buf = String::from("stale");
+        for text in [unicode.as_str(), ascii.as_str()] {
+            prop_assert_eq!(visited(text, &mut buf), tokenize::terms(text));
+        }
     }
 }

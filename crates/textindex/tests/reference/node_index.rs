@@ -3,15 +3,16 @@
 //! (`build_shard`), a k-way union of them (`merge`) and a second pass that
 //! froze the tables sorted access reads (`rebuild_read_model`,
 //! `rebuild_path_runs`).  Kept as plain functions over plain tables — the
-//! only code shared with the shipping build is the tokenizer, the
-//! dictionary's `from_sorted` and the `ScoredNode` type.  `Posting::positions`
+//! only code shared with the shipping build is the dictionary's
+//! `from_sorted` and the `ScoredNode` type.  `Posting::positions`
 //! is not reproduced: nothing ever read it.
 
 use std::collections::HashMap;
 
 use seda_xmlstore::{Collection, Document, NodeId, PathId};
 
-use crate::{terms, ScoredNode, TermDict};
+use super::tokenize::terms;
+use crate::{ScoredNode, TermDict};
 
 struct Posting {
     node: NodeId,

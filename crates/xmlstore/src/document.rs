@@ -254,8 +254,8 @@ impl<'a> DocumentBuilder<'a> {
         Ok(ordinal)
     }
 
-    /// Finishes the document.  Fails if elements are still open or the
-    /// document is empty.
+    /// Finishes the document, its node arena at exact capacity.  Fails if
+    /// elements are still open or the document is empty.
     pub(crate) fn finish(self) -> Result<Document> {
         if !self.open.is_empty() {
             return Err(XmlStoreError::BuilderState(format!(
@@ -266,7 +266,10 @@ impl<'a> DocumentBuilder<'a> {
         if self.nodes.is_empty() {
             return Err(XmlStoreError::EmptyDocument);
         }
-        Ok(Document::from_parts(self.doc_id, self.uri, self.nodes))
+        // The arena grew by doubling; the document keeps only its nodes.
+        let mut nodes = self.nodes;
+        nodes.shrink_to_fit();
+        Ok(Document::from_parts(self.doc_id, self.uri, nodes))
     }
 }
 
@@ -366,6 +369,12 @@ mod tests {
         let mut paths = PathTable::default();
         let b = DocumentBuilder::new(&mut symbols, &mut paths, DocId(0), "empty.xml");
         assert!(matches!(b.finish(), Err(XmlStoreError::EmptyDocument)));
+    }
+
+    #[test]
+    fn finished_documents_keep_no_growth_slack() {
+        let (_, _, doc) = build_sample();
+        assert_eq!(doc.nodes.capacity(), doc.len());
     }
 
     #[test]

@@ -6,6 +6,15 @@
 //! processing instructions, DOCTYPE declarations and the five predefined
 //! entities plus numeric character references.  End tags are checked against
 //! the open-element stack, so unbalanced documents are rejected.
+//!
+//! Scanner events borrow from the input: names and attribute keys are
+//! slices of it, and text and attribute values are [`Cow`]s that own a copy
+//! only when an entity had to be resolved (CDATA is text that is never
+//! unescaped).  The parse therefore allocates for what the store keeps —
+//! node text, attribute values, names and paths seen for the first time —
+//! and not for each tag, attribute or run of whitespace it reads.
+
+use std::borrow::Cow;
 
 use crate::collection::Collection;
 use crate::error::{Result, XmlStoreError};
@@ -20,21 +29,22 @@ use crate::node::DocId;
 pub fn parse_into(collection: &mut Collection, uri: &str, xml: &str) -> Result<DocId> {
     collection.add_document(uri, |builder| {
         let mut scanner = Scanner::new(xml);
-        let mut open_tags: Vec<String> = Vec::new();
+        let mut attributes = Vec::new();
+        let mut open_tags: Vec<&str> = Vec::new();
         let mut saw_root = false;
 
-        while let Some(event) = scanner.next_event()? {
+        while let Some(event) = scanner.next_event(&mut attributes)? {
             match event {
-                Event::Start { name, attributes, self_closing } => {
+                Event::Start { name, self_closing } => {
                     if saw_root && open_tags.is_empty() {
                         return Err(XmlStoreError::Parse(format!(
                             "second root element {name:?} in document {uri}"
                         )));
                     }
-                    builder.start_element(&name)?;
+                    builder.start_element(name)?;
                     saw_root = true;
-                    for (key, value) in attributes {
-                        builder.attribute(&key, &value)?;
+                    for (key, value) in attributes.drain(..) {
+                        builder.attribute(key, &value)?;
                     }
                     if self_closing {
                         builder.end_element()?;
@@ -93,25 +103,41 @@ where
     Ok(collection)
 }
 
-/// One markup event produced by the scanner.
-enum Event {
-    Start { name: String, attributes: Vec<(String, String)>, self_closing: bool },
-    End { name: String },
-    Text(String),
+/// An attribute of a start tag: its key and its unescaped value.
+type Attribute<'a> = (&'a str, Cow<'a, str>);
+
+/// One markup event produced by the scanner, borrowing from the input.
+enum Event<'a> {
+    /// A start tag; its attributes are in the buffer `next_event` filled.
+    Start {
+        name: &'a str,
+        self_closing: bool,
+    },
+    End {
+        name: &'a str,
+    },
+    Text(Cow<'a, str>),
 }
 
 /// Byte-level XML scanner over the input text.
+///
+/// Every position the scanner stops at is next to an ASCII byte (`<`, `>`,
+/// a quote, whitespace, `/` or `=`), which is never inside a multi-byte
+/// character, so each slice it hands out is a `str` slice of the input.
 struct Scanner<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Scanner<'a> {
     fn new(text: &'a str) -> Self {
-        Scanner { bytes: text.as_bytes(), pos: 0 }
+        Scanner { text, bytes: text.as_bytes(), pos: 0 }
     }
 
-    fn next_event(&mut self) -> Result<Option<Event>> {
+    /// The next event; a start tag's attributes replace the contents of
+    /// `attributes`.
+    fn next_event(&mut self, attributes: &mut Vec<Attribute<'a>>) -> Result<Option<Event<'a>>> {
         loop {
             if self.pos >= self.bytes.len() {
                 return Ok(None);
@@ -123,12 +149,16 @@ impl<'a> Scanner<'a> {
             match self.bytes.get(self.pos + 1) {
                 Some(b'!') if self.starts_with("<!--") => self.skip_until("-->")?,
                 Some(b'!') if self.starts_with("<![CDATA[") => {
-                    return self.scan_cdata().map(Some);
+                    let start = self.pos + "<![CDATA[".len();
+                    self.pos = start;
+                    self.skip_until("]]>")?;
+                    let raw = &self.text[start..self.pos - "]]>".len()];
+                    return Ok(Some(Event::Text(Cow::Borrowed(raw))));
                 }
                 Some(b'!') => self.skip_declaration()?,
                 Some(b'?') => self.skip_until("?>")?,
                 Some(b'/') => return self.scan_end_tag().map(Some),
-                Some(_) => return self.scan_start_tag().map(Some),
+                Some(_) => return self.scan_start_tag(attributes).map(Some),
                 None => return Err(XmlStoreError::Parse("dangling '<' at end of input".into())),
             }
         }
@@ -140,15 +170,15 @@ impl<'a> Scanner<'a> {
 
     fn skip_until(&mut self, terminator: &str) -> Result<()> {
         let t = terminator.as_bytes();
-        let mut i = self.pos;
-        while i + t.len() <= self.bytes.len() {
-            if &self.bytes[i..i + t.len()] == t {
-                self.pos = i + t.len();
-                return Ok(());
+        match self.bytes[self.pos..].windows(t.len()).position(|window| window == t) {
+            Some(at) => {
+                self.pos += at + t.len();
+                Ok(())
             }
-            i += 1;
+            None => {
+                Err(XmlStoreError::Parse(format!("unterminated markup, expected {terminator:?}")))
+            }
         }
-        Err(XmlStoreError::Parse(format!("unterminated markup, expected {terminator:?}")))
     }
 
     /// Skips `<!DOCTYPE ...>` (tracking nested `[` internal subsets).
@@ -170,26 +200,22 @@ impl<'a> Scanner<'a> {
         Err(XmlStoreError::Parse("unterminated <! declaration".into()))
     }
 
-    fn scan_text(&mut self) -> Result<Event> {
+    /// Advances to the next `byte` (or the end) and returns what it passed.
+    fn take_until(&mut self, byte: u8) -> &'a str {
         let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != b'<' {
-            self.pos += 1;
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| XmlStoreError::Parse(e.to_string()))?;
+        self.pos = self.bytes[start..]
+            .iter()
+            .position(|&b| b == byte)
+            .map_or(self.bytes.len(), |n| start + n);
+        &self.text[start..self.pos]
+    }
+
+    fn scan_text(&mut self) -> Result<Event<'a>> {
+        let raw = self.take_until(b'<');
         Ok(Event::Text(unescape(raw)?))
     }
 
-    fn scan_cdata(&mut self) -> Result<Event> {
-        let start = self.pos + "<![CDATA[".len();
-        self.pos = start;
-        self.skip_until("]]>")?;
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos - "]]>".len()])
-            .map_err(|e| XmlStoreError::Parse(e.to_string()))?;
-        Ok(Event::Text(raw.to_string()))
-    }
-
-    fn scan_end_tag(&mut self) -> Result<Event> {
+    fn scan_end_tag(&mut self) -> Result<Event<'a>> {
         self.pos += 2; // consume "</"
         let name = self.scan_name()?;
         self.skip_whitespace();
@@ -200,22 +226,22 @@ impl<'a> Scanner<'a> {
         Ok(Event::End { name })
     }
 
-    fn scan_start_tag(&mut self) -> Result<Event> {
+    fn scan_start_tag(&mut self, attributes: &mut Vec<Attribute<'a>>) -> Result<Event<'a>> {
         self.pos += 1; // consume '<'
         let name = self.scan_name()?;
-        let mut attributes = Vec::new();
+        attributes.clear();
         loop {
             self.skip_whitespace();
             match self.bytes.get(self.pos) {
                 Some(b'>') => {
                     self.pos += 1;
-                    return Ok(Event::Start { name, attributes, self_closing: false });
+                    return Ok(Event::Start { name, self_closing: false });
                 }
                 Some(b'/') if self.bytes.get(self.pos + 1) == Some(&b'>') => {
                     self.pos += 2;
-                    return Ok(Event::Start { name, attributes, self_closing: true });
+                    return Ok(Event::Start { name, self_closing: true });
                 }
-                Some(_) => attributes.push(self.scan_attribute(&name)?),
+                Some(_) => attributes.push(self.scan_attribute(name)?),
                 None => {
                     return Err(XmlStoreError::Parse(format!("unterminated opening tag <{name}")));
                 }
@@ -223,7 +249,7 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    fn scan_attribute(&mut self, element: &str) -> Result<(String, String)> {
+    fn scan_attribute(&mut self, element: &str) -> Result<Attribute<'a>> {
         let key = self.scan_name()?;
         self.skip_whitespace();
         if self.bytes.get(self.pos) != Some(&b'=') {
@@ -242,22 +268,17 @@ impl<'a> Scanner<'a> {
             }
         };
         self.pos += 1;
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != quote {
-            self.pos += 1;
-        }
+        let raw = self.take_until(quote);
         if self.pos >= self.bytes.len() {
             return Err(XmlStoreError::Parse(format!(
                 "unterminated value of attribute {key:?} on <{element}>"
             )));
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| XmlStoreError::Parse(e.to_string()))?;
         self.pos += 1; // closing quote
         Ok((key, unescape(raw)?))
     }
 
-    fn scan_name(&mut self) -> Result<String> {
+    fn scan_name(&mut self) -> Result<&'a str> {
         let start = self.pos;
         while self.pos < self.bytes.len() {
             match self.bytes[self.pos] {
@@ -271,9 +292,7 @@ impl<'a> Scanner<'a> {
         if self.pos == start {
             return Err(XmlStoreError::Parse("empty tag or attribute name".into()));
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map(str::to_string)
-            .map_err(|e| XmlStoreError::Parse(e.to_string()))
+        Ok(&self.text[start..self.pos])
     }
 
     fn skip_whitespace(&mut self) {
@@ -283,13 +302,15 @@ impl<'a> Scanner<'a> {
     }
 }
 
-/// Resolves the predefined entities and numeric character references.
-fn unescape(raw: &str) -> Result<String> {
-    if !raw.contains('&') {
-        return Ok(raw.to_string());
-    }
+/// Resolves the predefined entities and numeric character references,
+/// borrowing `raw` when it holds none.
+fn unescape(raw: &str) -> Result<Cow<'_, str>> {
+    let Some(first) = raw.find('&') else {
+        return Ok(Cow::Borrowed(raw));
+    };
     let mut out = String::with_capacity(raw.len());
-    let mut rest = raw;
+    out.push_str(&raw[..first]);
+    let mut rest = &raw[first..];
     while let Some(amp) = rest.find('&') {
         out.push_str(&rest[..amp]);
         rest = &rest[amp..];
@@ -323,7 +344,7 @@ fn unescape(raw: &str) -> Result<String> {
         rest = &rest[semi + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
@@ -437,6 +458,75 @@ mod tests {
         assert!(parse_into(&mut c, "open.xml", "<a><b>text</b>").is_err());
         assert!(parse_into(&mut c, "tworoots.xml", "<a/><b/>").is_err());
         assert!(parse_into(&mut c, "stray.xml", "<a></a></b>").is_err());
+    }
+
+    /// The text of the one node on `path`, or `None` when it has none.
+    fn text_at(c: &Collection, path: &str) -> Option<String> {
+        let path = c.paths().get_str(c.symbols(), path).unwrap();
+        let nodes = c.nodes_with_path(path);
+        assert_eq!(nodes.len(), 1, "one node on the path");
+        c.node(nodes[0]).unwrap().text.clone()
+    }
+
+    #[test]
+    fn whitespace_written_as_an_entity_outside_the_root_is_whitespace() {
+        let mut c = Collection::new();
+        assert!(parse_into(&mut c, "ws.xml", "<a/>&#32;").is_ok());
+        assert!(parse_into(&mut c, "ws2.xml", "&#x20;&#9;<a/>\n&#10;").is_ok());
+        let err = parse_into(&mut c, "x.xml", "<a/>&#65;").unwrap_err();
+        assert_eq!(err, XmlStoreError::Parse("text content \"A\" outside the root element".into()));
+    }
+
+    #[test]
+    fn entities_in_attribute_values_are_unescaped() {
+        let mut c = Collection::new();
+        parse_into(&mut c, "a.xml", r#"<a k="x &amp; y" q='&lt;&quot;&#x41;&apos;'/>"#).unwrap();
+        assert_eq!(text_at(&c, "/a/k").as_deref(), Some("x & y"));
+        assert_eq!(text_at(&c, "/a/q").as_deref(), Some("<\"A'"));
+    }
+
+    #[test]
+    fn whitespace_only_cdata_adds_no_text() {
+        let mut c = Collection::new();
+        parse_into(&mut c, "c.xml", "<a><b><![CDATA[  \n ]]></b><![CDATA[ ]]></a><![CDATA[ ]]>")
+            .unwrap();
+        assert_eq!(text_at(&c, "/a"), None);
+        assert_eq!(text_at(&c, "/a/b"), None);
+        // CDATA is never unescaped, and joins the element's other text.
+        parse_into(&mut c, "d.xml", "<d>x <![CDATA[&amp;]]> y</d>").unwrap();
+        assert_eq!(text_at(&c, "/d").as_deref(), Some("x &amp; y"));
+    }
+
+    #[test]
+    fn mixed_content_keeps_each_run_on_its_own_element() {
+        let mut c = Collection::new();
+        parse_into(&mut c, "m.xml", "<p>\n one <b> two </b>\tthree &amp; <i/> four\n</p>").unwrap();
+        assert_eq!(text_at(&c, "/p").as_deref(), Some("one three & four"));
+        assert_eq!(text_at(&c, "/p/b").as_deref(), Some("two"));
+        assert_eq!(text_at(&c, "/p/i"), None);
+    }
+
+    #[test]
+    fn entity_errors_name_the_entity() {
+        let mut c = Collection::new();
+        let err = |xml: &str| parse_into(&mut Collection::new(), "e.xml", xml).unwrap_err();
+        assert_eq!(err("<a>&foo;</a>"), XmlStoreError::Parse("unknown entity &foo;".into()));
+        assert_eq!(err(r#"<a k="&nbsp;"/>"#), XmlStoreError::Parse("unknown entity &nbsp;".into()));
+        assert_eq!(
+            err("<a>x &amp y</a>"),
+            XmlStoreError::Parse("unterminated entity in \"x &amp y\"".into())
+        );
+        assert_eq!(
+            err("<a>&#xZZ;</a>"),
+            XmlStoreError::Parse("bad character reference &#xZZ;".into())
+        );
+        assert_eq!(
+            err("<a>&#xD800;</a>"),
+            XmlStoreError::Parse("invalid character reference &#xD800;".into())
+        );
+        // A refused document leaves the collection as it was.
+        assert!(parse_into(&mut c, "bad.xml", "<a>&foo;</a>").is_err());
+        assert!(c.is_empty());
     }
 
     #[test]

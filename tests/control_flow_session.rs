@@ -204,7 +204,13 @@ fn the_session_replays_as_request_text() {
     let replayed = reader.execute_text(&text).unwrap();
     assert_eq!(replayed.table(), Some(session.complete().unwrap()), "{text}");
 
-    let as_text = |statement| SedaRequest { statement, ..request.clone() }.render();
+    // Each stage's request carries only the clauses its statement reads:
+    // `CONNECTIONS` the `WITH` selections, `CONTEXTS` neither clause.
+    let as_text = |statement: Statement| {
+        let reads_with = statement != Statement::ContextSummary;
+        let path_selections = if reads_with { request.path_selections.clone() } else { vec![] };
+        SedaRequest { statement, path_selections, connections: vec![], ..request.clone() }.render()
+    };
     let text = as_text(Statement::ConnectionSummary { k: 10 });
     let replayed = reader.execute_text(&text).unwrap();
     assert_eq!(replayed.top_k(), Some(session.top_k().unwrap()), "{text}");
