@@ -192,7 +192,11 @@ pub const TWIG_STATEMENT_BOUND: f64 = 1.19;
 /// read 15.9–17.3× over six runs (≈ 540 ms against ≈ 33 ms: their garbage
 /// slows the tokenising pass they take turns with, too).  The bound is the
 /// geometric mean of the shards' worst quiet reading and the best old one:
-/// √(6.39 · 15.9) ≈ 10.
+/// √(6.39 · 15.9) ≈ 10.  Since the context index is a view of the node index
+/// (it tokenises only the path table's labels, and the node index derives
+/// each term's distinct paths from its postings) the builds read 3.81–3.92×
+/// (≈ 47–50 ms against ≈ 12–13 ms), against 6.07–6.37× (≈ 80–82 ms) for the
+/// builds that tokenised the text twice, three alternating runs each.
 pub const INDEX_BUILD_BOUND: f64 = 10.0;
 
 /// Allowed `t(CUBE) / t(RESULTS)` over [`CUBE_CLAUSE`], grouped by import

@@ -6,8 +6,11 @@
 //!
 //! Each index substrate has one build: a single pass over the collection in
 //! document order (`NodeIndex::build`, `DataGraph::build`,
-//! `ContextIndex::build`).  [`SedaEngine::build`] runs them on one thread or
-//! two.  At two, the node index — the largest build — runs on a scoped second
+//! `ContextIndex::build`).  Text is tokenised once, by the node index; the
+//! context index tokenises only the tag names of the path table and reads
+//! text keywords' contexts from the node index's term → paths table when
+//! asked.  [`SedaEngine::build`] runs them on one thread or two.  At two, the
+//! node index — the largest build — runs on a scoped second
 //! thread while the calling thread builds the data graph and the context
 //! index.  The graph stays on the calling thread, so its document components
 //! count on `seda_datagraph::doc_component_builds_on_this_thread` there.  The
@@ -76,7 +79,9 @@ pub struct EngineConfig {
     /// Data-graph construction configuration (ID/IDREF conventions,
     /// value-based key specs).
     pub graph: GraphConfig,
-    /// Count storage of the context index (Fig. 8 design choice).
+    /// Count storage of the context index: its one value,
+    /// [`CountStorage::DocumentStore`].  Kept only because `benchmark/`
+    /// still passes it to `ContextIndex::build`.
     pub count_storage: CountStorage,
     /// Upper bound on the number of complete-result tuples materialised by
     /// the fallback graph-enumeration path.
@@ -391,7 +396,8 @@ impl SedaEngine {
         &self.node_index
     }
 
-    /// The keyword→path context index.
+    /// The keyword→path context index: tag-name keywords and per-path
+    /// counts, read with [`SedaEngine::node_index`] for text keywords.
     pub fn context_index(&self) -> &ContextIndex {
         &self.context_index
     }
@@ -474,7 +480,8 @@ impl SedaEngine {
             .enumerate()
             .map(|(i, term)| {
                 let allowed = term.context.allowed_paths(&self.collection);
-                let entries = self.context_index.context_bucket(&term.search, allowed.as_deref());
+                let (contexts, nodes) = (&self.context_index, &self.node_index);
+                let entries = contexts.context_bucket(nodes, &term.search, allowed.as_deref());
                 ContextBucket { term: i, label: term.label(), entries }
             })
             .collect();
@@ -632,7 +639,8 @@ impl SedaEngine {
     /// All paths whose nodes can satisfy a search query (used when a term has
     /// neither a context spec nor a selection).
     fn paths_matching_search(&self, search: &FullTextQuery) -> Vec<PathId> {
-        self.context_index.context_bucket(search, None).into_iter().map(|e| e.path).collect()
+        let bucket = self.context_index.context_bucket(&self.node_index, search, None);
+        bucket.into_iter().map(|e| e.path).collect()
     }
 
     /// Evaluates one concrete combination of per-term contexts (one path

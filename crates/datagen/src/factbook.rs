@@ -643,11 +643,11 @@ mod tests {
         assert!(c.distinct_path_count() > 100, "distinct paths = {}", c.distinct_path_count());
         // And the frequency distribution has a long tail: some path occurs in
         // only one document.
-        let freq = c.path_document_frequency();
-        assert!(freq.values().any(|&f| f == 1));
+        let documents = c.path_counts().documents;
+        assert!(documents.contains(&1));
         // while /country occurs in almost all documents.
         let country = c.paths().get_str(c.symbols(), "/country").unwrap();
-        assert!(freq[&country] as f64 >= 0.9 * c.len() as f64);
+        assert!(documents[country.index()] as f64 >= 0.9 * c.len() as f64);
     }
 
     #[test]
@@ -657,8 +657,7 @@ mod tests {
             .paths()
             .get_str(c.symbols(), "/country/transnational_issues/refugees/country_of_origin");
         assert!(refugees.is_some());
-        let freq = c.path_document_frequency();
-        let f = freq[&refugees.unwrap()];
+        let f = c.path_counts().documents[refugees.unwrap().index()];
         let total = c.len();
         // ~11-12% of documents in the paper (186/1600); allow a generous band.
         assert!(
@@ -676,7 +675,7 @@ mod tests {
         let territory = c.paths().get_str(c.symbols(), "/territory");
         assert!(territory.is_some(), "some documents must be rooted at territory");
         let country = c.paths().get_str(c.symbols(), "/country").unwrap();
-        let freq = c.path_document_frequency();
-        assert!(freq[&country] < c.len(), "/country must not occur in every document");
+        let documents = c.path_counts().documents;
+        assert!(documents[country.index()] < c.len(), "/country must not occur in every document");
     }
 }

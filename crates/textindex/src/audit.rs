@@ -12,25 +12,55 @@
 //! | `token-arena` | `token_offsets` has length slots + 1, starts at 0, is monotone and ends at the arena length; every id is in the dictionary; no slot is empty; every posting's node holds the term, with score bits equal to `tf · idf / √len`, and the postings' term frequencies add up to the arena's length (no token without its posting) |
 //! | `posting-paths` | the per-posting path array has the arena's length and holds the side-table path of each posting's node |
 //! | `path-runs` | run offsets are well-formed; every indexed node appears exactly once, in its own path's run; runs are sorted by (score desc, node asc); score bits equal `1/√len` |
-//! | `context-paths` | every path referenced by the context index is a member of its own `all_paths` universe |
+//! | `term-paths` | `term_path_offsets` has length `dict.len() + 1`, starts at 0, is monotone and ends at the table's length; each term's run is strictly ascending and equals the distinct side-table paths of its postings' nodes |
+//! | `context-paths` | the context index's label table has one well-formed CSR offset per label token plus one; each label token's run is non-empty, strictly ascending and inside the path universe (the count arrays' length); the two count arrays align, and a path occurs in no more documents than nodes, and in some document exactly when it occurs at all |
 //!
 //! The violation type lives in [`seda_xmlstore::audit`] so every substrate
 //! reports through one shape; see there for the catalog conventions.
 
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
+use seda_xmlstore::PathId;
 
 use crate::context_index::ContextIndex;
-use crate::dict::TermId;
+use crate::dict::{csr_row, TermId};
 use crate::node_index::{match_all_score, ranked, term_score, NodeIndex, SlotLookup};
 
 const SUBSTRATE: &str = "textindex";
+
+/// The shape every CSR table of the indexes keeps: `rows + 1` offsets (any
+/// number for `None`) that start at 0, never decrease and end at the
+/// table's `len`.  A broken shape is a violation of `class`; returns whether
+/// the table's rows can be read.
+fn csr_shape(
+    class: &'static str,
+    offsets: &[u32],
+    rows: Option<usize>,
+    len: usize,
+    violations: &mut Vec<InvariantViolation>,
+) -> bool {
+    let well_formed = rows.is_none_or(|rows| offsets.len() == rows + 1)
+        && offsets.first() == Some(&0)
+        && offsets.windows(2).all(|pair| pair[0] <= pair[1])
+        && offsets.last().map(|&end| end as usize) == Some(len);
+    if !well_formed {
+        let (n, first, last) = (offsets.len(), offsets.first(), offsets.last());
+        let detail =
+            format!("{n} offsets ({first:?}..{last:?}) for {rows:?} rows of {len} entries");
+        violations.push(InvariantViolation::new(SUBSTRATE, class, detail));
+    }
+    well_formed
+}
 
 impl NodeIndex {
     /// Verifies every table of the index: dictionary bijection, CSR offset
     /// well-formedness, per-term posting order, the node side table, the
     /// token arena, the per-posting path array, the path-partitioned
-    /// match-all runs and that postings and tokens tell one story.
+    /// match-all runs, the term → paths table and that postings and tokens
+    /// tell one story.
     pub fn verify(&self) -> AuditResult {
+        if *self == NodeIndex::default() {
+            return Ok(()); // never built: no table, nothing to break
+        }
         let mut violations = Vec::new();
         self.verify_dict(&mut violations);
         let before_postings = violations.len();
@@ -45,6 +75,12 @@ impl NodeIndex {
             let slots = SlotLookup::new(&self.slot_nodes);
             self.verify_postings_against_nodes(&slots, postings_well_formed, &mut violations);
             self.verify_path_runs(&slots, &mut violations);
+        }
+        // The term → paths table is read off the posting paths, which
+        // `posting-paths` holds to the side table: over broken ones it would
+        // only echo their violations.
+        if postings_well_formed && violations.iter().all(|v| v.invariant != "posting-paths") {
+            self.verify_term_paths(&mut violations);
         }
         finish(violations)
     }
@@ -80,50 +116,12 @@ impl NodeIndex {
     }
 
     fn verify_posting_arena(&self, violations: &mut Vec<InvariantViolation>) {
-        let offsets = &self.posting_offsets;
-        if offsets.is_empty() && self.dict.is_empty() && self.sorted_postings.is_empty() {
-            // A default-constructed (never built) index has no frozen arena
-            // at all, which is well-formed vacuously.
+        let (offsets, terms) = (&self.posting_offsets, Some(self.dict.len()));
+        if !csr_shape("csr-offsets", offsets, terms, self.sorted_postings.len(), violations) {
             return;
-        }
-        if offsets.len() != self.dict.len() + 1 {
-            violations.push(InvariantViolation::new(
-                SUBSTRATE,
-                "csr-offsets",
-                format!("{} offsets for {} terms", offsets.len(), self.dict.len()),
-            ));
-            return;
-        }
-        if offsets.first() != Some(&0)
-            || offsets.last().map(|&o| o as usize) != Some(self.sorted_postings.len())
-        {
-            violations.push(InvariantViolation::new(
-                SUBSTRATE,
-                "csr-offsets",
-                format!(
-                    "offsets span {:?}..{:?} over an arena of {}",
-                    offsets.first(),
-                    offsets.last(),
-                    self.sorted_postings.len()
-                ),
-            ));
-        }
-        for (i, pair) in offsets.windows(2).enumerate() {
-            if pair[0] > pair[1] {
-                violations.push(InvariantViolation::new(
-                    SUBSTRATE,
-                    "csr-offsets",
-                    format!("offset {i} decreases: {} > {}", pair[0], pair[1]),
-                ));
-            }
         }
         for id in 0..self.dict.len() as u32 {
-            let (start, end) =
-                (self.posting_offsets[id as usize], self.posting_offsets[id as usize + 1]);
-            if start > end || end as usize > self.sorted_postings.len() {
-                continue; // already reported as a csr-offsets violation
-            }
-            let slice = &self.sorted_postings[start as usize..end as usize];
+            let slice = csr_row(offsets, &self.sorted_postings, id as usize);
             if slice.is_empty() {
                 violations.push(InvariantViolation::new(
                     SUBSTRATE,
@@ -169,6 +167,34 @@ impl NodeIndex {
         }
     }
 
+    /// `term-paths`: the table is a CSR over the dictionary, and each term's
+    /// run is the distinct paths of its postings, ascending.
+    fn verify_term_paths(&self, violations: &mut Vec<InvariantViolation>) {
+        let (offsets, terms) = (&self.term_path_offsets, self.dict.len());
+        if !csr_shape("term-paths", offsets, Some(terms), self.term_paths.len(), violations) {
+            return;
+        }
+        let mut postings_on: Vec<PathId> = Vec::new();
+        for term in 0..terms {
+            let id = TermId(term as u32);
+            postings_on.clear();
+            postings_on.extend_from_slice(&self.posting_paths[self.term_range(id)]);
+            postings_on.sort_unstable();
+            postings_on.dedup();
+            let run = csr_row(offsets, &self.term_paths, term);
+            if run != postings_on.as_slice() {
+                violations.push(InvariantViolation::new(
+                    SUBSTRATE,
+                    "term-paths",
+                    format!(
+                        "term {:?} lists paths {run:?} but its postings lie on {postings_on:?}",
+                        self.dict.resolve(id)
+                    ),
+                ));
+            }
+        }
+    }
+
     fn verify_side_table(&self, violations: &mut Vec<InvariantViolation>) {
         let n = self.slot_nodes.len();
         if self.slot_paths.len() != n {
@@ -196,27 +222,8 @@ impl NodeIndex {
 
     /// The arena's shape: well-formed offsets, known ids, no empty slot.
     fn verify_token_arena(&self, violations: &mut Vec<InvariantViolation>) {
-        let offsets = &self.token_offsets;
-        if offsets.is_empty() && self.slot_tokens.is_empty() && self.slot_nodes.is_empty() {
-            return; // default-constructed, never built
-        }
-        let well_formed = offsets.len() == self.slot_nodes.len() + 1
-            && offsets.first() == Some(&0)
-            && offsets.windows(2).all(|pair| pair[0] <= pair[1])
-            && offsets.last().map(|&end| end as usize) == Some(self.slot_tokens.len());
-        if !well_formed {
-            violations.push(InvariantViolation::new(
-                SUBSTRATE,
-                "token-arena",
-                format!(
-                    "{} token offsets spanning {:?}..{:?} over {} tokens for {} indexed nodes",
-                    offsets.len(),
-                    offsets.first(),
-                    offsets.last(),
-                    self.slot_tokens.len(),
-                    self.slot_nodes.len()
-                ),
-            ));
+        let (offsets, slots) = (&self.token_offsets, Some(self.slot_nodes.len()));
+        if !csr_shape("token-arena", offsets, slots, self.slot_tokens.len(), violations) {
             return;
         }
         for (slot, pair) in offsets.windows(2).enumerate() {
@@ -320,25 +327,13 @@ impl NodeIndex {
 
     fn verify_path_runs(&self, slots: &SlotLookup, violations: &mut Vec<InvariantViolation>) {
         let offsets = &self.path_run_offsets;
-        if offsets.is_empty() && self.path_runs.is_empty() && self.slot_nodes.is_empty() {
-            return; // default-constructed, never built
+        if !csr_shape("path-runs", offsets, None, self.slot_nodes.len(), violations) {
+            return;
         }
-        let well_formed = offsets.first() == Some(&0)
-            && offsets.windows(2).all(|pair| pair[0] <= pair[1])
-            && offsets.last().map(|&end| end as usize) == Some(self.path_runs.len());
-        if !well_formed || self.path_runs.len() != self.slot_nodes.len() {
-            violations.push(InvariantViolation::new(
-                SUBSTRATE,
-                "path-runs",
-                format!(
-                    "{} run offsets spanning {:?}..{:?} over {} entries for {} indexed nodes",
-                    offsets.len(),
-                    offsets.first(),
-                    offsets.last(),
-                    self.path_runs.len(),
-                    self.slot_nodes.len()
-                ),
-            ));
+        if self.path_runs.len() != self.slot_nodes.len() {
+            let (entries, nodes) = (self.path_runs.len(), self.slot_nodes.len());
+            let detail = format!("{entries} run entries for {nodes} indexed nodes");
+            violations.push(InvariantViolation::new(SUBSTRATE, "path-runs", detail));
             return;
         }
         // As many entries as slots and no slot twice: every node exactly once.
@@ -398,20 +393,6 @@ impl NodeIndex {
         self.posting_offsets[index] = value;
     }
 
-    /// Test-only corruption hook: rewrites one dictionary term without
-    /// updating the reverse map (breaks `termdict-bijection`).
-    #[doc(hidden)]
-    pub fn corrupt_dict_term(&mut self, id: TermId, term: &str) {
-        self.dict.terms[id.index()] = term.to_string();
-    }
-
-    /// Test-only corruption hook: swaps two node side-table slots (breaks
-    /// `node-side-table` ordering and the inverse mapping).
-    #[doc(hidden)]
-    pub fn corrupt_swap_slot_nodes(&mut self, a: usize, b: usize) {
-        self.slot_nodes.swap(a, b);
-    }
-
     /// Test-only corruption hook: overwrites one entry of the per-posting
     /// path array (breaks `posting-paths`).
     #[doc(hidden)]
@@ -434,6 +415,13 @@ impl NodeIndex {
         self.slot_tokens[index] = id;
     }
 
+    /// Test-only corruption hook: overwrites the first path of one term's
+    /// run in the term → paths table (breaks `term-paths`).
+    #[doc(hidden)]
+    pub fn corrupt_term_path(&mut self, id: TermId, path: PathId) {
+        self.term_paths[self.term_path_offsets[id.index()] as usize] = path;
+    }
+
     /// One term's `[start, end)` slice of the frozen posting arena (targeting
     /// input for the corruption suite's swap hook).
     #[doc(hidden)]
@@ -444,59 +432,49 @@ impl NodeIndex {
 }
 
 impl ContextIndex {
-    /// Verifies that every path the context index references belongs to its
-    /// own path universe, and that duplicated posting counts exist exactly
-    /// when the `PostingLists` storage design is active.
+    /// Verifies what the context index holds: the label table's CSR shape,
+    /// each label token's run (non-empty, strictly ascending, inside the path
+    /// universe) and the agreement of the two per-path count arrays.
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
-        // `role` names the referencing table; it is formatted only for a
-        // path outside the universe.
-        let mut check_member = |path: &seda_xmlstore::PathId, role: std::fmt::Arguments<'_>| {
-            if !self.all_paths.contains(path) {
-                violations.push(InvariantViolation::new(
+        let v = &mut violations;
+        let (offsets, tokens) = (&self.label_path_offsets, Some(self.labels.len()));
+        let runs = csr_shape("context-paths", offsets, tokens, self.label_paths.len(), v);
+        let (occurrences, documents) = (&self.counts.occurrences, &self.counts.documents);
+        let universe = occurrences.len();
+        if documents.len() != universe {
+            let detail = format!("{} document counts for {universe} paths", documents.len());
+            v.push(InvariantViolation::new(SUBSTRATE, "context-paths", detail));
+        }
+        for (path, (&nodes, &docs)) in occurrences.iter().zip(documents).enumerate() {
+            if docs > nodes || (docs == 0) != (nodes == 0) {
+                let detail = format!("path {path} occurs {nodes} time(s) in {docs} document(s)");
+                v.push(InvariantViolation::new(SUBSTRATE, "context-paths", detail));
+            }
+        }
+        for (id, bounds) in offsets.windows(2).enumerate().filter(|_| runs) {
+            let label = self.labels.resolve(TermId(id as u32));
+            let run = &self.label_paths[bounds[0] as usize..bounds[1] as usize];
+            if run.is_empty() || !run.windows(2).all(|pair| pair[0] < pair[1]) {
+                v.push(InvariantViolation::new(
                     SUBSTRATE,
                     "context-paths",
-                    format!("{role} references path {} outside the universe", path.0),
+                    format!("label {label:?} lists paths {run:?}"),
                 ));
             }
-        };
-        for path in &self.text_paths {
-            check_member(path, format_args!("text-path set"));
-        }
-        for (term, paths) in &self.keyword_paths {
-            for path in paths {
-                check_member(path, format_args!("keyword {term:?}"));
+            if let Some(path) = run.iter().find(|path| path.index() >= universe) {
+                let detail = format!("label {label:?} lists path {} outside the universe", path.0);
+                v.push(InvariantViolation::new(SUBSTRATE, "context-paths", detail));
             }
-        }
-        for path in self.path_occurrences.keys() {
-            check_member(path, format_args!("occurrence counts"));
-        }
-        for path in self.path_document_frequency.keys() {
-            check_member(path, format_args!("document frequencies"));
-        }
-        for (term, path) in self.posting_counts.keys() {
-            check_member(path, format_args!("posting count of {term:?}"));
-        }
-        if self.storage == crate::context_index::CountStorage::DocumentStore
-            && !self.posting_counts.is_empty()
-        {
-            violations.push(InvariantViolation::new(
-                SUBSTRATE,
-                "context-paths",
-                format!(
-                    "document-store design carries {} duplicated posting counts",
-                    self.posting_counts.len()
-                ),
-            ));
         }
         finish(violations)
     }
 
-    /// Test-only corruption hook: registers a text path outside the path
-    /// universe (breaks `context-paths`).
+    /// Test-only corruption hook: overwrites one entry of the label table
+    /// (breaks `context-paths`).
     #[doc(hidden)]
-    pub fn corrupt_insert_text_path(&mut self, path: seda_xmlstore::PathId) {
-        self.text_paths.insert(path);
+    pub fn corrupt_label_path(&mut self, index: usize, path: PathId) {
+        self.label_paths[index] = path;
     }
 }
 
@@ -516,33 +494,51 @@ mod tests {
         (collection, index)
     }
 
-    #[test]
-    fn stray_context_paths_are_named_by_their_table() {
-        let (collection, _) = sample();
-        let stray = seda_xmlstore::PathId(999);
-        let mut ctx = ContextIndex::build(&collection, CountStorage::PostingLists);
-        assert_eq!(ctx.verify(), Ok(()));
-        ctx.corrupt_insert_text_path(stray);
-        ctx.keyword_paths.get_mut("united").unwrap().insert(stray);
-        ctx.path_occurrences.insert(stray, 1);
-        ctx.path_document_frequency.insert(stray, 1);
-        ctx.posting_counts.insert(("mexican".into(), stray), 1);
-        let details: Vec<String> = ctx
-            .verify()
+    /// One corruption of `ContextIndex` and the details it must produce.
+    fn context_violations(
+        ctx: &ContextIndex,
+        corrupt: impl FnOnce(&mut ContextIndex),
+    ) -> Vec<String> {
+        let mut ctx = ctx.clone();
+        corrupt(&mut ctx);
+        ctx.verify()
             .unwrap_err()
             .into_iter()
             .inspect(|v| assert_eq!((v.substrate, v.invariant), ("textindex", "context-paths")))
             .map(|v| v.detail)
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn context_index_violations_are_named_by_their_table() {
+        let (collection, _) = sample();
+        let ctx = ContextIndex::build(&collection, CountStorage::DocumentStore);
+        assert_eq!(ctx.verify(), Ok(()));
+        // Labels "country" (paths 0, 1, 2), "name" (1) and "year" (2).
+        assert_eq!(ctx.label_paths, [PathId(0), PathId(1), PathId(2), PathId(1), PathId(2)]);
         assert_eq!(
-            details,
-            [
-                "text-path set references path 999 outside the universe",
-                "keyword \"united\" references path 999 outside the universe",
-                "occurrence counts references path 999 outside the universe",
-                "document frequencies references path 999 outside the universe",
-                "posting count of \"mexican\" references path 999 outside the universe",
-            ]
+            context_violations(&ctx, |ctx| ctx.corrupt_label_path(3, PathId(999))),
+            ["label \"name\" lists path 999 outside the universe"]
+        );
+        assert_eq!(
+            context_violations(&ctx, |ctx| ctx.corrupt_label_path(1, PathId(0))),
+            ["label \"country\" lists paths [PathId(0), PathId(0), PathId(2)]"]
+        );
+        assert_eq!(
+            context_violations(&ctx, |ctx| ctx.label_path_offsets[2] = 5),
+            ["label \"year\" lists paths []"]
+        );
+        assert_eq!(
+            context_violations(&ctx, |ctx| ctx.label_path_offsets.pop().map(drop).unwrap()),
+            ["3 offsets (Some(0)..Some(4)) for Some(3) rows of 5 entries"]
+        );
+        assert_eq!(
+            context_violations(&ctx, |ctx| ctx.counts.documents[1] = 3),
+            ["path 1 occurs 2 time(s) in 3 document(s)"]
+        );
+        assert_eq!(
+            context_violations(&ctx, |ctx| ctx.counts.documents.truncate(2)),
+            ["2 document counts for 3 paths"]
         );
     }
 
@@ -578,7 +574,7 @@ mod tests {
     #[test]
     fn rewritten_term_fails_bijection() {
         let (_, mut index) = sample();
-        index.corrupt_dict_term(TermId(0), "zzz-intruder");
+        index.dict.terms[0] = "zzz-intruder".to_string();
         let violations = index.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.invariant == "termdict-bijection"), "{violations:?}");
     }
@@ -586,7 +582,7 @@ mod tests {
     #[test]
     fn swapped_slots_fail_side_table() {
         let (_, mut index) = sample();
-        index.corrupt_swap_slot_nodes(0, 1);
+        index.slot_nodes.swap(0, 1);
         let violations = index.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.invariant == "node-side-table"), "{violations:?}");
     }
@@ -647,11 +643,24 @@ mod tests {
     }
 
     #[test]
-    fn foreign_text_path_fails_context_paths() {
-        let (collection, _) = sample();
-        let mut ctx = ContextIndex::build(&collection, CountStorage::DocumentStore);
-        ctx.corrupt_insert_text_path(seda_xmlstore::PathId(9999));
-        let violations = ctx.verify().unwrap_err();
-        assert!(violations.iter().all(|v| v.invariant == "context-paths"), "{violations:?}");
+    fn rewritten_term_path_fails_term_paths() {
+        let (collection, index) = sample();
+        let year = collection.paths().get_str(collection.symbols(), "/country/year").unwrap();
+        let term = index.term_dict().get("united").unwrap();
+        // "united" lies on /country/name alone: a run naming /country/year,
+        // and offsets that end short.
+        let mut corrupted = index.clone();
+        corrupted.corrupt_term_path(term, year);
+        let violations = corrupted.verify().unwrap_err();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].invariant, "term-paths");
+        assert_eq!(
+            violations[0].detail,
+            format!("term \"united\" lists paths [{year:?}] but its postings lie on [PathId(1)]")
+        );
+        let mut corrupted = index.clone();
+        corrupted.term_path_offsets.pop();
+        let violations = corrupted.verify().unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "term-paths"), "{violations:?}");
     }
 }

@@ -7,40 +7,51 @@
 //! SEDA uses this index to compute the *context bucket* of every query term —
 //! all distinct paths the term appears in across the entire collection —
 //! together with the absolute frequency of each path (not the frequency of the
-//! keyword within the path; Sec. 5 explains that choice).
+//! keyword within the path; Sec. 5 explains that choice).  The per-path counts
+//! live once per path, the paper's "document store" design, not duplicated
+//! into every posting.
 //!
-//! The paper discusses two designs for the per-path counts: storing them in
-//! the document store (one count per path) or duplicating them into every
-//! posting list.  Both are implemented here behind [`CountStorage`] so the
-//! trade-off can be measured.
+//! # A view of the node index
+//!
+//! The index stores nothing it can derive — the rule the FIB-compression
+//! work (arXiv 1706.04405) applies to forwarding tables.  Half of every
+//! virtual document is already in the [`NodeIndex`]: a text keyword's paths
+//! are the distinct context paths of its postings (the node index's term →
+//! paths table), and the paths with text are those with a non-empty
+//! match-all run.  [`ContextIndex`] keeps only what the node index cannot
+//! derive:
+//!
+//! * the **tag-name keywords** — a label-token → ascending-paths CSR over the
+//!   path table;
+//! * the **per-path counts** — occurrences and documents, arrays by
+//!   [`PathId`] ([`Collection::path_counts`]).
+//!
+//! [`ContextIndex::paths_matching`] and [`ContextIndex::context_bucket`]
+//! take the node index they read text keywords from: a keyword's paths are
+//! its term → paths run merged with its label run.
 //!
 //! # Build
 //!
-//! [`ContextIndex::build`] is the only constructor: **one fold** over the
-//! collection's nodes straight into the final maps — per-path occurrence and
-//! document counts through plain arrays indexed by [`PathId`] (a
-//! last-document stamp per path instead of a set per document), each token
-//! lent by the tokenizer visitor (`for_each_term`) and its path set found by `&str`, so a `String`
-//! is made only for a keyword's first occurrence — then one pass over the
-//! shared path table for the tag-name keywords.
+//! [`ContextIndex::build`] tokenises no text: the store's one pass over the
+//! nodes gives the counts, and one pass over the path table tokenises each
+//! distinct label symbol once and lists every path under the tokens of its
+//! labels.
 
-use std::collections::{BTreeSet, HashMap};
+use seda_xmlstore::{Collection, PathCounts, PathId};
 
-use seda_xmlstore::{Collection, DocId, PathId};
-
+use crate::dict::{csr_row, FirstSeen, TermDict, TermId};
+use crate::node_index::NodeIndex;
 use crate::query::FullTextQuery;
 use crate::tokenize::for_each_term;
 
-/// Where the per-path occurrence counts are stored.
+/// Where the per-path occurrence counts are stored: once per path, the
+/// paper's choice and the one design.  Kept only because `benchmark/` still
+/// passes `EngineConfig::count_storage` to [`ContextIndex::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CountStorage {
-    /// Counts live in a single map keyed by path ("document store" design,
-    /// the paper's choice): no duplication, but resolving a frequency is a
-    /// second lookup.
+    /// Counts live in one table keyed by path ("document store" design):
+    /// no duplication, and resolving a frequency is a second lookup.
     DocumentStore,
-    /// Counts are duplicated into every posting ("posting list" design): one
-    /// lookup, more memory.
-    PostingLists,
 }
 
 /// One entry of a context bucket: a distinct path plus its absolute frequency
@@ -56,185 +67,107 @@ pub struct PathEntry {
     pub document_frequency: usize,
 }
 
-/// The Fig. 8 keyword → paths index.
+/// The Fig. 8 keyword → paths index: the tag-name keywords and the per-path
+/// counts, read together with the [`NodeIndex`] that holds the text
+/// keywords (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContextIndex {
-    pub(crate) storage: CountStorage,
-    /// keyword → set of paths whose virtual document contains the keyword.
-    pub(crate) keyword_paths: HashMap<String, BTreeSet<PathId>>,
-    /// Per-(keyword, path) counts; only populated for `PostingLists` storage.
-    pub(crate) posting_counts: HashMap<(String, PathId), usize>,
-    /// Path → total occurrence count (the "document store").
-    pub(crate) path_occurrences: HashMap<PathId, usize>,
-    /// Path → number of documents containing the path.
-    pub(crate) path_document_frequency: HashMap<PathId, usize>,
-    /// All paths in the collection (needed for match-all and NOT queries).
-    pub(crate) all_paths: BTreeSet<PathId>,
-    /// Paths whose nodes carry text content (match-all context buckets are
-    /// restricted to these, since a `*` search query requires content).
-    pub(crate) text_paths: BTreeSet<PathId>,
+    /// Tokens of the labels on the path table; ids in lexicographic order.
+    pub(crate) labels: TermDict,
+    /// CSR offsets into `label_paths`, length `labels.len() + 1`.
+    pub(crate) label_path_offsets: Vec<u32>,
+    /// Each label token's paths — those with a step whose label holds the
+    /// token — strictly ascending.
+    pub(crate) label_paths: Vec<PathId>,
+    /// Occurrences and documents per path.  Every path of the table has an
+    /// entry, so the arrays' length is also the universe `NOT` is taken in.
+    pub(crate) counts: PathCounts,
 }
 
 impl ContextIndex {
-    /// Builds the index over a collection in one pass over its nodes (see
-    /// the module docs).
-    pub fn build(collection: &Collection, storage: CountStorage) -> Self {
-        let mut keyword_paths: HashMap<String, BTreeSet<PathId>> = HashMap::new();
-        let mut posting_counts: HashMap<(String, PathId), usize> = HashMap::new();
-        // Nearly every occurrence finds its keyword present: look it up by
-        // the lent token, and own it only for a first one.
-        let mut post = |token: &str, path: PathId| {
-            if storage == CountStorage::PostingLists {
-                *posting_counts.entry((token.to_string(), path)).or_insert(0) += 1;
-            }
-            match keyword_paths.get_mut(token) {
-                Some(paths) => {
-                    paths.insert(path);
-                }
-                None => {
-                    keyword_paths.insert(token.to_string(), BTreeSet::from([path]));
-                }
-            }
-        };
-        let mut buf = String::new();
-
-        // Per-path counts, indexed by `PathId`.  A path's document frequency
-        // counts the documents that stamped it: `stamp[path]` is the last
-        // document seen on the path, so no per-document set is needed.
-        let path_ids = collection.paths().len();
-        let mut occurrences = vec![0usize; path_ids];
-        let mut document_frequency = vec![0usize; path_ids];
-        let mut stamp: Vec<Option<DocId>> = vec![None; path_ids];
-        let mut text_paths: BTreeSet<PathId> = BTreeSet::new();
-        for doc in collection.documents() {
-            for (_, node) in doc.iter() {
-                let at = node.path.index();
-                occurrences[at] += 1;
-                if stamp[at] != Some(doc.id) {
-                    stamp[at] = Some(doc.id);
-                    document_frequency[at] += 1;
-                }
-                // Content keywords.
-                let Some(text) = node.text.as_deref() else { continue };
-                let mut any_token = false;
-                for_each_term(text, &mut buf, |token| {
-                    any_token = true;
-                    post(token, node.path);
-                });
-                if any_token {
-                    text_paths.insert(node.path);
-                }
-            }
-        }
-
-        // Tag-name keywords: every label on a path contributes the path to the
-        // label's posting list.
-        let mut all_paths: BTreeSet<PathId> = BTreeSet::new();
-        for (path_id, label_path) in collection.paths().iter() {
+    /// Builds the index over a collection (see the module docs); the one
+    /// [`CountStorage`] is the only value `_storage` can take.
+    pub fn build(collection: &Collection, _storage: CountStorage) -> Self {
+        let symbols = collection.symbols();
+        let (mut first_seen, mut buf) = (FirstSeen::default(), String::new());
+        // Each distinct label symbol is tokenised once, the first time a path
+        // names it; every path is listed under the tokens of its labels.
+        let mut symbol_tokens: Vec<Option<Vec<u32>>> = vec![None; symbols.len()];
+        let mut pairs: Vec<(u32, PathId)> = Vec::new();
+        for (path, label_path) in collection.paths().iter() {
             for &step in label_path.steps() {
-                for_each_term(collection.symbols().resolve(step), &mut buf, |token| {
-                    post(token, path_id)
+                let tokens = symbol_tokens[step.index()].get_or_insert_with(|| {
+                    let mut tokens = Vec::new();
+                    let name = symbols.resolve(step);
+                    for_each_term(name, &mut buf, |token| tokens.push(first_seen.id(token)));
+                    tokens
                 });
+                pairs.extend(tokens.iter().map(|&id| (id, path)));
             }
-            all_paths.insert(path_id);
         }
-
-        // Only paths some node has carry counts.
-        let occurring = |counts: Vec<usize>| -> HashMap<PathId, usize> {
-            counts
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, count)| count > 0)
-                .map(|(at, count)| (PathId(at as u32), count))
-                .collect()
-        };
-        ContextIndex {
-            storage,
-            path_occurrences: occurring(occurrences),
-            path_document_frequency: occurring(document_frequency),
-            keyword_paths,
-            posting_counts,
-            all_paths,
-            text_paths,
+        let (labels, rank) = first_seen.into_ranked();
+        for pair in &mut pairs {
+            pair.0 = rank[pair.0 as usize];
         }
-    }
-
-    /// The count-storage design this index was built with.
-    pub fn storage(&self) -> CountStorage {
-        self.storage
-    }
-
-    /// Number of distinct keywords (content terms plus tag-name terms).
-    pub fn keyword_count(&self) -> usize {
-        self.keyword_paths.len()
-    }
-
-    /// Number of distinct paths known to the index.
-    pub fn path_count(&self) -> usize {
-        self.all_paths.len()
-    }
-
-    /// Total occurrence count of a path in the collection.
-    pub fn path_frequency(&self, path: PathId) -> usize {
-        self.path_occurrences.get(&path).copied().unwrap_or(0)
-    }
-
-    /// Number of documents a path occurs in.
-    pub fn path_document_frequency(&self, path: PathId) -> usize {
-        self.path_document_frequency.get(&path).copied().unwrap_or(0)
-    }
-
-    /// Rough memory footprint of the postings + counts, in entries; used by
-    /// the Fig. 8 design-ablation bench to compare the two count storages.
-    pub fn count_entries(&self) -> usize {
-        match self.storage {
-            CountStorage::DocumentStore => self.path_occurrences.len(),
-            CountStorage::PostingLists => self.posting_counts.len(),
+        pairs.sort_unstable();
+        pairs.dedup();
+        // Every label token has a path, so the runs of `pairs` are the rows.
+        let (mut label_path_offsets, mut label_paths) = (vec![0u32], Vec::new());
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            label_paths.extend(run.iter().map(|&(_, path)| path));
+            label_path_offsets.push(label_paths.len() as u32);
         }
+        ContextIndex { labels, label_path_offsets, label_paths, counts: collection.path_counts() }
     }
 
-    fn paths_for_term(&self, term: &str) -> BTreeSet<PathId> {
-        self.keyword_paths.get(term).cloned().unwrap_or_default()
+    /// The paths whose tag names hold `term`, ascending.
+    fn label_paths_of(&self, term: &str) -> &[PathId] {
+        let row = |id: TermId| csr_row(&self.label_path_offsets, &self.label_paths, id.index());
+        self.labels.get(term).map_or(&[], row)
     }
 
-    /// Distinct paths whose virtual document satisfies `query`.
+    /// The paths whose virtual document holds `term`: its text paths merged
+    /// with its label paths, ascending.
+    fn keyword_paths(&self, nodes: &NodeIndex, term: &str) -> Vec<PathId> {
+        union(nodes.term_paths_of(term), self.label_paths_of(term))
+    }
+
+    /// Distinct paths whose virtual document satisfies `query`, ascending;
+    /// `nodes` is the node index of the same collection, which holds the
+    /// text keywords.
     ///
     /// Keyword bags are conjunctive (every keyword must appear somewhere in
     /// the path's virtual document); phrases are approximated conjunctively at
     /// path granularity, which can only over-report contexts — the user will
     /// simply see an extra context to deselect.
-    pub fn paths_matching(&self, query: &FullTextQuery) -> BTreeSet<PathId> {
+    pub fn paths_matching(&self, nodes: &NodeIndex, query: &FullTextQuery) -> Vec<PathId> {
         match query {
-            FullTextQuery::Any => self.text_paths.clone(),
+            FullTextQuery::Any => nodes.text_paths().collect(),
             FullTextQuery::Keywords(ts) | FullTextQuery::Phrase(ts) => {
-                if ts.is_empty() {
-                    return self.text_paths.clone();
-                }
-                let mut iter = ts.iter();
-                let first = iter.next().expect("invariant: the list was checked non-empty above");
-                let mut acc = self.paths_for_term(first);
-                for t in iter {
-                    let next = self.paths_for_term(t);
-                    acc = acc.intersection(&next).copied().collect();
+                let Some((first, rest)) = ts.split_first() else {
+                    return nodes.text_paths().collect();
+                };
+                let mut acc = self.keyword_paths(nodes, first);
+                for t in rest {
                     if acc.is_empty() {
                         break;
                     }
+                    acc = intersection(&acc, &self.keyword_paths(nodes, t));
                 }
                 acc
             }
             FullTextQuery::And(a, b) => {
-                let a = self.paths_matching(a);
-                let b = self.paths_matching(b);
-                a.intersection(&b).copied().collect()
+                intersection(&self.paths_matching(nodes, a), &self.paths_matching(nodes, b))
             }
             FullTextQuery::Or(a, b) => {
-                let a = self.paths_matching(a);
-                let b = self.paths_matching(b);
-                a.union(&b).copied().collect()
+                union(&self.paths_matching(nodes, a), &self.paths_matching(nodes, b))
             }
             FullTextQuery::Not(inner) => {
-                let inner = self.paths_matching(inner);
-                self.all_paths.difference(&inner).copied().collect()
+                let inner = self.paths_matching(nodes, inner);
+                (0..self.counts.occurrences.len() as u32)
+                    .map(PathId)
+                    .filter(|path| inner.binary_search(path).is_err())
+                    .collect()
             }
         }
     }
@@ -246,25 +179,28 @@ impl ContextIndex {
     /// kept before any frequency is looked up.
     pub fn context_bucket(
         &self,
+        nodes: &NodeIndex,
         query: &FullTextQuery,
         allowed: Option<&[PathId]>,
     ) -> Vec<PathEntry> {
-        let matching = self.paths_matching(query);
-        match allowed {
-            Some(allowed) => self.bucket_from_paths(
-                allowed.iter().copied().filter(|path| matching.contains(path)).collect(),
-            ),
-            None => self.bucket_from_paths(matching),
+        let mut paths = self.paths_matching(nodes, query);
+        if let Some(allowed) = allowed {
+            let mut kept: Vec<PathId> =
+                allowed.iter().copied().filter(|path| paths.binary_search(path).is_ok()).collect();
+            kept.sort_unstable();
+            kept.dedup();
+            paths = kept;
         }
-    }
-
-    fn bucket_from_paths(&self, paths: BTreeSet<PathId>) -> Vec<PathEntry> {
         let mut entries: Vec<PathEntry> = paths
             .into_iter()
-            .map(|path| PathEntry {
-                path,
-                frequency: self.path_frequency(path),
-                document_frequency: self.path_document_frequency(path),
+            .map(|path| {
+                let count = |counts: &[usize]| counts.get(path.index()).copied().unwrap_or(0);
+                let (occurrences, documents) = (&self.counts.occurrences, &self.counts.documents);
+                PathEntry {
+                    path,
+                    frequency: count(occurrences),
+                    document_frequency: count(documents),
+                }
             })
             .collect();
         entries.sort_by(|a, b| b.frequency.cmp(&a.frequency).then(a.path.cmp(&b.path)));
@@ -272,12 +208,28 @@ impl ContextIndex {
     }
 }
 
+/// The paths of both ascending lists, ascending and distinct.
+fn union(a: &[PathId], b: &[PathId]) -> Vec<PathId> {
+    if b.is_empty() {
+        return a.to_vec();
+    }
+    let mut paths = [a, b].concat();
+    paths.sort_unstable();
+    paths.dedup();
+    paths
+}
+
+/// The paths of `a` that `b` (ascending) holds too, in `a`'s order.
+fn intersection(a: &[PathId], b: &[PathId]) -> Vec<PathId> {
+    a.iter().copied().filter(|path| b.binary_search(path).is_ok()).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use seda_xmlstore::parse_collection;
 
-    fn sample() -> (Collection, ContextIndex) {
+    fn sample() -> (Collection, NodeIndex, ContextIndex) {
         let docs = vec![
             (
                 "us.xml",
@@ -302,8 +254,9 @@ mod tests {
             ),
         ];
         let collection = parse_collection(docs).unwrap();
+        let nodes = NodeIndex::build(&collection);
         let index = ContextIndex::build(&collection, CountStorage::DocumentStore);
-        (collection, index)
+        (collection, nodes, index)
     }
 
     fn path_strings(collection: &Collection, entries: &[PathEntry]) -> Vec<String> {
@@ -312,8 +265,8 @@ mod tests {
 
     #[test]
     fn united_states_occurs_in_two_contexts() {
-        let (collection, index) = sample();
-        let bucket = index.context_bucket(&FullTextQuery::phrase("United States"), None);
+        let (collection, nodes, index) = sample();
+        let bucket = index.context_bucket(&nodes, &FullTextQuery::phrase("United States"), None);
         let paths = path_strings(&collection, &bucket);
         assert!(paths.contains(&"/country/name".to_string()));
         assert!(paths.contains(&"/country/economy/export_partners/item/trade_country".to_string()));
@@ -322,11 +275,11 @@ mod tests {
 
     #[test]
     fn tag_name_keywords_are_indexed() {
-        let (collection, index) = sample();
+        let (collection, nodes, index) = sample();
         // "percentage" never appears as content, only as a tag name; its
         // bucket must contain both import- and export-partner percentage
         // contexts (the paper's Query 1 relies on this).
-        let bucket = index.context_bucket(&FullTextQuery::keywords("percentage"), None);
+        let bucket = index.context_bucket(&nodes, &FullTextQuery::keywords("percentage"), None);
         let paths = path_strings(&collection, &bucket);
         assert!(paths.contains(&"/country/economy/import_partners/item/percentage".to_string()));
         assert!(paths.contains(&"/country/economy/export_partners/item/percentage".to_string()));
@@ -334,8 +287,8 @@ mod tests {
 
     #[test]
     fn frequencies_are_absolute_path_counts() {
-        let (collection, index) = sample();
-        let bucket = index.context_bucket(&FullTextQuery::keywords("trade country"), None);
+        let (collection, nodes, index) = sample();
+        let bucket = index.context_bucket(&nodes, &FullTextQuery::keywords("trade country"), None);
         // Export-partner trade_country occurs twice (US->Canada, Mexico->US),
         // import-partner trade_country once.
         let export: Vec<&PathEntry> = bucket
@@ -354,8 +307,8 @@ mod tests {
 
     #[test]
     fn match_all_bucket_contains_only_text_paths() {
-        let (collection, index) = sample();
-        let bucket = index.context_bucket(&FullTextQuery::Any, None);
+        let (collection, nodes, index) = sample();
+        let bucket = index.context_bucket(&nodes, &FullTextQuery::Any, None);
         let paths = path_strings(&collection, &bucket);
         assert!(paths.contains(&"/country/year".to_string()));
         assert!(
@@ -366,10 +319,10 @@ mod tests {
 
     #[test]
     fn allowed_paths_restrict_the_bucket() {
-        let (collection, index) = sample();
+        let (collection, nodes, index) = sample();
         let leaf = collection.symbols().get("trade_country").unwrap();
         let allowed = collection.paths().paths_with_leaf(leaf);
-        let bucket = index.context_bucket(&FullTextQuery::Any, Some(&allowed));
+        let bucket = index.context_bucket(&nodes, &FullTextQuery::Any, Some(&allowed));
         let paths = path_strings(&collection, &bucket);
         assert_eq!(paths.len(), 2);
         assert!(paths.iter().all(|p| p.ends_with("/trade_country")));
@@ -377,46 +330,35 @@ mod tests {
         // repeated one is listed once.
         let name = collection.paths().get_str(collection.symbols(), "/country/name").unwrap();
         let china = FullTextQuery::keywords("china");
-        let bucket = index.context_bucket(&china, Some(&[allowed[0], name, allowed[0]]));
+        let bucket = index.context_bucket(&nodes, &china, Some(&[allowed[0], name, allowed[0]]));
         assert_eq!(path_strings(&collection, &bucket), [collection.path_string(allowed[0])]);
     }
 
     #[test]
     fn boolean_queries_combine_path_sets() {
-        let (collection, index) = sample();
+        let (collection, nodes, index) = sample();
         let q = FullTextQuery::Or(
             Box::new(FullTextQuery::keywords("china")),
             Box::new(FullTextQuery::keywords("canada")),
         );
-        let bucket = index.context_bucket(&q, None);
+        let bucket = index.context_bucket(&nodes, &q, None);
         let paths = path_strings(&collection, &bucket);
         assert!(paths.iter().any(|p| p.contains("import_partners")));
         assert!(paths.iter().any(|p| p.contains("export_partners")));
 
         let not_q = FullTextQuery::Not(Box::new(FullTextQuery::keywords("china")));
-        let bucket = index.context_bucket(&not_q, None);
+        let bucket = index.context_bucket(&nodes, &not_q, None);
         assert!(!path_strings(&collection, &bucket)
             .contains(&"/country/economy/import_partners/item/trade_country".to_string()));
     }
 
     #[test]
-    fn both_count_storages_agree_on_buckets() {
-        let (collection, _) = sample();
-        let doc_store = ContextIndex::build(&collection, CountStorage::DocumentStore);
-        let postings = ContextIndex::build(&collection, CountStorage::PostingLists);
-        let q = FullTextQuery::phrase("united states");
-        assert_eq!(doc_store.context_bucket(&q, None), postings.context_bucket(&q, None));
-        // The posting-list design stores at least as many count entries.
-        assert!(postings.count_entries() >= doc_store.count_entries());
-    }
-
-    #[test]
     fn statistics_accessors() {
-        let (collection, index) = sample();
-        assert_eq!(index.path_count(), collection.distinct_path_count());
-        assert!(index.keyword_count() > 10);
+        let (collection, _, index) = sample();
+        assert_eq!(index.counts.occurrences.len(), collection.distinct_path_count());
+        assert_eq!(index.counts.documents.len(), collection.distinct_path_count());
         let name = collection.paths().get_str(collection.symbols(), "/country/name").unwrap();
-        assert_eq!(index.path_frequency(name), 2);
-        assert_eq!(index.path_document_frequency(name), 2);
+        assert_eq!(index.counts.occurrences[name.index()], 2);
+        assert_eq!(index.counts.documents[name.index()], 2);
     }
 }

@@ -10,11 +10,11 @@ use std::collections::HashMap;
 /// Dense identifier of an interned term.  Ids are assigned in lexicographic
 /// term order at build time, so they are deterministic for a given corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TermId(pub u32);
+pub struct TermId(pub(crate) u32);
 
 impl TermId {
     /// Raw index of the term in the dictionary.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -29,23 +29,13 @@ pub struct TermDict {
 impl TermDict {
     /// Builds the dictionary from a **sorted, deduplicated** term iterator,
     /// assigning ids in iteration order.
-    pub fn from_sorted<'a>(terms: impl Iterator<Item = &'a str>) -> Self {
+    pub(crate) fn from_sorted<'a>(terms: impl Iterator<Item = &'a str>) -> Self {
         let mut dict = TermDict::default();
         for term in terms {
-            dict.intern(term);
+            dict.ids.insert(term.to_string(), TermId(dict.terms.len() as u32));
+            dict.terms.push(term.to_string());
         }
         dict
-    }
-
-    /// Interns a term, returning its id (existing id when already interned).
-    pub fn intern(&mut self, term: &str) -> TermId {
-        if let Some(&id) = self.ids.get(term) {
-            return id;
-        }
-        let id = TermId(self.terms.len() as u32);
-        self.terms.push(term.to_string());
-        self.ids.insert(term.to_string(), id);
-        id
     }
 
     /// Id of a term, or `None` when the term is not in the dictionary.
@@ -57,18 +47,13 @@ impl TermDict {
     ///
     /// # Panics
     /// Panics when the id was not produced by this dictionary.
-    pub fn resolve(&self, id: TermId) -> &str {
+    pub(crate) fn resolve(&self, id: TermId) -> &str {
         &self.terms[id.index()]
     }
 
     /// Number of interned terms.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.terms.len()
-    }
-
-    /// True when no term is interned.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
     }
 
     /// All interned terms in id order.
@@ -77,23 +62,46 @@ impl TermDict {
     }
 }
 
+/// Row `at` of a CSR table: `items[offsets[at]..offsets[at + 1]]`.
+pub(crate) fn csr_row<'a, T>(offsets: &[u32], items: &'a [T], at: usize) -> &'a [T] {
+    &items[offsets[at] as usize..offsets[at + 1] as usize]
+}
+
+/// The interning a build does while it reads tokens: one id per distinct
+/// token, in order of first occurrence.  A token is looked up by `&str`, so
+/// a `String` is made only for a token seen for the first time.
+#[derive(Default)]
+pub(crate) struct FirstSeen(HashMap<String, u32>);
+
+impl FirstSeen {
+    /// The token's first-seen id.
+    pub(crate) fn id(&mut self, token: &str) -> u32 {
+        match self.0.get(token) {
+            Some(&id) => id,
+            None => {
+                let id = self.0.len() as u32;
+                self.0.insert(token.to_string(), id);
+                id
+            }
+        }
+    }
+
+    /// The dictionary of the tokens seen, ids renumbered to lexicographic
+    /// ranks, and the rank of each first-seen id.
+    pub(crate) fn into_ranked(self) -> (TermDict, Vec<u32>) {
+        let mut distinct: Vec<(String, u32)> = self.0.into_iter().collect();
+        distinct.sort_unstable();
+        let mut rank = vec![0u32; distinct.len()];
+        for (r, &(_, id)) in distinct.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        (TermDict::from_sorted(distinct.iter().map(|(term, _)| term.as_str())), rank)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn intern_round_trips() {
-        let mut dict = TermDict::default();
-        let a = dict.intern("alpha");
-        let b = dict.intern("beta");
-        assert_ne!(a, b);
-        assert_eq!(dict.intern("alpha"), a, "re-interning returns the existing id");
-        assert_eq!(dict.resolve(a), "alpha");
-        assert_eq!(dict.resolve(b), "beta");
-        assert_eq!(dict.get("alpha"), Some(a));
-        assert_eq!(dict.get("gamma"), None);
-        assert_eq!(dict.len(), 2);
-    }
 
     #[test]
     fn from_sorted_assigns_ids_in_order() {
@@ -105,12 +113,13 @@ mod tests {
         }
         let collected: Vec<&str> = dict.terms().map(|(_, t)| t).collect();
         assert_eq!(collected, terms);
+        assert_eq!(dict.get("gamma"), None);
+        assert_eq!(dict.len(), 3);
     }
 
     #[test]
     fn empty_dict() {
         let dict = TermDict::default();
-        assert!(dict.is_empty());
         assert_eq!(dict.len(), 0);
         assert_eq!(dict.get("anything"), None);
     }

@@ -5,8 +5,11 @@
 //!
 //! * [`NodeIndex`] — an inverted index over node content with sorted and
 //!   random access, consumed by the Threshold-Algorithm top-k search unit;
+//!   it also holds each term's distinct context paths;
 //! * [`ContextIndex`] — the keyword → distinct-path index of Figure 8, used to
-//!   compute context summaries;
+//!   compute context summaries: the tag-name keywords and per-path counts,
+//!   read together with the [`NodeIndex`] for text keywords, so the text is
+//!   tokenised once per build;
 //! * [`FullTextQuery`] — the search-query component of SEDA query terms
 //!   (keyword bags, phrases, boolean combinations, `*`).
 //!
@@ -22,12 +25,12 @@
 //! assert_eq!(hits.len(), 1);
 //! ```
 
-pub mod audit;
-pub mod context_index;
-pub mod dict;
-pub mod node_index;
-pub mod query;
-pub mod tokenize;
+mod audit;
+mod context_index;
+mod dict;
+mod node_index;
+mod query;
+mod tokenize;
 
 pub use context_index::{ContextIndex, CountStorage, PathEntry};
 pub use dict::{TermDict, TermId};

@@ -26,6 +26,10 @@
 //!   node of that path with its match-all score, pre-sorted the same way;
 //! * a dense node side table (slot → node, slot → context path) serves path
 //!   lookups;
+//! * the **term → paths table**, a CSR keyed by [`TermId`], holds each
+//!   term's distinct context paths in ascending order: the text side of the
+//!   context index of Fig. 8 ([`crate::ContextIndex`] reads it instead of
+//!   tokenising the text again);
 //! * the **token arena**, a third CSR, holds every indexed node's tokens as
 //!   [`TermId`]s in text order (4 B a token, no string per occurrence).  It
 //!   is what random access ([`NodeIndex::score`]) and the phrase, negation
@@ -34,7 +38,7 @@
 //!   [`FullTextQuery::matches_tokens`] — and a node's token count (length
 //!   normalisation) is the difference of two of its offsets.
 //!
-//! [`NodeIndex::sorted_access`] therefore returns a borrowed slice, and
+//! Sorted access is therefore a borrowed slice, and
 //! [`NodeIndex::evaluate_into`] costs what it returns: a single-term or
 //! match-all query is a filtered copy of pre-sorted entries, and only a
 //! phrase, multi-keyword or boolean query scores its candidates (the union of
@@ -53,18 +57,19 @@
 //! Term ids are then renumbered to lexicographic ranks, one
 //! `(term, node, tf)` entry per distinct term of each node is derived from
 //! the arena, and the entries are counting-sorted into the posting arena.
-//! The only hash map the index owns is inside its [`TermDict`].
+//! Each term's distinct paths are read off its postings' paths with a
+//! last-term stamp per path.  The only hash map the index owns is inside its
+//! [`TermDict`].
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::mem::size_of;
 use std::ops::Range;
 
 use seda_xmlstore::{Collection, DocId, NodeId, PathId};
 
-use crate::dict::{TermDict, TermId};
+use crate::dict::{csr_row, FirstSeen, TermDict, TermId};
 use crate::query::FullTextQuery;
-use crate::tokenize::{for_each_term, terms};
+use crate::tokenize::for_each_term;
 
 /// A node matched by a query, with its content score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,6 +121,8 @@ pub struct ReadModelBytes {
     /// Token arena: every node's tokens as term ids, and its per-slot CSR
     /// offsets.
     pub tokens: usize,
+    /// Term → distinct context paths, and its per-term CSR offsets.
+    pub term_paths: usize,
 }
 
 impl ReadModelBytes {
@@ -127,6 +134,7 @@ impl ReadModelBytes {
             + self.path_runs
             + self.side_tables
             + self.tokens
+            + self.term_paths
     }
 }
 
@@ -199,6 +207,11 @@ pub struct NodeIndex {
     pub(crate) token_offsets: Vec<u32>,
     /// The token arena: every indexed node's tokens in text order, interned.
     pub(crate) slot_tokens: Vec<TermId>,
+    /// CSR offsets into `term_paths`, length `dict.len() + 1`.
+    pub(crate) term_path_offsets: Vec<u32>,
+    /// Each term's distinct context paths (those of its postings), strictly
+    /// ascending.
+    pub(crate) term_paths: Vec<PathId>,
 }
 
 impl NodeIndex {
@@ -212,7 +225,7 @@ impl NodeIndex {
     /// distinct term, never one per occurrence.  Ids are then renumbered by
     /// rank, so they are lexicographic whatever the document order.
     pub fn build(collection: &Collection) -> Self {
-        let mut first_seen: HashMap<String, u32> = HashMap::new();
+        let mut first_seen = FirstSeen::default();
         let mut slot_nodes = Vec::new();
         let mut slot_paths = Vec::new();
         let mut token_offsets = vec![0u32];
@@ -225,15 +238,7 @@ impl NodeIndex {
                 let Some(text) = node.text.as_deref() else { continue };
                 let before = slot_tokens.len();
                 for_each_term(text, &mut buf, |token| {
-                    let id = match first_seen.get(token) {
-                        Some(&id) => id,
-                        None => {
-                            let id = first_seen.len() as u32;
-                            first_seen.insert(token.to_string(), id);
-                            id
-                        }
-                    };
-                    slot_tokens.push(TermId(id));
+                    slot_tokens.push(TermId(first_seen.id(token)));
                 });
                 if slot_tokens.len() == before {
                     continue;
@@ -251,16 +256,10 @@ impl NodeIndex {
         slot_tokens.shrink_to_fit();
         let slots = slot_nodes.len();
 
-        let mut distinct: Vec<(String, u32)> = first_seen.into_iter().collect();
-        distinct.sort_unstable();
-        let mut rank = vec![0u32; distinct.len()];
-        for (r, &(_, id)) in distinct.iter().enumerate() {
-            rank[id as usize] = r as u32;
-        }
+        let (dict, rank) = first_seen.into_ranked();
         for id in &mut slot_tokens {
             *id = TermId(rank[id.index()]);
         }
-        let dict = TermDict::from_sorted(distinct.iter().map(|(term, _)| term.as_str()));
 
         // One (term, slot, tf) entry per distinct term of each node, in slot
         // order, and each term's document frequency.
@@ -301,9 +300,12 @@ impl NodeIndex {
         for bounds in posting_offsets.windows(2) {
             arena[bounds[0] as usize..bounds[1] as usize].sort_by(|a, b| ranked(&a.0, &b.0));
         }
-        let (sorted_postings, posting_paths) = arena.into_iter().unzip();
+        let (sorted_postings, posting_paths): (Vec<ScoredNode>, Vec<PathId>) =
+            arena.into_iter().unzip();
 
         let (path_run_offsets, path_runs) = path_runs(&slot_nodes, &slot_paths, &token_offsets);
+        let (term_path_offsets, term_paths) =
+            term_paths(&posting_offsets, &posting_paths, collection.paths().len());
         NodeIndex {
             dict,
             idf_by_term,
@@ -316,17 +318,14 @@ impl NodeIndex {
             slot_paths,
             token_offsets,
             slot_tokens,
+            term_path_offsets,
+            term_paths,
         }
     }
 
     /// Number of nodes with indexed content.
     pub fn indexed_node_count(&self) -> usize {
         self.slot_nodes.len()
-    }
-
-    /// Number of distinct terms in the index.
-    pub fn term_count(&self) -> usize {
-        self.dict.len()
     }
 
     /// The interned term dictionary of the read model.
@@ -339,26 +338,9 @@ impl NodeIndex {
         self.dict.get(term).map_or(0, |id| self.term_range(id).len())
     }
 
-    /// Inverse document frequency with the usual smoothing: the precomputed
-    /// table for an indexed term, the formula at df = 0 for any other.
-    pub fn idf(&self, term: &str) -> f64 {
-        match self.dict.get(term) {
-            Some(id) => self.idf_by_term[id.index()],
-            None => smoothed_idf(self.indexed_node_count(), 0),
-        }
-    }
-
     /// The context path of an indexed node.
     pub fn node_path(&self, node: NodeId) -> Option<PathId> {
         self.slot_of(node).map(|slot| self.slot_paths[slot])
-    }
-
-    /// The side table entry of an indexed node: its context path and token
-    /// count (the inputs of path filtering and length normalisation), or
-    /// `None` for nodes without indexed content.
-    pub fn node_entry(&self, node: NodeId) -> Option<(PathId, u32)> {
-        let slot = self.slot_of(node)?;
-        Some((self.slot_paths[slot], self.tokens_of(slot).len() as u32))
     }
 
     /// The tokenised direct text of an indexed node, in text order.
@@ -376,7 +358,7 @@ impl NodeIndex {
 
     /// One slot's run of the token arena.
     pub(crate) fn tokens_of(&self, slot: usize) -> &[TermId] {
-        &self.slot_tokens[self.token_offsets[slot] as usize..self.token_offsets[slot + 1] as usize]
+        csr_row(&self.token_offsets, &self.slot_tokens, slot)
     }
 
     /// Refills `out` with the dictionary strings of one slot's tokens — the
@@ -589,19 +571,28 @@ impl NodeIndex {
         }
     }
 
-    /// Per-term sorted access for the Threshold Algorithm: postings of `term`
+    /// Sorted access for the Threshold Algorithm: the postings of a term
     /// ordered by descending single-term score, as a borrowed slice of the
     /// pre-sorted posting arena (no per-query work).
-    pub fn sorted_access(&self, term: &str) -> &[ScoredNode] {
-        match self.dict.get(term) {
-            Some(id) => self.sorted_access_by_id(id),
-            None => &[],
-        }
+    pub(crate) fn sorted_access_by_id(&self, id: TermId) -> &[ScoredNode] {
+        &self.sorted_postings[self.term_range(id)]
     }
 
-    /// [`NodeIndex::sorted_access`] by interned term id.
-    pub fn sorted_access_by_id(&self, id: TermId) -> &[ScoredNode] {
-        &self.sorted_postings[self.term_range(id)]
+    /// The distinct context paths of a term's postings, strictly ascending;
+    /// empty for a term no node holds.
+    pub(crate) fn term_paths_of(&self, term: &str) -> &[PathId] {
+        let row = |id: TermId| csr_row(&self.term_path_offsets, &self.term_paths, id.index());
+        self.dict.get(term).map_or(&[], row)
+    }
+
+    /// The paths some indexed node has — those with a non-empty match-all
+    /// run — ascending.
+    pub(crate) fn text_paths(&self) -> impl Iterator<Item = PathId> + '_ {
+        self.path_run_offsets
+            .windows(2)
+            .enumerate()
+            .filter(|(_, bounds)| bounds[0] < bounds[1])
+            .map(|(path, _)| PathId(path as u32))
     }
 
     /// One term's range of the posting arena and its parallel path array.
@@ -621,15 +612,17 @@ impl NodeIndex {
     /// [`ReadModelBytes::path_runs`] 16 B per indexed node plus one 4 B offset
     /// per path id — `16 · nodes + 4 · postings + 4 · (path ids + 1)` bytes;
     /// [`ReadModelBytes::tokens`] is 4 B per token occurrence plus one 4 B
-    /// offset per indexed node — `4 · tokens + 4 · (nodes + 1)` bytes.  Both
-    /// are asserted by this module's tests.  At the benchmark's paper scale:
+    /// offset per indexed node — `4 · tokens + 4 · (nodes + 1)` bytes;
+    /// [`ReadModelBytes::term_paths`] is 4 B per distinct (term, path) pair
+    /// plus one 4 B offset per term.  All three are asserted by this module's
+    /// tests.  At the benchmark's paper scale:
     ///
-    /// | workload | path tables | token arena | whole index |
-    /// |---|---|---|---|
-    /// | googlebase-flat (150,000 nodes, 184,534 postings) | 3.1 MB | 1.3 MB | 12.6 MB |
-    /// | recipeml-ingest | 4.7 MB | 2.2 MB | 15.2 MB |
-    /// | factbook-olap | 1.6 MB | 0.7 MB | 6.0 MB |
-    /// | mondial-links | 0.7 MB | 0.3 MB | 3.9 MB |
+    /// | workload | path tables | token arena | term → paths | whole index |
+    /// |---|---|---|---|---|
+    /// | googlebase-flat (150,000 nodes, 184,534 postings) | 3.1 MB | 1.3 MB | 0.60 MB | 13.2 MB |
+    /// | recipeml-ingest | 4.7 MB | 2.2 MB | 0.01 MB | 15.2 MB |
+    /// | factbook-olap | 1.6 MB | 0.7 MB | 0.15 MB | 6.1 MB |
+    /// | mondial-links | 0.7 MB | 0.3 MB | 0.14 MB | 4.0 MB |
     pub fn read_model_bytes(&self) -> ReadModelBytes {
         let term_text: usize = self.dict.terms.iter().map(String::capacity).sum::<usize>()
             + self.dict.ids.keys().map(String::capacity).sum::<usize>();
@@ -644,12 +637,8 @@ impl NodeIndex {
             path_runs: vec_bytes(&self.path_runs) + vec_bytes(&self.path_run_offsets),
             side_tables: vec_bytes(&self.slot_nodes) + vec_bytes(&self.slot_paths),
             tokens: vec_bytes(&self.slot_tokens) + vec_bytes(&self.token_offsets),
+            term_paths: vec_bytes(&self.term_paths) + vec_bytes(&self.term_path_offsets),
         }
-    }
-
-    /// Convenience wrapper: evaluate a keyword string.
-    pub fn search(&self, keywords: &str) -> Vec<ScoredNode> {
-        self.evaluate(&FullTextQuery::Keywords(terms(keywords)))
     }
 }
 
@@ -686,10 +675,47 @@ fn path_runs(
     (offsets, runs)
 }
 
+/// Each term's distinct context paths, strictly ascending, as a CSR parallel
+/// to the posting offsets: one walk over the postings' paths, `stamp[path]`
+/// holding the last term that took the path, then a sort of each term's
+/// (short) run.
+fn term_paths(
+    posting_offsets: &[u32],
+    posting_paths: &[PathId],
+    path_ids: usize,
+) -> (Vec<u32>, Vec<PathId>) {
+    let mut stamp = vec![u32::MAX; path_ids];
+    let mut offsets = Vec::with_capacity(posting_offsets.len());
+    offsets.push(0u32);
+    let mut paths: Vec<PathId> = Vec::new();
+    for term in 0..posting_offsets.len() - 1 {
+        let start = paths.len();
+        for &path in csr_row(posting_offsets, posting_paths, term) {
+            if std::mem::replace(&mut stamp[path.index()], term as u32) != term as u32 {
+                paths.push(path);
+            }
+        }
+        paths[start..].sort_unstable();
+        offsets.push(paths.len() as u32);
+    }
+    paths.shrink_to_fit();
+    (offsets, paths)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use seda_xmlstore::parse_collection;
+
+    /// A keyword string's matches (the query a user types).
+    fn search(index: &NodeIndex, keywords: &str) -> Vec<ScoredNode> {
+        index.evaluate(&FullTextQuery::keywords(keywords))
+    }
+
+    /// A term's postings in sorted-access order; empty for an unknown term.
+    fn sorted_access<'a>(index: &'a NodeIndex, term: &str) -> &'a [ScoredNode] {
+        index.term_dict().get(term).map_or(&[], |id| index.sorted_access_by_id(id))
+    }
 
     fn sample() -> (Collection, NodeIndex) {
         let docs = vec![
@@ -734,8 +760,8 @@ mod tests {
     #[test]
     fn keyword_query_is_conjunctive() {
         let (_, index) = sample();
-        assert_eq!(index.search("united states").len(), 2);
-        assert_eq!(index.search("united kingdom").len(), 0);
+        assert_eq!(search(&index, "united states").len(), 2);
+        assert_eq!(search(&index, "united kingdom").len(), 0);
     }
 
     #[test]
@@ -744,7 +770,8 @@ mod tests {
         // "china" occurs once; "country" does not occur in content at all;
         // "united" occurs twice. A node matching the rarer term should score
         // at least as high per-term.
-        assert!(index.idf("china") > index.idf("united"));
+        let idf = |term: &str| index.idf_by_term[index.dict.get(term).unwrap().index()];
+        assert!(idf("china") > idf("united"));
     }
 
     #[test]
@@ -761,7 +788,7 @@ mod tests {
     fn random_access_returns_none_for_non_matching_nodes() {
         let (_, index) = sample();
         let query = FullTextQuery::keywords("china");
-        let canada_hits = index.search("canada");
+        let canada_hits = search(&index, "canada");
         assert_eq!(canada_hits.len(), 1);
         assert!(index.score(&query, canada_hits[0].node).is_none());
     }
@@ -769,17 +796,17 @@ mod tests {
     #[test]
     fn sorted_access_is_descending() {
         let (_, index) = sample();
-        let postings = index.sorted_access("united");
+        let postings = sorted_access(&index, "united");
         assert_eq!(postings.len(), 2);
         assert!(postings[0].score >= postings[1].score);
-        assert!(index.sorted_access("nonexistent").is_empty());
+        assert!(sorted_access(&index, "nonexistent").is_empty());
     }
 
     #[test]
     fn sorted_access_scores_match_term_scores() {
         let (_, index) = sample();
         for (id, term) in index.term_dict().terms() {
-            let by_name = index.sorted_access(term);
+            let by_name = sorted_access(&index, term);
             let by_id = index.sorted_access_by_id(id);
             assert_eq!(by_name, by_id);
             assert!(!by_name.is_empty(), "every interned term has postings");
@@ -801,7 +828,6 @@ mod tests {
     #[test]
     fn dictionary_round_trips_through_the_index() {
         let (_, index) = sample();
-        assert_eq!(index.term_dict().len(), index.term_count());
         for (id, term) in index.term_dict().terms() {
             assert_eq!(index.term_dict().get(term), Some(id));
             assert_eq!(index.term_dict().resolve(id), term);
@@ -812,16 +838,16 @@ mod tests {
     #[test]
     fn node_side_table_reports_paths_and_lengths() {
         let (collection, index) = sample();
-        let hits = index.search("china");
+        let hits = search(&index, "china");
         assert_eq!(hits.len(), 1);
-        let (path, len) = index.node_entry(hits[0].node).unwrap();
+        let path = index.node_path(hits[0].node).unwrap();
         assert_eq!(
             collection.path_string(path),
             "/country/economy/import_partners/item/trade_country"
         );
-        assert_eq!(len, 1, "\"China\" tokenises to one token");
-        assert_eq!(index.node_path(hits[0].node), Some(path));
-        assert!(index.node_entry(NodeId::new(DocId(9), 9)).is_none());
+        assert_eq!(index.node_tokens(hits[0].node).unwrap(), ["china"]);
+        assert!(index.node_path(NodeId::new(DocId(9), 9)).is_none());
+        assert!(index.node_tokens(NodeId::new(DocId(9), 9)).is_none());
     }
 
     #[test]
@@ -928,7 +954,15 @@ mod tests {
         );
         let arena_budget = 4 * index.slot_tokens.len() + 4 * (nodes + 1);
         assert!(bytes.tokens <= arena_budget, "{bytes:?} over the budget of {arena_budget} bytes");
-        for part in [bytes.dictionary, bytes.posting_arena, bytes.side_tables, bytes.tokens] {
+        let term_path_budget = 4 * index.term_paths.len() + 4 * (index.dict.len() + 1);
+        assert!(bytes.term_paths <= term_path_budget, "{bytes:?} over {term_path_budget} bytes");
+        for part in [
+            bytes.dictionary,
+            bytes.posting_arena,
+            bytes.side_tables,
+            bytes.tokens,
+            bytes.term_paths,
+        ] {
             assert!(part > 0 && part < bytes.total(), "{bytes:?}");
         }
     }
@@ -951,6 +985,8 @@ mod tests {
             slot_paths,
             token_offsets,
             slot_tokens,
+            term_path_offsets,
+            term_paths,
         } = &index;
         let vectors = vec_bytes(posting_offsets)
             + vec_bytes(sorted_postings)
@@ -960,7 +996,9 @@ mod tests {
             + vec_bytes(slot_nodes)
             + vec_bytes(slot_paths)
             + vec_bytes(token_offsets)
-            + vec_bytes(slot_tokens);
+            + vec_bytes(slot_tokens)
+            + vec_bytes(term_path_offsets)
+            + vec_bytes(term_paths);
         assert_eq!(bytes.total(), bytes.dictionary + vectors);
         assert!(bytes.dictionary > vec_bytes(idf_by_term));
     }
@@ -968,7 +1006,7 @@ mod tests {
     #[test]
     fn numeric_content_is_searchable() {
         let (collection, index) = sample();
-        let hits = index.search("16.9");
+        let hits = search(&index, "16.9");
         assert_eq!(hits.len(), 1);
         assert_eq!(
             collection.context_string(hits[0].node).unwrap(),
@@ -995,15 +1033,14 @@ mod tests {
     fn build_of_an_empty_collection_is_empty() {
         let index = NodeIndex::build(&Collection::new());
         assert_eq!(index.indexed_node_count(), 0);
-        assert_eq!(index.term_count(), 0);
-        assert!(index.term_dict().is_empty());
+        assert_eq!(index.term_dict().len(), 0);
         assert!(index.evaluate(&FullTextQuery::Any).is_empty());
     }
 
     #[test]
     fn term_statistics() {
         let (_, index) = sample();
-        assert!(index.term_count() > 10);
+        assert!(index.term_dict().len() > 10);
         assert_eq!(index.document_frequency("china"), 1);
         assert_eq!(index.document_frequency("united"), 2);
         assert_eq!(index.document_frequency("missing"), 0);

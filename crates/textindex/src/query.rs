@@ -38,7 +38,7 @@ impl FullTextQuery {
 
     /// All positive terms mentioned anywhere in the query (used to select
     /// posting lists; negated terms are excluded).
-    pub fn positive_terms(&self) -> Vec<String> {
+    pub(crate) fn positive_terms(&self) -> Vec<String> {
         let mut out = Vec::new();
         self.collect_terms(&mut out, true);
         out.sort();
@@ -66,7 +66,7 @@ impl FullTextQuery {
     /// keyword (or a one-token phrase, which is equivalent).  Such queries
     /// are satisfied by precisely the nodes on the term's posting list, so
     /// the index can answer them from the pre-sorted postings alone.
-    pub fn single_positive_term(&self) -> Option<&str> {
+    pub(crate) fn single_positive_term(&self) -> Option<&str> {
         match self {
             FullTextQuery::Keywords(ts) | FullTextQuery::Phrase(ts) if ts.len() == 1 => {
                 Some(&ts[0])
@@ -102,7 +102,7 @@ impl FullTextQuery {
 
     /// Evaluates the query against a tokenised content string (owned tokens
     /// fresh from the tokenizer, or the node index's dictionary strings).
-    pub fn matches_tokens<T: AsRef<str>>(&self, tokens: &[T]) -> bool {
+    pub(crate) fn matches_tokens<T: AsRef<str>>(&self, tokens: &[T]) -> bool {
         match self {
             FullTextQuery::Any => true,
             FullTextQuery::Keywords(ts) => {

@@ -4,20 +4,24 @@
 //! * [`node_index`] — the map-based `NodeIndex` build (per-document maps,
 //!   a union, a second pass freezing the read model), as a plain function
 //!   returning the expected tables;
-//! * [`context_index`] — `ContextIndex::build_shard` + `merge`, verbatim;
+//! * [`context_index`] — `ContextIndex::build_shard` + `merge` and the old
+//!   answers over their maps, verbatim;
 //! * [`tokenize`] — the char-by-char `terms`, which both reference builds
 //!   tokenise with, so a tokenizer fault shows as a difference instead of
 //!   being shared by judge and judged.
 //!
-//! Every table and every answer of the new builds must equal the old ones,
-//! scores to the bit, on the four `seda_datagen` shapes and on random small
-//! corpora built to hold what a flat build gets wrong: a token repeated in
-//! one node, empty and punctuation-only text, one token on many paths, a
-//! document with no text at all.
+//! Every table and every answer of the new node index must equal the old
+//! one's, scores to the bit; the context index, now a view of the node
+//! index, must give the old answers — every keyword's path set, the text
+//! paths, both counts of every path and every context bucket.  Both run on
+//! the four `seda_datagen` shapes and on random small corpora built to hold
+//! what a flat build gets wrong: a token repeated in one node, empty and
+//! punctuation-only text, one token on many paths, a document with no text
+//! at all.
 //!
 //! This directory is compiled into the crate's unit tests (`lib.rs` names it
-//! with `#[path]`), not as an integration test: the context-index reference
-//! fills `ContextIndex`'s private fields so the comparison can be `==`.
+//! with `#[path]`), not as an integration test: the comparisons read the
+//! indexes' crate-private tables.
 
 pub mod context_index;
 pub mod node_index;
@@ -29,6 +33,7 @@ use seda_xmlstore::{Collection, NodeId, PathId};
 
 use crate::tokenize::for_each_term;
 use crate::{ContextIndex, CountStorage, FullTextQuery, NodeIndex, ScoredNode};
+use context_index::ExpectedContexts;
 use node_index::ExpectedTables;
 
 fn bits(list: &[ScoredNode]) -> Vec<(NodeId, u64)> {
@@ -64,25 +69,30 @@ fn assert_same_tables(collection: &Collection, index: &NodeIndex, expected: &Exp
     let terms: Vec<&str> = index.term_dict().terms().map(|(_, term)| term).collect();
     let expected_terms: Vec<&str> = expected.dict.terms().map(|(_, term)| term).collect();
     assert_eq!(terms, expected_terms);
-    assert_eq!(index.term_count(), expected.document_frequency.len());
+    assert_eq!(index.term_dict().len(), expected.document_frequency.len());
     assert_eq!(index.indexed_node_count(), expected.indexed_nodes);
     for (id, term) in expected.dict.terms() {
         assert_eq!(index.term_dict().get(term), Some(id));
-        assert_eq!(index.idf(term).to_bits(), expected.idf_by_term[id.index()].to_bits(), "{term}");
+        let idf = index.idf_by_term[id.index()];
+        assert_eq!(idf.to_bits(), expected.idf_by_term[id.index()].to_bits(), "{term}");
         assert_eq!(index.document_frequency(term), expected.document_frequency[term], "{term}");
         // Sorted access: the term's slice of the old arena, node and score bits.
         let range = expected.posting_offsets[id.index()] as usize
             ..expected.posting_offsets[id.index() + 1] as usize;
         assert_eq!(
             bits(index.sorted_access_by_id(id)),
-            bits(&expected.sorted_postings[range]),
+            bits(&expected.sorted_postings[range.clone()]),
             "{term}"
         );
+        // The term → paths table: the distinct paths of the term's postings.
+        let mut paths = expected.posting_paths[range].to_vec();
+        paths.sort_unstable();
+        paths.dedup();
+        assert_eq!(index.term_paths_of(term), paths, "{term}");
     }
     let unknown = "zzz-no-such-term";
     assert_eq!(index.document_frequency(unknown), 0);
-    let unknown_idf = (1.0 + expected.indexed_nodes as f64).ln() + 1.0;
-    assert_eq!(index.idf(unknown).to_bits(), unknown_idf.to_bits());
+    assert!(index.term_paths_of(unknown).is_empty());
 
     // The tables the old build froze, where the new index still has them.
     assert_eq!(index.posting_offsets, expected.posting_offsets);
@@ -101,10 +111,6 @@ fn assert_same_tables(collection: &Collection, index: &NodeIndex, expected: &Exp
             let path = expected.node_paths.get(&node).copied();
             let tokens = expected.node_tokens.get(&node);
             assert_eq!(index.node_path(node), path);
-            assert_eq!(
-                index.node_entry(node),
-                path.map(|p| (p, tokens.map_or(0, Vec::len) as u32))
-            );
             assert_eq!(
                 index.node_tokens(node),
                 tokens.map(|tokens| tokens.iter().map(String::as_str).collect::<Vec<_>>())
@@ -154,12 +160,59 @@ fn assert_same_answers(
     }
 }
 
-fn assert_same_context_index(collection: &Collection) {
-    for storage in [CountStorage::DocumentStore, CountStorage::PostingLists] {
-        let built = ContextIndex::build(collection, storage);
-        assert!(built == context_index::build(collection, storage), "{storage:?}");
-        assert_eq!(built.verify(), Ok(()));
+/// The context index read through `index` against the old one's maps:
+/// every keyword's path set, the text paths, both counts of every path, and
+/// the bucket of every query within every allowed set.
+fn assert_same_context_index(
+    collection: &Collection,
+    index: &NodeIndex,
+    queries: &[FullTextQuery],
+    allowed_sets: &[Vec<PathId>],
+) {
+    let built = ContextIndex::build(collection, CountStorage::DocumentStore);
+    assert_eq!(built.verify(), Ok(()));
+    let expected: ExpectedContexts = context_index::build(collection);
+    for (term, paths) in &expected.keyword_paths {
+        let found = built.paths_matching(index, &kw(&[term]));
+        assert_eq!(found, paths.iter().copied().collect::<Vec<_>>(), "{term}");
     }
+    assert!(built.paths_matching(index, &kw(&["zzz-no-such-term"])).is_empty());
+    let text: Vec<PathId> = expected.text_paths.iter().copied().collect();
+    assert_eq!(built.paths_matching(index, &FullTextQuery::Any), text);
+    assert_eq!(built.counts.occurrences.len(), collection.paths().len());
+    assert_eq!(built.counts.documents.len(), collection.paths().len());
+    for (path, _) in collection.paths().iter() {
+        let count = |counts: &std::collections::HashMap<PathId, usize>| {
+            counts.get(&path).copied().unwrap_or(0)
+        };
+        assert_eq!(built.counts.occurrences[path.index()], count(&expected.path_occurrences));
+        assert_eq!(built.counts.documents[path.index()], count(&expected.path_document_frequency));
+    }
+    for query in queries {
+        assert_eq!(
+            built.context_bucket(index, query, None),
+            expected.context_bucket(query, None),
+            "{query}"
+        );
+        for allowed in allowed_sets {
+            assert_eq!(
+                built.context_bucket(index, query, Some(allowed)),
+                expected.context_bucket(query, Some(allowed)),
+                "{query} within {allowed:?}"
+            );
+        }
+    }
+}
+
+/// Query shapes over tag-name keywords: a label alone, a label with a text
+/// keyword, a label or a text keyword, and a negated label.
+fn label_shapes(label: &str, text: &str) -> Vec<FullTextQuery> {
+    vec![
+        kw(&[label]),
+        kw(&[label, text]),
+        FullTextQuery::Or(Box::new(kw(&[label])), Box::new(kw(&[text]))),
+        not(kw(&[label])),
+    ]
 }
 
 #[test]
@@ -186,12 +239,12 @@ fn both_builds_equal_the_old_builders_on_every_datagen_shape() {
             .expect("some node holds two tokens");
         let queries = query_shapes(by_df[0].1, by_df[1].1, adjacent);
         let paths = collection.paths();
-        let by_tag = paths
+        let leaf = paths
             .iter()
             .filter_map(|(_, path)| path.leaf())
-            .map(|leaf| paths.paths_with_leaf(leaf))
-            .max_by_key(Vec::len)
+            .max_by_key(|&leaf| paths.paths_with_leaf(leaf).len())
             .unwrap();
+        let by_tag = paths.paths_with_leaf(leaf);
         let populous = expected.slot_paths[expected.slot_paths.len() / 2];
         let textless = paths
             .iter()
@@ -203,7 +256,10 @@ fn both_builds_equal_the_old_builders_on_every_datagen_shape() {
         let allowed = [vec![], vec![populous], by_tag, shuffled, vec![textless]];
         assert_same_answers(&collection, &index, &expected, &queries, &allowed);
 
-        assert_same_context_index(&collection);
+        let label = tokenize::terms(collection.symbols().resolve(leaf)).remove(0);
+        let mut context_queries = queries;
+        context_queries.extend(label_shapes(&label, by_df[0].1));
+        assert_same_context_index(&collection, &index, &context_queries, &allowed);
     }
 }
 
@@ -287,10 +343,12 @@ proptest! {
             vec![pick(1), PathId(u32::MAX), pick(0), pick(2), pick(1)],
         ];
         let phrase = vec!["united".to_string(), "states".to_string()];
-        let queries = query_shapes("alpha", "beta", phrase);
+        let mut queries = query_shapes("alpha", "beta", phrase);
         assert_same_answers(&collection, &index, &expected, &queries, &allowed);
 
-        assert_same_context_index(&collection);
+        queries.extend(label_shapes("item", "alpha"));
+        queries.extend(label_shapes("inner", "states"));
+        assert_same_context_index(&collection, &index, &queries, &allowed);
     }
 }
 

@@ -42,7 +42,7 @@ mod path;
 mod symbol;
 
 pub use audit::{AuditResult, InvariantViolation};
-pub use collection::Collection;
+pub use collection::{Collection, PathCounts};
 pub use document::{Document, DocumentBuilder, MAX_NESTING};
 pub use error::{Result, XmlStoreError};
 pub use node::{DocId, Node, NodeId, NodeKind};

@@ -51,15 +51,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", response.profile.render());
 
     // Prominent vs rare paths: the long tail.
-    let freq = collection.path_document_frequency();
+    let documents = collection.path_counts().documents;
     let country = engine.resolve_path("/country")?;
     println!(
         "\n/country occurs in {} of {} documents (paper: 1577 of 1600)",
-        freq.get(&country).copied().unwrap_or(0),
+        documents[country.index()],
         collection.len()
     );
-    let mut tail: Vec<(usize, String)> =
-        freq.iter().map(|(p, f)| (*f, collection.path_string(*p))).collect();
+    let mut tail: Vec<(usize, String)> = collection
+        .paths()
+        .iter()
+        .map(|(p, _)| (documents[p.index()], collection.path_string(p)))
+        .collect();
     tail.sort();
     println!("\nfive rarest paths (long tail):");
     for (f, p) in tail.iter().take(5) {
@@ -77,7 +80,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the index substrate the facade plans over.
     let leaf = collection.symbols().get("trade_country").ok_or("no trade_country tag")?;
     let allowed = collection.paths().paths_with_leaf(leaf);
-    let tagged = engine.context_index().context_bucket(&FullTextQuery::Any, Some(&allowed));
+    let tagged = engine.context_index().context_bucket(
+        engine.node_index(),
+        &FullTextQuery::Any,
+        Some(&allowed),
+    );
     println!("\ncontexts with leaf tag trade_country:");
     for entry in &tagged {
         println!("  {:<65} freq {:>6}", collection.path_string(entry.path), entry.frequency);

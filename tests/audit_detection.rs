@@ -189,11 +189,27 @@ fn rewritten_token_is_detected_as_textindex_token_arena() {
 }
 
 #[test]
+fn a_rewritten_term_path_is_detected_as_textindex_term_paths() {
+    let mut e = engine();
+    let year = e.collection().paths().get_str(e.collection().symbols(), "/country/year").unwrap();
+    {
+        let (_, node_index, ..) = e.substrates_mut();
+        // Both postings of "united" sit on /country/name; its run in the
+        // term → paths table claims /country/year instead.
+        let term = node_index.term_dict().get("united").expect("indexed term");
+        node_index.corrupt_term_path(term, year);
+    }
+    expect_only(&e, "textindex", "term-paths");
+}
+
+#[test]
 fn bogus_context_path_is_detected_as_textindex_context_paths() {
     let mut e = engine();
     {
+        // The first path of the first tag-name keyword's run in the context
+        // index's label table, moved outside the path universe.
         let (_, _, context_index, ..) = e.substrates_mut();
-        context_index.corrupt_insert_text_path(seda_xmlstore::PathId(u32::MAX / 2));
+        context_index.corrupt_label_path(0, seda_xmlstore::PathId(u32::MAX / 2));
     }
     expect_violation(&e, "textindex", "context-paths");
 }
