@@ -16,11 +16,14 @@
 //! | `profile-counters` | [`ExecProfile`] counters are mutually consistent (disconnected ≤ scored) |
 //! | `profile-timings` | [`ExecProfile`] wall times are finite and non-negative |
 //!
-//! Every [`SedaEngine::build`] runs `verify()` before handing the engine to
-//! the caller and records the cost as the profile's
+//! Every [`SedaEngine::build`] runs `verify()` — at two threads with the
+//! node index's checks on the second thread, same result — before handing
+//! the engine to the caller and records the cost as the profile's
 //! [`crate::trace::span::BUILD_VERIFY`] span; `seda-bench`'s `audit` binary
 //! runs the same check, and a dataguide set's, over every datagen corpus
 //! shape from the command line.
+
+use std::panic::resume_unwind;
 
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
 
@@ -41,17 +44,35 @@ impl SedaEngine {
     /// this before returning and records the cost as its
     /// [`crate::trace::span::BUILD_VERIFY`] span.
     pub fn verify(&self) -> AuditResult {
+        self.audit(1)
+    }
+
+    /// [`SedaEngine::verify`] on `threads` threads, with the same result.
+    /// At two the node index — the largest audit — is checked on a scoped
+    /// second thread while the calling thread checks the collection, the
+    /// context index, the data graph and the metrics; the violations are
+    /// concatenated in `verify()`'s order.  The build's audit runs here at
+    /// the build's thread count.
+    pub(crate) fn audit(&self, threads: usize) -> AuditResult {
+        let node_index = self.node_index();
+        let results = std::thread::scope(|scope| {
+            let worker = (threads >= 2).then(|| scope.spawn(|| node_index.verify()));
+            let collection = self.collection().verify();
+            let context_index = self.context_index().verify();
+            let graph = self.graph().verify();
+            let metrics = self.metrics().verify();
+            let node_index = match worker {
+                Some(handle) => handle.join().unwrap_or_else(|payload| resume_unwind(payload)),
+                None => node_index.verify(),
+            };
+            [collection, node_index, context_index, graph, metrics]
+        });
         let mut violations = Vec::new();
-        let mut take = |result: AuditResult| {
+        for result in results {
             if let Err(mut v) = result {
                 violations.append(&mut v);
             }
-        };
-        take(self.collection().verify());
-        take(self.node_index().verify());
-        take(self.context_index().verify());
-        take(self.graph().verify());
-        take(self.metrics().verify());
+        }
         finish(violations)
     }
 
@@ -105,7 +126,7 @@ mod tests {
     use crate::engine::EngineConfig;
     use crate::trace::span;
     use seda_olap::Registry;
-    use seda_xmlstore::parse_collection;
+    use seda_xmlstore::{parse_collection, DocId, PathId};
 
     fn engine() -> SedaEngine {
         let collection = parse_collection(vec![
@@ -134,6 +155,22 @@ mod tests {
         }
         let violations = e.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.substrate == "datagraph"), "{violations:?}");
+    }
+
+    #[test]
+    fn the_two_thread_audit_reports_what_verify_reports_in_its_order() {
+        let mut e = engine();
+        {
+            let (collection, node_index, _, graph) = e.substrates_mut();
+            collection.corrupt_document(DocId(1), |doc| doc.corrupt_node_path(1, PathId(0)));
+            node_index.corrupt_posting_path(0, PathId(u32::MAX));
+            graph.corrupt_adj_offset(1, u32::MAX);
+        }
+        let violations = e.verify().unwrap_err();
+        let mut substrates: Vec<&str> = violations.iter().map(|v| v.substrate).collect();
+        substrates.dedup();
+        assert_eq!(substrates, ["xmlstore", "textindex", "datagraph"], "{violations:?}");
+        assert_eq!(e.audit(2), Err(violations));
     }
 
     #[test]

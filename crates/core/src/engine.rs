@@ -9,13 +9,24 @@
 //! `ContextIndex::build`).  Text is tokenised once, by the node index; the
 //! context index tokenises only the tag names of the path table and reads
 //! text keywords' contexts from the node index's term → paths table when
-//! asked.  [`SedaEngine::build`] runs them on one thread or two.  At two, the
-//! node index — the largest build — runs on a scoped second
-//! thread while the calling thread builds the data graph and the context
-//! index.  The graph stays on the calling thread, so its document components
-//! count on `seda_datagraph::doc_component_builds_on_this_thread` there.  The
-//! engine is identical at either thread count; each build and the post-build
-//! audit leave one `build:*` span in the [`BuildProfile`].
+//! asked.  [`SedaEngine::build`] runs them on one thread or two.  At two,
+//! every phase that can keeps the second core busy, each on a scoped second
+//! thread:
+//!
+//! - the parse ([`SedaEngine::build_from_sources`] only): the documents from
+//!   the byte midpoint of the XML text on are parsed into a collection of
+//!   their own and spliced onto the calling thread's, names, paths and
+//!   document ids renumbered as one parse would have numbered them;
+//! - the substrate builds: the node index — the largest build — while the
+//!   calling thread builds the data graph and the context index.  The graph
+//!   stays on the calling thread, so its document components count on
+//!   `seda_datagraph::doc_component_builds_on_this_thread` there;
+//! - the post-build audit: the node index's, while the calling thread audits
+//!   the collection, the context index, the data graph and the metrics.
+//!
+//! No index is sharded or merged.  The engine is identical at either thread
+//! count; the parse, each build and the post-build audit leave one `build:*`
+//! span in the [`BuildProfile`].
 //!
 //! The engine keeps no dataguides: no statement, summary or plan reads them
 //! (connection summaries come from the top-k instances, Sec. 6.1), so Table 1
@@ -32,11 +43,12 @@ use seda_textindex::{ContextIndex, CountStorage, FullTextQuery, NodeIndex};
 use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch};
 use seda_topk::{TermInput, TopKConfig, TopKResult, TopKSearcher};
 use seda_twigjoin::{evaluate_twig_in, TwigMatches, TwigPattern};
-use seda_xmlstore::{parse_collection, Collection, DocId, Document, NodeId, PathId};
+use seda_xmlstore::{parse_collection, parse_collection_on_two_threads};
+use seda_xmlstore::{Collection, DocId, Document, NodeId, PathId};
 
 use crate::error::SedaError;
 use crate::faults;
-use crate::govern::{RequestContext, Stopwatch};
+use crate::govern::RequestContext;
 use crate::metrics::MetricsRegistry;
 use crate::parallel::effective_parallelism;
 use crate::plan::QueryPlan;
@@ -86,11 +98,12 @@ pub struct EngineConfig {
     /// Upper bound on the number of complete-result tuples materialised by
     /// the fallback graph-enumeration path.
     pub complete_result_limit: usize,
-    /// Threads of the engine build: `1` (the default) builds every substrate
-    /// on the calling thread; `2` or more (`0` resolves to the machine's
-    /// available parallelism) builds the node index on a second thread.  No
-    /// build uses more than two.  The build output is identical for every
-    /// setting.
+    /// Threads of the engine build: `1` (the default) runs the whole build on
+    /// the calling thread; `2` or more (`0` resolves to the machine's
+    /// available parallelism) moves the second half of the parse, the node
+    /// index's build and the node index's audit to a second thread (see the
+    /// [module docs](crate::engine)).  No build uses more than two.  The
+    /// build output is identical for every setting.
     pub parallelism: usize,
 }
 
@@ -112,8 +125,9 @@ impl Default for EngineConfig {
 /// asserted.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildProfile {
-    /// Threads actually used: 1, or 2 when the node index was built on a
-    /// second thread.
+    /// Threads actually used: 1, or 2 when a second thread built and audited
+    /// the node index (and, in a build from sources, parsed the second half
+    /// of the XML).
     pub parallelism: usize,
     /// Documents in the collection.
     pub documents: usize,
@@ -124,12 +138,14 @@ pub struct BuildProfile {
     /// [`seda_textindex::NodeIndex::read_model_bytes`] for the tables and the
     /// budgets of the path tables and the token arena).
     pub posting_bytes: usize,
-    /// End-to-end engine build wall time (includes the post-build audit).
+    /// End-to-end engine build wall time (includes the parse of a build from
+    /// sources and the post-build audit).
     pub total_secs: f64,
-    /// The build's only timings: one span per substrate build and one for
-    /// the post-build structural audit ([`SedaEngine::verify`]), named by
-    /// the `BUILD_*` constants of [`crate::trace::span`] and recorded by the
-    /// build-path [`crate::Tracer`].
+    /// The build's only timings: the parse (first, in a build from sources
+    /// only), one span per substrate build and one for the post-build
+    /// structural audit ([`SedaEngine::verify`]), named by the `BUILD_*`
+    /// constants of [`crate::trace::span`] and recorded by the build-path
+    /// [`crate::Tracer`].
     pub spans: Vec<SpanRecord>,
 }
 
@@ -190,10 +206,10 @@ impl SedaEngine {
     /// indexes over the collection.
     ///
     /// Each substrate is built in one pass over the collection; at
-    /// [`EngineConfig::parallelism`] ≥ 2 the node index is built on a second
-    /// thread (see the module docs).  The resulting engine is identical at
-    /// every thread count, and each substrate's wall time is a span of
-    /// [`SedaEngine::build_profile`].
+    /// [`EngineConfig::parallelism`] ≥ 2 the node index is built and audited
+    /// on a second thread (see the module docs).  The resulting engine is
+    /// identical at every thread count, and each substrate's wall time is a
+    /// span of [`SedaEngine::build_profile`].
     ///
     /// Fails with [`SedaError::Limit`] (resource `"connection depth"`) when
     /// `config.topk.max_depth` exceeds [`MAX_DEPTH`], the deepest bound the
@@ -203,14 +219,22 @@ impl SedaEngine {
         registry: Registry,
         config: EngineConfig,
     ) -> Result<Self, SedaError> {
-        catch_internal(|| Self::build_inner(collection, registry, config))
+        catch_internal(|| Self::build_inner(collection, registry, config, Self::build_tracer()))
     }
 
     /// Parses `sources` (name, XML text pairs) into a [`Collection`] and
     /// builds the engine over it — the one-call ingestion entry point.
     ///
-    /// Parse failures surface as [`SedaError::Store`]; a panic anywhere in
-    /// parsing or building is contained and surfaced as
+    /// At two threads the parse is split too: the documents from the byte
+    /// midpoint of the XML text on are parsed on a scoped second thread and
+    /// spliced on (`seda_xmlstore::parse_collection_on_two_threads`), with the
+    /// collection a one-thread parse gives.  The parse is the
+    /// [`span::BUILD_PARSE`] span, first in the [`BuildProfile`], and
+    /// [`BuildProfile::total_secs`] covers it.
+    ///
+    /// Parse failures surface as [`SedaError::Store`] — the first refused
+    /// document's, in document order, at either thread count; a panic
+    /// anywhere in parsing or building is contained and surfaced as
     /// [`SedaError::Internal`], leaving the caller's process intact.
     pub fn build_from_sources<'a, I>(
         sources: I,
@@ -222,16 +246,46 @@ impl SedaEngine {
     {
         let sources: Vec<(&str, &str)> = sources.into_iter().collect();
         catch_internal(move || {
-            faults::fire("parse")?;
-            let collection = parse_collection(sources)?;
-            Self::build_inner(collection, registry, config)
+            let mut tracer = Self::build_tracer();
+            let parse_span = tracer.enter(span::BUILD_PARSE);
+            let collection = if Self::build_threads(&config) >= 2 {
+                parse_collection_on_two_threads(
+                    &sources,
+                    || faults::fire("parse"),
+                    |payload| SedaError::Internal(panic_message(payload)),
+                )?
+            } else {
+                faults::fire("parse")?;
+                parse_collection(sources)?
+            };
+            tracer.exit(parse_span);
+            Self::build_inner(collection, registry, config, tracer)
         })
+    }
+
+    /// The build path's tracer, begun: the build path is always traced —
+    /// builds are rare and expensive, so the span breakdown is worth its
+    /// (small, bounded) cost — and its clock times the whole build.
+    fn build_tracer() -> Tracer {
+        let mut tracer = Tracer::enabled();
+        tracer.begin();
+        tracer
+    }
+
+    /// Threads of a build: two at an effective parallelism of two or more.
+    fn build_threads(config: &EngineConfig) -> usize {
+        if effective_parallelism(config.parallelism) >= 2 {
+            2
+        } else {
+            1
+        }
     }
 
     fn build_inner(
         collection: Collection,
         registry: Registry,
         config: EngineConfig,
+        mut tracer: Tracer,
     ) -> Result<Self, SedaError> {
         if config.topk.max_depth > MAX_DEPTH {
             return Err(SedaError::Limit {
@@ -240,13 +294,7 @@ impl SedaEngine {
                 budget: MAX_DEPTH,
             });
         }
-        let build_start = Stopwatch::start();
-        let threads = if effective_parallelism(config.parallelism) >= 2 { 2 } else { 1 };
-        // The build path is always traced: builds are rare and expensive, so
-        // the span breakdown is worth its (small, bounded) cost.
-        let mut tracer = Tracer::enabled();
-        tracer.begin();
-
+        let threads = Self::build_threads(&config);
         let (graph, node_index, context_index) =
             Self::build_substrates(&collection, &config, threads, &mut tracer)?;
         let profile = BuildProfile {
@@ -273,7 +321,7 @@ impl SedaEngine {
         // substrate invariant; a violation here means the build itself is
         // broken, which is an internal defect rather than a user error.
         let verify_span = tracer.enter(span::BUILD_VERIFY);
-        if let Err(violations) = engine.verify() {
+        if let Err(violations) = engine.audit(threads) {
             let first = &violations[0];
             return Err(SedaError::Internal(format!(
                 "freshly built engine failed its structural audit with {} violation(s); \
@@ -285,7 +333,7 @@ impl SedaEngine {
             )));
         }
         tracer.exit(verify_span);
-        engine.profile.total_secs = build_start.elapsed_secs();
+        engine.profile.total_secs = tracer.clock().elapsed_secs();
         engine.profile.spans = tracer.take_spans();
 
         Ok(engine)
@@ -295,7 +343,8 @@ impl SedaEngine {
     /// built on a scoped second thread, joined after the calling thread's two
     /// builds; at one it runs last, inline.  Either way its span is recorded
     /// after the other two, from the task's own start and wall time, so both
-    /// thread counts carry the same spans in the same order.
+    /// thread counts carry the same spans in the same order.  (The parse
+    /// before and the audit after use the second thread too.)
     fn build_substrates(
         collection: &Collection,
         config: &EngineConfig,

@@ -12,7 +12,9 @@
 //! The sites:
 //!
 //! * `"parse"` — in [`crate::SedaEngine::build_from_sources`], before the
-//!   XML collection is parsed;
+//!   XML collection is parsed: at one thread before the only parse, at two
+//!   inside the task that parses the second half, on the second thread, so
+//!   the site proves a panic there is contained;
 //! * `"node-index-build"` — in every engine build, inside the node-index
 //!   task, before `NodeIndex::build` runs; at two threads the task runs on
 //!   the second thread, so the site proves a panic there is contained;

@@ -55,6 +55,9 @@ pub mod span {
     pub const DERIVE_STAR_SCHEMA: &str = "derive-star-schema";
     /// Cube aggregation over the fact table.
     pub const AGGREGATE: &str = "aggregate";
+    /// XML parsing of [`crate::SedaEngine::build_from_sources`] (build path,
+    /// first; a build from a parsed collection has no parse).
+    pub const BUILD_PARSE: &str = "build:parse";
     /// Data-graph construction (build path).
     pub const BUILD_GRAPH: &str = "build:data-graph";
     /// Node full-text index construction (build path; on the second thread
@@ -62,7 +65,9 @@ pub mod span {
     pub const BUILD_NODE_INDEX: &str = "build:node-index";
     /// Keyword→context index construction (build path).
     pub const BUILD_CONTEXT_INDEX: &str = "build:context-index";
-    /// Post-build structural audit (build path).
+    /// Post-build structural audit (build path; at two threads the node
+    /// index's audit runs on the second thread, and the span is the wall
+    /// time of the whole phase).
     pub const BUILD_VERIFY: &str = "build:audit-verify";
 }
 

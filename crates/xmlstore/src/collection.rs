@@ -8,10 +8,14 @@ use crate::document::{Document, DocumentBuilder};
 use crate::error::{Result, XmlStoreError};
 use crate::node::{DocId, Node, NodeId};
 use crate::path::{PathId, PathTable};
-use crate::symbol::SymbolTable;
+use crate::symbol::{Symbol, SymbolTable};
 
 /// A collection of XML documents sharing one symbol table and one path table.
-#[derive(Debug, Default, Clone)]
+///
+/// Equality is derived over every field, the intern tables' lookup maps
+/// included, so two equal collections number every name, path and document
+/// alike.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Collection {
     symbols: SymbolTable,
     paths: PathTable,
@@ -106,6 +110,24 @@ impl Collection {
         f(&mut builder)?;
         self.documents.push(builder.finish()?);
         Ok(id)
+    }
+
+    /// Splices `tail`'s documents on after this collection's, as if they had
+    /// been parsed into it: `tail`'s symbols, then its paths, are re-interned
+    /// here in id order, and each of its documents is renumbered to follow
+    /// this collection's, its nodes' names and contexts rewritten through the
+    /// two maps.  Both tables number in first-seen order, so the result
+    /// equals one collection built from all the documents, id for id.
+    pub(crate) fn append(&mut self, tail: Collection) {
+        let symbols: Vec<Symbol> =
+            tail.symbols.iter().map(|(_, name)| self.symbols.intern(name)).collect();
+        let paths = self.paths.intern_all(&tail.paths, &symbols);
+        let first = self.documents.len() as u32;
+        self.documents.reserve(tail.documents.len());
+        for mut document in tail.documents {
+            document.rebase(DocId(first + document.id.0), &symbols, &paths);
+            self.documents.push(document);
+        }
     }
 
     /// Test-only corruption hook: hands out mutable access to one document so

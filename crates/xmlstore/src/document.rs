@@ -14,7 +14,7 @@ use crate::symbol::{Symbol, SymbolTable};
 pub const MAX_NESTING: usize = 256;
 
 /// A stored XML document: an arena of nodes in document order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     /// Identifier of the document within its collection.
     pub id: DocId,
@@ -125,6 +125,17 @@ impl Document {
         paths.sort_unstable();
         paths.dedup();
         paths
+    }
+
+    /// Renumbers the document as `id`, and its nodes' names and contexts
+    /// through `symbols` and `paths` (old id → new id), for
+    /// `Collection::append`.
+    pub(crate) fn rebase(&mut self, id: DocId, symbols: &[Symbol], paths: &[PathId]) {
+        self.id = id;
+        for node in &mut self.nodes {
+            node.name = symbols[node.name.index()];
+            node.path = paths[node.path.index()];
+        }
     }
 
     /// Test-only corruption hook: swaps entries `a` and `b` of a node's

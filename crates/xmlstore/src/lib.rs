@@ -46,7 +46,7 @@ pub use collection::{Collection, PathCounts};
 pub use document::{Document, DocumentBuilder, MAX_NESTING};
 pub use error::{Result, XmlStoreError};
 pub use node::{DocId, Node, NodeId, NodeKind};
-pub use parse::{parse_collection, parse_into};
+pub use parse::{parse_collection, parse_collection_on_two_threads, parse_into};
 pub use path::{LabelPath, PathId, PathTable};
 pub use symbol::{Symbol, SymbolTable};
 
@@ -56,7 +56,8 @@ mod proptests {
 
     use proptest::prelude::*;
 
-    use crate::{Collection, PathId, Symbol};
+    use crate::{parse_collection, parse_collection_on_two_threads};
+    use crate::{Collection, PathId, Symbol, XmlStoreError};
 
     /// Drives a builder through one random document: each `(op, label)`
     /// opens an element (ops 0–3, up to depth 30), closes one (4–5, never
@@ -116,5 +117,68 @@ mod proptests {
             }
             prop_assert_eq!(collection.paths().len(), model.len());
         }
+
+        /// Splicing a parsed suffix onto a parsed prefix equals parsing the
+        /// whole list, at every cut: symbols, path ids and label paths, the
+        /// lookup maps, doc ids, uris and every node field (derived
+        /// `Collection` equality covers them all).  So does the two-thread
+        /// parse, which cuts at the byte midpoint.
+        #[test]
+        fn splicing_a_parsed_suffix_equals_parsing_the_whole_list(
+            documents in proptest::collection::vec(
+                proptest::collection::vec((0u8..8, any::<u8>()), 0..120),
+                0..6,
+            ),
+        ) {
+            let texts: Vec<(String, String)> =
+                documents.iter().enumerate().map(|(i, ops)| (format!("d{i}.xml"), xml(ops))).collect();
+            let sources: Vec<(&str, &str)> =
+                texts.iter().map(|(uri, text)| (uri.as_str(), text.as_str())).collect();
+            let whole = parse_collection(sources.iter().copied()).unwrap();
+            for cut in 0..=sources.len() {
+                let mut spliced = parse_collection(sources[..cut].iter().copied()).unwrap();
+                spliced.append(parse_collection(sources[cut..].iter().copied()).unwrap());
+                prop_assert_eq!(&spliced, &whole, "cut at {}", cut);
+                spliced.verify().unwrap();
+            }
+            let two = parse_collection_on_two_threads(&sources, || Ok(()), |_| {
+                XmlStoreError::Parse("the second thread panicked".into())
+            });
+            prop_assert_eq!(two.as_ref(), Ok(&whole));
+        }
+    }
+
+    /// Renders one random document as XML text: each `(op, label)` opens an
+    /// element (ops 0–3, up to depth 30; an odd label adds an attribute),
+    /// closes one (4–5, never the root), adds an empty element (6) or text
+    /// with an entity (7).  Six element labels, so a later document often
+    /// brings names and contexts an earlier one lacks.
+    fn xml(ops: &[(u8, u8)]) -> String {
+        let mut out = String::from("<root>");
+        let mut open = vec!["root".to_string()];
+        for &(op, label) in ops {
+            let name = format!("e{}", label % 6);
+            match op {
+                0..=3 if open.len() < 30 => {
+                    out.push_str(&format!("<{name}"));
+                    if label % 2 == 1 {
+                        out.push_str(&format!(" a{}=\"v{label}\"", label % 3));
+                    }
+                    out.push('>');
+                    open.push(name);
+                }
+                4 | 5 if open.len() > 1 => {
+                    let closed = open.pop().expect("more than the root is open");
+                    out.push_str(&format!("</{closed}>"));
+                }
+                6 => out.push_str(&format!("<{name}/>")),
+                7 => out.push_str(&format!("t{label} &amp; ")),
+                _ => {}
+            }
+        }
+        for name in open.iter().rev() {
+            out.push_str(&format!("</{name}>"));
+        }
+        out
     }
 }

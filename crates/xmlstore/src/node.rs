@@ -49,7 +49,7 @@ pub enum NodeKind {
 /// rather than as separate text nodes: SEDA's `content(n)` is the
 /// concatenation of all descendant text, which the store computes by walking
 /// the subtree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// Element or attribute name.
     pub name: Symbol,

@@ -70,7 +70,7 @@ impl LabelPath {
 /// keyed by `(parent context, or `None` for a root, label)`, so interning a
 /// node's context never builds or hashes its whole label list.  Ids are dense
 /// and in first-seen order.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PathTable {
     paths: Vec<LabelPath>,
     edges: HashMap<(Option<PathId>, Symbol), PathId>,
@@ -87,6 +87,27 @@ impl PathTable {
             paths.push(LabelPath { steps });
             PathId(paths.len() as u32 - 1)
         })
+    }
+
+    /// Interns every path of `other` here in id order, parents first, its
+    /// labels renamed through `symbols` (`other`'s symbol → this table's);
+    /// returns `other`'s id → this table's id.  Ids are first-seen order in
+    /// both tables, so the paths new here get the ids interning `other`'s
+    /// documents here would have given them.
+    pub(crate) fn intern_all(&mut self, other: &PathTable, symbols: &[Symbol]) -> Vec<PathId> {
+        // Every path is the target of exactly one edge; the placeholder is
+        // overwritten for each.
+        let mut edges = vec![(None, Symbol(0)); other.len()];
+        for (&edge, &id) in &other.edges {
+            edges[id.index()] = edge;
+        }
+        let mut ids: Vec<PathId> = Vec::with_capacity(other.len());
+        for (parent, label) in edges {
+            // A parent is interned before its children, so its id is mapped.
+            let id = self.child(parent.map(|p| ids[p.index()]), symbols[label.index()]);
+            ids.push(id);
+        }
+        ids
     }
 
     /// Looks up an already-interned path without inserting.

@@ -18,7 +18,7 @@ impl Symbol {
 }
 
 /// Append-only intern table for names.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SymbolTable {
     names: Vec<String>,
     lookup: HashMap<String, Symbol>,

@@ -56,27 +56,30 @@ const SOURCES: [(&str, &str); 2] = [
 #[test]
 fn parse_site_faults_surface_as_internal_and_build_recovers() {
     let _guard = serialise();
-    for action in [FaultAction::Error, FaultAction::Panic] {
-        arm("parse", action);
-        let built = SedaEngine::build_from_sources(
-            SOURCES,
-            Registry::factbook_defaults(),
-            EngineConfig::default(),
-        );
-        assert!(
-            matches!(built, Err(SedaError::Internal(_))),
-            "armed parse site ({action:?}) must fail the build"
-        );
+    // At one thread `parse` fires in the only parse; at two, inside the task
+    // that parses the second half on the second thread: a panic there is
+    // joined into a typed error, and the build does not hang.
+    for parallelism in [1, 2] {
+        let config = || EngineConfig { parallelism, ..EngineConfig::default() };
+        for action in [FaultAction::Error, FaultAction::Panic] {
+            arm("parse", action);
+            let built =
+                SedaEngine::build_from_sources(SOURCES, Registry::factbook_defaults(), config());
+            assert!(
+                matches!(built, Err(SedaError::Internal(_))),
+                "armed parse site ({action:?}) must fail the build at parallelism {parallelism}"
+            );
+        }
+        disarm_all();
+        // The fault consumed its arming: the identical build now succeeds.
+        let engine =
+            SedaEngine::build_from_sources(SOURCES, Registry::factbook_defaults(), config())
+                .expect("unarmed build succeeds");
+        assert_eq!(engine.collection().len(), 2);
+        assert_eq!(engine.build_profile().parallelism, parallelism);
+        let answer = engine.reader().execute_text("TOPK 2 FOR (name, Belize)").expect("answers");
+        assert_eq!(answer.top_k().expect("top-k payload").tuples.len(), 1);
     }
-    disarm_all();
-    // The fault consumed its arming: the identical build now succeeds.
-    let engine = SedaEngine::build_from_sources(
-        SOURCES,
-        Registry::factbook_defaults(),
-        EngineConfig::default(),
-    )
-    .expect("unarmed build succeeds");
-    assert_eq!(engine.collection().len(), 2);
 }
 
 #[test]

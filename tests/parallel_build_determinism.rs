@@ -1,16 +1,20 @@
 //! Determinism of the two-thread engine build: building the same collection
-//! twice with `parallelism > 1` — the node index on a second thread — and
-//! once on one thread must yield identical substrates and identical query
-//! answers, regardless of thread scheduling.
+//! twice with `parallelism > 1` — the node index built and audited on a
+//! second thread — and once on one thread must yield identical substrates
+//! and identical query answers, regardless of thread scheduling.  Built from
+//! XML text, the second thread also parses the second half of the documents,
+//! and the spliced collection must equal the one-thread parse.
 //!
-//! `NodeIndex` equality is derived `PartialEq` over every field, so it covers
-//! the whole frozen read model — the per-posting path array and the
-//! path-partitioned match-all runs included.
+//! `NodeIndex` and `Collection` equality are derived `PartialEq` over every
+//! field, so they cover the whole frozen read model — the per-posting path
+//! array, the path-partitioned match-all runs and the intern tables'
+//! lookup maps included.
 
 use seda_core::trace::span;
 use seda_core::{EngineConfig, SedaEngine, SedaQuery, SedaRequest, SedaResponse};
-use seda_datagen::{factbook, FactbookConfig};
+use seda_datagen::{factbook, Dataset, FactbookConfig};
 use seda_olap::Registry;
+use seda_xmlstore::{Collection, Document, NodeKind};
 
 fn build(parallelism: usize) -> SedaEngine {
     let collection = factbook::generate(&FactbookConfig::small()).unwrap();
@@ -74,7 +78,8 @@ fn build_profile_is_surfaced_for_parallel_builds() {
     let engine = build(4);
     let profile = engine.build_profile();
     // A request for four threads uses two: the build splits by substrate,
-    // and only the node index leaves the calling thread.
+    // and the node index's build and audit leave the calling thread (the
+    // parse's second half too, in a build from sources).
     assert_eq!(profile.parallelism, 2);
     assert_eq!(profile.documents, engine.collection().len());
     let secs = |name: &str| {
@@ -91,4 +96,97 @@ fn build_profile_is_surfaced_for_parallel_builds() {
     assert!(profile.posting_bytes > 0);
     assert_eq!(profile.posting_bytes, build(1).build_profile().posting_bytes);
     assert!(profile.render().contains("posting tables"));
+}
+
+/// Serialises a collection to XML text, one `(uri, xml)` pair a document:
+/// attributes in the start tag, then the element's own text, then its child
+/// elements.
+fn to_xml(collection: &Collection) -> Vec<(String, String)> {
+    fn escape(text: &str) -> String {
+        text.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;").replace('"', "&quot;")
+    }
+    fn element(collection: &Collection, doc: &Document, ordinal: u32, out: &mut String) {
+        let node = doc.node_unchecked(ordinal);
+        let name = collection.symbols().resolve(node.name);
+        out.push_str(&format!("<{name}"));
+        let children = doc.children(ordinal).iter().map(|&c| (c, doc.node_unchecked(c)));
+        for (_, attribute) in children.clone().filter(|(_, n)| n.kind == NodeKind::Attribute) {
+            let key = collection.symbols().resolve(attribute.name);
+            out.push_str(&format!(
+                " {key}=\"{}\"",
+                escape(attribute.text.as_deref().unwrap_or(""))
+            ));
+        }
+        out.push('>');
+        out.push_str(&escape(node.text.as_deref().unwrap_or("")));
+        for (child, _) in children.filter(|(_, n)| n.kind == NodeKind::Element) {
+            element(collection, doc, child, out);
+        }
+        out.push_str(&format!("</{name}>"));
+    }
+    collection
+        .documents()
+        .map(|doc| {
+            let mut xml = String::new();
+            element(collection, doc, doc.root(), &mut xml);
+            (doc.uri.clone(), xml)
+        })
+        .collect()
+}
+
+fn build_from_sources(sources: &[(String, String)], parallelism: usize) -> SedaEngine {
+    SedaEngine::build_from_sources(
+        sources.iter().map(|(uri, xml)| (uri.as_str(), xml.as_str())),
+        Registry::factbook_defaults(),
+        EngineConfig { parallelism, ..EngineConfig::default() },
+    )
+    .unwrap()
+}
+
+/// The payload of each of a few requests over the two names most often
+/// carrying text — what any corpus shape can answer.
+fn answers(engine: &SedaEngine) -> Vec<String> {
+    let collection = engine.collection();
+    let mut counts = vec![0usize; collection.symbols().len()];
+    for doc in collection.documents() {
+        for (_, node) in doc.iter().filter(|(_, node)| node.text.is_some()) {
+            counts[node.name.index()] += 1;
+        }
+    }
+    let mut names: Vec<usize> = (0..counts.len()).collect();
+    names.sort_by_key(|&i| std::cmp::Reverse(counts[i]));
+    let name = |i: usize| collection.symbols().iter().nth(names[i]).unwrap().1.to_string();
+    let terms = format!("({}, *) AND ({}, *)", name(0), name(1));
+    let mut reader = engine.reader();
+    ["TOPK 10 FOR", "CONTEXTS FOR", "RESULTS FOR"]
+        .iter()
+        .map(|statement| {
+            let response = reader.execute_text(&format!("{statement} {terms}"));
+            format!("{:?}", response.map(|r| r.payload))
+        })
+        .collect()
+}
+
+#[test]
+fn builds_from_sources_are_identical_at_one_and_two_threads() {
+    for dataset in Dataset::ALL {
+        let sources = to_xml(&dataset.generate_small().unwrap());
+        let one = build_from_sources(&sources, 1);
+        let two = build_from_sources(&sources, 2);
+        let name = dataset.name();
+        assert_eq!(two.build_profile().parallelism, 2);
+        assert_eq!(one.collection().len(), sources.len(), "{name}");
+        assert!(two.collection() == one.collection(), "{name}: the spliced collection differs");
+        assert!(two.node_index() == one.node_index(), "{name}: node index");
+        assert_eq!(two.context_index(), one.context_index(), "{name}");
+        assert_eq!(two.graph(), one.graph(), "{name}");
+        let answered = answers(&two);
+        assert!(answered[0].starts_with("Ok(TopK(TopKResult { tuples: [ResultTuple"), "{name}");
+        assert_eq!(answered, answers(&one), "{name}");
+        // One document: the second thread parses all of it.
+        let first = &sources[..1];
+        assert!(
+            build_from_sources(first, 2).collection() == build_from_sources(first, 1).collection()
+        );
+    }
 }

@@ -21,7 +21,8 @@ use std::time::{Duration, Instant};
 use seda_core::{EngineConfig, SedaEngine, SedaError, SedaQuery, SedaReader, SedaRequest};
 use seda_datagen::Dataset;
 use seda_olap::{QueryResultTable, Registry};
-use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKResult, TopKSearcher};
+use seda_topk::TopKSearcher;
+use seda_topk::{SearchLimits, SearchScratch, SearchStats, TermInput, TopKConfig, TopKResult};
 
 /// Small enough for `/country/name × /city/name` (1,374 connected pairs over
 /// 20 countries) to overrun the frontier in the join's second stage, while a
@@ -117,6 +118,31 @@ fn search(
     (result, breach.map(|b| b.resource))
 }
 
+/// Runs `attempt` — one search with a limit armed `delay` into it — until
+/// the limit breaches as `resource` between two sorted accesses, at most 20
+/// times, and returns the delay that did (`Err`: the delays tried).  The
+/// delay adapts to the host: a breach before the first sorted access
+/// lengthens it, a search that ends first — no breach, or every sorted
+/// access made — shortens it.
+fn arm_until_mid_search(
+    resource: &str,
+    full: &SearchStats,
+    mut delay: Duration,
+    mut attempt: impl FnMut(Duration) -> (TopKResult, Option<&'static str>),
+) -> Result<Duration, Vec<Duration>> {
+    let mut tried = Vec::new();
+    for _ in 0..20 {
+        let (partial, breach) = attempt(delay);
+        let accesses = partial.stats.sorted_accesses;
+        if breach == Some(resource) && accesses > 0 && accesses < full.sorted_accesses {
+            return Ok(delay);
+        }
+        tried.push(delay);
+        delay = if breach.is_some() && accesses == 0 { delay * 3 / 2 } else { delay * 2 / 3 };
+    }
+    Err(tried)
+}
+
 #[test]
 fn every_exit_of_the_pinned_loops_leaves_the_scratch_as_a_fresh_one() {
     let engine = engine();
@@ -150,10 +176,11 @@ fn every_exit_of_the_pinned_loops_leaves_the_scratch_as_a_fresh_one() {
     }
 
     // A deadline and a cancellation arriving mid-search.  Half the search's
-    // own time puts either well inside the join; a run the host disturbed
-    // (too early, or never) is repeated.  The time is the fastest of five:
-    // the first search after a build runs slower than the ones that follow,
-    // and half of *its* time can land after they have ended.
+    // own time puts either well inside the join; the time is the fastest of
+    // five: the first search after a build runs slower than the ones that
+    // follow, and half of *its* time can land after they have ended.  A run
+    // the host disturbed (too early, or never) is repeated with the delay
+    // adapted to it.
     let fastest = (0..5)
         .map(|_| {
             let start = Instant::now();
@@ -163,29 +190,24 @@ fn every_exit_of_the_pinned_loops_leaves_the_scratch_as_a_fresh_one() {
         .min()
         .expect("five searches were timed");
     let half = fastest / 2;
-    let mid_search = |stats: &seda_topk::SearchStats| {
-        stats.sorted_accesses > 0 && stats.sorted_accesses < full.sorted_accesses
-    };
-    let caught = (0..20).any(|_| {
-        let limits = SearchLimits { deadline: Some(Instant::now() + half), ..unlimited.clone() };
-        let (partial, breach) = search(&mut reader, terms, &k10, &limits);
-        breach == Some("deadline") && mid_search(&partial.stats)
+    let caught = arm_until_mid_search("deadline", full, half, |delay| {
+        let limits = SearchLimits { deadline: Some(Instant::now() + delay), ..unlimited.clone() };
+        search(&mut reader, terms, &k10, &limits)
     });
-    assert!(caught, "no deadline of {half:?} caught the search between two accesses");
+    assert!(caught.is_ok(), "no deadline caught the search between two accesses: {caught:?}");
     expected.assert_scratch_answers_alike(&mut reader, "an expiring deadline");
-    let caught = (0..20).any(|_| {
+    let caught = arm_until_mid_search("cancelled", full, half, |delay| {
         let flag = Arc::new(AtomicBool::new(false));
         let limits = SearchLimits { cancel: Some(flag.clone()), ..unlimited.clone() };
-        let (partial, breach) = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             scope.spawn(|| {
-                std::thread::sleep(half.max(Duration::from_micros(50)));
+                std::thread::sleep(delay.max(Duration::from_micros(50)));
                 flag.store(true, Ordering::Relaxed);
             });
             search(&mut reader, terms, &k10, &limits)
-        });
-        breach == Some("cancelled") && mid_search(&partial.stats)
+        })
     });
-    assert!(caught, "no cancellation after {half:?} caught the search between two accesses");
+    assert!(caught.is_ok(), "no cancellation caught the search between two accesses: {caught:?}");
     expected.assert_scratch_answers_alike(&mut reader, "a cancellation");
 
     // The candidate limit, reached inside a batch: no breach, a stop.

@@ -6,24 +6,29 @@ use seda_core::{EngineConfig, ResponsePayload, SedaEngine, SedaRequest};
 use seda_olap::{FactTable, Registry};
 use seda_xmlstore::parse_collection;
 
+const SOURCES: [(&str, &str); 2] = [
+    (
+        "us.xml",
+        r#"<country><name>United States</name><year>2006</year>
+             <economy><import_partners>
+               <item><trade_country>China</trade_country><percentage>15</percentage></item>
+             </import_partners></economy></country>"#,
+    ),
+    ("mx.xml", r#"<country><name>Mexico</name><year>2003</year></country>"#),
+];
+
+fn config(parallelism: usize) -> EngineConfig {
+    EngineConfig { parallelism, ..EngineConfig::default() }
+}
+
 fn engine_with_parallelism(parallelism: usize) -> SedaEngine {
-    let collection = parse_collection(vec![
-        (
-            "us.xml",
-            r#"<country><name>United States</name><year>2006</year>
-                 <economy><import_partners>
-                   <item><trade_country>China</trade_country><percentage>15</percentage></item>
-                 </import_partners></economy></country>"#,
-        ),
-        ("mx.xml", r#"<country><name>Mexico</name><year>2003</year></country>"#),
-    ])
-    .unwrap();
-    SedaEngine::build(
-        collection,
-        Registry::factbook_defaults(),
-        EngineConfig { parallelism, ..EngineConfig::default() },
-    )
-    .unwrap()
+    let collection = parse_collection(SOURCES).unwrap();
+    SedaEngine::build(collection, Registry::factbook_defaults(), config(parallelism)).unwrap()
+}
+
+fn engine_from_sources(parallelism: usize) -> SedaEngine {
+    SedaEngine::build_from_sources(SOURCES, Registry::factbook_defaults(), config(parallelism))
+        .unwrap()
 }
 
 #[test]
@@ -129,14 +134,23 @@ fn consecutive_traced_requests_never_leak_spans() {
 
 #[test]
 fn sequential_build_profiles_carry_substrate_spans() {
-    let e = engine_with_parallelism(1);
-    let spans = &e.build_profile().spans;
-    let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(
-        names,
-        ["build:data-graph", "build:context-index", "build:node-index", "build:audit-verify"]
-    );
-    assert!(spans.iter().all(|s| s.depth == 0), "{spans:?}");
+    const SUBSTRATES: [&str; 4] =
+        ["build:data-graph", "build:context-index", "build:node-index", "build:audit-verify"];
+    let names = |e: &SedaEngine| -> Vec<String> {
+        let spans = &e.build_profile().spans;
+        assert!(spans.iter().all(|s| s.depth == 0), "{spans:?}");
+        spans.iter().map(|s| s.name.clone()).collect()
+    };
+    // A parsed collection's build has the four substrate spans; a build from
+    // sources times its parse first.
+    assert_eq!(names(&engine_with_parallelism(1)), SUBSTRATES);
+    let from_sources = engine_from_sources(1);
+    assert_eq!(names(&from_sources)[0], "build:parse");
+    assert_eq!(names(&from_sources)[1..], SUBSTRATES);
+    let profile = from_sources.build_profile();
+    assert!(profile.render().contains("build:parse"));
+    let spanned: f64 = profile.spans.iter().map(|s| s.wall_secs).sum();
+    assert!(profile.total_secs + 1e-9 >= spanned, "total_secs covers the parse: {profile:?}");
 }
 
 #[test]
@@ -144,17 +158,21 @@ fn two_thread_build_profiles_carry_the_sequential_spans() {
     let phases = |e: &SedaEngine| -> Vec<(String, usize)> {
         e.build_profile().spans.iter().map(|s| (s.name.clone(), s.depth)).collect()
     };
-    let two = engine_with_parallelism(2);
-    assert_eq!(two.build_profile().parallelism, 2);
-    assert_eq!(phases(&two), phases(&engine_with_parallelism(1)));
-    let spans = &two.build_profile().spans;
-    assert!(
-        spans.iter().all(|s| s.name != "shard" && s.name != "merge"),
-        "no build has a shard or merge phase: {spans:?}"
-    );
-    let total = two.build_profile().total_secs;
-    for span in spans {
-        assert!(span.wall_secs <= total + 1e-9, "span exceeds the build wall time: {span:?}");
-        assert!(span.start_secs + span.wall_secs <= total + 1e-9, "span ends after the build");
+    for (two, one) in [
+        (engine_with_parallelism(2), engine_with_parallelism(1)),
+        (engine_from_sources(2), engine_from_sources(1)),
+    ] {
+        assert_eq!(two.build_profile().parallelism, 2);
+        assert_eq!(phases(&two), phases(&one));
+        let spans = &two.build_profile().spans;
+        assert!(
+            spans.iter().all(|s| s.name != "shard" && s.name != "merge"),
+            "no build has a shard or merge phase: {spans:?}"
+        );
+        let total = two.build_profile().total_secs;
+        for span in spans {
+            assert!(span.wall_secs <= total + 1e-9, "span exceeds the build wall time: {span:?}");
+            assert!(span.start_secs + span.wall_secs <= total + 1e-9, "span ends after the build");
+        }
     }
 }
