@@ -16,18 +16,18 @@
 //! | `profile-counters` | [`ExecProfile`] counters are mutually consistent (disconnected ≤ scored) |
 //! | `profile-timings` | [`ExecProfile`] wall times are finite and non-negative |
 //!
-//! Every [`SedaEngine::build`] runs `verify()` — at two threads with the
-//! node index's checks on the second thread, same result — before handing
-//! the engine to the caller and records the cost as the profile's
+//! Every [`SedaEngine::build`] runs `verify()` — as one fork of the build
+//! schedule, the node index's checks the second task (on the second thread
+//! at two threads, last at one), same result — before handing the engine
+//! to the caller and records the cost as the profile's
 //! [`crate::trace::span::BUILD_VERIFY`] span; `seda-bench`'s `audit` binary
 //! runs the same check, and a dataguide set's, over every datagen corpus
 //! shape from the command line.
 
-use std::panic::resume_unwind;
-
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
 
 use crate::engine::SedaEngine;
+use crate::parallel::fork;
 use crate::response::ExecProfile;
 
 const SUBSTRATE: &str = "core";
@@ -47,26 +47,27 @@ impl SedaEngine {
         self.audit(1)
     }
 
-    /// [`SedaEngine::verify`] on `threads` threads, with the same result.
-    /// At two the node index — the largest audit — is checked on a scoped
-    /// second thread while the calling thread checks the collection, the
-    /// context index, the data graph and the metrics; the violations are
-    /// concatenated in `verify()`'s order.  The build's audit runs here at
-    /// the build's thread count.
+    /// [`SedaEngine::verify`] on `threads` threads, with the same result:
+    /// one fork whose first task checks the collection, the context index,
+    /// the data graph and the metrics, and whose second checks the node
+    /// index — the largest audit.  The violations are concatenated in
+    /// `verify()`'s order.  The build's audit runs here at the build's
+    /// thread count.
     pub(crate) fn audit(&self, threads: usize) -> AuditResult {
         let node_index = self.node_index();
-        let results = std::thread::scope(|scope| {
-            let worker = (threads >= 2).then(|| scope.spawn(|| node_index.verify()));
-            let collection = self.collection().verify();
-            let context_index = self.context_index().verify();
-            let graph = self.graph().verify();
-            let metrics = self.metrics().verify();
-            let node_index = match worker {
-                Some(handle) => handle.join().unwrap_or_else(|payload| resume_unwind(payload)),
-                None => node_index.verify(),
-            };
-            [collection, node_index, context_index, graph, metrics]
-        });
+        let ([collection, context_index, graph, metrics], node_index) = fork(
+            threads,
+            || {
+                [
+                    self.collection().verify(),
+                    self.context_index().verify(),
+                    self.graph().verify(),
+                    self.metrics().verify(),
+                ]
+            },
+            || node_index.verify(),
+        );
+        let results = [collection, node_index, context_index, graph, metrics];
         let mut violations = Vec::new();
         for result in results {
             if let Err(mut v) = result {

@@ -9,24 +9,26 @@
 //! `ContextIndex::build`).  Text is tokenised once, by the node index; the
 //! context index tokenises only the tag names of the path table and reads
 //! text keywords' contexts from the node index's term → paths table when
-//! asked.  [`SedaEngine::build`] runs them on one thread or two.  At two,
-//! every phase that can keeps the second core busy, each on a scoped second
-//! thread:
+//! asked.  [`SedaEngine::build`] runs them on one thread or two, on one
+//! schedule: each phase is a fork of two tasks (`crate::parallel::fork`),
+//! the second on a scoped second thread at two threads and after the first,
+//! inline, at one.  The phases and their second tasks:
 //!
-//! - the parse ([`SedaEngine::build_from_sources`] only): the documents from
-//!   the byte midpoint of the XML text on are parsed into a collection of
-//!   their own and spliced onto the calling thread's, names, paths and
-//!   document ids renumbered as one parse would have numbered them;
+//! - the parse ([`SedaEngine::build_from_sources`] only): the source list is
+//!   cut — at the byte midpoint of the XML text at two threads, after its
+//!   last document at one — and the tail is parsed into a collection of its
+//!   own and appended to the head's ([`Collection::append`]: names, paths
+//!   and document ids renumbered as one parse would have numbered them);
 //! - the substrate builds: the node index — the largest build — while the
-//!   calling thread builds the data graph and the context index.  The graph
+//!   first task builds the data graph and then the context index.  The graph
 //!   stays on the calling thread, so its document components count on
 //!   `seda_datagraph::doc_component_builds_on_this_thread` there;
-//! - the post-build audit: the node index's, while the calling thread audits
+//! - the post-build audit: the node index's, while the first task audits
 //!   the collection, the context index, the data graph and the metrics.
 //!
 //! No index is sharded or merged.  The engine is identical at either thread
-//! count; the parse, each build and the post-build audit leave one `build:*`
-//! span in the [`BuildProfile`].
+//! count, and so is every code path but the cut; the parse, each build and
+//! the post-build audit leave one `build:*` span in the [`BuildProfile`].
 //!
 //! The engine keeps no dataguides: no statement, summary or plan reads them
 //! (connection summaries come from the top-k instances, Sec. 6.1), so Table 1
@@ -36,21 +38,20 @@ use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use seda_datagraph::{is_connected_with, pin, DataGraph, GraphConfig, TraversalScratch, MAX_DEPTH};
+use seda_datagraph::{pin, DataGraph, GraphConfig, TraversalScratch, MAX_DEPTH};
 use seda_dataguide::{connection_signature, discover_connections, DataGuideSet, DataGuideStats};
 use seda_olap::{BuildOptions, QueryResultTable, Registry, StarSchemaBuild, StarSchemaBuilder};
 use seda_textindex::{ContextIndex, CountStorage, FullTextQuery, NodeIndex};
 use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch};
 use seda_topk::{TermInput, TopKConfig, TopKResult, TopKSearcher};
 use seda_twigjoin::{evaluate_twig_in, TwigMatches, TwigPattern};
-use seda_xmlstore::{parse_collection, parse_collection_on_two_threads};
-use seda_xmlstore::{Collection, DocId, Document, NodeId, PathId};
+use seda_xmlstore::{parse_collection, Collection, DocId, Document, NodeId, PathId};
 
 use crate::error::SedaError;
 use crate::faults;
 use crate::govern::RequestContext;
 use crate::metrics::MetricsRegistry;
-use crate::parallel::effective_parallelism;
+use crate::parallel::{byte_midpoint, effective_parallelism, fork};
 use crate::plan::QueryPlan;
 use crate::query::SedaQuery;
 use crate::summaries::{ConnectionSummary, ContextBucket, ContextSelections, ContextSummary};
@@ -100,10 +101,11 @@ pub struct EngineConfig {
     pub complete_result_limit: usize,
     /// Threads of the engine build: `1` (the default) runs the whole build on
     /// the calling thread; `2` or more (`0` resolves to the machine's
-    /// available parallelism) moves the second half of the parse, the node
-    /// index's build and the node index's audit to a second thread (see the
-    /// [module docs](crate::engine)).  No build uses more than two.  The
-    /// build output is identical for every setting.
+    /// available parallelism) runs the second task of each build phase — the
+    /// second half of the parse, the node index's build and the node index's
+    /// audit — on a second thread (see the [module docs](crate::engine)).
+    /// No build uses more than two, and both run the same code but for the
+    /// parse's cut.  The build output is identical for every setting.
     pub parallelism: usize,
 }
 
@@ -207,7 +209,8 @@ impl SedaEngine {
     ///
     /// Each substrate is built in one pass over the collection; at
     /// [`EngineConfig::parallelism`] ≥ 2 the node index is built and audited
-    /// on a second thread (see the module docs).  The resulting engine is
+    /// on a second thread, and after the other substrates at one (see the
+    /// module docs).  The resulting engine is
     /// identical at every thread count, and each substrate's wall time is a
     /// span of [`SedaEngine::build_profile`].
     ///
@@ -225,17 +228,21 @@ impl SedaEngine {
     /// Parses `sources` (name, XML text pairs) into a [`Collection`] and
     /// builds the engine over it — the one-call ingestion entry point.
     ///
-    /// At two threads the parse is split too: the documents from the byte
-    /// midpoint of the XML text on are parsed on a scoped second thread and
-    /// spliced on (`seda_xmlstore::parse_collection_on_two_threads`), with the
-    /// collection a one-thread parse gives.  The parse is the
-    /// [`span::BUILD_PARSE`] span, first in the [`BuildProfile`], and
-    /// [`BuildProfile::total_secs`] covers it.
+    /// The parse is one fork at every thread count: the list is cut, the
+    /// head parsed by the first task and the tail by the second, and the
+    /// tail's collection appended to the head's ([`Collection::append`]).  At
+    /// two threads the cut is the byte midpoint of the XML text and the tail
+    /// is parsed on a scoped second thread; at one it is the end of the list,
+    /// so the tail is empty.  Either way the collection is the one
+    /// [`parse_collection`] gives.  The parse is the [`span::BUILD_PARSE`]
+    /// span, first in the [`BuildProfile`], and [`BuildProfile::total_secs`]
+    /// covers it.
     ///
     /// Parse failures surface as [`SedaError::Store`] — the first refused
-    /// document's, in document order, at either thread count; a panic
-    /// anywhere in parsing or building is contained and surfaced as
-    /// [`SedaError::Internal`], leaving the caller's process intact.
+    /// document's, in document order, at either thread count (the head's
+    /// error is reported before the tail's); a panic anywhere in parsing or
+    /// building is contained and surfaced as [`SedaError::Internal`], leaving
+    /// the caller's process intact.
     pub fn build_from_sources<'a, I>(
         sources: I,
         registry: Registry,
@@ -248,16 +255,19 @@ impl SedaEngine {
         catch_internal(move || {
             let mut tracer = Self::build_tracer();
             let parse_span = tracer.enter(span::BUILD_PARSE);
-            let collection = if Self::build_threads(&config) >= 2 {
-                parse_collection_on_two_threads(
-                    &sources,
-                    || faults::fire("parse"),
-                    |payload| SedaError::Internal(panic_message(payload)),
-                )?
-            } else {
-                faults::fire("parse")?;
-                parse_collection(sources)?
-            };
+            let threads = Self::build_threads(&config);
+            let cut = if threads >= 2 { byte_midpoint(&sources) } else { sources.len() };
+            let (head, tail) = sources.split_at(cut);
+            let (head, tail) = fork(
+                threads,
+                || parse_collection(head.iter().copied()),
+                || -> Result<Collection, SedaError> {
+                    faults::fire("parse")?;
+                    Ok(parse_collection(tail.iter().copied())?)
+                },
+            );
+            let mut collection = head?;
+            collection.append(tail?);
             tracer.exit(parse_span);
             Self::build_inner(collection, registry, config, tracer)
         })
@@ -274,11 +284,7 @@ impl SedaEngine {
 
     /// Threads of a build: two at an effective parallelism of two or more.
     fn build_threads(config: &EngineConfig) -> usize {
-        if effective_parallelism(config.parallelism) >= 2 {
-            2
-        } else {
-            1
-        }
+        effective_parallelism(config.parallelism).min(2)
     }
 
     fn build_inner(
@@ -339,12 +345,12 @@ impl SedaEngine {
         Ok(engine)
     }
 
-    /// Builds the three index substrates.  At two threads the node index is
-    /// built on a scoped second thread, joined after the calling thread's two
-    /// builds; at one it runs last, inline.  Either way its span is recorded
-    /// after the other two, from the task's own start and wall time, so both
-    /// thread counts carry the same spans in the same order.  (The parse
-    /// before and the audit after use the second thread too.)
+    /// Builds the three index substrates in one fork: the data graph (so its
+    /// component count is the calling thread's) and then the context index
+    /// on the first task, the node index on the second.  The node index's
+    /// span is recorded after the other two, from the task's own start and
+    /// wall time, so both thread counts carry the same spans in the same
+    /// order.
     fn build_substrates(
         collection: &Collection,
         config: &EngineConfig,
@@ -352,46 +358,30 @@ impl SedaEngine {
         tracer: &mut Tracer,
     ) -> Result<(DataGraph, NodeIndex, ContextIndex), SedaError> {
         let clock = tracer.clock();
-        let node_index_task = || -> Result<(NodeIndex, f64, f64), SedaError> {
-            let (start_secs, t) = clock.split();
-            faults::fire("node-index-build")?;
-            let index = NodeIndex::build(collection);
-            Ok((index, start_secs, t.elapsed_secs()))
-        };
-        let (rest, node_index) = std::thread::scope(|scope| {
-            let worker = (threads >= 2).then(|| scope.spawn(node_index_task));
-            let rest = Self::build_on_this_thread(collection, config, tracer);
-            let node_index = match worker {
-                Some(handle) => handle
-                    .join()
-                    .unwrap_or_else(|payload| Err(SedaError::Internal(panic_message(payload)))),
-                None => node_index_task(),
-            };
-            (rest, node_index)
-        });
+        let (rest, node_index) = fork(
+            threads,
+            || -> Result<_, SedaError> {
+                let outer = tracer.enter(span::BUILD_GRAPH);
+                faults::fire("oracle-build")?;
+                let graph = DataGraph::build(collection, &config.graph);
+                tracer.exit(outer);
+
+                let outer = tracer.enter(span::BUILD_CONTEXT_INDEX);
+                let context_index = ContextIndex::build(collection, config.count_storage);
+                tracer.exit(outer);
+                Ok((graph, context_index))
+            },
+            || -> Result<_, SedaError> {
+                let (start_secs, t) = clock.split();
+                faults::fire("node-index-build")?;
+                let index = NodeIndex::build(collection);
+                Ok((index, start_secs, t.elapsed_secs()))
+            },
+        );
         let (graph, context_index) = rest?;
         let (node_index, start_secs, secs) = node_index?;
         tracer.record(span::BUILD_NODE_INDEX, start_secs, secs);
         Ok((graph, node_index, context_index))
-    }
-
-    /// The two builds that stay on the calling thread: the data graph (so its
-    /// component count is this thread's) and the context index.
-    fn build_on_this_thread(
-        collection: &Collection,
-        config: &EngineConfig,
-        tracer: &mut Tracer,
-    ) -> Result<(DataGraph, ContextIndex), SedaError> {
-        let outer = tracer.enter(span::BUILD_GRAPH);
-        faults::fire("oracle-build")?;
-        let graph = DataGraph::build(collection, &config.graph);
-        tracer.exit(outer);
-
-        let outer = tracer.enter(span::BUILD_CONTEXT_INDEX);
-        let context_index = ContextIndex::build(collection, config.count_storage);
-        tracer.exit(outer);
-
-        Ok((graph, context_index))
     }
 
     /// The id the planner stamps into this engine's plans.
@@ -913,23 +903,13 @@ impl SedaEngine {
                     continue;
                 };
                 // A tuple is connected when every later node lies within
-                // `max_depth` of its first ([`is_connected_with`]), and the
+                // `max_depth` of its first (`is_connected_with`), and the
                 // row's members passed that test when the row was formed: only
                 // the candidate is new.  The first node is one source for the
-                // whole candidate list, so it is pinned.
-                let Some(mut first) = pin(&self.graph, traversal, source) else {
-                    for &candidate in term_candidates {
-                        if is_connected_with(
-                            &self.graph,
-                            traversal,
-                            &[source, candidate],
-                            max_depth,
-                        ) {
-                            admit(&mut next, row, candidate)?;
-                        }
-                    }
-                    continue;
-                };
+                // whole candidate list, so it is pinned; `pin` refuses only a
+                // source outside the graph or its oracle, which connects to
+                // nothing.
+                let Some(mut first) = pin(&self.graph, traversal, source) else { continue };
                 for &candidate in term_candidates {
                     if first.distance_to(candidate, max_depth).is_some() {
                         admit(&mut next, row, candidate)?;
@@ -1373,6 +1353,66 @@ mod tests {
         let profile = parallel.build_profile();
         assert_eq!(profile.parallelism, 2);
         assert!(profile.render().contains("2 docs, 2 thread(s)"));
+    }
+
+    /// A build from sources at one and two threads.
+    fn from_sources(sources: &[(&str, &str)], parallelism: usize) -> Result<SedaEngine, SedaError> {
+        let config = EngineConfig { parallelism, ..EngineConfig::default() };
+        SedaEngine::build_from_sources(sources.iter().copied(), Registry::new(), config)
+    }
+
+    #[test]
+    fn builds_from_sources_parse_the_edge_cases_as_one_parse() {
+        let big = r#"<country id="us2006"><name>United States</name><year>2006</year>
+            <economy><import_partners><item><trade_country>China</trade_country>
+            <percentage>15</percentage></item></import_partners></economy></country>"#;
+        let lists: [&[(&str, &str)]; 6] = [
+            &[],
+            &[("one.xml", big)],
+            &[("a.xml", "<a><b>x</b></a>"), ("b.xml", "<c><b>y</b></c>")],
+            &[("s.xml", "<a/>"), ("big.xml", big), ("t.xml", "<z q='1'/>")],
+            &[("big.xml", big), ("s.xml", "<a/>"), ("t.xml", "<z q='1'/>")],
+            &[("s.xml", "<a/>"), ("t.xml", "<z q='1'/>"), ("big.xml", big)],
+        ];
+        for sources in lists {
+            let expected = parse_collection(sources.iter().copied()).unwrap();
+            for parallelism in [1, 2] {
+                let engine = from_sources(sources, parallelism).unwrap();
+                assert_eq!(engine.build_profile().parallelism, parallelism);
+                assert_eq!(engine.collection(), &expected, "{parallelism}: {sources:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_refused_document_fails_as_one_parse_at_both_thread_counts() {
+        let good = ("good.xml", "<country><name>Peru</name></country>");
+        let refusals = [
+            ("unclosed.xml", "<country><name>Peru</name>"),
+            ("mismatched.xml", "<country></name>"),
+            ("empty.xml", "   "),
+        ];
+        let refused = |sources: &[(&str, &str)]| {
+            let expected = SedaError::Store(parse_collection(sources.iter().copied()).unwrap_err());
+            for parallelism in [1, 2] {
+                let error = from_sources(sources, parallelism).err();
+                assert_eq!(error.as_ref(), Some(&expected), "{parallelism}: {sources:?}");
+            }
+        };
+        for (at, bad) in refusals.into_iter().enumerate() {
+            for position in 0..6 {
+                let mut sources = vec![good; 5];
+                sources.insert(position, bad);
+                refused(&sources);
+                // A second refusal later on: the first in document order wins,
+                // whichever half each lands in.
+                for later in position + 1..=sources.len() {
+                    let mut both = sources.clone();
+                    both.insert(later, refusals[(at + 1) % refusals.len()]);
+                    refused(&both);
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!
 //! The sites:
 //!
-//! * `"parse"` — in [`crate::SedaEngine::build_from_sources`], before the
-//!   XML collection is parsed: at one thread before the only parse, at two
-//!   inside the task that parses the second half, on the second thread, so
-//!   the site proves a panic there is contained;
+//! * `"parse"` — in [`crate::SedaEngine::build_from_sources`], inside the
+//!   task that parses the tail of the source list, before its parse, at
+//!   either thread count: at two that task runs on the second thread, so
+//!   the site proves a panic there is contained; at one it runs after the
+//!   head's parse, and its tail is empty;
 //! * `"node-index-build"` — in every engine build, inside the node-index
 //!   task, before `NodeIndex::build` runs; at two threads the task runs on
 //!   the second thread, so the site proves a panic there is contained;

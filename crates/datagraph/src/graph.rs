@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use seda_xmlstore::{Collection, DocId, NodeId, NodeKind, PathId};
 
-use crate::config::GraphConfig;
+use crate::config::{is_id_attribute, is_idref_attribute, is_xlink_attribute, GraphConfig};
 use crate::connectivity::ConnectivityIndex;
 
 /// Kind of an edge in the data graph.
@@ -132,12 +132,12 @@ impl DataGraph {
                 };
                 let owner = NodeId::new(doc.id, parent);
                 let name = collection.symbols().resolve(node.name);
-                if config.is_id_attribute(name) {
+                if is_id_attribute(name) {
                     id_map.insert(value.trim(), owner);
                 }
-                let kind = if config.is_idref_attribute(name) {
+                let kind = if is_idref_attribute(name) {
                     EdgeKind::IdRef
-                } else if config.is_xlink_attribute(name) {
+                } else if is_xlink_attribute(name) {
                     EdgeKind::XLink
                 } else {
                     continue;

@@ -71,7 +71,7 @@ impl DataGuide {
     }
 
     /// Number of paths shared with another guide.
-    pub fn common_path_count(&self, other: &DataGuide) -> usize {
+    pub(crate) fn common_path_count(&self, other: &DataGuide) -> usize {
         if self.len() <= other.len() {
             self.paths.iter().filter(|p| other.paths.contains(p)).count()
         } else {
@@ -89,7 +89,7 @@ impl DataGuide {
     }
 
     /// Absorbs another guide (set union of paths, concatenation of coverage).
-    pub fn merge_in(&mut self, other: DataGuide) {
+    pub(crate) fn merge_in(&mut self, other: DataGuide) {
         self.paths.extend(other.paths);
         self.documents.extend(other.documents);
     }
@@ -229,7 +229,7 @@ impl DataGuideSet {
     }
 
     /// All guides containing a given path, in ascending guide order.
-    pub fn guides_with_path(&self, path: PathId) -> Vec<GuideId> {
+    pub(crate) fn guides_with_path(&self, path: PathId) -> Vec<GuideId> {
         let mut out: Vec<GuideId> = self
             .path_index
             .get(&path)

@@ -18,9 +18,9 @@
 //! assert_eq!(guides.len(), 2);
 //! ```
 
-pub mod audit;
-pub mod connection;
-pub mod guide;
+mod audit;
+mod connection;
+mod guide;
 
 pub use connection::{
     connection_signature, discover_connections, false_positive_connections, guide_connection,

@@ -117,8 +117,10 @@ impl Collection {
     /// here in id order, and each of its documents is renumbered to follow
     /// this collection's, its nodes' names and contexts rewritten through the
     /// two maps.  Both tables number in first-seen order, so the result
-    /// equals one collection built from all the documents, id for id.
-    pub(crate) fn append(&mut self, tail: Collection) {
+    /// equals one collection built from all the documents, id for id: a
+    /// list's head and tail parsed apart and appended equal the whole list
+    /// parsed.
+    pub fn append(&mut self, tail: Collection) {
         let symbols: Vec<Symbol> =
             tail.symbols.iter().map(|(_, name)| self.symbols.intern(name)).collect();
         let paths = self.paths.intern_all(&tail.paths, &symbols);

@@ -22,11 +22,10 @@
 //! storage layer.
 //!
 //! ```
-//! use seda_xmlstore::{Collection, parse_into};
+//! use seda_xmlstore::parse_collection;
 //!
-//! let mut collection = Collection::new();
-//! parse_into(&mut collection, "us.xml",
-//!     "<country><name>United States</name><year>2006</year></country>").unwrap();
+//! let collection = parse_collection([("us.xml",
+//!     "<country><name>United States</name><year>2006</year></country>")]).unwrap();
 //! let year = collection.paths().get_str(collection.symbols(), "/country/year").unwrap();
 //! let nodes = collection.nodes_with_path(year);
 //! assert_eq!(collection.content(nodes[0]).unwrap(), "2006");
@@ -46,7 +45,7 @@ pub use collection::{Collection, PathCounts};
 pub use document::{Document, DocumentBuilder, MAX_NESTING};
 pub use error::{Result, XmlStoreError};
 pub use node::{DocId, Node, NodeId, NodeKind};
-pub use parse::{parse_collection, parse_collection_on_two_threads, parse_into};
+pub use parse::parse_collection;
 pub use path::{LabelPath, PathId, PathTable};
 pub use symbol::{Symbol, SymbolTable};
 
@@ -56,8 +55,7 @@ mod proptests {
 
     use proptest::prelude::*;
 
-    use crate::{parse_collection, parse_collection_on_two_threads};
-    use crate::{Collection, PathId, Symbol, XmlStoreError};
+    use crate::{parse_collection, Collection, PathId, Symbol};
 
     /// Drives a builder through one random document: each `(op, label)`
     /// opens an element (ops 0–3, up to depth 30), closes one (4–5, never
@@ -121,8 +119,9 @@ mod proptests {
         /// Splicing a parsed suffix onto a parsed prefix equals parsing the
         /// whole list, at every cut: symbols, path ids and label paths, the
         /// lookup maps, doc ids, uris and every node field (derived
-        /// `Collection` equality covers them all).  So does the two-thread
-        /// parse, which cuts at the byte midpoint.
+        /// `Collection` equality covers them all) — also when the suffix is
+        /// parsed on another thread, as a two-thread build from sources parses
+        /// the documents from the byte midpoint of the XML text on.
         #[test]
         fn splicing_a_parsed_suffix_equals_parsing_the_whole_list(
             documents in proptest::collection::vec(
@@ -141,10 +140,20 @@ mod proptests {
                 prop_assert_eq!(&spliced, &whole, "cut at {}", cut);
                 spliced.verify().unwrap();
             }
-            let two = parse_collection_on_two_threads(&sources, || Ok(()), |_| {
-                XmlStoreError::Parse("the second thread panicked".into())
+            let total: usize = sources.iter().map(|(_, xml)| xml.len()).sum();
+            let midpoint = (0..=sources.len())
+                .min_by_key(|&cut| {
+                    let before: usize = sources[..cut].iter().map(|(_, xml)| xml.len()).sum();
+                    (2 * before).abs_diff(total)
+                })
+                .unwrap_or(0);
+            let (head, tail) = sources.split_at(midpoint);
+            let tail = std::thread::scope(|scope| {
+                scope.spawn(|| parse_collection(tail.iter().copied())).join().unwrap()
             });
-            prop_assert_eq!(two.as_ref(), Ok(&whole));
+            let mut two = parse_collection(head.iter().copied()).unwrap();
+            two.append(tail.unwrap());
+            prop_assert_eq!(&two, &whole);
         }
     }
 

@@ -14,7 +14,6 @@
 //! node text, attribute values, names and paths seen for the first time —
 //! and not for each tag, attribute or run of whitespace it reads.
 
-use std::any::Any;
 use std::borrow::Cow;
 
 use crate::collection::Collection;
@@ -27,7 +26,7 @@ use crate::node::DocId;
 /// literal tag names that appear in the data, so prefixed names are kept
 /// verbatim.  Comments, processing instructions and the XML declaration are
 /// skipped; CDATA is treated as text.
-pub fn parse_into(collection: &mut Collection, uri: &str, xml: &str) -> Result<DocId> {
+pub(crate) fn parse_into(collection: &mut Collection, uri: &str, xml: &str) -> Result<DocId> {
     collection.add_document(uri, |builder| {
         let mut scanner = Scanner::new(xml);
         let mut attributes = Vec::new();
@@ -102,55 +101,6 @@ where
         parse_into(&mut collection, uri, xml)?;
     }
     Ok(collection)
-}
-
-/// [`parse_collection`] on two threads, with the same result field for
-/// field.  The list is cut in document order at the byte midpoint of its XML
-/// text.  The calling thread parses the documents before
-/// the cut; a scoped second thread runs `on_second_thread`, then parses the
-/// rest into a collection of its own, which is spliced on (its names, paths
-/// and document ids renumbered as one collection would have numbered them).
-///
-/// A refused input fails as [`parse_collection`] fails: with the error of
-/// the first failing document in document order.  An error returned by
-/// `on_second_thread` is the second part's error, and a panic on the second
-/// thread is handed to `panicked` at the join and returned.
-pub fn parse_collection_on_two_threads<'a, E>(
-    sources: &[(&'a str, &'a str)],
-    on_second_thread: impl FnOnce() -> std::result::Result<(), E> + Send,
-    panicked: impl FnOnce(Box<dyn Any + Send>) -> E,
-) -> std::result::Result<Collection, E>
-where
-    E: From<XmlStoreError> + Send,
-{
-    let (head, tail) = sources.split_at(byte_midpoint(sources));
-    let (head, tail) = std::thread::scope(|scope| {
-        let worker = scope.spawn(|| {
-            on_second_thread()?;
-            Ok(parse_collection(tail.iter().copied())?)
-        });
-        let head = parse_collection(head.iter().copied());
-        (head, worker.join().unwrap_or_else(|payload| Err(panicked(payload))))
-    });
-    let mut collection = head?;
-    collection.append(tail?);
-    Ok(collection)
-}
-
-/// The cut of `sources` that leaves the XML text before and after it
-/// closest to equal in bytes (the first such cut): `0` puts every document
-/// after it, `sources.len()` every document before it.
-fn byte_midpoint(sources: &[(&str, &str)]) -> usize {
-    let total: usize = sources.iter().map(|(_, xml)| xml.len()).sum();
-    let ends = sources.iter().scan(0, |bytes, (_, xml)| {
-        *bytes += xml.len();
-        Some(*bytes)
-    });
-    let before = std::iter::once(0).chain(ends);
-    before
-        .enumerate()
-        .min_by_key(|&(_, bytes)| (2 * bytes).abs_diff(total))
-        .map_or(0, |(cut, _)| cut)
 }
 
 /// An attribute of a start tag: its key and its unescaped value.
@@ -588,92 +538,5 @@ mod tests {
         let c = parse_collection(docs).unwrap();
         assert_eq!(c.len(), 2);
         assert_eq!(c.distinct_path_count(), 2);
-    }
-
-    /// The two-thread parse with no hook, a panic on its second thread
-    /// reported as a parse error.
-    fn on_two_threads(sources: &[(&str, &str)]) -> Result<Collection> {
-        parse_collection_on_two_threads(
-            sources,
-            || Ok(()),
-            |_| XmlStoreError::Parse("the second thread panicked".into()),
-        )
-    }
-
-    #[test]
-    fn the_cut_halves_the_bytes_in_document_order() {
-        let doc = |len: usize| ("d.xml", &FACTBOOK_FRAGMENT[..len]);
-        assert_eq!(byte_midpoint(&[]), 0);
-        // One document: either side is as far from the midpoint; the first
-        // cut wins, so the second thread parses it.
-        assert_eq!(byte_midpoint(&[doc(10)]), 0);
-        assert_eq!(byte_midpoint(&[doc(10), doc(10)]), 1);
-        // A document holding more than half the bytes stays whole, on the
-        // side that leaves the two parts closest.
-        assert_eq!(byte_midpoint(&[doc(10), doc(100), doc(10)]), 1);
-        assert_eq!(byte_midpoint(&[doc(100), doc(10), doc(10)]), 1);
-        assert_eq!(byte_midpoint(&[doc(10), doc(10), doc(100)]), 2);
-        assert_eq!(byte_midpoint(&[doc(30), doc(10), doc(10), doc(10)]), 1);
-    }
-
-    #[test]
-    fn two_threads_equal_one_on_the_edge_cases() {
-        let big = FACTBOOK_FRAGMENT;
-        let lists: [&[(&str, &str)]; 6] = [
-            &[],
-            &[("one.xml", big)],
-            &[("a.xml", "<a><b>x</b></a>"), ("b.xml", "<c><b>y</b></c>")],
-            &[("s.xml", "<a/>"), ("big.xml", big), ("t.xml", "<z q='1'/>")],
-            &[("big.xml", big), ("s.xml", "<a/>"), ("t.xml", "<z q='1'/>")],
-            &[("s.xml", "<a/>"), ("t.xml", "<z q='1'/>"), ("big.xml", big)],
-        ];
-        for sources in lists {
-            let two = on_two_threads(sources).unwrap();
-            assert_eq!(two, parse_collection(sources.iter().copied()).unwrap(), "{sources:?}");
-            two.verify().unwrap();
-        }
-    }
-
-    #[test]
-    fn a_refused_document_in_either_half_fails_as_the_sequential_parse() {
-        let good = ("good.xml", "<country><name>Peru</name></country>");
-        let refusals = [
-            ("unclosed.xml", "<country><name>Peru</name>"),
-            ("mismatched.xml", "<country></name>"),
-            ("empty.xml", "   "),
-        ];
-        for (at, bad) in refusals.into_iter().enumerate() {
-            for position in 0..6 {
-                let mut sources = vec![good; 5];
-                sources.insert(position, bad);
-                let expected = parse_collection(sources.iter().copied()).unwrap_err();
-                assert_eq!(on_two_threads(&sources).unwrap_err(), expected, "{sources:?}");
-                // A second refusal later on: the first in document order wins,
-                // whichever half each lands in.
-                for later in position + 1..=sources.len() {
-                    let mut both = sources.clone();
-                    both.insert(later, refusals[(at + 1) % refusals.len()]);
-                    let expected = parse_collection(both.iter().copied()).unwrap_err();
-                    assert_eq!(on_two_threads(&both).unwrap_err(), expected, "{both:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn the_second_threads_hook_and_panic_surface_through_the_join() {
-        let sources = [("a.xml", "<a/>"), ("b.xml", "<b/>")];
-        let refused = parse_collection_on_two_threads(
-            &sources,
-            || Err(XmlStoreError::BuilderState("hook".into())),
-            |_| XmlStoreError::Parse("panicked".into()),
-        );
-        assert_eq!(refused.unwrap_err(), XmlStoreError::BuilderState("hook".into()));
-        let panicked = parse_collection_on_two_threads(
-            &sources,
-            || panic!("injected"),
-            |payload| XmlStoreError::Parse(format!("{:?}", payload.downcast_ref::<&str>())),
-        );
-        assert_eq!(panicked.unwrap_err(), XmlStoreError::Parse("Some(\"injected\")".into()));
     }
 }

@@ -56,9 +56,10 @@ const SOURCES: [(&str, &str); 2] = [
 #[test]
 fn parse_site_faults_surface_as_internal_and_build_recovers() {
     let _guard = serialise();
-    // At one thread `parse` fires in the only parse; at two, inside the task
-    // that parses the second half on the second thread: a panic there is
-    // joined into a typed error, and the build does not hang.
+    // `parse` fires inside the task that parses the tail of the list: at one
+    // thread after the head's parse (the tail is empty), at two on the
+    // second thread, where a panic resumes on the calling thread and becomes
+    // a typed error, and the build does not hang.
     for parallelism in [1, 2] {
         let config = || EngineConfig { parallelism, ..EngineConfig::default() };
         for action in [FaultAction::Error, FaultAction::Panic] {
