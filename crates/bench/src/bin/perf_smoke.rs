@@ -13,15 +13,15 @@ use std::process::ExitCode;
 
 use seda_bench::{
     cold_fill_verdict, cube_statement_verdict, generous_context, googlebase_engine,
-    governance_verdict, index_build_verdict, interleaved_minima, join_scaling_verdict,
-    mondial_engine, pinned_pairs_verdict, prepared_over_cold_verdict, term_inputs,
-    twig_scan_verdict, twig_statement_verdict, BASE_ITEMS, BROAD_TOPK, CUBE_CLAUSE, PAIR_QUERY,
-    SCALED_ITEMS, SELECTIVE_TOPK, TWIG_PATH,
+    governance_verdict, index_build_verdict, index_bytes_verdict, interleaved_minima,
+    join_scaling_verdict, mondial_engine, pinned_pairs_verdict, prepared_over_cold_verdict,
+    term_inputs, twig_scan_verdict, twig_statement_verdict, BASE_ITEMS, BROAD_TOPK, CUBE_CLAUSE,
+    PAIR_QUERY, SCALED_ITEMS, SELECTIVE_TOPK, TWIG_PATH,
 };
 use seda_core::{EngineConfig, RequestContext, SedaEngine, SedaReader, SedaRequest, SedaResponse};
 use seda_datagen::Dataset;
 use seda_olap::Registry;
-use seda_textindex::{terms, ContextIndex, CountStorage, NodeIndex};
+use seda_textindex::{terms, ContextIndex, CountStorage, NodeIndex, ReadModelBytes};
 use seda_topk::{SearchLimits, SearchScratch, TopKConfig, TopKSearcher};
 use seda_twigjoin::{evaluate_twig, TwigPattern};
 
@@ -116,10 +116,11 @@ fn cube_statement() -> Result<Result<String, String>, String> {
 
 /// The index-build gate: both text indexes built over the paper-scale
 /// googlebase collection (no engine is built) against one pass that tokenises
-/// every text node of it, which must count the tokens the node index holds.
+/// every text node of it, which must count the tokens the node index holds;
+/// then the node index's bytes against their budget.
 fn index_build() -> Result<Result<String, String>, String> {
     let collection = Dataset::GoogleBase.generate_paper_scale().map_err(|e| e.to_string())?;
-    let (mut tokens, mut indexed) = (0, 0);
+    let (mut tokens, mut bytes) = (0, ReadModelBytes::default());
     let (tokenise_ms, build_ms) = interleaved_minima(
         || {
             let nodes = black_box(&collection).documents().flat_map(|document| document.iter());
@@ -129,15 +130,17 @@ fn index_build() -> Result<Result<String, String>, String> {
         || {
             let node_index = black_box(NodeIndex::build(&collection));
             black_box(ContextIndex::build(&collection, CountStorage::DocumentStore));
-            indexed = node_index.read_model_bytes().tokens;
+            bytes = node_index.read_model_bytes();
         },
     );
     // 4 B a token and one 4 B offset a node: an arena smaller than its tokens
     // means one side did not do its work.
-    if tokens == 0 || indexed < 4 * tokens {
-        return Err(format!("the pass counted {tokens} tokens, the arena holds {indexed} bytes"));
+    if tokens == 0 || bytes.tokens < 4 * tokens {
+        let arena = bytes.tokens;
+        return Err(format!("the pass counted {tokens} tokens, the arena holds {arena} bytes"));
     }
-    Ok(index_build_verdict(tokenise_ms, build_ms))
+    let timing = index_build_verdict(tokenise_ms, build_ms);
+    Ok(timing.and_then(|timing| Ok(format!("{timing}; {}", index_bytes_verdict(bytes.total())?))))
 }
 
 /// The twig-over-one-scan gate: [`TWIG_PATH`] over the paper-scale RecipeML

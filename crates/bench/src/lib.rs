@@ -38,7 +38,9 @@
 //!   `ContextIndex::build` over the paper-scale googlebase collection cost at
 //!   most [`INDEX_BUILD_BOUND`]× one pass that tokenises every text node of it
 //!   — the floor of any index build: nothing hashed, cloned or allocated per
-//!   document beyond the tokens themselves;
+//!   document beyond the tokens themselves — and the node index it builds
+//!   holds at most [`INDEX_BYTES_BUDGET`] bytes, the budget its
+//!   `read_model_bytes` docs state;
 //! * **cube statement over its results** — the `CUBE` over
 //!   [`CUBE_CLAUSE`] on the paper-scale Factbook collection costs at most
 //!   [`CUBE_STATEMENT_BOUND`]× the `RESULTS` statement over the same clause,
@@ -199,6 +201,18 @@ pub const TWIG_STATEMENT_BOUND: f64 = 1.19;
 /// builds that tokenised the text twice, three alternating runs each.
 pub const INDEX_BUILD_BOUND: f64 = 10.0;
 
+/// Allowed `NodeIndex::read_model_bytes().total()` on the paper-scale
+/// googlebase collection: the budget the node index's module docs state for
+/// googlebase-flat.  Each posting and each match-all run entry is a 4 B slot,
+/// a list stores one score a run of equal scores, and the dictionary is one
+/// sorted term arena with 4 B offsets: measured 5,881,650 bytes.  The index that also stored each
+/// posting's score, node and path, the match-all runs' nodes and scores, an
+/// idf table and a hashed dictionary holding every term twice read
+/// 13,200,808 bytes on the benchmark's googlebase-flat collection (seed 21).
+/// The budget is half of that, rounded down to 0.1 MB — the target the
+/// smaller index was built to.
+pub const INDEX_BYTES_BUDGET: usize = 6_300_000;
+
 /// Allowed `t(CUBE) / t(RESULTS)` over [`CUBE_CLAUSE`], grouped by import
 /// country and summed, both statements executed from their text through one
 /// engine.  With fact rows as dictionary codes — absolute key parts interned
@@ -347,6 +361,17 @@ pub fn index_build_verdict(tokenise_ms: f64, build_ms: f64) -> Result<String, St
     bounded_ratio("index build over one tokenising pass", tokenise_ms, build_ms, INDEX_BUILD_BOUND)
 }
 
+/// The byte half of the index-build gate, over the node index's total heap
+/// bytes: a deterministic bound, no timing.
+pub fn index_bytes_verdict(bytes: usize) -> Result<String, String> {
+    let verdict = format!("node index {bytes} bytes (budget {INDEX_BYTES_BUDGET})");
+    if bytes > 0 && bytes <= INDEX_BYTES_BUDGET {
+        Ok(verdict)
+    } else {
+        Err(verdict)
+    }
+}
+
 /// The cube-statement gate over the times of the `RESULTS` and the `CUBE`
 /// statement over [`CUBE_CLAUSE`].
 pub fn cube_statement_verdict(results_ms: f64, cube_ms: f64) -> Result<String, String> {
@@ -454,6 +479,17 @@ mod tests {
         // The least favourable of the twenty runs of the flat builds.
         let pass = index_build_verdict(15.599, 99.707).unwrap();
         assert!(pass.starts_with("index build over one tokenising pass 6.392x"), "{pass}");
+    }
+
+    #[test]
+    fn index_bytes_fail_on_the_stored_scores_and_paths_and_pass_on_the_measured_total() {
+        // The node index that stored every derivable table.
+        let failure = index_bytes_verdict(13_200_808).unwrap_err();
+        assert_eq!(failure, "node index 13200808 bytes (budget 6300000)");
+        let pass = index_bytes_verdict(5_881_650).unwrap();
+        assert_eq!(pass, "node index 5881650 bytes (budget 6300000)");
+        // A measurement that counted nothing is a failure, not a pass.
+        assert!(index_bytes_verdict(0).is_err());
     }
 
     #[test]

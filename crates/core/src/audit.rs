@@ -164,7 +164,7 @@ mod tests {
         {
             let (collection, node_index, _, graph) = e.substrates_mut();
             collection.corrupt_document(DocId(1), |doc| doc.corrupt_node_path(1, PathId(0)));
-            node_index.corrupt_posting_path(0, PathId(u32::MAX));
+            node_index.corrupt_posting_offset(1, u32::MAX);
             graph.corrupt_adj_offset(1, u32::MAX);
         }
         let violations = e.verify().unwrap_err();

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use seda_datagraph::{pin, DataGraph, GraphConfig, TraversalScratch, MAX_DEPTH};
 use seda_dataguide::{connection_signature, discover_connections, DataGuideSet, DataGuideStats};
 use seda_olap::{BuildOptions, QueryResultTable, Registry, StarSchemaBuild, StarSchemaBuilder};
-use seda_textindex::{ContextIndex, CountStorage, FullTextQuery, NodeIndex};
+use seda_textindex::{ContextIndex, CountStorage, FullTextQuery, NodeIndex, ReadModelBytes};
 use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch};
 use seda_topk::{TermInput, TopKConfig, TopKResult, TopKSearcher};
 use seda_twigjoin::{evaluate_twig_in, TwigMatches, TwigPattern};
@@ -136,10 +136,10 @@ pub struct BuildProfile {
     /// Bytes held by the precomputed connectivity-oracle labels (see
     /// [`seda_datagraph::ConnectivityIndex::label_bytes`]).
     pub label_bytes: usize,
-    /// Bytes held by the node index — its whole heap, all tables summed (see
-    /// [`seda_textindex::NodeIndex::read_model_bytes`] for the tables and the
-    /// budgets of the path tables and the token arena).
-    pub posting_bytes: usize,
+    /// Bytes held by the node index, table by table — its whole heap (see
+    /// [`seda_textindex::NodeIndex::read_model_bytes`] for the tables and
+    /// their byte budgets).
+    pub node_index_bytes: ReadModelBytes,
     /// End-to-end engine build wall time (includes the parse of a build from
     /// sources and the post-build audit).
     pub total_secs: f64,
@@ -159,7 +159,7 @@ impl BuildProfile {
     }
 
     /// Renders the profile as a small human-readable table: one line a span,
-    /// then the label and posting bytes.
+    /// then the label bytes and one line a node-index table.
     pub fn render(&self) -> String {
         let mut out = format!(
             "build profile: {} docs, {} thread(s), {:.2}ms total\n",
@@ -170,11 +170,18 @@ impl BuildProfile {
         for span in &self.spans {
             out.push_str(&format!("  {:<22} {:>9.2}ms\n", span.name, span.wall_secs * 1e3));
         }
-        out.push_str(&format!("  {:<22} {:>9} bytes\n", "oracle labels", self.label_bytes));
-        out.push_str(&format!(
-            "  {:<22} {:>9} bytes (the node index's whole heap)\n",
-            "posting tables", self.posting_bytes
-        ));
+        let index = &self.node_index_bytes;
+        for (table, bytes) in [
+            ("oracle labels", self.label_bytes),
+            ("index dictionary", index.dictionary),
+            ("index postings", index.posting_arena),
+            ("index path runs", index.path_runs),
+            ("index side tables", index.side_tables),
+            ("index tokens", index.tokens),
+            ("index term paths", index.term_paths),
+        ] {
+            out.push_str(&format!("  {table:<22} {bytes:>9} bytes\n"));
+        }
         out
     }
 }
@@ -307,7 +314,7 @@ impl SedaEngine {
             parallelism: threads,
             documents: collection.len(),
             label_bytes: graph.connectivity().label_bytes(),
-            posting_bytes: node_index.read_model_bytes().total(),
+            node_index_bytes: node_index.read_model_bytes(),
             ..BuildProfile::default()
         };
 

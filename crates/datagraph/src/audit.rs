@@ -19,7 +19,7 @@
 //! catalog conventions.
 
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
-use seda_xmlstore::{DocId, NodeId};
+use seda_xmlstore::DocId;
 
 use crate::connectivity::{MAX_DEPTH, NO_CORE, NO_ENTRY};
 use crate::graph::{doc_components, DataGraph, EdgeKind};
@@ -400,8 +400,12 @@ impl DataGraph {
     /// the adjacency, in adjacency order, to `target` (breaks
     /// `cross-symmetry`).  Returns `false` when the adjacency holds no such
     /// entry.
-    #[doc(hidden)]
-    pub fn corrupt_cross_target(&mut self, index: usize, target: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn corrupt_cross_target(
+        &mut self,
+        index: usize,
+        target: seda_xmlstore::NodeId,
+    ) -> bool {
         let target = self.dense(target).unwrap_or(u32::MAX);
         let mut cross =
             self.adj_targets.iter_mut().filter(|(_, kind)| *kind != EdgeKind::ParentChild);
@@ -416,8 +420,8 @@ impl DataGraph {
 
     /// Test-only corruption hook: overwrites one document's component id
     /// (breaks `component-partition`).
-    #[doc(hidden)]
-    pub fn corrupt_doc_component(&mut self, doc: usize, id: u32) {
+    #[cfg(test)]
+    pub(crate) fn corrupt_doc_component(&mut self, doc: usize, id: u32) {
         self.doc_component[doc] = id;
     }
 
@@ -431,8 +435,8 @@ impl DataGraph {
 
     /// Test-only corruption hook: swaps two label keys of one node (breaks
     /// `labels-sorted` when the node has two or more labels).
-    #[doc(hidden)]
-    pub fn corrupt_swap_labels(&mut self, dense: u32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn corrupt_swap_labels(&mut self, dense: u32) -> bool {
         let (lo, hi) = self.label_range(dense);
         if hi - lo < 2 {
             return false;
@@ -460,8 +464,8 @@ impl DataGraph {
 
     /// Test-only corruption hook: inflates one label distance (breaks
     /// `labels-bounded` when set beyond [`crate::MAX_DEPTH`]).
-    #[doc(hidden)]
-    pub fn corrupt_label_dist(&mut self, entry: usize, dist: u8) {
+    #[cfg(test)]
+    pub(crate) fn corrupt_label_dist(&mut self, entry: usize, dist: u8) {
         self.connectivity.dists[entry] = dist;
     }
 
@@ -519,8 +523,8 @@ impl TraversalScratch {
     /// [`crate::PinnedSource`] that never un-scattered would (breaks
     /// `scratch-pinned`).  Returns `false` when the scratch has never pinned
     /// a hub source and holds no slots.
-    #[doc(hidden)]
-    pub fn corrupt_leave_pinned(&mut self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn corrupt_leave_pinned(&mut self) -> bool {
         match self.pinned.first_mut() {
             Some(slot) => {
                 *slot = 0;
@@ -535,7 +539,7 @@ impl TraversalScratch {
 mod tests {
     use super::*;
     use crate::config::GraphConfig;
-    use seda_xmlstore::parse_collection;
+    use seda_xmlstore::{parse_collection, NodeId};
 
     fn linked_graph() -> DataGraph {
         let c = parse_collection(vec![

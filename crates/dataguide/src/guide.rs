@@ -81,11 +81,7 @@ impl DataGuide {
 
     /// The paper's overlap measure between two guides.
     pub fn overlap(&self, other: &DataGuide) -> f64 {
-        if self.is_empty() || other.is_empty() {
-            return 0.0;
-        }
-        let common = self.common_path_count(other) as f64;
-        (common / self.len() as f64).min(common / other.len() as f64)
+        overlap(self.common_path_count(other), self.len(), other.len())
     }
 
     /// Absorbs another guide (set union of paths, concatenation of coverage).
@@ -93,6 +89,18 @@ impl DataGuide {
         self.paths.extend(other.paths);
         self.documents.extend(other.documents);
     }
+}
+
+/// The paper's overlap of two guides of `a` and `b` paths that share
+/// `common`: the smaller of the shares of either guide's paths the other
+/// holds, and 0 when either guide is empty.  The one formula behind both
+/// [`DataGuide::overlap`] and the merge.
+fn overlap(common: usize, a: usize, b: usize) -> f64 {
+    if a == 0 || b == 0 {
+        return 0.0;
+    }
+    let common = common as f64;
+    (common / a as f64).min(common / b as f64)
 }
 
 /// Statistics of a built dataguide set — one row of Table 1.
@@ -169,12 +177,7 @@ impl DataGuideSet {
         // Case 2: merge with the best guide over the threshold.
         let mut best: Option<(usize, f64)> = None;
         for (i, existing) in self.guides.iter().enumerate() {
-            let overlap = if guide.is_empty() || existing.is_empty() {
-                0.0
-            } else {
-                let shared = common[i] as f64;
-                (shared / guide.len() as f64).min(shared / existing.len() as f64)
-            };
+            let overlap = overlap(common[i], guide.len(), existing.len());
             if overlap >= self.threshold && best.map(|(_, b)| overlap > b).unwrap_or(true) {
                 best = Some((i, overlap));
             }
@@ -196,11 +199,6 @@ impl DataGuideSet {
         }
         self.guides.push(guide);
         self.assignment.insert(doc, id);
-    }
-
-    /// The overlap threshold the set was built with.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
     }
 
     /// Number of dataguides.
@@ -363,7 +361,7 @@ mod tests {
     fn build_of_an_empty_collection_is_empty() {
         let set = DataGuideSet::build(&Collection::new(), 0.4).unwrap();
         assert!(set.is_empty());
-        assert_eq!(set.threshold(), 0.4);
+        assert_eq!(set.threshold, 0.4);
     }
 
     #[test]

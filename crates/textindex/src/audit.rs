@@ -5,14 +5,13 @@
 //!
 //! | class | invariant |
 //! |---|---|
-//! | `termdict-bijection` | the term dictionary round-trips: `get(resolve(id)) == id` both ways, one id per term, one idf per term, and no term without a posting |
-//! | `csr-offsets` | `posting_offsets` has length `dict.len() + 1`, starts at 0, is monotone and ends at the arena length |
-//! | `postings-sorted` | every per-term posting slice is sorted by (score desc, node asc), scores finite, nodes distinct |
+//! | `termdict-bijection` | the dictionary's offsets are a well-formed CSR over its term arena, cut at character boundaries, and its terms strictly ascend (so ids are ranks and `get(resolve(id)) == id` both ways); no term without a posting |
+//! | `csr-offsets` | the posting lists' offsets have length `dict.len() + 1`, start at 0, are monotone and end at the posting arena's length |
+//! | `postings-sorted` | every posting is an indexed node's slot; the score segments cut every term's list; inside a list the segment scores are finite and strictly descend and the slots inside a segment strictly ascend — (score desc, node asc), nodes distinct; each posting's segment score has the bits of `tf · idf / √len` over its node's tokens |
 //! | `node-side-table` | slots are dense and strictly ascending by node id; the side tables align |
-//! | `token-arena` | `token_offsets` has length slots + 1, starts at 0, is monotone and ends at the arena length; every id is in the dictionary; no slot is empty; every posting's node holds the term, with score bits equal to `tf · idf / √len`, and the postings' term frequencies add up to the arena's length (no token without its posting) |
-//! | `posting-paths` | the per-posting path array has the arena's length and holds the side-table path of each posting's node |
-//! | `path-runs` | run offsets are well-formed; every indexed node appears exactly once, in its own path's run; runs are sorted by (score desc, node asc); score bits equal `1/√len` |
-//! | `term-paths` | `term_path_offsets` has length `dict.len() + 1`, starts at 0, is monotone and ends at the table's length; each term's run is strictly ascending and equals the distinct side-table paths of its postings' nodes |
+//! | `token-arena` | `token_offsets` has length slots + 1, starts at 0, is monotone and ends at the arena length; every id is in the dictionary; no slot is empty; every posting's node holds the term, and the postings' term frequencies add up to the arena's length (no token without its posting) |
+//! | `path-runs` | run offsets and score segments are well-formed as for the postings, each run sorted by (score desc, node asc); every slot appears exactly once, in its own path's run, at the bits of `1/√len` |
+//! | `term-paths` | `term_path_offsets` has length `dict.len() + 1`, starts at 0, is monotone and ends at the table's length; each term's run is strictly ascending and equals the distinct side-table paths of its postings' slots |
 //! | `context-paths` | the context index's label table has one well-formed CSR offset per label token plus one; each label token's run is non-empty, strictly ascending and inside the path universe (the count arrays' length); the two count arrays align, and a path occurs in no more documents than nodes, and in some document exactly when it occurs at all |
 //!
 //! The violation type lives in [`seda_xmlstore::audit`] so every substrate
@@ -23,7 +22,7 @@ use seda_xmlstore::PathId;
 
 use crate::context_index::ContextIndex;
 use crate::dict::{csr_row, TermId};
-use crate::node_index::{match_all_score, ranked, term_score, NodeIndex, SlotLookup};
+use crate::node_index::{match_all_score, term_score, NodeIndex, ScoredSlots};
 
 const SUBSTRATE: &str = "textindex";
 
@@ -52,123 +51,223 @@ fn csr_shape(
 }
 
 impl NodeIndex {
-    /// Verifies every table of the index: dictionary bijection, CSR offset
-    /// well-formedness, per-term posting order, the node side table, the
-    /// token arena, the per-posting path array, the path-partitioned
-    /// match-all runs, the term → paths table and that postings and tokens
-    /// tell one story.
+    /// Verifies every table of the index: the dictionary's order, CSR offset
+    /// well-formedness, the node side table, the token arena, the scored
+    /// lists (postings and match-all runs) against the tokens, the term →
+    /// paths table and that postings and tokens tell one story.
     pub fn verify(&self) -> AuditResult {
         if *self == NodeIndex::default() {
             return Ok(()); // never built: no table, nothing to break
         }
         let mut violations = Vec::new();
-        self.verify_dict(&mut violations);
-        let before_postings = violations.len();
-        self.verify_posting_arena(&mut violations);
-        let postings_well_formed = violations.len() == before_postings;
+        let terms_readable = self.verify_dict(&mut violations);
         let before_slots = violations.len();
         self.verify_side_table(&mut violations);
         self.verify_token_arena(&mut violations);
-        // The remaining walks look every node up in the side table and read
-        // its tokens; over broken ones they would only echo the violations.
-        if violations.len() == before_slots {
-            let slots = SlotLookup::new(&self.slot_nodes);
-            self.verify_postings_against_nodes(&slots, postings_well_formed, &mut violations);
-            self.verify_path_runs(&slots, &mut violations);
+        // Postings and runs are slots scored from their tokens: over a broken
+        // side table or token arena their walks would only echo it, and the
+        // postings name their terms.
+        let slots_readable = violations.len() == before_slots;
+        let postings_readable =
+            terms_readable && self.verify_postings(slots_readable, &mut violations);
+        if slots_readable {
+            self.verify_path_runs(&mut violations);
         }
-        // The term → paths table is read off the posting paths, which
-        // `posting-paths` holds to the side table: over broken ones it would
-        // only echo their violations.
-        if postings_well_formed && violations.iter().all(|v| v.invariant != "posting-paths") {
+        // The term → paths table is read off the postings' slots: over broken
+        // ones it would only echo their violations.
+        if postings_readable && slots_readable {
             self.verify_term_paths(&mut violations);
         }
         finish(violations)
     }
 
-    fn verify_dict(&self, violations: &mut Vec<InvariantViolation>) {
-        if self.dict.ids.len() != self.dict.terms.len() {
+    /// `termdict-bijection`: the arena's offsets are a CSR over its bytes,
+    /// cut at character boundaries, and the terms strictly ascend — so ids
+    /// are ranks and the binary search of `get` finds each term at its id.
+    /// Returns whether every term can be read.
+    fn verify_dict(&self, violations: &mut Vec<InvariantViolation>) -> bool {
+        let dict = &self.dict;
+        let class = "termdict-bijection";
+        if !csr_shape(class, &dict.offsets, None, dict.text.len(), violations) {
+            return false;
+        }
+        if let Some(at) = dict.offsets.iter().find(|&&at| !dict.text.is_char_boundary(at as usize))
+        {
+            let detail = format!("offset {at} cuts a character of the term arena");
+            violations.push(InvariantViolation::new(SUBSTRATE, class, detail));
+            return false;
+        }
+        for id in 1..dict.len() as u32 {
+            let (before, term) = (dict.resolve(TermId(id - 1)), dict.resolve(TermId(id)));
+            if before >= term {
+                violations.push(InvariantViolation::new(
+                    SUBSTRATE,
+                    class,
+                    format!("term {term:?} (id {id}) does not sort after {before:?}"),
+                ));
+            }
+        }
+        true
+    }
+
+    /// The shape every scored list keeps: its offsets are a CSR over its
+    /// slots (a violation of `offsets_class`); every slot is an indexed
+    /// node's; the segments cut the slots from the first to the last, every
+    /// list starting one; and inside a list the segment scores are finite
+    /// and strictly descend while inside a segment the slots strictly ascend
+    /// — (score desc, node asc), no node twice (violations of `class`).
+    /// Returns whether the lists can be read.
+    fn verify_scored_shape(
+        &self,
+        list: &ScoredSlots,
+        keys: Option<usize>,
+        [offsets_class, class]: [&'static str; 2],
+        violations: &mut Vec<InvariantViolation>,
+    ) -> bool {
+        if !csr_shape(offsets_class, &list.offsets, keys, list.slots.len(), violations) {
+            return false;
+        }
+        let mut push = |detail: String| {
+            violations.push(InvariantViolation::new(SUBSTRATE, class, detail));
+        };
+        let slots = self.slot_nodes.len();
+        let stray = list.slots.iter().position(|&slot| slot as usize >= slots);
+        if let Some(at) = stray {
+            push(format!("entry {at} is slot {} of {slots} indexed nodes", list.slots[at]));
+        }
+        let ends = &list.segment_ends;
+        let mut previous = 0;
+        let cut = list.segment_scores.len() == ends.len()
+            && ends.iter().all(|&end| std::mem::replace(&mut previous, end) < end)
+            && ends.last().map_or(0, |&end| end as usize) == list.slots.len()
+            && list.offsets.iter().all(|&start| {
+                start == 0
+                    || start as usize == list.slots.len()
+                    || ends.binary_search(&start).is_ok()
+            });
+        if !cut {
+            let (n, scores, last) = (ends.len(), list.segment_scores.len(), ends.last());
+            push(format!("{n} segment ends ({scores} scores, last {last:?}) do not cut the lists"));
+            return false;
+        }
+        for key in 0..list.offsets.len() - 1 {
+            let mut segments = list.segments(list.range(key)).peekable();
+            while let Some((score, slots)) = segments.next() {
+                let next = segments.peek().map(|&(next, _)| next);
+                if !score.is_finite() || next.is_some_and(|next| next >= score) {
+                    push(format!(
+                        "list {key}: a segment scored {score} before one scored {next:?}"
+                    ));
+                }
+                if let Some(pair) = slots.windows(2).find(|pair| pair[0] >= pair[1]) {
+                    push(format!(
+                        "list {key}: slot {} before slot {} at {score}",
+                        pair[0], pair[1]
+                    ));
+                }
+            }
+        }
+        stray.is_none()
+    }
+
+    /// The posting lists against the dictionary, the side table and the
+    /// tokens; returns whether their slots can be read.
+    ///
+    /// `csr-offsets` and `postings-sorted`: the scored lists' shape.
+    /// `termdict-bijection`: every interned term has a posting.
+    ///
+    /// Over a readable side table and token arena (`slots_readable`):
+    /// `token-arena` — the node holds the term, and the term frequencies add
+    /// up to the arena's length (with distinct nodes in a list, every posting
+    /// covers its own tokens, so a token without its posting leaves the sum
+    /// short); then, over tokens that hold their postings, `postings-sorted`
+    /// — each posting's segment score has the bits `tf · idf / √len` of its
+    /// node's tokens.
+    fn verify_postings(
+        &self,
+        slots_readable: bool,
+        violations: &mut Vec<InvariantViolation>,
+    ) -> bool {
+        let classes = ["csr-offsets", "postings-sorted"];
+        let keys = Some(self.dict.len());
+        if !self.verify_scored_shape(&self.postings, keys, classes, violations) {
+            return false;
+        }
+        for id in (0..self.dict.len() as u32).map(TermId) {
+            if self.term_range(id).is_empty() {
+                violations.push(InvariantViolation::new(
+                    SUBSTRATE,
+                    "termdict-bijection",
+                    format!("term {:?} is interned but has no posting", self.dict.resolve(id)),
+                ));
+            }
+        }
+        if !slots_readable {
+            return true;
+        }
+        let before_tokens = violations.len();
+        let mut covered = 0;
+        for id in (0..self.dict.len() as u32).map(TermId) {
+            for &slot in &self.postings.slots[self.term_range(id)] {
+                let tokens = self.tokens_of(slot as usize);
+                let tf = tokens.iter().filter(|&&token| token == id).count();
+                covered += tf;
+                if tf == 0 {
+                    violations.push(InvariantViolation::new(
+                        SUBSTRATE,
+                        "token-arena",
+                        format!(
+                            "posting of {:?} for {:?}, whose {} tokens do not hold the term",
+                            self.dict.resolve(id),
+                            self.slot_nodes[slot as usize],
+                            tokens.len()
+                        ),
+                    ));
+                }
+            }
+        }
+        if covered != self.slot_tokens.len() {
             violations.push(InvariantViolation::new(
                 SUBSTRATE,
-                "termdict-bijection",
+                "token-arena",
                 format!(
-                    "{} reverse entries for {} terms",
-                    self.dict.ids.len(),
-                    self.dict.terms.len()
+                    "the postings' term frequencies cover {covered} of the arena's {} tokens",
+                    self.slot_tokens.len()
                 ),
             ));
         }
-        for (id, term) in self.dict.terms() {
-            if self.dict.get(term) != Some(id) {
-                violations.push(InvariantViolation::new(
-                    SUBSTRATE,
-                    "termdict-bijection",
-                    format!("term {term:?} does not round-trip to id {}", id.0),
-                ));
-            }
+        if violations.len() > before_tokens {
+            return true;
         }
-        if self.idf_by_term.len() != self.dict.len() {
-            violations.push(InvariantViolation::new(
-                SUBSTRATE,
-                "termdict-bijection",
-                format!("{} idf entries for {} terms", self.idf_by_term.len(), self.dict.len()),
-            ));
-        }
-    }
-
-    fn verify_posting_arena(&self, violations: &mut Vec<InvariantViolation>) {
-        let (offsets, terms) = (&self.posting_offsets, Some(self.dict.len()));
-        if !csr_shape("csr-offsets", offsets, terms, self.sorted_postings.len(), violations) {
-            return;
-        }
-        for id in 0..self.dict.len() as u32 {
-            let slice = csr_row(offsets, &self.sorted_postings, id as usize);
-            if slice.is_empty() {
-                violations.push(InvariantViolation::new(
-                    SUBSTRATE,
-                    "termdict-bijection",
-                    format!(
-                        "term {:?} is interned but has no posting",
-                        self.dict.resolve(TermId(id))
-                    ),
-                ));
-            }
-            for (i, pair) in slice.windows(2).enumerate() {
-                let ordered = pair[0].score > pair[1].score
-                    || (pair[0].score == pair[1].score && pair[0].node < pair[1].node);
-                if !ordered {
-                    violations.push(InvariantViolation::new(
-                        SUBSTRATE,
-                        "postings-sorted",
-                        format!(
-                            "term {:?} postings {i},{}: ({:?}, {}) then ({:?}, {})",
-                            self.dict.resolve(TermId(id)),
-                            i + 1,
-                            pair[0].node,
-                            pair[0].score,
-                            pair[1].node,
-                            pair[1].score
-                        ),
-                    ));
-                }
-            }
-            for scored in slice {
-                if !scored.score.is_finite() {
-                    violations.push(InvariantViolation::new(
-                        SUBSTRATE,
-                        "postings-sorted",
-                        format!(
-                            "term {:?} posting for {:?} has non-finite score",
-                            self.dict.resolve(TermId(id)),
-                            scored.node
-                        ),
-                    ));
+        for id in (0..self.dict.len() as u32).map(TermId) {
+            let idf = self.idf(id);
+            for (score, slots) in self.postings.segments(self.term_range(id)) {
+                for &slot in slots {
+                    let tokens = self.tokens_of(slot as usize);
+                    let tf = tokens.iter().filter(|&&token| token == id).count();
+                    let expected = term_score(tf, idf, tokens.len());
+                    if expected.to_bits() != score.to_bits() {
+                        violations.push(InvariantViolation::new(
+                            SUBSTRATE,
+                            "postings-sorted",
+                            format!(
+                                "posting of {:?} for {:?} sits at score {score}, but the node \
+                                 holds the term {tf} time(s) among {} tokens (score {expected})",
+                                self.dict.resolve(id),
+                                self.slot_nodes[slot as usize],
+                                tokens.len()
+                            ),
+                        ));
+                    }
                 }
             }
         }
+        true
     }
 
     /// `term-paths`: the table is a CSR over the dictionary, and each term's
-    /// run is the distinct paths of its postings, ascending.
+    /// run is the distinct side-table paths of its postings' slots,
+    /// ascending.
     fn verify_term_paths(&self, violations: &mut Vec<InvariantViolation>) {
         let (offsets, terms) = (&self.term_path_offsets, self.dict.len());
         if !csr_shape("term-paths", offsets, Some(terms), self.term_paths.len(), violations) {
@@ -178,7 +277,8 @@ impl NodeIndex {
         for term in 0..terms {
             let id = TermId(term as u32);
             postings_on.clear();
-            postings_on.extend_from_slice(&self.posting_paths[self.term_range(id)]);
+            let slots = &self.postings.slots[self.term_range(id)];
+            postings_on.extend(slots.iter().map(|&slot| self.slot_paths[slot as usize]));
             postings_on.sort_unstable();
             postings_on.dedup();
             let run = csr_row(offsets, &self.term_paths, term);
@@ -246,134 +346,38 @@ impl NodeIndex {
         }
     }
 
-    /// One walk over the posting arena, one slot lookup per posting, for the
-    /// two classes that hold a posting against its node.
-    ///
-    /// `posting-paths`: the parallel array carries the node's side-table path.
-    ///
-    /// `token-arena` (only over well-formed posting offsets, which say which
-    /// term a posting belongs to): the node holds the term and scores
-    /// `tf · idf / √len` to the bit, and the term frequencies add up to the
-    /// arena's length — with `postings-sorted` (no node twice in a slice) every
-    /// posting covers its own tokens, so a token without its posting leaves
-    /// the sum short.
-    fn verify_postings_against_nodes(
-        &self,
-        slots: &SlotLookup,
-        offsets_well_formed: bool,
-        violations: &mut Vec<InvariantViolation>,
-    ) {
-        if self.posting_paths.len() != self.sorted_postings.len() {
-            violations.push(InvariantViolation::new(
-                SUBSTRATE,
-                "posting-paths",
-                format!(
-                    "{} paths for {} postings",
-                    self.posting_paths.len(),
-                    self.sorted_postings.len()
-                ),
-            ));
+    /// `path-runs`: the scored lists' shape; every slot exactly once, in its
+    /// own path's run, at the score `1/√len` of its token count.
+    fn verify_path_runs(&self, violations: &mut Vec<InvariantViolation>) {
+        let runs = &self.path_runs;
+        if !self.verify_scored_shape(runs, None, ["path-runs"; 2], violations) {
             return;
         }
-        let (mut term, mut covered) = (0, 0);
-        for (i, (scored, path)) in self.sorted_postings.iter().zip(&self.posting_paths).enumerate()
-        {
-            let slot = slots.slot(scored.node);
-            let expected = slot.map(|slot| self.slot_paths[slot]);
-            if expected != Some(*path) {
-                violations.push(InvariantViolation::new(
-                    SUBSTRATE,
-                    "posting-paths",
-                    format!(
-                        "posting {i} of {:?} carries path {} but the side table says {expected:?}",
-                        scored.node, path.0
-                    ),
-                ));
-            }
-            let (Some(slot), true) = (slot, offsets_well_formed) else { continue };
-            while self.posting_offsets[term + 1] as usize <= i {
-                term += 1;
-            }
-            let tokens = self.tokens_of(slot);
-            let tf = tokens.iter().filter(|token| token.index() == term).count();
-            covered += tf;
-            let expected = term_score(tf, self.idf_by_term[term], tokens.len());
-            if tf == 0 || scored.score.to_bits() != expected.to_bits() {
-                violations.push(InvariantViolation::new(
-                    SUBSTRATE,
-                    "token-arena",
-                    format!(
-                        "posting of {:?} for {:?} scores {} but the node holds the term {tf} \
-                         time(s) among {} tokens (expected {expected})",
-                        self.dict.resolve(TermId(term as u32)),
-                        scored.node,
-                        scored.score,
-                        tokens.len()
-                    ),
-                ));
-            }
-        }
-        if offsets_well_formed && covered != self.slot_tokens.len() {
-            violations.push(InvariantViolation::new(
-                SUBSTRATE,
-                "token-arena",
-                format!(
-                    "the postings' term frequencies cover {covered} of the arena's {} tokens",
-                    self.slot_tokens.len()
-                ),
-            ));
-        }
-    }
-
-    fn verify_path_runs(&self, slots: &SlotLookup, violations: &mut Vec<InvariantViolation>) {
-        let offsets = &self.path_run_offsets;
-        if !csr_shape("path-runs", offsets, None, self.slot_nodes.len(), violations) {
-            return;
-        }
-        if self.path_runs.len() != self.slot_nodes.len() {
-            let (entries, nodes) = (self.path_runs.len(), self.slot_nodes.len());
-            let detail = format!("{entries} run entries for {nodes} indexed nodes");
+        let slots = self.slot_nodes.len();
+        if runs.slots.len() != slots {
+            let entries = runs.slots.len();
+            let detail = format!("{entries} run entries for {slots} indexed nodes");
             violations.push(InvariantViolation::new(SUBSTRATE, "path-runs", detail));
             return;
         }
         // As many entries as slots and no slot twice: every node exactly once.
-        let mut seen = vec![false; self.slot_nodes.len()];
-        for (path, bounds) in offsets.windows(2).enumerate() {
-            let run = &self.path_runs[bounds[0] as usize..bounds[1] as usize];
-            for pair in run.windows(2) {
-                if !ranked(&pair[0], &pair[1]).is_lt() {
-                    violations.push(InvariantViolation::new(
-                        SUBSTRATE,
-                        "path-runs",
-                        format!(
-                            "run of path {path}: ({:?}, {}) then ({:?}, {})",
-                            pair[0].node, pair[0].score, pair[1].node, pair[1].score
-                        ),
-                    ));
-                }
-            }
-            for scored in run {
-                let problem = match slots.slot(scored.node) {
-                    None => Some("is not an indexed node".to_string()),
-                    Some(slot) => {
-                        let expected = match_all_score(self.tokens_of(slot).len());
-                        if std::mem::replace(&mut seen[slot], true) {
-                            Some("appears twice".to_string())
-                        } else if self.slot_paths[slot].index() != path {
-                            Some(format!("belongs to path {}", self.slot_paths[slot].0))
-                        } else if scored.score.to_bits() != expected.to_bits() {
-                            Some(format!("scores {} instead of {expected}", scored.score))
-                        } else {
-                            None
-                        }
-                    }
-                };
-                if let Some(problem) = problem {
-                    violations.push(InvariantViolation::new(
-                        SUBSTRATE,
-                        "path-runs",
-                        format!("run of path {path}: {:?} {problem}", scored.node),
-                    ));
+        let mut seen = vec![false; slots];
+        for path in 0..runs.offsets.len() - 1 {
+            for (score, run) in runs.segments(runs.range(path)) {
+                for &slot in run {
+                    let expected = match_all_score(self.tokens_of(slot as usize).len());
+                    let problem = if std::mem::replace(&mut seen[slot as usize], true) {
+                        "appears twice".to_string()
+                    } else if self.slot_paths[slot as usize].index() != path {
+                        format!("belongs to path {}", self.slot_paths[slot as usize].0)
+                    } else if expected.to_bits() != score.to_bits() {
+                        format!("sits at score {score}, its length scores {expected}")
+                    } else {
+                        continue;
+                    };
+                    let node = self.slot_nodes[slot as usize];
+                    let detail = format!("run of path {path}: slot {slot} ({node:?}) {problem}");
+                    violations.push(InvariantViolation::new(SUBSTRATE, "path-runs", detail));
                 }
             }
         }
@@ -383,21 +387,14 @@ impl NodeIndex {
     /// arena (breaks `postings-sorted` without touching offsets).
     #[doc(hidden)]
     pub fn corrupt_swap_sorted_postings(&mut self, a: usize, b: usize) {
-        self.sorted_postings.swap(a, b);
+        self.postings.slots.swap(a, b);
     }
 
     /// Test-only corruption hook: overwrites one CSR offset (breaks
     /// `csr-offsets` monotonicity / bounds).
     #[doc(hidden)]
     pub fn corrupt_posting_offset(&mut self, index: usize, value: u32) {
-        self.posting_offsets[index] = value;
-    }
-
-    /// Test-only corruption hook: overwrites one entry of the per-posting
-    /// path array (breaks `posting-paths`).
-    #[doc(hidden)]
-    pub fn corrupt_posting_path(&mut self, index: usize, path: seda_xmlstore::PathId) {
-        self.posting_paths[index] = path;
+        self.postings.offsets[index] = value;
     }
 
     /// Test-only corruption hook: swaps two entries of the path-partitioned
@@ -405,7 +402,7 @@ impl NodeIndex {
     /// node sits in).
     #[doc(hidden)]
     pub fn corrupt_swap_path_runs(&mut self, a: usize, b: usize) {
-        self.path_runs.swap(a, b);
+        self.path_runs.slots.swap(a, b);
     }
 
     /// Test-only corruption hook: overwrites one entry of the token arena
@@ -557,7 +554,7 @@ mod tests {
         // "united" has two postings with distinct scores; swapping them breaks
         // the (score desc, node asc) order of exactly one term slice.
         let term = index.term_dict().get("united").unwrap();
-        let start = index.posting_offsets[term.index()] as usize;
+        let start = index.posting_range(term).0;
         index.corrupt_swap_sorted_postings(start, start + 1);
         let violations = index.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.invariant == "postings-sorted"), "{violations:?}");
@@ -573,10 +570,27 @@ mod tests {
 
     #[test]
     fn rewritten_term_fails_bijection() {
-        let (_, mut index) = sample();
-        index.dict.terms[0] = "zzz-intruder".to_string();
-        let violations = index.verify().unwrap_err();
+        let (_, index) = sample();
+        // "2003" is the first term: as "z003" it sorts after every other, so
+        // ids are no longer ranks and `get` cannot find it.
+        let mut corrupted = index.clone();
+        corrupted.dict.text.replace_range(0..1, "z");
+        let violations = corrupted.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.invariant == "termdict-bijection"), "{violations:?}");
+        assert_eq!(corrupted.term_dict().get("z003"), None);
+        // An offset past the arena.
+        let mut corrupted = index.clone();
+        corrupted.dict.offsets[1] = u32::MAX;
+        let violations = corrupted.verify().unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "termdict-bijection"), "{violations:?}");
+        // An offset inside a character: the arena is "zebraüber", "ü" bytes 5..7.
+        let collection = parse_collection(vec![("c.xml", "<a><b>über</b><c>zebra</c></a>")]);
+        let mut corrupted = NodeIndex::build(&collection.unwrap());
+        assert_eq!(corrupted.dict.text, "zebraüber");
+        corrupted.dict.offsets[1] = 6;
+        let violations = corrupted.verify().unwrap_err();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].detail, "offset 6 cuts a character of the term arena");
     }
 
     #[test]
@@ -612,14 +626,22 @@ mod tests {
     }
 
     #[test]
-    fn rewritten_posting_path_fails_posting_paths() {
-        let (collection, mut index) = sample();
-        // Every posting of "united" sits on /country/name; claim one for /country/year.
+    fn a_posting_outside_the_side_table_fails_postings_sorted() {
+        let (_, mut index) = sample();
         let term = index.term_dict().get("united").unwrap();
-        let year = collection.paths().get_str(collection.symbols(), "/country/year").unwrap();
-        index.corrupt_posting_path(index.posting_range(term).0, year);
+        let slots = index.indexed_node_count() as u32;
+        let first = index.posting_range(term).0;
+        index.postings.slots[first] = slots;
         let violations = index.verify().unwrap_err();
-        assert!(violations.iter().all(|v| v.invariant == "posting-paths"), "{violations:?}");
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].invariant, "postings-sorted");
+        assert_eq!(violations[0].detail, format!("entry {first} is slot 4 of 4 indexed nodes"));
+        // Segments that do not cut the lists where they start.
+        let (_, mut index) = sample();
+        index.postings.segment_ends.remove(0);
+        index.postings.segment_scores.remove(0);
+        let violations = index.verify().unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "postings-sorted"), "{violations:?}");
     }
 
     #[test]
@@ -627,19 +649,24 @@ mod tests {
         let (_, index) = sample();
         // Inside one run: "United States" (2 tokens) ranks above "United Mexican
         // States" (3 tokens) on /country/name, so the swap breaks the order.
-        let name_run = index
-            .path_run_offsets
-            .windows(2)
-            .map(|b| b[0] as usize..b[1] as usize)
-            .find(|run| run.len() == 2 && index.path_runs[run.start].score < 1.0)
+        let runs = &index.path_runs;
+        let name_run = (0..runs.offsets.len() - 1)
+            .map(|path| runs.range(path))
+            .find(|run| run.len() == 2 && index.tokens_of(runs.slots[run.start] as usize).len() > 1)
             .expect("the /country/name run");
         // Across runs: the first and last entries belong to different paths.
-        for (a, b) in [(name_run.start, name_run.start + 1), (0, index.path_runs.len() - 1)] {
+        for (a, b) in [(name_run.start, name_run.start + 1), (0, runs.slots.len() - 1)] {
             let mut corrupted = index.clone();
             corrupted.corrupt_swap_path_runs(a, b);
             let violations = corrupted.verify().unwrap_err();
             assert!(violations.iter().all(|v| v.invariant == "path-runs"), "{violations:?}");
         }
+        // A slot outside the side table.
+        let mut corrupted = index.clone();
+        corrupted.path_runs.slots[0] = index.indexed_node_count() as u32;
+        let violations = corrupted.verify().unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "path-runs"), "{violations:?}");
+        assert_eq!(violations[0].detail, "entry 0 is slot 4 of 4 indexed nodes");
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! Query-time posting lookups used to hash full term strings on every access;
 //! the dictionary interns every distinct term once at build time so the
 //! hot path works with dense [`TermId`]s and array indexing (the same move
-//! FIB-compression work makes for name-based forwarding tables).
+//! FIB-compression work makes for name-based forwarding tables).  It keeps
+//! each term once: the terms are sorted, so one byte arena with an offset
+//! per term answers both directions, a term's id by binary search.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Dense identifier of an interned term.  Ids are assigned in lexicographic
@@ -19,28 +22,43 @@ impl TermId {
     }
 }
 
-/// Bidirectional term ↔ id intern table.
+/// Bidirectional term ↔ id table over one sorted byte arena.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct TermDict {
-    pub(crate) ids: HashMap<String, TermId>,
-    pub(crate) terms: Vec<String>,
+    /// Every term, concatenated in id order — ascending by bytes.
+    pub(crate) text: String,
+    /// Term `i` is `text[offsets[i]..offsets[i + 1]]`: one offset a term plus
+    /// one, or none at all in an empty dictionary.
+    pub(crate) offsets: Vec<u32>,
 }
 
 impl TermDict {
     /// Builds the dictionary from a **sorted, deduplicated** term iterator,
     /// assigning ids in iteration order.
     pub(crate) fn from_sorted<'a>(terms: impl Iterator<Item = &'a str>) -> Self {
-        let mut dict = TermDict::default();
+        let mut dict = TermDict { text: String::new(), offsets: vec![0] };
         for term in terms {
-            dict.ids.insert(term.to_string(), TermId(dict.terms.len() as u32));
-            dict.terms.push(term.to_string());
+            dict.text.push_str(term);
+            dict.offsets.push(dict.text.len() as u32);
         }
+        dict.text.shrink_to_fit();
+        dict.offsets.shrink_to_fit();
         dict
     }
 
-    /// Id of a term, or `None` when the term is not in the dictionary.
+    /// Id of a term, or `None` when the term is not in the dictionary: a
+    /// binary search over the sorted terms.
     pub fn get(&self, term: &str) -> Option<TermId> {
-        self.ids.get(term).copied()
+        let (mut low, mut high) = (0, self.len());
+        while low < high {
+            let mid = low + (high - low) / 2;
+            match self.resolve(TermId(mid as u32)).cmp(term) {
+                Ordering::Less => low = mid + 1,
+                Ordering::Greater => high = mid,
+                Ordering::Equal => return Some(TermId(mid as u32)),
+            }
+        }
+        None
     }
 
     /// The term of an id.
@@ -48,17 +66,22 @@ impl TermDict {
     /// # Panics
     /// Panics when the id was not produced by this dictionary.
     pub(crate) fn resolve(&self, id: TermId) -> &str {
-        &self.terms[id.index()]
+        &self.text[self.offsets[id.index()] as usize..self.offsets[id.index() + 1] as usize]
     }
 
     /// Number of interned terms.
     pub(crate) fn len(&self) -> usize {
-        self.terms.len()
+        self.offsets.len().saturating_sub(1)
     }
 
     /// All interned terms in id order.
     pub fn terms(&self) -> impl Iterator<Item = (TermId, &str)> {
-        self.terms.iter().enumerate().map(|(i, t)| (TermId(i as u32), t.as_str()))
+        (0..self.len() as u32).map(|id| (TermId(id), self.resolve(TermId(id))))
+    }
+
+    /// Heap bytes: the arena and its offsets.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.text.capacity() + self.offsets.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -113,14 +136,19 @@ mod tests {
         }
         let collected: Vec<&str> = dict.terms().map(|(_, t)| t).collect();
         assert_eq!(collected, terms);
-        assert_eq!(dict.get("gamma"), None);
+        for absent in ["", "a", "apples", "b", "zzz", "gamma"] {
+            assert_eq!(dict.get(absent), None, "{absent:?}");
+        }
         assert_eq!(dict.len(), 3);
+        assert_eq!(dict.heap_bytes(), "applebananacherry".len() + 4 * 4);
     }
 
     #[test]
     fn empty_dict() {
-        let dict = TermDict::default();
-        assert_eq!(dict.len(), 0);
-        assert_eq!(dict.get("anything"), None);
+        for dict in [TermDict::default(), TermDict::from_sorted(std::iter::empty())] {
+            assert_eq!(dict.len(), 0);
+            assert_eq!(dict.get("anything"), None);
+            assert_eq!(dict.terms().count(), 0);
+        }
     }
 }

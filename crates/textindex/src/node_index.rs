@@ -16,34 +16,47 @@
 //! # One representation
 //!
 //! The index *is* its read model: every table it holds is one a query reads,
-//! and [`NodeIndex::read_model_bytes`] states the bytes of each.
+//! it stores no node, path or score a second time, and
+//! [`NodeIndex::read_model_bytes`] states the bytes of each.
 //!
-//! * terms are interned into a [`TermDict`] and per-term posting lists live
-//!   in one CSR arena **pre-sorted by descending content score** (idf folded
-//!   in), with a parallel array holding each posting's context path;
+//! * a dense node **side table** numbers the indexed nodes by *slot*, in
+//!   ascending node order: slot → node, slot → context path;
+//! * the **token arena**, a CSR keyed by slot, holds every indexed node's
+//!   tokens as [`TermId`]s in text order (4 B a token, no string per
+//!   occurrence).  It is what random access ([`NodeIndex::score`]) and the
+//!   phrase, negation and multi-keyword checks of [`NodeIndex::evaluate_into`]
+//!   read — the node's ids resolved to the dictionary's strings and handed
+//!   to [`FullTextQuery::matches_tokens`] — and a node's token count (length
+//!   normalisation) is the difference of two of its offsets;
+//! * terms are interned into a [`TermDict`], one sorted byte arena with an
+//!   offset a term, and a term's idf is smoothed from its posting list's
+//!   length;
+//! * the **posting lists**, a CSR keyed by [`TermId`], hold slots
+//!   **pre-sorted by descending content score** `tf · idf / √len`.  A
+//!   posting's node and path are its slot's.  A list is cut into *score
+//!   segments*, runs of one score, and stores each distinct score once
+//!   (12 B a segment); the build computed it from the slot's tokens, so
+//!   recomputing it gives the same bits (the audit does);
 //! * the match-all list `(tag, *)` is stored **partitioned by context path**:
-//!   a second CSR, keyed by [`PathId`], whose per-path runs hold every indexed
-//!   node of that path with its match-all score, pre-sorted the same way;
-//! * a dense node side table (slot → node, slot → context path) serves path
-//!   lookups;
+//!   a second CSR of slots, keyed by [`PathId`], whose per-path runs hold
+//!   every indexed node of that path, pre-sorted by its match-all score
+//!   `1/√len` and cut into segments the same way;
 //! * the **term → paths table**, a CSR keyed by [`TermId`], holds each
 //!   term's distinct context paths in ascending order: the text side of the
 //!   context index of Fig. 8 ([`crate::ContextIndex`] reads it instead of
-//!   tokenising the text again);
-//! * the **token arena**, a third CSR, holds every indexed node's tokens as
-//!   [`TermId`]s in text order (4 B a token, no string per occurrence).  It
-//!   is what random access ([`NodeIndex::score`]) and the phrase, negation
-//!   and multi-keyword checks of [`NodeIndex::evaluate_into`] read — the
-//!   node's ids resolved to the dictionary's strings and handed to
-//!   [`FullTextQuery::matches_tokens`] — and a node's token count (length
-//!   normalisation) is the difference of two of its offsets.
+//!   tokenising the text again), and the test that lets a term filtered by
+//!   paths skip the per-posting path check.
 //!
-//! Sorted access is therefore a borrowed slice, and
+//! Sorted access is therefore a walk over a borrowed run of slots, and
 //! [`NodeIndex::evaluate_into`] costs what it returns: a single-term or
-//! match-all query is a filtered copy of pre-sorted entries, and only a
-//! phrase, multi-keyword or boolean query scores its candidates (the union of
-//! its positive terms' postings) and sorts them.  No query walks every
-//! indexed node unless it is itself unrestricted.
+//! match-all query is a (filtered) pass over pre-sorted slots that looks up
+//! each one's node, and only a phrase, multi-keyword or boolean query scores
+//! its candidates (the union of its positive terms' postings) and sorts
+//! them.  No query walks every indexed node unless it is itself
+//! unrestricted.  Scores are segmented rather than recomputed at read time:
+//! recomputing each posting's `tf` and `√len` from the token arena made the
+//! googlebase-flat explore round's term lists ≈ 4× dearer and its
+//! `explore_ms` ≈ 50% higher, while the segments cost 0.39 MB there.
 //!
 //! # Build
 //!
@@ -54,18 +67,22 @@
 //! `String` is made only for a term's first occurrence, so the only strings
 //! the build holds are one per distinct term, in its one hash map.  The pass
 //! fills the token arena and the side tables directly.
-//! Term ids are then renumbered to lexicographic ranks, one
-//! `(term, node, tf)` entry per distinct term of each node is derived from
-//! the arena, and the entries are counting-sorted into the posting arena.
-//! Each term's distinct paths are read off its postings' paths with a
-//! last-term stamp per path.  The only hash map the index owns is inside its
-//! [`TermDict`].
+//! Term ids are then renumbered to lexicographic ranks, and the hash map's
+//! terms are copied once, in rank order, into the dictionary's arena.  Two
+//! walks over the token arena, with a last-slot stamp per term, count each
+//! term's postings and then counting-sort the slots straight into the
+//! posting arena; each term's list is then sorted by its scores, computed
+//! from the slots' tokens into one reused buffer, and cut into segments.  The
+//! match-all runs are a counting sort of the slots by path, sorted and cut
+//! the same way.  Each term's distinct paths are read off its postings'
+//! side-table paths with a last-term stamp per path.  The index owns no hash
+//! map.
 
 use std::cmp::Ordering;
 use std::mem::size_of;
 use std::ops::Range;
 
-use seda_xmlstore::{Collection, DocId, NodeId, PathId};
+use seda_xmlstore::{Collection, NodeId, PathId};
 
 use crate::dict::{csr_row, FirstSeen, TermDict, TermId};
 use crate::query::FullTextQuery;
@@ -108,13 +125,13 @@ pub(crate) fn term_score(tf: usize, idf: f64, len: usize) -> f64 {
 /// [`NodeIndex::read_model_bytes`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadModelBytes {
-    /// Term dictionary (both directions, term text included) and idf table.
+    /// Term dictionary: the sorted term arena and its per-term offsets.
     pub dictionary: usize,
-    /// Score-sorted posting arena and its per-term CSR offsets.
+    /// Posting arena (one slot a posting), its per-term CSR offsets and its
+    /// score segments.
     pub posting_arena: usize,
-    /// Per-posting context paths, parallel to the posting arena.
-    pub posting_paths: usize,
-    /// Path-partitioned match-all runs and their per-path CSR offsets.
+    /// Path-partitioned match-all runs (one slot an indexed node), their
+    /// per-path CSR offsets and their score segments.
     pub path_runs: usize,
     /// Node side tables: slot → node, slot → path.
     pub side_tables: usize,
@@ -130,7 +147,6 @@ impl ReadModelBytes {
     pub fn total(&self) -> usize {
         self.dictionary
             + self.posting_arena
-            + self.posting_paths
             + self.path_runs
             + self.side_tables
             + self.tokens
@@ -142,38 +158,81 @@ fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * size_of::<T>()
 }
 
-/// Node → side-table slot without hashing, for the passes that look up every
-/// posting or every indexed node (the audit).  Slots ascend by node id, so a
-/// document's slots are one contiguous range and the node is found by binary
-/// search inside it.
-pub(crate) struct SlotLookup<'a> {
-    nodes: &'a [NodeId],
-    /// Every document with a slot, ascending, with its first slot.
-    docs: Vec<(DocId, u32)>,
+/// Lists of slots under a CSR key — a term's postings, or a path's match-all
+/// run — each in (score desc, node asc) order and cut into *segments* of one
+/// score: a list stores each distinct score once, not once an entry.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub(crate) struct ScoredSlots {
+    /// CSR offsets into `slots`: one a key, plus one.
+    pub(crate) offsets: Vec<u32>,
+    /// Every list's slots.
+    pub(crate) slots: Vec<u32>,
+    /// Where each segment ends in `slots`, strictly ascending, the last at
+    /// `slots.len()`; every list starts a segment.
+    pub(crate) segment_ends: Vec<u32>,
+    /// The score of each segment's slots, strictly descending within a list.
+    pub(crate) segment_scores: Vec<f64>,
 }
 
-impl<'a> SlotLookup<'a> {
-    /// `nodes` is the side table's `slot_nodes`: strictly ascending.
-    pub(crate) fn new(nodes: &'a [NodeId]) -> Self {
-        let mut docs: Vec<(DocId, u32)> = Vec::new();
-        for (slot, node) in nodes.iter().enumerate() {
-            if docs.last().is_none_or(|&(doc, _)| doc != node.doc) {
-                docs.push((node.doc, slot as u32));
+impl ScoredSlots {
+    /// Sorts each list of `slots` — given under `offsets` in slot order — by
+    /// (score desc, node asc) of `score(key, slot)` and cuts it into
+    /// segments.  Slots ascend by node id, so a sort by (score desc, slot
+    /// asc) is the list's order.
+    fn sorted(offsets: Vec<u32>, mut slots: Vec<u32>, score: impl Fn(usize, u32) -> f64) -> Self {
+        let (mut segment_ends, mut segment_scores) = (Vec::new(), Vec::new());
+        let mut keyed: Vec<(f64, u32)> = Vec::new();
+        for key in 0..offsets.len().saturating_sub(1) {
+            let list = &mut slots[offsets[key] as usize..offsets[key + 1] as usize];
+            keyed.clear();
+            keyed.extend(list.iter().map(|&slot| (score(key, slot), slot)));
+            keyed.sort_unstable_by(|a, b| {
+                b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal).then(a.1.cmp(&b.1))
+            });
+            let mut end = offsets[key];
+            for segment in keyed.chunk_by(|a, b| a.0.to_bits() == b.0.to_bits()) {
+                end += segment.len() as u32;
+                segment_ends.push(end);
+                segment_scores.push(segment[0].0);
+            }
+            for (slot, &(_, sorted)) in list.iter_mut().zip(&keyed) {
+                *slot = sorted;
             }
         }
-        SlotLookup { nodes, docs }
+        segment_ends.shrink_to_fit();
+        segment_scores.shrink_to_fit();
+        ScoredSlots { offsets, slots, segment_ends, segment_scores }
     }
 
-    pub(crate) fn slot(&self, node: NodeId) -> Option<usize> {
-        // Document ids are dense, so document `d` is entry `d` unless an
-        // earlier document holds no text.
-        let entry = match self.docs.get(node.doc.index()) {
-            Some(&(doc, _)) if doc == node.doc => node.doc.index(),
-            _ => self.docs.binary_search_by_key(&node.doc, |&(doc, _)| doc).ok()?,
-        };
-        let start = self.docs[entry].1 as usize;
-        let end = self.docs.get(entry + 1).map_or(self.nodes.len(), |&(_, next)| next as usize);
-        self.nodes[start..end].binary_search(&node).ok().map(|at| start + at)
+    /// The range of one key's list in `slots`; empty for a key beyond the
+    /// table.
+    pub(crate) fn range(&self, key: usize) -> Range<usize> {
+        match self.offsets.get(key..) {
+            Some([start, end, ..]) => *start as usize..*end as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// The segments of the list at `range` (a key's range), in order: each
+    /// one's score and slots.
+    pub(crate) fn segments(&self, range: Range<usize>) -> impl Iterator<Item = (f64, &[u32])> {
+        let first = self.segment_ends.partition_point(|&end| end as usize <= range.start);
+        let mut start = range.start;
+        let ends = self.segment_ends[first..].iter().zip(&self.segment_scores[first..]);
+        ends.map_while(move |(&end, &score)| {
+            let end = (end as usize).min(range.end);
+            let segment = self.slots.get(start..end).filter(|slots| !slots.is_empty())?;
+            start = end;
+            Some((score, segment))
+        })
+    }
+
+    /// Heap bytes: 4 B a slot, 4 B an offset, 12 B a segment.
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.offsets)
+            + vec_bytes(&self.slots)
+            + vec_bytes(&self.segment_ends)
+            + vec_bytes(&self.segment_scores)
     }
 }
 
@@ -182,22 +241,13 @@ impl<'a> SlotLookup<'a> {
 pub struct NodeIndex {
     /// Term intern table; ids are lexicographic ranks, so deterministic.
     pub(crate) dict: TermDict,
-    /// Smoothed idf per term id.
-    pub(crate) idf_by_term: Vec<f64>,
-    /// CSR offsets into `sorted_postings`, length `dict.len() + 1`.
-    pub(crate) posting_offsets: Vec<u32>,
-    /// Per-term postings pre-sorted by (score desc, node asc), idf folded in.
-    pub(crate) sorted_postings: Vec<ScoredNode>,
-    /// Context path of each posting's node, parallel to `sorted_postings`, so
-    /// path filtering reads one sequential array and looks no node up.
-    pub(crate) posting_paths: Vec<PathId>,
-    /// CSR offsets into `path_runs`, indexed by `PathId`; length is the
-    /// largest indexed path id + 2.
-    pub(crate) path_run_offsets: Vec<u32>,
-    /// The match-all list partitioned by context path: every indexed node
-    /// once, in its own path's run, scored `1/√len`, each run pre-sorted by
-    /// (score desc, node asc).
-    pub(crate) path_runs: Vec<ScoredNode>,
+    /// Per-term postings as side-table slots, keyed by [`TermId`], scored
+    /// `tf · idf / √len`.  A term's list length is its document frequency.
+    pub(crate) postings: ScoredSlots,
+    /// The match-all list partitioned by context path, keyed by [`PathId`]:
+    /// every slot once, in its own path's run, scored `1/√len`.  There is one
+    /// key a path id up to the largest indexed one.
+    pub(crate) path_runs: ScoredSlots,
     /// Slot → node id: every indexed node once, in ascending `NodeId` order.
     pub(crate) slot_nodes: Vec<NodeId>,
     /// Slot → context path (side table for path filtering).
@@ -254,65 +304,20 @@ impl NodeIndex {
         slot_paths.shrink_to_fit();
         token_offsets.shrink_to_fit();
         slot_tokens.shrink_to_fit();
-        let slots = slot_nodes.len();
 
         let (dict, rank) = first_seen.into_ranked();
         for id in &mut slot_tokens {
             *id = TermId(rank[id.index()]);
         }
+        drop(rank);
 
-        // One (term, slot, tf) entry per distinct term of each node, in slot
-        // order, and each term's document frequency.
-        let mut entries: Vec<(TermId, u32, u32)> = Vec::with_capacity(slot_tokens.len());
-        let mut df = vec![0u32; dict.len()];
-        let mut node_terms: Vec<TermId> = Vec::new();
-        for (slot, bounds) in token_offsets.windows(2).enumerate() {
-            node_terms.clear();
-            node_terms.extend_from_slice(&slot_tokens[bounds[0] as usize..bounds[1] as usize]);
-            node_terms.sort_unstable();
-            for occurrences in node_terms.chunk_by(|a, b| a == b) {
-                entries.push((occurrences[0], slot as u32, occurrences.len() as u32));
-                df[occurrences[0].index()] += 1;
-            }
-        }
-        let idf_by_term: Vec<f64> = df.iter().map(|&df| smoothed_idf(slots, df as usize)).collect();
-
-        // Counting sort of the entries by term: slot order inside a term's
-        // run is node order, then each run is sorted by (score desc, node
-        // asc) with its posting's path carried along.
-        let mut posting_offsets = Vec::with_capacity(dict.len() + 1);
-        posting_offsets.push(0u32);
-        for &df in &df {
-            posting_offsets.push(posting_offsets[posting_offsets.len() - 1] + df);
-        }
-        let mut cursors = posting_offsets.clone();
-        let placeholder = (ScoredNode { node: NodeId::new(DocId(0), 0), score: 0.0 }, PathId(0));
-        let mut arena = vec![placeholder; entries.len()];
-        for &(term, slot, tf) in &entries {
-            let slot = slot as usize;
-            let len = (token_offsets[slot + 1] - token_offsets[slot]) as usize;
-            let score = term_score(tf as usize, idf_by_term[term.index()], len);
-            let cursor = &mut cursors[term.index()];
-            arena[*cursor as usize] =
-                (ScoredNode { node: slot_nodes[slot], score }, slot_paths[slot]);
-            *cursor += 1;
-        }
-        for bounds in posting_offsets.windows(2) {
-            arena[bounds[0] as usize..bounds[1] as usize].sort_by(|a, b| ranked(&a.0, &b.0));
-        }
-        let (sorted_postings, posting_paths): (Vec<ScoredNode>, Vec<PathId>) =
-            arena.into_iter().unzip();
-
-        let (path_run_offsets, path_runs) = path_runs(&slot_nodes, &slot_paths, &token_offsets);
+        let postings = postings(dict.len(), &token_offsets, &slot_tokens);
+        let path_runs = path_runs(&slot_paths, &token_offsets);
         let (term_path_offsets, term_paths) =
-            term_paths(&posting_offsets, &posting_paths, collection.paths().len());
+            term_paths(&postings, &slot_paths, collection.paths().len());
         NodeIndex {
             dict,
-            idf_by_term,
-            posting_offsets,
-            sorted_postings,
-            posting_paths,
-            path_run_offsets,
+            postings,
             path_runs,
             slot_nodes,
             slot_paths,
@@ -380,6 +385,12 @@ impl NodeIndex {
         query.matches_tokens(tokens)
     }
 
+    /// Smoothed idf of a term: its posting list's length is its document
+    /// frequency.
+    pub(crate) fn idf(&self, id: TermId) -> f64 {
+        smoothed_idf(self.slot_nodes.len(), self.term_range(id).len())
+    }
+
     /// Content score of `query` for `node`, or `None` when the node does not
     /// satisfy the query (random access for the Threshold Algorithm).
     pub fn score(&self, query: &FullTextQuery, node: NodeId) -> Option<f64> {
@@ -387,19 +398,20 @@ impl NodeIndex {
         if !self.matches(query, slot, &mut Vec::new()) {
             return None;
         }
-        Some(self.score_slot(&self.positive_ids(query), slot))
+        Some(self.score_slot(&self.positive_terms(query), slot))
     }
 
-    /// The query's positive terms (sorted, deduplicated) as dictionary ids;
-    /// `None` stands for a term no node holds.
-    fn positive_ids(&self, query: &FullTextQuery) -> Vec<Option<TermId>> {
-        query.positive_terms().iter().map(|term| self.dict.get(term)).collect()
+    /// The query's positive terms (sorted, deduplicated) as dictionary ids
+    /// with their idf; `None` stands for a term no node holds.
+    fn positive_terms(&self, query: &FullTextQuery) -> Vec<Option<(TermId, f64)>> {
+        let known = |term: &String| self.dict.get(term).map(|id| (id, self.idf(id)));
+        query.positive_terms().iter().map(known).collect()
     }
 
     /// Content score of a slot that satisfies a query whose positive terms
     /// are `positive`: the sum of their length-normalised tf-idf scores, or
     /// the match-all score when there is none.
-    fn score_slot(&self, positive: &[Option<TermId>], slot: usize) -> f64 {
+    fn score_slot(&self, positive: &[Option<(TermId, f64)>], slot: usize) -> f64 {
         let tokens = self.tokens_of(slot);
         if positive.is_empty() {
             return match_all_score(tokens.len());
@@ -408,9 +420,9 @@ impl NodeIndex {
         positive
             .iter()
             .map(|term| {
-                term.map_or(0.0, |id| {
+                term.map_or(0.0, |(id, idf)| {
                     let tf = tokens.iter().filter(|&&token| token == id).count();
-                    term_score(tf, self.idf_by_term[id.index()], tokens.len())
+                    term_score(tf, idf, tokens.len())
                 })
             })
             .sum()
@@ -444,12 +456,14 @@ impl NodeIndex {
     /// query's shape, never the size of the index:
     ///
     /// * **one positive term** (a keyword or a one-token phrase) — the term's
-    ///   pre-sorted posting slice, filtered through the parallel path array:
-    ///   one pass over the term's postings, no scoring, no sort, and a single
-    ///   copy when `allowed` is `None`;
+    ///   pre-sorted posting slots, each given its node and its segment's
+    ///   score: one pass, no scoring, no sort.  With `allowed`, a term whose
+    ///   paths (the term → paths table) all pass takes every posting, one
+    ///   with none takes none, and only the rest filters each posting through
+    ///   the side table's path;
     /// * **no positive term** (`*`, an empty bag, a pure negation) — the
-    ///   pre-sorted runs of the allowed paths (all runs for `None`): a copy for
-    ///   one path, a copy plus one stable sort over the concatenated runs for
+    ///   pre-sorted runs of the allowed paths (all runs for `None`): one pass
+    ///   for one path, plus one stable sort over the concatenated runs for
     ///   several; a negation also checks each run entry's tokens;
     /// * **anything else** (several keywords, a phrase, a boolean combination)
     ///   — the union of the positive terms' postings on allowed paths is
@@ -484,41 +498,41 @@ impl NodeIndex {
         if allowed.is_some_and(<[PathId]>::is_empty) {
             return;
         }
+        let allows = |path: PathId| allowed.is_none_or(|paths| paths.binary_search(&path).is_ok());
+        let slot_allowed = |slot: u32| allows(self.slot_paths[slot as usize]);
 
         if let Some(term) = query.single_positive_term() {
             let Some(id) = self.dict.get(term) else { return };
-            match allowed {
-                None => out.extend_from_slice(self.sorted_access_by_id(id)),
-                Some(paths) => out.extend(self.postings_on(id, paths)),
+            // The term → paths table says whether every, no or some posting
+            // lies on an allowed path: only the last checks each posting.
+            let term_paths = csr_row(&self.term_path_offsets, &self.term_paths, id.index());
+            let inside = term_paths.iter().filter(|&&path| allows(path)).count();
+            let range = self.term_range(id);
+            if inside == term_paths.len() {
+                self.push_scored(&self.postings, range, |_| true, out);
+            } else if inside > 0 {
+                self.push_scored(&self.postings, range, slot_allowed, out);
             }
             return;
         }
 
-        let positive = self.positive_ids(query);
+        let positive = self.positive_terms(query);
         if positive.is_empty() {
             // Only a negation can reject a node here; `*` takes whole runs.
             let verify = !query.is_match_all();
             let mut runs = 0;
             let mut tokens = Vec::new();
-            let mut take = |run: &[ScoredNode]| {
-                runs += usize::from(!run.is_empty());
-                if verify {
-                    out.extend(run.iter().filter(|s| {
-                        let slot = self
-                            .slot_of(s.node)
-                            .expect("invariant: every run entry is an indexed node (path-runs)");
-                        self.matches(query, slot, &mut tokens)
-                    }));
-                } else {
-                    out.extend_from_slice(run);
-                }
+            let mut take = |range: Range<usize>| {
+                runs += usize::from(!range.is_empty());
+                let keep = |slot: u32| !verify || self.matches(query, slot as usize, &mut tokens);
+                self.push_scored(&self.path_runs, range, keep, out);
             };
             match allowed {
-                Some(paths) => paths.iter().for_each(|&path| take(self.path_run(path))),
-                None => self
-                    .path_run_offsets
-                    .windows(2)
-                    .for_each(|b| take(&self.path_runs[b[0] as usize..b[1] as usize])),
+                Some(paths) => {
+                    paths.iter().for_each(|&path| take(self.path_runs.range(path.index())))
+                }
+                None => (0..self.path_runs.offsets.len().saturating_sub(1))
+                    .for_each(|path| take(self.path_runs.range(path))),
             }
             if runs > 1 {
                 out.sort_by(ranked);
@@ -526,11 +540,10 @@ impl NodeIndex {
             return;
         }
 
-        for &id in positive.iter().flatten() {
-            match allowed {
-                None => candidates.extend(self.sorted_access_by_id(id).iter().map(|s| s.node)),
-                Some(paths) => candidates.extend(self.postings_on(id, paths).map(|s| s.node)),
-            }
+        for &(id, _) in positive.iter().flatten() {
+            let kept =
+                self.postings.slots[self.term_range(id)].iter().filter(|&&s| slot_allowed(s));
+            candidates.extend(kept.map(|&slot| self.slot_nodes[slot as usize]));
         }
         candidates.sort_unstable();
         candidates.dedup();
@@ -546,36 +559,31 @@ impl NodeIndex {
         out.sort_by(ranked);
     }
 
-    /// One term's postings on the given paths (strictly ascending), in
-    /// sorted-access order: the posting slice filtered through its parallel
-    /// path array.
-    fn postings_on<'a>(
-        &'a self,
-        id: TermId,
-        paths: &'a [PathId],
-    ) -> impl Iterator<Item = &'a ScoredNode> {
-        let range = self.term_range(id);
-        self.sorted_postings[range.clone()]
-            .iter()
-            .zip(&self.posting_paths[range])
-            .filter(|(_, path)| paths.binary_search(path).is_ok())
-            .map(|(scored, _)| scored)
-    }
-
-    /// The run of `path` in the path-partitioned match-all list; empty for a
-    /// path no indexed node has, including ids beyond the table.
-    fn path_run(&self, path: PathId) -> &[ScoredNode] {
-        match self.path_run_offsets.get(path.index()..) {
-            Some([start, end, ..]) => &self.path_runs[*start as usize..*end as usize],
-            _ => &[],
+    /// Appends the entries of `range` of `list` that `keep` takes to `out`:
+    /// each slot's node, with its segment's score.
+    fn push_scored(
+        &self,
+        list: &ScoredSlots,
+        range: Range<usize>,
+        mut keep: impl FnMut(u32) -> bool,
+        out: &mut Vec<ScoredNode>,
+    ) {
+        out.reserve(range.len());
+        for (score, slots) in list.segments(range) {
+            let kept = slots.iter().filter(|&&slot| keep(slot));
+            out.extend(
+                kept.map(|&slot| ScoredNode { node: self.slot_nodes[slot as usize], score }),
+            );
         }
     }
 
     /// Sorted access for the Threshold Algorithm: the postings of a term
-    /// ordered by descending single-term score, as a borrowed slice of the
-    /// pre-sorted posting arena (no per-query work).
-    pub(crate) fn sorted_access_by_id(&self, id: TermId) -> &[ScoredNode] {
-        &self.sorted_postings[self.term_range(id)]
+    /// ordered by descending single-term score.
+    #[cfg(test)]
+    pub(crate) fn sorted_access_by_id(&self, id: TermId) -> Vec<ScoredNode> {
+        let mut out = Vec::new();
+        self.push_scored(&self.postings, self.term_range(id), |_| true, &mut out);
+        out
     }
 
     /// The distinct context paths of a term's postings, strictly ascending;
@@ -588,53 +596,68 @@ impl NodeIndex {
     /// The paths some indexed node has — those with a non-empty match-all
     /// run — ascending.
     pub(crate) fn text_paths(&self) -> impl Iterator<Item = PathId> + '_ {
-        self.path_run_offsets
+        self.path_runs
+            .offsets
             .windows(2)
             .enumerate()
             .filter(|(_, bounds)| bounds[0] < bounds[1])
             .map(|(path, _)| PathId(path as u32))
     }
 
-    /// One term's range of the posting arena and its parallel path array.
+    /// One term's range of the posting arena.
     pub(crate) fn term_range(&self, id: TermId) -> Range<usize> {
-        self.posting_offsets[id.index()] as usize..self.posting_offsets[id.index() + 1] as usize
+        self.postings.range(id.index())
     }
 
     /// Heap bytes of the index, table by table — every table is one a query
-    /// reads, and together they are the index's whole heap.
-    ///
-    /// Vectors count their capacity exactly; the dictionary's hash table is
-    /// estimated as one entry plus one control byte per slot of capacity.
+    /// reads, and together they are the index's whole heap.  Vectors count
+    /// their capacity exactly.
     ///
     /// # Budgets
     ///
-    /// [`ReadModelBytes::posting_paths`] is 4 B per posting and
-    /// [`ReadModelBytes::path_runs`] 16 B per indexed node plus one 4 B offset
-    /// per path id — `16 · nodes + 4 · postings + 4 · (path ids + 1)` bytes;
-    /// [`ReadModelBytes::tokens`] is 4 B per token occurrence plus one 4 B
-    /// offset per indexed node — `4 · tokens + 4 · (nodes + 1)` bytes;
-    /// [`ReadModelBytes::term_paths`] is 4 B per distinct (term, path) pair
-    /// plus one 4 B offset per term.  All three are asserted by this module's
-    /// tests.  At the benchmark's paper scale:
+    /// Every table is a flat array of 4 B entries (8 B for a slot's node)
+    /// under 4 B CSR offsets, and nothing a query can derive from another
+    /// table without reading the token arena is stored twice:
     ///
-    /// | workload | path tables | token arena | term → paths | whole index |
+    /// * [`ReadModelBytes::dictionary`] — the sorted term bytes plus one
+    ///   4 B offset a term, plus one;
+    /// * [`ReadModelBytes::posting_arena`] — 4 B a posting (a slot), one
+    ///   4 B offset a term, plus one, and 12 B a score segment (a distinct
+    ///   score of a term's list);
+    /// * [`ReadModelBytes::path_runs`] — 4 B an indexed node (a slot), one
+    ///   4 B offset a path id, plus one, and 12 B a score segment (a distinct
+    ///   length on a path);
+    /// * [`ReadModelBytes::side_tables`] — 12 B an indexed node;
+    /// * [`ReadModelBytes::tokens`] — 4 B a token occurrence plus one 4 B
+    ///   offset an indexed node, plus one;
+    /// * [`ReadModelBytes::term_paths`] — 4 B a distinct (term, path) pair
+    ///   plus one 4 B offset a term, plus one.
+    ///
+    /// This module's tests assert each formula.  At the benchmark's paper
+    /// scale (seed 21), in MB of 10⁶ bytes, before (the index that stored a
+    /// 16 B node-and-score a posting and a match-all entry, a 4 B path a
+    /// posting, an idf a term and a hashed dictionary holding each term
+    /// twice) → now:
+    ///
+    /// | table | googlebase-flat | recipeml-ingest | factbook-olap | mondial-links |
     /// |---|---|---|---|---|
-    /// | googlebase-flat (150,000 nodes, 184,534 postings) | 3.1 MB | 1.3 MB | 0.60 MB | 13.2 MB |
-    /// | recipeml-ingest | 4.7 MB | 2.2 MB | 0.01 MB | 15.2 MB |
-    /// | factbook-olap | 1.6 MB | 0.7 MB | 0.15 MB | 6.1 MB |
-    /// | mondial-links | 0.7 MB | 0.3 MB | 0.14 MB | 4.0 MB |
+    /// | dictionary | 3.25 → 0.28 | 0.06 → 0.005 | 1.12 → 0.13 | 1.62 → 0.14 |
+    /// | posting arena | 3.07 → 1.24 | 5.63 → 1.42 | 1.58 → 0.61 | 0.91 → 0.45 |
+    /// | posting paths | 0.74 → — | 1.41 → — | 0.38 → — | 0.21 → — |
+    /// | path runs | 2.40 → 0.61 | 3.33 → 0.83 | 1.26 → 0.35 | 0.46 → 0.12 |
+    /// | side tables | 1.80 | 2.49 | 0.94 | 0.34 |
+    /// | tokens | 1.34 | 2.24 | 0.70 | 0.33 |
+    /// | term paths | 0.60 | 0.01 | 0.15 | 0.14 |
+    /// | **total** | **13.20 → 5.88** | **15.17 → 6.99** | **6.13 → 2.88** | **4.00 → 1.52** |
+    ///
+    /// The budget is half the old total on googlebase-flat and recipeml-ingest:
+    /// at most 6.3 MB and 7.2 MB.  `perf_smoke`'s index-build gate fails a
+    /// paper-scale googlebase index above 6.3 MB.
     pub fn read_model_bytes(&self) -> ReadModelBytes {
-        let term_text: usize = self.dict.terms.iter().map(String::capacity).sum::<usize>()
-            + self.dict.ids.keys().map(String::capacity).sum::<usize>();
-        let id_table = self.dict.ids.capacity() * (size_of::<(String, TermId)>() + 1);
         ReadModelBytes {
-            dictionary: vec_bytes(&self.dict.terms)
-                + id_table
-                + term_text
-                + vec_bytes(&self.idf_by_term),
-            posting_arena: vec_bytes(&self.sorted_postings) + vec_bytes(&self.posting_offsets),
-            posting_paths: vec_bytes(&self.posting_paths),
-            path_runs: vec_bytes(&self.path_runs) + vec_bytes(&self.path_run_offsets),
+            dictionary: self.dict.heap_bytes(),
+            posting_arena: self.postings.heap_bytes(),
+            path_runs: self.path_runs.heap_bytes(),
             side_tables: vec_bytes(&self.slot_nodes) + vec_bytes(&self.slot_paths),
             tokens: vec_bytes(&self.slot_tokens) + vec_bytes(&self.token_offsets),
             term_paths: vec_bytes(&self.term_paths) + vec_bytes(&self.term_path_offsets),
@@ -642,16 +665,50 @@ impl NodeIndex {
     }
 }
 
-/// Partitions the indexed nodes by context path: a counting sort of the
-/// slots by path id (the returned CSR offsets, indexed by `PathId`), then a
-/// sort of each run by (score desc, node asc).  Slots ascend by node id, so a
-/// run comes out of the counting sort in node order: one whose nodes all have
-/// one length is already sorted, and its sort is a single pass.
-fn path_runs(
-    slot_nodes: &[NodeId],
-    slot_paths: &[PathId],
-    token_offsets: &[u32],
-) -> (Vec<u32>, Vec<ScoredNode>) {
+/// The posting lists: each term's slots under a CSR over the dictionary.  Two
+/// walks over the token arena with a last-slot stamp per term — the first
+/// counts the nodes holding each term, the second places each slot at its
+/// term's cursor, so a list comes out in slot order — then each list is
+/// sorted by its scores, `tf` counted in each slot's token run.
+fn postings(terms: usize, token_offsets: &[u32], slot_tokens: &[TermId]) -> ScoredSlots {
+    let slots = token_offsets.len() - 1;
+    let mut stamp = vec![u32::MAX; terms];
+    let mut offsets = vec![0u32; terms + 1];
+    for slot in 0..slots {
+        for &id in csr_row(token_offsets, slot_tokens, slot) {
+            if std::mem::replace(&mut stamp[id.index()], slot as u32) != slot as u32 {
+                offsets[id.index() + 1] += 1;
+            }
+        }
+    }
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    let mut cursors = offsets[..terms].to_vec();
+    stamp.fill(u32::MAX);
+    let mut postings = vec![0u32; offsets[terms] as usize];
+    for slot in 0..slots {
+        for &id in csr_row(token_offsets, slot_tokens, slot) {
+            if std::mem::replace(&mut stamp[id.index()], slot as u32) != slot as u32 {
+                postings[cursors[id.index()] as usize] = slot as u32;
+                cursors[id.index()] += 1;
+            }
+        }
+    }
+    drop((stamp, cursors));
+    let idfs: Vec<f64> =
+        offsets.windows(2).map(|df| smoothed_idf(slots, (df[1] - df[0]) as usize)).collect();
+    ScoredSlots::sorted(offsets, postings, |term, slot| {
+        let tokens = csr_row(token_offsets, slot_tokens, slot as usize);
+        let tf = tokens.iter().filter(|token| token.index() == term).count();
+        term_score(tf, idfs[term], tokens.len())
+    })
+}
+
+/// Partitions the slots by context path: a counting sort of the slots by
+/// path id (the CSR offsets, keyed by `PathId`), then each run sorted by its
+/// match-all scores.
+fn path_runs(slot_paths: &[PathId], token_offsets: &[u32]) -> ScoredSlots {
     let path_slots = slot_paths.iter().map(|path| path.index() + 1).max().unwrap_or(0);
     let mut offsets = vec![0u32; path_slots + 1];
     for path in slot_paths {
@@ -661,36 +718,36 @@ fn path_runs(
         offsets[i] += offsets[i - 1];
     }
     let mut cursors = offsets.clone();
-    let placeholder = ScoredNode { node: NodeId::new(DocId(0), 0), score: 0.0 };
-    let mut runs = vec![placeholder; slot_nodes.len()];
-    for (slot, &node) in slot_nodes.iter().enumerate() {
-        let cursor = &mut cursors[slot_paths[slot].index()];
-        let len = (token_offsets[slot + 1] - token_offsets[slot]) as usize;
-        runs[*cursor as usize] = ScoredNode { node, score: match_all_score(len) };
+    let mut runs = vec![0u32; slot_paths.len()];
+    for (slot, path) in slot_paths.iter().enumerate() {
+        let cursor = &mut cursors[path.index()];
+        runs[*cursor as usize] = slot as u32;
         *cursor += 1;
     }
-    for bounds in offsets.windows(2) {
-        runs[bounds[0] as usize..bounds[1] as usize].sort_by(ranked);
-    }
-    (offsets, runs)
+    drop(cursors);
+    let len =
+        |slot: u32| (token_offsets[slot as usize + 1] - token_offsets[slot as usize]) as usize;
+    ScoredSlots::sorted(offsets, runs, |_, slot| match_all_score(len(slot)))
 }
 
 /// Each term's distinct context paths, strictly ascending, as a CSR parallel
-/// to the posting offsets: one walk over the postings' paths, `stamp[path]`
-/// holding the last term that took the path, then a sort of each term's
-/// (short) run.
+/// to the posting offsets: one walk over the postings' side-table paths,
+/// `stamp[path]` holding the last term that took the path, then a sort of
+/// each term's (short) run.
 fn term_paths(
-    posting_offsets: &[u32],
-    posting_paths: &[PathId],
+    postings: &ScoredSlots,
+    slot_paths: &[PathId],
     path_ids: usize,
 ) -> (Vec<u32>, Vec<PathId>) {
     let mut stamp = vec![u32::MAX; path_ids];
-    let mut offsets = Vec::with_capacity(posting_offsets.len());
+    let terms = postings.offsets.len() - 1;
+    let mut offsets = Vec::with_capacity(terms + 1);
     offsets.push(0u32);
     let mut paths: Vec<PathId> = Vec::new();
-    for term in 0..posting_offsets.len() - 1 {
+    for term in 0..terms {
         let start = paths.len();
-        for &path in csr_row(posting_offsets, posting_paths, term) {
+        for &slot in &postings.slots[postings.range(term)] {
+            let path = slot_paths[slot as usize];
             if std::mem::replace(&mut stamp[path.index()], term as u32) != term as u32 {
                 paths.push(path);
             }
@@ -705,7 +762,7 @@ fn term_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seda_xmlstore::parse_collection;
+    use seda_xmlstore::{parse_collection, DocId};
 
     /// A keyword string's matches (the query a user types).
     fn search(index: &NodeIndex, keywords: &str) -> Vec<ScoredNode> {
@@ -713,8 +770,8 @@ mod tests {
     }
 
     /// A term's postings in sorted-access order; empty for an unknown term.
-    fn sorted_access<'a>(index: &'a NodeIndex, term: &str) -> &'a [ScoredNode] {
-        index.term_dict().get(term).map_or(&[], |id| index.sorted_access_by_id(id))
+    fn sorted_access(index: &NodeIndex, term: &str) -> Vec<ScoredNode> {
+        index.term_dict().get(term).map_or(Vec::new(), |id| index.sorted_access_by_id(id))
     }
 
     fn sample() -> (Collection, NodeIndex) {
@@ -770,7 +827,7 @@ mod tests {
         // "china" occurs once; "country" does not occur in content at all;
         // "united" occurs twice. A node matching the rarer term should score
         // at least as high per-term.
-        let idf = |term: &str| index.idf_by_term[index.dict.get(term).unwrap().index()];
+        let idf = |term: &str| index.idf(index.dict.get(term).unwrap());
         assert!(idf("china") > idf("united"));
     }
 
@@ -817,7 +874,7 @@ mod tests {
                 );
             }
             // Precomputed scores agree with the on-demand scoring formula.
-            for scored in by_name {
+            for scored in &by_name {
                 let query = FullTextQuery::Keywords(vec![term.to_string()]);
                 let direct = index.score(&query, scored.node).unwrap();
                 assert!((direct - scored.score).abs() < 1e-12);
@@ -942,23 +999,36 @@ mod tests {
     }
 
     #[test]
-    fn path_tables_stay_inside_their_byte_budget() {
+    fn every_table_is_at_its_byte_formula() {
         let (_, index) = sample();
         let bytes = index.read_model_bytes();
-        let path_ids = index.path_run_offsets.len() - 1;
-        let nodes = index.indexed_node_count();
-        let budget = 16 * nodes + 4 * index.sorted_postings.len() + 4 * (path_ids + 1);
-        assert!(
-            bytes.posting_paths + bytes.path_runs <= budget,
-            "{bytes:?} over the budget of {budget} bytes"
+        let (terms, nodes) = (index.dict.len(), index.indexed_node_count());
+        let (postings, runs) = (&index.postings, &index.path_runs);
+        let path_ids = runs.offsets.len() - 1;
+        // The dictionary: its sorted term bytes plus one offset a term, plus one.
+        let term_bytes: usize = index.dict.terms().map(|(_, term)| term.len()).sum();
+        assert_eq!(bytes.dictionary, term_bytes + 4 * (terms + 1));
+        // One 4 B slot a posting and 12 B a distinct score of a term's list:
+        // no per-posting node, path or score.
+        let scores = |list: &ScoredSlots, keys: usize| -> usize {
+            (0..keys).map(|key| list.segments(list.range(key)).count()).sum()
+        };
+        let posting_count: usize = (0..terms).map(|term| postings.range(term).len()).sum();
+        assert!(scores(postings, terms) < posting_count, "terms held by nodes of one shape");
+        assert_eq!(
+            bytes.posting_arena,
+            4 * posting_count + 4 * (terms + 1) + 12 * scores(postings, terms)
         );
-        let arena_budget = 4 * index.slot_tokens.len() + 4 * (nodes + 1);
-        assert!(bytes.tokens <= arena_budget, "{bytes:?} over the budget of {arena_budget} bytes");
-        let term_path_budget = 4 * index.term_paths.len() + 4 * (index.dict.len() + 1);
-        assert!(bytes.term_paths <= term_path_budget, "{bytes:?} over {term_path_budget} bytes");
+        // One 4 B slot an indexed node, and 12 B a distinct length on a path.
+        assert!(scores(runs, path_ids) < nodes, "paths whose nodes have one length");
+        assert_eq!(bytes.path_runs, 4 * nodes + 4 * (path_ids + 1) + 12 * scores(runs, path_ids));
+        assert_eq!(bytes.side_tables, (size_of::<NodeId>() + 4) * nodes);
+        assert_eq!(bytes.tokens, 4 * index.slot_tokens.len() + 4 * (nodes + 1));
+        assert_eq!(bytes.term_paths, 4 * index.term_paths.len() + 4 * (terms + 1));
         for part in [
             bytes.dictionary,
             bytes.posting_arena,
+            bytes.path_runs,
             bytes.side_tables,
             bytes.tokens,
             bytes.term_paths,
@@ -974,12 +1044,8 @@ mod tests {
         // No `..`: a field added to the index must be added here, and so to
         // `read_model_bytes`.
         let NodeIndex {
-            dict: _, // counted as `bytes.dictionary`, with `idf_by_term`
-            idf_by_term,
-            posting_offsets,
-            sorted_postings,
-            posting_paths,
-            path_run_offsets,
+            dict,
+            postings,
             path_runs,
             slot_nodes,
             slot_paths,
@@ -988,19 +1054,24 @@ mod tests {
             term_path_offsets,
             term_paths,
         } = &index;
-        let vectors = vec_bytes(posting_offsets)
-            + vec_bytes(sorted_postings)
-            + vec_bytes(posting_paths)
-            + vec_bytes(path_run_offsets)
-            + vec_bytes(path_runs)
+        let scored = |list: &ScoredSlots| {
+            let ScoredSlots { offsets, slots, segment_ends, segment_scores } = list;
+            vec_bytes(offsets)
+                + vec_bytes(slots)
+                + vec_bytes(segment_ends)
+                + vec_bytes(segment_scores)
+        };
+        let vectors = vec_bytes(&dict.offsets)
+            + dict.text.capacity()
+            + scored(postings)
+            + scored(path_runs)
             + vec_bytes(slot_nodes)
             + vec_bytes(slot_paths)
             + vec_bytes(token_offsets)
             + vec_bytes(slot_tokens)
             + vec_bytes(term_path_offsets)
             + vec_bytes(term_paths);
-        assert_eq!(bytes.total(), bytes.dictionary + vectors);
-        assert!(bytes.dictionary > vec_bytes(idf_by_term));
+        assert_eq!(bytes.total(), vectors);
     }
 
     #[test]

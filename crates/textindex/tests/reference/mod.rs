@@ -11,7 +11,8 @@
 //!   being shared by judge and judged.
 //!
 //! Every table and every answer of the new node index must equal the old
-//! one's, scores to the bit; the context index, now a view of the node
+//! one's, scores to the bit — the tables the new index no longer stores
+//! (scores, per-posting paths, idf) as materialised from its slots; the context index, now a view of the node
 //! index, must give the old answers — every keyword's path set, the text
 //! paths, both counts of every path and every context bucket.  Both run on
 //! the four `seda_datagen` shapes and on random small corpora built to hold
@@ -73,17 +74,27 @@ fn assert_same_tables(collection: &Collection, index: &NodeIndex, expected: &Exp
     assert_eq!(index.indexed_node_count(), expected.indexed_nodes);
     for (id, term) in expected.dict.terms() {
         assert_eq!(index.term_dict().get(term), Some(id));
-        let idf = index.idf_by_term[id.index()];
+        let idf = index.idf(id);
         assert_eq!(idf.to_bits(), expected.idf_by_term[id.index()].to_bits(), "{term}");
         assert_eq!(index.document_frequency(term), expected.document_frequency[term], "{term}");
-        // Sorted access: the term's slice of the old arena, node and score bits.
+        // Sorted access: the term's slice of the old arena and of its
+        // parallel path array — node, score bits and path — against the
+        // postings materialised from their slots.
         let range = expected.posting_offsets[id.index()] as usize
             ..expected.posting_offsets[id.index() + 1] as usize;
-        assert_eq!(
-            bits(index.sorted_access_by_id(id)),
-            bits(&expected.sorted_postings[range.clone()]),
-            "{term}"
-        );
+        let materialised: Vec<(NodeId, u64, PathId)> = index.postings.slots[index.term_range(id)]
+            .iter()
+            .zip(index.sorted_access_by_id(id))
+            .map(|(&slot, scored)| {
+                (scored.node, scored.score.to_bits(), index.slot_paths[slot as usize])
+            })
+            .collect();
+        let old: Vec<(NodeId, u64, PathId)> = expected.sorted_postings[range.clone()]
+            .iter()
+            .zip(&expected.posting_paths[range.clone()])
+            .map(|(scored, &path)| (scored.node, scored.score.to_bits(), path))
+            .collect();
+        assert_eq!(materialised, old, "{term}");
         // The term → paths table: the distinct paths of the term's postings.
         let mut paths = expected.posting_paths[range].to_vec();
         paths.sort_unstable();
@@ -94,11 +105,17 @@ fn assert_same_tables(collection: &Collection, index: &NodeIndex, expected: &Exp
     assert_eq!(index.document_frequency(unknown), 0);
     assert!(index.term_paths_of(unknown).is_empty());
 
-    // The tables the old build froze, where the new index still has them.
-    assert_eq!(index.posting_offsets, expected.posting_offsets);
-    assert_eq!(index.posting_paths, expected.posting_paths);
-    assert_eq!(index.path_run_offsets, expected.path_run_offsets);
-    assert_eq!(bits(&index.path_runs), bits(&expected.path_runs));
+    // The tables the old build froze, where the new index still has them,
+    // and the match-all runs materialised from their slots.
+    assert_eq!(index.postings.offsets, expected.posting_offsets);
+    assert_eq!(index.path_runs.offsets, expected.path_run_offsets);
+    assert_eq!(index.path_runs.slots.len(), expected.path_runs.len());
+    for path in 0..expected.path_run_offsets.len() - 1 {
+        let range = index.path_runs.range(path);
+        let run: Vec<ScoredNode> =
+            index.evaluate_in_paths(&FullTextQuery::Any, &[PathId(path as u32)]);
+        assert_eq!(bits(&run), bits(&expected.path_runs[range]), "run of path {path}");
+    }
     assert_eq!(index.slot_nodes, expected.slot_nodes);
     assert_eq!(index.slot_paths, expected.slot_paths);
     let token_counts: Vec<u32> = index.token_offsets.windows(2).map(|b| b[1] - b[0]).collect();

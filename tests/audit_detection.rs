@@ -149,19 +149,6 @@ fn broken_posting_offset_is_detected_as_textindex_csr_offsets() {
 }
 
 #[test]
-fn rewritten_posting_path_is_detected_as_textindex_posting_paths() {
-    let mut e = engine();
-    let year = e.collection().paths().get_str(e.collection().symbols(), "/country/year").unwrap();
-    {
-        let (_, node_index, ..) = e.substrates_mut();
-        // Both postings of "united" sit on /country/name.
-        let term = node_index.term_dict().get("united").expect("indexed term");
-        node_index.corrupt_posting_path(node_index.posting_range(term).0, year);
-    }
-    expect_violation(&e, "textindex", "posting-paths");
-}
-
-#[test]
 fn swapped_run_entries_are_detected_as_textindex_path_runs() {
     let mut e = engine();
     {

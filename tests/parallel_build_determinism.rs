@@ -91,11 +91,11 @@ fn build_profile_is_surfaced_for_parallel_builds() {
     assert!([graph, context_index, node_index].iter().all(|&s| s > 0.0));
     assert!(profile.total_secs >= graph + context_index + secs(span::BUILD_VERIFY));
     assert!(profile.total_secs >= node_index);
-    // The read model's bytes are a function of the collection, not of how it
-    // was built, and reach the rendered table.
-    assert!(profile.posting_bytes > 0);
-    assert_eq!(profile.posting_bytes, build(1).build_profile().posting_bytes);
-    assert!(profile.render().contains("posting tables"));
+    // The read model's bytes, table by table, are a function of the
+    // collection, not of how it was built, and reach the rendered table.
+    assert!(profile.node_index_bytes.total() > 0);
+    assert_eq!(profile.node_index_bytes, build(1).build_profile().node_index_bytes);
+    assert!(profile.render().contains("index postings"));
 }
 
 /// Serialises a collection to XML text, one `(uri, xml)` pair a document:
