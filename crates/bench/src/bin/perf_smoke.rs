@@ -59,11 +59,16 @@ fn run() -> Result<bool, String> {
     let selective = SedaRequest::parse(SELECTIVE_TOPK).map_err(|e| e.to_string())?;
     let mut statement = scaled.prepare(&selective).map_err(|e| e.to_string())?;
     let mut prepared_reader = scaled_engine.reader();
+    let mut sorted_accesses = 0;
     let (prepared_ms, cold_ms) = interleaved_minima(
         || drop(statement.execute(&mut prepared_reader).expect("prepared selective TOPK")),
-        || drop(scaled.execute_governed(&selective, &unlimited).expect("cold selective TOPK")),
+        || {
+            let response =
+                scaled.execute_governed(&selective, &unlimited).expect("cold selective TOPK");
+            sorted_accesses = response.profile.sorted_accesses;
+        },
     );
-    let cold_fill = report(cold_fill_verdict(prepared_ms, cold_ms));
+    let cold_fill = report(cold_fill_verdict(prepared_ms, (cold_ms, sorted_accesses)));
     let mondial = mondial_engine()?;
     let pinned_pairs = report(pinned_pairs(&mondial)?);
     let prepared_over_cold = report(prepared_over_cold(&mondial)?);

@@ -14,7 +14,9 @@
 //! * **cold over prepared** — the selective three-term `TOPK` executed cold
 //!   (term lists evaluated per request) costs at most [`COLD_FILL_BOUND`]× its
 //!   prepared statement (lists materialised once): evaluating a term costs
-//!   what it returns, not a walk over the index;
+//!   what it returns, not a walk over the index; and its join makes at most
+//!   [`SELECTIVE_SORTED_CEILING`] sorted accesses: it reads only the entries
+//!   of components where every term meets;
 //! * **pinned pairs** — the selective two-term Mondial search through the
 //!   Threshold-Algorithm join costs at most [`PINNED_PAIRS_BOUND`]× the same
 //!   terms through `search_naive`, which scores the same pairs one-to-one:
@@ -117,8 +119,20 @@ pub const GOVERNANCE_BOUND: f64 = 1.10;
 /// documents.  With terms answered from pre-sorted, path-partitioned postings
 /// a cold run adds parsing, planning and three list copies to the join:
 /// measured 1.20–1.29× over twenty runs.  An `evaluate_into` that walks every
-/// indexed node per match-all term reads 7.5–7.6×.
+/// indexed node per match-all term reads 7.5–7.6×.  The join reads only the
+/// entries of components where every term meets, so the prepared run is that
+/// short join, and the cold run adds the fill of whole lists and the
+/// semi-join that cuts them (`(price, *)` is gathered for every document):
+/// 1.46–1.56× over four runs.
 pub const COLD_FILL_BOUND: f64 = 3.0;
+
+/// Most sorted accesses [`SELECTIVE_TOPK`] may make at [`SCALED_ITEMS`]
+/// documents, cold or prepared (the count is deterministic).  The join over
+/// semi-joined lists reads 1,284 entries, three a document where all three
+/// terms meet; a join over whole lists makes 11,642, as the tied
+/// `(price, *)` and `(condition, new)` blocks never let it stop early.  The
+/// ceiling is their geometric mean, √(1,284 · 11,642).
+pub const SELECTIVE_SORTED_CEILING: usize = 3_866;
 
 /// Allowed `t(join) / t(search_naive)` for [`PAIR_QUERY`].  Both sides score
 /// the same 110,170 pairs; `search_naive` merges both labels for every pair
@@ -316,9 +330,22 @@ pub fn governance_verdict(ungoverned_ms: f64, governed_ms: f64) -> Result<String
     bounded_ratio("governance overhead", ungoverned_ms, governed_ms, GOVERNANCE_BOUND)
 }
 
-/// The cold-over-prepared gate over one request's prepared and cold times.
-pub fn cold_fill_verdict(prepared_ms: f64, cold_ms: f64) -> Result<String, String> {
-    bounded_ratio("cold over prepared", prepared_ms, cold_ms, COLD_FILL_BOUND)
+/// The cold-over-prepared gate over one request's prepared and cold times and
+/// the cold run's sorted accesses: the time ratio within its bound, and the
+/// accesses within [`SELECTIVE_SORTED_CEILING`].
+pub fn cold_fill_verdict(
+    prepared_ms: f64,
+    (cold_ms, sorted_accesses): (f64, usize),
+) -> Result<String, String> {
+    let verdict = bounded_ratio("cold over prepared", prepared_ms, cold_ms, COLD_FILL_BOUND);
+    let line = verdict.as_ref().unwrap_or_else(|line| line);
+    let line =
+        format!("{line}; {sorted_accesses} sorted accesses (allowed {SELECTIVE_SORTED_CEILING})");
+    if verdict.is_ok() && sorted_accesses <= SELECTIVE_SORTED_CEILING {
+        Ok(line)
+    } else {
+        Err(line)
+    }
 }
 
 /// The pinned-pairs gate over one query's `search_naive` and join times.
@@ -409,11 +436,22 @@ mod tests {
     fn cold_fill_fails_on_an_index_walk_per_term_and_passes_on_the_measured_pair() {
         // The parent of the path-partitioned postings: every `(tag, *)` term
         // of a cold request walked and re-scored every indexed node.
-        let failure = cold_fill_verdict(0.848, 6.351).unwrap_err();
+        let failure = cold_fill_verdict(0.848, (6.351, 1_284)).unwrap_err();
         assert!(failure.starts_with("cold over prepared 7.489x (allowed 3x)"), "{failure}");
         // The least favourable of twenty runs on the partitioned postings.
-        let pass = cold_fill_verdict(0.483, 0.626).unwrap();
+        let pass = cold_fill_verdict(0.483, (0.626, 1_284)).unwrap();
         assert!(pass.starts_with("cold over prepared 1.296x"), "{pass}");
+        assert!(pass.ends_with("; 1284 sorted accesses (allowed 3866)"), "{pass}");
+    }
+
+    #[test]
+    fn cold_fill_fails_on_a_join_that_reads_every_entry() {
+        // A join over whole lists, with no component semi-join: fast enough,
+        // but it reads every entry of every list.
+        let failure = cold_fill_verdict(0.483, (0.626, 11_642)).unwrap_err();
+        assert!(failure.starts_with("cold over prepared 1.296x"), "{failure}");
+        assert!(failure.ends_with("; 11642 sorted accesses (allowed 3866)"), "{failure}");
+        assert!(cold_fill_verdict(0.483, (0.626, SELECTIVE_SORTED_CEILING)).is_ok());
     }
 
     #[test]

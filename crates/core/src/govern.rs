@@ -33,7 +33,9 @@ use crate::error::SedaError;
 pub struct Budget {
     /// Wall-clock deadline, measured from [`RequestContext`] creation.
     pub deadline: Option<Duration>,
-    /// Ceiling on sorted posting-list accesses of the top-k search.
+    /// Ceiling on sorted posting-list accesses of the top-k search.  The
+    /// join reads only live entries — those of document components where
+    /// every term has a match — so this counts those, not whole lists.
     pub max_sorted_accesses: Option<usize>,
     /// Ceiling on random-access score probes of the top-k search.
     pub max_random_accesses: Option<usize>,

@@ -448,7 +448,7 @@ impl NodeIndex {
     /// Evaluates `query` into caller-owned buffers (the form backing
     /// [`NodeIndex::evaluate`]): `out` receives the scored matches in
     /// descending score order (ties broken by node id), `candidates` is an
-    /// internal scratch buffer.  Both are cleared first.
+    /// internal scratch buffer of side-table slots.  Both are cleared first.
     ///
     /// `allowed` restricts the matches to nodes on one of the given context
     /// paths; it may be in any order, repeat a path or name paths no indexed
@@ -466,8 +466,9 @@ impl NodeIndex {
     ///   for one path, plus one stable sort over the concatenated runs for
     ///   several; a negation also checks each run entry's tokens;
     /// * **anything else** (several keywords, a phrase, a boolean combination)
-    ///   — the union of the positive terms' postings on allowed paths is
-    ///   matched against the node tokens, scored and sorted.  Candidates come
+    ///   — the union of the positive terms' posting slots on allowed paths
+    ///   (sorted and deduplicated: slot order is node order) is matched
+    ///   against the slots' tokens, scored and sorted.  Candidates come
     ///   from positive postings only, so a disjunction with a negated branch
     ///   (`a OR NOT b`) returns just the nodes that hold one of its positive
     ///   terms.
@@ -475,7 +476,7 @@ impl NodeIndex {
         &self,
         query: &FullTextQuery,
         allowed: Option<&[PathId]>,
-        candidates: &mut Vec<NodeId>,
+        candidates: &mut Vec<u32>,
         out: &mut Vec<ScoredNode>,
     ) {
         out.clear();
@@ -543,16 +544,15 @@ impl NodeIndex {
         for &(id, _) in positive.iter().flatten() {
             let kept =
                 self.postings.slots[self.term_range(id)].iter().filter(|&&s| slot_allowed(s));
-            candidates.extend(kept.map(|&slot| self.slot_nodes[slot as usize]));
+            candidates.extend(kept);
         }
         candidates.sort_unstable();
         candidates.dedup();
         let mut tokens = Vec::new();
-        for &node in candidates.iter() {
-            let slot = self
-                .slot_of(node)
-                .expect("invariant: every posting's node has a slot (node-side-table)");
+        for &slot in candidates.iter() {
+            let slot = slot as usize;
             if self.matches(query, slot, &mut tokens) {
+                let node = self.slot_nodes[slot];
                 out.push(ScoredNode { node, score: self.score_slot(&positive, slot) });
             }
         }
@@ -971,7 +971,7 @@ mod tests {
         // indexed node gathered and scored before nothing was returned.
         let (_, index) = sample();
         let stale = NodeId::new(DocId(0), 0);
-        let mut candidates = vec![stale];
+        let mut candidates = vec![0];
         let mut out = vec![ScoredNode { node: stale, score: 1.0 }];
         for query in one_query_per_arm() {
             index.evaluate_into(&query, Some(&[]), &mut candidates, &mut out);

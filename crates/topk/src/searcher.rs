@@ -23,17 +23,30 @@
 //! # Component-partitioned join
 //!
 //! A tuple spanning two document components of the data graph can never be
-//! connected, so such combinations are never formed: before the loop starts,
-//! every list's positions are grouped by [`DataGraph::doc_component`] (one
-//! counting sort per list into a CSR arena, see `partition.rs`), and a newly
-//! seen node is joined only with the seen entries of its own component's
-//! group in each other list — one lookup per list instead of a scan of the
-//! whole consumed prefix with a component compare per pair.  Groups keep
-//! sorted-access order, so the combinations come out in the order a filtered
-//! prefix scan would produce them; on a single-component graph the one group
-//! *is* the prefix.  The partition costs one `u32` per posting plus
-//! `terms · (components + 2)` offsets, held in the [`SearchScratch`] (or,
-//! for prepared statements, computed once in [`MaterializedTerms`]).
+//! connected, so before the loop starts the term lists are semi-joined on
+//! [`DataGraph::doc_component`] (see `partition.rs`): a component is *live*
+//! when every list has an entry in it, and every entry of a component that
+//! is not live is dropped from its list, survivors keeping their order.  The
+//! join then reads only entries that can meet: a selective search whose tied
+//! score blocks never let the threshold stop it reads the documents where
+//! all its terms meet, not whole lists.  Terms that share no component
+//! answer empty without a sorted access.  Answers stay exact, since a
+//! dropped entry is part of no connected tuple; the sorted and random access
+//! counts, and so where an access budget stops a search, count live entries
+//! only.
+//!
+//! The same pass groups each list's surviving positions by component (one
+//! counting sort per list into a CSR arena), and a newly seen node is joined
+//! only with the seen entries of its own component's group in each other
+//! list — one lookup per list instead of a scan of the whole consumed prefix
+//! with a component compare per pair.  Groups keep sorted-access order, so
+//! the combinations come out in the order a filtered prefix scan would
+//! produce them; on a single-component graph the one group *is* the prefix
+//! (and nothing is dropped).  The partition costs one `u32` per surviving
+//! entry plus `terms · (components + 2)` offsets, held in the
+//! [`SearchScratch`] or, for prepared statements, computed once in
+//! [`MaterializedTerms`] beside the semi-joined lists.  Either way it is
+//! ready before the join runs.
 //!
 //! # Allocation discipline
 //!
@@ -91,8 +104,8 @@ pub struct SearchScratch {
     lists: Vec<Vec<ScoredNode>>,
     /// Component partition of `lists[..m]`, rebuilt per cold search.
     partition: ComponentPartition,
-    /// Candidate buffer handed to [`NodeIndex::evaluate_into`].
-    eval_candidates: Vec<NodeId>,
+    /// Candidate slots handed to [`NodeIndex::evaluate_into`].
+    eval_candidates: Vec<u32>,
     pub(crate) join: JoinBuffers,
 }
 
@@ -112,15 +125,6 @@ pub(crate) struct JoinBuffers {
     pub(crate) kth_scores: Vec<f64>,
     positions: Vec<usize>,
     best_scores: Vec<f64>,
-}
-
-/// Where the join finds the component partition of its term lists: ready in
-/// [`MaterializedTerms`], or in the scratch, still to be rebuilt for the
-/// lists just filled (skipped when the join has no partner to look up: no
-/// list, `k == 0` or one list).
-enum PartitionSource<'a> {
-    Ready(&'a ComponentPartition),
-    Stale(&'a mut ComponentPartition),
 }
 
 impl SearchScratch {
@@ -202,7 +206,7 @@ impl<'a> TopKSearcher<'a> {
         &self,
         terms: &[TermInput],
         lists: &mut Vec<Vec<ScoredNode>>,
-        candidates: &mut Vec<NodeId>,
+        candidates: &mut Vec<u32>,
     ) {
         if lists.len() < terms.len() {
             lists.resize_with(terms.len(), Vec::new);
@@ -215,7 +219,8 @@ impl<'a> TopKSearcher<'a> {
     /// Runs the Threshold-Algorithm search under per-request resource
     /// ceilings, reusing `scratch` for every buffer the join loop needs.
     /// Ungoverned callers pass [`SearchLimits::unlimited`], one-off callers
-    /// `&mut SearchScratch::new()`.
+    /// `&mut SearchScratch::new()`.  The term lists are filled, then
+    /// semi-joined on document components (module docs), then joined.
     ///
     /// Every term count runs the same join.  Over one list it reads the first
     /// `min(k, len)` entries and stops: the k-th read meets the threshold,
@@ -249,22 +254,23 @@ impl<'a> TopKSearcher<'a> {
     ) -> (TopKResult, Option<LimitBreach>) {
         let SearchScratch { traversal, lists, partition, eval_candidates, join } = scratch;
         self.fill_lists(terms, lists, eval_candidates);
-        let lists = &lists[..terms.len()];
-        let partition = PartitionSource::Stale(partition);
+        let lists = &mut lists[..terms.len()];
+        partition.semi_join(self.graph, lists);
         self.join(lists, partition, config, limits, traversal, join)
     }
 
     /// Materialises the per-term sorted-access lists once, for reuse across
     /// executions of a prepared statement.
     ///
-    /// The returned lists — and their component partition — are exactly what
-    /// [`TopKSearcher::search`] would fill into its scratch, so
-    /// [`TopKSearcher::search_materialized`] over them is equivalent to a
-    /// fresh search over the same terms.
+    /// The returned lists — semi-joined on their components — and their
+    /// component partition are exactly what [`TopKSearcher::search`] would
+    /// fill into its scratch, so [`TopKSearcher::search_materialized`] over
+    /// them is equivalent to a fresh search over the same terms.
     pub fn materialize_terms(&self, terms: &[TermInput]) -> MaterializedTerms {
         let mut materialized = MaterializedTerms::default();
-        self.fill_lists(terms, &mut materialized.lists, &mut Vec::new());
-        materialized.partition.rebuild(self.graph, &materialized.lists);
+        let MaterializedTerms { lists, partition } = &mut materialized;
+        self.fill_lists(terms, lists, &mut Vec::new());
+        partition.semi_join(self.graph, lists);
         materialized
     }
 
@@ -281,7 +287,6 @@ impl<'a> TopKSearcher<'a> {
     ) -> (TopKResult, Option<LimitBreach>) {
         let MaterializedTerms { lists, partition } = materialized;
         let SearchScratch { traversal, join, .. } = scratch;
-        let partition = PartitionSource::Ready(partition);
         self.join(lists, partition, config, limits, traversal, join)
     }
 
@@ -295,7 +300,7 @@ impl<'a> TopKSearcher<'a> {
     fn join(
         &self,
         lists: &[Vec<ScoredNode>],
-        partition: PartitionSource<'_>,
+        partition: &ComponentPartition,
         config: &TopKConfig,
         limits: &SearchLimits,
         traversal: &mut TraversalScratch,
@@ -310,13 +315,14 @@ impl<'a> TopKSearcher<'a> {
 
     /// The one search body behind [`TopKSearcher::search`] and
     /// [`TopKSearcher::search_materialized`]: the empty/`k == 0` guard and
-    /// the Threshold-Algorithm join loop over the borrowed term lists and
-    /// their component partition.  `PAIRS` compiles the pinned pair arm in
-    /// ([`score_pairs_pinned`]); the caller sets it only for two lists.
+    /// the Threshold-Algorithm join loop over the borrowed term lists, already
+    /// semi-joined, and their component partition.  `PAIRS` compiles the
+    /// pinned pair arm in ([`score_pairs_pinned`]); the caller sets it only
+    /// for two lists.
     fn rank_join<const PAIRS: bool>(
         &self,
         lists: &[Vec<ScoredNode>],
-        partition: PartitionSource<'_>,
+        partition: &ComponentPartition,
         config: &TopKConfig,
         limits: &SearchLimits,
         traversal: &mut TraversalScratch,
@@ -326,18 +332,6 @@ impl<'a> TopKSearcher<'a> {
         if lists.is_empty() || config.k == 0 {
             return (TopKResult { tuples: Vec::new(), stats }, None);
         }
-        let partition: &ComponentPartition = match partition {
-            PartitionSource::Ready(partition) => partition,
-            PartitionSource::Stale(partition) => {
-                // Partners are looked up only in lists other than the one
-                // just read, so one list never reads the partition: skip the
-                // O(components) rebuild that would otherwise dominate it.
-                if lists.len() > 1 {
-                    partition.rebuild(self.graph, lists);
-                }
-                partition
-            }
-        };
         let m = lists.len();
         let JoinBuffers {
             combo_nodes,
@@ -350,8 +344,9 @@ impl<'a> TopKSearcher<'a> {
         } = join;
         let label_probes_before = traversal.label_probes;
         if lists.iter().any(Vec::is_empty) {
-            // Some term has no match at all: the result is empty (Definition 4
-            // requires every term to be satisfied).
+            // Some term has no match at all, or none in a component the
+            // others reach: the result is empty (Definition 4 requires every
+            // term to be satisfied).
             return (TopKResult { tuples: Vec::new(), stats }, None);
         }
         best_scores.clear();

@@ -75,7 +75,8 @@ pub struct SearchLimits {
     /// Hard wall-clock deadline; checked before the first sorted access and
     /// every [`SearchLimits::DEADLINE_STRIDE`]th after.
     pub deadline: Option<std::time::Instant>,
-    /// Ceiling on entries consumed from sorted posting lists.
+    /// Ceiling on entries consumed from the sorted lists, counted as
+    /// [`SearchStats::sorted_accesses`] counts them: live entries only.
     pub max_sorted_accesses: Option<usize>,
     /// Ceiling on random-access score probes.
     pub max_random_accesses: Option<usize>,
@@ -147,7 +148,11 @@ pub struct ResultTuple {
 /// Threshold Algorithm's early termination.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Entries consumed from sorted posting lists.
+    /// Entries consumed from the sorted lists.  The join reads only *live*
+    /// entries, those of document components where every term has an entry
+    /// (the semi-join before the join drops the rest), so this never exceeds
+    /// the lists' live lengths ([`MaterializedTerms::list_len`]).
+    /// [`crate::TopKSearcher::search_naive`] counts every entry of every list.
     pub sorted_accesses: usize,
     /// Random-access score probes.
     pub random_accesses: usize,
@@ -188,9 +193,10 @@ impl TopKResult {
 /// prepared statement's re-executions skip full-text evaluation entirely.
 ///
 /// The lists are exactly what a fresh search would compute for the same
-/// [`TermInput`]s: searching over them is equivalent to searching the terms.
-/// Their component partition (the join's partner lookup) is computed once
-/// alongside, so re-executions read both in place.
+/// [`TermInput`]s — already semi-joined on document components, so each
+/// keeps only its live entries — and searching over them is equivalent to
+/// searching the terms.  Their component partition (the join's partner
+/// lookup) is computed once alongside, so re-executions read both in place.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MaterializedTerms {
     pub(crate) lists: Vec<Vec<ScoredNode>>,
@@ -198,7 +204,9 @@ pub struct MaterializedTerms {
 }
 
 impl MaterializedTerms {
-    /// Posting-list length of term `i` (sorted-access upper bound).
+    /// Live length of term `i`'s list: its entries in document components
+    /// where every term has one, the most sorted accesses the join can make
+    /// on it.  A one-term statement keeps its whole list.
     pub fn list_len(&self, i: usize) -> usize {
         self.lists.get(i).map(Vec::len).unwrap_or(0)
     }

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use seda_core::{EngineConfig, SedaEngine, SedaQuery, SedaRequest};
 use seda_datagen::{googlebase, mondial, Dataset, GoogleBaseConfig, MondialConfig};
 use seda_olap::Registry;
-use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
+use seda_topk::{SearchLimits, SearchScratch, SearchStats, TermInput, TopKConfig, TopKSearcher};
 use seda_xmlstore::{parse_collection, Collection};
 
 fn engine(collection: Collection) -> SedaEngine {
@@ -110,6 +110,63 @@ fn assert_equivalent_under_ties(
     Ok(())
 }
 
+/// A corpus of one-field-set documents: document `i` holds the fields of
+/// `fields` (bit 0 `a`, bit 1 `b`, bit 2 `c`) and, with `link`, an IDREF to
+/// document `i - 1`, so chains of linked documents form multi-document
+/// components.  The terms `(a, *)`, `(b, *)` and `(c, *)` therefore meet in
+/// only some components.  Field texts of one to three words give the
+/// match-all scores a few distinct values.
+fn components_corpus(docs: &[(u8, bool)]) -> Collection {
+    let words = ["alpha", "alpha beta", "alpha beta gamma"];
+    let docs: Vec<(String, String)> = docs
+        .iter()
+        .enumerate()
+        .map(|(i, &(fields, link))| {
+            let mut xml = format!(r#"<doc id="d{i}">"#);
+            for (bit, tag) in ["a", "b", "c"].into_iter().enumerate() {
+                if fields & (1 << bit) != 0 {
+                    xml.push_str(&format!("<{tag}>{}</{tag}>", words[(i + bit) % 3]));
+                }
+            }
+            if link && i > 0 {
+                xml.push_str(&format!(r#"<link ref="d{}"/>"#, i - 1));
+            }
+            xml.push_str("</doc>");
+            (format!("d{i}.xml"), xml)
+        })
+        .collect();
+    parse_collection(docs.iter().map(|(name, xml)| (name.as_str(), xml.as_str())))
+        .expect("corpus parses")
+}
+
+/// The cold join and the join over materialised lists answer alike — every
+/// counter included — and both rank like `search_naive`, at k = 1, 10 and
+/// 100 over two and three terms.  Returns the cold searches' sorted accesses
+/// and the naive ones' (every entry of every list) summed over the cases.
+fn assert_semi_joined_equivalent(engine: &SedaEngine) -> Result<(usize, usize), TestCaseError> {
+    let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
+    let unlimited = SearchLimits::unlimited();
+    let mut scratch = SearchScratch::new();
+    let (mut joined, mut naive) = (0, 0);
+    for text in ["(a, *) AND (b, *)", "(a, *) AND (b, *) AND (c, *)"] {
+        let terms = term_inputs(engine, text);
+        let materialized = searcher.materialize_terms(&terms);
+        let live: usize = (0..terms.len()).map(|i| materialized.list_len(i)).sum();
+        for k in [1usize, 10, 100] {
+            assert_equivalent_under_ties(engine, &terms, k)?;
+            let config = TopKConfig::with_k(k);
+            let cold = searcher.search(&terms, &config, &unlimited, &mut scratch);
+            let replayed =
+                searcher.search_materialized(&materialized, &config, &unlimited, &mut scratch);
+            prop_assert_eq!(&cold, &replayed, "{} k={}: materialised lists diverge", text, k);
+            prop_assert!(cold.0.stats.sorted_accesses <= live, "{} k={}", text, k);
+            joined += cold.0.stats.sorted_accesses;
+            naive += searcher.search_naive(&terms, &config, &mut scratch).stats.sorted_accesses;
+        }
+    }
+    Ok((joined, naive))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -142,6 +199,17 @@ proptest! {
             let terms = term_inputs(&engine, text);
             assert_equivalent_under_ties(&engine, &terms, k)?;
         }
+    }
+
+    /// Terms that meet in only some components, over one-document and
+    /// linked multi-document components: the semi-join drops the rest of
+    /// every list, and the answers are still exactly the oracle's.
+    #[test]
+    fn ta_matches_naive_where_terms_meet_in_some_components(
+        docs in proptest::collection::vec((0u8..8, any::<bool>()), 4..40),
+    ) {
+        let engine = engine(components_corpus(&docs));
+        assert_semi_joined_equivalent(&engine)?;
     }
 
     /// Mondial-like corpora: cross-document IDREF edges make the document
@@ -210,6 +278,64 @@ fn ta_matches_naive_on_fixed_small_workloads() {
         .execute(&SedaRequest::parse("TOPK 10 FOR (name, *) AND (population, *)").unwrap())
         .unwrap();
     assert_eq!(via_engine.top_k().unwrap().tuples, ta.tuples);
+}
+
+/// A fixed corpus where the terms meet in some components only — a chain
+/// of three linked documents, lone documents, and documents missing a term —
+/// answers like the oracle while reading fewer entries than it.
+#[test]
+fn the_semi_join_reads_fewer_entries_and_answers_alike() {
+    let docs = [
+        (0b111, false),
+        (0b001, true),
+        (0b110, true),
+        (0b011, false),
+        (0b101, false),
+        (0b111, false),
+        (0b100, false),
+        (0b010, false),
+    ];
+    let engine = engine(components_corpus(&docs));
+    assert!(engine.graph().doc_component_count() < docs.len(), "the chain is one component");
+    let (joined, naive) = assert_semi_joined_equivalent(&engine).unwrap();
+    assert!(joined < naive, "{joined} sorted accesses against the oracle's {naive}");
+}
+
+/// Terms that share no component answer empty without one sorted access,
+/// cold and over materialised lists alike.
+#[test]
+fn terms_that_share_no_component_answer_empty_with_no_sorted_access() {
+    // `a` and `b` never sit in one document, and no document links another.
+    let docs: Vec<(u8, bool)> =
+        (0..12).map(|i| (if i % 2 == 0 { 0b001 } else { 0b010 }, false)).collect();
+    let engine = engine(components_corpus(&docs));
+    let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
+    let terms = term_inputs(&engine, "(a, *) AND (b, *)");
+    assert!(terms.iter().all(|t| !engine
+        .node_index()
+        .evaluate_in_paths(&t.query, t.allowed_paths.as_deref().unwrap())
+        .is_empty()));
+    let materialized = searcher.materialize_terms(&terms);
+    assert_eq!((materialized.list_len(0), materialized.list_len(1)), (0, 0));
+    let unlimited = SearchLimits::unlimited();
+    for k in [1usize, 10, 100] {
+        let config = TopKConfig::with_k(k);
+        let (cold, breach) =
+            searcher.search(&terms, &config, &unlimited, &mut SearchScratch::new());
+        assert!(breach.is_none() && cold.tuples.is_empty(), "k={k}");
+        assert_eq!(cold.stats, SearchStats::default(), "k={k}: no entry is read");
+        let (replayed, _) = searcher.search_materialized(
+            &materialized,
+            &config,
+            &unlimited,
+            &mut SearchScratch::new(),
+        );
+        assert_eq!(replayed, cold, "k={k}");
+    }
+    let response = engine.reader().execute_text("TOPK 10 FOR (a, *) AND (b, *)").unwrap();
+    let result = response.top_k().expect("a top-k payload");
+    assert!(result.tuples.is_empty());
+    assert_eq!(response.profile.sorted_accesses, 0);
 }
 
 /// One term is ranked retrieval, and the one join answers it as such: it
