@@ -1,12 +1,13 @@
-//! CI perf smoke check: the nine gates of [`seda_bench`], measured on this
+//! CI perf smoke check: the ten gates of [`seda_bench`], measured on this
 //! machine against this build — no argument, no file, no environment variable.
 //!
 //! ```text
 //! cargo run --release -p seda-bench --bin perf_smoke
 //! ```
 //!
-//! Prints the nine measured ratios with their bounds and exits non-zero when
-//! any gate fails.  Absolute latencies are `benchmark/run.sh`'s business.
+//! Prints the nine measured ratios with their bounds, and the one count, and
+//! exits non-zero when any gate fails.  Absolute latencies are
+//! `benchmark/run.sh`'s business.
 
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -14,9 +15,9 @@ use std::process::ExitCode;
 use seda_bench::{
     cold_fill_verdict, cube_statement_verdict, generous_context, googlebase_engine,
     governance_verdict, index_build_verdict, index_bytes_verdict, interleaved_minima,
-    join_scaling_verdict, mondial_engine, pinned_pairs_verdict, prepared_over_cold_verdict,
-    term_inputs, twig_scan_verdict, twig_statement_verdict, BASE_ITEMS, BROAD_TOPK, CUBE_CLAUSE,
-    PAIR_QUERY, SCALED_ITEMS, SELECTIVE_TOPK, TWIG_PATH,
+    join_scaling_verdict, mondial_engine, one_search_per_round_verdict, pinned_pairs_verdict,
+    prepared_over_cold_verdict, term_inputs, twig_scan_verdict, twig_statement_verdict, BASE_ITEMS,
+    BROAD_TOPK, CUBE_CLAUSE, PAIR_QUERY, SCALED_ITEMS, SELECTIVE_QUERY, SELECTIVE_TOPK, TWIG_PATH,
 };
 use seda_core::{EngineConfig, RequestContext, SedaEngine, SedaReader, SedaRequest, SedaResponse};
 use seda_datagen::Dataset;
@@ -25,7 +26,7 @@ use seda_textindex::{terms, ContextIndex, CountStorage, NodeIndex, ReadModelByte
 use seda_topk::{SearchLimits, SearchScratch, TopKConfig, TopKSearcher};
 use seda_twigjoin::{evaluate_twig, TwigPattern};
 
-/// Measures the nine gates and prints each verdict; `Ok(false)` when any failed.
+/// Measures the ten gates and prints each verdict; `Ok(false)` when any failed.
 fn run() -> Result<bool, String> {
     let request = SedaRequest::parse(BROAD_TOPK).map_err(|e| e.to_string())?;
     let base_engine = googlebase_engine(BASE_ITEMS)?;
@@ -69,6 +70,7 @@ fn run() -> Result<bool, String> {
         },
     );
     let cold_fill = report(cold_fill_verdict(prepared_ms, (cold_ms, sorted_accesses)));
+    let one_search = report(one_search_per_round(&scaled_engine)?);
     let mondial = mondial_engine()?;
     let pinned_pairs = report(pinned_pairs(&mondial)?);
     let prepared_over_cold = report(prepared_over_cold(&mondial)?);
@@ -85,12 +87,35 @@ fn run() -> Result<bool, String> {
     Ok(scaling
         && governance
         && cold_fill
+        && one_search
         && pinned_pairs
         && prepared_over_cold
         && twig_scan
         && twig_statement
         && index_build
         && cube_statement)
+}
+
+/// The one-search-per-round gate: the explore round over [`SELECTIVE_QUERY`]
+/// — `TOPK 10`, `CONTEXTS`, `CONNECTIONS 10` — through one reader of `engine`,
+/// its sorted accesses summed, against one `TOPK 10` through a fresh reader.
+fn one_search_per_round(engine: &SedaEngine) -> Result<Result<String, String>, String> {
+    let sorted = |reader: &mut SedaReader<'_>, text: &str| {
+        reader.execute_text(text).map(|r| r.profile.sorted_accesses).map_err(|e| e.to_string())
+    };
+    let topk = format!("TOPK 10 FOR {SELECTIVE_QUERY}");
+    let round = [
+        topk.clone(),
+        format!("CONTEXTS FOR {SELECTIVE_QUERY}"),
+        format!("CONNECTIONS 10 FOR {SELECTIVE_QUERY}"),
+    ];
+    let mut reader = engine.reader();
+    let mut round_sorted = 0;
+    for text in &round {
+        round_sorted += sorted(&mut reader, text)?;
+    }
+    let topk_sorted = sorted(&mut engine.reader(), &topk)?;
+    Ok(one_search_per_round_verdict(topk_sorted, round_sorted))
 }
 
 /// The cube-statement gate: the `CUBE` and the `RESULTS` statement over

@@ -2,7 +2,7 @@
 //!
 //! What only this crate checks.  Every latency, throughput and memory number
 //! comes from the paper-scale harness under `benchmark/` (see
-//! `benchmark/README.md`); this crate keeps the `audit` binary and the nine
+//! `benchmark/README.md`); this crate keeps the `audit` binary and the ten
 //! gates of `perf_smoke`, which compare the engine against itself within one
 //! process and so need no committed baseline:
 //!
@@ -17,6 +17,11 @@
 //!   what it returns, not a walk over the index; and its join makes at most
 //!   [`SELECTIVE_SORTED_CEILING`] sorted accesses: it reads only the entries
 //!   of components where every term meets;
+//! * **one search per explore round** — the explore round over
+//!   [`SELECTIVE_QUERY`] — `TOPK 10`, `CONTEXTS`, `CONNECTIONS 10` through one
+//!   reader — makes exactly the sorted accesses of one `TOPK 10`: the
+//!   `CONNECTIONS` takes the search its `TOPK` just ran.  A deterministic
+//!   count, no timing;
 //! * **pinned pairs** — the selective two-term Mondial search through the
 //!   Threshold-Algorithm join costs at most [`PINNED_PAIRS_BOUND`]× the same
 //!   terms through `search_naive`, which scores the same pairs one-to-one:
@@ -70,6 +75,10 @@ pub const BROAD_TOPK: &str = "TOPK 10 FOR (title, model) AND (price, *) AND (con
 /// prepared one is term evaluation.
 pub const SELECTIVE_TOPK: &str =
     r#"TOPK 10 FOR (title, "laptops") AND (price, *) AND (condition, new)"#;
+
+/// The `FOR` clause of [`SELECTIVE_TOPK`]: the query of the
+/// one-search-per-round gate's explore round.
+pub const SELECTIVE_QUERY: &str = r#"(title, "laptops") AND (price, *) AND (condition, new)"#;
 
 /// The query of the pinned-pairs gate, on the paper-scale Mondial corpus: one
 /// country's names (the country, its provinces and cities: 23 nodes) against
@@ -348,6 +357,23 @@ pub fn cold_fill_verdict(
     }
 }
 
+/// The one-search-per-round gate over the sorted accesses of one `TOPK` and
+/// of the whole explore round over the same query: equal, and not zero.
+pub fn one_search_per_round_verdict(
+    topk_sorted: usize,
+    round_sorted: usize,
+) -> Result<String, String> {
+    let line = format!(
+        "one search per explore round: {round_sorted} sorted accesses in the round, \
+         {topk_sorted} in one TOPK"
+    );
+    if topk_sorted > 0 && round_sorted == topk_sorted {
+        Ok(line)
+    } else {
+        Err(line)
+    }
+}
+
 /// The pinned-pairs gate over one query's `search_naive` and join times.
 pub fn pinned_pairs_verdict(naive_ms: f64, join_ms: f64) -> Result<String, String> {
     bounded_ratio("pinned pairs over one-to-one", naive_ms, join_ms, PINNED_PAIRS_BOUND)
@@ -452,6 +478,21 @@ mod tests {
         assert!(failure.starts_with("cold over prepared 1.296x"), "{failure}");
         assert!(failure.ends_with("; 11642 sorted accesses (allowed 3866)"), "{failure}");
         assert!(cold_fill_verdict(0.483, (0.626, SELECTIVE_SORTED_CEILING)).is_ok());
+    }
+
+    #[test]
+    fn one_search_per_round_fails_on_a_search_per_statement_and_passes_on_one() {
+        assert_eq!(SELECTIVE_TOPK, format!("TOPK 10 FOR {SELECTIVE_QUERY}"));
+        // The round as it was: the `CONNECTIONS` searched again.
+        let failure = one_search_per_round_verdict(1_284, 2_568).unwrap_err();
+        assert_eq!(
+            failure,
+            "one search per explore round: 2568 sorted accesses in the round, 1284 in one TOPK"
+        );
+        let pass = one_search_per_round_verdict(1_284, 1_284).unwrap();
+        assert!(pass.starts_with("one search per explore round: 1284"), "{pass}");
+        // A round that searched nothing shows nothing.
+        assert!(one_search_per_round_verdict(0, 0).is_err());
     }
 
     #[test]

@@ -26,7 +26,10 @@
 //!   reached only through [`crate::SedaReader`] and runs inside its
 //!   boundary, so a panic here is contained like one in execution;
 //! * `"mid-search"` — inside the engine's one search function, before the
-//!   Threshold-Algorithm loop runs.
+//!   Threshold-Algorithm loop runs.  It fires only when a search runs: a
+//!   `TOPK` or `CONNECTIONS` that takes the search the other statement of its
+//!   pair just ran on the same reader reaches no search and leaves the site
+//!   armed (a repeated statement always searches).
 //!
 //! Sites on `Result` paths surface `FaultAction::Error` as
 //! [`crate::SedaError::Internal`] directly; the site on an infallible path

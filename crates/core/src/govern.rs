@@ -259,6 +259,17 @@ impl RequestContext {
         (spent > max).then_some(LimitBreach { resource: "label probes", spent, budget: max })
     }
 
+    /// True when the budget caps any work counter: sorted or random
+    /// accesses, candidates or label probes.  The deadline and `max_rows`
+    /// are no work ceilings.
+    pub(crate) fn has_work_ceiling(&self) -> bool {
+        let b = &self.budget;
+        b.max_sorted_accesses.is_some()
+            || b.max_random_accesses.is_some()
+            || b.max_candidates.is_some()
+            || b.max_label_probes.is_some()
+    }
+
     /// The [`SearchLimits`] to hand the Threshold-Algorithm searcher.
     pub(crate) fn search_limits(&self) -> SearchLimits {
         SearchLimits {
@@ -355,5 +366,19 @@ mod tests {
         assert_eq!(limits.max_label_probes, Some(30));
         assert!(limits.cancel.is_some());
         assert!(RequestContext::unlimited().search_limits().is_unlimited());
+    }
+
+    #[test]
+    fn only_the_four_work_counters_are_work_ceilings() {
+        let ceiling = |budget: Budget| RequestContext::new(budget).has_work_ceiling();
+        assert!(!ceiling(Budget::unlimited()));
+        assert!(!ceiling(Budget::unlimited().with_deadline(Duration::ZERO).with_max_rows(1)));
+        assert!(!RequestContext::unlimited()
+            .with_cancel_token(CancelToken::new())
+            .has_work_ceiling());
+        assert!(ceiling(Budget::unlimited().with_max_sorted_accesses(1)));
+        assert!(ceiling(Budget::unlimited().with_max_random_accesses(1)));
+        assert!(ceiling(Budget::unlimited().with_max_candidates(1)));
+        assert!(ceiling(Budget::unlimited().with_max_label_probes(1)));
     }
 }

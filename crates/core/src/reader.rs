@@ -7,6 +7,21 @@
 //! threads holding N readers serve queries fully in parallel — the engine
 //! itself holds no query-time mutable state besides its atomic metrics.
 //!
+//! A reader also keeps its last search, so that a `TOPK` / `CONNECTIONS`
+//! pair over one `FOR` clause — the paper's explore round, where the
+//! connection summary is computed from the top-k tuples — runs one search.
+//! The second statement of the pair takes the first one's answer, at most
+//! once, when it is the *other* statement, from the same source (a cold
+//! request or a prepared statement's lists), over equal term inputs and
+//! search config; the recorded search ended without a breach; and the
+//! request sets no work ceiling and its deadline has not run out.  Any other
+//! search runs and replaces the entry; a contained panic clears it.  A
+//! repeated statement never reuses (the caller asked again), cold and
+//! prepared never answer each other, and under a work ceiling every outcome
+//! is a fresh reader's.  A reused answer is the recorded `TopKResult`
+//! unchanged, so its payload is byte-identical to a fresh search's; the
+//! state lives in the reader, not the engine.
+//!
 //! Every request — text, [`SedaRequest`], [`PreparedStatement`] or a
 //! [`crate::SedaSession`] stage — is planned, run by the one statement
 //! executor, traced and counted once.  The reader is the only way to the
@@ -33,7 +48,7 @@
 
 use seda_olap::{aggregate, CubeQuery, FactTable, QueryResultTable};
 use seda_topk::{
-    LimitBreach, MaterializedTerms, SearchScratch, SearchStats, TopKConfig, TopKResult,
+    LimitBreach, MaterializedTerms, SearchScratch, SearchStats, TermInput, TopKConfig, TopKResult,
 };
 
 use crate::engine::{catch_internal, GovernedTable, SedaEngine};
@@ -121,6 +136,39 @@ pub struct SedaReader<'e> {
     /// branch); enabled via [`SedaReader::set_tracing`] or, for a single
     /// request, by `EXPLAIN ANALYZE`.
     tracer: Tracer,
+    /// The reader's last breach-free search, until the next search takes
+    /// or replaces it.
+    last_search: Option<LastSearch>,
+}
+
+/// One search a reader ran, kept for the other statement of its
+/// `TOPK` / `CONNECTIONS` pair.
+struct LastSearch {
+    /// True when a `CONNECTIONS` ran it, false for a `TOPK`.
+    by_connections: bool,
+    /// True when it read a prepared statement's lists.
+    prepared: bool,
+    terms: Vec<TermInput>,
+    config: TopKConfig,
+    result: TopKResult,
+}
+
+impl LastSearch {
+    /// True when this search answers the other statement of its pair, from
+    /// the same source, over equal term inputs and config.  A repeat of the
+    /// same statement never takes it: the caller asked again.
+    fn answers(
+        &self,
+        by_connections: bool,
+        prepared: bool,
+        terms: &[TermInput],
+        config: &TopKConfig,
+    ) -> bool {
+        self.by_connections != by_connections
+            && self.prepared == prepared
+            && self.config == *config
+            && self.terms == terms
+    }
 }
 
 impl SedaEngine {
@@ -130,7 +178,12 @@ impl SedaEngine {
     /// never contend: each owns its scratch, so one reader per thread serves
     /// concurrent queries without blocking.
     pub fn reader(&self) -> SedaReader<'_> {
-        SedaReader { engine: self, scratch: SearchScratch::new(), tracer: Tracer::disabled() }
+        SedaReader {
+            engine: self,
+            scratch: SearchScratch::new(),
+            tracer: Tracer::disabled(),
+            last_search: None,
+        }
     }
 
     /// Plans and executes a batch of requests, fanning them across a pool of
@@ -265,8 +318,10 @@ impl<'e> SedaReader<'e> {
         let outcome = catch_internal(|| run(self));
         if matches!(outcome, Err(SedaError::Internal(_))) {
             // A contained panic may have left this reader's scratch buffers
-            // mid-update; rebuild them so the next query starts clean.
+            // mid-update; rebuild them so the next query starts clean, and
+            // forget the last search with them.
             self.scratch = SearchScratch::new();
+            self.last_search = None;
         }
         if outcome.is_err() {
             // Spans left open by the failed request (including an unwound
@@ -333,6 +388,11 @@ impl<'e> SedaReader<'e> {
     /// the statement's `k` over the plan's term inputs (or a prepared
     /// statement's `materialized` lists), its counters absorbed into
     /// `profile` and a breach resolved against the request's policy.
+    ///
+    /// Under the module doc's reuse rule the last search's answer is taken
+    /// instead: the profile then counts no search work but keeps the
+    /// answer's `candidates_truncated` and `early_terminated`.  A search that
+    /// runs leaves its answer behind, unless it breached.
     fn run_search(
         &mut self,
         plan: &QueryPlan,
@@ -341,11 +401,27 @@ impl<'e> SedaReader<'e> {
         profile: &mut ExecProfile,
         materialized: Option<&MaterializedTerms>,
     ) -> Result<TopKResult, SedaError> {
+        let by_connections = matches!(plan.statement, Statement::ConnectionSummary { .. });
+        let prepared = materialized.is_some();
+        let config = TopKConfig { k, ..plan.topk.clone() };
+        if let Some(last) = self.last_search.take().filter(|last| {
+            last.answers(by_connections, prepared, &plan.term_inputs, &config)
+                && !ctx.has_work_ceiling()
+                && ctx.deadline_breach().is_none()
+        }) {
+            let s = self.tracer.enter(span::SEARCH_REUSED);
+            let result = last.result;
+            profile.candidates_truncated += result.stats.candidates_truncated;
+            profile.early_terminated |= result.stats.early_terminated;
+            let counters = SpanCounters { rows: result.tuples.len(), ..SpanCounters::default() };
+            self.tracer.exit_with(s, counters);
+            return Ok(result);
+        }
         let s = self.tracer.enter(span::SEARCH);
         let before = profile.clone();
         let (result, breach) = self.engine.search(
             &plan.term_inputs,
-            &TopKConfig { k, ..plan.topk.clone() },
+            &config,
             &ctx.search_limits(),
             &mut self.scratch,
             materialized,
@@ -354,6 +430,15 @@ impl<'e> SedaReader<'e> {
         let mut counters = SpanCounters::delta(&before, profile);
         counters.rows = result.tuples.len();
         self.tracer.exit_with(s, counters);
+        if breach.is_none() {
+            self.last_search = Some(LastSearch {
+                by_connections,
+                prepared,
+                terms: plan.term_inputs.clone(),
+                config,
+                result: result.clone(),
+            });
+        }
         resolve_breach(breach, ctx, profile)?;
         Ok(result)
     }

@@ -13,6 +13,14 @@ use crate::summaries::{ConnectionSummary, ContextSummary};
 use crate::trace::SpanRecord;
 
 /// Unified work counters and wall time of one request → response trip.
+///
+/// The counters describe the work this request did.  A `TOPK` or
+/// `CONNECTIONS` that took the search the other statement of its pair just
+/// ran on the same reader (see [`crate::SedaReader`]) did no search: its
+/// profile counts no sorted or random access, no scored or disconnected
+/// tuple and no search label probe (a `CONNECTIONS` still counts its
+/// discovery's), while `candidates_truncated` and `early_terminated`, which
+/// describe the answer, are the reused search's.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecProfile {
     /// Seconds spent planning (validation + context resolution).

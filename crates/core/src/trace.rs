@@ -43,6 +43,10 @@ pub mod span {
     /// Threshold-Algorithm top-k search (sorted/random access batches and
     /// oracle probes happen inside; their counters land in the span delta).
     pub const SEARCH: &str = "search";
+    /// A `TOPK` or `CONNECTIONS` answered from the search the other
+    /// statement of the pair just ran on the same reader, in place of a
+    /// `search` span: `rows` set, no work counters.
+    pub const SEARCH_REUSED: &str = "search-reused";
     /// Context-summary bucket generation.
     pub const CONTEXT_SUMMARY: &str = "context-summary";
     /// Pairwise connection discovery over a top-k result.

@@ -5,7 +5,7 @@
 //! statement's plain `EXPLAIN` transcript is pinned byte for byte on the
 //! small Factbook and Mondial corpora.
 
-use seda_core::{EngineConfig, ResponsePayload, SedaEngine, SedaRequest, SedaResponse};
+use seda_core::{EngineConfig, ResponsePayload, SedaEngine, SedaReader, SedaRequest, SedaResponse};
 use seda_datagen::{factbook, mondial, FactbookConfig, MondialConfig};
 use seda_olap::Registry;
 use seda_xmlstore::parse_collection;
@@ -87,6 +87,47 @@ fn connections_analyze_annotates_search_and_discovery() {
     assert!(transcript.contains("plan: CONNECTIONS"), "{transcript}");
     assert!(transcript.contains("[search]"), "{transcript}");
     assert!(transcript.contains("[discover-connections]"), "{transcript}");
+}
+
+/// An `EXPLAIN ANALYZE CONNECTIONS` sent after a `TOPK` over the same terms
+/// on one reader takes that `TOPK`'s search: its span tree shows
+/// `search-reused` with the tuples as rows and no counters, and no `search`.
+/// The plain `EXPLAIN` reads the same before and after the `TOPK`: the plan
+/// says nothing of reuse.
+#[test]
+fn connections_analyze_after_topk_shows_the_reused_search() {
+    let e = engine();
+    let mut reader = e.reader();
+    let explain = format!("EXPLAIN CONNECTIONS 5 FOR {QUERY}");
+    let plan = |reader: &mut SedaReader<'_>| {
+        let response = reader.execute_text(&explain).unwrap();
+        response.explain_transcript().unwrap().to_string()
+    };
+    let before = plan(&mut reader);
+    assert!(!before.contains("reuse"), "{before}");
+    let fresh = e.reader().execute_text(&format!("TOPK 5 FOR {QUERY}")).unwrap();
+    let topk = reader.execute_text(&format!("TOPK 5 FOR {QUERY}")).unwrap();
+    assert_eq!(topk.payload, fresh.payload);
+    assert_eq!(
+        plan(&mut reader),
+        before,
+        "a plain EXPLAIN is a pure function of engine and request"
+    );
+
+    let response = reader.execute_text(&format!("EXPLAIN ANALYZE CONNECTIONS 5 FOR {QUERY}"));
+    let response = response.unwrap();
+    let transcript = response.explain_transcript().unwrap();
+    assert!(transcript.starts_with(&before), "{transcript}");
+    assert!(!transcript.contains("[search]"), "{transcript}");
+    assert!(transcript.contains("[discover-connections]"), "{transcript}");
+    let reused = transcript.lines().find(|line| line.contains("[search-reused]"));
+    let reused = reused.unwrap_or_else(|| panic!("no search-reused span: {transcript}"));
+    let tuples = topk.top_k().unwrap().tuples.len();
+    assert!(reused.trim_end().ends_with(&format!("rows={tuples}")), "{reused}");
+    for counter in ["sorted=", "random=", "scored=", "probes="] {
+        assert!(!reused.contains(counter), "{reused}");
+    }
+    assert_eq!(response.profile.sorted_accesses, 0);
 }
 
 #[test]

@@ -157,12 +157,21 @@ fn connection_discovery_counts_and_budgets_its_label_probes() {
     };
 
     let searched = reader.execute(&topk).expect("TOPK").profile.label_probes;
-    let full = reader.execute(&connections).expect("CONNECTIONS");
+    // A fresh reader searches: the `CONNECTIONS` sent next on `reader` takes
+    // the `TOPK`'s answer and spends only its discovery's probes.
+    let mut fresh = engine.reader();
+    fresh.set_tracing(true);
+    let full = fresh.execute(&connections).expect("CONNECTIONS");
     assert!(!full.connections().expect("connection payload").is_empty());
     let discovered = span_probes(&full, "discover-connections");
     assert!(discovered > 0, "path descents probe the labels");
     assert_eq!(span_probes(&full, "search"), searched);
     assert_eq!(full.profile.label_probes, searched + discovered);
+    let reused = reader.execute(&connections).expect("CONNECTIONS after TOPK");
+    assert_eq!(reused.payload, full.payload);
+    assert_eq!(span_probes(&reused, "search-reused"), 0);
+    assert_eq!(span_probes(&reused, "discover-connections"), discovered);
+    assert_eq!(reused.profile.label_probes, discovered);
 
     // A ceiling the search alone fits under, discovery included does not.
     let budget = || Budget::unlimited().with_max_label_probes(searched);
