@@ -1,38 +1,6 @@
 //! The SEDA execution engine (Fig. 4): top-k search unit, context summary
 //! generator, connection summary generator, complete result set generator and
 //! data cube processor, built over the storage and indexing substrates.
-//!
-//! # Build
-//!
-//! Each index substrate has one build: a single pass over the collection in
-//! document order (`NodeIndex::build`, `DataGraph::build`,
-//! `ContextIndex::build`).  Text is tokenised once, by the node index; the
-//! context index tokenises only the tag names of the path table and reads
-//! text keywords' contexts from the node index's term → paths table when
-//! asked.  [`SedaEngine::build`] runs them on one thread or two, on one
-//! schedule: each phase is a fork of two tasks (`crate::parallel::fork`),
-//! the second on a scoped second thread at two threads and after the first,
-//! inline, at one.  The phases and their second tasks:
-//!
-//! - the parse ([`SedaEngine::build_from_sources`] only): the source list is
-//!   cut — at the byte midpoint of the XML text at two threads, after its
-//!   last document at one — and the tail is parsed into a collection of its
-//!   own and appended to the head's ([`Collection::append`]: names, paths
-//!   and document ids renumbered as one parse would have numbered them);
-//! - the substrate builds: the node index — the largest build — while the
-//!   first task builds the data graph and then the context index.  The graph
-//!   stays on the calling thread, so its document components count on
-//!   `seda_datagraph::doc_component_builds_on_this_thread` there;
-//! - the post-build audit: the node index's, while the first task audits
-//!   the collection, the context index, the data graph and the metrics.
-//!
-//! No index is sharded or merged.  The engine is identical at either thread
-//! count, and so is every code path but the cut; the parse, each build and
-//! the post-build audit leave one `build:*` span in the [`BuildProfile`].
-//!
-//! The engine keeps no dataguides: no statement, summary or plan reads them
-//! (connection summaries come from the top-k instances, Sec. 6.1), so Table 1
-//! is derived when asked for ([`SedaEngine::dataguide_stats`]).
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -103,7 +71,7 @@ pub struct EngineConfig {
     /// the calling thread; `2` or more (`0` resolves to the machine's
     /// available parallelism) runs the second task of each build phase — the
     /// second half of the parse, the node index's build and the node index's
-    /// audit — on a second thread (see the [module docs](crate::engine)).
+    /// audit — on a second thread (see the build notes on [`SedaEngine`]).
     /// No build uses more than two, and both run the same code but for the
     /// parse's cut.  The build output is identical for every setting.
     pub parallelism: usize,
@@ -147,7 +115,7 @@ pub struct BuildProfile {
     /// only), one span per substrate build and one for the post-build
     /// structural audit ([`SedaEngine::verify`]), named by the `BUILD_*`
     /// constants of [`crate::trace::span`] and recorded by the build-path
-    /// [`crate::Tracer`].
+    /// tracer.
     pub spans: Vec<SpanRecord>,
 }
 
@@ -193,6 +161,38 @@ static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// The SEDA engine: owns the collection, every index and the fact/dimension
 /// registry.
+///
+/// # Build
+///
+/// Each index substrate has one build: a single pass over the collection in
+/// document order (`NodeIndex::build`, `DataGraph::build`,
+/// `ContextIndex::build`).  Text is tokenised once, by the node index; the
+/// context index tokenises only the tag names of the path table and reads
+/// text keywords' contexts from the node index's term → paths table when
+/// asked.  [`SedaEngine::build`] runs them on one thread or two, on one
+/// schedule: each phase is a fork of two tasks (`crate::parallel::fork`),
+/// the second on a scoped second thread at two threads and after the first,
+/// inline, at one.  The phases and their second tasks:
+///
+/// - the parse ([`SedaEngine::build_from_sources`] only): the source list is
+///   cut — at the byte midpoint of the XML text at two threads, after its
+///   last document at one — and the tail is parsed into a collection of its
+///   own and appended to the head's ([`Collection::append`]: names, paths
+///   and document ids renumbered as one parse would have numbered them);
+/// - the substrate builds: the node index — the largest build — while the
+///   first task builds the data graph and then the context index.  The graph
+///   stays on the calling thread, so its document components count on
+///   `seda_datagraph::doc_component_builds_on_this_thread` there;
+/// - the post-build audit: the node index's, while the first task audits
+///   the collection, the context index, the data graph and the metrics.
+///
+/// No index is sharded or merged.  The engine is identical at either thread
+/// count, and so is every code path but the cut; the parse, each build and
+/// the post-build audit leave one `build:*` span in the [`BuildProfile`].
+///
+/// The engine keeps no dataguides: no statement, summary or plan reads them
+/// (connection summaries come from the top-k instances, Sec. 6.1), so Table 1
+/// is derived when asked for ([`SedaEngine::dataguide_stats`]).
 pub struct SedaEngine {
     /// Process-unique id of this build, stamped into every plan it lowers:
     /// plans and prepared statements carry this engine's path and node ids,
@@ -241,7 +241,7 @@ impl SedaEngine {
     /// two threads the cut is the byte midpoint of the XML text and the tail
     /// is parsed on a scoped second thread; at one it is the end of the list,
     /// so the tail is empty.  Either way the collection is the one
-    /// [`parse_collection`] gives.  The parse is the [`span::BUILD_PARSE`]
+    /// [`parse_collection`] gives.  The parse is the `build:parse`
     /// span, first in the [`BuildProfile`], and [`BuildProfile::total_secs`]
     /// covers it.
     ///
@@ -402,7 +402,7 @@ impl SedaEngine {
     }
 
     /// The engine-wide metrics registry: counters and latency histograms
-    /// recorded by every request (see [`crate::metrics`]).
+    /// recorded by every request (see [`MetricsRegistry`]).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
@@ -1205,7 +1205,9 @@ mod tests {
             .paths()
             .get_str(c.symbols(), "/country/economy/import_partners/item/percentage")
             .unwrap();
-        assert!(!connections.between(tc, pct).is_empty());
+        assert!(connections.connections.iter().any(|c| {
+            (c.from_path, c.to_path) == (tc, pct) || (c.from_path, c.to_path) == (pct, tc)
+        }));
     }
 
     #[test]

@@ -18,8 +18,8 @@ use crate::session::SessionStage;
 /// Everything that can go wrong on the SEDA query path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SedaError {
-    /// The request text does not follow the grammar of [`crate::grammar`];
-    /// the message says what was expected and at which byte.
+    /// The request text does not follow the request grammar (its EBNF is in
+    /// the README); the message says what was expected and at which byte.
     Parse(String),
     /// A twig path expression failed to compile.
     Twig(TwigParseError),

@@ -145,7 +145,7 @@ impl CancelToken {
     }
 
     /// True once [`CancelToken::cancel`] has been called.
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Relaxed)
     }
 
@@ -197,17 +197,12 @@ impl RequestContext {
     }
 
     /// True when the caller opted into degraded (partial-prefix) responses.
-    pub fn degraded_allowed(&self) -> bool {
+    pub(crate) fn degraded_allowed(&self) -> bool {
         self.degraded_ok
     }
 
-    /// The instant the deadline counts from.
-    pub fn started(&self) -> Instant {
-        self.started
-    }
-
     /// True once the attached token (if any) has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.cancel.as_ref().map(CancelToken::is_cancelled).unwrap_or(false)
     }
 
@@ -365,7 +360,12 @@ mod tests {
         assert_eq!(limits.max_tuples_scored, Some(20));
         assert_eq!(limits.max_label_probes, Some(30));
         assert!(limits.cancel.is_some());
-        assert!(RequestContext::unlimited().search_limits().is_unlimited());
+        let none = RequestContext::unlimited().search_limits();
+        assert!(none.deadline.is_none() && none.cancel.is_none());
+        assert_eq!(none.max_sorted_accesses, None);
+        assert_eq!(none.max_random_accesses, None);
+        assert_eq!(none.max_tuples_scored, None);
+        assert_eq!(none.max_label_probes, None);
     }
 
     #[test]

@@ -64,22 +64,22 @@
 //! assert!(build.schema.fact("import-trade-percentage").is_some());
 //! ```
 
-pub mod audit;
-pub mod engine;
-pub mod error;
+mod audit;
+mod engine;
+mod error;
 pub mod faults;
-pub mod govern;
-pub mod grammar;
-pub mod metrics;
+mod govern;
+mod grammar;
+mod metrics;
 pub(crate) mod parallel;
 mod plan;
-pub mod prepared;
-pub mod query;
-pub mod reader;
-pub mod request;
-pub mod response;
-pub mod session;
-pub mod summaries;
+mod prepared;
+mod query;
+mod reader;
+mod request;
+mod response;
+mod session;
+mod summaries;
 pub mod trace;
 
 pub use audit::verify_exec_profile;
@@ -94,7 +94,7 @@ pub use request::{RequestBuilder, SedaRequest, Statement};
 pub use response::{ExecProfile, ResponsePayload, SedaResponse};
 pub use session::{SedaSession, SessionStage};
 pub use summaries::{ConnectionSummary, ContextBucket, ContextSelections, ContextSummary};
-pub use trace::{SpanCounters, SpanRecord, Tracer};
+pub use trace::{SpanCounters, SpanRecord};
 
 #[cfg(test)]
 mod proptests {

@@ -53,6 +53,7 @@ const BUCKETS: usize = LINEAR_BUCKETS + OCTAVES * SUB_BUCKETS;
 /// exact count/sum/min/max.  Quantiles are bucket upper bounds clamped to the
 /// observed `[min, max]`, so the relative error stays within one sub-bucket
 /// (≤ 12.5 %).
+// surface: type in a public signature (`MetricsRegistry::latency`)
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -105,7 +106,7 @@ impl Histogram {
     }
 
     /// Records one value (microseconds).
-    pub fn observe_micros(&self, v: u64) {
+    fn observe_micros(&self, v: u64) {
         self.buckets[ladder_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -114,7 +115,7 @@ impl Histogram {
     }
 
     /// Records one value given in seconds (clamped at zero).
-    pub fn observe_secs(&self, secs: f64) {
+    fn observe_secs(&self, secs: f64) {
         self.observe_micros((secs.max(0.0) * 1e6) as u64);
     }
 
@@ -124,24 +125,24 @@ impl Histogram {
     }
 
     /// Sum of recorded values (microseconds).
-    pub fn sum_micros(&self) -> u64 {
+    fn sum_micros(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Smallest recorded value, `None` when empty.
-    pub fn min_micros(&self) -> Option<u64> {
+    fn min_micros(&self) -> Option<u64> {
         (self.count() > 0).then(|| self.min.load(Ordering::Relaxed))
     }
 
     /// Largest recorded value, `None` when empty.
-    pub fn max_micros(&self) -> Option<u64> {
+    fn max_micros(&self) -> Option<u64> {
         (self.count() > 0).then(|| self.max.load(Ordering::Relaxed))
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) in microseconds: the upper bound of the
     /// bucket the cumulative count crosses `⌈q·count⌉` in, clamped to the
     /// observed `[min, max]`.  Returns 0 for an empty histogram.
-    pub fn quantile_micros(&self, q: f64) -> u64 {
+    fn quantile_micros(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
             return 0;
@@ -236,6 +237,7 @@ struct StatementMetrics {
 
 /// The engine-wide metrics record: per statement kind and engine-wide
 /// counters plus per-kind latency histograms, all atomically updated.
+// surface: type in a public signature (`SedaEngine::metrics`)
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     /// One slot per statement kind, indexed by `Statement::kind`.
@@ -297,11 +299,6 @@ impl MetricsRegistry {
         load(&self.statements[statement.kind()].requests)
     }
 
-    /// Rows returned by successful requests of `statement`'s kind.
-    pub fn rows_returned(&self, statement: &Statement) -> u64 {
-        load(&self.statements[statement.kind()].rows_returned)
-    }
-
     /// End-to-end latency of the successful requests of `statement`'s kind.
     pub fn latency(&self, statement: &Statement) -> &Histogram {
         &self.statements[statement.kind()].latency
@@ -315,16 +312,6 @@ impl MetricsRegistry {
     /// Budget ceilings hit ([`SedaError::Limit`] surfaced).
     pub fn budget_breaches(&self) -> u64 {
         load(&self.budget_breaches)
-    }
-
-    /// Requests answered with a degraded (partial-prefix) payload.
-    pub fn degraded_responses(&self) -> u64 {
-        load(&self.degraded_responses)
-    }
-
-    /// Requests stopped by a [`crate::CancelToken`].
-    pub fn cancellations(&self) -> u64 {
-        load(&self.cancellations)
     }
 
     /// Panics contained into [`SedaError::Internal`].
@@ -365,7 +352,7 @@ impl MetricsRegistry {
     /// Renders the whole record as deterministic JSON: entries sorted by
     /// `(name, label)`, histograms summarised as count/sum/min/max and the
     /// p50/p95/p99 quantiles (all in integer microseconds).
-    pub fn snapshot(&self) -> String {
+    fn snapshot(&self) -> String {
         let mut counters = self.counters();
         counters.sort();
         let mut histograms: Vec<_> = self.histograms().collect();
@@ -474,16 +461,24 @@ mod tests {
         m.record(&twig, &Err(SedaError::Limit { resource: "rows", spent: 2, budget: 1 }));
         m.record_unparsed();
         assert_eq!(
-            (m.requests(&topk), m.rows_returned(&topk), m.latency(&topk).count()),
+            (
+                m.requests(&topk),
+                load(&m.statements[topk.kind()].rows_returned),
+                m.latency(&topk).count()
+            ),
             (3, 7, 2)
         );
         assert_eq!(
-            (m.requests(&twig), m.rows_returned(&twig), m.latency(&twig).count()),
+            (
+                m.requests(&twig),
+                load(&m.statements[twig.kind()].rows_returned),
+                m.latency(&twig).count()
+            ),
             (1, 0, 0)
         );
         assert_eq!(m.requests(&statement("CONTEXTS FOR (a, *)")), 0);
-        assert_eq!((m.request_errors(), m.budget_breaches(), m.cancellations()), (3, 1, 1));
-        assert_eq!((m.degraded_responses(), m.panics_contained()), (1, 0));
+        assert_eq!((m.request_errors(), m.budget_breaches(), load(&m.cancellations)), (3, 1, 1));
+        assert_eq!((load(&m.degraded_responses), m.panics_contained()), (1, 0));
         m.verify().unwrap();
     }
 

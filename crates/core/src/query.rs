@@ -85,7 +85,7 @@ impl ContextSpec {
     }
 
     /// True when the spec places no restriction at all.
-    pub fn is_any(&self) -> bool {
+    fn is_any(&self) -> bool {
         matches!(self, ContextSpec::Any)
     }
 
@@ -242,7 +242,7 @@ impl SedaQuery {
     }
 
     /// Parses the paper-style notation `(context, search) AND …` (the
-    /// `query` rule of [`crate::grammar`]).
+    /// `query` rule of the request grammar).
     pub fn parse(input: &str) -> Result<Self, SedaError> {
         crate::grammar::parse_query(input)
     }

@@ -190,6 +190,13 @@ impl SedaEngine {
     /// reader handles (`parallelism` as in [`crate::EngineConfig`]: `0` =
     /// auto, `1` = inline, `n` = `n` workers).  Results are returned in
     /// request order; each request fails or succeeds independently.
+    ///
+    /// Each worker's reader keeps its last search, so whether a `CONNECTIONS`
+    /// reuses its `TOPK`'s search depends on which worker takes it.  One
+    /// batch's [`ExecProfile`] counters may therefore differ from run to run;
+    /// its payloads do not.  Payload identity with sequential execution is
+    /// pinned by `tests/reader_concurrency.rs` and this module's
+    /// `execute_batch_matches_sequential_execution` test.
     pub fn execute_batch(
         &self,
         requests: &[SedaRequest],

@@ -147,7 +147,7 @@ impl SedaRequest {
         RequestBuilder::default()
     }
 
-    /// Parses request text (the grammar is [`crate::grammar`]'s).
+    /// Parses request text (the request grammar's `request` rule).
     pub fn parse(text: &str) -> Result<Self, SedaError> {
         crate::grammar::parse_request(text)
     }

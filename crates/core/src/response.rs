@@ -52,14 +52,14 @@ pub struct ExecProfile {
     /// the breach, not the full answer.
     pub degraded: bool,
     /// Per-stage span breakdown of the execution, recorded when the reader's
-    /// [`crate::Tracer`] is enabled (always on for `EXPLAIN ANALYZE`);
+    /// tracer is enabled (always on for `EXPLAIN ANALYZE`);
     /// empty otherwise.
     pub spans: Vec<SpanRecord>,
 }
 
 impl ExecProfile {
     /// Folds the counters of one search into the profile.
-    pub fn absorb(&mut self, stats: &SearchStats) {
+    pub(crate) fn absorb(&mut self, stats: &SearchStats) {
         self.sorted_accesses += stats.sorted_accesses;
         self.random_accesses += stats.random_accesses;
         self.tuples_scored += stats.tuples_scored;

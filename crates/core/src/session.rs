@@ -290,7 +290,7 @@ impl<'a> SedaSession<'a> {
     }
 
     /// The derived star schema.
-    pub fn star_schema(&self) -> Result<&StarSchemaBuild, SedaError> {
+    fn star_schema(&self) -> Result<&StarSchemaBuild, SedaError> {
         self.star_schema
             .as_ref()
             .ok_or_else(|| self.stage_error("star_schema", "a derived star schema"))

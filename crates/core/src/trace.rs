@@ -1,6 +1,6 @@
 //! Hierarchical span tracing of the request and build lifecycles.
 //!
-//! A [`Tracer`] is a lightweight per-owner span recorder: the reader path
+//! A `Tracer` is a lightweight per-owner span recorder: the reader path
 //! owns one per [`crate::SedaReader`] (so tracing never contends across
 //! threads) and the build path runs one per [`crate::SedaEngine::build`].
 //! Spans are entered and exited around the pipeline's phases — parse, plan,
@@ -12,21 +12,21 @@
 //!
 //! Design constraints, in order:
 //!
-//! - **Near-zero cost when disabled** (the reader default): [`Tracer::enter`]
-//!   is one branch returning a sentinel [`SpanToken`], and every exit
+//! - **Near-zero cost when disabled** (the reader default): `Tracer::enter`
+//!   is one branch returning a sentinel `SpanToken`, and every exit
 //!   short-circuits on it.
-//! - **Unwind safety**: [`Tracer::exit`] closes *every* span opened after its
+//! - **Unwind safety**: `Tracer::exit` closes *every* span opened after its
 //!   token, so a panic unwound through `catch_unwind` (or a failpoint-armed
 //!   panic) can never leave the open stack corrupted — the outer exit (or
-//!   [`Tracer::reset`], called next to the reader's scratch rebuild) squares
+//!   `Tracer::reset`, called next to the reader's scratch rebuild) squares
 //!   the books.  The proptest suite pins this for arbitrary enter/exit
 //!   sequences.
-//! - **Bounded storage**: at most [`Tracer::CAP`] spans are kept per request;
-//!   further enters are counted in [`Tracer::dropped`] rather than recorded.
+//! - **Bounded storage**: at most `Tracer::CAP` spans are kept per request;
+//!   further enters are not recorded.
 //!
 //! Timestamps come from the sanctioned [`Stopwatch`] discipline (`cargo
 //! xtask lint` confines raw `Instant::now` reads to `govern`), as offsets
-//! from the tracer's last [`Tracer::begin`].
+//! from the tracer's last `Tracer::begin`.
 
 use crate::govern::Stopwatch;
 use crate::response::ExecProfile;
@@ -35,33 +35,33 @@ use crate::response::ExecProfile;
 /// transcripts and tests never drift on spelling.
 pub mod span {
     /// Textual request parsing ([`crate::SedaRequest::parse`]).
-    pub const PARSE: &str = "parse";
+    pub(crate) const PARSE: &str = "parse";
     /// Planning: the request lowered to its plan.
-    pub const PLAN: &str = "plan";
+    pub(crate) const PLAN: &str = "plan";
     /// Whole plan execution (parent of the per-step spans).
-    pub const EXECUTE: &str = "execute";
+    pub(crate) const EXECUTE: &str = "execute";
     /// Threshold-Algorithm top-k search (sorted/random access batches and
     /// oracle probes happen inside; their counters land in the span delta).
-    pub const SEARCH: &str = "search";
+    pub(crate) const SEARCH: &str = "search";
     /// A `TOPK` or `CONNECTIONS` answered from the search the other
     /// statement of the pair just ran on the same reader, in place of a
     /// `search` span: `rows` set, no work counters.
-    pub const SEARCH_REUSED: &str = "search-reused";
+    pub(crate) const SEARCH_REUSED: &str = "search-reused";
     /// Context-summary bucket generation.
-    pub const CONTEXT_SUMMARY: &str = "context-summary";
+    pub(crate) const CONTEXT_SUMMARY: &str = "context-summary";
     /// Pairwise connection discovery over a top-k result.
-    pub const DISCOVER_CONNECTIONS: &str = "discover-connections";
+    pub(crate) const DISCOVER_CONNECTIONS: &str = "discover-connections";
     /// Complete-result enumeration (context combinations × twig/graph rows).
-    pub const COMPLETE_RESULTS: &str = "complete-results";
+    pub(crate) const COMPLETE_RESULTS: &str = "complete-results";
     /// Structural twig evaluation.
-    pub const TWIG_EVALUATE: &str = "twig-evaluate";
+    pub(crate) const TWIG_EVALUATE: &str = "twig-evaluate";
     /// Star-schema derivation and instantiation.
-    pub const DERIVE_STAR_SCHEMA: &str = "derive-star-schema";
+    pub(crate) const DERIVE_STAR_SCHEMA: &str = "derive-star-schema";
     /// Cube aggregation over the fact table.
-    pub const AGGREGATE: &str = "aggregate";
+    pub(crate) const AGGREGATE: &str = "aggregate";
     /// XML parsing of [`crate::SedaEngine::build_from_sources`] (build path,
     /// first; a build from a parsed collection has no parse).
-    pub const BUILD_PARSE: &str = "build:parse";
+    pub(crate) const BUILD_PARSE: &str = "build:parse";
     /// Data-graph construction (build path).
     pub const BUILD_GRAPH: &str = "build:data-graph";
     /// Node full-text index construction (build path; on the second thread
@@ -77,6 +77,7 @@ pub mod span {
 
 /// Work-counter deltas attributed to one span: how much of the profile's
 /// total each phase consumed.
+// surface: type in a public signature (`SpanRecord::counters`)
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpanCounters {
     /// Sorted posting-list accesses within the span.
@@ -102,7 +103,7 @@ pub struct SpanCounters {
 impl SpanCounters {
     /// The counter delta between two profile observations (`after` minus
     /// `before`), saturating at zero.
-    pub fn delta(before: &ExecProfile, after: &ExecProfile) -> Self {
+    pub(crate) fn delta(before: &ExecProfile, after: &ExecProfile) -> Self {
         SpanCounters {
             sorted_accesses: after.sorted_accesses.saturating_sub(before.sorted_accesses),
             random_accesses: after.random_accesses.saturating_sub(before.random_accesses),
@@ -111,11 +112,6 @@ impl SpanCounters {
             nodes_visited: 0,
             rows: 0,
         }
-    }
-
-    /// True when every counter is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == SpanCounters::default()
     }
 
     /// Renders the non-zero counters as a compact `k=v` list (empty string
@@ -140,6 +136,7 @@ impl SpanCounters {
 
 /// One closed span: a named phase with its nesting depth, start offset from
 /// the tracer's epoch, measured wall time and attributed counter deltas.
+// surface: type in a public signature (`ExecProfile::spans`, `BuildProfile::spans`)
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanRecord {
     /// Phase name (see [`span`]).
@@ -159,7 +156,7 @@ pub struct SpanRecord {
 /// sentinel token whose exit is free.
 #[derive(Debug, Clone, Copy)]
 #[must_use = "unexited spans are closed only at take_spans()/reset()"]
-pub struct SpanToken {
+pub(crate) struct SpanToken {
     /// Open-stack depth at enter time; exit truncates back to it.
     open_depth: usize,
     /// Index of the span in the record buffer, `usize::MAX` when sentinel.
@@ -172,33 +169,25 @@ impl SpanToken {
 
 /// A per-owner hierarchical span recorder (see the module docs).
 #[derive(Debug)]
-pub struct Tracer {
+pub(crate) struct Tracer {
     enabled: bool,
     clock: Stopwatch,
     spans: Vec<SpanRecord>,
     /// Indices of currently open spans, innermost last.
     open: Vec<usize>,
-    dropped: usize,
 }
 
 impl Tracer {
-    /// Bound on spans kept per request; enters past it are counted in
-    /// [`Tracer::dropped`] instead of recorded.
-    pub const CAP: usize = 512;
+    /// Bound on spans kept per request; enters past it are not recorded.
+    const CAP: usize = 512;
 
     /// A disabled tracer (the reader default — enters cost one branch).
-    pub fn disabled() -> Self {
-        Tracer {
-            enabled: false,
-            clock: Stopwatch::start(),
-            spans: Vec::new(),
-            open: Vec::new(),
-            dropped: 0,
-        }
+    pub(crate) fn disabled() -> Self {
+        Tracer { enabled: false, clock: Stopwatch::start(), spans: Vec::new(), open: Vec::new() }
     }
 
     /// An enabled tracer (what the build path and `EXPLAIN ANALYZE` use).
-    pub fn enabled() -> Self {
+    pub(crate) fn enabled() -> Self {
         let mut tracer = Tracer::disabled();
         tracer.enabled = true;
         tracer
@@ -206,45 +195,34 @@ impl Tracer {
 
     /// Turns recording on or off.  Open spans and records are kept; callers
     /// toggling mid-request should [`Tracer::reset`] first.
-    pub fn set_enabled(&mut self, enabled: bool) {
+    pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }
 
     /// True when spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Spans dropped over [`Tracer::CAP`] since the last begin/reset.
-    pub fn dropped(&self) -> usize {
-        self.dropped
-    }
-
-    /// Number of currently open spans.
-    pub fn open_spans(&self) -> usize {
-        self.open.len()
     }
 
     /// Starts a fresh trace: clears all records and open spans and re-anchors
     /// the epoch clock.
-    pub fn begin(&mut self) {
+    pub(crate) fn begin(&mut self) {
         self.spans.clear();
         self.open.clear();
-        self.dropped = 0;
         self.clock = Stopwatch::start();
     }
 
     /// [`Tracer::begin`], but only when nothing has been recorded yet — the
     /// re-entrant form used by inner pipeline layers that may or may not run
     /// under an outer span.
-    pub fn begin_if_idle(&mut self) {
+    pub(crate) fn begin_if_idle(&mut self) {
         if self.spans.is_empty() && self.open.is_empty() {
             self.begin();
         }
     }
 
     /// Opens a span named `name`; returns the token its exit consumes.
-    pub fn enter(&mut self, name: &str) -> SpanToken {
+    pub(crate) fn enter(&mut self, name: &str) -> SpanToken {
         if !self.enabled {
             return SpanToken::DISABLED;
         }
@@ -258,14 +236,12 @@ impl Tracer {
     }
 
     /// Appends a span at the current nesting depth and returns its index;
-    /// `None` when recording is off, or when the trace is full (counted in
-    /// [`Tracer::dropped`]).
+    /// `None` when recording is off, or when the trace is full.
     fn push(&mut self, name: &str, start_secs: f64, wall_secs: f64) -> Option<usize> {
         if !self.enabled {
             return None;
         }
         if self.spans.len() >= Self::CAP {
-            self.dropped += 1;
             return None;
         }
         self.spans.push(SpanRecord {
@@ -280,12 +256,12 @@ impl Tracer {
 
     /// Closes the token's span (and any span opened after it that was never
     /// exited — the unwind-safety guarantee) with zero counter deltas.
-    pub fn exit(&mut self, token: SpanToken) {
+    pub(crate) fn exit(&mut self, token: SpanToken) {
         self.exit_with(token, SpanCounters::default());
     }
 
     /// [`Tracer::exit`], attributing `counters` to the token's span.
-    pub fn exit_with(&mut self, token: SpanToken, counters: SpanCounters) {
+    pub(crate) fn exit_with(&mut self, token: SpanToken, counters: SpanCounters) {
         if token.index == usize::MAX {
             return;
         }
@@ -315,30 +291,28 @@ impl Tracer {
 
     /// Closes any span still open (with the current clock) and drains the
     /// records, leaving the tracer idle.
-    pub fn take_spans(&mut self) -> Vec<SpanRecord> {
+    pub(crate) fn take_spans(&mut self) -> Vec<SpanRecord> {
         let now = self.clock.elapsed_secs();
         while let Some(index) = self.open.pop() {
             if let Some(record) = self.spans.get_mut(index) {
                 record.wall_secs = (now - record.start_secs).max(0.0);
             }
         }
-        self.dropped = 0;
         std::mem::take(&mut self.spans)
     }
 
     /// Discards all records and open spans (called next to the reader's
     /// scratch rebuild after a contained panic, so a poisoned trace never
     /// leaks into the next request).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.spans.clear();
         self.open.clear();
-        self.dropped = 0;
     }
 }
 
 /// Renders one span tree as indented transcript lines (two spaces per
 /// nesting level, wall time in milliseconds, non-zero counters appended).
-pub fn render_spans(spans: &[SpanRecord]) -> String {
+fn render_spans(spans: &[SpanRecord]) -> String {
     let mut out = String::new();
     for record in spans {
         let indent = "  ".repeat(record.depth + 1);
@@ -356,7 +330,7 @@ pub fn render_spans(spans: &[SpanRecord]) -> String {
 /// Renders the `EXPLAIN ANALYZE` transcript: the plan transcript followed by
 /// the profile's wall split, row count and degraded flag, then the executed
 /// span tree.
-pub fn render_analyzed(plan_transcript: &str, profile: &ExecProfile) -> String {
+pub(crate) fn render_analyzed(plan_transcript: &str, profile: &ExecProfile) -> String {
     let mut out = String::from(plan_transcript);
     if !out.ends_with('\n') {
         out.push('\n');
@@ -382,7 +356,6 @@ mod tests {
         let token = t.enter(span::SEARCH);
         t.exit(token);
         assert!(t.take_spans().is_empty());
-        assert_eq!(t.dropped(), 0);
     }
 
     #[test]
@@ -411,21 +384,20 @@ mod tests {
         let _abandoned = t.enter("inner-left-open");
         // Simulates an unwind: the inner exit never runs.
         t.exit(outer);
-        assert_eq!(t.open_spans(), 0);
+        assert_eq!(t.open.len(), 0);
         let spans = t.take_spans();
         assert_eq!(spans.len(), 2);
         assert!(spans.iter().all(|s| s.wall_secs >= 0.0));
     }
 
     #[test]
-    fn capacity_overflow_counts_drops_instead_of_growing() {
+    fn capacity_overflow_drops_spans_instead_of_growing() {
         let mut t = Tracer::enabled();
         t.begin();
         for _ in 0..(Tracer::CAP + 10) {
             let token = t.enter("tick");
             t.exit(token);
         }
-        assert_eq!(t.dropped(), 10);
         assert_eq!(t.take_spans().len(), Tracer::CAP);
     }
 
@@ -436,10 +408,10 @@ mod tests {
         let _open = t.enter("left-open");
         let spans = t.take_spans();
         assert_eq!(spans.len(), 1);
-        assert_eq!(t.open_spans(), 0);
+        assert_eq!(t.open.len(), 0);
         let _open = t.enter("left-open-again");
         t.reset();
-        assert_eq!(t.open_spans(), 0);
+        assert_eq!(t.open.len(), 0);
         assert!(t.take_spans().is_empty());
     }
 
@@ -451,7 +423,6 @@ mod tests {
         assert_eq!(delta.sorted_accesses, 5);
         assert_eq!(delta.label_probes, 0, "negative deltas saturate at zero");
         assert_eq!(delta.render(), "sorted=5");
-        assert!(SpanCounters::default().is_zero());
         assert_eq!(SpanCounters::default().render(), "");
     }
 
@@ -536,7 +507,7 @@ mod tests {
                     }
                 }
                 let spans = t.take_spans();
-                prop_assert_eq!(t.open_spans(), 0, "no span may leak open");
+                prop_assert_eq!(t.open.len(), 0, "no span may leak open");
                 for s in &spans {
                     prop_assert!(s.wall_secs >= 0.0);
                     prop_assert!(s.start_secs >= 0.0);

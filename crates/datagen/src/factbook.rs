@@ -81,11 +81,6 @@ impl FactbookConfig {
             optional_scale: 1.0,
         }
     }
-
-    /// Number of documents this configuration will produce.
-    pub fn document_count(&self) -> usize {
-        self.countries * self.years.len()
-    }
 }
 
 impl Default for FactbookConfig {
@@ -107,7 +102,7 @@ pub const US_IMPORT_PARTNERS: &[(u16, &str, &str)] = &[
 
 /// Export partner used in Figure 2(b): Mexico exports 70.6% to the United
 /// States (2003), plus the Figure 1 US export to Canada.
-pub const FIXED_EXPORT_PARTNERS: &[(&str, u16, &str, &str)] = &[
+const FIXED_EXPORT_PARTNERS: &[(&str, u16, &str, &str)] = &[
     ("Mexico", 2003, "United States", "70.6"),
     ("Mexico", 2005, "United States", "82.2"),
     ("United States", 2006, "Canada", "23.4"),
@@ -564,7 +559,7 @@ mod tests {
     fn small_corpus_has_expected_document_count() {
         let config = FactbookConfig::small();
         let c = generate(&config).unwrap();
-        assert_eq!(c.len(), config.document_count());
+        assert_eq!(c.len(), config.countries * config.years.len());
     }
 
     #[test]

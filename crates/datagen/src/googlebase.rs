@@ -43,11 +43,6 @@ impl GoogleBaseConfig {
     pub fn small() -> Self {
         GoogleBaseConfig { items: 300, categories: 12, attributes_per_category: 10, seed: 23 }
     }
-
-    /// Number of documents this configuration will produce.
-    pub fn document_count(&self) -> usize {
-        self.items
-    }
 }
 
 impl Default for GoogleBaseConfig {
@@ -101,13 +96,13 @@ mod tests {
     fn document_count_matches_config() {
         let config = GoogleBaseConfig::small();
         let c = generate(&config).unwrap();
-        assert_eq!(c.len(), config.document_count());
+        assert_eq!(c.len(), config.items);
     }
 
     #[test]
     fn paper_config_matches_table1() {
         let p = GoogleBaseConfig::paper();
-        assert_eq!(p.document_count(), 10_000);
+        assert_eq!(p.items, 10_000);
         assert_eq!(p.categories, 88);
     }
 

@@ -69,17 +69,6 @@ impl MondialConfig {
             seed: 17,
         }
     }
-
-    /// Number of documents this configuration will produce.
-    pub fn document_count(&self) -> usize {
-        self.countries
-            + self.provinces
-            + self.cities
-            + self.seas
-            + self.rivers
-            + self.organizations
-            + self.features
-    }
 }
 
 impl Default for MondialConfig {
@@ -304,16 +293,27 @@ pub fn generate(config: &MondialConfig) -> Result<Collection> {
 mod tests {
     use super::*;
 
+    /// Number of documents `config` will produce.
+    fn document_count(config: &MondialConfig) -> usize {
+        config.countries
+            + config.provinces
+            + config.cities
+            + config.seas
+            + config.rivers
+            + config.organizations
+            + config.features
+    }
+
     #[test]
     fn document_count_matches_config() {
         let config = MondialConfig::small();
         let c = generate(&config).unwrap();
-        assert_eq!(c.len(), config.document_count());
+        assert_eq!(c.len(), document_count(&config));
     }
 
     #[test]
     fn paper_config_matches_table1_document_count() {
-        assert_eq!(MondialConfig::paper().document_count(), 5563);
+        assert_eq!(document_count(&MondialConfig::paper()), 5563);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::names;
 
 /// Which of the three structural variants a document uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecipeShape {
+enum RecipeShape {
     /// `recipeml/recipe/head + ingredients + directions`.
     Plain,
     /// `recipeml/menu/...` — a menu grouping several dishes.
@@ -50,13 +50,8 @@ impl RecipeMlConfig {
         RecipeMlConfig { recipes: 200, menu_percent: 10, nutrition_percent: 15, seed: 31 }
     }
 
-    /// Number of documents this configuration will produce.
-    pub fn document_count(&self) -> usize {
-        self.recipes
-    }
-
     /// Shape of the `i`-th document (deterministic).
-    pub fn shape_of(&self, i: usize) -> RecipeShape {
+    fn shape_of(&self, i: usize) -> RecipeShape {
         let bucket = (i * 37) % 100;
         if bucket < self.menu_percent as usize {
             RecipeShape::Menu
@@ -163,12 +158,12 @@ mod tests {
     fn document_count_matches_config() {
         let config = RecipeMlConfig::small();
         let c = generate(&config).unwrap();
-        assert_eq!(c.len(), config.document_count());
+        assert_eq!(c.len(), config.recipes);
     }
 
     #[test]
     fn paper_config_matches_table1() {
-        assert_eq!(RecipeMlConfig::paper().document_count(), 10_988);
+        assert_eq!(RecipeMlConfig::paper().recipes, 10_988);
     }
 
     #[test]

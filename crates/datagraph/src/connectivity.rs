@@ -74,6 +74,7 @@ const UNSET: u32 = u32::MAX;
 /// Built once in [`DataGraph::build`] by peeling the documents cross edges
 /// touch down to their 2-core and running a landmark pass over the core;
 /// immutable afterwards.  Tree documents carry one bit and nothing else.
+// surface: type in a public signature (`DataGraph::connectivity`)
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct ConnectivityIndex {
     /// Per document: true when a cross edge touches it (its nodes are peeled

@@ -280,14 +280,14 @@ impl DataGraph {
     }
 
     /// The `NodeId` of a dense index (inverse of [`DataGraph::dense`]).
-    pub fn node_id(&self, dense: u32) -> NodeId {
+    pub(crate) fn node_id(&self, dense: u32) -> NodeId {
         let doc = self.doc_offsets.partition_point(|&off| off <= dense) - 1;
         NodeId::new(DocId(doc as u32), dense - self.doc_offsets[doc])
     }
 
     /// Full neighbour list (tree plus non-tree edges) of a dense node index:
     /// parent first, then children in document order, then cross edges.
-    pub fn neighbors_dense(&self, dense: u32) -> &[(u32, EdgeKind)] {
+    pub(crate) fn neighbors_dense(&self, dense: u32) -> &[(u32, EdgeKind)] {
         let dense = dense as usize;
         &self.adj_targets[self.adj_offsets[dense] as usize..self.adj_offsets[dense + 1] as usize]
     }

@@ -21,7 +21,7 @@
 //! assert_eq!(graph.cross_edge_count(), 1);
 //! ```
 
-pub mod audit;
+mod audit;
 mod config;
 mod connectivity;
 mod graph;
@@ -31,8 +31,8 @@ pub use config::{GraphConfig, ValueKeySpec};
 pub use connectivity::{ConnectivityIndex, MAX_DEPTH};
 pub use graph::{doc_component_builds_on_this_thread, DataGraph, Edge, EdgeKind};
 pub use traversal::{
-    compactness_with, connecting_tree_size_with, is_connected_with, pin, shortest_distance_with,
-    shortest_path_with, Hop, PinnedSource, TraversalScratch,
+    compactness_with, is_connected_with, pin, shortest_distance_with, shortest_path_with, Hop,
+    PinnedSource, TraversalScratch,
 };
 
 #[cfg(test)]

@@ -33,6 +33,7 @@ use crate::connectivity::{MAX_DEPTH, NO_CORE, NO_ENTRY};
 use crate::graph::{DataGraph, EdgeKind};
 
 /// A hop on a connection path between two nodes.
+// surface: type in a public signature (`shortest_path_with`)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
     /// Node reached by this hop.
@@ -207,6 +208,7 @@ pub fn shortest_distance_with(
 /// and takes a scattered core label back out when it drops, so a `break`, a
 /// `?` or an unwinding panic in the caller's loop leaves the scratch as clean
 /// as a normal exit does.
+// surface: type in a public signature (`pin`)
 pub struct PinnedSource<'a> {
     graph: &'a DataGraph,
     scratch: &'a mut TraversalScratch,
@@ -402,7 +404,7 @@ pub fn is_connected_with(
 /// Size (total edge count) of an approximate minimal connecting subtree of the
 /// tuple: a minimum spanning tree over the pairwise shortest-path distances.
 /// `None` when the tuple is not connected within `max_depth`.
-pub fn connecting_tree_size_with(
+pub(crate) fn connecting_tree_size_with(
     graph: &DataGraph,
     scratch: &mut TraversalScratch,
     nodes: &[NodeId],

@@ -29,6 +29,7 @@ impl GuideId {
 }
 
 /// One dataguide: a set of root-to-leaf paths plus the documents it covers.
+// surface: type in a public signature (`DataGuideSet::guide`)
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataGuide {
     pub(crate) paths: BTreeSet<PathId>,
@@ -37,7 +38,7 @@ pub struct DataGuide {
 
 impl DataGuide {
     /// Builds the dataguide of a single document.
-    pub fn of_document(collection: &Collection, doc: DocId) -> seda_xmlstore::Result<Self> {
+    pub(crate) fn of_document(collection: &Collection, doc: DocId) -> seda_xmlstore::Result<Self> {
         let document = collection.document(doc)?;
         Ok(DataGuide {
             paths: document.distinct_paths().into_iter().collect(),
@@ -70,20 +71,6 @@ impl DataGuide {
         self.paths.contains(&path)
     }
 
-    /// Number of paths shared with another guide.
-    pub(crate) fn common_path_count(&self, other: &DataGuide) -> usize {
-        if self.len() <= other.len() {
-            self.paths.iter().filter(|p| other.paths.contains(p)).count()
-        } else {
-            other.paths.iter().filter(|p| self.paths.contains(p)).count()
-        }
-    }
-
-    /// The paper's overlap measure between two guides.
-    pub fn overlap(&self, other: &DataGuide) -> f64 {
-        overlap(self.common_path_count(other), self.len(), other.len())
-    }
-
     /// Absorbs another guide (set union of paths, concatenation of coverage).
     pub(crate) fn merge_in(&mut self, other: DataGuide) {
         self.paths.extend(other.paths);
@@ -93,9 +80,9 @@ impl DataGuide {
 
 /// The paper's overlap of two guides of `a` and `b` paths that share
 /// `common`: the smaller of the shares of either guide's paths the other
-/// holds, and 0 when either guide is empty.  The one formula behind both
-/// [`DataGuide::overlap`] and the merge.
-fn overlap(common: usize, a: usize, b: usize) -> f64 {
+/// holds, and 0 when either guide is empty.  The one formula behind the
+/// merge.
+pub(crate) fn overlap(common: usize, a: usize, b: usize) -> f64 {
     if a == 0 || b == 0 {
         return 0.0;
     }
@@ -226,17 +213,6 @@ impl DataGuideSet {
         self.assignment.get(&doc).copied()
     }
 
-    /// All guides containing a given path, in ascending guide order.
-    pub(crate) fn guides_with_path(&self, path: PathId) -> Vec<GuideId> {
-        let mut out: Vec<GuideId> = self
-            .path_index
-            .get(&path)
-            .map(|guides| guides.iter().map(|&g| GuideId(g)).collect())
-            .unwrap_or_default();
-        out.sort_unstable();
-        out
-    }
-
     /// Table 1 statistics for this set.
     pub fn stats(&self, documents: usize) -> DataGuideStats {
         DataGuideStats {
@@ -308,8 +284,11 @@ mod tests {
         let c = collection_with_shapes();
         let g1 = DataGuide::of_document(&c, seda_xmlstore::DocId(0)).unwrap();
         let g4 = DataGuide::of_document(&c, seda_xmlstore::DocId(3)).unwrap();
-        let o = g1.overlap(&g4);
-        assert!((g4.overlap(&g1) - o).abs() < 1e-12);
+        let o = overlap(g1.paths.intersection(&g4.paths).count(), g1.len(), g4.len());
+        assert!(
+            (overlap(g4.paths.intersection(&g1.paths).count(), g4.len(), g1.len()) - o).abs()
+                < 1e-12
+        );
         assert!((0.0..=1.0).contains(&o));
         // g1 has 3 paths (a, a/x, a/y), g4 has 4 (plus a/z): common = 3.
         assert!((o - 0.75).abs() < 1e-12);
@@ -325,15 +304,20 @@ mod tests {
         }
     }
 
+    /// All guides containing `path`, in ascending guide order.
+    fn guides_with_path(set: &DataGuideSet, path: PathId) -> Vec<GuideId> {
+        set.iter().filter(|(_, guide)| guide.contains(path)).map(|(id, _)| id).collect()
+    }
+
     #[test]
     fn guides_with_path_lookup() {
         let c = collection_with_shapes();
         let set = DataGuideSet::build(&c, 0.4).unwrap();
         let x = c.paths().get_str(c.symbols(), "/a/x").unwrap();
         let p = c.paths().get_str(c.symbols(), "/b/p").unwrap();
-        assert_eq!(set.guides_with_path(x).len(), 1);
-        assert_eq!(set.guides_with_path(p).len(), 1);
-        assert_ne!(set.guides_with_path(x), set.guides_with_path(p));
+        assert_eq!(guides_with_path(&set, x).len(), 1);
+        assert_eq!(guides_with_path(&set, p).len(), 1);
+        assert_ne!(guides_with_path(&set, x), guides_with_path(&set, p));
     }
 
     #[test]
@@ -342,7 +326,7 @@ mod tests {
         let set = DataGuideSet::build(&c, 0.4).unwrap();
         let x = c.paths().get_str(c.symbols(), "/a/x").unwrap();
         let z = c.paths().get_str(c.symbols(), "/a/z").unwrap();
-        let gid = set.guides_with_path(x)[0];
+        let gid = guides_with_path(&set, x)[0];
         assert!(set.guide(gid).contains(z), "merge keeps the union of paths");
     }
 
@@ -368,7 +352,10 @@ mod tests {
     fn empty_guides_never_overlap() {
         let empty = DataGuide::default();
         let other = DataGuide::default();
-        assert_eq!(empty.overlap(&other), 0.0);
+        assert_eq!(
+            overlap(empty.paths.intersection(&other.paths).count(), empty.len(), other.len()),
+            0.0
+        );
         assert!(empty.is_empty());
     }
 }

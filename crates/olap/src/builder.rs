@@ -40,6 +40,7 @@ pub struct ColumnMatch {
 }
 
 /// Outcome of the matching step.
+// surface: type in a public signature (`StarSchemaBuild::matching`)
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MatchingOutcome {
     /// Per-column matches.
@@ -51,7 +52,7 @@ pub struct MatchingOutcome {
 }
 
 /// Matches every column of the result against the registry.
-pub fn match_result(
+pub(crate) fn match_result(
     collection: &Collection,
     result: &QueryResultTable,
     registry: &Registry,
@@ -399,7 +400,7 @@ impl<'a> StarSchemaBuilder<'a> {
 /// columns; missing measures are left empty, and of two rows of one table
 /// with the same dimension values the later one wins.  The dimension
 /// dictionaries are united and the rows merged on their codes.
-pub fn merge_fact_tables(tables: Vec<FactTable>) -> Vec<FactTable> {
+pub(crate) fn merge_fact_tables(tables: Vec<FactTable>) -> Vec<FactTable> {
     let mut by_key: BTreeMap<Vec<String>, Vec<FactTable>> = BTreeMap::new();
     for t in tables {
         by_key.entry(t.dimension_columns().to_vec()).or_default().push(t);
@@ -482,38 +483,38 @@ fn union(lists: &[&[String]]) -> Vec<String> {
     united.into_iter().cloned().collect()
 }
 
-/// Defines a new fact or dimension from a result column, verifying the key
-/// ("the system automatically verifies the keys … and checking their
-/// uniqueness").  On success the definition can be added to the registry.
-pub fn define_from_column(
-    collection: &Collection,
-    result: &QueryResultTable,
-    column: usize,
-    name: &str,
-    role: SchemaRole,
-    key: RelativeKey,
-) -> Result<SchemaDef, Vec<KeyViolation>> {
-    let nodes = result.column_nodes(column);
-    let violations = key.verify(collection, &nodes);
-    if !violations.is_empty() {
-        return Err(violations);
-    }
-    let contexts = result
-        .column_paths(collection, column)
-        .into_iter()
-        .map(|p| crate::schema::ContextEntry::new(collection.path_string(p), key.clone()))
-        .collect();
-    Ok(match role {
-        SchemaRole::Fact => SchemaDef::fact(name, contexts),
-        SchemaRole::Dimension => SchemaDef::dimension(name, contexts),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::ContextEntry;
     use seda_xmlstore::parse_collection;
+
+    /// Defines a new fact or dimension from a result column, verifying the key
+    /// ("the system automatically verifies the keys … and checking their
+    /// uniqueness").  On success the definition can be added to the registry.
+    fn define_from_column(
+        collection: &Collection,
+        result: &QueryResultTable,
+        column: usize,
+        name: &str,
+        role: SchemaRole,
+        key: RelativeKey,
+    ) -> Result<SchemaDef, Vec<KeyViolation>> {
+        let nodes = result.column_nodes(column);
+        let violations = key.verify(collection, &nodes);
+        if !violations.is_empty() {
+            return Err(violations);
+        }
+        let contexts = result
+            .column_paths(collection, column)
+            .into_iter()
+            .map(|p| crate::schema::ContextEntry::new(collection.path_string(p), key.clone()))
+            .collect();
+        Ok(match role {
+            SchemaRole::Fact => SchemaDef::fact(name, contexts),
+            SchemaRole::Dimension => SchemaDef::dimension(name, contexts),
+        })
+    }
 
     /// Two US documents (2004, 2005) with the Figure 3(c) import partners.
     fn us_collection() -> Collection {

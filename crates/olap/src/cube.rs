@@ -65,6 +65,7 @@ impl CubeQuery {
 }
 
 /// One cell of an aggregated cube.
+// surface: type in a public signature (`CubeResult::cells`)
 #[derive(Debug, Clone, PartialEq)]
 pub struct CubeCell {
     /// Group-by coordinate values, aligned with the query's `group_by`.

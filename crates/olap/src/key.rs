@@ -53,10 +53,8 @@ pub struct RelativeKey {
     parts: Vec<KeyPart>,
 }
 
-/// The values a key evaluates to for one node, one string per key part.
-pub type KeyValues = Vec<String>;
-
 /// Problems detected while evaluating or verifying a key.
+// surface: type in a public signature (`RelativeKey::verify`)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KeyViolation {
     /// A key part evaluated to no node for the given keyed node.
@@ -78,7 +76,7 @@ pub enum KeyViolation {
     /// Two distinct keyed nodes produced identical key values.
     DuplicateKey {
         /// The duplicated key values.
-        values: KeyValues,
+        values: Vec<String>,
     },
 }
 
@@ -126,18 +124,6 @@ impl RelativeKey {
         self.parts.is_empty()
     }
 
-    /// The absolute components of the key (used by the augmentation step to
-    /// add missing columns such as `/country/year`).
-    pub fn absolute_paths(&self) -> Vec<&str> {
-        self.parts
-            .iter()
-            .filter_map(|p| match p {
-                KeyPart::Absolute(e) => Some(e.as_str()),
-                KeyPart::Relative(_) => None,
-            })
-            .collect()
-    }
-
     /// Evaluates the key for one node, returning the key values (one per
     /// part) or the first violation encountered.  Evaluating many nodes is
     /// cheaper through one compiled evaluator, as [`RelativeKey::verify`] does.
@@ -145,7 +131,7 @@ impl RelativeKey {
         &self,
         collection: &Collection,
         node: NodeId,
-    ) -> Result<KeyValues, KeyViolation> {
+    ) -> Result<Vec<String>, KeyViolation> {
         let mut columns = self.dictionaries();
         let mut codes = Vec::with_capacity(self.len());
         self.compile(collection).encode(node, &mut columns, &mut codes)?;
@@ -226,7 +212,7 @@ impl RelativeKey {
 }
 
 /// The key values a row of codes stands for.
-fn decode(columns: &[Dictionary<'_>], codes: &[u32]) -> KeyValues {
+fn decode(columns: &[Dictionary<'_>], codes: &[u32]) -> Vec<String> {
     columns.iter().zip(codes).map(|(column, &code)| column.value(code).to_string()).collect()
 }
 
@@ -477,7 +463,7 @@ mod tests {
         key: &RelativeKey,
         collection: &Collection,
         node: NodeId,
-    ) -> Result<KeyValues, KeyViolation> {
+    ) -> Result<Vec<String>, KeyViolation> {
         let document = collection.document(node.doc).unwrap();
         let mut values = Vec::new();
         for part in key.parts() {
@@ -598,6 +584,5 @@ mod tests {
         assert_eq!(KeyPart::parse("."), KeyPart::Relative(".".into()));
         let key = RelativeKey::parse(&["/country", "/country/year", "../trade_country"]);
         assert_eq!(key.len(), 3);
-        assert_eq!(key.absolute_paths(), vec!["/country", "/country/year"]);
     }
 }

@@ -25,12 +25,9 @@ mod key;
 mod schema;
 mod table;
 
-pub use builder::{
-    define_from_column, match_result, merge_fact_tables, BuildOptions, ColumnMatch,
-    MatchingOutcome, StarSchemaBuild, StarSchemaBuilder,
-};
+pub use builder::{BuildOptions, ColumnMatch, MatchingOutcome, StarSchemaBuild, StarSchemaBuilder};
 pub use cube::{aggregate, rollup, AggFn, CubeCell, CubeError, CubeQuery, CubeResult};
-pub use key::{KeyPart, KeyValues, KeyViolation, RelativeKey};
+pub use key::{KeyPart, KeyViolation, RelativeKey};
 pub use schema::{ContextEntry, Registry, SchemaDef, SchemaRole};
 pub use table::{parse_numeric, DimensionTable, FactRow, FactTable, QueryResultTable, StarSchema};
 

@@ -61,7 +61,7 @@ impl SchemaDef {
 
     /// The context paths of this definition resolved against a collection
     /// (unknown paths — contexts that do not occur in the data — are skipped).
-    pub fn context_paths(&self, collection: &Collection) -> Vec<PathId> {
+    pub(crate) fn context_paths(&self, collection: &Collection) -> Vec<PathId> {
         self.contexts
             .iter()
             .filter_map(|c| collection.paths().get_str(collection.symbols(), &c.context))
@@ -69,22 +69,13 @@ impl SchemaDef {
     }
 
     /// The key associated with a specific context path, if any.
-    pub fn key_for_context(&self, collection: &Collection, path: PathId) -> Option<&RelativeKey> {
+    pub(crate) fn key_for_context(
+        &self,
+        collection: &Collection,
+        path: PathId,
+    ) -> Option<&RelativeKey> {
         let rendered = collection.path_string(path);
         self.contexts.iter().find(|c| c.context == rendered).map(|c| &c.key)
-    }
-
-    /// Union of all absolute key paths across the context list (used by the
-    /// augmentation step).
-    pub fn absolute_key_paths(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .contexts
-            .iter()
-            .flat_map(|c| c.key.absolute_paths().into_iter().map(str::to_string))
-            .collect();
-        out.sort();
-        out.dedup();
-        out
     }
 }
 
@@ -111,11 +102,6 @@ impl Registry {
     /// All definitions.
     pub fn defs(&self) -> &[SchemaDef] {
         &self.defs
-    }
-
-    /// All fact definitions.
-    pub fn facts(&self) -> impl Iterator<Item = &SchemaDef> {
-        self.defs.iter().filter(|d| d.role == SchemaRole::Fact)
     }
 
     /// All dimension definitions.
@@ -207,7 +193,7 @@ mod tests {
         let gdp = r.get("GDP").unwrap();
         assert_eq!(gdp.role, SchemaRole::Fact);
         assert_eq!(gdp.contexts.len(), 2, "GDP spans both schema-evolution spellings");
-        assert_eq!(r.facts().count(), 3);
+        assert_eq!(r.defs().iter().filter(|d| d.role == SchemaRole::Fact).count(), 3);
         assert_eq!(r.dimensions().count(), 4);
     }
 
@@ -251,12 +237,5 @@ mod tests {
         let key = fact.key_for_context(&c, path).unwrap();
         assert_eq!(key.len(), 3);
         assert!(fact.key_for_context(&c, seda_xmlstore::PathId(0)).is_none());
-    }
-
-    #[test]
-    fn absolute_key_paths_deduplicate() {
-        let reg = Registry::factbook_defaults();
-        let fact = reg.get("GDP").unwrap();
-        assert_eq!(fact.absolute_key_paths(), vec!["/country/name", "/country/year"]);
     }
 }

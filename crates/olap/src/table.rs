@@ -21,7 +21,7 @@ use seda_xmlstore::{Collection, NodeId, PathId};
 /// The path column is not stored either: a node's root-to-leaf path is a
 /// function of the node (`Collection::context`), so R(q) keeps its two
 /// columns a term while the table holds one cell —
-/// [`QueryResultTable::column_paths`] derives the other on demand.
+/// `QueryResultTable::column_paths` derives the other on demand.
 ///
 /// The rows live in one flat buffer, row *i* being `cells[i·w..(i+1)·w]` for
 /// `w` = [`QueryResultTable::width`] columns.  A table without columns has no
@@ -117,12 +117,12 @@ impl QueryResultTable {
     /// The set of distinct context paths appearing in column `i` — the
     /// π_cpi(R) the matching step compares against fact/dimension context
     /// lists — derived from the column's nodes.
-    pub fn column_paths(&self, collection: &Collection, column: usize) -> BTreeSet<PathId> {
+    pub(crate) fn column_paths(&self, collection: &Collection, column: usize) -> BTreeSet<PathId> {
         self.rows().filter_map(|row| collection.context(row[column]).ok()).collect()
     }
 
     /// The nodes of column `i`.
-    pub fn column_nodes(&self, column: usize) -> Vec<NodeId> {
+    pub(crate) fn column_nodes(&self, column: usize) -> Vec<NodeId> {
         self.rows().map(|row| row[column]).collect()
     }
 }
@@ -130,6 +130,7 @@ impl QueryResultTable {
 /// A dimension table of the derived star schema: the dimension name and its
 /// distinct member values — the dictionary of the fact-table column it
 /// describes (the union of them, when several fact tables share it).
+// surface: type in a public signature (`StarSchema::dimension_tables`)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DimensionTable {
     /// Dimension name (e.g. `country`, `year`, `import-country`).
@@ -175,6 +176,7 @@ pub struct FactTable {
 
 /// One row of a [`FactTable`], borrowed from it: each cell resolves to its
 /// string through the column's dictionary.
+// surface: type in a public signature (`FactTable::rows`)
 #[derive(Clone, Copy)]
 pub struct FactRow<'a> {
     table: &'a FactTable,
@@ -192,12 +194,6 @@ impl<'a> FactRow<'a> {
     /// Value of measure column `i`; panics past the last measure column.
     pub fn measure(&self, i: usize) -> &'a str {
         self.cell(self.table.dimension_columns.len() + i)
-    }
-
-    /// Measure `i` parsed as [`parse_numeric`] does; `None` past the last
-    /// measure column too.
-    pub fn numeric_measure(&self, i: usize) -> Option<f64> {
-        (i < self.table.measure_columns.len()).then(|| parse_numeric(self.measure(i))).flatten()
     }
 
     /// The dimension values, aligned with [`FactTable::dimension_columns`].
@@ -393,12 +389,12 @@ impl FactTable {
     }
 
     /// Index of a dimension column by name.
-    pub fn dimension_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn dimension_index(&self, name: &str) -> Option<usize> {
         self.dimension_columns.iter().position(|c| c == name)
     }
 
     /// Index of a measure column by name.
-    pub fn measure_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn measure_index(&self, name: &str) -> Option<usize> {
         self.measure_columns.iter().position(|c| c == name)
     }
 
@@ -409,15 +405,6 @@ impl FactTable {
         let dimensions = self.dimension_columns.len();
         let mut seen = HashSet::new();
         self.code_rows().all(|row| seen.insert(&row[..dimensions]))
-    }
-
-    /// The dimension tables of this fact table, one per dimension column:
-    /// the column's dictionary.
-    pub fn dimension_tables(&self) -> Vec<DimensionTable> {
-        let columns = self.dimension_columns.iter().zip(&self.dictionaries);
-        columns
-            .map(|(name, values)| DimensionTable { name: name.clone(), values: values.clone() })
-            .collect()
     }
 }
 
@@ -456,6 +443,7 @@ impl<'a> Dictionary<'a> {
 
 /// A derived star schema: fact tables plus their dimension tables, ready to be
 /// handed to an OLAP engine.
+// surface: type in a public signature (`StarSchemaBuild::schema`)
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StarSchema {
     /// Fact tables (one per fact, after merging facts with identical keys).
@@ -525,10 +513,7 @@ mod tests {
         let read: Vec<(&str, &str)> =
             table.rows().map(|r| (r.dimension(0), r.measure(0))).collect();
         assert_eq!(read, [("China", "15"), ("Canada", "16.9"), ("China", "12.5")]);
-        let dimensions = table.dimension_tables();
-        assert_eq!(dimensions.len(), 1);
-        assert_eq!((dimensions[0].name.as_str(), dimensions[0].len()), ("country", 2));
-        assert_eq!(dimensions[0].values, table.column_values(0));
+        assert_eq!(table.dimension_columns(), ["country"]);
     }
 
     #[test]
@@ -589,10 +574,9 @@ mod tests {
         let columns = ["country", "import-country", "year"];
         let with_year = FactTable::from_rows("percentage", &columns, &["percentage"], rows);
         assert!(with_year.dimensions_form_key());
-        assert_eq!(with_year.dimension_tables().len(), 3);
+        assert_eq!(with_year.dimension_columns().len(), 3);
         let first = with_year.row(0).unwrap();
-        assert_eq!(first.numeric_measure(0), Some(12.5));
-        assert_eq!(first.numeric_measure(1), None, "past the last measure column");
+        assert_eq!(parse_numeric(first.measure(0)), Some(12.5));
         assert_eq!(first.dimensions().collect::<Vec<_>>(), ["United States", "China", "2004"]);
         assert!(with_year.row(2).is_none());
     }

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 
 /// Dense identifier of an interned term.  Ids are assigned in lexicographic
 /// term order at build time, so they are deterministic for a given corpus.
+// surface: type in a public signature (`TermDict::get`)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub(crate) u32);
 

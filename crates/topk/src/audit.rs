@@ -7,15 +7,16 @@
 //! |---|---|
 //! | `scratch-pinned` | the embedded traversal scratch holds no pinned label between searches (delegated to the datagraph audit) |
 //! | `kth-order` | the buffered k-best score list stays sorted descending and free of NaN |
-//! | `stats-counters` | [`SearchStats`] counters are mutually consistent (disconnected ≤ scored) |
 //!
 //! A [`SearchScratch`] passes between searches; the check is cheap enough to
-//! run after every governed search in a paranoid build.
+//! run after every governed search in a paranoid build.  A search's own
+//! counters (disconnected ≤ scored) are audited where the engine folds them
+//! into its profile: `seda_core::verify_exec_profile`'s `profile-counters`
+//! class.
 
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
 
 use crate::searcher::SearchScratch;
-use crate::types::SearchStats;
 
 const SUBSTRATE: &str = "topk";
 
@@ -45,31 +46,6 @@ impl SearchScratch {
         }
         finish(violations)
     }
-
-    /// Test-only corruption hook: appends a score above the current best,
-    /// breaking the descending order (`kth-order`) once two entries exist.
-    #[doc(hidden)]
-    pub fn corrupt_push_kth_score(&mut self, score: f64) {
-        self.join.kth_scores.push(score);
-    }
-}
-
-/// Verifies the mutual consistency of one search's work counters: a tuple can
-/// only be counted disconnected after being scored, so
-/// `tuples_disconnected <= tuples_scored` (the `stats-counters` class).
-pub fn verify_search_stats(stats: &SearchStats) -> AuditResult {
-    let mut violations = Vec::new();
-    if stats.tuples_disconnected > stats.tuples_scored {
-        violations.push(InvariantViolation::new(
-            SUBSTRATE,
-            "stats-counters",
-            format!(
-                "{} disconnected tuples out of only {} scored",
-                stats.tuples_disconnected, stats.tuples_scored
-            ),
-        ));
-    }
-    finish(violations)
 }
 
 #[cfg(test)]
@@ -104,18 +80,11 @@ mod tests {
         );
         assert!(!result.tuples.is_empty());
         scratch.verify().unwrap();
-        verify_search_stats(&result.stats).unwrap();
+        assert!(result.stats.tuples_disconnected <= result.stats.tuples_scored);
 
-        scratch.corrupt_push_kth_score(f64::INFINITY);
+        // A score above the current best breaks the descending order.
+        scratch.join.kth_scores.push(f64::INFINITY);
         let violations = scratch.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.invariant == "kth-order"), "{violations:?}");
-    }
-
-    #[test]
-    fn inconsistent_stats_fail() {
-        let stats = SearchStats { tuples_disconnected: 3, tuples_scored: 1, ..Default::default() };
-        let violations = verify_search_stats(&stats).unwrap_err();
-        assert!(violations.iter().all(|v| v.invariant == "stats-counters"));
-        verify_search_stats(&SearchStats::default()).unwrap();
     }
 }

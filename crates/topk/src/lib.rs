@@ -30,7 +30,7 @@
 //! assert_eq!(result.tuples.len(), 1);
 //! ```
 
-pub mod audit;
+mod audit;
 mod partition;
 mod searcher;
 mod types;

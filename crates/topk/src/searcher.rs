@@ -537,7 +537,7 @@ impl<'a> TopKSearcher<'a> {
                     // An exhausted list keeps contributing its last score;
                     // dropping it from the max would tighten the threshold
                     // but changes `sorted_accesses` / `early_terminated`, so
-                    // it is left to the ROADMAP item 2 follow-up.
+                    // it is left to ROADMAP item 6 (a threshold that can stop).
                     let front = if positions[j] == 0 {
                         best_scores[j]
                     } else {
@@ -1066,7 +1066,6 @@ mod tests {
             max_label_probes: Some(u64::MAX),
             cancel: Some(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false))),
         };
-        assert!(!limits.is_unlimited());
         let (governed, breach) =
             searcher.search(&terms, &config, &limits, &mut SearchScratch::new());
         assert!(breach.is_none());

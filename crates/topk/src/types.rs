@@ -102,17 +102,6 @@ impl SearchLimits {
     pub fn unlimited() -> Self {
         SearchLimits::default()
     }
-
-    /// True when no ceiling is set (the governed loop degenerates to the
-    /// ungoverned one except for a handful of `is_some` tests).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_sorted_accesses.is_none()
-            && self.max_random_accesses.is_none()
-            && self.max_tuples_scored.is_none()
-            && self.max_label_probes.is_none()
-            && self.cancel.is_none()
-    }
 }
 
 /// A tripped [`SearchLimits`] ceiling: which resource ran out, how much was
@@ -132,6 +121,7 @@ pub struct LimitBreach {
 }
 
 /// A scored result tuple `<n1, …, nm>` (Definition 4).
+// surface: type in a public signature (`TopKResult::tuples`)
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultTuple {
     /// One node per query term, in query-term order.

@@ -49,6 +49,7 @@ pub enum Axis {
 }
 
 /// One node of a twig pattern.
+// surface: type in a public signature (`TwigPattern::node`)
 #[derive(Debug, Clone)]
 pub struct TwigNode {
     /// Element/attribute label the node must match.
@@ -263,7 +264,7 @@ impl TwigPattern {
     }
 
     /// Indices of leaf pattern nodes.
-    pub fn leaves(&self) -> Vec<usize> {
+    fn leaves(&self) -> Vec<usize> {
         (0..self.nodes.len()).filter(|&i| self.nodes[i].children.is_empty()).collect()
     }
 

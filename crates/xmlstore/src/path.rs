@@ -24,6 +24,7 @@ impl PathId {
 
 /// A single interned path: the sequence of label symbols from the document
 /// root to the node.
+// surface: type in a public signature (`PathTable::resolve`)
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LabelPath {
     steps: Vec<Symbol>,

@@ -18,6 +18,7 @@ impl Symbol {
 }
 
 /// Append-only intern table for names.
+// surface: type in a public signature (`Collection::symbols`)
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SymbolTable {
     names: Vec<String>,

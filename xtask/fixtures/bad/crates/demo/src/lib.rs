@@ -1,4 +1,5 @@
-//! Seeded-violation fixture: every lint rule must fire on this file.
+//! Seeded-violation fixture: every lint rule but rule 5 (core only) must fire
+//! on this file or its manifest.
 
 use std::time::Instant;
 
@@ -24,6 +25,11 @@ pub fn unpaired_bump(stats: &mut Stats) {
 /// Rule 3: reads the clock outside govern/bench code.
 pub fn rogue_clock() -> Instant {
     Instant::now()
+}
+
+/// Rule 6: a public item no file outside this crate's `src/` names.
+pub fn orphan() -> u32 {
+    7
 }
 
 #[cfg(test)]

@@ -16,6 +16,13 @@
 //!    every member manifest inherits it via `lints.workspace = true`.
 //! 5. **result-error** — public `seda-core` APIs returning `Result` use the
 //!    unified `SedaError` taxonomy.
+//! 6. **pub-surface** — every `pub` item (`fn`, `struct`, `enum`, `trait`,
+//!    `type`, `const`, `static`, `mod`) declared in `crates/*/src` is named,
+//!    as a whole word, in the code of a file outside its crate's `src/`
+//!    (another crate's `src/`, `crates/*/tests/`, `tests/`, `examples/`, the
+//!    umbrella `src/` or `benchmark/src/`), or its doc block carries a
+//!    one-line `// surface: <caller class>` reason.  `pub(crate)` and narrower
+//!    items are exempt, and so is `crates/bench`.
 //!
 //! The pass lexes each source file just enough to blank out comments,
 //! string/char literals and raw strings, so rules never fire on doc examples
@@ -53,6 +60,24 @@ const COUNTER_BUDGETS: &[(&str, &[&str])] = &[
     ("tuples_scored", &["max_tuples_scored"]),
     ("label_probes", &["max_label_probes"]),
 ];
+
+/// Every rule, in report order; `clean (N rules)` counts this list.
+const RULES: &[&str] = &[
+    "forbidden-call",
+    "counter-budget",
+    "instant-now",
+    "unsafe-forbid",
+    "result-error",
+    "pub-surface",
+];
+
+/// Item keywords rule 6 checks after `pub` (a `pub use` re-export is checked
+/// at the item it re-exports).
+const SURFACE_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
+
+/// Directories whose files count as callers of a `crates/*/src` item when
+/// they lie outside that item's crate `src/`.
+const CALLER_DIRS: &[&str] = &["crates", "tests", "examples", "src", "benchmark/src"];
 
 /// One lint finding, reported as `file:line: [rule] detail`.
 #[derive(Debug)]
@@ -342,6 +367,111 @@ fn result_error_type(generics: &str) -> Option<String> {
     top_comma.map(|comma| generics[comma + 1..end].trim().to_string())
 }
 
+/// A `pub` item declared in a crate's library region.
+struct PubItem {
+    name: String,
+    line: usize,
+    /// The item's doc block carries a `// surface: <caller class>` line.
+    has_reason: bool,
+}
+
+/// The `pub` items declared before the first `#[cfg(test)]` of one source
+/// file (`pub(crate)`, `pub(super)` and `pub use` are not items here).
+fn pub_items(src: &str) -> Vec<PubItem> {
+    let masked = mask_source(src);
+    let lib_end = lib_region_end(&masked);
+    let src_lines: Vec<&str> = src.lines().collect();
+    let mut items = Vec::new();
+    let mut offset = 0;
+    for line in masked[..lib_end].split_inclusive('\n') {
+        let start = offset;
+        offset += line.len();
+        let Some(rest) = line.trim_start().strip_prefix("pub ") else { continue };
+        let mut words = rest.split(|c: char| !is_ident_byte(c as u8)).filter(|w| !w.is_empty());
+        let mut kind = words.next();
+        // `pub const fn`, `pub unsafe fn`, `pub async fn`: the qualifier is
+        // not the kind unless no `fn` follows (`pub const NAME`).
+        let mut name = words.next();
+        while matches!(kind, Some("const" | "unsafe" | "async" | "extern"))
+            && matches!(name, Some("fn" | "unsafe" | "async" | "extern"))
+        {
+            kind = name;
+            name = words.next();
+        }
+        let (Some(kind), Some(name)) = (kind, name) else { continue };
+        if !SURFACE_KINDS.contains(&kind) {
+            continue;
+        }
+        let line_no = line_of(src, start);
+        let has_reason = src_lines[..line_no - 1]
+            .iter()
+            .rev()
+            .map(|l| l.trim_start())
+            .take_while(|l| l.starts_with("//") || l.starts_with("#["))
+            .any(|l| l.strip_prefix("// surface:").is_some_and(|why| !why.trim().is_empty()));
+        items.push(PubItem { name: name.to_string(), line: line_no, has_reason });
+    }
+    items
+}
+
+/// The `crates/<name>/src/` prefix of a root-relative path, if it has one.
+fn crate_src_of(rel: &str) -> Option<&str> {
+    let rest = rel.strip_prefix("crates/")?;
+    let slash = rest.find('/')?;
+    rest[slash..].starts_with("/src/").then(|| &rel[.."crates/".len() + slash + "/src/".len()])
+}
+
+/// Every identifier of one file's masked code.
+fn words_of(src: &str) -> std::collections::HashSet<String> {
+    mask_source(src)
+        .split(|c: char| !is_ident_byte(c as u8))
+        .filter(|w| !w.is_empty())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Rule 6 over a tree: `files` are root-relative paths with their text, the
+/// library sources and every caller file together.
+fn lint_surface(files: &[(String, String)]) -> Vec<Violation> {
+    // word → the crate `src/` prefixes naming it (`None` for a file in no
+    // crate's `src/`).
+    let mut named: std::collections::HashMap<String, Vec<Option<&str>>> = Default::default();
+    for (rel, src) in files {
+        let owner = crate_src_of(rel);
+        for word in words_of(src) {
+            let owners = named.entry(word).or_default();
+            if !owners.contains(&owner) {
+                owners.push(owner);
+            }
+        }
+    }
+    let mut violations = Vec::new();
+    for (rel, src) in files {
+        let Some(owner) = crate_src_of(rel) else { continue };
+        if rel.starts_with(BENCH_PREFIX) {
+            continue;
+        }
+        for item in pub_items(src) {
+            let outside = named
+                .get(&item.name)
+                .is_some_and(|owners| owners.iter().any(|o| *o != Some(owner)));
+            if !outside && !item.has_reason {
+                violations.push(Violation {
+                    file: rel.clone(),
+                    line: item.line,
+                    rule: "pub-surface",
+                    detail: format!(
+                        "`pub` item `{}` is named nowhere outside `{owner}`: narrow it, or give \
+                         it a `// surface: <caller class>` line",
+                        item.name
+                    ),
+                });
+            }
+        }
+    }
+    violations
+}
+
 /// Rule 4: workspace lint table + per-member inheritance.
 fn lint_manifests(root: &Path) -> Vec<Violation> {
     let mut violations = Vec::new();
@@ -387,48 +517,61 @@ fn lint_manifests(root: &Path) -> Vec<Violation> {
     violations
 }
 
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: PathBuf, files: &mut Vec<PathBuf>) {
+    let mut stack = vec![dir];
+    while let Some(current) = stack.pop() {
+        let Ok(entries) = std::fs::read_dir(&current) else { continue };
+        for entry in entries.flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                stack.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(path);
+            }
+        }
+    }
+}
+
 /// Collects the library sources in scope: `crates/*/src/**/*.rs` plus the
 /// umbrella crate's `src/`.  Benches, tests, examples, vendor stand-ins and
 /// this xtask are out of scope.
 fn library_sources(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
-    let mut walk_src = |dir: PathBuf| {
-        let mut stack = vec![dir];
-        while let Some(current) = stack.pop() {
-            let Ok(entries) = std::fs::read_dir(&current) else { continue };
-            for entry in entries.flatten() {
-                let path = entry.path();
-                if path.is_dir() {
-                    stack.push(path);
-                } else if path.extension().is_some_and(|e| e == "rs") {
-                    files.push(path);
-                }
-            }
-        }
-    };
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
         for entry in entries.flatten() {
-            let src = entry.path().join("src");
-            if src.is_dir() {
-                walk_src(src);
-            }
+            rust_files(entry.path().join("src"), &mut files);
         }
     }
-    walk_src(root.join("src"));
+    rust_files(root.join("src"), &mut files);
     files.sort();
     files
+}
+
+/// Root-relative path with `/` separators.
+fn relative(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/")
 }
 
 /// Runs every rule over the tree at `root` and returns all violations.
 fn lint_tree(root: &Path) -> Vec<Violation> {
     let mut violations = lint_manifests(root);
     for path in library_sources(root) {
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
         // Bin targets under src/bin are CLI surfaces, linted like library
         // code except in bench (excluded wholesale above).
         let Ok(src) = std::fs::read_to_string(&path) else { continue };
-        violations.extend(lint_file(&rel, &src));
+        violations.extend(lint_file(&relative(root, &path), &src));
     }
+    let mut callers = Vec::new();
+    for dir in CALLER_DIRS {
+        rust_files(root.join(dir), &mut callers);
+    }
+    callers.sort();
+    let files: Vec<(String, String)> = callers
+        .iter()
+        .filter_map(|path| Some((relative(root, path), std::fs::read_to_string(path).ok()?)))
+        .collect();
+    violations.extend(lint_surface(&files));
     violations
 }
 
@@ -458,7 +601,7 @@ fn main() -> ExitCode {
                 println!("{v}");
             }
             if violations.is_empty() {
-                println!("xtask lint: clean ({} rules)", 5);
+                println!("xtask lint: clean ({} rules)", RULES.len());
                 ExitCode::SUCCESS
             } else {
                 println!("xtask lint: {} violation(s)", violations.len());
@@ -543,16 +686,106 @@ mod tests {
         );
     }
 
+    /// Rule 6 over `files`, each a `(root-relative path, text)` pair.
+    fn surface(files: &[(&str, &str)]) -> Vec<Violation> {
+        let files: Vec<(String, String)> =
+            files.iter().map(|(rel, src)| (rel.to_string(), src.to_string())).collect();
+        lint_surface(&files)
+    }
+
+    const LIB: &str = "crates/demo/src/lib.rs";
+
+    #[test]
+    fn pub_item_named_only_inside_its_crate_fails() {
+        let violations = surface(&[
+            (
+                LIB,
+                "pub fn orphan() {}
+fn local() { orphan(); }
+",
+            ),
+            (
+                "crates/demo/src/other.rs",
+                "fn more() { crate::orphan(); }
+",
+            ),
+        ]);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!((violations[0].rule, violations[0].line), ("pub-surface", 1));
+    }
+
+    #[test]
+    fn pub_item_named_in_outside_code_passes() {
+        for outside in [
+            "tests/judge.rs",
+            "crates/demo/tests/unit.rs",
+            "crates/other/src/lib.rs",
+            "examples/a.rs",
+        ] {
+            let violations = surface(&[
+                (
+                    LIB,
+                    "pub struct Called;
+",
+                ),
+                (
+                    outside,
+                    "use demo::Called;
+",
+                ),
+            ]);
+            assert!(violations.is_empty(), "{outside}: {violations:?}");
+        }
+    }
+
+    #[test]
+    fn pub_item_named_only_in_outside_comments_or_strings_fails() {
+        let violations = surface(&[
+            (
+                LIB,
+                "pub const QUIET: u32 = 1;
+",
+            ),
+            (
+                "tests/judge.rs",
+                "// QUIET
+fn f() { let s = \"QUIET\"; }
+",
+            ),
+        ]);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+    }
+
+    #[test]
+    fn surface_reason_passes() {
+        let src = "/// Docs.\n// surface: type in a public signature (`f`)\n#[derive(Debug)]\npub struct Shown;\n";
+        assert!(surface(&[(LIB, src)]).is_empty());
+        let empty_reason = "// surface:\npub struct Hidden;\n";
+        assert_eq!(surface(&[(LIB, empty_reason)]).len(), 1);
+    }
+
+    #[test]
+    fn narrower_test_and_bench_items_are_exempt() {
+        let src = "pub(crate) fn inner() {}\npub(super) struct Up;\n#[cfg(test)]\nmod tests { pub fn helper() {} }\n";
+        assert!(surface(&[(LIB, src)]).is_empty());
+        assert!(surface(&[("crates/bench/src/lib.rs", "pub fn gate() {}\n")]).is_empty());
+    }
+
+    #[test]
+    fn pub_items_see_through_qualifiers_and_skip_fields_and_reexports() {
+        let src = "pub const fn a() {}\npub unsafe fn b() {}\npub const C: u8 = 0;\npub struct S {\n    pub field: u8,\n}\npub use x::Y;\npub mod m;\n";
+        let names: Vec<String> = pub_items(src).into_iter().map(|item| item.name).collect();
+        assert_eq!(names, ["a", "b", "C", "S", "m"]);
+    }
+
     #[test]
     fn bad_fixture_tree_fails_and_counts_every_rule() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/bad");
         let violations = lint_tree(&root);
         assert!(!violations.is_empty());
-        for rule in
-            ["forbidden-call", "counter-budget", "instant-now", "unsafe-forbid", "result-error"]
-        {
+        for rule in RULES {
             assert!(
-                violations.iter().any(|v| v.rule == rule),
+                violations.iter().any(|v| v.rule == *rule),
                 "fixture must trip {rule}: {violations:?}"
             );
         }
