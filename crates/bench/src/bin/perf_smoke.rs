@@ -23,7 +23,7 @@ use seda_core::{EngineConfig, RequestContext, SedaEngine, SedaReader, SedaReques
 use seda_datagen::Dataset;
 use seda_olap::Registry;
 use seda_textindex::{terms, ContextIndex, CountStorage, NodeIndex, ReadModelBytes};
-use seda_topk::{SearchLimits, SearchScratch, TopKConfig, TopKSearcher};
+use seda_topk::{SearchLimits, SearchScratch, TopKSearcher};
 use seda_twigjoin::{evaluate_twig, TwigPattern};
 
 /// Measures the ten gates and prints each verdict; `Ok(false)` when any failed.
@@ -240,13 +240,14 @@ fn prepared_over_cold(engine: &SedaEngine) -> Result<Result<String, String>, Str
 fn pinned_pairs(engine: &SedaEngine) -> Result<Result<String, String>, String> {
     let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
     let terms = term_inputs(engine, PAIR_QUERY)?;
-    let config = TopKConfig { k: 10, ..engine.config().topk.clone() };
-    let limits = SearchLimits::unlimited();
+    // The join under the engine's candidate guard, as a request runs it.
+    let guard = Some(SearchLimits::CANDIDATE_GUARD);
+    let limits = SearchLimits { max_tuples_scored: guard, ..SearchLimits::unlimited() };
     let (mut join_scratch, mut naive_scratch) = (SearchScratch::new(), SearchScratch::new());
     let (mut join, mut naive) = (None, None);
     let (naive_ms, join_ms) = interleaved_minima(
-        || naive = Some(searcher.search_naive(&terms, &config, &mut naive_scratch)),
-        || join = Some(searcher.search(&terms, &config, &limits, &mut join_scratch).0),
+        || naive = Some(searcher.search_naive(&terms, 10, &mut naive_scratch)),
+        || join = Some(searcher.search(&terms, 10, &limits, &mut join_scratch).0),
     );
     let (join, naive) = (join.unwrap_or_default(), naive.unwrap_or_default());
     if join.tuples.is_empty() || join.tuples != naive.tuples {

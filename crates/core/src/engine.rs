@@ -6,12 +6,12 @@ use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use seda_datagraph::{pin, DataGraph, GraphConfig, TraversalScratch, MAX_DEPTH};
+use seda_datagraph::{pin, DataGraph, GraphConfig, TraversalScratch, SEARCH_DEPTH};
 use seda_dataguide::{connection_signature, discover_connections, DataGuideSet, DataGuideStats};
 use seda_olap::{BuildOptions, QueryResultTable, Registry, StarSchemaBuild, StarSchemaBuilder};
 use seda_textindex::{ContextIndex, CountStorage, FullTextQuery, NodeIndex, ReadModelBytes};
 use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch};
-use seda_topk::{TermInput, TopKConfig, TopKResult, TopKSearcher};
+use seda_topk::{TermInput, TopKResult, TopKSearcher};
 use seda_twigjoin::{evaluate_twig_in, TwigMatches, TwigPattern};
 use seda_xmlstore::{parse_collection, Collection, DocId, Document, NodeId, PathId};
 
@@ -51,12 +51,6 @@ pub struct EngineConfig {
     /// Dataguide merge threshold of [`SedaEngine::dataguide_stats`] (the
     /// paper uses 40%).
     pub dataguide_threshold: f64,
-    /// Top-k search configuration.  Its `max_depth` is the engine's one
-    /// connectivity bound: the hops a top-k tuple, a discovered connection,
-    /// the cross-root join and the connection filter may span.  It may not
-    /// exceed [`MAX_DEPTH`] ([`SedaEngine::build`] refuses the
-    /// configuration).
-    pub topk: TopKConfig,
     /// Data-graph construction configuration (ID/IDREF conventions,
     /// value-based key specs).
     pub graph: GraphConfig,
@@ -81,7 +75,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             dataguide_threshold: 0.4,
-            topk: TopKConfig::default(),
             graph: GraphConfig::default(),
             count_storage: CountStorage::DocumentStore,
             complete_result_limit: 500_000,
@@ -220,10 +213,6 @@ impl SedaEngine {
     /// module docs).  The resulting engine is
     /// identical at every thread count, and each substrate's wall time is a
     /// span of [`SedaEngine::build_profile`].
-    ///
-    /// Fails with [`SedaError::Limit`] (resource `"connection depth"`) when
-    /// `config.topk.max_depth` exceeds [`MAX_DEPTH`], the deepest bound the
-    /// connectivity oracle answers exactly.
     pub fn build(
         collection: Collection,
         registry: Registry,
@@ -300,13 +289,6 @@ impl SedaEngine {
         config: EngineConfig,
         mut tracer: Tracer,
     ) -> Result<Self, SedaError> {
-        if config.topk.max_depth > MAX_DEPTH {
-            return Err(SedaError::Limit {
-                resource: "connection depth",
-                spent: config.topk.max_depth,
-                budget: MAX_DEPTH,
-            });
-        }
         let threads = Self::build_threads(&config);
         let (graph, node_index, context_index) =
             Self::build_substrates(&collection, &config, threads, &mut tracer)?;
@@ -486,17 +468,17 @@ impl SedaEngine {
             .collect()
     }
 
-    /// The engine's one search: runs the Threshold-Algorithm searcher under
-    /// `config` (its `k` honoured literally — `0` yields an empty result) and
-    /// per-request [`SearchLimits`] ([`SearchLimits::unlimited`] for
-    /// ungoverned callers), over either fresh posting lists or a prepared
+    /// The engine's one search: runs the Threshold-Algorithm searcher for the
+    /// best `k` tuples (honoured literally — `0` yields an empty result) under
+    /// per-request [`SearchLimits`] (the request context's, the engine's
+    /// candidate guard folded in), over either fresh posting lists or a prepared
     /// statement's materialized term lists.  The second element reports the
     /// first exhausted resource, if any; the returned tuples are then the
     /// certifiably correct prefix computed before it ran out.
     pub(crate) fn search(
         &self,
         terms: &[TermInput],
-        config: &TopKConfig,
+        k: usize,
         limits: &SearchLimits,
         scratch: &mut SearchScratch,
         materialized: Option<&MaterializedTerms>,
@@ -504,8 +486,8 @@ impl SedaEngine {
         faults::fire_unchecked("mid-search");
         let searcher = TopKSearcher::new(&self.node_index, &self.graph);
         match materialized {
-            Some(lists) => searcher.search_materialized(lists, config, limits, scratch),
-            None => searcher.search(terms, config, limits, scratch),
+            Some(lists) => searcher.search_materialized(lists, k, limits, scratch),
+            None => searcher.search(terms, k, limits, scratch),
         }
     }
 
@@ -551,7 +533,7 @@ impl SedaEngine {
             &self.collection,
             &self.graph,
             &tuples,
-            self.config.topk.max_depth,
+            SEARCH_DEPTH,
             traversal,
             proceed,
         );
@@ -869,7 +851,6 @@ impl SedaEngine {
         if candidates.iter().any(Vec::is_empty) {
             return Ok(Vec::new());
         }
-        let max_depth = self.config.topk.max_depth;
         let limit = self.config.complete_result_limit;
         let traversal = scratch.traversal_mut();
         let probes_before = traversal.label_probes - out.label_probes;
@@ -910,7 +891,7 @@ impl SedaEngine {
                     continue;
                 };
                 // A tuple is connected when every later node lies within
-                // `max_depth` of its first (`is_connected_with`), and the
+                // `SEARCH_DEPTH` of its first (`is_connected_with`), and the
                 // row's members passed that test when the row was formed: only
                 // the candidate is new.  The first node is one source for the
                 // whole candidate list, so it is pinned; `pin` refuses only a
@@ -918,7 +899,7 @@ impl SedaEngine {
                 // nothing.
                 let Some(mut first) = pin(&self.graph, traversal, source) else { continue };
                 for &candidate in term_candidates {
-                    if first.distance_to(candidate, max_depth).is_some() {
+                    if first.distance_to(candidate, SEARCH_DEPTH).is_some() {
                         admit(&mut next, row, candidate)?;
                     }
                 }
@@ -963,7 +944,7 @@ impl SedaEngine {
                     scratch.traversal_mut(),
                     nodes[i],
                     nodes[j],
-                    self.config.topk.max_depth,
+                    SEARCH_DEPTH,
                 ) else {
                     return false;
                 };
@@ -1106,33 +1087,6 @@ mod tests {
     fn query1() -> SedaQuery {
         SedaQuery::parse(r#"(*, "United States") AND (trade_country, *) AND (percentage, *)"#)
             .unwrap()
-    }
-
-    /// The oracle answers every bound up to `MAX_DEPTH` exactly, so a
-    /// configuration may ask for that much and no more.
-    #[test]
-    fn build_refuses_depth_bounds_past_the_labels() {
-        let build = |max_depth: usize| {
-            let config = EngineConfig {
-                topk: TopKConfig { max_depth, ..TopKConfig::default() },
-                ..EngineConfig::default()
-            };
-            let collection = parse_collection(vec![("a.xml", "<a><b>x</b><c>y</c></a>")]).unwrap();
-            SedaEngine::build(collection, Registry::new(), config)
-        };
-        let request = crate::SedaRequest::parse("CONNECTIONS 5 FOR (b, *) AND (c, *)").unwrap();
-        let answer = |e: SedaEngine| e.reader().execute(&request).unwrap().payload;
-        assert_eq!(answer(build(MAX_DEPTH).unwrap()), answer(build(12).unwrap()));
-        for depth in [MAX_DEPTH + 1, usize::MAX] {
-            let err = build(depth).err();
-            assert!(
-                matches!(
-                    err,
-                    Some(SedaError::Limit { resource: "connection depth", budget: MAX_DEPTH, .. })
-                ),
-                "{err:?}"
-            );
-        }
     }
 
     /// A term's bucket lists only the contexts its own context allows — the

@@ -39,7 +39,13 @@ pub struct Budget {
     pub max_sorted_accesses: Option<usize>,
     /// Ceiling on random-access score probes of the top-k search.
     pub max_random_accesses: Option<usize>,
-    /// Ceiling on candidate tuples scored by the top-k search.
+    /// Ceiling on candidate tuples scored by the top-k search: the search
+    /// stops once the candidates scored reach it.  The engine's own guard,
+    /// [`SearchLimits::CANDIDATE_GUARD`], applies whatever this says; only a
+    /// ceiling below the guard makes a stop the caller's (a degraded answer
+    /// or [`SedaError::Limit`]).  At or above it, or unset, the guard's stop
+    /// gives a best-effort answer with
+    /// [`crate::ExecProfile::candidates_truncated`] filled.
     pub max_candidates: Option<usize>,
     /// Ceiling on label probes spent on connectivity checks and connection
     /// discovery.
@@ -191,11 +197,6 @@ impl RequestContext {
         self
     }
 
-    /// The governing budget.
-    pub fn budget(&self) -> &Budget {
-        &self.budget
-    }
-
     /// True when the caller opted into degraded (partial-prefix) responses.
     pub(crate) fn degraded_allowed(&self) -> bool {
         self.degraded_ok
@@ -265,16 +266,30 @@ impl RequestContext {
             || b.max_label_probes.is_some()
     }
 
-    /// The [`SearchLimits`] to hand the Threshold-Algorithm searcher.
+    /// The [`SearchLimits`] to hand the Threshold-Algorithm searcher: the
+    /// budget's, with the engine's candidate guard folded into the candidate
+    /// ceiling.
     pub(crate) fn search_limits(&self) -> SearchLimits {
+        let guard = SearchLimits::CANDIDATE_GUARD;
         SearchLimits {
             deadline: self.budget.deadline.map(|d| self.started + d),
             max_sorted_accesses: self.budget.max_sorted_accesses,
             max_random_accesses: self.budget.max_random_accesses,
-            max_tuples_scored: self.budget.max_candidates,
+            max_tuples_scored: Some(self.budget.max_candidates.map_or(guard, |max| max.min(guard))),
             max_label_probes: self.budget.max_label_probes,
             cancel: self.cancel.as_ref().map(CancelToken::flag),
         }
+    }
+
+    /// The request's own part of a search's breach: a candidate stop is the
+    /// engine guard's — cleared, the answer best-effort with its
+    /// `candidates_truncated` filled — unless the caller's `max_candidates`
+    /// lies below [`SearchLimits::CANDIDATE_GUARD`].  Every other breach is
+    /// the caller's.
+    pub(crate) fn caller_breach(&self, breach: Option<LimitBreach>) -> Option<LimitBreach> {
+        let below_guard =
+            self.budget.max_candidates.is_some_and(|max| max < SearchLimits::CANDIDATE_GUARD);
+        breach.filter(|b| b.resource != "candidate tuples" || below_guard)
     }
 }
 
@@ -364,8 +379,34 @@ mod tests {
         assert!(none.deadline.is_none() && none.cancel.is_none());
         assert_eq!(none.max_sorted_accesses, None);
         assert_eq!(none.max_random_accesses, None);
-        assert_eq!(none.max_tuples_scored, None);
+        assert_eq!(none.max_tuples_scored, Some(SearchLimits::CANDIDATE_GUARD));
         assert_eq!(none.max_label_probes, None);
+    }
+
+    #[test]
+    fn the_guard_owns_a_candidate_stop_unless_the_caller_set_a_lower_ceiling() {
+        let guard = SearchLimits::CANDIDATE_GUARD;
+        let owner = |budget: Budget| {
+            let ctx = RequestContext::new(budget);
+            let ceiling = ctx.search_limits().max_tuples_scored.unwrap_or(usize::MAX);
+            let stop = LimitBreach {
+                resource: "candidate tuples",
+                spent: ceiling as u64,
+                budget: ceiling as u64,
+            };
+            (ceiling, ctx.caller_breach(Some(stop)).map(|b| b.budget))
+        };
+        assert_eq!(owner(Budget::unlimited()), (guard, None));
+        assert_eq!(owner(Budget::unlimited().with_max_candidates(guard)), (guard, None));
+        assert_eq!(owner(Budget::unlimited().with_max_candidates(guard + 1)), (guard, None));
+        let below = guard - 1;
+        let lower = Budget::unlimited().with_max_candidates(below);
+        assert_eq!(owner(lower), (below, Some(below as u64)));
+        // Every other breach stays the caller's, under any candidate ceiling.
+        let probes = LimitBreach { resource: "label probes", spent: 2, budget: 1 };
+        let ctx = RequestContext::unlimited();
+        assert_eq!(ctx.caller_breach(Some(probes.clone())), Some(probes));
+        assert_eq!(ctx.caller_breach(None), None);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! log-bucketed latency histograms, aggregated per statement kind.
 //!
 //! A [`MetricsRegistry`] is a struct of atomic fields: per statement kind
-//! (indexed by [`Statement`], labelled by [`Statement::name`]) the requests,
-//! the rows returned and a latency [`Histogram`]; engine-wide the request
-//! errors, budget breaches, degraded responses, cancellations and contained
-//! panics.  Every request is recorded exactly once — by
+//! (indexed by [`Statement`]) the requests and a latency [`Histogram`];
+//! engine-wide the request errors, budget breaches and contained panics.
+//! Every request is recorded exactly once — by
 //! `MetricsRegistry::record` with its statement and outcome, or by
 //! `MetricsRegistry::record_unparsed` when its text names no statement — and
 //! read back through typed accessors.  Recording never allocates and never
@@ -14,11 +13,7 @@
 //!
 //! Latency is recorded in [`Histogram`]s with an HDR-style bucket ladder:
 //! eight linear buckets for sub-8µs values, then eight sub-buckets per
-//! power-of-two octave (≤ 12.5 % relative quantile error), all in one flat
-//! atomic array.
-//!
-//! [`MetricsRegistry::snapshot`] is the one rendering, and the one place each
-//! metric name is spelled: deterministic JSON sorted by `(name, label)`.
+//! power-of-two octave, all in one flat atomic array.
 //!
 //! # Invariant catalog (substrate `metrics`)
 //!
@@ -26,7 +21,6 @@
 //! |---|---|
 //! | `histogram-buckets` | bucket counts sum to the recorded count; bucket bounds strictly increase |
 //! | `histogram-minmax` | recorded min ≤ max when non-empty; empty histograms keep their sentinel min/max |
-//! | `snapshot-deterministic` | two consecutive snapshots of a quiescent registry are identical |
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -50,9 +44,7 @@ const BUCKETS: usize = LINEAR_BUCKETS + OCTAVES * SUB_BUCKETS;
 
 /// A log-bucketed latency histogram over unsigned microseconds: a fixed
 /// HDR-style bucket ladder (flat atomic array, no allocation on record) plus
-/// exact count/sum/min/max.  Quantiles are bucket upper bounds clamped to the
-/// observed `[min, max]`, so the relative error stays within one sub-bucket
-/// (≤ 12.5 %).
+/// exact count/min/max.
 // surface: type in a public signature (`MetricsRegistry::latency`)
 #[derive(Debug)]
 pub struct Histogram {
@@ -62,7 +54,6 @@ pub struct Histogram {
     /// seeded-corruption suite can break — the ladder's monotonicity.
     bounds: [u64; BUCKETS],
     count: AtomicU64,
-    sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
 }
@@ -99,7 +90,6 @@ impl Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             bounds: std::array::from_fn(ladder_bound),
             count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
         }
@@ -109,7 +99,6 @@ impl Histogram {
     fn observe_micros(&self, v: u64) {
         self.buckets[ladder_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -122,44 +111,6 @@ impl Histogram {
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of recorded values (microseconds).
-    fn sum_micros(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Smallest recorded value, `None` when empty.
-    fn min_micros(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.min.load(Ordering::Relaxed))
-    }
-
-    /// Largest recorded value, `None` when empty.
-    fn max_micros(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.max.load(Ordering::Relaxed))
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) in microseconds: the upper bound of the
-    /// bucket the cumulative count crosses `⌈q·count⌉` in, clamped to the
-    /// observed `[min, max]`.  Returns 0 for an empty histogram.
-    fn quantile_micros(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        let mut estimate = self.bounds[BUCKETS - 1];
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if cumulative >= target {
-                estimate = self.bounds[i];
-                break;
-            }
-        }
-        let lo = self.min.load(Ordering::Relaxed);
-        let hi = self.max.load(Ordering::Relaxed);
-        estimate.clamp(lo.min(hi), hi)
     }
 
     /// This histogram's invariant violations, labelled `what` in details.
@@ -231,7 +182,6 @@ impl Default for Histogram {
 #[derive(Debug, Default)]
 struct StatementMetrics {
     requests: AtomicU64,
-    rows_returned: AtomicU64,
     latency: Histogram,
 }
 
@@ -244,8 +194,6 @@ pub struct MetricsRegistry {
     statements: [StatementMetrics; Statement::NAMES.len()],
     request_errors: AtomicU64,
     budget_breaches: AtomicU64,
-    degraded_responses: AtomicU64,
-    cancellations: AtomicU64,
     panics_contained: AtomicU64,
 }
 
@@ -264,24 +212,17 @@ impl MetricsRegistry {
     }
 
     /// Records one request's outcome under its statement kind: the request,
-    /// and then either its rows, latency and degradation or its error and
-    /// the error's kind (budget breach, cancellation, contained panic).
+    /// and then either its latency or its error and the error's kind (budget
+    /// breach, contained panic).
     pub(crate) fn record(&self, statement: &Statement, outcome: &Result<SedaResponse, SedaError>) {
         let slot = &self.statements[statement.kind()];
         bump(&slot.requests);
         match outcome {
-            Ok(response) => {
-                slot.rows_returned.fetch_add(response.profile.rows as u64, Ordering::Relaxed);
-                slot.latency.observe_secs(response.profile.total_secs());
-                if response.profile.degraded {
-                    bump(&self.degraded_responses);
-                }
-            }
+            Ok(response) => slot.latency.observe_secs(response.profile.total_secs()),
             Err(err) => {
                 bump(&self.request_errors);
                 match err {
                     SedaError::Limit { .. } => bump(&self.budget_breaches),
-                    SedaError::Cancelled => bump(&self.cancellations),
                     SedaError::Internal(_) => bump(&self.panics_contained),
                     _ => {}
                 }
@@ -326,77 +267,14 @@ impl MetricsRegistry {
         &mut self.statements[statement.kind()].latency
     }
 
-    /// Every counter as `(name, label, value)`; engine-wide counters carry
-    /// the empty label.
-    fn counters(&self) -> Vec<(&'static str, &'static str, u64)> {
-        let mut counters = vec![
-            ("seda_request_errors_total", "", load(&self.request_errors)),
-            ("seda_budget_breaches_total", "", load(&self.budget_breaches)),
-            ("seda_degraded_responses_total", "", load(&self.degraded_responses)),
-            ("seda_cancellations_total", "", load(&self.cancellations)),
-            ("seda_panics_contained_total", "", load(&self.panics_contained)),
-        ];
-        for (label, slot) in Statement::NAMES.into_iter().zip(&self.statements) {
-            counters.push(("seda_requests_total", label, load(&slot.requests)));
-            counters.push(("seda_rows_returned_total", label, load(&slot.rows_returned)));
-        }
-        counters
-    }
-
-    /// Every histogram as `(name, label, histogram)`.
-    fn histograms(&self) -> impl Iterator<Item = (&'static str, &'static str, &Histogram)> {
-        let slots = Statement::NAMES.into_iter().zip(&self.statements);
-        slots.map(|(label, slot)| ("seda_request_latency_seconds", label, &slot.latency))
-    }
-
-    /// Renders the whole record as deterministic JSON: entries sorted by
-    /// `(name, label)`, histograms summarised as count/sum/min/max and the
-    /// p50/p95/p99 quantiles (all in integer microseconds).
-    fn snapshot(&self) -> String {
-        let mut counters = self.counters();
-        counters.sort();
-        let mut histograms: Vec<_> = self.histograms().collect();
-        histograms.sort_by_key(|&(name, label, _)| (name, label));
-
-        let counters = counters.iter().map(|(name, label, value)| {
-            format!(r#"    {{"name": "{name}", "label": "{label}", "value": {value}}}"#)
-        });
-        let histograms = histograms.iter().map(|(name, label, h)| {
-            format!(
-                r#"    {{"name": "{name}", "label": "{label}", "count": {}, "sum_us": {}, "min_us": {}, "max_us": {}, "p50_us": {}, "p95_us": {}, "p99_us": {}}}"#,
-                h.count(),
-                h.sum_micros(),
-                h.min_micros().unwrap_or(0),
-                h.max_micros().unwrap_or(0),
-                h.quantile_micros(0.50),
-                h.quantile_micros(0.95),
-                h.quantile_micros(0.99),
-            )
-        });
-        let mut out = String::from("{\n  \"counters\": [\n");
-        out.push_str(&counters.collect::<Vec<_>>().join(",\n"));
-        out.push_str("\n  ],\n  \"histograms\": [\n");
-        out.push_str(&histograms.collect::<Vec<_>>().join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
     /// Verifies the registry's structural invariants: every histogram's
     /// bucket/count consistency and bound monotonicity
-    /// (`histogram-buckets`), min/max sanity (`histogram-minmax`), and
-    /// snapshot determinism (`snapshot-deterministic`).  Quiescent fresh
+    /// (`histogram-buckets`) and min/max sanity (`histogram-minmax`).  Fresh
     /// registries always pass.
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
-        for (name, label, histogram) in self.histograms() {
-            violations.extend(histogram.violations(&format!("{name}{{{label}}}")));
-        }
-        if self.snapshot() != self.snapshot() {
-            violations.push(InvariantViolation::new(
-                SUBSTRATE,
-                "snapshot-deterministic",
-                "two consecutive snapshots of a quiescent registry differ".to_string(),
-            ));
+        for (label, slot) in Statement::NAMES.into_iter().zip(&self.statements) {
+            violations.extend(slot.latency.violations(&format!("{label} latency")));
         }
         finish(violations)
     }
@@ -421,81 +299,47 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_bracket_the_recorded_values() {
+    fn histogram_buckets_hold_every_recorded_value() {
         let h = Histogram::new();
         for ms in 1..=100u64 {
             h.observe_micros(ms * 1_000);
         }
         assert_eq!(h.count(), 100);
-        assert_eq!(h.min_micros(), Some(1_000));
-        assert_eq!(h.max_micros(), Some(100_000));
-        let p50 = h.quantile_micros(0.50);
-        assert!((40_000..=60_000).contains(&p50), "p50 was {p50}");
-        let p99 = h.quantile_micros(0.99);
-        assert!((90_000..=100_000).contains(&p99), "p99 was {p99}");
-        assert_eq!(h.quantile_micros(1.0), 100_000);
-        assert_eq!(Histogram::new().quantile_micros(0.5), 0);
+        let bucket = |v: u64| h.buckets[ladder_index(v)].load(Ordering::Relaxed);
+        assert!(bucket(1_000) >= 1 && bucket(100_000) >= 1);
+        let held: u64 = h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum();
+        assert_eq!(held, 100);
+        let (min, max) = (h.min.load(Ordering::Relaxed), h.max.load(Ordering::Relaxed));
+        assert_eq!((min, max), (1_000, 100_000));
+        assert!(h.violations("h").is_empty());
     }
 
     fn statement(text: &str) -> Statement {
         crate::SedaRequest::parse(text).unwrap().statement
     }
 
-    fn answer(rows: usize, degraded: bool) -> Result<SedaResponse, SedaError> {
-        let mut response = SedaResponse {
+    fn answer() -> Result<SedaResponse, SedaError> {
+        Ok(SedaResponse {
             payload: crate::ResponsePayload::Explain(String::new()),
             profile: Default::default(),
-        };
-        response.profile.rows = rows;
-        response.profile.degraded = degraded;
-        Ok(response)
+        })
     }
 
     #[test]
     fn registry_records_each_outcome_under_its_statement_kind() {
         let m = MetricsRegistry::new();
         let (topk, twig) = (statement("TOPK 3 FOR (a, *)"), statement("TWIG /a"));
-        m.record(&topk, &answer(2, false));
-        m.record(&topk, &answer(5, true));
+        m.record(&topk, &answer());
+        m.record(&topk, &answer());
         m.record(&topk, &Err(SedaError::Cancelled));
         m.record(&twig, &Err(SedaError::Limit { resource: "rows", spent: 2, budget: 1 }));
+        m.record(&twig, &Err(SedaError::Internal("boom".to_string())));
         m.record_unparsed();
-        assert_eq!(
-            (
-                m.requests(&topk),
-                load(&m.statements[topk.kind()].rows_returned),
-                m.latency(&topk).count()
-            ),
-            (3, 7, 2)
-        );
-        assert_eq!(
-            (
-                m.requests(&twig),
-                load(&m.statements[twig.kind()].rows_returned),
-                m.latency(&twig).count()
-            ),
-            (1, 0, 0)
-        );
+        assert_eq!((m.requests(&topk), m.latency(&topk).count()), (3, 2));
+        assert_eq!((m.requests(&twig), m.latency(&twig).count()), (2, 0));
         assert_eq!(m.requests(&statement("CONTEXTS FOR (a, *)")), 0);
-        assert_eq!((m.request_errors(), m.budget_breaches(), load(&m.cancellations)), (3, 1, 1));
-        assert_eq!((load(&m.degraded_responses), m.panics_contained()), (1, 0));
+        assert_eq!((m.request_errors(), m.budget_breaches(), m.panics_contained()), (4, 1, 1));
         m.verify().unwrap();
-    }
-
-    #[test]
-    fn snapshot_is_deterministic_and_sorted() {
-        let m = MetricsRegistry::new();
-        m.record(&statement("TWIG /a"), &answer(1, false));
-        let a = m.snapshot();
-        assert_eq!(a, m.snapshot());
-        let budget = a.find("seda_budget_breaches_total").unwrap();
-        let requests = a.find("seda_requests_total").unwrap();
-        assert!(budget < requests, "snapshot entries must sort by name");
-        assert!(a.contains(r#""name": "seda_requests_total", "label": "TWIG", "value": 1"#));
-        assert!(
-            a.contains(r#""name": "seda_request_latency_seconds", "label": "TWIG", "count": 1"#)
-        );
-        assert_eq!(a.matches(r#""name": "#).count(), 5 + 3 * Statement::NAMES.len());
     }
 
     #[test]

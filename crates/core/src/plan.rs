@@ -11,8 +11,9 @@
 //! header plus numbered steps, computed from the plan's own fields when it
 //! is rendered) is the answer of the request's `EXPLAIN` form.
 
+use seda_datagraph::SEARCH_DEPTH;
 use seda_olap::BuildOptions;
-use seda_topk::{TermInput, TopKConfig};
+use seda_topk::{SearchLimits, TermInput};
 use seda_twigjoin::TwigPattern;
 use seda_xmlstore::{PathId, Symbol};
 
@@ -46,9 +47,6 @@ pub(crate) struct QueryPlan {
     /// Compiled pattern of a `TWIG` (empty for every other statement).
     pub(crate) pattern: TwigPattern,
     pub(crate) cube_options: BuildOptions,
-    /// The engine's search configuration; a statement's `k` replaces its
-    /// default `k` at the search.
-    pub(crate) topk: TopKConfig,
     /// The engine's bound on the context combinations and rows of R(q).
     pub(crate) complete_result_limit: usize,
 }
@@ -100,15 +98,15 @@ impl QueryPlan {
                 None => format!("resolve contexts of term {i} {term}: unrestricted"),
             });
         }
-        let (max_depth, candidate_limit) = (self.topk.max_depth, self.topk.candidate_limit);
         match &self.statement {
             Statement::TopK { k } | Statement::ConnectionSummary { k } => {
                 steps.push(format!(
-                    "threshold-algorithm rank join: k={k}, candidate limit {candidate_limit}"
+                    "threshold-algorithm rank join: k={k}, candidate limit {}",
+                    SearchLimits::CANDIDATE_GUARD
                 ));
                 if let Statement::ConnectionSummary { .. } = self.statement {
                     steps.push(format!(
-                        "discover pairwise connections (oracle depth ≤ {max_depth})"
+                        "discover pairwise connections (oracle depth ≤ {SEARCH_DEPTH})"
                     ));
                 }
             }
@@ -133,7 +131,7 @@ impl QueryPlan {
                 if combinations > same_root {
                     steps.push(format!(
                         "join {} cross-root combination(s) via graph connectivity \
-                         (depth ≤ {max_depth}, ≤ {} rows)",
+                         (depth ≤ {SEARCH_DEPTH}, ≤ {} rows)",
                         combinations - same_root,
                         self.complete_result_limit
                     ));
@@ -210,7 +208,6 @@ impl SedaEngine {
             connections: Vec::new(),
             pattern: TwigPattern::default(),
             cube_options: request.cube_options.clone(),
-            topk: self.config().topk.clone(),
             complete_result_limit: self.config().complete_result_limit,
         };
 
@@ -334,13 +331,12 @@ mod tests {
     #[test]
     fn every_term_count_plans_the_rank_join() {
         let e = engine();
-        let candidate_limit = e.config().topk.candidate_limit;
+        let guard = SearchLimits::CANDIDATE_GUARD;
         for q in ["(name, *)", "(name, *) AND (percentage, *)"] {
             let plan = e.prepare(&SedaRequest::parse(&format!("TOPK 5 FOR {q}")).unwrap()).unwrap();
             let transcript = plan.explain();
             let last = transcript.lines().last().unwrap();
-            let join =
-                format!(". threshold-algorithm rank join: k=5, candidate limit {candidate_limit}");
+            let join = format!(". threshold-algorithm rank join: k=5, candidate limit {guard}");
             assert!(last.ends_with(&join), "{q}: {transcript}");
         }
     }

@@ -99,6 +99,7 @@ impl PreparedStatement {
 #[cfg(test)]
 mod tests {
     use crate::engine::{EngineConfig, SedaEngine};
+    use crate::govern::{Budget, RequestContext};
     use crate::request::SedaRequest;
     use seda_olap::Registry;
     use seda_xmlstore::parse_collection;
@@ -176,19 +177,16 @@ mod tests {
     #[test]
     fn set_k_on_one_term_matches_a_fresh_plan_on_both_sides_of_the_candidate_bound() {
         let collection = parse_collection(vec![(
-            "us.xml",
-            r#"<country><name>United States</name><year>2006</year></country>"#,
+            "north.xml",
+            r#"<region><name>United States</name><name>Canada</name><name>Mexico</name></region>"#,
         )])
         .unwrap();
-        let config = EngineConfig {
-            topk: seda_topk::TopKConfig { candidate_limit: 2, ..Default::default() },
-            ..EngineConfig::default()
-        };
-        let e = SedaEngine::build(collection, Registry::new(), config).unwrap();
+        let e = SedaEngine::build(collection, Registry::new(), EngineConfig::default()).unwrap();
         let mut reader = e.reader();
         let mut prepared =
             reader.prepare(&SedaRequest::parse("TOPK 1 FOR (name, *)").unwrap()).unwrap();
-        // k=5 exceeds the candidate bound of 2, k=1 does not: the one join
+        let ctx = RequestContext::new(Budget::unlimited().with_max_candidates(2)).allow_degraded();
+        // k=5 passes the candidate ceiling of 2, k=1 does not: the one join
         // serves both, and the transcript only changes its k.
         for k in [5usize, 1, 5] {
             assert!(prepared.set_k(k));
@@ -197,8 +195,10 @@ mod tests {
             let explained = reader.execute_text(&format!("EXPLAIN {}", request.render()));
             let explained = explained.unwrap();
             assert_eq!(Some(prepared.explain().as_str()), explained.explain_transcript(), "k={k}");
-            let fresh = reader.execute(&request).unwrap();
-            assert_eq!(prepared.execute(&mut reader).unwrap().payload, fresh.payload, "k={k}");
+            let fresh = reader.execute_governed(&request, &ctx).unwrap();
+            let replayed = prepared.execute_governed(&mut reader, &ctx).unwrap();
+            assert_eq!(replayed.payload, fresh.payload, "k={k}");
+            assert_eq!((replayed.profile.degraded, fresh.profile.degraded), (k == 5, k == 5));
         }
     }
 }

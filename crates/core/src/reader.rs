@@ -13,7 +13,8 @@
 //! The second statement of the pair takes the first one's answer, at most
 //! once, when it is the *other* statement, from the same source (a cold
 //! request or a prepared statement's lists), over equal term inputs and
-//! search config; the recorded search ended without a breach; and the
+//! `k`; the recorded search ended without a breach of the request's own
+//! (the engine's candidate guard stopping it is none); and the
 //! request sets no work ceiling and its deadline has not run out.  Any other
 //! search runs and replaces the entry; a contained panic clears it.  A
 //! repeated statement never reuses (the caller asked again), cold and
@@ -48,7 +49,7 @@
 
 use seda_olap::{aggregate, CubeQuery, FactTable, QueryResultTable};
 use seda_topk::{
-    LimitBreach, MaterializedTerms, SearchScratch, SearchStats, TermInput, TopKConfig, TopKResult,
+    LimitBreach, MaterializedTerms, SearchScratch, SearchStats, TermInput, TopKResult,
 };
 
 use crate::engine::{catch_internal, GovernedTable, SedaEngine};
@@ -149,24 +150,18 @@ struct LastSearch {
     /// True when it read a prepared statement's lists.
     prepared: bool,
     terms: Vec<TermInput>,
-    config: TopKConfig,
+    k: usize,
     result: TopKResult,
 }
 
 impl LastSearch {
     /// True when this search answers the other statement of its pair, from
-    /// the same source, over equal term inputs and config.  A repeat of the
+    /// the same source, over equal term inputs and `k`.  A repeat of the
     /// same statement never takes it: the caller asked again.
-    fn answers(
-        &self,
-        by_connections: bool,
-        prepared: bool,
-        terms: &[TermInput],
-        config: &TopKConfig,
-    ) -> bool {
+    fn answers(&self, by_connections: bool, prepared: bool, terms: &[TermInput], k: usize) -> bool {
         self.by_connections != by_connections
             && self.prepared == prepared
-            && self.config == *config
+            && self.k == k
             && self.terms == terms
     }
 }
@@ -399,7 +394,8 @@ impl<'e> SedaReader<'e> {
     /// Under the module doc's reuse rule the last search's answer is taken
     /// instead: the profile then counts no search work but keeps the
     /// answer's `candidates_truncated` and `early_terminated`.  A search that
-    /// runs leaves its answer behind, unless it breached.
+    /// runs leaves its answer behind, unless it breached a ceiling of the
+    /// request's own ([`RequestContext::caller_breach`]).
     fn run_search(
         &mut self,
         plan: &QueryPlan,
@@ -410,9 +406,8 @@ impl<'e> SedaReader<'e> {
     ) -> Result<TopKResult, SedaError> {
         let by_connections = matches!(plan.statement, Statement::ConnectionSummary { .. });
         let prepared = materialized.is_some();
-        let config = TopKConfig { k, ..plan.topk.clone() };
         if let Some(last) = self.last_search.take().filter(|last| {
-            last.answers(by_connections, prepared, &plan.term_inputs, &config)
+            last.answers(by_connections, prepared, &plan.term_inputs, k)
                 && !ctx.has_work_ceiling()
                 && ctx.deadline_breach().is_none()
         }) {
@@ -428,7 +423,7 @@ impl<'e> SedaReader<'e> {
         let before = profile.clone();
         let (result, breach) = self.engine.search(
             &plan.term_inputs,
-            &config,
+            k,
             &ctx.search_limits(),
             &mut self.scratch,
             materialized,
@@ -437,12 +432,13 @@ impl<'e> SedaReader<'e> {
         let mut counters = SpanCounters::delta(&before, profile);
         counters.rows = result.tuples.len();
         self.tracer.exit_with(s, counters);
+        let breach = ctx.caller_breach(breach);
         if breach.is_none() {
             self.last_search = Some(LastSearch {
                 by_connections,
                 prepared,
                 terms: plan.term_inputs.clone(),
-                config,
+                k,
                 result: result.clone(),
             });
         }

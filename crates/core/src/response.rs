@@ -35,8 +35,11 @@ pub struct ExecProfile {
     pub tuples_scored: usize,
     /// Candidate tuples discarded as disconnected.
     pub tuples_disconnected: usize,
-    /// Candidate combinations clipped by the candidate limit (non-zero means
-    /// a best-effort top-k).
+    /// Candidate combinations the search cut because their batch would have
+    /// passed its candidate ceiling, `min(max_candidates,
+    /// SearchLimits::CANDIDATE_GUARD)`.  Non-zero means a best-effort top-k:
+    /// at the engine's guard the answer is not `degraded`, below it the
+    /// caller's ceiling stopped the search (`degraded` or an error).
     pub candidates_truncated: usize,
     /// Connectivity-oracle probes during connectivity/compactness checks:
     /// core-label entries scanned and climb or parent steps walked.

@@ -78,7 +78,7 @@ impl<'a> SedaSession<'a> {
             connections: None,
             complete: None,
             star_schema: None,
-            k: engine.config().topk.k,
+            k: Self::DEFAULT_K,
             budget: None,
         }
     }
@@ -101,6 +101,9 @@ impl<'a> SedaSession<'a> {
         }
     }
 
+    /// The `k` a session retrieves until [`SedaSession::set_k`] changes it.
+    const DEFAULT_K: usize = 10;
+
     /// Sets the number of top-k results to retrieve per iteration.
     pub fn set_k(&mut self, k: usize) {
         self.k = k.max(1);
@@ -112,11 +115,6 @@ impl<'a> SedaSession<'a> {
     /// answer over an error, visible in [`SedaSession::last_profile`].
     pub fn set_budget(&mut self, budget: Option<Budget>) {
         self.budget = budget;
-    }
-
-    /// The session's current budget, if any.
-    pub fn budget(&self) -> Option<&Budget> {
-        self.budget.as_ref()
     }
 
     /// The [`ExecProfile`] of the last request the session ran: `RESULTS`
@@ -522,7 +520,7 @@ mod tests {
         let e = engine();
         let mut session = SedaSession::new(&e);
         session.set_budget(Some(Budget::unlimited().with_max_sorted_accesses(0)));
-        assert!(session.budget().is_some());
+        assert!(session.budget.is_some());
         session.submit_text(r#"(trade_country, *)"#).unwrap();
         let profile = session.last_profile().unwrap();
         assert!(profile.degraded, "an exhausted budget must flag the partial answer");

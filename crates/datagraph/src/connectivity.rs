@@ -53,9 +53,16 @@ use crate::graph::{DataGraph, Edge};
 /// The deepest bound the oracle answers: core labelling stops `MAX_DEPTH`
 /// hops from each hub, so a label distance above it means only "farther than
 /// `MAX_DEPTH`", and a climb or a parent walk gives up after `MAX_DEPTH`
-/// steps.  Kept above the default search depth (12).  Traversal queries
-/// clamp their `max_depth` to it.
+/// steps.  Kept above [`SEARCH_DEPTH`].  Traversal queries clamp their
+/// `max_depth` to it.
 pub const MAX_DEPTH: usize = 16;
+
+/// The engine's one connectivity bound: the hops a top-k tuple, a discovered
+/// connection, the cross-root join and the connection filter may span.
+pub const SEARCH_DEPTH: usize = 12;
+
+// The oracle answers every bound up to `MAX_DEPTH` exactly.
+const _: () = assert!(SEARCH_DEPTH <= MAX_DEPTH);
 
 /// "The pinned source has no entry under this key" in the scattered array of
 /// the one-to-many query.  Above [`MAX_DEPTH`] on purpose: a sum through a

@@ -51,7 +51,7 @@ impl SearchScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SearchLimits, TermInput, TopKConfig, TopKSearcher};
+    use crate::{SearchLimits, TermInput, TopKSearcher};
     use seda_datagraph::{DataGraph, GraphConfig};
     use seda_textindex::{FullTextQuery, NodeIndex};
     use seda_xmlstore::parse_collection;
@@ -72,12 +72,7 @@ mod tests {
             TermInput::new(FullTextQuery::keywords("alpha")),
             TermInput::new(FullTextQuery::keywords("beta")),
         ];
-        let (result, _) = searcher.search(
-            &terms,
-            &TopKConfig::with_k(3),
-            &SearchLimits::unlimited(),
-            &mut scratch,
-        );
+        let (result, _) = searcher.search(&terms, 3, &SearchLimits::unlimited(), &mut scratch);
         assert!(!result.tuples.is_empty());
         scratch.verify().unwrap();
         assert!(result.stats.tuples_disconnected <= result.stats.tuples_scored);

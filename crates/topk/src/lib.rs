@@ -9,7 +9,7 @@
 //! ```
 //! use seda_datagraph::{DataGraph, GraphConfig};
 //! use seda_textindex::{FullTextQuery, NodeIndex};
-//! use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
+//! use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKSearcher};
 //! use seda_xmlstore::parse_collection;
 //!
 //! let collection = parse_collection(vec![
@@ -22,7 +22,7 @@
 //! // search is a fresh scratch.
 //! let (result, breach) = searcher.search(
 //!     &[TermInput::new(FullTextQuery::phrase("United States"))],
-//!     &TopKConfig::with_k(3),
+//!     3,
 //!     &SearchLimits::unlimited(),
 //!     &mut SearchScratch::new(),
 //! );
@@ -37,23 +37,22 @@ mod types;
 
 pub use searcher::{SearchScratch, TopKSearcher};
 pub use types::{
-    LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, TermInput, TopKConfig,
-    TopKResult,
+    LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, TermInput, TopKResult,
 };
 
 #[cfg(test)]
 mod proptests {
     use proptest::prelude::*;
 
-    use crate::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKResult, TopKSearcher};
+    use crate::{SearchLimits, SearchScratch, TermInput, TopKResult, TopKSearcher};
     use seda_datagraph::{DataGraph, GraphConfig};
     use seda_textindex::{FullTextQuery, NodeIndex};
     use seda_xmlstore::Collection;
 
-    fn search(searcher: &TopKSearcher<'_>, terms: &[TermInput], config: &TopKConfig) -> TopKResult {
+    fn search(searcher: &TopKSearcher<'_>, terms: &[TermInput], k: usize) -> TopKResult {
         let mut scratch = SearchScratch::new();
         let limits = SearchLimits::unlimited();
-        searcher.search(terms, config, &limits, &mut scratch).0
+        searcher.search(terms, k, &limits, &mut scratch).0
     }
 
     /// A small random two-level collection of `docs` documents, each with a
@@ -90,9 +89,8 @@ mod proptests {
                 TermInput::new(FullTextQuery::keywords("alpha")),
                 TermInput::new(FullTextQuery::Any),
             ];
-            let config = TopKConfig::with_k(k);
-            let ta = search(&searcher, &terms, &config);
-            let naive = searcher.search_naive(&terms, &config, &mut SearchScratch::new());
+            let ta = search(&searcher, &terms, k);
+            let naive = searcher.search_naive(&terms, k, &mut SearchScratch::new());
             prop_assert_eq!(ta.tuples.len(), naive.tuples.len());
             for (a, b) in ta.tuples.iter().zip(naive.tuples.iter()) {
                 prop_assert!((a.score - b.score).abs() < 1e-9);
@@ -111,7 +109,7 @@ mod proptests {
                 TermInput::new(FullTextQuery::keywords("beta")),
                 TermInput::new(FullTextQuery::Any),
             ];
-            let result = search(&searcher, &terms, &TopKConfig::with_k(k));
+            let result = search(&searcher, &terms, k);
             prop_assert!(result.tuples.len() <= k);
             for w in result.tuples.windows(2) {
                 prop_assert!(w[0].score >= w[1].score);

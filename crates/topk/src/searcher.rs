@@ -80,14 +80,13 @@
 
 use std::collections::BinaryHeap;
 
-use seda_datagraph::{compactness_with, pin, DataGraph, TraversalScratch};
+use seda_datagraph::{compactness_with, pin, DataGraph, TraversalScratch, SEARCH_DEPTH};
 use seda_textindex::{NodeIndex, ScoredNode};
 use seda_xmlstore::NodeId;
 
 use crate::partition::ComponentPartition;
 use crate::types::{
-    LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, TermInput, TopKConfig,
-    TopKResult,
+    LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, TermInput, TopKResult,
 };
 
 /// Reusable buffers of the top-k search: posting lists and their component
@@ -179,11 +178,10 @@ fn score_tuple(
     traversal: &mut TraversalScratch,
     nodes: &[NodeId],
     content: f64,
-    config: &TopKConfig,
     stats: &mut SearchStats,
 ) -> Option<ResultTuple> {
     stats.tuples_scored += 1;
-    let compact = compactness_with(graph, traversal, nodes, config.max_depth);
+    let compact = compactness_with(graph, traversal, nodes, SEARCH_DEPTH);
     if compact == 0.0 && nodes.len() > 1 {
         stats.tuples_disconnected += 1;
         return None;
@@ -216,8 +214,9 @@ impl<'a> TopKSearcher<'a> {
         }
     }
 
-    /// Runs the Threshold-Algorithm search under per-request resource
-    /// ceilings, reusing `scratch` for every buffer the join loop needs.
+    /// Runs the Threshold-Algorithm search for the best `k` tuples under
+    /// per-request resource ceilings, reusing `scratch` for every buffer the
+    /// join loop needs (`k == 0` yields an empty result).
     /// Ungoverned callers pass [`SearchLimits::unlimited`], one-off callers
     /// `&mut SearchScratch::new()`.  The term lists are filled, then
     /// semi-joined on document components (module docs), then joined.
@@ -227,13 +226,15 @@ impl<'a> TopKSearcher<'a> {
     /// every singleton tuple is maximally compact (`1.0`, no label probe) and
     /// no partner is ever looked up.
     ///
-    /// At most [`TopKConfig::candidate_limit`] candidate tuples are scored;
-    /// when the limit clips the candidate set, the number of dropped
-    /// combinations is recorded in [`SearchStats::candidates_truncated`].
+    /// [`SearchLimits::max_tuples_scored`] is the one candidate ceiling: a
+    /// batch of candidate tuples that would pass it is cut to it, the dropped
+    /// combinations counted in [`SearchStats::candidates_truncated`], and the
+    /// search stops with a `"candidate tuples"` breach once the tuples scored
+    /// reach it.
     ///
-    /// The [`SearchLimits`] ceilings are checked at the loop's existing
-    /// counter sites (sorted access, random access, tuple scoring, label
-    /// probes) plus a cancellation test per sorted access and a deadline test
+    /// The other [`SearchLimits`] ceilings are checked at the loop's counter
+    /// sites (sorted access, random access, label probes) plus a
+    /// cancellation test per sorted access and a deadline test
     /// (one clock read) before sorted access 0 and every
     /// [`SearchLimits::DEADLINE_STRIDE`]th after.  On a breach the loop stops
     /// and returns the top-k prefix computed so far — exact over the
@@ -248,7 +249,7 @@ impl<'a> TopKSearcher<'a> {
     pub fn search(
         &self,
         terms: &[TermInput],
-        config: &TopKConfig,
+        k: usize,
         limits: &SearchLimits,
         scratch: &mut SearchScratch,
     ) -> (TopKResult, Option<LimitBreach>) {
@@ -256,7 +257,7 @@ impl<'a> TopKSearcher<'a> {
         self.fill_lists(terms, lists, eval_candidates);
         let lists = &mut lists[..terms.len()];
         partition.semi_join(self.graph, lists);
-        self.join(lists, partition, config, limits, traversal, join)
+        self.join(lists, partition, k, limits, traversal, join)
     }
 
     /// Materialises the per-term sorted-access lists once, for reuse across
@@ -281,13 +282,13 @@ impl<'a> TopKSearcher<'a> {
     pub fn search_materialized(
         &self,
         materialized: &MaterializedTerms,
-        config: &TopKConfig,
+        k: usize,
         limits: &SearchLimits,
         scratch: &mut SearchScratch,
     ) -> (TopKResult, Option<LimitBreach>) {
         let MaterializedTerms { lists, partition } = materialized;
         let SearchScratch { traversal, join, .. } = scratch;
-        self.join(lists, partition, config, limits, traversal, join)
+        self.join(lists, partition, k, limits, traversal, join)
     }
 
     /// Picks the copy of [`TopKSearcher::rank_join`] a search runs in: the
@@ -301,15 +302,15 @@ impl<'a> TopKSearcher<'a> {
         &self,
         lists: &[Vec<ScoredNode>],
         partition: &ComponentPartition,
-        config: &TopKConfig,
+        k: usize,
         limits: &SearchLimits,
         traversal: &mut TraversalScratch,
         join: &mut JoinBuffers,
     ) -> (TopKResult, Option<LimitBreach>) {
         if lists.len() == 2 {
-            self.rank_join::<true>(lists, partition, config, limits, traversal, join)
+            self.rank_join::<true>(lists, partition, k, limits, traversal, join)
         } else {
-            self.rank_join::<false>(lists, partition, config, limits, traversal, join)
+            self.rank_join::<false>(lists, partition, k, limits, traversal, join)
         }
     }
 
@@ -323,13 +324,13 @@ impl<'a> TopKSearcher<'a> {
         &self,
         lists: &[Vec<ScoredNode>],
         partition: &ComponentPartition,
-        config: &TopKConfig,
+        k: usize,
         limits: &SearchLimits,
         traversal: &mut TraversalScratch,
         join: &mut JoinBuffers,
     ) -> (TopKResult, Option<LimitBreach>) {
         let mut stats = SearchStats::default();
-        if lists.is_empty() || config.k == 0 {
+        if lists.is_empty() || k == 0 {
             return (TopKResult { tuples: Vec::new(), stats }, None);
         }
         let m = lists.len();
@@ -354,6 +355,7 @@ impl<'a> TopKSearcher<'a> {
         positions.clear();
         positions.resize(m, 0);
         kth_scores.clear();
+        let ceiling = limits.max_tuples_scored.unwrap_or(usize::MAX);
 
         let mut buffer: BinaryHeap<HeapTuple> = BinaryHeap::new();
         let mut breach: Option<LimitBreach> = None;
@@ -435,8 +437,10 @@ impl<'a> TopKSearcher<'a> {
                     if combo_scores.is_empty() {
                         break;
                     }
-                    if stats.tuples_scored + combo_scores.len() > config.candidate_limit {
-                        let keep = config.candidate_limit.saturating_sub(stats.tuples_scored);
+                    // A stage that would pass the candidate ceiling is cut
+                    // to it (the stop below then ends the join).
+                    if stats.tuples_scored + combo_scores.len() > ceiling {
+                        let keep = ceiling.saturating_sub(stats.tuples_scored);
                         stats.candidates_truncated += combo_scores.len() - keep;
                         combo_scores.truncate(keep);
                         combo_nodes.truncate(keep * (j + 1));
@@ -459,46 +463,27 @@ impl<'a> TopKSearcher<'a> {
                 // compiled as it always was for every other search.
                 let mut unscored = combo_nodes.len() == combo_scores.len() * m;
                 if PAIRS && unscored && combo_scores.len() >= PIN_MIN {
-                    match score_pairs_pinned(
+                    unscored = !score_pairs_pinned(
                         self.graph,
                         traversal,
                         (new_node.node, i),
                         (combo_nodes, combo_scores),
-                        config,
-                        limits,
+                        k,
                         &mut stats,
                         kth_scores,
                         &mut buffer,
-                    ) {
-                        PairArm::NotTaken => {}
-                        PairArm::Scored => unscored = false,
-                        PairArm::Stopped(stop) => {
-                            breach = stop;
-                            break 'outer;
-                        }
-                    }
+                    );
                 }
                 if unscored {
                     for (c, &content) in combo_scores.iter().enumerate() {
-                        if let Some(max) = limits.max_tuples_scored {
-                            if stats.tuples_scored >= max {
-                                breach = Some(LimitBreach {
-                                    resource: "candidate tuples",
-                                    spent: stats.tuples_scored as u64,
-                                    budget: max as u64,
-                                });
-                                break 'outer;
-                            }
-                        }
                         let nodes = &combo_nodes[c * m..(c + 1) * m];
                         stats.tuples_scored += 1;
-                        let compact =
-                            compactness_with(self.graph, traversal, nodes, config.max_depth);
+                        let compact = compactness_with(self.graph, traversal, nodes, SEARCH_DEPTH);
                         if compact == 0.0 && m > 1 {
                             stats.tuples_disconnected += 1;
                         } else {
                             let score = content + compact;
-                            note_score(kth_scores, config.k, score);
+                            note_score(kth_scores, k, score);
                             // Buffer only tuples still inside the provisional
                             // top-k (ties at the k-th score included): a tuple
                             // strictly below k better ones can never re-enter,
@@ -516,10 +501,15 @@ impl<'a> TopKSearcher<'a> {
                                 }));
                             }
                         }
-                        if stats.tuples_scored >= config.candidate_limit {
-                            break 'outer;
-                        }
                     }
+                }
+                if stats.tuples_scored >= ceiling {
+                    breach = Some(LimitBreach {
+                        resource: "candidate tuples",
+                        spent: stats.tuples_scored as u64,
+                        budget: ceiling as u64,
+                    });
+                    break 'outer;
                 }
                 if let Some(max) = limits.max_label_probes {
                     let spent = traversal.label_probes - label_probes_before;
@@ -553,8 +543,8 @@ impl<'a> TopKSearcher<'a> {
                 }
                 let threshold = threshold_content + 1.0;
 
-                if kth_scores.len() >= config.k {
-                    let kth_score = kth_scores[config.k - 1];
+                if kth_scores.len() >= k {
+                    let kth_score = kth_scores[k - 1];
                     if kth_score >= threshold {
                         stats.early_terminated = true;
                         break 'outer;
@@ -572,25 +562,23 @@ impl<'a> TopKSearcher<'a> {
         // `into_sorted_vec` is ascending; we want best-first.
         tuples.reverse();
         tuples.dedup_by(|a, b| a.nodes == b.nodes);
-        tuples.truncate(config.k);
+        tuples.truncate(k);
         (TopKResult { tuples, stats }, breach)
     }
 
-    /// Exhaustive baseline: enumerates every combination of matching nodes,
-    /// scores them all and returns the best `k`.  Used to validate the TA
-    /// implementation and as the comparison point in the benchmark harness.
-    ///
-    /// Like the TA search, at most [`TopKConfig::candidate_limit`] candidate
-    /// tuples are materialised; clipped combinations are counted in
-    /// [`SearchStats::candidates_truncated`].
+    /// Exhaustive baseline for small inputs: enumerates every combination of
+    /// matching nodes in one document component, scores them all and returns
+    /// the best `k`.  It bounds nothing, so it is the judge of the exhaustive
+    /// tests (`tests/topk_equivalence.rs`) and the baseline of `perf_smoke`'s
+    /// pinned-pairs gate, not a search to run on a broad query.
     pub fn search_naive(
         &self,
         terms: &[TermInput],
-        config: &TopKConfig,
+        k: usize,
         scratch: &mut SearchScratch,
     ) -> TopKResult {
         let mut stats = SearchStats::default();
-        if terms.is_empty() || config.k == 0 {
+        if terms.is_empty() || k == 0 {
             return TopKResult { tuples: Vec::new(), stats };
         }
         let SearchScratch { traversal, lists, eval_candidates, join, .. } = scratch;
@@ -611,9 +599,9 @@ impl<'a> TopKSearcher<'a> {
             next_nodes.clear();
             next_scores.clear();
             let stride = j;
-            'combos: for (c, &content) in combo_scores.iter().enumerate() {
+            for (c, &content) in combo_scores.iter().enumerate() {
                 let run = &combo_nodes[c * stride..(c + 1) * stride];
-                for (ci, candidate) in list.iter().enumerate() {
+                for candidate in list {
                     // A tuple spanning two document components can never
                     // be connected: skip it before the connectivity check.
                     if let Some(&first) = run.first() {
@@ -624,14 +612,6 @@ impl<'a> TopKSearcher<'a> {
                     next_nodes.extend_from_slice(run);
                     next_nodes.push(candidate.node);
                     next_scores.push(content + candidate.score);
-                    if next_scores.len() > config.candidate_limit {
-                        // Candidate-limit guard against combinatorial
-                        // blow-up: everything after this point in the stage
-                        // is dropped and accounted for.
-                        stats.candidates_truncated +=
-                            (list.len() - ci - 1) + (combo_scores.len() - c - 1) * list.len();
-                        break 'combos;
-                    }
                 }
             }
             std::mem::swap(combo_nodes, next_nodes);
@@ -645,8 +625,7 @@ impl<'a> TopKSearcher<'a> {
         if combo_nodes.len() == combo_scores.len() * m {
             for (c, &content) in combo_scores.iter().enumerate() {
                 let nodes = &combo_nodes[c * m..(c + 1) * m];
-                if let Some(tuple) =
-                    score_tuple(self.graph, traversal, nodes, content, config, &mut stats)
+                if let Some(tuple) = score_tuple(self.graph, traversal, nodes, content, &mut stats)
                 {
                     tuples.push(tuple);
                 }
@@ -659,7 +638,7 @@ impl<'a> TopKSearcher<'a> {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.nodes.cmp(&b.nodes))
         });
-        tuples.truncate(config.k);
+        tuples.truncate(k);
         TopKResult { tuples, stats }
     }
 }
@@ -681,23 +660,13 @@ impl<'a> TopKSearcher<'a> {
 /// components feel the value.
 const PIN_MIN: usize = 8;
 
-/// What [`score_pairs_pinned`] did with one sorted access's pairs.
-enum PairArm {
-    /// Nothing: the node cannot be pinned (outside the graph, or a graph
-    /// without labels); the general loop scores the pairs.
-    NotTaken,
-    /// Scored every pair.
-    Scored,
-    /// Scored up to a stop of the whole join: the breached ceiling, or `None`
-    /// at the candidate limit.
-    Stopped(Option<LimitBreach>),
-}
-
 /// The join's scoring loop for the pairs of one sorted access, as one
 /// one-to-many distance query: `new` — at position `slot` of every pair — is
 /// pinned once, and each pair costs one pass over its partner's label instead
-/// of a merge of both ([`seda_datagraph::pin`]).  Same checks in the same
-/// order as the general loop, same compactness (`1 / (1 + distance)`, 0 when
+/// of a merge of both ([`seda_datagraph::pin`]).  Returns false, scoring
+/// nothing, when the node cannot be pinned (outside the graph, or a graph
+/// without labels); the general loop then scores the pairs.  Same
+/// compactness as the general loop (`1 / (1 + distance)`, 0 when
 /// disconnected), so everything but the probe count repeats;
 /// `tests/topk_equivalence.rs` holds it to `search_naive`, which scores every
 /// pair one-to-one through `compactness_with`.
@@ -708,32 +677,22 @@ fn score_pairs_pinned(
     traversal: &mut TraversalScratch,
     (new, slot): (NodeId, usize),
     (pairs, contents): (&[NodeId], &[f64]),
-    config: &TopKConfig,
-    limits: &SearchLimits,
+    k: usize,
     stats: &mut SearchStats,
     kth_scores: &mut Vec<f64>,
     buffer: &mut BinaryHeap<HeapTuple>,
-) -> PairArm {
+) -> bool {
     let Some(mut pinned) = pin(graph, traversal, new) else {
-        return PairArm::NotTaken;
+        return false;
     };
     for (nodes, &content) in pairs.chunks_exact(2).zip(contents) {
-        if let Some(max) = limits.max_tuples_scored {
-            if stats.tuples_scored >= max {
-                return PairArm::Stopped(Some(LimitBreach {
-                    resource: "candidate tuples",
-                    spent: stats.tuples_scored as u64,
-                    budget: max as u64,
-                }));
-            }
-        }
         stats.tuples_scored += 1;
-        match pinned.distance_to(nodes[1 - slot], config.max_depth) {
+        match pinned.distance_to(nodes[1 - slot], SEARCH_DEPTH) {
             None => stats.tuples_disconnected += 1,
             Some(distance) => {
                 let compactness = 1.0 / (1.0 + distance as f64);
                 let score = content + compactness;
-                note_score(kth_scores, config.k, score);
+                note_score(kth_scores, k, score);
                 // As in the general loop: only tuples still inside the
                 // provisional top-k are buffered.
                 if score
@@ -750,11 +709,8 @@ fn score_pairs_pinned(
                 }
             }
         }
-        if stats.tuples_scored >= config.candidate_limit {
-            return PairArm::Stopped(None);
-        }
     }
-    PairArm::Scored
+    true
 }
 
 /// Folds one buffered score into the descending top-`k` score list
@@ -808,8 +764,8 @@ mod tests {
     }
 
     /// The plain search: unlimited, fresh scratch.
-    fn search(searcher: &TopKSearcher<'_>, terms: &[TermInput], config: &TopKConfig) -> TopKResult {
-        searcher.search(terms, config, &SearchLimits::unlimited(), &mut SearchScratch::new()).0
+    fn search(searcher: &TopKSearcher<'_>, terms: &[TermInput], k: usize) -> TopKResult {
+        searcher.search(terms, k, &SearchLimits::unlimited(), &mut SearchScratch::new()).0
     }
 
     fn searcher_parts(c: &Collection) -> (NodeIndex, DataGraph) {
@@ -846,7 +802,7 @@ mod tests {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&index, &graph);
-        let result = search(&searcher, &query1_terms(&c), &TopKConfig::with_k(5));
+        let result = search(&searcher, &query1_terms(&c), 5);
         assert!(!result.tuples.is_empty());
         for tuple in &result.tuples {
             assert_eq!(tuple.nodes.len(), 3);
@@ -863,7 +819,7 @@ mod tests {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&index, &graph);
-        let result = search(&searcher, &query1_terms(&c), &TopKConfig::with_k(10));
+        let result = search(&searcher, &query1_terms(&c), 10);
         // The best US tuple must pair China with 15 or Canada with 16.9 (the
         // same-item pairing), not a cross-item combination.
         let best = &result.tuples[0];
@@ -884,10 +840,10 @@ mod tests {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&index, &graph);
-        let config = TopKConfig::with_k(4);
+        let k = 4;
         let terms = query1_terms(&c);
-        let ta = search(&searcher, &terms, &config);
-        let naive = searcher.search_naive(&terms, &config, &mut SearchScratch::new());
+        let ta = search(&searcher, &terms, k);
+        let naive = searcher.search_naive(&terms, k, &mut SearchScratch::new());
         assert_eq!(ta.tuples.len(), naive.tuples.len());
         for (a, b) in ta.tuples.iter().zip(naive.tuples.iter()) {
             assert!(
@@ -907,13 +863,11 @@ mod tests {
         let terms = query1_terms(&c);
         let mut scratch = SearchScratch::new();
         for k in [1usize, 3, 10] {
-            let config = TopKConfig::with_k(k);
-            let reused =
-                searcher.search(&terms, &config, &SearchLimits::unlimited(), &mut scratch).0;
-            let fresh = search(&searcher, &terms, &config);
+            let reused = searcher.search(&terms, k, &SearchLimits::unlimited(), &mut scratch).0;
+            let fresh = search(&searcher, &terms, k);
             assert_eq!(reused.tuples, fresh.tuples, "scratch reuse changed results at k={k}");
-            let reused_naive = searcher.search_naive(&terms, &config, &mut scratch);
-            let fresh_naive = searcher.search_naive(&terms, &config, &mut SearchScratch::new());
+            let reused_naive = searcher.search_naive(&terms, k, &mut scratch);
+            let fresh_naive = searcher.search_naive(&terms, k, &mut SearchScratch::new());
             assert_eq!(reused_naive.tuples, fresh_naive.tuples);
         }
     }
@@ -924,9 +878,9 @@ mod tests {
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&index, &graph);
         let terms = query1_terms(&c);
-        let one = search(&searcher, &terms, &TopKConfig::with_k(1));
+        let one = search(&searcher, &terms, 1);
         assert_eq!(one.tuples.len(), 1);
-        let many = search(&searcher, &terms, &TopKConfig::with_k(50));
+        let many = search(&searcher, &terms, 50);
         assert!(many.tuples.len() >= one.tuples.len());
         // Results are sorted best-first.
         for w in many.tuples.windows(2) {
@@ -939,12 +893,12 @@ mod tests {
         let c = factbook_fragment();
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&index, &graph);
-        assert!(search(&searcher, &[], &TopKConfig::default()).tuples.is_empty());
+        assert!(search(&searcher, &[], 10).tuples.is_empty());
         let impossible = vec![
             TermInput::new(FullTextQuery::keywords("zzzunknownzzz")),
             TermInput::new(FullTextQuery::Any),
         ];
-        assert!(search(&searcher, &impossible, &TopKConfig::default()).tuples.is_empty());
+        assert!(search(&searcher, &impossible, 10).tuples.is_empty());
     }
 
     #[test]
@@ -953,7 +907,7 @@ mod tests {
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&index, &graph);
         let terms = vec![TermInput::new(FullTextQuery::phrase("United States"))];
-        let result = search(&searcher, &terms, &TopKConfig::with_k(10));
+        let result = search(&searcher, &terms, 10);
         assert_eq!(result.tuples.len(), 2, "US appears as a country name and as a trade partner");
         for t in &result.tuples {
             assert_eq!(t.compactness, 1.0, "singleton tuples are maximally compact");
@@ -968,7 +922,7 @@ mod tests {
         let name_path = c.paths().get_str(c.symbols(), "/country/name").unwrap();
         let terms =
             vec![TermInput::with_paths(FullTextQuery::phrase("United States"), vec![name_path])];
-        let result = search(&searcher, &terms, &TopKConfig::default());
+        let result = search(&searcher, &terms, 10);
         assert_eq!(result.tuples.len(), 1);
         assert_eq!(c.context_string(result.tuples[0].nodes[0]).unwrap(), "/country/name");
     }
@@ -979,9 +933,8 @@ mod tests {
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&index, &graph);
         let terms = query1_terms(&c);
-        let small_k = search(&searcher, &terms, &TopKConfig::with_k(1));
-        let naive =
-            searcher.search_naive(&terms, &TopKConfig::with_k(1), &mut SearchScratch::new());
+        let small_k = search(&searcher, &terms, 1);
+        let naive = searcher.search_naive(&terms, 1, &mut SearchScratch::new());
         assert!(small_k.stats.sorted_accesses > 0);
         assert!(small_k.stats.tuples_scored <= naive.stats.tuples_scored);
         assert!(small_k.stats.label_probes > 0, "connectivity checks are accounted");
@@ -994,7 +947,7 @@ mod tests {
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&index, &graph);
         let terms = query1_terms(&c);
-        let config = TopKConfig::with_k(5);
+        let k = 5;
         let mut scratch = SearchScratch::new();
         let cases: Vec<(&str, SearchLimits)> = vec![
             (
@@ -1022,7 +975,7 @@ mod tests {
             ),
         ];
         for (resource, limits) in cases {
-            let (result, breach) = searcher.search(&terms, &config, &limits, &mut scratch);
+            let (result, breach) = searcher.search(&terms, k, &limits, &mut scratch);
             let breach = breach.unwrap_or_else(|| panic!("{resource} limit must trip"));
             assert_eq!(breach.resource, resource);
             // The prefix is well-formed even when empty.
@@ -1041,12 +994,8 @@ mod tests {
         let searcher = TopKSearcher::new(&index, &graph);
         let flag = Arc::new(AtomicBool::new(true));
         let limits = SearchLimits { cancel: Some(flag), ..SearchLimits::unlimited() };
-        let (result, breach) = searcher.search(
-            &query1_terms(&c),
-            &TopKConfig::with_k(5),
-            &limits,
-            &mut SearchScratch::new(),
-        );
+        let (result, breach) =
+            searcher.search(&query1_terms(&c), 5, &limits, &mut SearchScratch::new());
         assert_eq!(breach.expect("cancelled search must report a breach").resource, "cancelled");
         assert!(result.tuples.is_empty());
     }
@@ -1057,7 +1006,7 @@ mod tests {
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&index, &graph);
         let terms = query1_terms(&c);
-        let config = TopKConfig::with_k(5);
+        let k = 5;
         let limits = SearchLimits {
             deadline: Some(std::time::Instant::now() + std::time::Duration::from_secs(600)),
             max_sorted_accesses: Some(usize::MAX),
@@ -1066,10 +1015,9 @@ mod tests {
             max_label_probes: Some(u64::MAX),
             cancel: Some(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false))),
         };
-        let (governed, breach) =
-            searcher.search(&terms, &config, &limits, &mut SearchScratch::new());
+        let (governed, breach) = searcher.search(&terms, k, &limits, &mut SearchScratch::new());
         assert!(breach.is_none());
-        assert_eq!(governed.tuples, search(&searcher, &terms, &config).tuples);
+        assert_eq!(governed.tuples, search(&searcher, &terms, k).tuples);
     }
 
     #[test]
@@ -1078,13 +1026,13 @@ mod tests {
         let (index, graph) = searcher_parts(&c);
         let searcher = TopKSearcher::new(&index, &graph);
         let terms = query1_terms(&c);
-        let config = TopKConfig::with_k(5);
+        let k = 5;
         let limits = SearchLimits::unlimited();
         let materialized = searcher.materialize_terms(&terms);
         let mut scratch = SearchScratch::new();
-        let (fresh, _) = searcher.search(&terms, &config, &limits, &mut scratch);
+        let (fresh, _) = searcher.search(&terms, k, &limits, &mut scratch);
         let (replayed, breach) =
-            searcher.search_materialized(&materialized, &config, &limits, &mut scratch);
+            searcher.search_materialized(&materialized, k, &limits, &mut scratch);
         assert!(breach.is_none());
         assert_eq!(fresh.tuples, replayed.tuples);
         assert_eq!(fresh.stats, replayed.stats);
@@ -1103,9 +1051,8 @@ mod tests {
         for k in [0usize, 1, 2, 10] {
             // A three-term search first leaves the scratch's partition built
             // for other lists: the one-list search never reads it.
-            searcher.search(&query1_terms(&c), &TopKConfig::with_k(3), &limits, &mut scratch);
-            let config = TopKConfig::with_k(k);
-            let (result, breach) = searcher.search(&terms, &config, &limits, &mut scratch);
+            searcher.search(&query1_terms(&c), 3, &limits, &mut scratch);
+            let (result, breach) = searcher.search(&terms, k, &limits, &mut scratch);
             assert!(breach.is_none());
             let read = k.min(2);
             let stats = &result.stats;
@@ -1115,14 +1062,18 @@ mod tests {
             assert_eq!(result.tuples.len(), read, "k={k}");
             assert!(result.tuples.iter().all(|t| t.compactness == 1.0));
             assert!(result.tuples.windows(2).all(|w| w[0].score >= w[1].score));
-            let fresh = search(&searcher, &terms, &config);
+            let fresh = search(&searcher, &terms, k);
             assert_eq!(result, fresh, "k={k}");
         }
-        // The candidate bound stops the read before the threshold can.
-        let clipped = TopKConfig { candidate_limit: 1, ..TopKConfig::with_k(2) };
-        let (result, _) = searcher.search(&terms, &clipped, &limits, &mut scratch);
+        // The candidate ceiling stops the read before the threshold can.
+        let clipped = SearchLimits { max_tuples_scored: Some(1), ..SearchLimits::unlimited() };
+        let (result, breach) = searcher.search(&terms, 2, &clipped, &mut scratch);
         assert_eq!((result.stats.sorted_accesses, result.tuples.len()), (1, 1));
         assert!(!result.stats.early_terminated);
+        assert_eq!(
+            breach.map(|b| (b.resource, b.spent, b.budget)),
+            Some(("candidate tuples", 1, 1))
+        );
     }
 
     #[test]
@@ -1133,24 +1084,21 @@ mod tests {
         let terms = query1_terms(&c);
 
         // A generous limit loses nothing and reports nothing.
-        let unclipped = search(&searcher, &terms, &TopKConfig::with_k(10));
+        let unclipped = search(&searcher, &terms, 10);
         assert_eq!(unclipped.stats.candidates_truncated, 0);
 
-        // A tiny limit clips the candidate set and must say so.
-        let mut tight = TopKConfig::with_k(10);
-        tight.candidate_limit = 3;
-        let clipped = search(&searcher, &terms, &tight);
-        assert!(clipped.stats.tuples_scored <= 3);
+        // A tiny ceiling cuts the candidate set to it, says so, and stops.
+        let tight = SearchLimits { max_tuples_scored: Some(3), ..SearchLimits::unlimited() };
+        let (clipped, breach) = searcher.search(&terms, 10, &tight, &mut SearchScratch::new());
+        assert_eq!(clipped.stats.tuples_scored, 3);
         assert!(
             clipped.stats.candidates_truncated > 0,
             "clipped combos must be counted: {:?}",
             clipped.stats
         );
-        let clipped_naive = searcher.search_naive(&terms, &tight, &mut SearchScratch::new());
-        assert!(
-            clipped_naive.stats.candidates_truncated > 0,
-            "naive clipping must be counted: {:?}",
-            clipped_naive.stats
+        assert_eq!(
+            breach.map(|b| (b.resource, b.spent, b.budget)),
+            Some(("candidate tuples", 3, 3))
         );
     }
 }

@@ -30,43 +30,12 @@ impl TermInput {
     }
 }
 
-/// Configuration of a top-k search.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopKConfig {
-    /// Number of result tuples to return.
-    pub k: usize,
-    /// Maximum number of hops when testing connectivity / compactness; at
-    /// most [`seda_datagraph::MAX_DEPTH`], to which the traversal layer
-    /// clamps larger bounds (`seda_core::SedaEngine::build` refuses them).
-    pub max_depth: usize,
-    /// Upper bound on the number of candidate tuples the algorithm will score
-    /// (guards against combinatorial blow-up on match-all terms).
-    ///
-    /// When the bound clips the candidate set, the search result is a
-    /// **best-effort** top-k over the combinations enumerated up to that
-    /// point; the number of dropped combinations is reported in
-    /// [`SearchStats::candidates_truncated`] rather than lost silently.
-    pub candidate_limit: usize,
-}
-
-impl Default for TopKConfig {
-    fn default() -> Self {
-        TopKConfig { k: 10, max_depth: 12, candidate_limit: 200_000 }
-    }
-}
-
-impl TopKConfig {
-    /// Convenience constructor fixing only `k`.
-    pub fn with_k(k: usize) -> Self {
-        TopKConfig { k, ..TopKConfig::default() }
-    }
-}
-
 /// Resource ceilings enforced inside the Threshold-Algorithm loop by
 /// [`crate::TopKSearcher::search`].
 ///
 /// Every field defaults to "unlimited"; the searcher only pays for the checks
-/// whose ceilings are set.  Breaches stop the loop at the next check point and
+/// whose ceilings are set, but for the candidate ceiling's two compares a
+/// batch.  Breaches stop the loop at the next check point and
 /// are reported as a [`LimitBreach`] alongside the prefix computed so far —
 /// TA's monotone threshold makes that prefix an exact top-k over the
 /// combinations enumerated up to the stop.
@@ -80,7 +49,12 @@ pub struct SearchLimits {
     pub max_sorted_accesses: Option<usize>,
     /// Ceiling on random-access score probes.
     pub max_random_accesses: Option<usize>,
-    /// Ceiling on candidate tuples scored (connectivity + compactness).
+    /// The one candidate ceiling: the most candidate tuples the join scores
+    /// (connectivity + compactness).  A batch of tuples that would pass it is
+    /// cut to it, the dropped combinations counted in
+    /// [`SearchStats::candidates_truncated`], and the join stops with a
+    /// `"candidate tuples"` breach once the tuples scored reach it.  The
+    /// engine always sets it, at most [`SearchLimits::CANDIDATE_GUARD`].
     pub max_tuples_scored: Option<usize>,
     /// Ceiling on connectivity-oracle probes (label entries scanned, parent
     /// steps walked).
@@ -96,6 +70,11 @@ impl SearchLimits {
     /// search overruns its deadline by at most 64 accesses' work, and an
     /// already expired deadline still breaches before the first access.
     pub const DEADLINE_STRIDE: usize = 64;
+
+    /// The engine's candidate guard: match-all terms make the join
+    /// combinatorial, so the engine never lets a search score more candidate
+    /// tuples than this, whatever the caller's budget says.
+    pub const CANDIDATE_GUARD: usize = 200_000;
 
     /// Limits that never trip — how ungoverned callers spell
     /// [`crate::TopKSearcher::search`].
@@ -150,9 +129,10 @@ pub struct SearchStats {
     pub tuples_scored: usize,
     /// Candidate tuples discarded because they were not connected.
     pub tuples_disconnected: usize,
-    /// Candidate combinations dropped because
-    /// [`TopKConfig::candidate_limit`] clipped the candidate set.  Non-zero
-    /// means the result is a best-effort top-k rather than an exact one.
+    /// Candidate combinations dropped because the batch that formed them
+    /// would have passed [`SearchLimits::max_tuples_scored`]: the ceiling cut
+    /// the candidate set.  Non-zero means the result is a best-effort top-k
+    /// rather than an exact one.
     pub candidates_truncated: usize,
     /// Connectivity-oracle probes of the connectivity/compactness checks:
     /// core-label entries scanned and climb or parent steps walked.
@@ -205,15 +185,6 @@ impl MaterializedTerms {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_config_is_sane() {
-        let c = TopKConfig::default();
-        assert_eq!(c.k, 10);
-        assert!(c.max_depth > 0);
-        assert!(c.candidate_limit > 0);
-        assert_eq!(TopKConfig::with_k(3).k, 3);
-    }
 
     #[test]
     fn materialized_terms_report_list_shapes() {

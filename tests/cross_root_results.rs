@@ -85,7 +85,7 @@ fn reference_rows(engine: &SedaEngine, contexts: &[&str]) -> Option<Vec<Vec<(Nod
     if columns.iter().map(|(_, nodes)| nodes.len()).product::<usize>() > 20_000 {
         return None;
     }
-    let max_depth = engine.config().topk.max_depth;
+    let max_depth = seda_datagraph::SEARCH_DEPTH;
     // One BFS per distinct first node, shared by every tuple it starts.
     let mut reached: HashMap<NodeId, HashMap<NodeId, usize>> = HashMap::new();
     let mut tuples: Vec<Vec<NodeId>> = vec![Vec::new()];

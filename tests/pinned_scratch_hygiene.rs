@@ -22,7 +22,7 @@ use seda_core::{EngineConfig, SedaEngine, SedaError, SedaQuery, SedaReader, Seda
 use seda_datagen::Dataset;
 use seda_olap::{QueryResultTable, Registry};
 use seda_topk::TopKSearcher;
-use seda_topk::{SearchLimits, SearchScratch, SearchStats, TermInput, TopKConfig, TopKResult};
+use seda_topk::{SearchLimits, SearchScratch, SearchStats, TermInput, TopKResult};
 
 /// Small enough for `/country/name × /city/name` (1,374 connected pairs over
 /// 20 countries) to overrun the frontier in the join's second stage, while a
@@ -67,12 +67,8 @@ impl Expected {
     fn from_fresh_scratches(engine: &SedaEngine) -> Expected {
         let terms = term_inputs(engine, "(name, *) AND (population, *)");
         let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
-        let (top_k, breach) = searcher.search(
-            &terms,
-            &TopKConfig::with_k(10),
-            &SearchLimits::unlimited(),
-            &mut SearchScratch::new(),
-        );
+        let (top_k, breach) =
+            searcher.search(&terms, 10, &SearchLimits::unlimited(), &mut SearchScratch::new());
         assert!(breach.is_none());
         assert!(top_k.stats.label_probes > 0 && top_k.stats.tuples_disconnected > 0);
         let results = cross_root("/sea/name", "/country/name");
@@ -90,12 +86,8 @@ impl Expected {
             .verify()
             .unwrap_or_else(|violations| panic!("scratch after {after}: {violations:?}"));
         let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
-        let (top_k, breach) = searcher.search(
-            &self.terms,
-            &TopKConfig::with_k(10),
-            &SearchLimits::unlimited(),
-            reader.scratch_mut(),
-        );
+        let (top_k, breach) =
+            searcher.search(&self.terms, 10, &SearchLimits::unlimited(), reader.scratch_mut());
         assert!(breach.is_none(), "after {after}");
         assert_eq!(top_k, self.top_k, "unlimited search after {after}");
         let response = reader.execute(&self.results).expect("cross-root RESULTS");
@@ -109,12 +101,12 @@ impl Expected {
 fn search(
     reader: &mut SedaReader<'_>,
     terms: &[TermInput],
-    config: &TopKConfig,
+    k: usize,
     limits: &SearchLimits,
 ) -> (TopKResult, Option<&'static str>) {
     let engine = reader.engine();
     let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
-    let (result, breach) = searcher.search(terms, config, limits, reader.scratch_mut());
+    let (result, breach) = searcher.search(terms, k, limits, reader.scratch_mut());
     (result, breach.map(|b| b.resource))
 }
 
@@ -149,7 +141,7 @@ fn every_exit_of_the_pinned_loops_leaves_the_scratch_as_a_fresh_one() {
     let expected = Expected::from_fresh_scratches(&engine);
     let full = &expected.top_k.stats;
     let terms = &expected.terms;
-    let k10 = TopKConfig::with_k(10);
+    let k10 = 10;
     let unlimited = SearchLimits::unlimited();
     let mut reader = engine.reader();
 
@@ -162,15 +154,16 @@ fn every_exit_of_the_pinned_loops_leaves_the_scratch_as_a_fresh_one() {
         ("label probes", SearchLimits { max_label_probes: Some(5_000), ..unlimited.clone() }),
     ];
     for (resource, limits) in ceilings {
-        let (partial, breach) = search(&mut reader, terms, &k10, &limits);
+        let (partial, breach) = search(&mut reader, terms, k10, &limits);
         assert_eq!(breach, Some(resource));
         assert!(partial.stats.label_probes > 0, "{resource} tripped before any probe");
         assert!(partial.stats.tuples_scored < full.tuples_scored);
         if resource == "candidate tuples" {
-            // Stopped inside a batch, the source still pinned: more pairs
-            // were formed than scored.
+            // The batch that would pass the ceiling was cut to it: more pairs
+            // were formed than scored, and the cut ones are counted.
             assert_eq!(partial.stats.tuples_scored, 1_000);
             assert!(partial.stats.random_accesses > 1_000, "{:?}", partial.stats);
+            assert!(partial.stats.candidates_truncated > 0, "{:?}", partial.stats);
         }
         expected.assert_scratch_answers_alike(&mut reader, resource);
     }
@@ -184,7 +177,7 @@ fn every_exit_of_the_pinned_loops_leaves_the_scratch_as_a_fresh_one() {
     let fastest = (0..5)
         .map(|_| {
             let start = Instant::now();
-            search(&mut reader, terms, &k10, &unlimited);
+            search(&mut reader, terms, k10, &unlimited);
             start.elapsed()
         })
         .min()
@@ -192,7 +185,7 @@ fn every_exit_of_the_pinned_loops_leaves_the_scratch_as_a_fresh_one() {
     let half = fastest / 2;
     let caught = arm_until_mid_search("deadline", full, half, |delay| {
         let limits = SearchLimits { deadline: Some(Instant::now() + delay), ..unlimited.clone() };
-        search(&mut reader, terms, &k10, &limits)
+        search(&mut reader, terms, k10, &limits)
     });
     assert!(caught.is_ok(), "no deadline caught the search between two accesses: {caught:?}");
     expected.assert_scratch_answers_alike(&mut reader, "an expiring deadline");
@@ -204,32 +197,24 @@ fn every_exit_of_the_pinned_loops_leaves_the_scratch_as_a_fresh_one() {
                 std::thread::sleep(delay.max(Duration::from_micros(50)));
                 flag.store(true, Ordering::Relaxed);
             });
-            search(&mut reader, terms, &k10, &limits)
+            search(&mut reader, terms, k10, &limits)
         })
     });
     assert!(caught.is_ok(), "no cancellation caught the search between two accesses: {caught:?}");
     expected.assert_scratch_answers_alike(&mut reader, "a cancellation");
 
-    // The candidate limit, reached inside a batch: no breach, a stop.
-    let clipped_config = TopKConfig { candidate_limit: 500, ..TopKConfig::with_k(10) };
-    let (clipped, breach) = search(&mut reader, terms, &clipped_config, &unlimited);
-    assert_eq!(breach, None);
-    assert_eq!(clipped.stats.tuples_scored, 500);
-    assert!(clipped.stats.candidates_truncated > 0 && clipped.stats.label_probes > 0);
-    expected.assert_scratch_answers_alike(&mut reader, "candidate-limit clipping");
-
     // Early termination: one path's match-all scores are tied and `[x, x]` is
     // as compact as a tuple gets, so thirty of them close the threshold —
     // after batches large enough to have pinned.
     let names = term_inputs(&engine, "(/city/name, *) AND (/city/name, *)");
-    let (early, breach) = search(&mut reader, &names, &TopKConfig::with_k(30), &unlimited);
+    let (early, breach) = search(&mut reader, &names, 30, &unlimited);
     assert_eq!(breach, None);
     assert!(early.stats.early_terminated && early.stats.label_probes > 0, "{:?}", early.stats);
     expected.assert_scratch_answers_alike(&mut reader, "early termination");
 
     // A term without a match: the join returns before its loop.
     let unmatched = term_inputs(&engine, "(name, zzzunknownzzz) AND (population, *)");
-    let (empty, breach) = search(&mut reader, &unmatched, &k10, &unlimited);
+    let (empty, breach) = search(&mut reader, &unmatched, k10, &unlimited);
     assert_eq!(breach, None);
     assert!(empty.tuples.is_empty() && empty.stats.sorted_accesses == 0);
     expected.assert_scratch_answers_alike(&mut reader, "an empty list");

@@ -5,7 +5,7 @@ use seda_core::{EngineConfig, SedaEngine, SedaQuery, SedaRequest};
 use seda_datagen::{mondial, MondialConfig};
 use seda_datagraph::doc_component_builds_on_this_thread;
 use seda_olap::Registry;
-use seda_topk::{SearchLimits, SearchScratch, TopKConfig, TopKSearcher};
+use seda_topk::{SearchLimits, SearchScratch, TopKSearcher};
 
 fn small_engine(parallelism: usize) -> SedaEngine {
     let config = MondialConfig {
@@ -61,13 +61,8 @@ fn doc_components_built_once_per_engine_never_per_search() {
     let mut scratch = SearchScratch::new();
     for k in 1..=10 {
         let _ = reader.execute(&request.clone().top_k(k).build());
-        let _ = searcher.search(
-            &terms,
-            &TopKConfig::with_k(k),
-            &SearchLimits::unlimited(),
-            &mut scratch,
-        );
-        let _ = searcher.search_naive(&terms, &TopKConfig::with_k(k), &mut scratch);
+        let _ = searcher.search(&terms, k, &SearchLimits::unlimited(), &mut scratch);
+        let _ = searcher.search_naive(&terms, k, &mut scratch);
     }
     assert_eq!(
         doc_component_builds_on_this_thread(),

@@ -15,7 +15,7 @@ use seda_datagraph::{DataGraph, GraphConfig};
 use seda_dataguide::Connection;
 use seda_olap::{ContextEntry, Registry, RelativeKey, SchemaDef};
 use seda_textindex::{FullTextQuery, NodeIndex};
-use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKConfig, TopKSearcher};
+use seda_topk::{SearchLimits, SearchScratch, TermInput, TopKSearcher};
 use seda_xmlstore::NodeId;
 
 fn engine() -> SedaEngine {
@@ -429,9 +429,8 @@ fn a_deadline_expiring_mid_search_breaches_on_a_stride_boundary() {
         TermInput::with_paths(FullTextQuery::Any, paths.expect("a tag restricts"))
     };
     let terms = [any_under("title"), any_under("price")];
-    let k = TopKConfig::with_k(10);
     let mut scratch = SearchScratch::new();
-    let mut search = |limits: &SearchLimits| searcher.search(&terms, &k, limits, &mut scratch);
+    let mut search = |limits: &SearchLimits| searcher.search(&terms, 10, limits, &mut scratch);
 
     let start = Instant::now();
     let (full, breach) = search(&SearchLimits::unlimited());

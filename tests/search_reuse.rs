@@ -258,9 +258,11 @@ fn work_ceilings_and_an_expired_deadline_give_a_fresh_readers_outcome() {
         }
     }
     // In both modes the budgets below the search's spending breach (four),
-    // so do the label probes at the search's and between it and the whole
-    // request's (two: discovery crosses them) and both expired deadlines.
-    assert_eq!(breached, 2 * (4 + 2 + 2), "the ceilings bite");
+    // so does the candidate ceiling at it (the join stops once the tuples
+    // scored reach the ceiling), so do the label probes at the search's and
+    // between it and the whole request's (two: discovery crosses them) and
+    // both expired deadlines.
+    assert_eq!(breached, 2 * (4 + 1 + 2 + 2), "the ceilings bite");
 }
 
 /// A contained panic clears the entry with the scratch: after one, the next

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use seda_core::{EngineConfig, SedaEngine, SedaQuery, SedaRequest};
 use seda_datagen::{googlebase, mondial, Dataset, GoogleBaseConfig, MondialConfig};
 use seda_olap::Registry;
-use seda_topk::{SearchLimits, SearchScratch, SearchStats, TermInput, TopKConfig, TopKSearcher};
+use seda_topk::{SearchLimits, SearchScratch, SearchStats, TermInput, TopKSearcher};
 use seda_xmlstore::{parse_collection, Collection};
 
 fn engine(collection: Collection) -> SedaEngine {
@@ -42,10 +42,9 @@ fn assert_equivalent(
     k: usize,
 ) -> Result<(), TestCaseError> {
     let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
-    let config = TopKConfig::with_k(k);
     let mut scratch = SearchScratch::new();
-    let ta = searcher.search(terms, &config, &SearchLimits::unlimited(), &mut scratch).0;
-    let naive = searcher.search_naive(terms, &config, &mut scratch);
+    let ta = searcher.search(terms, k, &SearchLimits::unlimited(), &mut scratch).0;
+    let naive = searcher.search_naive(terms, k, &mut scratch);
     prop_assert_eq!(ta.tuples.len(), naive.tuples.len(), "result sizes differ");
     for (i, (a, b)) in ta.tuples.iter().zip(naive.tuples.iter()).enumerate() {
         prop_assert!(
@@ -64,10 +63,9 @@ fn assert_equivalent(
             &b.nodes
         );
     }
-    // Neither search may have clipped candidates, otherwise the oracle
+    // The join may not have clipped candidates, otherwise the oracle
     // comparison would be vacuous.
     prop_assert_eq!(ta.stats.candidates_truncated, 0);
-    prop_assert_eq!(naive.stats.candidates_truncated, 0);
     Ok(())
 }
 
@@ -83,9 +81,8 @@ fn assert_equivalent_under_ties(
     let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
     let mut scratch = SearchScratch::new();
     let unlimited = SearchLimits::unlimited();
-    let ta = searcher.search(terms, &TopKConfig::with_k(k), &unlimited, &mut scratch).0;
-    let all = searcher.search_naive(terms, &TopKConfig::with_k(usize::MAX), &mut scratch);
-    prop_assert_eq!(all.stats.candidates_truncated, 0);
+    let ta = searcher.search(terms, k, &unlimited, &mut scratch).0;
+    let all = searcher.search_naive(terms, usize::MAX, &mut scratch);
     prop_assert_eq!(ta.tuples.len(), all.tuples.len().min(k), "result sizes differ");
     for (i, (a, b)) in ta.tuples.iter().zip(all.tuples.iter()).enumerate() {
         prop_assert!(
@@ -154,14 +151,12 @@ fn assert_semi_joined_equivalent(engine: &SedaEngine) -> Result<(usize, usize), 
         let live: usize = (0..terms.len()).map(|i| materialized.list_len(i)).sum();
         for k in [1usize, 10, 100] {
             assert_equivalent_under_ties(engine, &terms, k)?;
-            let config = TopKConfig::with_k(k);
-            let cold = searcher.search(&terms, &config, &unlimited, &mut scratch);
-            let replayed =
-                searcher.search_materialized(&materialized, &config, &unlimited, &mut scratch);
+            let cold = searcher.search(&terms, k, &unlimited, &mut scratch);
+            let replayed = searcher.search_materialized(&materialized, k, &unlimited, &mut scratch);
             prop_assert_eq!(&cold, &replayed, "{} k={}: materialised lists diverge", text, k);
             prop_assert!(cold.0.stats.sorted_accesses <= live, "{} k={}", text, k);
             joined += cold.0.stats.sorted_accesses;
-            naive += searcher.search_naive(&terms, &config, &mut scratch).stats.sorted_accesses;
+            naive += searcher.search_naive(&terms, k, &mut scratch).stats.sorted_accesses;
         }
     }
     Ok((joined, naive))
@@ -264,9 +259,8 @@ fn ta_matches_naive_on_fixed_small_workloads() {
     let terms = term_inputs(&engine, "(name, *) AND (population, *)");
     let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
     let mut scratch = SearchScratch::new();
-    let config = TopKConfig::with_k(10);
-    let ta = searcher.search(&terms, &config, &SearchLimits::unlimited(), &mut scratch).0;
-    let naive = searcher.search_naive(&terms, &config, &mut scratch);
+    let ta = searcher.search(&terms, 10, &SearchLimits::unlimited(), &mut scratch).0;
+    let naive = searcher.search_naive(&terms, 10, &mut scratch);
     assert_eq!(ta.tuples.len(), naive.tuples.len());
     for (a, b) in ta.tuples.iter().zip(naive.tuples.iter()) {
         assert!((a.score - b.score).abs() < 1e-9);
@@ -319,17 +313,11 @@ fn terms_that_share_no_component_answer_empty_with_no_sorted_access() {
     assert_eq!((materialized.list_len(0), materialized.list_len(1)), (0, 0));
     let unlimited = SearchLimits::unlimited();
     for k in [1usize, 10, 100] {
-        let config = TopKConfig::with_k(k);
-        let (cold, breach) =
-            searcher.search(&terms, &config, &unlimited, &mut SearchScratch::new());
+        let (cold, breach) = searcher.search(&terms, k, &unlimited, &mut SearchScratch::new());
         assert!(breach.is_none() && cold.tuples.is_empty(), "k={k}");
         assert_eq!(cold.stats, SearchStats::default(), "k={k}: no entry is read");
-        let (replayed, _) = searcher.search_materialized(
-            &materialized,
-            &config,
-            &unlimited,
-            &mut SearchScratch::new(),
-        );
+        let (replayed, _) =
+            searcher.search_materialized(&materialized, k, &unlimited, &mut SearchScratch::new());
         assert_eq!(replayed, cold, "k={k}");
     }
     let response = engine.reader().execute_text("TOPK 10 FOR (a, *) AND (b, *)").unwrap();
@@ -339,11 +327,12 @@ fn terms_that_share_no_component_answer_empty_with_no_sorted_access() {
 }
 
 /// One term is ranked retrieval, and the one join answers it as such: it
-/// reads the first `min(k, len)` postings (fewer when the candidate bound is
-/// lower), scores each as a maximally compact singleton without a random
+/// reads the first `min(k, len)` postings (fewer when the candidate ceiling
+/// is lower), scores each as a maximally compact singleton without a random
 /// access or a label probe, and stops on the threshold exactly when the k-th
-/// read happened — the list held `k` entries and the bound did not stop the
-/// loop first.  Fresh and prepared (materialised) lists answer alike.
+/// read happened — the list held `k` entries and the ceiling did not stop the
+/// loop first, with a `"candidate tuples"` breach.  Fresh and prepared
+/// (materialised) lists answer alike.
 #[test]
 fn one_list_join_reads_the_sorted_prefix_and_stops() {
     let corpus = GoogleBaseConfig { items: 40, categories: 4, attributes_per_category: 4, seed: 7 };
@@ -353,16 +342,16 @@ fn one_list_join_reads_the_sorted_prefix_and_stops() {
     let materialized = searcher.materialize_terms(&terms);
     let len = materialized.list_len(0);
     assert!(len > 5, "the list must outgrow the small ks: {len}");
-    let unlimited = SearchLimits::unlimited();
     let mut scratch = SearchScratch::new();
-    let mut cases: Vec<TopKConfig> =
-        [0, 1, 5, len, len + 3].into_iter().map(TopKConfig::with_k).collect();
-    cases.push(TopKConfig { candidate_limit: 3, ..TopKConfig::with_k(5) });
-    for config in cases {
-        let (k, bound) = (config.k, config.candidate_limit);
-        let (result, breach) = searcher.search(&terms, &config, &unlimited, &mut scratch);
-        assert!(breach.is_none());
+    let mut cases: Vec<(usize, SearchLimits)> =
+        [0, 1, 5, len, len + 3].into_iter().map(|k| (k, SearchLimits::unlimited())).collect();
+    cases.push((5, SearchLimits { max_tuples_scored: Some(3), ..SearchLimits::unlimited() }));
+    for (k, limits) in cases {
+        let bound = limits.max_tuples_scored.unwrap_or(usize::MAX);
+        let (result, breach) = searcher.search(&terms, k, &limits, &mut scratch);
         let read = k.min(len).min(bound);
+        let stop = (read == bound).then_some(("candidate tuples", bound as u64, bound as u64));
+        assert_eq!(breach.map(|b| (b.resource, b.spent, b.budget)), stop, "k={k}");
         let stats = &result.stats;
         assert_eq!((stats.sorted_accesses, stats.tuples_scored), (read, read), "k={k}");
         assert_eq!((stats.random_accesses, stats.label_probes), (0, 0), "k={k}");
@@ -370,8 +359,7 @@ fn one_list_join_reads_the_sorted_prefix_and_stops() {
         assert_eq!(result.tuples.len(), read, "k={k}");
         assert!(result.tuples.iter().all(|t| t.nodes.len() == 1 && t.compactness == 1.0));
         assert!(result.tuples.windows(2).all(|w| w[0].score >= w[1].score), "k={k}");
-        let (replayed, _) =
-            searcher.search_materialized(&materialized, &config, &unlimited, &mut scratch);
+        let (replayed, _) = searcher.search_materialized(&materialized, k, &limits, &mut scratch);
         assert_eq!(replayed, result, "k={k}");
     }
 }
@@ -400,14 +388,13 @@ fn one_scratch_across_engines_term_counts_and_a_breach_matches_fresh_scratches()
     for (round, (engine, text, limits)) in rounds.into_iter().enumerate() {
         let searcher = TopKSearcher::new(engine.node_index(), engine.graph());
         let terms = term_inputs(engine, text);
-        let config = TopKConfig::with_k(10);
-        let reused = searcher.search(&terms, &config, limits, &mut shared);
-        let fresh = searcher.search(&terms, &config, limits, &mut SearchScratch::new());
+        let reused = searcher.search(&terms, 10, limits, &mut shared);
+        let fresh = searcher.search(&terms, 10, limits, &mut SearchScratch::new());
         assert_eq!(reused, fresh, "round {round}: {text}");
         assert!(!reused.0.tuples.is_empty(), "round {round} must find answers: {text}");
         breaches += usize::from(reused.1.is_some());
-        let reused_naive = searcher.search_naive(&terms, &config, &mut shared);
-        let fresh_naive = searcher.search_naive(&terms, &config, &mut SearchScratch::new());
+        let reused_naive = searcher.search_naive(&terms, 10, &mut shared);
+        let fresh_naive = searcher.search_naive(&terms, 10, &mut SearchScratch::new());
         assert_eq!(reused_naive, fresh_naive, "round {round} (naive)");
         shared.verify().expect("scratch stays structurally sound");
     }

@@ -4,8 +4,8 @@
 //! component-partitioned join replaced the nested-loop candidate generation
 //! (ISSUE 12).  The partitioned join must enumerate exactly the combinations
 //! the prefix scan enumerated, in the same order, so the top-k tuples, every
-//! score bit, every [`SearchStats`] counter, the `candidate_limit` clipping
-//! points and the budget breach sites all have to repeat — on every corpus
+//! score bit, every [`SearchStats`] counter, the candidate clipping points
+//! and the budget breach sites all have to repeat — on every corpus
 //! shape, term count and `k`.  Any later change to candidate generation is
 //! held to the same file.
 //!
@@ -70,6 +70,24 @@
 //!
 //! RecipeML's and Mondial's budget lines repeat.
 //!
+//! Re-recorded a fifth time when one candidate ceiling,
+//! [`SearchLimits::max_tuples_scored`], replaced the silent candidate clip
+//! beside it: a batch that would pass the ceiling is cut to it, and the join
+//! stops with a `candidate tuples` breach once the tuples scored reach it.
+//! Every case runs under [`SearchLimits::CANDIDATE_GUARD`] (the old default
+//! clip, so every `limit=` column repeats) or its `clipped` ceiling.  Tuples,
+//! digests and best tuples repeat on every line; what moved:
+//!
+//! * All twelve `clipped` lines keep every counter and gain the breach
+//!   (`breach=candidate tuples:N/N` at their ceiling of 40, 500, 300 or 150,
+//!   where they read `breach=none`).
+//! * The three-term `budget scored<=25` lines now cut the batch that crosses
+//!   25 and count it: Mondial `truncated=2`, RecipeML `truncated=5`, World
+//!   Factbook `truncated=5` (all were 0), every other counter repeating.
+//!   Google Base's cuts nothing but stops as soon as its 25th tuple is
+//!   scored, after 75 sorted and 75 random accesses where it read three
+//!   more entries (78) before its 26th candidate tripped the old check.
+//!
 //! One [`SearchScratch`] serves all cases, and every case also runs over
 //! materialised term lists (the prepared-statement path), which must agree
 //! with the cold search.
@@ -84,14 +102,12 @@ use std::fmt::Write as _;
 use seda_core::{EngineConfig, SedaEngine, SedaQuery};
 use seda_datagen::Dataset;
 use seda_olap::Registry;
-use seda_topk::{
-    LimitBreach, SearchLimits, SearchScratch, TermInput, TopKConfig, TopKResult, TopKSearcher,
-};
+use seda_topk::{LimitBreach, SearchLimits, SearchScratch, TermInput, TopKResult, TopKSearcher};
 
 const GOLDEN: &str = include_str!("golden/topk_stats.txt");
 
-/// `(label, query text, candidate_limit)` per case; `None` keeps the default
-/// candidate limit.
+/// `(label, query text, candidate ceiling)` per case; `None` keeps the
+/// engine's candidate guard, [`SearchLimits::CANDIDATE_GUARD`].
 type Case = (&'static str, &'static str, Option<usize>);
 
 fn cases(dataset: Dataset) -> [Case; 4] {
@@ -207,36 +223,36 @@ fn render_all() -> String {
             engine.graph().doc_component_count()
         )
         .unwrap();
-        let unlimited = SearchLimits::unlimited();
-        for (label, text, candidate_limit) in cases(dataset) {
+        // Every search runs under the candidate guard, as the engine's do.
+        let guarded = SearchLimits {
+            max_tuples_scored: Some(SearchLimits::CANDIDATE_GUARD),
+            ..SearchLimits::unlimited()
+        };
+        for (label, text, ceiling) in cases(dataset) {
             let terms = term_inputs(&engine, text);
             let materialized = searcher.materialize_terms(&terms);
+            let limit = ceiling.unwrap_or(SearchLimits::CANDIDATE_GUARD);
+            let limits = SearchLimits { max_tuples_scored: Some(limit), ..guarded.clone() };
             for k in [1usize, 10, 100] {
-                let mut config = TopKConfig::with_k(k);
-                if let Some(limit) = candidate_limit {
-                    config.candidate_limit = limit;
-                }
-                let (cold, breach) = searcher.search(&terms, &config, &unlimited, &mut scratch);
+                let (cold, breach) = searcher.search(&terms, k, &limits, &mut scratch);
                 let (replayed, replayed_breach) =
-                    searcher.search_materialized(&materialized, &config, &unlimited, &mut scratch);
+                    searcher.search_materialized(&materialized, k, &limits, &mut scratch);
                 assert_eq!(cold, replayed, "{label} k={k}: materialised lists diverge from cold");
                 assert_eq!(breach, replayed_breach);
-                let head = format!("{label} k={k} limit={}", config.candidate_limit);
-                render_case(&mut out, &head, &cold, &breach);
+                render_case(&mut out, &format!("{label} k={k} limit={limit}"), &cold, &breach);
             }
         }
         // Breach sites: the loop must stop at the same counter values.
         let (_, text, _) = cases(dataset)[1];
         let terms = term_inputs(&engine, text);
         let budgets = [
-            ("random<=50", SearchLimits { max_random_accesses: Some(50), ..unlimited.clone() }),
-            ("scored<=25", SearchLimits { max_tuples_scored: Some(25), ..unlimited.clone() }),
-            ("sorted<=30", SearchLimits { max_sorted_accesses: Some(30), ..unlimited.clone() }),
-            ("probes<=200", SearchLimits { max_label_probes: Some(200), ..unlimited.clone() }),
+            ("random<=50", SearchLimits { max_random_accesses: Some(50), ..guarded.clone() }),
+            ("scored<=25", SearchLimits { max_tuples_scored: Some(25), ..guarded.clone() }),
+            ("sorted<=30", SearchLimits { max_sorted_accesses: Some(30), ..guarded.clone() }),
+            ("probes<=200", SearchLimits { max_label_probes: Some(200), ..guarded.clone() }),
         ];
         for (name, limits) in budgets {
-            let (result, breach) =
-                searcher.search(&terms, &TopKConfig::with_k(10), &limits, &mut scratch);
+            let (result, breach) = searcher.search(&terms, 10, &limits, &mut scratch);
             render_case(&mut out, &format!("three-term k=10 budget {name}"), &result, &breach);
         }
     }

@@ -17,12 +17,15 @@
 //! 5. **result-error** — public `seda-core` APIs returning `Result` use the
 //!    unified `SedaError` taxonomy.
 //! 6. **pub-surface** — every `pub` item (`fn`, `struct`, `enum`, `trait`,
-//!    `type`, `const`, `static`, `mod`) declared in `crates/*/src` is named,
-//!    as a whole word, in the code of a file outside its crate's `src/`
-//!    (another crate's `src/`, `crates/*/tests/`, `tests/`, `examples/`, the
-//!    umbrella `src/` or `benchmark/src/`), or its doc block carries a
-//!    one-line `// surface: <caller class>` reason.  `pub(crate)` and narrower
-//!    items are exempt, and so is `crates/bench`.
+//!    `type`, `const`, `static`, `mod`) declared in `crates/*/src` is used in
+//!    the code of a file outside its crate's `src/` (another crate's `src/`,
+//!    `crates/*/tests/`, `tests/`, `examples/`, the umbrella `src/` or
+//!    `benchmark/src/`), or its doc block carries a one-line
+//!    `// surface: <caller class>` reason.  A method (a `pub fn` inside an
+//!    `impl` block) is used when its name appears in call or path form
+//!    (`.name(`, `.name::<`, `::name`); every other item when its name
+//!    appears as a whole word.  `pub(crate)` and narrower items are exempt,
+//!    and so is `crates/bench`.
 //!
 //! The pass lexes each source file just enough to blank out comments,
 //! string/char literals and raw strings, so rules never fire on doc examples
@@ -371,6 +374,8 @@ fn result_error_type(generics: &str) -> Option<String> {
 struct PubItem {
     name: String,
     line: usize,
+    /// A `pub fn` declared directly inside an `impl` block.
+    method: bool,
     /// The item's doc block carries a `// surface: <caller class>` line.
     has_reason: bool,
 }
@@ -383,10 +388,30 @@ fn pub_items(src: &str) -> Vec<PubItem> {
     let src_lines: Vec<&str> = src.lines().collect();
     let mut items = Vec::new();
     let mut offset = 0;
+    // Brace depth, and the depths of the open `impl` bodies.
+    let (mut depth, mut impl_bodies, mut impl_header) = (0usize, Vec::new(), false);
     for line in masked[..lib_end].split_inclusive('\n') {
         let start = offset;
         offset += line.len();
-        let Some(rest) = line.trim_start().strip_prefix("pub ") else { continue };
+        let in_impl = impl_bodies.last() == Some(&depth);
+        let trimmed = line.trim_start();
+        let header = trimmed.strip_prefix("unsafe ").unwrap_or(trimmed);
+        impl_header |= header.starts_with("impl")
+            && !header.as_bytes().get(4).is_some_and(|&b| is_ident_byte(b));
+        for b in line.bytes() {
+            if b == b'{' {
+                depth += 1;
+                if std::mem::take(&mut impl_header) {
+                    impl_bodies.push(depth);
+                }
+            } else if b == b'}' {
+                if impl_bodies.last() == Some(&depth) {
+                    impl_bodies.pop();
+                }
+                depth = depth.saturating_sub(1);
+            }
+        }
+        let Some(rest) = trimmed.strip_prefix("pub ") else { continue };
         let mut words = rest.split(|c: char| !is_ident_byte(c as u8)).filter(|w| !w.is_empty());
         let mut kind = words.next();
         // `pub const fn`, `pub unsafe fn`, `pub async fn`: the qualifier is
@@ -409,7 +434,8 @@ fn pub_items(src: &str) -> Vec<PubItem> {
             .map(|l| l.trim_start())
             .take_while(|l| l.starts_with("//") || l.starts_with("#["))
             .any(|l| l.strip_prefix("// surface:").is_some_and(|why| !why.trim().is_empty()));
-        items.push(PubItem { name: name.to_string(), line: line_no, has_reason });
+        let method = in_impl && kind == "fn";
+        items.push(PubItem { name: name.to_string(), line: line_no, method, has_reason });
     }
     items
 }
@@ -421,27 +447,48 @@ fn crate_src_of(rel: &str) -> Option<&str> {
     rest[slash..].starts_with("/src/").then(|| &rel[.."crates/".len() + slash + "/src/".len()])
 }
 
-/// Every identifier of one file's masked code.
-fn words_of(src: &str) -> std::collections::HashSet<String> {
-    mask_source(src)
-        .split(|c: char| !is_ident_byte(c as u8))
-        .filter(|w| !w.is_empty())
-        .map(str::to_string)
-        .collect()
+/// Every identifier of one file's masked code, each with whether it is ever
+/// in call or path form: `.name(`, `.name::<` or `::name`.
+fn words_of(src: &str) -> std::collections::HashMap<&str, bool> {
+    let masked = mask_source(src);
+    let bytes = masked.as_bytes();
+    let mut words = std::collections::HashMap::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if !is_ident_byte(bytes[i]) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && is_ident_byte(bytes[i]) {
+            i += 1;
+        }
+        let before = &masked[..start];
+        let after = &masked[i..];
+        let method_call = before.ends_with('.')
+            && !before.ends_with("..")
+            && (after.starts_with('(') || after.starts_with("::<"));
+        let called = method_call || before.ends_with("::");
+        *words.entry(&src[start..i]).or_insert(false) |= called;
+    }
+    words
 }
 
 /// Rule 6 over a tree: `files` are root-relative paths with their text, the
 /// library sources and every caller file together.
 fn lint_surface(files: &[(String, String)]) -> Vec<Violation> {
     // word → the crate `src/` prefixes naming it (`None` for a file in no
-    // crate's `src/`).
-    let mut named: std::collections::HashMap<String, Vec<Option<&str>>> = Default::default();
+    // crate's `src/`), and those using it in call or path form.
+    type Owners<'a> = Vec<Option<&'a str>>;
+    let mut named: std::collections::HashMap<&str, (Owners, Owners)> = Default::default();
     for (rel, src) in files {
         let owner = crate_src_of(rel);
-        for word in words_of(src) {
-            let owners = named.entry(word).or_default();
-            if !owners.contains(&owner) {
-                owners.push(owner);
+        for (word, called) in words_of(src) {
+            let (naming, calling) = named.entry(word).or_default();
+            for (owners, uses) in [(naming, true), (calling, called)] {
+                if uses && !owners.contains(&owner) {
+                    owners.push(owner);
+                }
             }
         }
     }
@@ -452,17 +499,22 @@ fn lint_surface(files: &[(String, String)]) -> Vec<Violation> {
             continue;
         }
         for item in pub_items(src) {
-            let outside = named
-                .get(&item.name)
-                .is_some_and(|owners| owners.iter().any(|o| *o != Some(owner)));
+            let outside = named.get(item.name.as_str()).is_some_and(|(naming, calling)| {
+                let owners = if item.method { calling } else { naming };
+                owners.iter().any(|o| *o != Some(owner))
+            });
             if !outside && !item.has_reason {
+                let (what, used) = match item.method {
+                    true => ("method", "called"),
+                    false => ("item", "named"),
+                };
                 violations.push(Violation {
                     file: rel.clone(),
                     line: item.line,
                     rule: "pub-surface",
                     detail: format!(
-                        "`pub` item `{}` is named nowhere outside `{owner}`: narrow it, or give \
-                         it a `// surface: <caller class>` line",
+                        "`pub` {what} `{}` is {used} nowhere outside `{owner}`: narrow it, or \
+                         give it a `// surface: <caller class>` line",
                         item.name
                     ),
                 });
@@ -757,6 +809,27 @@ fn f() { let s = \"QUIET\"; }
     }
 
     #[test]
+    fn a_method_needs_an_outside_call_or_path_not_just_its_word() {
+        let lib = "pub struct S;\nimpl<T> S\nwhere\n    T: Copy,\n{\n    pub fn total(&self) -> u32 {\n        0\n    }\n}\npub fn total() {}\n";
+        // Named outside only as a local variable: the method fails, the free
+        // function of the same name passes on the whole word.
+        let local = "use demo::S;\nfn f() { let total = 1; }\n";
+        let violations = surface(&[(LIB, lib), ("tests/judge.rs", local)]);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].line, 6);
+        for call in ["s.total()", "s.total::<u8>()", "S::total", "s\n        .total()"] {
+            let caller = format!("use demo::S;\nfn f(s: S) {{ {call}; }}\n");
+            let violations = surface(&[(LIB, lib), ("tests/judge.rs", &caller)]);
+            assert!(violations.is_empty(), "{call}: {violations:?}");
+        }
+        // A field read and a range end are no calls.
+        for no_call in ["s.total", "0..total()"] {
+            let caller = format!("use demo::S;\nfn f(s: S) {{ {no_call}; }}\n");
+            assert_eq!(surface(&[(LIB, lib), ("tests/judge.rs", &caller)]).len(), 1, "{no_call}");
+        }
+    }
+
+    #[test]
     fn surface_reason_passes() {
         let src = "/// Docs.\n// surface: type in a public signature (`f`)\n#[derive(Debug)]\npub struct Shown;\n";
         assert!(surface(&[(LIB, src)]).is_empty());
@@ -789,5 +862,10 @@ fn f() { let s = \"QUIET\"; }
                 "fixture must trip {rule}: {violations:?}"
             );
         }
+        // `Stats::total` is named outside only as a local variable.
+        assert!(
+            violations.iter().any(|v| v.detail.starts_with("`pub` method `total`")),
+            "fixture must trip the call-site form: {violations:?}"
+        );
     }
 }
